@@ -58,6 +58,7 @@ from repro.errors import (
     ExpressionError,
     FieldNotFound,
     IndexBuildError,
+    InvalidQuery,
     ManuError,
     MonotonicityViolation,
     NodeNotFound,
@@ -122,6 +123,7 @@ __all__ = [
     "CollectionAlreadyExists",
     "FieldNotFound",
     "IndexBuildError",
+    "InvalidQuery",
     "ExpressionError",
     "ConsistencyTimeout",
     "StorageError",

@@ -10,8 +10,8 @@ Partial results travel the whole reduce path as :class:`HitBatch`es —
 parallel ``pks`` / ``dists`` ndarrays sorted by ascending adjusted
 distance — so merging is numpy concatenation + stable sorting instead of
 per-hit Python-object churn.  User-facing :class:`SearchHit` objects only
-materialize at the :class:`SearchResult` boundary (or through a batch's
-sequence protocol, which exists for tests and debugging).
+materialize through a batch's sequence protocol, when the holder of a
+:class:`SearchResult` (or a test) looks at its hits.
 
 Hits carry *adjusted distances* (smaller = more similar) internally and
 expose the user-facing score through :meth:`SearchHit.score_for`.
@@ -55,8 +55,8 @@ class HitBatch:
 
     Batches are cheap views over the arrays the distance kernels already
     produced; nothing is copied per hit.  The sequence protocol
-    (``len``/``iter``/``[i]``) materializes :class:`SearchHit` objects on
-    demand so existing object-oriented call sites and tests keep working.
+    (``len``/``iter``/``[i]``/slices) materializes :class:`SearchHit`
+    objects on demand, so a batch serves as ``SearchResult.hits``.
     """
 
     __slots__ = ("pks", "dists")
@@ -135,7 +135,9 @@ class HitBatch:
     def __iter__(self):
         return iter(self.to_hits())
 
-    def __getitem__(self, i: int) -> SearchHit:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return self.to_hits()[i]
         pk = self.pks[i]
         if isinstance(pk, np.generic):
             pk = pk.item()
@@ -179,12 +181,18 @@ class ReduceStats:
 class SearchResult:
     """Top-k hits for one query plus execution metadata.
 
+    ``hits`` is a sequence of :class:`SearchHit`: a list, or — from
+    ``search`` — the merged :class:`HitBatch` itself, whose sequence
+    protocol makes the hit objects on access.  Callers keep whole result
+    sets alive, and two small arrays per query are a third of the size of
+    ten hit objects.
+
     ``profile`` is the request's :class:`repro.profiling.QueryProfile`
     when the search ran with ``explain=True`` (all results of one batched
     request share the same profile object), else None.
     """
 
-    hits: list[SearchHit]
+    hits: Sequence[SearchHit]
     metric: MetricType
     latency_ms: float = 0.0
     consistency_wait_ms: float = 0.0

@@ -54,6 +54,7 @@ class Segment:
                                          if not f.is_primary}
         self._consolidated: dict[str, object] = {}
         self._deleted = np.zeros(0, dtype=bool)
+        self._num_deleted = 0
         # Temporary slice indexes: field -> {(slice_no, metric): index}.
         # Indexes are metric-specific (the adjusted-distance scales of
         # different metrics are not comparable); Euclidean ones are built
@@ -85,7 +86,7 @@ class Segment:
 
     @property
     def num_deleted(self) -> int:
-        return int(self._deleted.sum())
+        return self._num_deleted
 
     @property
     def num_live_rows(self) -> int:
@@ -159,6 +160,7 @@ class Segment:
             if row is not None and not self._deleted[row]:
                 self._deleted[row] = True
                 count += 1
+        self._num_deleted += count
         self.max_lsn = max(self.max_lsn, lsn)
         return count
 
@@ -337,10 +339,10 @@ class Segment:
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
-        stats.delete_filter_hits += self.num_deleted
+        stats.delete_filter_hits += self._num_deleted
         allowed = self._allowed_mask(filter_mask)
-        n_allowed = int(allowed.sum())
-        if n_allowed == 0 or self.num_rows == 0:
+        n_allowed = np.count_nonzero(allowed)
+        if n_allowed == 0:
             return [HitBatch.empty() for _ in range(queries.shape[0])]
 
         if force_brute:
@@ -349,10 +351,11 @@ class Segment:
 
         sealed_index = self._sealed_indexes.get(field)
         if sealed_index is not None:
-            return self._search_with_index(sealed_index, 0, queries, k,
-                                           metric, allowed, stats, field)
+            return self._search_with_index(
+                sealed_index, 0, queries, k, metric, allowed,
+                self.num_rows - n_allowed, stats, field)
         return self._search_growing(field, queries, k, metric, allowed,
-                                    stats)
+                                    self.num_rows - n_allowed, stats)
 
     def _search_brute(self, field: str, queries: np.ndarray, k: int,
                       metric: MetricType, allowed: np.ndarray,
@@ -379,58 +382,74 @@ class Segment:
 
     def _search_with_index(self, index: VectorIndex, row_offset: int,
                            queries: np.ndarray, k: int, metric: MetricType,
-                           allowed: np.ndarray, stats: SearchStats,
-                           field: str) -> list[HitBatch]:
-        """Post-filter strategy over one index; escalates when starved."""
+                           allowed: np.ndarray, n_excluded: int,
+                           stats: SearchStats, field: str) -> list[HitBatch]:
+        """Post-filter strategy over one index; escalates when starved.
+
+        ``n_excluded`` is how many of the index's rows ``allowed`` masks
+        out.  The whole ``(nq, k_amplified)`` candidate block is filtered
+        at once; only the hand-out of :class:`HitBatch` views and the
+        starvation escalation are per query.
+        """
         covered = index.ntotal
-        n_excluded = covered - int(
-            allowed[row_offset:row_offset + covered].sum())
         k_amplified = min(covered, k + n_excluded if n_excluded <= k
                           else min(covered, 2 * k + n_excluded // 4))
         ids, dists = index.search(queries, k_amplified)
-        _merge_stats(stats, index.stats)
+        stats.add(index.stats)
         stats.index_scans += 1
         # Indexes report work as comparison counts; at the scan layer one
         # comparison examines one stored row, which is the rows-scanned
         # unit the read-unit metering charges for.
         stats.rows_scanned += (index.stats.float_comparisons
                                + index.stats.quantized_comparisons)
-        pk_arr = self.pk_array
+        dists = dists.astype(np.float32, copy=False)
+        real = ids >= 0   # candidate rows are tail-padded with -1
+        n_real = np.count_nonzero(real)
+        padded = n_real < ids.size
+        rows = row_offset + ids
+        stats.candidates_visited += n_real
+        if n_excluded == 0 and not padded:
+            # Nothing to drop (the common case): the block is the answer.
+            pks = self.pk_array[rows]
+            return [HitBatch(pks[qi], dists[qi])
+                    for qi in range(queries.shape[0])]
+
+        # Padding reads some in-range row; ``real`` masks it out again.
+        keep = allowed[rows]
+        if padded:
+            keep &= real
+        stats.candidates_pruned += n_real - np.count_nonzero(keep)
+        # The first k kept candidates of every row, compacted row after
+        # row with one mask gather and split at the per-row counts.
+        keep &= np.cumsum(keep, axis=1) <= k
+        ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
+        pks = self.pk_array[rows[keep]]
+        kept_dists = dists[keep]
+        escalate = n_excluded > 0 and k_amplified < covered
+        sub_allowed = None   # ``allowed`` within this index's rows
         out: list[HitBatch] = []
-        for qi in range(queries.shape[0]):
-            local = np.asarray(ids[qi], dtype=np.int64)
-            # Candidate lists are tail-padded with -1; truncate there,
-            # then drop filtered rows with one mask gather instead of a
-            # per-candidate Python walk.
-            padding = np.flatnonzero(local < 0)
-            if padding.size:
-                local = local[:padding[0]]
-            rows = row_offset + local
-            keep = allowed[rows]
-            stats.candidates_visited += len(local)
-            stats.candidates_pruned += len(local) - int(keep.sum())
-            kept_rows = rows[keep][:k]
-            if n_excluded > 0 and len(kept_rows) < k \
-                    and k_amplified < covered:
+        begin = 0
+        for qi, end in enumerate(ends):
+            if escalate and end - begin < k:
                 # Starved by filtering: fall back to exact scan (correct).
                 # Without exclusions, returning fewer than k hits is the
                 # index's normal ANN behaviour and needs no escalation.
-                sub_allowed = np.zeros_like(allowed)
-                sub_allowed[row_offset:row_offset + covered] = (
-                    allowed[row_offset:row_offset + covered])
-                exact = self._search_brute(field, queries[qi:qi + 1], k,
-                                           metric, sub_allowed, stats)
-                out.append(exact[0])
+                if sub_allowed is None:
+                    sub_allowed = np.zeros_like(allowed)
+                    sub_allowed[row_offset:row_offset + covered] = (
+                        allowed[row_offset:row_offset + covered])
+                out.append(self._search_brute(
+                    field, queries[qi:qi + 1], k, metric, sub_allowed,
+                    stats)[0])
             else:
-                kept_dists = dists[qi][:len(local)][keep][:k]
-                out.append(HitBatch(
-                    pk_arr[kept_rows],
-                    kept_dists.astype(np.float32, copy=False)))
+                out.append(HitBatch(pks[begin:end], kept_dists[begin:end]))
+            begin = end
         return out
 
     def _search_growing(self, field: str, queries: np.ndarray, k: int,
                         metric: MetricType, allowed: np.ndarray,
-                        stats: SearchStats) -> list[HitBatch]:
+                        n_excluded: int, stats: SearchStats
+                        ) -> list[HitBatch]:
         """Temp slice indexes plus exact scan of the partial tail slice."""
         size = self.config.slice_size
         slices = sorted({s for s, _ in self._temp_indexes.get(field, {})})
@@ -443,8 +462,13 @@ class Segment:
             if index is None:
                 continue
             offset = slice_no * size
-            results = self._search_with_index(index, offset, queries, k,
-                                              metric, allowed, stats, field)
+            slice_excluded = 0
+            if n_excluded:   # some row of the segment is masked: here?
+                slice_excluded = index.ntotal - np.count_nonzero(
+                    allowed[offset:offset + index.ntotal])
+            results = self._search_with_index(
+                index, offset, queries, k, metric, allowed, slice_excluded,
+                stats, field)
             for qi, item in enumerate(results):
                 per_query[qi].append(item)
             uncovered_from = max(uncovered_from, offset + index.ntotal)
@@ -484,7 +508,7 @@ class Segment:
         ascending.
         """
         stats = stats if stats is not None else SearchStats()
-        stats.delete_filter_hits += self.num_deleted
+        stats.delete_filter_hits += self._num_deleted
         allowed = self._allowed_mask(filter_mask)
         rows = np.flatnonzero(allowed)
         if not len(rows):
@@ -541,7 +565,3 @@ class Segment:
             else:
                 total += sum(len(s) for s in value)
         return total
-
-
-def _merge_stats(into: SearchStats, other: SearchStats) -> None:
-    into.add(other)

@@ -37,6 +37,11 @@ class IndexError_(ManuError):
     """
 
 
+class InvalidQuery(ManuError):
+    """A search request is malformed: ``k`` below 1, a query block whose
+    width is not the field's dimension, or non-finite query values."""
+
+
 class ExpressionError(ManuError):
     """A boolean filter expression failed to parse or evaluate."""
 

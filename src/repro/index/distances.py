@@ -53,11 +53,14 @@ def cosine(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Pairwise cosine similarity, shape (nq, nd); zero vectors score 0."""
     queries = _as_2d(queries)
     data = _as_2d(data)
-    q_norms = np.linalg.norm(queries, axis=1, keepdims=True)
-    d_norms = np.linalg.norm(data, axis=1, keepdims=True)
-    q_norms[q_norms == 0] = 1.0
-    d_norms[d_norms == 0] = 1.0
-    return (queries / q_norms) @ (data / d_norms).T
+    return (queries / nonzero_norms(queries)) @ (data / nonzero_norms(data)).T
+
+
+def nonzero_norms(rows: np.ndarray) -> np.ndarray:
+    """Row norms as a column, zero rows mapped to 1 (so they score 0)."""
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return norms
 
 
 def adjusted_distances(queries: np.ndarray, data: np.ndarray,
@@ -93,7 +96,20 @@ def topk_smallest(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         empty_idx = np.empty(0, dtype=np.int64)
         return empty_idx, values[..., empty_idx]
     part = np.argpartition(values, k - 1, axis=-1)[..., :k]
-    part_vals = np.take_along_axis(values, part, axis=-1)
+    if values.ndim == 1:
+        part_vals = values[part]
+        order = np.argsort(part_vals, kind="stable")
+        return part[order], part_vals[order]
+    # Row-wise gathers through flat indices: ``take_along_axis`` builds
+    # its index grids in Python, which costs more than the selection
+    # itself on the small blocks the per-segment scans produce.
+    lead = values.shape[:-1]
+    part = part.reshape(-1, k)
+    nrows = part.shape[0]
+    part_vals = values.reshape(-1)[
+        part + np.arange(0, nrows * n, n)[:, None]]
     order = np.argsort(part_vals, axis=-1, kind="stable")
-    idx = np.take_along_axis(part, order, axis=-1)
-    return idx, np.take_along_axis(values, idx, axis=-1)
+    order += np.arange(0, nrows * k, k)[:, None]
+    idx = part.reshape(-1)[order]
+    return (idx.reshape(lead + (k,)),
+            part_vals.reshape(-1)[order].reshape(lead + (k,)))

@@ -3,7 +3,8 @@
 With many clusters (large ``nlist``), finding the nearest centroids by
 brute force starts to dominate; IVF-HNSW builds an HNSW graph *over the
 centroids* so probing costs ~``ef`` comparisons instead of ``nlist``.
-Lists hold raw vectors (as IVF-Flat) and are scanned exactly.
+Lists hold raw vectors and are scanned exactly, by the storage and kernel
+it shares with IVF-Flat (:class:`~repro.index.ivf.InvertedLists`).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import numpy as np
 
 from repro.core.schema import MetricType
 from repro.index.base import VectorIndex, register_index
-from repro.index.distances import adjusted_distances, topk_smallest
 from repro.index.hnsw import HnswIndex
+from repro.index.ivf import InvertedLists
 from repro.index.kmeans import kmeans
 
 
@@ -30,52 +31,25 @@ class IvfHnswIndex(VectorIndex):
         self.seed = seed
         self._centroid_graph = HnswIndex(metric, dim, M=M,
                                          ef_search=ef_search, seed=seed)
-        self._lists: list[np.ndarray] = []
-        self._list_vectors: list[np.ndarray] = []
+        self._lists: InvertedLists | None = None
 
     def build(self, data: np.ndarray) -> None:
         arr = self._check_build_input(data)
-        k = min(self.nlist, arr.shape[0])
-        coarse = kmeans(arr, k, seed=self.seed)
+        coarse = kmeans(arr, min(self.nlist, arr.shape[0]), seed=self.seed)
         self._centroid_graph.build(coarse.centroids)
-        self._lists = []
-        self._list_vectors = []
-        for cluster in range(coarse.k):
-            members = np.flatnonzero(coarse.assignments == cluster)
-            self._lists.append(members.astype(np.int64))
-            self._list_vectors.append(arr[members])
+        self._lists = InvertedLists(arr, coarse.assignments, coarse.k,
+                                    self.metric)
         self.ntotal = arr.shape[0]
         self.is_built = True
 
     def search(self, queries: np.ndarray, k: int,
                nprobe: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         queries = self._check_query_input(queries)
-        nprobe = min(nprobe or self.nprobe, len(self._lists))
+        nprobe = min(nprobe or self.nprobe, self._lists.nlist)
         self.stats.reset()
         # Navigate the centroid graph instead of scanning all centroids.
         probe_lists, _ = self._centroid_graph.search(queries, nprobe)
-        self.stats = self.stats.merged_with(self._centroid_graph.stats)
-
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        for qi in range(nq):
-            cand_ids: list[np.ndarray] = []
-            cand_vecs: list[np.ndarray] = []
-            for cluster in probe_lists[qi]:
-                if cluster < 0:
-                    continue
-                members = self._lists[int(cluster)]
-                if len(members):
-                    cand_ids.append(members)
-                    cand_vecs.append(self._list_vectors[int(cluster)])
-            if not cand_ids:
-                continue
-            ids = np.concatenate(cand_ids)
-            vecs = np.concatenate(cand_vecs, axis=0)
-            dists = adjusted_distances(queries[qi], vecs, self.metric)[0]
-            self.stats.float_comparisons += len(ids)
-            idx, vals = topk_smallest(dists, k)
-            all_ids[qi, :len(idx)] = ids[idx]
-            all_dists[qi, :len(idx)] = vals
-        return all_ids, all_dists
+        self.stats.add(self._centroid_graph.stats)
+        ids, dists, compared = self._lists.scan(queries, probe_lists, k)
+        self.stats.float_comparisons += compared
+        return ids, dists

@@ -32,7 +32,7 @@ from repro.core.results import HitBatch, ReduceStats, SearchResult, \
 from repro.core.schema import MetricType
 from repro.core.tso import TimestampOracle
 from repro.errors import CollectionNotFound, ConsistencyTimeout, \
-    ManuError, QuotaExceeded
+    InvalidQuery, ManuError, QuotaExceeded
 from repro.index.base import SearchStats
 from repro.log.logger_node import AckFuture, LoggerService
 from repro.monitoring.metrics import MetricsRegistry
@@ -335,10 +335,22 @@ class Proxy:
         schema = self._schema(collection)
         if field is None:
             field = schema.default_vector_field().name
-        schema.field(field)  # validates existence
+        dim = schema.field(field).dim  # validates existence
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
+        # Malformed requests fail here, typed, not as a numpy error from
+        # inside an index three layers down.
+        if not isinstance(k, (int, np.integer)) or k < 1:
+            raise InvalidQuery(f"k must be an integer of at least 1, "
+                               f"got {k!r}")
+        if queries.ndim != 2 or queries.shape[1] != dim:
+            raise InvalidQuery(
+                f"field {field!r} holds {dim}-d vectors; got a query "
+                f"block of shape {queries.shape}")
+        if not np.isfinite(queries).all():
+            raise InvalidQuery("query vectors must be finite "
+                               "(found NaN or inf)")
         if tenant is not None:
             self._tenant_admit(tenant, "search",
                                units=float(queries.shape[0]))
@@ -424,12 +436,12 @@ class Proxy:
                     proxy_reduce = None
                 results = []
                 for parts in per_query_partials:
-                    # Partials stay array-native through the global merge;
-                    # hits only become SearchHit objects at the
-                    # SearchResult boundary.
-                    hits = merge_topk(parts, k, stats=proxy_reduce)
+                    # Partials stay array-native through the global merge
+                    # and into the result: hits become SearchHit objects
+                    # only when the caller looks at them.
                     results.append(SearchResult(
-                        hits=hits.to_hits(), metric=metric,
+                        hits=merge_topk(parts, k, stats=proxy_reduce),
+                        metric=metric,
                         latency_ms=latency, consistency_wait_ms=wait_ms,
                         segments_searched=segments_total,
                         profile=prof if explain else None))

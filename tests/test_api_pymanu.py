@@ -8,6 +8,7 @@ from repro import (
     CollectionSchema,
     DataType,
     FieldSchema,
+    InvalidQuery,
     ManuError,
     connect,
     connections,
@@ -126,6 +127,35 @@ class TestCollectionApi:
         coll = Collection("demo", schema)
         with pytest.raises(ManuError):
             coll.search(vec=np.zeros(8), bogus=1)
+
+    @pytest.mark.parametrize("vec,limit", [
+        (np.zeros(8), 0),                       # k below 1
+        (np.zeros(8), -1),
+        (np.zeros(8), 2.5),
+        (np.zeros(8), None),
+        (np.zeros(5), 3),                       # not the field's dim
+        (np.zeros((2, 9)), 3),
+        (np.zeros((2, 2, 8)), 3),               # not a block of vectors
+        (np.array([0.0] * 7 + [np.nan]), 3),    # non-finite values
+        (np.array([[0.0] * 8, [np.inf] * 8]), 3),
+    ])
+    def test_malformed_search_rejected_typed(self, schema, rng, vec, limit,
+                                             fresh_connection):
+        """Bad k / width / values fail as InvalidQuery at the proxy, before
+        any query node is asked — through PyManu and through the proxy."""
+        coll = Collection("demo", schema)
+        coll.insert(make_rows(rng, 30))
+        nodes = fresh_connection.query_coord.live_nodes()
+        for node in nodes:
+            node.search = None  # a fan-out would raise TypeError
+        with pytest.raises(InvalidQuery):
+            coll.search(vec=vec, limit=limit, consistency_level="strong")
+        with pytest.raises(InvalidQuery):
+            fresh_connection.proxy().search("demo", vec, limit)
+        for node in nodes:
+            del node.search
+        assert len(coll.search(vec=np.zeros(8), limit=3,
+                               consistency_level="strong")[0]) == 3
 
     def test_unknown_consistency_rejected(self, schema, rng):
         coll = Collection("demo", schema)

@@ -1,0 +1,625 @@
+"""The list-major IVF scan and the block post-filter against their oracles.
+
+``IVF_FLAT`` / ``IVF_HNSW`` scan the probed lists list by list for the whole
+query block (one GEMM per distinct list, one batched top-k) and
+``Segment._search_with_index`` filters the ``(nq, k_amplified)`` candidate
+block at once.  The loops they replaced — one probe/concatenate/scan per
+query, one post-filter walk per result row — live on here as the reference.
+
+The kernel ranks by ``|v|^2 / 2 - q.v`` instead of ``|q|^2 - 2 q.v + |v|^2``,
+so distances are compared within a tolerance fixed beforehand from the dtype
+and the data's scale, and ids within a run of equal distances as sets.  The
+segment layer only rearranges what the index returned: it must match its
+oracle hit for hit, bit for bit, counter for counter.
+"""
+
+import dataclasses
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.config import SegmentConfig
+from repro.core.results import HitBatch
+from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
+    MetricType
+from repro.core.segment import Segment
+from repro.index import ivf
+from repro.index.base import STAT_FIELDS, SearchStats, index_from_bytes
+from repro.index.distances import adjusted_distances, topk_smallest
+from repro.index.ivf import InvertedLists, IvfFlatIndex
+from repro.index.ivf_hnsw import IvfHnswIndex
+
+METRICS = [MetricType.EUCLIDEAN, MetricType.INNER_PRODUCT, MetricType.COSINE]
+DIM = 16
+EPS = float(np.finfo(np.float32).eps)
+
+
+# ----------------------------------------------------------------------
+# oracles: the code the kernels replaced
+# ----------------------------------------------------------------------
+
+def oracle_scan(data, metric, lists, queries, probe_lists, k):
+    """The per-query probe loop: gather the probed lists' members, one
+    exact scan and one top-k per query.  Returns (ids, dists, compared)."""
+    nq = queries.shape[0]
+    all_ids = np.full((nq, k), -1, dtype=np.int64)
+    all_dists = np.full((nq, k), np.inf, dtype=np.float32)
+    compared = 0
+    for qi in range(nq):
+        cand = [lists[c] for c in probe_lists[qi]
+                if c >= 0 and len(lists[c])]
+        if not cand:
+            continue
+        ids = np.concatenate(cand)
+        dists = adjusted_distances(queries[qi], data[ids], metric)[0]
+        compared += len(ids)
+        idx, vals = topk_smallest(dists, k)
+        all_ids[qi, :len(idx)] = ids[idx]
+        all_dists[qi, :len(idx)] = vals
+    return all_ids, all_dists, compared
+
+
+def oracle_flat_search(index, data, queries, k, nprobe):
+    """Former ``IvfFlatIndex.search``: same coarse step, per-query scan."""
+    queries = np.asarray(queries, dtype=np.float32).reshape(-1, index.dim)
+    nprobe = min(nprobe, index.effective_nlist)
+    centroid_dists = adjusted_distances(queries, index._centroids,
+                                        index.metric)
+    probe_lists, _ = topk_smallest(centroid_dists, nprobe)
+    ids, dists, compared = oracle_scan(data, index.metric, lists_of(index),
+                                       queries, probe_lists, k)
+    return ids, dists, centroid_dists.size + compared
+
+
+def lists_of(index):
+    """Member ids per list, recovered from the list-sorted storage."""
+    stored = index._lists
+    return [stored.ids[stored.offsets[c]:stored.offsets[c + 1]]
+            for c in range(stored.nlist)]
+
+
+def oracle_search_with_index(segment, index, row_offset, queries, k, metric,
+                             allowed, stats, field):
+    """Former ``Segment._search_with_index``: one walk per result row."""
+    covered = index.ntotal
+    n_excluded = covered - int(
+        allowed[row_offset:row_offset + covered].sum())
+    k_amplified = min(covered, k + n_excluded if n_excluded <= k
+                      else min(covered, 2 * k + n_excluded // 4))
+    ids, dists = index.search(queries, k_amplified)
+    stats.add(index.stats)
+    stats.index_scans += 1
+    stats.rows_scanned += (index.stats.float_comparisons
+                           + index.stats.quantized_comparisons)
+    pk_arr = segment.pk_array
+    out = []
+    for qi in range(queries.shape[0]):
+        local = np.asarray(ids[qi], dtype=np.int64)
+        padding = np.flatnonzero(local < 0)
+        if padding.size:
+            local = local[:padding[0]]
+        rows = row_offset + local
+        keep = allowed[rows]
+        stats.candidates_visited += len(local)
+        stats.candidates_pruned += len(local) - int(keep.sum())
+        kept_rows = rows[keep][:k]
+        if n_excluded > 0 and len(kept_rows) < k and k_amplified < covered:
+            sub_allowed = np.zeros_like(allowed)
+            sub_allowed[row_offset:row_offset + covered] = (
+                allowed[row_offset:row_offset + covered])
+            out.append(segment._search_brute(
+                field, queries[qi:qi + 1], k, metric, sub_allowed,
+                stats)[0])
+        else:
+            kept_dists = dists[qi][:len(local)][keep][:k]
+            out.append(HitBatch(pk_arr[kept_rows],
+                                kept_dists.astype(np.float32, copy=False)))
+    return out
+
+
+def oracle_segment_search(segment, field, queries, k, metric,
+                          filter_mask=None, stats=None):
+    """Former ``Segment.search`` for sealed-with-index and growing
+    segments, built on :func:`oracle_search_with_index`."""
+    stats = stats if stats is not None else SearchStats()
+    queries = np.asarray(queries, dtype=np.float32)
+    stats.delete_filter_hits += int(segment.deleted_mask().sum())
+    allowed = segment._allowed_mask(filter_mask)
+    if int(allowed.sum()) == 0:
+        return [HitBatch.empty() for _ in range(queries.shape[0])]
+    sealed_index = segment.index_for(field)
+    if sealed_index is not None:
+        return oracle_search_with_index(segment, sealed_index, 0, queries,
+                                        k, metric, allowed, stats, field)
+    size = segment.config.slice_size
+    per_query = [[] for _ in range(queries.shape[0])]
+    uncovered_from = 0
+    for slice_no in sorted({s for s, _ in segment._temp_indexes[field]}):
+        index = segment._temp_index_for(field, slice_no, metric)
+        offset = slice_no * size
+        results = oracle_search_with_index(segment, index, offset, queries,
+                                           k, metric, allowed, stats, field)
+        for qi, item in enumerate(results):
+            per_query[qi].append(item)
+        uncovered_from = max(uncovered_from, offset + index.ntotal)
+    if uncovered_from < segment.num_rows:
+        tail_allowed = np.zeros_like(allowed)
+        tail_allowed[uncovered_from:] = allowed[uncovered_from:]
+        if tail_allowed.any():
+            results = segment._search_brute(field, queries, k, metric,
+                                            tail_allowed, stats)
+            for qi, item in enumerate(results):
+                per_query[qi].append(item)
+    out = []
+    for qi in range(queries.shape[0]):
+        batches = [b for b in per_query[qi] if len(b)]
+        if not batches:
+            out.append(HitBatch.empty())
+            continue
+        pks = np.concatenate([b.pks for b in batches])
+        dists = np.concatenate([b.dists for b in batches])
+        idx, vals = topk_smallest(dists, k)
+        out.append(HitBatch(pks[idx], vals))
+    return out
+
+
+def oracle_topk(values, k):
+    """Former ``topk_smallest``: three ``take_along_axis`` gathers."""
+    values = np.asarray(values)
+    k = min(k, values.shape[-1])
+    if k <= 0:
+        empty_idx = np.empty(0, dtype=np.int64)
+        return empty_idx, values[..., empty_idx]
+    part = np.argpartition(values, k - 1, axis=-1)[..., :k]
+    part_vals = np.take_along_axis(values, part, axis=-1)
+    order = np.argsort(part_vals, axis=-1, kind="stable")
+    idx = np.take_along_axis(part, order, axis=-1)
+    return idx, np.take_along_axis(values, idx, axis=-1)
+
+
+# ----------------------------------------------------------------------
+# comparison helpers
+# ----------------------------------------------------------------------
+
+def tolerance(data, queries, metric):
+    """Absolute tolerance on an adjusted distance, from float32 rounding
+    of the terms it is summed from (a few hundred ulps of the largest)."""
+    v = float(np.linalg.norm(data, axis=1).max())
+    q = float(np.linalg.norm(queries, axis=1).max())
+    scale = {MetricType.EUCLIDEAN: (v + q) ** 2,
+             MetricType.INNER_PRODUCT: v * q,
+             MetricType.COSINE: 1.0}[metric]
+    return 256 * EPS * max(scale, 1.0)
+
+
+def assert_same_hits(got, want, data, queries, metric, tol):
+    """Distances equal within ``tol``; the same padding; every id paired
+    with its own distance; ids equal as sets within each run of
+    (near-)equal distances — only the run cut by ``k`` may pick other
+    members of the tie."""
+    got_ids, got_dists = got
+    want_ids, want_dists = want
+    assert got_ids.shape == want_ids.shape == got_dists.shape
+    assert got_ids.dtype == np.int64 and got_dists.dtype == np.float32
+    np.testing.assert_array_equal(got_ids < 0, want_ids < 0)
+    np.testing.assert_array_equal(np.isinf(got_dists), got_ids < 0)
+    np.testing.assert_allclose(got_dists, want_dists, rtol=0, atol=tol)
+    for qi in range(got_ids.shape[0]):
+        n = int((got_ids[qi] >= 0).sum())
+        ids, dists = got_ids[qi, :n], got_dists[qi, :n]
+        assert (got_ids[qi, n:] == -1).all()        # padding is the tail
+        assert len(set(ids.tolist())) == n
+        assert (np.diff(dists) >= 0).all()
+        true = adjusted_distances(queries[qi], data[ids], metric)[0]
+        np.testing.assert_allclose(dists, true, rtol=0, atol=tol)
+        cuts = np.flatnonzero(np.diff(want_dists[qi, :n]) > 2 * tol) + 1
+        runs = np.split(np.arange(n), cuts)
+        full = n == got_ids.shape[1]    # k may have cut the last run
+        for run in runs[:-1] if full else runs:
+            assert set(ids[run].tolist()) == \
+                set(want_ids[qi, run].tolist())
+
+
+def assert_batches_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.pks, w.pks)
+        np.testing.assert_array_equal(g.dists, w.dists)
+        assert g.dists.dtype == w.dists.dtype == np.float32
+
+
+def clustered(rng, n, dim=DIM, centers=12):
+    means = rng.standard_normal((centers, dim)) * 4.0
+    return (means[rng.integers(0, centers, n)]
+            + rng.standard_normal((n, dim))).astype(np.float32)
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    rng = np.random.default_rng(5)
+    return clustered(rng, 600), clustered(rng, 64)
+
+
+@pytest.fixture(scope="module")
+def built(corpus):
+    data, _ = corpus
+    indexes = {}
+    for metric in METRICS:
+        index = IvfFlatIndex(metric, DIM, nlist=16, nprobe=8)
+        index.build(data)
+        indexes[metric] = index
+    return indexes
+
+
+# ----------------------------------------------------------------------
+# the kernel
+# ----------------------------------------------------------------------
+
+class TestListMajorKernel:
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("nq", [1, 3, 64])
+    @pytest.mark.parametrize("k", [1, 10, 700])     # 700 > any candidates
+    @pytest.mark.parametrize("nprobe", [1, 8, 40])  # 40 >= nlist
+    def test_matches_per_query_loop(self, corpus, built, metric, nq, k,
+                                    nprobe):
+        data, queries = corpus
+        index = built[metric]
+        want_ids, want_dists, want_compared = oracle_flat_search(
+            index, data, queries[:nq], k, nprobe)
+        got = index.search(queries[:nq], k, nprobe=nprobe)
+        assert_same_hits(got, (want_ids, want_dists), data, queries[:nq],
+                         metric, tolerance(data, queries, metric))
+        assert index.stats.float_comparisons == want_compared
+        assert index.stats.as_dict() == {
+            **SearchStats().as_dict(), "float_comparisons": want_compared}
+
+    def test_storage_is_the_lists_sorted(self, corpus, built):
+        data, _ = corpus
+        for metric, index in built.items():
+            stored = index._lists
+            assert sorted(stored.ids.tolist()) == list(range(len(data)))
+            assert stored.offsets[0] == 0 and stored.offsets[-1] == len(data)
+            for members in lists_of(index):
+                assert (np.diff(members) > 0).all()
+            np.testing.assert_array_equal(index.list_sizes(),
+                                          np.diff(stored.offsets))
+            rows = stored.vectors[:, :DIM]
+            if metric is MetricType.COSINE:
+                np.testing.assert_allclose(
+                    np.linalg.norm(rows, axis=1), 1.0, atol=1e-6)
+            else:
+                np.testing.assert_array_equal(rows, data[stored.ids])
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_fewer_rows_than_lists(self, metric):
+        rng = np.random.default_rng(1)
+        data = rng.standard_normal((5, DIM)).astype(np.float32)
+        queries = rng.standard_normal((3, DIM)).astype(np.float32)
+        index = IvfFlatIndex(metric, DIM, nlist=16, nprobe=16)
+        index.build(data)
+        assert index.effective_nlist == 5
+        want_ids, want_dists, compared = oracle_flat_search(
+            index, data, queries, 10, 16)
+        ids, dists = index.search(queries, 10)
+        assert_same_hits((ids, dists), (want_ids, want_dists), data,
+                         queries, metric, tolerance(data, queries, metric))
+        assert (ids[:, 5:] == -1).all() and np.isinf(dists[:, 5:]).all()
+        assert index.stats.float_comparisons == compared
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_empty_list_and_unprobed_slots(self, metric):
+        """List 1 has no members; ``-1`` marks a slot that probes nothing
+        (what the IVF_HNSW centroid graph returns when it finds fewer)."""
+        rng = np.random.default_rng(2)
+        data = rng.standard_normal((40, DIM)).astype(np.float32)
+        queries = rng.standard_normal((4, DIM)).astype(np.float32)
+        assignments = np.where(np.arange(40) % 3 == 0, 0, 2)
+        stored = InvertedLists(data, assignments, 3, metric)
+        lists = [np.flatnonzero(assignments == c) for c in range(3)]
+        assert stored.sizes().tolist() == [14, 0, 26]
+        probe_lists = np.array([[1, 0, 2], [1, -1, -1], [2, 1, -1],
+                                [-1, -1, 0]])
+        want = oracle_scan(data, metric, lists, queries, probe_lists, 30)
+        got = stored.scan(queries, probe_lists, 30)
+        assert got[2] == want[2] == 40 + 0 + 26 + 14
+        assert_same_hits(got[:2], want[:2], data, queries, metric,
+                         tolerance(data, queries, metric))
+        assert (got[0][1] == -1).all() and np.isinf(got[1][1]).all()
+        assert (got[0][0] >= 0).all()       # 40 candidates >= k = 30
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_duplicate_vectors(self, metric):
+        """Exact ties: distances as the oracle's, ids as sets per tie."""
+        rng = np.random.default_rng(3)
+        base = clustered(rng, 40)
+        data = np.repeat(base, 6, axis=0)           # 6 copies of each row
+        queries = clustered(rng, 9)
+        index = IvfFlatIndex(metric, DIM, nlist=8, nprobe=3)
+        index.build(data)
+        for k in (6, 12, 15):
+            want_ids, want_dists, compared = oracle_flat_search(
+                index, data, queries, k, 3)
+            got = index.search(queries, k)
+            assert_same_hits(got, (want_ids, want_dists), data, queries,
+                             metric, tolerance(data, queries, metric))
+            assert index.stats.float_comparisons == compared
+
+    def test_zero_vectors_cosine(self):
+        """Zero rows and zero queries score 0, as in ``cosine``."""
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((50, DIM)).astype(np.float32)
+        data[::7] = 0.0
+        queries = rng.standard_normal((3, DIM)).astype(np.float32)
+        queries[1] = 0.0
+        index = IvfFlatIndex(MetricType.COSINE, DIM, nlist=4, nprobe=4)
+        index.build(data)
+        want_ids, want_dists, _ = oracle_flat_search(index, data, queries,
+                                                     50, 4)
+        ids, dists = index.search(queries, 50)
+        np.testing.assert_allclose(dists, want_dists, rtol=0, atol=1e-5)
+        assert (dists[1] == 0.0).all()
+        assert sorted(ids[0].tolist()) == list(range(50))
+
+    def test_scratch_block_is_bounded(self, corpus, built, monkeypatch):
+        """A block too large for the scratch cap is scanned in passes."""
+        data, queries = corpus
+        index = built[MetricType.EUCLIDEAN]
+        one_pass = index.search(queries, 10)
+        compared = index.stats.float_comparisons
+        calls = []
+        real = InvertedLists._scan_block
+
+        def counting(self, *args):
+            calls.append(args[0].shape[0])
+            return real(self, *args)
+
+        monkeypatch.setattr(InvertedLists, "_scan_block", counting)
+        monkeypatch.setattr(
+            ivf, "_SCAN_BLOCK_FLOATS",
+            10 * index.nprobe * index._lists.max_list_size)
+        passes = index.search(queries, 10)
+        assert calls == [10] * 6 + [4]
+        # BLAS may round a dot product differently in a GEMM of another
+        # height, so across groupings distances agree to rounding only.
+        assert_same_hits(passes, one_pass, data, queries,
+                         MetricType.EUCLIDEAN,
+                         tolerance(data, queries, MetricType.EUCLIDEAN))
+        assert index.stats.float_comparisons == compared
+
+    @pytest.mark.parametrize("cls", [IvfFlatIndex, IvfHnswIndex])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_pickle_round_trip(self, corpus, cls, metric):
+        data, queries = corpus
+        index = cls(metric, DIM, nlist=16, nprobe=4)
+        index.build(data)
+        ids, dists = index.search(queries, 10)
+        stats = index.stats.as_dict()
+        for clone in (index_from_bytes(index.to_bytes()),
+                      pickle.loads(pickle.dumps(index))):
+            assert isinstance(clone, cls) and clone.ntotal == len(data)
+            clone_ids, clone_dists = clone.search(queries, 10)
+            np.testing.assert_array_equal(clone_ids, ids)
+            np.testing.assert_array_equal(clone_dists, dists)
+            assert clone.stats.as_dict() == stats
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_ivf_hnsw_is_ivf_flat_on_the_same_lists(self, corpus, metric):
+        """Same k-means seed, so the same lists; with every list probed the
+        coarse quantiser no longer matters and the results must agree."""
+        data, queries = corpus
+        flat = IvfFlatIndex(metric, DIM, nlist=16, nprobe=16)
+        graph = IvfHnswIndex(metric, DIM, nlist=16, nprobe=16, ef_search=64)
+        flat.build(data)
+        graph.build(data)
+        np.testing.assert_array_equal(graph._lists.ids, flat._lists.ids)
+        probed, _ = graph._centroid_graph.search(queries, 16)
+        assert (np.sort(probed, axis=1) == np.arange(16)).all()
+        tol = tolerance(data, queries, metric)
+        for k in (1, 10):
+            want = flat.search(queries, k)
+            scanned = flat.stats.float_comparisons - queries.shape[0] * 16
+            got = graph.search(queries, k)
+            assert_same_hits(got, want, data, queries, metric, tol)
+            assert graph.stats.float_comparisons \
+                == graph._centroid_graph.stats.float_comparisons + scanned
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_ivf_hnsw_matches_per_query_loop(self, corpus, metric):
+        """Few probes: whatever lists the centroid graph picks, the scan
+        over them is the oracle's."""
+        data, queries = corpus
+        index = IvfHnswIndex(metric, DIM, nlist=16, nprobe=3)
+        index.build(data)
+        probed, _ = index._centroid_graph.search(queries, 3)
+        coarse = index._centroid_graph.stats.float_comparisons
+        want = oracle_scan(data, metric, lists_of(index), queries, probed, 10)
+        got = index.search(queries, 10)
+        assert_same_hits(got, want[:2], data, queries, metric,
+                         tolerance(data, queries, metric))
+        assert index.stats.float_comparisons == coarse + want[2]
+
+
+class TestTopkSmallest:
+    @pytest.mark.parametrize("shape,k", [
+        ((64,), 8), ((512,), 10), ((1, 64), 8), ((1, 512), 10),
+        ((64, 1040), 10), ((7, 5), 5), ((7, 5), 9), ((3, 4, 33), 6),
+        ((5, 1), 1), ((64,), 0), ((4, 9), 0),
+    ])
+    def test_bit_identical_to_take_along_axis(self, shape, k):
+        rng = np.random.default_rng(sum(shape) + k)
+        values = rng.standard_normal(shape).astype(np.float32)
+        values[..., ::3] = values[..., :1]          # ties
+        for arr in (values, values.astype(np.float64)):
+            idx, vals = topk_smallest(arr, k)
+            want_idx, want_vals = oracle_topk(arr, k)
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(vals, want_vals)
+            assert idx.shape == want_idx.shape
+            assert vals.dtype == arr.dtype and idx.dtype == want_idx.dtype
+
+    def test_non_contiguous_input(self):
+        rng = np.random.default_rng(0)
+        wide = rng.standard_normal((12, 40)).astype(np.float32)
+        for view in (wide[:, ::2], wide.T, wide[::3, 5:25]):
+            idx, vals = topk_smallest(view, 6)
+            want_idx, want_vals = oracle_topk(view, 6)
+            np.testing.assert_array_equal(idx, want_idx)
+            np.testing.assert_array_equal(vals, want_vals)
+
+
+class TestSearchStatsBookkeeping:
+    def test_reset_and_add_cover_every_counter(self):
+        names = [f.name for f in dataclasses.fields(SearchStats)]
+        assert tuple(names) == STAT_FIELDS
+        a = SearchStats(**{name: i + 1 for i, name in enumerate(names)})
+        b = SearchStats(**{name: 100 * (i + 1)
+                           for i, name in enumerate(names)})
+        merged = a.merged_with(b)
+        a.add(b)
+        assert a.as_dict() == merged.as_dict() == {
+            name: 101 * (i + 1) for i, name in enumerate(names)}
+        assert b.as_dict() == {name: 100 * (i + 1)
+                               for i, name in enumerate(names)}
+        a.reset()
+        assert a == SearchStats()
+
+
+# ----------------------------------------------------------------------
+# the segment layer
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def schema():
+    return CollectionSchema([
+        FieldSchema("vector", DataType.FLOAT_VECTOR, dim=DIM),
+        FieldSchema("price", DataType.FLOAT),
+    ])
+
+
+def sealed_segment(schema, rng, n=400, nlist=16, nprobe=4,
+                   metric=MetricType.EUCLIDEAN):
+    segment = Segment("s", "c", schema, SegmentConfig(slice_size=10 ** 6))
+    segment.append(list(range(1000, 1000 + n)),
+                   {"vector": clustered(rng, n),
+                    "price": rng.uniform(0, 10, n)}, lsn=1)
+    segment.seal()
+    index = IvfFlatIndex(metric, DIM, nlist=nlist, nprobe=nprobe)
+    index.build(segment.column("vector"))
+    segment.attach_index("vector", index)
+    return segment
+
+
+def both_searches(segment, queries, k, metric, filter_mask=None):
+    want_stats, got_stats = SearchStats(), SearchStats()
+    want = oracle_segment_search(segment, "vector", queries, k, metric,
+                                 filter_mask, want_stats)
+    got = segment.search("vector", queries, k, metric,
+                         filter_mask=filter_mask, stats=got_stats)
+    assert_batches_equal(got, want)
+    assert got_stats.as_dict() == want_stats.as_dict()
+    return got, got_stats
+
+
+class TestBlockPostFilter:
+    @pytest.mark.parametrize("nq", [1, 3, 64])
+    def test_nothing_excluded(self, schema, nq):
+        rng = np.random.default_rng(10)
+        segment = sealed_segment(schema, rng)
+        got, stats = both_searches(segment, clustered(rng, nq), 10,
+                                   MetricType.EUCLIDEAN)
+        assert all(len(batch) == 10 for batch in got)
+        assert stats.candidates_visited == nq * 10
+        assert stats.candidates_pruned == 0 and stats.brute_scans == 0
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("n_deleted", [3, 10, 11, 120])
+    def test_deletions(self, schema, metric, n_deleted):
+        """Both k-amplification regimes (<= k and > k exclusions)."""
+        rng = np.random.default_rng(11)
+        segment = sealed_segment(schema, rng, metric=metric)
+        queries = clustered(rng, 17)
+        nearest = segment.search("vector", queries[:1], n_deleted,
+                                 metric)[0].pks.tolist()
+        assert segment.apply_delete(nearest, lsn=2) == n_deleted
+        got, stats = both_searches(segment, queries, 10, metric)
+        assert stats.delete_filter_hits == n_deleted
+        assert stats.candidates_pruned > 0
+        assert not set(nearest) & {pk for b in got for pk in b.pks.tolist()}
+
+    def test_filter_mask_and_deletions(self, schema):
+        rng = np.random.default_rng(12)
+        segment = sealed_segment(schema, rng)
+        segment.apply_delete(list(range(1000, 1040)), lsn=2)
+        mask = segment.column("price") < 6.0
+        got, stats = both_searches(segment, clustered(rng, 33), 10,
+                                   MetricType.EUCLIDEAN, mask)
+        allowed_pks = set((1000 + np.flatnonzero(
+            mask & ~segment.deleted_mask())).tolist())
+        assert {pk for b in got for pk in b.pks.tolist()} <= allowed_pks
+
+    def test_starved_rows_escalate_to_exact(self, schema):
+        """A selective mask leaves some rows short of k with
+        ``k_amplified < covered``: those rows, and only those, escalate."""
+        rng = np.random.default_rng(13)
+        segment = sealed_segment(schema, rng, nprobe=16)
+        mask = np.zeros(segment.num_rows, dtype=bool)
+        mask[rng.choice(segment.num_rows, 40, replace=False)] = True
+        queries = clustered(rng, 24)
+        got, stats = both_searches(segment, queries, 10,
+                                   MetricType.EUCLIDEAN, mask)
+        assert 0 < stats.brute_scans < len(queries)
+        assert all(len(batch) == 10 for batch in got)
+        exact = segment.search("vector", queries, 10, MetricType.EUCLIDEAN,
+                               filter_mask=mask, force_brute=True)
+        escalated = [qi for qi in range(len(queries))
+                     if np.array_equal(got[qi].dists, exact[qi].dists)]
+        assert len(escalated) >= stats.brute_scans
+
+    def test_padded_candidates(self, schema):
+        """One probed list holds fewer rows than ``k_amplified``: the
+        index pads with -1 and the block filter must stop there."""
+        rng = np.random.default_rng(14)
+        segment = sealed_segment(schema, rng, n=120, nlist=24, nprobe=1)
+        segment.apply_delete(list(range(1000, 1120, 9)), lsn=2)
+        queries = clustered(rng, 20)
+        ids, _ = segment.index_for("vector").search(queries, 24)
+        assert (ids < 0).any() and (ids[:, 0] >= 0).all()
+        got, stats = both_searches(segment, queries, 10,
+                                   MetricType.EUCLIDEAN)
+        assert stats.candidates_visited < len(queries) * 24
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_growing_slices_and_brute_tail(self, schema, metric):
+        """Three temp-indexed slices and a 25-row tail, under deletions in
+        some slices only, then under a mask as well."""
+        rng = np.random.default_rng(15)
+        config = SegmentConfig(slice_size=50, temp_index_nlist=8)
+        segment = Segment("g", "c", schema, config)
+        for start in range(0, 175, 35):
+            segment.append(list(range(start, start + 35)),
+                           {"vector": clustered(rng, 35),
+                            "price": rng.uniform(0, 10, 35)}, lsn=start + 1)
+        assert segment.num_temp_indexes("vector") == 3
+        queries = clustered(rng, 19)
+        both_searches(segment, queries, 10, metric)
+        segment.apply_delete(list(range(5, 30)) + [160, 170], lsn=999)
+        got, stats = both_searches(segment, queries, 10, metric)
+        assert stats.index_scans == 3 and stats.brute_scans >= 1
+        mask = segment.column("price") < 3.0
+        both_searches(segment, queries, 10, metric, mask)
+        both_searches(segment, queries[:1], 60, metric, mask)
+
+    def test_num_deleted_is_counted_not_summed(self, schema):
+        rng = np.random.default_rng(16)
+        segment = sealed_segment(schema, rng, n=60, nlist=4)
+        assert segment.num_deleted == 0
+        assert segment.apply_delete([1000, 1001, 1001, 7], lsn=2) == 2
+        assert segment.apply_delete([1001, 1002], lsn=3) == 1
+        assert segment.num_deleted == 3 == int(segment.deleted_mask().sum())
+        assert segment.num_live_rows == 57
+        assert segment.delete_ratio == pytest.approx(3 / 60)
+        stats = SearchStats()
+        segment.search("vector", clustered(rng, 2), 5, MetricType.EUCLIDEAN,
+                       stats=stats)
+        assert stats.delete_filter_hits == 3
