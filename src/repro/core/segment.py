@@ -403,22 +403,21 @@ class Segment:
         stats.rows_scanned += (index.stats.float_comparisons
                                + index.stats.quantized_comparisons)
         dists = dists.astype(np.float32, copy=False)
-        real = ids >= 0   # candidate rows are tail-padded with -1
-        n_real = np.count_nonzero(real)
-        padded = n_real < ids.size
         rows = row_offset + ids
+        # Candidate rows are tail-padded with -1, which reads some
+        # in-range row of ``allowed``; ``real`` masks it out again.
+        real = ids >= 0
+        keep = allowed[rows] & real
+        n_real = np.count_nonzero(real)
         stats.candidates_visited += n_real
-        if n_excluded == 0 and not padded:
-            # Nothing to drop (the common case): the block is the answer.
-            pks = self.pk_array[rows]
-            return [HitBatch(pks[qi], dists[qi])
-                    for qi in range(queries.shape[0])]
-
-        # Padding reads some in-range row; ``real`` masks it out again.
-        keep = allowed[rows]
-        if padded:
-            keep &= real
-        stats.candidates_pruned += n_real - np.count_nonzero(keep)
+        n_kept = np.count_nonzero(keep)
+        stats.candidates_pruned += n_real - n_kept
+        if n_kept == keep.size:
+            # Nothing dropped, nothing padded (what a segment without
+            # deletions or filter sees): the block's rows are the hits.
+            pks = self.pk_array[rows[:, :k]]
+            dists = dists[:, :k]
+            return [HitBatch(pks[qi], dists[qi]) for qi in range(len(pks))]
         # The first k kept candidates of every row, compacted row after
         # row with one mask gather and split at the per-row counts.
         keep &= np.cumsum(keep, axis=1) <= k

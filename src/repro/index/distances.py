@@ -95,18 +95,22 @@ def topk_smallest(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k <= 0:
         empty_idx = np.empty(0, dtype=np.int64)
         return empty_idx, values[..., empty_idx]
-    part = np.argpartition(values, k - 1, axis=-1)[..., :k]
-    if values.ndim == 1:
-        part_vals = values[part]
+    lead = values.shape[:-1]
+    rows = values.reshape(-1, n)
+    if rows.shape[0] == 1:
+        # One row (a 1-D input or a single-query block): plain gathers.
+        row = rows[0]
+        part = np.argpartition(row, k - 1)[:k]
+        part_vals = row[part]
         order = np.argsort(part_vals, kind="stable")
-        return part[order], part_vals[order]
+        return (part[order].reshape(lead + (k,)),
+                part_vals[order].reshape(lead + (k,)))
     # Row-wise gathers through flat indices: ``take_along_axis`` builds
     # its index grids in Python, which costs more than the selection
     # itself on the small blocks the per-segment scans produce.
-    lead = values.shape[:-1]
-    part = part.reshape(-1, k)
+    part = np.argpartition(rows, k - 1, axis=-1)[:, :k]
     nrows = part.shape[0]
-    part_vals = values.reshape(-1)[
+    part_vals = rows.reshape(-1)[
         part + np.arange(0, nrows * n, n)[:, None]]
     order = np.argsort(part_vals, axis=-1, kind="stable")
     order += np.arange(0, nrows * k, k)[:, None]

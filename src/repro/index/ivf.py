@@ -31,11 +31,11 @@ class InvertedLists:
     slice ``offsets[c]:offsets[c + 1]`` of ``vectors`` and of ``ids`` (the
     rows' positions in the build matrix) and a scan multiplies against it
     in place.  What does not depend on the query is computed once here:
-    for Euclidean ``|v|^2 / 2`` rides along as one more column, so that
-    ``[-q, 1] . [v, |v|^2 / 2]`` is the rank score in one GEMM; cosine
-    stores unit-normalised rows; inner product stores the rows as they
-    are.  The score (``|v|^2 / 2 - q.v`` or ``-q.v``) is monotone in the
-    adjusted distance, and only the ``k`` winners are converted back.
+    Euclidean keeps ``|v|^2`` per row in ``norms`` (list-sorted like the
+    rows), cosine stores unit-normalised rows, inner product stores the
+    rows as they are.  Distances are formed in the order
+    :func:`~repro.index.distances.adjusted_distances` forms them, so a
+    list scan returns what the exact scan returns for the same rows.
     """
 
     def __init__(self, data: np.ndarray, assignments: np.ndarray,
@@ -46,11 +46,17 @@ class InvertedLists:
         self.offsets = np.zeros(nlist + 1, dtype=np.int64)
         np.cumsum(np.bincount(assignments, minlength=nlist),
                   out=self.offsets[1:])
-        self.max_list_size = int(np.diff(self.offsets).max())
+        # One entry past the lists, like ``offsets``: list ``-1`` is empty.
+        self.sizes = np.append(np.diff(self.offsets), 0)
+        self.max_list_size = int(self.sizes.max())
         vectors = data[order]
+        self.norms: np.ndarray | None = None
         if metric is MetricType.EUCLIDEAN:
-            half_norms = 0.5 * np.einsum("ij,ij->i", vectors, vectors)
-            vectors = np.concatenate([vectors, half_norms[:, None]], axis=1)
+            # Zero-padded by one list's length: see ``_scan_block``.
+            self.norms = np.zeros(len(order) + self.max_list_size,
+                                  dtype=np.float32)
+            np.einsum("ij,ij->i", vectors, vectors,
+                      out=self.norms[:len(order)])
         elif metric is MetricType.COSINE:
             vectors /= nonzero_norms(vectors)
         self.vectors = vectors
@@ -58,9 +64,6 @@ class InvertedLists:
     @property
     def nlist(self) -> int:
         return len(self.offsets) - 1
-
-    def sizes(self) -> np.ndarray:
-        return np.diff(self.offsets)
 
     def scan(self, queries: np.ndarray, probe_lists: np.ndarray, k: int
              ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -72,78 +75,82 @@ class InvertedLists:
         ``+inf`` to width ``k``.
         """
         nq, nprobe = probe_lists.shape
-        ids = np.full((nq, k), -1, dtype=np.int64)
-        dists = np.full((nq, k), np.inf, dtype=np.float32)
         step = max(1, _SCAN_BLOCK_FLOATS // (nprobe * self.max_list_size))
-        compared = 0
-        for start in range(0, nq, step):
-            stop = start + step
-            compared += self._scan_block(
-                queries[start:stop], probe_lists[start:stop],
-                ids[start:stop], dists[start:stop])
-        return ids, dists, compared
+        passes = [self._scan_block(queries[start:start + step],
+                                   probe_lists[start:start + step], k)
+                  for start in range(0, max(nq, 1), step)]
+        if len(passes) == 1:
+            return passes[0]
+        ids, dists, compared = zip(*passes)
+        return np.concatenate(ids), np.concatenate(dists), sum(compared)
 
     def _scan_block(self, queries: np.ndarray, probe_lists: np.ndarray,
-                    ids_out: np.ndarray, dists_out: np.ndarray) -> int:
-        """Scan one query block list-major; fills the output rows."""
+                    k: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """Scan one query block list-major; same returns as ``scan``."""
         nq, nprobe = probe_lists.shape
-        offsets, vectors = self.offsets, self.vectors
+        vectors = self.vectors
         # Group the (query, probed list) pairs by list: pair ``p`` is
         # query ``p // nprobe``, and ``order`` lists the pairs list by list.
         pairs = probe_lists.reshape(-1)
         order = np.argsort(pairs, kind="stable")
         grouped = pairs[order]
-        starts = [0] + (np.flatnonzero(grouped[1:] != grouped[:-1])
-                        + 1).tolist()
-        lists = grouped[starts]
-        # A ``-1`` pair reads offsets[-1] then offsets[0]: a negative size.
-        lows = offsets[lists]
-        sizes = offsets[lists + 1] - lows
-        width = int(sizes.max())
-        if width <= 0 or not ids_out.shape[1]:
-            return 0
+        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        # Per pair; a ``-1`` pair reads the trailing entries: size 0.
+        lows = self.offsets[grouped]
+        sizes = self.sizes[grouped]
+        width = int(sizes.max(initial=0)) if k > 0 else 0
+        if width == 0:
+            return (np.full((nq, k), -1, dtype=np.int64),
+                    np.full((nq, k), np.inf, dtype=np.float32), 0)
 
+        # Negating (or doubling) the left factor negates (doubles) every
+        # product and partial sum exactly, so the GEMMs below yield
+        # ``-q.v`` / ``-2 q.v`` with the bits of the exact scan's.
         if self.metric is MetricType.EUCLIDEAN:
-            left = np.ones((nq, vectors.shape[1]), dtype=np.float32)
-            np.negative(queries, out=left[:, :-1])
+            left = -2.0 * queries
         elif self.metric is MetricType.COSINE:
             left = queries / -nonzero_norms(queries)
         else:
             left = -queries
-        left = left[order // nprobe]
-        # One block row per pair, in list order, so each list's scores are
-        # one GEMM written straight into a rectangular slice of the block.
+        pair_query = order // nprobe
+        left = left[pair_query]
+        # One block row per pair, in list order, so each list's products
+        # are one GEMM written straight into a rectangular slice of it.
         block = np.full((len(order), width), np.inf, dtype=np.float32)
-        compared = 0
-        begin = 0
-        for end, low, size in zip(starts[1:] + [len(order)],
-                                  lows.tolist(), sizes.tolist()):
-            if size > 0:
+        low_of, size_of = lows.tolist(), sizes.tolist()
+        for begin, end in zip([0] + cuts, cuts + [len(order)]):
+            size = size_of[begin]
+            if size:
+                low = low_of[begin]
                 np.matmul(left[begin:end], vectors[low:low + size].T,
                           out=block[begin:end, :size])
-                compared += (end - begin) * size
-            begin = end
+        if self.norms is not None:
+            # (|q|^2 - 2 q.v) + |v|^2, the order ``squared_l2`` adds in.
+            # Row ``r`` of ``windows`` is ``norms[r:r + width]``: a pair's
+            # row of |v|^2 starts where its list starts, and what it
+            # reads past the list's end lands on +inf padding.
+            block += np.einsum("ij,ij->i", queries, queries)[pair_query,
+                                                             None]
+            windows = np.ndarray((len(self.ids) + 1, width), np.float32,
+                                 self.norms, strides=self.norms.strides * 2)
+            block += windows[lows]
 
         # Back to query order: a query's pairs side by side make its
         # candidate row, and one batched top-k picks the winners.
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(len(order))
-        cols, scores = topk_smallest(
-            block[inverse].reshape(nq, nprobe * width), ids_out.shape[1])
+        candidates = np.empty_like(block)
+        candidates[order] = block
+        cols, dists = topk_smallest(
+            candidates.reshape(nq, nprobe * width), k)
         slot, within = np.divmod(cols, width)
         probed = pairs[slot + np.arange(0, nq * nprobe, nprobe)[:, None]]
-        low = offsets[probed]
-        found = within < offsets[probed + 1] - low   # not block padding
-        have = cols.shape[1]
-        ids_out[:, :have] = np.where(
-            found, self.ids[np.where(found, low + within, 0)], -1)
-        if self.metric is MetricType.EUCLIDEAN:
-            # |q - v|^2 = |q|^2 + 2 (|v|^2 / 2 - q.v)
-            scores *= 2.0
-            scores += np.einsum("ij,ij->i", queries, queries)[:, None]
-            np.maximum(scores, 0.0, out=scores)
-        dists_out[:, :have] = scores
-        return compared
+        found = dists < np.inf   # +inf is block padding
+        ids = np.where(
+            found,
+            self.ids[np.where(found, self.offsets[probed] + within, 0)], -1)
+        if self.norms is not None:
+            np.maximum(dists, 0.0, out=dists)   # rounding below zero
+        ids, dists = VectorIndex._pad_results(ids, dists, k)
+        return ids, dists, int(sizes.sum())
 
 
 @register_index("IVF_FLAT")
@@ -191,4 +198,6 @@ class IvfFlatIndex(VectorIndex):
 
     def list_sizes(self) -> np.ndarray:
         """Cluster occupancy (diagnostics / balance tests)."""
-        return self._lists.sizes()
+        if self._lists is None:
+            return np.zeros(0, dtype=np.int64)
+        return self._lists.sizes[:-1]

@@ -284,12 +284,32 @@ class TestListMajorKernel:
                 assert (np.diff(members) > 0).all()
             np.testing.assert_array_equal(index.list_sizes(),
                                           np.diff(stored.offsets))
-            rows = stored.vectors[:, :DIM]
+            rows = data[stored.ids]
+            assert stored.vectors.shape == data.shape
             if metric is MetricType.COSINE:
                 np.testing.assert_allclose(
-                    np.linalg.norm(rows, axis=1), 1.0, atol=1e-6)
+                    np.linalg.norm(stored.vectors, axis=1), 1.0, atol=1e-6)
             else:
-                np.testing.assert_array_equal(rows, data[stored.ids])
+                np.testing.assert_array_equal(stored.vectors, rows)
+            if metric is MetricType.EUCLIDEAN:
+                np.testing.assert_array_equal(
+                    stored.norms[:len(rows)],
+                    np.einsum("ij,ij->i", rows, rows))
+            else:
+                assert stored.norms is None
+
+    def test_unbuilt_index_has_no_lists(self):
+        index = IvfFlatIndex(MetricType.EUCLIDEAN, DIM)
+        assert index.effective_nlist == 0
+        assert index.list_sizes().tolist() == []
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_empty_query_block(self, corpus, built, metric):
+        index = built[metric]
+        ids, dists = index.search(np.zeros((0, DIM), dtype=np.float32), 7)
+        assert ids.shape == dists.shape == (0, 7)
+        assert ids.dtype == np.int64 and dists.dtype == np.float32
+        assert index.stats.float_comparisons == 0
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_fewer_rows_than_lists(self, metric):
@@ -317,7 +337,7 @@ class TestListMajorKernel:
         assignments = np.where(np.arange(40) % 3 == 0, 0, 2)
         stored = InvertedLists(data, assignments, 3, metric)
         lists = [np.flatnonzero(assignments == c) for c in range(3)]
-        assert stored.sizes().tolist() == [14, 0, 26]
+        assert stored.sizes.tolist() == [14, 0, 26, 0]
         probe_lists = np.array([[1, 0, 2], [1, -1, -1], [2, 1, -1],
                                 [-1, -1, 0]])
         want = oracle_scan(data, metric, lists, queries, probe_lists, 30)
@@ -444,7 +464,8 @@ class TestTopkSmallest:
     @pytest.mark.parametrize("shape,k", [
         ((64,), 8), ((512,), 10), ((1, 64), 8), ((1, 512), 10),
         ((64, 1040), 10), ((7, 5), 5), ((7, 5), 9), ((3, 4, 33), 6),
-        ((5, 1), 1), ((64,), 0), ((4, 9), 0),
+        ((5, 1), 1), ((64,), 0), ((4, 9), 0), ((1, 64), 8), ((1, 5), 9),
+        ((1, 1, 33), 6),
     ])
     def test_bit_identical_to_take_along_axis(self, shape, k):
         rng = np.random.default_rng(sum(shape) + k)
@@ -546,6 +567,23 @@ class TestBlockPostFilter:
         assert stats.delete_filter_hits == n_deleted
         assert stats.candidates_pruned > 0
         assert not set(nearest) & {pk for b in got for pk in b.pks.tolist()}
+
+    @pytest.mark.parametrize("n_deleted", [4, 40])
+    def test_deletions_far_from_the_candidates(self, schema, n_deleted):
+        """Exclusions amplify k, yet no candidate is dropped: every row
+        keeps its first k."""
+        rng = np.random.default_rng(17)
+        segment = sealed_segment(schema, rng)
+        queries = clustered(rng, 5)
+        dists = adjusted_distances(queries, segment.column("vector"),
+                                   MetricType.EUCLIDEAN)
+        farthest = np.argsort(dists.min(axis=0))[-n_deleted:]
+        segment.apply_delete((1000 + farthest).tolist(), lsn=2)
+        got, stats = both_searches(segment, queries, 10,
+                                   MetricType.EUCLIDEAN)
+        assert stats.candidates_visited > len(queries) * 10
+        assert stats.candidates_pruned == 0
+        assert all(len(batch) == 10 for batch in got)
 
     def test_filter_mask_and_deletions(self, schema):
         rng = np.random.default_rng(12)
