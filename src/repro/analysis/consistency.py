@@ -10,9 +10,11 @@ guarantee defeats the tunable-staleness contract.
 The pass works on the inter-procedural summary:
 
 * a function *fans out* when it dispatches ``search`` /
-  ``search_multivector`` / ``range_search`` on nodes obtained from a plan
-  source (``search_plan()`` and friends) — plan-boundness is propagated
-  through assignments, loops and comprehensions;
+  ``search_multivector`` / ``range_search`` / ``fetch`` — by attribute, or
+  by name through ``getattr(node, ...)`` as the proxy's one shared fan-out
+  does — on nodes obtained from a plan source (``search_plan()`` and
+  friends); plan-boundness is propagated through assignments, loops and
+  comprehensions;
 * each fan-out function must call ``guarantee_ts()`` (or receive a
   ``*guarantee*`` parameter threaded by its caller) and must wait before
   the first dispatch;
@@ -40,8 +42,9 @@ CHECKED_LAYERS = frozenset({"api", "nodes", "cluster", "coproc"})
 #: calls whose result is a plan: sequences of (node, scope) to search.
 PLAN_SOURCES = frozenset({"search_plan", "live_nodes", "nodes_serving"})
 
-#: node methods that perform an actual search on a query node.
-SEARCH_METHODS = frozenset({"search", "search_multivector", "range_search"})
+#: node methods that perform an actual read on a query node.
+SEARCH_METHODS = frozenset({"search", "search_multivector", "range_search",
+                            "fetch"})
 
 #: calls that block on the consistency watermark.
 WAIT_CALLS = frozenset({"_wait_for_consistency", "wait_for_consistency"})
@@ -94,11 +97,13 @@ def _plan_bound_names(func: FunctionSummary) -> set[str]:
 
 
 def _dispatch_sites(func: FunctionSummary, bound: set[str]) -> list:
-    """Plan-node search dispatches inside ``func``."""
+    """Plan-node read dispatches inside ``func``."""
     return [site for site in func.calls
-            if site.name in SEARCH_METHODS
-            and len(site.chain) >= 2
-            and site.chain[0] in bound]
+            if (site.name in SEARCH_METHODS and len(site.chain) >= 2
+                and site.chain[0] in bound)
+            or (site.chain == ("getattr",) and site.node.args
+                and isinstance(site.node.args[0], ast.Name)
+                and site.node.args[0].id in bound)]
 
 
 def _has_guarantee_source(func: FunctionSummary) -> bool:

@@ -83,6 +83,8 @@ EPHEMERAL_FIELDS = {
         "serving-time backpressure scratch, meaningless across restarts",
     ("QueryNode", "searches_served"):
         "monotone serving counter (telemetry only)",
+    ("QueryNode", "service_ms_total"):
+        "cumulative serving time; load reports read deltas of it",
     ("DataNode", "alive"):
         "liveness flag; a restarted node is alive by construction",
     ("DataNode", "segments_flushed"):

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro.cluster.manu import ManuCluster
 from repro.core.consistency import ConsistencyLevel
 from repro.core.multivector import MultiVectorQuery
@@ -46,13 +44,6 @@ _METRIC_ALIASES = {
     "cosine": MetricType.COSINE,
 }
 
-_CONSISTENCY_ALIASES = {
-    "strong": ConsistencyLevel.STRONG,
-    "bounded": ConsistencyLevel.BOUNDED,
-    "session": ConsistencyLevel.SESSION,
-    "eventual": ConsistencyLevel.EVENTUAL,
-}
-
 
 def parse_metric(name: str) -> MetricType:
     """Map user metric strings ("Euclidean", "IP", ...) to MetricType."""
@@ -62,6 +53,14 @@ def parse_metric(name: str) -> MetricType:
         raise ManuError(
             f"unknown metric {name!r}; "
             f"expected one of {sorted(_METRIC_ALIASES)}") from None
+
+
+def parse_consistency(name) -> ConsistencyLevel:
+    """Map "strong" / "bounded" / "session" / "eventual" to the level."""
+    try:
+        return ConsistencyLevel(str(name).strip().lower())
+    except ValueError:
+        raise ManuError(f"unknown consistency level {name!r}") from None
 
 
 class _Connections:
@@ -170,8 +169,9 @@ class Collection:
         Accepts the paper's keyword style (``vec=..., field=...,
         param={"metric_type": ...}, limit=..., expr=...``).
 
-        ``explain=True`` attaches the request's EXPLAIN ANALYZE work
-        ledger to each result as ``result.profile`` (a
+        ``explain=True`` — here and on every read verb that returns
+        results — attaches the request's EXPLAIN ANALYZE work ledger to
+        each result as ``result.profile`` (a
         :class:`~repro.profiling.QueryProfile`; render it with
         ``result.profile.explain()``).
         """
@@ -181,16 +181,10 @@ class Collection:
             raise ManuError("search needs a query vector (vec=...)")
         if extra:
             raise ManuError(f"unknown search arguments {sorted(extra)}")
-        param = dict(param or {})
-        metric = parse_metric(param.get("metric_type", "Euclidean"))
-        level = _CONSISTENCY_ALIASES.get(
-            consistency_level.strip().lower())
-        if level is None:
-            raise ManuError(
-                f"unknown consistency level {consistency_level!r}")
+        metric = parse_metric((param or {}).get("metric_type", "Euclidean"))
         return self._cluster.search(
-            self.name, np.asarray(vec, dtype=np.float32), limit,
-            field=field, metric=metric, expr=expr, consistency=level,
+            self.name, vec, limit, field=field, metric=metric, expr=expr,
+            consistency=parse_consistency(consistency_level),
             staleness_ms=staleness_ms, tenant=self.tenant,
             explain=explain)
 
@@ -209,21 +203,27 @@ class Collection:
 
     def search_multivector(self, queries: Mapping[str, Sequence[float]],
                            weights: Mapping[str, float], limit: int = 10,
-                           metric_type: str = "IP") -> SearchResult:
+                           metric_type: str = "IP",
+                           consistency_level: str = "bounded",
+                           staleness_ms: float = 100.0,
+                           explain: bool = False) -> SearchResult:
         """Multi-vector entity search over several vector fields."""
         fields = tuple(sorted(queries))
-        query = MultiVectorQuery(
-            fields=fields,
-            queries={f: np.asarray(queries[f], dtype=np.float32)
-                     for f in fields},
-            weights=dict(weights),
-            metric=parse_metric(metric_type))
-        return self._cluster.search_multivector(self.name, query, limit)
+        query = MultiVectorQuery(fields=fields, queries=dict(queries),
+                                 weights=dict(weights),
+                                 metric=parse_metric(metric_type))
+        return self._cluster.search_multivector(
+            self.name, query, limit,
+            consistency=parse_consistency(consistency_level),
+            staleness_ms=staleness_ms, tenant=self.tenant, explain=explain)
 
-    def get(self, pks) -> dict:
+    def get(self, pks, consistency_level: str = "bounded",
+            staleness_ms: float = 100.0) -> dict:
         """Fetch entities' field values by primary key."""
-        return self._cluster.get(self.name, list(pks),
-                                 tenant=self.tenant)
+        return self._cluster.get(
+            self.name, list(pks), tenant=self.tenant,
+            consistency=parse_consistency(consistency_level),
+            staleness_ms=staleness_ms)
 
     def upsert(self, data: Mapping) -> tuple:
         """Replace-or-insert entities by explicit primary key."""
@@ -234,21 +234,19 @@ class Collection:
                      param: Optional[Mapping] = None,
                      expr: Optional[str] = None,
                      limit: Optional[int] = None,
-                     consistency_level: str = "bounded"):
+                     consistency_level: str = "bounded",
+                     staleness_ms: float = 100.0,
+                     explain: bool = False) -> SearchResult:
         """All entities within a radius (L2) / above a similarity (IP).
 
         Returns a single :class:`SearchResult` with every qualifying hit.
         """
-        param = dict(param or {})
-        metric = parse_metric(param.get("metric_type", "Euclidean"))
-        level = _CONSISTENCY_ALIASES.get(consistency_level.strip().lower())
-        if level is None:
-            raise ManuError(
-                f"unknown consistency level {consistency_level!r}")
+        metric = parse_metric((param or {}).get("metric_type", "Euclidean"))
         return self._cluster.range_search(
-            self.name, np.asarray(vec, dtype=np.float32), radius,
-            field=field, metric=metric, expr=expr, consistency=level,
-            limit=limit)
+            self.name, vec, radius, field=field, metric=metric, expr=expr,
+            consistency=parse_consistency(consistency_level),
+            staleness_ms=staleness_ms, limit=limit, tenant=self.tenant,
+            explain=explain)
 
     def flush(self) -> None:
         """Seal and persist all growing segments."""

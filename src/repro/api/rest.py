@@ -43,9 +43,8 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.api.pymanu import parse_metric
+from repro.api.pymanu import parse_consistency, parse_metric
 from repro.cluster.manu import ManuCluster
-from repro.core.consistency import ConsistencyLevel
 from repro.core.schema import CollectionSchema
 from repro.errors import (
     CollectionAlreadyExists,
@@ -55,8 +54,6 @@ from repro.errors import (
     ManuError,
     SchemaError,
 )
-
-_CONSISTENCY = {level.value: level for level in ConsistencyLevel}
 
 
 class RestApi:
@@ -185,7 +182,7 @@ class RestApi:
             pks = body.get("pks")
             if not isinstance(pks, list):
                 raise ManuError("body needs 'pks' (a list)")
-            rows = self._cluster.get(name, pks)
+            rows = self._cluster.get(name, pks, **self._read_args(body))
             return 200, {"entities": {str(pk): _jsonable(values)
                                       for pk, values in rows.items()}}
         return 404, {"error": f"unknown entity action {action!r}"}
@@ -194,41 +191,39 @@ class RestApi:
     # search routes
     # ------------------------------------------------------------------
 
-    def _common_search_args(self, body: dict) -> dict:
-        level = _CONSISTENCY.get(str(body.get("consistency_level",
-                                              "bounded")).lower())
-        if level is None:
-            raise ManuError(
-                f"unknown consistency level "
-                f"{body.get('consistency_level')!r}")
+    def _read_args(self, body: dict) -> dict:
+        """What every read route takes: consistency and, for a
+        tenant-scoped request, the tenant to namespace, admit and meter
+        it as."""
+        return {
+            "consistency": parse_consistency(
+                body.get("consistency_level", "bounded")),
+            "staleness_ms": body.get("staleness_ms", 100.0),
+            "tenant": body.get("tenant"),
+        }
+
+    def _search_args(self, body: dict) -> dict:
         return {
             "field": body.get("field"),
             "metric": parse_metric(body.get("metric_type", "Euclidean")),
             "expr": body.get("expr"),
-            "consistency": level,
-            "staleness_ms": float(body.get("staleness_ms", 100.0)),
+            **self._read_args(body),
         }
 
     def _search(self, name: str, body: dict) -> tuple[int, dict]:
-        vector = body.get("vector")
-        if vector is None:
+        if body.get("vector") is None:
             raise ManuError("body needs 'vector'")
         result = self._cluster.search(
-            name, np.asarray(vector, dtype=np.float32),
-            int(body.get("limit", 10)),
-            **self._common_search_args(body))[0]
+            name, body["vector"], body.get("limit", 10),
+            **self._search_args(body))[0]
         return 200, _result_payload(result)
 
     def _range_search(self, name: str, body: dict) -> tuple[int, dict]:
-        vector = body.get("vector")
-        radius = body.get("radius")
-        if vector is None or radius is None:
+        if body.get("vector") is None or body.get("radius") is None:
             raise ManuError("body needs 'vector' and 'radius'")
-        limit = body.get("limit")
         result = self._cluster.range_search(
-            name, np.asarray(vector, dtype=np.float32), float(radius),
-            limit=int(limit) if limit is not None else None,
-            **self._common_search_args(body))
+            name, body["vector"], body["radius"], limit=body.get("limit"),
+            **self._search_args(body))
         return 200, _result_payload(result)
 
     # ------------------------------------------------------------------

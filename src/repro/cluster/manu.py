@@ -32,7 +32,6 @@ from repro.coord.root import RootCoordinator
 from repro.core.checkpoint import Checkpoint, TimeTravel
 from repro.core.compaction import CompactionPolicy, SegmentMeta, \
     compact_segments
-from repro.core.consistency import ConsistencyLevel
 from repro.core.multivector import MultiVectorQuery
 from repro.core.results import SearchResult
 from repro.core.schema import CollectionSchema, MetricType
@@ -437,7 +436,9 @@ class ManuCluster:
             (component,): float(state)
             for component, state in self.health.health_map().items()})
 
-        metrics.gauge("cluster.query_nodes").set(self.num_query_nodes)
+        metrics.gauge_family(
+            "cluster_query_nodes", help="live query nodes").labels().set(
+                self.num_query_nodes)
 
     def health_snapshot(self) -> dict:
         """Cluster health view served by REST ``GET /healthz``."""
@@ -508,29 +509,25 @@ class ManuCluster:
         """Group-commit delete: an ``AckFuture`` resolved at flush time."""
         return self.proxy().delete_async(collection, expr)
 
+    # The read verbs forward every option as given (field, metric, expr,
+    # consistency, staleness_ms, tenant, explain, ...): the proxy's
+    # signatures are the only ones, so this layer cannot drop one.
+
     def search(self, collection: str, queries, k: int,
-               field: Optional[str] = None,
-               metric: MetricType = MetricType.EUCLIDEAN,
-               expr: Optional[str] = None,
-               consistency: ConsistencyLevel = ConsistencyLevel.BOUNDED,
-               staleness_ms: float = 100.0,
-               at_ms: Optional[float] = None,
-               tenant: Optional[str] = None,
-               explain: bool = False) -> list[SearchResult]:
-        return self.proxy().search(collection, queries, k, field=field,
-                                   metric=metric, expr=expr,
-                                   consistency=consistency,
-                                   staleness_ms=staleness_ms, at_ms=at_ms,
-                                   tenant=tenant, explain=explain)
+               **options) -> list[SearchResult]:
+        """Top-k search; options are :meth:`Proxy.search`'s."""
+        return self.proxy().search(collection, queries, k, **options)
 
     def search_multivector(self, collection: str, query: MultiVectorQuery,
-                           k: int) -> SearchResult:
-        return self.proxy().search_multivector(collection, query, k)
+                           k: int, **options) -> SearchResult:
+        """Options are :meth:`Proxy.search_multivector`'s."""
+        return self.proxy().search_multivector(collection, query, k,
+                                               **options)
 
-    def get(self, collection: str, pks,
-            tenant: Optional[str] = None) -> dict:
-        """Point reads: pk -> {field: value} for live entities."""
-        return self.proxy().get(collection, pks, tenant=tenant)
+    def get(self, collection: str, pks, **options) -> dict:
+        """Point reads: pk -> {field: value} for live entities; options
+        are :meth:`Proxy.get`'s."""
+        return self.proxy().get(collection, pks, **options)
 
     def upsert(self, collection: str, data: Mapping,
                tenant: Optional[str] = None) -> tuple:
@@ -538,18 +535,11 @@ class ManuCluster:
         return self.proxy().upsert(collection, data, tenant=tenant)
 
     def range_search(self, collection: str, query, radius: float,
-                     field: Optional[str] = None,
-                     metric: MetricType = MetricType.EUCLIDEAN,
-                     expr: Optional[str] = None,
-                     consistency: ConsistencyLevel =
-                     ConsistencyLevel.BOUNDED,
-                     staleness_ms: float = 100.0,
-                     limit: Optional[int] = None) -> SearchResult:
-        """All entities within a distance/similarity radius (exact)."""
-        return self.proxy().range_search(
-            collection, query, radius, field=field, metric=metric,
-            expr=expr, consistency=consistency,
-            staleness_ms=staleness_ms, limit=limit)
+                     **options) -> SearchResult:
+        """All entities within a distance/similarity radius (exact);
+        options are :meth:`Proxy.range_search`'s."""
+        return self.proxy().range_search(collection, query, radius,
+                                         **options)
 
     def create_index(self, collection: str, field: str, index_type: str,
                      metric: MetricType = MetricType.EUCLIDEAN,

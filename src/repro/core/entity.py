@@ -1,10 +1,12 @@
-"""Entity-batch validation and normalization.
+"""Entity-batch and query validation and normalization.
 
 The proxy validates user insert payloads against the collection schema
 before anything reaches the log: vector dimensions, scalar types, column
 alignment, primary-key presence (or auto-id generation), and duplicate keys
 within a batch.  The result is a normalized ``EntityBatch`` whose columns
-are numpy arrays / lists aligned with its primary keys.
+are numpy arrays / lists aligned with its primary keys.  Read requests get
+the same treatment before any query node is asked (``validate_queries``,
+``require_number``): a malformed one is an :class:`InvalidQuery`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.core.schema import CollectionSchema, DataType
-from repro.errors import SchemaError
+from repro.errors import InvalidQuery, SchemaError
 
 _auto_id_counter = itertools.count(1)
 
@@ -83,6 +85,38 @@ def _coerce_vector_column(name: str, dim: int, values: Any) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise SchemaError(f"vector field {name!r}: non-finite values")
     return arr
+
+
+def validate_queries(schema: CollectionSchema,
+                     vectors: Mapping[Any, Any]) -> dict[str, np.ndarray]:
+    """Query rows per vector field (None: the schema's default vector
+    field) as finite float32 ``(nq, dim)`` blocks keyed by field name; a
+    single vector is one row.  The read-side twin of the insert check."""
+    blocks = {}
+    for name, rows in vectors.items():
+        field = schema.default_vector_field() if name is None \
+            else schema.field(name)
+        if not field.dtype.is_vector:
+            raise InvalidQuery(f"field {field.name!r} holds no vectors")
+        try:
+            block = np.asarray(rows, dtype=np.float32)
+            blocks[field.name] = _coerce_vector_column(
+                field.name, field.dim,
+                block[None, :] if block.ndim == 1 else block)
+        except (SchemaError, TypeError, ValueError) as exc:
+            raise InvalidQuery(f"malformed query: {exc}") from None
+    return blocks
+
+
+def require_number(name: str, value: Any, least: float,
+                   integer: bool = False) -> None:
+    """One request parameter must be a finite number (an integer when
+    asked) of at least ``least``."""
+    kinds = (int, np.integer) if integer else (int, float, np.number)
+    if not isinstance(value, kinds) or not least <= value < np.inf:
+        raise InvalidQuery(
+            f"{name} must be {'an integer' if integer else 'a number'} "
+            f"of at least {least}, got {value!r}")
 
 
 def validate_batch(schema: CollectionSchema,

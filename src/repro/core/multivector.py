@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -65,25 +65,28 @@ def choose_strategy(query: MultiVectorQuery) -> MultiVectorStrategy:
 
 def search_segment(segment: Segment, query: MultiVectorQuery, k: int,
                    amplification: int = 4,
-                   stats: Optional[SearchStats] = None,
+                   stats: Optional[Sequence[SearchStats]] = None,
                    forced: Optional[MultiVectorStrategy] = None,
                    ) -> HitBatch:
     """Top-k entities of one segment under the combined similarity.
 
     Returns a :class:`HitBatch` of combined adjusted distances, sorted
-    ascending.
+    ascending.  ``stats`` — one :class:`SearchStats` per entry of
+    ``query.fields`` — receives each field's work separately, so the
+    caller can charge every field at its own dimension.
     """
-    stats = stats if stats is not None else SearchStats()
+    if stats is None:
+        stats = [SearchStats() for _ in query.fields]
     strategy = forced if forced is not None else choose_strategy(query)
     k_amp = max(k * amplification, k)
 
     # Gather a candidate pool from per-field searches (tolist keeps the
     # pool native-typed so str-keyed ordering matches the pk column).
     pool: set = set()
-    for field in query.fields:
+    for field, field_stats in zip(query.fields, stats):
         q = np.asarray(query.queries[field], dtype=np.float32)
         results = segment.search(field, q[None, :], k_amp, query.metric,
-                                 stats=stats)
+                                 stats=field_stats)
         pool.update(results[0].pks.tolist())
     if not pool:
         return HitBatch.empty()
@@ -95,14 +98,14 @@ def search_segment(segment: Segment, query: MultiVectorQuery, k: int,
     del strategy  # the scoring below is exact for both strategies
     rows = [row for row in (segment._pk_rows.get(pk) for pk in pks)]
     combined = np.zeros(len(pks), dtype=np.float64)
-    for field in query.fields:
+    for field, field_stats in zip(query.fields, stats):
         weight = float(query.weights[field])
         if weight == 0.0:
             continue
         data = segment.column(field)[rows]
         q = np.asarray(query.queries[field], dtype=np.float32)
         dists = adjusted_distances(q, data, query.metric)[0]
-        stats.float_comparisons += len(pks)
+        field_stats.float_comparisons += len(pks)
         combined += weight * dists.astype(np.float64)
 
     order = np.argsort(combined, kind="stable")[:k]

@@ -181,36 +181,45 @@ class ReduceStats:
 class SearchResult:
     """Top-k hits for one query plus execution metadata.
 
-    ``hits`` is a sequence of :class:`SearchHit`: a list, or — from
-    ``search`` — the merged :class:`HitBatch` itself, whose sequence
-    protocol makes the hit objects on access.  Callers keep whole result
-    sets alive, and two small arrays per query are a third of the size of
-    ten hit objects.
+    ``hits`` is the merged :class:`HitBatch` itself — a *read-only
+    sequence view* over two parallel arrays: ``len`` / iteration /
+    indexing make :class:`SearchHit` objects on access, nothing is stored
+    per hit, and there is no ``+`` / ``.sort()`` / ``.append`` (take
+    ``list(result.hits)`` for a mutable copy).  A list of hits handed to
+    the constructor is packed into a batch.  ``pks`` / ``distances`` /
+    ``scores`` read the arrays directly and return plain lists.  Callers
+    keep whole result sets alive, and two small arrays per query are a
+    third of the size of ten hit objects.
 
     ``profile`` is the request's :class:`repro.profiling.QueryProfile`
-    when the search ran with ``explain=True`` (all results of one batched
+    when the read ran with ``explain=True`` (all results of one batched
     request share the same profile object), else None.
     """
 
-    hits: Sequence[SearchHit]
+    hits: HitBatch
     metric: MetricType
     latency_ms: float = 0.0
     consistency_wait_ms: float = 0.0
     segments_searched: int = 0
     profile: object = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.hits, HitBatch):
+            self.hits = HitBatch.from_hits(self.hits)
+
     @property
     def pks(self) -> list:
-        return [hit.pk for hit in self.hits]
+        return self.hits.pks.tolist()
 
     @property
     def scores(self) -> list[float]:
-        return [hit.score_for(self.metric) for hit in self.hits]
+        """User-facing scores (L2 distance or similarity)."""
+        return to_user_score(self.hits.dists, self.metric).tolist()
 
     @property
     def distances(self) -> list[float]:
         """Adjusted distances (internal convention)."""
-        return [hit.adjusted_distance for hit in self.hits]
+        return self.hits.dists.tolist()
 
     def __len__(self) -> int:
         return len(self.hits)
@@ -249,9 +258,10 @@ def _first_occurrence(pks: np.ndarray):
     return unique_first
 
 
-def merge_topk(partials: Sequence[Partial], k: int,
+def merge_topk(partials: Sequence[Partial], k: Optional[int],
                stats: Optional[ReduceStats] = None) -> HitBatch:
-    """Merge sorted partial results into a deduplicated global top-k.
+    """Merge sorted partial results into a deduplicated global top-k
+    (``k=None``: keep every unique hit — range search has no k).
 
     Each partial (a :class:`HitBatch`, or an iterable of sorted
     :class:`SearchHit`s) must be sorted by adjusted distance ascending —
@@ -270,7 +280,7 @@ def merge_topk(partials: Sequence[Partial], k: int,
     With ``stats`` the merge additionally accumulates its work counters
     (profiling plane); the default None keeps the hot path untouched.
     """
-    if k <= 0:
+    if k is not None and k <= 0:
         if stats is not None:
             stats.batches_merged += len(partials)
         return HitBatch.empty()
@@ -287,7 +297,7 @@ def merge_topk(partials: Sequence[Partial], k: int,
         if stats is not None:
             stats.hits_deduped += len(merged) - len(keep)
         merged = HitBatch(merged.pks[keep], merged.dists[keep])
-    out = merged.topk(k)
+    out = merged if k is None else merged.topk(k)
     if stats is not None:
         stats.hits_out += len(out)
     return out

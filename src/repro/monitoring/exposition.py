@@ -8,9 +8,9 @@ that format back into a flat series map — used by the round-trip tests
 and by anything that wants to scrape the REST ``GET /metrics`` endpoint
 without a real Prometheus.
 
-Names arrive dotted (``proxy.p0.searches``) from the legacy shim; the
-renderer sanitizes them to the exposition charset (``proxy_p0_searches``)
-the same way prometheus client libraries do.
+Window names are dotted (``proxy.search_latency``); the renderer sanitizes
+names to the exposition charset (``proxy_search_latency``) the same way
+prometheus client libraries do.
 
 Histogram bucket lines may carry an OpenMetrics-style **exemplar**
 suffix — ``name_bucket{le="5.0"} 3.0 # {trace_id="t000042"} 4.2`` — the

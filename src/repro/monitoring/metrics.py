@@ -5,12 +5,8 @@ from :class:`MetricFamily` objects — a named metric with a fixed label
 schema whose children (one per label combination) are plain
 :class:`Counter`/:class:`Gauge`/:class:`Histogram` instances — exactly the
 Prometheus data model, which is also what :func:`MetricsRegistry
-.expose_text` serializes.
-
-The pre-family string-namespaced API (``registry.counter("a.b.c")``,
-``registry.latency(...)``) is kept as a shim: an unlabeled name is a family
-with zero labels and a single child, so old call sites and the
-``snapshot()`` flat view keep working unchanged.
+.expose_text` serializes.  An unlabeled metric is a family with zero
+labels and a single child, ``family.labels()``.
 """
 
 from __future__ import annotations
@@ -344,13 +340,10 @@ class LatencyWindow:
 
 
 class MetricsRegistry:
-    """Shared metric store: labeled families plus legacy flat names.
-
-    New code declares families (``registry.gauge_family("wal_subscriber_"
-    "lag", ("channel", "subscriber"))``); old code keeps calling
-    ``registry.counter("proxy.p0.inserts")`` — an unlabeled family's single
-    child.  ``windows`` holds the time-sliding :class:`LatencyWindow`\\ s,
-    which are a different beast from cumulative histograms (they forget).
+    """Shared metric store: labeled families (``registry.gauge_family(
+    "wal_subscriber_lag", ("channel", "subscriber"))``) plus ``windows``,
+    the time-sliding :class:`LatencyWindow` objects — a different beast from
+    cumulative histograms: they forget, which the autoscaler needs.
     """
 
     def __init__(self) -> None:
@@ -392,35 +385,11 @@ class MetricsRegistry:
         return self.family(name, "histogram", label_names, help=help,
                            unit=unit, buckets=buckets)
 
-    # ------------------------------------------------------------------
-    # legacy flat-name shim
-    # ------------------------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        return self.family(name, "counter").labels()
-
-    def gauge(self, name: str) -> Gauge:
-        return self.family(name, "gauge").labels()
-
     def latency(self, name: str,
                 window_ms: float = 60_000.0) -> LatencyWindow:
         if name not in self.windows:
             self.windows[name] = LatencyWindow(window_ms)
         return self.windows[name]
-
-    @property
-    def counters(self) -> dict[str, Counter]:
-        """Unlabeled counters by name (legacy view for old call sites)."""
-        return {name: family.labels()
-                for name, family in self.families.items()
-                if family.kind == "counter" and not family.label_names}
-
-    @property
-    def gauges(self) -> dict[str, Gauge]:
-        """Unlabeled gauges by name (legacy view for old call sites)."""
-        return {name: family.labels()
-                for name, family in self.families.items()
-                if family.kind == "gauge" and not family.label_names}
 
     # ------------------------------------------------------------------
     # views

@@ -18,17 +18,19 @@ work.  This is where the cluster's end-to-end latency numbers come from.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.config import ManuConfig
 from repro.core.consistency import ConsistencyLevel, guarantee_ts
-from repro.core.entity import validate_batch
+from repro.core.entity import require_number, validate_batch, \
+    validate_queries
 from repro.core.expr import Const, Compare, Field, FilterExpression, InList
 from repro.core.multivector import MultiVectorQuery
-from repro.core.results import HitBatch, ReduceStats, SearchResult, \
-    merge_topk
+from repro.core.results import ReduceStats, SearchResult, merge_topk
 from repro.core.schema import MetricType
 from repro.core.tso import TimestampOracle
 from repro.errors import CollectionNotFound, ConsistencyTimeout, \
@@ -46,6 +48,44 @@ from repro.tracing import (
     SPAN_INCOMPLETE,
     TraceCollector,
 )
+
+
+#: Read verb -> its sliding latency window (the autoscaler's signal: it
+#: forgets).  The verb's cumulative histogram family is ``<verb>_latency``.
+_LATENCY_WINDOWS = {
+    "search": "proxy.search_latency",
+    "search_multivector": "proxy.multivector_latency",
+    "range_search": "proxy.range_search_latency",
+    "get": "proxy.get_latency",
+}
+
+
+@dataclasses.dataclass(slots=True)
+class _ReadRequest:
+    """One read request's facts, each written once as the request runs:
+    what was asked (``Proxy._admit``), then what happened
+    (``Proxy._scatter_gather``), which emits every plane from here — so
+    no verb can forget one (DESIGN.md §6h)."""
+
+    verb: str
+    collection: str            # physical (tenant-namespaced) name
+    tenant: Optional[str]
+    blocks: dict               # vector field -> (nq, dim) query block
+    nq: int
+    k: Optional[int]           # the top-k merge the cost model charges
+    consistency: ConsistencyLevel
+    staleness_ms: float
+    explain: bool
+    #: scan work summed over the fan-out (RU metering, EXPLAIN totals)
+    stats: SearchStats = dataclasses.field(default_factory=SearchStats)
+    merge_stats: Optional[ReduceStats] = None  # only under a profile
+    segments: int = 0          # scanned, summed over the fan-out
+    issue_ms: float = 0.0
+    wait_ms: float = 0.0
+    scanned_ms: float = 0.0    # the last node's finish
+    merge_ms: float = 0.0
+    done_ms: float = 0.0
+    trace_id: Optional[str] = None  # None unless the trace is sampled
 
 
 class PendingSearch:
@@ -83,27 +123,24 @@ class Proxy:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._component = f"proxy:{name}"
-        # Metric handles are live objects; resolve them once instead of
-        # rebuilding f-string names on every request.
-        self._inserts_counter = self.metrics.counter(
-            f"proxy.{name}.inserts")
-        self._deletes_counter = self.metrics.counter(
-            f"proxy.{name}.deletes")
-        self._searches_counter = self.metrics.counter(
-            f"proxy.{name}.searches")
-        self._batched_counter = self.metrics.counter(
-            f"proxy.{name}.batched_searches")
-        self._search_latency = self.metrics.latency("proxy.search_latency")
-        self._multivector_latency = self.metrics.latency(
-            "proxy.multivector_latency")
-        self._range_latency = self.metrics.latency(
-            "proxy.range_search_latency")
-        # Labeled histogram families: cumulative, mergeable across proxies
-        # (the exposition endpoint serves both the per-proxy series and the
-        # cluster aggregate, e.g. ``search_latency_p99``).
-        self._search_hist = self.metrics.histogram_family(
-            "search_latency", ("proxy",),
-            help="end-to-end search latency", unit="ms").labels(proxy=name)
+        # Metric handles are live objects; resolve them once per verb
+        # instead of rebuilding names on every request.  Families are
+        # labeled, cumulative and mergeable across proxies (the exposition
+        # serves the per-proxy series and the cluster aggregate, e.g.
+        # ``search_latency_p99``).
+        ops = self.metrics.counter_family(
+            "proxy_ops_total", ("proxy", "verb"),
+            help="rows inserted, keys deleted, query rows read, by verb")
+        self._ops = {verb: ops.labels(proxy=name, verb=verb)
+                     for verb in ("insert", "delete", "batched_search",
+                                  *_LATENCY_WINDOWS)}
+        self._latency = {
+            verb: (self.metrics.latency(window),
+                   self.metrics.histogram_family(
+                       f"{verb}_latency", ("proxy",),
+                       help=f"end-to-end {verb} latency",
+                       unit="ms").labels(proxy=name))
+            for verb, window in _LATENCY_WINDOWS.items()}
         self._wait_hist = self.metrics.histogram_family(
             "consistency_wait", ("proxy",),
             help="delta-consistency wait before fan-out",
@@ -143,12 +180,11 @@ class Proxy:
         self.search_counts: dict[str, int] = {}
         self._session_ts = 0
         # Request batching (Section 3.6): same-typed searches accumulated
-        # within the configured window, executed as one batch.
-        self._batches: dict[tuple, list[tuple[np.ndarray,
-                                              PendingSearch]]] = {}
-        # Batch key -> QoS dispatch priority (0 = first); tenant batches
-        # flush gold before bronze when several windows expire together.
-        self._batch_priority: dict[tuple, int] = {}
+        # within the configured window, executed as one batch.  Batch key
+        # -> (QoS dispatch priority, 0 = first; [(query row, handle)]):
+        # tenant batches flush gold before bronze when several windows
+        # expire together.
+        self._batches: dict[tuple, tuple[int, list]] = {}
         self.batches_flushed = 0
 
     # ------------------------------------------------------------------
@@ -227,7 +263,7 @@ class Proxy:
                                collection=collection, rows=batch.num_rows):
             lsn = self._loggers.insert(collection, batch)
         self._session_ts = max(self._session_ts, lsn)
-        self._inserts_counter.inc(batch.num_rows)
+        self._ops["insert"].inc(batch.num_rows)
         if tenant is not None:
             self._charge_write(tenant, batch.num_rows)
         return batch.pks
@@ -258,7 +294,7 @@ class Proxy:
 
         def _on_ack(future: "AckFuture") -> None:
             self._session_ts = max(self._session_ts, future.result())
-            self._inserts_counter.inc(batch.num_rows)
+            self._ops["insert"].inc(batch.num_rows)
             if tenant is not None:
                 self._charge_write(tenant, batch.num_rows)
 
@@ -283,7 +319,7 @@ class Proxy:
                                collection=collection, keys=len(pks)):
             lsn, deleted = self._loggers.delete(collection, tuple(pks))
         self._session_ts = max(self._session_ts, lsn)
-        self._deletes_counter.inc(deleted)
+        self._ops["delete"].inc(deleted)
         return deleted
 
     def delete_async(self, collection: str, expr: str) -> "AckFuture":
@@ -303,14 +339,171 @@ class Proxy:
 
         def _on_ack(future: "AckFuture") -> None:
             self._session_ts = max(self._session_ts, future.result())
-            self._deletes_counter.inc(future.rows)
+            self._ops["delete"].inc(future.rows)
 
         ack.add_done_callback(_on_ack)
         return ack
 
     # ------------------------------------------------------------------
-    # search
+    # reads: one protocol, four verbs (DESIGN.md §6h)
     # ------------------------------------------------------------------
+
+    def _admit(self, verb: str, collection: str, tenant: Optional[str],
+               vectors: Mapping, k: Optional[int],
+               consistency: ConsistencyLevel, staleness_ms: float,
+               explain: bool = False,
+               admitted: bool = False) -> _ReadRequest:
+        """Front half, part one: whatever can refuse a read before it
+        costs a timestamp — tenant namespace, cached schema, typed
+        validation (``vectors``: vector field, None for the default, ->
+        query rows; a malformed request is an :class:`InvalidQuery` here,
+        not a numpy error three layers down), quota — which ``admitted``
+        skips for queries the batching window admitted at submit time.
+        """
+        if tenant is not None:
+            collection = self._tenant_resolve(tenant, collection)
+        blocks = validate_queries(self._schema(collection), vectors)
+        require_number("staleness_ms", staleness_ms, 0)
+        nq = next(iter(blocks.values())).shape[0] if blocks else 1
+        if tenant is not None and not admitted:
+            self._tenant_admit(tenant, verb, units=float(nq))
+        return _ReadRequest(verb, collection, tenant, blocks, nq, k,
+                            consistency, staleness_ms, explain)
+
+    def _scatter_gather(self, req: _ReadRequest, ask: str, args: tuple,
+                        metric: Optional[MetricType] = None,
+                        keep: Optional[int] = None,
+                        at_ms: Optional[float] = None, **tags):
+        """The read protocol of Manu §3.2/§3.6, once for every verb:
+        guarantee timestamp, consistency wait, fan-out, merge, and every
+        plane's emission.  A verb brings only what is its own: the
+        query-node method it asks — ``ask(collection, *args, scope=,
+        trace_span=, profile=, acc_stats=)`` returning ``(partial,
+        service ms, segments)`` — and how the partials merge: into one
+        :class:`SearchResult` per query row, the best ``keep`` unique
+        hits each (default: the request's ``k``, and without one, all),
+        or, for a point read (no ``metric``), one dict.  A request with
+        a ``k`` is charged a top-k merge.
+        """
+        if keep is None:
+            keep = req.k
+        prof = None
+        if req.explain or (self._slowlog is not None
+                           and self._slowlog.enabled):
+            prof = QueryProfile(req.collection, nq=req.nq, k=req.k or 0,
+                                verb=req.verb)
+            req.merge_stats = ReduceStats()
+        if at_ms is not None:
+            self._loop.run_until(at_ms)
+        req.issue_ms = self._loop.now()
+        guarantee = guarantee_ts(req.consistency,
+                                 self._tso.allocate_packed(),
+                                 req.staleness_ms, self._session_ts)
+        # The root span covers [issue, done]; it is finished with the
+        # *computed* done time, so it is opened by hand rather than with
+        # the context-manager helper (which would stamp the clock's value
+        # at block exit).  The try/finally still closes it as an error
+        # span if anything below raises (e.g. a consistency timeout).
+        root = self._tracer.start_span(
+            f"proxy.{req.verb}", self._component, start_ms=req.issue_ms,
+            collection=req.collection, nq=req.nq, k=req.k, **tags)
+        try:
+            with self._tracer.activate(root):
+                plan = self._query_coord.search_plan(req.collection)
+                if not plan:
+                    raise ManuError(
+                        f"collection {req.collection!r} is not loaded on "
+                        f"any query node")
+                req.wait_ms = self._wait_for_consistency(
+                    req.collection, [node for node, _scope in plan],
+                    guarantee)
+                ready_ms = self._loop.now()
+
+                partials = []
+                parent = root.context
+                for node, scope in plan:
+                    start = max(ready_ms + self._cost.rpc_hop(),
+                                node.busy_until_ms)
+                    nspan = self._tracer.start_span(
+                        "query_node.scan", f"query-node:{node.name}",
+                        parent=parent, start_ms=ready_ms)
+                    stage = prof.node_stage(node.name) \
+                        if prof is not None else None
+                    partial, service_ms, searched = getattr(node, ask)(
+                        req.collection, *args, scope=scope,
+                        trace_span=nspan, profile=stage,
+                        acc_stats=req.stats)
+                    node.busy_until_ms = start + service_ms
+                    if stage is not None:
+                        stage.meta["queue_ms"] = start - ready_ms
+                    nspan.tags.update(queue_ms=start - ready_ms,
+                                      service_ms=service_ms,
+                                      segments=searched)
+                    self._tracer.finish_span(nspan,
+                                             end_ms=node.busy_until_ms)
+                    req.scanned_ms = max(req.scanned_ms,
+                                         node.busy_until_ms)
+                    req.segments += searched
+                    partials.append(partial)
+
+                # Back half: the timing first, because results carry it.
+                if req.k is not None:
+                    req.merge_ms = self._cost.topk_merge_cost(len(plan),
+                                                              req.k)
+                req.done_ms = req.scanned_ms + req.merge_ms \
+                    + self._cost.rpc_hop()
+                latency = req.done_ms - req.issue_ms
+                self._tracer.record_span(
+                    "proxy.merge", self._component, parent=parent,
+                    start_ms=req.scanned_ms, end_ms=req.done_ms,
+                    nodes=len(plan))
+                self._tracer.finish_span(root, end_ms=req.done_ms)
+                if root.sampled:
+                    req.trace_id = root.trace_id
+                # Then the merge.  Partials stay array-native through it
+                # and into the result (hits become SearchHit objects only
+                # when the caller looks at them); merge_topk dedups
+                # replica copies, best hit per pk.
+                if metric is None:
+                    result = {}
+                    for partial in partials:
+                        result.update(partial)
+                else:
+                    result = [SearchResult(
+                        hits=merge_topk([part[qi] for part in partials],
+                                        keep, stats=req.merge_stats),
+                        metric=metric, latency_ms=latency,
+                        consistency_wait_ms=req.wait_ms,
+                        segments_searched=req.segments,
+                        profile=prof if req.explain else None)
+                        for qi in range(req.nq)]
+                # Then every remaining plane, once, from the record.
+                if prof is not None:
+                    prof.finalize(latency_ms=latency, wait_ms=req.wait_ms,
+                                  merge_ms=req.merge_ms, nodes=len(plan),
+                                  segments=req.segments,
+                                  merge_counters=req.merge_stats.as_dict(),
+                                  trace_id=req.trace_id)
+                    if self._slowlog is not None:
+                        self._slowlog.observe(self._loop.now(), prof)
+                if req.tenant is not None:
+                    self._charge_read(req.tenant, req.stats)
+                window, histogram = self._latency[req.verb]
+                window.record(self._loop.now(), latency)
+                # The latency observation carries the trace id as an
+                # exemplar: a histogram bucket is one hop from a concrete
+                # sampled request that landed in it.
+                histogram.observe(latency, exemplar=req.trace_id)
+                self._wait_hist.observe(req.wait_ms)
+                if req.k is not None:
+                    self._merge_hist.observe(req.merge_ms)
+                self._ops[req.verb].inc(req.nq)
+                self.search_counts[req.collection] = \
+                    self.search_counts.get(req.collection, 0) + req.nq
+                return result
+        finally:
+            if root.end_ms is None:
+                self._tracer.finish_span(root, status=SPAN_ERROR)
 
     def search(self, collection: str, queries: np.ndarray, k: int,
                field: Optional[str] = None,
@@ -320,240 +513,72 @@ class Proxy:
                staleness_ms: float = 100.0,
                at_ms: Optional[float] = None,
                tenant: Optional[str] = None,
-               explain: bool = False) -> list[SearchResult]:
+               explain: bool = False,
+               _admitted: bool = False) -> list[SearchResult]:
         """Global top-k search; one :class:`SearchResult` per query row.
 
         With ``explain=True`` every returned result carries the request's
         :class:`~repro.profiling.QueryProfile` — the EXPLAIN ANALYZE work
-        ledger — in ``result.profile``.  A profile is also built (but not
-        returned) when the slow-query log is armed, so offenders are
-        captured with full per-stage counters; with neither, the hot path
-        allocates no profile objects at all.
+        ledger — in ``result.profile`` (as for every read verb that
+        returns results).  A profile is also built (but not returned)
+        when the slow-query log is armed, so offenders are captured with
+        full per-stage counters; with neither, the hot path allocates no
+        profile objects at all.  ``_admitted`` is the batching window's:
+        its queries passed the quota when they were submitted.
         """
-        if tenant is not None:
-            collection = self._tenant_resolve(tenant, collection)
-        schema = self._schema(collection)
-        if field is None:
-            field = schema.default_vector_field().name
-        dim = schema.field(field).dim  # validates existence
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim == 1:
-            queries = queries[None, :]
-        # Malformed requests fail here, typed, not as a numpy error from
-        # inside an index three layers down.
-        if not isinstance(k, (int, np.integer)) or k < 1:
-            raise InvalidQuery(f"k must be an integer of at least 1, "
-                               f"got {k!r}")
-        if queries.ndim != 2 or queries.shape[1] != dim:
-            raise InvalidQuery(
-                f"field {field!r} holds {dim}-d vectors; got a query "
-                f"block of shape {queries.shape}")
-        if not np.isfinite(queries).all():
-            raise InvalidQuery("query vectors must be finite "
-                               "(found NaN or inf)")
-        if tenant is not None:
-            self._tenant_admit(tenant, "search",
-                               units=float(queries.shape[0]))
+        require_number("k", k, 1, integer=True)
         filter_expr = FilterExpression(expr) if expr else None
-        # Request-wide scan work, accumulated across the node fan-out for
-        # cost metering (always cheap: one SearchStats, no tree).
-        req_stats = SearchStats()
-        want_profile = explain or (self._slowlog is not None
-                                   and self._slowlog.enabled)
-        prof = QueryProfile(collection, nq=int(queries.shape[0]),
-                            k=k) if want_profile else None
-
-        if at_ms is not None:
-            self._loop.run_until(at_ms)
-        issue_ms = self._loop.now()
-        issue_ts = self._tso.allocate_packed()
-        guarantee = guarantee_ts(consistency, issue_ts, staleness_ms,
-                                 self._session_ts)
-
-        # The root span covers [issue, done]; it is finished with the
-        # *computed* done time, so it is opened by hand rather than with
-        # the context-manager helper (which would stamp the clock's value
-        # at block exit).  The try/finally still closes it as an error
-        # span if anything below raises (e.g. a consistency timeout).
-        root = self._tracer.start_span(
-            "proxy.search", self._component, start_ms=issue_ms,
-            collection=collection, k=k, nq=int(queries.shape[0]))
-        try:
-            with self._tracer.activate(root):
-                plan = self._query_coord.search_plan(collection)
-                if not plan:
-                    raise ManuError(
-                        f"collection {collection!r} is not loaded on any "
-                        f"query node")
-                nodes = [node for node, _scope in plan]
-
-                wait_ms = self._wait_for_consistency(collection, nodes,
-                                                     guarantee)
-                ready_ms = self._loop.now()
-
-                per_query_partials = [[] for _ in range(queries.shape[0])]
-                finish_times = []
-                segments_total = 0
-                for node, scope in plan:
-                    start = max(ready_ms + self._cost.rpc_hop(),
-                                node.busy_until_ms)
-                    nspan = self._tracer.start_span(
-                        "query_node.scan", f"query-node:{node.name}",
-                        parent=root.context, start_ms=ready_ms)
-                    node_stage = prof.node_stage(node.name) \
-                        if prof is not None else None
-                    hits, service_ms, searched = node.search(
-                        collection, field, queries, k, metric, filter_expr,
-                        scope=scope, trace_span=nspan,
-                        profile=node_stage, acc_stats=req_stats)
-                    node.busy_until_ms = start + service_ms
-                    if node_stage is not None:
-                        node_stage.meta["queue_ms"] = start - ready_ms
-                    nspan.tags.update(queue_ms=start - ready_ms,
-                                      service_ms=service_ms,
-                                      segments=searched)
-                    self._tracer.finish_span(nspan,
-                                             end_ms=node.busy_until_ms)
-                    finish_times.append(node.busy_until_ms)
-                    segments_total += searched
-                    for qi, node_hits in enumerate(hits):
-                        per_query_partials[qi].append(node_hits)
-
-                merge_ms = self._cost.topk_merge_cost(len(nodes), k)
-                done_ms = max(finish_times) + merge_ms \
-                    + self._cost.rpc_hop()
-                latency = done_ms - issue_ms
-                self._tracer.record_span(
-                    "proxy.merge", self._component, parent=root.context,
-                    start_ms=max(finish_times), end_ms=done_ms,
-                    nodes=len(nodes))
-                self._tracer.finish_span(root, end_ms=done_ms)
-
-                trace_id = root.trace_id if root.sampled else None
-                if prof is not None:
-                    proxy_reduce = ReduceStats()
-                else:
-                    proxy_reduce = None
-                results = []
-                for parts in per_query_partials:
-                    # Partials stay array-native through the global merge
-                    # and into the result: hits become SearchHit objects
-                    # only when the caller looks at them.
-                    results.append(SearchResult(
-                        hits=merge_topk(parts, k, stats=proxy_reduce),
-                        metric=metric,
-                        latency_ms=latency, consistency_wait_ms=wait_ms,
-                        segments_searched=segments_total,
-                        profile=prof if explain else None))
-                if prof is not None:
-                    prof.finalize(latency_ms=latency, wait_ms=wait_ms,
-                                  merge_ms=merge_ms, nodes=len(nodes),
-                                  segments=segments_total,
-                                  merge_counters=proxy_reduce.as_dict(),
-                                  trace_id=trace_id)
-                    if self._slowlog is not None:
-                        self._slowlog.observe(self._loop.now(), prof)
-                if tenant is not None:
-                    self._charge_read(tenant, req_stats)
-                self._search_latency.record(self._loop.now(), latency)
-                # The latency observation carries the trace id as an
-                # exemplar: a histogram bucket is one hop from a concrete
-                # sampled request that landed in it.
-                self._search_hist.observe(latency, exemplar=trace_id)
-                self._wait_hist.observe(wait_ms)
-                self._merge_hist.observe(merge_ms)
-                self._searches_counter.inc(queries.shape[0])
-                self.search_counts[collection] = \
-                    self.search_counts.get(collection, 0) \
-                    + int(queries.shape[0])
-                return results
-        finally:
-            if root.end_ms is None:
-                self._tracer.finish_span(root, status=SPAN_ERROR)
+        req = self._admit("search", collection, tenant, {field: queries}, k,
+                          consistency, staleness_ms, explain, _admitted)
+        (field, block), = req.blocks.items()
+        return self._scatter_gather(
+            req, "search", (field, block, k, metric, filter_expr), metric,
+            at_ms=at_ms)
 
     def search_multivector(self, collection: str, query: MultiVectorQuery,
                            k: int,
                            consistency: ConsistencyLevel =
                            ConsistencyLevel.BOUNDED,
-                           staleness_ms: float = 100.0) -> SearchResult:
+                           staleness_ms: float = 100.0,
+                           tenant: Optional[str] = None,
+                           explain: bool = False) -> SearchResult:
         """Multi-vector entity search (Section 3.6)."""
-        self._schema(collection)
-        issue_ms = self._loop.now()
-        issue_ts = self._tso.allocate_packed()
-        guarantee = guarantee_ts(consistency, issue_ts, staleness_ms,
-                                 self._session_ts)
-        root = self._tracer.start_span(
-            "proxy.search_multivector", self._component, start_ms=issue_ms,
-            collection=collection, k=k, fields=len(query.fields))
-        try:
-            with self._tracer.activate(root):
-                plan = self._query_coord.search_plan(collection)
-                if not plan:
-                    raise ManuError(
-                        f"collection {collection!r} is not loaded on any "
-                        f"query node")
-                nodes = [node for node, _scope in plan]
-                wait_ms = self._wait_for_consistency(collection, nodes,
-                                                     guarantee)
-                ready_ms = self._loop.now()
-
-                partials = []
-                finish_times = []
-                segments_total = 0
-                for node, scope in plan:
-                    start = max(ready_ms + self._cost.rpc_hop(),
-                                node.busy_until_ms)
-                    hits, service_ms, searched = node.search_multivector(
-                        collection, query, k, scope=scope)
-                    node.busy_until_ms = start + service_ms
-                    self._tracer.record_span(
-                        "query_node.scan", f"query-node:{node.name}",
-                        parent=root.context, start_ms=ready_ms,
-                        end_ms=node.busy_until_ms, segments=searched)
-                    finish_times.append(node.busy_until_ms)
-                    segments_total += searched
-                    partials.append(hits)
-                merge_ms = self._cost.topk_merge_cost(len(nodes), k)
-                done_ms = max(finish_times) + merge_ms \
-                    + self._cost.rpc_hop()
-                latency = done_ms - issue_ms
-                self._tracer.record_span(
-                    "proxy.merge", self._component, parent=root.context,
-                    start_ms=max(finish_times), end_ms=done_ms,
-                    nodes=len(nodes))
-                self._tracer.finish_span(root, end_ms=done_ms)
-                self._multivector_latency.record(self._loop.now(), latency)
-                self._wait_hist.observe(wait_ms)
-                self._merge_hist.observe(merge_ms)
-                return SearchResult(hits=merge_topk(partials, k).to_hits(),
-                                    metric=query.metric,
-                                    latency_ms=latency,
-                                    consistency_wait_ms=wait_ms,
-                                    segments_searched=segments_total)
-        finally:
-            if root.end_ms is None:
-                self._tracer.finish_span(root, status=SPAN_ERROR)
+        require_number("k", k, 1, integer=True)
+        for name in query.fields:
+            require_number(f"the weight of {name!r}", query.weights[name],
+                           0)
+        req = self._admit(
+            "search_multivector", collection, tenant,
+            {name: query.queries[name] for name in query.fields}, k,
+            consistency, staleness_ms, explain)
+        if req.nq != 1:
+            raise InvalidQuery("a multi-vector query takes one vector "
+                               "per field")
+        query = dataclasses.replace(query, queries={
+            name: block[0] for name, block in req.blocks.items()})
+        return self._scatter_gather(
+            req, "search_multivector", (query, k), query.metric,
+            fields=len(query.fields))[0]
 
     # ------------------------------------------------------------------
     # point reads, upsert, range search
     # ------------------------------------------------------------------
 
-    def get(self, collection: str, pks,
-            tenant: Optional[str] = None) -> dict:
+    def get(self, collection: str, pks, tenant: Optional[str] = None,
+            consistency: ConsistencyLevel = ConsistencyLevel.BOUNDED,
+            staleness_ms: float = 100.0) -> dict:
         """Fetch live entities' field values by primary key.
 
         Returns pk -> {field: value} for found keys; missing keys are
-        omitted.  Served from the query nodes' live copies.
+        omitted.  Served from the query nodes' live copies (any copy
+        will do: the merge dedups by key) once their watermarks pass the
+        guarantee timestamp, like every read — ``consistency=SESSION``
+        reads the session's own writes.
         """
-        if tenant is not None:
-            collection = self._tenant_resolve(tenant, collection)
-            self._tenant_admit(tenant, "get")
-        self._schema(collection)
-        out: dict = {}
-        for node, scope in self._query_coord.search_plan(collection):
-            del scope  # point reads hit any live copy; dedup via dict
-            out.update(node.fetch(collection, pks))
-        return out
+        pks = list(pks)
+        req = self._admit("get", collection, tenant, {}, None, consistency,
+                          staleness_ms)
+        return self._scatter_gather(req, "fetch", (pks,), keys=len(pks))
 
     def upsert(self, collection: str, data: Mapping,
                tenant: Optional[str] = None) -> tuple:
@@ -584,81 +609,36 @@ class Proxy:
                      consistency: ConsistencyLevel =
                      ConsistencyLevel.BOUNDED,
                      staleness_ms: float = 100.0,
-                     limit: Optional[int] = None) -> SearchResult:
+                     limit: Optional[int] = None,
+                     tenant: Optional[str] = None,
+                     explain: bool = False) -> SearchResult:
         """All entities within ``radius`` of the query (exact).
 
         ``radius`` is expressed in the metric's own terms: a maximum L2
         distance for Euclidean, a *minimum* similarity for inner product
-        and cosine.
+        and cosine (which may be negative).  ``limit`` keeps the closest
+        hits only; either way the cost model charges this verb no merge
+        (the model is ROADMAP item 3's).
         """
-        schema = self._schema(collection)
-        if field is None:
-            field = schema.default_vector_field().name
-        schema.field(field)
         if metric is MetricType.EUCLIDEAN:
-            if radius < 0:
-                raise ManuError("Euclidean radius must be non-negative")
+            require_number("a Euclidean radius", radius, 0)
             threshold = float(radius) ** 2  # adjusted = squared L2
         else:
+            require_number("radius", radius, -math.inf)
             threshold = -float(radius)      # adjusted = negated similarity
+        if limit is not None:
+            require_number("limit", limit, 0, integer=True)
         filter_expr = FilterExpression(expr) if expr else None
-        query = np.asarray(query, dtype=np.float32).reshape(-1)
-
-        issue_ms = self._loop.now()
-        issue_ts = self._tso.allocate_packed()
-        guarantee = guarantee_ts(consistency, issue_ts, staleness_ms,
-                                 self._session_ts)
-        root = self._tracer.start_span(
-            "proxy.range_search", self._component, start_ms=issue_ms,
-            collection=collection, radius=float(radius))
-        try:
-            with self._tracer.activate(root):
-                plan = self._query_coord.search_plan(collection)
-                if not plan:
-                    raise ManuError(
-                        f"collection {collection!r} is not loaded on any "
-                        f"query node")
-                wait_ms = self._wait_for_consistency(
-                    collection, [n for n, _s in plan], guarantee)
-                ready_ms = self._loop.now()
-
-                partials: list[HitBatch] = []
-                finish_times = []
-                for node, scope in plan:
-                    start = max(ready_ms + self._cost.rpc_hop(),
-                                node.busy_until_ms)
-                    batch, service_ms = node.range_search(
-                        collection, field, query, threshold, metric,
-                        expr=filter_expr, scope=scope)
-                    node.busy_until_ms = start + service_ms
-                    self._tracer.record_span(
-                        "query_node.scan", f"query-node:{node.name}",
-                        parent=root.context, start_ms=ready_ms,
-                        end_ms=node.busy_until_ms, hits=len(batch))
-                    finish_times.append(node.busy_until_ms)
-                    partials.append(batch)
-                # merge_topk dedups replica copies (best hit per pk); with
-                # no limit the "k" is the total candidate count, i.e. keep
-                # everything.
-                k_eff = limit if limit is not None \
-                    else sum(len(b) for b in partials)
-                ordered = merge_topk(partials, k_eff).to_hits()
-                done_ms = max(finish_times) + self._cost.rpc_hop()
-                latency = done_ms - issue_ms
-                self._tracer.record_span(
-                    "proxy.merge", self._component, parent=root.context,
-                    start_ms=max(finish_times), end_ms=done_ms,
-                    nodes=len(plan))
-                self._tracer.finish_span(root, end_ms=done_ms)
-                self._range_latency.record(self._loop.now(), latency)
-                self._wait_hist.observe(wait_ms)
-                return SearchResult(hits=ordered, metric=metric,
-                                    latency_ms=latency,
-                                    consistency_wait_ms=wait_ms,
-                                    segments_searched=len(plan))
-        finally:
-            if root.end_ms is None:
-                self._tracer.finish_span(root, status=SPAN_ERROR)
+        req = self._admit("range_search", collection, tenant,
+                          {field: query}, None, consistency, staleness_ms,
+                          explain)
+        (field, block), = req.blocks.items()
+        if req.nq != 1:
+            raise InvalidQuery("range_search takes one query vector")
+        return self._scatter_gather(
+            req, "range_search",
+            (field, block[0], threshold, metric, filter_expr), metric,
+            keep=limit, radius=float(radius))[0]
 
     # ------------------------------------------------------------------
     # request batching (Section 3.6)
@@ -681,44 +661,44 @@ class Proxy:
         search executes immediately.  Drive the event loop (or call
         :meth:`flush_batches`) to resolve handles.
 
-        With ``tenant`` the request is namespaced and quota-admitted at
-        submit time, and its batch is dispatched at the QoS class's
-        priority: when several windows expire together (or
+        The request is validated, namespaced and quota-admitted here, at
+        submit time (the flush charges its read units, not its quota a
+        second time), and a tenant's batch is dispatched at the QoS
+        class's priority: when several windows expire together (or
         :meth:`flush_batches` drains them), gold batches execute before
         bronze ones, so a backlog queues behind gold, not ahead of it.
         """
-        priority = 0
-        if tenant is not None:
-            collection = self._tenant_resolve(tenant, collection)
-            self._tenant_admit(tenant, "search")
-            if self._admission is not None:
-                priority = self._admission.priority(tenant)
         handle = PendingSearch()
-        query = np.asarray(query, dtype=np.float32).reshape(1, -1)
         window = self._config.query.batch_window_ms
         if window <= 0:
             handle.result = self.search(
                 collection, query, k, field=field, metric=metric,
                 expr=expr, consistency=consistency,
-                staleness_ms=staleness_ms)[0]
+                staleness_ms=staleness_ms, tenant=tenant)[0]
             return handle
-        key = (collection, field, metric, expr, consistency, staleness_ms,
-               k)
-        batch = self._batches.setdefault(key, [])
-        self._batch_priority[key] = priority
-        batch.append((query, handle))
+        require_number("k", k, 1, integer=True)
+        req = self._admit("search", collection, tenant, {field: query}, k,
+                          consistency, staleness_ms)
+        (field, block), = req.blocks.items()
+        if req.nq != 1:
+            raise InvalidQuery("submit_search takes one query vector")
+        key = (req.collection, field, metric, expr, consistency,
+               staleness_ms, k, tenant)
+        priority = self._admission.priority(tenant) \
+            if tenant is not None and self._admission is not None else 0
+        batch = self._batches.setdefault(key, (priority, []))[1]
+        batch.append((block, handle))
         if len(batch) == 1:
             self._loop.call_after(window, lambda: self._flush_batch(key),
-                                  name=f"batch-flush:{collection}")
+                                  name=f"batch-flush:{req.collection}")
         return handle
 
     def _flush_batch(self, key: tuple) -> None:
-        batch = self._batches.pop(key, None)
-        self._batch_priority.pop(key, None)
+        _priority, batch = self._batches.pop(key, (0, None))
         if not batch:
             return
         (collection, field, metric, expr, consistency, staleness_ms,
-         k) = key
+         k, tenant) = key
         queries = np.concatenate([q for q, _h in batch], axis=0)
         # The window timer fires inside whatever frame steps the clock;
         # detach so the batched search roots its own trace.
@@ -726,11 +706,12 @@ class Proxy:
             results = self.search(collection, queries, k, field=field,
                                   metric=metric, expr=expr,
                                   consistency=consistency,
-                                  staleness_ms=staleness_ms)
+                                  staleness_ms=staleness_ms, tenant=tenant,
+                                  _admitted=True)
         for (_q, handle), result in zip(batch, results):
             handle.result = result
         self.batches_flushed += 1
-        self._batched_counter.inc(len(batch))
+        self._ops["batched_search"].inc(len(batch))
 
     def flush_batches(self) -> int:
         """Force-flush all pending batches; returns requests flushed.
@@ -740,11 +721,9 @@ class Proxy:
         nodes' ``busy_until`` windows) before silver and bronze.
         """
         flushed = 0
-        for key in sorted(self._batches,
-                          key=lambda key: (
-                              self._batch_priority.get(key, 0),
-                              str(key))):
-            flushed += len(self._batches.get(key, ()))
+        for key in sorted(self._batches, key=lambda key: (
+                self._batches[key][0], str(key))):
+            flushed += len(self._batches[key][1])
             self._flush_batch(key)
         return flushed
 

@@ -21,7 +21,8 @@ elasticity and scalability figures measure.
 
 from __future__ import annotations
 
-from typing import Optional
+import functools
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from repro.config import ManuConfig
 from repro.core.checkpoint import read_delete_deltas
 from repro.core.consistency import ConsistencyGate
 from repro.core.expr import FilterExpression
-from repro.core.filtering import FilterStrategy, filtered_search
+from repro.core.filtering import compute_mask, filtered_search
 from repro.core.multivector import MultiVectorQuery, search_segment
 from repro.core.results import HitBatch, ReduceStats, merge_topk
 from repro.core.schema import CollectionSchema, MetricType
@@ -142,13 +143,6 @@ class QueryNode:
         releases them after the new owner catches up.
         """
         self._owned_channels.discard(channel)
-
-    def channel_lag(self, channel: str) -> int:
-        """Entries this node has not yet consumed on ``channel``."""
-        sub = self._subs.get(channel)
-        if sub is None:
-            return 0
-        return sub.lag()
 
     def channel_position(self, channel: str) -> int:
         """Next offset this node's subscription will consume."""
@@ -348,191 +342,189 @@ class QueryNode:
     # search
     # ------------------------------------------------------------------
 
-    def _in_scope(self, key: tuple[str, str],
-                  scope: Optional[set[str]]) -> bool:
-        """Whether a local segment participates in a scoped search.
+    def _scoped_segments(self, collection: str,
+                         scope: Optional[set[str]]) -> list[Segment]:
+        """Local segments participating in a request, in segment-id order.
 
         ``scope`` is the proxy's replica plan: the sealed segment ids this
         node should cover (None = everything).  Growing segments are
         always in scope — they exist only on their channel's owner.
         """
-        if scope is None or key in self._growing_ids:
-            return True
-        return key[1] in scope
-
-    def _scoped_segments(self, collection: str,
-                         scope: Optional[set[str]]) -> list[Segment]:
-        """Local segments participating in a request, in segment-id order."""
         per_coll = self._by_collection.get(collection, {})
         return [segment for sid, segment in sorted(per_coll.items())
                 if segment.num_rows > 0
-                and self._in_scope((collection, sid), scope)]
+                and (scope is None or sid in scope
+                     or (collection, sid) in self._growing_ids)]
 
-    def search(self, collection: str, field: str, queries: np.ndarray,
-               k: int, metric: MetricType,
-               expr: Optional[FilterExpression] = None,
-               forced_strategy: Optional[FilterStrategy] = None,
-               scope: Optional[set[str]] = None,
-               trace_span: Optional[Span] = None,
-               profile=None, acc_stats: Optional[SearchStats] = None,
-               ) -> tuple[list[HitBatch], float, int]:
-        """Node-local two-phase reduce.
+    def _scan(self, collection: str, scope: Optional[set[str]],
+              fields: Sequence[str], nq: int, k: Optional[int],
+              work: Callable, trace_span: Optional[Span], profile,
+              acc_stats: Optional[SearchStats]) -> tuple:
+        """The one segment loop and node-local reduce behind every scan
+        verb; returns ``(per-query node-wise top-k, virtual service ms,
+        segments scanned)``.
 
-        Returns (per-query node-wise top-k :class:`HitBatch`es, virtual
-        service duration from the cost model, number of segments
-        searched).  Batches stay array-native end to end: segment scans
-        hand back (pks, dists) ndarrays that are merged by concatenation
-        and one stable sort per query — no per-hit objects.
+        ``work(segment, stats)`` scans one segment and returns one
+        :class:`HitBatch` per query, adding what it did to ``stats`` — one
+        :class:`SearchStats` per entry of ``fields``, so each vector field
+        is charged at its own dimension.  Batches stay array-native end to
+        end: merged by concatenation and one stable sort per query.
 
-        ``trace_span`` is the proxy's per-node scan span; when sampled,
-        each segment scan is recorded as a child with its own cost-model
-        window, laid end to end from the span's start (segments scan
-        sequentially within one node).
+        Work is measured once, in the node's running totals, which every
+        scan writes straight into; each plane reads them at the segment
+        boundaries.  A traced segment's span ends where the cost model
+        puts the totals so far (so windows lie end to end from
+        ``trace_span``'s start: segments scan sequentially within one
+        node, and the last one ends at the node's scan time), and its
+        ``segment.scan`` stage in the EXPLAIN ledger holds what the totals
+        grew by (so segment stages sum to the node stage by construction).
 
-        ``profile`` is this node's ``query_node.scan`` stage of a
-        :class:`~repro.profiling.QueryProfile` (duck-typed; None on the
-        untraced hot path).  Each segment scan becomes a ``segment.scan``
-        child stage carrying the counter *delta* it contributed, and the
-        node-local merge becomes a ``query_node.reduce`` child — the sum
-        of segment counters equals the stage counters by construction.
-        ``acc_stats`` accumulates this request's full
-        :class:`SearchStats` for proxy-side cost metering.
+        ``trace_span`` is the proxy's per-node ``query_node.scan`` span,
+        ``profile`` the matching :class:`~repro.profiling.QueryProfile`
+        stage (both None on the unobserved hot path); ``acc_stats``
+        accumulates the request's counters for read-unit metering.
         """
-        queries = np.asarray(queries, dtype=np.float32)
-        if queries.ndim == 1:
-            queries = queries[None, :]
-        nq = queries.shape[0]
         traced = trace_span is not None and trace_span.sampled
         profiling = profile is not None
-        dim = self._probe_dim()
-        cursor_ms = trace_span.start_ms if traced else 0.0
-        stats = SearchStats()
-        per_query_partials: list[list[HitBatch]] = [
-            [] for _ in range(nq)]
-        searched = 0
+        cost = self._cost
+        schema: CollectionSchema = self._schema_provider(collection)
+        dims = [schema.field(name).dim for name in fields]
+        totals = [SearchStats() for _ in fields]
+
+        def work_ms() -> float:
+            ms = 0
+            for stats, dim in zip(totals, dims):
+                ms += (cost.distance_cost(stats.float_comparisons, dim)
+                       + cost.distance_cost(stats.quantized_comparisons,
+                                            dim, quantized=True)
+                       + cost.ssd_read(stats.ssd_blocks_read))
+            return ms
+
+        def counters() -> dict:
+            return functools.reduce(SearchStats.merged_with,
+                                    totals).as_dict()
+
+        if traced:
+            parent, start_ms = trace_span.context, trace_span.start_ms
+            cursor_ms = start_ms
+        if profiling:
+            before = counters()
+        partials = []
         for segment in self._scoped_segments(collection, scope):
-            f0, q0, b0 = (stats.float_comparisons,
-                          stats.quantized_comparisons,
-                          stats.ssd_blocks_read)
-            before = stats.as_dict() if profiling else None
-            results, _plan = filtered_search(segment, field, queries, k,
-                                             metric, expr, stats=stats,
-                                             forced=forced_strategy)
-            searched += 1
+            partials.append(work(segment, totals))
             if profiling:
-                delta = {key: value - before[key]
-                         for key, value in stats.as_dict().items()}
+                after = counters()
+                grew = {key: after[key] - before[key] for key in after}
                 growing = (collection,
                            segment.segment_id) in self._growing_ids
                 path = ("growing" if growing
-                        else "index" if delta["index_scans"] > 0
+                        else "index" if grew["index_scans"] > 0
                         else "brute")
-                stage = profile.child("segment.scan",
-                                      segment=segment.segment_id,
-                                      path=path,
-                                      rows=segment.num_rows)
-                stage.counters = delta
+                profile.child("segment.scan", segment=segment.segment_id,
+                              path=path,
+                              rows=segment.num_rows).counters = grew
+                before = after
             if traced:
-                seg_ms = (self._cost.distance_cost(
-                              stats.float_comparisons - f0, dim)
-                          + self._cost.distance_cost(
-                              stats.quantized_comparisons - q0, dim,
-                              quantized=True)
-                          + self._cost.ssd_read(
-                              stats.ssd_blocks_read - b0))
+                end_ms = start_ms + work_ms()
                 self._tracer.record_span(
-                    "segment.scan", self._component,
-                    parent=trace_span.context, start_ms=cursor_ms,
-                    end_ms=cursor_ms + seg_ms, segment=segment.segment_id)
-                cursor_ms += seg_ms
-            for qi, batch in enumerate(results):
-                if batch:
-                    per_query_partials[qi].append(batch)
+                    "segment.scan", self._component, parent=parent,
+                    start_ms=cursor_ms, end_ms=end_ms,
+                    segment=segment.segment_id)
+                cursor_ms = end_ms
+        searched = len(partials)
         reduce_stats = ReduceStats() if profiling else None
-        merged = [merge_topk(parts, k, stats=reduce_stats)
-                  for parts in per_query_partials]
-        service_ms = self.service_time_ms(stats, nq)
+        merged = [merge_topk([part[qi] for part in partials if part[qi]],
+                             k, stats=reduce_stats) for qi in range(nq)]
+        # The fixed message overhead is paid once per (possibly batched)
+        # request plus a small per-row term — the amortization that makes
+        # Section 3.6's request batching worthwhile.  (Summed left to
+        # right, not as work + overhead: virtual times are compared to
+        # the last digit across commits.)
+        service_ms = work_ms() + cost.request_overhead_ms \
+            + nq * cost.batch_row_overhead_ms
         if profiling:
-            profile.counters = stats.as_dict()
+            profile.counters = before
             profile.meta.update(service_ms=service_ms, segments=searched,
                                 nq=nq)
-            reduce_stage = profile.child("query_node.reduce")
-            reduce_stage.counters = reduce_stats.as_dict()
+            profile.child("query_node.reduce").counters = \
+                reduce_stats.as_dict()
         if acc_stats is not None:
-            acc_stats.add(stats)
+            for total in totals:
+                acc_stats.add(total)
         if traced:
-            reduce_ms = (self._cost.request_overhead_ms
-                         + nq * self._cost.batch_row_overhead_ms)
             self._tracer.record_span(
-                "query_node.reduce", self._component,
-                parent=trace_span.context, start_ms=cursor_ms,
-                end_ms=cursor_ms + reduce_ms, segments=searched)
+                "query_node.reduce", self._component, parent=parent,
+                start_ms=cursor_ms,
+                end_ms=cursor_ms + cost.request_overhead_ms
+                + nq * cost.batch_row_overhead_ms, segments=searched)
         self.searches_served += nq
         self.service_ms_total += service_ms
         if self._scan_hist is not None:
             self._scan_hist.observe(service_ms)
         return merged, service_ms, searched
 
+    def search(self, collection: str, field: str, queries: np.ndarray,
+               k: int, metric: MetricType,
+               expr: Optional[FilterExpression] = None,
+               scope: Optional[set[str]] = None,
+               trace_span: Optional[Span] = None,
+               profile=None, acc_stats: Optional[SearchStats] = None,
+               ) -> tuple[list[HitBatch], float, int]:
+        """Node-local two-phase reduce: segment-wise top-k (cost-based
+        filter strategy per segment) merged into the node-wise top-k."""
+        queries = np.asarray(queries, dtype=np.float32)
+        if queries.ndim == 1:
+            queries = queries[None, :]
+        return self._scan(
+            collection, scope, (field,), queries.shape[0], k,
+            lambda segment, stats: filtered_search(
+                segment, field, queries, k, metric, expr, stats=stats[0])[0],
+            trace_span, profile, acc_stats)
+
     def search_multivector(self, collection: str, query: MultiVectorQuery,
                            k: int, scope: Optional[set[str]] = None,
-                           ) -> tuple[HitBatch, float, int]:
+                           trace_span: Optional[Span] = None,
+                           profile=None,
+                           acc_stats: Optional[SearchStats] = None,
+                           ) -> tuple[list[HitBatch], float, int]:
         """Node-local multi-vector search (single query vector set)."""
-        stats = SearchStats()
-        partials: list[HitBatch] = []
-        searched = 0
-        for segment in self._scoped_segments(collection, scope):
-            batch = search_segment(segment, query, k, stats=stats)
-            searched += 1
-            if batch:
-                partials.append(batch)
-        merged = merge_topk(partials, k)
-        return merged, self.service_time_ms(stats, 1), searched
+        return self._scan(
+            collection, scope, query.fields, 1, k,
+            lambda segment, stats: [search_segment(segment, query, k,
+                                                   stats=stats)],
+            trace_span, profile, acc_stats)
 
     def range_search(self, collection: str, field: str, query: np.ndarray,
                      threshold: float, metric: MetricType,
                      expr: Optional[FilterExpression] = None,
                      scope: Optional[set[str]] = None,
-                     ) -> tuple[HitBatch, float]:
+                     trace_span: Optional[Span] = None,
+                     profile=None, acc_stats: Optional[SearchStats] = None,
+                     ) -> tuple[list[HitBatch], float, int]:
         """All local rows within the adjusted-distance threshold."""
-        from repro.core.filtering import compute_mask
-        stats = SearchStats()
-        partials: list[HitBatch] = []
-        for segment in self._scoped_segments(collection, scope):
-            mask = compute_mask(segment, expr) if expr is not None else None
-            partials.append(segment.range_search(field, query, threshold,
-                                                 metric, filter_mask=mask,
-                                                 stats=stats))
-        return HitBatch.concat(partials), self.service_time_ms(stats, 1)
 
-    def fetch(self, collection: str, pks) -> dict:
-        """Field values for the given pks held live on this node."""
+        def work(segment: Segment, stats: list[SearchStats]):
+            mask = compute_mask(segment, expr) if expr is not None else None
+            return [segment.range_search(field, query, threshold, metric,
+                                         filter_mask=mask, stats=stats[0])]
+
+        return self._scan(collection, scope, (field,), 1, None, work,
+                          trace_span, profile, acc_stats)
+
+    def fetch(self, collection: str, pks,
+              **_planes) -> tuple[dict, float, int]:
+        """Field values for the given pks held live on this node, as
+        ``(pk -> row, virtual service ms, segments consulted)``.  A point
+        read pays the message overhead and no distance work, whichever
+        copy answers (so no scope), and has no scan for a plane to watch.
+        """
         out: dict = {}
         per_coll = self._by_collection.get(collection, {})
         for _sid, segment in sorted(per_coll.items()):
             out.update(segment.fetch_rows(pks))
-        return out
-
-    def service_time_ms(self, stats: SearchStats, nq: int) -> float:
-        """Virtual execution time of measured search work on this node.
-
-        The fixed message overhead is paid once per (possibly batched)
-        request plus a small per-row term — the amortization that makes
-        Section 3.6's request batching worthwhile.
-        """
-        dim = self._probe_dim()
-        return (self._cost.distance_cost(stats.float_comparisons, dim)
-                + self._cost.distance_cost(stats.quantized_comparisons, dim,
-                                           quantized=True)
-                + self._cost.ssd_read(stats.ssd_blocks_read)
-                + self._cost.request_overhead_ms
-                + nq * self._cost.batch_row_overhead_ms)
-
-    def _probe_dim(self) -> int:
-        for segment in self._segments.values():
-            fields = segment.schema.vector_fields
-            if fields:
-                return fields[0].dim
-        return 64
+        service_ms = self._cost.request_overhead_ms \
+            + len(pks) * self._cost.batch_row_overhead_ms
+        return out, service_ms, len(per_coll)
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -8,7 +8,8 @@ read path.
 
 The tree mirrors the two-phase reduce:
 
-* the root stage (``proxy.search``) holds the request totals;
+* the root stage (``proxy.<verb>``: ``proxy.search``,
+  ``proxy.range_search``, ...) holds the request totals;
 * one ``query_node.scan`` stage per fanned-out node holds that node's
   full :class:`~repro.index.base.SearchStats`, with one ``segment.scan``
   child per segment holding the per-segment *delta* of the same counters
@@ -84,20 +85,22 @@ def sum_counters(stages, keys=SCAN_COUNTERS) -> dict:
 
 
 class QueryProfile:
-    """Work ledger of one search request (shared by its batched queries)."""
+    """Work ledger of one read request (shared by its batched queries)."""
 
-    __slots__ = ("collection", "nq", "k", "trace_id", "latency_ms",
+    __slots__ = ("collection", "nq", "k", "verb", "trace_id", "latency_ms",
                  "consistency_wait_ms", "segments_searched", "root")
 
-    def __init__(self, collection: str, nq: int, k: int) -> None:
+    def __init__(self, collection: str, nq: int, k: int,
+                 verb: str = "search") -> None:
         self.collection = collection
         self.nq = int(nq)
         self.k = int(k)
+        self.verb = verb
         self.trace_id: Optional[str] = None
         self.latency_ms = 0.0
         self.consistency_wait_ms = 0.0
         self.segments_searched = 0
-        self.root = StageProfile("proxy.search", collection=collection,
+        self.root = StageProfile(f"proxy.{verb}", collection=collection,
                                  nq=int(nq), k=int(k))
 
     # ------------------------------------------------------------------
@@ -164,6 +167,7 @@ class QueryProfile:
 
     def to_dict(self) -> dict:
         return {
+            "verb": self.verb,
             "collection": self.collection,
             "nq": self.nq,
             "k": self.k,
@@ -176,7 +180,8 @@ class QueryProfile:
 
     def explain(self) -> str:
         """Render the EXPLAIN ANALYZE tree as ASCII."""
-        header = (f"EXPLAIN ANALYZE search collection={self.collection!r} "
+        header = (f"EXPLAIN ANALYZE {self.verb} "
+                  f"collection={self.collection!r} "
                   f"nq={self.nq} k={self.k} "
                   f"latency={self.latency_ms:.2f}ms")
         if self.trace_id is not None:
@@ -191,8 +196,9 @@ class QueryProfile:
         return "\n".join(lines)
 
     def __repr__(self) -> str:
-        return (f"QueryProfile({self.collection!r}, nq={self.nq}, "
-                f"k={self.k}, latency={self.latency_ms:.2f}ms)")
+        return (f"QueryProfile({self.verb} {self.collection!r}, "
+                f"nq={self.nq}, k={self.k}, "
+                f"latency={self.latency_ms:.2f}ms)")
 
 
 def _stage_text(stage: StageProfile) -> str:

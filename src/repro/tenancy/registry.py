@@ -63,7 +63,7 @@ class TenantQuota:
     def rate_for(self, verb: str) -> Optional[float]:
         if verb in ("insert", "upsert", "delete"):
             return self.insert_rows_per_s
-        if verb in ("search", "get"):
+        if verb in ("search", "search_multivector", "range_search", "get"):
             return self.search_qps
         return None
 

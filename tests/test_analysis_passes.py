@@ -327,6 +327,75 @@ class TestConsistencyDisciplinePass:
         assert "entry path: Collection.search -> Proxy.do_search" \
             in report.findings[0].message
 
+    SHARED_FAN_OUT = PROXY_HEADER + """
+        def _scatter_gather(self, req, ask, args):
+            guarantee = guarantee_ts(req.consistency, 1, req.staleness_ms,
+                                     self._session_ts)
+            plan = self._query_coord.search_plan(req.collection)
+            {first}
+            partials = []
+            for node, scope in plan:
+                partials.append(getattr(node, ask)(req.collection, *args,
+                                                   scope=scope))
+            {last}
+            return partials
+
+        def range_search(self, collection, query, radius):
+            return self._scatter_gather(self._admit(collection),
+                                        "range_search", (query, radius))
+    """
+    WAIT = ("self._wait_for_consistency(req.collection, "
+            "[n for n, _s in plan], guarantee)")
+
+    def test_shared_fan_out_dispatching_by_name_is_seen(self, tmp_path):
+        """The proxy's one scatter-gather names the node method it asks;
+        the pass must still see the fan-out through the getattr."""
+        clean = lint(tmp_path / "clean", {
+            "nodes/proxy.py": self.SHARED_FAN_OUT.format(first=self.WAIT,
+                                                         last="pass"),
+        }, rule="consistency-discipline")
+        assert clean.findings == []
+        late = lint(tmp_path / "late", {
+            "nodes/proxy.py": self.SHARED_FAN_OUT.format(first="pass",
+                                                         last=self.WAIT),
+        }, rule="consistency-discipline")
+        assert len(late.findings) == 1
+        assert "after" in late.findings[0].message
+        assert "_scatter_gather" in late.findings[0].message
+        never = lint(tmp_path / "never", {
+            "nodes/proxy.py": self.SHARED_FAN_OUT.format(first="pass",
+                                                         last="pass"),
+        }, rule="consistency-discipline")
+        assert len(never.findings) == 1
+        assert "without waiting" in never.findings[0].message
+
+    def test_unwaited_point_read_fires(self, tmp_path):
+        report = lint(tmp_path, {
+            "nodes/proxy.py": """
+                class Proxy:
+                    def get(self, collection, pks):
+                        out = {}
+                        plan = self._query_coord.search_plan(collection)
+                        for node, _scope in plan:
+                            out.update(node.fetch(collection, pks))
+                        return out
+            """,
+        }, rule="consistency-discipline")
+        assert len(report.findings) == 1
+        assert "without a guarantee timestamp" in report.findings[0].message
+
+    def test_real_repo_sees_the_single_fan_out(self):
+        """One function in src fans out, and it is the shared one."""
+        from repro.analysis.consistency import (
+            _dispatch_sites, _plan_bound_names)
+        from repro.analysis.engine import load_project
+        from repro.analysis.summaries import project_summary
+        fan_outs = [
+            func.qualname
+            for func in project_summary(load_project(REPO_SRC)).functions
+            if _dispatch_sites(func, _plan_bound_names(func))]
+        assert fan_outs == ["Proxy._scatter_gather"]
+
     def test_real_repo_is_clean(self):
         report = run_analysis(REPO_SRC,
                               select=["consistency-discipline"])

@@ -187,6 +187,8 @@ class TestMetricsExposure:
         cluster.search("c", data["vector"][0], 3,
                        consistency=ConsistencyLevel.STRONG)
         snap = cluster.stats_snapshot()
-        assert snap["proxy.proxy-0.searches.count"] == 1.0
-        assert snap["proxy.proxy-0.inserts.count"] == 20.0
+        assert snap["proxy_ops_total{proxy=proxy-0,verb=search}.count"] \
+            == 1.0
+        assert snap["proxy_ops_total{proxy=proxy-0,verb=insert}.count"] \
+            == 20.0
         assert "proxy.search_latency.mean_ms" in snap

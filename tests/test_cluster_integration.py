@@ -292,7 +292,8 @@ class TestMultiProxy:
         for _ in range(3):
             cluster.search("c", data["vector"][0], 1,
                            consistency=ConsistencyLevel.STRONG)
-        counts = [p.metrics.counters.get(f"proxy.{p.name}.searches")
-                  for p in cluster.proxies]
-        fired = [c.value for c in counts if c is not None]
-        assert sum(fired) == 3
+        ops = cluster.metrics.counter_family("proxy_ops_total",
+                                             ("proxy", "verb"))
+        fired = [ops.labels(proxy=p.name, verb="search").value
+                 for p in cluster.proxies]
+        assert fired == [1, 1, 1]

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.entity import reset_auto_id_counter, validate_batch
+from repro.core.entity import (
+    require_number, reset_auto_id_counter, validate_batch, validate_queries,
+)
 from repro.core.schema import CollectionSchema, DataType, FieldSchema
-from repro.errors import SchemaError
+from repro.errors import FieldNotFound, InvalidQuery, SchemaError
 
 
 @pytest.fixture
@@ -153,3 +155,46 @@ class TestValidation:
             "vector": np.zeros((2, 2), dtype=np.float32),
             "flag": np.array([True, False])})
         assert batch.columns["flag"].dtype == np.bool_
+
+
+class TestQueryValidation:
+    """The read-side twin: query rows per vector field, typed errors."""
+
+    def test_blocks_are_keyed_by_field_and_float32(self, schema):
+        blocks = validate_queries(schema, {
+            None: [1, 2, 3, 4],                       # the default field
+        })
+        assert list(blocks) == ["vector"]
+        assert blocks["vector"].shape == (1, 4)
+        assert blocks["vector"].dtype == np.float32
+        block = np.ones((3, 4), dtype=np.float32)
+        assert validate_queries(schema, {"vector": block})["vector"] is block
+        assert validate_queries(schema, {}) == {}
+
+    @pytest.mark.parametrize("rows", [
+        np.zeros(5), np.zeros((2, 3)), np.zeros((2, 2, 4)),
+        [0.0, 1.0, np.nan, 0.0], [[np.inf] * 4], ["a", "b", "c", "d"],
+        [[0.0] * 4, [0.0] * 3], None,
+    ])
+    def test_malformed_rows_are_invalid_queries(self, schema, rows):
+        with pytest.raises(InvalidQuery, match="malformed query"):
+            validate_queries(schema, {"vector": rows})
+
+    def test_scalar_and_unknown_fields(self, schema):
+        with pytest.raises(InvalidQuery, match="holds no vectors"):
+            validate_queries(schema, {"price": [1.0]})
+        with pytest.raises(FieldNotFound):
+            validate_queries(schema, {"nope": np.zeros(4)})
+
+    def test_require_number(self):
+        require_number("k", 1, 1, integer=True)
+        require_number("k", np.int64(7), 1, integer=True)
+        require_number("radius", 0.0, 0)
+        require_number("radius", -3.5, -np.inf)
+        for value, least, integer in [
+                (0, 1, True), (2.5, 1, True), (None, 1, True),
+                ("3", 1, True), (-1e-9, 0, False), (np.nan, 0, False),
+                (np.inf, 0, False), (np.nan, -np.inf, False),
+                ("wide", 0, False), (None, 0, False)]:
+            with pytest.raises(InvalidQuery, match="limit must be"):
+                require_number("limit", value, least, integer=integer)

@@ -301,6 +301,40 @@ class TestHelpers:
         hits = hits_from_arrays(["a", "b", "c"], np.array([3.0, 1.0, 2.0]))
         assert [h.pk for h in hits] == ["b", "c", "a"]
 
+    def test_search_result_holds_a_batch_and_reads_its_arrays(self):
+        """One result type: a list of hits is packed into a HitBatch, and
+        pks / distances / scores are plain lists read from the arrays."""
+        hits = [SearchHit(1.0, "a"), SearchHit(4.0, 7)]  # mixed pk types
+        result = SearchResult(hits=hits, metric=MetricType.EUCLIDEAN)
+        assert isinstance(result.hits, HitBatch)
+        assert result.hits == hits and list(result) == hits
+        assert result.hits[1] == hits[1] and result.hits[:1] == hits[:1]
+        assert (result.pks, result.distances, result.scores) \
+            == (["a", 7], [1.0, 4.0], [1.0, 2.0])
+        assert all(type(x) is float for x in
+                   result.distances + result.scores)
+        batch = HitBatch(np.array([3, 1]), np.array([-0.5, 2.0],
+                                                    dtype=np.float32))
+        result = SearchResult(hits=batch, metric=MetricType.INNER_PRODUCT)
+        assert result.hits is batch
+        assert (result.pks, result.scores) == ([3, 1], [0.5, -2.0])
+        assert type(result.pks[0]) is int
+        empty = SearchResult(hits=[], metric=MetricType.COSINE)
+        assert (empty.pks, empty.distances, empty.scores) == ([], [], [])
+        assert not empty.pks and len(empty) == 0
+
+    def test_merge_topk_without_k_keeps_every_unique_hit(self):
+        parts = [HitBatch(np.array([1, 2, 3]), np.array([0.1, 0.4, 0.9])),
+                 HitBatch(np.array([2, 4]), np.array([0.2, 0.3]))]
+        stats = ReduceStats()
+        merged = merge_topk(parts, None, stats=stats)
+        assert merged.pks.tolist() == [1, 2, 4, 3]
+        assert merged.dists.tolist() == [0.1, 0.2, 0.3, 0.9]
+        assert (stats.candidates_in, stats.hits_deduped, stats.hits_out) \
+            == (5, 1, 4)
+        assert merged == merge_topk(parts, 5)
+        assert len(merge_topk([], None)) == 0
+
     def test_search_result_accessors(self):
         result = SearchResult(
             hits=[SearchHit(4.0, 1), SearchHit(9.0, 2)],

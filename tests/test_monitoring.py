@@ -229,15 +229,18 @@ class TestLatencyWindow:
 class TestMetricsRegistry:
     def test_namespacing_returns_same_instance(self):
         registry = MetricsRegistry()
-        assert registry.counter("a.b") is registry.counter("a.b")
-        assert registry.gauge("g") is registry.gauge("g")
+        assert registry.counter_family("a.b").labels() \
+            is registry.counter_family("a.b").labels()
+        assert registry.gauge_family("g").labels() \
+            is registry.gauge_family("g").labels()
         assert registry.latency("l") is registry.latency("l")
-        assert registry.counter("a.b") is not registry.counter("a.c")
+        assert registry.counter_family("a.b").labels() \
+            is not registry.counter_family("a.c").labels()
 
     def test_snapshot_keys(self):
         registry = MetricsRegistry()
-        registry.counter("reqs").inc(3)
-        registry.gauge("mem").set(42.0)
+        registry.counter_family("reqs").labels().inc(3)
+        registry.gauge_family("mem").labels().set(42.0)
         registry.latency("lat").record(0.0, 8.0)
         snap = registry.snapshot(1.0)
         assert snap["reqs.count"] == 3.0

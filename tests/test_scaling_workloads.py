@@ -66,8 +66,8 @@ class TestMetrics:
 
     def test_registry_snapshot(self):
         registry = MetricsRegistry()
-        registry.counter("a").inc()
-        registry.gauge("b").set(3)
+        registry.counter_family("a").labels().inc()
+        registry.gauge_family("b").labels().set(3)
         registry.latency("c").record(0, 5.0)
         snap = registry.snapshot(now_ms=1.0)
         assert snap["a.count"] == 1

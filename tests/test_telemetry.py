@@ -63,7 +63,7 @@ class TestExposition:
 
     def test_round_trip_counters_gauges(self):
         registry = MetricsRegistry()
-        registry.counter("proxy.p0.searches").inc(7)
+        registry.counter_family("proxy.p0.searches").labels().inc(7)
         registry.gauge_family("wal_subscriber_lag",
                               ("channel", "subscriber")) \
             .labels(channel="wal/c/shard-0", subscriber="qn-0").set(12.0)
@@ -308,7 +308,7 @@ class TestFlightRecorder:
     def test_bundle_contents_and_ring(self, tmp_path):
         clock = FakeClock(1234.0)
         registry = MetricsRegistry()
-        registry.counter("reqs").inc(5)
+        registry.counter_family("reqs").labels().inc(5)
         health = HealthTracker(clock)
         health.beat("qn-0")
         recorder = FlightRecorder(clock, registry, health=health,
