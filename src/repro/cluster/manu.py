@@ -37,7 +37,8 @@ from repro.core.results import SearchResult
 from repro.core.schema import CollectionSchema, MetricType
 from repro.core.segment import Segment
 from repro.core.tso import Timestamp, TimestampOracle
-from repro.errors import ClusterStateError, ManuError
+from repro.errors import ClusterStateError, IndexBuildError, ManuError
+from repro.index.base import create_index as build_index
 from repro.log.broker import LogBroker
 from repro.log.logger_node import LoggerService
 from repro.log.timetick import TimeTickEmitter
@@ -544,8 +545,24 @@ class ManuCluster:
     def create_index(self, collection: str, field: str, index_type: str,
                      metric: MetricType = MetricType.EUCLIDEAN,
                      params: Optional[Mapping] = None) -> None:
-        if not self.root_coord.has_collection(collection):
+        """Declare an index on a vector field.
+
+        The spec is checked here, before the index coordinator persists
+        it: the field must be a vector field and the index must construct
+        from ``(index_type, metric, the field's dim, params)`` —
+        constructors validate and do not train — so a refused spec is
+        never left behind for the next flush to trip over.
+        """
+        schema = self.root_coord.get_schema(collection)
+        if schema is None:
             raise ManuError(f"collection {collection!r} does not exist")
+        vector_field = schema.field(field)
+        if not vector_field.dtype.is_vector:
+            raise IndexBuildError(
+                f"cannot index {field!r}: not a vector field "
+                f"({vector_field.dtype.value})")
+        params = dict(params or {})
+        build_index(index_type, metric, vector_field.dim, **params)
         self.index_coord.create_index(collection, field, index_type,
                                       metric, params)
 

@@ -3,13 +3,16 @@
 From-scratch numpy implementations of every index family the paper lists:
 
 * vector quantization: PQ, OPQ, RQ, SQ (:mod:`pq`, :mod:`opq`, :mod:`rq`,
-  :mod:`sq`);
-* inverted indexes: IVF-Flat, IVF-PQ, IVF-SQ, IVF-HNSW, IMI (:mod:`ivf`,
-  :mod:`imi`, :mod:`ivf_hnsw`);
+  :mod:`sq`) — each quantizer is also a *codec* of the bucketed index;
+* inverted indexes: IVF-Flat, IVF-PQ, IVF-SQ, IVF-HNSW, IMI, the SSD index
+  (hierarchical k-means into 4 KB buckets with multi-assignment, Section
+  4.4) and the §7 COMPOSITE grid — all one structure, a *bucketer* x a
+  *codec* over one list-sorted storage and one list-major scan
+  (:mod:`ivf`), of which :mod:`sq`, :mod:`pq`, :mod:`ivf_hnsw`,
+  :mod:`imi`, :mod:`ssd` and :mod:`composite` hold thin registrations;
 * proximity graphs: HNSW, NSG, NGT-like (:mod:`hnsw`, :mod:`nsg`,
   :mod:`ngt`);
-* the SSD index (hierarchical k-means into 4 KB buckets with
-  multi-assignment, Section 4.4) (:mod:`ssd`);
+* the hot/cold tiered index over the SSD index (:mod:`tiered`);
 * numerical-attribute indexes: sorted list and B-tree (:mod:`attr`).
 
 All vector indexes implement the :class:`repro.index.base.VectorIndex`

@@ -19,6 +19,7 @@ Indexes register under the names users pass in ``create_index`` params
 from __future__ import annotations
 
 import abc
+import inspect
 import pickle
 from dataclasses import dataclass
 from typing import Any, Type
@@ -219,6 +220,20 @@ def available_indexes() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def positive_int(name: str, value: Any) -> int:
+    """``value`` as an int, refused unless it is a positive integer.
+
+    Index parameters arrive from outside (``create_index`` params, REST
+    bodies): a zero, negative or fractional count is refused here, where
+    the message can name it, not by numpy at the first search.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value <= 0):
+        raise IndexBuildError(
+            f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 def create_index(index_type: str, metric: MetricType, dim: int,
                  **params: Any) -> VectorIndex:
     """Instantiate an index by registry name with type-specific params."""
@@ -228,6 +243,13 @@ def create_index(index_type: str, metric: MetricType, dim: int,
         raise IndexBuildError(
             f"unknown index type {index_type!r}; "
             f"available: {available_indexes()}") from None
+    accepted = [name for name in inspect.signature(cls).parameters
+                if name not in ("metric", "dim")]
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise IndexBuildError(
+            f"{cls.index_type}: unknown parameter(s) {unknown}; "
+            f"accepted: {accepted}")
     return cls(metric=metric, dim=dim, **params)
 
 

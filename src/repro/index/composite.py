@@ -1,283 +1,44 @@
 """Modularized vector search (the paper's future-work direction, §7).
 
 "We think vector search algorithms can be distilled into independent
-components, e.g., compression for memory reduction and efficient
-computation, indexing for limiting computation to a small portion of
-vectors, and bucketing for grouping similar vectors. ... We will provide
-a unified framework for vector search such that users can flexibly
+components, e.g., compression ..., indexing ..., and bucketing ... We will
+provide a unified framework for vector search such that users can flexibly
 combine different techniques."
 
-This module is that framework:
-
-* **compressors** — ``none`` (raw float32), ``sq`` (scalar), ``pq``
-  (product), ``rq`` (residual) — all adapting the existing codecs to one
-  encode/decode protocol;
-* **bucketers** — ``kmeans`` (IVF-style flat centroid scan), ``imi``
-  (two-codebook multi-index cells), ``graph`` (centroids navigated with a
-  small HNSW) — all mapping vectors to buckets and queries to probe
-  lists;
-* :class:`CompositeIndex` — any compressor x bucketer combination as a
-  regular :class:`VectorIndex` (registered as ``"COMPOSITE"``), so e.g.
-  existing names decompose as IVF_SQ8 = kmeans x sq, IMI = imi x none,
-  IVF_HNSW = graph x none — and the six combinations the catalog does
-  *not* ship (e.g. imi x pq, graph x rq) come for free.
+That framework is the bucketed index of :mod:`repro.index.ivf`, the one
+structure every list-based catalog type is built from; this module only
+lets users name its parts.  :class:`CompositeIndex` (``"COMPOSITE"``) is
+any **bucketer** — ``kmeans``, ``imi``, ``graph`` — x any **compressor**
+(codec) — ``none``, ``sq``, ``pq``, ``rq``.  Catalog names are points of
+this grid with equal parameters (IVF_FLAT = kmeans x none, IVF_SQ8 =
+kmeans x sq, IVF_HNSW = graph x none, IMI = imi x none plus its stopping
+rule); the combinations the catalog does not ship come for free.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Protocol
-
-import numpy as np
-
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
-from repro.index.base import VectorIndex, register_index
-from repro.index.distances import adjusted_distances, squared_l2, \
-    topk_smallest
-from repro.index.hnsw import HnswIndex
-from repro.index.kmeans import kmeans
-from repro.index.pq import ProductQuantizer
+from repro.index.base import register_index
+from repro.index.imi import ImiBucketer
+from repro.index.ivf import BucketedIndex, FlatCodec, GraphBucketer, \
+    KMeansBucketer
+from repro.index.pq import ProductQuantizer, effective_metric
 from repro.index.rq import ResidualQuantizer
 from repro.index.sq import ScalarQuantizer
-
-
-# ---------------------------------------------------------------------------
-# compressors
-# ---------------------------------------------------------------------------
-
-class Compressor(Protocol):
-    """Lossy vector codec used inside buckets."""
-
-    quantized: bool  # whether the cost model's fast path applies
-
-    def train(self, data: np.ndarray) -> None: ...
-    def encode(self, data: np.ndarray) -> np.ndarray: ...
-    def decode(self, codes: np.ndarray) -> np.ndarray: ...
-
-
-class NoneCompressor:
-    """Raw float32 passthrough."""
-
-    quantized = False
-
-    def train(self, data: np.ndarray) -> None:
-        pass
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(data, dtype=np.float32)
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        return codes
-
-
-class SqCompressor:
-    """One byte per dimension."""
-
-    quantized = True
-
-    def __init__(self, dim: int) -> None:
-        self._sq = ScalarQuantizer(dim)
-
-    def train(self, data: np.ndarray) -> None:
-        self._sq.train(data)
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        return self._sq.encode(data)
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        return self._sq.decode(codes)
-
-
-class PqCompressor:
-    """``m`` bytes per vector."""
-
-    quantized = True
-
-    def __init__(self, dim: int, m: int = 8, seed: int = 0) -> None:
-        self._pq = ProductQuantizer(dim, m=m, seed=seed)
-
-    def train(self, data: np.ndarray) -> None:
-        self._pq.train(data)
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        return self._pq.encode(data)
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        return self._pq.decode(codes)
-
-
-class RqCompressor:
-    """``stages`` bytes per vector, additive codebooks."""
-
-    quantized = True
-
-    def __init__(self, dim: int, stages: int = 4, seed: int = 0) -> None:
-        self._rq = ResidualQuantizer(dim, stages=stages, seed=seed)
-
-    def train(self, data: np.ndarray) -> None:
-        self._rq.train(data)
-
-    def encode(self, data: np.ndarray) -> np.ndarray:
-        return self._rq.encode(data)
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        return self._rq.decode(codes)
-
-
-# ---------------------------------------------------------------------------
-# bucketers
-# ---------------------------------------------------------------------------
-
-class Bucketer(Protocol):
-    """Groups vectors into buckets; maps queries to probe lists."""
-
-    num_buckets: int
-
-    def fit(self, data: np.ndarray) -> np.ndarray:
-        """Return per-row bucket assignments."""
-        ...
-
-    def probe(self, query: np.ndarray, nprobe: int,
-              stats) -> list[int]:
-        """Bucket ids to scan for a query, most promising first."""
-        ...
-
-
-class KMeansBucketer:
-    """IVF-style flat centroid scan."""
-
-    def __init__(self, metric: MetricType, nlist: int = 64,
-                 seed: int = 0) -> None:
-        self.metric = metric
-        self.nlist = nlist
-        self.seed = seed
-        self.num_buckets = 0
-        self._centroids: np.ndarray | None = None
-
-    def fit(self, data: np.ndarray) -> np.ndarray:
-        result = kmeans(data, min(self.nlist, len(data)), seed=self.seed)
-        self._centroids = result.centroids
-        self.num_buckets = result.k
-        return result.assignments
-
-    def probe(self, query: np.ndarray, nprobe: int, stats) -> list[int]:
-        dists = adjusted_distances(query, self._centroids, self.metric)[0]
-        stats.float_comparisons += self.num_buckets
-        ids, _ = topk_smallest(dists, min(nprobe, self.num_buckets))
-        return [int(i) for i in ids]
-
-
-class ImiBucketer:
-    """Two-codebook product cells with multi-sequence probing."""
-
-    def __init__(self, metric: MetricType, ksub: int = 16,
-                 seed: int = 0) -> None:
-        if metric is not MetricType.EUCLIDEAN:
-            # The multi-sequence split relies on additive L2 halves.
-            raise IndexBuildError("imi bucketer supports Euclidean only")
-        self.metric = metric
-        self.ksub = ksub
-        self.seed = seed
-        self.num_buckets = 0
-        self._books: list[np.ndarray] = []
-        self._half = 0
-        self._cell_of: dict[tuple[int, int], int] = {}
-
-    def fit(self, data: np.ndarray) -> np.ndarray:
-        dim = data.shape[1]
-        if dim % 2:
-            raise IndexBuildError("imi bucketer needs an even dim")
-        self._half = dim // 2
-        first = kmeans(data[:, :self._half], min(self.ksub, len(data)),
-                       seed=self.seed)
-        second = kmeans(data[:, self._half:], min(self.ksub, len(data)),
-                        seed=self.seed + 1)
-        self._books = [first.centroids, second.centroids]
-        assignments = np.empty(len(data), dtype=np.int64)
-        self._cell_of = {}
-        for row, (a, b) in enumerate(zip(first.assignments,
-                                         second.assignments)):
-            key = (int(a), int(b))
-            if key not in self._cell_of:
-                self._cell_of[key] = len(self._cell_of)
-            assignments[row] = self._cell_of[key]
-        self.num_buckets = len(self._cell_of)
-        return assignments
-
-    def probe(self, query: np.ndarray, nprobe: int, stats) -> list[int]:
-        d1 = squared_l2(query[None, :self._half], self._books[0])[0]
-        d2 = squared_l2(query[None, self._half:], self._books[1])[0]
-        stats.float_comparisons += len(self._books[0]) + len(self._books[1])
-        order1 = np.argsort(d1, kind="stable")
-        order2 = np.argsort(d2, kind="stable")
-        heap = [(float(d1[order1[0]] + d2[order2[0]]), 0, 0)]
-        seen = {(0, 0)}
-        out: list[int] = []
-        while heap and len(out) < nprobe:
-            _, i, j = heapq.heappop(heap)
-            cell = self._cell_of.get((int(order1[i]), int(order2[j])))
-            if cell is not None:
-                out.append(cell)
-            if i + 1 < len(order1) and (i + 1, j) not in seen:
-                seen.add((i + 1, j))
-                heapq.heappush(heap, (float(d1[order1[i + 1]]
-                                            + d2[order2[j]]), i + 1, j))
-            if j + 1 < len(order2) and (i, j + 1) not in seen:
-                seen.add((i, j + 1))
-                heapq.heappush(heap, (float(d1[order1[i]]
-                                            + d2[order2[j + 1]]), i, j + 1))
-        return out
-
-
-class GraphBucketer:
-    """k-means buckets whose centroids are navigated with a small HNSW."""
-
-    def __init__(self, metric: MetricType, nlist: int = 128, M: int = 8,
-                 ef_search: int = 48, seed: int = 0) -> None:
-        self.metric = metric
-        self.nlist = nlist
-        self.seed = seed
-        self.num_buckets = 0
-        self._graph = HnswIndex(metric, 1, M=M, ef_search=ef_search,
-                                seed=seed)
-
-    def fit(self, data: np.ndarray) -> np.ndarray:
-        result = kmeans(data, min(self.nlist, len(data)), seed=self.seed)
-        self.num_buckets = result.k
-        self._graph = HnswIndex(self.metric, data.shape[1],
-                                M=self._graph.M,
-                                ef_search=self._graph.ef_search,
-                                seed=self.seed)
-        self._graph.build(result.centroids)
-        return result.assignments
-
-    def probe(self, query: np.ndarray, nprobe: int, stats) -> list[int]:
-        ids, _ = self._graph.search(query[None, :],
-                                    min(nprobe, self.num_buckets))
-        graph_stats = self._graph.stats
-        stats.float_comparisons += graph_stats.float_comparisons
-        stats.graph_hops += graph_stats.graph_hops
-        return [int(i) for i in ids[0] if i >= 0]
-
-
-# ---------------------------------------------------------------------------
-# the composite index
-# ---------------------------------------------------------------------------
 
 _COMPRESSORS = ("none", "sq", "pq", "rq")
 _BUCKETERS = ("kmeans", "imi", "graph")
 
 
 @register_index("COMPOSITE")
-class CompositeIndex(VectorIndex):
+class CompositeIndex(BucketedIndex):
     """Any bucketer x compressor combination as one index."""
 
     def __init__(self, metric: MetricType, dim: int,
                  bucketer: str = "kmeans", compressor: str = "none",
                  nlist: int = 64, nprobe: int = 8, m: int = 8,
                  stages: int = 4, ksub: int = 16, seed: int = 0) -> None:
-        super().__init__(metric, dim)
         if bucketer not in _BUCKETERS:
             raise IndexBuildError(
                 f"unknown bucketer {bucketer!r}; pick from {_BUCKETERS}")
@@ -287,71 +48,25 @@ class CompositeIndex(VectorIndex):
                 f"pick from {_COMPRESSORS}")
         self.bucketer_name = bucketer
         self.compressor_name = compressor
-        self.nprobe = nprobe
-        if bucketer == "kmeans":
-            self.bucketer: Bucketer = KMeansBucketer(metric, nlist, seed)
-        elif bucketer == "imi":
-            self.bucketer = ImiBucketer(metric, ksub, seed)
-        else:
-            self.bucketer = GraphBucketer(metric, nlist, seed=seed)
         if compressor == "none":
-            self.compressor: Compressor = NoneCompressor()
+            codec = FlatCodec(metric)
         elif compressor == "sq":
-            self.compressor = SqCompressor(dim)
+            codec = ScalarQuantizer(dim)
         elif compressor == "pq":
-            self.compressor = PqCompressor(dim, m=m, seed=seed)
+            codec = ProductQuantizer(dim, m=m, seed=seed)
         else:
-            self.compressor = RqCompressor(dim, stages=stages, seed=seed)
-        self._bucket_rows: list[np.ndarray] = []
-        self._bucket_codes: list[np.ndarray] = []
-
-    def build(self, data: np.ndarray) -> None:
-        arr = self._check_build_input(data)
-        assignments = self.bucketer.fit(arr)
-        self.compressor.train(arr)
-        codes = self.compressor.encode(arr)
-        self._bucket_rows = []
-        self._bucket_codes = []
-        for bucket in range(self.bucketer.num_buckets):
-            rows = np.flatnonzero(assignments == bucket)
-            self._bucket_rows.append(rows.astype(np.int64))
-            self._bucket_codes.append(codes[rows])
-        self.ntotal = arr.shape[0]
-        self.is_built = True
-
-    def search(self, queries: np.ndarray, k: int,
-               nprobe: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        nprobe = nprobe or self.nprobe
-        self.stats.reset()
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        for qi in range(nq):
-            buckets = self.bucketer.probe(queries[qi], nprobe, self.stats)
-            rows_parts = [self._bucket_rows[b] for b in buckets
-                          if len(self._bucket_rows[b])]
-            if not rows_parts:
-                continue
-            rows = np.concatenate(rows_parts)
-            codes = np.concatenate(
-                [self._bucket_codes[b] for b in buckets
-                 if len(self._bucket_rows[b])], axis=0)
-            decoded = self.compressor.decode(codes)
-            dists = adjusted_distances(queries[qi], decoded,
-                                       self.metric)[0]
-            if self.compressor.quantized:
-                self.stats.quantized_comparisons += len(rows)
-            else:
-                self.stats.float_comparisons += len(rows)
-            idx, vals = topk_smallest(dists, k)
-            all_ids[qi, :len(idx)] = rows[idx]
-            all_dists[qi, :len(idx)] = vals
-        return all_ids, all_dists
-
-    def memory_bytes_estimate(self) -> int:
-        """Compressed payload size (the memory knob users trade with)."""
-        return sum(codes.nbytes for codes in self._bucket_codes)
+            codec = ResidualQuantizer(dim, stages=stages, seed=seed)
+        # ADC tables do not compose cosine: pq lists hold unit rows and are
+        # scanned as inner product (``BucketedIndex._unit_rows``).
+        scanned_as = effective_metric(metric) if compressor == "pq" \
+            else metric
+        if bucketer == "kmeans":
+            buckets = KMeansBucketer(scanned_as, nlist, seed)
+        elif bucketer == "imi":
+            buckets = ImiBucketer(scanned_as, dim, ksub, seed)
+        else:
+            buckets = GraphBucketer(scanned_as, dim, nlist, seed=seed)
+        super().__init__(metric, dim, buckets, codec, nprobe)
 
     def describe(self) -> str:
         return f"{self.bucketer_name} x {self.compressor_name}"

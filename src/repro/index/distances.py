@@ -63,6 +63,11 @@ def nonzero_norms(rows: np.ndarray) -> np.ndarray:
     return norms
 
 
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Unit-length copies of the rows of a 2-D block, zero rows untouched."""
+    return rows / nonzero_norms(rows)
+
+
 def adjusted_distances(queries: np.ndarray, data: np.ndarray,
                        metric: MetricType) -> np.ndarray:
     """Pairwise adjusted distances (smaller = more similar)."""
@@ -92,10 +97,10 @@ def topk_smallest(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values)
     n = values.shape[-1]
     k = min(k, n)
-    if k <= 0:
-        empty_idx = np.empty(0, dtype=np.int64)
-        return empty_idx, values[..., empty_idx]
     lead = values.shape[:-1]
+    if k <= 0:
+        return (np.empty(lead + (0,), dtype=np.int64),
+                np.empty(lead + (0,), dtype=values.dtype))
     rows = values.reshape(-1, n)
     if rows.shape[0] == 1:
         # One row (a 1-D input or a single-query block): plain gathers.
@@ -117,3 +122,30 @@ def topk_smallest(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     idx = part.reshape(-1)[order]
     return (idx.reshape(lead + (k,)),
             part_vals.reshape(-1)[order].reshape(lead + (k,)))
+
+
+def first_k_distinct(ids: np.ndarray, dists: np.ndarray, k: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The first ``k`` distinct ids of each row, with their distances.
+
+    Each row of ``ids`` / ``dists`` is a candidate list sorted by distance
+    in which an id may appear more than once (a vector stored in several
+    lists, a hit found by two tiers); an id keeps its first — best —
+    entry and later ones are dropped, for the whole block at once.  ``-1``
+    ids are padding.  Rows come back ``min(k, width)`` wide, tail-padded
+    with ``-1`` / ``+inf``.
+    """
+    row = np.arange(ids.shape[0])[:, None]
+    # Equal ids side by side, earliest first: an entry repeats an id
+    # exactly when it follows an equal one.
+    by_id = np.argsort(ids, axis=1, kind="stable")
+    sorted_ids = ids[row, by_id]
+    drop = np.empty(ids.shape, dtype=bool)
+    drop[row, by_id[:, :1]] = False
+    drop[row, by_id[:, 1:]] = sorted_ids[:, 1:] == sorted_ids[:, :-1]
+    drop |= ids < 0
+    # Survivors to the front, order kept.
+    front = np.argsort(drop, axis=1, kind="stable")[:, :max(k, 0)]
+    dropped = drop[row, front]
+    return (np.where(dropped, -1, ids[row, front]),
+            np.where(dropped, np.inf, dists[row, front]))

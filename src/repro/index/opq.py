@@ -5,6 +5,10 @@ redistributes variance across PQ subspaces before quantization, reducing
 reconstruction error versus plain PQ.  Training alternates between fitting
 PQ codebooks on the rotated data and solving the orthogonal Procrustes
 problem ``min_R ||R X - decode(encode(R X))||`` via SVD.
+
+:class:`OpqRotation` is the ``opq`` codec: the rotation is orthogonal, so
+distances in rotated space equal distances in the original space — a query
+block is rotated once and scored by the PQ codec's ADC tables.
 """
 
 from __future__ import annotations
@@ -13,13 +17,16 @@ import numpy as np
 
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
-from repro.index.base import VectorIndex, register_index
-from repro.index.distances import topk_smallest
-from repro.index.pq import ProductQuantizer, effective_metric, normalize_rows
+from repro.index.base import register_index
+from repro.index.ivf import ExhaustiveIndex, Scorer
+from repro.index.pq import ProductQuantizer, effective_metric
 
 
 class OpqRotation:
     """The learned orthogonal rotation plus its PQ codec."""
+
+    quantized = True
+    scores_cross_term = False
 
     def __init__(self, dim: int, m: int = 8, nbits: int = 8,
                  train_iters: int = 5, seed: int = 0) -> None:
@@ -60,6 +67,11 @@ class OpqRotation:
         """Reconstruct in the *original* (unrotated) space."""
         return self.pq.decode(codes) @ self.rotation
 
+    def prepare(self, queries: np.ndarray, pair_query: np.ndarray,
+                pair_list: np.ndarray, metric: MetricType) -> Scorer:
+        return self.pq.prepare(self.rotate(queries), pair_query, pair_list,
+                               metric)
+
     def reconstruction_error(self, data: np.ndarray) -> float:
         approx = self.decode(self.encode(data))
         return float(np.mean((np.asarray(data, dtype=np.float32)
@@ -67,43 +79,11 @@ class OpqRotation:
 
 
 @register_index("OPQ")
-class OpqIndex(VectorIndex):
+class OpqIndex(ExhaustiveIndex):
     """ADC scan over OPQ codes (rotation applied to queries too)."""
 
     def __init__(self, metric: MetricType, dim: int, m: int = 8,
                  nbits: int = 8, train_iters: int = 5, seed: int = 0) -> None:
-        super().__init__(metric, dim)
         self.opq = OpqRotation(dim, m=m, nbits=nbits,
                                train_iters=train_iters, seed=seed)
-        self._codes: np.ndarray | None = None
-
-    def build(self, data: np.ndarray) -> None:
-        arr = self._check_build_input(data)
-        if self.metric is MetricType.COSINE:
-            arr = normalize_rows(arr)
-        self.opq.train(arr)
-        self._codes = self.opq.encode(arr)
-        self.ntotal = arr.shape[0]
-        self.is_built = True
-
-    def search(self, queries: np.ndarray, k: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        if self.metric is MetricType.COSINE:
-            queries = normalize_rows(queries)
-        metric = effective_metric(self.metric)
-        self.stats.reset()
-        # Rotation is orthogonal, so distances in rotated space equal
-        # distances in the original space; rotate the query and run ADC.
-        rotated = self.opq.rotate(queries)
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        for qi in range(nq):
-            table = self.opq.pq.adc_table(rotated[qi], metric)
-            dists = ProductQuantizer.adc_scan(table, self._codes)
-            self.stats.quantized_comparisons += self.ntotal
-            idx, vals = topk_smallest(dists, k)
-            all_ids[qi, :len(idx)] = idx
-            all_dists[qi, :len(idx)] = vals
-        return all_ids, all_dists
+        super().__init__(metric, dim, self.opq, effective_metric(metric))

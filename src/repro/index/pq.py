@@ -7,8 +7,12 @@ lookup table of subspace distances is built once and each database code is
 scored with ``m`` table lookups — the quantized-comparison fast path of the
 cost model.
 
-:class:`IvfPqIndex` composes a coarse IVF quantizer with PQ on the residuals
-(vector minus its centroid), the classic Jegou et al. construction.
+:class:`ProductQuantizer` is the ``pq`` codec of the bucketed index
+(:mod:`repro.index.ivf`): the tables are built once per query block and
+gathered per probed list.  :class:`IvfPqIndex` is kmeans x PQ on the
+*residuals* (vector minus its list's centroid), the classic Jegou et al.
+construction — what is its own is the codec it composes,
+:class:`ListResidualPq`.
 """
 
 from __future__ import annotations
@@ -17,9 +21,15 @@ import numpy as np
 
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
-from repro.index.base import VectorIndex, register_index
-from repro.index.distances import adjusted_distances, squared_l2, topk_smallest
+from repro.index.base import positive_int, register_index
+from repro.index.distances import adjusted_distances, squared_l2
+from repro.index.ivf import BucketedIndex, ExhaustiveIndex, KMeansBucketer, \
+    Scorer
 from repro.index.kmeans import kmeans
+
+#: Cap on one ADC gather, in float32 entries (16 MB): a long list is
+#: scored a few queries at a time.
+_ADC_BLOCK_FLOATS = 1 << 22
 
 
 def effective_metric(metric: MetricType) -> MetricType:
@@ -33,20 +43,15 @@ def effective_metric(metric: MetricType) -> MetricType:
     return metric
 
 
-def normalize_rows(arr: np.ndarray) -> np.ndarray:
-    """L2-normalize rows, leaving zero rows untouched."""
-    arr = np.asarray(arr, dtype=np.float32)
-    norms = np.linalg.norm(arr, axis=-1, keepdims=True)
-    norms[norms == 0] = 1.0
-    return arr / norms
-
-
 class ProductQuantizer:
     """PQ codec: train / encode / decode / ADC lookup tables."""
 
+    quantized = True
+    scores_cross_term = False   # the tables' sums are whole distances
+
     def __init__(self, dim: int, m: int = 8, nbits: int = 8,
                  seed: int = 0) -> None:
-        if dim % m != 0:
+        if dim % positive_int("m", m) != 0:
             raise IndexBuildError(f"dim {dim} not divisible by m {m}")
         if not 1 <= nbits <= 8:
             raise IndexBuildError(f"nbits must be in [1, 8], got {nbits}")
@@ -101,24 +106,42 @@ class ProductQuantizer:
                 self._codebooks[sub][codes[:, sub]])
         return out
 
-    def adc_table(self, query: np.ndarray,
+    def adc_table(self, queries: np.ndarray,
                   metric: MetricType) -> np.ndarray:
-        """Per-subspace lookup table of adjusted distances, shape (m, ksub)."""
+        """Per-subspace lookup tables of adjusted distances.
+
+        ``(nq, m, ksub)`` for a query block, ``(m, ksub)`` for one query.
+        """
         self._require_trained()
-        query = np.asarray(query, dtype=np.float32).reshape(self.dim)
-        table = np.empty((self.m, self.ksub), dtype=np.float32)
+        queries = np.asarray(queries, dtype=np.float32)
+        block = queries.reshape(-1, self.dim)
+        tables = np.empty((block.shape[0], self.m, self.ksub),
+                          dtype=np.float32)
         for sub in range(self.m):
-            q_sub = query[sub * self.dsub:(sub + 1) * self.dsub]
-            table[sub] = adjusted_distances(q_sub[None, :],
-                                            self._codebooks[sub], metric)[0]
-        return table
+            tables[:, sub] = adjusted_distances(
+                block[:, sub * self.dsub:(sub + 1) * self.dsub],
+                self._codebooks[sub], metric)
+        return tables.reshape(queries.shape[:-1] + (self.m, self.ksub))
 
     @staticmethod
-    def adc_scan(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-        """Score ``(n, m)`` codes against a query's ADC table."""
-        codes = np.asarray(codes, dtype=np.int64)
-        m = table.shape[0]
-        return table[np.arange(m)[None, :], codes].sum(axis=1)
+    def adc_scan(tables: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Score ``(n, m)`` codes against ADC tables: ``(..., n)`` sums of
+        ``m`` lookups, one row per table."""
+        return tables[..., np.arange(tables.shape[-2]), codes].sum(axis=-1)
+
+    def prepare(self, queries: np.ndarray, pair_query: np.ndarray,
+                pair_list: np.ndarray, metric: MetricType) -> Scorer:
+        tables = self.adc_table(queries, metric)
+
+        def score(begin: int, end: int, codes: np.ndarray,
+                  out: np.ndarray) -> None:
+            step = max(1, _ADC_BLOCK_FLOATS // codes.size)
+            for lo in range(begin, end, step):
+                group = pair_query[lo:min(lo + step, end)]
+                out[lo - begin:lo - begin + len(group)] = self.adc_scan(
+                    tables[group], codes)
+
+        return score
 
     def _require_trained(self) -> None:
         if not self.is_trained:
@@ -131,126 +154,70 @@ class ProductQuantizer:
 
 
 @register_index("PQ")
-class PqIndex(VectorIndex):
+class PqIndex(ExhaustiveIndex):
     """Standalone PQ index: ADC scan over all codes."""
 
     def __init__(self, metric: MetricType, dim: int, m: int = 8,
                  nbits: int = 8, seed: int = 0) -> None:
-        super().__init__(metric, dim)
         self.pq = ProductQuantizer(dim, m=m, nbits=nbits, seed=seed)
-        self._codes: np.ndarray | None = None
+        super().__init__(metric, dim, self.pq, effective_metric(metric))
 
-    def build(self, data: np.ndarray) -> None:
-        arr = self._check_build_input(data)
-        if self.metric is MetricType.COSINE:
-            arr = normalize_rows(arr)
-        self.pq.train(arr)
-        self._codes = self.pq.encode(arr)
-        self.ntotal = arr.shape[0]
-        self.is_built = True
 
-    def search(self, queries: np.ndarray, k: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        if self.metric is MetricType.COSINE:
-            queries = normalize_rows(queries)
-        metric = effective_metric(self.metric)
-        self.stats.reset()
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        for qi in range(nq):
-            table = self.pq.adc_table(queries[qi], metric)
-            dists = ProductQuantizer.adc_scan(table, self._codes)
-            self.stats.quantized_comparisons += self.ntotal
-            idx, vals = topk_smallest(dists, k)
-            all_ids[qi, :len(idx)] = idx
-            all_dists[qi, :len(idx)] = vals
-        return all_ids, all_dists
+class ListResidualPq(ProductQuantizer):
+    """PQ over what is left of a row once its list's centroid is taken out.
+
+    Residuals are small and alike across lists, so one set of codebooks
+    quantizes them far better than it would the rows.  The index stores
+    ``encode(row - centroid)``; a query is scored against list ``c`` as
+
+    * Euclidean: ``|q - (c + r)|^2 == |(q - c) - r|^2`` — ADC with the
+      *residual query*, whose tables are therefore built per probed list;
+    * inner product: ``-<q, c + r> == -<q, c> - <q, r>`` — the block's
+      tables on the raw query, plus the centroid term per (query, list).
+    """
+
+    def __init__(self, bucketer: KMeansBucketer, dim: int, m: int,
+                 nbits: int, seed: int) -> None:
+        super().__init__(dim, m=m, nbits=nbits, seed=seed)
+        self.bucketer = bucketer
+
+    def prepare(self, queries: np.ndarray, pair_query: np.ndarray,
+                pair_list: np.ndarray, metric: MetricType) -> Scorer:
+        centroids = self.bucketer.centroids
+        lists = pair_list.tolist()
+        if metric is MetricType.EUCLIDEAN:
+            def score(begin: int, end: int, codes: np.ndarray,
+                      out: np.ndarray) -> None:
+                shifted = queries[pair_query[begin:end]] \
+                    - centroids[lists[begin]]
+                out[:] = self.adc_scan(self.adc_table(shifted, metric),
+                                       codes)
+            return score
+
+        on_rows = super().prepare(queries, pair_query, pair_list, metric)
+        on_centroids = adjusted_distances(queries, centroids, metric)
+
+        def score(begin: int, end: int, codes: np.ndarray,
+                  out: np.ndarray) -> None:
+            on_rows(begin, end, codes, out)
+            out += on_centroids[pair_query[begin:end], lists[begin], None]
+
+        return score
 
 
 @register_index("IVF_PQ")
-class IvfPqIndex(VectorIndex):
-    """IVF coarse quantizer + PQ-compressed residuals."""
+class IvfPqIndex(BucketedIndex):
+    """IVF coarse quantizer + PQ-compressed residuals: kmeans x
+    list-residual pq."""
 
     def __init__(self, metric: MetricType, dim: int, nlist: int = 128,
                  nprobe: int = 8, m: int = 8, nbits: int = 8,
                  seed: int = 0) -> None:
-        super().__init__(metric, dim)
+        bucketer = KMeansBucketer(effective_metric(metric), nlist, seed)
+        self.pq = ListResidualPq(bucketer, dim, m, nbits, seed)
+        super().__init__(metric, dim, bucketer, self.pq, nprobe)
         self.nlist = nlist
-        self.nprobe = nprobe
-        self.seed = seed
-        self.pq = ProductQuantizer(dim, m=m, nbits=nbits, seed=seed)
-        self._centroids: np.ndarray | None = None
-        self._lists: list[np.ndarray] = []
-        self._list_codes: list[np.ndarray] = []
 
-    def build(self, data: np.ndarray) -> None:
-        arr = self._check_build_input(data)
-        if self.metric is MetricType.COSINE:
-            arr = normalize_rows(arr)
-        k = min(self.nlist, arr.shape[0])
-        coarse = kmeans(arr, k, seed=self.seed)
-        self._centroids = coarse.centroids
-        residuals = arr - coarse.centroids[coarse.assignments]
-        self.pq.train(residuals)
-        codes = self.pq.encode(residuals)
-        self._lists = []
-        self._list_codes = []
-        for cluster in range(coarse.k):
-            members = np.flatnonzero(coarse.assignments == cluster)
-            self._lists.append(members.astype(np.int64))
-            self._list_codes.append(codes[members])
-        self.ntotal = arr.shape[0]
-        self.is_built = True
-
-    def search(self, queries: np.ndarray, k: int,
-               nprobe: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        if self.metric is MetricType.COSINE:
-            queries = normalize_rows(queries)
-        metric = effective_metric(self.metric)
-        nprobe = min(nprobe or self.nprobe, len(self._lists))
-        self.stats.reset()
-        centroid_dists = adjusted_distances(queries, self._centroids,
-                                            metric)
-        self.stats.float_comparisons += (queries.shape[0]
-                                         * self._centroids.shape[0])
-        probe_lists, _ = topk_smallest(centroid_dists, nprobe)
-
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        euclidean = self.metric is MetricType.EUCLIDEAN
-        for qi in range(nq):
-            cand_ids: list[np.ndarray] = []
-            cand_dists: list[np.ndarray] = []
-            for cluster in probe_lists[qi]:
-                members = self._lists[cluster]
-                if not len(members):
-                    continue
-                if euclidean:
-                    # ||q - (c + r)||^2 == ||(q - c) - r||^2: ADC on the
-                    # residual query scores clusters on a common scale.
-                    residual_query = queries[qi] - self._centroids[cluster]
-                    table = self.pq.adc_table(residual_query, metric)
-                    dists = ProductQuantizer.adc_scan(
-                        table, self._list_codes[cluster])
-                else:
-                    # -<q, c + r> == -<q, c> - <q, r>: score residuals with
-                    # the raw query and add the centroid term.
-                    table = self.pq.adc_table(queries[qi], metric)
-                    dists = (ProductQuantizer.adc_scan(
-                        table, self._list_codes[cluster])
-                        + centroid_dists[qi, cluster])
-                self.stats.quantized_comparisons += len(members)
-                cand_ids.append(members)
-                cand_dists.append(dists)
-            if not cand_ids:
-                continue
-            ids = np.concatenate(cand_ids)
-            dists = np.concatenate(cand_dists)
-            idx, vals = topk_smallest(dists, k)
-            all_ids[qi, :len(idx)] = ids[idx]
-            all_dists[qi, :len(idx)] = vals
-        return all_ids, all_dists
+    def _stored(self, arr: np.ndarray,
+                assignments: np.ndarray) -> np.ndarray:
+        return arr - self.bucketer.centroids[assignments]

@@ -4,7 +4,9 @@ RQ quantizes a vector as a *sum* of codewords from a sequence of codebooks:
 stage ``i`` quantizes the residual left by stages ``0..i-1``.  Each extra
 stage reduces reconstruction error, giving a smooth memory/accuracy knob.
 Search here decodes candidates (the codebooks are small) and scores exactly,
-keeping the quantized-comparison accounting of the cost model.
+keeping the quantized-comparison accounting of the cost model —
+:class:`ResidualQuantizer` is the ``rq`` codec of the bucketed index
+(:mod:`repro.index.ivf`): decode a probed list's codes, then one GEMM.
 """
 
 from __future__ import annotations
@@ -13,22 +15,21 @@ import numpy as np
 
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
-from repro.index.base import VectorIndex, register_index
-from repro.index.distances import adjusted_distances, squared_l2, topk_smallest
+from repro.index.base import positive_int, register_index
+from repro.index.distances import squared_l2
+from repro.index.ivf import ExhaustiveIndex, GemmCodec
 from repro.index.kmeans import kmeans
 
 
-class ResidualQuantizer:
+class ResidualQuantizer(GemmCodec):
     """Multi-stage additive quantizer."""
 
     def __init__(self, dim: int, stages: int = 4, nbits: int = 8,
                  seed: int = 0) -> None:
-        if stages <= 0:
-            raise IndexBuildError(f"stages must be positive, got {stages}")
         if not 1 <= nbits <= 8:
             raise IndexBuildError(f"nbits must be in [1, 8], got {nbits}")
         self.dim = dim
-        self.stages = stages
+        self.stages = positive_int("stages", stages)
         self.ksub = 1 << nbits
         self.seed = seed
         self._codebooks: list[np.ndarray] = []  # stages x (ksub, dim)
@@ -95,29 +96,11 @@ class ResidualQuantizer:
 
 
 @register_index("RQ")
-class RqIndex(VectorIndex):
+class RqIndex(ExhaustiveIndex):
     """Brute-force scan over RQ-reconstructed vectors."""
 
     def __init__(self, metric: MetricType, dim: int, stages: int = 4,
                  nbits: int = 8, seed: int = 0) -> None:
-        super().__init__(metric, dim)
         self.rq = ResidualQuantizer(dim, stages=stages, nbits=nbits,
                                     seed=seed)
-        self._codes: np.ndarray | None = None
-
-    def build(self, data: np.ndarray) -> None:
-        arr = self._check_build_input(data)
-        self.rq.train(arr)
-        self._codes = self.rq.encode(arr)
-        self.ntotal = arr.shape[0]
-        self.is_built = True
-
-    def search(self, queries: np.ndarray, k: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        self.stats.reset()
-        decoded = self.rq.decode(self._codes)
-        dists = adjusted_distances(queries, decoded, self.metric)
-        self.stats.quantized_comparisons = queries.shape[0] * self.ntotal
-        ids, vals = topk_smallest(dists, k)
-        return self._pad_results(ids.astype(np.int64), vals, k)
+        super().__init__(metric, dim, self.rq, metric)

@@ -5,6 +5,11 @@ a single byte": per-dimension min/max are learned at train time and values
 are linearly quantized to uint8, a 4x memory reduction.  Search decodes
 candidates back to float32 on the fly (the paper's SSD index uses exactly
 this compression to cut bytes fetched per bucket).
+
+:class:`ScalarQuantizer` is the ``sq`` codec of the bucketed index
+(:mod:`repro.index.ivf`): a probed list's codes are dequantised as one tile
+and scored with the GEMM the raw rows would be.  ``IVF_SQ8`` is
+kmeans x sq.
 """
 
 from __future__ import annotations
@@ -13,12 +18,12 @@ import numpy as np
 
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
-from repro.index.base import VectorIndex, register_index
-from repro.index.distances import adjusted_distances, topk_smallest
-from repro.index.kmeans import kmeans
+from repro.index.base import register_index
+from repro.index.ivf import BucketedIndex, ExhaustiveIndex, GemmCodec, \
+    KMeansBucketer
 
 
-class ScalarQuantizer:
+class ScalarQuantizer(GemmCodec):
     """Per-dimension uint8 linear quantizer."""
 
     def __init__(self, dim: int) -> None:
@@ -64,92 +69,21 @@ class ScalarQuantizer:
 
 
 @register_index("SQ8")
-class SqIndex(VectorIndex):
+class SqIndex(ExhaustiveIndex):
     """Brute-force scan over SQ-compressed vectors."""
 
     def __init__(self, metric: MetricType, dim: int) -> None:
-        super().__init__(metric, dim)
         self.sq = ScalarQuantizer(dim)
-        self._codes: np.ndarray | None = None
-
-    def build(self, data: np.ndarray) -> None:
-        arr = self._check_build_input(data)
-        self.sq.train(arr)
-        self._codes = self.sq.encode(arr)
-        self.ntotal = arr.shape[0]
-        self.is_built = True
-
-    def search(self, queries: np.ndarray, k: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        self.stats.reset()
-        decoded = self.sq.decode(self._codes)
-        dists = adjusted_distances(queries, decoded, self.metric)
-        self.stats.quantized_comparisons = queries.shape[0] * self.ntotal
-        ids, vals = topk_smallest(dists, k)
-        return self._pad_results(ids.astype(np.int64), vals, k)
+        super().__init__(metric, dim, self.sq, metric)
 
 
 @register_index("IVF_SQ8")
-class IvfSqIndex(VectorIndex):
-    """Inverted file whose lists hold SQ-compressed vectors."""
+class IvfSqIndex(BucketedIndex):
+    """Inverted file whose lists hold SQ-compressed vectors: kmeans x sq."""
 
     def __init__(self, metric: MetricType, dim: int, nlist: int = 128,
                  nprobe: int = 8, seed: int = 0) -> None:
-        super().__init__(metric, dim)
-        self.nlist = nlist
-        self.nprobe = nprobe
-        self.seed = seed
         self.sq = ScalarQuantizer(dim)
-        self._centroids: np.ndarray | None = None
-        self._lists: list[np.ndarray] = []
-        self._list_codes: list[np.ndarray] = []
-
-    def build(self, data: np.ndarray) -> None:
-        arr = self._check_build_input(data)
-        k = min(self.nlist, arr.shape[0])
-        coarse = kmeans(arr, k, seed=self.seed)
-        self._centroids = coarse.centroids
-        self.sq.train(arr)
-        codes = self.sq.encode(arr)
-        self._lists = []
-        self._list_codes = []
-        for cluster in range(coarse.k):
-            members = np.flatnonzero(coarse.assignments == cluster)
-            self._lists.append(members.astype(np.int64))
-            self._list_codes.append(codes[members])
-        self.ntotal = arr.shape[0]
-        self.is_built = True
-
-    def search(self, queries: np.ndarray, k: int,
-               nprobe: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        nprobe = min(nprobe or self.nprobe, len(self._lists))
-        self.stats.reset()
-        centroid_dists = adjusted_distances(queries, self._centroids,
-                                            self.metric)
-        self.stats.float_comparisons += (queries.shape[0]
-                                         * self._centroids.shape[0])
-        probe_lists, _ = topk_smallest(centroid_dists, nprobe)
-
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        for qi in range(nq):
-            cand_ids: list[np.ndarray] = []
-            cand_vecs: list[np.ndarray] = []
-            for cluster in probe_lists[qi]:
-                members = self._lists[cluster]
-                if len(members):
-                    cand_ids.append(members)
-                    cand_vecs.append(self.sq.decode(self._list_codes[cluster]))
-            if not cand_ids:
-                continue
-            ids = np.concatenate(cand_ids)
-            vecs = np.concatenate(cand_vecs, axis=0)
-            dists = adjusted_distances(queries[qi], vecs, self.metric)[0]
-            self.stats.quantized_comparisons += len(ids)
-            idx, vals = topk_smallest(dists, k)
-            all_ids[qi, :len(idx)] = ids[idx]
-            all_dists[qi, :len(idx)] = vals
-        return all_ids, all_dists
+        super().__init__(metric, dim, KMeansBucketer(metric, nlist, seed),
+                         self.sq, nprobe)
+        self.nlist = nlist

@@ -14,6 +14,11 @@ Large collections live on SSD; only bucket *centroids* stay in DRAM:
   different seeds, so each vector lands in several buckets — the LSH-style
   replication that recovers recall lost when k-means splits a query's true
   neighbours across buckets.  Duplicate hits are removed at rerank.
+
+As a bucketed index (:mod:`repro.index.ivf`) this is
+:class:`BalancedBucketer` x sq: buckets are lists.  What is its own is the
+block accounting (every probed bucket is ``blocks_per_bucket`` reads) and
+the duplicate removal after the top-k.
 """
 
 from __future__ import annotations
@@ -21,129 +26,102 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.schema import MetricType
-from repro.errors import IndexBuildError
-from repro.index.base import VectorIndex, register_index
-from repro.index.distances import adjusted_distances
-from repro.index.hnsw import HnswIndex
+from repro.index.base import SearchStats, positive_int, register_index
+from repro.index.distances import first_k_distinct
+from repro.index.ivf import BucketedIndex, GraphBucketer, KMeansBucketer
 from repro.index.kmeans import hierarchical_balanced_kmeans
 from repro.index.sq import ScalarQuantizer
 
 BLOCK_BYTES = 4096
 
 
+class BalancedBucketer(GraphBucketer):
+    """Hierarchical balanced k-means into buckets of at most ``capacity``
+    rows, run ``replicas`` times with different seeds so every row lands
+    in ``replicas`` buckets; the bucket centroids — all that stays in
+    DRAM — are navigated with an HNSW graph, or scanned flat when there
+    is only a handful or ``navigate`` is off.  (The inherited ``nlist`` is
+    unused: the number of buckets follows from ``capacity``.)"""
+
+    def __init__(self, metric: MetricType, dim: int, capacity: int,
+                 replicas: int, navigate: bool, ef_search: int,
+                 seed: int) -> None:
+        super().__init__(metric, dim, M=16, ef_search=ef_search, seed=seed)
+        self.capacity = capacity
+        self.replicas = positive_int("replicas", replicas)
+        self.navigate = navigate
+
+    def _partition(self, data: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        runs = [hierarchical_balanced_kmeans(
+            data, max_cluster_size=self.capacity,
+            seed=self.seed + 1009 * replica)
+            for replica in range(self.replicas)]
+        firsts = np.cumsum([0] + [run.k for run in runs[:-1]])
+        return (np.concatenate([run.centroids for run in runs]),
+                np.stack([run.assignments + first
+                          for run, first in zip(runs, firsts)]))
+
+    def fit(self, data: np.ndarray) -> np.ndarray:
+        assignments = KMeansBucketer.fit(self, data)
+        if self.navigate and self.num_buckets > 8:
+            self.graph.build(self.centroids)
+        return assignments
+
+    def probe(self, queries: np.ndarray, nprobe: int,
+              stats: SearchStats) -> np.ndarray:
+        if not self.graph.is_built:
+            return KMeansBucketer.probe(self, queries, nprobe, stats)
+        return super().probe(queries, nprobe, stats)
+
+
 @register_index("SSD")
-class SsdIndex(VectorIndex):
+class SsdIndex(BucketedIndex):
     """Bucketed, SQ-compressed, SSD-resident index with multi-assignment."""
 
     def __init__(self, metric: MetricType, dim: int, nprobe: int = 8,
                  replicas: int = 2, centroid_index: str = "HNSW",
                  seed: int = 0) -> None:
-        super().__init__(metric, dim)
-        if replicas < 1:
-            raise IndexBuildError(f"replicas must be >= 1, got {replicas}")
-        self.nprobe = nprobe
-        self.replicas = replicas
         self.centroid_index_type = centroid_index.upper()
-        self.seed = seed
         # One SQ-coded byte per dimension: how many vectors fit in a block.
         self.bucket_capacity = max(1, BLOCK_BYTES // dim)
         self.blocks_per_bucket = max(1, -(-dim // BLOCK_BYTES))
         self.sq = ScalarQuantizer(dim)
-        self._buckets: list[np.ndarray] = []        # member ids
-        self._bucket_codes: list[np.ndarray] = []   # SQ codes per bucket
-        self._centroids: np.ndarray | None = None
-        self._centroid_searcher: VectorIndex | None = None
-
-    def build(self, data: np.ndarray) -> None:
-        arr = self._check_build_input(data)
-        self.sq.train(arr)
-        codes = self.sq.encode(arr)
-
-        self._buckets = []
-        self._bucket_codes = []
-        centroid_rows: list[np.ndarray] = []
-        for replica in range(self.replicas):
-            result = hierarchical_balanced_kmeans(
-                arr, max_cluster_size=self.bucket_capacity,
-                seed=self.seed + 1009 * replica)
-            for cluster in range(result.k):
-                members = np.flatnonzero(result.assignments == cluster)
-                if not len(members):
-                    continue
-                self._buckets.append(members.astype(np.int64))
-                self._bucket_codes.append(codes[members])
-                centroid_rows.append(result.centroids[cluster])
-        self._centroids = np.stack(centroid_rows).astype(np.float32)
-
-        if self.centroid_index_type == "HNSW" and len(self._centroids) > 8:
-            searcher = HnswIndex(self.metric, self.dim, M=16,
-                                 ef_search=max(64, 4 * self.nprobe),
-                                 seed=self.seed)
-        else:
-            from repro.index.flat import FlatIndex
-            searcher = FlatIndex(self.metric, self.dim)
-        searcher.build(self._centroids)
-        self._centroid_searcher = searcher
-        self.ntotal = arr.shape[0]
-        self.is_built = True
+        nprobe = positive_int("nprobe", nprobe)
+        super().__init__(
+            metric, dim,
+            BalancedBucketer(metric, dim, self.bucket_capacity, replicas,
+                             self.centroid_index_type == "HNSW",
+                             max(64, 4 * nprobe), seed),
+            self.sq, nprobe)
+        self.replicas = replicas
 
     @property
     def num_buckets(self) -> int:
-        return len(self._buckets)
+        return self.bucketer.num_buckets
 
     def bucket_sizes(self) -> np.ndarray:
         """Bucket occupancies; all must be <= bucket_capacity (tested)."""
-        return np.asarray([len(b) for b in self._buckets])
+        return self.list_sizes()
+
+    def _probe(self, queries: np.ndarray, k: int,
+               nprobe: int | None) -> np.ndarray:
+        # Stage 1: pick buckets by centroid similarity (DRAM); stage 2
+        # fetches each of them from SSD, whole blocks at a time.
+        buckets = super()._probe(queries, k, nprobe)
+        self.stats.ssd_blocks_read += (int((buckets >= 0).sum())
+                                       * self.blocks_per_bucket)
+        return buckets
 
     def search(self, queries: np.ndarray, k: int,
                nprobe: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        nprobe = min(nprobe or self.nprobe, self.num_buckets)
-        self.stats.reset()
-
-        # Stage 1: pick buckets by centroid similarity (DRAM).
-        bucket_ids, _ = self._centroid_searcher.search(queries, nprobe)
-        self.stats = self.stats.merged_with(self._centroid_searcher.stats)
-
-        # Stage 2: fetch the buckets from SSD and rerank exactly.
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        for qi in range(nq):
-            member_lists: list[np.ndarray] = []
-            code_lists: list[np.ndarray] = []
-            for bucket in bucket_ids[qi]:
-                if bucket < 0:
-                    continue
-                self.stats.ssd_blocks_read += self.blocks_per_bucket
-                member_lists.append(self._buckets[int(bucket)])
-                code_lists.append(self._bucket_codes[int(bucket)])
-            if not member_lists:
-                continue
-            ids = np.concatenate(member_lists)
-            decoded = self.sq.decode(np.concatenate(code_lists, axis=0))
-            dists = adjusted_distances(queries[qi], decoded, self.metric)[0]
-            self.stats.quantized_comparisons += len(ids)
-            # Multi-assignment produces duplicates: keep each id's best hit.
-            order = np.argsort(dists, kind="stable")
-            seen: set[int] = set()
-            count = 0
-            for oi in order:
-                node = int(ids[oi])
-                if node in seen:
-                    continue
-                seen.add(node)
-                all_ids[qi, count] = node
-                all_dists[qi, count] = dists[oi]
-                count += 1
-                if count >= k:
-                    break
-        return all_ids, all_dists
+        # A vector sits in ``replicas`` buckets, so the best ``k`` distinct
+        # vectors are among the best ``k * replicas`` candidates.
+        ids, dists = super().search(queries, k * self.replicas, nprobe)
+        return first_k_distinct(ids, dists, k)
 
     def dram_bytes(self) -> int:
         """DRAM footprint: centroids only (the design's headline saving)."""
-        assert self._centroids is not None
-        return self._centroids.nbytes
+        return self.bucketer.centroids.nbytes
 
     def ssd_bytes(self) -> int:
         """SSD footprint: all buckets at block granularity."""

@@ -23,7 +23,8 @@ import numpy as np
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
 from repro.index.base import VectorIndex, register_index
-from repro.index.distances import adjusted_distances, topk_smallest
+from repro.index.distances import adjusted_distances, first_k_distinct, \
+    topk_smallest
 from repro.index.ssd import SsdIndex
 
 
@@ -81,36 +82,25 @@ class TieredIndex(VectorIndex):
                nprobe: int | None = None) -> tuple[np.ndarray, np.ndarray]:
         queries = self._check_query_input(queries)
         self.stats.reset()
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
 
-        # Cold tier once per batch (its stats accumulate inside).
-        cold_ids, cold_dists = self._cold.search(queries, k,
-                                                 nprobe=nprobe)
-        self.stats = self.stats.merged_with(self._cold.stats)
+        cold_ids, cold_dists = self._cold.search(queries, k, nprobe=nprobe)
+        self.stats.add(self._cold.stats)
 
-        hot_vectors = self._data[self._hot_ids]
-        for qi in range(nq):
-            hot_dists = adjusted_distances(queries[qi], hot_vectors,
-                                           self.metric)[0]
-            self.stats.float_comparisons += len(self._hot_ids)
-            hot_idx, hot_vals = topk_smallest(hot_dists, k)
-            merged: dict[int, float] = {}
-            for local, dist in zip(hot_idx, hot_vals):
-                merged[int(self._hot_ids[local])] = float(dist)
-            for node, dist in zip(cold_ids[qi], cold_dists[qi]):
-                if node < 0:
-                    continue
-                node = int(node)
-                if node not in merged or dist < merged[node]:
-                    merged[node] = float(dist)
-            ordered = sorted(merged.items(), key=lambda kv: kv[1])[:k]
-            for col, (node, dist) in enumerate(ordered):
-                all_ids[qi, col] = node
-                all_dists[qi, col] = dist
-                self._access[node] += 1.0
-        return all_ids, all_dists
+        hot_dists = adjusted_distances(queries, self._data[self._hot_ids],
+                                       self.metric)
+        self.stats.float_comparisons += hot_dists.size
+        hot_idx, hot_vals = topk_smallest(hot_dists, k)
+
+        # Both tiers side by side, each row sorted by distance (hot first
+        # among equals); a vector found by both keeps its better entry.
+        ids = np.concatenate([self._hot_ids[hot_idx], cold_ids], axis=1)
+        dists = np.concatenate([hot_vals, cold_dists], axis=1)
+        by_dist = np.argsort(dists, axis=1, kind="stable")
+        ids, dists = first_k_distinct(
+            np.take_along_axis(ids, by_dist, axis=1),
+            np.take_along_axis(dists, by_dist, axis=1), k)
+        np.add.at(self._access, ids[ids >= 0], 1.0)
+        return self._pad_results(ids, dists, k)
 
     # ------------------------------------------------------------------
     # popularity adaptation

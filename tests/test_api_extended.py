@@ -258,3 +258,63 @@ class TestRestApi:
         assert api.handle("POST", "/collections/rest/search",
                           {"vector": [0] * 8,
                            "consistency_level": "quantum"})[0] == 400
+
+
+REFUSED_SPECS = [
+    ({"index_type": "IVF_SQ8", "params": {"nprobe": 0}}, "nprobe"),
+    ({"index_type": "IVF_HNSW", "params": {"nprobe": -1}}, "nprobe"),
+    ({"index_type": "COMPOSITE", "params": {"nprobe": 0}}, "nprobe"),
+    ({"index_type": "IVF_FLAT", "params": {"nprobee": 4}}, "nprobee"),
+    ({"index_type": "IVF_PQ", "params": {"m": 3}}, "divisible"),
+    ({"index_type": "IMI", "metric_type": "IP"}, "Euclidean"),
+]
+
+
+class TestIndexSpecRefusedAtTheBoundary:
+    """A spec the index would choke on is refused — typed, by name — at
+    ``create_index``, before the index coordinator persists it, so the
+    collection's next flush finds nothing to trip over."""
+
+    @pytest.mark.parametrize("spec,named", REFUSED_SPECS)
+    def test_pymanu(self, pk_schema, rng, conn, spec, named):
+        coll = Collection("specs", pk_schema)
+        with pytest.raises(ManuError, match=named):
+            coll.create_index("vector", spec)
+        assert conn.index_coord.index_spec("specs", "vector") is None
+        coll.insert(pk_rows(rng, range(40)))
+        coll.flush()
+        assert coll.get([3])[3]["price"] == 30.0
+        # A good spec is still accepted afterwards.
+        coll.create_index("vector", {"index_type": spec["index_type"],
+                                     "params": {}})
+        assert conn.index_coord.index_spec("specs", "vector")[
+            "index_type"] == spec["index_type"]
+
+    @pytest.mark.parametrize("spec,named", REFUSED_SPECS)
+    def test_rest(self, rng, conn, spec, named):
+        api = RestApi(conn)
+        api.handle("POST", "/collections", {"name": "rest", "schema": {
+            "fields": [{"name": "vector", "dtype": "float_vector",
+                        "dim": 8}]}})
+        status, body = api.handle("POST", "/collections/rest/indexes",
+                                  {"field": "vector", **spec})
+        assert status == 400 and named in body["error"]
+        assert conn.index_coord.index_spec("rest", "vector") is None
+        vectors = rng.standard_normal((40, 8)).astype(np.float32)
+        status, _ = api.handle("POST", "/collections/rest/entities",
+                               {"rows": {"vector": vectors.tolist()}})
+        assert status == 201
+        assert api.handle("POST", "/collections/rest/flush", {})[0] == 200
+
+    def test_field_must_exist_and_be_a_vector(self, pk_schema, conn):
+        coll = Collection("specs", pk_schema)
+        api = RestApi(conn)
+        for field, named in (("price", "not a vector field"),
+                             ("nope", "nope")):
+            with pytest.raises(ManuError, match=named):
+                coll.create_index(field, {"index_type": "FLAT"})
+            status, body = api.handle(
+                "POST", "/collections/specs/indexes",
+                {"field": field, "index_type": "FLAT"})
+            assert status == 400 and named in body["error"]
+            assert conn.index_coord.index_spec("specs", field) is None

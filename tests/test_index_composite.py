@@ -7,17 +7,18 @@ import pytest
 
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
+from repro.index.base import SearchStats
 from repro.index.composite import (
     CompositeIndex,
     GraphBucketer,
     ImiBucketer,
     KMeansBucketer,
-    NoneCompressor,
-    PqCompressor,
-    RqCompressor,
-    SqCompressor,
 )
 from repro.index.flat import FlatIndex
+from repro.index.ivf import FlatCodec
+from repro.index.pq import ProductQuantizer
+from repro.index.rq import ResidualQuantizer
+from repro.index.sq import ScalarQuantizer
 
 DIM = 32
 
@@ -109,48 +110,61 @@ class TestValidation:
             CompositeIndex(MetricType.INNER_PRODUCT, DIM, bucketer="imi")
 
     def test_imi_requires_even_dim(self, data):
-        index = CompositeIndex(MetricType.EUCLIDEAN, 33, bucketer="imi")
         with pytest.raises(IndexBuildError):
-            index.build(np.zeros((10, 33), dtype=np.float32))
+            CompositeIndex(MetricType.EUCLIDEAN, 33, bucketer="imi")
 
 
 class TestBucketers:
+    """A bucketer maps a query *block* to an ``(nq, nprobe)`` matrix."""
+
     def test_kmeans_probe_order(self, data):
         vectors, queries = data
-        from repro.index.base import SearchStats
         bucketer = KMeansBucketer(MetricType.EUCLIDEAN, nlist=16)
         assignments = bucketer.fit(vectors)
         assert assignments.shape == (len(vectors),)
-        probes = bucketer.probe(queries[0], 4, SearchStats())
-        assert len(probes) == 4
-        assert len(set(probes)) == 4
+        stats = SearchStats()
+        probes = bucketer.probe(queries, 4, stats)
+        assert probes.shape == (len(queries), 4)
+        assert all(len(set(row.tolist())) == 4 for row in probes)
+        assert stats.float_comparisons == len(queries) * bucketer.num_buckets
         # The query's own bucket (it is a database vector) is probed first.
         own = assignments[np.flatnonzero(
             (vectors == queries[0]).all(axis=1))[0]]
-        assert probes[0] == own
+        assert probes[0, 0] == own
+        # More probes than buckets: every bucket, once.
+        assert bucketer.probe(queries, 99, SearchStats()).shape \
+            == (len(queries), bucketer.num_buckets)
 
     def test_imi_cells_cover_everything(self, data):
-        vectors, _ = data
-        bucketer = ImiBucketer(MetricType.EUCLIDEAN, ksub=8)
+        vectors, queries = data
+        bucketer = ImiBucketer(MetricType.EUCLIDEAN, DIM, ksub=8)
         assignments = bucketer.fit(vectors)
         assert (assignments >= 0).all()
         assert assignments.max() + 1 == bucketer.num_buckets
+        probes = bucketer.probe(queries, bucketer.num_buckets,
+                                SearchStats())
+        assert (np.sort(probes, axis=1)
+                == np.arange(bucketer.num_buckets)).all()
 
     def test_graph_probe_returns_valid_buckets(self, data):
         vectors, queries = data
-        from repro.index.base import SearchStats
-        bucketer = GraphBucketer(MetricType.EUCLIDEAN, nlist=32)
+        bucketer = GraphBucketer(MetricType.EUCLIDEAN, DIM, nlist=32)
         bucketer.fit(vectors)
-        probes = bucketer.probe(queries[0], 6, SearchStats())
-        assert all(0 <= b < bucketer.num_buckets for b in probes)
+        stats = SearchStats()
+        probes = bucketer.probe(queries, 6, stats)
+        assert probes.shape == (len(queries), 6)
+        assert ((probes >= -1) & (probes < bucketer.num_buckets)).all()
+        assert stats.graph_hops > 0 and stats.float_comparisons > 0
 
 
 class TestCompressors:
+    """The quantizers are the codecs: no adapter in between."""
+
     @pytest.mark.parametrize("cls,kwargs", [
-        (NoneCompressor, {}),
-        (SqCompressor, {"dim": DIM}),
-        (PqCompressor, {"dim": DIM, "m": 8}),
-        (RqCompressor, {"dim": DIM, "stages": 4}),
+        (FlatCodec, {"metric": MetricType.EUCLIDEAN}),
+        (ScalarQuantizer, {"dim": DIM}),
+        (ProductQuantizer, {"dim": DIM, "m": 8}),
+        (ResidualQuantizer, {"dim": DIM, "stages": 4}),
     ])
     def test_roundtrip_shape(self, cls, kwargs, data):
         vectors, _ = data
@@ -162,3 +176,4 @@ class TestCompressors:
         err = np.mean((decoded - vectors[:20]) ** 2)
         scale = np.mean(vectors[:20] ** 2)
         assert err <= scale
+        assert compressor.quantized == (cls is not FlatCodec)

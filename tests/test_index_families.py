@@ -1,7 +1,7 @@
 """Cross-cutting tests over every vector index family (Table 1).
 
 One parametrized suite asserts the shared :class:`VectorIndex` contract on
-all 14 registered index types; family-specific behaviour gets its own test
+all 16 registered index types; family-specific behaviour gets its own test
 classes below.
 """
 
@@ -34,6 +34,8 @@ RECALL_FLOORS = {
     "NSG": 0.85,
     "NGT": 0.80,
     "SSD": 0.60,
+    "COMPOSITE": 0.85,
+    "TIERED": 0.60,
 }
 
 GENEROUS_PARAMS = {
@@ -49,6 +51,25 @@ GENEROUS_PARAMS = {
     "NSG": {"knn": 24, "ef_search": 64},
     "NGT": {"edge_size": 16, "ef_search": 64},
     "SSD": {"nprobe": 16, "replicas": 2},
+    "COMPOSITE": {"bucketer": "graph", "compressor": "sq", "nlist": 32,
+                  "nprobe": 8},
+    "TIERED": {"nprobe": 16, "replicas": 2},
+}
+
+#: Parameters a list-based type validates: a non-positive or fractional
+#: count is refused when the index is constructed, whatever the type.
+COUNT_PARAMS = {
+    "IVF_FLAT": ("nlist", "nprobe"),
+    "IVF_SQ8": ("nlist", "nprobe"),
+    "IVF_PQ": ("nlist", "nprobe", "m"),
+    "IVF_HNSW": ("nlist", "nprobe"),
+    "IMI": ("ksub",),
+    "SSD": ("nprobe", "replicas"),
+    "TIERED": ("nprobe", "replicas"),
+    "COMPOSITE": ("nlist", "nprobe", "m", "stages", "ksub"),
+    "PQ": ("m",),
+    "OPQ": ("m",),
+    "RQ": ("stages",),
 }
 
 
@@ -127,9 +148,12 @@ class TestIndexContract:
         index = build(name, data[:200])
         blob = index.to_bytes()
         again = index_from_bytes(blob)
-        a_ids, _ = index.search(queries[:3], 5)
-        b_ids, _ = again.search(queries[:3], 5)
+        a_ids, a_dists = index.search(queries[:3], 5)
+        b_ids, b_dists = again.search(queries[:3], 5)
+        assert type(again) is type(index)
         assert np.array_equal(a_ids, b_ids)
+        assert np.array_equal(a_dists, b_dists)
+        assert again.stats.as_dict() == index.stats.as_dict()
 
     def test_stats_populated(self, name, clustered_data):
         data, queries = clustered_data
@@ -139,6 +163,46 @@ class TestIndexContract:
         total = (stats.float_comparisons + stats.quantized_comparisons
                  + stats.ssd_blocks_read)
         assert total > 0
+
+    @pytest.mark.parametrize("nq", [1, 3])
+    def test_k_zero_keeps_the_query_axis(self, name, nq, clustered_data):
+        data, queries = clustered_data
+        index = build(name, data[:200])
+        ids, dists = index.search(queries[:nq], 0)
+        assert ids.shape == dists.shape == (nq, 0)
+
+    def test_counts_validated_at_construction(self, name):
+        for param in COUNT_PARAMS.get(name, ()):
+            for bad in (0, -1, 2.5, "8", True):
+                # COMPOSITE builds only the parts its spec names.
+                params = {**GENEROUS_PARAMS.get(name, {}), param: bad}
+                if name == "COMPOSITE":
+                    params.update(
+                        bucketer="imi" if param == "ksub" else "kmeans",
+                        compressor={"m": "pq", "stages": "rq"}.get(param,
+                                                                   "none"))
+                with pytest.raises(IndexBuildError, match=param):
+                    create_index(name, MetricType.EUCLIDEAN, DIM, **params)
+
+    def test_nprobe_override_validated(self, name, clustered_data):
+        if "nprobe" not in COUNT_PARAMS.get(name, ()):
+            pytest.skip("no nprobe override")
+        data, queries = clustered_data
+        index = build(name, data[:200])
+        for bad in (0, -3, 1.5):
+            with pytest.raises(IndexBuildError, match="nprobe"):
+                index.search(queries[:2], 5, nprobe=bad)
+        ids, _ = index.search(queries[:2], 5, nprobe=10 ** 6)   # clamped
+        assert (ids >= 0).all()
+
+    def test_unknown_parameter_is_a_typed_error(self, name):
+        with pytest.raises(IndexBuildError) as err:
+            create_index(name, MetricType.EUCLIDEAN, DIM, nprobee=4,
+                         **GENEROUS_PARAMS.get(name, {}))
+        message = str(err.value)
+        assert name in message and "nprobee" in message
+        for accepted in GENEROUS_PARAMS.get(name, {}):
+            assert accepted in message
 
     def test_exact_match_found(self, name, clustered_data):
         """Searching for a database vector itself must return it top-1
@@ -152,7 +216,17 @@ class TestIndexContract:
 
 class TestRegistry:
     def test_all_expected_registered(self):
-        assert set(RECALL_FLOORS) <= set(available_indexes())
+        assert set(RECALL_FLOORS) == set(available_indexes())
+        assert len(RECALL_FLOORS) == 16
+
+    def test_imi_is_euclidean_only_like_its_bucketer(self):
+        """One rule, in the one bucketer (DESIGN.md): cells are ranked by
+        additive squared-L2 halves."""
+        for metric in (MetricType.INNER_PRODUCT, MetricType.COSINE):
+            with pytest.raises(IndexBuildError, match="Euclidean"):
+                create_index("IMI", metric, DIM)
+            with pytest.raises(IndexBuildError, match="Euclidean"):
+                create_index("COMPOSITE", metric, DIM, bucketer="imi")
 
     def test_unknown_type_rejected(self):
         with pytest.raises(IndexBuildError):

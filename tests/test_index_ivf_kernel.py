@@ -27,7 +27,7 @@ from repro.core.segment import Segment
 from repro.index import ivf
 from repro.index.base import STAT_FIELDS, SearchStats, index_from_bytes
 from repro.index.distances import adjusted_distances, topk_smallest
-from repro.index.ivf import InvertedLists, IvfFlatIndex
+from repro.index.ivf import FlatCodec, InvertedLists, IvfFlatIndex
 from repro.index.ivf_hnsw import IvfHnswIndex
 
 METRICS = [MetricType.EUCLIDEAN, MetricType.INNER_PRODUCT, MetricType.COSINE]
@@ -64,7 +64,7 @@ def oracle_flat_search(index, data, queries, k, nprobe):
     """Former ``IvfFlatIndex.search``: same coarse step, per-query scan."""
     queries = np.asarray(queries, dtype=np.float32).reshape(-1, index.dim)
     nprobe = min(nprobe, index.effective_nlist)
-    centroid_dists = adjusted_distances(queries, index._centroids,
+    centroid_dists = adjusted_distances(queries, index.bucketer.centroids,
                                         index.metric)
     probe_lists, _ = topk_smallest(centroid_dists, nprobe)
     ids, dists, compared = oracle_scan(data, index.metric, lists_of(index),
@@ -168,9 +168,9 @@ def oracle_topk(values, k):
     """Former ``topk_smallest``: three ``take_along_axis`` gathers."""
     values = np.asarray(values)
     k = min(k, values.shape[-1])
-    if k <= 0:
-        empty_idx = np.empty(0, dtype=np.int64)
-        return empty_idx, values[..., empty_idx]
+    if k <= 0:     # keeps the leading shape: (nq, 0) for a block
+        return (np.empty(values.shape[:-1] + (0,), dtype=np.int64),
+                np.empty(values.shape[:-1] + (0,), dtype=values.dtype))
     part = np.argpartition(values, k - 1, axis=-1)[..., :k]
     part_vals = np.take_along_axis(values, part, axis=-1)
     order = np.argsort(part_vals, axis=-1, kind="stable")
@@ -285,12 +285,12 @@ class TestListMajorKernel:
             np.testing.assert_array_equal(index.list_sizes(),
                                           np.diff(stored.offsets))
             rows = data[stored.ids]
-            assert stored.vectors.shape == data.shape
+            assert stored.codes.shape == data.shape
             if metric is MetricType.COSINE:
                 np.testing.assert_allclose(
-                    np.linalg.norm(stored.vectors, axis=1), 1.0, atol=1e-6)
+                    np.linalg.norm(stored.codes, axis=1), 1.0, atol=1e-6)
             else:
-                np.testing.assert_array_equal(stored.vectors, rows)
+                np.testing.assert_array_equal(stored.codes, rows)
             if metric is MetricType.EUCLIDEAN:
                 np.testing.assert_array_equal(
                     stored.norms[:len(rows)],
@@ -335,7 +335,8 @@ class TestListMajorKernel:
         data = rng.standard_normal((40, DIM)).astype(np.float32)
         queries = rng.standard_normal((4, DIM)).astype(np.float32)
         assignments = np.where(np.arange(40) % 3 == 0, 0, 2)
-        stored = InvertedLists(data, assignments, 3, metric)
+        stored = InvertedLists(data, assignments, 3, FlatCodec(metric),
+                               metric)
         lists = [np.flatnonzero(assignments == c) for c in range(3)]
         assert stored.sizes.tolist() == [14, 0, 26, 0]
         probe_lists = np.array([[1, 0, 2], [1, -1, -1], [2, 1, -1],
@@ -433,7 +434,7 @@ class TestListMajorKernel:
         flat.build(data)
         graph.build(data)
         np.testing.assert_array_equal(graph._lists.ids, flat._lists.ids)
-        probed, _ = graph._centroid_graph.search(queries, 16)
+        probed, _ = graph.bucketer.graph.search(queries, 16)
         assert (np.sort(probed, axis=1) == np.arange(16)).all()
         tol = tolerance(data, queries, metric)
         for k in (1, 10):
@@ -442,7 +443,7 @@ class TestListMajorKernel:
             got = graph.search(queries, k)
             assert_same_hits(got, want, data, queries, metric, tol)
             assert graph.stats.float_comparisons \
-                == graph._centroid_graph.stats.float_comparisons + scanned
+                == graph.bucketer.graph.stats.float_comparisons + scanned
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_ivf_hnsw_matches_per_query_loop(self, corpus, metric):
@@ -451,8 +452,8 @@ class TestListMajorKernel:
         data, queries = corpus
         index = IvfHnswIndex(metric, DIM, nlist=16, nprobe=3)
         index.build(data)
-        probed, _ = index._centroid_graph.search(queries, 3)
-        coarse = index._centroid_graph.stats.float_comparisons
+        probed, _ = index.bucketer.graph.search(queries, 3)
+        coarse = index.bucketer.graph.stats.float_comparisons
         want = oracle_scan(data, metric, lists_of(index), queries, probed, 10)
         got = index.search(queries, 10)
         assert_same_hits(got, want[:2], data, queries, metric,
