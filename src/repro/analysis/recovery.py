@@ -85,6 +85,9 @@ EPHEMERAL_FIELDS = {
         "monotone serving counter (telemetry only)",
     ("QueryNode", "service_ms_total"):
         "cumulative serving time; load reports read deltas of it",
+    ("QueryNode", "_arenas"):
+        "derived from the sealed segments and their indexes; checked "
+        "against them and rebuilt on the first search that needs it",
     ("DataNode", "alive"):
         "liveness flag; a restarted node is alive by construction",
     ("DataNode", "segments_flushed"):

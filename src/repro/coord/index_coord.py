@@ -43,6 +43,10 @@ class IndexCoordinator:
         # Builds that could not be dispatched (no live index nodes);
         # drained when capacity returns.
         self._pending_builds: list[tuple[str, str, str]] = []
+        # (collection, field) -> the declared index's metric (None: no
+        # index declared), read once from the metastore: every search is
+        # checked against it, and specs change only through this object.
+        self._spec_metrics: dict[tuple[str, str], Optional[MetricType]] = {}
         broker.create_channel(config.log.coord_channel)
         self._sub = broker.subscribe(config.log.coord_channel,
                                      "index-coord",
@@ -103,6 +107,7 @@ class IndexCoordinator:
                 "metric": metric.value,
                 "params": params,
             })
+            self._spec_metrics.pop((collection, field), None)
             done_times = []
             for segment_id in self._data_coord.flushed_segments(collection):
                 if self.index_route(collection, segment_id, field) is None:
@@ -116,9 +121,21 @@ class IndexCoordinator:
 
     def drop_index(self, collection: str, field: str) -> None:
         self._meta.delete(f"index_specs/{collection}/{field}")
+        self._spec_metrics.pop((collection, field), None)
 
     def index_spec(self, collection: str, field: str) -> Optional[dict]:
         return self._meta.get_value(f"index_specs/{collection}/{field}")
+
+    def index_metric(self, collection: str,
+                     field: str) -> Optional[MetricType]:
+        """The metric the field's declared index answers in (None: no
+        index declared)."""
+        key = (collection, field)
+        if key not in self._spec_metrics:
+            spec = self.index_spec(collection, field)
+            self._spec_metrics[key] = MetricType(spec["metric"]) \
+                if spec is not None else None
+        return self._spec_metrics[key]
 
     def index_specs_for(self, collection: str) -> dict[str, dict]:
         out = {}

@@ -269,6 +269,14 @@ class QueryCoordinator:
                                            keep=node.name,
                                            after_ms=load_ms)
 
+    def index_metric(self, collection: str, field: str):
+        """The metric the field's sealed segments are indexed in, as
+        declared to the index coordinator (None: no index declared)."""
+        index_coord = getattr(self, "index_coord", None)
+        if index_coord is None:
+            return None
+        return index_coord.index_metric(collection, field)
+
     def _attach_known_indexes(self, node: QueryNode, collection: str,
                               segment_id: str) -> None:
         """Attach already-built indexes when loading a segment late."""

@@ -20,7 +20,6 @@ from repro.core.results import (
     SearchHit,
     SearchResult,
     merge_topk,
-    merge_topk_reference,
 )
 from repro.core.segment import Segment, SegmentState
 
@@ -37,7 +36,6 @@ __all__ = [
     "SearchHit",
     "SearchResult",
     "merge_topk",
-    "merge_topk_reference",
     "Segment",
     "SegmentState",
 ]

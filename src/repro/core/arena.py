@@ -1,0 +1,151 @@
+"""The node arena: a query node's sealed segments, searched as one.
+
+The segment is Manu's unit of storage, placement, sealing, indexing and
+accounting (Sections 3.1, 3.6) — nothing makes it the unit of kernel
+invocation.  A :class:`SegmentArena` is what a query node derives from the
+sealed segments of one ``(collection, vector field, metric)`` whose index
+is a plain bucketed one (:meth:`~repro.index.ivf.ArenaIndex.admits`): one
+:class:`~repro.index.ivf.ArenaIndex` over their indexes and their primary
+keys laid end to end.  A request then pays one coarse step, one list-major
+scan and one block post-filter for all of them, and per-segment work
+counters fall out of the block.
+
+The arena copies no vector: the members' code matrices stay in their
+indexes.  It reads each segment's deletion bitmap live, so deletions need
+no rebuild; whatever changes the member set — load, release, a re-attached
+index, a growing-to-sealed handoff, a crash — does, and the owner asks
+:meth:`SegmentArena.holds` before every search instead of being told.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Optional, Sequence
+
+import numpy as np
+
+from repro.core.results import HitBlock
+from repro.core.schema import MetricType
+from repro.core.segment import Segment, amplified_k, post_filter
+from repro.index.base import SearchStats
+from repro.index.ivf import ArenaIndex
+
+
+class SegmentArena:
+    """Sealed segments of one vector field and metric behind one index."""
+
+    def __init__(self, field: str, metric: MetricType,
+                 segments: Sequence[Segment]) -> None:
+        self.field = field
+        self.metric = metric
+        self.segments = tuple(segments)
+        self.index = ArenaIndex([segment.index_for(field)
+                                 for segment in segments])
+        if self.index.metric is not metric:
+            raise ValueError(
+                f"an arena for {metric.value} searches cannot hold "
+                f"{self.index.metric.value} indexes")
+        #: The members' primary keys, in the index's row numbering.
+        self.pks = np.concatenate([segment.pk_array
+                                   for segment in segments])
+        self.slot = {segment.segment_id: number
+                     for number, segment in enumerate(segments)}
+
+    @staticmethod
+    def admits(segment: Segment, field: str, metric: MetricType) -> bool:
+        """Whether a segment is searched through an arena: sealed, with a
+        plain bucketed index of the metric on the field."""
+        index = segment.index_for(field)
+        return (index is not None and index.metric is metric
+                and segment.is_sealed and ArenaIndex.admits(index))
+
+    def holds(self, segments: Mapping[str, Segment]) -> bool:
+        """Whether the arena is what these segments (by segment id), as
+        they are indexed now, would be derived into: every member still
+        among them with the index it had, and nobody else admitted."""
+        found = 0
+        for sid, segment in segments.items():
+            number = self.slot.get(sid)
+            if number is None:
+                if self.admits(segment, self.field, self.metric):
+                    return False
+            elif self.segments[number] is segment and segment.index_for(
+                    self.field) is self.index.members[number]:
+                found += 1
+            else:
+                return False
+        return found == len(self.segments)
+
+    def search(self, members: Sequence[int], queries: np.ndarray, k: int,
+               masks: Sequence[Optional[np.ndarray]],
+               stats: Sequence[SearchStats]) -> list[HitBlock]:
+        """Top-``k`` over live, filter-passing rows of every member in
+        ``members`` (arena slots, ascending): one :class:`HitBlock` per
+        member, the rows of what ``Segment.search`` returns for it.
+
+        ``masks`` holds each member's filter mask (None: no filter) and
+        ``stats`` the counters its work is added to.  Every member's index
+        is asked for its own amplified ``k`` in one search; deletion and
+        filter masks are applied on the block it returns, touching only
+        the members that exclude anything, and a (member, query) row that
+        filtering starves escalates to the exact scan on its own.
+        """
+        scope, asked, excluding = [], [], {}
+        for i, (number, mask) in enumerate(zip(members, masks)):
+            segment = self.segments[number]
+            stats[i].delete_filter_hits += segment.num_deleted
+            allowed, n_excluded = segment.exclusions(mask)
+            if n_excluded == segment.num_rows:
+                continue    # nothing allowed: nothing to find
+            if allowed is not None:
+                excluding[len(scope)] = allowed, n_excluded
+            scope.append(i)
+            asked.append(amplified_k(k, segment.num_rows, n_excluded))
+        blocks = [HitBlock.empty(queries.shape[0])] * len(members)
+        if not scope:
+            return blocks
+        width = max(asked)
+        scanned = [stats[i] for i in scope]
+        before = [entry.float_comparisons + entry.quantized_comparisons
+                  for entry in scanned]
+        ids, dists = self.index.search(
+            queries, width, [members[i] for i in scope], scanned)
+        for j, want in enumerate(asked):
+            if want < width:
+                dists[j, :, want:] = np.inf    # past the member's own k
+        pks = self.pks[ids]
+        real = dists < np.inf
+        visited = real.sum(axis=(1, 2)).tolist()
+        for j, entry in enumerate(scanned):
+            entry.index_scans += 1
+            # Indexes report work as comparison counts; at the scan layer
+            # one comparison examines one stored row, which is the
+            # rows-scanned unit the read-unit metering charges for.
+            entry.rows_scanned += (entry.float_comparisons
+                                   + entry.quantized_comparisons
+                                   - before[j])
+            if j not in excluding:      # else counted by the filter
+                entry.candidates_visited += visited[j]
+        for j, (allowed, n_excluded) in excluding.items():
+            number = members[scope[j]]
+            segment, entry = self.segments[number], scanned[j]
+            rows = np.maximum(ids[j] - self.index.row_base[number], 0)
+            keep = post_filter(allowed, rows, real[j], k, entry)
+            if keep is None:
+                dists[j, :, k:] = np.inf
+                continue
+            dists[j][~keep] = np.inf
+            if n_excluded > 0 and asked[j] < segment.num_rows:
+                # Starved by filtering: fall back to exact scan (correct).
+                # Without exclusions, returning fewer than k hits is the
+                # index's normal ANN behaviour and needs no escalation.
+                for q in np.flatnonzero(
+                        np.count_nonzero(keep, axis=1) < k).tolist():
+                    exact = segment._search_brute(
+                        self.field, queries[q:q + 1], k, self.metric,
+                        allowed, entry)[0]
+                    dists[j, q] = np.inf
+                    pks[j, q, :len(exact)] = exact.pks
+                    dists[j, q, :len(exact)] = exact.dists
+        for j, i in enumerate(scope):
+            blocks[i] = HitBlock(pks[j], dists[j])
+        return blocks

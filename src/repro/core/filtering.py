@@ -202,6 +202,19 @@ def choose_strategy(segment: Segment, field: str, k: int,
     return FilterPlan(strategy, selectivity, costs[strategy], mask)
 
 
+def planned_search(segment: Segment, field: str, queries: np.ndarray,
+                   k: int, metric, plan: Optional[FilterPlan], stats=None,
+                   forced: Optional[FilterStrategy] = None):
+    """Search one segment under a filter plan (None: no filter); one
+    :class:`~repro.core.results.HitBatch` per query."""
+    if plan is None:
+        return segment.search(field, queries, k, metric, stats=stats)
+    strategy = forced if forced is not None else plan.strategy
+    return segment.search(field, queries, k, metric,
+                          filter_mask=plan.mask, stats=stats,
+                          force_brute=strategy is FilterStrategy.PRE_FILTER)
+
+
 def filtered_search(segment: Segment, field: str, queries: np.ndarray,
                     k: int, metric, expr: Optional[FilterExpression],
                     stats=None,
@@ -213,12 +226,7 @@ def filtered_search(segment: Segment, field: str, queries: np.ndarray,
     Returns (one :class:`~repro.core.results.HitBatch` per query,
     plan or None).
     """
-    if expr is None:
-        return segment.search(field, queries, k, metric, stats=stats), None
-    plan = choose_strategy(segment, field, k, expr)
-    strategy = forced if forced is not None else plan.strategy
-    force_brute = strategy is FilterStrategy.PRE_FILTER
-    results = segment.search(field, queries, k, metric,
-                             filter_mask=plan.mask, stats=stats,
-                             force_brute=force_brute)
-    return results, plan
+    plan = choose_strategy(segment, field, k, expr) \
+        if expr is not None else None
+    return planned_search(segment, field, queries, k, metric, plan, stats,
+                          forced), plan

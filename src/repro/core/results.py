@@ -6,10 +6,12 @@ steps are the same operation — :func:`merge_topk` — which also removes
 duplicate primary keys, because "a segment can reside on more than one
 query node ... the proxies remove duplicate result vectors for a query".
 
-Partial results travel the whole reduce path as :class:`HitBatch`es —
-parallel ``pks`` / ``dists`` ndarrays sorted by ascending adjusted
-distance — so merging is numpy concatenation + stable sorting instead of
-per-hit Python-object churn.  User-facing :class:`SearchHit` objects only
+Partial results travel the reduce path as :class:`HitBlock`s — one
+partial result per query row in two parallel ``(nq, width)`` arrays — so a
+merge is one concatenation and one stable sort for the whole request, at
+the node and at the proxy alike; a row read on its own is a
+:class:`HitBatch`, parallel ``pks`` / ``dists`` ndarrays sorted by
+ascending adjusted distance.  User-facing :class:`SearchHit` objects only
 materialize through a batch's sequence protocol, when the holder of a
 :class:`SearchResult` (or a test) looks at its hits.
 
@@ -19,14 +21,13 @@ expose the user-facing score through :meth:`SearchHit.score_for`.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.core.schema import MetricType
-from repro.index.distances import to_user_score
+from repro.index.distances import repeated, to_user_score
 
 
 @dataclass(frozen=True, order=True)
@@ -93,30 +94,6 @@ class HitBatch:
         order = np.argsort(dists, kind="stable")
         return cls(np.asarray(pks)[order], dists[order])
 
-    @classmethod
-    def concat(cls, batches: Sequence["HitBatch"]) -> "HitBatch":
-        """Stably merge sorted batches (no dedup), ordered by distance.
-
-        Ties keep batch order then within-batch order — the same order a
-        stable streaming merge of the sorted inputs would produce.
-        """
-        batches = [b for b in batches if len(b)]
-        if not batches:
-            return cls.empty()
-        if len(batches) == 1:
-            return batches[0]
-        pks = np.concatenate([b.pks for b in batches])
-        dists = np.concatenate([b.dists for b in batches])
-        order = np.argsort(dists, kind="stable")
-        return cls(pks[order], dists[order])
-
-    def topk(self, k: int) -> "HitBatch":
-        """The first ``k`` hits (the batch is already sorted)."""
-        if k >= len(self):
-            return self
-        k = max(k, 0)
-        return HitBatch(self.pks[:k], self.dists[:k])
-
     def to_hits(self) -> list[SearchHit]:
         """Materialize user-facing hit objects (the SearchResult boundary).
 
@@ -156,13 +133,74 @@ class HitBatch:
         return f"HitBatch(n={len(self)})"
 
 
+class HitBlock:
+    """One partial result per query: the rows of two parallel 2-D arrays.
+
+    Row ``q`` of ``pks`` / ``dists`` holds query ``q``'s hits, and an
+    entry at distance ``+inf`` is padding, wherever it sits: rows differ
+    in how many hits they hold, a block may be several results side by
+    side, and a filter drops a hit by writing ``+inf`` over its distance.
+    :func:`merge_topk` takes blocks as they come and returns one whose
+    rows are sorted ascending, hits first; such a row reads as a
+    :class:`HitBatch` view (``block[q]``, iteration).
+    """
+
+    __slots__ = ("pks", "dists")
+
+    def __init__(self, pks: np.ndarray, dists: np.ndarray) -> None:
+        self.pks = pks
+        self.dists = dists
+
+    @classmethod
+    def empty(cls, nq: int) -> "HitBlock":
+        return cls(np.empty((nq, 0), dtype=object),
+                   np.empty((nq, 0), dtype=np.float32))
+
+    @classmethod
+    def from_batches(cls, batches: Sequence[HitBatch]) -> "HitBlock":
+        """One row per batch, tail-padded to the longest."""
+        if len(batches) == 1:
+            return cls(batches[0].pks[None, :], batches[0].dists[None, :])
+        filled = [batch for batch in batches if len(batch)]
+        if not filled:
+            return cls.empty(len(batches))
+        width = max(len(batch) for batch in filled)
+        pks = np.zeros((len(batches), width), dtype=np.result_type(
+            *[batch.pks.dtype for batch in filled]))
+        dists = np.full((len(batches), width), np.inf, dtype=np.result_type(
+            *[batch.dists.dtype for batch in filled]))
+        for row, batch in enumerate(batches):
+            pks[row, :len(batch)] = batch.pks
+            dists[row, :len(batch)] = batch.dists
+        return cls(pks, dists)
+
+    def __len__(self) -> int:
+        return self.dists.shape[0]
+
+    def rows_hit(self) -> int:
+        """How many rows hold a hit."""
+        return int(np.count_nonzero((self.dists < np.inf).any(axis=1)))
+
+    def __getitem__(self, q: int) -> HitBatch:
+        dists = self.dists[q]
+        n = np.count_nonzero(dists < np.inf)
+        return HitBatch(self.pks[q, :n], dists[:n])
+
+    def __iter__(self):
+        counts = np.count_nonzero(self.dists < np.inf, axis=1).tolist()
+        return (HitBatch(pks[:n], dists[:n])
+                for pks, dists, n in zip(self.pks, self.dists, counts))
+
+    def __repr__(self) -> str:
+        return f"HitBlock(nq={len(self)}, width={self.dists.shape[1]})"
+
+
 @dataclass
 class ReduceStats:
     """Work counters of one (or several accumulated) top-k merges.
 
     ``hits_deduped`` counts duplicates over the *full* candidate set, not
-    just the first ``k`` — the definition both the vectorized and the
-    reference reduce agree on (see :func:`merge_topk_reference`).
+    just the first ``k``.
     """
 
     batches_merged: int = 0
@@ -231,121 +269,112 @@ class SearchResult:
 Partial = Union[HitBatch, Iterable[SearchHit]]
 
 
-def _first_occurrence(pks: np.ndarray):
-    """Indices keeping the first occurrence of each pk, order preserved.
+def _repeats(pks: np.ndarray, live: np.ndarray) -> Optional[np.ndarray]:
+    """Which live entries repeat a pk found earlier in their row, or None
+    when none does (the common case: nothing to drop).
 
-    ``pks`` is already sorted by ascending distance, so "first" is "best
-    copy".  Homogeneous pk arrays (int64 / unicode — the only dtypes a
-    typed pk column produces) use ``np.unique``, whose ``return_index``
-    points at first occurrences; object arrays (heterogeneous pks, not
-    sortable by numpy) fall back to a set walk.  Returns None when every
-    pk is already unique (the common case — no copy needed).
+    Rows are sorted by ascending distance with the padding last, so
+    "earlier" is "a better copy".  Homogeneous pk arrays (int64 / unicode
+    — the only dtypes a typed pk column produces) are ranked by a stable
+    sort, in which an entry repeats a pk exactly when it follows an equal
+    one; object arrays (heterogeneous pks, not sortable by numpy) fall
+    back to a set walk.
     """
-    n = len(pks)
-    if n <= 1:
-        return None
-    if pks.dtype.kind == "O":
-        seen: set = set()
-        keep = [i for i, pk in enumerate(pks.tolist())
-                if pk not in seen and not seen.add(pk)]
-        if len(keep) == n:
+    if pks.dtype.kind != "O":
+        # Equal pks are ranked best first and any padding last, as the
+        # sort is stable: a live entry that follows an equal pk follows a
+        # live one.
+        again = repeated(pks)
+        if again is None:
             return None
-        return np.asarray(keep, dtype=np.int64)
-    unique_first = np.unique(pks, return_index=True)[1]
-    if len(unique_first) == n:
-        return None
-    unique_first.sort()
-    return unique_first
+        again &= live
+    else:
+        again = np.zeros(pks.shape, dtype=bool)
+        for row, (row_pks, n) in enumerate(zip(
+                pks.tolist(), np.count_nonzero(live, axis=1).tolist())):
+            seen: set = set()
+            for col, pk in enumerate(row_pks[:n]):
+                again[row, col] = pk in seen
+                seen.add(pk)
+    return again if again.any() else None
 
 
-def merge_topk(partials: Sequence[Partial], k: Optional[int],
-               stats: Optional[ReduceStats] = None) -> HitBatch:
-    """Merge sorted partial results into a deduplicated global top-k
-    (``k=None``: keep every unique hit — range search has no k).
+def _reordered(pks: np.ndarray, dists: np.ndarray, order: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Both arrays with every row's entries in the row's ``order``."""
+    nq, width = order.shape
+    if nq > 1:      # to flat indices
+        order += np.arange(0, nq * width, width)[:, None]
+    return pks.reshape(-1)[order], dists.reshape(-1)[order]
 
-    Each partial (a :class:`HitBatch`, or an iterable of sorted
-    :class:`SearchHit`s) must be sorted by adjusted distance ascending —
-    the contract of segment/node searches.  When the same primary key
-    appears in several partials (hot replicas, segment copies during
+
+def merge_topk(partials: Sequence[Union[HitBlock, Partial]],
+               k: Optional[int], stats: Optional[ReduceStats] = None
+               ) -> Union[HitBlock, HitBatch]:
+    """Merge partial results into deduplicated global top-k's (``k=None``:
+    keep every unique hit — range search has no k).
+
+    ``partials`` are :class:`HitBlock`s of one row count, merged row by
+    row into one block: the reduce of a whole request, at the node (its
+    segments' blocks) and at the proxy (its nodes').  Partials of a
+    single query — :class:`HitBatch`es, or iterables of sorted
+    :class:`SearchHit`s — are one-row blocks and come back as the merged
+    row, a :class:`HitBatch`.  When the same primary key appears in
+    several partials (hot replicas, segment copies during
     redistribution), only its best hit survives.
 
-    The merge is array-native: concatenate, one stable sort by distance
-    (ties resolve to partial order then within-partial order, exactly like
-    a stable streaming merge), first-occurrence dedup on pk, truncate to
-    ``k``.  A full stable sort — not an ``argpartition`` preselection — is
-    used on purpose: partition boundaries are unstable under distance
-    ties, and the reduce must stay hit-for-hit identical to
-    :func:`merge_topk_reference`.
+    The merge is array-native: concatenate side by side, one stable sort
+    by distance along the rows (ties resolve to partial order then
+    within-partial order, exactly like a stable streaming merge of sorted
+    partials), first-occurrence dedup on pk, truncate to ``k``.  A full
+    stable sort — not an ``argpartition`` preselection — is used on
+    purpose: partition boundaries are unstable under distance ties, and
+    the reduce must stay hit-for-hit identical to the streaming
+    reference in ``tests/test_core_results.py``.
 
     With ``stats`` the merge additionally accumulates its work counters
     (profiling plane); the default None keeps the hot path untouched.
     """
-    if k is not None and k <= 0:
-        if stats is not None:
-            stats.batches_merged += len(partials)
+    if not partials:
         return HitBatch.empty()
-    batches = [p if isinstance(p, HitBatch) else HitBatch.from_hits(p)
-               for p in partials]
-    merged = HitBatch.concat(batches)
+    if not isinstance(partials[0], HitBlock):
+        rows = [p if isinstance(p, HitBatch) else HitBatch.from_hits(p)
+                for p in partials]
+        return merge_topk([HitBlock(row.pks[None, :], row.dists[None, :])
+                           for row in rows], k, stats)[0]
+    nq = len(partials[0])
     if stats is not None:
-        stats.batches_merged += len(batches)
-        stats.candidates_in += len(merged)
-    if not merged:
-        return merged
-    keep = _first_occurrence(merged.pks)
-    if keep is not None:
+        stats.batches_merged += len(partials) * nq
+    filled = [block for block in partials if block.dists.shape[1]]
+    if not filled or (k is not None and k <= 0):
+        return HitBlock.empty(nq)
+    if len(filled) == 1:
+        pks, dists = filled[0].pks, filled[0].dists
+    else:
+        pks = np.concatenate([block.pks for block in filled], axis=1)
+        dists = np.concatenate([block.dists for block in filled], axis=1)
+    width = dists.shape[1]
+    pks, dists = _reordered(
+        pks, dists, np.argsort(dists, axis=1, kind="stable"))
+    live = dists < np.inf          # the padding is sorted last
+    again = _repeats(pks, live)
+    if stats is not None:
+        stats.candidates_in += int(np.count_nonzero(live))
+    if again is not None:
         if stats is not None:
-            stats.hits_deduped += len(merged) - len(keep)
-        merged = HitBatch(merged.pks[keep], merged.dists[keep])
-    out = merged if k is None else merged.topk(k)
+            stats.hits_deduped += int(np.count_nonzero(again))
+        # Survivors to the front, order kept; the copies become padding.
+        dists[again] = np.inf
+        pks, dists = _reordered(
+            pks, dists, np.argsort(again, axis=1, kind="stable"))
+        live = dists < np.inf
+    if k is not None and k < width:
+        # Copies: a result must not keep the whole candidate row alive.
+        pks, dists, live = pks[:, :k].copy(), dists[:, :k].copy(), \
+            live[:, :k]
     if stats is not None:
-        stats.hits_out += len(out)
-    return out
-
-
-def merge_topk_reference(partials: Sequence[Iterable[SearchHit]],
-                         k: int,
-                         stats: Optional[ReduceStats] = None
-                         ) -> list[SearchHit]:
-    """Object-based reduce, retained as the oracle for the vectorized path.
-
-    This is the pre-HitBatch implementation (``heapq.merge`` over
-    :class:`SearchHit` objects with a seen-set dedup).  The equivalence
-    suite asserts :func:`merge_topk` matches it hit-for-hit, and
-    ``benchmarks/bench_reduce_path.py`` measures the speedup against it.
-
-    With ``stats`` the merge is consumed past the ``k``-th unique hit so
-    ``hits_deduped`` counts duplicates over the full candidate set — the
-    vectorized path dedups before truncating, and the short-circuit would
-    otherwise undercount duplicates that sort after the cutoff.  The
-    returned hits are unchanged either way; without ``stats`` the merge
-    still stops at ``k`` (the fast oracle the benches time).
-    """
-    if k <= 0:
-        if stats is not None:
-            stats.batches_merged += len(list(partials))
-        return []
-    partials = [list(p) for p in partials] if stats is not None \
-        else list(partials)
-    merged = heapq.merge(*partials)
-    out: list[SearchHit] = []
-    seen: set = set()
-    dupes = 0
-    for hit in merged:
-        if hit.pk in seen:
-            dupes += 1
-            continue
-        seen.add(hit.pk)
-        if len(out) < k:
-            out.append(hit)
-            if len(out) >= k and stats is None:
-                break
-    if stats is not None:
-        stats.batches_merged += len(partials)
-        stats.candidates_in += sum(len(p) for p in partials)
-        stats.hits_deduped += dupes
-        stats.hits_out += len(out)
-    return out
+        stats.hits_out += int(np.count_nonzero(live))
+    return HitBlock(pks, dists)
 
 
 def hits_from_arrays(pks: Sequence, adjusted: Sequence[float]

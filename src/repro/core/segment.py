@@ -35,6 +35,40 @@ class SegmentState(enum.Enum):
     SEALED = "sealed"
 
 
+def amplified_k(k: int, covered: int, n_excluded: int) -> int:
+    """How many candidates to ask an index of ``covered`` rows for, so
+    that ``k`` are left once the ``n_excluded`` masked rows are dropped:
+    all of them on top of ``k`` while they are few, a quarter once they
+    outnumber ``k`` (a starved row escalates to the exact scan)."""
+    return min(covered, k + n_excluded if n_excluded <= k
+               else min(covered, 2 * k + n_excluded // 4))
+
+
+def post_filter(allowed: np.ndarray, rows: np.ndarray, real: np.ndarray,
+                k: int, stats: SearchStats) -> Optional[np.ndarray]:
+    """The block post-filter: which entries of an ``(nq, width)`` block of
+    index candidates are each row's first ``k`` that ``allowed`` lets
+    through — the whole block at once, for one index's block and for one
+    member's slab of a node's block alike.
+
+    ``rows`` are the candidates' segment rows and ``real`` marks the
+    entries that are candidates at all (tail padding reads some in-range
+    row of ``allowed``, and is masked out again).  Adds the candidates
+    visited and pruned to ``stats``.  Returns None when nothing was
+    dropped and nothing is padding (what a segment without deletions or
+    filter sees): every row's first ``k`` entries are its hits.
+    """
+    keep = allowed[rows] & real
+    n_real = np.count_nonzero(real)
+    n_kept = np.count_nonzero(keep)
+    stats.candidates_visited += n_real
+    stats.candidates_pruned += n_real - n_kept
+    if n_kept == keep.size:
+        return None
+    keep &= np.cumsum(keep, axis=1) <= k
+    return keep
+
+
 class Segment:
     """One segment's rows, slices, deletion bitmap, and indexes."""
 
@@ -319,6 +353,16 @@ class Segment:
             allowed = allowed & filter_mask
         return allowed
 
+    def exclusions(self, filter_mask: Optional[np.ndarray]
+                   ) -> tuple[Optional[np.ndarray], int]:
+        """``(allowed rows, how many rows that masks out)`` of a search
+        under the deletion bitmap and ``filter_mask``; no mask at all
+        (None) where neither excludes anything by construction."""
+        if filter_mask is None and not self._num_deleted:
+            return None, 0
+        allowed = self._allowed_mask(filter_mask)
+        return allowed, self.num_rows - np.count_nonzero(allowed)
+
     def search(self, field: str, queries: np.ndarray, k: int,
                metric: MetricType,
                filter_mask: Optional[np.ndarray] = None,
@@ -392,8 +436,7 @@ class Segment:
         starvation escalation are per query.
         """
         covered = index.ntotal
-        k_amplified = min(covered, k + n_excluded if n_excluded <= k
-                          else min(covered, 2 * k + n_excluded // 4))
+        k_amplified = amplified_k(k, covered, n_excluded)
         ids, dists = index.search(queries, k_amplified)
         stats.add(index.stats)
         stats.index_scans += 1
@@ -404,23 +447,14 @@ class Segment:
                                + index.stats.quantized_comparisons)
         dists = dists.astype(np.float32, copy=False)
         rows = row_offset + ids
-        # Candidate rows are tail-padded with -1, which reads some
-        # in-range row of ``allowed``; ``real`` masks it out again.
-        real = ids >= 0
-        keep = allowed[rows] & real
-        n_real = np.count_nonzero(real)
-        stats.candidates_visited += n_real
-        n_kept = np.count_nonzero(keep)
-        stats.candidates_pruned += n_real - n_kept
-        if n_kept == keep.size:
-            # Nothing dropped, nothing padded (what a segment without
-            # deletions or filter sees): the block's rows are the hits.
+        keep = post_filter(allowed, rows, ids >= 0, k, stats)
+        if keep is None:
+            # The block's rows are the hits.
             pks = self.pk_array[rows[:, :k]]
             dists = dists[:, :k]
             return [HitBatch(pks[qi], dists[qi]) for qi in range(len(pks))]
-        # The first k kept candidates of every row, compacted row after
-        # row with one mask gather and split at the per-row counts.
-        keep &= np.cumsum(keep, axis=1) <= k
+        # The kept candidates, compacted row after row with one mask
+        # gather and split at the per-row counts.
         ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
         pks = self.pk_array[rows[keep]]
         kept_dists = dists[keep]

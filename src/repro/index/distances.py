@@ -124,6 +124,28 @@ def topk_smallest(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             part_vals.reshape(-1)[order].reshape(lead + (k,)))
 
 
+def repeated(keys: np.ndarray) -> np.ndarray | None:
+    """Which entries of each row of ``keys`` repeat a key found earlier in
+    the row, or None when none does.
+
+    One stable sort per row puts equal keys side by side, earliest first:
+    an entry repeats a key exactly when it follows an equal one.
+    """
+    nrows, width = keys.shape
+    if width < 2:
+        return None
+    by_key = np.argsort(keys, axis=1, kind="stable")
+    if nrows > 1:       # to flat indices
+        by_key += np.arange(0, nrows * width, width)[:, None]
+    ranked = keys.reshape(-1)[by_key]
+    follows = ranked[:, 1:] == ranked[:, :-1]
+    if not follows.any():
+        return None
+    again = np.zeros(keys.shape, dtype=bool)
+    again.reshape(-1)[by_key[:, 1:]] = follows
+    return again
+
+
 def first_k_distinct(ids: np.ndarray, dists: np.ndarray, k: int
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The first ``k`` distinct ids of each row, with their distances.
@@ -136,14 +158,10 @@ def first_k_distinct(ids: np.ndarray, dists: np.ndarray, k: int
     with ``-1`` / ``+inf``.
     """
     row = np.arange(ids.shape[0])[:, None]
-    # Equal ids side by side, earliest first: an entry repeats an id
-    # exactly when it follows an equal one.
-    by_id = np.argsort(ids, axis=1, kind="stable")
-    sorted_ids = ids[row, by_id]
-    drop = np.empty(ids.shape, dtype=bool)
-    drop[row, by_id[:, :1]] = False
-    drop[row, by_id[:, 1:]] = sorted_ids[:, 1:] == sorted_ids[:, :-1]
-    drop |= ids < 0
+    drop = ids < 0
+    again = repeated(ids)
+    if again is not None:
+        drop |= again
     # Survivors to the front, order kept.
     front = np.argsort(drop, axis=1, kind="stable")[:, :max(k, 0)]
     dropped = drop[row, front]

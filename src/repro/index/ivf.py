@@ -27,11 +27,14 @@ the knob swept in the Figure 8 reproduction.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+import itertools
+from bisect import bisect_left
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.schema import MetricType
+from repro.errors import IndexBuildError
 from repro.index.base import SearchStats, VectorIndex, positive_int, \
     register_index
 from repro.index.distances import adjusted_distances, nonzero_norms, \
@@ -40,9 +43,11 @@ from repro.index.hnsw import HnswIndex
 from repro.index.kmeans import kmeans
 
 
-#: Cap on one scan's scratch score block, in float32 entries (16 MB).  A
-#: query block that would need more is scanned in several passes.
-_SCAN_BLOCK_FLOATS = 1 << 22
+#: Cap on one pass's scratch score block, in float32 entries (1 MB): a
+#: block that outgrows the cache is scored slower than the same rows in
+#: cache-sized passes (EXPERIMENTS.md), so a scan is cut into passes of
+#: whole members, and only a member too large on its own by query rows.
+_SCAN_BLOCK_FLOATS = 1 << 18
 
 #: ``score(begin, end, codes, out)``: the scores of pairs ``begin:end`` of
 #: a prepared block (one list's group of queries) against that list's
@@ -80,7 +85,10 @@ class Codec(Protocol):
         """Whatever can be computed once for the query block.
 
         Pair ``p`` is query ``pair_query[p]`` probing list
-        ``pair_list[p]``; pairs arrive grouped by list.
+        ``pair_list[p]``; pairs arrive grouped by list.  Codecs that
+        compare equal score alike whatever lists they are asked about: a
+        scan over several indexes prepares once for a run of equal ones
+        (and ``pair_list`` then numbers the lists from the first's).
         """
         ...
 
@@ -162,6 +170,12 @@ class FlatCodec(GemmCodec):
     def __init__(self, metric: MetricType) -> None:
         self.metric = metric
 
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.metric is self.metric
+
+    def __hash__(self) -> int:
+        return hash((type(self), self.metric))
+
     def train(self, data: np.ndarray) -> None:
         pass
 
@@ -234,78 +248,191 @@ class InvertedLists:
         ``probe_lists`` is ``(nq, nprobe)`` list numbers, ``-1`` where a
         query probes fewer.  Returns ``(ids, adjusted distances, rows
         scored)`` with result rows tail-padded by ``-1`` / ``+inf`` to
-        width ``k``.
+        width ``k``.  The scan is the arena's, of this one member.
         """
-        nq, nprobe = probe_lists.shape
-        step = max(1, _SCAN_BLOCK_FLOATS
-                   // max(1, nprobe * self.max_list_size))
-        passes = [self._scan_block(queries[start:start + step],
-                                   probe_lists[start:start + step], k)
-                  for start in range(0, max(nq, 1), step)]
-        if len(passes) == 1:
-            return passes[0]
-        ids, dists, compared = zip(*passes)
-        return np.concatenate(ids), np.concatenate(dists), sum(compared)
+        at, dists, compared = ListArena((self,)).scan(
+            (0,), queries, probe_lists[None], k)
+        return np.where(at < 0, -1, self.ids[at]), dists, int(compared[0])
 
-    def _scan_block(self, queries: np.ndarray, probe_lists: np.ndarray,
-                    k: int) -> tuple[np.ndarray, np.ndarray, int]:
-        """Scan one query block list-major; same returns as ``scan``."""
-        nq, nprobe = probe_lists.shape
-        codes = self.codes
-        # Group the (query, probed list) pairs by list: pair ``p`` is
-        # query ``p // nprobe``, and ``order`` lists the pairs list by list.
-        pairs = probe_lists.reshape(-1)
+
+class ListArena:
+    """Several :class:`InvertedLists` laid end to end, scanned as one.
+
+    The arena numbers the members' lists and stored rows consecutively,
+    member after member: ``offsets`` / ``sizes`` / ``norms`` are the
+    members' own, concatenated (every member keeps its trailing empty
+    list), and the code matrices stay where they are — a list's codes are
+    looked up in its member.  An arena of one member holds that member's
+    arrays themselves.
+    """
+
+    def __init__(self, members: Sequence[InvertedLists]) -> None:
+        self.members = tuple(members)
+        rows = [len(member.ids) for member in members]
+        #: First arena row / first arena list number of every member.
+        self.row_base = [0, *itertools.accumulate(rows)]
+        self.list_base = [0, *itertools.accumulate(
+            len(member.sizes) for member in members)]
+        self.widest = [member.max_list_size for member in members]
+        if len(members) == 1:
+            (only,) = members
+            self.offsets, self.sizes, self.norms = (
+                only.offsets, only.sizes, only.norms)
+            return
+        # A member's ``nlist + 1`` offsets end at its row count: shifted
+        # to where its rows start, the last one is where its trailing
+        # empty list sits.
+        self.offsets = np.concatenate([
+            member.offsets + base
+            for member, base in zip(members, self.row_base)])
+        self.sizes = np.concatenate([member.sizes for member in members])
+        self.norms = None
+        if any(member.norms is not None for member in members):
+            # Zeros where a member's scores are whole distances already,
+            # and past the end by one list's length (``_scan_pass``).
+            self.norms = np.zeros(self.row_base[-1] + max(self.widest),
+                                  dtype=np.float32)
+            for member, base, n in zip(members, self.row_base, rows):
+                if member.norms is not None:
+                    self.norms[base:base + n] = member.norms[:n]
+
+    def scan(self, scope: Sequence[int], queries: np.ndarray,
+             probes: np.ndarray, k: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Top-``k`` of every (member, query) row over the lists it probes.
+
+        ``scope`` names the members scanned, ascending, and ``probes`` is
+        ``(len(scope), nq, width)`` arena list numbers; a slot that probes
+        nothing names its member's trailing empty list (which ``-1`` is,
+        for the last member).  Rows are laid out member-major.  Returns
+        ``(arena rows, adjusted distances, rows scored per member)``, the
+        first two ``(len(scope) * nq, k)``, tail-padded by ``-1`` /
+        ``+inf``.
+
+        Passes are cut at whole members: a list's GEMM then multiplies
+        the rows of every query that probes it whatever else is in the
+        scan, so a member's distances do not depend on its company.  Only
+        a member too large on its own is cut by query rows.
+        """
+        n, nq, width = probes.shape
+        # Scratch floats one query row of each member can need.
+        per_row = [max(1, width * self.widest[member]) for member in scope]
+        passes = []
+        compared = np.zeros(n, dtype=np.int64)
+        first = 0
+        while first < n:
+            last, row = first + 1, per_row[first]
+            while last < n and (last + 1 - first) * nq * max(
+                    row, per_row[last]) <= _SCAN_BLOCK_FLOATS:
+                row = max(row, per_row[last])
+                last += 1
+            step = max(nq, 1)
+            if nq * row > _SCAN_BLOCK_FLOATS:   # one member, too large
+                step = max(1, _SCAN_BLOCK_FLOATS // row)
+            for lo in range(0, max(nq, 1), step):
+                at, dists, scored = self._scan_pass(
+                    scope[first:last], queries[lo:lo + step],
+                    probes[first:last, lo:lo + step], k)
+                passes.append((at, dists))
+                compared[first:last] += scored
+            first = last
+        if len(passes) == 1:
+            return (*passes[0], compared)
+        at, dists = zip(*passes)
+        return np.concatenate(at), np.concatenate(dists), compared
+
+    @staticmethod
+    def _alike(one: InvertedLists, other: InvertedLists) -> bool:
+        """Whether one prepared scorer serves both members."""
+        return one.codec == other.codec and one.metric is other.metric
+
+    def _scan_pass(self, scope: Sequence[int], queries: np.ndarray,
+                   probes: np.ndarray, k: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scan one block of (member, query) rows list-major; same
+        returns as ``scan``."""
+        n, nq, width = probes.shape
+        # Group the (row, probed list) pairs by list: pair ``p`` belongs
+        # to row ``p // width``, and ``order`` lists the pairs list by
+        # list — hence member by member, ``per`` pairs each.
+        pairs = probes.reshape(-1)
         order = np.argsort(pairs, kind="stable")
         grouped = pairs[order]
         cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
-        # Per pair; a ``-1`` pair reads the trailing entries: size 0.
         lows = self.offsets[grouped]
         sizes = self.sizes[grouped]
-        width = int(sizes.max(initial=0)) if k > 0 else 0
-        if width == 0:
-            return (np.full((nq, k), -1, dtype=np.int64),
-                    np.full((nq, k), np.inf, dtype=np.float32), 0)
+        widest = int(sizes.max(initial=0)) if k > 0 else 0
+        if widest == 0:
+            return (np.full((n * nq, k), -1, dtype=np.int64),
+                    np.full((n * nq, k), np.inf, dtype=np.float32),
+                    np.zeros(n, dtype=np.int64))
 
-        pair_query = order // nprobe
-        score = self.codec.prepare(queries, pair_query, grouped,
-                                   self.metric)
+        # Row -> query: rows are member-major, ``nq`` to a member.
+        pair_query = order // width
+        if n > 1:
+            pair_query %= nq
+        per = nq * width
         # One block row per pair, in list order, so each list's scores
         # are written straight into a rectangular slice of it.
-        block = np.full((len(order), width), np.inf, dtype=np.float32)
+        block = np.full((len(order), widest), np.inf, dtype=np.float32)
         low_of, size_of = lows.tolist(), sizes.tolist()
-        for begin, end in zip([0] + cuts, cuts + [len(order)]):
-            size = size_of[begin]
-            if size:
-                low = low_of[begin]
-                score(begin, end, codes[low:low + size],
-                      block[begin:end, :size])
+        bounds = [0, *cuts, len(order)]
+        group = first = 0
+        while first < n:
+            # One ``prepare`` for a run of members whose codecs are equal.
+            head = self.members[scope[first]]
+            last = first + 1
+            while last < n and self._alike(head, self.members[scope[last]]):
+                last += 1
+            lo = first * per
+            score = head.codec.prepare(
+                queries, pair_query[lo:last * per],
+                grouped[lo:last * per] - self.list_base[scope[first]],
+                head.metric)
+            for i in range(first, last):
+                number = scope[i]
+                codes, shift = self.members[number].codes, \
+                    self.row_base[number]
+                until = bisect_left(bounds, (i + 1) * per, group)
+                for begin, end in zip(bounds[group:until],
+                                      bounds[group + 1:until + 1]):
+                    size = size_of[begin]
+                    if size:
+                        low = low_of[begin] - shift
+                        score(begin - lo, end - lo, codes[low:low + size],
+                              block[begin:end, :size])
+                group = until
+            first = last
         if self.norms is not None:
             # (|q|^2 - 2 q.v) + |v|^2, the order ``squared_l2`` adds in.
-            # Row ``r`` of ``windows`` is ``norms[r:r + width]``: a pair's
-            # row of |v|^2 starts where its list starts, and what it
-            # reads past the list's end lands on +inf padding.
-            block += np.einsum("ij,ij->i", queries, queries)[pair_query,
-                                                             None]
-            windows = np.ndarray((len(self.ids) + 1, width), np.float32,
-                                 self.norms, strides=self.norms.strides * 2)
+            # Row ``r`` of ``windows`` is ``norms[r:r + widest]``: a
+            # pair's row of |v|^2 starts where its list starts, and what
+            # it reads past the list's end lands on +inf padding.
+            q_norms = np.einsum("ij,ij->i", queries, queries)[pair_query]
+            partial = [self.members[number].norms is not None
+                       for number in scope]
+            if not all(partial):   # no |q|^2 on whole distances
+                q_norms *= np.repeat(partial, per)
+            block += q_norms[:, None]
+            windows = np.ndarray((self.row_base[-1] + 1, widest),
+                                 np.float32, self.norms,
+                                 strides=self.norms.strides * 2)
             block += windows[lows]
 
-        # Back to query order: a query's pairs side by side make its
+        # Back to row order: a row's pairs side by side make its
         # candidate row, and one batched top-k picks the winners.
         candidates = np.empty_like(block)
         candidates[order] = block
         cols, dists = topk_smallest(
-            candidates.reshape(nq, nprobe * width), k)
-        slot, within = np.divmod(cols, width)
-        probed = pairs[slot + np.arange(0, nq * nprobe, nprobe)[:, None]]
-        found = dists < np.inf   # +inf is block padding
-        ids = np.where(
-            found,
-            self.ids[np.where(found, self.offsets[probed] + within, 0)], -1)
+            candidates.reshape(n * nq, width * widest), k)
+        slot, within = np.divmod(cols, widest)
+        probed = pairs[slot + np.arange(0, len(pairs), width)[:, None]]
+        at = np.where(dists < np.inf,      # +inf is block padding
+                      self.offsets[probed] + within, -1)
         if self.norms is not None:
             np.maximum(dists, 0.0, out=dists)   # rounding below zero
-        ids, dists = VectorIndex._pad_results(ids, dists, k)
-        return ids, dists, int(sizes.sum())
+        at, dists = VectorIndex._pad_results(at, dists, k)
+        return at, dists, sizes.reshape(n, per).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +585,205 @@ class BucketedIndex(VectorIndex):
     def memory_bytes_estimate(self) -> int:
         """Stored payload size (the memory knob users trade with)."""
         return self._lists.codes.nbytes if self._lists is not None else 0
+
+
+class ArenaIndex(VectorIndex):
+    """Built bucketed indexes of one metric, searched as one.
+
+    Derived from its members and storing no row of its own: their lists
+    laid end to end (:class:`ListArena`, which references the members'
+    code matrices), the map from arena rows to the rows of the members'
+    build matrices laid end to end, and what the flat coarse step needs
+    of the k-means centroids.  ``search`` answers, for every member in
+    scope, what the member's own ``search`` answers — the same lists
+    probed, the same distances bit for bit, exact ties possibly in
+    another order — with one coarse step and one list-major scan for all
+    of them.  The work is per member and is added to the ``stats`` handed
+    to ``search``; the arena's own ``stats`` stays empty.
+    """
+
+    index_type = "ARENA"
+
+    @staticmethod
+    def admits(index: VectorIndex | None) -> bool:
+        """A built index that is probe -> scan and nothing else: a type
+        that works out its own probe width or post-processes what the
+        scan returns is searched through its own ``search``."""
+        return (isinstance(index, BucketedIndex) and index.is_built
+                and type(index).search is BucketedIndex.search
+                and type(index)._probe is BucketedIndex._probe)
+
+    def __init__(self, members: Sequence[BucketedIndex]) -> None:
+        super().__init__(members[0].metric, members[0].dim)
+        for member in members:
+            if not self.admits(member) or member.metric is not self.metric \
+                    or member.dim != self.dim:
+                raise IndexBuildError(
+                    f"an arena of {self.metric.value} indexes of dim "
+                    f"{self.dim} cannot take {member.index_type} "
+                    f"({member.metric.value}, dim {member.dim})")
+        self.members = tuple(members)
+        self.lists = ListArena([member._lists for member in members])
+        #: First row of every member in the build matrices end to end.
+        self.row_base = [0, *itertools.accumulate(
+            member.ntotal for member in members)]
+        #: Arena row -> row of the build matrices end to end.
+        self.ids = np.concatenate([
+            member._lists.ids + base
+            for member, base in zip(members, self.row_base)])
+        self.ntotal = self.row_base[-1]
+        self.is_built = True
+        self._nlists = np.array([member.bucketer.num_buckets
+                                 for member in members])
+        self._nprobes = np.array([member.nprobe for member in members])
+        self._list_bases = np.array(self.lists.list_base[:-1])
+        self._quantized = [member.codec.quantized for member in members]
+        self._unit_rows = [member._unit_rows for member in members]
+        # The coarse step of the members probed by a flat centroid scan
+        # is done for all of them at once: what does not depend on the
+        # query is kept per member — the centroids (unit-normalised where
+        # the member probes by cosine) and |c|^2, +inf past the lists of
+        # a member that has fewer than the widest.
+        self._centroids: list[np.ndarray | None] = []
+        self._centroid_terms = np.full(
+            (len(members), int(self._nlists.max())), np.inf,
+            dtype=np.float32)
+        for number, member in enumerate(members):
+            centroids = None
+            if type(member.bucketer) is KMeansBucketer:
+                centroids = member.bucketer.centroids
+                term = self._centroid_terms[number, :len(centroids)]
+                term[:] = 0.0
+                if member.bucketer.metric is MetricType.EUCLIDEAN:
+                    np.einsum("ij,ij->i", centroids, centroids, out=term)
+                elif member.bucketer.metric is MetricType.COSINE:
+                    centroids = centroids / nonzero_norms(centroids)
+            self._centroids.append(centroids)
+
+    def build(self, data: np.ndarray) -> None:
+        raise IndexBuildError("an arena is derived from built indexes")
+
+    def _probe(self, scope: Sequence[int], queries: np.ndarray,
+               unit: np.ndarray, stats: Sequence[SearchStats]
+               ) -> np.ndarray:
+        """The ``(len(scope), nq, width)`` arena list numbers each
+        (member, query) row scans."""
+        nq = queries.shape[0]
+        if len(scope) == len(self.members):     # everyone: as kept
+            nprobes, nlists, bases, terms = (
+                self._nprobes, self._nlists, self._list_bases,
+                self._centroid_terms)
+        else:
+            nprobes, nlists, bases, terms = (
+                self._nprobes[scope], self._nlists[scope],
+                self._list_bases[scope], self._centroid_terms[scope])
+        width = int(np.minimum(nprobes, nlists).max())
+        flat = [i for i, number in enumerate(scope)
+                if self._centroids[number] is not None]
+        probes = None
+        if len(flat) < len(scope):
+            probes = np.full((len(scope), nq, width), -1, dtype=np.int64)
+            for i, number in enumerate(scope):
+                member = self.members[number]
+                if self._centroids[number] is None:
+                    found = member.bucketer.probe(
+                        unit if member._unit_rows else queries,
+                        member.nprobe, stats[i])
+                    probes[i, :, :found.shape[1]] = found
+            terms = terms[flat]
+        if flat:
+            # One GEMM per member, over the rows the member's own probe
+            # multiplies (a GEMM over the stacked centroids rounds
+            # differently); everything around it is done once.
+            left = unit if self.metric is MetricType.COSINE else queries
+            dists = np.zeros((len(flat), nq, terms.shape[1]),
+                             dtype=np.float32)
+            for i, out in zip(flat, dists):
+                centroids = self._centroids[scope[i]]
+                np.matmul(left, centroids.T, out=out[:, :len(centroids)])
+                stats[i].float_comparisons += nq * len(centroids)
+            if self.metric is MetricType.EUCLIDEAN:
+                # |q|^2 - 2 q.c + |c|^2, the order ``squared_l2`` adds in.
+                dists *= -2.0
+                dists += np.einsum("ij,ij->i", queries, queries)[:, None]
+                dists += terms[:, None, :]
+                np.maximum(dists, 0.0, out=dists)
+            else:
+                np.negative(dists, out=dists)
+                dists += terms[:, None, :]
+            found = topk_smallest(dists.reshape(len(flat) * nq, -1),
+                                  width)[0].reshape(len(flat), nq, width)
+            if probes is None:
+                probes = found
+            else:
+                probes[flat] = found
+        nlists = nlists[:, None, None]
+        if len(flat) < len(scope):      # a graph may find fewer
+            probes = np.where(probes < 0, nlists, probes)
+        if (nprobes < width).any():
+            # A member probes its own ``nprobe`` of the widest's lists.
+            probes = np.where(np.arange(width) < nprobes[:, None, None],
+                              probes, nlists)
+        # What a row does not probe — here, a +inf column past a member's
+        # lists — is its member's trailing empty list.
+        np.minimum(probes, nlists, out=probes)
+        probes += bases[:, None, None]
+        return probes
+
+    def search(self, queries: np.ndarray, k: int,
+               scope: Sequence[int] | None = None,
+               stats: Sequence[SearchStats] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Every member's top-``k``, stacked: ``(ids, adjusted
+        distances)`` of shape ``(len(scope), nq, k)`` whose entry ``[i]``
+        is what member ``scope[i]``'s own ``search`` returns, ids shifted
+        to the member's place in the build matrices laid end to end.
+
+        ``scope`` names the members searched, ascending (default: all);
+        each one's work is added to its entry of ``stats``.
+        """
+        queries = self._check_query_input(queries)
+        scope = list(range(len(self.members))) if scope is None \
+            else list(scope)
+        if stats is None:
+            stats = [SearchStats() for _ in scope]
+        n, nq = len(scope), queries.shape[0]
+        unit = normalize_rows(queries) \
+            if self.metric is MetricType.COSINE else queries
+        probes = self._probe(scope, queries, unit, stats)
+        # Members whose lists hold unit rows are scanned with unit
+        # queries: two scans where the members differ in that.
+        asked = [self._unit_rows[number] for number in scope]
+        if True in asked and False in asked:
+            at = np.empty((n, nq, k), dtype=np.int64)
+            dists = np.empty((n, nq, k), dtype=np.float32)
+            for unit_rows in (False, True):
+                group = [i for i, flag in enumerate(asked)
+                         if flag is unit_rows]
+                at[group], dists[group] = self._scan(
+                    scope, group, unit if unit_rows else queries,
+                    probes[group], k, stats)
+        else:
+            at, dists = self._scan(scope, range(n),
+                                   unit if asked[0] else queries, probes,
+                                   k, stats)
+        return np.where(at < 0, -1, self.ids[at]), dists
+
+    def _scan(self, scope: Sequence[int], group: Sequence[int],
+              queries: np.ndarray, probes: np.ndarray, k: int,
+              stats: Sequence[SearchStats]
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """One scan for the members at positions ``group`` of ``scope``:
+        ``(arena rows, distances)``, ``(len(group), nq, k)``."""
+        at, dists, compared = self.lists.scan(
+            [scope[i] for i in group], queries, probes, k)
+        for i, scored in zip(group, compared.tolist()):
+            if self._quantized[scope[i]]:
+                stats[i].quantized_comparisons += scored
+            else:
+                stats[i].float_comparisons += scored
+        shape = len(group), queries.shape[0], k
+        return at.reshape(shape), dists.reshape(shape)
 
 
 class ExhaustiveIndex(BucketedIndex):

@@ -351,18 +351,30 @@ class Proxy:
     def _admit(self, verb: str, collection: str, tenant: Optional[str],
                vectors: Mapping, k: Optional[int],
                consistency: ConsistencyLevel, staleness_ms: float,
-               explain: bool = False,
-               admitted: bool = False) -> _ReadRequest:
+               explain: bool = False, admitted: bool = False,
+               metric: Optional[MetricType] = None) -> _ReadRequest:
         """Front half, part one: whatever can refuse a read before it
         costs a timestamp — tenant namespace, cached schema, typed
         validation (``vectors``: vector field, None for the default, ->
         query rows; a malformed request is an :class:`InvalidQuery` here,
-        not a numpy error three layers down), quota — which ``admitted``
+        not a numpy error three layers down), ``metric`` against the
+        searched field's declared index (a sealed index answers in the
+        metric it was built with, whatever it is asked: under another one
+        its neighbours are wrong, and on another distance scale than the
+        growing segments of the same request), quota — which ``admitted``
         skips for queries the batching window admitted at submit time.
         """
         if tenant is not None:
             collection = self._tenant_resolve(tenant, collection)
         blocks = validate_queries(self._schema(collection), vectors)
+        if metric is not None:
+            for field in blocks:
+                indexed = self._query_coord.index_metric(collection, field)
+                if indexed is not None and indexed is not metric:
+                    raise InvalidQuery(
+                        f"field {field!r} is indexed for "
+                        f"{indexed.value}; a {metric.value} {verb} "
+                        f"would be answered in {indexed.value}")
         require_number("staleness_ms", staleness_ms, 0)
         nq = next(iter(blocks.values())).shape[0] if blocks else 1
         if tenant is not None and not admitted:
@@ -460,9 +472,10 @@ class Proxy:
                 self._tracer.finish_span(root, end_ms=req.done_ms)
                 if root.sampled:
                     req.trace_id = root.trace_id
-                # Then the merge.  Partials stay array-native through it
-                # and into the result (hits become SearchHit objects only
-                # when the caller looks at them); merge_topk dedups
+                # Then the merge: the nodes' blocks side by side, every
+                # query row at once.  Partials stay array-native through
+                # it and into the result (hits become SearchHit objects
+                # only when the caller looks at them); merge_topk dedups
                 # replica copies, best hit per pk.
                 if metric is None:
                     result = {}
@@ -470,13 +483,12 @@ class Proxy:
                         result.update(partial)
                 else:
                     result = [SearchResult(
-                        hits=merge_topk([part[qi] for part in partials],
-                                        keep, stats=req.merge_stats),
-                        metric=metric, latency_ms=latency,
+                        hits=hits, metric=metric, latency_ms=latency,
                         consistency_wait_ms=req.wait_ms,
                         segments_searched=req.segments,
                         profile=prof if req.explain else None)
-                        for qi in range(req.nq)]
+                        for hits in merge_topk(partials, keep,
+                                               stats=req.merge_stats)]
                 # Then every remaining plane, once, from the record.
                 if prof is not None:
                     prof.finalize(latency_ms=latency, wait_ms=req.wait_ms,
@@ -529,7 +541,8 @@ class Proxy:
         require_number("k", k, 1, integer=True)
         filter_expr = FilterExpression(expr) if expr else None
         req = self._admit("search", collection, tenant, {field: queries}, k,
-                          consistency, staleness_ms, explain, _admitted)
+                          consistency, staleness_ms, explain, _admitted,
+                          metric)
         (field, block), = req.blocks.items()
         return self._scatter_gather(
             req, "search", (field, block, k, metric, filter_expr), metric,
@@ -631,7 +644,7 @@ class Proxy:
         filter_expr = FilterExpression(expr) if expr else None
         req = self._admit("range_search", collection, tenant,
                           {field: query}, None, consistency, staleness_ms,
-                          explain)
+                          explain, metric=metric)
         (field, block), = req.blocks.items()
         if req.nq != 1:
             raise InvalidQuery("range_search takes one query vector")
@@ -678,7 +691,7 @@ class Proxy:
             return handle
         require_number("k", k, 1, integer=True)
         req = self._admit("search", collection, tenant, {field: query}, k,
-                          consistency, staleness_ms)
+                          consistency, staleness_ms, metric=metric)
         (field, block), = req.blocks.items()
         if req.nq != 1:
             raise InvalidQuery("submit_search takes one query vector")

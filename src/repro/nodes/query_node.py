@@ -14,7 +14,10 @@ A query node draws data from the three sources the paper lists:
 
 Search runs the node-local phase of the two-phase reduce: segment-wise
 top-k (honoring deletion bitmaps and attribute filters via the cost-based
-strategy), merged into the node-wise top-k.  ``busy_until_ms`` accounting
+strategy), merged into the node-wise top-k.  The node, not the segment, is
+the unit of scanning: its sealed inverted-list segments are searched as
+one arena (:mod:`repro.core.arena`) and every segment's candidates meet in
+one block, reduced by one merge.  ``busy_until_ms`` accounting
 turns concurrent requests into queueing delay, which is what the
 elasticity and scalability figures measure.
 """
@@ -29,10 +32,12 @@ import numpy as np
 from repro.config import ManuConfig
 from repro.core.checkpoint import read_delete_deltas
 from repro.core.consistency import ConsistencyGate
+from repro.core.arena import SegmentArena
 from repro.core.expr import FilterExpression
-from repro.core.filtering import compute_mask, filtered_search
+from repro.core.filtering import FilterStrategy, choose_strategy, \
+    compute_mask, planned_search
 from repro.core.multivector import MultiVectorQuery, search_segment
-from repro.core.results import HitBatch, ReduceStats, merge_topk
+from repro.core.results import HitBlock, ReduceStats, merge_topk
 from repro.core.schema import CollectionSchema, MetricType
 from repro.core.segment import Segment
 from repro.errors import ClusterStateError
@@ -89,6 +94,12 @@ class QueryNode:
         # sealed segments reads the object store once, not N times;
         # invalidated whenever new deletions flow in from the WAL.
         self._delta_cache: dict[str, list[tuple[object, int]]] = {}
+        # (collection, vector field, metric) -> the arena over the sealed
+        # segments searched as one (None: there are none).  Derived, and
+        # checked against the segments it was derived from before every
+        # search: nothing that loads, releases or re-indexes a segment
+        # has to remember it.
+        self._arenas: dict[tuple, Optional[SegmentArena]] = {}
         self.busy_until_ms = 0.0
         self.searches_served = 0
         # Cumulative virtual service time of local search work; the
@@ -356,28 +367,44 @@ class QueryNode:
                 and (scope is None or sid in scope
                      or (collection, sid) in self._growing_ids)]
 
+    def _arena(self, collection: str, field: str,
+               metric: MetricType) -> Optional[SegmentArena]:
+        """The arena over the node's sealed segments that are searched as
+        one under ``metric`` — all of them, whatever a request's scope —
+        derived again when they are not the ones it was derived from."""
+        held = self._by_collection.get(collection, {})
+        key = (collection, field, metric)
+        arena = self._arenas.get(key)
+        if arena is None or not arena.holds(held):
+            members = [segment for _sid, segment in sorted(held.items())
+                       if SegmentArena.admits(segment, field, metric)]
+            arena = self._arenas[key] = SegmentArena(
+                field, metric, members) if members else None
+        return arena
+
     def _scan(self, collection: str, scope: Optional[set[str]],
               fields: Sequence[str], nq: int, k: Optional[int],
               work: Callable, trace_span: Optional[Span], profile,
               acc_stats: Optional[SearchStats]) -> tuple:
-        """The one segment loop and node-local reduce behind every scan
-        verb; returns ``(per-query node-wise top-k, virtual service ms,
-        segments scanned)``.
+        """The one scan and node-local reduce behind every scan verb;
+        returns ``(node-wise top-k block, virtual service ms, segments
+        scanned)``.
 
-        ``work(segment, stats)`` scans one segment and returns one
-        :class:`HitBatch` per query, adding what it did to ``stats`` — one
-        :class:`SearchStats` per entry of ``fields``, so each vector field
-        is charged at its own dimension.  Batches stay array-native end to
-        end: merged by concatenation and one stable sort per query.
+        ``work(segments, ledger)`` scans the segments in scope and returns
+        one :class:`HitBlock` per segment (``nq`` rows), adding what it
+        did for segment ``i`` to ``ledger[i]`` — one :class:`SearchStats`
+        per entry of ``fields``, so each vector field is charged at its
+        own dimension.  The blocks are merged side by side: one
+        concatenation and one stable sort for the whole request.
 
-        Work is measured once, in the node's running totals, which every
-        scan writes straight into; each plane reads them at the segment
-        boundaries.  A traced segment's span ends where the cost model
-        puts the totals so far (so windows lie end to end from
-        ``trace_span``'s start: segments scan sequentially within one
-        node, and the last one ends at the node's scan time), and its
-        ``segment.scan`` stage in the EXPLAIN ledger holds what the totals
-        grew by (so segment stages sum to the node stage by construction).
+        Work is measured once, per segment, and every plane is derived
+        from that ledger in segment order.  A traced segment's span ends
+        where the cost model puts the work up to and including it (so
+        windows lie end to end from ``trace_span``'s start: segments scan
+        sequentially within one node, and the last one ends at the node's
+        scan time), and its ``segment.scan`` stage in the EXPLAIN ledger
+        holds its own counters (so segment stages sum to the node stage
+        by construction).
 
         ``trace_span`` is the proxy's per-node ``query_node.scan`` span,
         ``profile`` the matching :class:`~repro.profiling.QueryProfile`
@@ -400,21 +427,18 @@ class QueryNode:
                        + cost.ssd_read(stats.ssd_blocks_read))
             return ms
 
-        def counters() -> dict:
-            return functools.reduce(SearchStats.merged_with,
-                                    totals).as_dict()
-
+        segments = self._scoped_segments(collection, scope)
+        ledger = [[SearchStats() for _ in fields] for _ in segments]
+        blocks = work(segments, ledger) if segments else []
         if traced:
             parent, start_ms = trace_span.context, trace_span.start_ms
             cursor_ms = start_ms
-        if profiling:
-            before = counters()
-        partials = []
-        for segment in self._scoped_segments(collection, scope):
-            partials.append(work(segment, totals))
+        for segment, entry in zip(segments, ledger):
+            for total, stats in zip(totals, entry):
+                total.add(stats)
             if profiling:
-                after = counters()
-                grew = {key: after[key] - before[key] for key in after}
+                grew = functools.reduce(SearchStats.merged_with,
+                                        entry).as_dict()
                 growing = (collection,
                            segment.segment_id) in self._growing_ids
                 path = ("growing" if growing
@@ -423,7 +447,6 @@ class QueryNode:
                 profile.child("segment.scan", segment=segment.segment_id,
                               path=path,
                               rows=segment.num_rows).counters = grew
-                before = after
             if traced:
                 end_ms = start_ms + work_ms()
                 self._tracer.record_span(
@@ -431,10 +454,10 @@ class QueryNode:
                     start_ms=cursor_ms, end_ms=end_ms,
                     segment=segment.segment_id)
                 cursor_ms = end_ms
-        searched = len(partials)
+        searched = len(segments)
         reduce_stats = ReduceStats() if profiling else None
-        merged = [merge_topk([part[qi] for part in partials if part[qi]],
-                             k, stats=reduce_stats) for qi in range(nq)]
+        merged = merge_topk(blocks, k, stats=reduce_stats) \
+            if blocks else HitBlock.empty(nq)
         # The fixed message overhead is paid once per (possibly batched)
         # request plus a small per-row term — the amortization that makes
         # Section 3.6's request batching worthwhile.  (Summed left to
@@ -443,7 +466,12 @@ class QueryNode:
         service_ms = work_ms() + cost.request_overhead_ms \
             + nq * cost.batch_row_overhead_ms
         if profiling:
-            profile.counters = before
+            # A segment that found nothing for a query hands that
+            # query's reduce no partial.
+            reduce_stats.batches_merged = sum(block.rows_hit()
+                                              for block in blocks)
+            profile.counters = functools.reduce(SearchStats.merged_with,
+                                                totals).as_dict()
             profile.meta.update(service_ms=service_ms, segments=searched,
                                 nq=nq)
             profile.child("query_node.reduce").counters = \
@@ -463,35 +491,74 @@ class QueryNode:
             self._scan_hist.observe(service_ms)
         return merged, service_ms, searched
 
+    @staticmethod
+    def _each(scan: Callable) -> Callable:
+        """``work`` for a verb that scans segment by segment:
+        ``scan(segment, stats)`` returns one hit batch per query."""
+        return lambda segments, ledger: [
+            HitBlock.from_batches(scan(segment, stats))
+            for segment, stats in zip(segments, ledger)]
+
     def search(self, collection: str, field: str, queries: np.ndarray,
                k: int, metric: MetricType,
                expr: Optional[FilterExpression] = None,
                scope: Optional[set[str]] = None,
                trace_span: Optional[Span] = None,
                profile=None, acc_stats: Optional[SearchStats] = None,
-               ) -> tuple[list[HitBatch], float, int]:
+               ) -> tuple[HitBlock, float, int]:
         """Node-local two-phase reduce: segment-wise top-k (cost-based
-        filter strategy per segment) merged into the node-wise top-k."""
+        filter strategy per segment) merged into the node-wise top-k.
+
+        The sealed segments the arena holds are searched through it, all
+        in one scan; a segment it does not hold (growing, unindexed, an
+        index with its own post-processing) or whose filter is planned as
+        a pre-filter is searched on its own and feeds the same merge.
+        """
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
-        return self._scan(
-            collection, scope, (field,), queries.shape[0], k,
-            lambda segment, stats: filtered_search(
-                segment, field, queries, k, metric, expr, stats=stats[0])[0],
-            trace_span, profile, acc_stats)
+
+        def work(segments: list[Segment],
+                 ledger: list[list[SearchStats]]) -> list[HitBlock]:
+            arena = self._arena(collection, field, metric)
+            blocks: list = [None] * len(segments)
+            members, masks, at = [], [], []
+            for i, segment in enumerate(segments):
+                number = arena.slot.get(segment.segment_id) \
+                    if arena is not None else None
+                plan = choose_strategy(segment, field, k, expr) \
+                    if expr is not None else None
+                if number is not None and (
+                        plan is None
+                        or plan.strategy is not FilterStrategy.PRE_FILTER):
+                    members.append(number)
+                    masks.append(plan.mask if plan is not None else None)
+                    at.append(i)
+                    continue
+                blocks[i] = HitBlock.from_batches(planned_search(
+                    segment, field, queries, k, metric, plan,
+                    stats=ledger[i][0]))
+            if members:
+                found = arena.search(members, queries, k, masks,
+                                     [ledger[i][0] for i in at])
+                for i, block in zip(at, found):
+                    blocks[i] = block
+            return blocks
+
+        return self._scan(collection, scope, (field,), queries.shape[0], k,
+                          work, trace_span, profile, acc_stats)
 
     def search_multivector(self, collection: str, query: MultiVectorQuery,
                            k: int, scope: Optional[set[str]] = None,
                            trace_span: Optional[Span] = None,
                            profile=None,
                            acc_stats: Optional[SearchStats] = None,
-                           ) -> tuple[list[HitBatch], float, int]:
+                           ) -> tuple[HitBlock, float, int]:
         """Node-local multi-vector search (single query vector set)."""
         return self._scan(
             collection, scope, query.fields, 1, k,
-            lambda segment, stats: [search_segment(segment, query, k,
-                                                   stats=stats)],
+            self._each(lambda segment, stats: [
+                search_segment(segment, query, k, stats=stats)]),
             trace_span, profile, acc_stats)
 
     def range_search(self, collection: str, field: str, query: np.ndarray,
@@ -500,16 +567,16 @@ class QueryNode:
                      scope: Optional[set[str]] = None,
                      trace_span: Optional[Span] = None,
                      profile=None, acc_stats: Optional[SearchStats] = None,
-                     ) -> tuple[list[HitBatch], float, int]:
+                     ) -> tuple[HitBlock, float, int]:
         """All local rows within the adjusted-distance threshold."""
 
-        def work(segment: Segment, stats: list[SearchStats]):
+        def scan(segment: Segment, stats: list[SearchStats]):
             mask = compute_mask(segment, expr) if expr is not None else None
             return [segment.range_search(field, query, threshold, metric,
                                          filter_mask=mask, stats=stats[0])]
 
-        return self._scan(collection, scope, (field,), 1, None, work,
-                          trace_span, profile, acc_stats)
+        return self._scan(collection, scope, (field,), 1, None,
+                          self._each(scan), trace_span, profile, acc_stats)
 
     def fetch(self, collection: str, pks,
               **_planes) -> tuple[dict, float, int]:
@@ -538,6 +605,7 @@ class QueryNode:
             self.unsubscribe(channel)
         self._segments.clear()
         self._by_collection.clear()
+        self._arenas.clear()
         self._delta_cache.clear()
         self._growing_ids.clear()
         self._segment_shard.clear()

@@ -1,19 +1,68 @@
 """Tests for search results and the two-phase top-k reduce."""
 
+import heapq
+from typing import Iterable, Optional, Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.results import (
     HitBatch,
+    HitBlock,
     ReduceStats,
     SearchHit,
     SearchResult,
     hits_from_arrays,
     merge_topk,
-    merge_topk_reference,
 )
 from repro.core.schema import MetricType
+
+
+def merge_topk_reference(partials: Sequence[Iterable[SearchHit]],
+                         k: int,
+                         stats: Optional[ReduceStats] = None
+                         ) -> list[SearchHit]:
+    """Object-based reduce, the oracle of the vectorized one.
+
+    This is the pre-HitBatch implementation (``heapq.merge`` over
+    :class:`SearchHit` objects with a seen-set dedup).  The suite below
+    asserts :func:`merge_topk` matches it hit-for-hit, one query at a
+    time and a block at a time, and ``benchmarks/bench_reduce_path.py``
+    measures the speedup against it.
+
+    With ``stats`` the merge is consumed past the ``k``-th unique hit so
+    ``hits_deduped`` counts duplicates over the full candidate set — the
+    vectorized path dedups before truncating, and the short-circuit would
+    otherwise undercount duplicates that sort after the cutoff.  The
+    returned hits are unchanged either way; without ``stats`` the merge
+    still stops at ``k`` (the fast oracle the benches time).
+    """
+    if k <= 0:
+        if stats is not None:
+            stats.batches_merged += len(list(partials))
+        return []
+    partials = [list(p) for p in partials] if stats is not None \
+        else list(partials)
+    merged = heapq.merge(*partials)
+    out: list[SearchHit] = []
+    seen: set = set()
+    dupes = 0
+    for hit in merged:
+        if hit.pk in seen:
+            dupes += 1
+            continue
+        seen.add(hit.pk)
+        if len(out) < k:
+            out.append(hit)
+            if len(out) >= k and stats is None:
+                break
+    if stats is not None:
+        stats.batches_merged += len(partials)
+        stats.candidates_in += sum(len(p) for p in partials)
+        stats.hits_deduped += dupes
+        stats.hits_out += len(out)
+    return out
 
 
 class TestSearchHit:
@@ -94,25 +143,14 @@ class TestHitBatch:
         assert batch.pks.tolist() == ["b", "d", "a", "c"]
         assert batch.dists.tolist() == [1.0, 1.0, 2.0, 2.0]
 
-    def test_concat_tie_order_matches_streaming_merge(self):
+    def test_merge_tie_order_matches_streaming_merge(self):
         import heapq
         a = HitBatch(["a1", "a2"], [1.0, 2.0])
         b = HitBatch(["b1", "b2"], [1.0, 2.0])
-        merged = HitBatch.concat([a, b])
+        merged = merge_topk([a, b], None)
         streamed = list(heapq.merge(a.to_hits(), b.to_hits()))
         assert [(h.pk, h.adjusted_distance) for h in merged.to_hits()] == \
             [(h.pk, h.adjusted_distance) for h in streamed]
-
-    def test_concat_skips_empties_and_passthrough(self):
-        a = HitBatch([1, 2], [0.5, 0.6])
-        assert HitBatch.concat([HitBatch.empty(), a]) is a
-        assert len(HitBatch.concat([])) == 0
-
-    def test_topk_truncates_and_passthrough(self):
-        batch = HitBatch([1, 2, 3], [0.1, 0.2, 0.3])
-        assert batch.topk(2).pks.tolist() == [1, 2]
-        assert batch.topk(5) is batch
-        assert len(batch.topk(0)) == 0
 
     def test_sequence_protocol_materializes_native_hits(self):
         batch = HitBatch(np.asarray([7, 8], dtype=np.int64),
@@ -214,6 +252,117 @@ class TestVectorizedEquivalence:
         as_batch = HitBatch(["b", "a"], [2.0, 2.5])
         expected = _reference([as_list, list(as_batch)], 3)
         assert _vectorized([as_list, as_batch], 3) == expected
+
+
+def _partials(pk, max_hits):
+    """``partials[p][q]``: sorted (distance, pk) hits of partial ``p`` for
+    query ``q``, one to five partials of one to five query rows."""
+    hits = st.lists(st.tuples(st.floats(0, 100, width=32), pk),
+                    max_size=max_hits).map(
+        lambda row: sorted(row, key=lambda hit: hit[0]))
+    return st.integers(1, 5).flatmap(lambda nq: st.lists(
+        st.lists(hits, min_size=nq, max_size=nq), min_size=1, max_size=5))
+
+
+def _block(rows, pk_dtype=None):
+    """Rows of (distance, pk) hits as one tail-padded block."""
+    return HitBlock.from_batches([
+        HitBatch(np.asarray([pk for _d, pk in row], dtype=pk_dtype)
+                 if pk_dtype else [pk for _d, pk in row],
+                 np.asarray([d for d, _pk in row], dtype=np.float64))
+        for row in rows])
+
+
+class TestBlockMerge:
+    """The 2-D merge — every query row of a request at once, at the node
+    and at the proxy — against one streaming reference merge per row."""
+
+    @staticmethod
+    def _check(partials, k, pk_dtype=None):
+        """``partials[p][q]``: the hits of partial ``p`` for query ``q``."""
+        nq = len(partials[0])
+        stats, ref_stats = ReduceStats(), ReduceStats()
+        merged = merge_topk([_block(rows, pk_dtype) for rows in partials],
+                            k, stats=stats)
+        assert isinstance(merged, HitBlock) and len(merged) == nq
+        for q, got in enumerate(merged):
+            hit_lists = [[SearchHit(d, pk) for d, pk in rows[q]]
+                         for rows in partials]
+            if k is None:
+                want = merge_topk_reference(hit_lists, 10 ** 9,
+                                            stats=ref_stats)
+            else:
+                want = merge_topk_reference(hit_lists, k, stats=ref_stats)
+            assert [(h.pk, h.adjusted_distance) for h in got] == \
+                [(h.pk, h.adjusted_distance) for h in want]
+            assert merged[q] == got
+        assert stats.as_dict() == ref_stats.as_dict()
+        if merged.dists.shape[1]:
+            sorted_rows = np.sort(merged.dists, axis=1)
+            np.testing.assert_array_equal(merged.dists, sorted_rows)
+        return merged
+
+    @given(_partials(st.integers(0, 12), 9),
+           st.one_of(st.none(), st.integers(0, 12)))
+    def test_property_int_pks_duplicates_across_partials(self, partials, k):
+        self._check(partials, k)
+
+    @given(_partials(st.sampled_from(["p", "q0", "q11", "long-key"]), 6),
+           st.integers(1, 8))
+    def test_property_unicode_pks_of_different_widths(self, partials, k):
+        merged = self._check(partials, k)
+        assert merged.pks.dtype.kind in "UO"
+
+    @given(_partials(st.sampled_from([0, 1, "0", "x", None]), 6),
+           st.integers(1, 8))
+    def test_property_object_pks(self, partials, k):
+        """Heterogeneous pks are not sortable by numpy: the set walk."""
+        merged = self._check(partials, k, pk_dtype=object)
+        assert merged.pks.dtype.kind == "O"
+
+    def test_empty_rows_and_all_padding_rows(self):
+        a = [[(1.0, 7), (2.0, 8)], [], [(0.5, 9)]]
+        b = [[(1.5, 8)], [], []]
+        merged = self._check([a, b], 5)
+        assert [len(row) for row in merged] == [2, 0, 1]
+        assert np.isinf(merged.dists[1]).all()
+        # A block whose every row is padding, a zero-width block, no hits.
+        padded = HitBlock(np.zeros((3, 4), dtype=np.int64),
+                          np.full((3, 4), np.inf, dtype=np.float32))
+        stats = ReduceStats()
+        none = merge_topk([padded, HitBlock.empty(3)], 5, stats=stats)
+        assert [len(row) for row in none] == [0, 0, 0]
+        assert stats.as_dict() == {"batches_merged": 6, "candidates_in": 0,
+                                   "hits_deduped": 0, "hits_out": 0}
+        both = merge_topk([padded, _block(a)], 5)
+        assert [row.pks.tolist() for row in both] == [[7, 8], [], [9]]
+
+    def test_padding_between_hits_and_its_pk_is_never_a_duplicate(self):
+        """A dropped candidate is +inf over its distance, wherever it
+        sits, and whatever pk is left under it."""
+        pks = np.array([[5, 5, 6, 5, 7]])
+        dists = np.array([[np.inf, 1.0, np.inf, 3.0, 2.0]],
+                         dtype=np.float32)
+        stats = ReduceStats()
+        merged = merge_topk([HitBlock(pks, dists)], None, stats=stats)
+        assert merged[0].pks.tolist() == [5, 7]
+        assert merged[0].dists.tolist() == [1.0, 2.0]
+        assert (stats.candidates_in, stats.hits_deduped, stats.hits_out) \
+            == (3, 1, 2)
+
+    def test_k_cut_copies_and_k_zero(self):
+        wide = _block([[(float(i), i) for i in range(50)]] * 2)
+        cut = merge_topk([wide], 3)
+        assert cut.pks.shape == (2, 3) and cut.pks.base is None
+        assert merge_topk([wide], 0).dists.shape == (2, 0)
+        assert merge_topk([wide], None).pks.shape == (2, 50)
+
+    def test_one_query_partials_are_one_row_blocks(self):
+        parts = [HitBatch([1, 2], [0.1, 0.3]), HitBatch([2, 3], [0.2, 0.4])]
+        row = merge_topk(parts, 3)
+        block = merge_topk([HitBlock.from_batches([p]) for p in parts], 3)
+        assert isinstance(row, HitBatch) and row == block[0]
+        assert row.pks.tolist() == [1, 2, 3]
 
 
 class TestReduceStatsEquivalence:

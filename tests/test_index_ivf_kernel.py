@@ -27,7 +27,8 @@ from repro.core.segment import Segment
 from repro.index import ivf
 from repro.index.base import STAT_FIELDS, SearchStats, index_from_bytes
 from repro.index.distances import adjusted_distances, topk_smallest
-from repro.index.ivf import FlatCodec, InvertedLists, IvfFlatIndex
+from repro.index.ivf import FlatCodec, InvertedLists, IvfFlatIndex, \
+    ListArena
 from repro.index.ivf_hnsw import IvfHnswIndex
 
 METRICS = [MetricType.EUCLIDEAN, MetricType.INNER_PRODUCT, MetricType.COSINE]
@@ -389,13 +390,13 @@ class TestListMajorKernel:
         one_pass = index.search(queries, 10)
         compared = index.stats.float_comparisons
         calls = []
-        real = InvertedLists._scan_block
+        real = ListArena._scan_pass
 
-        def counting(self, *args):
-            calls.append(args[0].shape[0])
-            return real(self, *args)
+        def counting(self, scope, block, *args):
+            calls.append(block.shape[0])
+            return real(self, scope, block, *args)
 
-        monkeypatch.setattr(InvertedLists, "_scan_block", counting)
+        monkeypatch.setattr(ListArena, "_scan_pass", counting)
         monkeypatch.setattr(
             ivf, "_SCAN_BLOCK_FLOATS",
             10 * index.nprobe * index._lists.max_list_size)

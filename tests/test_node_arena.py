@@ -1,0 +1,856 @@
+"""The node arena and the 2-D reduce against the loops they replaced.
+
+``QueryNode.search`` scans its sealed inverted-list segments through one
+arena (one coarse step, one list-major scan, one block post-filter) and
+reduces every segment's candidates with one 2-D merge; the proxy merges the
+nodes' blocks the same way.  The per-segment node loop and the per-query
+merge loops those replaced live on here as the reference: a request is run
+twice on the same cluster, as shipped and with the reference patched in,
+and everything a caller or a plane can see must agree —
+
+* hits: distances bit for bit, pks equal within every run of equal
+  distances (only the run cut by ``k`` may pick other members of a tie);
+* ``SearchStats`` / ``ReduceStats`` field by field, the per-segment EXPLAIN
+  stages, ``profile.verify() == []``, ``latency_ms`` to the last digit.
+
+The arena is derived state: the second half mutates what it was derived
+from between two searches and checks it is never read stale.
+"""
+
+import contextlib
+import functools
+
+import numpy as np
+import pytest
+
+import repro.nodes.proxy as proxy_module
+from repro import Collection, connect, connections
+from repro.api.rest import RestApi
+from repro.cluster.manu import ManuCluster
+from repro.config import ManuConfig, QueryConfig, SegmentConfig
+from repro.core.arena import SegmentArena
+from repro.core.consistency import ConsistencyLevel
+from repro.core.expr import FilterExpression
+from repro.core.filtering import FilterStrategy, choose_strategy, \
+    filtered_search
+from repro.core.results import HitBatch, ReduceStats
+from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
+    MetricType
+from repro.errors import IndexBuildError, InvalidQuery
+from repro.index.base import SearchStats, create_index
+from repro.index.ivf import ArenaIndex, BucketedIndex, IvfFlatIndex
+from repro.nodes.query_node import QueryNode
+
+from tests.test_core_results import merge_topk_reference
+
+METRICS = [MetricType.EUCLIDEAN, MetricType.INNER_PRODUCT, MetricType.COSINE]
+DIM = 16
+EVENTUAL = ConsistencyLevel.EVENTUAL
+
+
+# ----------------------------------------------------------------------
+# the reference: what src/ did before the arena
+# ----------------------------------------------------------------------
+
+def reference_merge(partials, k, stats=None):
+    """Former reduce of one query: a streaming merge of sorted partials
+    with a seen-set (``merge_topk_reference``), as a batch."""
+    return HitBatch.from_hits(merge_topk_reference(
+        [list(p) for p in partials], k, stats=stats))
+
+
+def reference_scan(node, collection, scope, fields, nq, k, work,
+                   trace_span, profile, acc_stats):
+    """Former ``QueryNode._scan``: one scan per segment, the planes read
+    at the segment boundaries, one merge per query."""
+    traced = trace_span is not None and trace_span.sampled
+    profiling = profile is not None
+    cost = node._cost
+    schema = node._schema_provider(collection)
+    dims = [schema.field(name).dim for name in fields]
+    totals = [SearchStats() for _ in fields]
+
+    def work_ms():
+        ms = 0
+        for stats, dim in zip(totals, dims):
+            ms += (cost.distance_cost(stats.float_comparisons, dim)
+                   + cost.distance_cost(stats.quantized_comparisons, dim,
+                                        quantized=True)
+                   + cost.ssd_read(stats.ssd_blocks_read))
+        return ms
+
+    def counters():
+        return functools.reduce(SearchStats.merged_with, totals).as_dict()
+
+    if traced:
+        parent, start_ms = trace_span.context, trace_span.start_ms
+        cursor_ms = start_ms
+    if profiling:
+        before = counters()
+    partials = []
+    for segment in node._scoped_segments(collection, scope):
+        partials.append(work(segment, totals))
+        if profiling:
+            after = counters()
+            grew = {key: after[key] - before[key] for key in after}
+            growing = (collection, segment.segment_id) in node._growing_ids
+            path = ("growing" if growing
+                    else "index" if grew["index_scans"] > 0 else "brute")
+            profile.child("segment.scan", segment=segment.segment_id,
+                          path=path, rows=segment.num_rows).counters = grew
+            before = after
+        if traced:
+            end_ms = start_ms + work_ms()
+            node._tracer.record_span(
+                "segment.scan", node._component, parent=parent,
+                start_ms=cursor_ms, end_ms=end_ms,
+                segment=segment.segment_id)
+            cursor_ms = end_ms
+    searched = len(partials)
+    reduce_stats = ReduceStats() if profiling else None
+    merged = [reference_merge([part[qi] for part in partials if part[qi]],
+                              k, stats=reduce_stats) for qi in range(nq)]
+    service_ms = work_ms() + cost.request_overhead_ms \
+        + nq * cost.batch_row_overhead_ms
+    if profiling:
+        profile.counters = before
+        profile.meta.update(service_ms=service_ms, segments=searched, nq=nq)
+        profile.child("query_node.reduce").counters = reduce_stats.as_dict()
+    if acc_stats is not None:
+        for total in totals:
+            acc_stats.add(total)
+    if traced:
+        node._tracer.record_span(
+            "query_node.reduce", node._component, parent=parent,
+            start_ms=cursor_ms,
+            end_ms=cursor_ms + cost.request_overhead_ms
+            + nq * cost.batch_row_overhead_ms, segments=searched)
+    node.searches_served += nq
+    node.service_ms_total += service_ms
+    if node._scan_hist is not None:
+        node._scan_hist.observe(service_ms)
+    return merged, service_ms, searched
+
+
+def reference_search(node, collection, field, queries, k, metric, expr=None,
+                     scope=None, trace_span=None, profile=None,
+                     acc_stats=None):
+    """Former ``QueryNode.search``: every segment through its own
+    ``Segment.search``."""
+    queries = np.asarray(queries, dtype=np.float32)
+    if queries.ndim == 1:
+        queries = queries[None, :]
+    return reference_scan(
+        node, collection, scope, (field,), queries.shape[0], k,
+        lambda segment, stats: filtered_search(
+            segment, field, queries, k, metric, expr, stats=stats[0])[0],
+        trace_span, profile, acc_stats)
+
+
+def reference_proxy_merge(partials, keep, stats=None):
+    """Former proxy back half: one merge per query row."""
+    return [reference_merge([part[qi] for part in partials], keep,
+                            stats=stats)
+            for qi in range(len(partials[0]))]
+
+
+@contextlib.contextmanager
+def reference_path(monkeypatch):
+    """Run requests through the reference node loop and merge loops."""
+    with monkeypatch.context() as patch:
+        patch.setattr(QueryNode, "search", reference_search)
+        patch.setattr(proxy_module, "merge_topk", reference_proxy_merge)
+        yield
+
+
+# ----------------------------------------------------------------------
+# comparison
+# ----------------------------------------------------------------------
+
+def assert_same_hits(got, want, k):
+    """Distances bit for bit, pks equal within each run of equal
+    distances; only the run cut by ``k`` may pick other tie members."""
+    got_d = np.asarray(got.hits.dists, dtype=np.float64)
+    want_d = np.asarray(want.hits.dists, dtype=np.float64)
+    np.testing.assert_array_equal(got_d, want_d)
+    assert len(set(got.pks)) == len(got.pks)
+    cuts = np.flatnonzero(np.diff(want_d) != 0) + 1
+    runs = np.split(np.arange(len(want_d)), cuts)
+    for run in runs[:-1] if len(want_d) == k else runs:
+        assert {got.pks[i] for i in run} == {want.pks[i] for i in run}
+
+
+def stage_view(stage):
+    """A stage of the EXPLAIN tree as comparable data (``queue_ms`` is a
+    difference of absolute times, which the two runs do not share)."""
+    meta = {key: round(value, 9) if key == "queue_ms" else value
+            for key, value in stage.meta.items()}
+    return (stage.name, meta, stage.counters,
+            [stage_view(child) for child in stage.children])
+
+
+def cold_column_caches(cluster):
+    """``cache_hits`` / ``cache_misses`` depend on what ran before: both
+    runs of a request start from unconsolidated columns."""
+    for node in cluster.query_coord.live_nodes():
+        for sid in node.segments_of("c"):
+            node.segment("c", sid)._consolidated.clear()
+
+
+def both(cluster, monkeypatch, queries, k, between=None, **options):
+    """One request as shipped and through the reference, far enough apart
+    in virtual time that neither queues behind the other (``between``
+    undoes what the first run left behind); asserts every visible output
+    agrees and returns the shipped results."""
+    options = {"consistency": EVENTUAL, "explain": True, **options}
+    cold_column_caches(cluster)
+    cluster.run_for(1_000)
+    got = cluster.search("c", queries, k, **options)
+    if between is not None:
+        between()
+    cold_column_caches(cluster)
+    cluster.run_for(1_000)
+    with reference_path(monkeypatch):
+        want = cluster.search("c", queries, k, **options)
+    assert len(got) == len(want) == np.atleast_2d(queries).shape[0]
+    for g, w in zip(got, want):
+        assert_same_hits(g, w, k)
+        # The two runs start at different virtual times, and a latency is
+        # a difference of absolute times: the service times it is made of
+        # are compared exactly (stage meta, below), the twin-cluster test
+        # compares the latency itself to the last digit.
+        assert g.latency_ms == pytest.approx(w.latency_ms, abs=1e-9)
+        assert g.consistency_wait_ms == w.consistency_wait_ms == 0.0
+        assert g.segments_searched == w.segments_searched
+    g, w = got[0].profile, want[0].profile
+    assert g.verify() == [] and w.verify() == []
+    assert stage_view(g.root) == stage_view(w.root)
+    assert g.totals() == w.totals()
+    return got
+
+
+# ----------------------------------------------------------------------
+# clusters
+# ----------------------------------------------------------------------
+
+def schema():
+    return CollectionSchema([
+        FieldSchema("pk", DataType.INT64, is_primary=True),
+        FieldSchema("vector", DataType.FLOAT_VECTOR, dim=DIM),
+        FieldSchema("price", DataType.FLOAT),
+    ])
+
+
+def clustered(rng, n, centers=12):
+    means = rng.standard_normal((centers, DIM)) * 4.0
+    return (means[rng.integers(0, centers, n)]
+            + rng.standard_normal((n, DIM))).astype(np.float32)
+
+
+def rows(rng, pks, vectors=None):
+    n = len(pks)
+    return {"pk": list(pks),
+            "vector": clustered(rng, n) if vectors is None else vectors,
+            "price": rng.uniform(0.0, 10.0, n)}
+
+
+def sealed_cluster(rng, metric=MetricType.EUCLIDEAN, index_type="IVF_FLAT",
+                   n=2100, seal=300, params=None, replicas=1,
+                   query_nodes=2):
+    """``n`` rows in sealed, indexed segments of ``seal`` rows over two
+    query nodes; 2100 / 300 leaves a small last segment per shard."""
+    config = ManuConfig().with_overrides(
+        segment=SegmentConfig(seal_entity_count=seal),
+        query=QueryConfig(replica_number=replicas))
+    cluster = ManuCluster(config=config, num_query_nodes=query_nodes)
+    cluster.create_collection("c", schema())
+    for start in range(0, n, 100):
+        cluster.insert("c", rows(rng, range(start, min(start + 100, n))))
+        cluster.run_for(50)
+    cluster.flush("c")
+    cluster.create_index("c", "vector", index_type, metric,
+                         params or {"nlist": 16, "nprobe": 4})
+    assert cluster.wait_for_indexes("c")
+    cluster.run_for(2_000)
+    return cluster
+
+
+def sealed_segments(cluster):
+    return [(node, node.segment("c", sid))
+            for node in cluster.query_coord.live_nodes()
+            for sid in node.sealed_segments_of("c")]
+
+
+def arenas(cluster, metric=MetricType.EUCLIDEAN):
+    return [node._arenas.get(("c", "vector", metric))
+            for node in cluster.query_coord.live_nodes()]
+
+
+# ----------------------------------------------------------------------
+# the oracle matrix
+# ----------------------------------------------------------------------
+
+class TestArenaMatchesThePerSegmentLoop:
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("nq", [1, 3, 64])
+    def test_plain_requests(self, rng, monkeypatch, metric, nq):
+        cluster = sealed_cluster(rng, metric)
+        queries = clustered(rng, nq)
+        for k in (1, 10, 2500):         # 2500 > rows
+            got = both(cluster, monkeypatch, queries, k, metric=metric)
+            assert all(len(r) == min(k, len(r)) > 0 for r in got)
+        held = [arena for arena in arenas(cluster, metric)
+                if arena is not None]
+        assert held and sum(len(a.segments) for a in held) \
+            == len(sealed_segments(cluster))
+
+    def test_latency_to_the_last_digit(self, monkeypatch):
+        """Twin clusters, one driven as shipped and one through the
+        reference, at the same virtual times: latencies, service times
+        and every span window are equal, not close."""
+        twins = []
+        for reference in (False, True):
+            rng = np.random.default_rng(7)
+            cluster = sealed_cluster(rng)
+            cluster.delete("c", f"pk in {list(range(0, 400, 7))}")
+            cluster.run_for(500)
+            seen = []
+            for nq in (1, 3, 64):
+                queries = clustered(rng, nq)
+                for options in ({}, {"consistency": ConsistencyLevel.STRONG},
+                                {"expr": "price < 4"}):
+                    cluster.run_for(300)
+                    if reference:
+                        with reference_path(monkeypatch):
+                            out = cluster.search("c", queries, 10, **options)
+                    else:
+                        out = cluster.search("c", queries, 10, **options)
+                    seen.append([(r.latency_ms, r.consistency_wait_ms,
+                                  r.distances) for r in out])
+            spans = [(s.name, s.component, s.start_ms, s.end_ms, s.tags)
+                     for tid in cluster.tracer.trace_ids()
+                     for s in cluster.tracer.spans(tid)
+                     if s.name.startswith(("proxy.search", "query_node.",
+                                           "segment.scan", "proxy.merge"))]
+            twins.append((seen, spans, cluster.now(), [
+                (node.searches_served, node.service_ms_total,
+                 node.busy_until_ms)
+                for node in cluster.query_coord.live_nodes()]))
+        assert twins[0][0] == twins[1][0]
+        assert len(twins[0][1]) > 9 * 16 and twins[0][1] == twins[1][1]
+        assert twins[0][2:] == twins[1][2:]
+
+    def test_every_sealed_segment_goes_through_the_arena(self, rng,
+                                                         monkeypatch):
+        """No sealed arena-capable segment takes the per-segment route,
+        whatever nq."""
+        cluster = sealed_cluster(rng)
+        calls = []
+        real = BucketedIndex.search
+        monkeypatch.setattr(
+            BucketedIndex, "search",
+            lambda self, *a, **kw: calls.append(self) or real(self, *a,
+                                                              **kw))
+        for nq in (1, 64):
+            result = cluster.search("c", clustered(rng, nq), 5,
+                                    explain=True)[0]
+            stages = [seg for node in result.profile.node_stages()
+                      for seg in node.stages("segment.scan")]
+            assert {seg.meta["path"] for seg in stages} == {"index"}
+            assert len(stages) == len(sealed_segments(cluster))
+        assert calls == []
+
+    def test_no_vector_matrix_is_held_twice(self, rng):
+        cluster = sealed_cluster(rng)
+        cluster.search("c", clustered(rng, 1), 5)
+        for arena in arenas(cluster):
+            assert len(arena.segments) >= 3
+            for segment, member, lists in zip(arena.segments,
+                                              arena.index.members,
+                                              arena.index.lists.members):
+                assert member is segment.index_for("vector")
+                assert lists is member._lists
+                assert np.shares_memory(lists.codes, member._lists.codes)
+            held = [value for holder in (arena, arena.index,
+                                         arena.index.lists)
+                    for value in vars(holder).values()
+                    if isinstance(value, np.ndarray)]
+            rows_held = arena.index.ntotal
+            assert sum(a.nbytes for a in held) <= 32 * rows_held + 4096
+            assert not any(a.ndim == 2 and a.shape == (rows_held, DIM)
+                           for a in held)
+
+    def test_ragged_nlist_and_a_segment_smaller_than_nlist(self, rng,
+                                                           monkeypatch):
+        """One segment holds fewer rows than ``nlist``: every list of its
+        index holds a single row and it has fewer lists than the others,
+        fewer even than ``nprobe``."""
+        cluster = sealed_cluster(rng, n=2400, seal=400,
+                                 params={"nlist": 16, "nprobe": 8})
+        sizes = sorted(seg.num_rows for _n, seg in sealed_segments(cluster))
+        assert 0 < sizes[0] < 8
+        nlists = {seg.index_for("vector").effective_nlist
+                  for _n, seg in sealed_segments(cluster)}
+        assert min(nlists) == sizes[0] and max(nlists) == 16
+        for nq in (1, 3, 64):
+            both(cluster, monkeypatch, clustered(rng, nq), 10)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("n_deleted", [3, 10, 11, 120])
+    def test_deletions_near_the_candidates(self, rng, monkeypatch, metric,
+                                           n_deleted):
+        """Both ``k_amplified`` regimes (<= k and > k exclusions in one
+        segment), on some segments only."""
+        cluster = sealed_cluster(rng, metric)
+        queries = clustered(rng, 17)
+        nearest = cluster.search("c", queries[:1], n_deleted,
+                                 metric=metric)[0].pks
+        cluster.delete("c", f"pk in {nearest}")
+        cluster.run_for(500)
+        got = both(cluster, monkeypatch, queries, 10, metric=metric)
+        assert not set(nearest) & {pk for r in got for pk in r.pks}
+        totals = got[0].profile.totals()
+        assert totals["delete_filter_hits"] == n_deleted
+        assert totals["candidates_pruned"] > 0
+        for nq in (1, 3):
+            both(cluster, monkeypatch, queries[:nq], 10, metric=metric)
+
+    def test_deletions_far_from_the_candidates(self, rng, monkeypatch):
+        """Exclusions amplify k, yet no candidate is dropped."""
+        cluster = sealed_cluster(rng)
+        queries = clustered(rng, 5)
+        farthest = cluster.search("c", -100.0 * queries[:1], 40)[0].pks
+        cluster.delete("c", f"pk in {farthest}")
+        cluster.run_for(500)
+        got = both(cluster, monkeypatch, queries, 10)
+        totals = got[0].profile.totals()
+        assert totals["candidates_visited"] > \
+            len(queries) * 10 * len(sealed_segments(cluster)) * 0.9
+        assert totals["candidates_pruned"] == 0
+
+    def test_filter_plans_pre_post_and_scan_on_one_node(self, rng,
+                                                        monkeypatch):
+        """One expression, three strategies: the filter is selective on
+        one segment (PRE: exact scan of the passing rows, outside the
+        arena), passes nearly everything on another (POST) and a quarter
+        on the rest (SCAN)."""
+        cluster = sealed_cluster(rng, n=6000, seal=1000,
+                                 params={"nlist": 32, "nprobe": 1})
+        node = max(cluster.query_coord.live_nodes(),
+                   key=lambda n: len(n.sealed_segments_of("c")))
+        held = [node.segment("c", sid)
+                for sid in node.sealed_segments_of("c")]
+        passing = set()
+        for node_, segment in sealed_segments(cluster):
+            share = 0.25
+            if node_ is node and segment in held[:2]:
+                share = (0.01, 0.97)[held.index(segment)]
+            price = np.where(rng.random(segment.num_rows) < share, 1.0, 9.0)
+            segment._chunks["price"] = [price]
+            segment._consolidated.clear()
+            segment._attr_indexes.clear()
+            passing |= set(segment.pk_array[price < 5].tolist())
+        expr = FilterExpression("price < 5")
+        plans = [choose_strategy(segment, "vector", 10, expr).strategy
+                 for segment in held if segment.num_rows > 900]
+        assert set(plans) == set(FilterStrategy)
+        for nq in (1, 3, 64):
+            got = both(cluster, monkeypatch, clustered(rng, nq), 10,
+                       expr="price < 5")
+            assert {pk for r in got for pk in r.pks} <= passing
+        stage = next(s for s in got[0].profile.node_stages()
+                     if s.meta["node"] == node.name)
+        paths = [seg.meta["path"] for seg in stage.stages("segment.scan")]
+        assert "brute" in paths and "index" in paths
+
+    def test_starvation_escalates_one_segment_query_pair(self, rng,
+                                                         monkeypatch):
+        """A mask that leaves some (segment, query) rows short of k with
+        ``k_amplified < covered``: those rows, and only those, take the
+        exact scan."""
+        cluster = sealed_cluster(rng, params={"nlist": 16, "nprobe": 16})
+        n = 2100
+        keep = rng.choice(n, 260, replace=False)
+        cluster.delete("c", "pk in " + str(sorted(
+            set(range(n)) - set(keep.tolist()))))
+        cluster.run_for(500)
+        queries = clustered(rng, 24)
+        got = both(cluster, monkeypatch, queries, 10)
+        stages = [seg for node in got[0].profile.node_stages()
+                  for seg in node.stages("segment.scan")]
+        brute = [seg.counters["brute_scans"] for seg in stages]
+        assert 0 < sum(brute) < len(queries) * len(stages)
+        assert all(seg.counters["index_scans"] == 1 for seg in stages)
+        assert all(len(r) == 10 for r in got)
+        both(cluster, monkeypatch, queries[:1], 10)
+
+    def test_same_pk_in_two_segments_and_on_two_nodes(self, rng,
+                                                      monkeypatch):
+        """Copies of one entity (a replica left behind, an upsert's old
+        version): best hit per pk, at the node and at the proxy."""
+        cluster = sealed_cluster(rng)
+        queries = clustered(rng, 9)
+        top = cluster.search("c", queries[:1], 1)[0].pks[0]
+        nodes = cluster.query_coord.live_nodes()
+        home = next(node for node, seg in sealed_segments(cluster)
+                    if seg.contains_pk(top))
+        source = next(seg for node, seg in sealed_segments(cluster)
+                      if seg.contains_pk(top))
+        row = source._pk_rows[top]
+        for node in nodes:              # a copy in another segment
+            target = next(seg for n, seg in sealed_segments(cluster)
+                          if n is node and seg is not source)
+            victim = int(target.pk_array[0])
+            del target._pk_rows[victim]
+            target._pks[0] = top
+            target._pk_arr = None
+            target._pk_rows[top] = 0
+            vectors = target.column("vector")
+            vectors[0] = source.column("vector")[row]
+            index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
+                                 nlist=16, nprobe=4)
+            index.build(vectors)
+            target.attach_index("vector", index)
+        assert home in nodes
+        got = both(cluster, monkeypatch, queries, 10)
+        assert got[0].pks[0] == top
+        assert all(len(set(r.pks)) == len(r.pks) == 10 for r in got)
+        node_dups = sum(
+            node.stages("query_node.reduce")[0].counters["hits_deduped"]
+            for node in got[0].profile.node_stages())
+        proxy_dups = got[0].profile.root.stages(
+            "proxy.merge")[0].counters["hits_deduped"]
+        assert node_dups >= 1 and proxy_dups >= 1
+
+    def test_mixed_index_types_unindexed_and_growing(self, rng,
+                                                     monkeypatch):
+        """IVF_FLAT + IVF_PQ + HNSW + unindexed + growing segments on one
+        node: the first two share the arena (two codecs, one scan), the
+        rest feed the same merge from their own searches."""
+        cluster = sealed_cluster(rng, n=3000, seal=300)
+        node = max(cluster.query_coord.live_nodes(),
+                   key=lambda n: len(n.sealed_segments_of("c")))
+        held = [node.segment("c", sid)
+                for sid in node.sealed_segments_of("c")]
+        assert len(held) >= 5
+        for segment, kind in zip(held[1:], ("IVF_PQ", "HNSW", None)):
+            if kind is None:
+                del segment._sealed_indexes["vector"]
+                continue
+            index = create_index(kind, MetricType.EUCLIDEAN, DIM,
+                                 **({"nlist": 8, "nprobe": 4, "m": 4}
+                                    if kind == "IVF_PQ" else {}))
+            index.build(segment.column("vector"))
+            segment.attach_index("vector", index)
+        cluster.insert("c", rows(rng, range(5000, 5150)))
+        cluster.run_for(500)
+        for nq in (1, 3, 64):
+            got = both(cluster, monkeypatch, clustered(rng, nq), 10)
+        arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
+        kinds = [type(member).__name__ for member in arena.index.members]
+        assert sorted(set(kinds)) == ["IvfFlatIndex", "IvfPqIndex"]
+        assert len(kinds) == len(held) - 2
+        stage = next(s for s in got[0].profile.node_stages()
+                     if s.meta["node"] == node.name)
+        paths = [seg.meta["path"] for seg in stage.stages("segment.scan")]
+        assert sorted(set(paths)) == ["brute", "growing", "index"]
+        assert stage.counters["quantized_comparisons"] > 0
+        assert stage.counters["graph_hops"] > 0
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_quantized_and_graph_probed_members(self, rng, monkeypatch,
+                                                metric):
+        """IVF_SQ8, IVF_PQ (unit rows under cosine) and IVF_HNSW (a
+        bucketer that is asked per segment) beside IVF_FLAT."""
+        cluster = sealed_cluster(rng, metric, n=1500, seal=300)
+        kinds = ["IVF_SQ8", "IVF_PQ", "IVF_HNSW"]
+        for (node, segment), kind in zip(sealed_segments(cluster), kinds):
+            params = {"nlist": 8, "nprobe": 4}
+            if kind == "IVF_PQ":
+                params["m"] = 4
+            index = create_index(kind, metric, DIM, **params)
+            index.build(segment.column("vector"))
+            segment.attach_index("vector", index)
+        for nq in (1, 3, 64):
+            both(cluster, monkeypatch, clustered(rng, nq), 10,
+                 metric=metric)
+        members = [type(member).__name__ for arena in arenas(cluster, metric)
+                   for member in arena.index.members]
+        assert {"IvfSqIndex", "IvfPqIndex", "IvfHnswIndex",
+                "IvfFlatIndex"} == set(members)
+
+    def test_replica_scopes_select_a_strict_subset(self, rng, monkeypatch):
+        """Hot replicas: ``search_plan`` rotates which holder covers a
+        segment per request; the arena covers the node's segments and a
+        request scans the in-scope subset — it is not rebuilt per plan."""
+        cluster = sealed_cluster(rng, replicas=2, query_nodes=3)
+        built = []
+        real = SegmentArena.__init__
+        monkeypatch.setattr(
+            SegmentArena, "__init__",
+            lambda self, *a, **kw: built.append(1) or real(self, *a, **kw))
+        queries = clustered(rng, 3)
+        coord = cluster.query_coord
+        scoped = set()
+
+        def same_plan_again():
+            coord._plan_rr -= 1
+
+        for _ in range(4):
+            plan = coord.search_plan("c")
+            same_plan_again()       # a look, not a request
+            for node, scope in plan:
+                assert scope is not None
+                scoped.add((node.name, frozenset(scope)))
+                assert scope <= set(node.sealed_segments_of("c"))
+            both(cluster, monkeypatch, queries, 10, between=same_plan_again)
+        assert len(scoped) > len(cluster.query_coord.live_nodes())
+        assert any(len(scope) < len(node.sealed_segments_of("c"))
+                   for node, scope in plan)
+        assert len(built) == len([a for a in arenas(cluster) if a])
+
+
+# ----------------------------------------------------------------------
+# never stale
+# ----------------------------------------------------------------------
+
+class TestArenaIsNeverStale:
+    """Each mutation of what the arena is derived from, between two
+    searches that are each compared with the reference loop."""
+
+    def test_release_and_load(self, rng, monkeypatch):
+        cluster = sealed_cluster(rng)
+        queries = clustered(rng, 3)
+        before = both(cluster, monkeypatch, queries, 10)
+        node, segment = sealed_segments(cluster)[0]
+        sid = segment.segment_id
+        assert node.release_segment("c", sid)
+        after = both(cluster, monkeypatch, queries, 10)
+        held = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
+        assert sid not in held.slot
+        assert after[0].segments_searched == before[0].segments_searched - 1
+        # Loaded again (no index yet: brute), then indexed again.
+        node.load_segment("c", sid)
+        unindexed = both(cluster, monkeypatch, queries, 10)
+        assert sid not in node._arenas[
+            ("c", "vector", MetricType.EUCLIDEAN)].slot
+        route = cluster.index_coord.index_route("c", sid, "vector")
+        node.attach_index("c", sid, "vector", route["path"])
+        again = both(cluster, monkeypatch, queries, 10)
+        assert sid in node._arenas[
+            ("c", "vector", MetricType.EUCLIDEAN)].slot
+        for a, b, c in zip(before, unindexed, again):
+            assert a.pks == c.pks and a.distances == c.distances
+            assert b.segments_searched == a.segments_searched
+
+    def test_reattached_rebuilt_index(self, rng, monkeypatch):
+        """Same segment, same id, another index object (other lists)."""
+        cluster = sealed_cluster(rng)
+        queries = clustered(rng, 3)
+        both(cluster, monkeypatch, queries, 10)
+        node, segment = sealed_segments(cluster)[0]
+        old = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
+        rebuilt = IvfFlatIndex(MetricType.EUCLIDEAN, DIM, nlist=5,
+                               nprobe=5, seed=3)
+        rebuilt.build(segment.column("vector"))
+        segment.attach_index("vector", rebuilt)
+        both(cluster, monkeypatch, queries, 10)
+        new = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
+        assert new is not old
+        assert new.index.members[new.slot[segment.segment_id]] is rebuilt
+
+    def test_deletions_need_no_rebuild(self, rng, monkeypatch):
+        cluster = sealed_cluster(rng)
+        queries = clustered(rng, 3)
+        first = both(cluster, monkeypatch, queries, 10)
+        held = arenas(cluster)
+        cluster.delete("c", f"pk in {first[0].pks[:3]}")
+        cluster.run_for(500)
+        second = both(cluster, monkeypatch, queries, 10)
+        assert not set(first[0].pks[:3]) & set(second[0].pks)
+        assert all(a is b for a, b in zip(held, arenas(cluster)))
+
+    def test_growing_to_sealed_handoff(self, rng, monkeypatch):
+        cluster = sealed_cluster(rng)
+        queries = clustered(rng, 3)
+        both(cluster, monkeypatch, queries, 10)
+        cluster.insert("c", rows(rng, range(9000, 9250)))
+        cluster.run_for(500)
+        growing = both(cluster, monkeypatch, queries, 10)
+        paths = {seg.meta["path"]
+                 for node in growing[0].profile.node_stages()
+                 for seg in node.stages("segment.scan")}
+        assert paths == {"index", "growing"}
+        members = sum(len(a.segments) for a in arenas(cluster))
+        cluster.flush("c")
+        assert cluster.wait_for_indexes("c")
+        cluster.run_for(2_000)
+        sealed = both(cluster, monkeypatch, queries, 10)
+        assert {seg.meta["path"]
+                for node in sealed[0].profile.node_stages()
+                for seg in node.stages("segment.scan")} == {"index"}
+        assert sum(len(a.segments) for a in arenas(cluster)) > members
+        assert cluster.collection_row_count("c") == 2100 + 250
+
+    def test_fail_and_recovery(self, rng, monkeypatch):
+        cluster = sealed_cluster(rng)
+        queries = clustered(rng, 3)
+        before = both(cluster, monkeypatch, queries, 10)
+        victim = cluster.query_coord.live_nodes()[0]
+        cluster.fail_query_node(victim.name)
+        assert victim._arenas == {}
+        cluster.run_for(5_000)
+        after = both(cluster, monkeypatch, queries, 10)
+        (survivor,) = cluster.query_coord.live_nodes()
+        assert len(survivor._arenas[
+            ("c", "vector", MetricType.EUCLIDEAN)].segments) \
+            == len(sealed_segments(cluster))
+        for a, b in zip(before, after):
+            assert a.pks == b.pks and a.distances == b.distances
+
+    def test_scale_out(self, rng, monkeypatch):
+        cluster = sealed_cluster(rng)
+        queries = clustered(rng, 3)
+        before = both(cluster, monkeypatch, queries, 10)
+        held = sum(len(a.segments) for a in arenas(cluster))
+        cluster.add_query_node()
+        cluster.run_for(5_000)
+        after = both(cluster, monkeypatch, queries, 10)
+        assert len(cluster.query_coord.live_nodes()) == 3
+        now = [a for a in arenas(cluster) if a is not None]
+        assert len(now) == 3
+        assert sum(len(a.segments) for a in now) == held
+        for a, b in zip(before, after):
+            assert a.pks == b.pks and a.distances == b.distances
+
+
+# ----------------------------------------------------------------------
+# the index-level arena
+# ----------------------------------------------------------------------
+
+class TestArenaIndex:
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_members_answer_as_on_their_own(self, rng, metric):
+        """Ids, distances and work counters of every member, bit for bit;
+        the probe matrix of the one coarse step is the members' own."""
+        blocks = [clustered(rng, n) for n in (400, 500, 7, 300)]
+        members = []
+        for block in blocks:
+            index = IvfFlatIndex(metric, DIM, nlist=16, nprobe=4)
+            index.build(block)
+            members.append(index)
+        arena = ArenaIndex(members)
+        assert arena.ntotal == 1207 and arena.is_built
+        for nq in (1, 2, 3, 8, 64):
+            queries = clustered(rng, nq)
+            stats = [SearchStats() for _ in members]
+            ids, dists = arena.search(queries, 10, stats=stats)
+            unit = queries / np.linalg.norm(queries, axis=1, keepdims=True)
+            probes = arena._probe([0, 1, 2, 3], queries, unit,
+                                  [SearchStats() for _ in members])
+            for number, member in enumerate(members):
+                want_ids, want_dists = member.search(queries, 10)
+                np.testing.assert_array_equal(dists[number], want_dists)
+                np.testing.assert_array_equal(
+                    ids[number],
+                    np.where(want_ids < 0, -1,
+                             want_ids + arena.row_base[number]))
+                assert stats[number].as_dict() == member.stats.as_dict()
+                own = member._probe(queries, 10, None)
+                base = arena.lists.list_base[number]
+                np.testing.assert_array_equal(
+                    probes[number, :, :own.shape[1]] - base, own)
+                assert (probes[number, :, own.shape[1]:] - base
+                        == member.effective_nlist).all()
+            ids, dists = arena.search(queries, 10, scope=[1, 3])
+            for at, number in enumerate([1, 3]):
+                np.testing.assert_array_equal(
+                    dists[at], members[number].search(queries, 10)[1])
+
+    def test_refuses_what_it_cannot_hold(self, rng):
+        data = clustered(rng, 200)
+        flat = IvfFlatIndex(MetricType.EUCLIDEAN, DIM, nlist=4)
+        flat.build(data)
+        other = IvfFlatIndex(MetricType.INNER_PRODUCT, DIM, nlist=4)
+        other.build(data)
+        for kind in ("HNSW", "FLAT", "SSD", "IMI", "SQ8"):
+            index = create_index(kind, MetricType.EUCLIDEAN, DIM)
+            index.build(data)
+            assert not ArenaIndex.admits(index)
+            with pytest.raises(IndexBuildError):
+                ArenaIndex([flat, index])
+        assert not ArenaIndex.admits(
+            IvfFlatIndex(MetricType.EUCLIDEAN, DIM))      # not built
+        assert ArenaIndex.admits(flat) and ArenaIndex.admits(other)
+        with pytest.raises(IndexBuildError, match="inner_product"):
+            ArenaIndex([flat, other])
+        with pytest.raises(IndexBuildError):
+            ArenaIndex([flat]).build(data)
+
+    def test_arena_is_keyed_by_metric_and_asserts_it(self, rng):
+        cluster = sealed_cluster(rng, MetricType.INNER_PRODUCT, n=600)
+        node, segment = sealed_segments(cluster)[0]
+        assert not SegmentArena.admits(segment, "vector",
+                                       MetricType.EUCLIDEAN)
+        with pytest.raises(ValueError, match="euclidean"):
+            SegmentArena("vector", MetricType.EUCLIDEAN, [segment])
+        assert node._arena("c", "vector", MetricType.EUCLIDEAN) is None
+        assert node._arena("c", "vector",
+                           MetricType.INNER_PRODUCT) is not None
+
+
+# ----------------------------------------------------------------------
+# a metric the index was not built with
+# ----------------------------------------------------------------------
+
+class TestMetricMismatchIsRefused:
+    """Searching a sealed index under another metric used to return that
+    index's neighbours, silently, on another distance scale than the
+    growing segments of the same request."""
+
+    def _cluster(self, rng):
+        cluster = sealed_cluster(rng, MetricType.INNER_PRODUCT, n=600)
+        return cluster, clustered(rng, 1)[0]
+
+    def test_proxy_refuses_and_names_both_metrics(self, rng):
+        cluster, query = self._cluster(rng)
+        for call in (lambda: cluster.search("c", query, 5),
+                     lambda: cluster.range_search("c", query, 1.0)):
+            with pytest.raises(InvalidQuery) as refused:
+                call()
+            assert "euclidean" in str(refused.value)
+            assert "inner_product" in str(refused.value)
+        got = cluster.search("c", query, 5,
+                             metric=MetricType.INNER_PRODUCT)[0]
+        assert len(got) == 5
+        assert len(cluster.range_search(
+            "c", query, -1e9, metric=MetricType.INNER_PRODUCT)) == 600
+
+    def test_no_declared_index_any_metric(self, rng):
+        cluster = ManuCluster(num_query_nodes=2)
+        cluster.create_collection("c", schema())
+        cluster.insert("c", rows(rng, range(200)))
+        cluster.run_for(500)
+        query = clustered(rng, 1)[0]
+        for metric in METRICS:
+            assert len(cluster.search("c", query, 5, metric=metric)[0]) == 5
+
+    def test_pymanu_and_rest(self, rng):
+        cluster, query = self._cluster(rng)
+        connect(cluster=cluster)
+        try:
+            coll = Collection("c")
+            with pytest.raises(InvalidQuery):
+                coll.search(vec=query, limit=5,
+                            param={"metric_type": "Euclidean"})
+            assert len(coll.search(vec=query, limit=5,
+                                   param={"metric_type": "IP"})[0]) == 5
+        finally:
+            connections.disconnect()
+        api = RestApi(cluster)
+        status, body = api.handle("POST", "/collections/c/search", {
+            "vector": query.tolist(), "limit": 5})
+        assert status == 400 and "inner" in body["error"].lower()
+        status, body = api.handle("POST", "/collections/c/search", {
+            "vector": query.tolist(), "limit": 5, "metric_type": "IP"})
+        assert status == 200
