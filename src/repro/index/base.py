@@ -158,6 +158,9 @@ class VectorIndex(abc.ABC):
                 f"got shape {arr.shape}")
         if arr.shape[0] == 0:
             raise IndexBuildError(f"{self.index_type}: empty build data")
+        if not np.isfinite(arr).all():
+            raise IndexBuildError(
+                f"{self.index_type}: build data holds NaN or inf")
         return arr
 
     def _check_query_input(self, queries: np.ndarray) -> np.ndarray:

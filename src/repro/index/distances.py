@@ -28,18 +28,27 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
     return arr
 
 
-def squared_l2(queries: np.ndarray, data: np.ndarray) -> np.ndarray:
+def squared_l2(queries: np.ndarray, data: np.ndarray, *,
+               q_norms: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances, shape (nq, nd).
 
     Uses the ``|q|^2 - 2 q.d + |d|^2`` expansion so the whole computation is
-    one GEMM — the same trick SIMD-optimized engines rely on.
+    one GEMM — the same trick SIMD-optimized engines rely on — and forms
+    it in place in the GEMM's output.  A caller that scores the same
+    queries many times passes their squared norms as ``q_norms`` and a
+    float32 ``(nq, nd)`` block to reuse as ``out``; the values are the
+    same to the last bit either way.
     """
     queries = _as_2d(queries)
     data = _as_2d(data)
-    q_norms = np.einsum("ij,ij->i", queries, queries)
+    if q_norms is None:
+        q_norms = np.einsum("ij,ij->i", queries, queries)
     d_norms = np.einsum("ij,ij->i", data, data)
-    cross = queries @ data.T
-    out = q_norms[:, None] - 2.0 * cross + d_norms[None, :]
+    out = np.matmul(queries, data.T, out=out)
+    out *= 2.0
+    np.subtract(q_norms[:, None], out, out=out)
+    out += d_norms[None, :]
     np.maximum(out, 0.0, out=out)
     return out
 

@@ -28,25 +28,35 @@ class KMeansResult:
         return self.centroids.shape[0]
 
 
-def _kmeans_pp_init(data: np.ndarray, k: int,
+def _kmeans_pp_init(data: np.ndarray, norms: np.ndarray, k: int,
                     rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding: spread initial centroids by D^2 sampling."""
+    """k-means++ seeding: spread initial centroids by D^2 sampling.
+
+    One GEMV per step against the cached row norms.  The draw is what
+    ``rng.choice(n, p=closest / total)`` does once its checks have
+    passed — a float64 running sum normalised by its last entry, searched
+    for one uniform double — so the generator is left where it was.
+    """
     n = data.shape[0]
     centroids = np.empty((k, data.shape[1]), dtype=np.float32)
-    first = int(rng.integers(n))
-    centroids[0] = data[first]
-    closest = squared_l2(data, centroids[0:1])[:, 0]
+    centroids[0] = data[int(rng.integers(n))]
+    closest = squared_l2(data, centroids[0:1], q_norms=norms)[:, 0]
+    dist = np.empty((n, 1), dtype=np.float32)
+    probs = np.empty(n, dtype=np.float32)
+    cdf = np.empty(n, dtype=np.float64)
     for i in range(1, k):
         total = float(closest.sum())
         if total <= 0:
             # All remaining points coincide with chosen centroids.
             pick = int(rng.integers(n))
         else:
-            probs = closest / total
-            pick = int(rng.choice(n, p=probs))
+            np.divide(closest, total, out=probs)
+            np.cumsum(probs, dtype=np.float64, out=cdf)
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[i] = data[pick]
-        dist = squared_l2(data, centroids[i:i + 1])[:, 0]
-        np.minimum(closest, dist, out=closest)
+        squared_l2(data, centroids[i:i + 1], q_norms=norms, out=dist)
+        np.minimum(closest, dist[:, 0], out=closest)
     return centroids
 
 
@@ -56,36 +66,69 @@ def kmeans(data: np.ndarray, k: int, max_iters: int = 25,
 
     Deterministic for a fixed seed.  ``k`` is clamped to ``n``; empty
     clusters are reseeded with the points farthest from their centroids.
+
+    The row norms are computed once, the distance block is one reused
+    buffer, and a round recomputes only the centroids it *touched*: a
+    cluster that gained or lost a row, or is empty.  Every other cluster
+    has the members it had, so its mean is the one already held.
     """
     data = np.ascontiguousarray(data, dtype=np.float32)
     n = data.shape[0]
     if n == 0:
         raise ValueError("cannot cluster an empty dataset")
+    norms = np.einsum("ij,ij->i", data, data)
+    if not np.isfinite(norms).all():
+        raise ValueError(
+            "cannot cluster rows that are not finite (NaN, inf, or a "
+            "squared norm beyond float32)")
     k = max(1, min(k, n))
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init(data, k, rng)
+    centroids = _kmeans_pp_init(data, norms, k, rng)
 
-    assignments = np.zeros(n, dtype=np.int64)
+    dists = np.empty((n, k), dtype=np.float32)
+    assignments = None
+    settled = False
     iteration = 0
     for iteration in range(1, max_iters + 1):
-        dists = squared_l2(data, centroids)
-        assignments = dists.argmin(axis=1)
-        new_centroids = centroids.copy()
+        squared_l2(data, centroids, q_norms=norms, out=dists)
+        nearest = dists.argmin(axis=1)
+        sizes = np.bincount(nearest, minlength=k)
+        stale = sizes == 0
+        if assignments is None:
+            stale[:] = True
+        else:
+            changed = nearest != assignments
+            stale[assignments[changed]] = True
+            stale[nearest[changed]] = True
+        assignments = nearest
+        touched = np.flatnonzero(stale)
+        settled = len(touched) == 0
         moved = 0.0
-        for cluster in range(k):
-            members = data[assignments == cluster]
-            if len(members) == 0:
-                # Reseed from the globally worst-served point.
-                worst = int(dists.min(axis=1).argmax())
-                new_centroids[cluster] = data[worst]
-            else:
-                new_centroids[cluster] = members.mean(axis=0)
-        moved = float(np.abs(new_centroids - centroids).max())
-        centroids = new_centroids
+        if not settled:
+            # The touched clusters' rows, grouped by cluster and in their
+            # original order within each: what one mask per cluster gives.
+            rows = np.flatnonzero(stale[nearest])
+            rows = rows[np.argsort(nearest[rows], kind="stable")]
+            members = data[rows]
+            fresh = np.empty((len(touched), data.shape[1]),
+                             dtype=np.float32)
+            end = 0
+            for slot, size in enumerate(sizes[touched].tolist()):
+                if size == 0:
+                    # Reseed from the globally worst-served point.
+                    fresh[slot] = data[int(dists.min(axis=1).argmax())]
+                else:
+                    start, end = end, end + size
+                    fresh[slot] = members[start:end].mean(axis=0)
+            moved = float(np.abs(fresh - centroids[touched]).max())
+            centroids[touched] = fresh
         if moved < tol:
             break
-    final = squared_l2(data, centroids).argmin(axis=1)
-    return KMeansResult(centroids=centroids, assignments=final,
+    if not settled:
+        # The centroids moved after the labels were taken.
+        assignments = squared_l2(
+            data, centroids, q_norms=norms, out=dists).argmin(axis=1)
+    return KMeansResult(centroids=centroids, assignments=assignments,
                         iterations=iteration)
 
 
@@ -114,24 +157,22 @@ def hierarchical_balanced_kmeans(data: np.ndarray, max_cluster_size: int,
             return
         k = min(branch, max(2, int(np.ceil(len(indices) / max_cluster_size))))
         result = kmeans(subset, k, seed=seed + depth)
-        made_progress = False
-        for cluster in range(result.k):
-            members = indices[result.assignments == cluster]
-            if len(members) == 0:
-                continue
-            if len(members) < len(indices):
-                made_progress = True
-        if not made_progress:
+        # One stable sort groups the members by cluster, each group in
+        # its original order; empty clusters drop out.
+        order = np.argsort(result.assignments, kind="stable")
+        sizes = np.bincount(result.assignments, minlength=result.k)
+        parts = [part for part
+                 in np.split(indices[order], np.cumsum(sizes)[:-1])
+                 if len(part)]
+        if len(parts) == 1:
             # Degenerate data (all points identical): chunk arbitrarily.
             for start in range(0, len(indices), max_cluster_size):
                 chunk = indices[start:start + max_cluster_size]
                 leaf_centroids.append(data[chunk].mean(axis=0))
                 leaf_members.append(chunk)
             return
-        for cluster in range(result.k):
-            members = indices[result.assignments == cluster]
-            if len(members):
-                split(members, depth + 1)
+        for part in parts:
+            split(part, depth + 1)
 
     split(np.arange(len(data), dtype=np.int64), 0)
 

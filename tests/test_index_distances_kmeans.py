@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.schema import MetricType
+from repro.errors import IndexBuildError
+from repro.index import create_index
 from repro.index.distances import (
     adjusted_distances,
     cosine,
@@ -14,11 +16,176 @@ from repro.index.distances import (
     to_user_score,
     topk_smallest,
 )
-from repro.index.kmeans import hierarchical_balanced_kmeans, kmeans
+from repro.index.kmeans import (
+    KMeansResult,
+    hierarchical_balanced_kmeans,
+    kmeans,
+)
 
 
 def naive_l2(q, d):
     return np.array([[np.sum((qi - di) ** 2) for di in d] for qi in q])
+
+
+# ---------------------------------------------------------------------------
+# The oracle: the k-means every index was built with before the build path
+# learnt to redo only what moved, verbatim — the distance kernel it called,
+# its seeding, its loop, and the hierarchical split on top of it.
+# ``repro.index.kmeans`` must return what these return, to the last bit and
+# the last draw.  ``benchmarks/bench_kmeans_build.py`` times against them.
+# ---------------------------------------------------------------------------
+
+def squared_l2_reference(queries, data):
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
+    data = np.atleast_2d(np.asarray(data, dtype=np.float32))
+    q_norms = np.einsum("ij,ij->i", queries, queries)
+    d_norms = np.einsum("ij,ij->i", data, data)
+    cross = queries @ data.T
+    out = q_norms[:, None] - 2.0 * cross + d_norms[None, :]
+    np.maximum(out, 0.0, out=out)
+    return out
+
+
+def _kmeans_pp_init_reference(data, k, rng):
+    n = data.shape[0]
+    centroids = np.empty((k, data.shape[1]), dtype=np.float32)
+    first = int(rng.integers(n))
+    centroids[0] = data[first]
+    closest = squared_l2_reference(data, centroids[0:1])[:, 0]
+    for i in range(1, k):
+        total = float(closest.sum())
+        if total <= 0:
+            # All remaining points coincide with chosen centroids.
+            pick = int(rng.integers(n))
+        else:
+            probs = closest / total
+            pick = int(rng.choice(n, p=probs))
+        centroids[i] = data[pick]
+        dist = squared_l2_reference(data, centroids[i:i + 1])[:, 0]
+        np.minimum(closest, dist, out=closest)
+    return centroids
+
+
+def kmeans_reference(data, k, max_iters=25, seed=0, tol=1e-4):
+    data = np.ascontiguousarray(data, dtype=np.float32)
+    n = data.shape[0]
+    if n == 0:
+        raise ValueError("cannot cluster an empty dataset")
+    k = max(1, min(k, n))
+    rng = np.random.default_rng(seed)
+    centroids = _kmeans_pp_init_reference(data, k, rng)
+
+    assignments = np.zeros(n, dtype=np.int64)
+    iteration = 0
+    for iteration in range(1, max_iters + 1):
+        dists = squared_l2_reference(data, centroids)
+        assignments = dists.argmin(axis=1)
+        new_centroids = centroids.copy()
+        moved = 0.0
+        for cluster in range(k):
+            members = data[assignments == cluster]
+            if len(members) == 0:
+                # Reseed from the globally worst-served point.
+                worst = int(dists.min(axis=1).argmax())
+                new_centroids[cluster] = data[worst]
+            else:
+                new_centroids[cluster] = members.mean(axis=0)
+        moved = float(np.abs(new_centroids - centroids).max())
+        centroids = new_centroids
+        if moved < tol:
+            break
+    final = squared_l2_reference(data, centroids).argmin(axis=1)
+    return KMeansResult(centroids=centroids, assignments=final,
+                        iterations=iteration)
+
+
+def hierarchical_balanced_kmeans_reference(data, max_cluster_size,
+                                           branch=8, seed=0, max_depth=12):
+    data = np.ascontiguousarray(data, dtype=np.float32)
+    if max_cluster_size <= 0:
+        raise ValueError("max_cluster_size must be positive")
+
+    leaf_centroids = []
+    leaf_members = []
+
+    def split(indices, depth):
+        subset = data[indices]
+        if len(indices) <= max_cluster_size or depth >= max_depth:
+            leaf_centroids.append(subset.mean(axis=0))
+            leaf_members.append(indices)
+            return
+        k = min(branch, max(2, int(np.ceil(len(indices) / max_cluster_size))))
+        result = kmeans_reference(subset, k, seed=seed + depth)
+        made_progress = False
+        for cluster in range(result.k):
+            members = indices[result.assignments == cluster]
+            if len(members) == 0:
+                continue
+            if len(members) < len(indices):
+                made_progress = True
+        if not made_progress:
+            # Degenerate data (all points identical): chunk arbitrarily.
+            for start in range(0, len(indices), max_cluster_size):
+                chunk = indices[start:start + max_cluster_size]
+                leaf_centroids.append(data[chunk].mean(axis=0))
+                leaf_members.append(chunk)
+            return
+        for cluster in range(result.k):
+            members = indices[result.assignments == cluster]
+            if len(members):
+                split(members, depth + 1)
+
+    split(np.arange(len(data), dtype=np.int64), 0)
+
+    centroids = np.stack(leaf_centroids).astype(np.float32)
+    assignments = np.empty(len(data), dtype=np.int64)
+    for leaf, members in enumerate(leaf_members):
+        assignments[members] = leaf
+    return KMeansResult(centroids=centroids, assignments=assignments,
+                        iterations=0)
+
+
+def clustered(rng, n, dim, centers=32, spread=0.3):
+    """``n`` float32 rows scattered around ``centers`` Gaussian centres:
+    the shape of a sealed segment, where late Lloyd rounds move few rows."""
+    means = rng.standard_normal((centers, dim)).astype(np.float32)
+    noise = rng.standard_normal((n, dim)).astype(np.float32)
+    return means[rng.integers(centers, size=n)] + spread * noise
+
+
+def _oracle_cases():
+    """``name -> (data, k, kmeans keyword arguments)``."""
+    rng = np.random.default_rng(20)
+    six = rng.standard_normal((6, 5)).astype(np.float32)
+    return {
+        "sealed-4096x128-k64": (clustered(rng, 4096, 128), 64, {}),
+        "temp-1024x128-k16": (clustered(rng, 1024, 128), 16, {}),
+        "small-256x128-k16": (clustered(rng, 256, 128), 16, {}),
+        "pq-subspace-4096x16-k256": (clustered(rng, 4096, 16), 256, {}),
+        "ragged-700x128-k64": (clustered(rng, 700, 128), 64, {}),
+        "n-below-k": (clustered(rng, 10, 8), 16, {}),
+        "n-equals-k": (clustered(rng, 16, 8), 16, {}),
+        # Every row the same: seeding takes its ``total <= 0`` branch.
+        "identical-rows": (np.ones((20, 4), dtype=np.float32), 4, {}),
+        # 200 rows over 6 distinct points, k=8: two clusters are empty
+        # and reseeded every round; ``tol=0`` keeps the rounds coming.
+        "duplicates-reseed": (six[rng.integers(6, size=200)], 8, {}),
+        "duplicates-reseed-every-round": (
+            six[rng.integers(6, size=200)], 8, {"tol": 0.0}),
+        "ends-by-tol": (clustered(rng, 500, 8, centers=8), 8,
+                        {"tol": 0.05}),
+        "ends-by-max-iters": (
+            rng.standard_normal((2000, 16)).astype(np.float32), 32,
+            {"max_iters": 3}),
+        "no-rounds": (clustered(rng, 100, 8), 4, {"max_iters": 0}),
+        "float64-non-contiguous": (
+            rng.standard_normal((600, 40))[:, ::2], 12, {}),
+        "one-dimension": (
+            rng.standard_normal((300, 1)).astype(np.float32), 7, {}),
+    }
+
+
+_ORACLE_CASES = _oracle_cases()
 
 
 class TestDistances:
@@ -151,7 +318,107 @@ class TestKMeans:
         assert np.array_equal(result.assignments, dists.argmin(axis=1))
 
 
+class TestKMeansEqualsReference:
+    """The build path redoes only what moved and returns what the loop
+    that redid everything returned."""
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    @pytest.mark.parametrize("case", sorted(_ORACLE_CASES))
+    def test_same_result_same_draws(self, case, seed):
+        data, k, kwargs = _ORACLE_CASES[case]
+        # ``default_rng`` hands a Generator back as it is: both runs draw
+        # from a stream the test can read on afterwards.
+        ours, theirs = (np.random.default_rng(seed) for _ in range(2))
+        got = kmeans(data, k, seed=ours, **kwargs)
+        want = kmeans_reference(data, k, seed=theirs, **kwargs)
+        assert got.iterations == want.iterations
+        assert got.centroids.dtype == want.centroids.dtype
+        assert got.assignments.dtype == want.assignments.dtype
+        assert np.array_equal(got.centroids, want.centroids)
+        assert np.array_equal(got.assignments, want.assignments)
+        assert ours.random() == theirs.random()
+
+    def test_the_matrix_covers_what_it_says(self):
+        """The named branches are really taken by the named cases."""
+        def run(case):
+            data, k, kwargs = _ORACLE_CASES[case]
+            return kmeans_reference(data, k, **kwargs)
+        assert run("ends-by-tol").iterations < 25
+        assert run("ends-by-max-iters").iterations == 3
+        assert run("duplicates-reseed-every-round").iterations == 25
+        data, k, _ = _ORACLE_CASES["duplicates-reseed"]
+        assert len(np.unique(data, axis=0)) < k
+        assert run("sealed-4096x128-k64").iterations > 3
+
+    def test_squared_l2_in_place_form_is_the_same_bits(self, rng):
+        q = rng.standard_normal((300, 24)).astype(np.float32) * 7
+        d = rng.standard_normal((40, 24)).astype(np.float32)
+        want = squared_l2_reference(q, d)
+        assert np.array_equal(squared_l2(q, d), want)
+        out = np.empty((300, 40), dtype=np.float32)
+        norms = np.einsum("ij,ij->i", q, q)
+        assert squared_l2(q, d, q_norms=norms, out=out) is out
+        assert np.array_equal(out, want)
+        column = squared_l2(q, d[3:4], q_norms=norms)
+        assert np.array_equal(column, squared_l2_reference(q, d[3:4]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e30])
+    def test_non_finite_rows_rejected(self, rng, bad):
+        data = rng.standard_normal((50, 4)).astype(np.float32)
+        data[17, 2] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            kmeans(data, 4)
+
+    @pytest.mark.parametrize("index_type, params", [
+        ("IVF_FLAT", {"nlist": 8}), ("PQ", {"m": 4, "nbits": 4})])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_index_build_names_the_type(self, rng, index_type, params, bad):
+        data = rng.standard_normal((200, 16)).astype(np.float32)
+        data[3, 5] = bad
+        index = create_index(index_type, MetricType.EUCLIDEAN, 16, **params)
+        with pytest.raises(IndexBuildError, match=index_type):
+            index.build(data)
+        assert not index.is_built
+
+    @pytest.mark.parametrize("index_type, params", [
+        ("IVF_FLAT", {"nlist": 32, "nprobe": 4}),
+        ("IVF_PQ", {"nlist": 16, "nprobe": 4, "m": 8, "nbits": 6}),
+        ("SSD", {"nprobe": 4}),
+    ])
+    def test_indexes_built_on_it_are_the_same(self, monkeypatch,
+                                              index_type, params):
+        from repro.index import ivf, pq, ssd
+        rng = np.random.default_rng(8)
+        data = clustered(rng, 2000, 32)
+        queries = clustered(rng, 64, 32)
+
+        def built():
+            index = create_index(index_type, MetricType.EUCLIDEAN, 32,
+                                 **params)
+            index.build(data)
+            return index.list_sizes(), index.search(queries, 10)[0]
+
+        sizes, ids = built()
+        monkeypatch.setattr(ivf, "kmeans", kmeans_reference)
+        monkeypatch.setattr(pq, "kmeans", kmeans_reference)
+        monkeypatch.setattr(ssd, "hierarchical_balanced_kmeans",
+                            hierarchical_balanced_kmeans_reference)
+        ref_sizes, ref_ids = built()
+        assert np.array_equal(sizes, ref_sizes)
+        assert np.array_equal(ids, ref_ids)
+
+
 class TestHierarchicalKMeans:
+    @pytest.mark.parametrize("cap, branch", [(32, 8), (10, 3)])
+    def test_one_partition_per_split_same_leaves(self, rng, cap, branch):
+        data = clustered(rng, 900, 12, centers=5)
+        data[100:400] = data[100]          # a degenerate sub-tree
+        got = hierarchical_balanced_kmeans(data, cap, branch=branch, seed=4)
+        want = hierarchical_balanced_kmeans_reference(
+            data, cap, branch=branch, seed=4)
+        assert np.array_equal(got.centroids, want.centroids)
+        assert np.array_equal(got.assignments, want.assignments)
+
     def test_respects_size_cap(self, rng):
         data = rng.standard_normal((500, 8)).astype(np.float32)
         result = hierarchical_balanced_kmeans(data, max_cluster_size=32)
