@@ -8,7 +8,7 @@ per-(collection, shard) commit groups into one ``BatchRecord`` publish
 when a bound trips, and resolves writer ``AckFuture``s only after the
 batch is durable.
 
-Three measurements:
+Five measurements:
 
 * **throughput** (wall-clock, the deliverable of the optimisation):
   single-row appends into the full cluster, record-at-a-time vs group
@@ -20,13 +20,23 @@ Three measurements:
   (record-at-a-time acks are 0 ms by construction);
 * **semantic equivalence**: the chaos scenario (with a seeded crash
   point and recovery) must produce hit-for-hit identical client-visible
-  fingerprints with group commit on and off.
+  fingerprints with group commit on and off;
+* **memtable flush** (wall-clock): the entity->segment LSM tree turning a
+  full memtable into an SSTable blob, microseconds per key, against the
+  per-key reference kept in ``tests/test_write_path_oracles.py`` — and
+  ``blob_equal``: the two blobs are the same bytes.  The ``ROWS`` appends
+  above trip one flush between them, so the throughput series never saw
+  this cost;
+* **stream** (wall-clock): ``STREAM_ROWS`` rows in synchronous
+  ``STREAM_BATCH``-row inserts — the end-to-end benchmark's
+  ``ingest_stream`` shape, every memtable flush included.
 
 Wall-clock timer reads are sanctioned deviations from the virtual-clock
 rule — interpreter overhead is exactly what the batching removes.
 Results land in ``BENCH_log_append.json`` at the repo root.
 ``MANU_BENCH_QUICK=1`` (CI smoke) trims row counts and the sweep but
-keeps the headline window and every assert.
+keeps the headline window and every assert; of the flush and stream
+series it drops only repeats.
 """
 
 from __future__ import annotations
@@ -47,8 +57,11 @@ from repro.race.runner import (
     run_chaos_scenario,
 )
 from repro.sim.clock import FIFO_POLICY
+from repro.storage.lsm import LsmTree
+from repro.storage.object_store import ObjectStore
 
 from conftest import print_series
+from tests.test_write_path_oracles import reference_sstable_bytes
 
 QUICK = os.environ.get("MANU_BENCH_QUICK", "") not in ("", "0")
 
@@ -61,6 +74,17 @@ MIN_SPEEDUP = 3.0
 ARRIVAL_GAP_MS = 0.25                  # latency section: 4 rows/virtual ms
 COMMIT_WINDOW_MS = 2.0
 CHAOS_STEPS = 8 if QUICK else 12
+FLUSH_KEYS = (1024, 8192)              # memtable sizes of the flush series
+FLUSH_REPEATS = 3 if QUICK else 15     # best-of
+STREAM_ROWS = 16_384                   # 16 memtable flushes at 2 shards
+STREAM_BATCH = 64
+STREAM_REPEATS = 1 if QUICK else 3     # best-of
+
+
+def _wall() -> float:
+    # manu-lint: disable=determinism -- wall-clock is the measured
+    # quantity of this benchmark, not simulation time.
+    return time.perf_counter()
 
 
 def _schema() -> CollectionSchema:
@@ -93,9 +117,7 @@ def _cluster(group_rows=None, window_ms: float = 0.0) -> ManuCluster:
 def _ingest_rows_per_s(group_rows, vectors) -> float:
     """Wall-clock rows/s for ``ROWS`` single-row appends + drain."""
     cluster = _cluster(group_rows)
-    # manu-lint: disable=determinism -- wall-clock is the measured
-    # quantity of this benchmark, not simulation time.
-    start = time.perf_counter()
+    start = _wall()
     acks = []
     for i in range(ROWS):
         row = {"pk": [i], "vector": vectors[i:i + 1]}
@@ -106,9 +128,7 @@ def _ingest_rows_per_s(group_rows, vectors) -> float:
     if group_rows is not None:
         cluster.logger_service.flush_all_groups()
     cluster.run_for(2_000)   # drain deliveries / gates in virtual time
-    # manu-lint: disable=determinism -- closes the timed interval opened
-    # above; same sanctioned measurement.
-    elapsed = time.perf_counter() - start
+    elapsed = _wall() - start
     assert cluster.collection_row_count("bench") == ROWS
     assert all(ack.done for ack in acks)
     return ROWS / elapsed
@@ -137,6 +157,54 @@ def _ack_latency_ms(group_rows, vectors) -> tuple[float, float, float]:
     assert len(latencies) == n
     p50, p99 = np.percentile(latencies, [50, 99])
     return float(p50), float(p99), float(np.mean(latencies))
+
+
+def _memtable_flush(num_keys: int) -> dict:
+    """One full memtable -> one SSTable blob: best-of wall-clock per key
+    for the reference serialiser and for ``LsmTree.flush``, and whether
+    the two blobs are the same bytes."""
+    # What the logger writes: utf-8 decimal pks, a run of keys per
+    # segment id.
+    items = [(str(i * 7919 % 1_000_003).encode(),
+              f"seg-{i // 32:06d}".encode()) for i in range(num_keys)]
+    memtable = dict(items)
+    best = {"reference": float("inf"), "current": float("inf")}
+    blobs = {}
+    for _ in range(FLUSH_REPEATS):
+        store = ObjectStore()
+        tree = LsmTree(memtable_limit=num_keys + 1, store=store,
+                       store_prefix="m")
+        tree.put_many(items)
+        start = _wall()
+        tree.flush()
+        mid = _wall()
+        blobs["reference"] = reference_sstable_bytes(
+            sorted(memtable.items()))
+        end = _wall()
+        blobs["current"] = store.get("m/00000000.sst")
+        best["current"] = min(best["current"], mid - start)
+        best["reference"] = min(best["reference"], end - mid)
+    return {"keys": num_keys,
+            "reference_us_per_key": best["reference"] / num_keys * 1e6,
+            "current_us_per_key": best["current"] / num_keys * 1e6,
+            "speedup": best["reference"] / best["current"],
+            "blob_equal": blobs["current"] == blobs["reference"]}
+
+
+def _stream_rows_per_s(vectors) -> float:
+    """Wall-clock rows/s of synchronous ``STREAM_BATCH``-row inserts at
+    the default commit bounds, drained."""
+    cluster = _cluster(group_rows=64)
+    start = _wall()
+    for lo in range(0, STREAM_ROWS, STREAM_BATCH):
+        cluster.insert("bench", {
+            "pk": list(range(lo, lo + STREAM_BATCH)),
+            "vector": vectors[lo:lo + STREAM_BATCH]})
+        cluster.run_for(STREAM_BATCH / 20)
+    cluster.run_for(2_000)
+    elapsed = _wall() - start
+    assert cluster.collection_row_count("bench") == STREAM_ROWS
+    return STREAM_ROWS / elapsed
 
 
 def test_log_append_group_commit(benchmark, rng):
@@ -175,6 +243,15 @@ def test_log_append_group_commit(benchmark, rng):
             cluster_fingerprint(off_cluster, off_model))
         results["fingerprint_diffs"] = diffs
 
+        results["memtable_flush"] = [_memtable_flush(n)
+                                     for n in FLUSH_KEYS]
+        stream_vectors = rng.standard_normal(
+            (STREAM_ROWS, DIM)).astype(np.float32)
+        results["stream"] = {
+            "rows": STREAM_ROWS, "batch_rows": STREAM_BATCH,
+            "rows_per_s": max(_stream_rows_per_s(stream_vectors)
+                              for _ in range(STREAM_REPEATS))}
+
     benchmark.pedantic(run, rounds=1, iterations=1)
 
     baseline = results["baseline_rows_per_s"]
@@ -188,6 +265,19 @@ def test_log_append_group_commit(benchmark, rng):
         ["mode", "window (rows)", "rows/s", "speedup",
          "ack p50 (vms)", "ack p99 (vms)"], rows)
 
+    print_series(
+        f"memtable flush (best-of-{FLUSH_REPEATS} wall-clock, one full "
+        "memtable -> one SSTable blob)",
+        ["keys", "reference (us/key)", "current (us/key)", "speedup",
+         "blob equal"],
+        [(p["keys"], p["reference_us_per_key"], p["current_us_per_key"],
+          p["speedup"], p["blob_equal"])
+         for p in results["memtable_flush"]])
+    print_series(
+        f"stream (best-of-{STREAM_REPEATS} wall-clock)",
+        ["rows", "batch (rows)", "rows/s"],
+        [(STREAM_ROWS, STREAM_BATCH, results["stream"]["rows_per_s"])])
+
     out_path = Path(__file__).resolve().parent.parent \
         / "BENCH_log_append.json"
     with open(out_path, "w", encoding="utf-8") as f:
@@ -198,12 +288,18 @@ def test_log_append_group_commit(benchmark, rng):
                    "commit_window_ms": COMMIT_WINDOW_MS,
                    "baseline_rows_per_s": baseline,
                    "points": results["points"],
-                   "fingerprint_diffs": results["fingerprint_diffs"]},
+                   "fingerprint_diffs": results["fingerprint_diffs"],
+                   "memtable_flush": results["memtable_flush"],
+                   "stream": results["stream"]},
                   f, indent=2)
 
     assert results["fingerprint_diffs"] == [], (
         "group commit changed client-observable state: "
         f"{results['fingerprint_diffs']}")
+    for p in results["memtable_flush"]:
+        assert p["blob_equal"], (
+            f"memtable flush at {p['keys']} keys wrote a blob that is "
+            "not the reference serialiser's")
     for p in results["points"]:
         if p["window_rows"] >= HEADLINE_WINDOW:
             assert p["speedup"] >= MIN_SPEEDUP, (

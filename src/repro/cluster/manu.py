@@ -666,8 +666,8 @@ class ManuCluster:
         def ready() -> bool:
             for segment_id in self.data_coord.flushed_segments(collection):
                 for field in specs:
-                    if self.index_coord.index_route(collection, segment_id,
-                                                    field) is None:
+                    if not self.index_coord.has_index_route(
+                            collection, segment_id, field):
                         return False
             return True
 

@@ -185,11 +185,9 @@ class DataCoordinator:
 
     def flushed_segments(self, collection: str) -> list[str]:
         """Segment ids with a persisted binlog."""
-        out = []
-        for kv in self._meta.range(f"segments/{collection}/"):
-            if kv.value.get("state") == "flushed":
-                out.append(kv.key.rsplit("/", 1)[1])
-        return sorted(out)
+        return sorted(
+            key.rsplit("/", 1)[1] for key, state in self._meta.field_values(
+                f"segments/{collection}/", "state") if state == "flushed")
 
     def segment_info(self, collection: str,
                      segment_id: str) -> Optional[dict]:

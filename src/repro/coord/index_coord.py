@@ -110,7 +110,7 @@ class IndexCoordinator:
             self._spec_metrics.pop((collection, field), None)
             done_times = []
             for segment_id in self._data_coord.flushed_segments(collection):
-                if self.index_route(collection, segment_id, field) is None:
+                if not self.has_index_route(collection, segment_id, field):
                     try:
                         done_times.append(self._dispatch(collection,
                                                          segment_id, field))
@@ -202,4 +202,11 @@ class IndexCoordinator:
                     field: str) -> Optional[dict]:
         """Where a built index lives in the object store (or None)."""
         return self._meta.get_value(
+            f"index_routes/{collection}/{segment_id}/{field}")
+
+    def has_index_route(self, collection: str, segment_id: str,
+                        field: str) -> bool:
+        """Whether the segment's index on ``field`` is built and routed
+        (the readiness predicate; reads no route record)."""
+        return self._meta.exists(
             f"index_routes/{collection}/{segment_id}/{field}")

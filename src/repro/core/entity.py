@@ -170,8 +170,8 @@ def validate_batch(schema: CollectionSchema,
     else:
         raw = data[primary.name]
         if primary.dtype is DataType.INT64:
-            pk_arr = _coerce_scalar_column(primary.name, primary.dtype, raw)
-            pks = tuple(int(v) for v in pk_arr)
+            pks = tuple(_coerce_scalar_column(
+                primary.name, primary.dtype, raw).tolist())
         else:
             pks = tuple(_coerce_scalar_column(primary.name, primary.dtype,
                                               raw))

@@ -87,7 +87,10 @@ class Segment:
         self._chunks: dict[str, list] = {f.name: [] for f in schema.fields
                                          if not f.is_primary}
         self._consolidated: dict[str, object] = {}
-        self._deleted = np.zeros(0, dtype=bool)
+        # Deletion bitmap: ``_deleted`` is always the first ``num_rows``
+        # entries of a buffer that doubles when an append outgrows it.
+        self._deleted_buf = np.zeros(0, dtype=bool)
+        self._deleted = self._deleted_buf
         self._num_deleted = 0
         # Temporary slice indexes: field -> {(slice_no, metric): index}.
         # Indexes are metric-specific (the adjusted-distance scales of
@@ -171,15 +174,19 @@ class Segment:
             raise ClusterStateError(
                 f"segment {self.segment_id} is sealed; cannot append")
         start = self.num_rows
-        for offset, pk in enumerate(pks):
-            self._pk_rows[pk] = start + offset
+        end = start + len(pks)
+        self._pk_rows.update(zip(pks, range(start, end)))
         self._pks.extend(pks)
         self._pk_arr = None
         for name, chunk in columns.items():
             self._chunks[name].append(chunk)
         self._consolidated.clear()
-        self._deleted = np.concatenate(
-            [self._deleted, np.zeros(len(pks), dtype=bool)])
+        if end > len(self._deleted_buf):
+            grown = np.zeros(max(end, 2 * len(self._deleted_buf)),
+                             dtype=bool)
+            grown[:start] = self._deleted
+            self._deleted_buf = grown
+        self._deleted = self._deleted_buf[:end]
         self.max_lsn = max(self.max_lsn, lsn)
         self.max_insert_lsn = max(self.max_insert_lsn, lsn)
         self.last_insert_at_ms = now_ms

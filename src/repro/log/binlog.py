@@ -28,31 +28,50 @@ from repro.errors import StorageError
 from repro.storage.object_store import ObjectStore
 
 _COL_MAGIC = b"BCOL"
+_HEAD_LEN = struct.Struct("<I")
 
 
-def _column_to_bytes(values: Any) -> bytes:
-    """Encode one column: float32 matrices raw, everything else JSON."""
-    arr = np.asarray(values)
-    if arr.dtype.kind == "f" and arr.ndim == 2:
+def _column_to_bytes(chunks: list) -> bytes:
+    """Encode one column from its row chunks, in order: float32 matrices
+    raw (each chunk's buffer copied once, into the blob), everything
+    else JSON."""
+    chunks = [np.asarray(chunk) for chunk in chunks]
+    if all(chunk.ndim == 2 for chunk in chunks) \
+            and np.result_type(*chunks).kind == "f":
+        rows = sum(chunk.shape[0] for chunk in chunks)
         head = json.dumps({"kind": "f32mat",
-                           "shape": list(arr.shape)}).encode()
-        body = np.ascontiguousarray(arr, dtype=np.float32).tobytes()
+                           "shape": [rows, chunks[0].shape[1]]}).encode()
+        body = [np.ascontiguousarray(chunk, dtype=np.float32).data
+                for chunk in chunks]
     else:
         head = json.dumps({"kind": "json"}).encode()
-        body = json.dumps(arr.tolist()).encode()
-    return _COL_MAGIC + struct.pack("<I", len(head)) + head + body
+        body = [json.dumps(np.concatenate(chunks).tolist()).encode()]
+    return b"".join([_COL_MAGIC, _HEAD_LEN.pack(len(head)), head, *body])
 
 
 def _column_from_bytes(raw: bytes) -> Any:
+    """Inverse of :func:`_column_to_bytes`; a blob that is not one —
+    wrong magic, cut short, a header that does not describe its body —
+    is a :class:`StorageError` naming the offset."""
     if raw[:4] != _COL_MAGIC:
-        raise StorageError("not a binlog column blob")
-    (head_len,) = struct.unpack_from("<I", raw, 4)
-    head = json.loads(raw[8:8 + head_len].decode())
-    body = raw[8 + head_len:]
-    if head["kind"] == "f32mat":
-        shape = tuple(head["shape"])
-        return np.frombuffer(body, dtype=np.float32).reshape(shape).copy()
-    return json.loads(body.decode())
+        raise StorageError("not a binlog column blob (bad magic at offset 0)")
+    offset = 4
+    try:
+        (head_len,) = _HEAD_LEN.unpack_from(raw, offset)
+        offset = 8
+        head = json.loads(raw[8:8 + head_len].decode())
+        kind = head["kind"]
+        offset = 8 + head_len
+        if kind != "f32mat":
+            return json.loads(raw[offset:].decode())
+        rows, dim = head["shape"]
+        if len(raw) - offset != 4 * rows * dim:
+            raise ValueError(f"{rows}x{dim} float32 matrix declared")
+        return np.frombuffer(raw, dtype=np.float32, offset=offset
+                             ).reshape(rows, dim).copy()
+    except (struct.error, ValueError, KeyError, TypeError) as exc:
+        raise StorageError(f"binlog column blob unreadable at offset "
+                           f"{offset} of {len(raw)}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -141,11 +160,8 @@ class BinlogSegmentSink:
         prefix = binlog_prefix(self._collection, self._segment_id)
         fields = tuple(sorted(self._chunks))
         for name in fields:
-            chunks = self._chunks[name]
-            values = chunks[0] if len(chunks) == 1 \
-                else np.concatenate(chunks, axis=0)
             self._store.put(f"{prefix}/{name}.col",
-                            _column_to_bytes(values))
+                            _column_to_bytes(self._chunks[name]))
         manifest = BinlogManifest(self._collection, self._segment_id,
                                   len(self._pks), fields, max_lsn,
                                   tuple(self._pks))
@@ -168,21 +184,9 @@ class BinlogWriter:
                       pks: Sequence, columns: Mapping[str, Any],
                       max_lsn: int) -> BinlogManifest:
         """Persist all columns plus the manifest; returns the manifest."""
-        prefix = binlog_prefix(collection, segment_id)
-        fields = tuple(sorted(columns))
-        num_rows = len(pks)
-        for name in fields:
-            values = columns[name]
-            arr = np.asarray(values)
-            if arr.shape[0] != num_rows:
-                raise StorageError(
-                    f"column {name!r} has {arr.shape[0]} rows, "
-                    f"segment has {num_rows}")
-            self._store.put(f"{prefix}/{name}.col", _column_to_bytes(values))
-        manifest = BinlogManifest(collection, segment_id, num_rows, fields,
-                                  max_lsn, tuple(pks))
-        self._store.put(f"{prefix}/manifest.json", manifest.to_json())
-        return manifest
+        sink = self.open_segment(collection, segment_id)
+        sink.add_chunk(pks, columns)
+        return sink.finish(max_lsn)
 
 
 class BinlogReader:

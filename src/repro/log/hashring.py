@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterable
 
 
@@ -80,9 +81,7 @@ class HashRing:
         """The node owning ``key``; raises when the ring is empty."""
         if not self._points:
             raise ValueError("hash ring has no nodes")
-        point = _hash64(key)
-        hashes = [h for h, _ in self._points]
-        idx = bisect_right(hashes, point)
+        idx = bisect_right(self._points, _hash64(key), key=itemgetter(0))
         if idx == len(self._points):
             idx = 0
         return self._points[idx][1]
@@ -95,9 +94,7 @@ class HashRing:
         if not self._points:
             raise ValueError("hash ring has no nodes")
         count = min(count, len(self._nodes))
-        point = _hash64(key)
-        hashes = [h for h, _ in self._points]
-        idx = bisect_right(hashes, point)
+        idx = bisect_right(self._points, _hash64(key), key=itemgetter(0))
         result: list[str] = []
         seen: set[str] = set()
         for step in range(len(self._points)):

@@ -25,6 +25,8 @@ keyed like the mappings, by shard, so logger churn never strands one.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import struct
 from typing import Callable, Mapping, Optional, Protocol
 
 import numpy as np
@@ -57,10 +59,25 @@ class SegmentAllocator(Protocol):
         ...
 
 
+def _encode_pks(pks) -> list[bytes]:
+    """Each primary key's routing and mapping key: its string form in
+    utf-8.  Encoded once per batch; shard routing, the flush overlay and
+    the LSM tree all take these."""
+    return list(map(str.encode, map(str, pks)))
+
+
+def _shards_of(keys: list[bytes], num_shards: int) -> list[int]:
+    """The shard of every encoded key: its 8-byte digest, read as a
+    little-endian integer, modulo ``num_shards``."""
+    digests = b"".join([hashlib.blake2b(key, digest_size=8).digest()
+                        for key in keys])
+    return [digest % num_shards
+            for digest in struct.unpack(f"<{len(keys)}Q", digests)]
+
+
 def shard_of(pk, num_shards: int) -> int:
     """Deterministic shard of a primary key (hash of its string form)."""
-    digest = hashlib.blake2b(str(pk).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little") % num_shards
+    return _shards_of(_encode_pks((pk,)), num_shards)[0]
 
 
 def shard_bucket_key(collection: str, shard: int) -> str:
@@ -155,12 +172,14 @@ def merge_acks(children: list[AckFuture]) -> AckFuture:
 class _PendingOp:
     """One buffered write awaiting group-commit flush."""
 
-    __slots__ = ("kind", "pks", "columns", "future")
+    __slots__ = ("kind", "pks", "keys", "columns", "future")
 
-    def __init__(self, kind: str, pks: tuple, columns: Optional[Mapping],
+    def __init__(self, kind: str, pks: tuple, keys: list[bytes],
+                 columns: Optional[Mapping],
                  future: Optional[AckFuture]) -> None:
         self.kind = kind          # "insert" | "delete"
         self.pks = pks
+        self.keys = keys          # _encode_pks(pks)
         self.columns = columns    # insert only
         self.future = future      # None for sync writers
 
@@ -242,7 +261,8 @@ class Logger:
                                   segment_id=segment_id, pks=pks,
                                   columns=columns)
             self._broker.publish(shard_channel(collection, shard), record)
-        mapping.put_many((str(pk), segment_id) for pk in pks)
+        mapping.put_many(zip(_encode_pks(pks),
+                             itertools.repeat(segment_id.encode())))
         self.batches_published += 1
         self.rows_published += len(pks)
         return ts
@@ -256,7 +276,9 @@ class Logger:
         subscribers never process deletions of absent entities.
         """
         self._check_fence(collection, shard)
-        existing = tuple(pk for pk in pks if mapping.get(str(pk)) is not None)
+        known = [(pk, key) for pk, key in zip(pks, _encode_pks(pks))
+                 if mapping.get(key) is not None]
+        existing = tuple(pk for pk, _ in known)
         ts = self._tso.allocate_packed()
         if not existing:
             # Zero-effect ack: no entity matched, nothing was accepted,
@@ -269,7 +291,7 @@ class Logger:
                                   shard=shard, pks=existing)
             self._broker.publish(shard_channel(collection, shard),
                                  record)
-        mapping.delete_many(str(pk) for pk in existing)
+        mapping.delete_many([key for _, key in known])
         self.batches_published += 1
         self.rows_published += len(existing)
         return ts, len(existing)
@@ -462,16 +484,15 @@ class LoggerService:
         coalesced WAL publish per shard.
         """
         max_ts = 0
-        for shard, rows in self._rows_by_shard(batch):
+        for shard, pks, keys, columns in self._split(batch.pks,
+                                                     batch.columns):
             if self._gc_enabled:
-                self._buffer_insert(collection, shard, batch, rows, None)
+                self._buffer_op(collection, shard, _PendingOp(
+                    "insert", pks, keys, columns, None))
                 ts = self.flush_group(collection, shard,
                                       reason="explicit")
             else:
-                ts = self._insert_direct(
-                    collection, shard, batch,
-                    rows if rows is not None
-                    else list(range(batch.num_rows)))
+                ts = self._insert_direct(collection, shard, pks, columns)
             max_ts = max(max_ts, ts)
         return max_ts
 
@@ -484,46 +505,55 @@ class LoggerService:
         byte bound, commit window, or an explicit flush) and its WAL
         publish returned.
         """
-        if not self._gc_enabled:
-            raise ClusterStateError("group commit is disabled")
-        futures = []
-        for shard, rows in self._rows_by_shard(batch):
-            future = AckFuture()
-            self._buffer_insert(collection, shard, batch, rows, future)
-            futures.append(future)
-            self._maybe_flush(collection, shard)
-        return merge_acks(futures)
+        return self._write_async(collection, "insert", batch.pks,
+                                 batch.columns)
 
-    def _rows_by_shard(self, batch: EntityBatch):
-        """(shard, row indices) pairs for a batch; ``rows is None`` means
-        the whole batch, letting buffering skip the row-subset copy."""
+    def _rows_by_shard(self, keys: list[bytes]):
+        """(shard, row indices) pairs, in shard order, for the encoded
+        keys of one write; ``rows is None`` means all of them, letting
+        the caller skip the row-subset copy."""
+        if not keys:
+            return []
         if self.num_shards == 1:
             return [(0, None)]
+        shards = _shards_of(keys, self.num_shards)
+        if shards.count(shards[0]) == len(shards):
+            return [(shards[0], None)]
         by_shard: dict[int, list[int]] = {}
-        for row, pk in enumerate(batch.pks):
-            by_shard.setdefault(shard_of(pk, self.num_shards), []).append(row)
-        if len(by_shard) == 1:
-            return [(next(iter(by_shard)), None)]
-        return [(shard, by_shard[shard]) for shard in sorted(by_shard)]
+        for row, shard in enumerate(shards):
+            by_shard.setdefault(shard, []).append(row)
+        return sorted(by_shard.items())
+
+    def _split(self, pks: tuple, columns: Optional[Mapping]):
+        """One ``(shard, pks, keys, columns)`` part per shard a write
+        touches, in shard order.  The keys are encoded here, once, for
+        everything downstream; a write landing whole on one shard is
+        passed through uncopied."""
+        keys = _encode_pks(pks)
+        for shard, rows in self._rows_by_shard(keys):
+            if rows is None:
+                yield shard, tuple(pks), keys, columns
+            else:
+                yield (shard, tuple(_take_rows(pks, rows)),
+                       _take_rows(keys, rows),
+                       columns and {name: _take_rows(values, rows)
+                                    for name, values in columns.items()})
 
     def delete(self, collection: str, pks: tuple) -> tuple[int, int]:
         """Publish deletions by key; returns (max LSN, deleted count)."""
-        by_shard: dict[int, list] = {}
-        for pk in pks:
-            by_shard.setdefault(shard_of(pk, self.num_shards), []).append(pk)
         max_ts = 0
         deleted = 0
-        for shard in sorted(by_shard):
+        for shard, shard_pks, keys, _ in self._split(pks, None):
             if self._gc_enabled:
                 future = AckFuture()
-                self._buffer_delete(collection, shard,
-                                    tuple(by_shard[shard]), future)
+                self._buffer_op(collection, shard, _PendingOp(
+                    "delete", shard_pks, keys, None, future))
                 self.flush_group(collection, shard, reason="explicit")
                 ts, count = future.result(), future.rows
             else:
                 logger = self.logger_for_shard(collection, shard)
                 ts, count = logger.publish_delete(
-                    collection, shard, tuple(by_shard[shard]),
+                    collection, shard, shard_pks,
                     self._mapping(collection, shard))
             max_ts = max(max_ts, ts)
             deleted += count
@@ -535,26 +565,14 @@ class LoggerService:
         The returned :class:`AckFuture` resolves with the durable batch
         LSN; ``rows`` carries how many keys existed at flush time.
         """
-        if not self._gc_enabled:
-            raise ClusterStateError("group commit is disabled")
-        by_shard: dict[int, list] = {}
-        for pk in pks:
-            by_shard.setdefault(shard_of(pk, self.num_shards), []).append(pk)
-        futures = []
-        for shard in sorted(by_shard):
-            future = AckFuture()
-            self._buffer_delete(collection, shard,
-                                tuple(by_shard[shard]), future)
-            futures.append(future)
-            self._maybe_flush(collection, shard)
-        return merge_acks(futures)
+        return self._write_async(collection, "delete", pks, None)
 
     # ------------------------------------------------------------------
     # group commit
     # ------------------------------------------------------------------
 
-    def _insert_direct(self, collection: str, shard: int,
-                       batch: EntityBatch, rows: list[int]) -> int:
+    def _insert_direct(self, collection: str, shard: int, pks: tuple,
+                       columns: Mapping) -> int:
         """Record-at-a-time append path (group commit disabled)."""
         logger = self.logger_for_shard(collection, shard)
         mapping = self._mapping(collection, shard)
@@ -563,63 +581,54 @@ class LoggerService:
         max_ts = 0
         cursor = 0
         for segment_id, count in self._allocator.assign_segments(
-                collection, shard, len(rows)):
-            chunk = rows[cursor:cursor + count]
+                collection, shard, len(pks)):
+            chunk = slice(cursor, cursor + count)
             cursor += count
-            pks = tuple(batch.pks[r] for r in chunk)
-            columns = {name: _take_rows(values, chunk)
-                       for name, values in batch.columns.items()}
-            ts = logger.publish_insert(collection, shard, segment_id,
-                                       pks, columns, mapping)
+            ts = logger.publish_insert(
+                collection, shard, segment_id, pks[chunk],
+                {name: values[chunk] for name, values in columns.items()},
+                mapping)
             max_ts = max(max_ts, ts)
         return max_ts
 
-    def _buffer_insert(self, collection: str, shard: int,
-                       batch: EntityBatch, rows: Optional[list[int]],
-                       future: Optional[AckFuture]) -> None:
-        if rows is None:
-            # Whole batch lands on this shard: buffer the validated
-            # batch's own pks/columns, no row-subset copy.
-            pks = tuple(batch.pks)
-            columns = batch.columns
-        else:
-            pks = tuple(batch.pks[r] for r in rows)
-            columns = {name: _take_rows(values, rows)
-                       for name, values in batch.columns.items()}
-        self._buffer_op(collection, shard,
-                        _PendingOp("insert", pks, columns, future),
-                        _estimate_nbytes(pks, columns))
+    def _write_async(self, collection: str, kind: str, pks: tuple,
+                     columns: Optional[Mapping]) -> AckFuture:
+        """Buffer one async write into its shards' commit groups.  A
+        group that neither bound flushes on the spot is left to the
+        commit window, armed by the op that opened it — a sync writer
+        flushes inline and arms nothing."""
+        if not self._gc_enabled:
+            raise ClusterStateError("group commit is disabled")
+        futures = []
+        for shard, shard_pks, keys, shard_columns in self._split(pks,
+                                                                 columns):
+            future = AckFuture()
+            group = self._buffer_op(collection, shard, _PendingOp(
+                kind, shard_pks, keys, shard_columns, future))
+            futures.append(future)
+            if group.rows >= self._gc_rows:
+                self.flush_group(collection, shard, reason="rows")
+            elif group.nbytes >= self._gc_bytes:
+                self.flush_group(collection, shard, reason="bytes")
+            elif (len(group.ops) == 1 and self._loop is not None
+                    and self._gc_window_ms > 0):
+                self._loop.call_after(
+                    self._gc_window_ms,
+                    lambda shard=shard, epoch=group.epoch:
+                    self._window_flush(collection, shard, epoch),
+                    name=f"group-commit:{collection}/shard-{shard}")
+        return merge_acks(futures)
 
-    def _buffer_delete(self, collection: str, shard: int, pks: tuple,
-                       future: Optional[AckFuture]) -> None:
-        self._buffer_op(collection, shard,
-                        _PendingOp("delete", pks, None, future),
-                        _estimate_nbytes(pks, None))
-
-    def _buffer_op(self, collection: str, shard: int, op: _PendingOp,
-                   nbytes: int) -> None:
+    def _buffer_op(self, collection: str, shard: int,
+                   op: _PendingOp) -> CommitGroup:
         group = self._groups.setdefault((collection, shard),
                                         CommitGroup())
         group.ops.append(op)
         group.rows += len(op.pks)
-        group.nbytes += nbytes
+        group.nbytes += _estimate_nbytes(op.pks, op.columns)
         if len(group.ops) == 1 and self._loop is not None:
             group.first_at = self._loop.now()
-            if self._gc_window_ms > 0:
-                epoch = group.epoch
-                self._loop.call_after(
-                    self._gc_window_ms,
-                    lambda: self._window_flush(collection, shard, epoch),
-                    name=f"group-commit:{collection}/shard-{shard}")
-
-    def _maybe_flush(self, collection: str, shard: int) -> None:
-        group = self._groups.get((collection, shard))
-        if group is None or not group.ops:
-            return
-        if group.rows >= self._gc_rows:
-            self.flush_group(collection, shard, reason="rows")
-        elif group.nbytes >= self._gc_bytes:
-            self.flush_group(collection, shard, reason="bytes")
+        return group
 
     def _window_flush(self, collection: str, shard: int,
                       epoch: int) -> None:
@@ -653,9 +662,9 @@ class LoggerService:
         group.reset()
         mapping = self._mapping(collection, shard)
         records: list[WalRecord] = []
-        # Flush-time overlay over the mapping: pk -> segment id, or None
-        # once a buffered delete hit it.
-        overlay: dict[str, Optional[str]] = {}
+        # Flush-time overlay over the mapping: encoded pk -> encoded
+        # segment id, or None once a buffered delete hit it.
+        overlay: dict[bytes, Optional[bytes]] = {}
         acks: list[tuple[Optional[AckFuture], int]] = []
         index = 0
         while index < len(ops):
@@ -671,55 +680,49 @@ class LoggerService:
                        and ops[index + 1].kind == "insert"):
                     index += 1
                     run.append(ops[index])
-                pks, columns = _merge_insert_run(run)
+                pks, keys, columns = _merge_insert_run(run)
                 assigned = self._allocator.assign_segments(
                     collection, shard, len(pks))
                 cursor = 0
                 for segment_id, count in assigned:
-                    if count == len(pks):
-                        chunk_pks, chunk_columns = pks, columns
-                    else:
-                        chunk_pks = pks[cursor:cursor + count]
-                        chunk_columns = {
-                            name: values[cursor:cursor + count]
-                            for name, values in columns.items()}
+                    chunk = slice(cursor, cursor + count)
                     cursor += count
                     records.append(InsertRecord(
                         ts=self._tso.allocate_packed(),
                         collection=collection, shard=shard,
-                        segment_id=segment_id, pks=chunk_pks,
-                        columns=chunk_columns))
-                    for pk in chunk_pks:
-                        overlay[str(pk)] = segment_id
+                        segment_id=segment_id, pks=pks[chunk],
+                        columns={name: values[chunk]
+                                 for name, values in columns.items()}))
+                    overlay.update(
+                        dict.fromkeys(keys[chunk], segment_id.encode()))
                 for merged in run:
                     acks.append((merged.future, len(merged.pks)))
             else:
-                existing = tuple(
-                    pk for pk in op.pks
-                    if (overlay[str(pk)] is not None
-                        if str(pk) in overlay
-                        else mapping.get(str(pk)) is not None))
-                if existing:
+                known = [(pk, key) for pk, key in zip(op.pks, op.keys)
+                         if (overlay[key] if key in overlay
+                             else mapping.get(key)) is not None]
+                if known:
                     records.append(DeleteRecord(
                         ts=self._tso.allocate_packed(),
                         collection=collection, shard=shard,
-                        pks=existing))
-                    for pk in existing:
-                        overlay[str(pk)] = None
-                acks.append((op.future, len(existing)))
+                        pks=tuple(pk for pk, _ in known)))
+                    overlay.update(
+                        dict.fromkeys([key for _, key in known]))
+                acks.append((op.future, len(known)))
             index += 1
         if records:
             logger = self.logger_for_shard(collection, shard)
             batch_ts = logger.publish_batch(collection, shard,
                                             tuple(records))
-            puts = [(key, value) for key, value in overlay.items()
-                    if value is not None]
-            dels = [key for key, value in overlay.items()
-                    if value is None]
-            if puts:
-                mapping.put_many(puts)
-            if dels:
-                mapping.delete_many(dels)
+            if None in overlay.values():
+                puts = [(key, value) for key, value in overlay.items()
+                        if value is not None]
+                if puts:
+                    mapping.put_many(puts)
+                mapping.delete_many([key for key, value in overlay.items()
+                                     if value is None])
+            elif overlay:
+                mapping.put_many(overlay.items())
             self._flush_log.append(
                 (reason, len(records), rows, nbytes, age))
             for future, count in acks:
@@ -754,8 +757,9 @@ class LoggerService:
 
     def lookup_segment(self, collection: str, pk) -> Optional[str]:
         """Segment currently holding ``pk`` (None when absent)."""
-        shard = shard_of(pk, self.num_shards)
-        value = self._mapping(collection, shard).get(str(pk))
+        (key,) = _encode_pks((pk,))
+        (shard,) = _shards_of([key], self.num_shards)
+        value = self._mapping(collection, shard).get(key)
         return value.decode() if value is not None else None
 
     def flush_mappings(self) -> None:
@@ -764,16 +768,19 @@ class LoggerService:
             mapping.flush()
 
 
-def _merge_insert_run(run: list[_PendingOp]) -> tuple[tuple, dict]:
-    """Concatenate a run of buffered insert ops into one (pks, columns).
+def _merge_insert_run(run: list[_PendingOp]
+                      ) -> tuple[tuple, list[bytes], dict]:
+    """Concatenate a run of buffered insert ops into one (pks, keys,
+    columns).
 
     Zero-copy for a run of one (the op's own payload is returned); a
     longer run concatenates columns once, so the flush emits one merged
     inner record per segment chunk instead of one per writer.
     """
     if len(run) == 1:
-        return run[0].pks, dict(run[0].columns)
+        return run[0].pks, run[0].keys, run[0].columns
     pks = tuple(pk for op in run for pk in op.pks)
+    keys = [key for op in run for key in op.keys]
     columns: dict = {}
     for name in run[0].columns:
         parts = [op.columns[name] for op in run]
@@ -784,11 +791,11 @@ def _merge_insert_run(run: list[_PendingOp]) -> tuple[tuple, dict]:
             for part in parts:
                 merged.extend(part)
             columns[name] = merged
-    return pks, columns
+    return pks, keys, columns
 
 
 def _take_rows(values, rows: list[int]):
-    """Select a row subset from a column (numpy array or list)."""
+    """Select a row subset from a column, pk tuple or key list."""
     if isinstance(values, np.ndarray):
         return values[rows]
     return [values[r] for r in rows]

@@ -296,10 +296,9 @@ class DataNode:
         segment.seal()
         pks, columns, max_lsn = segment.flush_payload()
         # Drop rows deleted while growing so the binlog holds live data.
-        deleted = segment.deleted_mask()
-        if deleted.any():
-            keep = [i for i in range(len(pks)) if not deleted[i]]
-            pks = [pks[i] for i in keep]
+        if segment.num_deleted:
+            keep = np.flatnonzero(~segment.deleted_mask())
+            pks = _take(pks, keep)
             columns = {name: _take(values, keep)
                        for name, values in columns.items()}
         if not pks:
@@ -319,16 +318,17 @@ class DataNode:
         # the manifest (the segment becomes readable atomically) and
         # announces — total virtual duration stays ``write_ms``.
         chunk_rows = max(1, self._config.log.binlog_chunk_rows)
-        chunks = [list(range(start, min(start + chunk_rows, len(pks))))
+        chunks = [slice(start, start + chunk_rows)
                   for start in range(0, len(pks), chunk_rows)]
         step_ms = write_ms / len(chunks)
         sink = self._writer.open_segment(collection, segment_id)
 
         def convert(index: int) -> None:
-            keep = chunks[index]
-            sink.add_chunk([pks[i] for i in keep],
-                           {name: _take(values, keep)
-                            for name, values in columns.items()})
+            # Slices of the consolidated columns: the sink's blob write
+            # is the only copy the rows get on their way out.
+            rows = chunks[index]
+            sink.add_chunk(pks[rows], {name: values[rows]
+                                       for name, values in columns.items()})
             if index + 1 < len(chunks):
                 self._loop.call_after(
                     step_ms, lambda: convert(index + 1),
@@ -367,10 +367,10 @@ class DataNode:
         return len(self._pending_seals) + len(self._growing)
 
 
-def _take(values, keep: list[int]):
+def _take(values, keep: np.ndarray):
     if isinstance(values, np.ndarray):
         return values[keep]
-    return [values[i] for i in keep]
+    return [values[i] for i in keep.tolist()]
 
 
 def _nbytes(values) -> int:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 
 import numpy as np
 
+from repro.errors import StorageError
 
-def _hash_pair(key: bytes) -> tuple[int, int]:
-    digest = hashlib.blake2b(key, digest_size=16).digest()
-    return (int.from_bytes(digest[:8], "little"),
-            int.from_bytes(digest[8:], "little"))
+
+_HEADER = struct.Struct("<QQIQ")  # capacity, num_bits, num_hashes, count
 
 
 class BloomFilter:
@@ -38,23 +38,37 @@ class BloomFilter:
         self._bits = np.zeros(self.num_bits, dtype=bool)
         self._count = 0
 
-    def _positions(self, key: bytes) -> np.ndarray:
-        h1, h2 = _hash_pair(key)
-        idx = (h1 + np.arange(self.num_hashes, dtype=np.uint64) * h2)
+    def _positions(self, keys: list) -> np.ndarray:
+        """The ``(len(keys), num_hashes)`` bit positions of a key list.
+
+        One 16-byte digest per key, read as two little-endian ``uint64``
+        halves ``h1, h2``; position ``i`` is ``(h1 + i * h2) % num_bits``
+        in wrapping ``uint64`` arithmetic.  The block form computes each
+        row with exactly the operations a single key would, so a filter
+        filled in one call holds the bits of one filled key by key.
+        """
+        digests = b"".join([
+            hashlib.blake2b(key.encode() if isinstance(key, str) else key,
+                            digest_size=16).digest() for key in keys])
+        halves = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+        steps = np.arange(self.num_hashes, dtype=np.uint64)
+        idx = halves[:, :1] + steps * halves[:, 1:]
         return (idx % np.uint64(self.num_bits)).astype(np.int64)
+
+    def add_many(self, keys: list) -> None:
+        """Insert every key of a list, setting all their bits in one
+        store."""
+        if keys:
+            self._bits[self._positions(keys)] = True
+            self._count += len(keys)
 
     def add(self, key: bytes | str) -> None:
         """Insert a key."""
-        if isinstance(key, str):
-            key = key.encode()
-        self._bits[self._positions(key)] = True
-        self._count += 1
+        self.add_many([key])
 
     def might_contain(self, key: bytes | str) -> bool:
         """True if the key *may* be present; False means definitely absent."""
-        if isinstance(key, str):
-            key = key.encode()
-        return bool(self._bits[self._positions(key)].all())
+        return bool(self._bits[self._positions([key])].all())
 
     def __contains__(self, key: bytes | str) -> bool:
         return self.might_contain(key)
@@ -65,25 +79,28 @@ class BloomFilter:
 
     def to_bytes(self) -> bytes:
         """Serialize for embedding inside an SSTable footer."""
-        header = (self.capacity.to_bytes(8, "little")
-                  + self.num_bits.to_bytes(8, "little")
-                  + self.num_hashes.to_bytes(4, "little")
-                  + self._count.to_bytes(8, "little"))
-        return header + np.packbits(self._bits).tobytes()
+        return (_HEADER.pack(self.capacity, self.num_bits, self.num_hashes,
+                             self._count)
+                + np.packbits(self._bits).tobytes())
 
     @staticmethod
     def from_bytes(raw: bytes) -> "BloomFilter":
-        """Inverse of :meth:`to_bytes`."""
-        capacity = int.from_bytes(raw[0:8], "little")
-        num_bits = int.from_bytes(raw[8:16], "little")
-        num_hashes = int.from_bytes(raw[16:20], "little")
-        count = int.from_bytes(raw[20:28], "little")
+        """Inverse of :meth:`to_bytes`; a short or inconsistent blob is a
+        :class:`StorageError`."""
+        try:
+            capacity, num_bits, num_hashes, count = _HEADER.unpack_from(raw)
+            if not 0 < num_bits <= 8 * (len(raw) - _HEADER.size):
+                raise struct.error(f"{num_bits} bits declared")
+        except struct.error as exc:
+            raise StorageError(
+                f"bloom filter blob truncated at offset "
+                f"{min(len(raw), _HEADER.size)} of {len(raw)}: {exc}") from None
         bloom = BloomFilter.__new__(BloomFilter)
         bloom.capacity = capacity
         bloom.fp_rate = 0.0  # unknown after round-trip; sizing already fixed
         bloom.num_bits = num_bits
         bloom.num_hashes = num_hashes
-        bits = np.unpackbits(np.frombuffer(raw[28:], dtype=np.uint8))
+        bits = np.unpackbits(np.frombuffer(raw[_HEADER.size:], dtype=np.uint8))
         bloom._bits = bits[:num_bits].astype(bool)
         bloom._count = count
         return bloom

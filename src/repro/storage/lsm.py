@@ -24,30 +24,38 @@ utf-8 segment ids.
 from __future__ import annotations
 
 import itertools
+import operator
 import struct
 from bisect import bisect_right
 from typing import Iterator, Optional
 
+from repro.errors import StorageError
 from repro.storage.bloom import BloomFilter
 from repro.storage.object_store import ObjectStore
 
 _TOMBSTONE = b"\x00__tombstone__"
 _MAGIC = b"SSTB"
-_SPARSE_EVERY = 16
+_COUNT = struct.Struct("<I")
+_ENTRY = struct.Struct("<II")
+
+
+def _encode(items) -> list[bytes]:
+    """Keys or values as ``bytes`` (``str`` is utf-8 encoded)."""
+    return [item if type(item) is bytes
+            else item.encode() if isinstance(item, str) else bytes(item)
+            for item in items]
 
 
 class SSTable:
     """An immutable sorted run of key/value pairs with a bloom filter."""
 
     def __init__(self, entries: list[tuple[bytes, bytes]]) -> None:
-        if any(entries[i][0] >= entries[i + 1][0]
-               for i in range(len(entries) - 1)):
-            raise ValueError("SSTable entries must be strictly sorted")
         self._keys = [k for k, _ in entries]
         self._values = [v for _, v in entries]
+        if not all(map(operator.lt, self._keys, self._keys[1:])):
+            raise ValueError("SSTable entries must be strictly sorted")
         self.bloom = BloomFilter(max(1, len(entries)))
-        for key in self._keys:
-            self.bloom.add(key)
+        self.bloom.add_many(self._keys)
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -77,37 +85,44 @@ class SSTable:
     # ------------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        parts = [_MAGIC, struct.pack("<I", len(self._keys))]
-        for key, value in zip(self._keys, self._values):
-            parts.append(struct.pack("<II", len(key), len(value)))
-            parts.append(key)
-            parts.append(value)
+        heads = map(_ENTRY.pack, map(len, self._keys),
+                    map(len, self._values))
         bloom = self.bloom.to_bytes()
-        parts.append(struct.pack("<I", len(bloom)))
-        parts.append(bloom)
-        return b"".join(parts)
+        return b"".join([
+            _MAGIC, _COUNT.pack(len(self._keys)),
+            *itertools.chain.from_iterable(
+                zip(heads, self._keys, self._values)),
+            _COUNT.pack(len(bloom)), bloom])
 
     @staticmethod
     def from_bytes(raw: bytes) -> "SSTable":
+        """Inverse of :meth:`to_bytes`; a blob that is not one — wrong
+        magic, cut short, lengths running past its end — is a
+        :class:`StorageError` naming the offset."""
         if raw[:4] != _MAGIC:
-            raise ValueError("not an SSTable blob")
-        (count,) = struct.unpack_from("<I", raw, 4)
-        offset = 8
-        entries: list[tuple[bytes, bytes]] = []
-        for _ in range(count):
-            klen, vlen = struct.unpack_from("<II", raw, offset)
-            offset += 8
-            key = raw[offset:offset + klen]
-            offset += klen
-            value = raw[offset:offset + vlen]
-            offset += vlen
-            entries.append((key, value))
+            raise StorageError("not an SSTable blob (bad magic at offset 0)")
         table = SSTable.__new__(SSTable)
-        table._keys = [k for k, _ in entries]
-        table._values = [v for _, v in entries]
-        (bloom_len,) = struct.unpack_from("<I", raw, offset)
-        offset += 4
-        table.bloom = BloomFilter.from_bytes(raw[offset:offset + bloom_len])
+        table._keys, table._values = [], []
+        offset = 4
+        try:
+            (count,) = _COUNT.unpack_from(raw, offset)
+            offset = 8
+            for _ in range(count):
+                klen, vlen = _ENTRY.unpack_from(raw, offset)
+                value_at = offset + 8 + klen
+                if value_at + vlen > len(raw):
+                    raise struct.error(f"entry of {klen}+{vlen} bytes")
+                table._keys.append(raw[offset + 8:value_at])
+                table._values.append(raw[value_at:value_at + vlen])
+                offset = value_at + vlen
+            (bloom_len,) = _COUNT.unpack_from(raw, offset)
+            if offset + 4 + bloom_len > len(raw):
+                raise struct.error(f"bloom filter of {bloom_len} bytes")
+        except struct.error as exc:
+            raise StorageError(f"SSTable blob truncated at offset {offset} "
+                               f"of {len(raw)}: {exc}") from None
+        table.bloom = BloomFilter.from_bytes(
+            raw[offset + 4:offset + 4 + bloom_len])
         return table
 
 
@@ -138,41 +153,29 @@ class LsmTree:
 
     def put(self, key: bytes | str, value: bytes | str) -> None:
         """Insert or overwrite a key."""
-        key = key.encode() if isinstance(key, str) else bytes(key)
-        value = value.encode() if isinstance(value, str) else bytes(value)
-        if value == _TOMBSTONE:
-            raise ValueError("value collides with the tombstone marker")
-        self._memtable[key] = value
-        if len(self._memtable) >= self.memtable_limit:
-            self.flush()
+        self.put_many([(key, value)])
 
     def delete(self, key: bytes | str) -> None:
         """Delete a key (writes a tombstone)."""
-        key = key.encode() if isinstance(key, str) else bytes(key)
-        self._memtable[key] = _TOMBSTONE
-        if len(self._memtable) >= self.memtable_limit:
-            self.flush()
+        self.delete_many([key])
 
     def put_many(self, items) -> None:
-        """Insert or overwrite many (key, value) pairs with a single
+        """Insert or overwrite many (key, value) pairs — all of them or,
+        when a value is the tombstone marker, none — with a single
         memtable-limit check at the end (the group-commit write path)."""
-        for key, value in items:
-            key = key.encode() if isinstance(key, str) else bytes(key)
-            value = value.encode() if isinstance(value, str) \
-                else bytes(value)
-            if value == _TOMBSTONE:
-                raise ValueError(
-                    "value collides with the tombstone marker")
-            self._memtable[key] = value
-        if len(self._memtable) >= self.memtable_limit:
-            self.flush()
+        items = list(items)
+        values = _encode([value for _, value in items])
+        if _TOMBSTONE in values:
+            raise ValueError("value collides with the tombstone marker")
+        self._apply(_encode([key for key, _ in items]), values)
 
     def delete_many(self, keys) -> None:
         """Write tombstones for many keys with a single memtable-limit
         check at the end."""
-        for key in keys:
-            key = key.encode() if isinstance(key, str) else bytes(key)
-            self._memtable[key] = _TOMBSTONE
+        self._apply(_encode(keys), itertools.repeat(_TOMBSTONE))
+
+    def _apply(self, keys: list[bytes], values) -> None:
+        self._memtable.update(zip(keys, values))
         if len(self._memtable) >= self.memtable_limit:
             self.flush()
 
@@ -251,10 +254,15 @@ class LsmTree:
                                 self._tables[0].to_bytes())
 
     def recover(self) -> None:
-        """Rebuild the table list from object-store blobs (crash recovery)."""
+        """Rebuild the table list from object-store blobs (crash recovery);
+        the next flush is numbered after the newest blob found."""
         if self._store is None:
             raise ValueError("recover() needs an object store")
         self._tables = []
         self._memtable = {}
-        for key in self._store.list(self._store_prefix + "/"):
+        keys = self._store.list(self._store_prefix + "/")
+        for key in keys:
             self._tables.append(SSTable.from_bytes(self._store.get(key)))
+        if keys:
+            newest = keys[-1].rsplit("/", 1)[1].removesuffix(".sst")
+            self._flush_seq = itertools.count(int(newest) + 1)

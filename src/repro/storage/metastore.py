@@ -150,6 +150,18 @@ class MetaStore:
     def keys(self, prefix: str = "") -> list[str]:
         return [k for k in sorted(self._data) if k.startswith(prefix)]
 
+    def exists(self, key: str) -> bool:
+        """Whether ``key`` is set — a predicate, so nothing is copied."""
+        return key in self._data
+
+    def field_values(self, prefix: str, field: str) -> list[tuple[str, Any]]:
+        """``(key, value[field])`` for every record under a prefix, sorted
+        by key (None where a record has no such field).  Copies the one
+        field, not the records: what a readiness poll over a catalogue of
+        segment records needs."""
+        return [(k, copy.deepcopy(self._data[k].value.get(field)))
+                for k in sorted(self._data) if k.startswith(prefix)]
+
     # ------------------------------------------------------------------
     # watches
     # ------------------------------------------------------------------

@@ -69,6 +69,31 @@ class TestBinlog:
             reader.read_manifest("coll", "s1")
 
 
+    def test_truncated_column_blob_is_a_storage_error(self, rng):
+        """Every truncation point of a matrix column and of a JSON
+        column: a typed error naming the offset, never numpy's
+        ``cannot reshape`` or ``struct.error``."""
+        store = ObjectStore()
+        BinlogWriter(store).write_segment(
+            "coll", "s", [1, 2, 3],
+            {"vector": rng.standard_normal((3, 4)).astype(np.float32),
+             "label": ["a", "bé", "c"]}, 1)
+        reader = BinlogReader(store)
+        for field in ("vector", "label"):
+            key = f"binlog/coll/s/{field}.col"
+            blob = store.get(key)
+            for cut in range(len(blob)):
+                store.put(key, blob[:cut])
+                with pytest.raises(StorageError,
+                                   match="binlog column blob .* offset"):
+                    reader.read_field("coll", "s", field)
+            store.put(key, blob + b"\x00\x00\x00\x00")
+            with pytest.raises(StorageError, match="binlog column blob"):
+                reader.read_field("coll", "s", field)
+            store.put(key, blob)
+            assert len(reader.read_field("coll", "s", field)) == 3
+
+
 class _StaticAllocator:
     """Deterministic per-shard segment naming for logger tests."""
 

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import StorageError
 from repro.storage.bloom import BloomFilter
 from repro.storage.lsm import LsmTree, SSTable
 from repro.storage.object_store import ObjectStore
@@ -50,6 +51,17 @@ class TestBloomFilter:
             bloom.add(key)
         assert all(key in bloom for key in keys)
 
+    def test_truncated_or_inconsistent_blob_is_a_storage_error(self):
+        bloom = BloomFilter(capacity=20)
+        bloom.add_many([f"k{i}" for i in range(20)])
+        blob = bloom.to_bytes()
+        for cut in range(len(blob)):
+            with pytest.raises(StorageError, match="bloom filter"):
+                BloomFilter.from_bytes(blob[:cut])
+        zero_bits = blob[:8] + bytes(8) + blob[16:]
+        with pytest.raises(StorageError, match="offset 28"):
+            BloomFilter.from_bytes(zero_bits)
+
 
 class TestSSTable:
     def test_point_lookup(self):
@@ -71,6 +83,29 @@ class TestSSTable:
         again = SSTable.from_bytes(table.to_bytes())
         assert list(again.items()) == entries
         assert again.get(b"k025") == b"v25"
+
+
+    def test_every_truncation_is_a_storage_error(self):
+        """Never ``struct.error`` or a numpy reshape from three layers
+        down: the error names the blob's kind and where it stopped."""
+        entries = [(f"k{i}".encode(), b"seg-%d" % (i % 2))
+                   for i in range(5)]
+        blob = SSTable(entries).to_bytes()
+        for cut in range(len(blob)):
+            with pytest.raises(StorageError,
+                               match="SSTable|bloom filter") as caught:
+                SSTable.from_bytes(blob[:cut])
+            assert "offset" in str(caught.value)
+        assert list(SSTable.from_bytes(blob).items()) == entries
+
+    def test_garbled_lengths_are_a_storage_error(self):
+        blob = SSTable([(b"a", b"1"), (b"c", b"3")]).to_bytes()
+        huge = (2**32 - 1).to_bytes(4, "little")
+        for at in (4, 8, 12):   # entry count, first klen, first vlen
+            with pytest.raises(StorageError, match="truncated at offset"):
+                SSTable.from_bytes(blob[:at] + huge + blob[at + 4:])
+        with pytest.raises(StorageError, match="bad magic"):
+            SSTable.from_bytes(b"XXXX" + blob[4:])
 
 
 class TestLsmTree:
@@ -156,6 +191,46 @@ class TestLsmTree:
         tree = LsmTree()
         with pytest.raises(ValueError):
             tree.put("k", b"\x00__tombstone__")
+
+    @pytest.mark.parametrize("limit", [2, 100])
+    def test_rejected_put_many_changes_nothing(self, limit):
+        """A colliding value in the middle of a batch: none of the batch
+        is applied, not the keys ahead of it either, and nothing is
+        flushed."""
+        store = ObjectStore()
+        tree = LsmTree(memtable_limit=limit, store=store,
+                       store_prefix="map")
+        tree.put("before", "v")
+        before = (list(tree.items()), tree.num_tables, store.list("map/"))
+        with pytest.raises(ValueError, match="tombstone"):
+            tree.put_many([("a", "1"), ("b", "2"),
+                           ("c", b"\x00__tombstone__"), ("d", "4")])
+        assert (list(tree.items()), tree.num_tables,
+                store.list("map/")) == before
+        assert tree.get("a") is None and tree.get("d") is None
+
+    def test_recover_fails_typed_on_a_truncated_blob(self):
+        store = ObjectStore()
+        tree = LsmTree(memtable_limit=4, store=store, store_prefix="map")
+        tree.put_many((f"k{i}", "v") for i in range(4))
+        (key,) = store.list("map/")
+        store.put(key, store.get(key)[:-9])
+        with pytest.raises(StorageError, match="truncated at offset"):
+            LsmTree(store=store, store_prefix="map").recover()
+
+    def test_recovered_tree_numbers_its_flushes_after_the_blobs(self):
+        store = ObjectStore()
+        tree = LsmTree(memtable_limit=2, store=store, store_prefix="map")
+        for i in range(6):
+            tree.put(f"k{i}", "old")
+        fresh = LsmTree(memtable_limit=2, store=store, store_prefix="map")
+        fresh.recover()
+        fresh.put("k0", "new")
+        fresh.put("k1", "new")      # flushes: must not overwrite blob 0
+        assert len(store.list("map/")) == 4
+        again = LsmTree(store=store, store_prefix="map")
+        again.recover()
+        assert again.get("k0") == b"new" and again.get("k5") == b"old"
 
     @given(st.lists(st.tuples(st.sampled_from(["put", "delete"]),
                               st.integers(0, 30),
