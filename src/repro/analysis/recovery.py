@@ -149,8 +149,7 @@ ACK_LAYERS = frozenset({"api", "cluster", "log", "nodes"})
 #: *return* is not an ack (see :func:`_returns_ack_future`), but any
 #: future they resolve inline still is.
 WRITE_ENTRY_RE = re.compile(
-    r"^(insert|delete|upsert|publish_insert|publish_delete"
-    r"|publish_batch)(_async)?$")
+    r"^(insert|delete|upsert|publish_batch)(_async)?$")
 
 #: modules whose mutations are row state (rule: unlogged-mutation scope).
 MUTATION_MODULE_PREFIXES = ("nodes/", "coord/", "core/")

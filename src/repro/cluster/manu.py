@@ -153,7 +153,6 @@ class ManuCluster:
             logger_names=logger_names,
             lsm_memtable_limit=self.config.storage.lsm_memtable_limit,
             tracer=self.tracer, loop=self.loop,
-            group_commit_enabled=self.config.log.group_commit_enabled,
             group_commit_rows=self.config.log.group_commit_rows,
             group_commit_bytes=self.config.log.group_commit_bytes,
             group_commit_window_ms=self.config.log.group_commit_window_ms)
@@ -493,26 +492,28 @@ class ManuCluster:
     def drop_collection(self, name: str) -> None:
         self.root_coord.drop_collection(name)
 
-    def insert(self, collection: str, data: Mapping,
-               tenant: Optional[str] = None) -> tuple:
-        return self.proxy().insert(collection, data, tenant=tenant)
+    # Every verb forwards its options as given (tenant, field, metric,
+    # expr, consistency, staleness_ms, explain, ...): the proxy's
+    # signatures are the only ones, so this layer cannot drop one.
+
+    def insert(self, collection: str, data: Mapping, **options) -> tuple:
+        return self.proxy().insert(collection, data, **options)
 
     def insert_async(self, collection: str, data: Mapping,
-                     tenant: Optional[str] = None) -> tuple:
+                     **options) -> tuple:
         """Group-commit insert: ``(pks, AckFuture)``; ack at flush time."""
-        return self.proxy().insert_async(collection, data, tenant=tenant)
+        return self.proxy().insert_async(collection, data, **options)
 
-    def delete(self, collection: str, expr: str,
-               tenant: Optional[str] = None) -> int:
-        return self.proxy().delete(collection, expr, tenant=tenant)
+    def delete(self, collection: str, expr: str, **options) -> int:
+        return self.proxy().delete(collection, expr, **options)
 
-    def delete_async(self, collection: str, expr: str):
+    def delete_async(self, collection: str, expr: str, **options):
         """Group-commit delete: an ``AckFuture`` resolved at flush time."""
-        return self.proxy().delete_async(collection, expr)
+        return self.proxy().delete_async(collection, expr, **options)
 
-    # The read verbs forward every option as given (field, metric, expr,
-    # consistency, staleness_ms, tenant, explain, ...): the proxy's
-    # signatures are the only ones, so this layer cannot drop one.
+    def upsert(self, collection: str, data: Mapping, **options) -> tuple:
+        """Replace-or-insert by explicit primary key."""
+        return self.proxy().upsert(collection, data, **options)
 
     def search(self, collection: str, queries, k: int,
                **options) -> list[SearchResult]:
@@ -529,11 +530,6 @@ class ManuCluster:
         """Point reads: pk -> {field: value} for live entities; options
         are :meth:`Proxy.get`'s."""
         return self.proxy().get(collection, pks, **options)
-
-    def upsert(self, collection: str, data: Mapping,
-               tenant: Optional[str] = None) -> tuple:
-        """Replace-or-insert by explicit primary key."""
-        return self.proxy().upsert(collection, data, tenant=tenant)
 
     def range_search(self, collection: str, query, radius: float,
                      **options) -> SearchResult:

@@ -35,13 +35,9 @@ class LogConfig:
     coord_channel: str = "wal/coord"
     """Channel carrying system-coordination messages (load/release/seal)."""
 
-    group_commit_enabled: bool = True
-    """Coalesce insert/delete records per (collection, shard) into one
-    ``BatchRecord`` WAL publish (group commit); off restores the
-    record-at-a-time append path."""
-
     group_commit_rows: int = 64
-    """Flush a commit group once it buffers this many rows."""
+    """Flush a commit group once it buffers this many rows (a sync write
+    flushes the groups it touched itself, whatever their size)."""
 
     group_commit_bytes: int = 256 * 1024
     """Flush a commit group once its estimated payload exceeds this."""

@@ -25,10 +25,9 @@ from repro.core.schema import MetricType
 from repro.errors import FieldNotFound
 from repro.log.broker import LogBroker, LogEntry, Subscription
 from repro.log.wal import (
-    BatchRecord,
-    DeleteRecord,
     InsertRecord,
     TimeTickRecord,
+    data_records,
     shard_channel,
 )
 
@@ -70,9 +69,7 @@ class KeywordCoProcessor:
             self.gate.observe_tick(record.ts)
             return
         self.gate.observe(record.ts)
-        records = record.records \
-            if isinstance(record, BatchRecord) else (record,)
-        for inner in records:
+        for inner in data_records(record):
             if isinstance(inner, InsertRecord):
                 values = inner.columns.get(self.field)
                 if values is None:
@@ -80,7 +77,7 @@ class KeywordCoProcessor:
                         f"field {self.field!r} absent from insert record")
                 for pk, text in zip(inner.pks, values):
                     self._index_document(pk, str(text))
-            elif isinstance(inner, DeleteRecord):
+            else:
                 for pk in inner.pks:
                     self._remove_document(pk)
 

@@ -38,8 +38,7 @@ from repro.core.tso import Timestamp
 from repro.errors import TimeTravelError
 from repro.log.binlog import BinlogReader
 from repro.log.broker import LogBroker
-from repro.log.wal import BatchRecord, DeleteRecord, InsertRecord, \
-    shard_channel
+from repro.log.wal import InsertRecord, data_records, shard_channel
 from repro.storage.object_store import ObjectStore
 
 _delta_seq = itertools.count()
@@ -194,14 +193,7 @@ class TimeTravel:
                     break
                 for entry in entries:
                     offset = entry.offset + 1
-                    # Expand group-commit envelopes *before* the target
-                    # cut: the envelope ts is the max inner LSN, so a
-                    # batch straddling the target must still apply its
-                    # inner records with ts <= target.
-                    payload = entry.payload
-                    inner = payload.records \
-                        if isinstance(payload, BatchRecord) else (payload,)
-                    for record in inner:
+                    for record in data_records(entry.payload):
                         if record.ts > target_ts:
                             continue
                         if isinstance(record, InsertRecord):
@@ -210,7 +202,7 @@ class TimeTravel:
                                 continue  # already covered by the binlog
                             segment.append(list(record.pks),
                                            dict(record.columns), record.ts)
-                        elif isinstance(record, DeleteRecord):
+                        else:
                             for segment in segments.values():
                                 segment.apply_delete(record.pks, record.ts)
 

@@ -12,8 +12,9 @@ the same treatment before any query node is asked (``validate_queries``,
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -41,10 +42,23 @@ class EntityBatch:
         return len(self.pks)
 
 
+def _as_array(label: str, values: Any, ndim: int, dtype=None) -> np.ndarray:
+    """``np.asarray`` for one column; what numpy refuses (ragged rows,
+    non-numeric values) or shapes otherwise is a malformed request."""
+    try:
+        arr = np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{label}: {exc}") from None
+    if arr.ndim != ndim:
+        raise SchemaError(
+            f"{label}: expected a {ndim}-D array, got shape {arr.shape}")
+    return arr
+
+
 def _coerce_scalar_column(name: str, dtype: DataType,
                           values: Sequence) -> Any:
     if dtype is DataType.INT64:
-        arr = np.asarray(values)
+        arr = _as_array(f"field {name!r}", values, 1)
         if arr.dtype.kind not in "iu":
             if arr.dtype.kind == "f" and np.allclose(arr, arr.astype(np.int64)):
                 arr = arr.astype(np.int64)
@@ -53,15 +67,17 @@ def _coerce_scalar_column(name: str, dtype: DataType,
                     f"field {name!r}: expected integers, got {arr.dtype}")
         return arr.astype(np.int64)
     if dtype is DataType.FLOAT:
-        arr = np.asarray(values, dtype=np.float64)
-        return arr
+        return _as_array(f"field {name!r}", values, 1, np.float64)
     if dtype is DataType.BOOL:
-        arr = np.asarray(values)
+        arr = _as_array(f"field {name!r}", values, 1)
         if arr.dtype != np.bool_:
             raise SchemaError(
                 f"field {name!r}: expected booleans, got {arr.dtype}")
         return arr
     if dtype is DataType.STRING:
+        if isinstance(values, str):
+            raise SchemaError(
+                f"field {name!r}: expected a column of strings, got one")
         out = []
         for value in values:
             if not isinstance(value, str):
@@ -74,11 +90,7 @@ def _coerce_scalar_column(name: str, dtype: DataType,
 
 
 def _coerce_vector_column(name: str, dim: int, values: Any) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float32)
-    if arr.ndim != 2:
-        raise SchemaError(
-            f"vector field {name!r}: expected a 2-D array, got "
-            f"shape {arr.shape}")
+    arr = _as_array(f"vector field {name!r}", values, 2, np.float32)
     if arr.shape[1] != dim:
         raise SchemaError(
             f"vector field {name!r}: expected dim {dim}, got {arr.shape[1]}")
@@ -125,8 +137,12 @@ def validate_batch(schema: CollectionSchema,
 
     Auto-id schemas must not provide a primary key column (one is
     generated); explicit-key schemas must.  All columns must have equal row
-    counts and no unknown fields are accepted.
+    counts and no unknown fields are accepted.  Whatever is wrong with
+    ``data`` is a :class:`SchemaError`.
     """
+    if not isinstance(data, Mapping):
+        raise SchemaError("an insert maps field names to columns, got "
+                          f"{type(data).__name__}")
     data = dict(data)
     primary = schema.primary_field
 
@@ -139,13 +155,20 @@ def validate_batch(schema: CollectionSchema,
         expected.discard(primary.name)
     unknown = set(data) - expected
     if unknown:
-        raise SchemaError(f"unknown fields in insert: {sorted(unknown)}")
+        raise SchemaError(
+            f"unknown fields in insert: {sorted(unknown, key=str)}")
     missing = expected - set(data)
     if missing:
         raise SchemaError(f"missing fields in insert: {sorted(missing)}")
 
-    lengths = {name: len(np.asarray(values)) if not isinstance(values, list)
-               else len(values) for name, values in data.items()}
+    lengths = {}
+    for name, values in data.items():
+        try:
+            lengths[name] = len(values)
+        except TypeError:
+            raise SchemaError(
+                f"field {name!r}: expected a column of values, got "
+                f"{type(values).__name__}") from None
     counts = set(lengths.values())
     if len(counts) > 1:
         raise SchemaError(f"ragged insert batch: {lengths}")

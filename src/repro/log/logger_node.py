@@ -13,19 +13,20 @@ shards, maps shards to loggers through the ring, and supports adding and
 removing loggers at runtime — shard LSM state is keyed by shard (and backed
 by the shared object store), so ownership changes never lose the mapping.
 
-Group commit: instead of appending record-at-a-time, writes buffer into a
-per-(collection, shard) :class:`CommitGroup` and go out as one coalesced
-:class:`~repro.log.wal.BatchRecord` publish when a bound trips (row count,
-payload bytes, commit window) or a sync caller forces a flush.  Writers
-hold an :class:`AckFuture` that resolves with the batch LSN strictly after
-the publish returned — acks never precede durability.  Commit groups are
-keyed like the mappings, by shard, so logger churn never strands one.
+Group commit is the only way onto the WAL: every write buffers into a
+per-(collection, shard) :class:`CommitGroup` (``LoggerService._write``) and
+goes out as one coalesced :class:`~repro.log.wal.BatchRecord` publish
+(``flush_group`` -> ``Logger.publish_batch``) when a bound trips (row count,
+payload bytes, commit window) or a sync caller flushes the shards it
+touched.  Async writers hold an :class:`AckFuture` that resolves with the
+batch LSN strictly after the publish returned — acks never precede
+durability.  Commit groups are keyed like the mappings, by shard, so logger
+churn never strands one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
 from typing import Callable, Mapping, Optional, Protocol
 
@@ -181,7 +182,7 @@ class _PendingOp:
         self.pks = pks
         self.keys = keys          # _encode_pks(pks)
         self.columns = columns    # insert only
-        self.future = future      # None for sync writers
+        self.future = future      # None for a sync insert
 
 
 class CommitGroup:
@@ -248,54 +249,6 @@ class Logger:
         if self.fence_guard is not None:
             self.fence_guard(collection, shard, self.name)
 
-    def publish_insert(self, collection: str, shard: int, segment_id: str,
-                       pks: tuple, columns: Mapping,
-                       mapping: LsmTree) -> int:
-        """Publish one shard-batch; returns the packed LSN."""
-        self._check_fence(collection, shard)
-        with self._tracer.span("logger.publish_insert", self._component,
-                               collection=collection, shard=shard,
-                               segment=segment_id, rows=len(pks)):
-            ts = self._tso.allocate_packed()
-            record = InsertRecord(ts=ts, collection=collection, shard=shard,
-                                  segment_id=segment_id, pks=pks,
-                                  columns=columns)
-            self._broker.publish(shard_channel(collection, shard), record)
-        mapping.put_many(zip(_encode_pks(pks),
-                             itertools.repeat(segment_id.encode())))
-        self.batches_published += 1
-        self.rows_published += len(pks)
-        return ts
-
-    def publish_delete(self, collection: str, shard: int, pks: tuple,
-                       mapping: LsmTree) -> tuple[int, int]:
-        """Publish deletions for keys that exist; returns (LSN, count).
-
-        The logger "caches the segment mapping (e.g., for checking if the
-        entity to delete exists)": unknown keys are silently dropped, so
-        subscribers never process deletions of absent entities.
-        """
-        self._check_fence(collection, shard)
-        known = [(pk, key) for pk, key in zip(pks, _encode_pks(pks))
-                 if mapping.get(key) is not None]
-        existing = tuple(pk for pk, _ in known)
-        ts = self._tso.allocate_packed()
-        if not existing:
-            # Zero-effect ack: no entity matched, nothing was accepted,
-            # so there is nothing a crash after this return could lose.
-            return ts, 0  # manu-lint: disable=durability-ack-before-durable -- zero-effect ack: empty delete publishes nothing
-        with self._tracer.span("logger.publish_delete",
-                               self._component, collection=collection,
-                               shard=shard, rows=len(existing)):
-            record = DeleteRecord(ts=ts, collection=collection,
-                                  shard=shard, pks=existing)
-            self._broker.publish(shard_channel(collection, shard),
-                                 record)
-        mapping.delete_many([key for _, key in known])
-        self.batches_published += 1
-        self.rows_published += len(existing)
-        return ts, len(existing)
-
     def publish_batch(self, collection: str, shard: int,
                       records: tuple) -> int:
         """Publish one coalesced commit group; returns the batch LSN.
@@ -326,7 +279,6 @@ class LoggerService:
                  lsm_memtable_limit: int = 1024,
                  tracer: Optional[TraceCollector] = None,
                  loop: Optional[EventLoop] = None,
-                 group_commit_enabled: bool = True,
                  group_commit_rows: int = 64,
                  group_commit_bytes: int = 256 * 1024,
                  group_commit_window_ms: float = 2.0) -> None:
@@ -347,7 +299,6 @@ class LoggerService:
         # Group commit: per-(collection, shard) buffers, keyed like the
         # mappings so logger churn never strands a pending group.
         self._loop = loop
-        self._gc_enabled = group_commit_enabled
         self._gc_rows = group_commit_rows
         self._gc_bytes = group_commit_bytes
         self._gc_window_ms = group_commit_window_ms
@@ -476,25 +427,14 @@ class LoggerService:
         return channels
 
     def insert(self, collection: str, batch: EntityBatch) -> int:
-        """Split a validated batch by shard and publish; returns max LSN.
+        """Publish a validated batch; returns the max LSN.
 
-        With group commit enabled the rows join each shard's commit
-        group (together with any async writes buffered before them) and
-        the call blocks on an immediate explicit flush — same API, one
-        coalesced WAL publish per shard.
+        The rows join each touched shard's commit group (behind any
+        async writes buffered before them) and the call flushes those
+        groups before it returns — one coalesced WAL publish per shard.
         """
-        max_ts = 0
-        for shard, pks, keys, columns in self._split(batch.pks,
-                                                     batch.columns):
-            if self._gc_enabled:
-                self._buffer_op(collection, shard, _PendingOp(
-                    "insert", pks, keys, columns, None))
-                ts = self.flush_group(collection, shard,
-                                      reason="explicit")
-            else:
-                ts = self._insert_direct(collection, shard, pks, columns)
-            max_ts = max(max_ts, ts)
-        return max_ts
+        return self._write(collection, "insert", batch.pks, batch.columns,
+                           sync=True)[0]
 
     def insert_async(self, collection: str,
                      batch: EntityBatch) -> AckFuture:
@@ -505,8 +445,8 @@ class LoggerService:
         byte bound, commit window, or an explicit flush) and its WAL
         publish returned.
         """
-        return self._write_async(collection, "insert", batch.pks,
-                                 batch.columns)
+        return merge_acks(self._write(
+            collection, "insert", batch.pks, batch.columns, sync=False)[1])
 
     def _rows_by_shard(self, keys: list[bytes]):
         """(shard, row indices) pairs, in shard order, for the encoded
@@ -540,24 +480,10 @@ class LoggerService:
                                     for name, values in columns.items()})
 
     def delete(self, collection: str, pks: tuple) -> tuple[int, int]:
-        """Publish deletions by key; returns (max LSN, deleted count)."""
-        max_ts = 0
-        deleted = 0
-        for shard, shard_pks, keys, _ in self._split(pks, None):
-            if self._gc_enabled:
-                future = AckFuture()
-                self._buffer_op(collection, shard, _PendingOp(
-                    "delete", shard_pks, keys, None, future))
-                self.flush_group(collection, shard, reason="explicit")
-                ts, count = future.result(), future.rows
-            else:
-                logger = self.logger_for_shard(collection, shard)
-                ts, count = logger.publish_delete(
-                    collection, shard, shard_pks,
-                    self._mapping(collection, shard))
-            max_ts = max(max_ts, ts)
-            deleted += count
-        return max_ts, deleted
+        """Publish deletions of the keys that exist; returns (max LSN,
+        deleted count)."""
+        lsn, acks = self._write(collection, "delete", pks, None, sync=True)
+        return lsn, sum(ack.rows for ack in acks)
 
     def delete_async(self, collection: str, pks: tuple) -> AckFuture:
         """Buffer deletions into their shards' commit groups.
@@ -565,48 +491,44 @@ class LoggerService:
         The returned :class:`AckFuture` resolves with the durable batch
         LSN; ``rows`` carries how many keys existed at flush time.
         """
-        return self._write_async(collection, "delete", pks, None)
+        return merge_acks(self._write(collection, "delete", pks, None,
+                                      sync=False)[1])
 
     # ------------------------------------------------------------------
     # group commit
     # ------------------------------------------------------------------
 
-    def _insert_direct(self, collection: str, shard: int, pks: tuple,
-                       columns: Mapping) -> int:
-        """Record-at-a-time append path (group commit disabled)."""
-        logger = self.logger_for_shard(collection, shard)
-        mapping = self._mapping(collection, shard)
-        # Large batches are partitioned across growing segments so no
-        # segment exceeds the seal threshold.
+    def _write(self, collection: str, kind: str, pks: tuple,
+               columns: Optional[Mapping],
+               sync: bool) -> tuple[int, list[AckFuture]]:
+        """The one write routine: buffer each shard's part of a write
+        into that shard's commit group; the four verbs differ only in who
+        flushes.  A sync writer flushes every shard it touched, inline,
+        and arms nothing; an async writer leaves the group to the row or
+        byte bound, else to the commit window, armed by the op that
+        opened the group.  Returns the max LSN of the sync flushes and
+        the parts' ack futures — none for a sync insert, whose flush LSN
+        is all its caller reads.
+        """
         max_ts = 0
-        cursor = 0
-        for segment_id, count in self._allocator.assign_segments(
-                collection, shard, len(pks)):
-            chunk = slice(cursor, cursor + count)
-            cursor += count
-            ts = logger.publish_insert(
-                collection, shard, segment_id, pks[chunk],
-                {name: values[chunk] for name, values in columns.items()},
-                mapping)
-            max_ts = max(max_ts, ts)
-        return max_ts
-
-    def _write_async(self, collection: str, kind: str, pks: tuple,
-                     columns: Optional[Mapping]) -> AckFuture:
-        """Buffer one async write into its shards' commit groups.  A
-        group that neither bound flushes on the spot is left to the
-        commit window, armed by the op that opened it — a sync writer
-        flushes inline and arms nothing."""
-        if not self._gc_enabled:
-            raise ClusterStateError("group commit is disabled")
         futures = []
         for shard, shard_pks, keys, shard_columns in self._split(pks,
                                                                  columns):
-            future = AckFuture()
-            group = self._buffer_op(collection, shard, _PendingOp(
-                kind, shard_pks, keys, shard_columns, future))
-            futures.append(future)
-            if group.rows >= self._gc_rows:
+            future = None
+            if kind == "delete" or not sync:
+                future = AckFuture()
+                futures.append(future)
+            group = self._groups.setdefault((collection, shard),
+                                            CommitGroup())
+            group.ops.append(_PendingOp(kind, shard_pks, keys,
+                                        shard_columns, future))
+            group.rows += len(shard_pks)
+            group.nbytes += _estimate_nbytes(shard_pks, shard_columns)
+            if len(group.ops) == 1 and self._loop is not None:
+                group.first_at = self._loop.now()
+            if sync:
+                max_ts = max(max_ts, self.flush_group(collection, shard))
+            elif group.rows >= self._gc_rows:
                 self.flush_group(collection, shard, reason="rows")
             elif group.nbytes >= self._gc_bytes:
                 self.flush_group(collection, shard, reason="bytes")
@@ -617,18 +539,7 @@ class LoggerService:
                     lambda shard=shard, epoch=group.epoch:
                     self._window_flush(collection, shard, epoch),
                     name=f"group-commit:{collection}/shard-{shard}")
-        return merge_acks(futures)
-
-    def _buffer_op(self, collection: str, shard: int,
-                   op: _PendingOp) -> CommitGroup:
-        group = self._groups.setdefault((collection, shard),
-                                        CommitGroup())
-        group.ops.append(op)
-        group.rows += len(op.pks)
-        group.nbytes += _estimate_nbytes(op.pks, op.columns)
-        if len(group.ops) == 1 and self._loop is not None:
-            group.first_at = self._loop.now()
-        return group
+        return max_ts, futures
 
     def _window_flush(self, collection: str, shard: int,
                       epoch: int) -> None:
@@ -730,8 +641,7 @@ class LoggerService:
                     future.set_result(batch_ts, count)
             return batch_ts
         # Zero-effect group: every buffered delete missed.  Nothing was
-        # accepted, so there is nothing a crash after this ack could
-        # lose (same contract as Logger.publish_delete's empty case).
+        # accepted, so a crash after this ack could lose nothing.
         ts = self._tso.allocate_packed()
         for future, _count in acks:
             if future is not None:

@@ -6,6 +6,10 @@ coordination messages; search requests are read-only and never logged.  The
 log is *logical* — records describe events, not page modifications — so each
 subscriber consumes them its own way.
 
+Data reaches a shard channel in one shape, the :class:`BatchRecord` of one
+commit-group flush; outside serialisation only :func:`data_records` knows
+the envelope exists, and every subscriber reads through it.
+
 Records carry the packed hybrid timestamp (LSN) the logger obtained from the
 TSO.  ``to_bytes``/``record_from_bytes`` give a compact binary encoding
 (JSON envelope + raw little-endian float32 vector payloads) used when WAL
@@ -89,6 +93,19 @@ class BatchRecord(WalRecord):
     @property
     def num_rows(self) -> int:
         return sum(len(r.pks) for r in self.records)
+
+
+def data_records(payload: WalRecord) -> tuple:
+    """The insert/delete records one shard-channel entry carries, in
+    commit order: a commit group's inner records (each with its own LSN),
+    a bare data record as itself, nothing for any other entry.  Expand
+    *before* comparing LSNs: the envelope's ``ts`` is the max inner LSN,
+    so a group straddling a cut still holds records below it."""
+    if isinstance(payload, BatchRecord):
+        return payload.records
+    if isinstance(payload, (InsertRecord, DeleteRecord)):
+        return (payload,)
+    return ()
 
 
 @dataclass(frozen=True)

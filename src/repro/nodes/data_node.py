@@ -26,11 +26,10 @@ from repro.core.segment import Segment
 from repro.log.binlog import BinlogWriter
 from repro.log.broker import LogBroker, LogEntry, Subscription
 from repro.log.wal import (
-    BatchRecord,
     CoordRecord,
     DeleteRecord,
     InsertRecord,
-    TimeTickRecord,
+    data_records,
     shard_channel,
 )
 from repro.sim.costmodel import CostModel
@@ -124,25 +123,12 @@ class DataNode:
         return sorted(self._subs)
 
     def _on_entry(self, entry: LogEntry) -> None:
-        record = entry.payload
         self._channel_offsets[entry.channel] = entry.offset + 1
-        if isinstance(record, BatchRecord):
-            # One delivery, N logical records: each inner record keeps
-            # its own LSN, so the per-record replay guards below apply
-            # unchanged.
-            for inner in record.records:
-                if isinstance(inner, InsertRecord):
-                    self._apply_insert(inner)
-                elif isinstance(inner, DeleteRecord):
-                    self._apply_delete(inner)
-        elif isinstance(record, InsertRecord):
-            self._apply_insert(record)
-        elif isinstance(record, DeleteRecord):
-            self._apply_delete(record)
-        elif isinstance(record, TimeTickRecord):
-            pass  # archiving needs no watermark
-        elif isinstance(record, CoordRecord):
-            pass  # coordination arrives on the coord channel
+        for record in data_records(entry.payload):
+            if isinstance(record, InsertRecord):
+                self._apply_insert(record)
+            else:
+                self._apply_delete(record)
 
     # ------------------------------------------------------------------
     # write path

@@ -130,10 +130,11 @@ class Proxy:
         # ``search_latency_p99``).
         ops = self.metrics.counter_family(
             "proxy_ops_total", ("proxy", "verb"),
-            help="rows inserted, keys deleted, query rows read, by verb")
+            help="rows inserted or upserted, keys deleted, query rows "
+                 "read, by verb")
         self._ops = {verb: ops.labels(proxy=name, verb=verb)
-                     for verb in ("insert", "delete", "batched_search",
-                                  *_LATENCY_WINDOWS)}
+                     for verb in ("insert", "delete", "upsert",
+                                  "batched_search", *_LATENCY_WINDOWS)}
         self._latency = {
             verb: (self.metrics.latency(window),
                    self.metrics.histogram_family(
@@ -226,11 +227,6 @@ class Proxy:
             tenant, stats.rows_scanned, stats.bytes_materialized)
         self._read_units.labels(tenant=tenant).inc(units)
 
-    def _charge_write(self, tenant: str, rows: int) -> None:
-        """Meter one write's appended rows against the tenant."""
-        units = self._cost_meter.charge_write(tenant, rows)
-        self._write_units.labels(tenant=tenant).inc(units)
-
     # ------------------------------------------------------------------
     # metadata verification
     # ------------------------------------------------------------------
@@ -243,8 +239,46 @@ class Proxy:
         return schema
 
     # ------------------------------------------------------------------
-    # writes
+    # writes: one admit, one commit, five verbs (DESIGN.md §6i)
     # ------------------------------------------------------------------
+
+    def _admit_write(self, verb: str, collection: str,
+                     tenant: Optional[str], payload) -> tuple:
+        """Front half of every write verb: whatever can refuse a write
+        before it reaches a logger — tenant namespace, cached schema,
+        typed validation (rows into an ``EntityBatch``; a delete's
+        expression into the primary keys it addresses), then quota, per
+        row or key under ``verb``.  Returns the physical collection
+        name, what was validated and its row count."""
+        if tenant is not None:
+            collection = self._tenant_resolve(tenant, collection)
+        schema = self._schema(collection)
+        if verb == "delete":
+            what = tuple(_extract_pks(FilterExpression(payload),
+                                      schema.primary_field.name))
+            rows = len(what)
+        else:
+            if verb == "upsert" and schema.auto_id:
+                raise ManuError(
+                    "upsert requires an explicit primary key schema")
+            what = validate_batch(schema, payload)
+            rows = what.num_rows
+        if tenant is not None:
+            self._tenant_admit(tenant, verb, units=rows)
+        return collection, what, rows
+
+    def _commit_write(self, verb: str, tenant: Optional[str], lsn: int,
+                      rows: int) -> None:
+        """Back half of every write verb, run once the write is durable
+        (inline by a sync verb, from the ack callback by an async one):
+        the session timestamp, ``proxy_ops_total`` under ``verb``, and
+        the tenant's write units — rows appended, so ``insert`` and
+        ``upsert`` charge their rows and ``delete`` charges quota only."""
+        self._session_ts = max(self._session_ts, lsn)
+        self._ops[verb].inc(rows)
+        if tenant is not None and verb != "delete":
+            units = self._cost_meter.charge_write(tenant, rows)
+            self._write_units.labels(tenant=tenant).inc(units)
 
     def insert(self, collection: str, data: Mapping,
                tenant: Optional[str] = None) -> tuple:
@@ -253,19 +287,12 @@ class Proxy:
         With ``tenant`` the collection name is tenant-scoped and the
         rows are admitted against the tenant's insert-rate bucket.
         """
-        if tenant is not None:
-            collection = self._tenant_resolve(tenant, collection)
-        schema = self._schema(collection)
-        batch = validate_batch(schema, data)
-        if tenant is not None:
-            self._tenant_admit(tenant, "insert", units=batch.num_rows)
+        collection, batch, rows = self._admit_write(
+            "insert", collection, tenant, data)
         with self._tracer.span("proxy.insert", self._component,
-                               collection=collection, rows=batch.num_rows):
+                               collection=collection, rows=rows):
             lsn = self._loggers.insert(collection, batch)
-        self._session_ts = max(self._session_ts, lsn)
-        self._ops["insert"].inc(batch.num_rows)
-        if tenant is not None:
-            self._charge_write(tenant, batch.num_rows)
+        self._commit_write("insert", tenant, lsn, rows)
         return batch.pks
 
     def insert_async(self, collection: str, data: Mapping,
@@ -280,25 +307,15 @@ class Proxy:
         at that point — an unacked write is not yet readable under
         session consistency.
         """
-        if tenant is not None:
-            collection = self._tenant_resolve(tenant, collection)
-        schema = self._schema(collection)
-        batch = validate_batch(schema, data)
-        if tenant is not None:
-            self._tenant_admit(tenant, "insert", units=batch.num_rows)
+        collection, batch, rows = self._admit_write(
+            "insert", collection, tenant, data)
         # No per-submit span: buffering is a local memory append, and a
         # span per call would defeat the amortisation this path exists
         # for.  The flush's "logger.publish_batch" span is the traced
         # unit and carries the coalesced row count.
         ack = self._loggers.insert_async(collection, batch)
-
-        def _on_ack(future: "AckFuture") -> None:
-            self._session_ts = max(self._session_ts, future.result())
-            self._ops["insert"].inc(batch.num_rows)
-            if tenant is not None:
-                self._charge_write(tenant, batch.num_rows)
-
-        ack.add_done_callback(_on_ack)
+        ack.add_done_callback(lambda future: self._commit_write(
+            "insert", tenant, future.result(), rows))
         return batch.pks, ack
 
     def delete(self, collection: str, expr: str,
@@ -306,43 +323,46 @@ class Proxy:
         """Delete by primary-key expression; returns the deleted count.
 
         Like Milvus 2.0, deletion expressions must address primary keys
-        directly (``pk in [1, 2]`` or ``pk == 3``).
+        directly (``pk in [1, 2]`` or ``pk == 3``).  Quota is charged per
+        addressed key; the delete counter moves by the keys that existed.
         """
-        if tenant is not None:
-            collection = self._tenant_resolve(tenant, collection)
-        schema = self._schema(collection)
-        pks = _extract_pks(FilterExpression(expr),
-                           schema.primary_field.name)
-        if tenant is not None:
-            self._tenant_admit(tenant, "delete", units=len(pks))
+        collection, pks, keys = self._admit_write(
+            "delete", collection, tenant, expr)
         with self._tracer.span("proxy.delete", self._component,
-                               collection=collection, keys=len(pks)):
-            lsn, deleted = self._loggers.delete(collection, tuple(pks))
-        self._session_ts = max(self._session_ts, lsn)
-        self._ops["delete"].inc(deleted)
+                               collection=collection, keys=keys):
+            lsn, deleted = self._loggers.delete(collection, pks)
+        self._commit_write("delete", tenant, lsn, deleted)
         return deleted
 
-    def delete_async(self, collection: str, expr: str) -> "AckFuture":
+    def delete_async(self, collection: str, expr: str,
+                     tenant: Optional[str] = None) -> "AckFuture":
         """Buffer a delete into the loggers' commit groups.
 
         The returned :class:`~repro.log.logger_node.AckFuture` resolves
         with the durable batch LSN; its ``rows`` reports how many keys
         existed at flush time.  Session timestamp and the delete counter
-        advance on resolution.
+        advance on resolution.  Unspanned for the same reason as
+        :meth:`insert_async`: the flush owns the span.
         """
-        schema = self._schema(collection)
-        pks = _extract_pks(FilterExpression(expr),
-                           schema.primary_field.name)
-        # Unspanned for the same reason as insert_async: the flush owns
-        # the span.
-        ack = self._loggers.delete_async(collection, tuple(pks))
-
-        def _on_ack(future: "AckFuture") -> None:
-            self._session_ts = max(self._session_ts, future.result())
-            self._ops["delete"].inc(future.rows)
-
-        ack.add_done_callback(_on_ack)
+        collection, pks, _keys = self._admit_write(
+            "delete", collection, tenant, expr)
+        ack = self._loggers.delete_async(collection, pks)
+        ack.add_done_callback(lambda future: self._commit_write(
+            "delete", tenant, future.result(), future.rows))
         return ack
+
+    def upsert(self, collection: str, data: Mapping,
+               tenant: Optional[str] = None) -> tuple:
+        """Delete-any-existing then insert (explicit-pk schemas only);
+        counted, admitted and charged as its rows under ``upsert``."""
+        collection, batch, rows = self._admit_write(
+            "upsert", collection, tenant, data)
+        with self._tracer.span("proxy.upsert", self._component,
+                               collection=collection, rows=rows):
+            self._loggers.delete(collection, batch.pks)
+            lsn = self._loggers.insert(collection, batch)
+        self._commit_write("upsert", tenant, lsn, rows)
+        return batch.pks
 
     # ------------------------------------------------------------------
     # reads: one protocol, four verbs (DESIGN.md §6h)
@@ -574,7 +594,7 @@ class Proxy:
             fields=len(query.fields))[0]
 
     # ------------------------------------------------------------------
-    # point reads, upsert, range search
+    # point reads, range search
     # ------------------------------------------------------------------
 
     def get(self, collection: str, pks, tenant: Optional[str] = None,
@@ -592,28 +612,6 @@ class Proxy:
         req = self._admit("get", collection, tenant, {}, None, consistency,
                           staleness_ms)
         return self._scatter_gather(req, "fetch", (pks,), keys=len(pks))
-
-    def upsert(self, collection: str, data: Mapping,
-               tenant: Optional[str] = None) -> tuple:
-        """Delete-any-existing then insert (explicit-pk schemas only)."""
-        if tenant is not None:
-            collection = self._tenant_resolve(tenant, collection)
-        schema = self._schema(collection)
-        if schema.auto_id:
-            raise ManuError(
-                "upsert requires an explicit primary key schema")
-        batch = validate_batch(schema, data)
-        if tenant is not None:
-            self._tenant_admit(tenant, "upsert", units=batch.num_rows)
-        with self._tracer.span("proxy.upsert", self._component,
-                               collection=collection, rows=batch.num_rows):
-            lsn, _deleted = self._loggers.delete(collection, batch.pks)
-            self._session_ts = max(self._session_ts, lsn)
-            lsn = self._loggers.insert(collection, batch)
-            self._session_ts = max(self._session_ts, lsn)
-        if tenant is not None:
-            self._charge_write(tenant, batch.num_rows)
-        return batch.pks
 
     def range_search(self, collection: str, query: np.ndarray,
                      radius: float, field: Optional[str] = None,

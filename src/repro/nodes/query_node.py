@@ -45,10 +45,10 @@ from repro.index.base import SearchStats, index_from_bytes
 from repro.log.binlog import BinlogReader
 from repro.log.broker import LogBroker, LogEntry, Subscription
 from repro.log.wal import (
-    BatchRecord,
     DeleteRecord,
     InsertRecord,
     TimeTickRecord,
+    data_records,
 )
 from repro.sim.costmodel import CostModel
 from repro.sim.events import EventLoop
@@ -180,21 +180,12 @@ class QueryNode:
             gate.observe_tick(record.ts)
             return
         gate.observe(record.ts)
-        if isinstance(record, BatchRecord):
-            # One group-commit delivery, N logical records; the batch ts
-            # (max inner LSN) moved the gate above, and each inner record
-            # keeps its own LSN for the per-record replay guards.
-            for inner in record.records:
-                if isinstance(inner, InsertRecord):
-                    if entry.channel in self._owned_channels:
-                        self._apply_insert(inner)
-                elif isinstance(inner, DeleteRecord):
-                    self._apply_delete(collection, inner)
-        elif isinstance(record, InsertRecord):
-            if entry.channel in self._owned_channels:
-                self._apply_insert(record)
-        elif isinstance(record, DeleteRecord):
-            self._apply_delete(collection, record)
+        # The entry's ts, a commit group's max inner LSN, moved the gate.
+        for inner in data_records(record):
+            if isinstance(inner, DeleteRecord):
+                self._apply_delete(collection, inner)
+            elif entry.channel in self._owned_channels:
+                self._apply_insert(inner)
 
     def _apply_insert(self, record: InsertRecord) -> None:
         key = (record.collection, record.segment_id)

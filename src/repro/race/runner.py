@@ -22,7 +22,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.cluster.manu import ManuCluster
-from repro.config import LogConfig, ManuConfig, SegmentConfig
+from repro.config import ManuConfig, SegmentConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
@@ -93,13 +93,11 @@ class RaceSweepReport:
 
 
 def _build_cluster(policy: SchedulePolicy,
-                   trace: bool = False,
-                   log_config: Optional[LogConfig] = None) -> ManuCluster:
+                   trace: bool = False) -> ManuCluster:
     config = ManuConfig(
         segment=SegmentConfig(
             seal_entity_count=64, slice_size=32, compaction_min_size=48,
-            compaction_target_size=192),
-        log=log_config if log_config is not None else LogConfig())
+            compaction_target_size=192))
     cluster = ManuCluster(config=config, num_query_nodes=2,
                           num_index_nodes=1, num_loggers=2,
                           schedule_policy=policy)
@@ -134,7 +132,6 @@ def inject_crash(cluster: ManuCluster) -> str:
 def run_chaos_scenario(policy: SchedulePolicy, steps: int = 30,
                        trace: bool = False,
                        crash_step: Optional[int] = None,
-                       log_config: Optional[LogConfig] = None,
                        ) -> tuple[ManuCluster, dict[int, np.ndarray]]:
     """Run the fixed chaos scenario under ``policy``.
 
@@ -143,11 +140,9 @@ def run_chaos_scenario(policy: SchedulePolicy, steps: int = 30,
     compactions, node failures, logger churn) is identical for every
     policy; only event interleaving differs.  ``crash_step`` injects
     :func:`inject_crash` after that step's operation has settled.
-    ``log_config`` overrides the log/group-commit tuning (the append
-    bench uses it to compare group-commit on/off fingerprints).
     """
     rng = np.random.default_rng(OPS_SEED)
-    cluster = _build_cluster(policy, trace=trace, log_config=log_config)
+    cluster = _build_cluster(policy, trace=trace)
     schema = CollectionSchema([
         FieldSchema("pk", DataType.INT64, is_primary=True),
         FieldSchema("vector", DataType.FLOAT_VECTOR, dim=DIM),

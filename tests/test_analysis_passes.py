@@ -64,7 +64,7 @@ class TestPubSubTopologyPass:
                     def __init__(self, broker: LogBroker) -> None:
                         self._broker = broker
 
-                    def publish_insert(self, collection, shard, record):
+                    def publish_batch(self, collection, shard, record):
                         self._broker.publish(
                             shard_channel(collection, shard), record)
             """,

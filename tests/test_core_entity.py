@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.entity import (
-    require_number, reset_auto_id_counter, validate_batch, validate_queries,
+    EntityBatch, require_number, reset_auto_id_counter, validate_batch,
+    validate_queries,
 )
 from repro.core.schema import CollectionSchema, DataType, FieldSchema
-from repro.errors import FieldNotFound, InvalidQuery, SchemaError
+from repro.errors import FieldNotFound, InvalidQuery, ManuError, SchemaError
 
 
 @pytest.fixture
@@ -125,6 +127,52 @@ class TestValidation:
         data["label"] = [1, 2, 3]
         with pytest.raises(SchemaError, match="strings"):
             validate_batch(schema, data)
+
+    @pytest.mark.parametrize("field,column", [
+        ("vector", "abc"),                     # a string column
+        ("label", "abc"),                      # ... even of strings
+        ("price", 3.5),                        # a scalar column
+        ("label", None),                       # no column at all
+        ("price", ["a", "b", "c"]),            # non-numeric FLOAT values
+        ("vector", [[1, 2, 3, 4], [1, 2], [1, 2, 3, 4]]),  # ragged rows
+    ])
+    def test_malformed_column_is_a_schema_error(self, schema, field,
+                                                column):
+        data = good_data()
+        data[field] = column
+        with pytest.raises(SchemaError, match=field):
+            validate_batch(schema, data)
+
+    def test_non_mapping_data_is_a_schema_error(self, schema):
+        with pytest.raises(SchemaError, match="maps field names"):
+            validate_batch(schema, [1, 2, 3])
+
+    _values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+        | st.floats(allow_nan=True, allow_infinity=True),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+        max_leaves=12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=_values | st.fixed_dictionaries(
+        dict.fromkeys(["pk", "vector", "price", "label", "flag"], _values),
+        optional={"x": _values, 7: _values}))
+    def test_arbitrary_data_validates_or_is_a_manu_error(self, data):
+        """Whatever a caller hands ``insert``, validation answers in the
+        package's own terms: a batch, or a :class:`ManuError`."""
+        keyed = CollectionSchema([
+            FieldSchema("pk", DataType.INT64, is_primary=True),
+            FieldSchema("vector", DataType.FLOAT_VECTOR, dim=2),
+            FieldSchema("price", DataType.FLOAT),
+            FieldSchema("label", DataType.STRING),
+            FieldSchema("flag", DataType.BOOL),
+        ])
+        try:
+            assert isinstance(validate_batch(keyed, data), EntityBatch)
+        except ManuError:
+            pass
 
     def test_vector_cast_to_float32(self, schema):
         data = good_data()

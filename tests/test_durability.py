@@ -71,7 +71,7 @@ class TestAckBeforeDurable:
                     def __init__(self, broker: LogBroker) -> None:
                         self._broker = broker
 
-                    def publish_insert(self, collection, shard, record):
+                    def publish_batch(self, collection, shard, record):
                         if record is None:
                             return 0
                         self._broker.publish(
@@ -96,7 +96,7 @@ class TestAckBeforeDurable:
                     def __init__(self, broker: LogBroker) -> None:
                         self._broker = broker
 
-                    def publish_insert(self, collection, shard, record):
+                    def publish_batch(self, collection, shard, record):
                         self._broker.publish(
                             shard_channel(collection, shard), record)
                         if record is None:
@@ -119,7 +119,7 @@ class TestAckBeforeDurable:
                     def __init__(self, broker: LogBroker) -> None:
                         self._broker = broker
 
-                    def publish_insert(self, collection, shard, record):
+                    def publish_batch(self, collection, shard, record):
                         if record is None:
                             return 0  # manu-lint: disable=durability-ack-before-durable -- zero-effect ack
                         self._broker.publish(
@@ -493,14 +493,12 @@ class TestDurabilityModel:
         and every ack is dominated."""
         model = build_durability_model(load_project(REPO_SRC))
         durable = {(p.module, p.qualname) for p in model.durable_points}
-        assert ("log/logger_node.py", "Logger.publish_insert") in durable
-        assert ("log/logger_node.py", "Logger.publish_delete") in durable
-        assert ("log/logger_node.py", "Logger.publish_batch") in durable
+        assert durable == {("log/logger_node.py", "Logger.publish_batch")}
         entries = {e.func.qualname: e.ok for e in model.write_entries}
         for qualname in ("Collection.insert", "ManuCluster.insert",
                          "ManuCluster.insert_async",
                          "Proxy.insert", "Proxy.delete", "Proxy.upsert",
-                         "Logger.publish_insert", "Logger.publish_batch",
+                         "Logger.publish_batch",
                          "LoggerService.insert"):
             assert qualname in entries, qualname
             assert entries[qualname], f"{qualname} ack not dominated"

@@ -8,11 +8,15 @@ handles resolved with the batch LSN strictly after the publish, so the
 ``durability-ack-before-durable`` invariant holds by construction.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.cluster.manu import ManuCluster
+from repro.config import ManuConfig, TracingConfig
 from repro.core.schema import CollectionSchema, DataType, FieldSchema
-from repro.core.entity import validate_batch
+from repro.core.entity import reset_auto_id_counter, validate_batch
 from repro.core.tso import TimestampOracle
 from repro.errors import ClusterStateError
 from repro.log.broker import LogBroker
@@ -47,14 +51,14 @@ class _StaticAllocator:
 
 
 def _service(loop=None, rows=64, nbytes=256 * 1024, window=2.0,
-             enabled=True, num_shards=1):
+             num_shards=1):
     broker = LogBroker()
     broker.manu_check = True   # monotonicity twin armed for every test
     now = loop.now if loop is not None else (lambda: 100.0)
     service = LoggerService(
         TimestampOracle(now), broker, ObjectStore(), _StaticAllocator(),
         num_shards=num_shards, logger_names=("log-a", "log-b"),
-        loop=loop, group_commit_enabled=enabled, group_commit_rows=rows,
+        loop=loop, group_commit_rows=rows,
         group_commit_bytes=nbytes, group_commit_window_ms=window)
     service.ensure_channels("coll")
     return broker, service
@@ -146,14 +150,6 @@ class TestFlushBounds:
         assert service.pending_group_rows() == 0
         reasons = [entry[0] for entry in service.drain_flush_log()]
         assert reasons == ["explicit"]
-
-    def test_disabled_falls_back_to_record_at_a_time(self):
-        broker, service = _service(enabled=False)
-        service.insert("coll", _batch(range(5)))
-        entries = broker.read(shard_channel("coll", 0), 0)
-        assert all(isinstance(e.payload, InsertRecord) for e in entries)
-        with pytest.raises(ClusterStateError):
-            service.insert_async("coll", _batch(range(5)))
 
 
 class TestAckFutures:
@@ -305,6 +301,75 @@ class TestBatchRecordWire:
             inner[0].columns["vector"])
         assert isinstance(decoded.records[1], DeleteRecord)
         assert decoded.records[1].pks == (1,)
+
+
+#: sha256 over ``record_to_bytes`` of every shard-channel entry the
+#: script below leaves behind, computed on the commit before group commit
+#: became the only write path (PR 21, 71710e2).
+WAL_GOLDEN = "64ce176f8e3aa4f56e1e42bd98033e889806fddefd6cbc072d1d6542040d3974"
+
+
+class TestWalGolden:
+    def test_default_config_wal_is_byte_identical(self):
+        """Every write verb, sync and async, across both shards, through
+        every flush trigger: the WAL is the bytes it always was."""
+        reset_auto_id_counter()
+        cluster = ManuCluster(config=ManuConfig(
+            tracing=TracingConfig(enabled=False)))
+        cluster.create_collection("auto", CollectionSchema([
+            FieldSchema("vector", DataType.FLOAT_VECTOR, dim=DIM)]))
+        cluster.create_collection("keyed", CollectionSchema([
+            FieldSchema("pk", DataType.INT64, is_primary=True),
+            FieldSchema("label", DataType.STRING),
+            FieldSchema("vector", DataType.FLOAT_VECTOR, dim=DIM)]))
+        rng = np.random.default_rng(23)
+
+        def vectors(n):
+            return rng.standard_normal((n, DIM)).astype(np.float32)
+
+        # Sync inserts, both shards; one of a single row.
+        cluster.insert("auto", {"vector": vectors(10)})
+        cluster.insert("auto", {"vector": vectors(1)})
+        cluster.run_for(1.0)
+        # Async: small writes share a group the commit window flushes.
+        _, small_a = cluster.insert_async("auto", {"vector": vectors(3)})
+        _, small_b = cluster.insert_async("auto", {"vector": vectors(2)})
+        hit_and_miss = cluster.delete_async(
+            "auto", "_auto_id in [2, 12, 9999]")
+        assert not small_a.done
+        cluster.run_for(5.0)
+        assert small_a.done and small_b.done and hit_and_miss.rows == 2
+        # Async: one write that trips the row bound on both shards.
+        _, large = cluster.insert_async("auto", {"vector": vectors(200)})
+        assert large.done
+        # Sync deletes: hitting, partly missing, wholly missing.
+        assert cluster.delete("auto", "_auto_id in [1, 5]") == 2
+        assert cluster.delete("auto", "_auto_id in [6, 8888]") == 1
+        assert cluster.delete("auto", "_auto_id == 7777") == 0
+        missed = cluster.delete_async("auto", "_auto_id in [7776]")
+        cluster.run_for(5.0)
+        assert missed.rows == 0
+        # Explicit keys: a sync insert behind a buffered async one, upsert.
+        cluster.insert_async("keyed", {
+            "pk": [1, 2, 3], "label": list("abc"), "vector": vectors(3)})
+        cluster.insert("keyed", {
+            "pk": [4, 5], "label": ["d", "e"], "vector": vectors(2)})
+        cluster.upsert("keyed", {
+            "pk": [2, 6], "label": ["B", "f"], "vector": vectors(2)})
+        cluster.run_for(60.0)
+
+        cluster.sample_telemetry()
+        reasons = {labels["reason"] for labels, _ in
+                   cluster.metrics.counter_family(
+                       "wal_group_commit_flushes", ("reason",)).samples()}
+        assert {"explicit", "rows", "window"} <= reasons
+        digest = hashlib.sha256()
+        for collection in ("auto", "keyed"):
+            for shard in range(cluster.config.log.num_shards):
+                for entry in cluster.broker.read(
+                        shard_channel(collection, shard), 0):
+                    digest.update(record_to_bytes(entry.payload))
+        assert digest.hexdigest() == WAL_GOLDEN
 
 
 class TestLsmBatchedOps:

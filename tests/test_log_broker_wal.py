@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ChannelNotFound
 from repro.log.broker import LogBroker
 from repro.log.wal import (
+    BatchRecord,
     CoordRecord,
     DdlRecord,
     DeleteRecord,
     InsertRecord,
     TimeTickRecord,
+    data_records,
     record_from_bytes,
     record_to_bytes,
     shard_channel,
@@ -214,3 +216,32 @@ class TestWalSerialization:
         assert again.pks == tuple(pks)
         assert again.ts == ts
         assert np.allclose(again.columns["v"], vectors)
+
+
+class TestDataRecords:
+    """``data_records`` is how every subscriber reads a shard channel."""
+
+    INSERT = InsertRecord(ts=11, collection="c", shard=0, segment_id="s",
+                          pks=(1, 2), columns={"v": [[0.0], [1.0]]})
+    DELETE = DeleteRecord(ts=12, collection="c", shard=0, pks=(1,))
+
+    def test_commit_group_yields_inner_records_in_commit_order(self):
+        batch = BatchRecord(ts=12, collection="c", shard=0,
+                            records=(self.INSERT, self.DELETE))
+        assert tuple(data_records(batch)) == (self.INSERT, self.DELETE)
+        # The envelope survives the wire; so does what it expands to.
+        again = record_from_bytes(record_to_bytes(batch))
+        assert [(type(r), r.ts, r.pks) for r in data_records(again)] == \
+            [(InsertRecord, 11, (1, 2)), (DeleteRecord, 12, (1,))]
+
+    @pytest.mark.parametrize("record", [INSERT, DELETE])
+    def test_bare_data_record_is_itself(self, record):
+        assert tuple(data_records(record)) == (record,)
+
+    @pytest.mark.parametrize("record", [
+        TimeTickRecord(ts=5, source="tt"),
+        DdlRecord(ts=6, op="create_collection", collection="c"),
+        CoordRecord(ts=7, kind_name="seal_segment"),
+    ])
+    def test_control_records_carry_no_data(self, record):
+        assert tuple(data_records(record)) == ()

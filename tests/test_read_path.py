@@ -568,11 +568,13 @@ class TestOneCounterFamily:
         for verb in ("search", "get") + READ_VERBS:
             _read(cluster, verb, rng)
         cluster.delete("c", "pk in [1, 2]")
+        cluster.upsert("c", _rows(rng, [3]))
         ops = cluster.metrics.counter_family("proxy_ops_total",
                                              ("proxy", "verb"))
         values = {labels["verb"]: metric.value
                   for labels, metric in ops.samples()}
-        assert values == {"insert": 50, "delete": 2, "batched_search": 0,
+        assert values == {"insert": 50, "delete": 2, "upsert": 1,
+                          "batched_search": 0,
                           "search": 1, "search_multivector": 1,
                           "range_search": 1, "get": 1}
         cluster.sample_telemetry()

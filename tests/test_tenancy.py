@@ -29,6 +29,7 @@ from repro.errors import (
     TenantError,
     TenantNotFound,
 )
+from repro.log.wal import DeleteRecord
 from repro.storage.object_store import MemoryBackend
 from repro.tenancy import (
     AdmissionController,
@@ -299,6 +300,37 @@ class TestTenantProxyIntegration:
                                   "vector": _vectors(rng, 10)},
                        tenant="writer")
 
+    def test_async_delete_is_a_tenant_request(self):
+        """An async delete is namespaced, quota-admitted and counted
+        like the sync one: a tenant cannot reach another's keys with
+        it, and each addressed key draws on its delete bucket (3, then
+        6 more, of 8 tokens here)."""
+        cluster = self._cluster()
+        rng = np.random.default_rng(11)
+        cluster.create_tenant(
+            "a", quota=TenantQuota(insert_rows_per_s=8.0, burst_s=1.0))
+        cluster.create_tenant("b")
+        for tenant in ("a", "b"):
+            physical = cluster.tenant_create_collection(
+                tenant, "items", _schema())
+            cluster.insert(physical, {"pk": list(range(8)),
+                                      "vector": _vectors(rng, 8)},
+                           tenant=tenant)
+        ack = cluster.delete_async("items", "pk in [0, 1, 2]", tenant="a")
+        with pytest.raises(QuotaExceeded):
+            cluster.delete_async("items", "pk in [2, 3, 4, 5, 6, 7]",
+                                 tenant="a")
+        cluster.run_for(300)
+        assert ack.rows == 3
+        assert cluster.collection_row_count("a::items") == 5
+        assert cluster.collection_row_count("b::items") == 8
+        with pytest.raises(TenantError):
+            cluster.delete_async("b::items", "pk == 0", tenant="a")
+        requests = cluster.metrics.counter_family(
+            "tenant_requests_total", ("tenant", "qos", "verb"))
+        assert requests.labels(tenant="a", qos="silver",
+                               verb="delete").value == 1
+
     def test_unknown_tenant_rejected_at_the_boundary(self):
         cluster = self._cluster()
         with pytest.raises(TenantNotFound):
@@ -334,8 +366,9 @@ class TestLoggerFencing:
         cluster.directory.set_bucket_override(f"c/shard-{shard}", other)
         assert service.owner_name("c", shard) == other
         with pytest.raises(FencedWriteError):
-            stale.publish_delete("c", shard, (0,),
-                                 service._mapping("c", shard))
+            stale.publish_batch("c", shard, (DeleteRecord(
+                ts=cluster.tso.allocate_packed(), collection="c",
+                shard=shard, pks=(0,)),))
         # The service itself routes to the new owner and keeps working.
         cluster.insert("c", {"pk": [100],
                              "vector": _vectors(rng, 1)})
