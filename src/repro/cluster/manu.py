@@ -557,6 +557,12 @@ class ManuCluster:
             raise IndexBuildError(
                 f"cannot index {field!r}: not a vector field "
                 f"({vector_field.dtype.value})")
+        if not isinstance(metric, MetricType):
+            raise IndexBuildError(
+                f"metric must be a MetricType, got {metric!r}")
+        if params is not None and not isinstance(params, Mapping):
+            raise IndexBuildError(
+                f"index params must be a mapping, got {params!r}")
         params = dict(params or {})
         build_index(index_type, metric, vector_field.dim, **params)
         self.index_coord.create_index(collection, field, index_type,

@@ -6,9 +6,11 @@ invocation.  A :class:`SegmentArena` is what a query node derives from the
 sealed segments of one ``(collection, vector field, metric)`` whose index
 is a plain bucketed one (:meth:`~repro.index.ivf.ArenaIndex.admits`): one
 :class:`~repro.index.ivf.ArenaIndex` over their indexes and their primary
-keys laid end to end.  A request then pays one coarse step, one list-major
-scan and one block post-filter for all of them, and per-segment work
-counters fall out of the block.
+keys laid end to end.  A request then pays one coarse step and one
+list-major scan for all of them, per-segment work counters fall out of the
+block, and a member whose bitmap or filter excludes anything hands its slab
+to its segment's own post-filter (:meth:`Segment.filter_block`: the arena
+holds no second copy of it).
 
 The arena copies no vector: the members' code matrices stay in their
 indexes.  It reads each segment's deletion bitmap live, so deletions need
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro.core.results import HitBlock
 from repro.core.schema import MetricType
-from repro.core.segment import Segment, amplified_k, post_filter
+from repro.core.segment import Segment, amplified_k
 from repro.index.base import SearchStats
 from repro.index.ivf import ArenaIndex
 
@@ -84,10 +86,10 @@ class SegmentArena:
 
         ``masks`` holds each member's filter mask (None: no filter) and
         ``stats`` the counters its work is added to.  Every member's index
-        is asked for its own amplified ``k`` in one search; deletion and
-        filter masks are applied on the block it returns, touching only
-        the members that exclude anything, and a (member, query) row that
-        filtering starves escalates to the exact scan on its own.
+        is asked for its own amplified ``k`` in one search; only the
+        members that exclude anything are post-filtered, each by its
+        segment (where a row that filtering starves escalates to the
+        exact scan on its own).
         """
         scope, asked, excluding = [], [], {}
         for i, (number, mask) in enumerate(zip(members, masks)):
@@ -115,7 +117,8 @@ class SegmentArena:
         pks = self.pks[ids]
         real = dists < np.inf
         visited = real.sum(axis=(1, 2)).tolist()
-        for j, entry in enumerate(scanned):
+        for j, i in enumerate(scope):
+            entry = scanned[j]
             entry.index_scans += 1
             # Indexes report work as comparison counts; at the scan layer
             # one comparison examines one stored row, which is the
@@ -123,29 +126,17 @@ class SegmentArena:
             entry.rows_scanned += (entry.float_comparisons
                                    + entry.quantized_comparisons
                                    - before[j])
-            if j not in excluding:      # else counted by the filter
+            if j not in excluding:
                 entry.candidates_visited += visited[j]
-        for j, (allowed, n_excluded) in excluding.items():
-            number = members[scope[j]]
-            segment, entry = self.segments[number], scanned[j]
-            rows = np.maximum(ids[j] - self.index.row_base[number], 0)
-            keep = post_filter(allowed, rows, real[j], k, entry)
-            if keep is None:
-                dists[j, :, k:] = np.inf
+                blocks[i] = HitBlock(pks[j], dists[j])
                 continue
-            dists[j][~keep] = np.inf
-            if n_excluded > 0 and asked[j] < segment.num_rows:
-                # Starved by filtering: fall back to exact scan (correct).
-                # Without exclusions, returning fewer than k hits is the
-                # index's normal ANN behaviour and needs no escalation.
-                for q in np.flatnonzero(
-                        np.count_nonzero(keep, axis=1) < k).tolist():
-                    exact = segment._search_brute(
-                        self.field, queries[q:q + 1], k, self.metric,
-                        allowed, entry)[0]
-                    dists[j, q] = np.inf
-                    pks[j, q, :len(exact)] = exact.pks
-                    dists[j, q, :len(exact)] = exact.dists
-        for j, i in enumerate(scope):
-            blocks[i] = HitBlock(pks[j], dists[j])
+            segment, want = self.segments[members[i]], asked[j]
+            allowed, n_excluded = excluding[j]
+            rows, kept = segment.filter_block(
+                self.field, queries, k, self.metric, allowed, n_excluded,
+                0, segment.num_rows,
+                np.maximum(ids[j, :, :want]
+                           - self.index.row_base[members[i]], 0),
+                dists[j, :, :want], real[j, :, :want], entry)
+            blocks[i] = HitBlock(segment.pk_array[rows], kept)
         return blocks

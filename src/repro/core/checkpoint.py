@@ -26,7 +26,6 @@ Pieces:
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -41,8 +40,6 @@ from repro.log.broker import LogBroker
 from repro.log.wal import InsertRecord, data_records, shard_channel
 from repro.storage.object_store import ObjectStore
 
-_delta_seq = itertools.count()
-
 
 # ---------------------------------------------------------------------------
 # delete delta logs
@@ -50,11 +47,21 @@ _delta_seq = itertools.count()
 
 def write_delete_delta(store: ObjectStore, collection: str, shard: int,
                        entries: list[tuple[object, int]]) -> None:
-    """Append deletions (pk, packed ts) that missed every growing segment."""
+    """Append deletions (pk, packed ts) that missed every growing segment.
+
+    The blob is keyed by the batch's largest delete timestamp, zero-padded
+    like a checkpoint's: what the log itself numbers, so a restarted
+    process cannot write over an earlier batch, and a shard's blobs list
+    in write order.  A batch that ends where a persisted one does (a WAL
+    replay) is merged into it.
+    """
     if not entries:
         return
-    seq = next(_delta_seq)
-    key = f"delta/{collection}/shard-{shard}/{seq:08d}.json"
+    newest = max(ts for _pk, ts in entries)
+    key = f"delta/{collection}/shard-{shard}/{newest:020d}.json"
+    if store.exists(key):
+        held = {(pk, ts) for pk, ts in json.loads(store.get(key).decode())}
+        entries = sorted(held.union(entries), key=lambda entry: entry[1])
     store.put(key, json.dumps([[pk, ts] for pk, ts in entries]).encode())
 
 

@@ -14,7 +14,6 @@ return its manifest so coordinators can swap routing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -23,8 +22,6 @@ import numpy as np
 from repro.config import SegmentConfig
 from repro.log.binlog import BinlogManifest, BinlogReader, BinlogWriter
 from repro.storage.object_store import ObjectStore
-
-_compact_seq = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -93,10 +90,12 @@ def compact_segments(store: ObjectStore, collection: str,
     """Merge segments' binlogs into one new segment, dropping deletions.
 
     ``deleted_pks`` is either a flat set of primary keys or a mapping
-    segment-id -> set.  The new segment id is ``compacted-<seq>``; input
-    binlogs are deleted after the merged one is durably written — except
-    those listed in ``keep_inputs`` (typically because a time-travel
-    checkpoint still references them; retention removes them later).
+    segment-id -> set.  The new segment id is ``compacted-<seq>``, numbered
+    after the newest compacted binlog the store holds (a restarted process
+    must not write over a live one); input binlogs are deleted after the
+    merged one is durably written — except those listed in ``keep_inputs``
+    (typically because a time-travel checkpoint still references them;
+    retention removes them later).
     """
     if not segment_ids:
         raise ValueError("compaction needs at least one segment")
@@ -138,7 +137,10 @@ def compact_segments(store: ObjectStore, collection: str,
         else:
             out_columns[name] = [x for chunk in chunks for x in chunk]
 
-    new_id = f"compacted-{next(_compact_seq):06d}"
+    taken = [int(segment_id.rsplit("-", 1)[1])
+             for segment_id in reader.list_segments(collection)
+             if segment_id.startswith("compacted-")]
+    new_id = f"compacted-{max(taken, default=0) + 1:06d}"
     manifest = writer.write_segment(collection, new_id, all_pks,
                                     out_columns, max_lsn)
     protected = set(keep_inputs)

@@ -374,7 +374,12 @@ def evaluate(node: Node, columns: Mapping[str, object],
         left = _operand_values(node.operands[0], columns, n)
         for op, rhs in zip(node.ops, node.operands[1:]):
             right = _operand_values(rhs, columns, n)
-            mask &= _OP_FUNCS[op](left, right)
+            try:
+                mask &= _OP_FUNCS[op](left, right)
+            except TypeError:   # numpy has no loop for the two kinds
+                raise ExpressionError(
+                    f"cannot compare {left.dtype} with {right.dtype} "
+                    f"values ({op})") from None
             left = right
         return mask
     if isinstance(node, InList):
@@ -423,6 +428,9 @@ class FilterExpression:
     """A parsed, reusable filter with convenience evaluation helpers."""
 
     def __init__(self, text: str) -> None:
+        if not isinstance(text, str):
+            raise ExpressionError(
+                f"a filter expression is text, got {text!r}")
         self.text = text
         self.ast = parse(text)
         self.fields = frozenset(fields_referenced(self.ast))

@@ -205,8 +205,8 @@ def choose_strategy(segment: Segment, field: str, k: int,
 def planned_search(segment: Segment, field: str, queries: np.ndarray,
                    k: int, metric, plan: Optional[FilterPlan], stats=None,
                    forced: Optional[FilterStrategy] = None):
-    """Search one segment under a filter plan (None: no filter); one
-    :class:`~repro.core.results.HitBatch` per query."""
+    """Search one segment under a filter plan (None: no filter); the
+    segment's :class:`~repro.core.results.HitBlock`."""
     if plan is None:
         return segment.search(field, queries, k, metric, stats=stats)
     strategy = forced if forced is not None else plan.strategy
@@ -223,7 +223,7 @@ def filtered_search(segment: Segment, field: str, queries: np.ndarray,
 
     ``forced`` overrides the cost-based choice (used by the ablation
     benchmark comparing strategies head-to-head).
-    Returns (one :class:`~repro.core.results.HitBatch` per query,
+    Returns (the segment's :class:`~repro.core.results.HitBlock`,
     plan or None).
     """
     plan = choose_strategy(segment, field, k, expr) \

@@ -7,13 +7,16 @@ duplicate primary keys, because "a segment can reside on more than one
 query node ... the proxies remove duplicate result vectors for a query".
 
 Partial results travel the reduce path as :class:`HitBlock`s — one
-partial result per query row in two parallel ``(nq, width)`` arrays — so a
-merge is one concatenation and one stable sort for the whole request, at
-the node and at the proxy alike; a row read on its own is a
-:class:`HitBatch`, parallel ``pks`` / ``dists`` ndarrays sorted by
-ascending adjusted distance.  User-facing :class:`SearchHit` objects only
-materialize through a batch's sequence protocol, when the holder of a
-:class:`SearchResult` (or a test) looks at its hits.
+partial result per query row in two parallel ``(nq, width)`` arrays — from
+the segment up: a segment search, the node arena, the node reduce and the
+proxy all hand one on, so a merge is one concatenation and one stable sort
+for the whole request, at the node and at the proxy alike; a row read on
+its own is a :class:`HitBatch`, parallel ``pks`` / ``dists`` ndarrays
+sorted by ascending adjusted distance (what the single-query verbs, range
+and multi-vector search, scan a segment into).  User-facing
+:class:`SearchHit` objects only materialize through a batch's sequence
+protocol, when the holder of a :class:`SearchResult` (or a test) looks at
+its hits.
 
 Hits carry *adjusted distances* (smaller = more similar) internally and
 expose the user-facing score through :meth:`SearchHit.score_for`.
@@ -43,10 +46,10 @@ class SearchHit:
 
 
 class HitBatch:
-    """One partial top-k result as parallel ndarrays, sorted ascending.
+    """One partial top-k result as parallel ndarrays, sorted ascending:
+    a row of a block read on its own, or a single-query scan's result.
 
-    The contract every producer (segment searches) and consumer (node and
-    proxy merges) relies on:
+    The contract every producer and consumer relies on:
 
     * ``dists`` is 1-D, float, and sorted ascending (adjusted distances);
     * ``pks`` is parallel to ``dists`` (same length, pk of each hit);
@@ -137,12 +140,12 @@ class HitBlock:
     """One partial result per query: the rows of two parallel 2-D arrays.
 
     Row ``q`` of ``pks`` / ``dists`` holds query ``q``'s hits, and an
-    entry at distance ``+inf`` is padding, wherever it sits: rows differ
-    in how many hits they hold, a block may be several results side by
-    side, and a filter drops a hit by writing ``+inf`` over its distance.
-    :func:`merge_topk` takes blocks as they come and returns one whose
-    rows are sorted ascending, hits first; such a row reads as a
-    :class:`HitBatch` view (``block[q]``, iteration).
+    entry at distance ``+inf`` is padding: rows differ in how many hits
+    they hold.  Every producer — ``Segment.search``, the node arena,
+    :func:`merge_topk` — hands out rows sorted ascending with the hits
+    first, which read as :class:`HitBatch` views (``block[q]``,
+    iteration); :func:`merge_topk` itself takes padding wherever it sits
+    (several blocks side by side are one).
     """
 
     __slots__ = ("pks", "dists")

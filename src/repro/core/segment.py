@@ -12,6 +12,17 @@ distribution across query nodes.
 Deletions are recorded in a **bitmap** and filtered from search results;
 the segment tracks its WAL progress (max LSN applied) both for delta
 consistency and as the replay start position for time travel.
+
+A search answers in **blocks**: :meth:`Segment.search` returns one
+:class:`~repro.core.results.HitBlock` — a row per query, hits ascending,
+padding last, at most ``k`` wide — whichever way the rows were scanned.
+Below it everything is a ``(rows, dists)`` block in the segment's own row
+numbers: the exact scan (one helper behind the pre-filter strategy, the
+growing tail, the escalation and ``range_search``), an index's candidates
+after :meth:`Segment.filter_block` (the one post-filter + escalation, which
+the node arena calls for its members too), and a growing segment's slices
+and tail laid side by side and reselected by one batched top-k.  Primary
+keys are gathered once, at the end.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.config import SegmentConfig
-from repro.core.results import HitBatch
+from repro.core.results import HitBatch, HitBlock
 from repro.core.schema import CollectionSchema, MetricType
 from repro.errors import ClusterStateError
 from repro.index.base import SearchStats, VectorIndex
@@ -44,12 +55,12 @@ def amplified_k(k: int, covered: int, n_excluded: int) -> int:
                else min(covered, 2 * k + n_excluded // 4))
 
 
-def post_filter(allowed: np.ndarray, rows: np.ndarray, real: np.ndarray,
-                k: int, stats: SearchStats) -> Optional[np.ndarray]:
+def post_filter(allowed: Optional[np.ndarray], rows: np.ndarray,
+                real: np.ndarray, k: int, stats: SearchStats
+                ) -> Optional[np.ndarray]:
     """The block post-filter: which entries of an ``(nq, width)`` block of
-    index candidates are each row's first ``k`` that ``allowed`` lets
-    through — the whole block at once, for one index's block and for one
-    member's slab of a node's block alike.
+    index candidates are each row's first ``k`` that ``allowed`` (None:
+    every row) lets through — the whole block at once.
 
     ``rows`` are the candidates' segment rows and ``real`` marks the
     entries that are candidates at all (tail padding reads some in-range
@@ -58,15 +69,14 @@ def post_filter(allowed: np.ndarray, rows: np.ndarray, real: np.ndarray,
     dropped and nothing is padding (what a segment without deletions or
     filter sees): every row's first ``k`` entries are its hits.
     """
-    keep = allowed[rows] & real
-    n_real = np.count_nonzero(real)
-    n_kept = np.count_nonzero(keep)
+    keep = real if allowed is None else allowed[rows] & real
+    n_real = int(np.count_nonzero(real))
+    n_kept = int(np.count_nonzero(keep))
     stats.candidates_visited += n_real
     stats.candidates_pruned += n_real - n_kept
     if n_kept == keep.size:
         return None
-    keep &= np.cumsum(keep, axis=1) <= k
-    return keep
+    return keep & (np.cumsum(keep, axis=1) <= k)
 
 
 class Segment:
@@ -350,16 +360,6 @@ class Segment:
     # search
     # ------------------------------------------------------------------
 
-    def _allowed_mask(self, filter_mask: Optional[np.ndarray]) -> np.ndarray:
-        allowed = ~self._deleted
-        if filter_mask is not None:
-            if len(filter_mask) != self.num_rows:
-                raise ValueError(
-                    f"filter mask has {len(filter_mask)} rows, "
-                    f"segment has {self.num_rows}")
-            allowed = allowed & filter_mask
-        return allowed
-
     def exclusions(self, filter_mask: Optional[np.ndarray]
                    ) -> tuple[Optional[np.ndarray], int]:
         """``(allowed rows, how many rows that masks out)`` of a search
@@ -367,17 +367,24 @@ class Segment:
         (None) where neither excludes anything by construction."""
         if filter_mask is None and not self._num_deleted:
             return None, 0
-        allowed = self._allowed_mask(filter_mask)
-        return allowed, self.num_rows - np.count_nonzero(allowed)
+        allowed = ~self._deleted
+        if filter_mask is not None:
+            if len(filter_mask) != self.num_rows:
+                raise ValueError(
+                    f"filter mask has {len(filter_mask)} rows, "
+                    f"segment has {self.num_rows}")
+            allowed = allowed & filter_mask
+        return allowed, self.num_rows - int(np.count_nonzero(allowed))
 
     def search(self, field: str, queries: np.ndarray, k: int,
                metric: MetricType,
                filter_mask: Optional[np.ndarray] = None,
                stats: Optional[SearchStats] = None,
                force_brute: bool = False,
-               ) -> list[HitBatch]:
-        """Top-k over live, filter-passing rows; one :class:`HitBatch` per
-        query, sorted by ascending adjusted distance.
+               ) -> HitBlock:
+        """Top-k over live, filter-passing rows: one :class:`HitBlock`, a
+        row per query sorted by ascending adjusted distance with the
+        padding last, at most ``k`` wide.
 
         Uses the sealed index when attached, temporary slice indexes plus a
         brute tail scan while growing, and pure brute force when
@@ -391,60 +398,104 @@ class Segment:
         if queries.ndim == 1:
             queries = queries[None, :]
         stats.delete_filter_hits += self._num_deleted
-        allowed = self._allowed_mask(filter_mask)
-        n_allowed = np.count_nonzero(allowed)
-        if n_allowed == 0:
-            return [HitBatch.empty() for _ in range(queries.shape[0])]
-
-        if force_brute:
-            return self._search_brute(field, queries, k, metric, allowed,
-                                      stats)
-
+        allowed, n_excluded = self.exclusions(filter_mask)
+        if n_excluded == self.num_rows or k <= 0:
+            return HitBlock.empty(queries.shape[0])
         sealed_index = self._sealed_indexes.get(field)
-        if sealed_index is not None:
-            return self._search_with_index(
-                sealed_index, 0, queries, k, metric, allowed,
-                self.num_rows - n_allowed, stats, field)
-        return self._search_growing(field, queries, k, metric, allowed,
-                                    self.num_rows - n_allowed, stats)
+        if force_brute:
+            rows, dists = self._search_brute(
+                field, queries, k, metric, allowed, 0, self.num_rows, stats)
+        elif sealed_index is not None:
+            rows, dists = self._search_with_index(
+                sealed_index, 0, queries, k, metric, allowed, stats, field)
+        else:
+            rows, dists = self._search_growing(
+                field, queries, k, metric, allowed, stats)
+        return HitBlock(self.pk_array[rows], dists)
 
-    def _search_brute(self, field: str, queries: np.ndarray, k: int,
-                      metric: MetricType, allowed: np.ndarray,
-                      stats: SearchStats) -> list[HitBatch]:
-        rows = np.flatnonzero(allowed)
-        if not len(rows) or k <= 0:
-            return [HitBatch.empty() for _ in range(queries.shape[0])]
+    def _exact_scan(self, field: str, queries: np.ndarray,
+                    metric: MetricType, allowed: Optional[np.ndarray],
+                    lo: int, hi: int, stats: SearchStats
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The exact scan: ``(rows, (nq, len(rows)) distances)`` of the
+        allowed rows in ``[lo, hi)`` (None: all of them, read in place).
+        A range with no allowed row costs and counts nothing."""
+        rows = np.arange(lo, hi) if allowed is None \
+            else lo + np.flatnonzero(allowed[lo:hi])
+        nq = queries.shape[0]
+        if not len(rows):
+            return rows, np.empty((nq, 0), dtype=np.float32)
         if field in self._consolidated:
             stats.cache_hits += 1
         else:
             stats.cache_misses += 1
-        data = self.column(field)[rows]
-        dists = adjusted_distances(queries, data, metric)
+        column = self.column(field)
+        data = column[lo:hi] if allowed is None else column[rows]
         stats.brute_scans += 1
-        stats.rows_scanned += queries.shape[0] * len(rows)
+        stats.rows_scanned += nq * len(rows)
         stats.bytes_materialized += int(data.nbytes)
-        stats.float_comparisons += queries.shape[0] * len(rows)
-        # One batched selection over all queries; pk gather is a single
-        # fancy-index on the cached pk ndarray per query.
+        stats.float_comparisons += nq * len(rows)
+        return rows, adjusted_distances(queries, data, metric)
+
+    def _search_brute(self, field: str, queries: np.ndarray, k: int,
+                      metric: MetricType, allowed: Optional[np.ndarray],
+                      lo: int, hi: int, stats: SearchStats
+                      ) -> tuple[np.ndarray, np.ndarray]:
+        """Exact top-``k`` of ``[lo, hi)`` as a ``(rows, dists)`` block."""
+        rows, dists = self._exact_scan(field, queries, metric, allowed,
+                                       lo, hi, stats)
         idx, vals = topk_smallest(dists, k)
-        pk_arr = self.pk_array
-        return [HitBatch(pk_arr[rows[idx[qi]]], vals[qi])
-                for qi in range(queries.shape[0])]
+        return rows[idx], vals
 
-    def _search_with_index(self, index: VectorIndex, row_offset: int,
-                           queries: np.ndarray, k: int, metric: MetricType,
-                           allowed: np.ndarray, n_excluded: int,
-                           stats: SearchStats, field: str) -> list[HitBatch]:
-        """Post-filter strategy over one index; escalates when starved.
-
-        ``n_excluded`` is how many of the index's rows ``allowed`` masks
-        out.  The whole ``(nq, k_amplified)`` candidate block is filtered
-        at once; only the hand-out of :class:`HitBatch` views and the
-        starvation escalation are per query.
+    def filter_block(self, field: str, queries: np.ndarray, k: int,
+                     metric: MetricType, allowed: Optional[np.ndarray],
+                     n_excluded: int, lo: int, hi: int, rows: np.ndarray,
+                     dists: np.ndarray, real: np.ndarray,
+                     stats: SearchStats) -> tuple[np.ndarray, np.ndarray]:
+        """The post-filter strategy on one index's ``(nq, asked)`` block
+        of candidates — ``rows`` in this segment, ascending ``dists``,
+        ``real`` marking the entries that are candidates at all — for an
+        index over the segment's rows ``[lo, hi)`` of which ``allowed``
+        masks out ``n_excluded``.  Returns the ``(rows, dists)`` block of
+        every query's first ``k`` allowed candidates, moved to the front
+        with ``+inf`` padding behind them.
         """
-        covered = index.ntotal
-        k_amplified = amplified_k(k, covered, n_excluded)
-        ids, dists = index.search(queries, k_amplified)
+        keep = post_filter(allowed, rows, real, k, stats)
+        if keep is None:
+            # The block's rows are the hits.
+            return rows[:, :k], dists[:, :k]
+        order = np.argsort(~keep, axis=1, kind="stable")[:, :k]
+        rows = np.take_along_axis(rows, order, axis=1)
+        dists = np.where(np.take_along_axis(keep, order, axis=1),
+                         np.take_along_axis(dists, order, axis=1),
+                         np.float32(np.inf))
+        if n_excluded > 0 and real.shape[1] < hi - lo:
+            # Starved by filtering: fall back to exact scan (correct).
+            # Without exclusions, returning fewer than k hits is the
+            # index's normal ANN behaviour and needs no escalation.
+            for q in np.flatnonzero(
+                    np.count_nonzero(keep, axis=1) < k).tolist():
+                exact_rows, exact = self._search_brute(
+                    field, queries[q:q + 1], k, metric, allowed, lo, hi,
+                    stats)
+                found = exact.shape[1]
+                rows[q, :found] = exact_rows[0]
+                dists[q, :found] = exact[0]
+                dists[q, found:] = np.inf
+        return rows, dists
+
+    def _search_with_index(self, index: VectorIndex, lo: int,
+                           queries: np.ndarray, k: int, metric: MetricType,
+                           allowed: Optional[np.ndarray],
+                           stats: SearchStats, field: str
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """Post-filter strategy over one index, of the rows from ``lo``
+        on, as a ``(rows, dists)`` block."""
+        hi = lo + index.ntotal
+        n_excluded = 0 if allowed is None \
+            else index.ntotal - int(np.count_nonzero(allowed[lo:hi]))
+        ids, dists = index.search(
+            queries, amplified_k(k, index.ntotal, n_excluded))
         stats.add(index.stats)
         stats.index_scans += 1
         # Indexes report work as comparison counts; at the scan layer one
@@ -452,89 +503,38 @@ class Segment:
         # unit the read-unit metering charges for.
         stats.rows_scanned += (index.stats.float_comparisons
                                + index.stats.quantized_comparisons)
-        dists = dists.astype(np.float32, copy=False)
-        rows = row_offset + ids
-        keep = post_filter(allowed, rows, ids >= 0, k, stats)
-        if keep is None:
-            # The block's rows are the hits.
-            pks = self.pk_array[rows[:, :k]]
-            dists = dists[:, :k]
-            return [HitBatch(pks[qi], dists[qi]) for qi in range(len(pks))]
-        # The kept candidates, compacted row after row with one mask
-        # gather and split at the per-row counts.
-        ends = np.cumsum(np.count_nonzero(keep, axis=1)).tolist()
-        pks = self.pk_array[rows[keep]]
-        kept_dists = dists[keep]
-        escalate = n_excluded > 0 and k_amplified < covered
-        sub_allowed = None   # ``allowed`` within this index's rows
-        out: list[HitBatch] = []
-        begin = 0
-        for qi, end in enumerate(ends):
-            if escalate and end - begin < k:
-                # Starved by filtering: fall back to exact scan (correct).
-                # Without exclusions, returning fewer than k hits is the
-                # index's normal ANN behaviour and needs no escalation.
-                if sub_allowed is None:
-                    sub_allowed = np.zeros_like(allowed)
-                    sub_allowed[row_offset:row_offset + covered] = (
-                        allowed[row_offset:row_offset + covered])
-                out.append(self._search_brute(
-                    field, queries[qi:qi + 1], k, metric, sub_allowed,
-                    stats)[0])
-            else:
-                out.append(HitBatch(pks[begin:end], kept_dists[begin:end]))
-            begin = end
-        return out
+        return self.filter_block(
+            field, queries, k, metric, allowed, n_excluded, lo, hi,
+            lo + ids, dists.astype(np.float32, copy=False), ids >= 0, stats)
 
     def _search_growing(self, field: str, queries: np.ndarray, k: int,
-                        metric: MetricType, allowed: np.ndarray,
-                        n_excluded: int, stats: SearchStats
-                        ) -> list[HitBatch]:
+                        metric: MetricType, allowed: Optional[np.ndarray],
+                        stats: SearchStats
+                        ) -> tuple[np.ndarray, np.ndarray]:
         """Temp slice indexes plus exact scan of the partial tail slice."""
         size = self.config.slice_size
-        slices = sorted({s for s, _ in self._temp_indexes.get(field, {})})
-        per_query: list[list[HitBatch]] = [
-            [] for _ in range(queries.shape[0])]
-
+        parts = []
         uncovered_from = 0
-        for slice_no in slices:
+        for slice_no in sorted({s for s, _ in
+                                self._temp_indexes.get(field, {})}):
             index = self._temp_index_for(field, slice_no, metric)
             if index is None:
                 continue
-            offset = slice_no * size
-            slice_excluded = 0
-            if n_excluded:   # some row of the segment is masked: here?
-                slice_excluded = index.ntotal - np.count_nonzero(
-                    allowed[offset:offset + index.ntotal])
-            results = self._search_with_index(
-                index, offset, queries, k, metric, allowed, slice_excluded,
-                stats, field)
-            for qi, item in enumerate(results):
-                per_query[qi].append(item)
-            uncovered_from = max(uncovered_from, offset + index.ntotal)
-
+            parts.append(self._search_with_index(
+                index, slice_no * size, queries, k, metric, allowed, stats,
+                field))
+            uncovered_from = max(uncovered_from,
+                                 slice_no * size + index.ntotal)
         if uncovered_from < self.num_rows:
-            tail_allowed = np.zeros_like(allowed)
-            tail_allowed[uncovered_from:] = allowed[uncovered_from:]
-            if tail_allowed.any():
-                results = self._search_brute(field, queries, k, metric,
-                                             tail_allowed, stats)
-                for qi, item in enumerate(results):
-                    per_query[qi].append(item)
-
-        out: list[HitBatch] = []
-        for qi in range(queries.shape[0]):
-            batches = [b for b in per_query[qi] if len(b)]
-            if not batches:
-                out.append(HitBatch.empty())
-                continue
-            # Slices cover disjoint rows, so no dedup is needed here —
-            # concatenate and reselect the k smallest.
-            pks = np.concatenate([b.pks for b in batches])
-            dists = np.concatenate([b.dists for b in batches])
-            idx, vals = topk_smallest(dists, k)
-            out.append(HitBatch(pks[idx], vals))
-        return out
+            parts.append(self._search_brute(
+                field, queries, k, metric, allowed, uncovered_from,
+                self.num_rows, stats))
+        # Slices cover disjoint rows, so no dedup is needed here — lay
+        # the blocks side by side and reselect the k smallest.
+        rows = np.concatenate([part[0] for part in parts], axis=1)
+        idx, dists = topk_smallest(
+            np.concatenate([part[1] for part in parts], axis=1), k)
+        return np.take_along_axis(rows, idx, axis=1), dists
 
     def range_search(self, field: str, query: np.ndarray,
                      threshold: float, metric: MetricType,
@@ -549,21 +549,11 @@ class Segment:
         """
         stats = stats if stats is not None else SearchStats()
         stats.delete_filter_hits += self._num_deleted
-        allowed = self._allowed_mask(filter_mask)
-        rows = np.flatnonzero(allowed)
-        if not len(rows):
-            return HitBatch.empty()
-        if field in self._consolidated:
-            stats.cache_hits += 1
-        else:
-            stats.cache_misses += 1
         query = np.asarray(query, dtype=np.float32).reshape(1, -1)
-        data = self.column(field)[rows]
-        dists = adjusted_distances(query, data, metric)[0]
-        stats.brute_scans += 1
-        stats.rows_scanned += len(rows)
-        stats.bytes_materialized += int(data.nbytes)
-        stats.float_comparisons += len(rows)
+        rows, dists = self._exact_scan(
+            field, query, metric, self.exclusions(filter_mask)[0], 0,
+            self.num_rows, stats)
+        dists = dists[0]
         hit = np.flatnonzero(dists <= threshold)
         order = hit[np.argsort(dists[hit], kind="stable")]
         return HitBatch(self.pk_array[rows[order]],

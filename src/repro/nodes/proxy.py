@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -384,6 +384,13 @@ class Proxy:
         growing segments of the same request), quota — which ``admitted``
         skips for queries the batching window admitted at submit time.
         """
+        if not isinstance(consistency, ConsistencyLevel):
+            raise InvalidQuery(
+                f"consistency must be a ConsistencyLevel, got "
+                f"{consistency!r}")
+        if metric is not None and not isinstance(metric, MetricType):
+            raise InvalidQuery(
+                f"metric must be a MetricType, got {metric!r}")
         if tenant is not None:
             collection = self._tenant_resolve(tenant, collection)
         blocks = validate_queries(self._schema(collection), vectors)
@@ -608,6 +615,9 @@ class Proxy:
         guarantee timestamp, like every read — ``consistency=SESSION``
         reads the session's own writes.
         """
+        if isinstance(pks, (str, bytes)) or not isinstance(pks, Iterable):
+            raise InvalidQuery(
+                f"pks must be a list of primary keys, got {pks!r}")
         pks = list(pks)
         req = self._admit("get", collection, tenant, {}, None, consistency,
                           staleness_ms)

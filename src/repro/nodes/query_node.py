@@ -484,10 +484,10 @@ class QueryNode:
 
     @staticmethod
     def _each(scan: Callable) -> Callable:
-        """``work`` for a verb that scans segment by segment:
-        ``scan(segment, stats)`` returns one hit batch per query."""
+        """``work`` for a single-query verb that scans segment by segment:
+        ``scan(segment, stats)`` returns the query's hit batch."""
         return lambda segments, ledger: [
-            HitBlock.from_batches(scan(segment, stats))
+            HitBlock.from_batches([scan(segment, stats)])
             for segment, stats in zip(segments, ledger)]
 
     def search(self, collection: str, field: str, queries: np.ndarray,
@@ -526,9 +526,9 @@ class QueryNode:
                     masks.append(plan.mask if plan is not None else None)
                     at.append(i)
                     continue
-                blocks[i] = HitBlock.from_batches(planned_search(
+                blocks[i] = planned_search(
                     segment, field, queries, k, metric, plan,
-                    stats=ledger[i][0]))
+                    stats=ledger[i][0])
             if members:
                 found = arena.search(members, queries, k, masks,
                                      [ledger[i][0] for i in at])
@@ -548,8 +548,8 @@ class QueryNode:
         """Node-local multi-vector search (single query vector set)."""
         return self._scan(
             collection, scope, query.fields, 1, k,
-            self._each(lambda segment, stats: [
-                search_segment(segment, query, k, stats=stats)]),
+            self._each(lambda segment, stats: search_segment(
+                segment, query, k, stats=stats)),
             trace_span, profile, acc_stats)
 
     def range_search(self, collection: str, field: str, query: np.ndarray,
@@ -563,8 +563,8 @@ class QueryNode:
 
         def scan(segment: Segment, stats: list[SearchStats]):
             mask = compute_mask(segment, expr) if expr is not None else None
-            return [segment.range_search(field, query, threshold, metric,
-                                         filter_mask=mask, stats=stats[0])]
+            return segment.range_search(field, query, threshold, metric,
+                                        filter_mask=mask, stats=stats[0])
 
         return self._scan(collection, scope, (field,), 1, None,
                           self._each(scan), trace_span, profile, acc_stats)

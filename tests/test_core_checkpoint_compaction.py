@@ -1,5 +1,9 @@
 """Tests for time-travel checkpoints and the compaction policy."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -20,7 +24,7 @@ from repro.core.tso import Timestamp
 from repro.log.binlog import BinlogReader, BinlogWriter
 from repro.log.broker import LogBroker
 from repro.log.wal import shard_channel
-from repro.storage.object_store import ObjectStore
+from repro.storage.object_store import FsBackend, ObjectStore
 
 
 class TestCheckpointManager:
@@ -53,6 +57,33 @@ class TestDeleteDeltas:
         store = ObjectStore()
         write_delete_delta(store, "coll", 0, [])
         assert store.list("delta/") == []
+
+    def test_a_restarted_process_does_not_write_over_persisted_deltas(
+            self, tmp_path):
+        """Keys come from the log's own timestamps, not from a counter
+        that a new process starts again at zero."""
+        script = (
+            "import sys\n"
+            "from repro.core.checkpoint import write_delete_delta\n"
+            "from repro.storage.object_store import FsBackend, ObjectStore\n"
+            "write_delete_delta(ObjectStore(FsBackend(sys.argv[1])), 'coll',"
+            " 0, [(int(sys.argv[2]), int(sys.argv[3]))])\n")
+        for pk, ts in ((1, 100), (2, 200), (10, 1000)):
+            subprocess.run(
+                [sys.executable, "-c", script, str(tmp_path), str(pk),
+                 str(ts)], check=True, timeout=60,
+                env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        store = ObjectStore(FsBackend(str(tmp_path)))
+        assert read_delete_deltas(store, "coll") == [
+            (1, 100), (2, 200), (10, 1000)]      # write order, by key
+
+    def test_a_replayed_batch_is_merged_not_overwritten(self):
+        store = ObjectStore()
+        write_delete_delta(store, "coll", 0, [(1, 100), (2, 200)])
+        write_delete_delta(store, "coll", 0, [(2, 200)])
+        write_delete_delta(store, "coll", 0, [(3, 150), (2, 200)])
+        assert read_delete_deltas(store, "coll") == [
+            (1, 100), (3, 150), (2, 200)]
 
 
 class TestRetention:
@@ -156,6 +187,23 @@ class TestCompactSegments:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             compact_segments(ObjectStore(), "coll", [])
+
+    def test_ids_are_numbered_after_what_the_store_holds(self, rng):
+        """A restarted process (whatever its in-memory state) must not
+        write a compacted binlog over a live one."""
+        store = ObjectStore()
+        self._write(store, rng, "s1", [1, 2], 10)
+        self._write(store, rng, "compacted-000007", [3, 4], 20)
+        first = compact_segments(store, "coll", ["s1"])
+        assert first.segment_id == "compacted-000008"
+        reader = BinlogReader(store)
+        assert list(reader.read_manifest(
+            "coll", "compacted-000007").pks) == [3, 4]
+        self._write(store, rng, "s2", [5], 30)
+        second = compact_segments(store, "coll", ["s2"])
+        assert second.segment_id == "compacted-000009"
+        assert sorted(reader.list_segments("coll")) == [
+            "compacted-000007", "compacted-000008", "compacted-000009"]
 
 
 class TestCheckpointFieldRoundTrip:

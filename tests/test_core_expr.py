@@ -2,20 +2,23 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.expr import FilterExpression, fields_referenced, parse
 from repro.errors import ExpressionError
 
 
+COLUMNS = {
+    "price": np.array([10.0, 50.0, 99.0, 150.0]),
+    "stock": np.array([0, 5, 10, 2]),
+    "label": np.array(["book", "food", "book", "cloth"]),
+    "active": np.array([True, False, True, True]),
+}
+
+
 @pytest.fixture
 def columns():
-    return {
-        "price": np.array([10.0, 50.0, 99.0, 150.0]),
-        "stock": np.array([0, 5, 10, 2]),
-        "label": np.array(["book", "food", "book", "cloth"]),
-        "active": np.array([True, False, True, True]),
-    }
+    return dict(COLUMNS)
 
 
 def mask(text, columns, n=4):
@@ -148,3 +151,48 @@ class TestProperties:
         lhs = FilterExpression("not (x > 0 and x < 50)").mask(cols, n)
         rhs = FilterExpression("not x > 0 or not x < 50").mask(cols, n)
         assert (lhs == rhs).all()
+
+
+# Arbitrary characters (the tokenizer), the grammar's tokens in any order
+# (the parser), and well-formed expressions over fields of every kind with
+# constants of every kind (the evaluator).
+_TOKENS = st.sampled_from([
+    "price", "label", "nope", "and", "or", "not", "in", "like", "true",
+    "<", ">=", "==", "!=", "(", ")", "[", "]", ",", "-", "1", "2.5", "'a'"])
+_FIELD = st.sampled_from(["price", "stock", "label", "active", "nope"])
+_CONST = st.sampled_from(["1", "-2", "2.5", "1e3", "'a'", '"book"', "'bo%'",
+                          "true", "false"])
+_OP = st.sampled_from(["<", "<=", ">", ">=", "==", "!="])
+_OPERAND = st.one_of(_FIELD, _CONST)
+_ATOM = st.one_of(
+    st.tuples(_OPERAND, _OP, _OPERAND).map(" ".join),
+    st.tuples(_OPERAND, _OP, _OPERAND, _OP, _OPERAND).map(" ".join),
+    st.tuples(_FIELD, st.sampled_from(["in", "not in"]),
+              st.lists(_CONST, max_size=3).map(
+                  lambda items: "[" + ", ".join(items) + "]")).map(" ".join),
+    st.tuples(_FIELD, st.just("like"), _CONST).map(" ".join),
+    _OPERAND)
+_EXPRESSION = st.recursive(_ATOM, lambda inner: st.one_of(
+    inner.map("not {}".format), inner.map("({})".format),
+    st.tuples(inner, st.sampled_from(["and", "or"]), inner).map(" ".join)),
+    max_leaves=4)
+_TEXT = st.one_of(st.text(max_size=30),
+                  st.lists(_TOKENS, max_size=10).map(" ".join), _EXPRESSION)
+
+
+class TestFuzz:
+    @settings(max_examples=600, deadline=None)
+    @given(_TEXT)
+    def test_any_text_parses_to_a_mask_or_an_expression_error(self, text):
+        """Whatever a caller types, the outcome is typed: the text parses
+        or is an ExpressionError, and a parsed expression evaluates to one
+        bool per row or is an ExpressionError."""
+        try:
+            expr = FilterExpression(text)
+        except ExpressionError:
+            return
+        try:
+            got = expr.mask(COLUMNS, 4)
+        except ExpressionError:
+            return
+        assert got.shape == (4,) and got.dtype == np.bool_

@@ -18,15 +18,18 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SegmentConfig
-from repro.core.results import HitBatch
+from repro.core.results import HitBatch, HitBlock
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.core.segment import Segment
 from repro.index import ivf
-from repro.index.base import STAT_FIELDS, SearchStats, index_from_bytes
+from repro.index.base import STAT_FIELDS, SearchStats, create_index, \
+    index_from_bytes
 from repro.index.distances import adjusted_distances, topk_smallest
+from repro.index.hnsw import HnswIndex
 from repro.index.ivf import FlatCodec, InvertedLists, IvfFlatIndex, \
     ListArena
 from repro.index.ivf_hnsw import IvfHnswIndex
@@ -80,6 +83,37 @@ def lists_of(index):
             for c in range(stored.nlist)]
 
 
+def oracle_allowed(segment, filter_mask):
+    """Former ``Segment._allowed_mask``: live rows the filter lets by."""
+    allowed = ~segment.deleted_mask()
+    if filter_mask is not None:
+        assert len(filter_mask) == segment.num_rows
+        allowed = allowed & filter_mask
+    return allowed
+
+
+def oracle_search_brute(segment, field, queries, k, metric, allowed, stats):
+    """Former ``Segment._search_brute``: gather the allowed rows, one
+    exact scan, one hit batch per query."""
+    rows = np.flatnonzero(allowed)
+    if not len(rows) or k <= 0:
+        return [HitBatch.empty() for _ in range(queries.shape[0])]
+    if field in segment._consolidated:
+        stats.cache_hits += 1
+    else:
+        stats.cache_misses += 1
+    data = segment.column(field)[rows]
+    dists = adjusted_distances(queries, data, metric)
+    stats.brute_scans += 1
+    stats.rows_scanned += queries.shape[0] * len(rows)
+    stats.bytes_materialized += int(data.nbytes)
+    stats.float_comparisons += queries.shape[0] * len(rows)
+    idx, vals = topk_smallest(dists, k)
+    pk_arr = segment.pk_array
+    return [HitBatch(pk_arr[rows[idx[qi]]], vals[qi])
+            for qi in range(queries.shape[0])]
+
+
 def oracle_search_with_index(segment, index, row_offset, queries, k, metric,
                              allowed, stats, field):
     """Former ``Segment._search_with_index``: one walk per result row."""
@@ -109,8 +143,8 @@ def oracle_search_with_index(segment, index, row_offset, queries, k, metric,
             sub_allowed = np.zeros_like(allowed)
             sub_allowed[row_offset:row_offset + covered] = (
                 allowed[row_offset:row_offset + covered])
-            out.append(segment._search_brute(
-                field, queries[qi:qi + 1], k, metric, sub_allowed,
+            out.append(oracle_search_brute(
+                segment, field, queries[qi:qi + 1], k, metric, sub_allowed,
                 stats)[0])
         else:
             kept_dists = dists[qi][:len(local)][keep][:k]
@@ -126,7 +160,7 @@ def oracle_segment_search(segment, field, queries, k, metric,
     stats = stats if stats is not None else SearchStats()
     queries = np.asarray(queries, dtype=np.float32)
     stats.delete_filter_hits += int(segment.deleted_mask().sum())
-    allowed = segment._allowed_mask(filter_mask)
+    allowed = oracle_allowed(segment, filter_mask)
     if int(allowed.sum()) == 0:
         return [HitBatch.empty() for _ in range(queries.shape[0])]
     sealed_index = segment.index_for(field)
@@ -148,8 +182,8 @@ def oracle_segment_search(segment, field, queries, k, metric,
         tail_allowed = np.zeros_like(allowed)
         tail_allowed[uncovered_from:] = allowed[uncovered_from:]
         if tail_allowed.any():
-            results = segment._search_brute(field, queries, k, metric,
-                                            tail_allowed, stats)
+            results = oracle_search_brute(segment, field, queries, k,
+                                          metric, tail_allowed, stats)
             for qi, item in enumerate(results):
                 per_query[qi].append(item)
     out = []
@@ -228,6 +262,20 @@ def assert_batches_equal(got, want):
         np.testing.assert_array_equal(g.pks, w.pks)
         np.testing.assert_array_equal(g.dists, w.dists)
         assert g.dists.dtype == w.dists.dtype == np.float32
+
+
+def assert_batches_equal_up_to_ties(got, want, k):
+    """Distances bit for bit, pks equal as sets within every run of equal
+    distances — only the run cut by ``k`` may pick other tie members (a
+    selection by ``argpartition`` orders a tie by where it sits)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g.dists, w.dists)
+        assert g.dists.dtype == w.dists.dtype == np.float32
+        runs = np.split(np.arange(len(w)),
+                        np.flatnonzero(np.diff(w.dists) != 0) + 1)
+        for run in runs[:-1] if len(w) == k else runs:
+            assert set(g.pks[run].tolist()) == set(w.pks[run].tolist())
 
 
 def clustered(rng, n, dim=DIM, centers=12):
@@ -507,6 +555,21 @@ class TestSearchStatsBookkeeping:
         a.reset()
         assert a == SearchStats()
 
+    def test_counters_are_python_ints(self, schema):
+        """numpy's counts are ``np.int64``, which ``json`` refuses: a
+        filtered search over deleted rows must still count in ints."""
+        rng = np.random.default_rng(18)
+        segment = sealed_segment(schema, rng)
+        segment.apply_delete(list(range(1000, 1040)), lsn=2)
+        for force_brute in (False, True):
+            stats = SearchStats()
+            segment.search("vector", clustered(rng, 3), 10,
+                           MetricType.EUCLIDEAN, stats=stats,
+                           filter_mask=segment.column("price") < 6.0,
+                           force_brute=force_brute)
+            assert stats.candidates_pruned > 0 or force_brute
+            assert all(type(v) is int for v in stats.as_dict().values())
+
 
 # ----------------------------------------------------------------------
 # the segment layer
@@ -533,15 +596,53 @@ def sealed_segment(schema, rng, n=400, nlist=16, nprobe=4,
     return segment
 
 
-def both_searches(segment, queries, k, metric, filter_mask=None):
+def assert_block_contract(block, segment, nq, k, filter_mask=None):
+    """What ``Segment.search`` promises whoever merges its block: a row
+    per query, at most ``k`` wide, hits ascending with the padding last,
+    no pk twice and none that is deleted or masked out."""
+    assert isinstance(block, HitBlock)
+    assert block.pks.shape == block.dists.shape and len(block) == nq
+    assert block.dists.shape[1] <= k
+    live = block.dists < np.inf
+    assert (live[:, :-1] >= live[:, 1:]).all()              # padding last
+    assert not np.isnan(block.dists).any()
+    with np.errstate(invalid="ignore"):                     # inf - inf
+        steps = np.diff(block.dists, axis=1)
+    assert (steps[live[:, 1:]] >= 0).all()
+    allowed = oracle_allowed(segment, filter_mask)
+    allowed_pks = set(segment.pk_array[allowed].tolist())
+    for pks, n in zip(block.pks, live.sum(axis=1).tolist()):
+        hits = pks[:n].tolist()
+        assert len(set(hits)) == n and set(hits) <= allowed_pks
+
+
+def both_searches(segment, queries, k, metric, filter_mask=None,
+                  ties=False):
     want_stats, got_stats = SearchStats(), SearchStats()
     want = oracle_segment_search(segment, "vector", queries, k, metric,
                                  filter_mask, want_stats)
     got = segment.search("vector", queries, k, metric,
                          filter_mask=filter_mask, stats=got_stats)
-    assert_batches_equal(got, want)
+    assert_block_contract(got, segment, len(queries), k, filter_mask)
+    if ties:
+        assert_batches_equal_up_to_ties(got, want, k)
+    else:
+        assert_batches_equal(got, want)
     assert got_stats.as_dict() == want_stats.as_dict()
+    assert all(type(v) is int for v in got_stats.as_dict().values())
     return got, got_stats
+
+
+def growing_segment(schema, rng):
+    """175 rows appended 35 at a time: three 50-row slices with temporary
+    indexes (Euclidean ones built eagerly) and a 25-row tail."""
+    segment = Segment("g", "c", schema, SegmentConfig(
+        slice_size=50, temp_index_nlist=8))
+    for start in range(0, 175, 35):
+        segment.append(list(range(start, start + 35)),
+                       {"vector": clustered(rng, 35),
+                        "price": rng.uniform(0, 10, 35)}, lsn=start + 1)
+    return segment
 
 
 class TestBlockPostFilter:
@@ -634,12 +735,7 @@ class TestBlockPostFilter:
         """Three temp-indexed slices and a 25-row tail, under deletions in
         some slices only, then under a mask as well."""
         rng = np.random.default_rng(15)
-        config = SegmentConfig(slice_size=50, temp_index_nlist=8)
-        segment = Segment("g", "c", schema, config)
-        for start in range(0, 175, 35):
-            segment.append(list(range(start, start + 35)),
-                           {"vector": clustered(rng, 35),
-                            "price": rng.uniform(0, 10, 35)}, lsn=start + 1)
+        segment = growing_segment(schema, rng)
         assert segment.num_temp_indexes("vector") == 3
         queries = clustered(rng, 19)
         both_searches(segment, queries, 10, metric)
@@ -663,3 +759,200 @@ class TestBlockPostFilter:
         segment.search("vector", clustered(rng, 2), 5, MetricType.EUCLIDEAN,
                        stats=stats)
         assert stats.delete_filter_hits == 3
+
+    def test_starved_and_unstarved_rows_share_a_block(self, schema):
+        """nq = 8 under a mask that starves some rows and not others:
+        exactly the starved ones are answered by the exact scan, in
+        place, and their neighbours keep the index's candidates."""
+        rng = np.random.default_rng(13)
+        segment = sealed_segment(schema, rng, nprobe=16)
+        mask = np.zeros(segment.num_rows, dtype=bool)
+        mask[rng.choice(segment.num_rows, 40, replace=False)] = True
+        queries = clustered(rng, 8)
+        ids, _ = segment.index_for("vector").search(queries, 20 + 360 // 4)
+        starved = np.flatnonzero(mask[ids].sum(axis=1) < 10).tolist()
+        assert 0 < len(starved) < 8
+        got, stats = both_searches(segment, queries, 10,
+                                   MetricType.EUCLIDEAN, mask)
+        assert stats.brute_scans == len(starved)
+        for qi in range(8):
+            exact = segment.search(
+                "vector", queries[qi:qi + 1], 10, MetricType.EUCLIDEAN,
+                filter_mask=mask, force_brute=True)[0]
+            assert np.array_equal(got[qi].pks, exact.pks)
+            # The exact scan and the list-major kernel round differently.
+            assert np.array_equal(got[qi].dists, exact.dists) \
+                == (qi in starved)
+            np.testing.assert_allclose(got[qi].dists, exact.dists,
+                                       rtol=1e-5)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_a_slice_with_exclusions_beside_slices_without(
+            self, schema, metric, monkeypatch):
+        """Only the slice that holds a masked row is asked for more than
+        ``k``; the others' blocks pass through untouched."""
+        rng = np.random.default_rng(19)
+        segment = growing_segment(schema, rng)
+        segment.apply_delete(list(range(60, 90)), lsn=999)   # slice 1 only
+        asked = []
+        real = IvfFlatIndex.search
+
+        def recording(self, queries, k, *args, **kwargs):
+            asked.append(k)
+            return real(self, queries, k, *args, **kwargs)
+
+        monkeypatch.setattr(IvfFlatIndex, "search", recording)
+        got, stats = both_searches(segment, clustered(rng, 8), 10, metric)
+        # The oracle's three searches, then the segment's.
+        assert asked == [10, 2 * 10 + 30 // 4, 10] * 2
+        assert stats.index_scans == 3 and stats.candidates_pruned > 0
+        assert all(len(batch) == 10 for batch in got)
+
+    @pytest.mark.parametrize("kind", ["sealed", "growing", "brute"])
+    def test_no_mask_and_an_all_true_mask_are_one_search(self, schema, kind):
+        """Without deletions ``allowed`` is None and rows are read in
+        place; an all-true filter mask takes the gather.  Same hits, same
+        counters — ``bytes_materialized`` too — and the same range."""
+        rng = np.random.default_rng(20)
+        segment = growing_segment(schema, rng) if kind == "growing" \
+            else sealed_segment(schema, rng)
+        segment.column("vector")        # both runs hit the column cache
+        assert segment.exclusions(None) == (None, 0)
+        everything = np.ones(segment.num_rows, dtype=bool)
+        queries = clustered(rng, 5)
+        outcomes = []
+        for mask in (None, everything):
+            stats = SearchStats()
+            block = segment.search(
+                "vector", queries, 10, MetricType.EUCLIDEAN,
+                filter_mask=mask, stats=stats, force_brute=kind == "brute")
+            assert_block_contract(block, segment, 5, 10, mask)
+            in_range = segment.range_search(
+                "vector", queries[0], 1.001 * float(block.dists[0, -1]),
+                MetricType.EUCLIDEAN, filter_mask=mask, stats=stats)
+            outcomes.append((block, in_range, stats.as_dict()))
+        (block, in_range, counters), (masked, masked_range, same) = outcomes
+        np.testing.assert_array_equal(block.pks, masked.pks)
+        np.testing.assert_array_equal(block.dists, masked.dists)
+        np.testing.assert_array_equal(in_range.pks, masked_range.pks)
+        np.testing.assert_array_equal(in_range.dists, masked_range.dists)
+        assert counters == same
+        assert counters["bytes_materialized"] > 0 and len(in_range) >= 10
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_k_larger_than_a_slice(self, schema, metric):
+        """Every 50-row slice is asked for all it has (its probed lists
+        hold fewer: padded blocks side by side) and k = 80 is reselected
+        across them and the 25-row tail."""
+        rng = np.random.default_rng(21)
+        segment = growing_segment(schema, rng)
+        queries = clustered(rng, 5)
+        got, stats = both_searches(segment, queries, 80, metric)
+        assert got.dists.shape == (5, 80)
+        assert all(25 < len(batch) <= 80 for batch in got)
+        assert stats.candidates_visited < 5 * 150
+        segment.apply_delete(list(range(0, 175, 2)), lsn=999)   # 87 left
+        got, _ = both_searches(segment, queries, 90, metric)
+        assert all(12 < len(batch) <= 87 for batch in got)
+
+    @pytest.mark.parametrize("metric", [MetricType.INNER_PRODUCT,
+                                        MetricType.COSINE])
+    def test_lazily_built_slice_indexes(self, schema, metric):
+        rng = np.random.default_rng(22)
+        segment = growing_segment(schema, rng)
+        built = segment._temp_indexes["vector"]
+        assert {m for _s, m in built} == {MetricType.EUCLIDEAN}
+        segment.apply_delete([3, 70, 71, 170], lsn=999)
+        both_searches(segment, clustered(rng, 7), 10, metric)
+        assert {s for s, m in built if m is metric} == {0, 1, 2}
+        both_searches(segment, clustered(rng, 7), 10, metric,
+                      segment.column("price") < 5.0)
+
+    @pytest.mark.parametrize("n_deleted", [0, 6])
+    def test_an_index_that_pads_with_minus_one(self, schema, n_deleted):
+        """A sparse HNSW graph (M = 2) does not reach every row: asked for
+        all 40 it pads with ``-1``, with and without a mask to apply."""
+        rng = np.random.default_rng(3)
+        segment = Segment("s", "c", schema,
+                          SegmentConfig(slice_size=10 ** 6))
+        segment.append(list(range(1000, 1040)),
+                       {"vector": rng.standard_normal((40, DIM)).astype(
+                           np.float32),
+                        "price": rng.uniform(0, 10, 40)}, lsn=1)
+        segment.seal()
+        index = HnswIndex(MetricType.EUCLIDEAN, DIM, M=2, ef_search=1)
+        index.build(segment.column("vector"))
+        segment.attach_index("vector", index)
+        queries = rng.standard_normal((4, DIM)).astype(np.float32)
+        ids, _ = index.search(queries, 40)
+        assert (ids < 0).any()
+        segment.apply_delete(list(range(1000, 1000 + n_deleted)), lsn=2)
+        got, stats = both_searches(segment, queries, 50,
+                                   MetricType.EUCLIDEAN)
+        assert stats.candidates_visited == int((ids >= 0).sum())
+        assert stats.brute_scans == 0       # all 40 asked: nothing starves
+        assert any(len(batch) < 40 - n_deleted for batch in got)
+
+
+# ----------------------------------------------------------------------
+# the one shape, under any history
+# ----------------------------------------------------------------------
+
+_SEED = st.integers(0, 2 ** 32 - 1)
+_STEP = st.one_of(st.tuples(st.just("append"), st.integers(1, 45)),
+                  st.tuples(st.just("delete"), _SEED))
+
+
+def delete_some(segment, seed):
+    doomed = np.random.default_rng(seed).choice(
+        segment.num_rows, min(segment.num_rows, 1 + seed % 12),
+        replace=False)
+    segment.apply_delete(doomed.tolist(), lsn=10 ** 6)
+
+
+class TestSegmentAnswersInBlocks:
+    @settings(max_examples=150, deadline=None)
+    @given(first=st.integers(1, 45),
+           steps=st.lists(_STEP, max_size=6),
+           sealed_as=st.sampled_from([None, "unindexed", "FLAT", "IVF_FLAT",
+                                      "HNSW"]),
+           late_deletes=st.lists(_SEED, max_size=2),
+           metric=st.sampled_from(METRICS), nq=st.sampled_from([1, 3, 8]),
+           k=st.sampled_from([1, 7, 40]),
+           mask_seed=st.one_of(st.none(), _SEED))
+    def test_any_history_any_search(self, first, steps, sealed_as,
+                                    late_deletes, metric, nq, k, mask_seed):
+        """Appends and deletions in any order, then perhaps a seal, an
+        index and deletions after it, then one search with or without a
+        filter mask: the block keeps its contract and equals the
+        per-query oracle hit for hit, counter for counter."""
+        rng = np.random.default_rng(23)
+        schema = CollectionSchema([
+            FieldSchema("vector", DataType.FLOAT_VECTOR, dim=DIM),
+            FieldSchema("price", DataType.FLOAT)])
+        segment = Segment("h", "c", schema, SegmentConfig(
+            slice_size=32, temp_index_nlist=4))
+        for step, arg in [("append", first)] + steps:
+            if step == "delete":
+                delete_some(segment, arg)
+                continue
+            n = segment.num_rows
+            segment.append(list(range(n, n + arg)),
+                           {"vector": clustered(rng, arg),
+                            "price": rng.uniform(0, 10, arg)}, lsn=n + 1)
+        if sealed_as is not None:
+            segment.seal()
+            if sealed_as != "unindexed":
+                index = create_index(sealed_as, metric, DIM, **(
+                    {"nlist": 4, "nprobe": 2} if sealed_as == "IVF_FLAT"
+                    else {}))
+                index.build(segment.column("vector"))
+                segment.attach_index("vector", index)
+            for seed in late_deletes:
+                delete_some(segment, seed)
+        mask = None if mask_seed is None else np.random.default_rng(
+            mask_seed).random(segment.num_rows) < 0.5
+        segment.column("vector")    # oracle and segment: a warm column
+        got, _ = both_searches(segment, clustered(rng, nq), k, metric, mask,
+                               ties=True)
+        assert len(got) == nq

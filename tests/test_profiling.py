@@ -18,6 +18,8 @@ the most recent sampled trace id and round-trip through the exposition
 parser.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -430,6 +432,30 @@ class TestExplainEndToEnd:
                               explain=True)[0].profile
         assert prof.verify() == []
         assert prof.totals()["delete_filter_hits"] > 0
+
+    def test_deleted_rows_profile_slowlog_and_flight_bundle_are_json(self):
+        """Counters that went through the deletion bitmap used to be
+        numpy integers, which ``json`` refuses."""
+        cluster = _profiled_cluster(threshold_ms=0.05, num_query_nodes=1)
+        rng = np.random.default_rng(4)
+        cluster.create_collection("c", _schema())
+        _fill(cluster, rng, rows=192)
+        cluster.create_index("c", "vector", "IVF_FLAT",
+                             params={"nlist": 4, "nprobe": 4})
+        assert cluster.wait_for_indexes("c")
+        cluster.delete("c", "pk in [1, 2, 3, 130]")
+        cluster.run_for(200)
+        prof = cluster.search("c", _vectors(rng, 3), 5,
+                              explain=True)[0].profile
+        assert prof.totals()["candidates_visited"] > 0
+        assert prof.totals()["delete_filter_hits"] > 0
+        assert all(type(v) is int for v in prof.totals().values())
+        assert json.loads(json.dumps(prof.to_dict()))["collection"] == "c"
+        assert len(cluster.slowlog) == 1
+        assert json.loads(cluster.slowlog.to_json())
+        cluster.flight_recorder.record("test")
+        assert json.loads(cluster.flight_recorder.to_json())[0][
+            "slow_queries"]
 
     def test_explain_false_returns_no_profile(self):
         cluster = _profiled_cluster(num_query_nodes=1)

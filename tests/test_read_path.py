@@ -22,7 +22,8 @@ from repro.core.multivector import MultiVectorQuery, search_segment
 from repro.core.schema import (
     CollectionSchema, DataType, FieldSchema, MetricType,
 )
-from repro.errors import InvalidQuery, ManuError, QuotaExceeded
+from repro.errors import ExpressionError, IndexBuildError, InvalidQuery, \
+    ManuError, QuotaExceeded
 from repro.index.base import SearchStats
 from repro.tenancy import TenantQuota
 from repro.tenancy.metering import READ_UNIT_BYTES, READ_UNIT_ROWS
@@ -125,7 +126,59 @@ BAD_RANGE = [
 ]
 
 
+def _q():
+    return np.zeros(8)
+
+
+# What a caller can get wrong in a read or an index spec that used to
+# surface as numpy's / Python's own exception from some layer below.
+MALFORMED = {
+    "expr-constant-of-the-wrong-kind": (
+        lambda c: c.search("c", _q(), 3, field="image",
+                           expr="price < 'a'"), ExpressionError, "compare"),
+    "search-expr-int": (
+        lambda c: c.search("c", _q(), 3, field="image", expr=5),
+        ExpressionError, "text"),
+    "delete-expr-int": (
+        lambda c: c.delete("c", expr=5), ExpressionError, "text"),
+    "search-metric-str": (
+        lambda c: c.search("c", _q(), 3, field="image",
+                           metric="euclidean"), InvalidQuery, "metric"),
+    "range-search-metric-str": (
+        lambda c: c.range_search("c", _q(), 1.0, field="image",
+                                 metric="ip"), InvalidQuery, "metric"),
+    "consistency-str": (
+        lambda c: c.search("c", _q(), 3, field="image",
+                           consistency="strong"),
+        InvalidQuery, "consistency"),
+    "get-none": (lambda c: c.get("c", None), InvalidQuery, "pks"),
+    "get-int": (lambda c: c.get("c", 5), InvalidQuery, "pks"),
+    "index-params-in-the-metric-slot": (
+        lambda c: c.create_index("c", "image", "IVF_FLAT", {"nlist": 4}),
+        IndexBuildError, "metric"),
+    "index-metric-str": (
+        lambda c: c.create_index("c", "image", "IVF_FLAT", "euclidean"),
+        IndexBuildError, "metric"),
+    "index-params-list": (
+        lambda c: c.create_index("c", "image", "IVF_FLAT",
+                                 MetricType.EUCLIDEAN, [1, 2]),
+        IndexBuildError, "params"),
+}
+
+
 class TestValidationOnceTyped:
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_reads_and_index_specs_are_manu_errors(self, rng,
+                                                             case):
+        call, error, needle = MALFORMED[case]
+        cluster = _loaded(rng, rows=50)
+        with pytest.raises(error, match=needle):
+            call(cluster)
+        assert cluster.index_coord.index_metric("c", "image") is None
+        assert len(cluster.search("c", _q(), 3, field="image",
+                                  expr="price < 100",
+                                  consistency=STRONG)[0]) == 3
+
     @pytest.mark.parametrize("bad,needle", BAD_RANGE)
     def test_malformed_range_search_rejected_before_fan_out(self, rng, bad,
                                                             needle):
@@ -213,6 +266,13 @@ class TestValidationOnceTyped:
                 {"field": "image", "vector": [0.0] * 8, "limit": 0})
             assert status == 400
             assert "k must be an integer of at least 1" in payload["error"]
+            for path, body, needle in [
+                    ("entities/delete", {"expr": 5}, "expression is text"),
+                    ("search", {"field": "image", "vector": [0.0] * 8,
+                                "expr": "price < 'a'"}, "cannot compare")]:
+                status, payload = api.handle(
+                    "POST", f"/collections/c/{path}", body)
+                assert status == 400 and needle in payload["error"], payload
         finally:
             connections.disconnect("default")
 
