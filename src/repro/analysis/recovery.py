@@ -94,6 +94,8 @@ EPHEMERAL_FIELDS = {
         "monotone flush counter (telemetry only)",
     ("Segment", "_attr_indexes"):
         "lazy per-field attribute-index cache, rebuilt on first filter",
+    ("Segment", "_pk_arr"):
+        "array cache of the replayed pk list, extended at its next read",
     ("Segment", "temp_index_enabled"):
         "search-tuning toggle; the default is restored with the segment",
 }

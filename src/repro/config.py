@@ -63,15 +63,18 @@ class SegmentConfig:
     """Growing segments seal after this long without an insertion."""
 
     slice_size: int = 1024
-    """Vectors per slice in a growing segment (paper default: 10 000)."""
+    """Vectors per slice in a growing segment (paper default: 10 000);
+    a full slice is searched through a temporary index, the rows after
+    the last full slice by an exact scan."""
 
     temp_index_nlist: int = 16
-    """``nlist`` of the temporary IVF-Flat index built on full slices."""
+    """``nlist`` of the temporary IVF-Flat index of a full slice."""
 
     enable_temp_index: bool = True
-    """Build temporary slice indexes on growing segments (Section 3.6);
-    disabled by the Milvus baseline, which brute-force scans unindexed
-    data."""
+    """Search the full slices of growing segments through temporary
+    indexes (Section 3.6), each built, per metric, by the first search
+    that reads its slice; disabled by the Milvus baseline, which
+    brute-force scans unindexed data."""
 
     compaction_min_size: int = 1024
     """Sealed segments smaller than this are candidates for merging."""

@@ -1,13 +1,22 @@
 """Segments: Manu's unit of data placement (Sections 3.1, 3.6).
 
 A segment is a run of entities from one shard.  It starts *growing* —
-accepting appends, organized into fixed-size **slices**; when a slice fills
-up, a light-weight temporary index (IVF-Flat) is built over it so searches
+accepting appends, organized into fixed-size **slices**; every full slice
+is searched through a light-weight temporary index (IVF-Flat) so searches
 on growing data avoid brute-force scans ("the temporary index brings up to
 10X speedup for searching growing segments").  A segment *seals* when it
 reaches the configured size or stays idle too long; sealed segments are
 immutable, get a full index built by an index node, and are the unit of
 distribution across query nodes.
+
+A growing segment does work only for what is read.  An append records
+its rows and builds nothing: a slice's index is built, for the metric
+asked, the first time a search reads the slice.  A vector column keeps
+its appended chunks until its first read consolidates them into one
+float32 buffer (a lone chunk is adopted as it is); from then on appends
+write their rows into the buffer, which doubles when outgrown, and a
+read is a view of its first ``num_rows`` rows.  ``pk_array`` is extended
+by the keys appended since it was last read.
 
 Deletions are recorded in a **bitmap** and filtered from search results;
 the segment tracks its WAL progress (max LSN applied) both for delta
@@ -35,7 +44,7 @@ import numpy as np
 from repro.config import SegmentConfig
 from repro.core.results import HitBatch, HitBlock
 from repro.core.schema import CollectionSchema, MetricType
-from repro.errors import ClusterStateError
+from repro.errors import ClusterStateError, SchemaError
 from repro.index.base import SearchStats, VectorIndex
 from repro.index.distances import adjusted_distances, topk_smallest
 from repro.index.ivf import IvfFlatIndex
@@ -92,11 +101,23 @@ class Segment:
         self.state = SegmentState.GROWING
 
         self._pks: list = []
+        # ``pk_array`` as of its last read (None: rebuild from ``_pks``).
         self._pk_arr: Optional[np.ndarray] = None
         self._pk_rows: dict = {}
+        self._dims = {f.name: f.dim for f in schema.vector_fields}
+        # Appended chunks per column.  A vector column's chunks move into
+        # its float32 buffer at the first read (``_vectors``), and its
+        # appends are written there after that; the buffer doubles when
+        # outgrown, like ``_deleted_buf``.
         self._chunks: dict[str, list] = {f.name: [] for f in schema.fields
                                          if not f.is_primary}
+        self._buffers: dict[str, np.ndarray] = {}
+        # Columns read since the last append, the lookups behind a scan's
+        # ``cache_hits`` / ``cache_misses``.  None marks a vector column
+        # counted as read but not consolidated (see ``append``).
         self._consolidated: dict[str, object] = {}
+        # Full slices as of the last append with temp indexes on.
+        self._slices_filled = 0
         # Deletion bitmap: ``_deleted`` is always the first ``num_rows``
         # entries of a buffer that doubles when an append outgrows it.
         self._deleted_buf = np.zeros(0, dtype=bool)
@@ -104,8 +125,8 @@ class Segment:
         self._num_deleted = 0
         # Temporary slice indexes: field -> {(slice_no, metric): index}.
         # Indexes are metric-specific (the adjusted-distance scales of
-        # different metrics are not comparable); Euclidean ones are built
-        # eagerly when a slice fills, others lazily at first search.
+        # different metrics are not comparable); each is built by the
+        # first search that reads its slice under its metric.
         self._temp_indexes: dict[
             str, dict[tuple[int, MetricType], IvfFlatIndex]] = {
             f.name: {} for f in schema.vector_fields}
@@ -151,14 +172,16 @@ class Segment:
     def pk_array(self) -> np.ndarray:
         """Primary keys as one ndarray — the gather source for searches.
 
-        Cached and rebuilt lazily after appends so the hot path turns
-        row indices into pks with one fancy-index instead of a Python
-        loop over ``self._pks``.
+        Cached, and extended by the keys appended since the last read, so
+        the hot path turns row indices into pks with one fancy-index
+        instead of a Python loop over ``self._pks``.
         """
         arr = self._pk_arr
-        if arr is None:
+        if arr is None or not len(arr):     # empty: float64, not the pks'
             arr = np.asarray(self._pks)
-            self._pk_arr = arr
+        elif len(arr) < len(self._pks):
+            arr = np.concatenate((arr, np.asarray(self._pks[len(arr):])))
+        self._pk_arr = arr
         return arr
 
     def seal(self) -> None:
@@ -179,17 +202,28 @@ class Segment:
 
     def append(self, pks: Sequence, columns: Mapping[str, object],
                lsn: int, now_ms: float = 0.0) -> None:
-        """Append a batch of rows (growing segments only)."""
+        """Append a batch of rows (growing segments only): every column
+        holds one value per pk, a vector column an ``(len(pks), dim)``
+        block; a batch that does not is refused before anything moves."""
         if self.is_sealed:
             raise ClusterStateError(
                 f"segment {self.segment_id} is sealed; cannot append")
+        self._check_batch(len(pks), columns)
         start = self.num_rows
         end = start + len(pks)
         self._pk_rows.update(zip(pks, range(start, end)))
         self._pks.extend(pks)
-        self._pk_arr = None
         for name, chunk in columns.items():
-            self._chunks[name].append(chunk)
+            buf = self._buffers.get(name)
+            if buf is None:
+                self._chunks[name].append(chunk)
+                continue
+            if end > len(buf):
+                grown = np.empty((max(end, 2 * len(buf)), buf.shape[1]),
+                                 dtype=np.float32)
+                grown[:start] = buf[:start]
+                self._buffers[name] = buf = grown
+            buf[start:end] = chunk
         self._consolidated.clear()
         if end > len(self._deleted_buf):
             grown = np.zeros(max(end, 2 * len(self._deleted_buf)),
@@ -200,8 +234,28 @@ class Segment:
         self.max_lsn = max(self.max_lsn, lsn)
         self.max_insert_lsn = max(self.max_insert_lsn, lsn)
         self.last_insert_at_ms = now_ms
-        if self.temp_index_enabled:
-            self._refresh_temp_indexes(start)
+        filled = end // self.config.slice_size
+        if self.temp_index_enabled and filled > self._slices_filled:
+            # Section 3.6 indexes a slice when it fills.  The counters
+            # charge that index's read of the vector columns to this
+            # append, wherever a search later builds it, so what a scan
+            # counts as cached does not depend on when searches come.
+            self._slices_filled = filled
+            self._consolidated.update(dict.fromkeys(self._dims))
+
+    def _check_batch(self, n: int, columns: Mapping[str, object]) -> None:
+        """Refuse (``SchemaError``) a column this segment does not hold,
+        or one that is not ``n`` rows — ``(n, dim)`` for a vector."""
+        for name, chunk in columns.items():
+            if name not in self._chunks:
+                raise SchemaError(
+                    f"segment {self.segment_id} has no column {name!r}")
+            dim = self._dims.get(name)
+            shape = (len(chunk),) if dim is None else np.shape(chunk)
+            if shape != ((n,) if dim is None else (n, dim)):
+                raise SchemaError(
+                    f"segment {self.segment_id}: column {name!r} has "
+                    f"shape {shape} for {n} pks")
 
     def apply_delete(self, pks: Sequence, lsn: int) -> int:
         """Mark rows deleted in the bitmap; returns how many matched."""
@@ -230,26 +284,44 @@ class Segment:
     # ------------------------------------------------------------------
 
     def column(self, name: str):
-        """Consolidated column values (numpy array, or list for strings)."""
-        if name in self._consolidated:
-            return self._consolidated[name]
-        field = self.schema.field(name)
-        chunks = self._chunks[name]
-        if field.dtype.is_vector:
-            if chunks:
-                value = np.concatenate(
-                    [np.asarray(c, dtype=np.float32) for c in chunks], axis=0)
-            else:
-                value = np.empty((0, field.dim), dtype=np.float32)
-        elif field.dtype.value == "string":
-            value = [item for chunk in chunks for item in chunk]
+        """Consolidated column values (numpy array, or list for strings);
+        a vector column is a view of its buffer's first ``num_rows``
+        rows."""
+        value = self._consolidated.get(name)
+        if value is not None:
+            return value
+        if name in self._dims:
+            value = self._vectors(name)
         else:
-            if chunks:
+            chunks = self._chunks[name]
+            if self.schema.field(name).dtype.value == "string":
+                value = [item for chunk in chunks for item in chunk]
+            elif chunks:
                 value = np.concatenate([np.asarray(c) for c in chunks])
             else:
                 value = np.empty(0)
         self._consolidated[name] = value
         return value
+
+    def _vectors(self, name: str) -> np.ndarray:
+        """A vector column as a view of its buffer — made from the
+        appended chunks on the first call, without being counted as a
+        read (``_consolidated`` is not touched)."""
+        buf = self._buffers.get(name)
+        if buf is None:
+            chunks = self._chunks[name]
+            if len(chunks) == 1:
+                # Adopted as it is: it holds exactly ``num_rows`` rows, so
+                # the next append outgrows it and never writes into it.
+                buf = np.asarray(chunks[0], dtype=np.float32)
+            elif chunks:
+                buf = np.concatenate(
+                    [np.asarray(c, dtype=np.float32) for c in chunks])
+            else:
+                buf = np.empty((0, self._dims[name]), dtype=np.float32)
+            self._buffers[name] = buf
+            chunks.clear()
+        return buf[:self.num_rows]
 
     def scalar_columns(self) -> dict[str, object]:
         """All filterable columns, for expression evaluation."""
@@ -270,43 +342,37 @@ class Segment:
     def _build_temp_index(self, field: str, slice_no: int,
                           metric: MetricType) -> IvfFlatIndex:
         size = self.config.slice_size
-        rows = slice(slice_no * size, (slice_no + 1) * size)
-        data = self.column(field)[rows]
-        index = IvfFlatIndex(metric, self.schema.field(field).dim,
+        # The counters charged a Euclidean index's read of the column to
+        # the append that filled the slice; another metric's index is a
+        # read of its own, counted here.
+        column = self._vectors(field) if metric is MetricType.EUCLIDEAN \
+            else self.column(field)
+        index = IvfFlatIndex(metric, self._dims[field],
                              nlist=self.config.temp_index_nlist,
                              nprobe=max(2,
                                         self.config.temp_index_nlist // 8))
-        index.build(data)
+        index.build(column[slice_no * size:(slice_no + 1) * size])
         self._temp_indexes[field][(slice_no, metric)] = index
         return index
 
-    def _refresh_temp_indexes(self, appended_from: int) -> None:
-        """Build temp indexes for slices completed by the latest append."""
-        del appended_from  # slices are recomputed from totals
-        full_slices = self.num_rows // self.config.slice_size
-        for field in self.schema.vector_fields:
-            built = self._temp_indexes[field.name]
-            for slice_no in range(full_slices):
-                if (slice_no, MetricType.EUCLIDEAN) not in built:
-                    self._build_temp_index(field.name, slice_no,
-                                           MetricType.EUCLIDEAN)
-
     def _temp_index_for(self, field: str, slice_no: int,
-                        metric: MetricType) -> Optional[IvfFlatIndex]:
-        """The slice's temp index for ``metric`` (built lazily)."""
-        built = self._temp_indexes.get(field)
-        if built is None or not self.temp_index_enabled:
-            return None
-        index = built.get((slice_no, metric))
-        if index is None and any(s == slice_no for s, _ in built):
-            # The slice is complete (another metric's index exists) but
-            # this metric's is not built yet: build it on demand.
+                        metric: MetricType) -> IvfFlatIndex:
+        """Full slice ``slice_no``'s temp index for ``metric``, built by
+        the first search that asks for it (its k-means is seeded, so it
+        is the same index whenever that is)."""
+        index = self._temp_indexes[field].get((slice_no, metric))
+        if index is None:
             index = self._build_temp_index(field, slice_no, metric)
         return index
 
     def num_temp_indexes(self, field: str) -> int:
-        """Number of slices with at least one temporary index."""
-        return len({s for s, _ in self._temp_indexes.get(field, {})})
+        """Full slices a search of ``field`` reads through a temporary
+        index: none while they are off or once a sealed index is
+        attached."""
+        if (not self.temp_index_enabled or field not in self._dims
+                or field in self._sealed_indexes):
+            return 0
+        return self.num_rows // self.config.slice_size
 
     # ------------------------------------------------------------------
     # sealed index management
@@ -513,18 +579,11 @@ class Segment:
                         ) -> tuple[np.ndarray, np.ndarray]:
         """Temp slice indexes plus exact scan of the partial tail slice."""
         size = self.config.slice_size
-        parts = []
-        uncovered_from = 0
-        for slice_no in sorted({s for s, _ in
-                                self._temp_indexes.get(field, {})}):
-            index = self._temp_index_for(field, slice_no, metric)
-            if index is None:
-                continue
-            parts.append(self._search_with_index(
-                index, slice_no * size, queries, k, metric, allowed, stats,
-                field))
-            uncovered_from = max(uncovered_from,
-                                 slice_no * size + index.ntotal)
+        parts = [self._search_with_index(
+            self._temp_index_for(field, slice_no, metric), slice_no * size,
+            queries, k, metric, allowed, stats, field)
+            for slice_no in range(self.num_temp_indexes(field))]
+        uncovered_from = len(parts) * size
         if uncovered_from < self.num_rows:
             parts.append(self._search_brute(
                 field, queries, k, metric, allowed, uncovered_from,
@@ -584,14 +643,18 @@ class Segment:
         return out
 
     def memory_bytes(self) -> int:
-        """Rough resident size (placement/balancing input)."""
+        """Rough resident size (placement/balancing input): the bytes of
+        the consolidated columns, summed from what the segment holds
+        without consolidating anything (that would count as a read)."""
         total = 0
-        for field in self.schema.fields:
-            if field.is_primary:
+        for name, chunks in self._chunks.items():
+            if name in self._dims:
+                total += 4 * self._dims[name] * self.num_rows   # float32
                 continue
-            value = self.column(field.name)
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
+            value = self._consolidated.get(name)
+            parts = chunks if value is None else [value]
+            if self.schema.field(name).dtype.value == "string":
+                total += sum(len(s) for part in parts for s in part)
             else:
-                total += sum(len(s) for s in value)
+                total += sum(np.asarray(part).nbytes for part in parts)
         return total
