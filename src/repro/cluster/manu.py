@@ -246,8 +246,7 @@ class ManuCluster:
         name = f"qn-{next(self._node_seq)}"
         node = QueryNode(name, self.loop, self.broker, self.store,
                          self.config, self.cost_model,
-                         self.root_coord.get_schema, tracer=self.tracer,
-                         metrics=self.metrics)
+                         self.root_coord.get_schema, tracer=self.tracer)
         self.query_coord.add_node(node)
         return node
 

@@ -85,13 +85,8 @@ class SegmentConfig:
 
 @dataclass(frozen=True)
 class StorageConfig:
-    """Object-store and metastore tunables."""
-
-    object_store_latency_ms: float = 20.0
-    """Simulated per-request object-store latency (S3-like)."""
-
-    object_store_bandwidth_mbps: float = 400.0
-    """Simulated object-store bandwidth in MB per second."""
+    """Storage tunables.  (The object store's latency and bandwidth are
+    the cost model's: :class:`repro.sim.costmodel.CostModel`.)"""
 
     lsm_memtable_limit: int = 1024
     """Logger LSM-tree memtable entries before a flush to SSTable."""
@@ -100,9 +95,6 @@ class StorageConfig:
 @dataclass(frozen=True)
 class QueryConfig:
     """Query-path tunables."""
-
-    default_topk: int = 50
-    """Default number of results per search request (paper evaluation)."""
 
     consistency_deadline_ms: float = 60_000.0
     """Hard deadline on delta-consistency waits before erroring out."""

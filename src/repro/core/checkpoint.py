@@ -175,13 +175,16 @@ class TimeTravel:
                 segments[segment_id] = segment
             return segments[segment_id]
 
-        # 1. Load flushed segments from their binlogs (shared snapshots).
+        # 1. Load flushed segments from their binlogs (shared snapshots),
+        # noting each one's progress.
+        loaded: dict[str, int] = {}
         for segment_id in checkpoint.flushed_segments:
             manifest = self._reader.read_manifest(collection, segment_id)
             columns = self._reader.read_fields(collection, segment_id,
                                                manifest.fields)
             segment = get_segment(segment_id)
             segment.append(list(manifest.pks), columns, manifest.max_lsn)
+            loaded[segment_id] = manifest.max_lsn
 
         # 2. Replay the WAL tail of each shard channel from its progress.
         for shard in range(self._num_shards):
@@ -205,7 +208,7 @@ class TimeTravel:
                             continue
                         if isinstance(record, InsertRecord):
                             segment = get_segment(record.segment_id)
-                            if record.ts <= segment.max_lsn:
+                            if record.ts <= segment.max_insert_lsn:
                                 continue  # already covered by the binlog
                             segment.append(list(record.pks),
                                            dict(record.columns), record.ts)
@@ -213,11 +216,16 @@ class TimeTravel:
                             for segment in segments.values():
                                 segment.apply_delete(record.pks, record.ts)
 
-        # 3. Apply persisted delete deltas with ts <= target.
+        # 3. Apply persisted delete deltas with ts <= target.  Like a query
+        # node's sealed load, a loaded segment takes only the ones newer
+        # than its binlog (which holds no deleted row, and may hold a
+        # newer version of a deleted pk); a replayed segment took its
+        # deletions from the WAL tail, in order.
         for pk, ts in read_delete_deltas(self._store, collection):
             if ts <= target_ts:
-                for segment in segments.values():
-                    segment.apply_delete([pk], ts)
+                for segment_id, max_lsn in loaded.items():
+                    if ts > max_lsn:
+                        segments[segment_id].apply_delete([pk], ts)
 
         for segment in segments.values():
             segment.seal()

@@ -180,10 +180,6 @@ class HitBlock:
     def __len__(self) -> int:
         return self.dists.shape[0]
 
-    def rows_hit(self) -> int:
-        """How many rows hold a hit."""
-        return int(np.count_nonzero((self.dists < np.inf).any(axis=1)))
-
     def __getitem__(self, q: int) -> HitBatch:
         dists = self.dists[q]
         n = np.count_nonzero(dists < np.inf)
@@ -216,6 +212,19 @@ class ReduceStats:
                 "candidates_in": self.candidates_in,
                 "hits_deduped": self.hits_deduped,
                 "hits_out": self.hits_out}
+
+
+@dataclass(slots=True)
+class NodeWork:
+    """What one query node did for one read (DESIGN.md §6h): per scanned
+    segment, in order, ``(id, path, rows, [SearchStats per field of
+    dims])``, and the node-local merge's counters — None for a point
+    read, which consults ``segments`` segments and scans none."""
+
+    segments: int
+    dims: Sequence[int] = ()
+    scans: list = field(default_factory=list)
+    reduce: Optional[ReduceStats] = field(default_factory=ReduceStats)
 
 
 @dataclass

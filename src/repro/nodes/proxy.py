@@ -19,6 +19,7 @@ work.  This is where the cluster's end-to-end latency numbers come from.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -30,7 +31,8 @@ from repro.core.entity import require_number, validate_batch, \
     validate_queries
 from repro.core.expr import Const, Compare, Field, FilterExpression, InList
 from repro.core.multivector import MultiVectorQuery
-from repro.core.results import ReduceStats, SearchResult, merge_topk
+from repro.core.results import NodeWork, ReduceStats, SearchResult, \
+    merge_topk
 from repro.core.schema import MetricType
 from repro.core.tso import TimestampOracle
 from repro.errors import CollectionNotFound, ConsistencyTimeout, \
@@ -149,6 +151,9 @@ class Proxy:
         self._merge_hist = self.metrics.histogram_family(
             "proxy_merge", ("proxy",),
             help="global top-k merge time", unit="ms").labels(proxy=name)
+        self._scan_hist = self.metrics.histogram_family(
+            "query_node_scan", ("node",),
+            help="node-local scan service time", unit="ms")
         # Multi-tenancy (duck-typed TenantRegistry / AdmissionController,
         # wired by the cluster): every tenant-scoped request is
         # namespaced and quota-admitted here, at the API boundary.
@@ -216,16 +221,6 @@ class Proxy:
                 raise
         self._tenant_requests.labels(
             tenant=tenant, qos=info.qos.value, verb=verb).inc()
-
-    # ------------------------------------------------------------------
-    # cost accounting
-    # ------------------------------------------------------------------
-
-    def _charge_read(self, tenant: str, stats: SearchStats) -> None:
-        """Meter one search's measured scan work against the tenant."""
-        units = self._cost_meter.charge_read(
-            tenant, stats.rows_scanned, stats.bytes_materialized)
-        self._read_units.labels(tenant=tenant).inc(units)
 
     # ------------------------------------------------------------------
     # metadata verification
@@ -409,6 +404,64 @@ class Proxy:
         return _ReadRequest(verb, collection, tenant, blocks, nq, k,
                             consistency, staleness_ms, explain)
 
+    def _observe_node(self, req: _ReadRequest,
+                      prof: Optional[QueryProfile], parent, name: str,
+                      ready_ms: float, start_ms: float, service_ms: float,
+                      work: NodeWork) -> None:
+        """Every plane of one node's part of a read, from its report: the
+        ``query_node.scan`` span (its ``segment.scan`` / ``query_node.reduce``
+        children when sampled), ``req.stats``, the ``query_node_scan``
+        histogram and the EXPLAIN node stage (under a profile).  Segments
+        scan one after another, so a segment's span ends where the cost
+        model puts the work up to and including it; a segment's stage
+        holds its own counters, so segment stages sum to the node stage."""
+        component = f"query-node:{name}"
+        nspan = self._tracer.record_span(
+            "query_node.scan", component, parent=parent, start_ms=ready_ms,
+            end_ms=start_ms + service_ms, queue_ms=start_ms - ready_ms,
+            service_ms=service_ms, segments=work.segments)
+        req.segments += work.segments
+        scanned = work.reduce is not None       # a point read scans nothing
+        if scanned:
+            cost, context = self._cost, nspan.context
+            totals = [SearchStats() for _ in work.dims]
+            cursor_ms = nspan.start_ms
+            for segment_id, _path, _rows, stats in work.scans:
+                for total, field_stats in zip(totals, stats):
+                    total.add(field_stats)
+                if nspan.sampled:
+                    end_ms = nspan.start_ms + cost.scan_cost(totals,
+                                                             work.dims)
+                    self._tracer.record_span(
+                        "segment.scan", component, parent=context,
+                        start_ms=cursor_ms, end_ms=end_ms,
+                        segment=segment_id)
+                    cursor_ms = end_ms
+            if nspan.sampled:
+                self._tracer.record_span(
+                    "query_node.reduce", component, parent=context,
+                    start_ms=cursor_ms,
+                    end_ms=cursor_ms + cost.request_overhead_ms
+                    + req.nq * cost.batch_row_overhead_ms,
+                    segments=work.segments)
+            for total in totals:
+                req.stats.add(total)
+            self._scan_hist.labels(node=name).observe(service_ms)
+        if prof is None:
+            return
+        stage = prof.node_stage(name)
+        if scanned:
+            for segment_id, path, rows, stats in work.scans:
+                stage.child("segment.scan", segment=segment_id, path=path,
+                            rows=rows).counters = functools.reduce(
+                                SearchStats.merged_with, stats).as_dict()
+            stage.counters = functools.reduce(SearchStats.merged_with,
+                                              totals).as_dict()
+            stage.meta.update(service_ms=service_ms, segments=work.segments,
+                              nq=req.nq)
+            stage.child("query_node.reduce").counters = work.reduce.as_dict()
+        stage.meta["queue_ms"] = start_ms - ready_ms
+
     def _scatter_gather(self, req: _ReadRequest, ask: str, args: tuple,
                         metric: Optional[MetricType] = None,
                         keep: Optional[int] = None,
@@ -416,13 +469,12 @@ class Proxy:
         """The read protocol of Manu §3.2/§3.6, once for every verb:
         guarantee timestamp, consistency wait, fan-out, merge, and every
         plane's emission.  A verb brings only what is its own: the
-        query-node method it asks — ``ask(collection, *args, scope=,
-        trace_span=, profile=, acc_stats=)`` returning ``(partial,
-        service ms, segments)`` — and how the partials merge: into one
-        :class:`SearchResult` per query row, the best ``keep`` unique
-        hits each (default: the request's ``k``, and without one, all),
-        or, for a point read (no ``metric``), one dict.  A request with
-        a ``k`` is charged a top-k merge.
+        query-node method it asks — ``ask(collection, *args, scope=)``
+        returning ``(partial, service ms, NodeWork)`` — and how the
+        partials merge: into one :class:`SearchResult` per query row, the
+        best ``keep`` unique hits each (default: the request's ``k``, and
+        without one, all), or, for a point read (no ``metric``), one dict.
+        A request with a ``k`` is charged a top-k merge.
         """
         if keep is None:
             keep = req.k
@@ -463,26 +515,13 @@ class Proxy:
                 for node, scope in plan:
                     start = max(ready_ms + self._cost.rpc_hop(),
                                 node.busy_until_ms)
-                    nspan = self._tracer.start_span(
-                        "query_node.scan", f"query-node:{node.name}",
-                        parent=parent, start_ms=ready_ms)
-                    stage = prof.node_stage(node.name) \
-                        if prof is not None else None
-                    partial, service_ms, searched = getattr(node, ask)(
-                        req.collection, *args, scope=scope,
-                        trace_span=nspan, profile=stage,
-                        acc_stats=req.stats)
+                    partial, service_ms, work = getattr(node, ask)(
+                        req.collection, *args, scope=scope)
                     node.busy_until_ms = start + service_ms
-                    if stage is not None:
-                        stage.meta["queue_ms"] = start - ready_ms
-                    nspan.tags.update(queue_ms=start - ready_ms,
-                                      service_ms=service_ms,
-                                      segments=searched)
-                    self._tracer.finish_span(nspan,
-                                             end_ms=node.busy_until_ms)
                     req.scanned_ms = max(req.scanned_ms,
                                          node.busy_until_ms)
-                    req.segments += searched
+                    self._observe_node(req, prof, parent, node.name,
+                                       ready_ms, start, service_ms, work)
                     partials.append(partial)
 
                 # Back half: the timing first, because results carry it.
@@ -526,7 +565,10 @@ class Proxy:
                     if self._slowlog is not None:
                         self._slowlog.observe(self._loop.now(), prof)
                 if req.tenant is not None:
-                    self._charge_read(req.tenant, req.stats)
+                    units = self._cost_meter.charge_read(
+                        req.tenant, req.stats.rows_scanned,
+                        req.stats.bytes_materialized)
+                    self._read_units.labels(tenant=req.tenant).inc(units)
                 window, histogram = self._latency[req.verb]
                 window.record(self._loop.now(), latency)
                 # The latency observation carries the trace id as an
@@ -566,7 +608,7 @@ class Proxy:
         its queries passed the quota when they were submitted.
         """
         require_number("k", k, 1, integer=True)
-        filter_expr = FilterExpression(expr) if expr else None
+        filter_expr = FilterExpression(expr) if expr is not None else None
         req = self._admit("search", collection, tenant, {field: queries}, k,
                           consistency, staleness_ms, explain, _admitted,
                           metric)
@@ -619,6 +661,11 @@ class Proxy:
             raise InvalidQuery(
                 f"pks must be a list of primary keys, got {pks!r}")
         pks = list(pks)
+        try:
+            set(pks)        # segments look primary keys up by hash
+        except TypeError:
+            raise InvalidQuery(f"primary keys are hashable, got {pks!r}") \
+                from None
         req = self._admit("get", collection, tenant, {}, None, consistency,
                           staleness_ms)
         return self._scatter_gather(req, "fetch", (pks,), keys=len(pks))
@@ -649,7 +696,7 @@ class Proxy:
             threshold = -float(radius)      # adjusted = negated similarity
         if limit is not None:
             require_number("limit", limit, 0, integer=True)
-        filter_expr = FilterExpression(expr) if expr else None
+        filter_expr = FilterExpression(expr) if expr is not None else None
         req = self._admit("range_search", collection, tenant,
                           {field: query}, None, consistency, staleness_ms,
                           explain, metric=metric)
@@ -698,6 +745,8 @@ class Proxy:
                 staleness_ms=staleness_ms, tenant=tenant)[0]
             return handle
         require_number("k", k, 1, integer=True)
+        if expr is not None:
+            FilterExpression(expr)      # refused now, not at the flush
         req = self._admit("search", collection, tenant, {field: query}, k,
                           consistency, staleness_ms, metric=metric)
         (field, block), = req.blocks.items()

@@ -19,12 +19,13 @@ the unit of scanning: its sealed inverted-list segments are searched as
 one arena (:mod:`repro.core.arena`) and every segment's candidates meet in
 one block, reduced by one merge.  ``busy_until_ms`` accounting
 turns concurrent requests into queueing delay, which is what the
-elasticity and scalability figures measure.
+elasticity and scalability figures measure.  A read verb reports its
+work (:class:`~repro.core.results.NodeWork`) and observes nothing: the
+proxy turns the report into every plane (DESIGN.md §6h).
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +38,7 @@ from repro.core.expr import FilterExpression
 from repro.core.filtering import FilterStrategy, choose_strategy, \
     compute_mask, planned_search
 from repro.core.multivector import MultiVectorQuery, search_segment
-from repro.core.results import HitBlock, ReduceStats, merge_topk
+from repro.core.results import HitBlock, NodeWork, merge_topk
 from repro.core.schema import CollectionSchema, MetricType
 from repro.core.segment import Segment
 from repro.errors import ClusterStateError
@@ -53,7 +54,7 @@ from repro.log.wal import (
 from repro.sim.costmodel import CostModel
 from repro.sim.events import EventLoop
 from repro.storage.object_store import ObjectStore
-from repro.tracing import NOOP_TRACER, Span, TraceCollector
+from repro.tracing import NOOP_TRACER, TraceCollector
 
 
 class QueryNode:
@@ -62,8 +63,7 @@ class QueryNode:
     def __init__(self, name: str, loop: EventLoop, broker: LogBroker,
                  store: ObjectStore, config: ManuConfig,
                  cost_model: CostModel, schema_provider,
-                 tracer: Optional[TraceCollector] = None,
-                 metrics=None) -> None:
+                 tracer: Optional[TraceCollector] = None) -> None:
         self.name = name
         self._loop = loop
         self._broker = broker
@@ -107,14 +107,6 @@ class QueryNode:
         # this to measure per-node serving load.
         self.service_ms_total = 0.0
         self.alive = True
-        # Optional repro.monitoring.MetricsRegistry (duck-typed): local
-        # scan service time, labeled by node for cross-node comparison.
-        self._scan_hist = None
-        if metrics is not None:
-            self._scan_hist = metrics.histogram_family(
-                "query_node_scan", ("node",),
-                help="node-local scan service time",
-                unit="ms").labels(node=name)
 
     # ------------------------------------------------------------------
     # log consumption
@@ -375,128 +367,71 @@ class QueryNode:
 
     def _scan(self, collection: str, scope: Optional[set[str]],
               fields: Sequence[str], nq: int, k: Optional[int],
-              work: Callable, trace_span: Optional[Span], profile,
-              acc_stats: Optional[SearchStats]) -> tuple:
+              scan: Callable) -> tuple[HitBlock, float, NodeWork]:
         """The one scan and node-local reduce behind every scan verb;
-        returns ``(node-wise top-k block, virtual service ms, segments
-        scanned)``.
+        returns ``(node-wise top-k block, virtual service ms, the work
+        done)``.
 
-        ``work(segments, ledger)`` scans the segments in scope and returns
+        ``scan(segments, ledger)`` scans the segments in scope and returns
         one :class:`HitBlock` per segment (``nq`` rows), adding what it
         did for segment ``i`` to ``ledger[i]`` — one :class:`SearchStats`
         per entry of ``fields``, so each vector field is charged at its
         own dimension.  The blocks are merged side by side: one
         concatenation and one stable sort for the whole request.
 
-        Work is measured once, per segment, and every plane is derived
-        from that ledger in segment order.  A traced segment's span ends
-        where the cost model puts the work up to and including it (so
-        windows lie end to end from ``trace_span``'s start: segments scan
-        sequentially within one node, and the last one ends at the node's
-        scan time), and its ``segment.scan`` stage in the EXPLAIN ledger
-        holds its own counters (so segment stages sum to the node stage
-        by construction).
-
-        ``trace_span`` is the proxy's per-node ``query_node.scan`` span,
-        ``profile`` the matching :class:`~repro.profiling.QueryProfile`
-        stage (both None on the unobserved hot path); ``acc_stats``
-        accumulates the request's counters for read-unit metering.
+        Work is measured once, per segment, and reported as measured: the
+        ledger in segment order, with each segment's path and rows, plus
+        the reduce's counters.
         """
-        traced = trace_span is not None and trace_span.sampled
-        profiling = profile is not None
-        cost = self._cost
         schema: CollectionSchema = self._schema_provider(collection)
         dims = [schema.field(name).dim for name in fields]
         totals = [SearchStats() for _ in fields]
-
-        def work_ms() -> float:
-            ms = 0
-            for stats, dim in zip(totals, dims):
-                ms += (cost.distance_cost(stats.float_comparisons, dim)
-                       + cost.distance_cost(stats.quantized_comparisons,
-                                            dim, quantized=True)
-                       + cost.ssd_read(stats.ssd_blocks_read))
-            return ms
-
         segments = self._scoped_segments(collection, scope)
         ledger = [[SearchStats() for _ in fields] for _ in segments]
-        blocks = work(segments, ledger) if segments else []
-        if traced:
-            parent, start_ms = trace_span.context, trace_span.start_ms
-            cursor_ms = start_ms
+        blocks = scan(segments, ledger) if segments else []
+        work = NodeWork(len(segments), dims)
         for segment, entry in zip(segments, ledger):
             for total, stats in zip(totals, entry):
                 total.add(stats)
-            if profiling:
-                grew = functools.reduce(SearchStats.merged_with,
-                                        entry).as_dict()
-                growing = (collection,
-                           segment.segment_id) in self._growing_ids
-                path = ("growing" if growing
-                        else "index" if grew["index_scans"] > 0
-                        else "brute")
-                profile.child("segment.scan", segment=segment.segment_id,
-                              path=path,
-                              rows=segment.num_rows).counters = grew
-            if traced:
-                end_ms = start_ms + work_ms()
-                self._tracer.record_span(
-                    "segment.scan", self._component, parent=parent,
-                    start_ms=cursor_ms, end_ms=end_ms,
-                    segment=segment.segment_id)
-                cursor_ms = end_ms
-        searched = len(segments)
-        reduce_stats = ReduceStats() if profiling else None
-        merged = merge_topk(blocks, k, stats=reduce_stats) \
+            growing = (collection, segment.segment_id) in self._growing_ids
+            path = ("growing" if growing
+                    else "index" if any(stats.index_scans for stats in entry)
+                    else "brute")
+            work.scans.append((segment.segment_id, path, segment.num_rows,
+                               entry))
+        merged = merge_topk(blocks, k, stats=work.reduce) \
             if blocks else HitBlock.empty(nq)
+        # A segment that found nothing for a query hands that query's
+        # reduce no partial (a row sorts its hits first).
+        firsts = [block.dists[:, 0] for block in blocks
+                  if block.dists.shape[1]]
+        work.reduce.batches_merged = int(np.count_nonzero(
+            np.asarray(firsts) < np.inf))
         # The fixed message overhead is paid once per (possibly batched)
         # request plus a small per-row term — the amortization that makes
         # Section 3.6's request batching worthwhile.  (Summed left to
         # right, not as work + overhead: virtual times are compared to
         # the last digit across commits.)
-        service_ms = work_ms() + cost.request_overhead_ms \
+        cost = self._cost
+        service_ms = cost.scan_cost(totals, dims) + cost.request_overhead_ms \
             + nq * cost.batch_row_overhead_ms
-        if profiling:
-            # A segment that found nothing for a query hands that
-            # query's reduce no partial.
-            reduce_stats.batches_merged = sum(block.rows_hit()
-                                              for block in blocks)
-            profile.counters = functools.reduce(SearchStats.merged_with,
-                                                totals).as_dict()
-            profile.meta.update(service_ms=service_ms, segments=searched,
-                                nq=nq)
-            profile.child("query_node.reduce").counters = \
-                reduce_stats.as_dict()
-        if acc_stats is not None:
-            for total in totals:
-                acc_stats.add(total)
-        if traced:
-            self._tracer.record_span(
-                "query_node.reduce", self._component, parent=parent,
-                start_ms=cursor_ms,
-                end_ms=cursor_ms + cost.request_overhead_ms
-                + nq * cost.batch_row_overhead_ms, segments=searched)
         self.searches_served += nq
         self.service_ms_total += service_ms
-        if self._scan_hist is not None:
-            self._scan_hist.observe(service_ms)
-        return merged, service_ms, searched
+        return merged, service_ms, work
 
     @staticmethod
-    def _each(scan: Callable) -> Callable:
-        """``work`` for a single-query verb that scans segment by segment:
-        ``scan(segment, stats)`` returns the query's hit batch."""
+    def _each(scan_one: Callable) -> Callable:
+        """``scan`` for a single-query verb that scans segment by segment:
+        ``scan_one(segment, stats)`` returns the query's hit batch."""
         return lambda segments, ledger: [
-            HitBlock.from_batches([scan(segment, stats)])
+            HitBlock.from_batches([scan_one(segment, stats)])
             for segment, stats in zip(segments, ledger)]
 
     def search(self, collection: str, field: str, queries: np.ndarray,
                k: int, metric: MetricType,
                expr: Optional[FilterExpression] = None,
                scope: Optional[set[str]] = None,
-               trace_span: Optional[Span] = None,
-               profile=None, acc_stats: Optional[SearchStats] = None,
-               ) -> tuple[HitBlock, float, int]:
+               ) -> tuple[HitBlock, float, NodeWork]:
         """Node-local two-phase reduce: segment-wise top-k (cost-based
         filter strategy per segment) merged into the node-wise top-k.
 
@@ -509,7 +444,7 @@ class QueryNode:
         if queries.ndim == 1:
             queries = queries[None, :]
 
-        def work(segments: list[Segment],
+        def scan(segments: list[Segment],
                  ledger: list[list[SearchStats]]) -> list[HitBlock]:
             arena = self._arena(collection, field, metric)
             blocks: list = [None] * len(segments)
@@ -537,44 +472,38 @@ class QueryNode:
             return blocks
 
         return self._scan(collection, scope, (field,), queries.shape[0], k,
-                          work, trace_span, profile, acc_stats)
+                          scan)
 
     def search_multivector(self, collection: str, query: MultiVectorQuery,
                            k: int, scope: Optional[set[str]] = None,
-                           trace_span: Optional[Span] = None,
-                           profile=None,
-                           acc_stats: Optional[SearchStats] = None,
-                           ) -> tuple[HitBlock, float, int]:
+                           ) -> tuple[HitBlock, float, NodeWork]:
         """Node-local multi-vector search (single query vector set)."""
         return self._scan(
             collection, scope, query.fields, 1, k,
             self._each(lambda segment, stats: search_segment(
-                segment, query, k, stats=stats)),
-            trace_span, profile, acc_stats)
+                segment, query, k, stats=stats)))
 
     def range_search(self, collection: str, field: str, query: np.ndarray,
                      threshold: float, metric: MetricType,
                      expr: Optional[FilterExpression] = None,
                      scope: Optional[set[str]] = None,
-                     trace_span: Optional[Span] = None,
-                     profile=None, acc_stats: Optional[SearchStats] = None,
-                     ) -> tuple[HitBlock, float, int]:
+                     ) -> tuple[HitBlock, float, NodeWork]:
         """All local rows within the adjusted-distance threshold."""
 
-        def scan(segment: Segment, stats: list[SearchStats]):
+        def scan_one(segment: Segment, stats: list[SearchStats]):
             mask = compute_mask(segment, expr) if expr is not None else None
             return segment.range_search(field, query, threshold, metric,
                                         filter_mask=mask, stats=stats[0])
 
         return self._scan(collection, scope, (field,), 1, None,
-                          self._each(scan), trace_span, profile, acc_stats)
+                          self._each(scan_one))
 
-    def fetch(self, collection: str, pks,
-              **_planes) -> tuple[dict, float, int]:
+    def fetch(self, collection: str, pks, scope: Optional[set[str]] = None,
+              ) -> tuple[dict, float, NodeWork]:
         """Field values for the given pks held live on this node, as
-        ``(pk -> row, virtual service ms, segments consulted)``.  A point
-        read pays the message overhead and no distance work, whichever
-        copy answers (so no scope), and has no scan for a plane to watch.
+        ``(pk -> row, virtual service ms, the segments consulted)``.  A
+        point read pays the message overhead and no distance work, and
+        whichever copy answers will do, so ``scope`` does not narrow it.
         """
         out: dict = {}
         per_coll = self._by_collection.get(collection, {})
@@ -582,7 +511,7 @@ class QueryNode:
             out.update(segment.fetch_rows(pks))
         service_ms = self._cost.request_overhead_ms \
             + len(pks) * self._cost.batch_row_overhead_ms
-        return out, service_ms, len(per_coll)
+        return out, service_ms, NodeWork(len(per_coll), reduce=None)
 
     # ------------------------------------------------------------------
     # lifecycle

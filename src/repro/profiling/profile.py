@@ -23,8 +23,9 @@ value, and the sum over node stages equals the root totals — work is
 neither lost nor double-counted between layers.
 
 Layering: this module sits directly above ``core``/``index`` and imports
-nothing else; the serving layers (nodes, cluster, api) thread profile
-objects *down* into it.
+nothing else.  The proxy builds every stage, the node stages from the
+work each query node reports (DESIGN.md §6h); nothing below it sees a
+profile.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class QueryProfile:
                                  nq=int(nq), k=int(k))
 
     # ------------------------------------------------------------------
-    # construction (called by the proxy / query nodes)
+    # construction (called by the proxy)
     # ------------------------------------------------------------------
 
     def node_stage(self, node_name: str) -> StageProfile:

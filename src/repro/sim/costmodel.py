@@ -75,6 +75,17 @@ class CostModel:
         rate = self.mac_per_ms * (self.quantized_speedup if quantized else 1.0)
         return macs / rate
 
+    def scan_cost(self, stats, dims) -> float:
+        """Cost of a scan's measured work, each searched field's
+        ``SearchStats`` charged at its own dimension in ``dims``."""
+        ms = 0
+        for field_stats, dim in zip(stats, dims):
+            ms += (self.distance_cost(field_stats.float_comparisons, dim)
+                   + self.distance_cost(field_stats.quantized_comparisons,
+                                        dim, quantized=True)
+                   + self.ssd_read(field_stats.ssd_blocks_read))
+        return ms
+
     def topk_merge_cost(self, n_lists: int, k: int) -> float:
         """Cost of merging ``n_lists`` sorted top-k lists."""
         # Heap merge is n_lists * k * log(n_lists); tiny, but non-zero so

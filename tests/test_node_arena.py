@@ -18,7 +18,6 @@ from between two searches and checks it is never read stale.
 """
 
 import contextlib
-import functools
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from repro.core.consistency import ConsistencyLevel
 from repro.core.expr import FilterExpression
 from repro.core.filtering import FilterStrategy, choose_strategy, \
     filtered_search
-from repro.core.results import HitBatch, ReduceStats
+from repro.core.results import HitBatch, NodeWork
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.errors import IndexBuildError, InvalidQuery
@@ -59,82 +58,38 @@ def reference_merge(partials, k, stats=None):
         [list(p) for p in partials], k, stats=stats))
 
 
-def reference_scan(node, collection, scope, fields, nq, k, work,
-                   trace_span, profile, acc_stats):
-    """Former ``QueryNode._scan``: one scan per segment, the planes read
-    at the segment boundaries, one merge per query."""
-    traced = trace_span is not None and trace_span.sampled
-    profiling = profile is not None
+def reference_scan(node, collection, scope, fields, nq, k, work):
+    """Former ``QueryNode._scan``: one scan per segment, one merge per
+    query, the same report of the work done."""
     cost = node._cost
     schema = node._schema_provider(collection)
     dims = [schema.field(name).dim for name in fields]
     totals = [SearchStats() for _ in fields]
-
-    def work_ms():
-        ms = 0
-        for stats, dim in zip(totals, dims):
-            ms += (cost.distance_cost(stats.float_comparisons, dim)
-                   + cost.distance_cost(stats.quantized_comparisons, dim,
-                                        quantized=True)
-                   + cost.ssd_read(stats.ssd_blocks_read))
-        return ms
-
-    def counters():
-        return functools.reduce(SearchStats.merged_with, totals).as_dict()
-
-    if traced:
-        parent, start_ms = trace_span.context, trace_span.start_ms
-        cursor_ms = start_ms
-    if profiling:
-        before = counters()
+    done = NodeWork(0, dims)
     partials = []
     for segment in node._scoped_segments(collection, scope):
-        partials.append(work(segment, totals))
-        if profiling:
-            after = counters()
-            grew = {key: after[key] - before[key] for key in after}
-            growing = (collection, segment.segment_id) in node._growing_ids
-            path = ("growing" if growing
-                    else "index" if grew["index_scans"] > 0 else "brute")
-            profile.child("segment.scan", segment=segment.segment_id,
-                          path=path, rows=segment.num_rows).counters = grew
-            before = after
-        if traced:
-            end_ms = start_ms + work_ms()
-            node._tracer.record_span(
-                "segment.scan", node._component, parent=parent,
-                start_ms=cursor_ms, end_ms=end_ms,
-                segment=segment.segment_id)
-            cursor_ms = end_ms
-    searched = len(partials)
-    reduce_stats = ReduceStats() if profiling else None
+        stats = [SearchStats() for _ in fields]
+        partials.append(work(segment, stats))
+        for total, field_stats in zip(totals, stats):
+            total.add(field_stats)
+        growing = (collection, segment.segment_id) in node._growing_ids
+        path = ("growing" if growing
+                else "index" if sum(s.index_scans for s in stats) > 0
+                else "brute")
+        done.scans.append((segment.segment_id, path, segment.num_rows,
+                           stats))
+    done.segments = len(partials)
     merged = [reference_merge([part[qi] for part in partials if part[qi]],
-                              k, stats=reduce_stats) for qi in range(nq)]
-    service_ms = work_ms() + cost.request_overhead_ms \
+                              k, stats=done.reduce) for qi in range(nq)]
+    service_ms = cost.scan_cost(totals, dims) + cost.request_overhead_ms \
         + nq * cost.batch_row_overhead_ms
-    if profiling:
-        profile.counters = before
-        profile.meta.update(service_ms=service_ms, segments=searched, nq=nq)
-        profile.child("query_node.reduce").counters = reduce_stats.as_dict()
-    if acc_stats is not None:
-        for total in totals:
-            acc_stats.add(total)
-    if traced:
-        node._tracer.record_span(
-            "query_node.reduce", node._component, parent=parent,
-            start_ms=cursor_ms,
-            end_ms=cursor_ms + cost.request_overhead_ms
-            + nq * cost.batch_row_overhead_ms, segments=searched)
     node.searches_served += nq
     node.service_ms_total += service_ms
-    if node._scan_hist is not None:
-        node._scan_hist.observe(service_ms)
-    return merged, service_ms, searched
+    return merged, service_ms, done
 
 
 def reference_search(node, collection, field, queries, k, metric, expr=None,
-                     scope=None, trace_span=None, profile=None,
-                     acc_stats=None):
+                     scope=None):
     """Former ``QueryNode.search``: every segment through its own
     ``Segment.search``."""
     queries = np.asarray(queries, dtype=np.float32)
@@ -143,8 +98,7 @@ def reference_search(node, collection, field, queries, k, metric, expr=None,
     return reference_scan(
         node, collection, scope, (field,), queries.shape[0], k,
         lambda segment, stats: filtered_search(
-            segment, field, queries, k, metric, expr, stats=stats[0])[0],
-        trace_span, profile, acc_stats)
+            segment, field, queries, k, metric, expr, stats=stats[0])[0])
 
 
 def reference_proxy_merge(partials, keep, stats=None):

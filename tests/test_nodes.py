@@ -198,12 +198,12 @@ class TestQueryNode:
         record = insert_record(rng, 10, [1, 2, 3])
         broker.publish(channel, record)
         loop.run_for(5)
-        hits, service_ms, searched = node.search(
+        hits, service_ms, work = node.search(
             "coll", "vector", record.columns["vector"][1], 2,
             MetricType.EUCLIDEAN)
         assert hits[0][0].pk == 2
         assert service_ms > 0
-        assert searched == 1
+        assert work.segments == len(work.scans) == 1
 
     def test_non_owned_channel_no_growing_data(self, rig, schema, rng):
         loop, broker, store, config, channel = rig

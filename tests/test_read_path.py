@@ -16,7 +16,8 @@ import pytest
 from repro import Collection, Tenant, connect, connections
 from repro.api.rest import RestApi
 from repro.cluster.manu import ManuCluster
-from repro.config import ManuConfig, QueryConfig, SegmentConfig
+from repro.config import ManuConfig, QueryConfig, SegmentConfig, \
+    TracingConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.core.multivector import MultiVectorQuery, search_segment
 from repro.core.schema import (
@@ -25,9 +26,10 @@ from repro.core.schema import (
 from repro.errors import ExpressionError, IndexBuildError, InvalidQuery, \
     ManuError, QuotaExceeded
 from repro.index.base import SearchStats
+from repro.profiling.profile import StageProfile
 from repro.tenancy import TenantQuota
 from repro.tenancy.metering import READ_UNIT_BYTES, READ_UNIT_ROWS
-from repro.tracing import SPAN_ERROR
+from repro.tracing import SPAN_ERROR, Span
 
 STRONG = ConsistencyLevel.STRONG
 READ_VERBS = ("search_multivector", "range_search")
@@ -191,6 +193,49 @@ class TestValidationOnceTyped:
         assert len(cluster.range_search(
             "c", np.zeros(8), 100.0, field="image", consistency=STRONG,
             limit=7)) == 7
+
+    @pytest.mark.parametrize("expr", [0, False, [], ""],
+                             ids=["zero", "false", "empty-list", "empty"])
+    def test_only_none_means_no_filter(self, rng, expr):
+        """A falsy filter of any kind used to read as "no filter" and
+        return unfiltered hits; every value but None is parsed."""
+        config = ManuConfig().with_overrides(
+            query=QueryConfig(batch_window_ms=5.0))
+        cluster = ManuCluster(config=config, num_query_nodes=2)
+        cluster.create_collection("c", _schema())
+        cluster.insert("c", _rows(rng, range(50)))
+        cluster.run_for(500)
+        proxy = cluster.proxy()
+        with _NoFanOut(cluster):
+            for call in (
+                    lambda: cluster.search("c", _q(), 3, field="image",
+                                           expr=expr),
+                    lambda: cluster.range_search("c", _q(), 100.0,
+                                                 field="image", expr=expr),
+                    lambda: proxy.submit_search("c", _q(), 3, field="image",
+                                                expr=expr)):
+                with pytest.raises(ExpressionError):
+                    call()
+        assert proxy.flush_batches() == 0
+        status, body = RestApi(cluster).handle(
+            "POST", "/collections/c/search",
+            {"vector": [0.0] * 8, "field": "image", "limit": 3,
+             "expr": expr})
+        assert status == 400 and "expression" in body["error"]
+        assert len(cluster.range_search("c", _q(), 100.0, field="image",
+                                        expr=None, consistency=STRONG)) == 50
+
+    @pytest.mark.parametrize("pk", [[1], {}, np.array([1, 2])],
+                             ids=["list", "dict", "ndarray"])
+    def test_unhashable_pk_refused_before_a_timestamp(self, rng, monkeypatch,
+                                                     pk):
+        cluster = _loaded(rng, rows=50)
+        monkeypatch.setattr(
+            cluster.tso, "allocate_packed",
+            lambda: pytest.fail("the refused get allocated a timestamp"))
+        with _NoFanOut(cluster), pytest.raises(InvalidQuery,
+                                               match="hashable"):
+            cluster.get("c", [2, pk])
 
     def test_negative_similarity_threshold_is_a_legal_radius(self, rng):
         cluster = _loaded(rng, rows=50)
@@ -641,3 +686,114 @@ class TestOneCounterFamily:
         assert cluster.stats_snapshot()["cluster_query_nodes.value"] == 2
         # Every read is serving load for the rebalancer's attribution.
         assert cluster.proxies[0].search_counts == {"c": 4}
+
+
+# ----------------------------------------------------------------------
+# the planes agree: one report per node, one emitter
+# ----------------------------------------------------------------------
+
+
+def _observed_cluster(rng, **sections):
+    """Two nodes holding sealed (indexed) and growing segments of the
+    tenant collection ``t::c``, every request traced."""
+    config = ManuConfig().with_overrides(
+        segment=SegmentConfig(seal_entity_count=64), **sections)
+    cluster = ManuCluster(config=config, num_query_nodes=2)
+    cluster.create_tenant("t")
+    name = cluster.tenant_create_collection("t", "c", _schema())
+    for start in range(0, 200, 50):
+        cluster.insert(name, _rows(rng, range(start, start + 50)),
+                       tenant="t")
+        cluster.run_for(200)
+    cluster.create_index(name, "image", "IVF_FLAT", MetricType.EUCLIDEAN,
+                         {"nlist": 4, "nprobe": 2})
+    assert cluster.wait_for_indexes(name)
+    cluster.insert(name, _rows(rng, range(500, 530)), tenant="t")
+    cluster.run_for(500)
+    return cluster
+
+
+class TestPlanesAgree:
+    def _requests(self, cluster, rng):
+        """(verb, call) for every read shape: filtered and unfiltered
+        searches of one and five rows, a multi-vector search, a range
+        search and a point read."""
+        options = {"tenant": "t", "consistency": STRONG}
+        for nq in (1, 5):
+            for expr in (None, "price < 6"):
+                yield "search", lambda nq=nq, expr=expr: cluster.search(
+                    "c", rng.standard_normal((nq, 8)), 5, field="image",
+                    expr=expr, **options)
+        yield "search_multivector", lambda: cluster.search_multivector(
+            "c", _mv_query(rng), 5, **options)
+        yield "range_search", lambda: cluster.range_search(
+            "c", rng.standard_normal(8), 3.0, field="image", **options)
+        yield "get", lambda: cluster.get("c", [1, 2, 3, 505], **options)
+
+    def test_spans_stages_and_read_units_name_the_same_work(self, rng):
+        cluster = _observed_cluster(rng)
+        cluster.slowlog.threshold_ms = 1e-9     # captures every read
+        tracer, meter = cluster.tracer, cluster.cost_meter
+        paths = set()
+        for verb, call in self._requests(cluster, rng):
+            before = set(tracer.trace_ids())
+            usage = meter.usage("t")
+            was = (usage.read_units, usage.rows_scanned,
+                   usage.bytes_materialized)
+            call()
+            (tid,) = [t for t in tracer.trace_ids() if t not in before]
+            profile = cluster.slowlog.entries()[-1].profile
+            assert profile.trace_id == tid and profile.verb == verb
+            tree = tracer.span_tree(tid)
+            spans = [s for s in tree[tracer.root(tid).span_id]
+                     if s.name == "query_node.scan"]
+            stages = profile.node_stages()
+            assert len(spans) == len(stages) == 2
+            for span, stage in zip(spans, stages):
+                children = tree.get(span.span_id, [])
+                assert span.component == f"query-node:{stage.meta['node']}"
+                if verb == "get":       # a point read scans nothing
+                    assert children == [] and stage.children == []
+                    assert set(stage.meta) == {"node", "queue_ms"}
+                else:
+                    assert [s.name for s in children[:-1]] == \
+                        ["segment.scan"] * (len(children) - 1)
+                    assert [s.name for s in stage.children] == \
+                        ["segment.scan"] * (len(stage.children) - 1) \
+                        + ["query_node.reduce"]
+                    assert children[-1].name == "query_node.reduce"
+                    assert [s.tags["segment"] for s in children[:-1]] == \
+                        [s.meta["segment"] for s in stage.children[:-1]]
+                    paths.update(s.meta["path"] for s in stage.children[:-1])
+                for key in ("queue_ms", "service_ms", "segments"):
+                    if verb != "get" or key in stage.meta:
+                        assert span.tags[key] == stage.meta[key]
+            totals = profile.totals()
+            usage = meter.usage("t")
+            assert usage.rows_scanned - was[1] == totals["rows_scanned"]
+            assert usage.bytes_materialized - was[2] == \
+                totals["bytes_materialized"]
+            assert usage.read_units - was[0] == pytest.approx(
+                _units(totals), rel=1e-12)
+        assert {"growing", "index"} <= paths
+
+    def test_unobserved_reads_build_no_segment_span_or_stage(self, rng,
+                                                             monkeypatch):
+        cluster = _observed_cluster(rng,
+                                    tracing=TracingConfig(enabled=False))
+        assert not cluster.slowlog.enabled
+        made = []
+        for cls in (Span, StageProfile):
+            real = cls.__init__
+
+            def counted(self, *args, real=real, **kwargs):
+                real(self, *args, **kwargs)
+                made.append((type(self).__name__, self.name))
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        for _verb, call in self._requests(cluster, rng):
+            call()
+        assert made and {kind for kind, _name in made} == {"Span"}
+        names = {name for _kind, name in made}
+        assert not names & {"segment.scan", "query_node.reduce"}
+        assert "query_node.scan" in names   # unsampled, for the span ids

@@ -129,3 +129,38 @@ class TestRetentionCleansOrphans:
         restored = cluster.time_travel("c", t_after)
         pks = {pk for seg in restored.values() for pk in seg.pks}
         assert pks == set(range(40))
+
+
+class TestUpsertAfterFlush:
+    """An upsert whose old version was already flushed: the old version's
+    persisted delete delta reaches the binlog it was flushed in, never
+    the row that replaced it."""
+
+    @pytest.mark.parametrize("checkpoint_first", [False, True],
+                             ids=["new-row-in-a-binlog", "new-row-replayed"])
+    def test_the_new_version_is_restored(self, schema, rng,
+                                         checkpoint_first):
+        cluster = ManuCluster(num_query_nodes=1)
+        cluster.create_collection("c", schema)
+        insert(cluster, rng, range(100))
+        cluster.flush("c")
+        if checkpoint_first:
+            cluster.checkpoint("c")     # the upsert is replayed from the WAL
+        new = rng.standard_normal((1, 8)).astype(np.float32)
+        cluster.upsert("c", {"pk": [7], "vector": new})
+        cluster.run_for(3_000)          # housekeeping persists the delta
+        assert cluster.store.list("delta/c/")
+        if not checkpoint_first:
+            cluster.flush("c")
+            cluster.checkpoint("c")     # the upsert is in a binlog
+        assert set(cluster.get("c", [7])) == {7}
+
+        restored = cluster.time_travel("c", cluster.now())
+        live = [(segment, row) for segment in restored.values()
+                for row, pk in enumerate(segment.pks)
+                if pk == 7 and not segment.deleted_mask()[row]]
+        assert len(live) == 1
+        segment, row = live[0]
+        np.testing.assert_array_equal(segment.column("vector")[row], new[0])
+        assert sum(segment.num_rows - segment.num_deleted
+                   for segment in restored.values()) == 100
