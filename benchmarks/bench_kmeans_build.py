@@ -7,7 +7,7 @@ of PQ / OPQ / RQ / IMI, the SSD index's balanced tree and the temporary
 index of every growing slice all call ``repro.index.kmeans.kmeans``.  This
 benchmark times it against ``kmeans_reference`` — the loop that recomputed
 the row norms, three ``(n, k)`` temporaries and all ``k`` centroids every
-round, kept verbatim in ``tests/test_index_distances_kmeans.py`` as the
+round, kept verbatim in ``tests/reference/build.py`` as the
 oracle — on the three shapes that matter:
 
 * **sealed** 4096 x 128, k=64: one sealed segment's ``IVF_FLAT`` build
@@ -50,7 +50,7 @@ from repro.datasets.synthetic import make_sift_like
 from repro.index.kmeans import kmeans
 
 from conftest import print_series
-from tests.test_index_distances_kmeans import kmeans_reference
+from tests.reference.build import kmeans_reference
 
 QUICK = os.environ.get("MANU_BENCH_QUICK", "") not in ("", "0")
 

@@ -22,7 +22,7 @@ Four measurements:
   (record-at-a-time acks are 0 ms by construction);
 * **memtable flush** (wall-clock): the entity->segment LSM tree turning a
   full memtable into an SSTable blob, microseconds per key, against the
-  per-key reference kept in ``tests/test_write_path_oracles.py`` — and
+  per-key reference kept in ``tests/reference/build.py`` — and
   ``blob_equal``: the two blobs are the same bytes.  The ``ROWS`` appends
   above trip one flush between them, so the throughput series never saw
   this cost;
@@ -54,7 +54,7 @@ from repro.storage.lsm import LsmTree
 from repro.storage.object_store import ObjectStore
 
 from conftest import print_series
-from tests.test_write_path_oracles import reference_sstable_bytes
+from tests.reference.build import reference_sstable_bytes
 
 QUICK = os.environ.get("MANU_BENCH_QUICK", "") not in ("", "0")
 

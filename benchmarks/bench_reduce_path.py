@@ -9,7 +9,7 @@ scans hand to :class:`~repro.core.results.HitBlock` — and compares
 * the **reference** path: ``hits_from_arrays`` materializing one
   ``SearchHit`` per candidate, ``merge_topk_reference`` (``heapq.merge``
   plus a seen-set) per query at the node and proxy levels; this is the
-  pre-HitBatch implementation, kept in ``tests/test_core_results.py`` as
+  pre-HitBatch implementation, kept in ``tests/reference/reduce.py`` as
   the oracle;
 * the **block** path, what ``QueryNode._scan`` and the proxy do: the
   segments' ``(nq, k)`` blocks side by side, one ``merge_topk`` per node
@@ -42,7 +42,7 @@ import numpy as np
 from repro.core.results import HitBlock, hits_from_arrays, merge_topk
 
 from conftest import print_series
-from tests.test_core_results import merge_topk_reference
+from tests.reference.reduce import merge_topk_reference
 
 QUICK = os.environ.get("MANU_BENCH_QUICK", "") not in ("", "0")
 

@@ -731,15 +731,22 @@ class ManuCluster:
             referenced.update(checkpoint.flushed_segments)
         new_ids = []
         for group in policy.plan(metas):
+            retired = [key.rsplit("/", 1)[1] for key, state
+                       in self.metastore.field_values(
+                           f"segments/{collection}/", "state")
+                       if state == "compacted"]
             manifest = compact_segments(
                 self.store, collection, group, deleted,
-                keep_inputs=[sid for sid in group if sid in referenced])
-            # Register the merged segment and retire the inputs.
-            self.metastore.put(
-                f"segments/{collection}/{manifest.segment_id}",
-                {"shard": -1, "state": "flushed",
-                 "num_rows": manifest.num_rows,
-                 "max_lsn": manifest.max_lsn, "channel_offset": 0})
+                keep_inputs=[sid for sid in group if sid in referenced],
+                retired=retired)
+            # Register the merged segment (a group with no live row has
+            # none) and retire the inputs.
+            if manifest is not None:
+                self.metastore.put(
+                    f"segments/{collection}/{manifest.segment_id}",
+                    {"shard": -1, "state": "flushed",
+                     "num_rows": manifest.num_rows,
+                     "max_lsn": manifest.max_lsn, "channel_offset": 0})
             for old in group:
                 self.metastore.put(f"segments/{collection}/{old}",
                                    {"state": "compacted"})
@@ -749,6 +756,8 @@ class ManuCluster:
                     node = self.query_coord._nodes.get(name)
                     if node is not None:
                         node.release_segment(collection, old)
+            if manifest is None:
+                continue
             self.query_coord._assign_segment(collection,
                                              manifest.segment_id)
             for field in self.index_coord.index_specs_for(collection):

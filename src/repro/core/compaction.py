@@ -15,7 +15,7 @@ return its manifest so coordinators can swap routing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -86,7 +86,8 @@ def compact_segments(store: ObjectStore, collection: str,
                      segment_ids: Sequence[str],
                      deleted_pks: Mapping[str, set] | set = frozenset(),
                      keep_inputs: Sequence[str] = (),
-                     ) -> BinlogManifest:
+                     retired: Iterable[str] = (),
+                     ) -> Optional[BinlogManifest]:
     """Merge segments' binlogs into one new segment, dropping deletions.
 
     ``deleted_pks`` is either a flat set of primary keys or a mapping
@@ -95,7 +96,10 @@ def compact_segments(store: ObjectStore, collection: str,
     must not write over a live one); input binlogs are deleted after the
     merged one is durably written — except those listed in ``keep_inputs``
     (typically because a time-travel checkpoint still references them;
-    retention removes them later).
+    retention removes them later).  A group with no live row writes no
+    segment and returns ``None``; its inputs are deleted all the same.
+    ``retired`` lists compacted ids whose binlogs are gone: they are not
+    numbered again, because an index route may outlive its binlog.
     """
     if not segment_ids:
         raise ValueError("compaction needs at least one segment")
@@ -138,13 +142,14 @@ def compact_segments(store: ObjectStore, collection: str,
             out_columns[name] = [x for chunk in chunks for x in chunk]
 
     taken = [int(segment_id.rsplit("-", 1)[1])
-             for segment_id in reader.list_segments(collection)
+             for segment_id in (*reader.list_segments(collection), *retired)
              if segment_id.startswith("compacted-")]
     new_id = f"compacted-{max(taken, default=0) + 1:06d}"
-    manifest = writer.write_segment(collection, new_id, all_pks,
-                                    out_columns, max_lsn)
+    compacted = writer.write_segment(collection, new_id, all_pks,
+                                     out_columns, max_lsn) \
+        if all_pks else None
     protected = set(keep_inputs)
     for segment_id in segment_ids:
         if segment_id not in protected:
             reader.delete_segment(collection, segment_id)
-    return manifest
+    return compacted

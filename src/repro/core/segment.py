@@ -258,7 +258,15 @@ class Segment:
                     f"shape {shape} for {n} pks")
 
     def apply_delete(self, pks: Sequence, lsn: int) -> int:
-        """Mark rows deleted in the bitmap; returns how many matched."""
+        """Mark rows deleted in the bitmap; returns how many matched.
+
+        A sealed segment ignores a delete no newer than its newest insert:
+        every such delete either reached it while it grew on the same FIFO
+        channel or was dropped by compaction, so a replayed one (an
+        upsert's, say) would only hit the newer version of its pk.
+        """
+        if self.is_sealed and lsn <= self.max_insert_lsn:
+            return 0
         count = 0
         for pk in pks:
             row = self._pk_rows.get(pk)

@@ -61,6 +61,9 @@ class DataNode:
         # (collection, segment_id) -> growing Segment
         self._growing: dict[tuple[str, str], Segment] = {}
         self._segment_shard: dict[tuple[str, str], int] = {}
+        # Growing segment -> offset of the first entry that fed it: a
+        # replay must start there for the segment's rows to come back.
+        self._first_offsets: dict[tuple[str, str], int] = {}
         self._channel_offsets: dict[str, int] = {}
         # (collection, shard) -> {pk: latest delete ts}.  Keyed (not
         # appended) so a WAL replay of the same deletion is absorbed
@@ -126,7 +129,7 @@ class DataNode:
         self._channel_offsets[entry.channel] = entry.offset + 1
         for record in data_records(entry.payload):
             if isinstance(record, InsertRecord):
-                self._apply_insert(record)
+                self._apply_insert(record, entry.offset)
             else:
                 self._apply_delete(record)
 
@@ -144,10 +147,11 @@ class DataNode:
             self._growing[key] = segment
         return self._growing[key]
 
-    def _apply_insert(self, record: InsertRecord) -> None:
-        segment = self._segment(record.collection, record.segment_id)
-        self._segment_shard[(record.collection, record.segment_id)] = \
-            record.shard
+    def _apply_insert(self, record: InsertRecord, offset: int) -> None:
+        key = (record.collection, record.segment_id)
+        segment = self._segment(*key)
+        self._segment_shard[key] = record.shard
+        self._first_offsets.setdefault(key, offset)
         if record.ts <= segment.max_insert_lsn:
             return  # WAL replay of a batch this segment already holds
         segment.append(list(record.pks), dict(record.columns), record.ts,
@@ -275,6 +279,7 @@ class DataNode:
         """
         key = (collection, segment_id)
         segment = self._growing.pop(key, None)
+        self._first_offsets.pop(key, None)
         if segment is None or segment.num_rows == 0:
             return None
         parent = TraceContext.from_wire(trace_parent) \
@@ -291,8 +296,7 @@ class DataNode:
             return None
         write_ms = self._cost.object_write(
             sum(_nbytes(v) for v in columns.values()))
-        channel_offset = self._channel_offsets.get(
-            shard_channel(collection, shard), 0)
+        channel_offset = self._replay_offset(collection, shard)
         flush_span = self._tracer.start_span(
             "data_node.flush", self._component, parent=parent,
             collection=collection, segment=segment_id, rows=len(pks))
@@ -341,6 +345,17 @@ class DataNode:
         if self._flush_hist is not None:
             self._flush_hist.observe(write_ms)
         return segment_id
+
+    def _replay_offset(self, collection: str, shard: int) -> int:
+        """Where a replay of the shard channel must start: the first entry
+        of the oldest segment still growing on it, else the consumed
+        offset (a flush may fire while a newer segment's rows arrive)."""
+        return min((offset for (coll, sid), offset
+                    in self._first_offsets.items()
+                    if coll == collection
+                    and self._segment_shard[(coll, sid)] == shard),
+                   default=self._channel_offsets.get(
+                       shard_channel(collection, shard), 0))
 
     def growing_segments(self) -> list[tuple[str, str, int]]:
         """(collection, segment_id, rows) of in-memory growing segments."""

@@ -248,22 +248,19 @@ class QueryNode:
         segment.temp_index_enabled = False  # sealed data gets real indexes
         segment.append(list(manifest.pks), columns, manifest.max_lsn)
         segment.seal()
-        history = self._seen_deletes.get(collection, {})
-        late = [pk for pk, ts in history.items() if ts > manifest.max_lsn]
-        if late:
-            segment.apply_delete(late, max(history[pk] for pk in late))
+        # The sealed segment keeps only deletions newer than its binlog.
+        for pk, ts in self._seen_deletes.get(collection, {}).items():
+            segment.apply_delete([pk], ts)
         # Deletions that predate this node's log subscription live in the
         # persisted delete-delta logs (WAL retention may have dropped
-        # them); re-apply any newer than the binlog's progress.  The log
-        # is cached per collection so a bulk load of N segments costs one
-        # object-store read, not N.
+        # them).  The log is cached per collection so a bulk load of N
+        # segments costs one object-store read, not N.
         deltas = self._delta_cache.get(collection)
         if deltas is None:
             deltas = read_delete_deltas(self._store, collection)
             self._delta_cache[collection] = deltas
         for pk, ts in deltas:
-            if ts > manifest.max_lsn:
-                segment.apply_delete([pk], ts)
+            segment.apply_delete([pk], ts)
         self._register(key, segment)
         self._growing_ids.discard(key)
         nbytes = sum(v.nbytes if isinstance(v, np.ndarray)

@@ -1,8 +1,9 @@
-"""Seeded schedule-shuffle sweep: one chaos scenario, many legal orders.
+"""The chaos driver and the seeded schedule-shuffle sweep that replays it.
 
-The scenario is *operation-deterministic*: its operation stream comes from
-a numpy RNG with a fixed seed, so across runs the only varying input is
-the :class:`~repro.sim.clock.SchedulePolicy` — which same-tick order the
+:func:`run_chaos_scenario` is the one seeded cluster op stream checked
+against a dict model, after every step.  The sweep replays one op
+stream; across runs the only varying input is the
+:class:`~repro.sim.clock.SchedulePolicy` — which same-tick order the
 event loop picks and how broker delivery flushes jitter.  Any difference
 in the final semantic state is therefore an order-dependence bug, pinned
 to the schedule seed that produced it.
@@ -35,8 +36,7 @@ from repro.sim.clock import (
 #: collection name used by the chaos scenario.
 COLLECTION = "race"
 
-#: numpy seed feeding the *operation* stream.  Fixed: the sweep varies the
-#: schedule, never the workload.
+#: the sweep's op-stream seed: it varies the schedule, never the workload.
 OPS_SEED = 0
 
 #: vector dimensionality of the scenario's collection.
@@ -129,19 +129,81 @@ def inject_crash(cluster: ManuCluster) -> str:
     return victim
 
 
+#: the op stream's choices; ``run`` only lets virtual time pass.
+OPS = ("insert", "insert", "insert", "upsert", "delete", "delete", "flush",
+       "compact", "fail_node", "add_node", "remove_node", "logger_churn",
+       "run")
+
+#: a range-search row this close (L2) to the radius may fall either side:
+#: the ``|q|^2 - 2q.v + |v|^2`` expansion puts an exact duplicate at ~2e-3.
+RADIUS_SLACK = 1e-2
+
+
+def _sample(rng: np.random.Generator, pks: list, most: int) -> list:
+    return [pks[int(i)] for i in
+            rng.choice(len(pks), min(most, len(pks)), replace=False)]
+
+
+def check_against_model(cluster: ManuCluster, model: dict[int, np.ndarray],
+                        deleted: set, rng: np.random.Generator
+                        ) -> Optional[str]:
+    """What a STRONG client sees against the model; the first
+    disagreement, or ``None``."""
+    strong = ConsistencyLevel.STRONG
+    live = sorted(model)
+    if live:
+        sample = _sample(rng, live, 8)
+        got = cluster.get(COLLECTION, sample, consistency=strong)
+        if sorted(got) != sorted(sample):
+            return f"get of live {sorted(sample)} returned {sorted(got)}"
+        for pk in sample:
+            if not np.array_equal(got[pk]["vector"], model[pk]):
+                return f"get({pk}) returned a vector the model never held"
+    if deleted:
+        sample = _sample(rng, sorted(deleted), 8)
+        got = cluster.get(COLLECTION, sample, consistency=strong)
+        if got:
+            return f"get of deleted {sorted(sample)} returned {sorted(got)}"
+    if live:
+        probe = live[int(rng.integers(len(live)))]
+        query = model[probe]
+        pks = cluster.search(COLLECTION, query, 5, consistency=strong)[0].pks
+        if not pks or pks[0] != probe or any(pk not in model for pk in pks):
+            return f"search for pk {probe}'s own vector returned {pks}"
+        radius = float(rng.uniform(1.0, 4.5))
+        vectors = np.stack([model[pk] for pk in live]).astype(np.float64)
+        dists = np.sqrt(((vectors - query) ** 2).sum(axis=1))
+        edge = {pk for pk, d in zip(live, dists)
+                if abs(d - radius) <= RADIUS_SLACK}
+        want = {pk for pk, d in zip(live, dists) if d < radius} - edge
+        hits = cluster.range_search(COLLECTION, query, radius,
+                                    consistency=strong).pks
+        if set(hits) - edge != want:
+            return (f"range_search(pk {probe}, radius {radius:.3f}) "
+                    f"returned {sorted(set(hits) - edge)}, model "
+                    f"{sorted(want)}")
+    rows = cluster.collection_row_count(COLLECTION)
+    if rows != len(model):
+        return f"collection_row_count {rows}, model {len(model)}"
+    return None
+
+
 def run_chaos_scenario(policy: SchedulePolicy, steps: int = 30,
                        trace: bool = False,
                        crash_step: Optional[int] = None,
+                       ops_seed: int = OPS_SEED,
                        ) -> tuple[ManuCluster, dict[int, np.ndarray]]:
-    """Run the fixed chaos scenario under ``policy``.
+    """Run the op stream of ``ops_seed`` under ``policy``; after every
+    step and once settled, :func:`check_against_model` must find nothing,
+    else ``AssertionError`` names the op seed, schedule, step and op.
 
     Returns the settled cluster and the model of expected live entities
-    (pk -> vector).  The operation stream (inserts, deletes, flushes,
-    compactions, node failures, logger churn) is identical for every
-    policy; only event interleaving differs.  ``crash_step`` injects
-    :func:`inject_crash` after that step's operation has settled.
+    (pk -> vector).  ``crash_step`` injects :func:`inject_crash` after
+    that step's operation; the checks draw from their own RNG, so the op
+    stream is the same for every policy and crash point.
     """
-    rng = np.random.default_rng(OPS_SEED)
+    rng = np.random.default_rng(ops_seed)
+    check_rng = np.random.default_rng([ops_seed, 1])
     cluster = _build_cluster(policy, trace=trace)
     schema = CollectionSchema([
         FieldSchema("pk", DataType.INT64, is_primary=True),
@@ -152,30 +214,41 @@ def run_chaos_scenario(policy: SchedulePolicy, steps: int = 30,
                          MetricType.EUCLIDEAN, {"nlist": 4, "nprobe": 4})
 
     model: dict[int, np.ndarray] = {}
+    deleted: set[int] = set()
     next_pk = 0
     logger_seq = 0
 
+    def check(step, op, failure: Optional[str] = None) -> None:
+        failure = failure or check_against_model(cluster, model, deleted,
+                                                 check_rng)
+        if failure is not None:
+            raise AssertionError(
+                f"ops seed {ops_seed}, schedule {policy.name} "
+                f"seed={policy.seed}, step {step} ({op}): {failure}")
+
     for step in range(steps):
-        op = rng.choice(
-            ["insert", "insert", "insert", "delete", "delete", "flush",
-             "compact", "fail_node", "add_node", "remove_node",
-             "logger_churn", "run"])
+        op = str(rng.choice(OPS))
         if op == "insert":
             n = int(rng.integers(5, 40))
             pks = list(range(next_pk, next_pk + n))
             vectors = rng.standard_normal((n, DIM)).astype(np.float32)
             cluster.insert(COLLECTION, {"pk": pks, "vector": vectors})
-            for pk, vec in zip(pks, vectors):
-                model[pk] = vec
+            model.update(zip(pks, vectors))
             next_pk += n
+        elif op == "upsert" and model:
+            pks = _sample(rng, sorted(model), int(rng.integers(1, 8)))
+            vectors = rng.standard_normal((len(pks), DIM)).astype(np.float32)
+            cluster.upsert(COLLECTION, {"pk": pks, "vector": vectors})
+            model.update(zip(pks, vectors))
         elif op == "delete" and model:
-            count = min(len(model), int(rng.integers(1, 6)))
-            victims = [sorted(model)[int(i)] for i in
-                       rng.choice(len(model), count, replace=False)]
+            victims = _sample(rng, sorted(model), int(rng.integers(1, 6)))
             expr = "pk in [" + ", ".join(map(str, victims)) + "]"
-            cluster.delete(COLLECTION, expr)
+            count = cluster.delete(COLLECTION, expr)
+            if count != len(victims):
+                check(step, op, f"deleted {count} of {len(victims)} pks")
             for pk in victims:
                 model.pop(pk)
+            deleted.update(victims)
         elif op == "flush":
             cluster.flush(COLLECTION)
         elif op == "compact":
@@ -201,11 +274,13 @@ def run_chaos_scenario(policy: SchedulePolicy, steps: int = 30,
         cluster.run_for(float(rng.integers(50, 400)))
         if crash_step is not None and step == crash_step:
             inject_crash(cluster)
+        check(step, op)
 
     # Settle: let deliveries, seals, handoffs and index builds complete so
     # the fingerprint reads a quiescent cluster, not an in-flight one.
     cluster.flush(COLLECTION)
     cluster.run_for(2_000)
+    check(steps, "settle")
     return cluster, model
 
 

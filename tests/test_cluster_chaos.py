@@ -1,18 +1,14 @@
-"""Chaos test: random cluster operations validated against a model.
+"""Chaos tests: the cluster under churn, checked against what a client sees.
 
-A seeded random schedule of inserts, deletes, flushes, compactions,
-query-node failures, scale-ups/downs, logger churn and index builds runs
-against the full cluster, while a plain dict tracks the expected live
-entities.  After every step the cluster must agree with the model on:
-
-* the live row count;
-* exact top-1 search for a randomly chosen live entity's own vector
-  (strong consistency);
-* absence of deleted entities from results.
-
-This is the whole paper's machinery exercised under churn — handoff,
-recovery, replay, bitmaps, compaction routing — with correctness defined
-by a three-line model.
+The op-stream test runs the one chaos driver
+(:func:`repro.race.runner.run_chaos_scenario`) over several op seeds: a
+seeded stream of inserts, upserts, deletes, flushes, compactions,
+query-node failures, scale-ups/downs and logger churn, with the cluster
+checked against a dict model after every step (row count, point reads,
+self-search, range search — all STRONG) and the broker asserting
+per-WAL-channel timestamp monotonicity throughout.  This is the whole
+paper's machinery exercised under churn — handoff, recovery, replay,
+bitmaps, compaction routing — with correctness defined by a dict.
 """
 
 import numpy as np
@@ -21,110 +17,24 @@ import pytest
 from repro.cluster.manu import ManuCluster
 from repro.config import ManuConfig, SegmentConfig
 from repro.core.consistency import ConsistencyLevel
-from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
-    MetricType
+from repro.core.schema import CollectionSchema, DataType, FieldSchema
+from repro.race.runner import (
+    cluster_fingerprint,
+    diff_fingerprints,
+    run_chaos_scenario,
+)
+from repro.sim.clock import FIFO_POLICY
 
-STEPS = 40
+#: 11, 23 and 57 are the historical seeds.  Without the sealed-segment
+#: delete rule 3, 23, 29, 38 and 62 lose upserted rows when a query node
+#: joins; without the flush replay offset 29 and 75 lose acked rows on
+#: failover; 1 and 46 compact a group whose rows are all deleted.
+OPS_SEEDS = [1, 3, 11, 23, 29, 38, 46, 57, 62, 75]
 
 
-def _nearest(model: dict, query: np.ndarray) -> int:
-    pks = sorted(model)
-    vectors = np.stack([model[pk] for pk in pks])
-    dists = ((vectors - query) ** 2).sum(axis=1)
-    return pks[int(dists.argmin())]
-
-
-@pytest.mark.parametrize("seed", [11, 23, 57])
-def test_chaos_schedule_against_model(seed, monkeypatch):
-    # MANU_CHECK: the broker asserts per-WAL-channel timestamp
-    # monotonicity on every publish for the whole chaos run.
-    monkeypatch.setenv("MANU_CHECK", "1")
-    rng = np.random.default_rng(seed)
-    config = ManuConfig(segment=SegmentConfig(
-        seal_entity_count=64, slice_size=32, compaction_min_size=48,
-        compaction_target_size=192))
-    cluster = ManuCluster(config=config, num_query_nodes=2,
-                          num_index_nodes=1, num_loggers=2)
-    schema = CollectionSchema([
-        FieldSchema("pk", DataType.INT64, is_primary=True),
-        FieldSchema("vector", DataType.FLOAT_VECTOR, dim=12),
-    ])
-    cluster.create_collection("chaos", schema)
-    cluster.create_index("chaos", "vector", "IVF_FLAT",
-                         MetricType.EUCLIDEAN, {"nlist": 4, "nprobe": 4})
-
-    model: dict[int, np.ndarray] = {}
-    next_pk = 0
-    logger_seq = 0
-
-    def check():
-        cluster.run_for(200)
-        assert cluster.collection_row_count("chaos") == len(model)
-        if model:
-            probe = sorted(model)[int(rng.integers(len(model)))]
-            result = cluster.search(
-                "chaos", model[probe], 1,
-                consistency=ConsistencyLevel.STRONG)[0]
-            assert result.pks, "live data must be searchable"
-            assert result.pks[0] == _nearest(model, model[probe])
-
-    for step in range(STEPS):
-        op = rng.choice(
-            ["insert", "insert", "insert", "delete", "flush", "compact",
-             "fail_node", "add_node", "remove_node", "logger_churn"],
-        )
-        if op == "insert":
-            n = int(rng.integers(5, 40))
-            pks = list(range(next_pk, next_pk + n))
-            vectors = rng.standard_normal((n, 12)).astype(np.float32)
-            cluster.insert("chaos", {"pk": pks, "vector": vectors})
-            for pk, vec in zip(pks, vectors):
-                model[pk] = vec
-            next_pk += n
-        elif op == "delete" and model:
-            count = min(len(model), int(rng.integers(1, 6)))
-            victims = [sorted(model)[int(i)] for i in
-                       rng.choice(len(model), count, replace=False)]
-            expr = "pk in [" + ", ".join(map(str, victims)) + "]"
-            deleted = cluster.delete("chaos", expr)
-            assert deleted == len(set(victims))
-            for pk in victims:
-                model.pop(pk)
-        elif op == "flush":
-            cluster.flush("chaos")
-        elif op == "compact":
-            cluster.flush("chaos")
-            cluster.compact("chaos")
-        elif op == "fail_node":
-            if cluster.num_query_nodes > 1:
-                names = cluster.query_coord.node_names
-                cluster.fail_query_node(
-                    names[int(rng.integers(len(names)))])
-        elif op == "add_node":
-            if cluster.num_query_nodes < 5:
-                cluster.add_query_node()
-        elif op == "remove_node":
-            if cluster.num_query_nodes > 2:
-                cluster.remove_query_node()
-        elif op == "logger_churn":
-            cluster.add_logger(f"chaos-logger-{logger_seq}")
-            logger_seq += 1
-            if len(cluster.logger_service.logger_names) > 3:
-                victim = cluster.logger_service.logger_names[0]
-                cluster.fail_logger(victim)
-        check()
-
-    # Final deep check: several probes and full-count agreement.
-    cluster.run_for(500)
-    assert cluster.collection_row_count("chaos") == len(model)
-    for _ in range(5):
-        if not model:
-            break
-        probe = sorted(model)[int(rng.integers(len(model)))]
-        result = cluster.search("chaos", model[probe], 3,
-                                consistency=ConsistencyLevel.STRONG)[0]
-        assert result.pks[0] == _nearest(model, model[probe])
-        assert all(pk in model for pk in result.pks)
+@pytest.mark.parametrize("ops_seed", OPS_SEEDS)
+def test_chaos_schedule_against_model(ops_seed):
+    run_chaos_scenario(FIFO_POLICY, steps=40, ops_seed=ops_seed)
 
 
 def test_kill_query_node_fires_alert_with_flight_bundle():
@@ -254,13 +164,6 @@ def test_crash_point_recovery_converges_to_uncrashed_fingerprint():
     mid-scenario; the survivors recover via checkpointed binlogs plus
     per-channel WAL replay from recorded flushed offsets, and the
     client-observable fingerprint matches the uncrashed run exactly."""
-    from repro.race.runner import (
-        cluster_fingerprint,
-        diff_fingerprints,
-        run_chaos_scenario,
-    )
-    from repro.sim.clock import FIFO_POLICY
-
     baseline_cluster, baseline_model = run_chaos_scenario(
         FIFO_POLICY, steps=12)
     baseline_fp = cluster_fingerprint(baseline_cluster, baseline_model)

@@ -25,6 +25,32 @@ def rows(rng, n, dim=16):
             "price": rng.uniform(0, 100, n)}
 
 
+def pk_schema():
+    return CollectionSchema([
+        FieldSchema("pk", DataType.INT64, is_primary=True),
+        FieldSchema("vector", DataType.FLOAT_VECTOR, dim=8),
+    ])
+
+
+def pk_rows(rng, pks):
+    return {"pk": list(pks),
+            "vector": rng.standard_normal((len(pks), 8)).astype(np.float32)}
+
+
+def rolling_segments(rng):
+    """300 rows in batches of 30 over segments sealed at 64 rows: flushes
+    fire while the next segment's first rows are arriving."""
+    config = ManuConfig(segment=SegmentConfig(seal_entity_count=64))
+    cluster = ManuCluster(config=config, num_query_nodes=2)
+    cluster.create_collection("c", pk_schema())
+    for start in range(0, 300, 30):
+        cluster.insert("c", pk_rows(rng, range(start, start + 30)))
+        cluster.run_for(50)
+    cluster.run_for(3_000)
+    assert cluster.collection_row_count("c") == 300
+    return cluster
+
+
 class TestWriteReadPath:
     def test_insert_then_search_strong(self, cluster, schema, rng):
         cluster.create_collection("c", schema)
@@ -188,6 +214,34 @@ class TestFailureRecovery:
         assert result.pks[0] == pks[50]
 
 
+    def test_scale_out_keeps_upserted_rows(self, rng):
+        """A node that joins replays every deletion, an upsert's too; the
+        segment it loads already holds the upserted rows (the parent
+        returned 5 of the 8 pks and counted 97 rows)."""
+        cluster = ManuCluster(num_query_nodes=1)
+        cluster.create_collection("c", pk_schema())
+        cluster.insert("c", pk_rows(rng, range(100)))
+        cluster.flush("c")
+        cluster.upsert("c", pk_rows(rng, range(8)))
+        cluster.flush("c")
+        cluster.add_query_node()
+        cluster.run_for(3_000)
+        got = cluster.get("c", range(8),
+                          consistency=ConsistencyLevel.STRONG)
+        assert sorted(got) == list(range(8))
+        assert cluster.collection_row_count("c") == 100
+
+    def test_failover_keeps_first_rows_of_growing_segment(self, rng):
+        """The channel's new owner replays from where the oldest growing
+        segment began (the parent saw 289 of 300 rows)."""
+        cluster = rolling_segments(rng)
+        cluster.fail_query_node("qn-0")
+        cluster.run_for(3_000)
+        got = cluster.get("c", range(300),
+                          consistency=ConsistencyLevel.STRONG)
+        assert len(got) == cluster.collection_row_count("c") == 300
+
+
 class TestTimeTravel:
     def test_restore_excludes_later_writes(self, cluster, schema, rng):
         cluster.create_collection("c", schema)
@@ -244,6 +298,16 @@ class TestTimeTravel:
             cluster.time_travel("c", cluster.now())
 
 
+    def test_restore_keeps_first_rows_of_growing_segment(self, rng):
+        """A checkpoint's replay offsets cover the growing segments' rows
+        (the parent restored 286 of 300)."""
+        cluster = rolling_segments(rng)
+        cluster.checkpoint("c")
+        cluster.run_for(100)
+        segments = cluster.time_travel("c", cluster.now())
+        assert sum(s.num_live_rows for s in segments.values()) == 300
+
+
 class TestCompaction:
     def test_small_segments_merged(self, schema, rng):
         config = ManuConfig(
@@ -281,6 +345,27 @@ class TestCompaction:
         cluster.run_for(500)
         assert new_ids
         assert cluster.collection_row_count("c") == 20
+
+
+    @pytest.mark.parametrize("indexed", [True, False])
+    def test_group_with_no_live_row_writes_no_segment(self, rng, indexed):
+        """The inputs retire and nothing is written (the parent raised
+        ``IVF_FLAT: empty build data`` with an index declared, and wrote
+        two 0-row segments without one)."""
+        cluster = ManuCluster(num_query_nodes=1)
+        cluster.create_collection("c", pk_schema())
+        if indexed:
+            cluster.create_index("c", "vector", "IVF_FLAT",
+                                 MetricType.EUCLIDEAN, {"nlist": 2})
+        cluster.insert("c", pk_rows(rng, range(10)))
+        cluster.flush("c")
+        assert cluster.wait_for_indexes("c")
+        cluster.delete("c", "pk in [" + ", ".join(map(str, range(10))) + "]")
+        cluster.run_for(200)
+        assert cluster.compact("c") == []
+        assert cluster.data_coord.flushed_segments("c") == []
+        assert cluster.wait_for_indexes("c", max_ms=5_000)
+        assert cluster.collection_row_count("c") == 0
 
 
 class TestMultiProxy:

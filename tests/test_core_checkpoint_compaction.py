@@ -205,6 +205,19 @@ class TestCompactSegments:
         assert sorted(reader.list_segments("coll")) == [
             "compacted-000007", "compacted-000008", "compacted-000009"]
 
+    def test_group_with_no_live_row_writes_nothing(self, rng):
+        """Its inputs go all the same, and a retired id is never numbered
+        again: an index route may outlive its binlog."""
+        store = ObjectStore()
+        self._write(store, rng, "compacted-000003", [1, 2], 10)
+        assert compact_segments(store, "coll", ["compacted-000003"],
+                                deleted_pks={1, 2}) is None
+        assert BinlogReader(store).list_segments("coll") == []
+        self._write(store, rng, "s1", [3], 20)
+        manifest = compact_segments(store, "coll", ["s1"],
+                                    retired=["compacted-000003"])
+        assert manifest.segment_id == "compacted-000004"
+
 
 class TestCheckpointFieldRoundTrip:
     """Property: every Checkpoint field survives write -> restore.

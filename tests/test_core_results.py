@@ -1,8 +1,5 @@
 """Tests for search results and the two-phase top-k reduce."""
 
-import heapq
-from typing import Iterable, Optional, Sequence
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -17,52 +14,7 @@ from repro.core.results import (
     merge_topk,
 )
 from repro.core.schema import MetricType
-
-
-def merge_topk_reference(partials: Sequence[Iterable[SearchHit]],
-                         k: int,
-                         stats: Optional[ReduceStats] = None
-                         ) -> list[SearchHit]:
-    """Object-based reduce, the oracle of the vectorized one.
-
-    This is the pre-HitBatch implementation (``heapq.merge`` over
-    :class:`SearchHit` objects with a seen-set dedup).  The suite below
-    asserts :func:`merge_topk` matches it hit-for-hit, one query at a
-    time and a block at a time, and ``benchmarks/bench_reduce_path.py``
-    measures the speedup against it.
-
-    With ``stats`` the merge is consumed past the ``k``-th unique hit so
-    ``hits_deduped`` counts duplicates over the full candidate set — the
-    vectorized path dedups before truncating, and the short-circuit would
-    otherwise undercount duplicates that sort after the cutoff.  The
-    returned hits are unchanged either way; without ``stats`` the merge
-    still stops at ``k`` (the fast oracle the benches time).
-    """
-    if k <= 0:
-        if stats is not None:
-            stats.batches_merged += len(list(partials))
-        return []
-    partials = [list(p) for p in partials] if stats is not None \
-        else list(partials)
-    merged = heapq.merge(*partials)
-    out: list[SearchHit] = []
-    seen: set = set()
-    dupes = 0
-    for hit in merged:
-        if hit.pk in seen:
-            dupes += 1
-            continue
-        seen.add(hit.pk)
-        if len(out) < k:
-            out.append(hit)
-            if len(out) >= k and stats is None:
-                break
-    if stats is not None:
-        stats.batches_merged += len(partials)
-        stats.candidates_in += sum(len(p) for p in partials)
-        stats.hits_deduped += dupes
-        stats.hits_out += len(out)
-    return out
+from tests.reference.reduce import merge_topk_reference
 
 
 class TestSearchHit:

@@ -4,256 +4,41 @@ Each list-based index type used to carry its own copy of "coarse step ->
 ``for qi in range(nq)`` -> concatenate the probed lists -> decode -> exact
 distances -> top-k".  They are all one scan now
 (:class:`repro.index.ivf.InvertedLists` asked by
-:class:`repro.index.ivf.BucketedIndex`); the copies live on here as the
-references, each next to the file and line it was deleted from.
+:class:`repro.index.ivf.BucketedIndex`); the copies are the references in
+:mod:`tests.reference.scan`, each next to the file and line it was deleted
+from.
 
 What is compared: the hits (distances within a tolerance fixed beforehand
 from the dtype and the data's scale — a list's scores now come from one
 GEMM for the group of queries probing it, which BLAS may round differently
 from a one-row product — and ids equal as sets within each run of
-near-equal distances, see ``assert_same_hits``), and ``SearchStats`` field
-by field.  The grid identities at the end need no tolerance: a catalog
-name and its COMPOSITE spelling run the same code on the same lists.
+near-equal distances, see ``assert_hits_within_tolerance``), and
+``SearchStats`` field by field.  The grid identities at the end need no
+tolerance: a catalog name and its COMPOSITE spelling run the same code on
+the same lists.
 """
-
-import heapq
 
 import numpy as np
 import pytest
 
-from repro.core.schema import MetricType
 from repro.index.base import SearchStats, create_index
-from repro.index.distances import adjusted_distances, first_k_distinct, \
-    squared_l2, topk_smallest
+from repro.index.distances import first_k_distinct, squared_l2
 from repro.index.ivf import FlatCodec, InvertedLists
 from repro.index.pq import ProductQuantizer, effective_metric
 from repro.index.rq import ResidualQuantizer
 from repro.index.sq import ScalarQuantizer
-from tests.test_index_ivf_kernel import METRICS, assert_same_hits, \
-    clustered, lists_of, tolerance
+from tests.reference.compare import DIM, METRICS, \
+    assert_hits_within_tolerance, built_index, clustered, make_corpus, \
+    tolerance
+from tests.reference.scan import lists_of, loop_decode_scan, \
+    loop_flat_adc, loop_imi_probe, loop_ivf_pq, loop_ssd, loop_tiered
 
-DIM = 16
 L2, IP, COS = METRICS
 
 
-# ----------------------------------------------------------------------
-# references: the loops the scan replaced
-# ----------------------------------------------------------------------
-
-def codes_of(index):
-    stored = index._lists
-    return [stored.codes[stored.offsets[c]:stored.offsets[c + 1]]
-            for c in range(stored.nlist)]
-
-
-def charge(stats, codec, rows):
-    if codec.quantized:
-        stats.quantized_comparisons += rows
-    else:
-        stats.float_comparisons += rows
-
-
-def loop_decode_scan(lists, codes, codec, metric, queries, probe_lists, k,
-                     stats):
-    """composite.py:330, sq.py:138: gather the probed lists' codes, decode,
-    exact distances, one top-k per query."""
-    nq = queries.shape[0]
-    all_ids = np.full((nq, k), -1, dtype=np.int64)
-    all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-    for qi in range(nq):
-        probed = [b for b in probe_lists[qi] if b >= 0 and len(lists[b])]
-        if not probed:
-            continue
-        rows = np.concatenate([lists[b] for b in probed])
-        decoded = codec.decode(np.concatenate([codes[b] for b in probed]))
-        dists = adjusted_distances(queries[qi], decoded, metric)[0]
-        charge(stats, codec, len(rows))
-        idx, vals = topk_smallest(dists, k)
-        all_ids[qi, :len(idx)] = rows[idx]
-        all_dists[qi, :len(idx)] = vals
-    return all_ids, all_dists
-
-
-def loop_ivf_pq(index, queries, k, nprobe):
-    """pq.py:225 (``IvfPqIndex.search``), as it was."""
-    lists, codes, pq = lists_of(index), codes_of(index), index.pq
-    centroids = index.bucketer.centroids
-    stats = SearchStats()
-    if index.metric is COS:
-        queries = queries / np.maximum(
-            np.linalg.norm(queries, axis=1, keepdims=True), 1e-30)
-    metric = effective_metric(index.metric)
-    nprobe = min(nprobe, len(lists))
-    centroid_dists = adjusted_distances(queries, centroids, metric)
-    stats.float_comparisons += queries.shape[0] * centroids.shape[0]
-    probe_lists, _ = topk_smallest(centroid_dists, nprobe)
-    nq = queries.shape[0]
-    all_ids = np.full((nq, k), -1, dtype=np.int64)
-    all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-    for qi in range(nq):
-        cand_ids, cand_dists = [], []
-        for cluster in probe_lists[qi]:
-            members = lists[cluster]
-            if not len(members):
-                continue
-            if index.metric is L2:
-                table = pq.adc_table(queries[qi] - centroids[cluster],
-                                     metric)
-                dists = ProductQuantizer.adc_scan(table, codes[cluster])
-            else:
-                table = pq.adc_table(queries[qi], metric)
-                dists = (ProductQuantizer.adc_scan(table, codes[cluster])
-                         + centroid_dists[qi, cluster])
-            stats.quantized_comparisons += len(members)
-            cand_ids.append(members)
-            cand_dists.append(dists)
-        if not cand_ids:
-            continue
-        ids = np.concatenate(cand_ids)
-        dists = np.concatenate(cand_dists)
-        idx, vals = topk_smallest(dists, k)
-        all_ids[qi, :len(idx)] = ids[idx]
-        all_dists[qi, :len(idx)] = vals
-    return all_ids, all_dists, stats
-
-
-def heap_multi_sequence(d1, d2, cell_list, stop):
-    """imi.py:60 / composite.py:208, the one heap walk both copied: cells
-    in increasing ``d1[i] + d2[j]``; ``stop(cells so far)`` ends it."""
-    order1 = np.argsort(d1, kind="stable")
-    order2 = np.argsort(d2, kind="stable")
-    heap = [(float(d1[order1[0]] + d2[order2[0]]), 0, 0)]
-    seen = {(0, 0)}
-    out = []
-    while heap and not stop(out):
-        _, i, j = heapq.heappop(heap)
-        cell = cell_list[int(order1[i]) * len(d2) + int(order2[j])]
-        if cell >= 0:
-            out.append(int(cell))
-        if i + 1 < len(order1) and (i + 1, j) not in seen:
-            seen.add((i + 1, j))
-            heapq.heappush(heap, (float(d1[order1[i + 1]]
-                                        + d2[order2[j]]), i + 1, j))
-        if j + 1 < len(order2) and (i, j + 1) not in seen:
-            seen.add((i, j + 1))
-            heapq.heappush(heap, (float(d1[order1[i]]
-                                        + d2[order2[j + 1]]), i, j + 1))
-    return out
-
-
-def loop_imi_probe(bucketer, queries, stop):
-    """Ragged per-query cell lists as a ``-1``-padded matrix.  The half
-    distances come from one product per block, as the bucketer's do."""
-    d1 = squared_l2(queries[:, :bucketer.half], bucketer._books[0])
-    d2 = squared_l2(queries[:, bucketer.half:], bucketer._books[1])
-    walks = [heap_multi_sequence(d1[qi], d2[qi], bucketer._cell_list, stop)
-             for qi in range(len(queries))]
-    width = max((len(w) for w in walks), default=0)
-    return np.array([w + [-1] * (width - len(w)) for w in walks],
-                    dtype=np.int64).reshape(len(queries), width)
-
-
-def loop_ssd(index, queries, bucket_ids, k, stats):
-    """ssd.py:112: fetch, decode, rerank, drop an id's later hits."""
-    lists, codes = lists_of(index), codes_of(index)
-    nq = queries.shape[0]
-    all_ids = np.full((nq, k), -1, dtype=np.int64)
-    all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-    for qi in range(nq):
-        member_lists, code_lists = [], []
-        for bucket in bucket_ids[qi]:
-            if bucket < 0:
-                continue
-            stats.ssd_blocks_read += index.blocks_per_bucket
-            member_lists.append(lists[int(bucket)])
-            code_lists.append(codes[int(bucket)])
-        if not member_lists or k == 0:     # k=0 used to crash: no scan
-            continue
-        ids = np.concatenate(member_lists)
-        decoded = index.sq.decode(np.concatenate(code_lists, axis=0))
-        dists = adjusted_distances(queries[qi], decoded, index.metric)[0]
-        stats.quantized_comparisons += len(ids)
-        seen, count = set(), 0
-        for oi in np.argsort(dists, kind="stable"):
-            node = int(ids[oi])
-            if node in seen:
-                continue
-            seen.add(node)
-            all_ids[qi, count] = node
-            all_dists[qi, count] = dists[oi]
-            count += 1
-            if count >= k:
-                break
-    return all_ids, all_dists
-
-
-def loop_tiered(index, queries, k, cold_ids, cold_dists):
-    """tiered.py:94: one dict per query."""
-    nq = queries.shape[0]
-    all_ids = np.full((nq, k), -1, dtype=np.int64)
-    all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-    hot_vectors = index._data[index._hot_ids]
-    for qi in range(nq):
-        hot_dists = adjusted_distances(queries[qi], hot_vectors,
-                                       index.metric)[0]
-        hot_idx, hot_vals = topk_smallest(hot_dists, k)
-        merged = {}
-        for local, dist in zip(hot_idx, hot_vals):
-            merged[int(index._hot_ids[local])] = float(dist)
-        for node, dist in zip(cold_ids[qi], cold_dists[qi]):
-            if node < 0:
-                continue
-            node = int(node)
-            if node not in merged or dist < merged[node]:
-                merged[node] = float(dist)
-        ordered = sorted(merged.items(), key=lambda kv: kv[1])[:k]
-        for col, (node, dist) in enumerate(ordered):
-            all_ids[qi, col] = node
-            all_dists[qi, col] = dist
-    return all_ids, all_dists
-
-
-def loop_flat_adc(index, queries, k):
-    """pq.py:162 / opq.py:102: one ADC table and one scan per query."""
-    codec = index.codec
-    pq = getattr(codec, "pq", codec)
-    if index.metric is COS:
-        queries = queries / np.linalg.norm(queries, axis=1, keepdims=True)
-    metric = effective_metric(index.metric)
-    if pq is not codec:
-        queries = codec.rotate(queries)
-    nq = queries.shape[0]
-    all_ids = np.full((nq, k), -1, dtype=np.int64)
-    all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-    for qi in range(nq):
-        dists = ProductQuantizer.adc_scan(pq.adc_table(queries[qi], metric),
-                                          index._lists.codes)
-        idx, vals = topk_smallest(dists, k)
-        all_ids[qi, :len(idx)] = idx
-        all_dists[qi, :len(idx)] = vals
-    return all_ids, all_dists
-
-
-# ----------------------------------------------------------------------
-# fixtures and helpers
-# ----------------------------------------------------------------------
-
 @pytest.fixture(scope="module")
 def corpus():
-    rng = np.random.default_rng(21)
-    return clustered(rng, 600), clustered(rng, 64)
-
-
-_BUILT = {}
-
-
-def built(corpus, name, metric, **params):
-    key = (name, metric, tuple(sorted(params.items())))
-    if key not in _BUILT:
-        index = create_index(name, metric, DIM, **params)
-        index.build(corpus[0])
-        _BUILT[key] = index
-    return _BUILT[key]
+    return make_corpus(21)
 
 
 def reconstruction(index):
@@ -282,7 +67,7 @@ def check(index, got, want, queries, want_stats):
     rows = reconstruction(index)
     queries = in_list_space(index, queries)
     tol = 4 * tolerance(rows, queries, metric)
-    assert_same_hits(got, want, rows, queries, metric, tol)
+    assert_hits_within_tolerance(got, want, rows, queries, metric, tol)
     assert index.stats.as_dict() == want_stats.as_dict()
 
 
@@ -302,10 +87,10 @@ class TestCompositeGrid:
         if bucketer == "imi" and metric is not L2:
             pytest.skip("imi cells are Euclidean only")
         _, queries = corpus
-        index = built(corpus, "COMPOSITE", metric, bucketer=bucketer,
+        index = built_index(corpus, "COMPOSITE", metric, bucketer=bucketer,
                       compressor=compressor, nlist=16, nprobe=5, ksub=6,
                       m=4, stages=3)
-        lists, codes = lists_of(index), codes_of(index)
+        lists, codes = lists_of(index), lists_of(index, "codes")
         for nq in (1, 7, 64):
             for k in (3, 400):                  # 400 > any candidate count
                 block = queries[:nq]
@@ -321,7 +106,7 @@ class TestCompositeGrid:
     def test_imi_probe_is_the_heap_walk(self, corpus):
         """The first ``nprobe`` non-empty cells, exactly as popped."""
         _, queries = corpus
-        index = built(corpus, "COMPOSITE", L2, bucketer="imi",
+        index = built_index(corpus, "COMPOSITE", L2, bucketer="imi",
                       compressor="none", nlist=16, nprobe=5, ksub=6, m=4,
                       stages=3)
         for nprobe in (1, 5, 23, 10 ** 6):
@@ -335,8 +120,8 @@ class TestCatalogTypes:
     @pytest.mark.parametrize("metric", METRICS)
     def test_ivf_sq8(self, corpus, metric):
         _, queries = corpus
-        index = built(corpus, "IVF_SQ8", metric, nlist=16, nprobe=8)
-        lists, codes = lists_of(index), codes_of(index)
+        index = built_index(corpus, "IVF_SQ8", metric, nlist=16, nprobe=8)
+        lists, codes = lists_of(index), lists_of(index, "codes")
         for nq in (1, 7, 64):
             for k, nprobe in ((10, None), (700, 3), (1, 40)):
                 block = queries[:nq]
@@ -351,7 +136,7 @@ class TestCatalogTypes:
     @pytest.mark.parametrize("metric", METRICS)
     def test_ivf_pq(self, corpus, metric):
         _, queries = corpus
-        index = built(corpus, "IVF_PQ", metric, nlist=16, nprobe=8, m=4)
+        index = built_index(corpus, "IVF_PQ", metric, nlist=16, nprobe=8, m=4)
         for nq in (1, 7, 64):
             for k, nprobe in ((10, 8), (700, 3), (1, 40)):
                 block = queries[:nq]
@@ -361,9 +146,9 @@ class TestCatalogTypes:
 
     def test_imi_visits_cells_until_enough_candidates(self, corpus):
         _, queries = corpus
-        index = built(corpus, "IMI", L2, ksub=6, candidate_factor=4)
+        index = built_index(corpus, "IMI", L2, ksub=6, candidate_factor=4)
         bucketer = index.bucketer
-        lists, codes = lists_of(index), codes_of(index)
+        lists, codes = lists_of(index), lists_of(index, "codes")
         sizes = index.list_sizes()
         for nq in (1, 7, 64):
             for k in (1, 10, 700):
@@ -422,8 +207,9 @@ class TestCatalogTypes:
                 assert index.stats.as_dict() == want_stats.as_dict()
                 rows = np.empty_like(wide)
                 rows[index._lists.ids] = index.sq.decode(index._lists.codes)
-                assert_same_hits(got, want, rows, block, metric,
-                                 4 * tolerance(rows, block, metric))
+                assert_hits_within_tolerance(
+                    got, want, rows, block, metric,
+                    4 * tolerance(rows, block, metric))
                 for row in got[0]:
                     found = row[row >= 0]
                     assert len(set(found.tolist())) == len(found)
@@ -479,7 +265,7 @@ class TestCatalogTypes:
     @pytest.mark.parametrize("metric", METRICS)
     def test_flat_adc(self, corpus, name, metric):
         data, queries = corpus
-        index = built(corpus, name, metric, m=4,
+        index = built_index(corpus, name, metric, m=4,
                       **({"train_iters": 2} if name == "OPQ" else {}))
         for nq in (1, 7, 64):
             for k in (10, 700):
@@ -502,7 +288,7 @@ class TestCatalogTypes:
                                                          monkeypatch):
         from repro.index import pq as pq_module
         _, queries = corpus
-        index = built(corpus, "PQ", L2, m=4)
+        index = built_index(corpus, "PQ", L2, m=4)
         whole = index.search(queries, 10)
         monkeypatch.setattr(pq_module, "_ADC_BLOCK_FLOATS",
                             5 * index._lists.codes.size)
@@ -547,8 +333,8 @@ class TestEmptyListsAndUnprobedSlots:
         rows[stored.ids] = codec.decode(stored.codes)
         if codec_name == "none":
             rows = data
-        assert_same_hits((ids, dists), want, rows, queries, metric,
-                         4 * tolerance(rows, queries, metric))
+        assert_hits_within_tolerance((ids, dists), want, rows, queries, metric,
+                                     4 * tolerance(rows, queries, metric))
         assert (ids[1] == -1).all() and np.isinf(dists[1]).all()
 
 
@@ -597,9 +383,9 @@ class TestGridIdentities:
     def test_catalog_name_is_its_composite_spelling(
             self, corpus, metric, name, own, bucketer, compressor):
         _, queries = corpus
-        named = built(corpus, name, metric, nlist=16, nprobe=5, seed=3,
+        named = built_index(corpus, name, metric, nlist=16, nprobe=5, seed=3,
                       **own)
-        spelled = built(corpus, "COMPOSITE", metric, bucketer=bucketer,
+        spelled = built_index(corpus, "COMPOSITE", metric, bucketer=bucketer,
                         compressor=compressor, nlist=16, nprobe=5, seed=3)
         assert type(named.bucketer) is type(spelled.bucketer)
         assert type(named.codec) is type(spelled.codec)
@@ -618,8 +404,8 @@ class TestGridIdentities:
         """Probe the COMPOSITE spelling as wide as IMI's rule probes and
         the two agree."""
         _, queries = corpus
-        named = built(corpus, "IMI", L2, ksub=6, candidate_factor=4)
-        spelled = built(corpus, "COMPOSITE", L2, bucketer="imi",
+        named = built_index(corpus, "IMI", L2, ksub=6, candidate_factor=4)
+        spelled = built_index(corpus, "COMPOSITE", L2, bucketer="imi",
                         compressor="none", ksub=6)
         for qi in range(8):
             query = queries[qi:qi + 1]

@@ -16,133 +16,13 @@ from repro.index.distances import (
     to_user_score,
     topk_smallest,
 )
-from repro.index.kmeans import (
-    KMeansResult,
-    hierarchical_balanced_kmeans,
-    kmeans,
-)
+from repro.index.kmeans import hierarchical_balanced_kmeans, kmeans
+from tests.reference.build import hierarchical_balanced_kmeans_reference, \
+    kmeans_reference, squared_l2_reference
 
 
 def naive_l2(q, d):
     return np.array([[np.sum((qi - di) ** 2) for di in d] for qi in q])
-
-
-# ---------------------------------------------------------------------------
-# The oracle: the k-means every index was built with before the build path
-# learnt to redo only what moved, verbatim — the distance kernel it called,
-# its seeding, its loop, and the hierarchical split on top of it.
-# ``repro.index.kmeans`` must return what these return, to the last bit and
-# the last draw.  ``benchmarks/bench_kmeans_build.py`` times against them.
-# ---------------------------------------------------------------------------
-
-def squared_l2_reference(queries, data):
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float32))
-    data = np.atleast_2d(np.asarray(data, dtype=np.float32))
-    q_norms = np.einsum("ij,ij->i", queries, queries)
-    d_norms = np.einsum("ij,ij->i", data, data)
-    cross = queries @ data.T
-    out = q_norms[:, None] - 2.0 * cross + d_norms[None, :]
-    np.maximum(out, 0.0, out=out)
-    return out
-
-
-def _kmeans_pp_init_reference(data, k, rng):
-    n = data.shape[0]
-    centroids = np.empty((k, data.shape[1]), dtype=np.float32)
-    first = int(rng.integers(n))
-    centroids[0] = data[first]
-    closest = squared_l2_reference(data, centroids[0:1])[:, 0]
-    for i in range(1, k):
-        total = float(closest.sum())
-        if total <= 0:
-            # All remaining points coincide with chosen centroids.
-            pick = int(rng.integers(n))
-        else:
-            probs = closest / total
-            pick = int(rng.choice(n, p=probs))
-        centroids[i] = data[pick]
-        dist = squared_l2_reference(data, centroids[i:i + 1])[:, 0]
-        np.minimum(closest, dist, out=closest)
-    return centroids
-
-
-def kmeans_reference(data, k, max_iters=25, seed=0, tol=1e-4):
-    data = np.ascontiguousarray(data, dtype=np.float32)
-    n = data.shape[0]
-    if n == 0:
-        raise ValueError("cannot cluster an empty dataset")
-    k = max(1, min(k, n))
-    rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp_init_reference(data, k, rng)
-
-    assignments = np.zeros(n, dtype=np.int64)
-    iteration = 0
-    for iteration in range(1, max_iters + 1):
-        dists = squared_l2_reference(data, centroids)
-        assignments = dists.argmin(axis=1)
-        new_centroids = centroids.copy()
-        moved = 0.0
-        for cluster in range(k):
-            members = data[assignments == cluster]
-            if len(members) == 0:
-                # Reseed from the globally worst-served point.
-                worst = int(dists.min(axis=1).argmax())
-                new_centroids[cluster] = data[worst]
-            else:
-                new_centroids[cluster] = members.mean(axis=0)
-        moved = float(np.abs(new_centroids - centroids).max())
-        centroids = new_centroids
-        if moved < tol:
-            break
-    final = squared_l2_reference(data, centroids).argmin(axis=1)
-    return KMeansResult(centroids=centroids, assignments=final,
-                        iterations=iteration)
-
-
-def hierarchical_balanced_kmeans_reference(data, max_cluster_size,
-                                           branch=8, seed=0, max_depth=12):
-    data = np.ascontiguousarray(data, dtype=np.float32)
-    if max_cluster_size <= 0:
-        raise ValueError("max_cluster_size must be positive")
-
-    leaf_centroids = []
-    leaf_members = []
-
-    def split(indices, depth):
-        subset = data[indices]
-        if len(indices) <= max_cluster_size or depth >= max_depth:
-            leaf_centroids.append(subset.mean(axis=0))
-            leaf_members.append(indices)
-            return
-        k = min(branch, max(2, int(np.ceil(len(indices) / max_cluster_size))))
-        result = kmeans_reference(subset, k, seed=seed + depth)
-        made_progress = False
-        for cluster in range(result.k):
-            members = indices[result.assignments == cluster]
-            if len(members) == 0:
-                continue
-            if len(members) < len(indices):
-                made_progress = True
-        if not made_progress:
-            # Degenerate data (all points identical): chunk arbitrarily.
-            for start in range(0, len(indices), max_cluster_size):
-                chunk = indices[start:start + max_cluster_size]
-                leaf_centroids.append(data[chunk].mean(axis=0))
-                leaf_members.append(chunk)
-            return
-        for cluster in range(result.k):
-            members = indices[result.assignments == cluster]
-            if len(members):
-                split(members, depth + 1)
-
-    split(np.arange(len(data), dtype=np.int64), 0)
-
-    centroids = np.stack(leaf_centroids).astype(np.float32)
-    assignments = np.empty(len(data), dtype=np.int64)
-    for leaf, members in enumerate(leaf_members):
-        assignments[members] = leaf
-    return KMeansResult(centroids=centroids, assignments=assignments,
-                        iterations=0)
 
 
 def clustered(rng, n, dim, centers=32, spread=0.3):

@@ -4,7 +4,8 @@
 query block (one GEMM per distinct list, one batched top-k) and
 ``Segment._search_with_index`` filters the ``(nq, k_amplified)`` candidate
 block at once.  The loops they replaced — one probe/concatenate/scan per
-query, one post-filter walk per result row — live on here as the reference.
+query, one post-filter walk per result row — are the reference, in
+:mod:`tests.reference.scan`.
 
 The kernel ranks by ``|v|^2 / 2 - q.v`` instead of ``|q|^2 - 2 q.v + |v|^2``,
 so distances are compared within a tolerance fixed beforehand from the dtype
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SegmentConfig
-from repro.core.results import HitBatch, HitBlock
+from repro.core.results import HitBlock
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.core.segment import Segment
@@ -33,272 +34,24 @@ from repro.index.hnsw import HnswIndex
 from repro.index.ivf import FlatCodec, InvertedLists, IvfFlatIndex, \
     ListArena
 from repro.index.ivf_hnsw import IvfHnswIndex
-
-METRICS = [MetricType.EUCLIDEAN, MetricType.INNER_PRODUCT, MetricType.COSINE]
-DIM = 16
-EPS = float(np.finfo(np.float32).eps)
-
-
-# ----------------------------------------------------------------------
-# oracles: the code the kernels replaced
-# ----------------------------------------------------------------------
-
-def oracle_scan(data, metric, lists, queries, probe_lists, k):
-    """The per-query probe loop: gather the probed lists' members, one
-    exact scan and one top-k per query.  Returns (ids, dists, compared)."""
-    nq = queries.shape[0]
-    all_ids = np.full((nq, k), -1, dtype=np.int64)
-    all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-    compared = 0
-    for qi in range(nq):
-        cand = [lists[c] for c in probe_lists[qi]
-                if c >= 0 and len(lists[c])]
-        if not cand:
-            continue
-        ids = np.concatenate(cand)
-        dists = adjusted_distances(queries[qi], data[ids], metric)[0]
-        compared += len(ids)
-        idx, vals = topk_smallest(dists, k)
-        all_ids[qi, :len(idx)] = ids[idx]
-        all_dists[qi, :len(idx)] = vals
-    return all_ids, all_dists, compared
-
-
-def oracle_flat_search(index, data, queries, k, nprobe):
-    """Former ``IvfFlatIndex.search``: same coarse step, per-query scan."""
-    queries = np.asarray(queries, dtype=np.float32).reshape(-1, index.dim)
-    nprobe = min(nprobe, index.effective_nlist)
-    centroid_dists = adjusted_distances(queries, index.bucketer.centroids,
-                                        index.metric)
-    probe_lists, _ = topk_smallest(centroid_dists, nprobe)
-    ids, dists, compared = oracle_scan(data, index.metric, lists_of(index),
-                                       queries, probe_lists, k)
-    return ids, dists, centroid_dists.size + compared
-
-
-def lists_of(index):
-    """Member ids per list, recovered from the list-sorted storage."""
-    stored = index._lists
-    return [stored.ids[stored.offsets[c]:stored.offsets[c + 1]]
-            for c in range(stored.nlist)]
-
-
-def oracle_allowed(segment, filter_mask):
-    """Former ``Segment._allowed_mask``: live rows the filter lets by."""
-    allowed = ~segment.deleted_mask()
-    if filter_mask is not None:
-        assert len(filter_mask) == segment.num_rows
-        allowed = allowed & filter_mask
-    return allowed
-
-
-def oracle_search_brute(segment, field, queries, k, metric, allowed, stats):
-    """Former ``Segment._search_brute``: gather the allowed rows, one
-    exact scan, one hit batch per query."""
-    rows = np.flatnonzero(allowed)
-    if not len(rows) or k <= 0:
-        return [HitBatch.empty() for _ in range(queries.shape[0])]
-    if field in segment._consolidated:
-        stats.cache_hits += 1
-    else:
-        stats.cache_misses += 1
-    data = segment.column(field)[rows]
-    dists = adjusted_distances(queries, data, metric)
-    stats.brute_scans += 1
-    stats.rows_scanned += queries.shape[0] * len(rows)
-    stats.bytes_materialized += int(data.nbytes)
-    stats.float_comparisons += queries.shape[0] * len(rows)
-    idx, vals = topk_smallest(dists, k)
-    pk_arr = segment.pk_array
-    return [HitBatch(pk_arr[rows[idx[qi]]], vals[qi])
-            for qi in range(queries.shape[0])]
-
-
-def oracle_search_with_index(segment, index, row_offset, queries, k, metric,
-                             allowed, stats, field):
-    """Former ``Segment._search_with_index``: one walk per result row."""
-    covered = index.ntotal
-    n_excluded = covered - int(
-        allowed[row_offset:row_offset + covered].sum())
-    k_amplified = min(covered, k + n_excluded if n_excluded <= k
-                      else min(covered, 2 * k + n_excluded // 4))
-    ids, dists = index.search(queries, k_amplified)
-    stats.add(index.stats)
-    stats.index_scans += 1
-    stats.rows_scanned += (index.stats.float_comparisons
-                           + index.stats.quantized_comparisons)
-    pk_arr = segment.pk_array
-    out = []
-    for qi in range(queries.shape[0]):
-        local = np.asarray(ids[qi], dtype=np.int64)
-        padding = np.flatnonzero(local < 0)
-        if padding.size:
-            local = local[:padding[0]]
-        rows = row_offset + local
-        keep = allowed[rows]
-        stats.candidates_visited += len(local)
-        stats.candidates_pruned += len(local) - int(keep.sum())
-        kept_rows = rows[keep][:k]
-        if n_excluded > 0 and len(kept_rows) < k and k_amplified < covered:
-            sub_allowed = np.zeros_like(allowed)
-            sub_allowed[row_offset:row_offset + covered] = (
-                allowed[row_offset:row_offset + covered])
-            out.append(oracle_search_brute(
-                segment, field, queries[qi:qi + 1], k, metric, sub_allowed,
-                stats)[0])
-        else:
-            kept_dists = dists[qi][:len(local)][keep][:k]
-            out.append(HitBatch(pk_arr[kept_rows],
-                                kept_dists.astype(np.float32, copy=False)))
-    return out
-
-
-def oracle_segment_search(segment, field, queries, k, metric,
-                          filter_mask=None, stats=None):
-    """Former ``Segment.search`` for sealed-with-index and growing
-    segments, built on :func:`oracle_search_with_index`."""
-    stats = stats if stats is not None else SearchStats()
-    queries = np.asarray(queries, dtype=np.float32)
-    stats.delete_filter_hits += int(segment.deleted_mask().sum())
-    allowed = oracle_allowed(segment, filter_mask)
-    if int(allowed.sum()) == 0:
-        return [HitBatch.empty() for _ in range(queries.shape[0])]
-    sealed_index = segment.index_for(field)
-    if sealed_index is not None:
-        return oracle_search_with_index(segment, sealed_index, 0, queries,
-                                        k, metric, allowed, stats, field)
-    size = segment.config.slice_size
-    per_query = [[] for _ in range(queries.shape[0])]
-    uncovered_from = 0
-    for slice_no in range(segment.num_rows // size):
-        index = segment._temp_index_for(field, slice_no, metric)
-        offset = slice_no * size
-        results = oracle_search_with_index(segment, index, offset, queries,
-                                           k, metric, allowed, stats, field)
-        for qi, item in enumerate(results):
-            per_query[qi].append(item)
-        uncovered_from = max(uncovered_from, offset + index.ntotal)
-    if uncovered_from < segment.num_rows:
-        tail_allowed = np.zeros_like(allowed)
-        tail_allowed[uncovered_from:] = allowed[uncovered_from:]
-        if tail_allowed.any():
-            results = oracle_search_brute(segment, field, queries, k,
-                                          metric, tail_allowed, stats)
-            for qi, item in enumerate(results):
-                per_query[qi].append(item)
-    out = []
-    for qi in range(queries.shape[0]):
-        batches = [b for b in per_query[qi] if len(b)]
-        if not batches:
-            out.append(HitBatch.empty())
-            continue
-        pks = np.concatenate([b.pks for b in batches])
-        dists = np.concatenate([b.dists for b in batches])
-        idx, vals = topk_smallest(dists, k)
-        out.append(HitBatch(pks[idx], vals))
-    return out
-
-
-def oracle_topk(values, k):
-    """Former ``topk_smallest``: three ``take_along_axis`` gathers."""
-    values = np.asarray(values)
-    k = min(k, values.shape[-1])
-    if k <= 0:     # keeps the leading shape: (nq, 0) for a block
-        return (np.empty(values.shape[:-1] + (0,), dtype=np.int64),
-                np.empty(values.shape[:-1] + (0,), dtype=values.dtype))
-    part = np.argpartition(values, k - 1, axis=-1)[..., :k]
-    part_vals = np.take_along_axis(values, part, axis=-1)
-    order = np.argsort(part_vals, axis=-1, kind="stable")
-    idx = np.take_along_axis(part, order, axis=-1)
-    return idx, np.take_along_axis(values, idx, axis=-1)
-
-
-# ----------------------------------------------------------------------
-# comparison helpers
-# ----------------------------------------------------------------------
-
-def tolerance(data, queries, metric):
-    """Absolute tolerance on an adjusted distance, from float32 rounding
-    of the terms it is summed from (a few hundred ulps of the largest)."""
-    v = float(np.linalg.norm(data, axis=1).max())
-    q = float(np.linalg.norm(queries, axis=1).max())
-    scale = {MetricType.EUCLIDEAN: (v + q) ** 2,
-             MetricType.INNER_PRODUCT: v * q,
-             MetricType.COSINE: 1.0}[metric]
-    return 256 * EPS * max(scale, 1.0)
-
-
-def assert_same_hits(got, want, data, queries, metric, tol):
-    """Distances equal within ``tol``; the same padding; every id paired
-    with its own distance; ids equal as sets within each run of
-    (near-)equal distances — only the run cut by ``k`` may pick other
-    members of the tie."""
-    got_ids, got_dists = got
-    want_ids, want_dists = want
-    assert got_ids.shape == want_ids.shape == got_dists.shape
-    assert got_ids.dtype == np.int64 and got_dists.dtype == np.float32
-    np.testing.assert_array_equal(got_ids < 0, want_ids < 0)
-    np.testing.assert_array_equal(np.isinf(got_dists), got_ids < 0)
-    np.testing.assert_allclose(got_dists, want_dists, rtol=0, atol=tol)
-    for qi in range(got_ids.shape[0]):
-        n = int((got_ids[qi] >= 0).sum())
-        ids, dists = got_ids[qi, :n], got_dists[qi, :n]
-        assert (got_ids[qi, n:] == -1).all()        # padding is the tail
-        assert len(set(ids.tolist())) == n
-        assert (np.diff(dists) >= 0).all()
-        true = adjusted_distances(queries[qi], data[ids], metric)[0]
-        np.testing.assert_allclose(dists, true, rtol=0, atol=tol)
-        cuts = np.flatnonzero(np.diff(want_dists[qi, :n]) > 2 * tol) + 1
-        runs = np.split(np.arange(n), cuts)
-        full = n == got_ids.shape[1]    # k may have cut the last run
-        for run in runs[:-1] if full else runs:
-            assert set(ids[run].tolist()) == \
-                set(want_ids[qi, run].tolist())
-
-
-def assert_batches_equal(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g.pks, w.pks)
-        np.testing.assert_array_equal(g.dists, w.dists)
-        assert g.dists.dtype == w.dists.dtype == np.float32
-
-
-def assert_batches_equal_up_to_ties(got, want, k):
-    """Distances bit for bit, pks equal as sets within every run of equal
-    distances — only the run cut by ``k`` may pick other tie members (a
-    selection by ``argpartition`` orders a tie by where it sits)."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g.dists, w.dists)
-        assert g.dists.dtype == w.dists.dtype == np.float32
-        runs = np.split(np.arange(len(w)),
-                        np.flatnonzero(np.diff(w.dists) != 0) + 1)
-        for run in runs[:-1] if len(w) == k else runs:
-            assert set(g.pks[run].tolist()) == set(w.pks[run].tolist())
-
-
-def clustered(rng, n, dim=DIM, centers=12):
-    means = rng.standard_normal((centers, dim)) * 4.0
-    return (means[rng.integers(0, centers, n)]
-            + rng.standard_normal((n, dim))).astype(np.float32)
+from tests.reference.compare import DIM, METRICS, \
+    assert_batches_equal, assert_batches_equal_up_to_ties, \
+    assert_hits_within_tolerance, built_index, clustered, make_corpus, \
+    tolerance
+from tests.reference.scan import lists_of, loop_decode_scan, \
+    oracle_allowed, oracle_flat_search, oracle_segment_search, oracle_topk
 
 
 @pytest.fixture(scope="module")
 def corpus():
-    rng = np.random.default_rng(5)
-    return clustered(rng, 600), clustered(rng, 64)
+    return make_corpus(5)
 
 
 @pytest.fixture(scope="module")
 def built(corpus):
-    data, _ = corpus
-    indexes = {}
-    for metric in METRICS:
-        index = IvfFlatIndex(metric, DIM, nlist=16, nprobe=8)
-        index.build(data)
-        indexes[metric] = index
-    return indexes
+    return {metric: built_index(corpus, "IVF_FLAT", metric, nlist=16,
+                                nprobe=8)
+            for metric in METRICS}
 
 
 # ----------------------------------------------------------------------
@@ -317,8 +70,9 @@ class TestListMajorKernel:
         want_ids, want_dists, want_compared = oracle_flat_search(
             index, data, queries[:nq], k, nprobe)
         got = index.search(queries[:nq], k, nprobe=nprobe)
-        assert_same_hits(got, (want_ids, want_dists), data, queries[:nq],
-                         metric, tolerance(data, queries, metric))
+        assert_hits_within_tolerance(got, (want_ids, want_dists), data,
+                                     queries[:nq], metric,
+                                     tolerance(data, queries, metric))
         assert index.stats.float_comparisons == want_compared
         assert index.stats.as_dict() == {
             **SearchStats().as_dict(), "float_comparisons": want_compared}
@@ -371,8 +125,9 @@ class TestListMajorKernel:
         want_ids, want_dists, compared = oracle_flat_search(
             index, data, queries, 10, 16)
         ids, dists = index.search(queries, 10)
-        assert_same_hits((ids, dists), (want_ids, want_dists), data,
-                         queries, metric, tolerance(data, queries, metric))
+        assert_hits_within_tolerance((ids, dists), (want_ids, want_dists),
+                                     data, queries, metric,
+                                     tolerance(data, queries, metric))
         assert (ids[:, 5:] == -1).all() and np.isinf(dists[:, 5:]).all()
         assert index.stats.float_comparisons == compared
 
@@ -390,11 +145,14 @@ class TestListMajorKernel:
         assert stored.sizes.tolist() == [14, 0, 26, 0]
         probe_lists = np.array([[1, 0, 2], [1, -1, -1], [2, 1, -1],
                                 [-1, -1, 0]])
-        want = oracle_scan(data, metric, lists, queries, probe_lists, 30)
+        stats = SearchStats()
+        want = loop_decode_scan(lists, [data[m] for m in lists],
+                                FlatCodec(metric), metric, queries,
+                                probe_lists, 30, stats)
         got = stored.scan(queries, probe_lists, 30)
-        assert got[2] == want[2] == 40 + 0 + 26 + 14
-        assert_same_hits(got[:2], want[:2], data, queries, metric,
-                         tolerance(data, queries, metric))
+        assert got[2] == stats.float_comparisons == 40 + 0 + 26 + 14
+        assert_hits_within_tolerance(got[:2], want, data, queries, metric,
+                                     tolerance(data, queries, metric))
         assert (got[0][1] == -1).all() and np.isinf(got[1][1]).all()
         assert (got[0][0] >= 0).all()       # 40 candidates >= k = 30
 
@@ -411,8 +169,9 @@ class TestListMajorKernel:
             want_ids, want_dists, compared = oracle_flat_search(
                 index, data, queries, k, 3)
             got = index.search(queries, k)
-            assert_same_hits(got, (want_ids, want_dists), data, queries,
-                             metric, tolerance(data, queries, metric))
+            assert_hits_within_tolerance(got, (want_ids, want_dists), data,
+                                         queries, metric,
+                                         tolerance(data, queries, metric))
             assert index.stats.float_comparisons == compared
 
     def test_zero_vectors_cosine(self):
@@ -452,9 +211,10 @@ class TestListMajorKernel:
         assert calls == [10] * 6 + [4]
         # BLAS may round a dot product differently in a GEMM of another
         # height, so across groupings distances agree to rounding only.
-        assert_same_hits(passes, one_pass, data, queries,
-                         MetricType.EUCLIDEAN,
-                         tolerance(data, queries, MetricType.EUCLIDEAN))
+        assert_hits_within_tolerance(passes, one_pass, data, queries,
+                                     MetricType.EUCLIDEAN,
+                                     tolerance(data, queries,
+                                               MetricType.EUCLIDEAN))
         assert index.stats.float_comparisons == compared
 
     @pytest.mark.parametrize("cls", [IvfFlatIndex, IvfHnswIndex])
@@ -490,7 +250,7 @@ class TestListMajorKernel:
             want = flat.search(queries, k)
             scanned = flat.stats.float_comparisons - queries.shape[0] * 16
             got = graph.search(queries, k)
-            assert_same_hits(got, want, data, queries, metric, tol)
+            assert_hits_within_tolerance(got, want, data, queries, metric, tol)
             assert graph.stats.float_comparisons \
                 == graph.bucketer.graph.stats.float_comparisons + scanned
 
@@ -503,11 +263,15 @@ class TestListMajorKernel:
         index.build(data)
         probed, _ = index.bucketer.graph.search(queries, 3)
         coarse = index.bucketer.graph.stats.float_comparisons
-        want = oracle_scan(data, metric, lists_of(index), queries, probed, 10)
+        lists, stats = lists_of(index), SearchStats()
+        want = loop_decode_scan(lists, [data[m] for m in lists],
+                                FlatCodec(metric), metric, queries, probed,
+                                10, stats)
         got = index.search(queries, 10)
-        assert_same_hits(got, want[:2], data, queries, metric,
-                         tolerance(data, queries, metric))
-        assert index.stats.float_comparisons == coarse + want[2]
+        assert_hits_within_tolerance(got, want, data, queries, metric,
+                                     tolerance(data, queries, metric))
+        assert index.stats.float_comparisons \
+            == coarse + stats.float_comparisons
 
 
 class TestTopkSmallest:

@@ -4,8 +4,9 @@
 arena (one coarse step, one list-major scan, one block post-filter) and
 reduces every segment's candidates with one 2-D merge; the proxy merges the
 nodes' blocks the same way.  The per-segment node loop and the per-query
-merge loops those replaced live on here as the reference: a request is run
-twice on the same cluster, as shipped and with the reference patched in,
+merge loops those replaced are the reference (:mod:`tests.reference.reduce`):
+a request is run twice on the same cluster, as shipped and with the
+reference patched in,
 and everything a caller or a plane can see must agree —
 
 * hits: distances bit for bit, pks equal within every run of equal
@@ -17,12 +18,9 @@ The arena is derived state: the second half mutates what it was derived
 from between two searches and checks it is never read stale.
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
-import repro.nodes.proxy as proxy_module
 from repro import Collection, connect, connections
 from repro.api.rest import RestApi
 from repro.cluster.manu import ManuCluster
@@ -30,109 +28,22 @@ from repro.config import ManuConfig, QueryConfig, SegmentConfig
 from repro.core.arena import SegmentArena
 from repro.core.consistency import ConsistencyLevel
 from repro.core.expr import FilterExpression
-from repro.core.filtering import FilterStrategy, choose_strategy, \
-    filtered_search
-from repro.core.results import HitBatch, NodeWork
+from repro.core.filtering import FilterStrategy, choose_strategy
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.errors import IndexBuildError, InvalidQuery
 from repro.index.base import SearchStats, create_index
 from repro.index.ivf import ArenaIndex, BucketedIndex, IvfFlatIndex
-from repro.nodes.query_node import QueryNode
+from tests.reference.compare import DIM, METRICS, \
+    assert_results_equal_up_to_ties, clustered
+from tests.reference.reduce import reference_path
 
-from tests.test_core_results import merge_topk_reference
-
-METRICS = [MetricType.EUCLIDEAN, MetricType.INNER_PRODUCT, MetricType.COSINE]
-DIM = 16
 EVENTUAL = ConsistencyLevel.EVENTUAL
-
-
-# ----------------------------------------------------------------------
-# the reference: what src/ did before the arena
-# ----------------------------------------------------------------------
-
-def reference_merge(partials, k, stats=None):
-    """Former reduce of one query: a streaming merge of sorted partials
-    with a seen-set (``merge_topk_reference``), as a batch."""
-    return HitBatch.from_hits(merge_topk_reference(
-        [list(p) for p in partials], k, stats=stats))
-
-
-def reference_scan(node, collection, scope, fields, nq, k, work):
-    """Former ``QueryNode._scan``: one scan per segment, one merge per
-    query, the same report of the work done."""
-    cost = node._cost
-    schema = node._schema_provider(collection)
-    dims = [schema.field(name).dim for name in fields]
-    totals = [SearchStats() for _ in fields]
-    done = NodeWork(0, dims)
-    partials = []
-    for segment in node._scoped_segments(collection, scope):
-        stats = [SearchStats() for _ in fields]
-        partials.append(work(segment, stats))
-        for total, field_stats in zip(totals, stats):
-            total.add(field_stats)
-        growing = (collection, segment.segment_id) in node._growing_ids
-        path = ("growing" if growing
-                else "index" if sum(s.index_scans for s in stats) > 0
-                else "brute")
-        done.scans.append((segment.segment_id, path, segment.num_rows,
-                           stats))
-    done.segments = len(partials)
-    merged = [reference_merge([part[qi] for part in partials if part[qi]],
-                              k, stats=done.reduce) for qi in range(nq)]
-    service_ms = cost.scan_cost(totals, dims) + cost.request_overhead_ms \
-        + nq * cost.batch_row_overhead_ms
-    node.searches_served += nq
-    node.service_ms_total += service_ms
-    return merged, service_ms, done
-
-
-def reference_search(node, collection, field, queries, k, metric, expr=None,
-                     scope=None):
-    """Former ``QueryNode.search``: every segment through its own
-    ``Segment.search``."""
-    queries = np.asarray(queries, dtype=np.float32)
-    if queries.ndim == 1:
-        queries = queries[None, :]
-    return reference_scan(
-        node, collection, scope, (field,), queries.shape[0], k,
-        lambda segment, stats: filtered_search(
-            segment, field, queries, k, metric, expr, stats=stats[0])[0])
-
-
-def reference_proxy_merge(partials, keep, stats=None):
-    """Former proxy back half: one merge per query row."""
-    return [reference_merge([part[qi] for part in partials], keep,
-                            stats=stats)
-            for qi in range(len(partials[0]))]
-
-
-@contextlib.contextmanager
-def reference_path(monkeypatch):
-    """Run requests through the reference node loop and merge loops."""
-    with monkeypatch.context() as patch:
-        patch.setattr(QueryNode, "search", reference_search)
-        patch.setattr(proxy_module, "merge_topk", reference_proxy_merge)
-        yield
 
 
 # ----------------------------------------------------------------------
 # comparison
 # ----------------------------------------------------------------------
-
-def assert_same_hits(got, want, k):
-    """Distances bit for bit, pks equal within each run of equal
-    distances; only the run cut by ``k`` may pick other tie members."""
-    got_d = np.asarray(got.hits.dists, dtype=np.float64)
-    want_d = np.asarray(want.hits.dists, dtype=np.float64)
-    np.testing.assert_array_equal(got_d, want_d)
-    assert len(set(got.pks)) == len(got.pks)
-    cuts = np.flatnonzero(np.diff(want_d) != 0) + 1
-    runs = np.split(np.arange(len(want_d)), cuts)
-    for run in runs[:-1] if len(want_d) == k else runs:
-        assert {got.pks[i] for i in run} == {want.pks[i] for i in run}
-
 
 def stage_view(stage):
     """A stage of the EXPLAIN tree as comparable data (``queue_ms`` is a
@@ -168,7 +79,7 @@ def both(cluster, monkeypatch, queries, k, between=None, **options):
         want = cluster.search("c", queries, k, **options)
     assert len(got) == len(want) == np.atleast_2d(queries).shape[0]
     for g, w in zip(got, want):
-        assert_same_hits(g, w, k)
+        assert_results_equal_up_to_ties(g, w, k)
         # The two runs start at different virtual times, and a latency is
         # a difference of absolute times: the service times it is made of
         # are compared exactly (stage meta, below), the twin-cluster test
@@ -193,12 +104,6 @@ def schema():
         FieldSchema("vector", DataType.FLOAT_VECTOR, dim=DIM),
         FieldSchema("price", DataType.FLOAT),
     ])
-
-
-def clustered(rng, n, centers=12):
-    means = rng.standard_normal((centers, DIM)) * 4.0
-    return (means[rng.integers(0, centers, n)]
-            + rng.standard_normal((n, DIM))).astype(np.float32)
 
 
 def rows(rng, pks, vectors=None):

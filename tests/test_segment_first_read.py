@@ -6,10 +6,10 @@ metric, a vector column is consolidated into one buffer at its first
 read and written in place by the appends after it, and ``pk_array`` is
 extended rather than rebuilt.  The segment as it was — Euclidean slice
 indexes built by the append that fills a slice, a chunk list
-re-concatenated on the first read after every append — lives on here as
-:class:`ParentRulesSegment`, the reference a hypothesis state machine
-holds the shipped segment to: hits, distances and every ``SearchStats``
-counter.
+re-concatenated on the first read after every append — is
+:class:`~tests.reference.scan.ParentRulesSegment`, the reference a
+hypothesis state machine holds the shipped segment to: hits, distances
+and every ``SearchStats`` counter.
 """
 
 import numpy as np
@@ -22,125 +22,14 @@ from repro.config import SegmentConfig
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.core.segment import Segment
-from repro.errors import ClusterStateError, ManuError, SchemaError
+from repro.errors import ManuError, SchemaError
 from repro.index.base import SearchStats, create_index
-from repro.index.distances import topk_smallest
 from repro.index.ivf import IvfFlatIndex
+from tests.reference.compare import METRICS
+from tests.reference.scan import ParentRulesSegment
 
 DIM = 8
 SLICE = 32
-METRICS = [MetricType.EUCLIDEAN, MetricType.INNER_PRODUCT, MetricType.COSINE]
-
-
-class ParentRulesSegment(Segment):
-    """The growing segment before slice indexes moved to the first read
-    (the reference): the append that fills a slice builds its Euclidean
-    index, another metric's is built at the first search of a slice that
-    has one, every append drops the consolidated columns and the first
-    read after it concatenates the whole chunk list, ``pk_array`` is
-    rebuilt from the pk list.  ``memory_bytes`` sums the same bytes
-    without reading a column."""
-
-    def append(self, pks, columns, lsn, now_ms=0.0):
-        if self.is_sealed:
-            raise ClusterStateError(
-                f"segment {self.segment_id} is sealed; cannot append")
-        start = self.num_rows
-        end = start + len(pks)
-        self._pk_rows.update(zip(pks, range(start, end)))
-        self._pks.extend(pks)
-        self._pk_arr = None
-        for name, chunk in columns.items():
-            self._chunks[name].append(chunk)
-        self._consolidated.clear()
-        if end > len(self._deleted_buf):
-            grown = np.zeros(max(end, 2 * len(self._deleted_buf)),
-                             dtype=bool)
-            grown[:start] = self._deleted
-            self._deleted_buf = grown
-        self._deleted = self._deleted_buf[:end]
-        self.max_lsn = max(self.max_lsn, lsn)
-        self.max_insert_lsn = max(self.max_insert_lsn, lsn)
-        self.last_insert_at_ms = now_ms
-        if self.temp_index_enabled:
-            full_slices = self.num_rows // self.config.slice_size
-            for field in self.schema.vector_fields:
-                built = self._temp_indexes[field.name]
-                for slice_no in range(full_slices):
-                    if (slice_no, MetricType.EUCLIDEAN) not in built:
-                        self._build_temp_index(field.name, slice_no,
-                                               MetricType.EUCLIDEAN)
-
-    @property
-    def pk_array(self):
-        if self._pk_arr is None:
-            self._pk_arr = np.asarray(self._pks)
-        return self._pk_arr
-
-    def _concatenated(self, name):
-        field = self.schema.field(name)
-        chunks = self._chunks[name]
-        if field.dtype.is_vector:
-            if chunks:
-                return np.concatenate(
-                    [np.asarray(c, dtype=np.float32) for c in chunks], axis=0)
-            return np.empty((0, field.dim), dtype=np.float32)
-        if chunks:
-            return np.concatenate([np.asarray(c) for c in chunks])
-        return np.empty(0)
-
-    def column(self, name):
-        if name not in self._consolidated:
-            self._consolidated[name] = self._concatenated(name)
-        return self._consolidated[name]
-
-    def memory_bytes(self):
-        return sum(self._concatenated(name).nbytes for name in self._chunks)
-
-    def _build_temp_index(self, field, slice_no, metric):
-        size = self.config.slice_size
-        data = self.column(field)[slice_no * size:(slice_no + 1) * size]
-        index = IvfFlatIndex(metric, self.schema.field(field).dim,
-                             nlist=self.config.temp_index_nlist,
-                             nprobe=max(2, self.config.temp_index_nlist // 8))
-        index.build(data)
-        self._temp_indexes[field][(slice_no, metric)] = index
-        return index
-
-    def _temp_index_for(self, field, slice_no, metric):
-        built = self._temp_indexes.get(field)
-        if built is None or not self.temp_index_enabled:
-            return None
-        index = built.get((slice_no, metric))
-        if index is None and any(s == slice_no for s, _ in built):
-            index = self._build_temp_index(field, slice_no, metric)
-        return index
-
-    def num_temp_indexes(self, field):
-        return len({s for s, _ in self._temp_indexes.get(field, {})})
-
-    def _search_growing(self, field, queries, k, metric, allowed, stats):
-        size = self.config.slice_size
-        parts = []
-        uncovered_from = 0
-        for slice_no in sorted({s for s, _ in
-                                self._temp_indexes.get(field, {})}):
-            index = self._temp_index_for(field, slice_no, metric)
-            if index is None:
-                continue
-            parts.append(self._search_with_index(
-                index, slice_no * size, queries, k, metric, allowed, stats,
-                field))
-            uncovered_from = max(uncovered_from,
-                                 slice_no * size + index.ntotal)
-        if uncovered_from < self.num_rows:
-            parts.append(self._search_brute(
-                field, queries, k, metric, allowed, uncovered_from,
-                self.num_rows, stats))
-        rows = np.concatenate([part[0] for part in parts], axis=1)
-        idx, dists = topk_smallest(
-            np.concatenate([part[1] for part in parts], axis=1), k)
-        return np.take_along_axis(rows, idx, axis=1), dists
 
 
 def schema():

@@ -2,19 +2,13 @@
 
 Every stage between ``Proxy.insert`` and a sealed binlog does its work once
 per batch; what it writes may not differ by a byte from what the per-key
-code wrote.  The per-key code lives on here, copied verbatim from the
-commit before the batch forms replaced it — ``reference_*`` /
-``Reference*`` below — and everything the batch forms produce is compared
-with it: bloom-filter bits, SSTable blobs, binlog column blobs, shard
-routing, segment bookkeeping, and the object store of a whole cluster run.
-
-Kept in one module, with no fixture of its own, so that a reference
-package (ROADMAP item 3) can lift it whole.
+code wrote.  The per-key code, copied verbatim from the commit before the
+batch forms replaced it, is the reference in :mod:`tests.reference.build`
+— ``reference_*`` / ``Reference*`` — and everything the batch forms
+produce is compared with it: bloom-filter bits, SSTable blobs, binlog
+column blobs, shard routing, segment bookkeeping, and the object store of
+a whole cluster run.
 """
-
-import hashlib
-import json
-import struct
 
 import numpy as np
 import pytest
@@ -35,129 +29,11 @@ from repro.log.logger_node import LoggerService, shard_of
 from repro.storage.bloom import BloomFilter
 from repro.storage.lsm import LsmTree, SSTable
 from repro.storage.object_store import ObjectStore
+from tests.reference.build import ReferenceBloom, ReferenceSegmentBook, \
+    reference_column_to_bytes, reference_rows_by_shard, reference_shard_of, \
+    reference_sstable_bytes
 
 _TOMBSTONE = b"\x00__tombstone__"
-
-
-# ----------------------------------------------------------------------
-# the per-key code, as it was
-# ----------------------------------------------------------------------
-
-def _hash_pair(key: bytes) -> tuple[int, int]:
-    digest = hashlib.blake2b(key, digest_size=16).digest()
-    return (int.from_bytes(digest[:8], "little"),
-            int.from_bytes(digest[8:], "little"))
-
-
-class ReferenceBloom(BloomFilter):
-    """``BloomFilter`` with the one-key-at-a-time ``add`` it used to
-    have (sizing and serialisation are shared: they did not change)."""
-
-    def _reference_positions(self, key: bytes) -> np.ndarray:
-        h1, h2 = _hash_pair(key)
-        idx = (h1 + np.arange(self.num_hashes, dtype=np.uint64) * h2)
-        return (idx % np.uint64(self.num_bits)).astype(np.int64)
-
-    def add(self, key) -> None:
-        if isinstance(key, str):
-            key = key.encode()
-        self._bits[self._reference_positions(key)] = True
-        self._count += 1
-
-    def reference_to_bytes(self) -> bytes:
-        header = (self.capacity.to_bytes(8, "little")
-                  + self.num_bits.to_bytes(8, "little")
-                  + self.num_hashes.to_bytes(4, "little")
-                  + self._count.to_bytes(8, "little"))
-        return header + np.packbits(self._bits).tobytes()
-
-
-def reference_sstable_bytes(entries: list[tuple[bytes, bytes]]) -> bytes:
-    """``SSTable(entries).to_bytes()`` as it was: the strict-order check
-    by index, one ``BloomFilter.add`` per key, one ``struct.pack`` per
-    entry."""
-    if any(entries[i][0] >= entries[i + 1][0]
-           for i in range(len(entries) - 1)):
-        raise ValueError("SSTable entries must be strictly sorted")
-    keys = [k for k, _ in entries]
-    values = [v for _, v in entries]
-    bloom = ReferenceBloom(max(1, len(entries)))
-    for key in keys:
-        bloom.add(key)
-    parts = [b"SSTB", struct.pack("<I", len(keys))]
-    for key, value in zip(keys, values):
-        parts.append(struct.pack("<II", len(key), len(value)))
-        parts.append(key)
-        parts.append(value)
-    blob = bloom.reference_to_bytes()
-    parts.append(struct.pack("<I", len(blob)))
-    parts.append(blob)
-    return b"".join(parts)
-
-
-def reference_column_to_bytes(values) -> bytes:
-    """One whole column, already concatenated, to its blob."""
-    arr = np.asarray(values)
-    if arr.dtype.kind == "f" and arr.ndim == 2:
-        head = json.dumps({"kind": "f32mat",
-                           "shape": list(arr.shape)}).encode()
-        body = np.ascontiguousarray(arr, dtype=np.float32).tobytes()
-    else:
-        head = json.dumps({"kind": "json"}).encode()
-        body = json.dumps(arr.tolist()).encode()
-    return b"BCOL" + struct.pack("<I", len(head)) + head + body
-
-
-def reference_shard_of(pk, num_shards: int) -> int:
-    digest = hashlib.blake2b(str(pk).encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little") % num_shards
-
-
-def reference_rows_by_shard(pks, num_shards: int):
-    """(shard, rows) pairs; ``rows is None`` is the whole batch."""
-    if num_shards == 1:
-        return [(0, None)]
-    by_shard: dict[int, list[int]] = {}
-    for row, pk in enumerate(pks):
-        by_shard.setdefault(reference_shard_of(pk, num_shards),
-                            []).append(row)
-    if len(by_shard) == 1:
-        return [(next(iter(by_shard)), None)]
-    return [(shard, by_shard[shard]) for shard in sorted(by_shard)]
-
-
-class ReferenceSegmentBook:
-    """``Segment.append`` / ``apply_delete`` bookkeeping as it was: a
-    per-pk loop into the row map, the bitmap re-concatenated on every
-    append."""
-
-    def __init__(self) -> None:
-        self.pks: list = []
-        self.pk_rows: dict = {}
-        self.deleted = np.zeros(0, dtype=bool)
-        self.num_deleted = 0
-
-    def append(self, pks) -> None:
-        start = len(self.pks)
-        for offset, pk in enumerate(pks):
-            self.pk_rows[pk] = start + offset
-        self.pks.extend(pks)
-        self.deleted = np.concatenate(
-            [self.deleted, np.zeros(len(pks), dtype=bool)])
-
-    def apply_delete(self, pks) -> int:
-        count = 0
-        for pk in pks:
-            row = self.pk_rows.get(pk)
-            if row is not None and not self.deleted[row]:
-                self.deleted[row] = True
-                count += 1
-        self.num_deleted += count
-        return count
-
-    def contains_pk(self, pk) -> bool:
-        row = self.pk_rows.get(pk)
-        return row is not None and not self.deleted[row]
 
 
 # ----------------------------------------------------------------------
