@@ -110,6 +110,13 @@ def main() -> None:
     #    JSON (open in chrome://tracing or https://ui.perfetto.dev).
     trace_path = os.environ.get("MANU_TRACE")
     if trace_path:
+        # Every retained trace is one tree with nothing left open (the
+        # export cannot show it: an open span is a zero-length slice).
+        for trace_id in cluster.tracer.trace_ids():
+            spans = cluster.tracer.spans(trace_id)
+            assert sum(span.parent_id is None for span in spans) == 1, \
+                trace_id
+            assert all(span.finished for span in spans), trace_id
         Path(trace_path).write_text(cluster.tracer.export_chrome_trace())
         traces = len(cluster.tracer.trace_ids())
         print(f"wrote {traces} traces to {trace_path}")

@@ -258,15 +258,19 @@ class Logger:
         the last (max) inner LSN, which is what acks resolve with.
         """
         self._check_fence(collection, shard)
-        batch = BatchRecord(ts=records[-1].ts, collection=collection,
-                            shard=shard, records=tuple(records))
+        records = tuple(records)
+        rows = sum(len(record.pks) for record in records)
         with self._tracer.span("logger.publish_batch", self._component,
                                collection=collection, shard=shard,
-                               records=batch.num_records,
-                               rows=batch.num_rows):
+                               records=len(records), rows=rows):
+            # Stamped here with the span's wire context, so the broker's
+            # publish hook finds nothing to copy.
+            batch = BatchRecord(ts=records[-1].ts, collection=collection,
+                                shard=shard, records=records,
+                                trace=self._tracer.current_wire())
             self._broker.publish(shard_channel(collection, shard), batch)
         self.batches_published += 1
-        self.rows_published += batch.num_rows
+        self.rows_published += rows
         return batch.ts
 
 

@@ -34,8 +34,9 @@ class WalRecord:
 
     trace: Optional[tuple] = None
     """Wire-form :class:`repro.tracing.TraceContext` of the publishing
-    span, stamped by the broker (None = untraced).  Records are frozen, so
-    stamping uses ``dataclasses.replace``."""
+    span (None = untraced): a commit group's batch is built with it, and
+    the broker stamps any other record with ``dataclasses.replace``
+    (records are frozen)."""
 
     @property
     def kind(self) -> str:

@@ -809,35 +809,39 @@ class Proxy:
         with self._tracer.span("proxy.consistency_wait", self._component,
                                guarantee=guarantee) as wspan:
             # One wait_ready span per node that is behind the guarantee,
-            # closed as its watermark catches up.  On timeout the spans
-            # still open are flagged incomplete (a node killed mid-wait is
-            # closed by its own fail() first; finish_span is idempotent).
+            # closed as its watermark catches up.  If the wait ends any
+            # other way — a timeout, or an event raising inside a step —
+            # the spans still open are flagged incomplete (a node killed
+            # mid-wait is closed by its own fail() first; finish_span is
+            # idempotent).
             waiting: dict[str, object] = {}
-            while True:
-                pending = [n for n in nodes
-                           if not n.ready(collection, guarantee)]
-                for node in pending:
-                    if node.name not in waiting:
-                        waiting[node.name] = self._tracer.start_span(
-                            "query_node.wait_ready",
-                            f"query-node:{node.name}",
-                            parent=wspan.context, guarantee=guarantee)
-                pending_names = {n.name for n in pending}
-                for name in list(waiting):
-                    if name not in pending_names:
-                        self._tracer.finish_span(waiting.pop(name))
-                if not pending:
-                    return self._loop.now() - start_ms
-                nxt = self._loop.peek_time()
-                if nxt is None or nxt > deadline:
-                    for span in waiting.values():
-                        self._tracer.finish_span(span,
-                                                 status=SPAN_INCOMPLETE)
-                    raise ConsistencyTimeout(
-                        f"nodes {[n.name for n in pending]} did not reach "
-                        f"guarantee ts within "
-                        f"{self._config.query.consistency_deadline_ms}ms")
-                self._loop.step()
+            try:
+                while True:
+                    pending = [n for n in nodes
+                               if not n.ready(collection, guarantee)]
+                    for node in pending:
+                        if node.name not in waiting:
+                            waiting[node.name] = self._tracer.start_span(
+                                "query_node.wait_ready",
+                                f"query-node:{node.name}",
+                                parent=wspan.context, guarantee=guarantee)
+                    pending_names = {n.name for n in pending}
+                    for name in list(waiting):
+                        if name not in pending_names:
+                            self._tracer.finish_span(waiting.pop(name))
+                    if not pending:
+                        return self._loop.now() - start_ms
+                    nxt = self._loop.peek_time()
+                    if nxt is None or nxt > deadline:
+                        raise ConsistencyTimeout(
+                            f"nodes {[n.name for n in pending]} did not "
+                            f"reach guarantee ts within "
+                            f"{self._config.query.consistency_deadline_ms}"
+                            f"ms")
+                    self._loop.step()
+            finally:
+                for span in waiting.values():
+                    self._tracer.finish_span(span, status=SPAN_INCOMPLETE)
 
 
 def _extract_pks(expr: FilterExpression, pk_field: str) -> list:

@@ -19,9 +19,17 @@ The collector is the one shared tracing object of a cluster (wired in
   Chrome trace-event JSON.
 
 Head-based sampling: every ``sample_every``-th root span is sampled; the
-decision is inherited through contexts, so unsampled requests cost one
-throwaway ``Span`` object and nothing else.  Finished traces are retained
-FIFO up to ``max_traces``.
+decision is inherited from the parent, and every span of an unsampled
+request is still built (span ids count it) but never recorded.  Only a
+sampled root opens a trace; traces are retained FIFO up to
+``max_traces``, and a span whose trace is no longer retained is not
+recorded.
+
+Cost: a span is one :class:`Span` plus, for a ``with`` block, one
+``__slots__`` scope object; a child reads its ids off the parent span,
+and a span recorded already finished (:meth:`TraceCollector.record_span`)
+never enters the open-span table.  A delivery of an untraced record
+costs one attribute read and the shared detached scope.
 """
 
 from __future__ import annotations
@@ -29,8 +37,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from repro.tracing.context import TraceContext
 from repro.tracing.span import SPAN_ERROR, SPAN_INCOMPLETE, Span
@@ -63,6 +70,45 @@ def component_module(component: str) -> Optional[str]:
     return COMPONENT_MODULES.get(component.split(":", 1)[0])
 
 
+class _Scope:
+    """``with`` block of one span (:meth:`TraceCollector.span`): ambient
+    inside, closed at exit — ``status="error"`` when an exception escapes."""
+
+    __slots__ = ("_tracer", "_span")
+
+    def __init__(self, tracer: "TraceCollector", span: Span) -> None:
+        self._tracer = tracer
+        self._span = span
+
+    def __enter__(self) -> Span:
+        self._tracer._stack.append(self._span)
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._tracer._stack.pop()
+        if self._span.end_ms is None:
+            self._tracer.finish_span(
+                self._span, status=None if exc_type is None else SPAN_ERROR)
+
+
+class _Ambient:
+    """``with`` block that makes a span — or, for None, no span — the
+    ambient context and leaves it open at exit."""
+
+    __slots__ = ("_stack", "_span")
+
+    def __init__(self, stack: list, span: Optional[Span]) -> None:
+        self._stack = stack
+        self._span = span
+
+    def __enter__(self) -> Optional[Span]:
+        self._stack.append(self._span)
+        return self._span
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._stack.pop()
+
+
 class TraceCollector:
     """Cluster-wide span registry over a virtual clock."""
 
@@ -79,7 +125,10 @@ class TraceCollector:
         # order, which drives FIFO eviction).
         self._traces: dict[str, list[Span]] = {}
         self._open: dict[str, Span] = {}
-        self._stack: list[Span] = []
+        # The ambient span stack; a None entry is a detached frame (no
+        # ambient context), so the list is never swapped out.
+        self._stack: list[Optional[Span]] = []
+        self._detached = _Ambient(self._stack, None)
         self._edges: set[tuple[str, str, str]] = set()
         self.dropped_traces = 0
         self.unsampled_roots = 0
@@ -90,46 +139,60 @@ class TraceCollector:
 
     def current(self) -> Optional[TraceContext]:
         """Context of the innermost ambient span (None outside any)."""
-        return self._stack[-1].context if self._stack else None
+        span = self._stack[-1] if self._stack else None
+        return None if span is None else span.context
 
     def current_wire(self) -> Optional[tuple]:
         """Wire form of :meth:`current` for deferred-callback capture."""
         span = self._stack[-1] if self._stack else None
         if span is None or not span.sampled:
             return None
-        return span.context.to_wire()
+        return span.wire
 
     def start_span(self, name: str, component: str,
                    parent: Optional[TraceContext] = None,
                    start_ms: Optional[float] = None, **tags) -> Span:
         """Open a span; roots take the head-based sampling decision."""
-        if parent is None:
-            parent = self.current()
+        return self._start(name, component, parent, start_ms, tags, True)
+
+    def _start(self, name: str, component: str, parent, start_ms, tags: dict,
+               track: bool) -> Span:
+        """:meth:`start_span`; ``parent`` is a context, a span or None (the
+        ambient span).  ``track=False`` is for a span closed before
+        anything else runs: it skips the open-span table."""
+        if parent is None and self._stack:
+            parent = self._stack[-1]
         if parent is not None:
-            trace_id = parent.trace_id
-            parent_id = parent.span_id
-            sampled = parent.sampled and self.enabled
-        else:
-            n = next(self._trace_seq)
-            trace_id = f"t{n:06d}"
-            parent_id = None
-            sampled = self.enabled and n % self.sample_every == 0
-            if not sampled:
-                self.unsampled_roots += 1
-        span = Span(trace_id=trace_id, span_id=f"s{next(self._span_seq):06d}",
-                    parent_id=parent_id, name=name, component=component,
-                    start_ms=self._clock() if start_ms is None
-                    else float(start_ms),
-                    sampled=sampled)
-        if tags:
-            span.tags.update(tags)
+            return self._new(parent.trace_id, parent.span_id,
+                             parent.sampled and self.enabled, name,
+                             component, start_ms, tags, track)
+        n = next(self._trace_seq)
+        sampled = self.enabled and n % self.sample_every == 0
+        if not sampled:
+            self.unsampled_roots += 1
+        return self._new(f"t{n:06d}", None, sampled, name, component,
+                         start_ms, tags, track)
+
+    def _new(self, trace_id: str, parent_id: Optional[str], sampled: bool,
+             name: str, component: str, start_ms, tags: dict,
+             track: bool) -> Span:
+        """Mint a span and record it.  Only a sampled root opens a trace:
+        a child whose trace is not retained (evicted, e.g. a replayed
+        WAL record's delivery) is built but not recorded."""
+        span = Span(trace_id, f"s{next(self._span_seq):06d}", parent_id,
+                    name, component,
+                    self._clock() if start_ms is None else start_ms,
+                    sampled, tags)
         if sampled:
             bucket = self._traces.get(trace_id)
             if bucket is None:
+                if parent_id is not None:
+                    return span
                 bucket = self._traces[trace_id] = []
                 self._evict()
             bucket.append(span)
-            self._open[span.span_id] = span
+            if track:
+                self._open[span.span_id] = span
         return span
 
     def finish_span(self, span: Span, end_ms: Optional[float] = None,
@@ -143,42 +206,26 @@ class TraceCollector:
             span.status = status
         self._open.pop(span.span_id, None)
 
-    @contextmanager
     def span(self, name: str, component: str,
              parent: Optional[TraceContext] = None,
-             **tags) -> Iterator[Span]:
+             **tags) -> "_Scope":
         """Open a span for the duration of a ``with`` block.
 
         The span becomes ambient (children started inside inherit it); an
         exception escaping the block closes it with ``status="error"``.
         """
-        opened = self.start_span(name, component, parent=parent, **tags)
-        self._stack.append(opened)
-        ok = False
-        try:
-            yield opened
-            ok = True
-        finally:
-            self._stack.pop()
-            if opened.end_ms is None:
-                self.finish_span(opened,
-                                 status=None if ok else SPAN_ERROR)
+        return _Scope(self, self._start(name, component, parent, None, tags,
+                                        True))
 
-    @contextmanager
-    def activate(self, span: Span) -> Iterator[Span]:
+    def activate(self, span: Span) -> "_Ambient":
         """Make an already-open span ambient without closing it on exit.
 
         Used by deferred completions (flush/build announcements) that must
         publish *under* a span opened earlier in virtual time.
         """
-        self._stack.append(span)
-        try:
-            yield span
-        finally:
-            self._stack.pop()
+        return _Ambient(self._stack, span)
 
-    @contextmanager
-    def detached(self) -> Iterator[None]:
+    def detached(self) -> "_Ambient":
         """Run a block with no ambient context.
 
         Scheduled events execute inside whatever frame happens to step the
@@ -186,20 +233,15 @@ class TraceCollector:
         time-tick fan-out, seal retries, batch-window flushes — detaches so
         it is neither attributed to nor stamped with a bystander's context.
         """
-        saved, self._stack = self._stack, []
-        try:
-            yield
-        finally:
-            self._stack = saved
+        return self._detached
 
     def record_span(self, name: str, component: str,
                     parent: Optional[TraceContext] = None,
                     start_ms: float = 0.0, end_ms: float = 0.0,
                     **tags) -> Span:
         """Record an already-completed span with an explicit window."""
-        span = self.start_span(name, component, parent=parent,
-                               start_ms=start_ms, **tags)
-        self.finish_span(span, end_ms=end_ms)
+        span = self._start(name, component, parent, start_ms, tags, False)
+        span.end_ms = max(float(end_ms), span.start_ms)
         return span
 
     def mark_incomplete(self, component: str) -> list[Span]:
@@ -231,37 +273,33 @@ class TraceCollector:
         if span is None or not span.sampled:
             return payload
         self._edges.add((span.component, "publish", channel))
-        if not dataclasses.is_dataclass(payload):
-            return payload
-        wire = getattr(payload, "trace", _MISSING)
-        if wire is None:  # traceable and not yet stamped
-            return dataclasses.replace(payload,
-                                       trace=span.context.to_wire())
+        # trace is None: traceable and not yet stamped
+        if getattr(payload, "trace", _MISSING) is None \
+                and dataclasses.is_dataclass(payload):
+            return dataclasses.replace(payload, trace=span.wire)
         return payload
 
-    @contextmanager
-    def deliver(self, subscriber: str, entry) -> Iterator[Optional[Span]]:
+    def deliver(self, subscriber: str, entry) -> "_Ambient | _Scope":
         """Span around one pushed delivery, parented to the record's ctx.
 
-        Yields None (and traces nothing) for records without metadata, so
-        untraced traffic — time-ticks by default — costs nothing.  The
+        Enters as None (and traces nothing) for records without metadata,
+        so untraced traffic — time-ticks by default — costs nothing.  The
         delivery always runs :meth:`detached` from the frame stepping the
         clock: a record's causal parent is its publisher, never the
-        bystander request whose wait loop happened to drive the delivery.
+        bystander request whose wait loop happened to drive the delivery
+        (the delivery span itself is the whole ambient context).
         """
-        with self.detached():
-            parent = TraceContext.from_wire(getattr(entry.payload, "trace",
-                                                    None))
-            if parent is None or not self.enabled:
-                yield None
-                return
-            self._edges.add((subscriber, "subscribe", entry.channel))
-            kind = getattr(entry.payload, "kind",
-                           type(entry.payload).__name__)
-            with self.span("log.deliver", subscriber, parent=parent,
-                           channel=entry.channel, kind=kind,
-                           offset=entry.offset) as span:
-                yield span
+        payload = entry.payload
+        wire = getattr(payload, "trace", None)
+        if wire is None or not self.enabled:
+            return self._detached
+        self._edges.add((subscriber, "subscribe", entry.channel))
+        trace_id, span_id, _parent_id, sampled = wire
+        kind = getattr(payload, "kind", type(payload).__name__)
+        return _Scope(self, self._new(
+            trace_id, span_id, bool(sampled) and self.enabled, "log.deliver",
+            subscriber, None, {"channel": entry.channel, "kind": kind,
+                               "offset": entry.offset}, True))
 
     def observed_edges(self) -> set[tuple[str, str, str]]:
         """Runtime ``(component, action, channel)`` edges seen so far."""

@@ -4,9 +4,11 @@ A :class:`TraceContext` names one position in one request's causal tree —
 the trace it belongs to, the span that is "current", and that span's
 parent.  It is immutable and wire-friendly: ``to_wire`` flattens it into a
 plain tuple that rides as metadata on WAL records (see the ``trace`` field
-of :class:`repro.log.wal.WalRecord`), and ``from_wire`` restores it on the
-subscriber side, so causality survives the broker's asynchronous
-publish/deliver seam.
+of :class:`repro.log.wal.WalRecord`), and ``from_wire`` restores it for a
+caller that holds only the tuple, so causality survives the broker's
+asynchronous publish/deliver seam.  The collector's own hot path builds
+no context: a child reads its ids off the parent :class:`Span`, and a
+delivery unpacks the record's tuple itself.
 
 The ``sampled`` flag implements head-based sampling: it is decided once at
 the root span and inherited by every descendant, so either a whole request

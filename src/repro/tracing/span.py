@@ -6,6 +6,11 @@ component that executed it (``proxy:proxy-0``, ``query-node:qn-1``, ...)
 and free-form tags.  Spans are mutable while open — the collector closes
 them, possibly with an explicit virtual end time when the operation's
 completion is scheduled in the future (flush announcements, index builds).
+
+A span is its own parent handle: a child reads the trace id, span id and
+sampling bit straight off it (a :class:`TraceContext` is built only when
+:attr:`Span.context` is asked for), and :attr:`Span.wire` is the tuple a
+record carries across the broker.
 """
 
 from __future__ import annotations
@@ -27,7 +32,8 @@ class Span:
 
     def __init__(self, trace_id: str, span_id: str,
                  parent_id: Optional[str], name: str, component: str,
-                 start_ms: float, sampled: bool = True) -> None:
+                 start_ms: float, sampled: bool = True,
+                 tags: Optional[dict] = None) -> None:
         self.trace_id = trace_id
         self.span_id = span_id
         self.parent_id = parent_id
@@ -36,7 +42,8 @@ class Span:
         self.start_ms = float(start_ms)
         self.end_ms: Optional[float] = None
         self.status = SPAN_OK
-        self.tags: dict = {}
+        # Kept, not copied: the collector hands each span a dict of its own.
+        self.tags: dict = {} if tags is None else tags
         self.sampled = sampled
 
     @property
@@ -44,6 +51,11 @@ class Span:
         """Context presenting *this* span as the parent of new children."""
         return TraceContext(trace_id=self.trace_id, span_id=self.span_id,
                             parent_id=self.parent_id, sampled=self.sampled)
+
+    @property
+    def wire(self) -> tuple:
+        """``context.to_wire()`` without building the context."""
+        return (self.trace_id, self.span_id, self.parent_id, self.sampled)
 
     @property
     def duration_ms(self) -> Optional[float]:

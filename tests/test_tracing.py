@@ -112,6 +112,19 @@ class TestCollectorUnit:
         assert tracer.trace_ids() == [spans[2].trace_id, spans[3].trace_id]
         assert tracer.spans(spans[0].trace_id) == []
 
+    def test_child_of_unretained_trace_is_not_recorded(self):
+        tracer = TraceCollector(lambda: 0.0, max_traces=1)
+        old = tracer.start_span("r0", "proxy")
+        live = tracer.start_span("r1", "proxy")
+        assert tracer.dropped_traces == 1
+        child = tracer.start_span("c", "proxy", parent=old.context)
+        assert child.sampled and child.trace_id == old.trace_id
+        # Only a sampled root opens a trace: the late child neither
+        # re-creates the evicted trace nor evicts the live one.
+        assert tracer.trace_ids() == [live.trace_id]
+        assert tracer.dropped_traces == 1
+        assert tracer.mark_incomplete("proxy") == [live]
+
     def test_wire_context_round_trip(self):
         ctx = TraceContext(trace_id="t000001", span_id="s000005",
                            parent_id="s000004", sampled=True)
@@ -334,3 +347,58 @@ class TestEndToEndTraces:
         assert result.pks
         assert cluster.tracer.trace_ids() == []
         assert cluster.tracer.observed_edges() == set()
+
+
+# ----------------------------------------------------------------------
+# retention and open spans under churn
+# ----------------------------------------------------------------------
+
+
+class TestRetentionAndOpenSpans:
+    def test_replayed_deliveries_do_not_reopen_evicted_traces(self, rng):
+        cluster = ManuCluster(num_query_nodes=1)
+        cluster.create_collection("c", _schema())
+        for _ in range(400):
+            cluster.insert("c", _rows(rng, 4))
+        cluster.search("c", _rows(rng, 1)["vector"][0], 3,
+                       consistency=ConsistencyLevel.STRONG)
+        tracer = cluster.tracer
+        search = tracer.spans_named("proxy.search")[-1].trace_id
+        dropped, retained = tracer.dropped_traces, tracer.trace_ids()
+        assert len(retained) == 256 and search == retained[-1]
+        # The new node replays the retained WAL: every replayed record
+        # still carries the trace of the insert that wrote it, most of
+        # them long evicted.
+        cluster.add_query_node()
+        cluster.run_for(3000)
+        assert tracer.dropped_traces == dropped
+        assert tracer.trace_ids() == retained
+        assert all(tracer.root(trace_id) is not None
+                   for trace_id in tracer.trace_ids())
+        assert any(span.component == "query-node:qn-1"
+                   for span in tracer.spans_named("log.deliver"))
+
+    def test_raising_event_in_strong_wait_closes_wait_spans(self, rng):
+        cluster = ManuCluster(num_query_nodes=2)
+        cluster.create_collection("c", _schema())
+        cluster.insert("c", _rows(rng, 100))
+        cluster.run_for(200)
+        cluster.insert("c", _rows(rng, 10))
+
+        def fail():
+            raise RuntimeError("event failed")
+
+        cluster.loop.call_after(0.5, fail)
+        with pytest.raises(RuntimeError, match="event failed"):
+            cluster.search("c", _rows(rng, 1)["vector"][0], 3,
+                           consistency=ConsistencyLevel.STRONG)
+        waits = cluster.tracer.spans_named("query_node.wait_ready")
+        assert {span.component for span in waits} == {
+            "query-node:qn-0", "query-node:qn-1"}
+        assert all(span.finished and span.status == SPAN_INCOMPLETE
+                   for span in waits)
+        # None is left open: a later node failure marks nothing of them.
+        for name in ("query-node:qn-0", "query-node:qn-1"):
+            assert not set(cluster.tracer.mark_incomplete(name)) & set(waits)
+        wait = cluster.tracer.spans_named("proxy.consistency_wait")[-1]
+        assert wait.status == SPAN_ERROR
