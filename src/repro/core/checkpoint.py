@@ -20,8 +20,9 @@ Pieces:
   the checkpointed segment map, replay each WAL channel from the recorded
   offset applying records with LSN <= T, apply delete deltas, and return
   the reconstructed segments;
-* :func:`apply_retention` — drops checkpoints, delta logs and WAL entries
-  older than a configured expiration period.
+* :func:`apply_retention` — drops checkpoints and WAL entries older than
+  a configured expiration period (delete delta logs are kept: nothing
+  truncates them).
 """
 
 from __future__ import annotations
@@ -235,8 +236,8 @@ class TimeTravel:
 def apply_retention(store: ObjectStore, broker: LogBroker, collection: str,
                     num_shards: int, expire_before_ms: float,
                     live_segments: Optional[set[str]] = None) -> int:
-    """Expire checkpoints/deltas/WAL older than a physical time; returns
-    the number of expired objects.
+    """Expire checkpoints and WAL entries older than a physical time;
+    returns the number of expired objects.
 
     "Users can also specify an expiration period to delete outdated log and
     segments to reduce storage consumption."  WAL channels are truncated up
@@ -245,6 +246,7 @@ def apply_retention(store: ObjectStore, broker: LogBroker, collection: str,
     collection's current flushed set) is given, binlogs of segments that
     are neither live nor referenced by a surviving checkpoint — i.e.
     compaction inputs kept only for old checkpoints — are deleted too.
+    No ``delta/`` blob is ever deleted: the delete delta log only grows.
     """
     expire_ts = Timestamp.from_physical(expire_before_ms).pack()
     manager = CheckpointManager(store)

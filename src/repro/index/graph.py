@@ -1,19 +1,27 @@
-"""Shared machinery for flat proximity graphs (NSG, NGT).
+"""The one walk of the proximity graphs (HNSW, NSG, NGT).
 
-Provides exact k-NN graph construction (blocked brute force, fine at the
-scales of our experiments) and a best-first beam searcher over an adjacency
-list, with the same work accounting as the other indexes.
+:func:`beam_search` is the best-first beam every graph index runs: HNSW on
+each layer at build and at search (and so IVF_HNSW's and SSD's centroid
+graphs), NSG at build and at search, NGT at search.  It scores with
+:func:`~repro.index.distances.block_distances`, marks visited nodes in a
+numpy mask and counts its work in a :class:`SearchStats`.
+:class:`GraphIndex` is the one query loop around it.  Also here: exact
+k-NN graph construction (blocked brute force, fine at the scales of our
+experiments) and the reachability repair NSG and NGT finish their builds
+with.
 """
 
 from __future__ import annotations
 
+import abc
 import heapq
 
 import numpy as np
 
 from repro.core.schema import MetricType
-from repro.index.base import SearchStats
-from repro.index.distances import adjusted_distances, topk_smallest
+from repro.index.base import SearchStats, VectorIndex, positive_int
+from repro.index.distances import adjusted_distances, block_distances, \
+    topk_smallest
 
 
 def exact_knn_graph(data: np.ndarray, k: int, metric: MetricType,
@@ -36,52 +44,86 @@ def exact_knn_graph(data: np.ndarray, k: int, metric: MetricType,
     return adjacency
 
 
-def beam_search(graph: list[np.ndarray], data: np.ndarray, q: np.ndarray,
-                entries: list[int], ef: int, metric: MetricType,
-                stats: SearchStats,
-                visited_out: set | None = None) -> list[tuple[float, int]]:
-    """Best-first beam over a flat graph; returns (distance, id) ascending.
+def beam_search(graph, data: np.ndarray, q: np.ndarray, entries: list[int],
+                ef: int, metric: MetricType, stats: SearchStats
+                ) -> tuple[list[int], np.ndarray]:
+    """Best-first beam of width ``ef`` from ``entries`` over ``graph``.
 
-    ``visited_out``, when given, collects every node whose distance was
-    evaluated — graph constructions (NSG/Vamana) use the visited set as
-    the candidate pool for edge selection.
+    ``graph[node]`` is a node's out-neighbours: an HNSW layer's dict of
+    lists or NSG's / NGT's list of arrays.  Returns the ids the beam ends
+    with, nearest first, and the mask of every node whose distance was
+    evaluated — NSG's build draws its candidate pool from it.
     """
-    eps = np.asarray(sorted(set(entries)), dtype=np.int64)
-    dists = adjusted_distances(q, data[eps], metric)[0]
+    visited = np.zeros(len(data), dtype=bool)
+    eps = list(dict.fromkeys(entries))
+    dists = block_distances(q, data[eps], metric)
     stats.float_comparisons += len(eps)
-    visited = set(int(e) for e in eps)
-    candidates = [(float(d), int(e)) for d, e in zip(dists, eps)]
+    visited[eps] = True
+    candidates = list(zip(dists.tolist(), eps))
     heapq.heapify(candidates)
-    results = [(-float(d), int(e)) for d, e in zip(dists, eps)]
+    results = [(-d, e) for d, e in candidates]
     heapq.heapify(results)
     while len(results) > ef:
         heapq.heappop(results)
     while candidates:
         dist, node = heapq.heappop(candidates)
-        worst = -results[0][0]
-        if dist > worst and len(results) >= ef:
+        if dist > -results[0][0] and len(results) >= ef:
             break
-        fresh = np.asarray([x for x in graph[node] if int(x) not in visited],
-                           dtype=np.int64)
+        neigh = np.asarray(graph[node], dtype=np.int64)
+        fresh = neigh[~visited[neigh]]
         if not len(fresh):
             continue
-        visited.update(int(x) for x in fresh)
-        fresh_dists = adjusted_distances(q, data[fresh], metric)[0]
+        visited[fresh] = True
+        fresh_dists = block_distances(q, data[fresh], metric)
         stats.float_comparisons += len(fresh)
         stats.graph_hops += 1
         worst = -results[0][0]
-        for fd, fn in zip(fresh_dists, fresh):
-            fd = float(fd)
-            fn = int(fn)
-            if len(results) < ef or fd < worst:
+        full = len(results) >= ef
+        for fd, fn in zip(fresh_dists.tolist(), fresh.tolist()):
+            if not full or fd < worst:
                 heapq.heappush(candidates, (fd, fn))
                 heapq.heappush(results, (-fd, fn))
                 if len(results) > ef:
                     heapq.heappop(results)
                 worst = -results[0][0]
-    if visited_out is not None:
-        visited_out.update(visited)
-    return sorted((-d, node) for d, node in results)
+                full = len(results) >= ef
+    ordered = sorted((-d, node) for d, node in results)
+    return [node for _, node in ordered], visited
+
+
+class GraphIndex(VectorIndex):
+    """A proximity graph over its build rows, searched one query at a time.
+
+    A subclass keeps its rows in ``_data`` and its default beam width in
+    ``ef_search``, and says in :meth:`_walk` how one query reaches its
+    nearest nodes.  The ``k`` it keeps are re-scored against the query.
+    """
+
+    _data: np.ndarray
+    ef_search: int
+
+    @abc.abstractmethod
+    def _walk(self, q: np.ndarray, ef: int) -> list[int]:
+        """The ids a beam of width ``ef`` ends with, nearest first."""
+
+    def search(self, queries: np.ndarray, k: int,
+               ef_search: int | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        queries = self._check_query_input(queries)
+        if ef_search is not None:
+            positive_int("ef_search", ef_search)
+        ef = max(ef_search or self.ef_search, k)
+        self.stats.reset()
+        nq = queries.shape[0]
+        all_ids = np.full((nq, k), -1, dtype=np.int64)
+        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
+        for qi, q in enumerate(queries):
+            found = self._walk(q, ef)[:k]
+            if found:
+                all_ids[qi, :len(found)] = found
+                all_dists[qi, :len(found)] = block_distances(
+                    q, self._data[found], self.metric)
+        return all_ids, all_dists
 
 
 def ensure_connected(graph: list[np.ndarray], data: np.ndarray,
@@ -110,7 +152,7 @@ def ensure_connected(graph: list[np.ndarray], data: np.ndarray,
         return
     reachable = np.flatnonzero(seen)
     for node in unreachable:
-        dists = adjusted_distances(data[node], data[reachable], metric)[0]
+        dists = block_distances(data[node], data[reachable], metric)
         anchor = int(reachable[int(dists.argmin())])
         graph[anchor] = np.append(graph[anchor], node)
         # Newly attached nodes become reachable anchors for later ones.

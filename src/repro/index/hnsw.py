@@ -7,53 +7,40 @@ navigation graphs and layer 0 holds up to ``2M`` neighbours per node chosen
 with the select-neighbours heuristic; queries greedily descend the layers
 and run a best-first beam of width ``ef_search`` at layer 0.
 
-The implementation is tuned for pure Python: distance evaluations against
-candidate sets use a dedicated small-batch kernel, the visited set is a
-numpy bool array, and the select-neighbours heuristic is vectorized over
-the full candidate list — together these keep builds usable at the
+The implementation is tuned for pure Python: every layer's beam is the
+shared walk of :mod:`repro.index.graph` (small-block distance kernel, numpy
+visited mask), and the select-neighbours heuristic is vectorized over the
+full candidate list — together these keep builds usable at the
 10k-100k-vector scales of our experiments.
 """
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
-from repro.index.base import VectorIndex, register_index
-
-
-def _dist_block(q: np.ndarray, block: np.ndarray,
-                metric: MetricType) -> np.ndarray:
-    """Adjusted distances of one query against a small candidate block."""
-    if metric is MetricType.EUCLIDEAN:
-        diff = block - q
-        return np.einsum("ij,ij->i", diff, diff)
-    if metric is MetricType.INNER_PRODUCT:
-        return -(block @ q)
-    # cosine
-    qn = q / (np.linalg.norm(q) or 1.0)
-    norms = np.linalg.norm(block, axis=1)
-    norms[norms == 0] = 1.0
-    return -((block @ qn) / norms)
+from repro.index.base import positive_int, register_index
+from repro.index.distances import adjusted_distances, block_distances
+from repro.index.graph import GraphIndex, beam_search
 
 
 @register_index("HNSW")
-class HnswIndex(VectorIndex):
+class HnswIndex(GraphIndex):
     """Hierarchical navigable small world graph."""
 
     def __init__(self, metric: MetricType, dim: int, M: int = 16,
                  ef_construction: int = 100, ef_search: int = 64,
                  seed: int = 0) -> None:
         super().__init__(metric, dim)
+        M = positive_int("M", M)
         if M < 2:
             raise IndexBuildError(f"M must be >= 2, got {M}")
         self.M = M
         self.max_m0 = 2 * M
-        self.ef_construction = max(ef_construction, M)
-        self.ef_search = ef_search
+        self.ef_construction = max(
+            positive_int("ef_construction", ef_construction), M)
+        self.ef_search = positive_int("ef_search", ef_search)
         self.seed = seed
         self._ml = 1.0 / np.log(M)
         self._data: np.ndarray | None = None
@@ -85,7 +72,7 @@ class HnswIndex(VectorIndex):
 
     def _dist(self, q: np.ndarray, ids) -> np.ndarray:
         block = self._data[np.asarray(ids, dtype=np.int64)]
-        return _dist_block(q, block, self.metric)
+        return block_distances(q, block, self.metric)
 
     def _neighbors(self, level: int, node: int) -> list[int]:
         return self._graph[level].get(node, [])
@@ -151,46 +138,8 @@ class HnswIndex(VectorIndex):
     def _search_layer(self, q: np.ndarray, entry_points: list[int],
                       ef: int, level: int) -> list[int]:
         """Best-first beam of width ``ef``; returns ids sorted by distance."""
-        graph = self._graph[level]
-        visited = np.zeros(len(self._data), dtype=bool)
-        eps = list(dict.fromkeys(entry_points))
-        dists = self._dist(q, eps)
-        self.stats.float_comparisons += len(eps)
-        visited[eps] = True
-        candidates = [(float(d), e) for d, e in zip(dists, eps)]
-        heapq.heapify(candidates)
-        results = [(-float(d), e) for d, e in zip(dists, eps)]
-        heapq.heapify(results)
-        while len(results) > ef:
-            heapq.heappop(results)
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            worst = -results[0][0]
-            if dist > worst and len(results) >= ef:
-                break
-            neigh = graph.get(node)
-            if not neigh:
-                continue
-            neigh_arr = np.asarray(neigh, dtype=np.int64)
-            fresh = neigh_arr[~visited[neigh_arr]]
-            if not len(fresh):
-                continue
-            visited[fresh] = True
-            fresh_dists = _dist_block(q, self._data[fresh], self.metric)
-            self.stats.float_comparisons += len(fresh)
-            self.stats.graph_hops += 1
-            worst = -results[0][0]
-            full = len(results) >= ef
-            for fd, fn in zip(fresh_dists.tolist(), fresh.tolist()):
-                if not full or fd < worst:
-                    heapq.heappush(candidates, (fd, fn))
-                    heapq.heappush(results, (-fd, fn))
-                    if len(results) > ef:
-                        heapq.heappop(results)
-                    worst = -results[0][0]
-                    full = len(results) >= ef
-        ordered = sorted((-d, node) for d, node in results)
-        return [node for _, node in ordered]
+        return beam_search(self._graph[level], self._data, q, entry_points,
+                           ef, self.metric, self.stats)[0]
 
     def _select_neighbors(self, q: np.ndarray, candidates: list[int],
                           m: int) -> list[int]:
@@ -206,20 +155,11 @@ class HnswIndex(VectorIndex):
             return candidates
         cand = np.asarray(candidates, dtype=np.int64)
         vecs = self._data[cand]
-        to_q = _dist_block(q, vecs, self.metric)
+        to_q = block_distances(q, vecs, self.metric)
         self.stats.float_comparisons += len(cand)
         order = np.argsort(to_q, kind="stable")
         # Pairwise candidate distances in one shot (<= ef_construction^2).
-        if self.metric is MetricType.EUCLIDEAN:
-            sq = np.einsum("ij,ij->i", vecs, vecs)
-            pairwise = sq[:, None] - 2.0 * (vecs @ vecs.T) + sq[None, :]
-        elif self.metric is MetricType.INNER_PRODUCT:
-            pairwise = -(vecs @ vecs.T)
-        else:
-            norms = np.linalg.norm(vecs, axis=1)
-            norms[norms == 0] = 1.0
-            unit = vecs / norms[:, None]
-            pairwise = -(unit @ unit.T)
+        pairwise = adjusted_distances(vecs, vecs, self.metric)
         self.stats.float_comparisons += len(cand) * len(cand)
 
         kept: list[int] = []
@@ -251,7 +191,7 @@ class HnswIndex(VectorIndex):
         if len(candidates) <= m:
             return candidates
         cand = np.asarray(candidates, dtype=np.int64)
-        dists = _dist_block(q, self._data[cand], self.metric)
+        dists = block_distances(q, self._data[cand], self.metric)
         self.stats.float_comparisons += len(cand)
         keep = np.argpartition(dists, m - 1)[:m]
         return cand[keep].tolist()
@@ -260,27 +200,11 @@ class HnswIndex(VectorIndex):
     # search
     # ------------------------------------------------------------------
 
-    def search(self, queries: np.ndarray, k: int,
-               ef_search: int | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        ef = max(ef_search or self.ef_search, k)
-        self.stats.reset()
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        for qi in range(nq):
-            q = queries[qi]
-            entry = self._entry
-            for lvl in range(self._max_level, 0, -1):
-                entry = self._greedy_step(q, entry, lvl)
-            found = self._search_layer(q, [entry], ef, 0)[:k]
-            if found:
-                ids = np.asarray(found, dtype=np.int64)
-                dists = self._dist(q, ids)
-                all_ids[qi, :len(ids)] = ids
-                all_dists[qi, :len(ids)] = dists
-        return all_ids, all_dists
+    def _walk(self, q: np.ndarray, ef: int) -> list[int]:
+        entry = self._entry
+        for lvl in range(self._max_level, 0, -1):
+            entry = self._greedy_step(q, entry, lvl)
+        return self._search_layer(q, [entry], ef, 0)
 
     def degree_histogram(self, level: int = 0) -> np.ndarray:
         """Node out-degrees on one layer (graph-quality diagnostics)."""

@@ -14,25 +14,28 @@ import numpy as np
 
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
-from repro.index.base import VectorIndex, register_index
-from repro.index.distances import adjusted_distances, topk_smallest
-from repro.index.graph import beam_search, ensure_connected, exact_knn_graph
+from repro.index.base import positive_int, register_index
+from repro.index.distances import block_distances, topk_smallest
+from repro.index.graph import GraphIndex, beam_search, ensure_connected, \
+    exact_knn_graph
 
 
 @register_index("NGT")
-class NgtIndex(VectorIndex):
+class NgtIndex(GraphIndex):
     """Degree-adjusted bidirected k-NN graph with sampled seeds."""
 
     def __init__(self, metric: MetricType, dim: int, edge_size: int = 24,
                  outdegree_limit: int = 48, num_seeds: int = 64,
                  ef_search: int = 64, seed: int = 0) -> None:
         super().__init__(metric, dim)
+        edge_size = positive_int("edge_size", edge_size)
         if edge_size < 2:
             raise IndexBuildError(f"edge_size must be >= 2, got {edge_size}")
         self.edge_size = edge_size
-        self.outdegree_limit = max(outdegree_limit, edge_size)
-        self.num_seeds = num_seeds
-        self.ef_search = ef_search
+        self.outdegree_limit = max(
+            positive_int("outdegree_limit", outdegree_limit), edge_size)
+        self.num_seeds = positive_int("num_seeds", num_seeds)
+        self.ef_search = positive_int("ef_search", ef_search)
         self.seed = seed
         self._data: np.ndarray | None = None
         self._graph: list[np.ndarray] = []
@@ -56,8 +59,7 @@ class NgtIndex(VectorIndex):
             )) if incoming[node] else knn[node]
             merged = merged[merged != node]
             if len(merged) > self.outdegree_limit:
-                dists = adjusted_distances(arr[node], arr[merged],
-                                           self.metric)[0]
+                dists = block_distances(arr[node], arr[merged], self.metric)
                 ids, _ = topk_smallest(dists, self.outdegree_limit)
                 merged = merged[ids]
             graph.append(merged.astype(np.int64))
@@ -70,28 +72,13 @@ class NgtIndex(VectorIndex):
         self.ntotal = n
         self.is_built = True
 
-    def search(self, queries: np.ndarray, k: int,
-               ef_search: int | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        ef = max(ef_search or self.ef_search, k)
-        self.stats.reset()
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        for qi in range(nq):
-            q = queries[qi]
-            seed_dists = adjusted_distances(q, self._data[self._seeds],
-                                            self.metric)[0]
-            self.stats.float_comparisons += len(self._seeds)
-            # Enter from the few best seeds (the role of NGT's VP-tree):
-            # multiple entries keep clustered datasets fully reachable.
-            take = min(4, len(self._seeds))
-            order = np.argsort(seed_dists, kind="stable")[:take]
-            entries = [int(self._seeds[i]) for i in order]
-            found = beam_search(self._graph, self._data, q, entries,
-                                ef, self.metric, self.stats)
-            for col, (dist, node) in enumerate(found[:k]):
-                all_ids[qi, col] = node
-                all_dists[qi, col] = dist
-        return all_ids, all_dists
+    def _walk(self, q: np.ndarray, ef: int) -> list[int]:
+        seed_dists = block_distances(q, self._data[self._seeds], self.metric)
+        self.stats.float_comparisons += len(self._seeds)
+        # Enter from the few best seeds (the role of NGT's VP-tree):
+        # multiple entries keep clustered datasets fully reachable.
+        take = min(4, len(self._seeds))
+        order = np.argsort(seed_dists, kind="stable")[:take]
+        entries = [int(self._seeds[i]) for i in order]
+        return beam_search(self._graph, self._data, q, entries, ef,
+                           self.metric, self.stats)[0]

@@ -22,17 +22,21 @@ Search is a best-first beam from the navigating node.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
-from repro.index.base import SearchStats, VectorIndex, register_index
-from repro.index.distances import adjusted_distances
-from repro.index.graph import beam_search, ensure_connected, exact_knn_graph
+from repro.index.base import SearchStats, positive_int, register_index
+from repro.index.distances import block_distances
+from repro.index.graph import GraphIndex, beam_search, ensure_connected, \
+    exact_knn_graph
 
 
 @register_index("NSG")
-class NsgIndex(VectorIndex):
+class NsgIndex(GraphIndex):
     """Navigating spreading-out graph (robust-prune construction)."""
 
     def __init__(self, metric: MetricType, dim: int, knn: int = 24,
@@ -40,14 +44,18 @@ class NsgIndex(VectorIndex):
                  ef_construction: int = 96, alpha: float = 1.2,
                  seed: int = 0) -> None:
         super().__init__(metric, dim)
+        out_degree = positive_int("out_degree", out_degree)
         if out_degree < 2:
             raise IndexBuildError(f"out_degree must be >= 2, got {out_degree}")
-        if alpha < 1.0:
-            raise IndexBuildError(f"alpha must be >= 1, got {alpha}")
-        self.knn = max(knn, out_degree)
+        if (isinstance(alpha, bool) or not isinstance(alpha, numbers.Real)
+                or not 1.0 <= alpha < math.inf):
+            raise IndexBuildError(
+                f"alpha must be a finite number >= 1, got {alpha!r}")
+        self.knn = max(positive_int("knn", knn), out_degree)
         self.out_degree = out_degree
-        self.ef_search = ef_search
-        self.ef_construction = max(ef_construction, out_degree)
+        self.ef_search = positive_int("ef_search", ef_search)
+        self.ef_construction = max(
+            positive_int("ef_construction", ef_construction), out_degree)
         self.alpha = alpha
         self.seed = seed
         self._data: np.ndarray | None = None
@@ -64,9 +72,9 @@ class NsgIndex(VectorIndex):
         n = arr.shape[0]
         knn = exact_knn_graph(arr, self.knn, self.metric)
 
-        centroid = arr.mean(axis=0, keepdims=True)
+        centroid = arr.mean(axis=0)
         self._medoid = int(
-            adjusted_distances(centroid, arr, self.metric)[0].argmin())
+            block_distances(centroid, arr, self.metric).argmin())
 
         graph: list[np.ndarray] = [nbrs[:self.out_degree].copy()
                                    for nbrs in knn]
@@ -76,11 +84,11 @@ class NsgIndex(VectorIndex):
             order = rng.permutation(n)
             for node in order:
                 node = int(node)
-                visited: set[int] = set()
-                beam_search(graph, arr, arr[node], [self._medoid],
-                            self.ef_construction, self.metric, scratch,
-                            visited_out=visited)
-                pool = visited | set(int(x) for x in graph[node]) \
+                _, visited = beam_search(
+                    graph, arr, arr[node], [self._medoid],
+                    self.ef_construction, self.metric, scratch)
+                pool = set(np.flatnonzero(visited).tolist()) \
+                    | set(int(x) for x in graph[node]) \
                     | set(int(x) for x in knn[node])
                 pool.discard(node)
                 graph[node] = self._robust_prune(arr, node, pool, alpha)
@@ -104,7 +112,7 @@ class NsgIndex(VectorIndex):
         if not pool:
             return np.empty(0, dtype=np.int64)
         cand = np.asarray(sorted(pool), dtype=np.int64)
-        dists = adjusted_distances(arr[node], arr[cand], self.metric)[0]
+        dists = block_distances(arr[node], arr[cand], self.metric)
         order = np.argsort(dists, kind="stable")
         cand = cand[order]
         dists = dists[order]
@@ -117,9 +125,8 @@ class NsgIndex(VectorIndex):
             if len(kept) >= self.out_degree:
                 break
             # Discard candidates much closer to the new edge than to node.
-            to_kept = adjusted_distances(arr[cand[idx]],
-                                         arr[cand[alive]],
-                                         self.metric)[0]
+            to_kept = block_distances(arr[cand[idx]], arr[cand[alive]],
+                                      self.metric)
             alive_idx = np.flatnonzero(alive)
             # Adjusted distances can be negative (IP); the alpha rule is
             # formulated on nonnegative distances, so shift both sides.
@@ -135,22 +142,9 @@ class NsgIndex(VectorIndex):
     # search
     # ------------------------------------------------------------------
 
-    def search(self, queries: np.ndarray, k: int,
-               ef_search: int | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-        queries = self._check_query_input(queries)
-        ef = max(ef_search or self.ef_search, k)
-        self.stats.reset()
-        nq = queries.shape[0]
-        all_ids = np.full((nq, k), -1, dtype=np.int64)
-        all_dists = np.full((nq, k), np.inf, dtype=np.float32)
-        for qi in range(nq):
-            found = beam_search(self._graph, self._data, queries[qi],
-                                [self._medoid], ef, self.metric, self.stats)
-            for col, (dist, node) in enumerate(found[:k]):
-                all_ids[qi, col] = node
-                all_dists[qi, col] = dist
-        return all_ids, all_dists
+    def _walk(self, q: np.ndarray, ef: int) -> list[int]:
+        return beam_search(self._graph, self._data, q, [self._medoid], ef,
+                           self.metric, self.stats)[0]
 
     @property
     def medoid(self) -> int:

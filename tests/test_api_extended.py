@@ -267,6 +267,13 @@ REFUSED_SPECS = [
     ({"index_type": "IVF_FLAT", "params": {"nprobee": 4}}, "nprobee"),
     ({"index_type": "IVF_PQ", "params": {"m": 3}}, "divisible"),
     ({"index_type": "IMI", "metric_type": "IP"}, "Euclidean"),
+    # The graph constructors took these; the build then raised numpy's or
+    # Python's own exception (or, for alpha, accepted it).
+    ({"index_type": "NGT", "params": {"num_seeds": 0}}, "num_seeds"),
+    ({"index_type": "NGT", "params": {"num_seeds": -1}}, "num_seeds"),
+    ({"index_type": "HNSW", "params": {"M": 2.5}}, "M"),
+    ({"index_type": "NSG", "params": {"out_degree": 2.5}}, "out_degree"),
+    ({"index_type": "NSG", "params": {"alpha": float("nan")}}, "alpha"),
 ]
 
 

@@ -62,7 +62,7 @@ COUNT_PARAMS = {
     "IVF_FLAT": ("nlist", "nprobe"),
     "IVF_SQ8": ("nlist", "nprobe"),
     "IVF_PQ": ("nlist", "nprobe", "m"),
-    "IVF_HNSW": ("nlist", "nprobe"),
+    "IVF_HNSW": ("nlist", "nprobe", "M", "ef_search"),
     "IMI": ("ksub",),
     "SSD": ("nprobe", "replicas"),
     "TIERED": ("nprobe", "replicas"),
@@ -70,7 +70,13 @@ COUNT_PARAMS = {
     "PQ": ("m",),
     "OPQ": ("m",),
     "RQ": ("stages",),
+    "HNSW": ("M", "ef_construction", "ef_search"),
+    "NSG": ("knn", "out_degree", "ef_search", "ef_construction"),
+    "NGT": ("edge_size", "outdegree_limit", "num_seeds", "ef_search"),
 }
+
+#: Types whose search takes an ``ef_search`` override, checked like ``nprobe``.
+GRAPH_TYPES = ("HNSW", "NSG", "NGT")
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +220,17 @@ class TestIndexContract:
         assert probe in set(int(x) for x in ids[0])
 
 
+@pytest.mark.parametrize("name", GRAPH_TYPES)
+def test_ef_search_override_validated(name, clustered_data):
+    data, queries = clustered_data
+    index = build(name, data[:200])
+    for bad in (0, -3, 1.5, "8"):
+        with pytest.raises(IndexBuildError, match="ef_search"):
+            index.search(queries[:2], 5, ef_search=bad)
+    ids, _ = index.search(queries[:2], 5, ef_search=2)     # widened to k
+    assert (ids >= 0).all()
+
+
 class TestRegistry:
     def test_all_expected_registered(self):
         assert set(RECALL_FLOORS) == set(available_indexes())
@@ -239,3 +256,11 @@ class TestRegistry:
     def test_bad_dim_rejected(self):
         with pytest.raises(IndexBuildError):
             create_index("FLAT", MetricType.EUCLIDEAN, 0)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.5,
+                                       "1.2", True, None])
+    def test_nsg_alpha_is_a_finite_number_at_least_one(self, alpha):
+        with pytest.raises(IndexBuildError, match="alpha"):
+            create_index("NSG", MetricType.EUCLIDEAN, DIM, alpha=alpha)
+        assert create_index("NSG", MetricType.EUCLIDEAN, DIM,
+                            alpha=np.float32(1.5)).alpha == 1.5
