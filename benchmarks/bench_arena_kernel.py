@@ -1,0 +1,158 @@
+"""Microbenchmark: the node arena's kernel against its members one by one.
+
+A query node searches its sealed ``IVF_FLAT`` segments through one
+``ArenaIndex`` (``repro.index.ivf``): one coarse step and one list-major
+scan for all of them, where the members' own ``search`` would each pay a
+coarse step, a scan and a top-k.  This benchmark times the two on the shape
+of the end-to-end benchmark's sealed node: 7 members of 4096 SIFT-like
+128-d rows (``seal_entity_count`` rows each), ``nlist`` 64, ``nprobe`` 8,
+``k`` 10.
+
+Per block height ``nq`` of 1, 8 and 64 it records the wall microseconds of
+one call — ``arena.search`` over all members, and the members' own
+``search`` one after another — as the median of ``REPEATS`` timings of
+``CALLS`` calls each, the two timed alternately, and their ratio.
+``equal`` is whether, at every height, every member's distances from the
+arena are bit for bit its own, its ids are its own (up to the order of
+equal distances, and which of them the ``k`` cut keeps) and its
+``SearchStats`` counters are its own.  ``equal`` is the gate (CI runs the
+quick mode and fails unless it is true); the times are the record and
+assert nothing.
+
+Wall-clock time is the deliverable here, so the timer reads are sanctioned
+deviations from the virtual-clock rule.  Results land in
+``BENCH_arena_kernel.json`` at the repo root (a full-mode run is
+committed).  Run it as ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src:. python
+benchmarks/bench_arena_kernel.py`` (one BLAS thread, as the end-to-end
+benchmark pins) or through pytest like its siblings; ``MANU_BENCH_QUICK=1``
+trims the repeats.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from repro.core.schema import MetricType
+from repro.datasets.synthetic import make_sift_like
+from repro.index.base import SearchStats
+from repro.index.ivf import ArenaIndex, IvfFlatIndex
+
+from conftest import print_series
+
+QUICK = os.environ.get("MANU_BENCH_QUICK", "") not in ("", "0")
+
+REPEATS = 3 if QUICK else 11
+SEED = 3
+MEMBERS, ROWS, DIM = 7, 4096, 128
+NLIST, NPROBE, K = 64, 8, 10
+#: query block height -> calls per timing (about the same rows each).
+CALLS = {1: 16 if QUICK else 64, 8: 8 if QUICK else 16,
+         64: 2 if QUICK else 4}
+
+
+def _wall_us(work, calls: int) -> float:
+    t0 = time.perf_counter()  # manu-lint: disable=determinism -- benchmark measures real wall-time
+    for _ in range(calls):
+        work()
+    return (time.perf_counter() - t0) / calls * 1e6  # manu-lint: disable=determinism -- benchmark measures real wall-time
+
+
+def _same_up_to_ties(got: np.ndarray, want: np.ndarray,
+                     dists: np.ndarray) -> bool:
+    """Ids equal as sets within every run of equal distances of a row,
+    except the last run, which the ``k`` cut may split differently."""
+    for got_row, want_row, row in zip(got, want, dists):
+        finite = row[row < np.inf]
+        for value in np.unique(finite)[:-1]:
+            if set(got_row[row == value]) != set(want_row[row == value]):
+                return False
+        if not (got_row[len(finite):] == want_row[len(finite):]).all():
+            return False
+    return True
+
+
+def _equal(arena: ArenaIndex, members: list[IvfFlatIndex],
+           queries: np.ndarray) -> bool:
+    """Whether every member's answer from the arena is its own."""
+    stats = [SearchStats() for _ in members]
+    ids, dists = arena.search(queries, K, stats=stats)
+    for number, member in enumerate(members):
+        want_ids, want_dists = member.search(queries, K)
+        want_ids = np.where(want_ids < 0, -1,
+                            want_ids + arena.row_base[number])
+        if not (np.array_equal(dists[number].view(np.int32),
+                               want_dists.view(np.int32))
+                and _same_up_to_ties(ids[number], want_ids, want_dists)
+                and stats[number].as_dict() == member.stats.as_dict()):
+            return False
+    return True
+
+
+def run() -> dict:
+    rng = np.random.default_rng(SEED)
+    data = make_sift_like(n=MEMBERS * ROWS, nq=256, dim=DIM)
+    corpus = data.vectors[rng.permutation(MEMBERS * ROWS)]
+    members = []
+    for number in range(MEMBERS):
+        member = IvfFlatIndex(MetricType.EUCLIDEAN, DIM, nlist=NLIST,
+                              nprobe=NPROBE)
+        member.build(corpus[number * ROWS:(number + 1) * ROWS])
+        members.append(member)
+    arena = ArenaIndex(members)
+    rows, equal = [], True
+    for nq, calls in CALLS.items():
+        blocks = [data.queries[(i * nq) % 256:(i * nq) % 256 + nq]
+                  for i in range(calls)]
+        equal = equal and all(_equal(arena, members, queries)
+                              for queries in blocks)
+        turn = iter(range(1 << 30))
+        arena_us, members_us = [], []
+
+        def arena_call():
+            arena.search(blocks[next(turn) % calls], K)
+
+        def members_call():
+            queries = blocks[next(turn) % calls]
+            for member in members:
+                member.search(queries, K)
+
+        for _ in range(REPEATS):
+            arena_us.append(_wall_us(arena_call, calls))
+            members_us.append(_wall_us(members_call, calls))
+        arena_med = statistics.median(arena_us)
+        members_med = statistics.median(members_us)
+        rows.append({"nq": nq, "calls": calls, "arena_us": arena_med,
+                     "members_us": members_med,
+                     "ratio": arena_med / members_med})
+    doc = {"quick": QUICK, "repeats": REPEATS, "seed": SEED,
+           "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
+           "members": MEMBERS, "rows": ROWS, "dim": DIM, "nlist": NLIST,
+           "nprobe": NPROBE, "k": K, "equal": equal, "by_nq": rows}
+    out_path = Path(__file__).resolve().parent.parent / \
+        "BENCH_arena_kernel.json"
+    with open(out_path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, indent=2)
+    print_series(
+        "node arena kernel: %d IVF_FLAT members of %d x %d, one search vs "
+        "each member's own (median-of-%d wall-clock us per call; equal %s)"
+        % (MEMBERS, ROWS, DIM, REPEATS, equal),
+        ["nq", "arena us", "members us", "ratio"],
+        [(r["nq"], r["arena_us"], r["members_us"], r["ratio"])
+         for r in rows])
+    return doc
+
+
+def test_arena_kernel_equal(benchmark):
+    doc = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert doc["equal"], doc
+
+
+if __name__ == "__main__":
+    sys.exit(0 if run()["equal"] else 1)

@@ -79,10 +79,12 @@ class SegmentArena:
 
     def search(self, members: Sequence[int], queries: np.ndarray, k: int,
                masks: Sequence[Optional[np.ndarray]],
-               stats: Sequence[SearchStats]) -> list[HitBlock]:
+               stats: Sequence[SearchStats]) -> HitBlock:
         """Top-``k`` over live, filter-passing rows of every member in
-        ``members`` (arena slots, ascending): one :class:`HitBlock` per
-        member, the rows of what ``Segment.search`` returns for it.
+        ``members`` (arena slots, ascending), as one block: the members'
+        partials side by side in that order, each as wide as the widest
+        and holding the rows of what ``Segment.search`` returns for its
+        member, padded with ``+inf``.
 
         ``masks`` holds each member's filter mask (None: no filter) and
         ``stats`` the counters its work is added to.  Every member's index
@@ -91,6 +93,7 @@ class SegmentArena:
         segment (where a row that filtering starves escalates to the
         exact scan on its own).
         """
+        nq = queries.shape[0]
         scope, asked, excluding = [], [], {}
         for i, (number, mask) in enumerate(zip(members, masks)):
             segment = self.segments[number]
@@ -102,9 +105,8 @@ class SegmentArena:
                 excluding[len(scope)] = allowed, n_excluded
             scope.append(i)
             asked.append(amplified_k(k, segment.num_rows, n_excluded))
-        blocks = [HitBlock.empty(queries.shape[0])] * len(members)
         if not scope:
-            return blocks
+            return HitBlock.empty(nq)
         width = max(asked)
         scanned = [stats[i] for i in scope]
         before = [entry.float_comparisons + entry.quantized_comparisons
@@ -128,7 +130,6 @@ class SegmentArena:
                                    - before[j])
             if j not in excluding:
                 entry.candidates_visited += visited[j]
-                blocks[i] = HitBlock(pks[j], dists[j])
                 continue
             segment, want = self.segments[members[i]], asked[j]
             allowed, n_excluded = excluding[j]
@@ -138,5 +139,17 @@ class SegmentArena:
                 np.maximum(ids[j, :, :want]
                            - self.index.row_base[members[i]], 0),
                 dists[j, :, :want], real[j, :, :want], entry)
-            blocks[i] = HitBlock(segment.pk_array[rows], kept)
-        return blocks
+            found = kept.shape[1]
+            pks[j, :, :found] = segment.pk_array[rows]
+            dists[j, :, :found] = kept
+            dists[j, :, found:] = np.inf
+        if len(scope) < len(members):   # the others: padding only
+            shape = (len(members), nq, width)
+            all_pks = np.empty(shape, dtype=pks.dtype)
+            all_dists = np.full(shape, np.inf, dtype=dists.dtype)
+            all_pks[scope], all_dists[scope] = pks, dists
+            pks, dists = all_pks, all_dists
+        # Member-major to query-major: a view when there is one query.
+        shape = nq, len(members) * width
+        return HitBlock(pks.transpose(1, 0, 2).reshape(shape),
+                        dists.transpose(1, 0, 2).reshape(shape))

@@ -28,6 +28,7 @@ the knob swept in the Figure 8 reproduction.
 from __future__ import annotations
 
 import itertools
+import weakref
 from bisect import bisect_left
 from typing import Callable, Protocol, Sequence
 
@@ -129,6 +130,28 @@ def _left_factor(queries: np.ndarray, metric: MetricType) -> np.ndarray:
     return -queries
 
 
+def _products(queries: np.ndarray, pair_query: np.ndarray,
+              metric: MetricType) -> Scorer:
+    """The scorer of float rows: ``left[begin:end] @ rows.T`` into
+    ``out``, one GEMM per list.
+
+    A list that one query probes is scored by a 1-D GEMV written straight
+    into its row: the BLAS call numpy makes for that one-row GEMM, without
+    the gufunc's dispatch, and so its bits
+    (``test_one_query_gemv_rounds_as_the_gemm_row``).
+    """
+    left = _left_factor(queries, metric)[pair_query]
+
+    def score(begin: int, end: int, rows: np.ndarray,
+              out: np.ndarray) -> None:
+        if end - begin == 1:
+            np.dot(rows, left[begin], out=out[0])
+        else:
+            np.matmul(left[begin:end], rows.T, out=out)
+
+    return score
+
+
 class GemmCodec:
     """Codes that decode to float rows, scored by one GEMM per list.
 
@@ -143,7 +166,7 @@ class GemmCodec:
 
     def prepare(self, queries: np.ndarray, pair_query: np.ndarray,
                 pair_list: np.ndarray, metric: MetricType) -> Scorer:
-        left = _left_factor(queries, metric)[pair_query]
+        products = _products(queries, pair_query, metric)
         unit = metric is MetricType.COSINE
 
         def score(begin: int, end: int, codes: np.ndarray,
@@ -151,7 +174,7 @@ class GemmCodec:
             rows = self.decode(codes)
             if unit:
                 rows /= nonzero_norms(rows)
-            np.matmul(left[begin:end], rows.T, out=out)
+            products(begin, end, rows, out)
 
         return score
 
@@ -189,13 +212,7 @@ class FlatCodec(GemmCodec):
 
     def prepare(self, queries: np.ndarray, pair_query: np.ndarray,
                 pair_list: np.ndarray, metric: MetricType) -> Scorer:
-        left = _left_factor(queries, metric)[pair_query]
-
-        def score(begin: int, end: int, codes: np.ndarray,
-                  out: np.ndarray) -> None:
-            np.matmul(left[begin:end], codes.T, out=out)
-
-        return score
+        return _products(queries, pair_query, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +249,16 @@ class InvertedLists:
         self.norms: np.ndarray | None = None
         if metric is MetricType.EUCLIDEAN and codec.scores_cross_term:
             rows = codec.decode(self.codes)
-            # Zero-padded by one list's length: see ``_scan_block``.
+            # Zero-padded by one list's length: see ``_scan_pass``.
             self.norms = np.zeros(len(rows) + self.max_list_size,
                                   dtype=np.float32)
             np.einsum("ij,ij->i", rows, rows, out=self.norms[:len(rows)])
+        self._arena: ListArena | None = None
+
+    def __getstate__(self) -> dict:
+        # The arena is derived, and its list views would pickle as copies
+        # of the codes.
+        return {**self.__dict__, "_arena": None}
 
     @property
     def nlist(self) -> int:
@@ -248,9 +271,12 @@ class InvertedLists:
         ``probe_lists`` is ``(nq, nprobe)`` list numbers, ``-1`` where a
         query probes fewer.  Returns ``(ids, adjusted distances, rows
         scored)`` with result rows tail-padded by ``-1`` / ``+inf`` to
-        width ``k``.  The scan is the arena's, of this one member.
+        width ``k``.  The scan is the arena's of this one member, derived
+        at the first scan and held.
         """
-        at, dists, compared = ListArena((self,)).scan(
+        if self._arena is None:
+            self._arena = ListArena((self,))
+        at, dists, compared = self._arena.scan(
             (0,), queries, probe_lists[None], k)
         return np.where(at < 0, -1, self.ids[at]), dists, int(compared[0])
 
@@ -261,19 +287,25 @@ class ListArena:
     The arena numbers the members' lists and stored rows consecutively,
     member after member: ``offsets`` / ``sizes`` / ``norms`` are the
     members' own, concatenated (every member keeps its trailing empty
-    list), and the code matrices stay where they are — a list's codes are
-    looked up in its member.  An arena of one member holds that member's
-    arrays themselves.
+    list), and the code matrices stay where they are: a list's codes are
+    a view of its member's, taken once.  An arena of one member holds that
+    member's arrays themselves.  It references its members weakly, since
+    a member holds the arena of itself alone.
     """
 
     def __init__(self, members: Sequence[InvertedLists]) -> None:
-        self.members = tuple(members)
+        self._members = tuple(weakref.ref(member) for member in members)
         rows = [len(member.ids) for member in members]
         #: First arena row / first arena list number of every member.
         self.row_base = [0, *itertools.accumulate(rows)]
         self.list_base = [0, *itertools.accumulate(
             len(member.sizes) for member in members)]
         self.widest = [member.max_list_size for member in members]
+        #: Every arena list's codes, a view of its member's matrix taken
+        #: once: the scan slices no code matrix per list.
+        self.views = [member.codes[low:high] for member in members
+                      for low, high in itertools.pairwise(
+                          [*member.offsets.tolist(), len(member.ids)])]
         if len(members) == 1:
             (only,) = members
             self.offsets, self.sizes, self.norms = (
@@ -295,6 +327,11 @@ class ListArena:
             for member, base, n in zip(members, self.row_base, rows):
                 if member.norms is not None:
                     self.norms[base:base + n] = member.norms[:n]
+
+    @property
+    def members(self) -> tuple[InvertedLists, ...]:
+        """The members, in arena order."""
+        return tuple(member() for member in self._members)
 
     def scan(self, scope: Sequence[int], queries: np.ndarray,
              probes: np.ndarray, k: int
@@ -375,33 +412,34 @@ class ListArena:
         # One block row per pair, in list order, so each list's scores
         # are written straight into a rectangular slice of it.
         block = np.full((len(order), widest), np.inf, dtype=np.float32)
-        low_of, size_of = lows.tolist(), sizes.tolist()
+        every = self.members
+        members = [every[number] for number in scope]
+        # A list's group of pairs: its first pair, the pair past its last,
+        # its codes and its size.
         bounds = [0, *cuts, len(order)]
+        numbers = grouped[bounds[:-1]]
+        views = [self.views[number] for number in numbers.tolist()]
+        size_of = self.sizes[numbers].tolist()
         group = first = 0
         while first < n:
-            # One ``prepare`` for a run of members whose codecs are equal.
-            head = self.members[scope[first]]
+            # One ``prepare`` for a run of members whose codecs are equal;
+            # the run's pairs are ``lo:hi``, those of its members.
+            head = members[first]
             last = first + 1
-            while last < n and self._alike(head, self.members[scope[last]]):
+            while last < n and self._alike(head, members[last]):
                 last += 1
-            lo = first * per
+            lo, hi = first * per, last * per
             score = head.codec.prepare(
-                queries, pair_query[lo:last * per],
-                grouped[lo:last * per] - self.list_base[scope[first]],
-                head.metric)
-            for i in range(first, last):
-                number = scope[i]
-                codes, shift = self.members[number].codes, \
-                    self.row_base[number]
-                until = bisect_left(bounds, (i + 1) * per, group)
-                for begin, end in zip(bounds[group:until],
-                                      bounds[group + 1:until + 1]):
-                    size = size_of[begin]
-                    if size:
-                        low = low_of[begin] - shift
-                        score(begin - lo, end - lo, codes[low:low + size],
-                              block[begin:end, :size])
-                group = until
+                queries, pair_query[lo:hi],
+                grouped[lo:hi] - self.list_base[scope[first]], head.metric)
+            until = bisect_left(bounds, hi, group)
+            for begin, end, codes, size in zip(
+                    bounds[group:until], bounds[group + 1:until + 1],
+                    views[group:until], size_of[group:until]):
+                if size:
+                    score(begin - lo, end - lo, codes,
+                          block[begin:end, :size])
+            group = until
             first = last
         if self.norms is not None:
             # (|q|^2 - 2 q.v) + |v|^2, the order ``squared_l2`` adds in.
@@ -409,8 +447,7 @@ class ListArena:
             # pair's row of |v|^2 starts where its list starts, and what
             # it reads past the list's end lands on +inf padding.
             q_norms = np.einsum("ij,ij->i", queries, queries)[pair_query]
-            partial = [self.members[number].norms is not None
-                       for number in scope]
+            partial = [member.norms is not None for member in members]
             if not all(partial):   # no |q|^2 on whole distances
                 q_norms *= np.repeat(partial, per)
             block += q_norms[:, None]
@@ -635,30 +672,37 @@ class ArenaIndex(VectorIndex):
         self.is_built = True
         self._nlists = np.array([member.bucketer.num_buckets
                                  for member in members])
-        self._nprobes = np.array([member.nprobe for member in members])
+        #: How many lists each member probes.
+        self._widths = np.minimum(
+            [member.nprobe for member in members], self._nlists)
         self._list_bases = np.array(self.lists.list_base[:-1])
         self._quantized = [member.codec.quantized for member in members]
         self._unit_rows = [member._unit_rows for member in members]
         # The coarse step of the members probed by a flat centroid scan
-        # is done for all of them at once: what does not depend on the
-        # query is kept per member — the centroids (unit-normalised where
-        # the member probes by cosine) and |c|^2, +inf past the lists of
-        # a member that has fewer than the widest.
+        # is done for all of them at once.  What does not depend on the
+        # query is kept per member: the right factor of its GEMM, the
+        # centroids (unit-normalised where the member probes by cosine)
+        # times -2 under Euclidean and -1 otherwise, so that the GEMM
+        # yields ``-2 q.c`` / ``-q.c`` with the bits of the member's own
+        # probe (see ``_left_factor``), and |c|^2 under Euclidean.
         self._centroids: list[np.ndarray | None] = []
-        self._centroid_terms = np.full(
-            (len(members), int(self._nlists.max())), np.inf,
-            dtype=np.float32)
+        self._centroid_norms = np.zeros(
+            (len(members), int(self._nlists.max())), dtype=np.float32)
         for number, member in enumerate(members):
-            centroids = None
+            factor = None
             if type(member.bucketer) is KMeansBucketer:
                 centroids = member.bucketer.centroids
-                term = self._centroid_terms[number, :len(centroids)]
-                term[:] = 0.0
                 if member.bucketer.metric is MetricType.EUCLIDEAN:
-                    np.einsum("ij,ij->i", centroids, centroids, out=term)
+                    np.einsum("ij,ij->i", centroids, centroids,
+                              out=self._centroid_norms[
+                                  number, :len(centroids)])
+                    factor = -2.0 * centroids
                 elif member.bucketer.metric is MetricType.COSINE:
-                    centroids = centroids / nonzero_norms(centroids)
-            self._centroids.append(centroids)
+                    factor = centroids / -nonzero_norms(centroids)
+                else:
+                    factor = -centroids
+                factor = factor.T
+            self._centroids.append(factor)
 
     def build(self, data: np.ndarray) -> None:
         raise IndexBuildError("an arena is derived from built indexes")
@@ -670,14 +714,14 @@ class ArenaIndex(VectorIndex):
         (member, query) row scans."""
         nq = queries.shape[0]
         if len(scope) == len(self.members):     # everyone: as kept
-            nprobes, nlists, bases, terms = (
-                self._nprobes, self._nlists, self._list_bases,
-                self._centroid_terms)
+            widths, nlists, bases, norms = (
+                self._widths, self._nlists, self._list_bases,
+                self._centroid_norms)
         else:
-            nprobes, nlists, bases, terms = (
-                self._nprobes[scope], self._nlists[scope],
-                self._list_bases[scope], self._centroid_terms[scope])
-        width = int(np.minimum(nprobes, nlists).max())
+            widths, nlists, bases, norms = (
+                self._widths[scope], self._nlists[scope],
+                self._list_bases[scope], self._centroid_norms[scope])
+        width = int(widths.max())
         flat = [i for i, number in enumerate(scope)
                 if self._centroids[number] is not None]
         probes = None
@@ -690,43 +734,37 @@ class ArenaIndex(VectorIndex):
                         unit if member._unit_rows else queries,
                         member.nprobe, stats[i])
                     probes[i, :, :found.shape[1]] = found
-            terms = terms[flat]
+            norms = norms[flat]
         if flat:
             # One GEMM per member, over the rows the member's own probe
             # multiplies (a GEMM over the stacked centroids rounds
-            # differently); everything around it is done once.
+            # differently), into a block that is +inf past a member's
+            # lists; everything else is done once, in place.
             left = unit if self.metric is MetricType.COSINE else queries
-            dists = np.zeros((len(flat), nq, terms.shape[1]),
-                             dtype=np.float32)
+            dists = np.full((len(flat), nq, norms.shape[1]), np.inf,
+                            dtype=np.float32)
             for i, out in zip(flat, dists):
-                centroids = self._centroids[scope[i]]
-                np.matmul(left, centroids.T, out=out[:, :len(centroids)])
-                stats[i].float_comparisons += nq * len(centroids)
+                factor = self._centroids[scope[i]]
+                np.matmul(left, factor, out=out[:, :factor.shape[1]])
+                stats[i].float_comparisons += nq * factor.shape[1]
             if self.metric is MetricType.EUCLIDEAN:
                 # |q|^2 - 2 q.c + |c|^2, the order ``squared_l2`` adds in.
-                dists *= -2.0
                 dists += np.einsum("ij,ij->i", queries, queries)[:, None]
-                dists += terms[:, None, :]
+                dists += norms[:, None, :]
                 np.maximum(dists, 0.0, out=dists)
-            else:
-                np.negative(dists, out=dists)
-                dists += terms[:, None, :]
             found = topk_smallest(dists.reshape(len(flat) * nq, -1),
                                   width)[0].reshape(len(flat), nq, width)
             if probes is None:
                 probes = found
             else:
                 probes[flat] = found
-        nlists = nlists[:, None, None]
-        if len(flat) < len(scope):      # a graph may find fewer
-            probes = np.where(probes < 0, nlists, probes)
-        if (nprobes < width).any():
-            # A member probes its own ``nprobe`` of the widest's lists.
-            probes = np.where(np.arange(width) < nprobes[:, None, None],
-                              probes, nlists)
-        # What a row does not probe — here, a +inf column past a member's
-        # lists — is its member's trailing empty list.
-        np.minimum(probes, nlists, out=probes)
+        if len(flat) < len(scope) or int(widths.min()) < width:
+            # What a row does not probe — a slot past its member's own
+            # width, or one a graph left empty — is its member's
+            # trailing empty list.
+            probes = np.where(
+                (np.arange(width) < widths[:, None, None]) & (probes >= 0),
+                probes, nlists[:, None, None])
         probes += bases[:, None, None]
         return probes
 
@@ -743,11 +781,19 @@ class ArenaIndex(VectorIndex):
         each one's work is added to its entry of ``stats``.
         """
         queries = self._check_query_input(queries)
-        scope = list(range(len(self.members))) if scope is None \
-            else list(scope)
+        everyone = len(self.members)
+        scope = list(range(everyone)) if scope is None else list(scope)
+        if scope != sorted(set(scope)) or (
+                scope and not 0 <= scope[0] <= scope[-1] < everyone):
+            raise ValueError(
+                f"scope names arena members ascending, each once, from 0 "
+                f"to {everyone - 1}; got {scope}")
         if stats is None:
             stats = [SearchStats() for _ in scope]
         n, nq = len(scope), queries.shape[0]
+        if not n or not nq:
+            return (np.full((n, nq, k), -1, dtype=np.int64),
+                    np.full((n, nq, k), np.inf, dtype=np.float32))
         unit = normalize_rows(queries) \
             if self.metric is MetricType.COSINE else queries
         probes = self._probe(scope, queries, unit, stats)

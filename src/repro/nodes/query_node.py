@@ -370,11 +370,13 @@ class QueryNode:
         done)``.
 
         ``scan(segments, ledger)`` scans the segments in scope and returns
-        one :class:`HitBlock` per segment (``nq`` rows), adding what it
-        did for segment ``i`` to ``ledger[i]`` — one :class:`SearchStats`
-        per entry of ``fields``, so each vector field is charged at its
-        own dimension.  The blocks are merged side by side: one
-        concatenation and one stable sort for the whole request.
+        their ``nq``-row partials as ``(block, n)`` pairs in segment order,
+        a block holding the partials of ``n`` consecutive segments side by
+        side at one width (the arena's come stacked), adding what it did
+        for segment ``i`` to ``ledger[i]`` — one :class:`SearchStats` per
+        entry of ``fields``, so each vector field is charged at its own
+        dimension.  The blocks are merged side by side: one concatenation
+        and one stable sort for the whole request.
 
         Work is measured once, per segment, and reported as measured: the
         ledger in segment order, with each segment's path and rows, plus
@@ -385,7 +387,7 @@ class QueryNode:
         totals = [SearchStats() for _ in fields]
         segments = self._scoped_segments(collection, scope)
         ledger = [[SearchStats() for _ in fields] for _ in segments]
-        blocks = scan(segments, ledger) if segments else []
+        parts = scan(segments, ledger) if segments else []
         work = NodeWork(len(segments), dims)
         for segment, entry in zip(segments, ledger):
             for total, stats in zip(totals, entry):
@@ -396,14 +398,16 @@ class QueryNode:
                     else "brute")
             work.scans.append((segment.segment_id, path, segment.num_rows,
                                entry))
-        merged = merge_topk(blocks, k, stats=work.reduce) \
-            if blocks else HitBlock.empty(nq)
+        merged = merge_topk([block for block, _n in parts], k,
+                            stats=work.reduce) \
+            if parts else HitBlock.empty(nq)
         # A segment that found nothing for a query hands that query's
-        # reduce no partial (a row sorts its hits first).
-        firsts = [block.dists[:, 0] for block in blocks
-                  if block.dists.shape[1]]
-        work.reduce.batches_merged = int(np.count_nonzero(
-            np.asarray(firsts) < np.inf))
+        # reduce no partial (a row sorts its hits first): the first
+        # column of each of a block's partials.
+        work.reduce.batches_merged = sum(
+            int(np.count_nonzero(
+                block.dists[:, ::block.dists.shape[1] // n] < np.inf))
+            for block, n in parts if block.dists.shape[1])
         # The fixed message overhead is paid once per (possibly batched)
         # request plus a small per-row term — the amortization that makes
         # Section 3.6's request batching worthwhile.  (Summed left to
@@ -421,7 +425,7 @@ class QueryNode:
         """``scan`` for a single-query verb that scans segment by segment:
         ``scan_one(segment, stats)`` returns the query's hit batch."""
         return lambda segments, ledger: [
-            HitBlock.from_batches([scan_one(segment, stats)])
+            (HitBlock.from_batches([scan_one(segment, stats)]), 1)
             for segment, stats in zip(segments, ledger)]
 
     def search(self, collection: str, field: str, queries: np.ndarray,
@@ -441,10 +445,10 @@ class QueryNode:
         if queries.ndim == 1:
             queries = queries[None, :]
 
-        def scan(segments: list[Segment],
-                 ledger: list[list[SearchStats]]) -> list[HitBlock]:
+        def scan(segments: list[Segment], ledger: list[list[SearchStats]]
+                 ) -> list[tuple[HitBlock, int]]:
             arena = self._arena(collection, field, metric)
-            blocks: list = [None] * len(segments)
+            parts: list = [None] * len(segments)
             members, masks, at = [], [], []
             for i, segment in enumerate(segments):
                 number = arena.slot.get(segment.segment_id) \
@@ -458,15 +462,23 @@ class QueryNode:
                     masks.append(plan.mask if plan is not None else None)
                     at.append(i)
                     continue
-                blocks[i] = planned_search(
+                parts[i] = planned_search(
                     segment, field, queries, k, metric, plan,
-                    stats=ledger[i][0])
+                    stats=ledger[i][0]), 1
             if members:
                 found = arena.search(members, queries, k, masks,
                                      [ledger[i][0] for i in at])
-                for i, block in zip(at, found):
-                    blocks[i] = block
-            return blocks
+                # Each run of consecutive segments is one view of it.
+                width = found.dists.shape[1] // len(members)
+                first = 0
+                for last in range(1, len(at) + 1):
+                    if last == len(at) or at[last] != at[last - 1] + 1:
+                        cols = slice(first * width, last * width)
+                        parts[at[first]] = HitBlock(
+                            found.pks[:, cols], found.dists[:, cols]), \
+                            last - first
+                        first = last
+            return [part for part in parts if part is not None]
 
         return self._scan(collection, scope, (field,), queries.shape[0], k,
                           scan)

@@ -220,17 +220,25 @@ class TestListMajorKernel:
     @pytest.mark.parametrize("cls", [IvfFlatIndex, IvfHnswIndex])
     @pytest.mark.parametrize("metric", METRICS)
     def test_pickle_round_trip(self, corpus, cls, metric):
+        """What a search derives and holds (the lists' arena and its
+        per-list views) is not pickled: the lists pickle as long before a
+        search as after, and a clone searches bit for bit alike."""
         data, queries = corpus
         index = cls(metric, DIM, nlist=16, nprobe=4)
         index.build(data)
+        blob = pickle.dumps(index._lists)
         ids, dists = index.search(queries, 10)
         stats = index.stats.as_dict()
+        assert index._lists._arena is not None
+        assert len(pickle.dumps(index._lists)) == len(blob)
         for clone in (index_from_bytes(index.to_bytes()),
                       pickle.loads(pickle.dumps(index))):
             assert isinstance(clone, cls) and clone.ntotal == len(data)
+            assert clone._lists._arena is None
             clone_ids, clone_dists = clone.search(queries, 10)
             np.testing.assert_array_equal(clone_ids, ids)
-            np.testing.assert_array_equal(clone_dists, dists)
+            np.testing.assert_array_equal(clone_dists.view(np.int32),
+                                          dists.view(np.int32))
             assert clone.stats.as_dict() == stats
 
     @pytest.mark.parametrize("metric", METRICS)
@@ -272,6 +280,28 @@ class TestListMajorKernel:
                                      tolerance(data, queries, metric))
         assert index.stats.float_comparisons \
             == coarse + stats.float_comparisons
+
+
+def test_one_query_gemv_rounds_as_the_gemm_row():
+    """The scan scores a list that one query probes with a 1-D GEMV,
+    ``np.dot(codes, q)``, and any other list with the GEMM
+    ``left @ codes.T``: a list's distances must not depend on how many
+    queries probe it.  That rests on one fact about the BLAS, pinned
+    here over list sizes 1-1000 and list views that start anywhere."""
+    rng = np.random.default_rng(11)
+    for dim in (DIM, 128):
+        codes = rng.standard_normal((1100, dim)).astype(np.float32)
+        left = -2.0 * rng.standard_normal((1, dim)).astype(np.float32)
+        for size in range(1, 1001):
+            start = int(rng.integers(0, 100))
+            view = codes[start:start + size]
+            gemv = np.empty(size, dtype=np.float32)
+            np.dot(view, left[0], out=gemv)
+            row = np.matmul(left, view.T)[0]
+            assert np.array_equal(gemv.view(np.int32), row.view(np.int32)), (
+                f"this BLAS rounds the 1-D GEMV of a {size} x {dim} list "
+                f"differently from the one-row GEMM: the scan's one-query "
+                f"list groups assume they agree bit for bit")
 
 
 class TestTopkSmallest:

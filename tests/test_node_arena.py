@@ -29,13 +29,15 @@ from repro.core.arena import SegmentArena
 from repro.core.consistency import ConsistencyLevel
 from repro.core.expr import FilterExpression
 from repro.core.filtering import FilterStrategy, choose_strategy
+from repro.core.results import HitBlock
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.errors import IndexBuildError, InvalidQuery
 from repro.index.base import SearchStats, create_index
 from repro.index.ivf import ArenaIndex, BucketedIndex, IvfFlatIndex
 from tests.reference.compare import DIM, METRICS, \
-    assert_results_equal_up_to_ties, clustered
+    assert_batches_equal_up_to_ties, assert_results_equal_up_to_ties, \
+    clustered
 from tests.reference.reduce import reference_path
 
 EVENTUAL = ConsistencyLevel.EVENTUAL
@@ -219,6 +221,32 @@ class TestArenaMatchesThePerSegmentLoop:
             assert len(stages) == len(sealed_segments(cluster))
         assert calls == []
 
+    def test_empty_query_block_before_and_after_indexing(self, rng):
+        """An empty query block answers no result while the collection
+        holds only growing segments and once the node arena serves its
+        sealed ones."""
+        config = ManuConfig().with_overrides(
+            segment=SegmentConfig(seal_entity_count=300))
+        cluster = ManuCluster(config=config, num_query_nodes=2)
+        cluster.create_collection("c", schema())
+        empty = np.zeros((0, DIM), dtype=np.float32)
+        euclidean = MetricType.EUCLIDEAN
+        cluster.insert("c", rows(rng, range(200)))
+        cluster.run_for(500)
+        assert cluster.search("c", empty, 5, metric=euclidean) == []
+        for start in range(200, 1200, 100):
+            cluster.insert("c", rows(rng, range(start, start + 100)))
+            cluster.run_for(50)
+        cluster.flush("c")
+        cluster.create_index("c", "vector", "IVF_FLAT", euclidean,
+                             {"nlist": 8, "nprobe": 4})
+        assert cluster.wait_for_indexes("c")
+        cluster.run_for(2_000)
+        assert len(cluster.search("c", clustered(rng, 1), 5,
+                                  metric=euclidean)[0]) == 5
+        assert any(arenas(cluster))
+        assert cluster.search("c", empty, 5, metric=euclidean) == []
+
     def test_no_vector_matrix_is_held_twice(self, rng):
         cluster = sealed_cluster(rng)
         cluster.search("c", clustered(rng, 1), 5)
@@ -273,6 +301,21 @@ class TestArenaMatchesThePerSegmentLoop:
         assert totals["candidates_pruned"] > 0
         for nq in (1, 3):
             both(cluster, monkeypatch, queries[:nq], 10, metric=metric)
+
+    def test_a_member_that_allows_nothing(self, rng, monkeypatch):
+        """Every row of one sealed segment deleted: the arena scans the
+        others and hands that member's place in its block as padding."""
+        cluster = sealed_cluster(rng)
+        node, emptied = sealed_segments(cluster)[1]
+        cluster.delete("c", f"pk in {emptied.pk_array.tolist()}")
+        cluster.run_for(500)
+        assert emptied.num_deleted == emptied.num_rows
+        gone = set(emptied.pk_array.tolist())
+        for nq in (1, 3):
+            got = both(cluster, monkeypatch, clustered(rng, nq), 10)
+            assert not gone & {pk for r in got for pk in r.pks}
+        arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
+        assert emptied in arena.segments and len(arena.segments) > 1
 
     def test_deletions_far_from_the_candidates(self, rng, monkeypatch):
         """Exclusions amplify k, yet no candidate is dropped."""
@@ -380,6 +423,33 @@ class TestArenaMatchesThePerSegmentLoop:
         proxy_dups = got[0].profile.root.stages(
             "proxy.merge")[0].counters["hits_deduped"]
         assert node_dups >= 1 and proxy_dups >= 1
+
+    def test_ties_across_segments_keep_segment_order(self, rng):
+        """Exactly equal distances from several segments reach the reduce
+        in segment-id order, whichever way each segment is scanned: a
+        segment searched on its own between two arena members keeps its
+        place among the arena's partials."""
+        cluster = sealed_cluster(rng)
+        node = max(cluster.query_coord.live_nodes(),
+                   key=lambda n: len(n.sealed_segments_of("c")))
+        first, middle, last = [node.segment("c", sid)
+                               for sid in node.sealed_segments_of("c")[:3]]
+        del middle._sealed_indexes["vector"]
+        query = np.ones(DIM, dtype=np.float32)    # exact in every path
+        for segment in (first, middle, last):
+            segment.column("vector")[0] = query
+            if segment is not middle:
+                index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
+                                     nlist=16, nprobe=16)
+                index.build(segment.column("vector"))
+                segment.attach_index("vector", index)
+        got = cluster.search("c", query, 3, consistency=EVENTUAL)[0]
+        assert got.distances == [0.0] * 3
+        assert got.pks == [int(segment.pk_array[0])
+                           for segment in (first, middle, last)]
+        arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
+        assert first in arena.segments and last in arena.segments
+        assert middle not in arena.segments
 
     def test_mixed_index_types_unindexed_and_growing(self, rng,
                                                      monkeypatch):
@@ -587,6 +657,22 @@ class TestArenaIsNeverStale:
 # the index-level arena
 # ----------------------------------------------------------------------
 
+@pytest.fixture(scope="module", params=METRICS, ids=lambda m: m.value)
+def codec_arena(request):
+    """``(metric, members)``: one arena's worth of built indexes of four
+    types, the last smaller than its nlist."""
+    rng = np.random.default_rng(7)
+    members = []
+    for kind, n, params in (("IVF_FLAT", 400, {}), ("IVF_SQ8", 300, {}),
+                            ("IVF_PQ", 350, {"m": 4}),
+                            ("IVF_HNSW", 250, {}), ("IVF_FLAT", 9, {})):
+        index = create_index(kind, request.param, DIM, nlist=16, nprobe=5,
+                             **params)
+        index.build(clustered(rng, n))
+        members.append(index)
+    return request.param, members
+
+
 class TestArenaIndex:
     @pytest.mark.parametrize("metric", METRICS)
     def test_members_answer_as_on_their_own(self, rng, metric):
@@ -625,6 +711,57 @@ class TestArenaIndex:
             for at, number in enumerate([1, 3]):
                 np.testing.assert_array_equal(
                     dists[at], members[number].search(queries, 10)[1])
+
+    @pytest.mark.parametrize("nq", [1, 2, 64])
+    def test_every_codec_and_scope_answer_as_on_their_own(
+            self, codec_arena, nq):
+        """The kernel contract at every block height, one query included:
+        runs of different codecs in one arena (members with and without
+        ``norms``, unit rows under cosine), a member smaller than its
+        nlist, ``k`` above a member's row count, partial scopes.  Every
+        member answers with its own ``search``'s ids, distances bit for
+        bit, and work counters."""
+        metric, members = codec_arena
+        arena = ArenaIndex(members)
+        queries = clustered(np.random.default_rng(nq), nq)
+        k = 12
+        assert members[-1].ntotal < k
+        assert members[-1].effective_nlist < members[-1].nlist
+        for scope in (None, [1, 3], [2]):
+            numbers = range(len(members)) if scope is None else scope
+            stats = [SearchStats() for _ in numbers]
+            ids, dists = arena.search(queries, k, scope=scope, stats=stats)
+            assert ids.shape == dists.shape == (len(numbers), nq, k)
+            for at, number in enumerate(numbers):
+                member = members[number]
+                want_ids, want_dists = member.search(queries, k)
+                np.testing.assert_array_equal(
+                    dists[at].view(np.int32), want_dists.view(np.int32))
+                want_ids = np.where(want_ids < 0, -1,
+                                    want_ids + arena.row_base[number])
+                assert_batches_equal_up_to_ties(
+                    HitBlock(ids[at], dists[at]),
+                    HitBlock(want_ids, want_dists), k)
+                assert (ids[at][np.isinf(dists[at])] == -1).all()
+                assert stats[at].as_dict() == member.stats.as_dict()
+
+    def test_empty_block_and_scope(self, rng):
+        members = []
+        for n in (300, 200):
+            index = IvfFlatIndex(MetricType.EUCLIDEAN, DIM, nlist=8)
+            index.build(clustered(rng, n))
+            members.append(index)
+        arena = ArenaIndex(members)
+        ids, dists = arena.search(np.zeros((0, DIM), np.float32), 5)
+        assert ids.shape == dists.shape == (2, 0, 5)
+        assert ids.dtype == np.int64 and dists.dtype == np.float32
+        stats = []
+        ids, dists = arena.search(clustered(rng, 3), 5, scope=[],
+                                  stats=stats)
+        assert ids.shape == dists.shape == (0, 3, 5)
+        for scope in ([1, 0], [0, 0], [0, 2], [-1]):
+            with pytest.raises(ValueError, match="ascending, each once"):
+                arena.search(clustered(rng, 3), 5, scope=scope)
 
     def test_refuses_what_it_cannot_hold(self, rng):
         data = clustered(rng, 200)
