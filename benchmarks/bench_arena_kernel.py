@@ -15,9 +15,22 @@ one call — ``arena.search`` over all members, and the members' own
 ``equal`` is whether, at every height, every member's distances from the
 arena are bit for bit its own, its ids are its own (up to the order of
 equal distances, and which of them the ``k`` cut keeps) and its
-``SearchStats`` counters are its own.  ``equal`` is the gate (CI runs the
-quick mode and fails unless it is true); the times are the record and
-assert nothing.
+``SearchStats`` counters are its own.
+
+Per height it also records the floats of one call's scan passes: the
+padded score blocks (one row per (query, probed list) pair, as wide as
+the pass's widest list), the candidates handed to the top-k (the chunk
+grid where a pass is laid out in chunks, ``repro.index.ivf._ChunkGrid``)
+and the scores computed.  ``grid_within_padded`` is whether no pass
+handed the top-k more floats than its padded block.  Last, the sweep the
+chunk constants were chosen from: the arena's wall time and top-k floats
+with every pass laid out in chunks of 16 to 128 scores
+(``_CHUNK_FROM`` 0) and with none (``chunk_width`` null), the settings
+timed alternately.
+
+``equal`` (under the shipped constants and every swept setting) and
+``grid_within_padded`` are the gate: CI runs the quick mode and fails
+unless both are true.  The times are the record and assert nothing.
 
 Wall-clock time is the deliverable here, so the timer reads are sanctioned
 deviations from the virtual-clock rule.  Results land in
@@ -35,14 +48,16 @@ import os
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from repro.core.schema import MetricType
 from repro.datasets.synthetic import make_sift_like
+from repro.index import ivf
 from repro.index.base import SearchStats
-from repro.index.ivf import ArenaIndex, IvfFlatIndex
+from repro.index.ivf import ArenaIndex, IvfFlatIndex, ListArena
 
 from conftest import print_series
 
@@ -55,6 +70,9 @@ NLIST, NPROBE, K = 64, 8, 10
 #: query block height -> calls per timing (about the same rows each).
 CALLS = {1: 16 if QUICK else 64, 8: 8 if QUICK else 16,
          64: 2 if QUICK else 4}
+#: Chunk widths swept, each with every pass laid out in chunks; ``None``
+#: lays out none.
+SWEEP = (None, 16, 32, 64, 128)
 
 
 def _wall_us(work, calls: int) -> float:
@@ -95,6 +113,52 @@ def _equal(arena: ArenaIndex, members: list[IvfFlatIndex],
     return True
 
 
+@contextmanager
+def _chunking(width: int | None):
+    """Every pass laid out in chunks of ``width`` scores, or none."""
+    kept = ivf._CHUNK_FROM, ivf._CHUNK_WIDTH
+    if width is None:
+        ivf._CHUNK_FROM = 1 << 62
+    else:
+        ivf._CHUNK_FROM, ivf._CHUNK_WIDTH = 0, width
+    try:
+        yield
+    finally:
+        ivf._CHUNK_FROM, ivf._CHUNK_WIDTH = kept
+
+
+def _floats(arena: ArenaIndex, blocks: list[np.ndarray]) -> dict:
+    """The scan passes' floats per call over ``blocks``: padded blocks,
+    candidates handed to the top-k, scores; and whether no pass handed
+    the top-k more than its padded block."""
+    real_pass, real_topk = ListArena._scan_pass, ivf.topk_smallest
+    handed, passes = [], []
+
+    def topk(values, k):
+        handed.append(values.size)
+        return real_topk(values, k)
+
+    def scan_pass(self, scope, queries, probes, k):
+        at, dists, scored = real_pass(self, scope, queries, probes, k)
+        padded = probes.size * int(self.sizes[probes].max())
+        passes.append((padded, handed[-1], int(scored.sum())))
+        return at, dists, scored
+
+    ListArena._scan_pass, ivf.topk_smallest = scan_pass, topk
+    try:
+        for queries in blocks:
+            arena.search(queries, K)
+    finally:
+        ListArena._scan_pass, ivf.topk_smallest = real_pass, real_topk
+    padded, grid, scored = (sum(column) / len(blocks)
+                            for column in zip(*passes))
+    return {"passes": len(passes) / len(blocks),
+            "largest_padded_pass": max(p for p, _, _ in passes),
+            "padded_floats": padded, "grid_floats": grid,
+            "scored_floats": scored,
+            "grid_within_padded": all(g <= p for p, g, _ in passes)}
+
+
 def run() -> dict:
     rng = np.random.default_rng(SEED)
     data = make_sift_like(n=MEMBERS * ROWS, nq=256, dim=DIM)
@@ -106,7 +170,7 @@ def run() -> dict:
         member.build(corpus[number * ROWS:(number + 1) * ROWS])
         members.append(member)
     arena = ArenaIndex(members)
-    rows, equal = [], True
+    rows, sweep, equal = [], [], True
     for nq, calls in CALLS.items():
         blocks = [data.queries[(i * nq) % 256:(i * nq) % 256 + nq]
                   for i in range(calls)]
@@ -130,11 +194,31 @@ def run() -> dict:
         members_med = statistics.median(members_us)
         rows.append({"nq": nq, "calls": calls, "arena_us": arena_med,
                      "members_us": members_med,
-                     "ratio": arena_med / members_med})
+                     "ratio": arena_med / members_med,
+                     **_floats(arena, blocks)})
+
+        swept = {width: [] for width in SWEEP}
+        for width in SWEEP:
+            with _chunking(width):
+                equal = equal and all(_equal(arena, members, queries)
+                                      for queries in blocks)
+        for _ in range(REPEATS):
+            for width in SWEEP:
+                with _chunking(width):
+                    swept[width].append(_wall_us(arena_call, calls))
+        for width in SWEEP:
+            with _chunking(width):
+                floats = _floats(arena, blocks)
+            sweep.append({"nq": nq, "chunk_width": width,
+                          "arena_us": statistics.median(swept[width]),
+                          "grid_floats": floats["grid_floats"]})
+    within = all(row["grid_within_padded"] for row in rows)
     doc = {"quick": QUICK, "repeats": REPEATS, "seed": SEED,
            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
            "members": MEMBERS, "rows": ROWS, "dim": DIM, "nlist": NLIST,
-           "nprobe": NPROBE, "k": K, "equal": equal, "by_nq": rows}
+           "nprobe": NPROBE, "k": K, "chunk_width": ivf._CHUNK_WIDTH,
+           "chunk_from": ivf._CHUNK_FROM, "equal": equal,
+           "grid_within_padded": within, "by_nq": rows, "sweep": sweep}
     out_path = Path(__file__).resolve().parent.parent / \
         "BENCH_arena_kernel.json"
     with open(out_path, "w", encoding="utf-8") as f:
@@ -143,16 +227,24 @@ def run() -> dict:
         "node arena kernel: %d IVF_FLAT members of %d x %d, one search vs "
         "each member's own (median-of-%d wall-clock us per call; equal %s)"
         % (MEMBERS, ROWS, DIM, REPEATS, equal),
-        ["nq", "arena us", "members us", "ratio"],
-        [(r["nq"], r["arena_us"], r["members_us"], r["ratio"])
+        ["nq", "arena us", "members us", "ratio", "padded floats",
+         "grid floats", "scored floats"],
+        [(r["nq"], r["arena_us"], r["members_us"], r["ratio"],
+          r["padded_floats"], r["grid_floats"], r["scored_floats"])
          for r in rows])
+    print_series(
+        "chunk sweep: every pass in chunks of the width (none: padded)",
+        ["nq", "chunk width", "arena us", "grid floats"],
+        [(r["nq"], r["chunk_width"] or "none", r["arena_us"],
+          r["grid_floats"]) for r in sweep])
     return doc
 
 
 def test_arena_kernel_equal(benchmark):
     doc = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert doc["equal"], doc
+    assert doc["equal"] and doc["grid_within_padded"], doc
 
 
 if __name__ == "__main__":
-    sys.exit(0 if run()["equal"] else 1)
+    doc = run()
+    sys.exit(0 if doc["equal"] and doc["grid_within_padded"] else 1)

@@ -123,9 +123,11 @@ def validate_queries(schema: CollectionSchema,
 def require_number(name: str, value: Any, least: float,
                    integer: bool = False) -> None:
     """One request parameter must be a finite number (an integer when
-    asked) of at least ``least``."""
+    asked) of at least ``least``; a bool is neither, although Python
+    counts it an ``int``."""
     kinds = (int, np.integer) if integer else (int, float, np.number)
-    if not isinstance(value, kinds) or not least <= value < np.inf:
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, kinds) or not least <= value < np.inf:
         raise InvalidQuery(
             f"{name} must be {'an integer' if integer else 'a number'} "
             f"of at least {least}, got {value!r}")

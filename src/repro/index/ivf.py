@@ -50,9 +50,17 @@ from repro.index.kmeans import kmeans
 #: whole members, and only a member too large on its own by query rows.
 _SCAN_BLOCK_FLOATS = 1 << 18
 
+#: Padded score blocks larger than this many float32 entries are laid out
+#: in chunks of ``_CHUNK_WIDTH`` scores (``_ChunkGrid``), which hand the
+#: top-k far fewer padding floats; below it the padded block's fewer
+#: numpy calls win (``BENCH_arena_kernel.json`` holds the sweep).
+_CHUNK_FROM = 1 << 16
+_CHUNK_WIDTH = 64
+
 #: ``score(begin, end, codes, out)``: the scores of pairs ``begin:end`` of
 #: a prepared block (one list's group of queries) against that list's
-#: ``codes``, written into ``out`` of shape ``(end - begin, len(codes))``.
+#: ``codes``, written into ``out`` of shape ``(end - begin, len(codes))``,
+#: a view whose rows may lie any whole number of floats apart.
 Scorer = Callable[[int, int, np.ndarray, np.ndarray], None]
 
 
@@ -409,9 +417,6 @@ class ListArena:
         if n > 1:
             pair_query %= nq
         per = nq * width
-        # One block row per pair, in list order, so each list's scores
-        # are written straight into a rectangular slice of it.
-        block = np.full((len(order), widest), np.inf, dtype=np.float32)
         every = self.members
         members = [every[number] for number in scope]
         # A list's group of pairs: its first pair, the pair past its last,
@@ -420,6 +425,17 @@ class ListArena:
         numbers = grouped[bounds[:-1]]
         views = [self.views[number] for number in numbers.tolist()]
         size_of = self.sizes[numbers].tolist()
+        # A large pass is laid out in chunks where that holds fewer floats.
+        grid = _ChunkGrid.of(self.sizes[probes].reshape(n * nq, width),
+                             widest, order, lows) \
+            if len(order) * widest > _CHUNK_FROM else None
+        if grid is None:
+            # One block row per pair, in list order, as wide as the
+            # widest list: each list's scores go straight into a
+            # rectangular slice of it.
+            block = np.full((len(order), widest), np.inf, dtype=np.float32)
+        else:
+            block, outs = grid.block(bounds, size_of)
         group = first = 0
         while first < n:
             # One ``prepare`` for a run of members whose codecs are equal;
@@ -433,43 +449,145 @@ class ListArena:
                 queries, pair_query[lo:hi],
                 grouped[lo:hi] - self.list_base[scope[first]], head.metric)
             until = bisect_left(bounds, hi, group)
-            for begin, end, codes, size in zip(
-                    bounds[group:until], bounds[group + 1:until + 1],
-                    views[group:until], size_of[group:until]):
-                if size:
-                    score(begin - lo, end - lo, codes,
-                          block[begin:end, :size])
+            if grid is None:
+                for begin, end, codes, size in zip(
+                        bounds[group:until], bounds[group + 1:until + 1],
+                        views[group:until], size_of[group:until]):
+                    if size:
+                        score(begin - lo, end - lo, codes,
+                              block[begin:end, :size])
+            else:
+                for begin, end, codes, out in zip(
+                        bounds[group:until], bounds[group + 1:until + 1],
+                        views[group:until], outs[group:until]):
+                    if out is not None:
+                        score(begin - lo, end - lo, codes, out)
             group = until
             first = last
         if self.norms is not None:
             # (|q|^2 - 2 q.v) + |v|^2, the order ``squared_l2`` adds in.
-            # Row ``r`` of ``windows`` is ``norms[r:r + widest]``: a
-            # pair's row of |v|^2 starts where its list starts, and what
-            # it reads past the list's end lands on +inf padding.
+            # Row ``r`` of ``windows`` is ``norms[r:r + wide]``: a block
+            # row's |v|^2 starts at the list row its first score is of,
+            # and what it reads past the list's end lands on +inf
+            # padding.
             q_norms = np.einsum("ij,ij->i", queries, queries)[pair_query]
             partial = [member.norms is not None for member in members]
             if not all(partial):   # no |q|^2 on whole distances
                 q_norms *= np.repeat(partial, per)
+            if grid is None:
+                wide, starts = widest, lows
+            else:
+                wide, starts = grid.width, grid.firsts
+                q_norms = np.repeat(q_norms, grid.chunks)
             block += q_norms[:, None]
-            windows = np.ndarray((self.row_base[-1] + 1, widest),
+            windows = np.ndarray((self.row_base[-1] + 1, wide),
                                  np.float32, self.norms,
                                  strides=self.norms.strides * 2)
-            block += windows[lows]
+            block += windows[starts]
 
-        # Back to row order: a row's pairs side by side make its
-        # candidate row, and one batched top-k picks the winners.
-        candidates = np.empty_like(block)
-        candidates[order] = block
-        cols, dists = topk_smallest(
-            candidates.reshape(n * nq, width * widest), k)
-        slot, within = np.divmod(cols, widest)
-        probed = pairs[slot + np.arange(0, len(pairs), width)[:, None]]
-        at = np.where(dists < np.inf,      # +inf is block padding
-                      self.offsets[probed] + within, -1)
+        if grid is None:
+            # Back to row order: a row's pairs side by side make its
+            # candidate row, and one batched top-k picks the winners.
+            candidates = np.empty_like(block)
+            candidates[order] = block
+            cols, dists = topk_smallest(
+                candidates.reshape(n * nq, width * widest), k)
+            slot, within = np.divmod(cols, widest)
+            probed = pairs[slot + np.arange(0, len(pairs), width)[:, None]]
+            at = np.where(dists < np.inf,      # +inf is block padding
+                          self.offsets[probed] + within, -1)
+        else:
+            at, dists = grid.topk(block, k)
         if self.norms is not None:
             np.maximum(dists, 0.0, out=dists)   # rounding below zero
         at, dists = VectorIndex._pad_results(at, dists, k)
         return at, dists, sizes.reshape(n, per).sum(axis=1)
+
+
+class _ChunkGrid:
+    """A large pass's score block laid out as rows of one chunk width.
+
+    A pair whose list holds ``s`` rows takes ``ceil(s / width)``
+    consecutive chunk rows of the block, so a list's group of pairs is
+    one contiguous region and its scores are written into a ``(pairs,
+    s)`` strided view of it: the same BLAS call, on the same operands, as
+    into the padded block.  The top-k reads every (member, query) row's
+    chunks in probe-rank order, padded only to the pass's deepest row,
+    and each chunk's first list row maps a winner back.
+    """
+
+    def __init__(self, width: int, spans: np.ndarray, ends: np.ndarray,
+                 order: np.ndarray, lows: np.ndarray) -> None:
+        rows = len(ends)
+        self.width, self.rows = width, rows
+        self.deepest = int(ends[:, -1].max())
+        #: Chunk rows of every pair, in list order, and the block row of
+        #: its first one.
+        self.chunks = spans.reshape(-1)[order]
+        self.starts = np.cumsum(self.chunks) - self.chunks
+        self.total = int(self.starts[-1] + self.chunks[-1])
+        #: The list row every block row's first score is of.
+        self.firsts = np.repeat(lows - self.starts * width, self.chunks) \
+            + np.arange(0, self.total * width, width)
+        # The grid row of a pair's first chunk: its row's first grid row
+        # plus the chunks of the pairs that row probed before it.
+        head = ends - spans
+        head += np.arange(0, rows * self.deepest, self.deepest)[:, None]
+        #: The grid row of every block row.
+        self.dest = np.repeat(head.reshape(-1)[order] - self.starts,
+                              self.chunks) + np.arange(self.total)
+
+    @classmethod
+    def of(cls, sizes: np.ndarray, widest: int, order: np.ndarray,
+           lows: np.ndarray) -> _ChunkGrid | None:
+        """The grid of a pass whose pairs probe lists of ``sizes``
+        (``(rows, width)``, in row order; ``order`` / ``lows`` as in
+        ``ListArena._scan_pass``), or ``None`` where it would not hold
+        fewer floats than the padded block."""
+        width = min(_CHUNK_WIDTH, widest)
+        spans = (sizes + (width - 1)) // width
+        ends = np.cumsum(spans, axis=1)
+        if len(ends) * int(ends[:, -1].max()) * width >= sizes.size * widest:
+            return None
+        return cls(width, spans, ends, order, lows)
+
+    def block(self, bounds: list[int], size_of: list[int]
+              ) -> tuple[np.ndarray, list[np.ndarray | None]]:
+        """The ``(total, width)`` score block, +inf, and every list
+        group's ``(pairs, size)`` view of it, where the group is
+        ``bounds[i]:bounds[i + 1]`` of the pairs in list order (``None``
+        for an empty list)."""
+        heads = bounds[:-1]
+        spans = self.chunks[heads]
+        longest = int(spans.max())
+        flat = np.full((self.total + longest - 1) * self.width, np.inf,
+                       dtype=np.float32)
+        # Row ``r`` of ``reach`` is the ``longest`` chunk rows from block
+        # row ``r`` on, so every group's view is one slice of it.
+        reach = np.ndarray((self.total, longest * self.width), np.float32,
+                           flat, strides=(flat.strides[0] * self.width,
+                                          flat.strides[0]))
+        outs = [reach[row:row + (end - begin) * span:span, :size]
+                if size else None
+                for begin, end, size, row, span in zip(
+                    heads, bounds[1:], size_of,
+                    self.starts[heads].tolist(), spans.tolist())]
+        return flat[:self.total * self.width].reshape(-1, self.width), outs
+
+    def topk(self, block: np.ndarray, k: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """Every row's top-``k`` over its chunks of ``block``: ``(list
+        rows, scores)``, ``-1`` where a score is +inf padding."""
+        grid = np.full((self.rows * self.deepest, self.width), np.inf,
+                       dtype=np.float32)
+        grid[self.dest] = block
+        first = np.zeros(len(grid), dtype=np.int64)
+        first[self.dest] = self.firsts
+        cols, dists = topk_smallest(
+            grid.reshape(self.rows, self.deepest * self.width), k)
+        slot, within = np.divmod(cols, self.width)
+        slot += np.arange(0, len(grid), self.deepest)[:, None]
+        return np.where(dists < np.inf, first[slot] + within, -1), dists
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,84 @@ def test_one_query_gemv_rounds_as_the_gemm_row():
                 f"list groups assume they agree bit for bit")
 
 
+class TestChunkGridLayout:
+    """A large pass's score block in chunks of ``ivf._CHUNK_WIDTH``
+    scores against the padded block it replaces: the same distances and
+    counters, never more floats for the top-k."""
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("nq", [1, 3, 64])
+    def test_chunking_on_and_off_agree(self, corpus, built, monkeypatch,
+                                       metric, nq):
+        _, queries = corpus
+        index = built[metric]
+        answers = []
+        for rule in (0, 1 << 62):
+            monkeypatch.setattr(ivf, "_CHUNK_FROM", rule)
+            ids, dists = index.search(queries[:nq], 700, nprobe=8)
+            answers.append((HitBlock(ids, dists), index.stats.as_dict()))
+        (chunked, chunked_stats), (padded, padded_stats) = answers
+        np.testing.assert_array_equal(chunked.dists.view(np.int32),
+                                      padded.dists.view(np.int32))
+        assert_batches_equal_up_to_ties(chunked, padded, 700)
+        assert chunked_stats == padded_stats
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_grid_holds_no_more_than_the_padded_block(self, data):
+        """Over list sizes around the chunk width (all of them ``W + 1``
+        would double the floats: such a pass stays padded), every pass
+        hands the top-k at most its padded block's floats, and answers
+        as the padded block does."""
+        width = ivf._CHUNK_WIDTH
+        sizes = data.draw(st.lists(
+            st.sampled_from([0, 1, width - 1, width, width + 1, 2 * width,
+                             2 * width + 1, 5 * width + 3])
+            | st.integers(0, 3 * width), min_size=1, max_size=6).filter(
+                lambda sizes: sum(sizes) > 0), label="sizes")
+        metric = data.draw(st.sampled_from(METRICS), label="metric")
+        nq = data.draw(st.integers(1, 6), label="nq")
+        probed = data.draw(st.integers(1, len(sizes) + 1), label="width")
+        k = data.draw(st.integers(1, sum(sizes) + 3), label="k")
+        rng = np.random.default_rng(sum(sizes))
+        lists = InvertedLists(
+            clustered(rng, sum(sizes)),
+            np.repeat(np.arange(len(sizes)), sizes), len(sizes),
+            FlatCodec(metric), metric)
+        probes = rng.integers(0, len(sizes) + 1, (1, nq, probed))
+        queries = clustered(rng, nq)
+        arena = ListArena((lists,))
+        handed, passes = [], []
+        real_topk, real_pass = ivf.topk_smallest, ListArena._scan_pass
+
+        def topk(values, k):
+            handed.append(values.size)
+            return real_topk(values, k)
+
+        def scan_pass(self, scope, block, probes, k):
+            before = len(handed)
+            answer = real_pass(self, scope, block, probes, k)
+            passes.append((probes.size * int(self.sizes[probes].max()),
+                           handed[-1] if len(handed) > before else 0))
+            return answer
+
+        answers = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ivf, "topk_smallest", topk)
+            patch.setattr(ListArena, "_scan_pass", scan_pass)
+            for rule in (0, 1 << 62):
+                patch.setattr(ivf, "_CHUNK_FROM", rule)
+                answers.append(arena.scan((0,), queries, probes, k))
+        (padded, grid), (_, unchunked) = passes
+        assert grid <= padded == unchunked
+        (at, dists, compared), (want_at, want_dists, want_compared) = answers
+        np.testing.assert_array_equal(dists.view(np.int32),
+                                      want_dists.view(np.int32))
+        assert_batches_equal_up_to_ties(HitBlock(at, dists),
+                                        HitBlock(want_at, want_dists), k)
+        np.testing.assert_array_equal(compared, want_compared)
+
+
 class TestTopkSmallest:
     @pytest.mark.parametrize("shape,k", [
         ((64,), 8), ((512,), 10), ((1, 64), 8), ((1, 512), 10),

@@ -33,8 +33,10 @@ from repro.core.results import HitBlock
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.errors import IndexBuildError, InvalidQuery
+from repro.index import ivf
 from repro.index.base import SearchStats, create_index
-from repro.index.ivf import ArenaIndex, BucketedIndex, IvfFlatIndex
+from repro.index.ivf import ArenaIndex, BucketedIndex, IvfFlatIndex, \
+    ListArena
 from tests.reference.compare import DIM, METRICS, \
     assert_batches_equal_up_to_ties, assert_results_equal_up_to_ties, \
     clustered
@@ -793,6 +795,147 @@ class TestArenaIndex:
         assert node._arena("c", "vector", MetricType.EUCLIDEAN) is None
         assert node._arena("c", "vector",
                            MetricType.INNER_PRODUCT) is not None
+
+
+# ----------------------------------------------------------------------
+# the chunk grid
+# ----------------------------------------------------------------------
+
+W = ivf._CHUNK_WIDTH
+
+#: ``(index type, its lists' sizes, params)`` of one arena: sizes around
+#: the chunk width, empty lists, and lists spanning many chunks.
+GRID_MEMBERS = (
+    ("IVF_FLAT", (0, 1, W - 1, W, W + 1, 2 * W, 2 * W + 1, 10 * W + 3), {}),
+    ("IVF_SQ8", (2 * W + 1, W, 0, 1, 3 * W), {}),
+    ("IVF_PQ", (W + 1, 6 * W + 5, W - 1, 0), {"m": 4}),
+    ("IVF_HNSW", (1, W, W + 1, 0, 2 * W), {}),
+    ("IVF_FLAT", (3, 0, 2), {"nprobe": 1}),
+)
+
+
+def sized_index(kind, metric, sizes, rng, params):
+    """A built index of ``kind`` whose lists hold exactly ``sizes`` rows
+    (its bucketer still trains on the rows, and probes by what it
+    learnt); every list is probed unless ``params`` says otherwise."""
+    index = create_index(kind, metric, DIM, nlist=len(sizes),
+                         **{"nprobe": len(sizes), **params})
+    fit = index.bucketer.fit
+    index.bucketer.fit = lambda data: (
+        fit(data), np.repeat(np.arange(len(sizes)), sizes))[1]
+    index.build(clustered(rng, sum(sizes)))
+    del index.bucketer.fit
+    np.testing.assert_array_equal(index.list_sizes(), sizes)
+    return index
+
+
+@pytest.fixture(scope="module", params=METRICS, ids=lambda m: m.value)
+def grid_arena(request):
+    """``(metric, members)`` of ``GRID_MEMBERS``."""
+    rng = np.random.default_rng(11)
+    return request.param, [sized_index(kind, request.param, sizes, rng,
+                                       params)
+                           for kind, sizes, params in GRID_MEMBERS]
+
+
+@pytest.fixture
+def every_pass_chunked(monkeypatch):
+    """Every pass laid out in chunks (where that is smaller); counts the
+    grids laid out."""
+    grids = []
+    real = ivf._ChunkGrid.of
+
+    def of(*args):
+        grid = real(*args)
+        grids.append(grid)
+        return grid
+
+    monkeypatch.setattr(ivf, "_CHUNK_FROM", 0)
+    monkeypatch.setattr(ivf._ChunkGrid, "of", of)
+    return grids
+
+
+def assert_members_answer_alone(arena, members, queries, k, scope):
+    """Every member in ``scope`` answers from the arena as on its own:
+    distances bit for bit, ids up to exact ties, work counters."""
+    numbers = range(len(members)) if scope is None else scope
+    stats = [SearchStats() for _ in numbers]
+    ids, dists = arena.search(queries, k, scope=scope, stats=stats)
+    for at, number in enumerate(numbers):
+        member = members[number]
+        want_ids, want_dists = member.search(queries, k)
+        np.testing.assert_array_equal(dists[at].view(np.int32),
+                                      want_dists.view(np.int32))
+        want_ids = np.where(want_ids < 0, -1,
+                            want_ids + arena.row_base[number])
+        assert_batches_equal_up_to_ties(HitBlock(ids[at], dists[at]),
+                                        HitBlock(want_ids, want_dists), k)
+        assert (ids[at][np.isinf(dists[at])] == -1).all()
+        assert stats[at].as_dict() == member.stats.as_dict()
+
+
+class TestChunkGrid:
+    @pytest.mark.parametrize("nq", [1, 3, 64])
+    @pytest.mark.parametrize("k", [3, W, 2 * W + 3, 1200],
+                             ids=["below-W", "W", "above-W", "above-rows"])
+    @pytest.mark.parametrize("scope", [None, [1, 3], [2]],
+                             ids=["all", "1-3", "2"])
+    def test_members_answer_as_on_their_own(self, grid_arena,
+                                            every_pass_chunked, nq, k,
+                                            scope):
+        """Lists of 0, 1, W - 1, W, W + 1, 2W, 2W + 1 rows and lists of
+        many chunks, four codecs in one arena, k below, at and above the
+        chunk width and above every member's rows."""
+        metric, members = grid_arena
+        assert 1200 > max(member.ntotal for member in members)
+        queries = clustered(np.random.default_rng(nq), nq)
+        assert_members_answer_alone(ArenaIndex(members), members, queries,
+                                    k, scope)
+        assert any(grid is not None for grid in every_pass_chunked)
+
+    @pytest.mark.parametrize("number", [0, 2])
+    def test_a_member_cut_by_query_rows(self, grid_arena,
+                                        every_pass_chunked, monkeypatch,
+                                        number):
+        """A block too tall for one pass is cut by query rows, chunked;
+        the member alone is cut the same way."""
+        metric, members = grid_arena
+        member = members[number]
+        passes = []
+        real = ListArena._scan_pass
+
+        def counting(self, scope, block, *args):
+            passes.append(block.shape[0])
+            return real(self, scope, block, *args)
+
+        monkeypatch.setattr(ListArena, "_scan_pass", counting)
+        monkeypatch.setattr(ivf, "_SCAN_BLOCK_FLOATS", 10 * member.nprobe
+                            * member._lists.max_list_size)
+        queries = clustered(np.random.default_rng(5), 64)
+        assert_members_answer_alone(ArenaIndex(members), members, queries,
+                                    2 * W + 3, [number])
+        assert passes == ([10] * 6 + [4]) * 2
+        assert any(grid is not None for grid in every_pass_chunked)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_k_amplified_by_deletions(self, rng, monkeypatch,
+                                      every_pass_chunked, metric):
+        """A node whose segments lost their nearest rows asks its arena
+        for an amplified ``k``; in chunks of 4 scores (lists of ~20 rows
+        span several) it answers as the per-segment loop does."""
+        monkeypatch.setattr(ivf, "_CHUNK_WIDTH", 4)
+        cluster = sealed_cluster(rng, metric)
+        queries = clustered(rng, 17)
+        nearest = cluster.search("c", queries[:1], 11, metric=metric)[0].pks
+        cluster.delete("c", f"pk in {nearest}")
+        cluster.run_for(500)
+        got = both(cluster, monkeypatch, queries, 10, metric=metric)
+        assert not set(nearest) & {pk for r in got for pk in r.pks}
+        assert got[0].profile.totals()["delete_filter_hits"] == 11
+        for nq in (1, 3, 64):
+            both(cluster, monkeypatch, clustered(rng, nq), 10,
+                 metric=metric)
+        assert any(grid is not None for grid in every_pass_chunked)
 
 
 # ----------------------------------------------------------------------

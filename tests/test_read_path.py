@@ -273,6 +273,38 @@ class TestValidationOnceTyped:
         assert len(cluster.search_multivector("c", _mv_query(rng), 3,
                                               consistency=STRONG)) == 3
 
+    @pytest.mark.parametrize("value", [True, np.True_],
+                             ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("call", [
+        lambda c, p, v: c.search("c", _q(), v, field="image"),
+        lambda c, p, v: c.search("c", _q(), 3, field="image",
+                                 staleness_ms=v),
+        lambda c, p, v: c.range_search("c", _q(), 100.0, field="image",
+                                       limit=v),
+        lambda c, p, v: c.range_search("c", _q(), v, field="image"),
+        lambda c, p, v: p.submit_search("c", _q(), v, field="image"),
+        lambda c, p, v: c.search_multivector(
+            "c", _mv_query(np.random.default_rng(0),
+                           weights={"image": v, "text": 0.5}), 3),
+    ], ids=["search-k", "staleness_ms", "range-limit", "range-radius",
+            "submit_search-k", "multivector-weight"])
+    def test_a_bool_is_not_a_number(self, rng, call, value):
+        """``True`` used to pass as the integer 1 (``bool`` is an
+        ``int``): ``k=True`` answered one hit per query and
+        ``staleness_ms=True`` waited for 1 ms.  Index parameters refuse
+        a bool already; request parameters now do too."""
+        config = ManuConfig().with_overrides(
+            query=QueryConfig(batch_window_ms=5.0))
+        cluster = ManuCluster(config=config, num_query_nodes=2)
+        cluster.create_collection("c", _schema())
+        cluster.insert("c", _rows(rng, range(50)))
+        cluster.run_for(500)
+        proxy = cluster.proxy()
+        with _NoFanOut(cluster), pytest.raises(InvalidQuery,
+                                               match="at least"):
+            call(cluster, proxy, value)
+        assert proxy.flush_batches() == 0
+
     def test_negative_staleness_is_typed_for_every_verb(self, rng):
         cluster = _loaded(rng, rows=50)
         for verb in ("search", "get") + READ_VERBS:
