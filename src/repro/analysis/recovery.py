@@ -72,6 +72,7 @@ RECOVERABLE_COMPONENTS = {
     "DataCoordinator": "coord/data.py",
     "QueryCoordinator": "coord/query.py",
     "Segment": "core/segment.py",
+    "SegmentSet": "core/segment_set.py",
 }
 
 #: fields that legitimately do NOT survive a crash: serving scratch,
@@ -88,8 +89,6 @@ EPHEMERAL_FIELDS = {
     ("QueryNode", "_arenas"):
         "derived from the sealed segments and their indexes; checked "
         "against them and rebuilt on the first search that needs it",
-    ("DataNode", "alive"):
-        "liveness flag; a restarted node is alive by construction",
     ("DataNode", "segments_flushed"):
         "monotone flush counter (telemetry only)",
     ("Segment", "_attr_indexes"):
@@ -179,7 +178,7 @@ PERSIST_SINK_NAMES = frozenset({
     "put", "put_value", "write", "write_segment", "write_delete_delta",
 })
 PERSIST_MODULE_PREFIXES = ("storage/", "log/binlog")
-PERSIST_MODULES = frozenset({"core/checkpoint.py"})
+PERSIST_MODULES = frozenset({"core/checkpoint.py", "core/segment_set.py"})
 
 _CLOSURE_DEPTH = 6
 _MAX_CANDIDATES = 6
@@ -234,7 +233,7 @@ class ReplayEffect:
 
     func: FunctionSummary
     site: CallSite
-    target: str        # dotted receiver, e.g. "self._delta_buffer"
+    target: str        # dotted receiver, e.g. "self._deletes"
     guarded: bool
     guard: str         # where/why it is safe ("" when unguarded)
 

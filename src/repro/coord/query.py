@@ -26,7 +26,7 @@ from typing import Optional
 from repro.config import ManuConfig
 from repro.errors import ClusterStateError, NodeNotFound
 from repro.log.broker import LogBroker, LogEntry
-from repro.log.wal import CoordRecord, shard_channel
+from repro.log.wal import CoordRecord, channel_shard, shard_channel
 from repro.nodes.query_node import QueryNode
 from repro.sim.events import EventLoop
 from repro.storage.metastore import MetaStore
@@ -316,9 +316,9 @@ class QueryCoordinator:
            materialize there (it keeps consuming deletions and ticks,
            and keeps serving its existing growing copies);
         2. the new owner re-subscribes ``owned`` from the handoff LSN
-           (the recorded flushed offset) and replays the tail — the
-           per-segment ``max_insert_lsn`` watermark makes the replay
-           idempotent, so no record is applied twice;
+           (the recorded flushed offset) and replays the tail through its
+           :class:`~repro.core.segment_set.SegmentSet`, which skips an
+           insert a segment already holds, so no record is applied twice;
         3. once the new owner's cursor catches up, the old owner's
            growing copies for that shard are released.
 
@@ -365,7 +365,7 @@ class QueryCoordinator:
         record the fenced copy could possibly hold sits below the
         handoff-time end offset.
         """
-        shard = int(channel.rsplit("shard-", 1)[1])
+        _collection, shard = channel_shard(channel)
         handoff_end = self._broker.end_offset(channel)
 
         def check() -> None:

@@ -13,13 +13,13 @@ Pieces:
   *segment map* (segment routes + progress, and per-channel replay
   offsets), never the data itself, so checkpoints are tiny and segments
   are shared between checkpoints;
-* **delete delta logs** — deletions that target already-flushed segments
-  are appended (pk, ts) to per-shard delta blobs by the data nodes, so a
-  restore can re-apply them without replaying the whole WAL;
-* :class:`TimeTravel` — performs the restore: load flushed binlogs from
-  the checkpointed segment map, replay each WAL channel from the recorded
-  offset applying records with LSN <= T, apply delete deltas, and return
-  the reconstructed segments;
+* :class:`TimeTravel` — performs the restore through one
+  :class:`~repro.core.segment_set.SegmentSet`, the applier the data and
+  query nodes use too: load the flushed binlogs of the checkpointed
+  segment map, sealed, with the persisted delete deltas (the per-shard
+  ``delta/`` blobs of deletions that missed every growing segment) up to
+  T; replay each WAL channel from the recorded offset, applying records
+  with LSN <= T; and return the reconstructed segments;
 * :func:`apply_retention` — drops checkpoints and WAL entries older than
   a configured expiration period (delete delta logs are kept: nothing
   truncates them).
@@ -34,46 +34,13 @@ from typing import Mapping, Optional
 from repro.config import SegmentConfig
 from repro.core.schema import CollectionSchema
 from repro.core.segment import Segment
+from repro.core.segment_set import SegmentSet
 from repro.core.tso import Timestamp
 from repro.errors import TimeTravelError
 from repro.log.binlog import BinlogReader
 from repro.log.broker import LogBroker
-from repro.log.wal import InsertRecord, data_records, shard_channel
+from repro.log.wal import data_records, shard_channel
 from repro.storage.object_store import ObjectStore
-
-
-# ---------------------------------------------------------------------------
-# delete delta logs
-# ---------------------------------------------------------------------------
-
-def write_delete_delta(store: ObjectStore, collection: str, shard: int,
-                       entries: list[tuple[object, int]]) -> None:
-    """Append deletions (pk, packed ts) that missed every growing segment.
-
-    The blob is keyed by the batch's largest delete timestamp, zero-padded
-    like a checkpoint's: what the log itself numbers, so a restarted
-    process cannot write over an earlier batch, and a shard's blobs list
-    in write order.  A batch that ends where a persisted one does (a WAL
-    replay) is merged into it.
-    """
-    if not entries:
-        return
-    newest = max(ts for _pk, ts in entries)
-    key = f"delta/{collection}/shard-{shard}/{newest:020d}.json"
-    if store.exists(key):
-        held = {(pk, ts) for pk, ts in json.loads(store.get(key).decode())}
-        entries = sorted(held.union(entries), key=lambda entry: entry[1])
-    store.put(key, json.dumps([[pk, ts] for pk, ts in entries]).encode())
-
-
-def read_delete_deltas(store: ObjectStore,
-                       collection: str) -> list[tuple[object, int]]:
-    """All persisted delete deltas for a collection, in write order."""
-    out: list[tuple[object, int]] = []
-    for key in store.list(f"delta/{collection}/"):
-        for pk, ts in json.loads(store.get(key).decode()):
-            out.append((pk, ts))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,28 +133,18 @@ class TimeTravel:
                 f"no checkpoint of {collection!r} at or before "
                 f"{target_ms}ms")
 
-        segments: dict[str, Segment] = {}
-
-        def get_segment(segment_id: str) -> Segment:
-            if segment_id not in segments:
-                segment = Segment(segment_id, collection, schema,
-                                  self._segment_config)
-                segment.temp_index_enabled = False
-                segments[segment_id] = segment
-            return segments[segment_id]
-
         # 1. Load flushed segments from their binlogs (shared snapshots),
-        # noting each one's progress.
-        loaded: dict[str, int] = {}
+        # sealed, with the persisted delete deltas up to the target.
+        segments = SegmentSet(collection, schema, self._segment_config,
+                              self._store)
         for segment_id in checkpoint.flushed_segments:
             manifest = self._reader.read_manifest(collection, segment_id)
             columns = self._reader.read_fields(collection, segment_id,
                                                manifest.fields)
-            segment = get_segment(segment_id)
-            segment.append(list(manifest.pks), columns, manifest.max_lsn)
-            loaded[segment_id] = manifest.max_lsn
+            segments.load(manifest, columns, until_ts=target_ts)
 
-        # 2. Replay the WAL tail of each shard channel from its progress.
+        # 2. Replay the WAL tail of each shard channel from its progress,
+        # up to the target.
         for shard in range(self._num_shards):
             channel = shard_channel(collection, shard)
             if not self._broker.has_channel(channel):
@@ -197,40 +154,15 @@ class TimeTravel:
                 raise TimeTravelError(
                     f"WAL of {channel} expired past offset {start}; "
                     "cannot replay")
-            offset = start
-            while True:
-                entries = self._broker.read(channel, offset, 1024)
-                if not entries:
-                    break
-                for entry in entries:
-                    offset = entry.offset + 1
-                    for record in data_records(entry.payload):
-                        if record.ts > target_ts:
-                            continue
-                        if isinstance(record, InsertRecord):
-                            segment = get_segment(record.segment_id)
-                            if record.ts <= segment.max_insert_lsn:
-                                continue  # already covered by the binlog
-                            segment.append(list(record.pks),
-                                           dict(record.columns), record.ts)
-                        else:
-                            for segment in segments.values():
-                                segment.apply_delete(record.pks, record.ts)
+            tail = self._broker.end_offset(channel) - start
+            for entry in self._broker.read(channel, start, tail):
+                for record in data_records(entry.payload):
+                    if record.ts <= target_ts:
+                        segments.apply(record, entry.offset)
 
-        # 3. Apply persisted delete deltas with ts <= target.  Like a query
-        # node's sealed load, a loaded segment takes only the ones newer
-        # than its binlog (which holds no deleted row, and may hold a
-        # newer version of a deleted pk); a replayed segment took its
-        # deletions from the WAL tail, in order.
-        for pk, ts in read_delete_deltas(self._store, collection):
-            if ts <= target_ts:
-                for segment_id, max_lsn in loaded.items():
-                    if ts > max_lsn:
-                        segments[segment_id].apply_delete([pk], ts)
-
-        for segment in segments.values():
+        for segment in segments.segments.values():
             segment.seal()
-        return segments
+        return segments.segments
 
 
 def apply_retention(store: ObjectStore, broker: LogBroker, collection: str,
@@ -268,7 +200,6 @@ def apply_retention(store: ObjectStore, broker: LogBroker, collection: str,
         referenced = set(live_segments)
         for checkpoint in survivors:
             referenced.update(checkpoint.flushed_segments)
-        from repro.log.binlog import BinlogReader
         reader = BinlogReader(store)
         for segment_id in reader.list_segments(collection):
             if segment_id not in referenced:

@@ -277,3 +277,9 @@ def record_from_bytes(raw: bytes) -> WalRecord:
 def shard_channel(collection: str, shard: int) -> str:
     """Name of the WAL channel for one shard of one collection."""
     return f"wal/{collection}/shard-{shard}"
+
+
+def channel_shard(channel: str) -> tuple[str, int]:
+    """The (collection, shard) a WAL shard channel carries."""
+    prefix, shard = channel.rsplit("/shard-", 1)
+    return prefix.removeprefix("wal/"), int(shard)

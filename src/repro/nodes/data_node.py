@@ -8,9 +8,11 @@ and announces ``segment_flushed`` on the coordination channel — carrying
 the channel offset reached, which checkpointing and failure recovery use as
 the WAL replay position.
 
-Deletions that hit a growing segment are applied to its bitmap before the
-flush; deletions whose rows live in already-flushed segments are appended
-to per-shard delete delta logs (consumed by time travel and compaction).
+The node's :class:`~repro.core.segment_set.SegmentSet` per collection
+applies the records: deletions that hit a growing segment are applied to
+its bitmap before the flush; deletions whose rows live in already-flushed
+segments wait in the set until housekeeping appends them to per-shard
+delete delta logs (consumed by query nodes' loads and time travel).
 """
 
 from __future__ import annotations
@@ -20,15 +22,13 @@ from typing import Optional
 import numpy as np
 
 from repro.config import ManuConfig
-from repro.core.checkpoint import write_delete_delta
-from repro.core.schema import CollectionSchema
-from repro.core.segment import Segment
+from repro.core.segment_set import SegmentSet
 from repro.log.binlog import BinlogWriter
 from repro.log.broker import LogBroker, LogEntry, Subscription
 from repro.log.wal import (
     CoordRecord,
-    DeleteRecord,
     InsertRecord,
+    channel_shard,
     data_records,
     shard_channel,
 )
@@ -58,17 +58,9 @@ class DataNode:
         self._component = f"data-node:{name}"
         self._writer = BinlogWriter(store)
         self._subs: dict[str, Subscription] = {}
-        # (collection, segment_id) -> growing Segment
-        self._growing: dict[tuple[str, str], Segment] = {}
-        self._segment_shard: dict[tuple[str, str], int] = {}
-        # Growing segment -> offset of the first entry that fed it: a
-        # replay must start there for the segment's rows to come back.
-        self._first_offsets: dict[tuple[str, str], int] = {}
-        self._channel_offsets: dict[str, int] = {}
-        # (collection, shard) -> {pk: latest delete ts}.  Keyed (not
-        # appended) so a WAL replay of the same deletion is absorbed
-        # instead of duplicating delta entries.
-        self._delta_buffer: dict[tuple[str, int], dict] = {}
+        # collection -> its growing segments and the deletes that missed
+        # them (archiving needs no search: no temporary indexes).
+        self._sets: dict[str, SegmentSet] = {}
         # Seal decisions that arrived before (or while) the segment's rows
         # were still in flight on the shard channel:
         # (coll, seg) -> (shard, wire trace context of the seal delivery).
@@ -93,9 +85,11 @@ class DataNode:
         """Start consuming a WAL shard channel."""
         if channel in self._subs:
             return
+        collection, shard = channel_shard(channel)
         self._subs[channel] = self._broker.subscribe(
             channel, f"data-node:{self.name}", from_offset,
-            callback=self._on_entry)
+            callback=lambda entry, c=collection, s=shard:
+                self._on_entry(c, s, entry))
 
     def unsubscribe(self, channel: str) -> None:
         sub = self._subs.pop(channel, None)
@@ -125,76 +119,43 @@ class DataNode:
     def channels(self) -> list[str]:
         return sorted(self._subs)
 
-    def _on_entry(self, entry: LogEntry) -> None:
-        self._channel_offsets[entry.channel] = entry.offset + 1
+    def _segments(self, collection: str) -> SegmentSet:
+        if collection not in self._sets:
+            self._sets[collection] = SegmentSet(
+                collection, self._schema_provider(collection),
+                self._config.segment, self._store, archive=True)
+        return self._sets[collection]
+
+    def _on_entry(self, collection: str, shard: int,
+                  entry: LogEntry) -> None:
+        segments = self._segments(collection)
+        segments.advance(shard, entry.offset)
         for record in data_records(entry.payload):
-            if isinstance(record, InsertRecord):
-                self._apply_insert(record, entry.offset)
-            else:
-                self._apply_delete(record)
+            applied = segments.apply(record, entry.offset,
+                                     now_ms=self._loop.now())
+            if applied == 0:
+                continue  # a delete, or a replayed insert
+            self._rotate(segments, record)
 
-    # ------------------------------------------------------------------
-    # write path
-    # ------------------------------------------------------------------
-
-    def _segment(self, collection: str, segment_id: str) -> Segment:
-        key = (collection, segment_id)
-        if key not in self._growing:
-            schema: CollectionSchema = self._schema_provider(collection)
-            segment = Segment(segment_id, collection, schema,
-                              self._config.segment)
-            segment.temp_index_enabled = False  # archiving needs no search
-            self._growing[key] = segment
-        return self._growing[key]
-
-    def _apply_insert(self, record: InsertRecord, offset: int) -> None:
-        key = (record.collection, record.segment_id)
-        segment = self._segment(*key)
-        self._segment_shard[key] = record.shard
-        self._first_offsets.setdefault(key, offset)
-        if record.ts <= segment.max_insert_lsn:
-            return  # WAL replay of a batch this segment already holds
-        segment.append(list(record.pks), dict(record.columns), record.ts,
-                       now_ms=self._loop.now())
-        # Rotation signal: the shard channel is FIFO, so rows for any
-        # *other* pending-seal segment of this shard are fully delivered
-        # once a newer segment's rows arrive — flush them now.
+    def _rotate(self, segments: SegmentSet, record: InsertRecord) -> None:
+        """Rotation signal: the shard channel is FIFO, so rows for any
+        *other* pending-seal segment of this shard are fully delivered
+        once a newer segment's rows arrive — flush them now."""
         for (coll, sid), (shard, wire) in list(self._pending_seals.items()):
             if coll == record.collection and shard == record.shard \
                     and sid != record.segment_id \
-                    and self.has_segment(coll, sid):
+                    and sid in segments.segments:
                 del self._pending_seals[(coll, sid)]
                 self.seal_and_flush(coll, sid, shard, trace_parent=wire)
 
-    def _apply_delete(self, record: DeleteRecord) -> None:
-        remaining = set(record.pks)
-        for (collection, _sid), segment in self._growing.items():
-            if collection != record.collection or not remaining:
-                continue
-            hit = [pk for pk in remaining if segment.contains_pk(pk)]
-            if hit:
-                segment.apply_delete(hit, record.ts)
-                remaining -= set(hit)
-        if remaining:
-            bucket = self._delta_buffer.setdefault(
-                (record.collection, record.shard), {})
-            for pk in remaining:
-                if record.ts > bucket.get(pk, 0):
-                    bucket[pk] = record.ts
-
     def flush_delta_logs(self) -> None:
         """Persist buffered sealed-segment deletions (periodic event)."""
-        for (collection, shard), bucket in self._delta_buffer.items():
-            write_delete_delta(self._store, collection, shard,
-                               sorted(bucket.items(), key=lambda kv: kv[1]))
-        self._delta_buffer = {}
+        for segments in self._sets.values():
+            segments.persist_deltas()
 
     # ------------------------------------------------------------------
     # sealing & flushing
     # ------------------------------------------------------------------
-
-    def has_segment(self, collection: str, segment_id: str) -> bool:
-        return (collection, segment_id) in self._growing
 
     #: quiescence window before a pending seal is flushed (must exceed
     #: the broker's delivery delay by a wide margin)
@@ -210,7 +171,7 @@ class DataNode:
         immediately would persist a partial binlog and strand the late
         rows; instead the seal is parked and resolved by either
 
-        * the **rotation signal** in :meth:`_apply_insert` — the shard
+        * the **rotation signal** in :meth:`_rotate` — the shard
           channel is FIFO, so a row for a *newer* segment proves the
           sealed one is complete; or
         * this **quiescence retry**: the segment is flushed once no row
@@ -243,7 +204,7 @@ class DataNode:
     def _settle_seal(self, collection: str, segment_id: str, shard: int,
                      retries: int, wire: Optional[tuple]) -> None:
         key = (collection, segment_id)
-        segment = self._growing.get(key)
+        segment = self._segments(collection).segments.get(segment_id)
         quiet = (segment is not None
                  and self._loop.now() - segment.last_insert_at_ms
                  >= self.SEAL_SETTLE_MS * 0.5)
@@ -277,9 +238,8 @@ class DataNode:
         ``trace_parent`` carries the wire context of the seal decision
         across the parked-seal deferral.
         """
-        key = (collection, segment_id)
-        segment = self._growing.pop(key, None)
-        self._first_offsets.pop(key, None)
+        segments = self._segments(collection)
+        segment = segments.release(segment_id)
         if segment is None or segment.num_rows == 0:
             return None
         parent = TraceContext.from_wire(trace_parent) \
@@ -296,7 +256,7 @@ class DataNode:
             return None
         write_ms = self._cost.object_write(
             sum(_nbytes(v) for v in columns.values()))
-        channel_offset = self._replay_offset(collection, shard)
+        channel_offset = segments.replay_offset(shard)
         flush_span = self._tracer.start_span(
             "data_node.flush", self._component, parent=parent,
             collection=collection, segment=segment_id, rows=len(pks))
@@ -346,26 +306,17 @@ class DataNode:
             self._flush_hist.observe(write_ms)
         return segment_id
 
-    def _replay_offset(self, collection: str, shard: int) -> int:
-        """Where a replay of the shard channel must start: the first entry
-        of the oldest segment still growing on it, else the consumed
-        offset (a flush may fire while a newer segment's rows arrive)."""
-        return min((offset for (coll, sid), offset
-                    in self._first_offsets.items()
-                    if coll == collection
-                    and self._segment_shard[(coll, sid)] == shard),
-                   default=self._channel_offsets.get(
-                       shard_channel(collection, shard), 0))
-
     def growing_segments(self) -> list[tuple[str, str, int]]:
         """(collection, segment_id, rows) of in-memory growing segments."""
         return sorted((c, s, seg.num_rows)
-                      for (c, s), seg in self._growing.items())
+                      for c, segments in self._sets.items()
+                      for s, seg in segments.segments.items())
 
     def flush_backlog(self) -> int:
         """Work waiting to reach the object store: parked seals plus
         growing segments still accumulating rows (telemetry signal)."""
-        return len(self._pending_seals) + len(self._growing)
+        return len(self._pending_seals) + sum(
+            len(segments.segments) for segments in self._sets.values())
 
 
 def _take(values, keep: np.ndarray):

@@ -31,7 +31,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.config import ManuConfig
-from repro.core.checkpoint import read_delete_deltas
 from repro.core.consistency import ConsistencyGate
 from repro.core.arena import SegmentArena
 from repro.core.expr import FilterExpression
@@ -41,16 +40,12 @@ from repro.core.multivector import MultiVectorQuery, search_segment
 from repro.core.results import HitBlock, NodeWork, merge_topk
 from repro.core.schema import CollectionSchema, MetricType
 from repro.core.segment import Segment
+from repro.core.segment_set import SegmentSet
 from repro.errors import ClusterStateError
 from repro.index.base import SearchStats, index_from_bytes
 from repro.log.binlog import BinlogReader
 from repro.log.broker import LogBroker, LogEntry, Subscription
-from repro.log.wal import (
-    DeleteRecord,
-    InsertRecord,
-    TimeTickRecord,
-    data_records,
-)
+from repro.log.wal import InsertRecord, TimeTickRecord, data_records
 from repro.sim.costmodel import CostModel
 from repro.sim.events import EventLoop
 from repro.storage.object_store import ObjectStore
@@ -77,23 +72,11 @@ class QueryNode:
 
         self._subs: dict[str, Subscription] = {}
         self._owned_channels: set[str] = set()
-        # (collection, segment_id) -> Segment; growing and sealed together.
-        # ``_by_collection`` is the per-collection registry the request
-        # path iterates, so one collection's search never scans another
-        # collection's segment keys.
-        self._segments: dict[tuple[str, str], Segment] = {}
-        self._by_collection: dict[str, dict[str, Segment]] = {}
-        self._growing_ids: set[tuple[str, str]] = set()
-        # Growing segment -> its WAL shard, so a fenced channel handoff
-        # can find (and release) exactly the old owner's copies.
-        self._segment_shard: dict[tuple[str, str], int] = {}
+        # collection -> its segments, growing and sealed together, and the
+        # deletes seen (applied to late loads).  A query node never seals
+        # a growing copy: "growing" is ``not segment.is_sealed``.
+        self._sets: dict[str, SegmentSet] = {}
         self._gates: dict[str, ConsistencyGate] = {}  # per collection
-        # Deletions seen per collection: pk -> ts (applied to late loads).
-        self._seen_deletes: dict[str, dict] = {}
-        # Persisted delete-delta log, cached per collection so loading N
-        # sealed segments reads the object store once, not N times;
-        # invalidated whenever new deletions flow in from the WAL.
-        self._delta_cache: dict[str, list[tuple[object, int]]] = {}
         # (collection, vector field, metric) -> the arena over the sealed
         # segments searched as one (None: there are none).  Derived, and
         # checked against the segments it was derived from before every
@@ -154,10 +137,7 @@ class QueryNode:
 
     def growing_of_shard(self, collection: str, shard: int) -> list[str]:
         """Growing segment ids this node built from one WAL shard."""
-        return sorted(
-            sid for (coll, sid) in self._growing_ids
-            if coll == collection
-            and self._segment_shard.get((coll, sid)) == shard)
+        return self._segments(collection).growing_of_shard(shard)
 
     @property
     def owned_channels(self) -> set[str]:
@@ -173,56 +153,29 @@ class QueryNode:
             return
         gate.observe(record.ts)
         # The entry's ts, a commit group's max inner LSN, moved the gate.
+        segments = self._segments(collection)
         for inner in data_records(record):
-            if isinstance(inner, DeleteRecord):
-                self._apply_delete(collection, inner)
-            elif entry.channel in self._owned_channels:
-                self._apply_insert(inner)
-
-    def _apply_insert(self, record: InsertRecord) -> None:
-        key = (record.collection, record.segment_id)
-        if key not in self._segments:
-            schema: CollectionSchema = self._schema_provider(
-                record.collection)
-            segment = Segment(record.segment_id, record.collection, schema,
-                              self._config.segment)
-            segment.temp_index_enabled = \
-                self._config.segment.enable_temp_index
-            self._register(key, segment)
-            self._growing_ids.add(key)
-        self._segment_shard[key] = record.shard
-        segment = self._segments[key]
-        if record.ts <= segment.max_insert_lsn:
-            return  # WAL replay of a batch this copy already holds
-        segment.append(list(record.pks), dict(record.columns),
-                       record.ts, now_ms=self._loop.now())
-
-    def _apply_delete(self, collection: str, record: DeleteRecord) -> None:
-        history = self._seen_deletes.setdefault(collection, {})
-        for pk in record.pks:
-            history[pk] = record.ts
-        # New deletions may since have been flushed into the persisted
-        # delta log too; drop the cached copy so late loads re-read it.
-        self._delta_cache.pop(collection, None)
-        for segment in self._by_collection.get(collection, {}).values():
-            segment.apply_delete(record.pks, record.ts)
+            if isinstance(inner, InsertRecord) \
+                    and entry.channel not in self._owned_channels:
+                continue  # only deletions apply from a non-owned channel
+            segments.apply(inner, entry.offset, now_ms=self._loop.now())
 
     # ------------------------------------------------------------------
     # segment management
     # ------------------------------------------------------------------
 
-    def _register(self, key: tuple[str, str], segment: Segment) -> None:
-        self._segments[key] = segment
-        self._by_collection.setdefault(key[0], {})[key[1]] = segment
+    def _segments(self, collection: str) -> SegmentSet:
+        if collection not in self._sets:
+            self._sets[collection] = SegmentSet(
+                collection, self._schema_provider(collection),
+                self._config.segment, self._store,
+                temp_index=self._config.segment.enable_temp_index)
+        return self._sets[collection]
 
-    def _unregister(self, key: tuple[str, str]) -> Optional[Segment]:
-        removed = self._segments.pop(key, None)
-        per_coll = self._by_collection.get(key[0])
-        if per_coll is not None:
-            per_coll.pop(key[1], None)
-            if not per_coll:
-                del self._by_collection[key[0]]
-        return removed
+    def _held(self, collection: str) -> dict[str, Segment]:
+        """The collection's segments by id (empty when none are held)."""
+        segments = self._sets.get(collection)
+        return segments.segments if segments is not None else {}
 
     def load_segment(self, collection: str, segment_id: str) -> float:
         """Load a sealed segment from its binlog; returns load duration.
@@ -230,56 +183,28 @@ class QueryNode:
         Deletions consumed before the load are re-applied so late loads
         converge with live copies.
         """
-        key = (collection, segment_id)
-        if key in self._segments and key not in self._growing_ids:
+        held = self.segment(collection, segment_id)
+        if held is not None and held.is_sealed:
             return 0.0
         with self._tracer.span("query_node.load_segment", self._component,
                                collection=collection, segment=segment_id):
-            return self._load_segment(collection, segment_id)
-
-    def _load_segment(self, collection: str, segment_id: str) -> float:
-        key = (collection, segment_id)
-        manifest = self._reader.read_manifest(collection, segment_id)
-        columns = self._reader.read_fields(collection, segment_id,
-                                           manifest.fields)
-        schema: CollectionSchema = self._schema_provider(collection)
-        segment = Segment(segment_id, collection, schema,
-                          self._config.segment)
-        segment.temp_index_enabled = False  # sealed data gets real indexes
-        segment.append(list(manifest.pks), columns, manifest.max_lsn)
-        segment.seal()
-        # The sealed segment keeps only deletions newer than its binlog.
-        for pk, ts in self._seen_deletes.get(collection, {}).items():
-            segment.apply_delete([pk], ts)
-        # Deletions that predate this node's log subscription live in the
-        # persisted delete-delta logs (WAL retention may have dropped
-        # them).  The log is cached per collection so a bulk load of N
-        # segments costs one object-store read, not N.
-        deltas = self._delta_cache.get(collection)
-        if deltas is None:
-            deltas = read_delete_deltas(self._store, collection)
-            self._delta_cache[collection] = deltas
-        for pk, ts in deltas:
-            segment.apply_delete([pk], ts)
-        self._register(key, segment)
-        self._growing_ids.discard(key)
-        nbytes = sum(v.nbytes if isinstance(v, np.ndarray)
-                     else sum(len(str(x)) for x in v)
-                     for v in columns.values())
-        return self._cost.object_read(nbytes)
+            manifest = self._reader.read_manifest(collection, segment_id)
+            columns = self._reader.read_fields(collection, segment_id,
+                                               manifest.fields)
+            self._segments(collection).load(manifest, columns)
+            nbytes = sum(v.nbytes if isinstance(v, np.ndarray)
+                         else sum(len(str(x)) for x in v)
+                         for v in columns.values())
+            return self._cost.object_read(nbytes)
 
     def release_segment(self, collection: str, segment_id: str) -> bool:
         """Drop a segment copy (handoff done, rebalance, or release)."""
-        removed = self._unregister((collection, segment_id))
-        self._growing_ids.discard((collection, segment_id))
-        self._segment_shard.pop((collection, segment_id), None)
-        return removed is not None
+        return self._segments(collection).release(segment_id) is not None
 
     def attach_index(self, collection: str, segment_id: str, field: str,
                      path: str) -> float:
         """Load an index blob and attach it; returns load duration."""
-        key = (collection, segment_id)
-        segment = self._segments.get(key)
+        segment = self.segment(collection, segment_id)
         if segment is None:
             raise ClusterStateError(
                 f"{self.name} does not hold segment {segment_id}")
@@ -292,32 +217,32 @@ class QueryNode:
         return self._cost.object_read(len(raw))
 
     def segments_of(self, collection: str) -> list[str]:
-        return sorted(self._by_collection.get(collection, {}))
+        return sorted(self._held(collection))
 
     def sealed_segments_of(self, collection: str) -> list[str]:
-        return sorted(sid for sid in self._by_collection.get(collection, {})
-                      if (collection, sid) not in self._growing_ids)
+        return sorted(sid for sid, segment in self._held(collection).items()
+                      if segment.is_sealed)
 
     def segment(self, collection: str, segment_id: str) -> Optional[Segment]:
-        return self._segments.get((collection, segment_id))
+        return self._held(collection).get(segment_id)
 
     def holds_collection(self, collection: str) -> bool:
         """Whether any segment of the collection lives on this node."""
-        return bool(self._by_collection.get(collection))
+        return bool(self._held(collection))
 
     def is_growing(self, collection: str, segment_id: str) -> bool:
         """Whether the local copy of a segment is still growing."""
-        return (collection, segment_id) in self._growing_ids
+        segment = self.segment(collection, segment_id)
+        return segment is not None and not segment.is_sealed
 
     def num_rows(self, collection: Optional[str] = None) -> int:
-        if collection is None:
-            return sum(seg.num_rows for seg in self._segments.values())
-        return sum(seg.num_rows
-                   for seg in self._by_collection.get(collection,
-                                                      {}).values())
+        names = self._sets if collection is None else (collection,)
+        return sum(seg.num_rows for name in names
+                   for seg in self._held(name).values())
 
     def memory_bytes(self) -> int:
-        return sum(seg.memory_bytes() for seg in self._segments.values())
+        return sum(seg.memory_bytes() for segments in self._sets.values()
+                   for seg in segments.segments.values())
 
     # ------------------------------------------------------------------
     # consistency
@@ -341,18 +266,18 @@ class QueryNode:
         node should cover (None = everything).  Growing segments are
         always in scope — they exist only on their channel's owner.
         """
-        per_coll = self._by_collection.get(collection, {})
-        return [segment for sid, segment in sorted(per_coll.items())
+        return [segment for sid, segment
+                in sorted(self._held(collection).items())
                 if segment.num_rows > 0
                 and (scope is None or sid in scope
-                     or (collection, sid) in self._growing_ids)]
+                     or not segment.is_sealed)]
 
     def _arena(self, collection: str, field: str,
                metric: MetricType) -> Optional[SegmentArena]:
         """The arena over the node's sealed segments that are searched as
         one under ``metric`` — all of them, whatever a request's scope —
         derived again when they are not the ones it was derived from."""
-        held = self._by_collection.get(collection, {})
+        held = self._held(collection)
         key = (collection, field, metric)
         arena = self._arenas.get(key)
         if arena is None or not arena.holds(held):
@@ -392,8 +317,7 @@ class QueryNode:
         for segment, entry in zip(segments, ledger):
             for total, stats in zip(totals, entry):
                 total.add(stats)
-            growing = (collection, segment.segment_id) in self._growing_ids
-            path = ("growing" if growing
+            path = ("growing" if not segment.is_sealed
                     else "index" if any(stats.index_scans for stats in entry)
                     else "brute")
             work.scans.append((segment.segment_id, path, segment.num_rows,
@@ -515,7 +439,7 @@ class QueryNode:
         whichever copy answers will do, so ``scope`` does not narrow it.
         """
         out: dict = {}
-        per_coll = self._by_collection.get(collection, {})
+        per_coll = self._held(collection)
         for _sid, segment in sorted(per_coll.items()):
             out.update(segment.fetch_rows(pks))
         service_ms = self._cost.request_overhead_ms \
@@ -532,10 +456,6 @@ class QueryNode:
         self.alive = False
         for channel in list(self._subs):
             self.unsubscribe(channel)
-        self._segments.clear()
-        self._by_collection.clear()
+        self._sets.clear()
         self._arenas.clear()
-        self._delta_cache.clear()
-        self._growing_ids.clear()
-        self._segment_shard.clear()
         self._gates.clear()

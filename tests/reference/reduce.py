@@ -83,7 +83,7 @@ def reference_scan(node, collection, scope, fields, nq, k, work):
         partials.append(work(segment, stats))
         for total, field_stats in zip(totals, stats):
             total.add(field_stats)
-        growing = (collection, segment.segment_id) in node._growing_ids
+        growing = node.is_growing(collection, segment.segment_id)
         path = ("growing" if growing
                 else "index" if sum(s.index_scans for s in stats) > 0
                 else "brute")

@@ -25,10 +25,12 @@ from repro.race.runner import (
 )
 from repro.sim.clock import FIFO_POLICY
 
-#: 11, 23 and 57 are the historical seeds.  Without the sealed-segment
-#: delete rule 3, 23, 29, 38 and 62 lose upserted rows when a query node
-#: joins; without the flush replay offset 29 and 75 lose acked rows on
-#: failover; 1 and 46 compact a group whose rows are all deleted.
+#: 11, 23 and 57 are the historical seeds.  Without the sealed rule of
+#: ``Segment.apply_delete`` (which every ``SegmentSet`` delete goes
+#: through) 3, 23, 29, 38 and 62 lose upserted rows when a query node
+#: joins; without the growing segments' first offsets in
+#: ``SegmentSet.replay_offset`` 29 and 75 lose acked rows on failover;
+#: 1 and 46 compact a group whose rows are all deleted.
 OPS_SEEDS = [1, 3, 11, 23, 29, 38, 46, 57, 62, 75]
 
 

@@ -241,6 +241,25 @@ class TestFailureRecovery:
                           consistency=ConsistencyLevel.STRONG)
         assert len(got) == cluster.collection_row_count("c") == 300
 
+    def test_failover_keeps_a_delete_not_yet_in_the_delta_log(self, rng):
+        """A flush announces a replay offset no later than the oldest
+        delete still waiting for the delta log: the channel's new owner
+        replays it (the parent returned pk 5 and counted 104 rows)."""
+        cluster = ManuCluster(num_query_nodes=1)
+        cluster.create_collection("c", pk_schema())
+        cluster.insert("c", pk_rows(rng, range(100)))
+        cluster.flush("c")
+        cluster.delete("c", "pk in [5]")    # misses every growing segment
+        cluster.insert("c", pk_rows(rng, range(100, 104)))
+        cluster.flush("c")                  # before housekeeping persists it
+        first = cluster.query_coord.node_names[0]
+        cluster.add_query_node()
+        cluster.fail_query_node(first)
+        cluster.run_for(5_000)
+        assert cluster.get("c", [5],
+                           consistency=ConsistencyLevel.STRONG) == {}
+        assert cluster.collection_row_count("c") == 103
+
 
 class TestTimeTravel:
     def test_restore_excludes_later_writes(self, cluster, schema, rng):

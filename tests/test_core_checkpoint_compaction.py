@@ -12,14 +12,13 @@ from repro.core.checkpoint import (
     Checkpoint,
     CheckpointManager,
     apply_retention,
-    read_delete_deltas,
-    write_delete_delta,
 )
 from repro.core.compaction import (
     CompactionPolicy,
     SegmentMeta,
     compact_segments,
 )
+from repro.core.segment_set import read_delete_deltas, write_delete_delta
 from repro.core.tso import Timestamp
 from repro.log.binlog import BinlogReader, BinlogWriter
 from repro.log.broker import LogBroker
@@ -64,7 +63,7 @@ class TestDeleteDeltas:
         that a new process starts again at zero."""
         script = (
             "import sys\n"
-            "from repro.core.checkpoint import write_delete_delta\n"
+            "from repro.core.segment_set import write_delete_delta\n"
             "from repro.storage.object_store import FsBackend, ObjectStore\n"
             "write_delete_delta(ObjectStore(FsBackend(sys.argv[1])), 'coll',"
             " 0, [(int(sys.argv[2]), int(sys.argv[3]))])\n")

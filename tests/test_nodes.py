@@ -103,7 +103,7 @@ class TestDataNode:
                                              shard=0, pks=(42,)))
         loop.run_for(10)
         node.flush_delta_logs()
-        from repro.core.checkpoint import read_delete_deltas
+        from repro.core.segment_set import read_delete_deltas
         assert read_delete_deltas(store, "coll") == [(42, 5)]
 
     def test_flush_empty_segment_returns_none(self, rig, schema):
@@ -261,7 +261,7 @@ class TestQueryNode:
         """The persisted delete-delta log is cached per collection."""
         loop, broker, store, config, channel = rig
         from repro.log.binlog import BinlogWriter
-        from repro.nodes import query_node as qn_module
+        from repro.core import segment_set as applier
         writer = BinlogWriter(store)
         for pk, sid in enumerate(("seg-a", "seg-b", "seg-c")):
             writer.write_segment("coll", sid, [pk], {
@@ -269,9 +269,9 @@ class TestQueryNode:
                 "price": [1.0]}, 30)
         node = self._node(rig, schema)
         calls = []
-        real = qn_module.read_delete_deltas
+        real = applier.read_delete_deltas
         monkeypatch.setattr(
-            qn_module, "read_delete_deltas",
+            applier, "read_delete_deltas",
             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         for sid in ("seg-a", "seg-b", "seg-c"):
             node.load_segment("coll", sid)

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.manu import ManuCluster
-from repro.config import ManuConfig, SegmentConfig
+from repro.config import LogConfig, ManuConfig, SegmentConfig
 from repro.core.schema import CollectionSchema, DataType, FieldSchema
 from repro.errors import TimeTravelError
 from repro.log.binlog import BinlogReader
+from repro.sim.costmodel import CostModel
 
 
 @pytest.fixture
@@ -164,3 +165,34 @@ class TestUpsertAfterFlush:
         np.testing.assert_array_equal(segment.column("vector")[row], new[0])
         assert sum(segment.num_rows - segment.num_deleted
                    for segment in restored.values()) == 100
+
+    def test_the_new_version_survives_out_of_order_flushes(self, schema,
+                                                          rng):
+        """The big segment's flush is announced after the small one's, so
+        the checkpoint replays the upsert onto both binlogs: its delete
+        must not reach the loaded copy that holds the new row (the parent
+        restored 67 rows, without pk 7)."""
+        config = ManuConfig(segment=SegmentConfig(seal_entity_count=64),
+                            log=LogConfig(num_shards=1))
+        slow_store = CostModel(object_store_mb_per_ms=1e-4)
+        cluster = ManuCluster(config=config, num_query_nodes=1,
+                              cost_model=slow_store)
+        cluster.create_collection("c", schema)
+        insert(cluster, rng, range(64))     # fills S1, sealed by size
+        insert(cluster, rng, range(64, 68))  # opens S2
+        new = rng.standard_normal((1, 8)).astype(np.float32)
+        cluster.upsert("c", {"pk": [7], "vector": new})
+        cluster.flush("c")
+        cluster.run_for(3_000)
+        cluster.checkpoint("c")
+        assert set(cluster.get("c", [7])) == {7}
+
+        restored = cluster.time_travel("c", cluster.now())
+        live = [(segment, row) for segment in restored.values()
+                for row, pk in enumerate(segment.pks)
+                if pk == 7 and not segment.deleted_mask()[row]]
+        assert len(live) == 1
+        segment, row = live[0]
+        np.testing.assert_array_equal(segment.column("vector")[row], new[0])
+        assert sum(segment.num_live_rows for segment in restored.values()) \
+            == 68
