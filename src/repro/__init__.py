@@ -23,16 +23,6 @@ Quickstart::
     print(res[0].pks)
 """
 
-from repro.analysis import (
-    DURABILITY_ACK,
-    DURABILITY_COVERAGE,
-    DURABILITY_REPLAY,
-    DURABILITY_RULES,
-    DURABILITY_UNLOGGED,
-    RecoveryModelError,
-    build_durability_model,
-    durability_model_for_root,
-)
 from repro.api.pymanu import (
     Collection,
     Tenant,
@@ -98,14 +88,6 @@ from repro.tracing import Span, TraceCollector, TraceContext
 __version__ = "0.1.0"
 
 __all__ = [
-    "DURABILITY_ACK",
-    "DURABILITY_COVERAGE",
-    "DURABILITY_REPLAY",
-    "DURABILITY_RULES",
-    "DURABILITY_UNLOGGED",
-    "RecoveryModelError",
-    "build_durability_model",
-    "durability_model_for_root",
     "Collection",
     "connect",
     "connections",

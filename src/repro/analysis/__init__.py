@@ -2,11 +2,14 @@
 
 The paper states correctness invariants that Python cannot enforce at
 runtime without cost: LSN/time-tick monotonicity on the log backbone
-(Section 3.3), the delta-consistency wait condition ``Lr - Ls < tau``
-(Section 3.4), and a strict layering in which worker nodes coordinate only
-through the log.  ``repro.analysis`` checks the *static* shadow of those
-invariants over the repository's AST, so refactors that silently break the
-discipline are caught before any test runs.
+(Section 3.3), acknowledgement only after the WAL holds a write, and a
+strict layering in which worker nodes coordinate only through the log.
+``repro.analysis`` checks the *static* shadow of those invariants over the
+repository's AST — the ones no test can observe from outside.  What a test
+can observe (consistency waits, subscription lifetimes, row state rebuilt
+by replay, same-tick order) is checked dynamically instead: by the chaos
+driver against its model, the ``MANU_RACE`` schedule sweep and the
+crash-point tests.
 
 Rule families (each independently toggleable):
 
@@ -17,12 +20,10 @@ Rule families (each independently toggleable):
 ``error-hygiene``           public API raises ``ManuError``; no bare except
 ``frozen-record``           WAL/binlog records are immutable once constructed
 ``pubsub-topology``         pub/sub call sites match the declared log graph
-``consistency-discipline``  guarantee ts + ready() wait on every fan-out
-``resource-discipline``     subscriptions/handles/locks are scoped
-``raceorder-*``             happens-before passes over the scheduled-event
-                            graph (see :mod:`repro.analysis.raceorder`)
-``durability-*``            crash-consistency passes over the durability
-                            lifecycle model (see
+``raceorder-*``             passes over the scheduled-event handlers (see
+                            :mod:`repro.analysis.raceorder`)
+``durability-*``            crash-consistency passes over the write entries
+                            and replay handlers (see
                             :mod:`repro.analysis.durability`)
 ==========================  ==================================================
 
@@ -43,10 +44,8 @@ code via :func:`run_analysis`.
 from repro.analysis.base import Finding, Rule, Suppression
 from repro.analysis.durability import (
     DURABILITY_ACK,
-    DURABILITY_COVERAGE,
     DURABILITY_REPLAY,
     DURABILITY_RULES,
-    DURABILITY_UNLOGGED,
 )
 from repro.analysis.engine import AnalysisReport, all_rules, run_analysis
 from repro.analysis.pubsub import recover_topology
@@ -54,38 +53,24 @@ from repro.analysis.raceorder import (
     RACEORDER_DETACHED,
     RACEORDER_HIDDEN_COUPLING,
     RACEORDER_RULES,
-    RACEORDER_SHARED_STATE,
-    build_hb_graph,
-    hb_graph_for_root,
+    event_handlers,
 )
-from repro.analysis.recovery import (
-    RecoveryModelError,
-    build_durability_model,
-    durability_model_for_root,
-    verify_declared_components,
-)
+from repro.analysis.recovery import build_durability_model
 
 __all__ = [
     "AnalysisReport",
     "DURABILITY_ACK",
-    "DURABILITY_COVERAGE",
     "DURABILITY_REPLAY",
     "DURABILITY_RULES",
-    "DURABILITY_UNLOGGED",
     "Finding",
     "RACEORDER_DETACHED",
     "RACEORDER_HIDDEN_COUPLING",
     "RACEORDER_RULES",
-    "RACEORDER_SHARED_STATE",
-    "RecoveryModelError",
     "Rule",
     "Suppression",
     "all_rules",
     "build_durability_model",
-    "build_hb_graph",
-    "durability_model_for_root",
-    "hb_graph_for_root",
+    "event_handlers",
     "recover_topology",
     "run_analysis",
-    "verify_declared_components",
 ]

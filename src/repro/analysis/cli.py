@@ -6,17 +6,10 @@ Output formats:
 
 * ``text`` (default) — file:line findings with fix hints;
 * ``json`` — machine-readable report, including the recovered pub/sub
-  topology, HB graph, and durability model (the CI artifacts);
+  topology (the CI artifact);
 * ``github`` — GitHub workflow-annotation lines (``::error file=...``)
   so CI failures annotate PRs inline;
-* ``dot`` — Graphviz digraph of the recovered pub/sub topology only;
-* ``dot-durability`` — Graphviz digraph of the recovered durability
-  lifecycle (write entries, replay handlers, field classification).
-
-``--baseline FILE`` suppresses findings recorded in a baseline file
-(matched by rule+path+message, line numbers ignored so unrelated edits
-don't invalidate it); ``--update-baseline`` rewrites the file from the
-current findings, which is how a new rule lands incrementally.
+* ``dot`` — Graphviz digraph of the recovered pub/sub topology.
 """
 
 from __future__ import annotations
@@ -29,8 +22,6 @@ from typing import Optional, Sequence
 
 from repro.analysis.engine import all_rules, load_project, run_analysis
 from repro.analysis.pubsub import recover_edges
-from repro.analysis.raceorder import build_hb_graph
-from repro.analysis.recovery import build_durability_model
 from repro.analysis.topology import topology_to_dict, topology_to_dot
 
 
@@ -52,22 +43,16 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory to analyze (default: src/repro)")
     parser.add_argument("--strict", action="store_true",
                         help=("also require every suppression comment to "
-                              "carry a '-- reason' justification"))
+                              "carry a '-- reason' justification and name "
+                              "only known rule ids"))
     parser.add_argument("--select", action="append", default=None,
                         metavar="RULE", help="run only these rule ids")
     parser.add_argument("--disable", action="append", default=None,
                         metavar="RULE", help="skip these rule ids")
     parser.add_argument("--format",
-                        choices=("text", "json", "github", "dot",
-                                 "dot-durability"),
+                        choices=("text", "json", "github", "dot"),
                         default="text",
                         help="output format (default: text)")
-    parser.add_argument("--baseline", metavar="FILE", default=None,
-                        help=("suppress findings recorded in FILE "
-                              "(rule+path+message match)"))
-    parser.add_argument("--update-baseline", action="store_true",
-                        help=("rewrite --baseline FILE from the current "
-                              "findings and exit 0"))
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule table and exit")
     return parser
@@ -78,22 +63,6 @@ def _print_rules() -> None:
         print(f"{rule.id:22s} {rule.description}")
         if rule.paper_ref:
             print(f"{'':22s} guards: {rule.paper_ref}")
-
-
-def _baseline_key(finding) -> tuple[str, str, str]:
-    return (finding.rule, finding.path, finding.message)
-
-
-def _load_baseline(path: Path) -> set[tuple[str, str, str]]:
-    entries = json.loads(path.read_text(encoding="utf-8"))
-    return {(e["rule"], e["path"], e["message"]) for e in entries}
-
-
-def _write_baseline(path: Path, findings) -> None:
-    entries = [{"rule": f.rule, "path": f.path, "message": f.message}
-               for f in findings]
-    path.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
 
 
 def _github_line(finding) -> str:
@@ -111,10 +80,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         _print_rules()
         return 0
-    if args.update_baseline and not args.baseline:
-        print("error: --update-baseline requires --baseline FILE",
-              file=sys.stderr)
-        return 2
 
     root = Path(args.root) if args.root else _default_root()
     if not root.is_dir():
@@ -125,10 +90,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(topology_to_dot(recover_edges(load_project(root))), end="")
         return 0
 
-    if args.format == "dot-durability":
-        print(build_durability_model(load_project(root)).to_dot())
-        return 0
-
     try:
         report = run_analysis(root, select=args.select,
                               disable=args.disable, strict=args.strict)
@@ -136,25 +97,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-        if args.update_baseline:
-            _write_baseline(baseline_path, report.findings)
-            print(f"manu-lint: baseline updated with "
-                  f"{len(report.findings)} finding(s): {baseline_path}")
-            return 0
-        known = (_load_baseline(baseline_path)
-                 if baseline_path.is_file() else set())
-        kept, baselined = [], []
-        for finding in report.findings:
-            (baselined if _baseline_key(finding) in known
-             else kept).append(finding)
-        report.findings = kept
-        report.baselined = baselined
-
     if args.format == "json":
-        project = load_project(root)
-        topo = topology_to_dict(recover_edges(project))
         print(json.dumps({
             "root": str(report.root),
             "modules_checked": report.modules_checked,
@@ -164,11 +107,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 {"finding": vars(f), "reason": s.reason,
                  "suppression_line": s.line}
                 for f, s in report.suppressed],
-            "baselined": [vars(f)
-                          for f in getattr(report, "baselined", [])],
-            "topology": topo,
-            "hb_graph": build_hb_graph(project).to_dict(),
-            "durability": build_durability_model(project).to_dict(),
+            "topology": topology_to_dict(
+                recover_edges(load_project(root))),
         }, indent=2))
         return report.exit_code()
 
@@ -182,9 +122,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     summary = (f"manu-lint: {report.modules_checked} modules, "
                f"{len(report.findings)} finding(s), "
                f"{len(report.suppressed)} suppressed")
-    baselined = getattr(report, "baselined", None)
-    if baselined:
-        summary += f", {len(baselined)} baselined"
     if report.parse_errors:
         summary += f", {len(report.parse_errors)} parse error(s)"
     print(summary)

@@ -1,6 +1,6 @@
 """manu-crash: crash-consistency rules over the recovered durability model.
 
-Four rule families, all driven by :mod:`repro.analysis.recovery`:
+Two rule families, both driven by :mod:`repro.analysis.recovery`:
 
 ``durability-ack-before-durable``
     A client-facing write entry (``insert``/``delete``/``upsert`` in the
@@ -9,12 +9,6 @@ Four rule families, all driven by :mod:`repro.analysis.recovery`:
     has executed.  This is the invariant the group-commit rework must
     preserve: batching the publish may not move it after the ack.
 
-``durability-unlogged-mutation``
-    Row state (``Segment.append`` / ``Segment.apply_delete``) may only be
-    mutated from WAL delivery, restore, or compaction-rebuild paths.  A
-    mutation reachable only from other code writes state that no replay
-    will ever reconstruct — it silently vanishes on crash.
-
 ``durability-replay-unguarded``
     Restart replays each channel from the recorded flushed offset, and a
     channel handoff replays it to a node that may have already applied a
@@ -22,29 +16,17 @@ Four rule families, all driven by :mod:`repro.analysis.recovery`:
     order/duplication-sensitive effect (``append``/``extend`` on component
     state) must sit behind an LSN/offset progress guard or be declared
     idempotent in ``recovery.IDEMPOTENT_HANDLERS``.
-
-``durability-checkpoint-coverage``
-    Every mutable field of a declared recoverable component must be
-    rebuilt by replay/restore, persisted write-through, or declared
-    ephemeral/placement.  A field in no bucket is state the recovery
-    protocol forgets.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.analysis import recovery
 from repro.analysis.base import Finding, Project, Rule
-from repro.analysis.pubsub import CHECKED_LAYERS
-from repro.analysis.raceorder import handler_key
 from repro.analysis.recovery import build_durability_model
-from repro.analysis.summaries import _call_compatible, project_summary
 
 DURABILITY_ACK = "durability-ack-before-durable"
-DURABILITY_UNLOGGED = "durability-unlogged-mutation"
 DURABILITY_REPLAY = "durability-replay-unguarded"
-DURABILITY_COVERAGE = "durability-checkpoint-coverage"
 
 
 class AckBeforeDurableRule(Rule):
@@ -72,53 +54,6 @@ class AckBeforeDurableRule(Rule):
                     hint=("publish to the WAL before returning/resolving "
                           "on every path, or return a zero-effect result "
                           "under a justified suppression"))
-
-
-class UnloggedMutationRule(Rule):
-    id = DURABILITY_UNLOGGED
-    description = ("row-state mutators (Segment.append/apply_delete) are "
-                   "only reachable from WAL delivery, restore, or "
-                   "compaction-rebuild paths")
-    paper_ref = ("§3.3 'the log is the system': every row mutation "
-                 "flows through the WAL, so replay can rebuild it")
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        summary = project_summary(project)
-        mutators = {
-            handler_key(f): (cls, f.name)
-            for f in summary.functions
-            for (cls, name) in recovery.LOGGED_MUTATORS
-            if f.class_name == cls and f.name == name}
-        if not mutators:
-            return
-        mutator_names = {name for _cls, name in mutators.values()}
-        recovery_keys = recovery._recovery_closure_keys(summary)
-        for func in summary.functions:
-            if func.ctx.layer not in CHECKED_LAYERS:
-                continue
-            if not func.module.startswith(
-                    recovery.MUTATION_MODULE_PREFIXES):
-                continue
-            key = handler_key(func)
-            if key in recovery_keys or key in mutators:
-                continue
-            for site in func.calls:
-                if site.name not in mutator_names:
-                    continue
-                hits = [f for f in summary.candidates(site.name)
-                        if handler_key(f) in mutators
-                        and _call_compatible(site.node, f)]
-                if not hits:
-                    continue
-                target = f"{hits[0].class_name}.{hits[0].name}"
-                yield func.ctx.finding(
-                    self.id, site.node,
-                    f"{func.qualname}() mutates row state via "
-                    f"{target}() outside any replay/restore path: the "
-                    "mutation is not in the WAL and vanishes on crash",
-                    hint=("route the mutation through the log (publish "
-                          "a WAL record and apply it in the delivery "
-                          "handler), or perform it on a restore path"))
 
 
 class ReplayUnguardedRule(Rule):
@@ -156,36 +91,4 @@ class ReplayUnguardedRule(Rule):
                           "recovery.IDEMPOTENT_HANDLERS with a reason"))
 
 
-class CheckpointCoverageRule(Rule):
-    id = DURABILITY_COVERAGE
-    description = ("every mutable field of a recoverable component is "
-                   "rebuilt by replay/restore, persisted write-through, "
-                   "or declared ephemeral/placement")
-    paper_ref = ("§3.5 time travel: checkpoint = segment map + channel "
-                 "offsets; everything else must be log-derivable")
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        model = build_durability_model(project)
-        for cls in model.fields:
-            if cls.bucket != recovery.BUCKET_UNCOVERED:
-                continue
-            module = recovery.RECOVERABLE_COMPONENTS.get(cls.component)
-            yield Finding(
-                rule=self.id, path=module or cls.component,
-                line=cls.line,
-                message=(f"{cls.component}.{cls.name} is written by "
-                         f"{', '.join(cls.writers)} but neither replay "
-                         "nor checkpoint rebuilds it: the state is lost "
-                         "on crash"),
-                hint=("derive it on a replay/restore path, persist it "
-                      "write-through, or declare it in "
-                      "recovery.EPHEMERAL_FIELDS / PLACEMENT_FIELDS "
-                      "with a reason"))
-
-
-DURABILITY_RULES = (
-    AckBeforeDurableRule,
-    UnloggedMutationRule,
-    ReplayUnguardedRule,
-    CheckpointCoverageRule,
-)
+DURABILITY_RULES = (AckBeforeDurableRule, ReplayUnguardedRule)

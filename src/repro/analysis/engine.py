@@ -3,8 +3,9 @@
 The engine parses every ``*.py`` under the root into a
 :class:`~repro.analysis.base.Project`, runs the selected rules, and then
 filters findings through the ``# manu-lint: disable=`` comments.  In strict
-mode a suppression without a ``-- reason`` justification is itself reported
-(rule id ``suppression-hygiene``), so the escape hatch stays auditable.
+mode a suppression without a ``-- reason`` justification, or one naming a
+rule id that does not exist, is itself reported (rule id
+``suppression-hygiene``), so the escape hatch stays auditable.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from repro.analysis.base import Finding, ModuleContext, Project
-from repro.analysis.consistency import ConsistencyDisciplineRule
 from repro.analysis.determinism import DeterminismRule
 from repro.analysis.durability import DURABILITY_RULES
 from repro.analysis.errhygiene import ErrorHygieneRule
@@ -23,7 +23,6 @@ from repro.analysis.frozen import FrozenRecordRule
 from repro.analysis.layering import LayeringRule
 from repro.analysis.pubsub import PubSubTopologyRule
 from repro.analysis.raceorder import RACEORDER_RULES
-from repro.analysis.resources import ResourceDisciplineRule
 from repro.analysis.timestamps import TimestampDisciplineRule
 
 SUPPRESSION_HYGIENE = "suppression-hygiene"
@@ -41,11 +40,9 @@ def all_rules() -> list:
         DeterminismRule(),
         ErrorHygieneRule(),
         FrozenRecordRule(),
-        # whole-program passes over the inter-procedural summary (PR 2)
+        # whole-program passes over the inter-procedural summary
         PubSubTopologyRule(),
-        ConsistencyDisciplineRule(),
-        ResourceDisciplineRule(),
-        # happens-before passes over the scheduled-event graph (manu-race)
+        # passes over the scheduled-event handlers (manu-race)
         *[rule() for rule in RACEORDER_RULES],
         # crash-consistency passes over the durability model (manu-crash)
         *[rule() for rule in DURABILITY_RULES],
@@ -113,7 +110,7 @@ def run_analysis(root, select: Optional[Sequence[str]] = None,
     """Run the selected rules over ``root`` and return a report.
 
     ``strict`` additionally requires every suppression comment to carry a
-    ``-- reason`` justification.
+    ``-- reason`` justification and to name only known rule ids.
     """
     root = Path(root)
     project = load_project(root)
@@ -131,6 +128,7 @@ def run_analysis(root, select: Optional[Sequence[str]] = None,
                 report.findings.append(finding)
 
     if strict:
+        known = {rule.id for rule in all_rules()} | {"all"}
         for ctx in project.modules:
             for sup in ctx.suppressions:
                 if not sup.reason:
@@ -141,6 +139,15 @@ def run_analysis(root, select: Optional[Sequence[str]] = None,
                                  "'-- <reason>' after the rule list"),
                         hint=("# manu-lint: disable=<rule> -- why this is "
                               "safe here")))
+                unknown = sorted(sup.rules - known)
+                if unknown:
+                    report.findings.append(Finding(
+                        rule=SUPPRESSION_HYGIENE, path=ctx.relpath,
+                        line=sup.line,
+                        message=(f"suppression names unknown rule(s) "
+                                 f"{', '.join(unknown)}: it suppresses "
+                                 "nothing"),
+                        hint="python -m repro.analysis --list-rules"))
 
     report.findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return report

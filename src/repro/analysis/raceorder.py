@@ -1,35 +1,13 @@
-"""raceorder: happens-before lint for the scheduled-event graph.
+"""raceorder: lint for the scheduled-event handlers.
 
 The static head of ``manu-race`` (DESIGN.md §6e; the dynamic head is
-``MANU_RACE=<seed>``).  In the discrete-event cluster a "race" is not a
-data race — callbacks run atomically — but *same-tick order-dependence*:
-two scheduled callbacks due at the same virtual timestamp that touch the
-same state and produce different outcomes depending on which runs first.
-The FIFO seed schedule only ever exercises one order, so such bugs pass
-every test until a schedule shuffle (or a production timing change) flips
-them.
+``MANU_RACE=<seed>``, which shuffles same-tick callbacks and is swept by
+``python -m repro.race``).  The pass discovers every *handler* — every
+function reachable as a scheduled callback (``loop.call_at/call_after`` →
+deferred, ``loop.call_every`` → periodic) or as a broker delivery
+callback (``broker.subscribe(..., callback=...)`` → delivery) — and what
+its call closure does.  Two rules interrogate the handlers:
 
-The pass recovers the **scheduled-event graph**:
-
-* *handlers* — every function reachable as a scheduled callback
-  (``loop.call_at/call_after`` → deferred, ``loop.call_every`` →
-  periodic) or as a broker delivery callback (``broker.subscribe(...,
-  callback=...)`` → delivery, tagged with its resolved channel groups);
-* *happens-before edges* — (1) **scheduler edges**: a handler whose
-  closure schedules another handler always completes before the
-  schedulee runs, even at the same virtual tick (the event is pushed
-  while the scheduler's callback is mid-execution), and (2) **publish →
-  deliver edges**: a handler that publishes a channel group precedes the
-  delivery handlers subscribed to that group (the flush is scheduled at
-  publish time).
-
-Three rules interrogate the graph:
-
-``raceorder-shared-state``
-    two handlers of the same class with conflicting ``self`` attribute
-    effects (one writes what the other reads or writes) and no
-    happens-before path either way — their same-tick order is undefined
-    under the reorder bounds, so the outcome must not depend on it.
 ``raceorder-hidden-coupling``
     a handler reaching into another component's private state
     (``self.<broker>._x`` / ``self.<coord>._x``) instead of receiving it
@@ -41,8 +19,8 @@ Three rules interrogate the graph:
     request trace happens to be stepping the clock when the timer fires.
 
 Suppressions use the standard syntax, anchored at the handler's ``def``
-line (pair findings) or at the offending expression; ``--strict``
-requires every one to carry a justification.
+line or at the offending expression; ``--strict`` requires every one to
+carry a justification.
 """
 
 from __future__ import annotations
@@ -52,13 +30,11 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from repro.analysis.base import Finding, Project, Rule
-from repro.analysis.pubsub import _channel_argument, _site_groups
 from repro.analysis.summaries import (
-    OPAQUE, CallSite, FunctionSummary, ProjectSummary, project_summary,
+    OPAQUE, CallSite, FunctionSummary, ProjectSummary, _call_compatible,
+    project_summary,
 )
-from repro.analysis.topology import DYNAMIC_GROUP
 
-RACEORDER_SHARED_STATE = "raceorder-shared-state"
 RACEORDER_HIDDEN_COUPLING = "raceorder-hidden-coupling"
 RACEORDER_DETACHED = "raceorder-detached"
 
@@ -73,12 +49,6 @@ SCHEDULE_CALLS = {
 #: resolve the chain (``self.cluster.loop.call_every`` three links deep).
 _LOOP_NAME_HINTS = frozenset({"loop", "_loop"})
 
-#: method names treated as in-place mutations of ``self.<attr>``.
-_MUTATORS = frozenset({
-    "append", "add", "clear", "discard", "extend", "insert", "pop",
-    "popitem", "remove", "setdefault", "update",
-})
-
 #: tracer calls that open spans (attach work to the ambient trace).
 _SPAN_OPENERS = frozenset({"span", "start_span", "record_span"})
 
@@ -92,13 +62,8 @@ class Handler:
 
     func: FunctionSummary
     kinds: set[str] = field(default_factory=set)
-    #: channel groups this handler consumes (delivery handlers only).
-    channel_groups: set[str] = field(default_factory=set)
-    #: channel groups the handler's closure publishes to.
-    publish_groups: set[str] = field(default_factory=set)
-    #: ``self.<attr>`` effects over the same-class call closure.
-    writes: set[str] = field(default_factory=set)
-    reads: set[str] = field(default_factory=set)
+    #: whether the handler's call closure publishes to the broker.
+    publishes: bool = False
     opens_spans: bool = False
     has_detached: bool = False
 
@@ -115,68 +80,8 @@ def handler_key(func: FunctionSummary) -> str:
     return f"{func.module}::{func.qualname}"
 
 
-class HBGraph:
-    """Handlers plus happens-before edges, with reachability queries."""
-
-    def __init__(self) -> None:
-        self.handlers: dict[str, Handler] = {}
-        self.edges: dict[str, set[str]] = {}
-        self._reach_cache: dict[str, frozenset[str]] = {}
-
-    def handler(self, func: FunctionSummary) -> Handler:
-        key = handler_key(func)
-        if key not in self.handlers:
-            self.handlers[key] = Handler(func=func)
-        return self.handlers[key]
-
-    def add_edge(self, src: str, dst: str) -> None:
-        if src != dst:
-            self.edges.setdefault(src, set()).add(dst)
-            self._reach_cache.clear()
-
-    def reachable(self, src: str, dst: str) -> bool:
-        """Whether a happens-before path orders ``src`` before ``dst``."""
-        return dst in self._reach_from(src)
-
-    def _reach_from(self, src: str) -> frozenset[str]:
-        cached = self._reach_cache.get(src)
-        if cached is not None:
-            return cached
-        seen: set[str] = set()
-        frontier = [src]
-        while frontier:
-            node = frontier.pop()
-            for nxt in self.edges.get(node, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        out = frozenset(seen)
-        self._reach_cache[src] = out
-        return out
-
-    def may_collide(self, a: str, b: str) -> bool:
-        """No ordering edge in either direction: same-tick order is free."""
-        return not self.reachable(a, b) and not self.reachable(b, a)
-
-    def to_dict(self) -> dict:
-        """JSON-friendly form (embedded in ``--format json``)."""
-        return {
-            "handlers": {
-                key: {
-                    "kinds": sorted(h.kinds),
-                    "channel_groups": sorted(h.channel_groups),
-                    "publish_groups": sorted(h.publish_groups),
-                    "writes": sorted(h.writes),
-                    "reads": sorted(h.reads),
-                }
-                for key, h in sorted(self.handlers.items())},
-            "edges": sorted((src, dst) for src, dsts in self.edges.items()
-                            for dst in dsts),
-        }
-
-
 # ----------------------------------------------------------------------
-# graph construction
+# handler discovery
 # ----------------------------------------------------------------------
 
 
@@ -211,8 +116,8 @@ def _class_closure(summary: ProjectSummary,
                    func: FunctionSummary) -> list[FunctionSummary]:
     """``func`` plus same-class methods / nested functions it calls.
 
-    This is the state-effect scope: only calls that stay on the same
-    ``self`` can touch the handler's own attributes.
+    This is the hidden-coupling scope: the attribute chains the handler
+    reads through its own ``self``.
     """
     out: list[FunctionSummary] = []
     seen: set[str] = set()
@@ -246,12 +151,8 @@ def _call_closure(summary: ProjectSummary,
 
     Cross-object resolution is by terminal name + argument shape (the
     same over-approximation :meth:`ProjectSummary.callers_of` uses in
-    reverse).  Used for publish/span/detached detection and scheduler
-    edges, where over-approximating *adds* ordering edges — the safe
-    direction for a reorder lint.
+    reverse).  Used for publish/span/detached detection.
     """
-    from repro.analysis.summaries import _call_compatible
-
     out: list[FunctionSummary] = []
     seen: set[str] = set()
     frontier: list[tuple[FunctionSummary, int]] = [(func, 0)]
@@ -287,81 +188,35 @@ def _self_attr_chain(node: ast.AST) -> tuple[str, ...]:
     return tuple(parts)
 
 
-def _collect_effects(funcs: Iterable[FunctionSummary],
-                     ) -> tuple[set[str], set[str]]:
-    """``self.<attr>`` writes and reads across a same-class closure.
-
-    Writes: plain/augmented/annotated assignment to ``self.X`` or
-    ``self.X[...]``, ``del`` of either, and ``self.X.<mutator>(...)``
-    calls.  Reads: every other ``self.X`` load.
-    """
-    writes: set[str] = set()
-    reads: set[str] = set()
-
-    def note_target(target: ast.AST) -> None:
-        if isinstance(target, ast.Subscript):
-            target = target.value
-        if isinstance(target, ast.Attribute) \
-                and isinstance(target.value, ast.Name) \
-                and target.value.id == "self":
-            writes.add(target.attr)
-
-    for func in funcs:
-        for node in ast.walk(func.node):
-            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    note_target(target)
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    note_target(target)
-            elif isinstance(node, ast.Call):
-                chain = _self_attr_chain(node.func)
-                if len(chain) == 3 and chain[0] == "self" \
-                        and chain[2] in _MUTATORS:
-                    writes.add(chain[1])
-            elif isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, ast.Load) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id == "self":
-                reads.add(node.attr)
-    return writes, reads
-
-
-def build_hb_graph(project: Project) -> HBGraph:
-    """The cached scheduled-event graph for this analysis run."""
-    cached = getattr(project, "_hb_graph", None)
+def event_handlers(project: Project) -> dict[str, Handler]:
+    """The cached handlers of this analysis run, by :func:`handler_key`."""
+    cached = getattr(project, "_event_handlers", None)
     if cached is not None:
         return cached
     summary = project_summary(project)
-    graph = HBGraph()
+    handlers: dict[str, Handler] = {}
+
+    def note(func: FunctionSummary, kind: str) -> None:
+        key = handler_key(func)
+        handlers.setdefault(key, Handler(func=func)).kinds.add(kind)
 
     # Pass 1: discover handlers at every schedule / subscribe site.
     for func in summary.functions:
         for site in func.calls:
             if _is_loop_schedule(summary, func, site):
-                kind = SCHEDULE_CALLS[site.name]
                 for target in _schedule_targets(summary, func, site):
-                    graph.handler(target).kinds.add(kind)
+                    note(target, SCHEDULE_CALLS[site.name])
             elif site.name == "subscribe" \
                     and summary.is_broker_receiver(site, func):
                 expr = _callback_argument(site, 3)
                 if expr is None:
                     continue
-                groups = _site_groups(summary, func, site) \
-                    if _channel_argument(site) is not None \
-                    else {DYNAMIC_GROUP}
                 for target in summary.resolve_callback(expr, func):
-                    handler = graph.handler(target)
-                    handler.kinds.add("delivery")
-                    handler.channel_groups |= groups
+                    note(target, "delivery")
 
-    # Pass 2: per-handler effects, publishes, span/detached usage, and
-    # scheduler edges out of the handler's call closure.
-    for handler in list(graph.handlers.values()):
-        handler.writes, handler.reads = _collect_effects(
-            _class_closure(summary, handler.func))
+    # Pass 2: publishes and span/detached usage over each handler's
+    # call closure.
+    for handler in handlers.values():
         for func in _call_closure(summary, handler.func):
             for site in func.calls:
                 if site.name == "detached":
@@ -370,74 +225,15 @@ def build_hb_graph(project: Project) -> HBGraph:
                     handler.opens_spans = True
                 elif site.name == "publish" \
                         and summary.is_broker_receiver(site, func):
-                    handler.publish_groups |= _site_groups(
-                        summary, func, site)
-                if _is_loop_schedule(summary, func, site):
-                    for target in _schedule_targets(summary, func, site):
-                        if handler_key(target) in graph.handlers:
-                            graph.add_edge(handler.key,
-                                           handler_key(target))
+                    handler.publishes = True
 
-    # Pass 3: publish -> deliver edges.  The dynamic group ``*`` matches
-    # everything on either side (over-approximate edges, fewer findings).
-    for publisher in graph.handlers.values():
-        if not publisher.publish_groups:
-            continue
-        for consumer in graph.handlers.values():
-            if "delivery" not in consumer.kinds:
-                continue
-            if publisher.publish_groups & consumer.channel_groups \
-                    or DYNAMIC_GROUP in publisher.publish_groups \
-                    or DYNAMIC_GROUP in consumer.channel_groups:
-                graph.add_edge(publisher.key, consumer.key)
-
-    project._hb_graph = graph
-    return graph
+    project._event_handlers = handlers
+    return handlers
 
 
 # ----------------------------------------------------------------------
 # rules
 # ----------------------------------------------------------------------
-
-
-class RaceOrderSharedStateRule(Rule):
-    id = RACEORDER_SHARED_STATE
-    description = ("scheduled callbacks with conflicting state effects "
-                   "must be ordered by a happens-before edge (scheduler "
-                   "or publish->deliver)")
-    paper_ref = ("§3.3/§3.4 reorder bounds: per-channel order is the "
-                 "only delivery guarantee; same-tick callback order is "
-                 "undefined")
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        graph = build_hb_graph(project)
-        handlers = sorted(graph.handlers.values(), key=lambda h: h.key)
-        for i, a in enumerate(handlers):
-            for b in handlers[i + 1:]:
-                if a.func.ctx is not b.func.ctx:
-                    continue
-                if a.func.class_name is None \
-                        or a.func.class_name != b.func.class_name:
-                    continue
-                conflict = sorted(
-                    (a.writes & (b.writes | b.reads))
-                    | (b.writes & a.reads))
-                if not conflict:
-                    continue
-                if not graph.may_collide(a.key, b.key):
-                    continue
-                first, second = sorted((a, b),
-                                       key=lambda h: h.func.node.lineno)
-                attrs = ", ".join(f"self.{attr}" for attr in conflict[:4])
-                yield second.func.ctx.finding(
-                    self.id, second.func.node,
-                    f"{second.label} and {first.label} are scheduled "
-                    f"callbacks with no happens-before edge but "
-                    f"conflicting effects on {attrs}",
-                    hint=("order them (schedule one from the other, or "
-                          "route the shared state through a channel both "
-                          "subscribe), or suppress with a justification "
-                          "if both orders are genuinely safe"))
 
 
 class RaceOrderHiddenCouplingRule(Rule):
@@ -450,9 +246,8 @@ class RaceOrderHiddenCouplingRule(Rule):
 
     def check_project(self, project: Project) -> Iterable[Finding]:
         summary = project_summary(project)
-        graph = build_hb_graph(project)
         seen: set[tuple[str, int, str]] = set()
-        for handler in sorted(graph.handlers.values(),
+        for handler in sorted(event_handlers(project).values(),
                               key=lambda h: h.key):
             broker_attrs = summary.broker_attrs.get(
                 handler.func.class_name or "", set())
@@ -491,16 +286,15 @@ class RaceOrderDetachedRule(Rule):
     paper_ref = "DESIGN.md §6d causal tracing: timers are detached roots"
 
     def check_project(self, project: Project) -> Iterable[Finding]:
-        graph = build_hb_graph(project)
-        for handler in sorted(graph.handlers.values(),
+        for handler in sorted(event_handlers(project).values(),
                               key=lambda h: h.key):
             if "periodic" not in handler.kinds:
                 continue
-            if not handler.publish_groups and not handler.opens_spans:
+            if not handler.publishes and not handler.opens_spans:
                 continue
             if handler.has_detached:
                 continue
-            activity = ("publishes records" if handler.publish_groups
+            activity = ("publishes records" if handler.publishes
                         else "opens spans")
             yield handler.func.ctx.finding(
                 self.id, handler.func.node,
@@ -511,18 +305,8 @@ class RaceOrderDetachedRule(Rule):
                       "the clock"))
 
 
-#: the raceorder pass's rules, in reporting order (exported for the CLI
-#: and the ``repro`` root).
+#: the raceorder pass's rules, in reporting order.
 RACEORDER_RULES = (
-    RaceOrderSharedStateRule,
     RaceOrderHiddenCouplingRule,
     RaceOrderDetachedRule,
 )
-
-
-def hb_graph_for_root(root) -> dict:
-    """Standalone HB-graph recovery for a source root (CLI, tests)."""
-    from pathlib import Path
-
-    from repro.analysis.engine import load_project
-    return build_hb_graph(load_project(Path(root))).to_dict()

@@ -1,36 +1,24 @@
 """manu-crash recovery model: the durability lifecycle of the log backbone.
 
-The pub/sub pass (PR 2) recovers *who talks to whom*; the happens-before
-pass (PR 6) recovers *what may interleave*.  This module recovers the third
-model the log-backbone rework needs: *what survives a crash, and why*.
-
 A write follows the paper's lifecycle (§3.3):
 
     received -> published-to-WAL -> durable -> acked
 
 and recovery is checkpoint-restore plus per-channel WAL replay from the
-recorded offsets (``core/checkpoint.py``'s segment-map/progress protocol:
-``flushed_offsets/<collection>/<channel>`` in the metastore, replayed by
-``TimeTravel.restore`` and ``QueryCoordinator._move_channel``).  The model
-therefore has four parts:
+recorded offsets (``flushed_offsets/<collection>/<channel>`` in the
+metastore, replayed by ``TimeTravel.restore`` and
+``QueryCoordinator._move_channel``).  This module recovers the two parts
+of that lifecycle a test cannot see from outside:
 
-* **durable points** — broker publishes onto WAL shard channels (once the
-  log has the record, it survives);
 * **write entries** — client-facing ``insert``/``delete`` entry points
-  whose call closure reaches a durable point, with every client-visible
+  whose call closure reaches a WAL publish, with every client-visible
   completion event (value return, future resolution) and a must-domination
   verdict: did the publish happen on *every* path before the ack?
 * **replay handlers** — WAL delivery callbacks, their non-idempotent
   effects (order/duplication-sensitive ``append``/``extend`` on reachable
-  state) and whether each is guarded by an LSN/offset progress check;
-* **field classification** — every mutable field of the declared
-  recoverable components, bucketed into: rebuilt by WAL replay or restore,
-  persisted write-through (re-derivable from durable storage), declared
-  ephemeral, declared placement (rebuilt by the placement authority), or
-  — the finding — covered by nothing.
+  state) and whether each is guarded by an LSN/offset progress check.
 
-The model is deterministic, embedded in ``--format json``, exported as dot
-(``--format dot-durability``) and consumed by the four ``durability-*``
+The model is built once per run and consumed by the two ``durability-*``
 rules in :mod:`repro.analysis.durability`.
 """
 
@@ -39,107 +27,23 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.analysis import topology
 from repro.analysis.base import Project
-from repro.analysis.pubsub import (
-    CHECKED_LAYERS, _channel_argument, _site_groups, broker_sites,
-)
+from repro.analysis.pubsub import CHECKED_LAYERS, _site_groups, broker_sites
 from repro.analysis.raceorder import (
-    _MUTATORS, _callback_argument, _is_loop_schedule, _schedule_targets,
-    handler_key,
+    _callback_argument, _is_loop_schedule, _schedule_targets, handler_key,
 )
 from repro.analysis.summaries import (
     OPAQUE, CallSite, FunctionSummary, ProjectSummary, _call_compatible,
     ack_path_events, project_summary, receiver_chain,
 )
-from repro.errors import ManuError
-
-
-class RecoveryModelError(ManuError):
-    """The declared recovery model does not match the code base."""
-
-
-# ----------------------------------------------------------------------
-# declared tables (reviewed like analysis/topology.py)
-# ----------------------------------------------------------------------
-
-#: components whose state must survive a crash: class -> defining module.
-RECOVERABLE_COMPONENTS = {
-    "DataNode": "nodes/data_node.py",
-    "QueryNode": "nodes/query_node.py",
-    "DataCoordinator": "coord/data.py",
-    "QueryCoordinator": "coord/query.py",
-    "Segment": "core/segment.py",
-    "SegmentSet": "core/segment_set.py",
-}
-
-#: fields that legitimately do NOT survive a crash: serving scratch,
-#: liveness flags and diagnostics that the next incarnation recomputes.
-EPHEMERAL_FIELDS = {
-    ("QueryNode", "alive"):
-        "liveness flag; a restarted node is alive by construction",
-    ("QueryNode", "busy_until_ms"):
-        "serving-time backpressure scratch, meaningless across restarts",
-    ("QueryNode", "searches_served"):
-        "monotone serving counter (telemetry only)",
-    ("QueryNode", "service_ms_total"):
-        "cumulative serving time; load reports read deltas of it",
-    ("QueryNode", "_arenas"):
-        "derived from the sealed segments and their indexes; checked "
-        "against them and rebuilt on the first search that needs it",
-    ("DataNode", "segments_flushed"):
-        "monotone flush counter (telemetry only)",
-    ("Segment", "_attr_indexes"):
-        "lazy per-field attribute-index cache, rebuilt on first filter",
-    ("Segment", "_pk_arr"):
-        "array cache of the replayed pk list, extended at its next read",
-    ("Segment", "temp_index_enabled"):
-        "search-tuning toggle; the default is restored with the segment",
-}
-
-#: fields rebuilt by the *placement authority* (coordinator / cluster
-#: wiring), not by WAL replay: subscriptions, ownership maps, rosters.
-#: On node failure the query coordinator re-subscribes survivors from the
-#: recorded flushed offset (``_move_channel``); the subscription handles
-#: themselves are never checkpointed.
-PLACEMENT_FIELDS = {
-    ("DataNode", "_subs"):
-        "subscription handles; re-created when the cluster re-attaches "
-        "the node to its shard channels",
-    ("DataNode", "_coord_sub"):
-        "coordination-channel subscription, re-created on attach",
-    ("QueryNode", "_subs"):
-        "subscription handles; re-created by QueryCoordinator placement",
-    ("QueryNode", "_owned_channels"):
-        "channel ownership is assigned by QueryCoordinator._move_channel "
-        "/ load_collection, never recovered from the log",
-    ("QueryCoordinator", "_nodes"):
-        "cluster roster, maintained by add_node/remove_node wiring",
-    ("QueryCoordinator", "_channel_owner"):
-        "ownership map, reassigned on load/failure by the coordinator",
-    ("QueryCoordinator", "_channel_collection"):
-        "channel directory, rebuilt when collections are loaded",
-    ("QueryCoordinator", "_loaded"):
-        "loaded-collection set, rebuilt by load_collection requests",
-    ("QueryCoordinator", "_assignments"):
-        "segment placement, recomputed from metastore segment records "
-        "when survivors are re-assigned after a failure",
-}
 
 #: delivery handlers that are idempotent by construction rather than by
 #: an LSN/offset guard; each entry is audited in review like a
 #: suppression.  (module, qualname) -> why re-delivery is harmless.
 IDEMPOTENT_HANDLERS: dict[tuple[str, str], str] = {
-}
-
-#: the logged mutators: calls that change recoverable row state and are
-#: therefore only legal on replay/restore paths (the WAL is the sole
-#: source of row mutations — §3.3 "the log is the system").
-LOGGED_MUTATORS = {
-    ("Segment", "append"),
-    ("Segment", "apply_delete"),
 }
 
 #: layers whose client-facing entry points the ack rule checks.
@@ -152,58 +56,23 @@ ACK_LAYERS = frozenset({"api", "cluster", "log", "nodes"})
 WRITE_ENTRY_RE = re.compile(
     r"^(insert|delete|upsert|publish_batch)(_async)?$")
 
-#: modules whose mutations are row state (rule: unlogged-mutation scope).
-MUTATION_MODULE_PREFIXES = ("nodes/", "coord/", "core/")
-
 #: modules whose accumulating effects count as replay effects.  Below the
 #: storage API everything is keyed/content-addressed persistence
 #: mechanics; tracing and monitoring are diagnostics; index structures
 #: are derived caches rebuilt deterministically from segment rows.
 EFFECT_MODULE_PREFIXES = ("nodes/", "coord/", "core/", "log/", "coproc/")
 
-#: functions on the restore side of recovery: checkpoint loading, binlog
-#: loading, compaction rebuild.  Matched by name or by module.
-RESTORE_NAME_RE = re.compile(
-    r"(^|_)(restore|replay|recover|rebuild|reload)($|_)|^load_segment$"
-    r"|^from_json$")
-RESTORE_MODULES = frozenset({"core/checkpoint.py", "core/compaction.py"})
-
 #: identifier shapes that make a Compare a progress guard.
 GUARD_NAME_RE = re.compile(
     r"lsn|offset|ts$|^ts|watermark|applied|progress", re.IGNORECASE)
 
-#: persistence sinks: a write-through to one of these makes the mutated
-#: state re-derivable from durable storage.
-PERSIST_SINK_NAMES = frozenset({
-    "put", "put_value", "write", "write_segment", "write_delete_delta",
-})
-PERSIST_MODULE_PREFIXES = ("storage/", "log/binlog")
-PERSIST_MODULES = frozenset({"core/checkpoint.py", "core/segment_set.py"})
-
 _CLOSURE_DEPTH = 6
 _MAX_CANDIDATES = 6
-
-#: field-classification buckets, in display order.
-BUCKET_REPLAYED = "replayed"          # rebuilt by WAL replay / restore
-BUCKET_CHECKPOINTED = "checkpointed"  # persisted write-through
-BUCKET_EPHEMERAL = "ephemeral"        # declared: does not survive
-BUCKET_PLACEMENT = "placement"        # declared: placement authority
-BUCKET_CONSTRUCTOR = "constructor"    # wiring, only written in __init__
-BUCKET_UNCOVERED = "uncovered"        # in no bucket: flagged
 
 
 # ----------------------------------------------------------------------
 # model dataclasses
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DurablePoint:
-    """A broker publish onto a WAL shard channel."""
-
-    module: str
-    qualname: str
-    line: int
 
 
 @dataclass(frozen=True)
@@ -235,7 +104,6 @@ class ReplayEffect:
     site: CallSite
     target: str        # dotted receiver, e.g. "self._deletes"
     guarded: bool
-    guard: str         # where/why it is safe ("" when unguarded)
 
 
 @dataclass
@@ -243,7 +111,6 @@ class ReplayHandler:
     """A WAL delivery callback and its replay-idempotence verdict."""
 
     func: FunctionSummary
-    groups: tuple[str, ...]
     effects: list[ReplayEffect]
     declared: str = ""   # IDEMPOTENT_HANDLERS reason, if any
 
@@ -253,118 +120,12 @@ class ReplayHandler:
             or all(effect.guarded for effect in self.effects)
 
 
-@dataclass(frozen=True)
-class FieldClass:
-    """One mutable field of a recoverable component, classified."""
-
-    component: str
-    name: str
-    bucket: str
-    line: int                  # first write establishing the bucket
-    writers: tuple[str, ...]   # qualnames of non-init writers
-    reason: str = ""           # declaration reason, if declared
-
-
 @dataclass
 class DurabilityModel:
-    """The recovered durability lifecycle of the whole project."""
+    """The recovered write entries and replay handlers of the project."""
 
-    durable_points: list[DurablePoint]
     write_entries: list[WriteEntry]
     handlers: list[ReplayHandler]
-    fields: list[FieldClass]
-    missing_components: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "lifecycle": ["received", "published-to-WAL", "durable",
-                          "acked"],
-            "durable_points": [
-                {"module": p.module, "function": p.qualname,
-                 "line": p.line}
-                for p in sorted(self.durable_points,
-                                key=lambda p: (p.module, p.line))],
-            "write_entries": [
-                {"module": e.func.module, "function": e.func.qualname,
-                 "line": e.func.node.lineno,
-                 "acks": [{"kind": a.kind, "line": a.line,
-                           "dominated": a.dominated} for a in e.acks],
-                 "ok": e.ok}
-                for e in sorted(self.write_entries,
-                                key=lambda e: (e.func.module,
-                                               e.func.qualname))],
-            "replay_handlers": [
-                {"module": h.func.module, "function": h.func.qualname,
-                 "line": h.func.node.lineno,
-                 "groups": sorted(h.groups),
-                 "declared_idempotent": h.declared,
-                 "effects": [
-                     {"module": eff.func.module,
-                      "function": eff.func.qualname,
-                      "line": eff.site.lineno, "target": eff.target,
-                      "call": eff.site.name, "guarded": eff.guarded,
-                      "guard": eff.guard}
-                     for eff in sorted(
-                         h.effects,
-                         key=lambda eff: (eff.func.module,
-                                          eff.site.lineno))],
-                 "guarded": h.guarded}
-                for h in sorted(self.handlers,
-                                key=lambda h: (h.func.module,
-                                               h.func.qualname))],
-            "fields": [
-                {"component": f.component, "field": f.name,
-                 "bucket": f.bucket, "line": f.line,
-                 "writers": list(f.writers), "reason": f.reason}
-                for f in sorted(self.fields,
-                                key=lambda f: (f.component, f.name))],
-            "missing_components": sorted(self.missing_components),
-        }
-
-    def to_dot(self) -> str:
-        """The lifecycle and model as one graphviz digraph."""
-        out = ["digraph manu_durability {", "  rankdir=LR;",
-               '  node [shape=box, fontname="monospace"];',
-               '  received -> published -> durable -> acked'
-               ' [penwidth=2];',
-               '  received [shape=ellipse]; acked [shape=ellipse];']
-        for entry in sorted(self.write_entries,
-                            key=lambda e: (e.func.module,
-                                           e.func.qualname)):
-            name = f"{entry.func.module}:{entry.func.qualname}"
-            colour = "palegreen" if entry.ok else "lightcoral"
-            out.append(f'  "{name}" [style=filled, fillcolor={colour}];')
-            out.append(f'  "{name}" -> durable [label="publish"];')
-            out.append(f'  acked -> "{name}" [style=dashed,'
-                       ' label="ack"];')
-        for handler in sorted(self.handlers,
-                              key=lambda h: (h.func.module,
-                                             h.func.qualname)):
-            name = f"{handler.func.module}:{handler.func.qualname}"
-            colour = "palegreen" if handler.guarded else "lightcoral"
-            out.append(f'  "{name}" [style=filled, fillcolor={colour}];')
-            out.append(f'  durable -> "{name}" [label="replay"];')
-        buckets: dict[str, list[FieldClass]] = {}
-        for cls in self.fields:
-            buckets.setdefault(cls.component, []).append(cls)
-        colours = {BUCKET_REPLAYED: "lightblue",
-                   BUCKET_CHECKPOINTED: "palegreen",
-                   BUCKET_EPHEMERAL: "lightgrey",
-                   BUCKET_PLACEMENT: "khaki",
-                   BUCKET_CONSTRUCTOR: "white",
-                   BUCKET_UNCOVERED: "lightcoral"}
-        for index, component in enumerate(sorted(buckets)):
-            out.append(f"  subgraph cluster_{index} {{")
-            out.append(f'    label="{component}";')
-            for cls in sorted(buckets[component], key=lambda f: f.name):
-                colour = colours.get(cls.bucket, "white")
-                out.append(
-                    f'    "{component}.{cls.name}" [style=filled, '
-                    f'fillcolor={colour}, label="{cls.name}\\n'
-                    f'[{cls.bucket}]"];')
-            out.append("  }")
-        out.append("}")
-        return "\n".join(out)
 
 
 # ----------------------------------------------------------------------
@@ -676,194 +437,37 @@ def _replay_handlers(summary: ProjectSummary) -> list[ReplayHandler]:
             if member.module in topology.IMPLEMENTATION_MODULES:
                 continue
             for site in _accumulating_effects(member):
-                guarded = key in guarded_keys
-                guard = guarded_keys.get(key, "")
                 effects.append(ReplayEffect(
-                    func=member, site=site,
-                    target=_effect_target(site),
-                    guarded=guarded, guard=guard))
+                    func=member, site=site, target=_effect_target(site),
+                    guarded=key in guarded_keys))
         declared = IDEMPOTENT_HANDLERS.get((func.module, func.qualname),
                                            "")
-        handlers.append(ReplayHandler(func=func, groups=tuple(groups),
-                                      effects=effects, declared=declared))
+        handlers.append(ReplayHandler(func=func, effects=effects,
+                                      declared=declared))
     return handlers
 
 
-def _guarded_closure_keys(closure: dict) -> dict[str, str]:
+def _guarded_closure_keys(closure: dict) -> set[str]:
     """Closure members protected by a progress guard on their call path.
 
     A guard in an ancestor covers every descendant: once the handler has
     decided "this record was already applied, skip", nothing below runs.
     """
-    own: dict[str, str] = {}
-    for key, (member, _parent) in closure.items():
-        if _has_progress_guard(member):
-            own[key] = f"progress guard in {member.qualname}()"
-    covered: dict[str, str] = {}
-    for key, (member, parent) in closure.items():
+    own = {key for key, (member, _parent) in closure.items()
+           if _has_progress_guard(member)}
+    covered: set[str] = set()
+    for key in closure:
         probe: Optional[str] = key
         while probe is not None:
             if probe in own:
-                covered[key] = own[probe]
+                covered.add(key)
                 break
             probe = closure[probe][1]
     return covered
 
 
 # ----------------------------------------------------------------------
-# field classification (checkpoint coverage)
-# ----------------------------------------------------------------------
-
-
-def _self_field_of_target(node: ast.AST) -> Optional[str]:
-    """The ``self.<field>`` a write target reaches, through subscripts."""
-    while isinstance(node, ast.Subscript):
-        node = node.value
-    if isinstance(node, ast.Attribute) \
-            and isinstance(node.value, ast.Name) \
-            and node.value.id == "self":
-        return node.attr
-    return None
-
-
-def _field_writes(func: FunctionSummary) -> Iterator[tuple[str, int]]:
-    """``(field, line)`` for every ``self.<field>`` write in ``func``."""
-    for node in ast.walk(func.node):
-        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (node.targets if isinstance(node, ast.Assign)
-                       else [node.target])
-            for target in targets:
-                name = _self_field_of_target(target)
-                if name is not None:
-                    yield name, node.lineno
-        elif isinstance(node, ast.Delete):
-            for target in node.targets:
-                name = _self_field_of_target(target)
-                if name is not None:
-                    yield name, node.lineno
-        elif isinstance(node, ast.Call):
-            chain = receiver_chain(node.func)
-            if len(chain) >= 3 and chain[0] == "self" \
-                    and chain[-1] in _MUTATORS:
-                yield chain[1], node.lineno
-
-
-def _is_restore_function(func: FunctionSummary) -> bool:
-    return bool(RESTORE_NAME_RE.search(func.name)) \
-        or func.module in RESTORE_MODULES
-
-
-def _persists(summary: ProjectSummary, func: FunctionSummary,
-              cache: dict[str, bool]) -> bool:
-    """Whether ``func``'s closure writes through to durable storage."""
-    key = handler_key(func)
-    if key in cache:
-        return cache[key]
-    hit = False
-    for member, _parent in _closure_with_parents(summary, func).values():
-        for site in member.calls:
-            if site.name not in PERSIST_SINK_NAMES:
-                continue
-            candidates = summary.candidates(site.name)
-            if any(c.module.startswith(PERSIST_MODULE_PREFIXES)
-                   or c.module in PERSIST_MODULES
-                   for c in candidates):
-                hit = True
-                break
-        if hit:
-            break
-    cache[key] = hit
-    return hit
-
-
-def _recovery_closure_keys(summary: ProjectSummary) -> set[str]:
-    """Keys of every function reachable from a replay or restore root.
-
-    Roots: broker delivery callbacks (all channel groups — coordination
-    records drive recovery too) and restore-pattern functions; the
-    closure follows calls and scheduled continuations.
-    """
-    roots: list[FunctionSummary] = [
-        func for func, _groups in _delivery_handlers(summary)]
-    for func in summary.functions:
-        if _is_restore_function(func):
-            roots.append(func)
-    keys: set[str] = set()
-    for root in roots:
-        keys.update(_closure_with_parents(summary, root))
-    return keys
-
-
-def _classify_fields(summary: ProjectSummary,
-                     recovery_keys: set[str],
-                     ) -> tuple[list[FieldClass], list[str]]:
-    fields: list[FieldClass] = []
-    missing: list[str] = []
-    persist_cache: dict[str, bool] = {}
-    for component, module in sorted(RECOVERABLE_COMPONENTS.items()):
-        methods = [f for f in summary.functions
-                   if f.module == module and f.class_name == component]
-        if not methods:
-            missing.append(component)
-            continue
-        # field -> (init_lines, [(writer, line), ...])
-        init_lines: dict[str, int] = {}
-        writers: dict[str, list[tuple[FunctionSummary, int]]] = {}
-        for method in methods:
-            is_init = method.name in ("__init__", "__post_init__")
-            for name, line in _field_writes(method):
-                if is_init:
-                    init_lines.setdefault(name, line)
-                else:
-                    writers.setdefault(name, []).append((method, line))
-        for name in sorted(set(init_lines) | set(writers)):
-            fields.append(_classify_one(
-                summary, component, name, init_lines.get(name),
-                writers.get(name, []), recovery_keys, persist_cache))
-    return fields, missing
-
-
-def _classify_one(summary: ProjectSummary, component: str, name: str,
-                  init_line: Optional[int],
-                  writes: list[tuple[FunctionSummary, int]],
-                  recovery_keys: set[str],
-                  persist_cache: dict[str, bool]) -> FieldClass:
-    writer_names = tuple(sorted({w.qualname for w, _line in writes}))
-    if not writes:
-        return FieldClass(component=component, name=name,
-                          bucket=BUCKET_CONSTRUCTOR,
-                          line=init_line or 1, writers=())
-    first_line = min(line for _writer, line in writes)
-    # Audited declarations outrank the heuristics: a field someone has
-    # reviewed and declared ephemeral/placement stays declared even when
-    # a recovery closure happens to touch it.
-    if (component, name) in EPHEMERAL_FIELDS:
-        return FieldClass(component=component, name=name,
-                          bucket=BUCKET_EPHEMERAL, line=first_line,
-                          writers=writer_names,
-                          reason=EPHEMERAL_FIELDS[(component, name)])
-    if (component, name) in PLACEMENT_FIELDS:
-        return FieldClass(component=component, name=name,
-                          bucket=BUCKET_PLACEMENT, line=first_line,
-                          writers=writer_names,
-                          reason=PLACEMENT_FIELDS[(component, name)])
-    for writer, line in sorted(writes, key=lambda w: w[1]):
-        if handler_key(writer) in recovery_keys:
-            return FieldClass(component=component, name=name,
-                              bucket=BUCKET_REPLAYED, line=line,
-                              writers=writer_names)
-    for writer, line in sorted(writes, key=lambda w: w[1]):
-        if _persists(summary, writer, persist_cache):
-            return FieldClass(component=component, name=name,
-                              bucket=BUCKET_CHECKPOINTED, line=line,
-                              writers=writer_names)
-    return FieldClass(component=component, name=name,
-                      bucket=BUCKET_UNCOVERED, line=first_line,
-                      writers=writer_names)
-
-
-# ----------------------------------------------------------------------
-# entry points
+# entry point
 # ----------------------------------------------------------------------
 
 
@@ -873,44 +477,9 @@ def build_durability_model(project: Project) -> DurabilityModel:
     if cached is not None:
         return cached
     summary = project_summary(project)
-    durable_sites = _durable_publish_sites(summary)
-    durable_points = [
-        DurablePoint(module=func.module, qualname=func.qualname,
-                     line=site.lineno)
-        for func, sites in durable_sites.values()
-        for site in sites]
     model = DurabilityModel(
-        durable_points=durable_points,
-        write_entries=_write_entries(summary, durable_sites),
-        handlers=_replay_handlers(summary),
-        fields=[],
-        missing_components=())
-    fields, missing = _classify_fields(
-        summary, _recovery_closure_keys(summary))
-    model.fields = fields
-    model.missing_components = tuple(missing)
+        write_entries=_write_entries(summary,
+                                     _durable_publish_sites(summary)),
+        handlers=_replay_handlers(summary))
     project._durability_model = model
     return model
-
-
-def verify_declared_components(model: DurabilityModel) -> None:
-    """Raise :class:`RecoveryModelError` when declared components are gone.
-
-    Only meaningful when analyzing the real source root; fixture roots
-    and test trees legitimately lack the components, so the model builder
-    itself merely records them as missing.
-    """
-    if model.missing_components:
-        raise RecoveryModelError(
-            "declared recoverable components not found: "
-            + ", ".join(sorted(model.missing_components))
-            + " (update analysis/recovery.py RECOVERABLE_COMPONENTS)")
-
-
-def durability_model_for_root(root) -> dict:
-    """Standalone model recovery for a source root (golden test, CLI)."""
-    from pathlib import Path
-
-    from repro.analysis.engine import load_project
-    project = load_project(Path(root))
-    return build_durability_model(project).to_dict()

@@ -1,9 +1,10 @@
 """Inter-procedural summaries: the whole-program layer under manu-lint.
 
-PR 1's rules each looked at one module at a time.  The protocol invariants
-of the log backbone (who publishes which channel, how guarantee timestamps
-reach a query-node search) are *cross-module* properties, so this module
-extracts a compact summary of every function in the project once per run:
+The per-module rules look at one module at a time.  The protocol
+invariants of the log backbone (who publishes which channel, whether a
+write's ack follows its WAL publish) are *cross-module* properties, so this
+module extracts a compact summary of every function in the project once
+per run:
 
 * every call site, with the receiver attribute chain (``self._broker`` in
   ``self._broker.publish(...)``) preserved;
@@ -165,11 +166,6 @@ class ProjectSummary:
     def broker_attrs(self) -> dict[str, set[str]]:
         """class name -> attribute names statically known to hold a broker."""
         return self.typed_attrs["LogBroker"]
-
-    @property
-    def loop_attrs(self) -> dict[str, set[str]]:
-        """class name -> attribute names statically known to hold a loop."""
-        return self.typed_attrs["EventLoop"]
 
     # ------------------------------------------------------------------
     # extraction
@@ -520,10 +516,6 @@ def _typed_annotated_params(func: ast.AST, typename: str) -> set[str]:
     return {a.arg
             for a in args.posonlyargs + args.args + args.kwonlyargs
             if _annotation_mentions(a.annotation, typename)}
-
-
-def _broker_annotated_params(func: ast.AST) -> set[str]:
-    return _typed_annotated_params(func, "LogBroker")
 
 
 def _is_constructor(expr: ast.AST, typename: str) -> bool:

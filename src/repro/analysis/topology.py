@@ -27,7 +27,6 @@ Modules are identified by their path relative to the analysis root
 
 from __future__ import annotations
 
-import json
 import re
 
 WAL_SHARD = "wal-shard"
@@ -164,10 +163,6 @@ def topology_to_dict(edges: set[tuple[str, str, str]]) -> dict:
         "subscribers": subscribers,
         "matches_declared": edges == declared_edges(),
     }
-
-
-def topology_to_json(edges: set[tuple[str, str, str]]) -> str:
-    return json.dumps(topology_to_dict(edges), indent=2, sort_keys=True)
 
 
 def topology_to_dot(edges: set[tuple[str, str, str]]) -> str:

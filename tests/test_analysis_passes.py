@@ -203,298 +203,7 @@ class TestGoldenTopology:
 
 
 # ----------------------------------------------------------------------
-# consistency-discipline
-# ----------------------------------------------------------------------
-
-PROXY_HEADER = """
-    from repro.core.consistency import guarantee_ts
-
-    class Proxy:
-        def _wait_for_consistency(self, collection, nodes, guarantee):
-            while any(not n.ready(collection, guarantee) for n in nodes):
-                self._loop.step()
-"""
-
-
-class TestConsistencyDisciplinePass:
-    def test_clean_proxy_pattern_passes(self, tmp_path):
-        report = lint(tmp_path, {
-            "nodes/proxy.py": PROXY_HEADER + """
-        def search(self, collection, queries, k, consistency, staleness):
-            issue_ts = self._tso.allocate_packed()
-            guarantee = guarantee_ts(consistency, issue_ts, staleness,
-                                     self._session_ts)
-            plan = self._query_coord.search_plan(collection)
-            nodes = [node for node, _scope in plan]
-            self._wait_for_consistency(collection, nodes, guarantee)
-            out = []
-            for node, scope in plan:
-                out.append(node.search(collection, queries, k,
-                                       scope=scope))
-            return out
-            """,
-        }, rule="consistency-discipline")
-        assert report.findings == []
-
-    def test_missing_guarantee_ts_fires(self, tmp_path):
-        report = lint(tmp_path, {
-            "nodes/proxy.py": """
-                class Proxy:
-                    def search(self, collection, queries, k):
-                        plan = self._query_coord.search_plan(collection)
-                        return [node.search(collection, queries, k)
-                                for node, _scope in plan]
-            """,
-        }, rule="consistency-discipline")
-        assert len(report.findings) == 1
-        assert "without a guarantee timestamp" in report.findings[0].message
-
-    def test_skipped_ready_wait_fires(self, tmp_path):
-        report = lint(tmp_path, {
-            "nodes/proxy.py": """
-                from repro.core.consistency import guarantee_ts
-
-                class Proxy:
-                    def search(self, collection, queries, k, level, stale):
-                        guarantee = guarantee_ts(level, 1, stale, 0)
-                        plan = self._query_coord.search_plan(collection)
-                        return [node.search(collection, queries, k,
-                                            guarantee)
-                                for node, _scope in plan]
-            """,
-        }, rule="consistency-discipline")
-        assert len(report.findings) == 1
-        assert "without waiting" in report.findings[0].message
-
-    def test_wait_after_dispatch_fires(self, tmp_path):
-        report = lint(tmp_path, {
-            "nodes/proxy.py": PROXY_HEADER + """
-        def search(self, collection, queries, k, level, stale):
-            guarantee = guarantee_ts(level, 1, stale, 0)
-            plan = self._query_coord.search_plan(collection)
-            out = [node.search(collection, queries, k)
-                   for node, _scope in plan]
-            self._wait_for_consistency(collection,
-                                       [n for n, _s in plan], guarantee)
-            return out
-            """,
-        }, rule="consistency-discipline")
-        assert len(report.findings) == 1
-        assert "after" in report.findings[0].message
-
-    def test_hardcoded_guarantee_fires(self, tmp_path):
-        report = lint(tmp_path, {
-            "api/pymanu.py": """
-                class Collection:
-                    def poke(self, node, collection):
-                        return node.ready(collection, 12345)
-            """,
-        }, rule="consistency-discipline")
-        assert len(report.findings) == 1
-        assert "hard-coded guarantee" in report.findings[0].message
-
-    def test_guarantee_may_be_threaded_via_parameter(self, tmp_path):
-        report = lint(tmp_path, {
-            "nodes/helper.py": """
-                class Helper:
-                    def fan_out(self, collection, queries, k, guarantee):
-                        plan = self._coord.search_plan(collection)
-                        for node, scope in plan:
-                            node.ready(collection, guarantee)
-                        return [node.search(collection, queries, k)
-                                for node, _s in plan]
-            """,
-        }, rule="consistency-discipline")
-        assert report.findings == []
-
-    def test_entry_path_named_in_finding(self, tmp_path):
-        report = lint(tmp_path, {
-            "api/pymanu.py": """
-                class Collection:
-                    def search(self, collection, queries, k):
-                        return self._cluster.do_search(collection,
-                                                       queries, k)
-            """,
-            "nodes/proxy.py": """
-                class Proxy:
-                    def do_search(self, collection, queries, k):
-                        plan = self._query_coord.search_plan(collection)
-                        return [node.search(collection, queries, k)
-                                for node, _scope in plan]
-            """,
-        }, rule="consistency-discipline")
-        assert len(report.findings) == 1
-        assert "entry path: Collection.search -> Proxy.do_search" \
-            in report.findings[0].message
-
-    SHARED_FAN_OUT = PROXY_HEADER + """
-        def _scatter_gather(self, req, ask, args):
-            guarantee = guarantee_ts(req.consistency, 1, req.staleness_ms,
-                                     self._session_ts)
-            plan = self._query_coord.search_plan(req.collection)
-            {first}
-            partials = []
-            for node, scope in plan:
-                partials.append(getattr(node, ask)(req.collection, *args,
-                                                   scope=scope))
-            {last}
-            return partials
-
-        def range_search(self, collection, query, radius):
-            return self._scatter_gather(self._admit(collection),
-                                        "range_search", (query, radius))
-    """
-    WAIT = ("self._wait_for_consistency(req.collection, "
-            "[n for n, _s in plan], guarantee)")
-
-    def test_shared_fan_out_dispatching_by_name_is_seen(self, tmp_path):
-        """The proxy's one scatter-gather names the node method it asks;
-        the pass must still see the fan-out through the getattr."""
-        clean = lint(tmp_path / "clean", {
-            "nodes/proxy.py": self.SHARED_FAN_OUT.format(first=self.WAIT,
-                                                         last="pass"),
-        }, rule="consistency-discipline")
-        assert clean.findings == []
-        late = lint(tmp_path / "late", {
-            "nodes/proxy.py": self.SHARED_FAN_OUT.format(first="pass",
-                                                         last=self.WAIT),
-        }, rule="consistency-discipline")
-        assert len(late.findings) == 1
-        assert "after" in late.findings[0].message
-        assert "_scatter_gather" in late.findings[0].message
-        never = lint(tmp_path / "never", {
-            "nodes/proxy.py": self.SHARED_FAN_OUT.format(first="pass",
-                                                         last="pass"),
-        }, rule="consistency-discipline")
-        assert len(never.findings) == 1
-        assert "without waiting" in never.findings[0].message
-
-    def test_unwaited_point_read_fires(self, tmp_path):
-        report = lint(tmp_path, {
-            "nodes/proxy.py": """
-                class Proxy:
-                    def get(self, collection, pks):
-                        out = {}
-                        plan = self._query_coord.search_plan(collection)
-                        for node, _scope in plan:
-                            out.update(node.fetch(collection, pks))
-                        return out
-            """,
-        }, rule="consistency-discipline")
-        assert len(report.findings) == 1
-        assert "without a guarantee timestamp" in report.findings[0].message
-
-    def test_real_repo_sees_the_single_fan_out(self):
-        """One function in src fans out, and it is the shared one."""
-        from repro.analysis.consistency import (
-            _dispatch_sites, _plan_bound_names)
-        from repro.analysis.engine import load_project
-        from repro.analysis.summaries import project_summary
-        fan_outs = [
-            func.qualname
-            for func in project_summary(load_project(REPO_SRC)).functions
-            if _dispatch_sites(func, _plan_bound_names(func))]
-        assert fan_outs == ["Proxy._scatter_gather"]
-
-    def test_real_repo_is_clean(self):
-        report = run_analysis(REPO_SRC,
-                              select=["consistency-discipline"])
-        assert report.findings == [], \
-            "\n".join(f.format() for f in report.findings)
-
-
-# ----------------------------------------------------------------------
-# resource-discipline
-# ----------------------------------------------------------------------
-
-
-class TestResourceDisciplinePass:
-    def test_discarded_subscription_fires(self, tmp_path):
-        report = lint(tmp_path, {
-            "nodes/query_node.py": """
-                from repro.log.broker import LogBroker
-
-                class QueryNode:
-                    def __init__(self, broker: LogBroker) -> None:
-                        self._broker = broker
-
-                    def tap(self):
-                        self._broker.subscribe("wal/c/shard-0", "tap")
-            """,
-        }, rule="resource-discipline")
-        assert findings_at(report, "resource-discipline") == [
-            ("nodes/query_node.py", 9)]
-        assert "discarded" in report.findings[0].message
-
-    def test_retained_subscription_is_clean(self, tmp_path):
-        report = lint(tmp_path, {
-            "nodes/query_node.py": """
-                from repro.log.broker import LogBroker
-
-                class QueryNode:
-                    def __init__(self, broker: LogBroker) -> None:
-                        self._broker = broker
-                        self._subs = {}
-
-                    def tap(self, channel):
-                        self._subs[channel] = self._broker.subscribe(
-                            channel, "tap")
-            """,
-        }, rule="resource-discipline")
-        assert report.findings == []
-
-    def test_open_outside_with_fires(self, tmp_path):
-        report = lint(tmp_path, {
-            "storage/object_store.py": """
-                def slurp(path):
-                    f = open(path, "rb")
-                    return f.read()
-            """,
-        }, rule="resource-discipline")
-        assert len(report.findings) == 1
-        assert "open()" in report.findings[0].message
-
-    def test_open_in_with_is_clean(self, tmp_path):
-        report = lint(tmp_path, {
-            "storage/object_store.py": """
-                def slurp(path):
-                    with open(path, "rb") as f:
-                        return f.read()
-            """,
-        }, rule="resource-discipline")
-        assert report.findings == []
-
-    def test_bare_acquire_fires_and_finally_release_is_clean(
-            self, tmp_path):
-        report = lint(tmp_path, {
-            "storage/locks.py": """
-                def bad(lock):
-                    lock.acquire()
-                    return 1
-
-                def good(lock):
-                    lock.acquire()
-                    try:
-                        return 1
-                    finally:
-                        lock.release()
-
-                def best(lock):
-                    with lock:
-                        return 1
-            """,
-        }, rule="resource-discipline")
-        assert findings_at(report, "resource-discipline") == [
-            ("storage/locks.py", 3)]
-
-    def test_real_repo_is_clean(self):
-        report = run_analysis(REPO_SRC, select=["resource-discipline"])
-        assert report.findings == [], \
-            "\n".join(f.format() for f in report.findings)
-
-
-# ----------------------------------------------------------------------
-# CLI: --format github/dot, --baseline
+# CLI: --format github/dot/json
 # ----------------------------------------------------------------------
 
 
@@ -522,25 +231,8 @@ class TestCliExtensions:
         from repro.analysis.cli import main
         assert main([str(REPO_SRC), "--strict", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == [
+            "findings", "modules_checked", "parse_errors", "root",
+            "suppressed", "topology"]
         assert payload["topology"]["matches_declared"] is True
         assert "wal-shard" in payload["topology"]["publishers"]
-
-    def test_baseline_roundtrip(self, tmp_path, capsys):
-        from repro.analysis.cli import main
-        root = self._bad_root(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        assert main([str(root), "--baseline", str(baseline),
-                     "--update-baseline"]) == 0
-        capsys.readouterr()
-        # With the baseline in place the same finding no longer fails.
-        assert main([str(root), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-        # A fresh violation still fails through the baseline.
-        (root / "core" / "worse.py").write_text(
-            "from repro.nodes import proxy\n", encoding="utf-8")
-        assert main([str(root), "--baseline", str(baseline)]) == 1
-
-    def test_update_baseline_requires_file(self, capsys):
-        from repro.analysis.cli import main
-        assert main([str(REPO_SRC), "--update-baseline"]) == 2

@@ -146,8 +146,8 @@ class OrderDependentToy:
     """A deliberately buggy component: last same-tick writer wins.
 
     Two sources race to set ``winner`` at the same virtual tick without
-    an ordering edge between them — exactly the shape the static
-    raceorder-shared-state rule flags, reproduced dynamically here.
+    an ordering edge between them: a same-tick order-dependence that only
+    a shuffled schedule exposes, reproduced here under a pinned seed.
     """
 
     def __init__(self, loop: EventLoop) -> None:
@@ -158,8 +158,8 @@ class OrderDependentToy:
     def _from_data_path(self) -> None:
         self.winner = "data"
 
-    # manu-lint: disable=raceorder-shared-state -- the race is the point:
-    # this toy exists so a pinned MANU_RACE seed can reproduce the flip.
+    # The race is the point: this toy exists so a pinned MANU_RACE seed
+    # can reproduce the flip.
     def _from_control_path(self) -> None:
         self.winner = "control"
 

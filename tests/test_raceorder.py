@@ -1,9 +1,8 @@
-"""Unit tests for the raceorder happens-before pass (manu-race static head).
+"""Unit tests for the raceorder handler pass (manu-race static head).
 
-Fixture trees exercise each rule: a known same-tick race that must fire,
-ordered counterparts (scheduler edge, publish->deliver edge) that must
-stay silent, hidden-coupling and detached fixtures, and determinism /
-real-repo-clean checks on the HB graph builder itself.
+Fixture trees exercise each rule (hidden-coupling and detached fixtures
+fire, their clean counterparts stay silent), and the handler discovery
+itself is checked for kinds, determinism, caching and the real repo.
 """
 
 from __future__ import annotations
@@ -16,8 +15,7 @@ from repro.analysis.engine import load_project
 from repro.analysis.raceorder import (
     RACEORDER_DETACHED,
     RACEORDER_HIDDEN_COUPLING,
-    RACEORDER_SHARED_STATE,
-    build_hb_graph,
+    event_handlers,
 )
 
 SRC_ROOT = Path(__file__).resolve().parent.parent / "src" / "repro"
@@ -41,9 +39,8 @@ def findings_at(report, rule):
     return [(f.path, f.line) for f in report.findings if f.rule == rule]
 
 
-#: two delivery handlers on different channel groups mutating the same
-#: dict with no ordering edge — the canonical same-tick race.
-RACY_NODE = """
+#: a node with two delivery handlers, one per channel group.
+NODE = """
 from repro.log.broker import LogBroker
 
 class Node:
@@ -61,130 +58,6 @@ class Node:
     def _on_ctrl(self, entry) -> None:
         self._state.clear()
 """
-
-
-class TestSharedStateRule:
-    def test_unordered_conflicting_handlers_fire(self, tmp_path):
-        report = lint(tmp_path, {"nodes/node.py": RACY_NODE},
-                      rule=RACEORDER_SHARED_STATE)
-        found = findings_at(report, RACEORDER_SHARED_STATE)
-        assert len(found) == 1
-        assert found[0][0] == "nodes/node.py"
-        message = report.findings[0].message
-        assert "_on_ctrl" in message and "_on_data" in message
-        assert "self._state" in message
-
-    def test_scheduler_edge_orders_the_pair(self, tmp_path):
-        # _on_data schedules _drain: every _drain instance runs after the
-        # _on_data that scheduled it, so the pair is ordered and silent.
-        report = lint(tmp_path, {"nodes/node.py": """
-            from repro.log.broker import LogBroker
-            from repro.sim.events import EventLoop
-
-            class Node:
-                def __init__(self, loop: EventLoop,
-                             broker: LogBroker) -> None:
-                    self._loop = loop
-                    self._broker = broker
-                    self._state = {}
-                    self._broker.subscribe("wal/c/shard-0", "n", 0,
-                                           callback=self._on_data)
-
-                def _on_data(self, entry) -> None:
-                    self._state[entry.offset] = entry.payload
-                    self._loop.call_after(1.0, self._drain)
-
-                def _drain(self) -> None:
-                    self._state.clear()
-            """}, rule=RACEORDER_SHARED_STATE)
-        assert findings_at(report, RACEORDER_SHARED_STATE) == []
-
-    def test_publish_deliver_edge_orders_the_pair(self, tmp_path):
-        # The deferred announce publishes the coord group the second
-        # handler subscribes to: the flush is scheduled at publish time,
-        # so announce precedes the delivery — ordered, silent.
-        report = lint(tmp_path, {"nodes/node.py": """
-            from repro.log.broker import LogBroker
-            from repro.sim.events import EventLoop
-
-            class Node:
-                def __init__(self, loop: EventLoop,
-                             broker: LogBroker) -> None:
-                    self._loop = loop
-                    self._broker = broker
-                    self._acked = {}
-                    self._broker.subscribe("wal/coord", "n", 0,
-                                           callback=self._on_ctrl)
-                    self._loop.call_after(1.0, self._announce)
-
-                def _announce(self) -> None:
-                    self._acked["sent"] = True
-                    self._broker.publish("wal/coord", "done")
-
-                def _on_ctrl(self, entry) -> None:
-                    self._acked[entry.offset] = entry.payload
-            """}, rule=RACEORDER_SHARED_STATE)
-        assert findings_at(report, RACEORDER_SHARED_STATE) == []
-
-    def test_disjoint_state_is_silent(self, tmp_path):
-        report = lint(tmp_path, {"nodes/node.py": """
-            from repro.log.broker import LogBroker
-
-            class Node:
-                def __init__(self, broker: LogBroker) -> None:
-                    self._broker = broker
-                    self._rows = {}
-                    self._acks = {}
-                    self._broker.subscribe("wal/c/shard-0", "n", 0,
-                                           callback=self._on_data)
-                    self._broker.subscribe("wal/coord", "nc", 0,
-                                           callback=self._on_ctrl)
-
-                def _on_data(self, entry) -> None:
-                    self._rows[entry.offset] = entry.payload
-
-                def _on_ctrl(self, entry) -> None:
-                    self._acks[entry.offset] = entry.payload
-            """}, rule=RACEORDER_SHARED_STATE)
-        assert findings_at(report, RACEORDER_SHARED_STATE) == []
-
-    def test_conflict_through_lambda_and_helper(self, tmp_path):
-        # The racy write hides one call deep (helper) behind a lambda
-        # callback; read side is a periodic timer.
-        report = lint(tmp_path, {"nodes/node.py": """
-            from repro.log.broker import LogBroker
-            from repro.sim.events import EventLoop
-
-            class Node:
-                def __init__(self, loop: EventLoop,
-                             broker: LogBroker) -> None:
-                    self._loop = loop
-                    self._broker = broker
-                    self._pending = []
-                    self._broker.subscribe("wal/c/shard-0", "n", 0,
-                                           callback=lambda e:
-                                           self._enqueue(e))
-                    self._loop.call_every(5.0, self._flush)
-
-                def _enqueue(self, entry) -> None:
-                    self._pending.append(entry)
-
-                def _flush(self) -> None:
-                    self._pending = []
-            """}, rule=RACEORDER_SHARED_STATE)
-        found = findings_at(report, RACEORDER_SHARED_STATE)
-        assert len(found) == 1
-
-    def test_suppression_with_reason_is_honoured(self, tmp_path):
-        racy = RACY_NODE.replace(
-            "    def _on_ctrl(self, entry) -> None:",
-            "    # manu-lint: disable=raceorder-shared-state -- both "
-            "orders converge: clear() then insert re-delivers\n"
-            "    def _on_ctrl(self, entry) -> None:")
-        report = lint(tmp_path, {"nodes/node.py": racy},
-                      rule=RACEORDER_SHARED_STATE)
-        assert findings_at(report, RACEORDER_SHARED_STATE) == []
-        assert len(report.suppressed) == 1
 
 
 class TestHiddenCouplingRule:
@@ -313,50 +186,43 @@ class TestDetachedRule:
 
 
 class TestHBGraphBuilder:
-    def test_graph_recovers_kinds_and_groups(self, tmp_path):
-        root = make_tree(tmp_path, {"nodes/node.py": RACY_NODE})
-        graph = build_hb_graph(load_project(root))
-        handlers = graph.to_dict()["handlers"]
-        data = handlers["nodes/node.py::Node._on_data"]
-        ctrl = handlers["nodes/node.py::Node._on_ctrl"]
-        assert data["kinds"] == ["delivery"]
-        assert data["channel_groups"] == ["wal-shard"]
-        assert ctrl["channel_groups"] == ["coord"]
-        assert "_state" in data["writes"] and "_state" in ctrl["writes"]
+    def test_graph_recovers_handler_kinds(self, tmp_path):
+        root = make_tree(tmp_path, {"nodes/node.py": NODE})
+        handlers = event_handlers(load_project(root))
+        assert sorted(handlers) == ["nodes/node.py::Node._on_ctrl",
+                                    "nodes/node.py::Node._on_data"]
+        for handler in handlers.values():
+            assert handler.kinds == {"delivery"}
+            assert not handler.publishes and not handler.opens_spans
 
     def test_graph_build_is_deterministic(self, tmp_path):
-        root = make_tree(tmp_path, {"nodes/node.py": RACY_NODE})
-        first = build_hb_graph(load_project(root)).to_dict()
-        second = build_hb_graph(load_project(root)).to_dict()
-        assert first == second
+        def shape(handlers):
+            return {key: (sorted(h.kinds), h.publishes, h.opens_spans,
+                          h.has_detached)
+                    for key, h in handlers.items()}
+
+        root = make_tree(tmp_path, {"nodes/node.py": NODE})
+        assert shape(event_handlers(load_project(root))) \
+            == shape(event_handlers(load_project(root)))
 
     def test_graph_is_cached_per_project(self, tmp_path):
-        root = make_tree(tmp_path, {"nodes/node.py": RACY_NODE})
+        root = make_tree(tmp_path, {"nodes/node.py": NODE})
         project = load_project(root)
-        assert build_hb_graph(project) is build_hb_graph(project)
+        assert event_handlers(project) is event_handlers(project)
 
     def test_real_repo_graph_has_expected_handlers(self):
-        graph = build_hb_graph(load_project(SRC_ROOT))
-        handlers = graph.to_dict()["handlers"]
+        handlers = event_handlers(load_project(SRC_ROOT))
         # Spot checks across the three handler kinds.
-        entry = handlers["nodes/data_node.py::DataNode._on_entry"]
-        assert entry["kinds"] == ["delivery"]
-        assert entry["channel_groups"] == ["wal-shard"]
-        assert "periodic" in handlers[
-            "cluster/manu.py::ManuCluster._housekeeping"]["kinds"]
+        assert handlers[
+            "nodes/data_node.py::DataNode._on_entry"].kinds == {"delivery"}
+        housekeeping = handlers["cluster/manu.py::ManuCluster._housekeeping"]
+        assert "periodic" in housekeeping.kinds
         assert "deferred" in handlers[
-            "nodes/data_node.py::DataNode._retry_seal"]["kinds"]
-        # The parked-seal trio conflicts on _pending_seals but is ordered
-        # by scheduler / publish->deliver edges — the protocol's design.
-        coord = "nodes/data_node.py::DataNode._on_coord"
-        retry = "nodes/data_node.py::DataNode._retry_seal"
-        assert graph.reachable(coord, retry)
+            "nodes/data_node.py::DataNode._retry_seal"].kinds
 
     def test_real_repo_is_clean_under_strict(self):
         report = run_analysis(
-            SRC_ROOT,
-            select=[RACEORDER_SHARED_STATE, RACEORDER_HIDDEN_COUPLING,
-                    RACEORDER_DETACHED],
+            SRC_ROOT, select=[RACEORDER_HIDDEN_COUPLING, RACEORDER_DETACHED],
             strict=True)
         assert [f.format() for f in report.findings] == []
         # Every raceorder suppression (if any) carries a justification.
