@@ -78,15 +78,3 @@ class MilvusLikeCluster(ManuCluster):
                               metric=metric, expr=expr,
                               consistency=ConsistencyLevel.EVENTUAL,
                               staleness_ms=0.0, at_ms=at_ms)
-
-    def unindexed_rows(self, collection: str) -> int:
-        """Rows not yet covered by a built index (the brute-force set)."""
-        covered = 0
-        for segment_id in self.data_coord.flushed_segments(collection):
-            for fieldname in self.index_coord.index_specs_for(collection):
-                route = self.index_coord.index_route(collection, segment_id,
-                                                     fieldname)
-                if route is not None:
-                    covered += route["num_rows"]
-                    break
-        return max(0, self.collection_row_count(collection) - covered)

@@ -123,8 +123,7 @@ class ManuCluster:
         self.cost_meter = CostMeter()
         self.flight_recorder = FlightRecorder(
             self.loop.now, self.metrics, health=self.health,
-            tracer=self.tracer, capacity=mon.flight_capacity,
-            max_traces=mon.flight_max_traces, slowlog=self.slowlog)
+            tracer=self.tracer, slowlog=self.slowlog)
         self.alerts.on_fire(self._on_alert_fire)
 
         # Coordinators.
@@ -210,8 +209,7 @@ class ManuCluster:
         self.timetick = TimeTickEmitter(
             self.loop, self.broker, self.tso,
             self.config.log.time_tick_interval_ms,
-            tracer=self.tracer,
-            tick_trace_every=self.config.tracing.tick_trace_every)
+            tracer=self.tracer)
         self.timetick.start()
 
         # Data nodes consume seal decisions from the coordination channel.
@@ -710,7 +708,7 @@ class ManuCluster:
         deleted: dict[str, set] = {}
         for segment_id in self.data_coord.flushed_segments(collection):
             info = self.data_coord.segment_info(collection, segment_id)
-            holder = self._segment_holder(collection, segment_id)
+            holder = self.query_coord.segment_holder(collection, segment_id)
             num_deleted = 0
             if holder is not None:
                 segment = holder.segment(collection, segment_id)
@@ -750,31 +748,13 @@ class ManuCluster:
             for old in group:
                 self.metastore.put(f"segments/{collection}/{old}",
                                    {"state": "compacted"})
-                holders = self.query_coord._assignments.pop(
-                    (collection, old), set())
-                for name in holders:
-                    node = self.query_coord._nodes.get(name)
-                    if node is not None:
-                        node.release_segment(collection, old)
+                self.query_coord.retire_segment(collection, old)
             if manifest is None:
                 continue
-            self.query_coord._assign_segment(collection,
-                                             manifest.segment_id)
-            for field in self.index_coord.index_specs_for(collection):
-                self.index_coord._dispatch(collection, manifest.segment_id,
-                                           field)
+            self.query_coord.assign_segment(collection, manifest.segment_id)
+            self.index_coord.build_indexes(collection, manifest.segment_id)
             new_ids.append(manifest.segment_id)
         return new_ids
-
-    def _segment_holder(self, collection: str,
-                        segment_id: str) -> Optional[QueryNode]:
-        holders = self.query_coord._assignments.get(
-            (collection, segment_id), set())
-        for name in sorted(holders):
-            node = self.query_coord._nodes.get(name)
-            if node is not None and node.alive:
-                return node
-        return None
 
     # ------------------------------------------------------------------
     # elasticity

@@ -7,7 +7,7 @@ metrics registry on a fixed evaluation period and applies exactly that
 policy, bounded by the configured min/max node counts.
 
 On top of the paper's latency bands it optionally watches a log-backbone
-lag signal (``wal_subscriber_lag`` by default): when any subscriber falls
+lag signal (the ``wal_subscriber_lag`` gauge family): when any subscriber falls
 more than ``lag_high_records`` behind, the cluster scales up even if
 latency still looks fine — lag is the leading indicator (slow consumers
 surface in latency only after the consistency gates start stalling), and
@@ -28,6 +28,9 @@ from repro.config import ScalingConfig
 from repro.errors import ClusterStateError
 from repro.monitoring.alerts import resolve_signal
 from repro.sim.events import Event
+
+#: Gauge family watched for log-backbone backlog (records behind).
+LAG_SIGNAL = "wal_subscriber_lag"
 
 
 @dataclass
@@ -76,7 +79,7 @@ class Autoscaler:
         if self.policy.lag_high_records <= 0:
             return None
         return resolve_signal(self.cluster.metrics,
-                              self.policy.lag_signal, "max", now)
+                              LAG_SIGNAL, "max", now)
 
     def evaluate(self) -> Optional[ScaleEvent]:
         """One policy evaluation; returns the event if scaling happened.

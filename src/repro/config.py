@@ -47,10 +47,6 @@ class LogConfig:
     milliseconds after its first buffered record (0 disables the timer,
     leaving only the row/byte bounds and explicit flushes)."""
 
-    binlog_chunk_rows: int = 1024
-    """Rows per column chunk when converting a sealed segment to binlog
-    (pipelined conversion instead of a whole-segment stall)."""
-
 
 @dataclass(frozen=True)
 class SegmentConfig:
@@ -127,11 +123,9 @@ class ScalingConfig:
     latency_agg: str = "mean"
     """Aggregation applied to ``latency_signal`` (mean/p50/p95/p99/...)."""
 
-    lag_signal: str = "wal_subscriber_lag"
-    """Gauge family watched for log-backbone backlog (records behind)."""
-
     lag_high_records: float = 0.0
-    """Scale up when any ``lag_signal`` series exceeds this; 0 disables
+    """Scale up when any ``wal_subscriber_lag`` series (records a WAL
+    subscriber is behind) exceeds this; 0 disables
     lag-driven scaling (the seed behaviour)."""
 
 
@@ -147,9 +141,6 @@ class TracingConfig:
 
     max_traces: int = 256
     """Retained traces (FIFO eviction) before old ones are dropped."""
-
-    tick_trace_every: int = 0
-    """Trace every Nth time-tick emission; 0 keeps ticks untraced."""
 
 
 @dataclass(frozen=True)
@@ -182,12 +173,6 @@ class MonitoringConfig:
     telemetry_interval_ms: float = 250.0
     """Period of backbone sampling (lag, staleness, backlogs) and alert
     evaluation."""
-
-    flight_capacity: int = 8
-    """Flight-recorder ring size (debug bundles retained)."""
-
-    flight_max_traces: int = 5
-    """Most recent sampled traces embedded in each flight bundle."""
 
     alert_rules: tuple = ()
     """Declarative SLO rules: ``(name, "signal.agg > x for 5s")`` pairs

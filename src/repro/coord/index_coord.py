@@ -165,6 +165,12 @@ class IndexCoordinator:
         for collection, segment_id, field in pending:
             self._dispatch_or_park(collection, segment_id, field)
 
+    def build_indexes(self, collection: str, segment_id: str) -> None:
+        """Build every declared index of a newly sealed segment, parking
+        the builds while no index node is live."""
+        for field in self.index_specs_for(collection):
+            self._dispatch_or_park(collection, segment_id, field)
+
     def _dispatch_or_park(self, collection: str, segment_id: str,
                           field: str) -> None:
         try:
@@ -183,11 +189,8 @@ class IndexCoordinator:
         if not isinstance(record, CoordRecord):
             return
         if record.kind_name == "segment_flushed":
-            payload = record.payload
-            collection = payload["collection"]
-            for field in self.index_specs_for(collection):
-                self._dispatch_or_park(collection, payload["segment_id"],
-                                       field)
+            self.build_indexes(record.payload["collection"],
+                               record.payload["segment_id"])
         elif record.kind_name == "index_built":
             payload = record.payload
             self._meta.put(

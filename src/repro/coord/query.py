@@ -94,8 +94,8 @@ class QueryCoordinator:
             if name in holders:
                 holders.discard(name)
                 if not holders:
-                    self._assign_segment(collection, segment_id,
-                                         exclude={name})
+                    self.assign_segment(collection, segment_id,
+                                        exclude={name})
         # Move owned channels.
         for channel in sorted(node.owned_channels):
             self._move_channel(channel, exclude={name})
@@ -124,7 +124,7 @@ class QueryCoordinator:
         for (collection, segment_id), holders in affected:
             holders.discard(name)
             if not holders:
-                self._assign_segment(collection, segment_id)
+                self.assign_segment(collection, segment_id)
         for channel in owned:
             self._move_channel(channel)
 
@@ -213,7 +213,7 @@ class QueryCoordinator:
                 node.subscribe(collection, channel,
                                owned=(node.name == owner.name))
         for segment_id in self._data_coord.flushed_segments(collection):
-            self._assign_segment(collection, segment_id)
+            self.assign_segment(collection, segment_id)
 
     def release_collection(self, collection: str) -> None:
         """Stop serving a collection everywhere (memory release)."""
@@ -226,9 +226,7 @@ class QueryCoordinator:
                 node.unsubscribe(channel)
         for (coll, segment_id) in list(self._assignments):
             if coll == collection:
-                for name in self._assignments.pop((coll, segment_id)):
-                    if name in self._nodes:
-                        self._nodes[name].release_segment(coll, segment_id)
+                self.retire_segment(coll, segment_id)
         for node in self.live_nodes():
             for segment_id in node.segments_of(collection):
                 node.release_segment(collection, segment_id)
@@ -250,8 +248,8 @@ class QueryCoordinator:
             return None
         return min(candidates, key=lambda n: (n.num_rows(), n.name))
 
-    def _assign_segment(self, collection: str, segment_id: str,
-                        exclude: set[str] = frozenset()) -> None:
+    def assign_segment(self, collection: str, segment_id: str,
+                       exclude: set[str] = frozenset()) -> None:
         """Place a sealed segment on replica_number nodes and load it."""
         replicas = max(1, self._config.query.replica_number)
         holders = self._assignments.setdefault((collection, segment_id),
@@ -268,6 +266,22 @@ class QueryCoordinator:
             self._schedule_growing_release(collection, segment_id,
                                            keep=node.name,
                                            after_ms=load_ms)
+
+    def retire_segment(self, collection: str, segment_id: str) -> None:
+        """Forget a sealed segment's placement and release every copy."""
+        for name in self._assignments.pop((collection, segment_id), set()):
+            if name in self._nodes:
+                self._nodes[name].release_segment(collection, segment_id)
+
+    def segment_holder(self, collection: str,
+                       segment_id: str) -> Optional[QueryNode]:
+        """The first live node (by name) holding a sealed segment."""
+        for name in sorted(self._assignments.get((collection, segment_id),
+                                                 ())):
+            node = self._nodes.get(name)
+            if node is not None and node.alive:
+                return node
+        return None
 
     def index_metric(self, collection: str, field: str):
         """The metric the field's sealed segments are indexed in, as
@@ -331,21 +345,32 @@ class QueryCoordinator:
         if not target.alive:
             raise ClusterStateError(
                 f"query node {target_name!r} is not alive")
-        replay_from = int(self._meta.get_value(
-            f"flushed_offsets/{collection}/{channel}", 0))
         old_name = self._channel_owner.get(channel)
         if old_name == target_name:
-            return replay_from
+            return self._flushed_offset(collection, channel)
         old = self._nodes.get(old_name) if old_name else None
         if old is not None and old.alive:
             old.disown_channel(channel)
-        target.unsubscribe(channel)
-        target.subscribe(collection, channel, owned=True,
-                         from_offset=replay_from)
-        self._channel_owner[channel] = target_name
+        replay_from = self._own_channel(channel, collection, target)
         if old is not None and old.alive:
             self._schedule_handoff_release(channel, collection,
                                            old_name, target_name)
+        return replay_from
+
+    def _flushed_offset(self, collection: str, channel: str) -> int:
+        return int(self._meta.get_value(
+            f"flushed_offsets/{collection}/{channel}", 0))
+
+    def _own_channel(self, channel: str, collection: str,
+                     target: QueryNode) -> int:
+        """Subscribe ``target`` as the channel's owner from the flushed
+        offset (it replays the WAL tail from there) and record it as
+        the owner; returns that offset."""
+        replay_from = self._flushed_offset(collection, channel)
+        target.unsubscribe(channel)
+        target.subscribe(collection, channel, owned=True,
+                         from_offset=replay_from)
+        self._channel_owner[channel] = target.name
         return replay_from
 
     def _schedule_handoff_release(self, channel: str, collection: str,
@@ -404,12 +429,7 @@ class QueryCoordinator:
         if target is None:
             self._channel_owner.pop(channel, None)
             return
-        replay_from = self._meta.get_value(
-            f"flushed_offsets/{collection}/{channel}", 0)
-        target.unsubscribe(channel)
-        target.subscribe(collection, channel, owned=True,
-                         from_offset=replay_from)
-        self._channel_owner[channel] = target.name
+        self._own_channel(channel, collection, target)
 
     def _segment_rows(self, collection: str, segment_id: str) -> int:
         """Row count of a sealed segment (metastore, or a live copy)."""
@@ -486,8 +506,8 @@ class QueryCoordinator:
         if record.kind_name == "segment_flushed":
             payload = record.payload
             if payload["collection"] in self._loaded:
-                self._assign_segment(payload["collection"],
-                                     payload["segment_id"])
+                self.assign_segment(payload["collection"],
+                                    payload["segment_id"])
         elif record.kind_name == "index_built":
             payload = record.payload
             key = (payload["collection"], payload["segment_id"])

@@ -2,25 +2,27 @@
 
 An entity may be encoded by several vectors (e.g. an image embedding and a
 text embedding); entity similarity is a composition of per-field
-similarities.  Manu supports two strategies and picks one from the entity
-similarity function:
+similarities.  The paper composes them two ways, by the entity similarity
+function:
 
-* ``DECOMPOSED`` — when the composition is a *weighted sum of inner
+* **decomposed** — when the composition is a *weighted sum of inner
   products*, the score decomposes exactly: scale each query sub-vector by
-  its weight and sum per-field searches' contributions; implemented here by
-  scoring each field with its own search and merging exact combined scores
-  over the candidate union (exact because IP is linear in the query).
-* ``RERANK`` (vector fusion fallback) — for non-decomposable compositions
+  its weight and sum the per-field searches' contributions (exact because
+  IP is linear in the query);
+* **rerank** (vector fusion fallback) — for non-decomposable compositions
   (e.g. weighted L2), search each field for an amplified candidate set,
   fetch the candidates' vectors for all fields, compute the true combined
   score, and rerank.
 
-Both run over segments; amplification is the usual recall/cost knob.
+One procedure serves both here: per-field searches gather an amplified
+candidate pool, and the pool is rescored exactly under the weighted
+combination.  For a decomposable composition the exact rescoring *is* the
+sum of per-field contributions, so the two compositions differ in nothing
+this module computes.  Amplification is the usual recall/cost knob.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -31,11 +33,6 @@ from repro.core.schema import MetricType
 from repro.core.segment import Segment
 from repro.index.base import SearchStats
 from repro.index.distances import adjusted_distances
-
-
-class MultiVectorStrategy(enum.Enum):
-    DECOMPOSED = "decomposed"
-    RERANK = "rerank"
 
 
 @dataclass(frozen=True)
@@ -56,17 +53,9 @@ class MultiVectorQuery:
             raise ValueError("weights must be non-negative")
 
 
-def choose_strategy(query: MultiVectorQuery) -> MultiVectorStrategy:
-    """Inner-product compositions decompose exactly; others rerank."""
-    if query.metric is MetricType.INNER_PRODUCT:
-        return MultiVectorStrategy.DECOMPOSED
-    return MultiVectorStrategy.RERANK
-
-
 def search_segment(segment: Segment, query: MultiVectorQuery, k: int,
                    amplification: int = 4,
                    stats: Optional[Sequence[SearchStats]] = None,
-                   forced: Optional[MultiVectorStrategy] = None,
                    ) -> HitBatch:
     """Top-k entities of one segment under the combined similarity.
 
@@ -77,7 +66,6 @@ def search_segment(segment: Segment, query: MultiVectorQuery, k: int,
     """
     if stats is None:
         stats = [SearchStats() for _ in query.fields]
-    strategy = forced if forced is not None else choose_strategy(query)
     k_amp = max(k * amplification, k)
 
     # Gather a candidate pool from per-field searches (tolist keeps the
@@ -92,10 +80,7 @@ def search_segment(segment: Segment, query: MultiVectorQuery, k: int,
         return HitBatch.empty()
     pks = sorted(pool, key=str)
 
-    # Exact combined rescoring of the pool (both strategies end here; for
-    # DECOMPOSED the per-field scores are exact contributions, for RERANK
-    # this is the rerank step).
-    del strategy  # the scoring below is exact for both strategies
+    # Exact combined rescoring of the pool.
     rows = [row for row in (segment._pk_rows.get(pk) for pk in pks)]
     combined = np.zeros(len(pks), dtype=np.float64)
     for field, field_stats in zip(query.fields, stats):

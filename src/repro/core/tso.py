@@ -67,10 +67,6 @@ class TimestampOracle:
         """Total timestamps handed out (for metrics/tests)."""
         return self._issued
 
-    def last_issued(self) -> Timestamp:
-        """The most recent timestamp handed out."""
-        return self._last
-
     def allocate(self) -> Timestamp:
         """Return the next strictly increasing timestamp."""
         physical = int(self._clock_ms())

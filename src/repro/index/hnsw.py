@@ -205,10 +205,3 @@ class HnswIndex(GraphIndex):
         for lvl in range(self._max_level, 0, -1):
             entry = self._greedy_step(q, entry, lvl)
         return self._search_layer(q, [entry], ef, 0)
-
-    def degree_histogram(self, level: int = 0) -> np.ndarray:
-        """Node out-degrees on one layer (graph-quality diagnostics)."""
-        if level >= len(self._graph):
-            return np.empty(0, dtype=np.int64)
-        return np.asarray([len(v) for v in self._graph[level].values()],
-                          dtype=np.int64)

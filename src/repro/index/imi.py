@@ -122,7 +122,3 @@ class ImiIndex(BucketedIndex):
     def search(self, queries: np.ndarray, k: int
                ) -> tuple[np.ndarray, np.ndarray]:
         return super().search(queries, k)
-
-    @property
-    def num_nonempty_cells(self) -> int:
-        return self.bucketer.num_buckets

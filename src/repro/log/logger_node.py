@@ -350,13 +350,6 @@ class LoggerService:
         self._ring.add_node(name, weight=weight)
         return logger
 
-    def reweight_logger(self, name: str, weight: float) -> None:
-        """Change a logger's ring weight in place (only adjacent buckets
-        move — the consistent-hashing property)."""
-        if name not in self._loggers:
-            raise ClusterStateError(f"logger {name!r} does not exist")
-        self._ring.add_node(name, weight=weight)
-
     def remove_logger(self, name: str) -> None:
         """Remove a logger; its shards move to ring successors."""
         if name not in self._loggers:

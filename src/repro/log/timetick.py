@@ -13,7 +13,6 @@ single-broker setting.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Iterable, Optional
 
 from repro.core.tso import TimestampOracle
@@ -26,17 +25,14 @@ from repro.tracing import NOOP_TRACER, TraceCollector
 class TimeTickEmitter:
     """Publishes a time-tick on each registered channel every interval.
 
-    Ticks are untraced by default (they fire forever, so always-on tracing
-    would drown request traces); ``tick_trace_every=N`` roots a trace at
-    every Nth emission, making the tick fan-out across all subscribed
-    channels visible in the collector.
+    Ticks are untraced: they fire forever, so tracing them would drown
+    request traces.
     """
 
     def __init__(self, loop: EventLoop, broker: LogBroker,
                  tso: TimestampOracle, interval_ms: float,
                  channels: Iterable[str] = (), source: str = "tso",
-                 tracer: Optional[TraceCollector] = None,
-                 tick_trace_every: int = 0) -> None:
+                 tracer: Optional[TraceCollector] = None) -> None:
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
         self._loop = loop
@@ -45,7 +41,6 @@ class TimeTickEmitter:
         self.interval_ms = interval_ms
         self.source = source
         self._tracer = tracer if tracer is not None else NOOP_TRACER
-        self.tick_trace_every = tick_trace_every
         self._channels: list[str] = list(channels)
         self._timer: Optional[Event] = None
         self.ticks_emitted = 0
@@ -89,19 +84,12 @@ class TimeTickEmitter:
 
     def _emit(self) -> None:
         ts = self._tso.allocate_packed()
-        traced = (self.tick_trace_every > 0
-                  and self.ticks_emitted % self.tick_trace_every == 0)
         # Ticks fire as scheduled events inside whatever frame steps the
         # clock — detach so they never join (or stamp) a bystander trace.
         with self._tracer.detached():
-            scope = self._tracer.span("timetick.emit", "timetick",
-                                      source=self.source,
-                                      channels=len(self._channels)) \
-                if traced else nullcontext()
-            with scope:
-                now = self._loop.now()
-                for channel in self._channels:
-                    self._broker.publish(
-                        channel, TimeTickRecord(ts=ts, source=self.source))
-                    self._last_tick_ms[channel] = now
+            now = self._loop.now()
+            for channel in self._channels:
+                self._broker.publish(
+                    channel, TimeTickRecord(ts=ts, source=self.source))
+                self._last_tick_ms[channel] = now
         self.ticks_emitted += 1

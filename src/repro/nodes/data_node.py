@@ -37,6 +37,10 @@ from repro.sim.events import EventLoop
 from repro.storage.object_store import ObjectStore
 from repro.tracing import NOOP_TRACER, TraceCollector, TraceContext
 
+#: Rows per column chunk when converting a sealed segment to binlog
+#: (pipelined conversion instead of a whole-segment stall).
+BINLOG_CHUNK_ROWS = 1024
+
 
 class DataNode:
     """One log-archiving worker."""
@@ -267,9 +271,8 @@ class DataNode:
         # stalling on a whole-segment conversion.  The final step writes
         # the manifest (the segment becomes readable atomically) and
         # announces — total virtual duration stays ``write_ms``.
-        chunk_rows = max(1, self._config.log.binlog_chunk_rows)
-        chunks = [slice(start, start + chunk_rows)
-                  for start in range(0, len(pks), chunk_rows)]
+        chunks = [slice(start, start + BINLOG_CHUNK_ROWS)
+                  for start in range(0, len(pks), BINLOG_CHUNK_ROWS)]
         step_ms = write_ms / len(chunks)
         sink = self._writer.open_segment(collection, segment_id)
 

@@ -7,11 +7,12 @@ naming convention.  This package supplies the four pieces:
 - :mod:`~repro.tenancy.registry` — who the tenants are: QoS class,
   quotas, and the ``tenant::collection`` namespace every request is
   scoped to at the API boundary.
-- :mod:`~repro.tenancy.directory` — where their shards live: explicit
-  placement overrides layered over the consistent-hash ring, plus the
-  per-shard fence epochs the migration protocol is built on.  Both the
-  registry and the directory serialize into the cluster checkpoint so
-  tenancy survives crash-recovery.
+- :mod:`~repro.tenancy.directory` — where their shards are logged:
+  explicit logger overrides layered over the consistent-hash ring, plus
+  the per-shard fence epochs the migration protocol is built on.  Both
+  the registry and the directory serialize into the cluster checkpoint
+  so tenancy survives crash-recovery.  Where a shard is *served* is the
+  query coordinator's record alone.
 - :mod:`~repro.tenancy.qos` — virtual-time token buckets enforcing
   per-tenant insert/search rates, and the gold/silver/bronze admission
   ordering that maps to scheduling priority.
@@ -19,9 +20,9 @@ naming convention.  This package supplies the four pieces:
   read/write-unit accounting from measured scan work and appended rows,
   charged by the proxy and ranked in the dashboard's TOP COST panel.
 - :mod:`~repro.tenancy.rebalancer` — detects hot shards from the
-  backbone's per-channel telemetry, plans split/migrate moves, and
-  executes them under epoch fencing so no write is lost or duplicated
-  mid-migration.
+  backbone's per-channel telemetry, plans split/migrate moves for query
+  nodes and loggers with one greedy planner, and executes them under
+  epoch fencing so no write is lost or duplicated mid-migration.
 
 Layering: tenancy sits directly above the log backbone.  It may import
 ``core``/``log``/``storage``/``sim`` but never ``nodes``/``coord``/

@@ -1,15 +1,16 @@
-"""Tenant directory map: placement overrides and fence epochs.
+"""Tenant directory map: logger overrides and fence epochs.
 
 The consistent-hash ring gives every WAL shard a *default* logger
 placement; the directory layers explicit overrides on top (installed by
-the rebalancer when it moves a hot bucket off an overloaded logger) and
-records the serving pin for each WAL channel on the query side.  It also
-owns the per-shard **fence epoch** — the monotone counter the migration
-protocol bumps before ownership moves, so a stale owner can recognize
-and reject post-fence writes.
+the rebalancer when it moves a hot bucket off an overloaded logger).  It
+also owns the per-shard **fence epoch** — the monotone counter the
+migration protocol bumps before ownership moves, so a stale owner can
+recognize and reject post-fence writes.  Which query node serves a
+channel is not recorded here: the query coordinator is the one record
+of serving placement.
 
 Everything here serializes to a plain dict; the cluster persists it to
-the object store alongside the tenant registry so placement and fences
+the object store alongside the tenant registry so overrides and fences
 survive crash-recovery (a recovering cluster must not un-fence a shard
 that was mid-migration when it died).
 """
@@ -29,10 +30,6 @@ class TenantDirectory:
         self._bucket_overrides: dict[str, str] = {}
         #: (collection, shard) -> fence epoch; missing means epoch 0.
         self._fences: dict[tuple[str, int], int] = {}
-        #: WAL channel -> query-node serving pin (informational; the
-        #: coordinator remains authoritative, this mirrors its choices
-        #: so the directory can answer "where is tenant X served?").
-        self._serving: dict[str, str] = {}
 
     # ------------------------------------------------------------------
     # collection placement
@@ -49,10 +46,6 @@ class TenantDirectory:
             del self._bucket_overrides[key]
         for key in [k for k in self._fences if k[0] == collection]:
             del self._fences[key]
-        chan_prefix = f"wal/{collection}/"
-        for key in [k for k in self._serving
-                    if k.startswith(chan_prefix)]:
-            del self._serving[key]
 
     def num_shards(self, collection: str) -> int:
         return self._collections.get(collection, 0)
@@ -71,9 +64,6 @@ class TenantDirectory:
 
     def set_bucket_override(self, bucket_key: str, logger: str) -> None:
         self._bucket_overrides[bucket_key] = logger
-
-    def clear_bucket_override(self, bucket_key: str) -> None:
-        self._bucket_overrides.pop(bucket_key, None)
 
     def clear_overrides_for(self, logger: str) -> list[str]:
         """Drop every override pointing at ``logger`` (it left the
@@ -107,19 +97,6 @@ class TenantDirectory:
         return epoch
 
     # ------------------------------------------------------------------
-    # serving pins
-    # ------------------------------------------------------------------
-
-    def serving_node(self, channel: str) -> Optional[str]:
-        return self._serving.get(channel)
-
-    def pin_serving(self, channel: str, node: str) -> None:
-        self._serving[channel] = node
-
-    def serving_map(self) -> dict[str, str]:
-        return dict(self._serving)
-
-    # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
 
@@ -129,7 +106,6 @@ class TenantDirectory:
             "bucket_overrides": dict(self._bucket_overrides),
             "fences": [{"collection": c, "shard": s, "epoch": e}
                        for (c, s), e in sorted(self._fences.items())],
-            "serving": dict(self._serving),
         }
 
     @classmethod
@@ -141,5 +117,4 @@ class TenantDirectory:
         for entry in data.get("fences", ()):
             directory._fences[(entry["collection"], entry["shard"])] = \
                 entry["epoch"]
-        directory._serving = dict(data.get("serving", {}))
         return directory

@@ -5,11 +5,18 @@ Two load surfaces can go hot under a skewed tenant mix:
 - **Serving** — which query node owns each WAL channel (owners
   materialize the channel's growing rows and serve them).  The initial
   round-robin assignment bunches every collection's shard-``k`` channel
-  on the same node, so a Zipf tenant mix concentrates load badly.
+  on the same node, so a Zipf tenant mix concentrates load badly.  The
+  query coordinator is the one record of this placement: the rebalancer
+  reads the owners from it and moves them through it, and keeps no copy.
 - **Logging** — which logger the consistent-hash ring routes a shard
   bucket to.  A hot bucket is moved via an explicit directory override
   (weighted ring placement handles the steady state; overrides handle
   the outliers).
+
+One greedy planner serves both scopes: given ``channel -> owner``,
+``channel -> load`` and the node names, it moves the largest channel
+that still narrows the gap from the hottest node to the coldest until
+the max/mean node load is within :data:`IMBALANCE_THRESHOLD`.
 
 Moves execute under **epoch fencing** over the WAL.  For every move the
 rebalancer (1) bumps the shard's fence epoch in the directory *before*
@@ -22,7 +29,7 @@ owner observing the bumped epoch rejects post-fence writes
 channels stop materializing on the serving side), and the destination
 replays the channel from the handoff LSN — no write is lost, and the
 per-segment LSN watermark makes replay idempotent, so none is
-duplicated either.
+duplicated either.  Only step (2) differs between the scopes.
 
 Layering: this module may import ``core``/``log``/``storage`` only.
 Actions that must run above it (re-subscribing query nodes, flushing a
@@ -33,26 +40,26 @@ logger's commit group) come in through the duck-typed ``serving`` /
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Protocol
 
 from repro.core.tso import TimestampOracle
 from repro.errors import ChannelNotFound
 from repro.log.broker import LogBroker
-from repro.log.wal import CoordRecord, shard_channel
+from repro.log.logger_node import shard_bucket_key
+from repro.log.wal import CoordRecord, channel_shard, shard_channel
 from repro.tenancy.directory import TenantDirectory
 from repro.tracing import NOOP_TRACER, TraceCollector
 
-_CHANNEL_RE = re.compile(r"^wal/(?P<collection>.+)/shard-(?P<shard>\d+)$")
+#: The planner moves load while max/mean node load exceeds this.
+IMBALANCE_THRESHOLD = 1.25
+#: A channel's load: its writes, plus its collection's searches scaled
+#: by its writes (see :meth:`ShardRebalancer.channel_loads`).
+WRITE_WEIGHT = 1.0
+SEARCH_WEIGHT = 1.0
 
-
-def parse_channel(channel: str) -> tuple[str, int]:
-    """Invert :func:`~repro.log.wal.shard_channel`."""
-    match = _CHANNEL_RE.match(channel)
-    if match is None:
-        raise ValueError(f"not a WAL shard channel: {channel!r}")
-    return match.group("collection"), int(match.group("shard"))
+#: One scope's placement: (channel -> owner, channel -> load, node names).
+_View = tuple[dict[str, str], dict[str, float], list[str]]
 
 
 class ServingOps(Protocol):
@@ -131,23 +138,76 @@ class LoadReport:
         return max(self.node_loads.values()) / mean
 
 
+def load_report(scope: str, owners: dict[str, str],
+                loads: dict[str, float], nodes: list[str]) -> LoadReport:
+    """Each node's summed channel load (owners off the node list, a
+    departed node, are not counted)."""
+    report = LoadReport(scope, {n: 0.0 for n in nodes})
+    for channel, owner in owners.items():
+        if owner in report.node_loads:
+            report.node_loads[owner] += loads[channel]
+    return report
+
+
+def plan_moves(scope: str, owners: dict[str, str],
+               loads: dict[str, float], nodes: list[str],
+               max_moves: int = 16) -> list[Move]:
+    """Greedy hottest-to-coldest channel moves until balanced.
+
+    Each step moves the largest channel on the hottest node whose load
+    is below the hot-cold gap (moving more would just swap the two).
+    A move is a **split** when it spreads its collection over more
+    nodes than before (the collection's shards were bunched);
+    otherwise it is a plain **migrate**.
+    """
+    owners = dict(owners)
+    node_loads = load_report(scope, owners, loads, nodes).node_loads
+    if len(node_loads) < 2:
+        return []
+
+    def spread(collection: str) -> int:
+        return len({o for c, o in owners.items()
+                    if channel_shard(c)[0] == collection})
+
+    moves: list[Move] = []
+    while len(moves) < max_moves:
+        imbalance = LoadReport(scope, node_loads).imbalance
+        if imbalance <= IMBALANCE_THRESHOLD:
+            break
+        hot = max(node_loads, key=node_loads.get)
+        cold = min(node_loads, key=node_loads.get)
+        gap = node_loads[hot] - node_loads[cold]
+        candidates = sorted((c for c, o in owners.items() if o == hot),
+                            key=loads.__getitem__, reverse=True)
+        chosen = next((c for c in candidates if 0 < loads[c] < gap), None)
+        if chosen is None:
+            break
+        collection, shard = channel_shard(chosen)
+        spread_before = spread(collection)
+        owners[chosen] = cold
+        node_loads[hot] -= loads[chosen]
+        node_loads[cold] += loads[chosen]
+        moves.append(Move(
+            kind="split" if spread(collection) > spread_before
+            else "migrate",
+            scope=scope, collection=collection, shard=shard,
+            channel=chosen, src=hot, dst=cold, load=loads[chosen],
+            reason=f"imbalance {imbalance:.2f} > "
+                   f"{IMBALANCE_THRESHOLD:.2f}"))
+    return moves
+
+
 class ShardRebalancer:
     """Plans and executes fenced split/migrate moves for hot shards."""
 
     def __init__(self, broker: LogBroker, tso: TimestampOracle,
                  directory: TenantDirectory,
                  coord_channel: str = "wal/coord",
-                 imbalance_threshold: float = 1.25,
-                 search_weight: float = 1.0,
-                 write_weight: float = 1.0,
                  tracer: Optional[TraceCollector] = None) -> None:
         self._broker = broker
         self._tso = tso
         self._directory = directory
         self._coord_channel = coord_channel
-        self.imbalance_threshold = imbalance_threshold
-        self.search_weight = search_weight
-        self.write_weight = write_weight
         self._tracer = tracer if tracer is not None else NOOP_TRACER
         # Hooks wired by the cluster (tenancy never imports upward).
         self.serving: Optional[ServingOps] = None
@@ -169,8 +229,8 @@ class ShardRebalancer:
         except (KeyError, ChannelNotFound):
             return 0.0
 
-    def channel_loads(self) -> dict[str, float]:
-        """Estimated load per owned WAL channel.
+    def channel_loads(self, owners: dict[str, str]) -> dict[str, float]:
+        """Estimated serving load per owned WAL channel.
 
         Write pressure comes from the channel's own end offset.  Search
         pressure is per-collection search counters scaled by the
@@ -181,150 +241,54 @@ class ShardRebalancer:
         size and its collection's query rate.  The end offset doubles as
         the row proxy (time-ticks inflate all channels alike).
         """
-        if self.serving is None:
-            return {}
-        owners = self.serving.channel_owners()
         searches = self.search_load_fn() if self.search_load_fn else {}
         loads: dict[str, float] = {}
         for channel in owners:
-            collection, _ = parse_channel(channel)
+            collection, _ = channel_shard(channel)
             writes = self._channel_writes(channel)
-            load = self.write_weight * writes
-            load += self.search_weight \
-                * searches.get(collection, 0.0) * writes
+            load = WRITE_WEIGHT * writes
+            load += SEARCH_WEIGHT * searches.get(collection, 0.0) * writes
             loads[channel] = load
         return loads
 
+    def _serving_view(self) -> _View:
+        owners = self.serving.channel_owners()
+        return owners, self.channel_loads(owners), self.serving.node_names
+
+    def _logging_view(self) -> _View:
+        owners = {
+            shard_channel(collection, shard):
+                self.logging.owner_name(collection, shard)
+            for collection in self._directory.collections
+            for shard in range(self._directory.num_shards(collection))}
+        loads = {channel: self._channel_writes(channel)
+                 for channel in owners}
+        return owners, loads, self.logging.logger_names
+
     def serving_report(self) -> LoadReport:
         """Per-query-node serving load (owned channels only)."""
-        report = LoadReport(scope="serving")
         if self.serving is None:
-            return report
-        report.node_loads = {n: 0.0 for n in self.serving.node_names}
-        owners = self.serving.channel_owners()
-        for channel, load in self.channel_loads().items():
-            owner = owners.get(channel)
-            if owner in report.node_loads:
-                report.node_loads[owner] += load
-        return report
-
-    def logging_report(self) -> LoadReport:
-        """Per-logger load over the shard buckets they own."""
-        report = LoadReport(scope="logging")
-        if self.logging is None:
-            return report
-        report.node_loads = {n: 0.0 for n in self.logging.logger_names}
-        for collection in self._directory.collections:
-            for shard in range(self._directory.num_shards(collection)):
-                owner = self.logging.owner_name(collection, shard)
-                if owner in report.node_loads:
-                    report.node_loads[owner] += self._channel_writes(
-                        shard_channel(collection, shard))
-        return report
+            return LoadReport(scope="serving")
+        return load_report("serving", *self._serving_view())
 
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
 
     def plan_serving(self, max_moves: int = 16) -> list[Move]:
-        """Greedy hottest-to-coldest channel moves until balanced.
-
-        A move is a **split** when it spreads a collection's serving
-        set over more nodes than before (the hot tenant's shards were
-        bunched); otherwise it is a plain **migrate**.
-        """
+        """Channel-ownership moves between query nodes."""
         if self.serving is None:
             return []
-        owners = dict(self.serving.channel_owners())
-        loads = self.channel_loads()
-        node_loads = {n: 0.0 for n in self.serving.node_names}
-        for channel, owner in owners.items():
-            if owner in node_loads:
-                node_loads[owner] += loads.get(channel, 0.0)
-        if len(node_loads) < 2:
-            return []
-        moves: list[Move] = []
-        while len(moves) < max_moves:
-            report = LoadReport("serving", dict(node_loads))
-            if report.imbalance <= self.imbalance_threshold:
-                break
-            hot = max(node_loads, key=node_loads.get)
-            cold = min(node_loads, key=node_loads.get)
-            gap = node_loads[hot] - node_loads[cold]
-            # The largest channel that still strictly improves the pair
-            # (moving more than the gap would just swap hot and cold).
-            candidates = sorted(
-                (c for c, o in owners.items() if o == hot),
-                key=lambda c: loads.get(c, 0.0), reverse=True)
-            chosen = next((c for c in candidates
-                           if 0 < loads.get(c, 0.0) < gap), None)
-            if chosen is None:
-                break
-            collection, shard = parse_channel(chosen)
-            spread_before = len({
-                owners[c] for c in owners
-                if parse_channel(c)[0] == collection})
-            owners[chosen] = cold
-            spread_after = len({
-                owners[c] for c in owners
-                if parse_channel(c)[0] == collection})
-            node_loads[hot] -= loads[chosen]
-            node_loads[cold] += loads[chosen]
-            moves.append(Move(
-                kind="split" if spread_after > spread_before
-                else "migrate",
-                scope="serving", collection=collection, shard=shard,
-                channel=chosen, src=hot, dst=cold, load=loads[chosen],
-                reason=f"imbalance {report.imbalance:.2f} > "
-                       f"{self.imbalance_threshold:.2f}"))
-        return moves
+        return plan_moves("serving", *self._serving_view(),
+                          max_moves=max_moves)
 
     def plan_logging(self, max_moves: int = 16) -> list[Move]:
-        """Hot shard buckets moved off overloaded loggers via explicit
+        """Shard buckets moved off overloaded loggers via explicit
         directory overrides (the ring keeps handling the steady state)."""
         if self.logging is None:
             return []
-        bucket_owner: dict[tuple[str, int], str] = {}
-        bucket_load: dict[tuple[str, int], float] = {}
-        node_loads = {n: 0.0 for n in self.logging.logger_names}
-        for collection in self._directory.collections:
-            for shard in range(self._directory.num_shards(collection)):
-                owner = self.logging.owner_name(collection, shard)
-                load = self._channel_writes(
-                    shard_channel(collection, shard))
-                bucket_owner[(collection, shard)] = owner
-                bucket_load[(collection, shard)] = load
-                if owner in node_loads:
-                    node_loads[owner] += load
-        if len(node_loads) < 2:
-            return []
-        moves: list[Move] = []
-        while len(moves) < max_moves:
-            report = LoadReport("logging", dict(node_loads))
-            if report.imbalance <= self.imbalance_threshold:
-                break
-            hot = max(node_loads, key=node_loads.get)
-            cold = min(node_loads, key=node_loads.get)
-            gap = node_loads[hot] - node_loads[cold]
-            candidates = sorted(
-                (b for b, o in bucket_owner.items() if o == hot),
-                key=lambda b: bucket_load[b], reverse=True)
-            chosen = next((b for b in candidates
-                           if 0 < bucket_load[b] < gap), None)
-            if chosen is None:
-                break
-            collection, shard = chosen
-            bucket_owner[chosen] = cold
-            node_loads[hot] -= bucket_load[chosen]
-            node_loads[cold] += bucket_load[chosen]
-            moves.append(Move(
-                kind="migrate", scope="logging", collection=collection,
-                shard=shard,
-                channel=shard_channel(collection, shard), src=hot,
-                dst=cold, load=bucket_load[chosen],
-                reason=f"imbalance {report.imbalance:.2f} > "
-                       f"{self.imbalance_threshold:.2f}"))
-        return moves
+        return plan_moves("logging", *self._logging_view(),
+                          max_moves=max_moves)
 
     # ------------------------------------------------------------------
     # fenced execution
@@ -333,53 +297,43 @@ class ShardRebalancer:
     def execute(self, move: Move) -> Move:
         """Run one move under the fencing protocol; returns it stamped
         with its fence epoch and handoff LSN."""
-        if move.scope == "serving":
-            return self._execute_serving(move)
-        return self._execute_logging(move)
+        handoff = (self._serving_handoff if move.scope == "serving"
+                   else self._logging_handoff)
+        with self._tracer.span(f"rebalancer.migrate_{move.scope}",
+                               "rebalancer", channel=move.channel,
+                               src=move.src, dst=move.dst):
+            move.handoff_lsn = handoff(move)
+            # WAL-durable record of the move on the coord channel.
+            self._broker.publish(self._coord_channel, CoordRecord(
+                ts=self._tso.allocate_packed(),
+                kind_name="shard_migrate", payload=move.to_dict()))
+        self.moves_executed.append(move)
+        return move
 
-    def _execute_serving(self, move: Move) -> Move:
+    def _serving_handoff(self, move: Move) -> int:
         if self.serving is None:
             raise RuntimeError("serving hooks not wired")
-        with self._tracer.span("rebalancer.migrate_serving",
-                               "rebalancer", channel=move.channel,
-                               src=move.src, dst=move.dst):
-            # Fence first: the epoch is bumped (and checkpointable)
-            # before any ownership state changes, so a crash between
-            # the two steps recovers into the fenced state, never an
-            # unfenced double-owner one.
-            move.epoch = self._directory.bump_fence(move.collection,
-                                                    move.shard)
-            move.handoff_lsn = self.serving.migrate_channel(
-                move.channel, move.dst)
-            self._directory.pin_serving(move.channel, move.dst)
-            self._announce(move)
-        self.moves_executed.append(move)
-        return move
+        # Fence first: the epoch is bumped (and checkpointable) before
+        # any ownership state changes, so a crash between the two steps
+        # recovers into the fenced state, never an unfenced double-owner
+        # one.
+        move.epoch = self._directory.bump_fence(move.collection,
+                                                move.shard)
+        return self.serving.migrate_channel(move.channel, move.dst)
 
-    def _execute_logging(self, move: Move) -> Move:
+    def _logging_handoff(self, move: Move) -> int:
         if self.logging is None:
             raise RuntimeError("logging hooks not wired")
-        with self._tracer.span("rebalancer.migrate_logging",
-                               "rebalancer", channel=move.channel,
-                               src=move.src, dst=move.dst):
-            # Drain the old owner's pending commit group under the old
-            # epoch, then fence: every pre-fence write is durable on
-            # the channel before the bucket moves.
-            self.logging.flush_shard(move.collection, move.shard)
-            move.epoch = self._directory.bump_fence(move.collection,
-                                                    move.shard)
-            move.handoff_lsn = int(self._broker.end_offset(move.channel))
-            self._directory.set_bucket_override(
-                f"{move.collection}/shard-{move.shard}", move.dst)
-            self._announce(move)
-        self.moves_executed.append(move)
-        return move
-
-    def _announce(self, move: Move) -> None:
-        """WAL-durable record of the move on the coord channel."""
-        self._broker.publish(self._coord_channel, CoordRecord(
-            ts=self._tso.allocate_packed(),
-            kind_name="shard_migrate", payload=move.to_dict()))
+        # Drain the old owner's pending commit group under the old
+        # epoch, then fence: every pre-fence write is durable on the
+        # channel before the bucket moves.
+        self.logging.flush_shard(move.collection, move.shard)
+        move.epoch = self._directory.bump_fence(move.collection,
+                                                move.shard)
+        handoff_lsn = int(self._broker.end_offset(move.channel))
+        self._directory.set_bucket_override(
+            shard_bucket_key(move.collection, move.shard), move.dst)
+        return handoff_lsn
 
     def rebalance(self, max_moves: int = 16) -> list[Move]:
         """Plan and execute serving moves, then logging moves."""

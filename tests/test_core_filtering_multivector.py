@@ -12,8 +12,6 @@ from repro.core.filtering import (
 )
 from repro.core.multivector import (
     MultiVectorQuery,
-    MultiVectorStrategy,
-    choose_strategy as mv_choose,
     search_segment,
 )
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
@@ -134,11 +132,6 @@ def make_query(rng, metric=MetricType.INNER_PRODUCT, w_img=1.0, w_txt=0.5):
 
 
 class TestMultiVector:
-    def test_strategy_choice_by_metric(self, rng):
-        assert mv_choose(make_query(rng)) is MultiVectorStrategy.DECOMPOSED
-        assert mv_choose(make_query(rng, MetricType.EUCLIDEAN)) is \
-            MultiVectorStrategy.RERANK
-
     def test_matches_exhaustive_combined_score(self, mv_segment, rng):
         query = make_query(rng)
         batch = search_segment(mv_segment, query, 5, amplification=40)

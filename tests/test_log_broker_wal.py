@@ -13,6 +13,7 @@ from repro.log.wal import (
     DeleteRecord,
     InsertRecord,
     TimeTickRecord,
+    channel_shard,
     data_records,
     record_from_bytes,
     record_to_bytes,
@@ -201,6 +202,11 @@ class TestWalSerialization:
 
     def test_shard_channel_naming(self):
         assert shard_channel("coll", 3) == "wal/coll/shard-3"
+
+    def test_channel_shard_inverts_shard_channel(self):
+        assert channel_shard(shard_channel("a::x", 3)) == ("a::x", 3)
+        with pytest.raises(ValueError):
+            channel_shard("wal/coord")
 
     @given(st.lists(st.integers(0, 1000), min_size=1, max_size=20,
                     unique=True),

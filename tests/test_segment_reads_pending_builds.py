@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.cluster.manu import ManuCluster
-from repro.config import SegmentConfig
+from repro.config import LogConfig, ManuConfig, SegmentConfig
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.core.segment import Segment
@@ -99,3 +99,36 @@ class TestPendingBuilds:
         cluster.index_coord.add_node(node)
         assert cluster.index_coord.pending_build_count == 0
         assert cluster.wait_for_indexes("c")
+
+    def test_compaction_parks_merged_builds_without_nodes(self, rng):
+        """With every index node down, compaction still retires its
+        inputs, places the merged segment and parks its build; the
+        build completes once an index node is added."""
+        cluster = ManuCluster(
+            config=ManuConfig(log=LogConfig(num_shards=1)),
+            num_query_nodes=1, num_index_nodes=1)
+        schema = CollectionSchema(
+            [FieldSchema("vector", DataType.FLOAT_VECTOR, dim=8)])
+        cluster.create_collection("c", schema)
+        cluster.create_index("c", "vector", "IVF_FLAT",
+                             MetricType.EUCLIDEAN, {"nlist": 4})
+        for _ in range(4):
+            cluster.insert("c", {"vector": rng.standard_normal(
+                (40, 8)).astype(np.float32)})
+            cluster.run_for(100)
+            cluster.flush("c")
+        assert len(cluster.data_coord.flushed_segments("c")) == 4
+        assert cluster.wait_for_indexes("c")
+        cluster.index_coord.remove_node("in-0")
+        new_ids = cluster.compact("c")
+        assert len(new_ids) == 1
+        assert cluster.data_coord.flushed_segments("c") == new_ids
+        assert cluster.index_coord.pending_build_count == 1
+        cluster.run_for(500)
+        assert cluster.collection_row_count("c") == 160
+        from repro.nodes.index_node import IndexNode
+        cluster.index_coord.add_node(IndexNode(
+            "in-new", cluster.loop, cluster.broker, cluster.store,
+            cluster.config, cluster.cost_model))
+        assert cluster.index_coord.pending_build_count == 0
+        assert cluster.wait_for_indexes("c", max_ms=5_000)

@@ -23,7 +23,6 @@ from repro.core.schema import CollectionSchema, DataType, FieldSchema
 from repro.errors import (
     ClusterStateError,
     FencedWriteError,
-    ManuError,
     QuotaExceeded,
     TenantAlreadyExists,
     TenantError,
@@ -39,10 +38,9 @@ from repro.tenancy import (
     TenantQuota,
     TenantRegistry,
     TokenBucket,
-    physical_name,
     split_physical,
 )
-from repro.tenancy.rebalancer import parse_channel
+from repro.tenancy.rebalancer import LoadReport
 
 DIM = 8
 
@@ -160,24 +158,36 @@ class TestTenantDirectory:
         directory.place_collection("t::c", 2)
         directory.set_bucket_override("t::c/shard-0", "logger-1")
         directory.bump_fence("t::c", 1)
-        directory.pin_serving("wal/t::c/shard-0", "qn-0")
         directory.drop_collection("t::c")
         assert directory.num_shards("t::c") == 0
         assert directory.bucket_override("t::c/shard-0") is None
         assert directory.fence_epoch("t::c", 1) == 0
-        assert directory.serving_node("wal/t::c/shard-0") is None
 
     def test_round_trip(self):
         directory = TenantDirectory()
         directory.place_collection("t::c", 2)
         directory.set_bucket_override("t::c/shard-1", "logger-0")
         directory.bump_fence("t::c", 1)
-        directory.pin_serving("wal/t::c/shard-1", "qn-2")
         restored = TenantDirectory.from_dict(directory.to_dict())
         assert restored.num_shards("t::c") == 2
         assert restored.bucket_override("t::c/shard-1") == "logger-0"
         assert restored.fence_epoch("t::c", 1) == 1
-        assert restored.serving_node("wal/t::c/shard-1") == "qn-2"
+        assert restored.to_dict() == directory.to_dict()
+
+    def test_serving_pins_of_older_documents_are_ignored(self):
+        """Serving placement is the query coordinator's record alone; a
+        document that still carries a ``serving`` map restores without
+        it."""
+        document = {"collections": {"t::c": 2},
+                    "bucket_overrides": {"t::c/shard-1": "logger-0"},
+                    "fences": [{"collection": "t::c", "shard": 1,
+                                "epoch": 3}],
+                    "serving": {"wal/t::c/shard-1": "qn-2"}}
+        restored = TenantDirectory.from_dict(document)
+        assert restored.fence_epoch("t::c", 1) == 3
+        assert restored.to_dict() == {
+            key: value for key, value in document.items()
+            if key != "serving"}
 
 
 class TestAdmissionController:
@@ -487,7 +497,6 @@ class TestRebalancer:
         for move in moves:
             assert owners_before[move.channel] == move.src
             assert owners_after[move.channel] == move.dst
-            assert cluster.directory.serving_node(move.channel) == move.dst
 
     def test_logging_move_loses_no_writes(self):
         rng = np.random.default_rng(15)
@@ -515,10 +524,49 @@ class TestRebalancer:
         cluster.run_for(300)
         assert cluster.collection_row_count("c") == 60
 
-    def test_parse_channel_inverts_shard_channel(self):
-        assert parse_channel("wal/a::x/shard-3") == ("a::x", 3)
-        with pytest.raises(ValueError):
-            parse_channel("wal/coord")
+    def test_logging_moves_unload_the_hot_logger(self):
+        """Every bucket pinned to one logger: the logging plan moves
+        buckets to the idle one, the logging imbalance falls, and no
+        write is lost across the handoffs."""
+        rng = np.random.default_rng(17)
+        cluster = ManuCluster(num_query_nodes=2, num_loggers=2)
+        hot, idle = cluster.logger_service.logger_names
+        collections = ("a::x", "b::x", "c::x")
+        for name in collections:
+            cluster.create_collection(name, _schema())
+            for shard in range(cluster.config.log.num_shards):
+                cluster.directory.set_bucket_override(
+                    f"{name}/shard-{shard}", hot)
+            cluster.insert(name, {"pk": list(range(40)),
+                                  "vector": _vectors(rng, 40)})
+        cluster.run_for(300)
+
+        def logging_imbalance():
+            loads = {n: 0.0 for n in cluster.logger_service.logger_names}
+            for name in collections:
+                for shard in range(cluster.config.log.num_shards):
+                    owner = cluster.logger_service.owner_name(name, shard)
+                    loads[owner] += cluster.broker.end_offset(
+                        f"wal/{name}/shard-{shard}")
+            return LoadReport("logging", loads).imbalance
+
+        before = logging_imbalance()
+        assert before == pytest.approx(2.0)
+        moves = [m for m in cluster.rebalancer.rebalance()
+                 if m.scope == "logging"]
+        assert moves
+        assert all(m.src == hot and m.dst == idle for m in moves)
+        assert logging_imbalance() < before
+        for move in moves:
+            assert cluster.logger_service.owner_name(
+                move.collection, move.shard) == idle
+        # Writes after the handoffs route through the new owners.
+        for name in collections:
+            cluster.insert(name, {"pk": list(range(100, 120)),
+                                  "vector": _vectors(rng, 20)})
+        cluster.run_for(300)
+        assert [cluster.collection_row_count(name)
+                for name in collections] == [60, 60, 60]
 
 
 class TestTenancyPersistence:
