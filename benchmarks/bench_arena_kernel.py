@@ -11,11 +11,18 @@ of the end-to-end benchmark's sealed node: 7 members of 4096 SIFT-like
 Per block height ``nq`` of 1, 8 and 64 it records the wall microseconds of
 one call — ``arena.search`` over all members, and the members' own
 ``search`` one after another — as the median of ``REPEATS`` timings of
-``CALLS`` calls each, the two timed alternately, and their ratio.
+``CALLS`` calls each, the two timed alternately, and their ratio; where
+the scan is one padded pass (``ArenaIndex.scans_once``), also
+``select_us``, one call of ``arena.search(together=True)``, the one
+selection over every member's rows that a query node's reduce is.
 ``equal`` is whether, at every height, every member's distances from the
 arena are bit for bit its own, its ids are its own (up to the order of
 equal distances, and which of them the ``k`` cut keeps) and its
-``SearchStats`` counters are its own.
+``SearchStats`` counters are its own.  ``selected_equal`` is whether, on
+every block of every height and swept setting (``selected_cases`` of
+them), the one selection answers what the members' own answers merged by
+``merge_topk`` are — distances bit for bit, ids up to the ties the ``k``
+cut splits, the same counters.
 
 Per height it also records the floats of one call's scan passes: the
 padded score blocks (one row per (query, probed list) pair, as wide as
@@ -28,9 +35,10 @@ with every pass laid out in chunks of 16 to 128 scores
 (``_CHUNK_FROM`` 0) and with none (``chunk_width`` null), the settings
 timed alternately.
 
-``equal`` (under the shipped constants and every swept setting) and
-``grid_within_padded`` are the gate: CI runs the quick mode and fails
-unless both are true.  The times are the record and assert nothing.
+``equal`` and ``selected_equal`` (under the shipped constants and every
+swept setting) and ``grid_within_padded`` are the gate: CI runs the quick
+mode and fails unless all are true.  The times are the record and assert
+nothing.
 
 Wall-clock time is the deliverable here, so the timer reads are sanctioned
 deviations from the virtual-clock rule.  Results land in
@@ -53,6 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.results import HitBlock, merge_topk
 from repro.core.schema import MetricType
 from repro.datasets.synthetic import make_sift_like
 from repro.index import ivf
@@ -113,6 +122,33 @@ def _equal(arena: ArenaIndex, members: list[IvfFlatIndex],
     return True
 
 
+def _selected_equal(arena: ArenaIndex, members: list[IvfFlatIndex],
+                    queries: np.ndarray) -> bool:
+    """Whether the one selection over every member's rows is the members'
+    own answers merged (a query node selects so only where the scan is
+    one padded pass anyway, but the answer must not depend on that)."""
+    scope = list(range(len(members)))
+    stats = [SearchStats() for _ in members]
+    ids, dists, rows = arena.search(queries, K, scope, stats, together=True)
+    answers = []
+    for number, member in enumerate(members):
+        want_ids, want_dists = member.search(queries, K)
+        answers.append(HitBlock(np.where(want_ids < 0, -1,
+                                         want_ids + arena.row_base[number]),
+                                want_dists))
+        if stats[number].as_dict() != member.stats.as_dict() or \
+                np.minimum(rows[number], K).sum() \
+                != np.isfinite(want_dists).sum():
+            return False
+    want = merge_topk(answers, K)
+    width = dists.shape[1]
+    return (np.array_equal(dists.view(np.int32),
+                           want.dists[:, :width].view(np.int32))
+            and not np.isfinite(want.dists[:, width:]).any()
+            and _same_up_to_ties(ids, want.pks[:, :width],
+                                 want.dists[:, :width]))
+
+
 @contextmanager
 def _chunking(width: int | None):
     """Every pass laid out in chunks of ``width`` scores, or none."""
@@ -171,16 +207,27 @@ def run() -> dict:
         members.append(member)
     arena = ArenaIndex(members)
     rows, sweep, equal = [], [], True
+    selected = []       # one entry per (case, block)
+
+    def check_selection(blocks):
+        selected.extend(_selected_equal(arena, members, queries)
+                        for queries in blocks)
+
     for nq, calls in CALLS.items():
         blocks = [data.queries[(i * nq) % 256:(i * nq) % 256 + nq]
                   for i in range(calls)]
         equal = equal and all(_equal(arena, members, queries)
                               for queries in blocks)
+        check_selection(blocks)
         turn = iter(range(1 << 30))
-        arena_us, members_us = [], []
+        arena_us, members_us, select_us = [], [], []
+        selects = arena.scans_once(range(MEMBERS), nq)
 
         def arena_call():
             arena.search(blocks[next(turn) % calls], K)
+
+        def select_call():
+            arena.search(blocks[next(turn) % calls], K, together=True)
 
         def members_call():
             queries = blocks[next(turn) % calls]
@@ -190,11 +237,15 @@ def run() -> dict:
         for _ in range(REPEATS):
             arena_us.append(_wall_us(arena_call, calls))
             members_us.append(_wall_us(members_call, calls))
+            if selects:
+                select_us.append(_wall_us(select_call, calls))
         arena_med = statistics.median(arena_us)
         members_med = statistics.median(members_us)
         rows.append({"nq": nq, "calls": calls, "arena_us": arena_med,
                      "members_us": members_med,
                      "ratio": arena_med / members_med,
+                     "select_us": statistics.median(select_us)
+                     if selects else None,
                      **_floats(arena, blocks)})
 
         swept = {width: [] for width in SWEEP}
@@ -202,6 +253,7 @@ def run() -> dict:
             with _chunking(width):
                 equal = equal and all(_equal(arena, members, queries)
                                       for queries in blocks)
+                check_selection(blocks)
         for _ in range(REPEATS):
             for width in SWEEP:
                 with _chunking(width):
@@ -213,11 +265,14 @@ def run() -> dict:
                           "arena_us": statistics.median(swept[width]),
                           "grid_floats": floats["grid_floats"]})
     within = all(row["grid_within_padded"] for row in rows)
+    selected_equal = bool(selected) and all(selected)
     doc = {"quick": QUICK, "repeats": REPEATS, "seed": SEED,
            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
            "members": MEMBERS, "rows": ROWS, "dim": DIM, "nlist": NLIST,
            "nprobe": NPROBE, "k": K, "chunk_width": ivf._CHUNK_WIDTH,
            "chunk_from": ivf._CHUNK_FROM, "equal": equal,
+           "selected_equal": selected_equal,
+           "selected_cases": len(selected),
            "grid_within_padded": within, "by_nq": rows, "sweep": sweep}
     out_path = Path(__file__).resolve().parent.parent / \
         "BENCH_arena_kernel.json"
@@ -225,13 +280,15 @@ def run() -> dict:
         json.dump(doc, f, indent=2)
     print_series(
         "node arena kernel: %d IVF_FLAT members of %d x %d, one search vs "
-        "each member's own (median-of-%d wall-clock us per call; equal %s)"
-        % (MEMBERS, ROWS, DIM, REPEATS, equal),
-        ["nq", "arena us", "members us", "ratio", "padded floats",
-         "grid floats", "scored floats"],
-        [(r["nq"], r["arena_us"], r["members_us"], r["ratio"],
-          r["padded_floats"], r["grid_floats"], r["scored_floats"])
-         for r in rows])
+        "each member's own (median-of-%d wall-clock us per call; equal %s; "
+        "one selection equal %s over %d cases)"
+        % (MEMBERS, ROWS, DIM, REPEATS, equal, selected_equal,
+           len(selected)),
+        ["nq", "arena us", "select us", "members us", "ratio",
+         "padded floats", "grid floats", "scored floats"],
+        [(r["nq"], r["arena_us"], r["select_us"] or "-", r["members_us"],
+          r["ratio"], r["padded_floats"], r["grid_floats"],
+          r["scored_floats"]) for r in rows])
     print_series(
         "chunk sweep: every pass in chunks of the width (none: padded)",
         ["nq", "chunk width", "arena us", "grid floats"],
@@ -240,11 +297,15 @@ def run() -> dict:
     return doc
 
 
+def _passed(doc: dict) -> bool:
+    return doc["equal"] and doc["selected_equal"] \
+        and doc["grid_within_padded"]
+
+
 def test_arena_kernel_equal(benchmark):
     doc = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert doc["equal"] and doc["grid_within_padded"], doc
+    assert _passed(doc), doc
 
 
 if __name__ == "__main__":
-    doc = run()
-    sys.exit(0 if doc["equal"] and doc["grid_within_padded"] else 1)
+    sys.exit(0 if _passed(run()) else 1)

@@ -10,7 +10,10 @@ keys laid end to end.  A request then pays one coarse step and one
 list-major scan for all of them, per-segment work counters fall out of the
 block, and a member whose bitmap or filter excludes anything hands its slab
 to its segment's own post-filter (:meth:`Segment.filter_block`: the arena
-holds no second copy of it).
+holds no second copy of it).  Where nothing is excluded, no pk is held
+twice and the scan is one padded pass (:meth:`SegmentArena.selects_once`),
+one selection over every member's rows is the node's reduce
+(:meth:`SegmentArena.select`).
 
 The arena copies no vector: the members' code matrices stay in their
 indexes.  It reads each segment's deletion bitmap live, so deletions need
@@ -21,14 +24,16 @@ index, a growing-to-sealed handoff, a crash — does, and the owner asks
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.core.results import HitBlock
+from repro.core.results import HitBlock, ReduceStats
 from repro.core.schema import MetricType
 from repro.core.segment import Segment, amplified_k
 from repro.index.base import SearchStats
+from repro.index.distances import repeated
 from repro.index.ivf import ArenaIndex
 
 
@@ -76,6 +81,52 @@ class SegmentArena:
             else:
                 return False
         return found == len(self.segments)
+
+    @cached_property
+    def distinct_pks(self) -> bool:
+        """Whether no primary key is held twice among the members: the
+        witness that a selection over their rows has nothing to dedup.
+        Computed once per arena, by the first request that asks."""
+        return repeated(self.pks[None, :]) is None
+
+    def selects_once(self, members: Sequence[int], nq: int) -> bool:
+        """Whether an unfiltered request of ``nq`` rows over ``members``
+        (arena slots, ascending) is answered by :meth:`select`: no member
+        has a deletion, the scan is one padded pass, and no pk is held
+        twice (asked last: it is the only one that can cost more than a
+        look)."""
+        return (not any(self.segments[number].num_deleted
+                        for number in members)
+                and self.index.scans_once(members, nq)
+                and self.distinct_pks)
+
+    def select(self, members: Sequence[int], queries: np.ndarray, k: int,
+               stats: Sequence[SearchStats],
+               reduce: ReduceStats) -> HitBlock:
+        """The top-``k`` over every row of ``members`` of a request that
+        :meth:`selects_once` admits — the node-wise reduce of their
+        partials, done by the scan's one selection.
+
+        Adds each member's work to its entry of ``stats``, and to
+        ``reduce`` what :func:`~repro.core.results.merge_topk` would have
+        counted over their partials: a (member, query) partial holds
+        ``min(k, rows scored)`` hits, and none repeats a pk.
+        """
+        before = [entry.float_comparisons + entry.quantized_comparisons
+                  for entry in stats]
+        ids, dists, rows = self.index.search(queries, k, members, stats,
+                                             together=True)
+        found = np.minimum(rows, k)
+        visited = found.sum(axis=1).tolist()
+        for entry, was, seen in zip(stats, before, visited):
+            entry.index_scans += 1
+            entry.rows_scanned += (entry.float_comparisons
+                                   + entry.quantized_comparisons - was)
+            entry.candidates_visited += seen
+        reduce.batches_merged += int(np.count_nonzero(found))
+        reduce.candidates_in += sum(visited)
+        reduce.hits_out += int(np.count_nonzero(dists < np.inf))
+        return HitBlock(self.pks[ids], dists)
 
     def search(self, members: Sequence[int], queries: np.ndarray, k: int,
                masks: Sequence[Optional[np.ndarray]],

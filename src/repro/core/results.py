@@ -216,13 +216,15 @@ class ReduceStats:
 
 @dataclass(slots=True)
 class NodeWork:
-    """What one query node did for one read (DESIGN.md §6h): per scanned
-    segment, in order, ``(id, path, rows, [SearchStats per field of
-    dims])``, and the node-local merge's counters — None for a point
-    read, which consults ``segments`` segments and scans none."""
+    """What one query node did for one read (DESIGN.md §6h): the node's
+    totals (a :class:`SearchStats` per field of ``dims``), per scanned
+    segment, in order, ``(id, path, rows, [SearchStats per field])``,
+    and the node-local merge's counters — None for a point read, which
+    consults ``segments`` segments and scans none."""
 
     segments: int
     dims: Sequence[int] = ()
+    totals: list = field(default_factory=list)
     scans: list = field(default_factory=list)
     reduce: Optional[ReduceStats] = field(default_factory=ReduceStats)
 

@@ -149,7 +149,7 @@ class CollectionSchema:
 
     @property
     def scalar_fields(self) -> tuple[FieldSchema, ...]:
-        """All non-vector, non-primary fields (filterable attributes)."""
+        """All non-vector, non-primary fields (the attribute columns)."""
         return tuple(f for f in self.fields
                      if not f.dtype.is_vector and not f.is_primary)
 

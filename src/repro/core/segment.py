@@ -332,8 +332,12 @@ class Segment:
         return buf[:self.num_rows]
 
     def scalar_columns(self) -> dict[str, object]:
-        """All filterable columns, for expression evaluation."""
-        return {f.name: self.column(f.name) for f in self.schema.scalar_fields}
+        """All filterable columns, for expression evaluation: the scalar
+        fields and the primary key."""
+        columns = {f.name: self.column(f.name)
+                   for f in self.schema.scalar_fields}
+        columns[self.schema.primary_field.name] = self.pk_array
+        return columns
 
     def flush_payload(self) -> tuple[list, dict[str, object], int]:
         """(pks, columns, max_lsn) for binlog conversion by a data node."""

@@ -392,10 +392,18 @@ class ListArena:
         return one.codec == other.codec and one.metric is other.metric
 
     def _scan_pass(self, scope: Sequence[int], queries: np.ndarray,
-                   probes: np.ndarray, k: int
+                   probes: np.ndarray, k: int, together: bool = False
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Scan one block of (member, query) rows list-major; same
-        returns as ``scan``."""
+        returns as ``scan``.
+
+        With ``together``, the top-``k`` of every query over the lists
+        *every* member in ``scope`` probes for it, selected at once, in
+        one padded block however large (``ArenaIndex.scans_once`` says
+        when that is the pass ``scan`` makes anyway): ``(arena rows,
+        adjusted distances)``, ``(nq, <= k)``, padded by ``-1`` /
+        ``+inf``, and the ``(len(scope), nq)`` rows scored per (member,
+        query).  A member's distances are the ones ``scan`` hands it."""
         n, nq, width = probes.shape
         # Group the (row, probed list) pairs by list: pair ``p`` belongs
         # to row ``p // width``, and ``order`` lists the pairs list by
@@ -408,6 +416,10 @@ class ListArena:
         sizes = self.sizes[grouped]
         widest = int(sizes.max(initial=0)) if k > 0 else 0
         if widest == 0:
+            if together:
+                return (np.empty((nq, 0), dtype=np.int64),
+                        np.empty((nq, 0), dtype=np.float32),
+                        np.zeros((n, nq), dtype=np.int64))
             return (np.full((n * nq, k), -1, dtype=np.int64),
                     np.full((n * nq, k), np.inf, dtype=np.float32),
                     np.zeros(n, dtype=np.int64))
@@ -428,7 +440,7 @@ class ListArena:
         # A large pass is laid out in chunks where that holds fewer floats.
         grid = _ChunkGrid.of(self.sizes[probes].reshape(n * nq, width),
                              widest, order, lows) \
-            if len(order) * widest > _CHUNK_FROM else None
+            if len(order) * widest > _CHUNK_FROM and not together else None
         if grid is None:
             # One block row per pair, in list order, as wide as the
             # widest list: each list's scores go straight into a
@@ -485,23 +497,71 @@ class ListArena:
                                  strides=self.norms.strides * 2)
             block += windows[starts]
 
-        if grid is None:
+        if grid is None and together and nq == 1:
+            # One query: the block in list order is its candidate row,
+            # member by member (lists are numbered so).
+            rows = block.reshape(1, -1)
+            cols, dists = _in_column_order(
+                rows, *topk_smallest(rows, k + 1), k)
+            slot, within = np.divmod(cols, widest)
+            at = np.where(dists < np.inf, lows[slot] + within, -1)
+        elif grid is None:
             # Back to row order: a row's pairs side by side make its
             # candidate row, and one batched top-k picks the winners.
             candidates = np.empty_like(block)
             candidates[order] = block
-            cols, dists = topk_smallest(
-                candidates.reshape(n * nq, width * widest), k)
-            slot, within = np.divmod(cols, widest)
-            probed = pairs[slot + np.arange(0, len(pairs), width)[:, None]]
+            if together:
+                # Query-major: a query's rows of every member side by
+                # side, so column ``slot`` of query ``q`` is pair
+                # ``slot`` of member ``slot // width``'s row for ``q``.
+                rows = candidates.reshape(n, nq, width * widest) \
+                    .transpose(1, 0, 2).reshape(nq, -1)
+                cols, dists = _in_column_order(
+                    rows, *topk_smallest(rows, k + 1), k)
+                slot, within = np.divmod(cols, widest)
+                slot += (slot // width * (nq - 1)
+                         + np.arange(nq)[:, None]) * width
+            else:
+                cols, dists = topk_smallest(
+                    candidates.reshape(n * nq, width * widest), k)
+                slot, within = np.divmod(cols, widest)
+                slot += np.arange(0, len(pairs), width)[:, None]
             at = np.where(dists < np.inf,      # +inf is block padding
-                          self.offsets[probed] + within, -1)
+                          self.offsets[pairs[slot]] + within, -1)
         else:
             at, dists = grid.topk(block, k)
         if self.norms is not None:
             np.maximum(dists, 0.0, out=dists)   # rounding below zero
+        if together:
+            return at, dists, self.sizes[probes].sum(axis=2)
         at, dists = VectorIndex._pad_results(at, dists, k)
         return at, dists, sizes.reshape(n, per).sum(axis=1)
+
+
+def _in_column_order(rows: np.ndarray, cols: np.ndarray,
+                     dists: np.ndarray, k: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The top ``k`` of ``(cols, dists)`` = ``topk_smallest(rows, k + 1)``
+    with equal scores in column order: a run the ``k`` cut splits keeps
+    its earliest columns, and every run is ordered by column.  Columns
+    lie member by member, so a tie keeps and ranks the earlier member's
+    entries first, as a stable merge of the members' own answers does.
+    The ``k + 1``-th score tells a split run without a look at ``rows``,
+    so a row without a tie costs one comparison of its neighbours."""
+    tied = dists[:, 1:] == dists[:, :-1]
+    cols, dists = cols[:, :k], dists[:, :k]
+    if not tied.any():
+        return cols, dists
+    for q in np.flatnonzero(tied.any(axis=1)).tolist():
+        value = dists[q, -1]
+        if value < np.inf and tied[q, k - 1:].any():
+            # A run split by the cut: its first ``n`` columns, in the
+            # row's last ``n`` entries.
+            n = np.count_nonzero(dists[q] == value)
+            cols[q, -n:] = np.flatnonzero(rows[q] == value)[:n]
+        order = np.lexsort((cols[q], dists[q]))
+        cols[q], dists[q] = cols[q, order], dists[q, order]
+    return cols, dists
 
 
 class _ChunkGrid:
@@ -886,10 +946,30 @@ class ArenaIndex(VectorIndex):
         probes += bases[:, None, None]
         return probes
 
+    def _one_scan(self, scope: Sequence[int]) -> bool:
+        """Whether the members in ``scope`` are scanned with the same
+        queries: one scan for all of them."""
+        first = self._unit_rows[scope[0]]
+        return all(self._unit_rows[number] is first for number in scope)
+
+    def scans_once(self, scope: Sequence[int], nq: int) -> bool:
+        """Whether a search of the members in ``scope`` (ascending) for
+        ``nq`` query rows is one scan pass over one padded score block,
+        which ``search(together=True)`` selects from.  Decided from the
+        probe widths and the widest lists, before any coarse step: the
+        pass then holds ``len(scope) * nq * width`` (row, probed list)
+        pairs, none wider than the widest list in scope."""
+        if not scope or nq <= 0 or not self._one_scan(scope):
+            return False
+        widest = max(self.lists.widest[number] for number in scope)
+        width = max(self._widths[number] for number in scope)
+        return len(scope) * nq * max(1, int(width) * widest) <= min(
+            _CHUNK_FROM, _SCAN_BLOCK_FLOATS)
+
     def search(self, queries: np.ndarray, k: int,
                scope: Sequence[int] | None = None,
-               stats: Sequence[SearchStats] | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+               stats: Sequence[SearchStats] | None = None,
+               together: bool = False) -> tuple[np.ndarray, ...]:
         """Every member's top-``k``, stacked: ``(ids, adjusted
         distances)`` of shape ``(len(scope), nq, k)`` whose entry ``[i]``
         is what member ``scope[i]``'s own ``search`` returns, ids shifted
@@ -897,6 +977,14 @@ class ArenaIndex(VectorIndex):
 
         ``scope`` names the members searched, ascending (default: all);
         each one's work is added to its entry of ``stats``.
+
+        ``together`` selects each query's top-``k`` over every member's
+        rows at once instead, in one scan pass (what ``search`` makes
+        anyway where ``scans_once``): ``(ids, adjusted distances, rows
+        scored)``, the first two ``(nq, <= k)``, the best hits of the
+        members' answers merged (equal distances kept and ranked earlier
+        member first, as the merge does; within one member they may be
+        taken or ranked otherwise), and the last ``(len(scope), nq)``.
         """
         queries = self._check_query_input(queries)
         everyone = len(self.members)
@@ -906,9 +994,13 @@ class ArenaIndex(VectorIndex):
             raise ValueError(
                 f"scope names arena members ascending, each once, from 0 "
                 f"to {everyone - 1}; got {scope}")
+        n, nq = len(scope), queries.shape[0]
+        if together and not (n and nq and self._one_scan(scope)):
+            raise ValueError(
+                "one selection needs a query and members scanned alike "
+                "(all with unit rows, or none)")
         if stats is None:
             stats = [SearchStats() for _ in scope]
-        n, nq = len(scope), queries.shape[0]
         if not n or not nq:
             return (np.full((n, nq, k), -1, dtype=np.int64),
                     np.full((n, nq, k), np.inf, dtype=np.float32))
@@ -918,6 +1010,12 @@ class ArenaIndex(VectorIndex):
         # Members whose lists hold unit rows are scanned with unit
         # queries: two scans where the members differ in that.
         asked = [self._unit_rows[number] for number in scope]
+        if together:
+            at, dists, rows = self.lists._scan_pass(
+                scope, unit if asked[0] else queries, probes, k,
+                together=True)
+            self._count(scope, range(n), rows.sum(axis=1), stats)
+            return np.where(at < 0, -1, self.ids[at]), dists, rows
         if True in asked and False in asked:
             at = np.empty((n, nq, k), dtype=np.int64)
             dists = np.empty((n, nq, k), dtype=np.float32)
@@ -941,13 +1039,19 @@ class ArenaIndex(VectorIndex):
         ``(arena rows, distances)``, ``(len(group), nq, k)``."""
         at, dists, compared = self.lists.scan(
             [scope[i] for i in group], queries, probes, k)
+        self._count(scope, group, compared, stats)
+        shape = len(group), queries.shape[0], k
+        return at.reshape(shape), dists.reshape(shape)
+
+    def _count(self, scope: Sequence[int], group: Sequence[int],
+               compared: np.ndarray, stats: Sequence[SearchStats]) -> None:
+        """Add the rows each member at positions ``group`` of ``scope``
+        scored to its ``stats``, as its codec counts comparisons."""
         for i, scored in zip(group, compared.tolist()):
             if self._quantized[scope[i]]:
                 stats[i].quantized_comparisons += scored
             else:
                 stats[i].float_comparisons += scored
-        shape = len(group), queries.shape[0], k
-        return at.reshape(shape), dists.reshape(shape)
 
 
 class ExhaustiveIndex(BucketedIndex):

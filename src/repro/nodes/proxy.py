@@ -423,28 +423,9 @@ class Proxy:
         req.segments += work.segments
         scanned = work.reduce is not None       # a point read scans nothing
         if scanned:
-            cost, context = self._cost, nspan.context
-            totals = [SearchStats() for _ in work.dims]
-            cursor_ms = nspan.start_ms
-            for segment_id, _path, _rows, stats in work.scans:
-                for total, field_stats in zip(totals, stats):
-                    total.add(field_stats)
-                if nspan.sampled:
-                    end_ms = nspan.start_ms + cost.scan_cost(totals,
-                                                             work.dims)
-                    self._tracer.record_span(
-                        "segment.scan", component, parent=context,
-                        start_ms=cursor_ms, end_ms=end_ms,
-                        segment=segment_id)
-                    cursor_ms = end_ms
             if nspan.sampled:
-                self._tracer.record_span(
-                    "query_node.reduce", component, parent=context,
-                    start_ms=cursor_ms,
-                    end_ms=cursor_ms + cost.request_overhead_ms
-                    + req.nq * cost.batch_row_overhead_ms,
-                    segments=work.segments)
-            for total in totals:
+                self._record_segment_spans(req, component, nspan, work)
+            for total in work.totals:
                 req.stats.add(total)
             self._scan_hist.labels(node=name).observe(service_ms)
         if prof is None:
@@ -456,11 +437,38 @@ class Proxy:
                             rows=rows).counters = functools.reduce(
                                 SearchStats.merged_with, stats).as_dict()
             stage.counters = functools.reduce(SearchStats.merged_with,
-                                              totals).as_dict()
+                                              work.totals).as_dict()
             stage.meta.update(service_ms=service_ms, segments=work.segments,
                               nq=req.nq)
             stage.child("query_node.reduce").counters = work.reduce.as_dict()
         stage.meta["queue_ms"] = start_ms - ready_ms
+
+    def _record_segment_spans(self, req: _ReadRequest, component: str,
+                              nspan, work: NodeWork) -> None:
+        """A sampled node span's children: its segments' scans, each
+        ending where the cost model puts the node's work up to and
+        including it (the comparisons counted so far, charged as the
+        node's total is), then the node's reduce."""
+        cost, context = self._cost, nspan.context
+        so_far = [SearchStats() for _ in work.dims]
+        cursor_ms = nspan.start_ms
+        for segment_id, _path, _rows, stats in work.scans:
+            for counted, field_stats in zip(so_far, stats):
+                counted.float_comparisons += field_stats.float_comparisons
+                counted.quantized_comparisons += \
+                    field_stats.quantized_comparisons
+                counted.ssd_blocks_read += field_stats.ssd_blocks_read
+            end_ms = nspan.start_ms + cost.scan_cost(so_far, work.dims)
+            self._tracer.record_span(
+                "segment.scan", component, parent=context,
+                start_ms=cursor_ms, end_ms=end_ms, segment=segment_id)
+            cursor_ms = end_ms
+        self._tracer.record_span(
+            "query_node.reduce", component, parent=context,
+            start_ms=cursor_ms,
+            end_ms=cursor_ms + cost.request_overhead_ms
+            + req.nq * cost.batch_row_overhead_ms,
+            segments=work.segments)
 
     def _scatter_gather(self, req: _ReadRequest, ask: str, args: tuple,
                         metric: Optional[MetricType] = None,
@@ -686,7 +694,7 @@ class Proxy:
         distance for Euclidean, a *minimum* similarity for inner product
         and cosine (which may be negative).  ``limit`` keeps the closest
         hits only; either way the cost model charges this verb no merge
-        (the model is ROADMAP item 3's).
+        (charging one is left to the cost model's refit).
         """
         if metric is MetricType.EUCLIDEAN:
             require_number("a Euclidean radius", radius, 0)

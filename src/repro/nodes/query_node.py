@@ -17,11 +17,13 @@ top-k (honoring deletion bitmaps and attribute filters via the cost-based
 strategy), merged into the node-wise top-k.  The node, not the segment, is
 the unit of scanning: its sealed inverted-list segments are searched as
 one arena (:mod:`repro.core.arena`) and every segment's candidates meet in
-one block, reduced by one merge.  ``busy_until_ms`` accounting
-turns concurrent requests into queueing delay, which is what the
-elasticity and scalability figures measure.  A read verb reports its
-work (:class:`~repro.core.results.NodeWork`) and observes nothing: the
-proxy turns the report into every plane (DESIGN.md §6h).
+one block, reduced by one merge — or, when the arena holds every segment
+in scope and nothing is excluded, by the arena scan's own selection.
+``busy_until_ms`` accounting turns concurrent requests into queueing
+delay, which is what the elasticity and scalability figures measure.  A
+read verb reports its work (:class:`~repro.core.results.NodeWork`) and
+observes nothing: the proxy turns the report into every plane (DESIGN.md
+§6h).
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from repro.core.expr import FilterExpression
 from repro.core.filtering import FilterStrategy, choose_strategy, \
     compute_mask, planned_search
 from repro.core.multivector import MultiVectorQuery, search_segment
-from repro.core.results import HitBlock, NodeWork, merge_topk
+from repro.core.results import HitBlock, NodeWork, ReduceStats, \
+    merge_topk
 from repro.core.schema import CollectionSchema, MetricType
 from repro.core.segment import Segment
 from repro.core.segment_set import SegmentSet
@@ -294,26 +297,28 @@ class QueryNode:
         returns ``(node-wise top-k block, virtual service ms, the work
         done)``.
 
-        ``scan(segments, ledger)`` scans the segments in scope and returns
-        their ``nq``-row partials as ``(block, n)`` pairs in segment order,
-        a block holding the partials of ``n`` consecutive segments side by
-        side at one width (the arena's come stacked), adding what it did
-        for segment ``i`` to ``ledger[i]`` — one :class:`SearchStats` per
-        entry of ``fields``, so each vector field is charged at its own
-        dimension.  The blocks are merged side by side: one concatenation
-        and one stable sort for the whole request.
+        ``scan(segments, ledger, reduce)`` scans the segments in scope and
+        returns their ``nq``-row partials as ``(block, n)`` pairs in
+        segment order, a block holding the partials of ``n`` consecutive
+        segments side by side at one width (the arena's come stacked),
+        adding what it did for segment ``i`` to ``ledger[i]`` — one
+        :class:`SearchStats` per entry of ``fields``, so each vector
+        field is charged at its own dimension.  The blocks are merged side
+        by side: one concatenation and one stable sort for the whole
+        request.  A scan whose own selection was the reduce returns the
+        node-wise block itself, its counters added to ``reduce``.
 
         Work is measured once, per segment, and reported as measured: the
-        ledger in segment order, with each segment's path and rows, plus
-        the reduce's counters.
+        ledger in segment order, with each segment's path and rows, the
+        node's totals per field, and the reduce's counters.
         """
         schema: CollectionSchema = self._schema_provider(collection)
         dims = [schema.field(name).dim for name in fields]
-        totals = [SearchStats() for _ in fields]
         segments = self._scoped_segments(collection, scope)
         ledger = [[SearchStats() for _ in fields] for _ in segments]
-        parts = scan(segments, ledger) if segments else []
-        work = NodeWork(len(segments), dims)
+        totals = [SearchStats() for _ in fields]
+        work = NodeWork(len(segments), dims, totals)
+        parts = scan(segments, ledger, work.reduce) if segments else []
         for segment, entry in zip(segments, ledger):
             for total, stats in zip(totals, entry):
                 total.add(stats)
@@ -322,16 +327,19 @@ class QueryNode:
                     else "brute")
             work.scans.append((segment.segment_id, path, segment.num_rows,
                                entry))
-        merged = merge_topk([block for block, _n in parts], k,
-                            stats=work.reduce) \
-            if parts else HitBlock.empty(nq)
-        # A segment that found nothing for a query hands that query's
-        # reduce no partial (a row sorts its hits first): the first
-        # column of each of a block's partials.
-        work.reduce.batches_merged = sum(
-            int(np.count_nonzero(
-                block.dists[:, ::block.dists.shape[1] // n] < np.inf))
-            for block, n in parts if block.dists.shape[1])
+        if isinstance(parts, HitBlock):
+            merged = parts
+        else:
+            merged = merge_topk([block for block, _n in parts], k,
+                                stats=work.reduce) \
+                if parts else HitBlock.empty(nq)
+            # A segment that found nothing for a query hands that query's
+            # reduce no partial (a row sorts its hits first): the first
+            # column of each of a block's partials.
+            work.reduce.batches_merged = sum(
+                int(np.count_nonzero(
+                    block.dists[:, ::block.dists.shape[1] // n] < np.inf))
+                for block, n in parts if block.dists.shape[1])
         # The fixed message overhead is paid once per (possibly batched)
         # request plus a small per-row term — the amortization that makes
         # Section 3.6's request batching worthwhile.  (Summed left to
@@ -348,7 +356,7 @@ class QueryNode:
     def _each(scan_one: Callable) -> Callable:
         """``scan`` for a single-query verb that scans segment by segment:
         ``scan_one(segment, stats)`` returns the query's hit batch."""
-        return lambda segments, ledger: [
+        return lambda segments, ledger, _reduce: [
             (HitBlock.from_batches([scan_one(segment, stats)]), 1)
             for segment, stats in zip(segments, ledger)]
 
@@ -364,14 +372,27 @@ class QueryNode:
         in one scan; a segment it does not hold (growing, unindexed, an
         index with its own post-processing) or whose filter is planned as
         a pre-filter is searched on its own and feeds the same merge.
+        When the arena holds every segment in scope and
+        :meth:`SegmentArena.selects_once` (no filter, no deletion, no pk
+        twice, one padded scan pass), the scan's one selection over all
+        of their rows is the node-wise top-k, and nothing is merged.
         """
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
 
-        def scan(segments: list[Segment], ledger: list[list[SearchStats]]
-                 ) -> list[tuple[HitBlock, int]]:
+        def scan(segments: list[Segment], ledger: list[list[SearchStats]],
+                 reduce: ReduceStats
+                 ) -> list[tuple[HitBlock, int]] | HitBlock:
             arena = self._arena(collection, field, metric)
+            if expr is None and arena is not None:
+                members = [arena.slot.get(segment.segment_id)
+                           for segment in segments]
+                if None not in members and arena.selects_once(
+                        members, queries.shape[0]):
+                    return arena.select(members, queries, k,
+                                        [entry[0] for entry in ledger],
+                                        reduce)
             parts: list = [None] * len(segments)
             members, masks, at = [], [], []
             for i, segment in enumerate(segments):

@@ -76,7 +76,7 @@ def reference_scan(node, collection, scope, fields, nq, k, work):
     schema = node._schema_provider(collection)
     dims = [schema.field(name).dim for name in fields]
     totals = [SearchStats() for _ in fields]
-    done = NodeWork(0, dims)
+    done = NodeWork(0, dims, totals)
     partials = []
     for segment in node._scoped_segments(collection, scope):
         stats = [SearchStats() for _ in fields]

@@ -14,9 +14,17 @@ and everything a caller or a plane can see must agree —
 * ``SearchStats`` / ``ReduceStats`` field by field, the per-segment EXPLAIN
   stages, ``profile.verify() == []``, ``latency_ms`` to the last digit.
 
+Both sides of the one selection are held to that: a node scan whose
+arena holds every segment in scope, with no deletion, no filter, no pk
+twice and one padded scan pass, is reduced by the scan's own selection
+(``selects=True``); every other node scan by the per-member top-k and the
+node merge.
+
 The arena is derived state: the second half mutates what it was derived
 from between two searches and checks it is never read stale.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -29,7 +37,7 @@ from repro.core.arena import SegmentArena
 from repro.core.consistency import ConsistencyLevel
 from repro.core.expr import FilterExpression
 from repro.core.filtering import FilterStrategy, choose_strategy
-from repro.core.results import HitBlock
+from repro.core.results import HitBlock, merge_topk
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.errors import IndexBuildError, InvalidQuery
@@ -37,10 +45,11 @@ from repro.index import ivf
 from repro.index.base import SearchStats, create_index
 from repro.index.ivf import ArenaIndex, BucketedIndex, IvfFlatIndex, \
     ListArena
+from repro.nodes.query_node import QueryNode
 from tests.reference.compare import DIM, METRICS, \
     assert_batches_equal_up_to_ties, assert_results_equal_up_to_ties, \
     clustered
-from tests.reference.reduce import reference_path
+from tests.reference.reduce import reference_path, reference_search
 
 EVENTUAL = ConsistencyLevel.EVENTUAL
 
@@ -66,15 +75,49 @@ def cold_column_caches(cluster):
             node.segment("c", sid)._consolidated.clear()
 
 
-def both(cluster, monkeypatch, queries, k, between=None, **options):
+@contextlib.contextmanager
+def node_paths(monkeypatch):
+    """Records every node scan with something in scope as ``[node name,
+    whether the scan's one selection was its reduce]``."""
+    paths = []
+    real_scan, real_select = QueryNode._scan, SegmentArena.select
+
+    def scan(self, collection, scope, *args):
+        if self._scoped_segments(collection, scope):
+            paths.append([self.name, False])
+        return real_scan(self, collection, scope, *args)
+
+    def select(self, *args):
+        paths[-1][1] = True
+        return real_select(self, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(QueryNode, "_scan", scan)
+        patch.setattr(SegmentArena, "select", select)
+        yield paths
+
+
+def both(cluster, monkeypatch, queries, k, between=None, selects=None,
+         **options):
     """One request as shipped and through the reference, far enough apart
     in virtual time that neither queues behind the other (``between``
     undoes what the first run left behind); asserts every visible output
-    agrees and returns the shipped results."""
+    agrees and returns the shipped results.
+
+    ``selects`` is the path every node scan of the shipped run must take
+    (True: the one selection), or a function of the node that says it.
+    """
     options = {"consistency": EVENTUAL, "explain": True, **options}
     cold_column_caches(cluster)
     cluster.run_for(1_000)
-    got = cluster.search("c", queries, k, **options)
+    with node_paths(monkeypatch) as paths:
+        got = cluster.search("c", queries, k, **options)
+    if selects is not None:
+        nodes = {node.name: node
+                 for node in cluster.query_coord.live_nodes()}
+        assert paths and all(
+            took is (selects(nodes[name]) if callable(selects) else selects)
+            for name, took in paths), paths
     if between is not None:
         between()
     cold_column_caches(cluster)
@@ -138,6 +181,12 @@ def sealed_cluster(rng, metric=MetricType.EUCLIDEAN, index_type="IVF_FLAT",
     return cluster
 
 
+def nothing_deleted(node):
+    """Whether no sealed segment of the node has a deletion."""
+    return not any(node.segment("c", sid).num_deleted
+                   for sid in node.sealed_segments_of("c"))
+
+
 def sealed_segments(cluster):
     return [(node, node.segment("c", sid))
             for node in cluster.query_coord.live_nodes()
@@ -160,7 +209,8 @@ class TestArenaMatchesThePerSegmentLoop:
         cluster = sealed_cluster(rng, metric)
         queries = clustered(rng, nq)
         for k in (1, 10, 2500):         # 2500 > rows
-            got = both(cluster, monkeypatch, queries, k, metric=metric)
+            got = both(cluster, monkeypatch, queries, k, metric=metric,
+                       selects=True)
             assert all(len(r) == min(k, len(r)) > 0 for r in got)
         held = [arena for arena in arenas(cluster, metric)
                 if arena is not None]
@@ -223,7 +273,8 @@ class TestArenaMatchesThePerSegmentLoop:
             assert len(stages) == len(sealed_segments(cluster))
         assert calls == []
 
-    def test_empty_query_block_before_and_after_indexing(self, rng):
+    def test_empty_query_block_before_and_after_indexing(self, rng,
+                                                         monkeypatch):
         """An empty query block answers no result while the collection
         holds only growing segments and once the node arena serves its
         sealed ones."""
@@ -247,7 +298,18 @@ class TestArenaMatchesThePerSegmentLoop:
         assert len(cluster.search("c", clustered(rng, 1), 5,
                                   metric=euclidean)[0]) == 5
         assert any(arenas(cluster))
-        assert cluster.search("c", empty, 5, metric=euclidean) == []
+        with node_paths(monkeypatch) as paths:
+            assert cluster.search("c", empty, 5, metric=euclidean) == []
+        assert paths and not any(took for _name, took in paths)
+        for node in cluster.query_coord.live_nodes():
+            block, service_ms, work = node.search("c", "vector", empty, 5,
+                                                  euclidean)
+            want, want_ms, want_work = reference_search(
+                node, "c", "vector", empty, 5, euclidean)
+            assert block.dists.shape[0] == len(want) == 0
+            assert service_ms == want_ms
+            assert work.reduce == want_work.reduce
+            assert work.scans == want_work.scans
 
     def test_no_vector_matrix_is_held_twice(self, rng):
         cluster = sealed_cluster(rng)
@@ -282,7 +344,8 @@ class TestArenaMatchesThePerSegmentLoop:
                   for _n, seg in sealed_segments(cluster)}
         assert min(nlists) == sizes[0] and max(nlists) == 16
         for nq in (1, 3, 64):
-            both(cluster, monkeypatch, clustered(rng, nq), 10)
+            both(cluster, monkeypatch, clustered(rng, nq), 10,
+                 selects=nq < 64)
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("n_deleted", [3, 10, 11, 120])
@@ -296,13 +359,15 @@ class TestArenaMatchesThePerSegmentLoop:
                                  metric=metric)[0].pks
         cluster.delete("c", f"pk in {nearest}")
         cluster.run_for(500)
-        got = both(cluster, monkeypatch, queries, 10, metric=metric)
+        got = both(cluster, monkeypatch, queries, 10, metric=metric,
+                   selects=nothing_deleted)
         assert not set(nearest) & {pk for r in got for pk in r.pks}
         totals = got[0].profile.totals()
         assert totals["delete_filter_hits"] == n_deleted
         assert totals["candidates_pruned"] > 0
         for nq in (1, 3):
-            both(cluster, monkeypatch, queries[:nq], 10, metric=metric)
+            both(cluster, monkeypatch, queries[:nq], 10, metric=metric,
+                 selects=nothing_deleted)
 
     def test_a_member_that_allows_nothing(self, rng, monkeypatch):
         """Every row of one sealed segment deleted: the arena scans the
@@ -314,7 +379,8 @@ class TestArenaMatchesThePerSegmentLoop:
         assert emptied.num_deleted == emptied.num_rows
         gone = set(emptied.pk_array.tolist())
         for nq in (1, 3):
-            got = both(cluster, monkeypatch, clustered(rng, nq), 10)
+            got = both(cluster, monkeypatch, clustered(rng, nq), 10,
+                       selects=nothing_deleted)
             assert not gone & {pk for r in got for pk in r.pks}
         arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
         assert emptied in arena.segments and len(arena.segments) > 1
@@ -326,7 +392,8 @@ class TestArenaMatchesThePerSegmentLoop:
         farthest = cluster.search("c", -100.0 * queries[:1], 40)[0].pks
         cluster.delete("c", f"pk in {farthest}")
         cluster.run_for(500)
-        got = both(cluster, monkeypatch, queries, 10)
+        got = both(cluster, monkeypatch, queries, 10,
+                   selects=nothing_deleted)
         totals = got[0].profile.totals()
         assert totals["candidates_visited"] > \
             len(queries) * 10 * len(sealed_segments(cluster)) * 0.9
@@ -360,7 +427,7 @@ class TestArenaMatchesThePerSegmentLoop:
         assert set(plans) == set(FilterStrategy)
         for nq in (1, 3, 64):
             got = both(cluster, monkeypatch, clustered(rng, nq), 10,
-                       expr="price < 5")
+                       expr="price < 5", selects=False)
             assert {pk for r in got for pk in r.pks} <= passing
         stage = next(s for s in got[0].profile.node_stages()
                      if s.meta["node"] == node.name)
@@ -379,14 +446,14 @@ class TestArenaMatchesThePerSegmentLoop:
             set(range(n)) - set(keep.tolist()))))
         cluster.run_for(500)
         queries = clustered(rng, 24)
-        got = both(cluster, monkeypatch, queries, 10)
+        got = both(cluster, monkeypatch, queries, 10, selects=False)
         stages = [seg for node in got[0].profile.node_stages()
                   for seg in node.stages("segment.scan")]
         brute = [seg.counters["brute_scans"] for seg in stages]
         assert 0 < sum(brute) < len(queries) * len(stages)
         assert all(seg.counters["index_scans"] == 1 for seg in stages)
         assert all(len(r) == 10 for r in got)
-        both(cluster, monkeypatch, queries[:1], 10)
+        both(cluster, monkeypatch, queries[:1], 10, selects=False)
 
     def test_same_pk_in_two_segments_and_on_two_nodes(self, rng,
                                                       monkeypatch):
@@ -416,7 +483,9 @@ class TestArenaMatchesThePerSegmentLoop:
             index.build(vectors)
             target.attach_index("vector", index)
         assert home in nodes
-        got = both(cluster, monkeypatch, queries, 10)
+        for nq in (1, 9):   # the node that holds two copies merges
+            got = both(cluster, monkeypatch, queries[:nq], 10,
+                       selects=lambda node: node is not home)
         assert got[0].pks[0] == top
         assert all(len(set(r.pks)) == len(r.pks) == 10 for r in got)
         node_dups = sum(
@@ -426,7 +495,44 @@ class TestArenaMatchesThePerSegmentLoop:
             "proxy.merge")[0].counters["hits_deduped"]
         assert node_dups >= 1 and proxy_dups >= 1
 
-    def test_ties_across_segments_keep_segment_order(self, rng):
+    def test_a_scan_of_several_passes_merges_and_probes_once(
+            self, rng, monkeypatch):
+        """A node scan that is more than one pass (what nq=64 is on the
+        end-to-end benchmark's nodes) takes the per-member top-k and the
+        node merge; whichever path a node scan takes, the coarse step
+        runs once for it.  (Deciding after the coarse step whether the
+        scan selects once would run it again for every scan that does
+        not, and no counter would show it.)"""
+        cluster = sealed_cluster(rng)
+        cluster.search("c", clustered(rng, 1), 10)    # derives the arenas
+        passes, probes = [], []
+        real_pass, real_probe = ListArena._scan_pass, ArenaIndex._probe
+
+        def scan_pass(self, *args, **kwargs):
+            passes.append(self)     # the reference's members' own too
+            return real_pass(self, *args, **kwargs)
+
+        def probe(self, *args):
+            probes.append(1)
+            return real_probe(self, *args)
+
+        monkeypatch.setattr(ListArena, "_scan_pass", scan_pass)
+        monkeypatch.setattr(ArenaIndex, "_probe", probe)
+        monkeypatch.setattr(ivf, "_SCAN_BLOCK_FLOATS", 2 * 64 * 4 * max(
+            arena.index.lists.widest[0] for arena in arenas(cluster)
+            if arena is not None))
+        for nq, selects in ((64, False), (1, True)):
+            del passes[:], probes[:]
+            got = both(cluster, monkeypatch, clustered(rng, nq), 10,
+                       selects=selects)
+            scans = len(got[0].profile.node_stages())
+            assert len(probes) == scans
+            held = [arena.index.lists for arena in arenas(cluster)]
+            assert (sum(lists in held for lists in passes) > scans) \
+                is not selects
+
+    def test_ties_across_segments_keep_segment_order(self, rng,
+                                                     monkeypatch):
         """Exactly equal distances from several segments reach the reduce
         in segment-id order, whichever way each segment is scanned: a
         segment searched on its own between two arena members keeps its
@@ -452,6 +558,23 @@ class TestArenaMatchesThePerSegmentLoop:
         arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
         assert first in arena.segments and last in arena.segments
         assert middle not in arena.segments
+        # All three in the arena, four copies each, and the tie straddles
+        # the cut: the one selection keeps the earlier segments' copies,
+        # as the merge does.
+        for segment in (first, middle, last):
+            segment.column("vector")[:4] = query
+            index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
+                                 nlist=16, nprobe=16)
+            index.build(segment.column("vector"))
+            segment.attach_index("vector", index)
+        with node_paths(monkeypatch) as paths:
+            got = cluster.search("c", query, 5, consistency=EVENTUAL)[0]
+        assert [node.name, True] in paths
+        assert got.distances == [0.0] * 5
+        copies = [set(segment.pk_array[:4].tolist())
+                  for segment in (first, middle, last)]
+        assert copies[0] < set(got.pks)
+        assert len(copies[1] & set(got.pks)) == 1
 
     def test_mixed_index_types_unindexed_and_growing(self, rng,
                                                      monkeypatch):
@@ -475,8 +598,9 @@ class TestArenaMatchesThePerSegmentLoop:
             segment.attach_index("vector", index)
         cluster.insert("c", rows(rng, range(5000, 5150)))
         cluster.run_for(500)
-        for nq in (1, 3, 64):
-            got = both(cluster, monkeypatch, clustered(rng, nq), 10)
+        for nq in (1, 3, 64):   # every node holds a growing segment
+            got = both(cluster, monkeypatch, clustered(rng, nq), 10,
+                       selects=False)
         arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
         kinds = [type(member).__name__ for member in arena.index.members]
         assert sorted(set(kinds)) == ["IvfFlatIndex", "IvfPqIndex"]
@@ -502,9 +626,14 @@ class TestArenaMatchesThePerSegmentLoop:
             index = create_index(kind, metric, DIM, **params)
             index.build(segment.column("vector"))
             segment.attach_index("vector", index)
+        # Under cosine the ADC codecs' lists hold unit rows: a node with
+        # such a member beside plain ones scans twice, and merges.
+        mixed = {node.name for node, segment in sealed_segments(cluster)
+                 if segment.index_for("vector")._unit_rows}
         for nq in (1, 3, 64):
             both(cluster, monkeypatch, clustered(rng, nq), 10,
-                 metric=metric)
+                 metric=metric, selects=lambda node: node.name not in mixed)
+        assert bool(mixed) is (metric is MetricType.COSINE)
         members = [type(member).__name__ for arena in arenas(cluster, metric)
                    for member in arena.index.members]
         assert {"IvfSqIndex", "IvfPqIndex", "IvfHnswIndex",
@@ -534,7 +663,8 @@ class TestArenaMatchesThePerSegmentLoop:
                 assert scope is not None
                 scoped.add((node.name, frozenset(scope)))
                 assert scope <= set(node.sealed_segments_of("c"))
-            both(cluster, monkeypatch, queries, 10, between=same_plan_again)
+            both(cluster, monkeypatch, queries, 10, between=same_plan_again,
+                 selects=True)
         assert len(scoped) > len(cluster.query_coord.live_nodes())
         assert any(len(scope) < len(node.sealed_segments_of("c"))
                    for node, scope in plan)
@@ -562,12 +692,13 @@ class TestArenaIsNeverStale:
         assert after[0].segments_searched == before[0].segments_searched - 1
         # Loaded again (no index yet: brute), then indexed again.
         node.load_segment("c", sid)
-        unindexed = both(cluster, monkeypatch, queries, 10)
+        unindexed = both(cluster, monkeypatch, queries, 10,
+                         selects=lambda other: other is not node)
         assert sid not in node._arenas[
             ("c", "vector", MetricType.EUCLIDEAN)].slot
         route = cluster.index_coord.index_route("c", sid, "vector")
         node.attach_index("c", sid, "vector", route["path"])
-        again = both(cluster, monkeypatch, queries, 10)
+        again = both(cluster, monkeypatch, queries, 10, selects=True)
         assert sid in node._arenas[
             ("c", "vector", MetricType.EUCLIDEAN)].slot
         for a, b, c in zip(before, unindexed, again):
@@ -597,7 +728,8 @@ class TestArenaIsNeverStale:
         held = arenas(cluster)
         cluster.delete("c", f"pk in {first[0].pks[:3]}")
         cluster.run_for(500)
-        second = both(cluster, monkeypatch, queries, 10)
+        second = both(cluster, monkeypatch, queries, 10,
+                      selects=nothing_deleted)
         assert not set(first[0].pks[:3]) & set(second[0].pks)
         assert all(a is b for a, b in zip(held, arenas(cluster)))
 
@@ -607,7 +739,7 @@ class TestArenaIsNeverStale:
         both(cluster, monkeypatch, queries, 10)
         cluster.insert("c", rows(rng, range(9000, 9250)))
         cluster.run_for(500)
-        growing = both(cluster, monkeypatch, queries, 10)
+        growing = both(cluster, monkeypatch, queries, 10, selects=False)
         paths = {seg.meta["path"]
                  for node in growing[0].profile.node_stages()
                  for seg in node.stages("segment.scan")}
@@ -616,7 +748,7 @@ class TestArenaIsNeverStale:
         cluster.flush("c")
         assert cluster.wait_for_indexes("c")
         cluster.run_for(2_000)
-        sealed = both(cluster, monkeypatch, queries, 10)
+        sealed = both(cluster, monkeypatch, queries, 10, selects=True)
         assert {seg.meta["path"]
                 for node in sealed[0].profile.node_stages()
                 for seg in node.stages("segment.scan")} == {"index"}
@@ -631,7 +763,7 @@ class TestArenaIsNeverStale:
         cluster.fail_query_node(victim.name)
         assert victim._arenas == {}
         cluster.run_for(5_000)
-        after = both(cluster, monkeypatch, queries, 10)
+        after = both(cluster, monkeypatch, queries, 10, selects=True)
         (survivor,) = cluster.query_coord.live_nodes()
         assert len(survivor._arenas[
             ("c", "vector", MetricType.EUCLIDEAN)].segments) \
@@ -673,6 +805,27 @@ def codec_arena(request):
         index.build(clustered(rng, n))
         members.append(index)
     return request.param, members
+
+
+def assert_selects_the_merged_answer(arena, queries, k, scope, ids, dists,
+                                     stats):
+    """``search(together=True)`` over ``scope`` answers what the members'
+    answers ``(ids, dists)`` merge into — distances bit for bit, ids up
+    to exact ties — with the same work counters (``stats``), and its
+    rows scored give each member's hits."""
+    counted = [SearchStats() for _ in scope]
+    got_ids, got_dists, rows = arena.search(queries, k, scope, counted,
+                                            together=True)
+    want = merge_topk([HitBlock(i, d) for i, d in zip(ids, dists)], k)
+    width = got_dists.shape[1]
+    assert not np.isfinite(want.dists[:, width:]).any()
+    np.testing.assert_array_equal(got_dists.view(np.int32),
+                                  want.dists[:, :width].view(np.int32))
+    assert_batches_equal_up_to_ties(HitBlock(got_ids, got_dists), want, k)
+    assert [entry.as_dict() for entry in counted] \
+        == [entry.as_dict() for entry in stats]
+    np.testing.assert_array_equal(np.minimum(rows, k).sum(axis=1),
+                                  np.isfinite(dists).sum(axis=(1, 2)))
 
 
 class TestArenaIndex:
@@ -727,6 +880,7 @@ class TestArenaIndex:
         arena = ArenaIndex(members)
         queries = clustered(np.random.default_rng(nq), nq)
         k = 12
+        selected = 0
         assert members[-1].ntotal < k
         assert members[-1].effective_nlist < members[-1].nlist
         for scope in (None, [1, 3], [2]):
@@ -746,6 +900,37 @@ class TestArenaIndex:
                     HitBlock(want_ids, want_dists), k)
                 assert (ids[at][np.isinf(dists[at])] == -1).all()
                 assert stats[at].as_dict() == member.stats.as_dict()
+            # One selection wherever the members are scanned alike, be
+            # the pass one the node would select from or not.
+            if len({members[number]._unit_rows for number in numbers}) == 1:
+                selected += arena.scans_once(list(numbers), nq)
+                assert_selects_the_merged_answer(
+                    arena, queries, k, list(numbers), ids, dists, stats)
+        assert selected     # at least the one-member scope
+
+    def test_one_selection_keeps_the_earlier_members_ties(self, rng):
+        """Four copies of one vector in each of three members: wherever
+        ``k`` cuts the run of equal distances, the one selection keeps
+        the earlier members' copies and ranks them first, as merging
+        their answers does."""
+        query = clustered(rng, 1)
+        members = []
+        for _ in range(3):
+            rows = clustered(rng, 300)
+            rows[[5, 50, 150, 250]] = query
+            index = IvfFlatIndex(MetricType.EUCLIDEAN, DIM, nlist=16,
+                                 nprobe=16)
+            index.build(rows)
+            members.append(index)
+        arena = ArenaIndex(members)
+        copies = np.array([[base + row for row in (5, 50, 150, 250)]
+                           for base in arena.row_base[:3]])
+        for k in range(1, 13):
+            ids, dists, _rows = arena.search(query, k, together=True)
+            assert (dists == 0).all()
+            taken = np.isin(copies, ids[0]).sum(axis=1).tolist()
+            assert taken == [min(4, max(0, k - 4 * m)) for m in range(3)]
+            assert ids[0].tolist() == sorted(ids[0].tolist())
 
     def test_empty_block_and_scope(self, rng):
         members = []

@@ -490,6 +490,53 @@ class TestTenancyForEveryRead:
 
 
 # ----------------------------------------------------------------------
+# the primary key is a filterable column
+# ----------------------------------------------------------------------
+
+
+class TestPrimaryKeyFilter:
+    def test_search_and_range_search_filter_on_the_primary_key(self, rng):
+        """``pk < 100`` passed the proxy's schema check and then failed
+        inside every query node ("unknown field 'pk'"): the segments'
+        filterable columns left the primary key out.  Over sealed
+        indexed segments and a growing tail, the hits are now the
+        brute-force oracle's over the rows the filter lets through."""
+        config = ManuConfig().with_overrides(
+            segment=SegmentConfig(seal_entity_count=64))
+        cluster = ManuCluster(config=config, num_query_nodes=2)
+        cluster.create_collection("c", _schema())
+        images = []
+        for start in range(0, 320, 40):
+            rows = _rows(rng, range(start, start + 40))
+            images.append(rows["image"])
+            cluster.insert("c", rows)
+            cluster.run_for(200)
+            if start == 200:
+                cluster.flush("c")
+                cluster.create_index("c", "image", "IVF_FLAT",
+                                     MetricType.EUCLIDEAN,
+                                     {"nlist": 4, "nprobe": 4})
+                assert cluster.wait_for_indexes("c")
+        images = np.concatenate(images)
+        for query in rng.standard_normal((3, 8)).astype(np.float32):
+            got = cluster.search("c", query, 10, field="image",
+                                 expr="pk < 100", consistency=STRONG)[0]
+            dists = ((images[:100] - query) ** 2).sum(axis=1)
+            want = np.argsort(dists)[:10]
+            assert got.pks == want.tolist()
+            assert got.distances == pytest.approx(dists[want].tolist(),
+                                                  rel=1e-5)
+            within = cluster.range_search("c", query, 3.0, field="image",
+                                          consistency=STRONG)
+            filtered = cluster.range_search("c", query, 3.0, field="image",
+                                            expr="pk < 100",
+                                            consistency=STRONG)
+            assert sorted(filtered.pks) == sorted(
+                pk for pk in within.pks if pk < 100)
+            assert len(filtered) > 0
+
+
+# ----------------------------------------------------------------------
 # get is a read like the others
 # ----------------------------------------------------------------------
 
