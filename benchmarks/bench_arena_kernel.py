@@ -22,7 +22,14 @@ equal distances, and which of them the ``k`` cut keeps) and its
 every block of every height and swept setting (``selected_cases`` of
 them), the one selection answers what the members' own answers merged by
 ``merge_topk`` are — distances bit for bit, ids up to the ties the ``k``
-cut splits, the same counters.
+cut splits, the same counters — and so does it on a fresh node's shape
+(``fresh_cases`` of them, counted among the ``selected_cases``): the
+sealed members beside ``SLICES`` full slices of a growing segment
+(``SLICE`` rows, temporary ``IVF_FLAT`` of ``nlist`` 16, ``nprobe`` 2),
+the exact columns of two tails (``TAIL`` rows), and a member that lost
+``DELETED`` rows, which the selection drops after the cut its own answer
+amplifies ``k`` to (``segment.amplified_k``): the members' answers
+post-filtered and merged with the tails' top-``k``.
 
 Per height it also records the floats of one call's scan passes: the
 padded score blocks (one row per (query, probed list) pair, as wide as
@@ -63,9 +70,11 @@ import numpy as np
 
 from repro.core.results import HitBlock, merge_topk
 from repro.core.schema import MetricType
+from repro.core.segment import amplified_k
 from repro.datasets.synthetic import make_sift_like
 from repro.index import ivf
 from repro.index.base import SearchStats
+from repro.index.distances import squared_l2, topk_smallest
 from repro.index.ivf import ArenaIndex, IvfFlatIndex, ListArena
 
 from conftest import print_series
@@ -82,6 +91,9 @@ CALLS = {1: 16 if QUICK else 64, 8: 8 if QUICK else 16,
 #: Chunk widths swept, each with every pass laid out in chunks; ``None``
 #: lays out none.
 SWEEP = (None, 16, 32, 64, 128)
+#: A fresh node: full slices of a growing segment (rows each), two tails
+#: (rows each), and the rows one sealed member lost.
+SLICES, SLICE, TAIL, DELETED = 2, 1024, 300, 30
 
 
 def _wall_us(work, calls: int) -> float:
@@ -129,7 +141,8 @@ def _selected_equal(arena: ArenaIndex, members: list[IvfFlatIndex],
     one padded pass anyway, but the answer must not depend on that)."""
     scope = list(range(len(members)))
     stats = [SearchStats() for _ in members]
-    ids, dists, rows = arena.search(queries, K, scope, stats, together=True)
+    ids, dists, rows, _pruned = arena.search(queries, K, scope, stats,
+                                             together=True)
     answers = []
     for number, member in enumerate(members):
         want_ids, want_dists = member.search(queries, K)
@@ -145,6 +158,73 @@ def _selected_equal(arena: ArenaIndex, members: list[IvfFlatIndex],
     return (np.array_equal(dists.view(np.int32),
                            want.dists[:, :width].view(np.int32))
             and not np.isfinite(want.dists[:, width:]).any()
+            and _same_up_to_ties(ids, want.pks[:, :width],
+                                 want.dists[:, :width]))
+
+
+def _fresh_selected_equal(arena: ArenaIndex, members: list[IvfFlatIndex],
+                          excluded: np.ndarray, tails: list[np.ndarray],
+                          queries: np.ndarray) -> bool:
+    """Whether the one selection over sealed and slice members, member 0
+    excluding the rows ``excluded`` marks, and the exact columns of the
+    ``tails`` is what the members' own answers post-filtered to ``K``
+    (the ``amplified_k`` asked) and merged with the tails' top-``K``
+    are, with the same counters — or declines exactly where member 0's
+    own answer is not decided by its scores: its cut splits a tie that
+    holds an excluded row (SIFT-like distances are integers)."""
+    scope = list(range(len(members)))
+    stats = [SearchStats() for _ in members]
+    asked = amplified_k(K, members[0].ntotal, int(excluded.sum()))
+    columns = [squared_l2(queries, tail) for tail in tails]
+    found = arena.search(queries, K, scope, stats, together=True,
+                         cuts={0: (excluded, asked)}, columns=columns,
+                         ranks=range(len(members) + len(tails)))
+    probed_ids, probed = members[0].search(queries, members[0].ntotal)
+    cut = probed[:, asked - 1:asked]
+    tied = (probed == cut) & (probed_ids >= 0) \
+        & excluded[np.maximum(probed_ids, 0)]
+    undecided = ((probed < cut).sum(axis=1) + (probed == cut).sum(axis=1)
+                 > asked) & tied.any(axis=1)
+    if found is None or undecided.any():
+        return found is None and undecided.any()
+    ids, dists, rows, pruned = found
+    answers = []
+    for number, member in enumerate(members):
+        want_ids, want_dists = member.search(queries,
+                                             asked if number == 0 else K)
+        if number == 0:
+            dead = (want_ids >= 0) & excluded[np.maximum(want_ids, 0)]
+            if not np.array_equal(dead.sum(axis=1), pruned[0]):
+                return False
+            order = np.argsort(dead, axis=1, kind="stable")[:, :K]
+            want_ids = np.take_along_axis(want_ids, order, axis=1)
+            want_dists = np.where(np.take_along_axis(dead, order, axis=1),
+                                  np.float32(np.inf),
+                                  np.take_along_axis(want_dists, order,
+                                                     axis=1))
+            if (np.isfinite(want_dists).sum(axis=1) < K).any():
+                return False            # it would have escalated
+        elif pruned[number].any():
+            return False
+        answers.append(HitBlock(np.where(want_ids < 0, -1,
+                                         want_ids + arena.row_base[number]),
+                                want_dists))
+        if stats[number].as_dict() != member.stats.as_dict():
+            return False
+    base = arena.ntotal
+    for column in columns:
+        cols, best = topk_smallest(column, K)
+        answers.append(HitBlock(cols + base, best))
+        base += column.shape[1]
+    want = merge_topk(answers, K)
+    width = dists.shape[1]
+    return (np.array_equal(dists.view(np.int32),
+                           want.dists[:, :width].view(np.int32))
+            and not np.isfinite(want.dists[:, width:]).any()
+            and np.array_equal(rows.sum(axis=1), [
+                stats[number].float_comparisons
+                - queries.shape[0] * member.effective_nlist
+                for number, member in enumerate(members)])
             and _same_up_to_ties(ids, want.pks[:, :width],
                                  want.dists[:, :width]))
 
@@ -197,8 +277,9 @@ def _floats(arena: ArenaIndex, blocks: list[np.ndarray]) -> dict:
 
 def run() -> dict:
     rng = np.random.default_rng(SEED)
-    data = make_sift_like(n=MEMBERS * ROWS, nq=256, dim=DIM)
-    corpus = data.vectors[rng.permutation(MEMBERS * ROWS)]
+    fresh_rows = SLICES * SLICE + 2 * TAIL
+    data = make_sift_like(n=MEMBERS * ROWS + fresh_rows, nq=256, dim=DIM)
+    corpus = data.vectors[rng.permutation(MEMBERS * ROWS + fresh_rows)]
     members = []
     for number in range(MEMBERS):
         member = IvfFlatIndex(MetricType.EUCLIDEAN, DIM, nlist=NLIST,
@@ -206,12 +287,27 @@ def run() -> dict:
         member.build(corpus[number * ROWS:(number + 1) * ROWS])
         members.append(member)
     arena = ArenaIndex(members)
+    fresh = corpus[MEMBERS * ROWS:]
+    slices = []
+    for number in range(SLICES):
+        member = IvfFlatIndex(MetricType.EUCLIDEAN, DIM, nlist=16, nprobe=2)
+        member.build(fresh[number * SLICE:(number + 1) * SLICE])
+        slices.append(member)
+    fresh_arena = arena.grown(slices)
+    tails = [fresh[SLICES * SLICE:SLICES * SLICE + TAIL],
+             fresh[SLICES * SLICE + TAIL:]]
+    excluded = np.zeros(ROWS, dtype=bool)
+    excluded[rng.choice(ROWS, DELETED, replace=False)] = True
     rows, sweep, equal = [], [], True
     selected = []       # one entry per (case, block)
+    fresh_cases = []
 
     def check_selection(blocks):
         selected.extend(_selected_equal(arena, members, queries)
                         for queries in blocks)
+        fresh_cases.extend(_fresh_selected_equal(
+            fresh_arena, members + slices, excluded, tails, queries)
+            for queries in blocks)
 
     for nq, calls in CALLS.items():
         blocks = [data.queries[(i * nq) % 256:(i * nq) % 256 + nq]
@@ -265,7 +361,8 @@ def run() -> dict:
                           "arena_us": statistics.median(swept[width]),
                           "grid_floats": floats["grid_floats"]})
     within = all(row["grid_within_padded"] for row in rows)
-    selected_equal = bool(selected) and all(selected)
+    selected = selected + fresh_cases
+    selected_equal = bool(fresh_cases) and all(selected)
     doc = {"quick": QUICK, "repeats": REPEATS, "seed": SEED,
            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
            "members": MEMBERS, "rows": ROWS, "dim": DIM, "nlist": NLIST,
@@ -273,6 +370,7 @@ def run() -> dict:
            "chunk_from": ivf._CHUNK_FROM, "equal": equal,
            "selected_equal": selected_equal,
            "selected_cases": len(selected),
+           "fresh_cases": len(fresh_cases),
            "grid_within_padded": within, "by_nq": rows, "sweep": sweep}
     out_path = Path(__file__).resolve().parent.parent / \
         "BENCH_arena_kernel.json"

@@ -10,10 +10,18 @@ keys laid end to end.  A request then pays one coarse step and one
 list-major scan for all of them, per-segment work counters fall out of the
 block, and a member whose bitmap or filter excludes anything hands its slab
 to its segment's own post-filter (:meth:`Segment.filter_block`: the arena
-holds no second copy of it).  Where nothing is excluded, no pk is held
-twice and the scan is one padded pass (:meth:`SegmentArena.selects_once`),
-one selection over every member's rows is the node's reduce
-(:meth:`SegmentArena.select`).
+holds no second copy of it).
+
+An unfiltered request is answered by one selection instead
+(:meth:`SegmentArena.select`), fresh data included: the full slices of
+the node's segments that have no index of their own (growing, or sealed
+and waiting for theirs) join the arena once a search has built them, the
+arena growing by them without deriving its members again, and their other
+rows are exact columns of the same selection.  A member with deletions
+stays in: its deleted rows are dropped from the selection, which stands
+only where its own amplified cut provably keeps what its post-filter
+would.  Where that, or one scan pass, or no pk held twice cannot be had,
+the node merges the members' partials as before.
 
 The arena copies no vector: the members' code matrices stay in their
 indexes.  It reads each segment's deletion bitmap live, so deletions need
@@ -38,7 +46,8 @@ from repro.index.ivf import ArenaIndex
 
 
 class SegmentArena:
-    """Sealed segments of one vector field and metric behind one index."""
+    """Sealed segments of one vector field and metric behind one index,
+    and the full slices of the node's fresh segments that joined it."""
 
     def __init__(self, field: str, metric: MetricType,
                  segments: Sequence[Segment]) -> None:
@@ -54,8 +63,15 @@ class SegmentArena:
         #: The members' primary keys, in the index's row numbering.
         self.pks = np.concatenate([segment.pk_array
                                    for segment in segments])
+        self._sealed_rows = len(self.pks)
         self.slot = {segment.segment_id: number
                      for number, segment in enumerate(segments)}
+        #: Fresh segment id -> (the segment, the member numbers of its
+        #: full slices that joined, in slice order).
+        self.slices: dict[str, tuple[Segment, list[int]]] = {}
+        # Fresh segment id -> (the segment, how many of its first rows'
+        # pks are known to be held nowhere else on the node).
+        self._checked: dict[str, tuple[Segment, int]] = {}
 
     @staticmethod
     def admits(segment: Segment, field: str, metric: MetricType) -> bool:
@@ -67,66 +83,210 @@ class SegmentArena:
 
     def holds(self, segments: Mapping[str, Segment]) -> bool:
         """Whether the arena is what these segments (by segment id), as
-        they are indexed now, would be derived into: every member still
-        among them with the index it had, and nobody else admitted."""
-        found = 0
+        they are indexed now, would be derived into and grown from: every
+        sealed member still among them with the index it had, nobody else
+        admitted, and every fresh segment whose slices joined still there
+        and still searched through at least as many slices."""
+        found = joined = 0
         for sid, segment in segments.items():
             number = self.slot.get(sid)
             if number is None:
                 if self.admits(segment, self.field, self.metric):
                     return False
+                fresh = self.slices.get(sid)
+                if fresh is not None:
+                    if fresh[0] is not segment or len(fresh[1]) \
+                            > segment.num_temp_indexes(self.field):
+                        return False
+                    joined += 1
             elif self.segments[number] is segment and segment.index_for(
                     self.field) is self.index.members[number]:
                 found += 1
             else:
                 return False
-        return found == len(self.segments)
+        return found == len(self.segments) and joined == len(self.slices)
 
     @cached_property
     def distinct_pks(self) -> bool:
-        """Whether no primary key is held twice among the members: the
-        witness that a selection over their rows has nothing to dedup.
-        Computed once per arena, by the first request that asks."""
-        return repeated(self.pks[None, :]) is None
+        """Whether no primary key is held twice among the sealed members:
+        the witness that a selection over their rows has nothing to
+        dedup.  Computed once per arena, by the first request that asks."""
+        return repeated(self.pks[None, :self._sealed_rows]) is None
 
-    def selects_once(self, members: Sequence[int], nq: int) -> bool:
-        """Whether an unfiltered request of ``nq`` rows over ``members``
-        (arena slots, ascending) is answered by :meth:`select`: no member
-        has a deletion, the scan is one padded pass, and no pk is held
-        twice (asked last: it is the only one that can cost more than a
-        look)."""
-        return (not any(self.segments[number].num_deleted
-                        for number in members)
-                and self.index.scans_once(members, nq)
-                and self.distinct_pks)
+    def _grow(self, fresh: Sequence[Segment]) -> bool:
+        """Let the full slices of ``fresh`` segments that are not members
+        yet join: the index grows by them, the members' derived state is
+        kept.  False where a full slice's index is not built yet (a
+        search builds it, in slice order; the arena builds nothing)."""
+        more, joining = [], []
+        for segment in fresh:
+            known = self.slices.get(segment.segment_id)
+            have = len(known[1]) if known is not None else 0
+            indexes = segment.built_slice_indexes(self.field, self.metric,
+                                                  have)
+            if indexes is None:
+                return False
+            if indexes:
+                more.extend(indexes)
+                joining.append((segment, have, len(indexes)))
+        if not more:
+            return True
+        first = len(self.index.members)
+        self.index = self.index.grown(more)
+        pks = [self.pks]
+        for segment, have, count in joining:
+            size = segment.config.slice_size
+            pks.append(segment.pk_array[have * size:(have + count) * size])
+            known = self.slices.setdefault(segment.segment_id,
+                                           (segment, []))
+            known[1].extend(range(first, first + count))
+            first += count
+        self.pks = np.concatenate(pks)
+        return True
 
-    def select(self, members: Sequence[int], queries: np.ndarray, k: int,
-               stats: Sequence[SearchStats],
-               reduce: ReduceStats) -> HitBlock:
-        """The top-``k`` over every row of ``members`` of a request that
-        :meth:`selects_once` admits — the node-wise reduce of their
-        partials, done by the scan's one selection.
+    def _distinct(self, fresh: Sequence[Segment],
+                  held: Mapping[str, Segment]) -> bool:
+        """Whether no pk of the members or of the ``fresh`` segments is
+        held twice on the node (``held``): the sealed members' witness,
+        and the pks appended to a fresh segment since they were last
+        looked up in every other segment held."""
+        if not self.distinct_pks:
+            return False
+        for segment in fresh:
+            sid = segment.segment_id
+            known = self._checked.get(sid)
+            start = known[1] if known is not None and known[0] is segment \
+                else 0
+            if start == segment.num_rows:
+                continue
+            if not segment.holds_each_pk_once():
+                return False
+            new = set(segment.pks_from(start))
+            if any(other is not segment and other.holds_any_pk(new)
+                   for other in held.values()):
+                return False
+            self._checked[sid] = segment, segment.num_rows
+        return True
 
-        Adds each member's work to its entry of ``stats``, and to
-        ``reduce`` what :func:`~repro.core.results.merge_topk` would have
-        counted over their partials: a (member, query) partial holds
-        ``min(k, rows scored)`` hits, and none repeats a pk.
+    def select(self, segments: Sequence[Segment], queries: np.ndarray,
+               k: int, stats: Sequence[SearchStats], reduce: ReduceStats,
+               held: Mapping[str, Segment]) -> Optional[HitBlock]:
+        """The node-wise top-``k`` of an unfiltered request over
+        ``segments`` (the node's scope, in segment order), done by one
+        selection over every member's rows and the fresh segments' tails
+        — or None, having counted nothing, where the request is not one.
+
+        It is one where every segment is a sealed member or fresh (no
+        index of its own: its full slices join the arena, built by
+        earlier searches, and its other rows are an exact column), no pk
+        is held twice on the node (``held``), the members' scan is one
+        padded pass, and every member with deletions keeps what its own
+        answer would (``ListArena.select``'s cuts).  Adds each segment's
+        work to its entry of ``stats`` — a fresh segment's slices and
+        tail, as ``Segment.search`` counts them — and to ``reduce`` what
+        :func:`~repro.core.results.merge_topk` would have counted over the
+        segments' partials: none repeats a pk.
         """
-        before = [entry.float_comparisons + entry.quantized_comparisons
-                  for entry in stats]
-        ids, dists, rows = self.index.search(queries, k, members, stats,
-                                             together=True)
-        found = np.minimum(rows, k)
-        visited = found.sum(axis=1).tolist()
-        for entry, was, seen in zip(stats, before, visited):
+        nq = queries.shape[0]
+        if k <= 0 or not nq:
+            return None
+        field = self.field
+        members, fresh = [], []
+        for at, segment in enumerate(segments):
+            number = self.slot.get(segment.segment_id)
+            if number is None and segment.index_for(field) is not None:
+                return None             # searched by an index of its own
+            if not segment.num_live_rows:
+                continue                # nothing allowed: nothing to find
+            if number is None:
+                fresh.append(at)
+            else:
+                members.append((number, at, segment, 0))
+        fresh_segments = [segments[at] for at in fresh]
+        if not self._grow(fresh_segments) \
+                or not self._distinct(fresh_segments, held):
+            return None
+        for at in fresh:
+            segment = segments[at]
+            size = segment.config.slice_size
+            for slice_no, number in enumerate(
+                    self.slices.get(segment.segment_id, (None, ()))[1]):
+                members.append((number, at, segment, slice_no * size))
+        members.sort()          # by arena number: numbers are unique
+        scope = [number for number, _at, _segment, _lo in members]
+        if not self.index.scans_once(scope, nq):
+            return None
+        tails = []
+        for at in fresh:
+            segment = segments[at]
+            rows, dists = segment.exact_block(
+                field, queries, self.metric, segment.exclusions(None)[0],
+                segment.num_temp_indexes(field) * segment.config.slice_size,
+                segment.num_rows)
+            if len(rows):
+                tails.append((at, segment, rows, dists))
+        owners = [at for _number, at, _segment, _lo in members]
+        asked, cuts = [], {}
+        for i, (number, _at, segment, lo) in enumerate(members):
+            covered = self.index.members[number].ntotal
+            asked.append(min(k, covered))
+            if segment.num_deleted:
+                excluded = segment.deletions(lo, lo + covered)
+                n_excluded = int(np.count_nonzero(excluded))
+                if n_excluded:
+                    asked[i] = amplified_k(k, covered, n_excluded)
+                    cuts[i] = excluded, asked[i]
+        # The work is counted into the ledger, or, while a member's cut
+        # may still turn the selection down, into entries added to it once
+        # the selection stands.
+        counted = {at: SearchStats() if cuts else stats[at] for at in owners}
+        before = {at: entry.float_comparisons + entry.quantized_comparisons
+                  for at, entry in counted.items()}
+        found = self.index.search(
+            queries, k, scope, [counted[at] for at in owners],
+            together=True, cuts=cuts, columns=[dists for *_, dists in tails],
+            ranks=owners + [at for at, *_ in tails])
+        if found is None:
+            return None
+        ids, dists, probed, pruned = found
+
+        visited = np.minimum(np.array(asked)[:, None], probed)
+        kept = np.zeros((len(segments), nq), dtype=np.int64)
+        np.add.at(kept, owners, np.minimum(visited - pruned, k))
+        for at, seen, dropped in zip(owners, visited.sum(axis=1).tolist(),
+                                     pruned.sum(axis=1).tolist()):
+            entry = counted[at]
             entry.index_scans += 1
-            entry.rows_scanned += (entry.float_comparisons
-                                   + entry.quantized_comparisons - was)
             entry.candidates_visited += seen
-        reduce.batches_merged += int(np.count_nonzero(found))
-        reduce.candidates_in += sum(visited)
+            entry.candidates_pruned += dropped
+        for at, entry in counted.items():
+            # Indexes report work as comparison counts; at the scan layer
+            # one comparison examines one stored row.
+            entry.rows_scanned += (entry.float_comparisons
+                                   + entry.quantized_comparisons
+                                   - before[at])
+            if cuts:
+                stats[at].add(entry)
+        for at, segment in enumerate(segments):
+            stats[at].delete_filter_hits += segment.num_deleted
+        for at, segment, rows, _dists in tails:
+            segment.charge_exact(field, nq, len(rows), stats[at])
+            kept[at] += len(rows)
+        # A segment's partial holds its ``k`` best hits, none twice.
+        np.minimum(kept, k, out=kept)
+        reduce.batches_merged += int(np.count_nonzero(kept))
+        reduce.candidates_in += int(kept.sum())
         reduce.hits_out += int(np.count_nonzero(dists < np.inf))
-        return HitBlock(self.pks[ids], dists)
+        ntotal = self.index.ntotal
+        pks = self.pks[np.minimum(ids, ntotal - 1)]
+        if tails:
+            outside = ids >= ntotal
+            if outside.any():
+                tail_pks = np.concatenate([segment.pk_array[rows]
+                                           for _at, segment, rows, _d
+                                           in tails])
+                pks[outside] = tail_pks[ids[outside] - ntotal]
+        return HitBlock(pks, dists)
 
     def search(self, members: Sequence[int], queries: np.ndarray, k: int,
                masks: Sequence[Optional[np.ndarray]],

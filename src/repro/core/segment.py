@@ -26,12 +26,17 @@ A search answers in **blocks**: :meth:`Segment.search` returns one
 :class:`~repro.core.results.HitBlock` — a row per query, hits ascending,
 padding last, at most ``k`` wide — whichever way the rows were scanned.
 Below it everything is a ``(rows, dists)`` block in the segment's own row
-numbers: the exact scan (one helper behind the pre-filter strategy, the
-growing tail, the escalation and ``range_search``), an index's candidates
-after :meth:`Segment.filter_block` (the one post-filter + escalation, which
-the node arena calls for its members too), and a growing segment's slices
-and tail laid side by side and reselected by one batched top-k.  Primary
-keys are gathered once, at the end.
+numbers: the exact scan (:meth:`Segment.exact_block`, one helper behind the
+pre-filter strategy, the growing tail, the escalation and
+``range_search``), an index's candidates after :meth:`Segment.filter_block`
+(the one post-filter + escalation, which the node arena calls for its
+members too), and a growing segment's slices and tail laid side by side
+and reselected by one batched top-k.  Primary keys are gathered once, at
+the end.  Where a node answers with one selection, a growing segment is
+not searched on its own: its built slice indexes are members of the node
+arena and its tail an exact column of the selection, scored by
+``exact_block`` without counting and charged (:meth:`Segment.charge_exact`)
+once the selection stands.
 """
 
 from __future__ import annotations
@@ -347,6 +352,23 @@ class Segment:
     def deleted_mask(self) -> np.ndarray:
         return self._deleted.copy()
 
+    def deletions(self, lo: int, hi: int) -> np.ndarray:
+        """The deletion bitmap of rows ``[lo, hi)``, as a view."""
+        return self._deleted[lo:hi]
+
+    def holds_each_pk_once(self) -> bool:
+        """Whether no primary key was appended twice."""
+        return len(self._pk_rows) == self.num_rows
+
+    def pks_from(self, row: int) -> list:
+        """The primary keys of the rows from ``row`` on."""
+        return self._pks[row:]
+
+    def holds_any_pk(self, pks: set) -> bool:
+        """Whether any of ``pks`` is a row of this segment (live or
+        deleted): one lookup per key."""
+        return not self._pk_rows.keys().isdisjoint(pks)
+
     # ------------------------------------------------------------------
     # temporary slice indexes
     # ------------------------------------------------------------------
@@ -376,6 +398,16 @@ class Segment:
         if index is None:
             index = self._build_temp_index(field, slice_no, metric)
         return index
+
+    def built_slice_indexes(self, field: str, metric: MetricType,
+                            first: int = 0) -> Optional[list[IvfFlatIndex]]:
+        """The temp indexes of the full slices from ``first`` on, for
+        ``metric``, where searches have built all of them (None where
+        one is not built yet: building is a search's, in slice order)."""
+        built = self._temp_indexes[field]
+        found = [built.get((slice_no, metric))
+                 for slice_no in range(first, self.num_temp_indexes(field))]
+        return None if None in found else found
 
     def num_temp_indexes(self, field: str) -> int:
         """Full slices a search of ``field`` reads through a temporary
@@ -491,36 +523,48 @@ class Segment:
                 field, queries, k, metric, allowed, stats)
         return HitBlock(self.pk_array[rows], dists)
 
-    def _exact_scan(self, field: str, queries: np.ndarray,
+    def exact_block(self, field: str, queries: np.ndarray,
                     metric: MetricType, allowed: Optional[np.ndarray],
-                    lo: int, hi: int, stats: SearchStats
+                    lo: int, hi: int, stats: Optional[SearchStats] = None
                     ) -> tuple[np.ndarray, np.ndarray]:
         """The exact scan: ``(rows, (nq, len(rows)) distances)`` of the
-        allowed rows in ``[lo, hi)`` (None: all of them, read in place).
-        A range with no allowed row costs and counts nothing."""
+        allowed rows in ``[lo, hi)`` (None: all of them, read in place),
+        counted into ``stats``.  A range with no allowed row costs and
+        counts nothing.  Without ``stats`` nothing is counted and the
+        column is read without being marked read: that is
+        :meth:`charge_exact`'s, once the answer is used."""
         rows = np.arange(lo, hi) if allowed is None \
             else lo + np.flatnonzero(allowed[lo:hi])
-        nq = queries.shape[0]
         if not len(rows):
-            return rows, np.empty((nq, 0), dtype=np.float32)
+            return rows, np.empty((queries.shape[0], 0), dtype=np.float32)
+        if stats is None:
+            column = self._vectors(field)
+        else:
+            self.charge_exact(field, queries.shape[0], len(rows), stats)
+            column = self.column(field)
+        data = column[lo:hi] if allowed is None else column[rows]
+        return rows, adjusted_distances(queries, data, metric)
+
+    def charge_exact(self, field: str, nq: int, n: int,
+                     stats: SearchStats) -> None:
+        """Count an exact scan of ``n`` rows of ``field`` for ``nq``
+        queries into ``stats``, the column's read included."""
         if field in self._consolidated:
             stats.cache_hits += 1
         else:
             stats.cache_misses += 1
-        column = self.column(field)
-        data = column[lo:hi] if allowed is None else column[rows]
+        self.column(field)
         stats.brute_scans += 1
-        stats.rows_scanned += nq * len(rows)
-        stats.bytes_materialized += int(data.nbytes)
-        stats.float_comparisons += nq * len(rows)
-        return rows, adjusted_distances(queries, data, metric)
+        stats.rows_scanned += nq * n
+        stats.bytes_materialized += 4 * self._dims[field] * n   # float32
+        stats.float_comparisons += nq * n
 
     def _search_brute(self, field: str, queries: np.ndarray, k: int,
                       metric: MetricType, allowed: Optional[np.ndarray],
                       lo: int, hi: int, stats: SearchStats
                       ) -> tuple[np.ndarray, np.ndarray]:
         """Exact top-``k`` of ``[lo, hi)`` as a ``(rows, dists)`` block."""
-        rows, dists = self._exact_scan(field, queries, metric, allowed,
+        rows, dists = self.exact_block(field, queries, metric, allowed,
                                        lo, hi, stats)
         idx, vals = topk_smallest(dists, k)
         return rows[idx], vals
@@ -621,7 +665,7 @@ class Segment:
         stats = stats if stats is not None else SearchStats()
         stats.delete_filter_hits += self._num_deleted
         query = np.asarray(query, dtype=np.float32).reshape(1, -1)
-        rows, dists = self._exact_scan(
+        rows, dists = self.exact_block(
             field, query, metric, self.exclusions(filter_mask)[0], 0,
             self.num_rows, stats)
         dists = dists[0]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from bisect import bisect_left
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -257,7 +257,7 @@ class InvertedLists:
         self.norms: np.ndarray | None = None
         if metric is MetricType.EUCLIDEAN and codec.scores_cross_term:
             rows = codec.decode(self.codes)
-            # Zero-padded by one list's length: see ``_scan_pass``.
+            # Zero-padded by one list's length: see ``_score``.
             self.norms = np.zeros(len(rows) + self.max_list_size,
                                   dtype=np.float32)
             np.einsum("ij,ij->i", rows, rows, out=self.norms[:len(rows)])
@@ -299,10 +299,18 @@ class ListArena:
     a view of its member's, taken once.  An arena of one member holds that
     member's arrays themselves.  It references its members weakly, since
     a member holds the arena of itself alone.
+
+    ``base`` is an arena of the first members that this one extends: the
+    list views derived of them are taken over, and only the arrays laid
+    end to end are laid again.
     """
 
-    def __init__(self, members: Sequence[InvertedLists]) -> None:
-        self._members = tuple(weakref.ref(member) for member in members)
+    def __init__(self, members: Sequence[InvertedLists],
+                 base: ListArena | None = None) -> None:
+        kept = len(base.widest) if base is not None else 0
+        new = members[kept:]
+        self._members = (base._members if base is not None else ()) \
+            + tuple(weakref.ref(member) for member in new)
         rows = [len(member.ids) for member in members]
         #: First arena row / first arena list number of every member.
         self.row_base = [0, *itertools.accumulate(rows)]
@@ -311,9 +319,10 @@ class ListArena:
         self.widest = [member.max_list_size for member in members]
         #: Every arena list's codes, a view of its member's matrix taken
         #: once: the scan slices no code matrix per list.
-        self.views = [member.codes[low:high] for member in members
-                      for low, high in itertools.pairwise(
-                          [*member.offsets.tolist(), len(member.ids)])]
+        self.views = (base.views if base is not None else []) + [
+            member.codes[low:high] for member in new
+            for low, high in itertools.pairwise(
+                [*member.offsets.tolist(), len(member.ids)])]
         if len(members) == 1:
             (only,) = members
             self.offsets, self.sizes, self.norms = (
@@ -322,19 +331,28 @@ class ListArena:
         # A member's ``nlist + 1`` offsets end at its row count: shifted
         # to where its rows start, the last one is where its trailing
         # empty list sits.
-        self.offsets = np.concatenate([
-            member.offsets + base
-            for member, base in zip(members, self.row_base)])
-        self.sizes = np.concatenate([member.sizes for member in members])
+        self.offsets = np.concatenate(
+            ([base.offsets] if base is not None else [])
+            + [member.offsets + at
+               for member, at in zip(new, self.row_base[kept:])])
+        self.sizes = np.concatenate(
+            ([base.sizes] if base is not None else [])
+            + [member.sizes for member in new])
         self.norms = None
         if any(member.norms is not None for member in members):
             # Zeros where a member's scores are whole distances already,
-            # and past the end by one list's length (``_scan_pass``).
+            # and past the end by one list's length (``_score``).
             self.norms = np.zeros(self.row_base[-1] + max(self.widest),
                                   dtype=np.float32)
-            for member, base, n in zip(members, self.row_base, rows):
+            first = 0
+            if base is not None and base.norms is not None:
+                first = kept
+                self.norms[:self.row_base[kept]] = \
+                    base.norms[:self.row_base[kept]]
+            for member, at, n in zip(members[first:], self.row_base[first:],
+                                     rows[first:]):
                 if member.norms is not None:
-                    self.norms[base:base + n] = member.norms[:n]
+                    self.norms[at:at + n] = member.norms[:n]
 
     @property
     def members(self) -> tuple[InvertedLists, ...]:
@@ -391,38 +409,30 @@ class ListArena:
         """Whether one prepared scorer serves both members."""
         return one.codec == other.codec and one.metric is other.metric
 
-    def _scan_pass(self, scope: Sequence[int], queries: np.ndarray,
-                   probes: np.ndarray, k: int, together: bool = False
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scan one block of (member, query) rows list-major; same
-        returns as ``scan``.
+    def _score(self, scope: Sequence[int], queries: np.ndarray,
+               probes: np.ndarray, chunked: bool, least: int = 0
+               ) -> tuple | None:
+        """Score one block of (member, query) rows list-major.
 
-        With ``together``, the top-``k`` of every query over the lists
-        *every* member in ``scope`` probes for it, selected at once, in
-        one padded block however large (``ArenaIndex.scans_once`` says
-        when that is the pass ``scan`` makes anyway): ``(arena rows,
-        adjusted distances)``, ``(nq, <= k)``, padded by ``-1`` /
-        ``+inf``, and the ``(len(scope), nq)`` rows scored per (member,
-        query).  A member's distances are the ones ``scan`` hands it."""
+        Returns ``(block, order, lows, sizes, widest, grid)``, or None
+        where no pair probes a row and ``least`` is 0: pair ``p`` belongs
+        to row ``p // width`` (rows are member-major, ``nq`` to a member),
+        ``order`` lists the pairs list by list — hence member by member —
+        and ``lows`` / ``sizes`` are the first arena row and the size of
+        each pair's list in that order.  ``block`` holds a row per pair in
+        that order, ``widest`` (at least ``least``) wide and +inf past its
+        list; where ``chunked`` and a pass that large holds fewer floats
+        in chunks, it is the ``grid``'s (``_ChunkGrid``) instead."""
         n, nq, width = probes.shape
-        # Group the (row, probed list) pairs by list: pair ``p`` belongs
-        # to row ``p // width``, and ``order`` lists the pairs list by
-        # list — hence member by member, ``per`` pairs each.
         pairs = probes.reshape(-1)
         order = np.argsort(pairs, kind="stable")
         grouped = pairs[order]
         cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
         lows = self.offsets[grouped]
         sizes = self.sizes[grouped]
-        widest = int(sizes.max(initial=0)) if k > 0 else 0
+        widest = max(int(sizes.max(initial=0)), least)
         if widest == 0:
-            if together:
-                return (np.empty((nq, 0), dtype=np.int64),
-                        np.empty((nq, 0), dtype=np.float32),
-                        np.zeros((n, nq), dtype=np.int64))
-            return (np.full((n * nq, k), -1, dtype=np.int64),
-                    np.full((n * nq, k), np.inf, dtype=np.float32),
-                    np.zeros(n, dtype=np.int64))
+            return None
 
         # Row -> query: rows are member-major, ``nq`` to a member.
         pair_query = order // width
@@ -440,12 +450,13 @@ class ListArena:
         # A large pass is laid out in chunks where that holds fewer floats.
         grid = _ChunkGrid.of(self.sizes[probes].reshape(n * nq, width),
                              widest, order, lows) \
-            if len(order) * widest > _CHUNK_FROM and not together else None
+            if chunked and len(order) * widest > _CHUNK_FROM else None
         if grid is None:
             # One block row per pair, in list order, as wide as the
             # widest list: each list's scores go straight into a
             # rectangular slice of it.
-            block = np.full((len(order), widest), np.inf, dtype=np.float32)
+            block = np.full((len(order), widest), np.inf,
+                            dtype=np.float32)
         else:
             block, outs = grid.block(bounds, size_of)
         group = first = 0
@@ -496,58 +507,262 @@ class ListArena:
                                  np.float32, self.norms,
                                  strides=self.norms.strides * 2)
             block += windows[starts]
+        return block, order, lows, sizes, widest, grid
 
-        if grid is None and together and nq == 1:
-            # One query: the block in list order is its candidate row,
-            # member by member (lists are numbered so).
-            rows = block.reshape(1, -1)
-            cols, dists = _in_column_order(
-                rows, *topk_smallest(rows, k + 1), k)
-            slot, within = np.divmod(cols, widest)
-            at = np.where(dists < np.inf, lows[slot] + within, -1)
-        elif grid is None:
+    def _scan_pass(self, scope: Sequence[int], queries: np.ndarray,
+                   probes: np.ndarray, k: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scan one block of (member, query) rows list-major; same
+        returns as ``scan``."""
+        n, nq, width = probes.shape
+        scored = self._score(scope, queries, probes, True) if k > 0 \
+            else None
+        if scored is None:
+            return (np.full((n * nq, k), -1, dtype=np.int64),
+                    np.full((n * nq, k), np.inf, dtype=np.float32),
+                    np.zeros(n, dtype=np.int64))
+        block, order, _lows, sizes, widest, grid = scored
+        if grid is None:
             # Back to row order: a row's pairs side by side make its
             # candidate row, and one batched top-k picks the winners.
             candidates = np.empty_like(block)
             candidates[order] = block
-            if together:
-                # Query-major: a query's rows of every member side by
-                # side, so column ``slot`` of query ``q`` is pair
-                # ``slot`` of member ``slot // width``'s row for ``q``.
-                rows = candidates.reshape(n, nq, width * widest) \
-                    .transpose(1, 0, 2).reshape(nq, -1)
-                cols, dists = _in_column_order(
-                    rows, *topk_smallest(rows, k + 1), k)
-                slot, within = np.divmod(cols, widest)
-                slot += (slot // width * (nq - 1)
-                         + np.arange(nq)[:, None]) * width
-            else:
-                cols, dists = topk_smallest(
-                    candidates.reshape(n * nq, width * widest), k)
-                slot, within = np.divmod(cols, widest)
-                slot += np.arange(0, len(pairs), width)[:, None]
+            cols, dists = topk_smallest(
+                candidates.reshape(n * nq, width * widest), k)
+            slot, within = np.divmod(cols, widest)
+            slot += np.arange(0, n * nq * width, width)[:, None]
             at = np.where(dists < np.inf,      # +inf is block padding
-                          self.offsets[pairs[slot]] + within, -1)
+                          self.offsets[probes.reshape(-1)[slot]] + within,
+                          -1)
         else:
             at, dists = grid.topk(block, k)
         if self.norms is not None:
             np.maximum(dists, 0.0, out=dists)   # rounding below zero
-        if together:
-            return at, dists, self.sizes[probes].sum(axis=2)
         at, dists = VectorIndex._pad_results(at, dists, k)
-        return at, dists, sizes.reshape(n, per).sum(axis=1)
+        return at, dists, sizes.reshape(n, nq * width).sum(axis=1)
+
+    def select(self, scope: Sequence[int], queries: np.ndarray,
+               probes: np.ndarray, k: int,
+               cuts: Mapping[int, tuple[np.ndarray, int]] | None = None,
+               columns: Sequence[np.ndarray] = (),
+               ranks: Sequence[int] | None = None) -> tuple | None:
+        """The top-``k`` of every query over the rows every member in
+        ``scope`` probes for it and over ``columns``, selected at once in
+        one pass however large (``ArenaIndex.scans_once`` says when that
+        is the pass ``scan`` makes anyway).
+
+        ``probes`` is as in ``scan``.  ``cuts`` maps a position in
+        ``scope`` to ``(excluded, asked)``: a mask over the member's build
+        rows, which are dropped, and how many of its best probed rows its
+        own answer takes them from.  Such a member's rows pass only where
+        that answer is its first ``k`` unexcluded rows: a query whose
+        ``asked`` best hold fewer while ``asked`` is below the member's
+        rows, or where the cut splits a tie holding an excluded row, makes
+        the selection None.  ``columns`` are ``(nq, m)`` blocks of further
+        distances, laid after the lists' in every query's row.  Equal
+        distances are kept and ranked in column order, or by ``ranks``
+        first (one per position in ``scope``, then one per column) where
+        given.
+
+        Returns ``(arena rows, adjusted distances, rows scored, pruned)``:
+        the first two ``(nq, <= k)``, padded by ``-1`` / ``+inf``, with a
+        column entry numbered from ``row_base[-1]`` on (columns laid end
+        to end); the rows each (member, query) probed and the excluded
+        ones among its ``asked`` best, ``(len(scope), nq)``.  A member's
+        distances are the ones ``scan`` hands it.
+        """
+        n, nq, width = probes.shape
+        room = sum(column.shape[1] for column in columns)
+        probed = self.sizes[probes].sum(axis=2)
+        pruned = np.zeros((n, nq), dtype=np.int64)
+        if k <= 0:
+            return (np.empty((nq, 0), dtype=np.int64),
+                    np.empty((nq, 0), dtype=np.float32), probed, pruned)
+        laid = (self._one_row if nq == 1 else self._query_rows)(
+            scope, queries, probes, room)
+        rows, lists, spans = laid.rows, laid.lists, laid.spans
+        for i, (excluded, asked) in (cuts or {}).items():
+            lo, hi = spans[i], spans[i + 1]
+            scores = rows[:, lo:hi]
+            dead = laid.excluded(i, excluded)
+            found = _pruned(scores, dead, probed[i], asked, k, len(excluded))
+            if found is None:
+                return None
+            pruned[i] = found
+            scores[dead] = np.inf
+        at = lists
+        for column in columns:
+            rows[:, at:at + column.shape[1]] = column
+            at += column.shape[1]
+        key = None
+        if ranks is not None:
+            def key(cols: np.ndarray) -> np.ndarray:
+                ends = np.cumsum([column.shape[1] for column in columns])
+                return np.asarray(ranks)[np.where(
+                    cols < lists, np.searchsorted(spans[1:], cols, "right"),
+                    n + np.searchsorted(ends, cols - lists, "right"))]
+
+        cols, dists = _in_column_order(rows, *topk_smallest(rows, k + 1), k,
+                                       key)
+        inner = cols < lists
+        at = np.where(dists < np.inf,          # +inf is padding
+                      np.where(inner, laid.locate(np.where(inner, cols, 0)),
+                               self.row_base[-1] + cols - lists),
+                      -1)
+        if self.norms is not None:
+            np.maximum(dists, 0.0, out=dists)   # rounding below zero
+        return at, dists, probed, pruned
+
+    def _one_row(self, scope: Sequence[int], queries: np.ndarray,
+                 probes: np.ndarray, room: int) -> _Laid:
+        """One query's candidate row, laid compact: every probed list's
+        scores after the last's, in probe order, member after member, then
+        ``room`` floats.  A list is one GEMV, as a member's own search of
+        one query scores it."""
+        n, _nq, width = probes.shape
+        pairs = probes.reshape(-1)
+        sizes = self.sizes[pairs]
+        ends = np.cumsum(sizes)
+        lists = int(ends[-1])
+        row = np.empty((1, lists + room), dtype=np.float32)
+        #: The arena row every score of the row is of.
+        stored = np.repeat(self.offsets[pairs] - ends + sizes, sizes) \
+            + np.arange(lists)
+        every = self.members
+        members = [every[number] for number in scope]
+        numbers, size_of = pairs.tolist(), sizes.tolist()
+        starts = [0, *ends.tolist()]
+        first = 0
+        while first < n:
+            # One ``prepare`` for a run of members whose codecs are equal.
+            head = members[first]
+            last = first + 1
+            while last < n and self._alike(head, members[last]):
+                last += 1
+            lo, hi = first * width, last * width
+            score = head.codec.prepare(
+                queries, np.zeros(hi - lo, dtype=np.int64),
+                pairs[lo:hi] - self.list_base[scope[first]], head.metric)
+            for p in range(lo, hi):
+                if size_of[p]:
+                    score(p - lo, p - lo + 1, self.views[numbers[p]],
+                          row[:, starts[p]:starts[p + 1]])
+            first = last
+        if self.norms is not None:
+            # (|q|^2 - 2 q.v) + |v|^2, the order ``squared_l2`` adds in.
+            q_norm = np.einsum("ij,ij->i", queries, queries)
+            partial = [member.norms is not None for member in members]
+            if all(partial):
+                row[0, :lists] += q_norm[0]
+            else:                   # no |q|^2 on whole distances
+                row[0, :lists] += np.repeat(
+                    q_norm * np.repeat(partial, width), sizes)
+            row[0, :lists] += self.norms[stored]
+
+        def excluded(i: int, dead: np.ndarray) -> np.ndarray:
+            at = stored[starts[i * width]:starts[(i + 1) * width]]
+            return dead[self._members[scope[i]]().ids[
+                at - self.row_base[scope[i]]]][None]
+
+        return _Laid(row, lists, starts[::width], stored.__getitem__,
+                     excluded)
+
+    def _query_rows(self, scope: Sequence[int], queries: np.ndarray,
+                    probes: np.ndarray, room: int) -> _Laid:
+        """Every query's candidate row, query-major: its (member, query)
+        rows side by side, each the member's probed lists padded to the
+        pass's widest, then ``room`` floats."""
+        n, nq, width = probes.shape
+        block, order, lows, sizes, widest, _grid = self._score(
+            scope, queries, probes, False, least=1)
+        wide = width * widest           # one (member, query) row
+        lists = n * wide
+        by_member = np.empty_like(block)
+        by_member[order] = block
+        rows = np.empty((nq, lists + room), dtype=np.float32)
+        rows[:, :lists].reshape(nq, n, wide)[:] = \
+            by_member.reshape(n, nq, wide).transpose(1, 0, 2)
+        per = nq * width
+
+        def locate(cols: np.ndarray) -> np.ndarray:
+            member, within = np.divmod(cols, wide)
+            slot, within = np.divmod(within, widest)
+            slot += (member * nq + np.arange(nq)[:, None]) * width
+            return self.offsets[probes.reshape(-1)[slot]] + within
+
+        def excluded(i: int, dead: np.ndarray) -> np.ndarray:
+            # The member's pairs are ``lo:hi`` in list order; row ``r``
+            # of ``windows`` is its ``r``-th stored row's on.
+            lo, hi = i * per, (i + 1) * per
+            padded = np.zeros(len(dead) + widest, dtype=bool)
+            padded[:len(dead)] = dead[self._members[scope[i]]().ids]
+            windows = np.ndarray((len(dead) + 1, widest), bool, padded,
+                                 strides=padded.strides * 2)
+            hit = windows[lows[lo:hi] - self.row_base[scope[i]]]
+            hit &= np.arange(widest) < sizes[lo:hi, None]
+            in_rows = np.empty_like(hit)
+            in_rows[order[lo:hi] - lo] = hit
+            return in_rows.reshape(nq, wide)
+
+        return _Laid(rows, lists, list(range(0, lists + 1, wide)), locate,
+                     excluded)
+
+
+class _Laid(NamedTuple):
+    """Every query's candidate row of one selection: ``rows`` ``(nq,
+    lists + room)``, list scores in its first ``lists`` columns, member
+    ``i``'s in ``spans[i]:spans[i + 1]``; ``locate(cols)`` is the arena
+    row of list columns, and ``excluded(i, dead)`` marks, over member
+    ``i``'s columns, the rows ``dead`` marks (over its build rows)."""
+
+    rows: np.ndarray
+    lists: int
+    spans: list[int]
+    locate: Callable[[np.ndarray], np.ndarray]
+    excluded: Callable[[int, np.ndarray], np.ndarray]
+
+
+def _pruned(scores: np.ndarray, excluded: np.ndarray, probed: np.ndarray,
+            asked: int, k: int, total: int) -> np.ndarray | None:
+    """How many ``excluded`` rows each query's ``asked`` best ``scores``
+    (one row per query, +inf padded; ``probed`` finite) hold, when what
+    an index asked for them and post-filtered to ``k`` keeps is the row's
+    ``k`` best unexcluded ones (or all of them): None where a query keeps
+    fewer than ``k`` while ``asked`` is below the ``total`` rows (the
+    post-filter would escalate to an exact scan), or where the ``asked``
+    cut splits a tie that holds an excluded row (which of the tie the cut
+    keeps is the index's to pick)."""
+    pruned = np.zeros(len(scores), dtype=np.int64)
+    for q in np.flatnonzero(excluded.any(axis=1)).tolist():
+        dead = scores[q][excluded[q]]
+        if probed[q] <= asked:      # every probed row is a candidate
+            pruned[q] = len(dead)
+            continue
+        row = scores[q]
+        cut = np.partition(row, asked - 1)[asked - 1]
+        pruned[q] = np.count_nonzero(dead < cut)
+        at_cut = int(np.count_nonzero(dead == cut))
+        if at_cut:
+            if np.count_nonzero(row <= cut) > asked:
+                return None         # the cut splits their tie
+            pruned[q] += at_cut
+    if asked < total and (np.minimum(asked, probed) - pruned < k).any():
+        return None
+    return pruned
 
 
 def _in_column_order(rows: np.ndarray, cols: np.ndarray,
-                     dists: np.ndarray, k: int
+                     dists: np.ndarray, k: int,
+                     key: Callable[[np.ndarray], np.ndarray] | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The top ``k`` of ``(cols, dists)`` = ``topk_smallest(rows, k + 1)``
-    with equal scores in column order: a run the ``k`` cut splits keeps
-    its earliest columns, and every run is ordered by column.  Columns
-    lie member by member, so a tie keeps and ranks the earlier member's
-    entries first, as a stable merge of the members' own answers does.
-    The ``k + 1``-th score tells a split run without a look at ``rows``,
-    so a row without a tie costs one comparison of its neighbours."""
+    with equal scores in column order (by ``key(columns)`` first, where
+    given): a run the ``k`` cut splits keeps its earliest columns, and
+    every run is ordered by column.  Columns lie member by member, so a
+    tie keeps and ranks the earlier member's entries first, as a stable
+    merge of the members' own answers does.  The ``k + 1``-th score tells
+    a split run without a look at ``rows``, so a row without a tie costs
+    one comparison of its neighbours."""
     tied = dists[:, 1:] == dists[:, :-1]
     cols, dists = cols[:, :k], dists[:, :k]
     if not tied.any():
@@ -558,8 +773,12 @@ def _in_column_order(rows: np.ndarray, cols: np.ndarray,
             # A run split by the cut: its first ``n`` columns, in the
             # row's last ``n`` entries.
             n = np.count_nonzero(dists[q] == value)
-            cols[q, -n:] = np.flatnonzero(rows[q] == value)[:n]
-        order = np.lexsort((cols[q], dists[q]))
+            run = np.flatnonzero(rows[q] == value)
+            if key is not None:
+                run = run[np.argsort(key(run), kind="stable")]
+            cols[q, -n:] = run[:n]
+        order = np.lexsort((cols[q], dists[q]) if key is None
+                           else (cols[q], key(cols[q]), dists[q]))
         cols[q], dists[q] = cols[q, order], dists[q, order]
     return cols, dists
 
@@ -602,7 +821,7 @@ class _ChunkGrid:
            lows: np.ndarray) -> _ChunkGrid | None:
         """The grid of a pass whose pairs probe lists of ``sizes``
         (``(rows, width)``, in row order; ``order`` / ``lows`` as in
-        ``ListArena._scan_pass``), or ``None`` where it would not hold
+        ``ListArena._score``), or ``None`` where it would not hold
         fewer floats than the padded block."""
         width = min(_CHUNK_WIDTH, widest)
         spans = (sizes + (width - 1)) // width
@@ -828,9 +1047,12 @@ class ArenaIndex(VectorIndex):
                 and type(index).search is BucketedIndex.search
                 and type(index)._probe is BucketedIndex._probe)
 
-    def __init__(self, members: Sequence[BucketedIndex]) -> None:
+    def __init__(self, members: Sequence[BucketedIndex],
+                 base: ArenaIndex | None = None) -> None:
         super().__init__(members[0].metric, members[0].dim)
-        for member in members:
+        kept = len(base.members) if base is not None else 0
+        new = members[kept:]
+        for member in new:
             if not self.admits(member) or member.metric is not self.metric \
                     or member.dim != self.dim:
                 raise IndexBuildError(
@@ -838,14 +1060,16 @@ class ArenaIndex(VectorIndex):
                     f"{self.dim} cannot take {member.index_type} "
                     f"({member.metric.value}, dim {member.dim})")
         self.members = tuple(members)
-        self.lists = ListArena([member._lists for member in members])
+        self.lists = ListArena([member._lists for member in members],
+                               base.lists if base is not None else None)
         #: First row of every member in the build matrices end to end.
         self.row_base = [0, *itertools.accumulate(
             member.ntotal for member in members)]
         #: Arena row -> row of the build matrices end to end.
-        self.ids = np.concatenate([
-            member._lists.ids + base
-            for member, base in zip(members, self.row_base)])
+        self.ids = np.concatenate(
+            ([base.ids] if base is not None else [])
+            + [member._lists.ids + at
+               for member, at in zip(new, self.row_base[kept:])])
         self.ntotal = self.row_base[-1]
         self.is_built = True
         self._nlists = np.array([member.bucketer.num_buckets
@@ -863,10 +1087,14 @@ class ArenaIndex(VectorIndex):
         # times -2 under Euclidean and -1 otherwise, so that the GEMM
         # yields ``-2 q.c`` / ``-q.c`` with the bits of the member's own
         # probe (see ``_left_factor``), and |c|^2 under Euclidean.
-        self._centroids: list[np.ndarray | None] = []
+        self._centroids: list[np.ndarray | None] = \
+            list(base._centroids) if base is not None else []
         self._centroid_norms = np.zeros(
             (len(members), int(self._nlists.max())), dtype=np.float32)
-        for number, member in enumerate(members):
+        if base is not None:
+            self._centroid_norms[:kept, :base._centroid_norms.shape[1]] = \
+                base._centroid_norms
+        for number, member in enumerate(new, kept):
             factor = None
             if type(member.bucketer) is KMeansBucketer:
                 centroids = member.bucketer.centroids
@@ -881,6 +1109,11 @@ class ArenaIndex(VectorIndex):
                     factor = -centroids
                 factor = factor.T
             self._centroids.append(factor)
+
+    def grown(self, more: Sequence[BucketedIndex]) -> ArenaIndex:
+        """This arena with ``more`` members after its own: what was derived
+        of its members is taken over, not derived again."""
+        return ArenaIndex([*self.members, *more], base=self)
 
     def build(self, data: np.ndarray) -> None:
         raise IndexBuildError("an arena is derived from built indexes")
@@ -969,7 +1202,11 @@ class ArenaIndex(VectorIndex):
     def search(self, queries: np.ndarray, k: int,
                scope: Sequence[int] | None = None,
                stats: Sequence[SearchStats] | None = None,
-               together: bool = False) -> tuple[np.ndarray, ...]:
+               together: bool = False,
+               cuts: Mapping[int, tuple[np.ndarray, int]] | None = None,
+               columns: Sequence[np.ndarray] = (),
+               ranks: Sequence[int] | None = None
+               ) -> tuple[np.ndarray, ...] | None:
         """Every member's top-``k``, stacked: ``(ids, adjusted
         distances)`` of shape ``(len(scope), nq, k)`` whose entry ``[i]``
         is what member ``scope[i]``'s own ``search`` returns, ids shifted
@@ -980,11 +1217,18 @@ class ArenaIndex(VectorIndex):
 
         ``together`` selects each query's top-``k`` over every member's
         rows at once instead, in one scan pass (what ``search`` makes
-        anyway where ``scans_once``): ``(ids, adjusted distances, rows
-        scored)``, the first two ``(nq, <= k)``, the best hits of the
-        members' answers merged (equal distances kept and ranked earlier
-        member first, as the merge does; within one member they may be
-        taken or ranked otherwise), and the last ``(len(scope), nq)``.
+        anyway where ``scans_once``; ``ListArena.select``): ``(ids,
+        adjusted distances, rows scored, pruned)``, the first two ``(nq,
+        <= k)``, the best hits of the members' answers merged (equal
+        distances kept and ranked earlier member first, as the merge does;
+        within one member they may be taken or ranked otherwise), the
+        last two ``(len(scope), nq)``.  ``cuts`` (position in ``scope`` ->
+        a mask of the member's excluded rows and the ``k`` its own answer
+        is asked for), ``columns`` (further ``(nq, m)`` distances in every
+        query's row; a hit of one has the id ``ntotal`` + its place in the
+        columns laid end to end) and ``ranks`` (of the tie order) are
+        ``ListArena.select``'s; where it is None, so is the search, and
+        what was added to ``stats`` is to be dropped.
         """
         queries = self._check_query_input(queries)
         everyone = len(self.members)
@@ -1011,11 +1255,18 @@ class ArenaIndex(VectorIndex):
         # queries: two scans where the members differ in that.
         asked = [self._unit_rows[number] for number in scope]
         if together:
-            at, dists, rows = self.lists._scan_pass(
-                scope, unit if asked[0] else queries, probes, k,
-                together=True)
+            found = self.lists.select(
+                scope, unit if asked[0] else queries, probes, k, cuts,
+                columns, ranks)
+            if found is None:
+                return None
+            at, dists, rows, pruned = found
             self._count(scope, range(n), rows.sum(axis=1), stats)
-            return np.where(at < 0, -1, self.ids[at]), dists, rows
+            stored = self.lists.row_base[-1]
+            listed = (at >= 0) & (at < stored)
+            ids = np.where(listed, self.ids[np.where(listed, at, 0)],
+                           np.where(at < 0, -1, at - stored + self.ntotal))
+            return ids, dists, rows, pruned
         if True in asked and False in asked:
             at = np.empty((n, nq, k), dtype=np.int64)
             dists = np.empty((n, nq, k), dtype=np.float32)

@@ -17,8 +17,9 @@ top-k (honoring deletion bitmaps and attribute filters via the cost-based
 strategy), merged into the node-wise top-k.  The node, not the segment, is
 the unit of scanning: its sealed inverted-list segments are searched as
 one arena (:mod:`repro.core.arena`) and every segment's candidates meet in
-one block, reduced by one merge — or, when the arena holds every segment
-in scope and nothing is excluded, by the arena scan's own selection.
+one block, reduced by one merge — or, for an unfiltered request, by the
+arena scan's own selection, which the growing segments' built slices and
+their tails join.
 ``busy_until_ms`` accounting turns concurrent requests into queueing
 delay, which is what the elasticity and scalability figures measure.  A
 read verb reports its work (:class:`~repro.core.results.NodeWork`) and
@@ -81,7 +82,8 @@ class QueryNode:
         self._sets: dict[str, SegmentSet] = {}
         self._gates: dict[str, ConsistencyGate] = {}  # per collection
         # (collection, vector field, metric) -> the arena over the sealed
-        # segments searched as one (None: there are none).  Derived, and
+        # segments searched as one, and the fresh segments' slices that
+        # joined it (None: there are no sealed ones).  Derived, and
         # checked against the segments it was derived from before every
         # search: nothing that loads, releases or re-indexes a segment
         # has to remember it.
@@ -368,14 +370,16 @@ class QueryNode:
         """Node-local two-phase reduce: segment-wise top-k (cost-based
         filter strategy per segment) merged into the node-wise top-k.
 
-        The sealed segments the arena holds are searched through it, all
-        in one scan; a segment it does not hold (growing, unindexed, an
-        index with its own post-processing) or whose filter is planned as
-        a pre-filter is searched on its own and feeds the same merge.
-        When the arena holds every segment in scope and
-        :meth:`SegmentArena.selects_once` (no filter, no deletion, no pk
-        twice, one padded scan pass), the scan's one selection over all
-        of their rows is the node-wise top-k, and nothing is merged.
+        Without a filter, :meth:`SegmentArena.select` first tries to
+        answer with one selection over the sealed members, the fresh
+        segments' built slices and their tails (every segment in scope
+        one of those, no pk twice, one padded scan pass, every deleting
+        member's cut proven): that is the node-wise top-k, and nothing
+        is merged.  Otherwise the sealed segments the arena holds are
+        searched through it, all in one scan; a segment it does not hold
+        (growing, unindexed, an index with its own post-processing) or
+        whose filter is planned as a pre-filter is searched on its own
+        and feeds the same merge.
         """
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
@@ -386,13 +390,11 @@ class QueryNode:
                  ) -> list[tuple[HitBlock, int]] | HitBlock:
             arena = self._arena(collection, field, metric)
             if expr is None and arena is not None:
-                members = [arena.slot.get(segment.segment_id)
-                           for segment in segments]
-                if None not in members and arena.selects_once(
-                        members, queries.shape[0]):
-                    return arena.select(members, queries, k,
-                                        [entry[0] for entry in ledger],
-                                        reduce)
+                found = arena.select(segments, queries, k,
+                                     [entry[0] for entry in ledger], reduce,
+                                     self._held(collection))
+                if found is not None:
+                    return found
             parts: list = [None] * len(segments)
             members, masks, at = [], [], []
             for i, segment in enumerate(segments):

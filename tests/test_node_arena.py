@@ -32,7 +32,8 @@ import pytest
 from repro import Collection, connect, connections
 from repro.api.rest import RestApi
 from repro.cluster.manu import ManuCluster
-from repro.config import ManuConfig, QueryConfig, SegmentConfig
+from repro.config import LogConfig, ManuConfig, QueryConfig, \
+    SegmentConfig
 from repro.core.arena import SegmentArena
 from repro.core.consistency import ConsistencyLevel
 from repro.core.expr import FilterExpression
@@ -88,8 +89,9 @@ def node_paths(monkeypatch):
         return real_scan(self, collection, scope, *args)
 
     def select(self, *args):
-        paths[-1][1] = True
-        return real_select(self, *args)
+        found = real_select(self, *args)
+        paths[-1][1] = found is not None
+        return found
 
     with monkeypatch.context() as patch:
         patch.setattr(QueryNode, "_scan", scan)
@@ -352,26 +354,30 @@ class TestArenaMatchesThePerSegmentLoop:
     def test_deletions_near_the_candidates(self, rng, monkeypatch, metric,
                                            n_deleted):
         """Both ``k_amplified`` regimes (<= k and > k exclusions in one
-        segment), on some segments only."""
+        segment), on some segments only.  Up to 13 exclusions a member's
+        amplified ``k`` always holds ``k`` live rows, so the deleting
+        members stay in the one selection; 120 of the nearest starve the
+        members that hold them, and those nodes merge."""
         cluster = sealed_cluster(rng, metric)
         queries = clustered(rng, 17)
         nearest = cluster.search("c", queries[:1], n_deleted,
                                  metric=metric)[0].pks
         cluster.delete("c", f"pk in {nearest}")
         cluster.run_for(500)
+        selects = True if n_deleted <= 13 else nothing_deleted
         got = both(cluster, monkeypatch, queries, 10, metric=metric,
-                   selects=nothing_deleted)
+                   selects=selects)
         assert not set(nearest) & {pk for r in got for pk in r.pks}
         totals = got[0].profile.totals()
         assert totals["delete_filter_hits"] == n_deleted
         assert totals["candidates_pruned"] > 0
         for nq in (1, 3):
             both(cluster, monkeypatch, queries[:nq], 10, metric=metric,
-                 selects=nothing_deleted)
+                 selects=selects)
 
     def test_a_member_that_allows_nothing(self, rng, monkeypatch):
         """Every row of one sealed segment deleted: the arena scans the
-        others and hands that member's place in its block as padding."""
+        others, in the one selection too."""
         cluster = sealed_cluster(rng)
         node, emptied = sealed_segments(cluster)[1]
         cluster.delete("c", f"pk in {emptied.pk_array.tolist()}")
@@ -380,7 +386,7 @@ class TestArenaMatchesThePerSegmentLoop:
         gone = set(emptied.pk_array.tolist())
         for nq in (1, 3):
             got = both(cluster, monkeypatch, clustered(rng, nq), 10,
-                       selects=nothing_deleted)
+                       selects=True)
             assert not gone & {pk for r in got for pk in r.pks}
         arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
         assert emptied in arena.segments and len(arena.segments) > 1
@@ -392,8 +398,7 @@ class TestArenaMatchesThePerSegmentLoop:
         farthest = cluster.search("c", -100.0 * queries[:1], 40)[0].pks
         cluster.delete("c", f"pk in {farthest}")
         cluster.run_for(500)
-        got = both(cluster, monkeypatch, queries, 10,
-                   selects=nothing_deleted)
+        got = both(cluster, monkeypatch, queries, 10, selects=True)
         totals = got[0].profile.totals()
         assert totals["candidates_visited"] > \
             len(queries) * 10 * len(sealed_segments(cluster)) * 0.9
@@ -580,7 +585,8 @@ class TestArenaMatchesThePerSegmentLoop:
                                                      monkeypatch):
         """IVF_FLAT + IVF_PQ + HNSW + unindexed + growing segments on one
         node: the first two share the arena (two codecs, one scan), the
-        rest feed the same merge from their own searches."""
+        rest feed the same merge from their own searches.  The other
+        node's growing segment is a column of its one selection."""
         cluster = sealed_cluster(rng, n=3000, seal=300)
         node = max(cluster.query_coord.live_nodes(),
                    key=lambda n: len(n.sealed_segments_of("c")))
@@ -600,7 +606,7 @@ class TestArenaMatchesThePerSegmentLoop:
         cluster.run_for(500)
         for nq in (1, 3, 64):   # every node holds a growing segment
             got = both(cluster, monkeypatch, clustered(rng, nq), 10,
-                       selects=False)
+                       selects=lambda other: other is not node and nq < 64)
         arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
         kinds = [type(member).__name__ for member in arena.index.members]
         assert sorted(set(kinds)) == ["IvfFlatIndex", "IvfPqIndex"]
@@ -672,6 +678,297 @@ class TestArenaMatchesThePerSegmentLoop:
 
 
 # ----------------------------------------------------------------------
+# fresh nodes: growing slices, tails and deleting members
+# ----------------------------------------------------------------------
+
+#: Rows per slice of the fresh clusters' growing segments.
+SLICE = 200
+
+
+def fresh_cluster(rng, growing, n=3000, query_nodes=2):
+    """``n`` rows in sealed, indexed segments of 1000 rows on one shard,
+    then ``growing`` more in 50-row inserts: one growing segment, on the
+    node that owns the shard, of ``growing // SLICE`` full slices (4-list
+    temporary indexes) and the rest as its tail.  Nothing seals while
+    idle."""
+    config = ManuConfig().with_overrides(
+        segment=SegmentConfig(seal_entity_count=1000, slice_size=SLICE,
+                              temp_index_nlist=4, seal_idle_ms=1e12),
+        log=LogConfig(num_shards=1))
+    cluster = ManuCluster(config=config, num_query_nodes=query_nodes)
+    cluster.create_collection("c", schema())
+    for start in range(0, n, 100):
+        cluster.insert("c", rows(rng, range(start, start + 100)))
+        cluster.run_for(50)
+    cluster.flush("c")
+    cluster.create_index("c", "vector", "IVF_FLAT", MetricType.EUCLIDEAN,
+                         {"nlist": 16, "nprobe": 4})
+    assert cluster.wait_for_indexes("c")
+    cluster.run_for(2_000)
+    grow(cluster, rng, range(10_000, 10_000 + growing))
+    return cluster
+
+
+def grow(cluster, rng, pks):
+    pks = list(pks)
+    for start in range(0, len(pks), 50):
+        cluster.insert("c", rows(rng, pks[start:start + 50]))
+        cluster.run_for(5)
+    cluster.run_for(500)
+
+
+def growing_segment(cluster):
+    """``(node, segment)`` of the one growing segment."""
+    (found,) = [(node, node.segment("c", sid))
+                for node in cluster.query_coord.live_nodes()
+                for sid in node.segments_of("c")
+                if node.is_growing("c", sid)]
+    return found
+
+
+def first_read(cluster, queries):
+    """A search that builds the slice indexes it reads (the one selection
+    takes a slice only once a search has built its index)."""
+    cluster.search("c", queries, 10, consistency=EVENTUAL)
+
+
+class TestFreshNodes:
+    """A node holding growing segments (full slices and a tail), sealed
+    segments waiting for their index, and members with deletions answers
+    with one selection — or, where that cannot be proven to be what the
+    per-segment loop answers, through it."""
+
+    @pytest.mark.parametrize("nq", [1, 3])
+    @pytest.mark.parametrize("growing", [100, 200, 300, 600, 700],
+                             ids=["tail", "1-slice", "1-slice-tail",
+                                  "3-slices", "3-slices-tail"])
+    def test_slices_and_tail(self, rng, monkeypatch, growing, nq):
+        cluster = fresh_cluster(rng, growing)
+        node, segment = growing_segment(cluster)
+        assert segment.num_temp_indexes("vector") == growing // SLICE
+        queries = clustered(rng, nq)
+        if growing >= SLICE:    # its slices are not built yet
+            both(cluster, monkeypatch, queries, 10,
+                 selects=lambda other: other is not node)
+        for k in (1, 10, 5000):     # 5000 > rows
+            got = both(cluster, monkeypatch, queries, k, selects=True)
+        arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
+        assert len(arena.slices.get(segment.segment_id, (None, ()))[1]) \
+            == growing // SLICE
+        paths = {seg.meta["path"] for stage in got[0].profile.node_stages()
+                 for seg in stage.stages("segment.scan")}
+        assert paths == {"index", "growing"}
+
+    def test_a_slice_joins_without_deriving_the_arena(self, rng,
+                                                      monkeypatch):
+        """A slice that fills joins the arena at the first selection after
+        a search built its index: the sealed members' derived state is
+        taken over (list views, centroid factors), not derived again, and
+        their pks are not sorted again."""
+        cluster = fresh_cluster(rng, 150)
+        node, segment = growing_segment(cluster)
+        queries = clustered(rng, 3)
+        both(cluster, monkeypatch, queries, 10, selects=True)
+        arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
+        index, witness = arena.index, arena.distinct_pks
+        grow(cluster, rng, range(20_000, 20_100))
+        both(cluster, monkeypatch, queries, 10,
+             selects=lambda other: other is not node)   # builds slice 0
+        both(cluster, monkeypatch, queries, 10, selects=True)
+        assert node._arenas[("c", "vector", MetricType.EUCLIDEAN)] is arena
+        assert arena.index is not index
+        assert arena.index.members[:len(index.members)] == index.members
+        assert arena.index.lists.views[:len(index.lists.views)] \
+            == index.lists.views
+        assert arena.index._centroids[:len(index.members)] \
+            == index._centroids
+        assert arena.__dict__["distinct_pks"] is witness
+        (number,) = arena.slices[segment.segment_id][1]
+        assert arena.index.members[number] is \
+            segment.built_slice_indexes("vector", MetricType.EUCLIDEAN)[0]
+
+    @pytest.mark.parametrize("nq", [1, 3])
+    @pytest.mark.parametrize("where", ["sealed", "slice", "tail"])
+    @pytest.mark.parametrize("n_deleted", [3, 40])
+    def test_deletions_stay_in(self, rng, monkeypatch, where, n_deleted,
+                               nq):
+        """``<= k`` and ``> k`` deletions in a sealed member, a slice or the
+        tail: the member's deleted rows are ``+inf`` in the block, its
+        amplified ``k`` cut proves it kept what it would, and its counters
+        (``candidates_pruned`` included) are the per-segment loop's."""
+        cluster = fresh_cluster(rng, 500)
+        node, segment = growing_segment(cluster)
+        queries = clustered(rng, nq)
+        first_read(cluster, queries)
+        if where == "sealed":
+            source = next(seg for _node, seg in sealed_segments(cluster))
+            pool = source.pk_array
+        elif where == "slice":
+            source, pool = segment, segment.pk_array[SLICE:2 * SLICE]
+        else:
+            source, pool = segment, segment.pk_array[2 * SLICE:]
+        doomed = rng.choice(pool, n_deleted, replace=False).tolist()
+        cluster.delete("c", f"pk in {doomed}")
+        cluster.run_for(500)
+        assert source.num_deleted == n_deleted
+        got = both(cluster, monkeypatch, queries, 10, selects=True)
+        assert not set(doomed) & {pk for r in got for pk in r.pks}
+        assert got[0].profile.totals()["delete_filter_hits"] == n_deleted
+
+    @pytest.mark.parametrize("nq", [1, 3])
+    @pytest.mark.parametrize("where", ["sealed", "slice"])
+    def test_a_starving_member_takes_the_merge(self, rng, monkeypatch,
+                                               where, nq):
+        """All but five rows of a member deleted: its own answer would
+        escalate to the exact scan, so its node merges; the other node
+        still selects."""
+        cluster = fresh_cluster(rng, 500)
+        node, segment = growing_segment(cluster)
+        queries = clustered(rng, nq)
+        first_read(cluster, queries)
+        if where == "sealed":
+            home, source = next((other, seg)
+                                for other, seg in sealed_segments(cluster)
+                                if other is not node)
+            pool = source.pk_array
+        else:
+            home, source = node, segment
+            pool = segment.pk_array[:SLICE]
+        cluster.delete("c", f"pk in {pool[5:].tolist()}")
+        cluster.run_for(500)
+        got = both(cluster, monkeypatch, queries, 10,
+                   selects=lambda other: other is not home)
+        stage = next(s for s in got[0].profile.node_stages()
+                     if s.meta["node"] == home.name)
+        assert sum(seg.counters["brute_scans"]
+                   for seg in stage.stages("segment.scan")) > 0
+
+    @pytest.mark.parametrize("nq", [1, 3])
+    def test_a_pk_inserted_twice_takes_the_merge(self, rng, monkeypatch,
+                                                 nq):
+        """The same pk appended twice to the growing segment: its node
+        dedups in the merge; the witness is checked again for every new
+        row, and a copy in a sealed segment is found too."""
+        cluster = fresh_cluster(rng, 300)
+        node, segment = growing_segment(cluster)
+        queries = clustered(rng, nq)
+        first_read(cluster, queries)
+        both(cluster, monkeypatch, queries, 10, selects=True)
+        again = int(segment.pk_array[0])     # a copy near the query
+        cluster.insert("c", rows(rng, [again], queries[:1] + np.float32(1e-3)))
+        cluster.run_for(500)
+        got = both(cluster, monkeypatch, queries, 10,
+                   selects=lambda other: other is not node)
+        assert got[0].pks.count(again) == 1
+        # A pk that a sealed segment on the node holds.
+        fresh = fresh_cluster(rng, 300)
+        node, _segment = growing_segment(fresh)
+        held = next(seg for other, seg in sealed_segments(fresh)
+                    if other is node)
+        first_read(fresh, queries)
+        fresh.insert("c", rows(rng, [int(held.pk_array[0])]))
+        fresh.run_for(500)
+        both(fresh, monkeypatch, queries, 10,
+             selects=lambda other: other is not node)
+
+    def test_a_sealed_segment_waiting_for_its_index(self, rng, monkeypatch):
+        """A loaded segment without its index is an exact column of the
+        selection, deletions and all, in segment order among the others
+        (ties straddle it)."""
+        cluster = fresh_cluster(rng, 300)
+        node = max(cluster.query_coord.live_nodes(),
+                   key=lambda n: len(n.sealed_segments_of("c")))
+        sealed = node.segment("c", node.sealed_segments_of("c")[0])
+        del sealed._sealed_indexes["vector"]
+        cluster.delete("c", f"pk in {sealed.pk_array[:7].tolist()}")
+        cluster.run_for(500)
+        queries = clustered(rng, 3)
+        first_read(cluster, queries)
+        for nq in (1, 3):
+            got = both(cluster, monkeypatch, queries[:nq], 10, selects=True)
+        stage = next(s for s in got[0].profile.node_stages()
+                     if s.meta["node"] == node.name)
+        assert "brute" in {seg.meta["path"]
+                           for seg in stage.stages("segment.scan")}
+        # Four copies of one vector in it and in its neighbours by id:
+        # the cut keeps the earlier segments' copies, as the merge does.
+        query = np.ones(DIM, dtype=np.float32)
+        held = [node.segment("c", sid) for sid in node.segments_of("c")]
+        for segment in held:
+            rows_at = np.flatnonzero(~segment.deletions(
+                0, segment.num_rows))[-4:]
+            segment.column("vector")[rows_at] = query
+            if segment.is_sealed and segment is not sealed:
+                index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
+                                     nlist=16, nprobe=16)
+                index.build(segment.column("vector"))
+                segment.attach_index("vector", index)
+        first_read(cluster, query)
+        with node_paths(monkeypatch) as paths:
+            got = cluster.search("c", query, 6, consistency=EVENTUAL)[0]
+        assert [node.name, True] in paths
+        assert got.distances == [0.0] * 6
+        copies = [set(segment.pk_array[np.flatnonzero(
+            (segment.column("vector") == query).all(axis=1))].tolist())
+            for segment in held]
+        assert copies[0] <= set(got.pks)
+
+    def test_twin_clusters_mixed_history(self, monkeypatch):
+        """Twin clusters driven through the same mixed history — 16-row
+        inserts, a STRONG read of the newest row after each, two preloaded
+        pks deleted every eighth step — one as shipped and one through
+        the reference: results, every counter, latencies and span windows
+        equal to the last digit; most node scans select once, and the
+        scans that do not are the first reads of newly full slices."""
+        twins = []
+        for reference in (False, True):
+            rng = np.random.default_rng(11)
+            cluster = fresh_cluster(rng, 0)
+            seen, took = [], []
+            context = reference_path(monkeypatch) if reference \
+                else node_paths(monkeypatch)
+            with context as paths:
+                for step in range(56):
+                    pks = range(30_000 + 16 * step, 30_016 + 16 * step)
+                    batch = rows(rng, pks)
+                    cluster.insert("c", batch)
+                    out = cluster.search(
+                        "c", batch["vector"][-1], 10, explain=True,
+                        consistency=ConsistencyLevel.STRONG)[0]
+                    cluster.run_for(1)
+                    if step % 8 == 7:
+                        cluster.delete("c", f"pk in {[step, step + 500]}")
+                    profile = out.profile
+                    assert profile.verify() == []
+                    seen.append((out.latency_ms, out.distances,
+                                 stage_view(profile.root),
+                                 profile.totals()))
+                    took.append(out.pks)
+                if not reference:
+                    selected = [t for _name, t in paths]
+            spans = [(s.name, s.component, s.start_ms, s.end_ms, s.tags)
+                     for tid in cluster.tracer.trace_ids()
+                     for s in cluster.tracer.spans(tid)
+                     if s.name.startswith(("proxy.search", "query_node.",
+                                           "segment.scan", "proxy.merge"))]
+            twins.append((seen, took, spans, cluster.now(), [
+                (node.searches_served, node.service_ms_total,
+                 node.busy_until_ms)
+                for node in cluster.query_coord.live_nodes()]))
+        assert twins[0][0] == twins[1][0]
+        assert twins[0][2] == twins[1][2] and twins[0][3:] == twins[1][3:]
+        for got, want, (_l, dists, *_rest) in zip(twins[0][1], twins[1][1],
+                                                  twins[0][0]):
+            runs = np.split(np.arange(len(dists)),
+                            np.flatnonzero(np.diff(dists) != 0) + 1)
+            for run in runs[:-1]:
+                assert {got[i] for i in run} == {want[i] for i in run}
+        # 56 steps, 896 rows: slices fill at 200, 400, 600 and 800.
+        assert selected.count(False) == 4
+        assert len(selected) == 2 * 56
+
+
+# ----------------------------------------------------------------------
 # never stale
 # ----------------------------------------------------------------------
 
@@ -690,10 +987,10 @@ class TestArenaIsNeverStale:
         held = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
         assert sid not in held.slot
         assert after[0].segments_searched == before[0].segments_searched - 1
-        # Loaded again (no index yet: brute), then indexed again.
+        # Loaded again (no index yet: brute, an exact column of the one
+        # selection), then indexed again.
         node.load_segment("c", sid)
-        unindexed = both(cluster, monkeypatch, queries, 10,
-                         selects=lambda other: other is not node)
+        unindexed = both(cluster, monkeypatch, queries, 10, selects=True)
         assert sid not in node._arenas[
             ("c", "vector", MetricType.EUCLIDEAN)].slot
         route = cluster.index_coord.index_route("c", sid, "vector")
@@ -728,8 +1025,7 @@ class TestArenaIsNeverStale:
         held = arenas(cluster)
         cluster.delete("c", f"pk in {first[0].pks[:3]}")
         cluster.run_for(500)
-        second = both(cluster, monkeypatch, queries, 10,
-                      selects=nothing_deleted)
+        second = both(cluster, monkeypatch, queries, 10, selects=True)
         assert not set(first[0].pks[:3]) & set(second[0].pks)
         assert all(a is b for a, b in zip(held, arenas(cluster)))
 
@@ -739,7 +1035,7 @@ class TestArenaIsNeverStale:
         both(cluster, monkeypatch, queries, 10)
         cluster.insert("c", rows(rng, range(9000, 9250)))
         cluster.run_for(500)
-        growing = both(cluster, monkeypatch, queries, 10, selects=False)
+        growing = both(cluster, monkeypatch, queries, 10, selects=True)
         paths = {seg.meta["path"]
                  for node in growing[0].profile.node_stages()
                  for seg in node.stages("segment.scan")}
@@ -814,8 +1110,9 @@ def assert_selects_the_merged_answer(arena, queries, k, scope, ids, dists,
     to exact ties — with the same work counters (``stats``), and its
     rows scored give each member's hits."""
     counted = [SearchStats() for _ in scope]
-    got_ids, got_dists, rows = arena.search(queries, k, scope, counted,
-                                            together=True)
+    got_ids, got_dists, rows, pruned = arena.search(queries, k, scope,
+                                                    counted, together=True)
+    assert not pruned.any()
     want = merge_topk([HitBlock(i, d) for i, d in zip(ids, dists)], k)
     width = got_dists.shape[1]
     assert not np.isfinite(want.dists[:, width:]).any()
@@ -926,11 +1223,50 @@ class TestArenaIndex:
         copies = np.array([[base + row for row in (5, 50, 150, 250)]
                            for base in arena.row_base[:3]])
         for k in range(1, 13):
-            ids, dists, _rows = arena.search(query, k, together=True)
+            ids, dists, _rows, _pruned = arena.search(query, k,
+                                                      together=True)
             assert (dists == 0).all()
             taken = np.isin(copies, ids[0]).sum(axis=1).tolist()
             assert taken == [min(4, max(0, k - 4 * m)) for m in range(3)]
             assert ids[0].tolist() == sorted(ids[0].tolist())
+
+    def test_a_deleted_member_cut(self, rng):
+        """A member with excluded rows passes the one selection only where
+        the ``asked`` cut of its own answer is decided by the scores: the
+        excluded rows inside the cut are counted as pruned, a cut that
+        splits a tie holding an excluded row declines, and so does a cut
+        that leaves fewer than ``k`` live rows while ``asked`` is below
+        the member's rows."""
+        query = clustered(rng, 1)
+        rows = clustered(rng, 300) + np.float32(50.0)   # far away
+        near = np.linspace(0.1, 0.5, 5, dtype=np.float32)[:, None]
+        rows[:5] = query + near          # ranks 0..4
+        rows[5] = rows[6] = query + np.float32(0.3) + 1e-3 * np.arange(
+            rows.shape[1], dtype=np.float32)    # a tie between ranks
+        index = IvfFlatIndex(MetricType.EUCLIDEAN, DIM, nlist=4, nprobe=4)
+        index.build(rows)
+        arena = ArenaIndex([index])
+        ids, dists = index.search(query, 300)
+        tied = dists[0][np.isin(ids[0], [5, 6])]
+        assert tied[0] == tied[1]
+        at = int(np.flatnonzero(np.isin(ids[0], [5, 6]))[0])
+
+        def select(dead, k, asked):
+            excluded = np.zeros(300, dtype=bool)
+            excluded[dead] = True
+            return arena.search(query, k, together=True,
+                                cuts={0: (excluded, asked)})
+
+        found = select([ids[0, 0]], 3, 4)       # the best row deleted
+        assert found is not None and found[3].tolist() == [[1]]
+        assert ids[0, 0] not in found[0]
+        # The cut at ``at + 1`` splits the tie, which holds row 6.
+        assert select([6], 3, at + 1) is None
+        assert select([6], 3, at + 2) is not None      # the tie inside
+        # Every live row of the first ``asked`` is needed, and one is
+        # missing: the post-filter would escalate.
+        assert select(ids[0, :2].tolist(), 3, 4) is None
+        assert select(ids[0, :2].tolist(), 3, 300) is not None
 
     def test_empty_block_and_scope(self, rng):
         members = []
