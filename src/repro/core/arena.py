@@ -70,8 +70,9 @@ class SegmentArena:
         #: full slices that joined, in slice order).
         self.slices: dict[str, tuple[Segment, list[int]]] = {}
         # Fresh segment id -> (the segment, how many of its first rows'
-        # pks are known to be held nowhere else on the node).
-        self._checked: dict[str, tuple[Segment, int]] = {}
+        # pks are known to be held nowhere else on the node, how many rows
+        # it held when last looked up).
+        self._checked: dict[str, tuple[Segment, int, int]] = {}
 
     @staticmethod
     def admits(segment: Segment, field: str, metric: MetricType) -> bool:
@@ -149,24 +150,43 @@ class SegmentArena:
         """Whether no pk of the members or of the ``fresh`` segments is
         held twice on the node (``held``): the sealed members' witness,
         and the pks appended to a fresh segment since they were last
-        looked up in every other segment held."""
+        looked up in every other segment held.  A failed lookup is kept
+        too: it is looked up again only once more rows arrive."""
         if not self.distinct_pks:
             return False
         for segment in fresh:
             sid = segment.segment_id
+            passed, seen = 0, -1
             known = self._checked.get(sid)
-            start = known[1] if known is not None and known[0] is segment \
-                else 0
-            if start == segment.num_rows:
+            if known is not None and known[0] is segment:
+                _segment, passed, seen = known
+            if seen == segment.num_rows:
+                if passed < seen:
+                    return False
                 continue
-            if not segment.holds_each_pk_once():
+            new = set(segment.pks_from(passed))
+            ok = segment.holds_each_pk_once() and not any(
+                other is not segment and other.holds_any_pk(new)
+                for other in held.values())
+            self._checked[sid] = (segment,
+                                  segment.num_rows if ok else passed,
+                                  segment.num_rows)
+            if not ok:
                 return False
-            new = set(segment.pks_from(start))
-            if any(other is not segment and other.holds_any_pk(new)
-                   for other in held.values()):
-                return False
-            self._checked[sid] = segment, segment.num_rows
         return True
+
+    def _join(self, fresh: Sequence[Segment], held: Mapping[str, Segment]
+              ) -> Optional[list[list[tuple[int, int]]]]:
+        """For each of the ``fresh`` segments, ``(arena number, first
+        row)`` of its joined slices, in slice order, once every full slice
+        has joined and no pk is held twice on the node; None where that
+        cannot be had."""
+        if not self._grow(fresh) or not self._distinct(fresh, held):
+            return None
+        return [[(number, slice_no * segment.config.slice_size)
+                 for slice_no, number in enumerate(
+                     self.slices.get(segment.segment_id, (None, ()))[1])]
+                for segment in fresh]
 
     def select(self, segments: Sequence[Segment], queries: np.ndarray,
                k: int, stats: Sequence[SearchStats], reduce: ReduceStats,
@@ -185,37 +205,64 @@ class SegmentArena:
         work to its entry of ``stats`` — a fresh segment's slices and
         tail, as ``Segment.search`` counts them — and to ``reduce`` what
         :func:`~repro.core.results.merge_topk` would have counted over the
-        segments' partials: none repeats a pk.
+        segments' partials: none repeats a pk.  A scope of sealed members
+        with nothing deleted takes none of the fresh or deleting steps.
         """
         nq = queries.shape[0]
         if k <= 0 or not nq:
             return None
         field = self.field
-        members, fresh = [], []
+        # The members in scope: arena number, segment position, first row.
+        scope, owners, fresh, deleting = [], [], [], []
         for at, segment in enumerate(segments):
             number = self.slot.get(segment.segment_id)
             if number is None and segment.index_for(field) is not None:
                 return None             # searched by an index of its own
-            if not segment.num_live_rows:
-                continue                # nothing allowed: nothing to find
+            if segment.num_deleted:
+                deleting.append(at)
+                if not segment.num_live_rows:
+                    continue            # nothing allowed: nothing to find
             if number is None:
                 fresh.append(at)
             else:
-                members.append((number, at, segment, 0))
-        fresh_segments = [segments[at] for at in fresh]
-        if not self._grow(fresh_segments) \
-                or not self._distinct(fresh_segments, held):
+                scope.append(number)
+                owners.append(at)
+        firsts = [0] * len(scope)
+        if fresh:
+            joined = self._join([segments[at] for at in fresh], held)
+            if joined is None:
+                return None
+            members = sorted([*zip(scope, owners, firsts), *(
+                (number, at, first) for at, slices in zip(fresh, joined)
+                for number, first in slices)])   # numbers are unique
+            scope, owners, firsts = ([member[j] for member in members]
+                                     for j in range(3))
+        elif not self.distinct_pks:
             return None
-        for at in fresh:
-            segment = segments[at]
-            size = segment.config.slice_size
-            for slice_no, number in enumerate(
-                    self.slices.get(segment.segment_id, (None, ()))[1]):
-                members.append((number, at, segment, slice_no * size))
-        members.sort()          # by arena number: numbers are unique
-        scope = [number for number, _at, _segment, _lo in members]
         if not self.index.scans_once(scope, nq):
             return None
+        if not fresh and not deleting:
+            # Sealed members and nothing deleted: a ledger entry per
+            # member, no cut to prove and no tail.
+            ledger = [stats[at] for at in owners]
+            before = [entry.float_comparisons + entry.quantized_comparisons
+                      for entry in ledger]
+            ids, dists, probed, _pruned = self.index.search(
+                queries, k, scope, ledger, together=True)
+            kept = np.minimum(probed, k)
+            visited = kept.sum(axis=1).tolist()
+            for entry, was, seen in zip(ledger, before, visited):
+                entry.index_scans += 1
+                # Indexes report work as comparison counts; at the scan
+                # layer one comparison examines one stored row.
+                entry.rows_scanned += (entry.float_comparisons
+                                       + entry.quantized_comparisons - was)
+                entry.candidates_visited += seen
+            reduce.batches_merged += int(np.count_nonzero(kept))
+            reduce.candidates_in += sum(visited)
+            reduce.hits_out += int(np.count_nonzero(dists < np.inf))
+            return HitBlock(self.pks[ids], dists)
+
         tails = []
         for at in fresh:
             segment = segments[at]
@@ -225,20 +272,21 @@ class SegmentArena:
                 segment.num_rows)
             if len(rows):
                 tails.append((at, segment, rows, dists))
-        owners = [at for _number, at, _segment, _lo in members]
-        asked, cuts = [], {}
-        for i, (number, _at, segment, lo) in enumerate(members):
-            covered = self.index.members[number].ntotal
-            asked.append(min(k, covered))
+        # A member with deletions: its own answer takes its amplified
+        # ``k`` best probed rows and drops the deleted ones.
+        cuts = {}
+        for i, (number, at, first) in enumerate(zip(scope, owners, firsts)):
+            segment = segments[at]
             if segment.num_deleted:
-                excluded = segment.deletions(lo, lo + covered)
+                covered = self.index.members[number].ntotal
+                excluded = segment.deletions(first, first + covered)
                 n_excluded = int(np.count_nonzero(excluded))
                 if n_excluded:
-                    asked[i] = amplified_k(k, covered, n_excluded)
-                    cuts[i] = excluded, asked[i]
-        # The work is counted into the ledger, or, while a member's cut
-        # may still turn the selection down, into entries added to it once
-        # the selection stands.
+                    cuts[i] = excluded, amplified_k(k, covered, n_excluded)
+        # The work is counted into the ledger (a fresh segment's slices
+        # share its entry), or, while a member's cut may still turn the
+        # selection down, into entries added to it once the selection
+        # stands.
         counted = {at: SearchStats() if cuts else stats[at] for at in owners}
         before = {at: entry.float_comparisons + entry.quantized_comparisons
                   for at, entry in counted.items()}
@@ -250,9 +298,11 @@ class SegmentArena:
             return None
         ids, dists, probed, pruned = found
 
-        visited = np.minimum(np.array(asked)[:, None], probed)
-        kept = np.zeros((len(segments), nq), dtype=np.int64)
-        np.add.at(kept, owners, np.minimum(visited - pruned, k))
+        # No member probes more rows than it holds: its own answer takes
+        # its ``k`` best, or its cut's.
+        visited = np.minimum(probed, k)
+        for i, (_excluded, asked) in cuts.items():
+            np.minimum(probed[i], asked, out=visited[i])
         for at, seen, dropped in zip(owners, visited.sum(axis=1).tolist(),
                                      pruned.sum(axis=1).tolist()):
             entry = counted[at]
@@ -260,19 +310,20 @@ class SegmentArena:
             entry.candidates_visited += seen
             entry.candidates_pruned += dropped
         for at, entry in counted.items():
-            # Indexes report work as comparison counts; at the scan layer
-            # one comparison examines one stored row.
             entry.rows_scanned += (entry.float_comparisons
                                    + entry.quantized_comparisons
                                    - before[at])
             if cuts:
                 stats[at].add(entry)
-        for at, segment in enumerate(segments):
-            stats[at].delete_filter_hits += segment.num_deleted
+        for at in deleting:
+            stats[at].delete_filter_hits += segments[at].num_deleted
+        # A segment's partial — a fresh one's slices' and tail's together
+        # — holds its ``k`` best live hits, none twice.
+        kept = np.zeros((len(segments), nq), dtype=np.int64)
+        np.add.at(kept, owners, np.minimum(visited - pruned, k))
         for at, segment, rows, _dists in tails:
             segment.charge_exact(field, nq, len(rows), stats[at])
             kept[at] += len(rows)
-        # A segment's partial holds its ``k`` best hits, none twice.
         np.minimum(kept, k, out=kept)
         reduce.batches_merged += int(np.count_nonzero(kept))
         reduce.candidates_in += int(kept.sum())
@@ -282,9 +333,9 @@ class SegmentArena:
         if tails:
             outside = ids >= ntotal
             if outside.any():
-                tail_pks = np.concatenate([segment.pk_array[rows]
-                                           for _at, segment, rows, _d
-                                           in tails])
+                tail_pks = np.concatenate([
+                    segment.pk_array[rows]
+                    for _at, segment, rows, _d in tails])
                 pks[outside] = tail_pks[ids[outside] - ntotal]
         return HitBlock(pks, dists)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import weakref
 from bisect import bisect_left
-from typing import Callable, Mapping, NamedTuple, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -572,28 +572,31 @@ class ListArena:
         distances are the ones ``scan`` hands it.
         """
         n, nq, width = probes.shape
-        room = sum(column.shape[1] for column in columns)
         probed = self.sizes[probes].sum(axis=2)
         pruned = np.zeros((n, nq), dtype=np.int64)
         if k <= 0:
             return (np.empty((nq, 0), dtype=np.int64),
                     np.empty((nq, 0), dtype=np.float32), probed, pruned)
-        laid = (self._one_row if nq == 1 else self._query_rows)(
-            scope, queries, probes, room)
-        rows, lists, spans = laid.rows, laid.lists, laid.spans
+        # Every query's row of list scores, ``stored`` the arena row of
+        # each (past a list's end in a padded row, of whatever follows
+        # it); member ``i``'s scores are columns ``spans[i]:spans[i + 1]``.
+        rows, stored, spans = (self._one_row if nq == 1
+                               else self._query_rows)(scope, queries, probes)
+        lists = spans[-1]
+        if columns:
+            rows = np.concatenate([rows, *columns], axis=1)
         for i, (excluded, asked) in (cuts or {}).items():
             lo, hi = spans[i], spans[i + 1]
+            ids = self._members[scope[i]]().ids
             scores = rows[:, lo:hi]
-            dead = laid.excluded(i, excluded)
+            dead = excluded[ids[np.minimum(
+                stored[:, lo:hi] - self.row_base[scope[i]], len(ids) - 1)]]
+            dead &= scores < np.inf     # +inf is padding
             found = _pruned(scores, dead, probed[i], asked, k, len(excluded))
             if found is None:
                 return None
             pruned[i] = found
             scores[dead] = np.inf
-        at = lists
-        for column in columns:
-            rows[:, at:at + column.shape[1]] = column
-            at += column.shape[1]
         key = None
         if ranks is not None:
             def key(cols: np.ndarray) -> np.ndarray:
@@ -604,28 +607,28 @@ class ListArena:
 
         cols, dists = _in_column_order(rows, *topk_smallest(rows, k + 1), k,
                                        key)
-        inner = cols < lists
-        at = np.where(dists < np.inf,          # +inf is padding
-                      np.where(inner, laid.locate(np.where(inner, cols, 0)),
-                               self.row_base[-1] + cols - lists),
-                      -1)
+        at = stored[np.arange(nq)[:, None],
+                    np.minimum(cols, lists - 1) if columns else cols]
+        if columns:
+            at = np.where(cols < lists, at, self.row_base[-1] + cols - lists)
+        at = np.where(dists < np.inf, at, -1)  # +inf is padding
         if self.norms is not None:
             np.maximum(dists, 0.0, out=dists)   # rounding below zero
         return at, dists, probed, pruned
 
     def _one_row(self, scope: Sequence[int], queries: np.ndarray,
-                 probes: np.ndarray, room: int) -> _Laid:
+                 probes: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         """One query's candidate row, laid compact: every probed list's
-        scores after the last's, in probe order, member after member, then
-        ``room`` floats.  A list is one GEMV, as a member's own search of
-        one query scores it."""
+        scores right after the last's, in list order (member by member,
+        as lists are numbered); a list is one GEMV, as a member's own
+        search of one query scores it.  Returns ``select``'s ``(rows,
+        stored, spans)``."""
         n, _nq, width = probes.shape
-        pairs = probes.reshape(-1)
+        pairs = np.sort(probes.reshape(-1))
         sizes = self.sizes[pairs]
         ends = np.cumsum(sizes)
         lists = int(ends[-1])
-        row = np.empty((1, lists + room), dtype=np.float32)
-        #: The arena row every score of the row is of.
+        row = np.empty((1, lists), dtype=np.float32)
         stored = np.repeat(self.offsets[pairs] - ends + sizes, sizes) \
             + np.arange(lists)
         every = self.members
@@ -653,73 +656,30 @@ class ListArena:
             q_norm = np.einsum("ij,ij->i", queries, queries)
             partial = [member.norms is not None for member in members]
             if all(partial):
-                row[0, :lists] += q_norm[0]
+                row[0] += q_norm[0]
             else:                   # no |q|^2 on whole distances
-                row[0, :lists] += np.repeat(
-                    q_norm * np.repeat(partial, width), sizes)
-            row[0, :lists] += self.norms[stored]
-
-        def excluded(i: int, dead: np.ndarray) -> np.ndarray:
-            at = stored[starts[i * width]:starts[(i + 1) * width]]
-            return dead[self._members[scope[i]]().ids[
-                at - self.row_base[scope[i]]]][None]
-
-        return _Laid(row, lists, starts[::width], stored.__getitem__,
-                     excluded)
+                row[0] += np.repeat(q_norm * np.repeat(partial, width), sizes)
+            row[0] += self.norms[stored]
+        return row, stored[None], starts[::width]
 
     def _query_rows(self, scope: Sequence[int], queries: np.ndarray,
-                    probes: np.ndarray, room: int) -> _Laid:
+                    probes: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, list]:
         """Every query's candidate row, query-major: its (member, query)
-        rows side by side, each the member's probed lists padded to the
-        pass's widest, then ``room`` floats."""
+        rows side by side, each its probed lists in probe order, padded
+        to the pass's widest.  Returns ``select``'s ``(rows, stored,
+        spans)``."""
         n, nq, width = probes.shape
-        block, order, lows, sizes, widest, _grid = self._score(
+        block, order, _lows, _sizes, widest, _grid = self._score(
             scope, queries, probes, False, least=1)
-        wide = width * widest           # one (member, query) row
-        lists = n * wide
+        wide = width * widest
         by_member = np.empty_like(block)
         by_member[order] = block
-        rows = np.empty((nq, lists + room), dtype=np.float32)
-        rows[:, :lists].reshape(nq, n, wide)[:] = \
-            by_member.reshape(n, nq, wide).transpose(1, 0, 2)
-        per = nq * width
-
-        def locate(cols: np.ndarray) -> np.ndarray:
-            member, within = np.divmod(cols, wide)
-            slot, within = np.divmod(within, widest)
-            slot += (member * nq + np.arange(nq)[:, None]) * width
-            return self.offsets[probes.reshape(-1)[slot]] + within
-
-        def excluded(i: int, dead: np.ndarray) -> np.ndarray:
-            # The member's pairs are ``lo:hi`` in list order; row ``r``
-            # of ``windows`` is its ``r``-th stored row's on.
-            lo, hi = i * per, (i + 1) * per
-            padded = np.zeros(len(dead) + widest, dtype=bool)
-            padded[:len(dead)] = dead[self._members[scope[i]]().ids]
-            windows = np.ndarray((len(dead) + 1, widest), bool, padded,
-                                 strides=padded.strides * 2)
-            hit = windows[lows[lo:hi] - self.row_base[scope[i]]]
-            hit &= np.arange(widest) < sizes[lo:hi, None]
-            in_rows = np.empty_like(hit)
-            in_rows[order[lo:hi] - lo] = hit
-            return in_rows.reshape(nq, wide)
-
-        return _Laid(rows, lists, list(range(0, lists + 1, wide)), locate,
-                     excluded)
-
-
-class _Laid(NamedTuple):
-    """Every query's candidate row of one selection: ``rows`` ``(nq,
-    lists + room)``, list scores in its first ``lists`` columns, member
-    ``i``'s in ``spans[i]:spans[i + 1]``; ``locate(cols)`` is the arena
-    row of list columns, and ``excluded(i, dead)`` marks, over member
-    ``i``'s columns, the rows ``dead`` marks (over its build rows)."""
-
-    rows: np.ndarray
-    lists: int
-    spans: list[int]
-    locate: Callable[[np.ndarray], np.ndarray]
-    excluded: Callable[[int, np.ndarray], np.ndarray]
+        rows = by_member.reshape(n, nq, wide).transpose(1, 0, 2) \
+            .reshape(nq, n * wide)
+        stored = (self.offsets[probes][..., None] + np.arange(widest)) \
+            .transpose(1, 0, 2, 3).reshape(nq, n * wide)
+        return rows, stored, list(range(0, n * wide + 1, wide))
 
 
 def _pruned(scores: np.ndarray, excluded: np.ndarray, probed: np.ndarray,
@@ -1262,6 +1222,9 @@ class ArenaIndex(VectorIndex):
                 return None
             at, dists, rows, pruned = found
             self._count(scope, range(n), rows.sum(axis=1), stats)
+            if not columns:
+                return np.where(at < 0, -1, self.ids[at]), dists, rows, \
+                    pruned
             stored = self.lists.row_base[-1]
             listed = (at >= 0) & (at < stored)
             ids = np.where(listed, self.ids[np.where(listed, at, 0)],

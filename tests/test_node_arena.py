@@ -41,6 +41,7 @@ from repro.core.filtering import FilterStrategy, choose_strategy
 from repro.core.results import HitBlock, merge_topk
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
+from repro.core.segment import Segment
 from repro.errors import IndexBuildError, InvalidQuery
 from repro.index import ivf
 from repro.index.base import SearchStats, create_index
@@ -870,6 +871,43 @@ class TestFreshNodes:
         fresh.run_for(500)
         both(fresh, monkeypatch, queries, 10,
              selects=lambda other: other is not node)
+
+    def test_an_upserted_pk_is_looked_up_once_per_append(self, rng,
+                                                         monkeypatch):
+        """An upsert leaves its pk held twice on the node (the old row,
+        deleted, in a sealed segment and the new one in the growing
+        segment): the node merges, and the lookup that found the copy is
+        not made again until more rows arrive."""
+        cluster = fresh_cluster(rng, 300)
+        node, segment = growing_segment(cluster)
+        queries = clustered(rng, 1)
+        first_read(cluster, queries)
+        held = next(seg for other, seg in sealed_segments(cluster)
+                    if other is node)
+        cluster.upsert("c", rows(rng, [int(held.pk_array[0])]))
+        cluster.run_for(500)
+        assert held.num_deleted == 1
+        looked = []
+        real = Segment.holds_any_pk
+
+        def holds_any_pk(self, pks):
+            looked.append(self)
+            return real(self, pks)
+
+        monkeypatch.setattr(Segment, "holds_any_pk", holds_any_pk)
+
+        def merges(other):
+            return other is not node
+
+        both(cluster, monkeypatch, queries, 10, selects=merges)
+        first = len(looked)
+        assert first > 0
+        for _ in range(3):
+            both(cluster, monkeypatch, queries, 10, selects=merges)
+        assert len(looked) == first
+        grow(cluster, rng, range(40_000, 40_016))
+        both(cluster, monkeypatch, queries, 10, selects=merges)
+        assert len(looked) > first
 
     def test_a_sealed_segment_waiting_for_its_index(self, rng, monkeypatch):
         """A loaded segment without its index is an exact column of the
