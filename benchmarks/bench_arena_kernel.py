@@ -6,7 +6,9 @@ scan for all of them, where the members' own ``search`` would each pay a
 coarse step, a scan and a top-k.  This benchmark times the two on the shape
 of the end-to-end benchmark's sealed node: 7 members of 4096 SIFT-like
 128-d rows (``seal_entity_count`` rows each), ``nlist`` 64, ``nprobe`` 8,
-``k`` 10.
+``k`` 10, and one member of ``SMALL`` rows, whose ``nlist`` is its row
+count: 33 is no multiple of 4, so at one query that member keeps its own
+coarse GEMV beside the one GEMV over the others' stacked centroids.
 
 Per block height ``nq`` of 1, 8 and 64 it records the wall microseconds of
 one call — ``arena.search`` over all members, and the members' own
@@ -15,16 +17,16 @@ one call — ``arena.search`` over all members, and the members' own
 the scan is one padded pass (``ArenaIndex.scans_once``), also
 ``select_us``, one call of ``arena.search(together=True)``, the one
 selection over every member's rows that a query node's reduce is.
-``equal`` is whether, at every height, every member's distances from the
-arena are bit for bit its own, its ids are its own (up to the order of
-equal distances, and which of them the ``k`` cut keeps) and its
-``SearchStats`` counters are its own.  ``selected_equal`` is whether, on
-every block of every height and swept setting (``selected_cases`` of
-them), the one selection answers what the members' own answers merged by
-``merge_topk`` are — distances bit for bit, ids up to the ties the ``k``
-cut splits, the same counters — and so does it on a fresh node's shape
-(``fresh_cases`` of them, counted among the ``selected_cases``): the
-sealed members beside ``SLICES`` full slices of a growing segment
+``equal`` is whether, at every height, every member's probed lists from
+the arena's coarse step are its own probe's, its distances bit for bit its
+own, its ids its own (up to the order of equal distances, and which of
+them the ``k`` cut keeps) and its ``SearchStats`` counters its own.
+``selected_equal`` is whether, on every block of every height and swept
+setting (``selected_cases`` of them), the one selection answers what the
+members' own answers merged by ``merge_topk`` are — distances bit for
+bit, ids up to the ties the ``k`` cut splits, the same counters — and so
+does it on a fresh node's shape (``fresh_cases`` of them, counted among
+the ``selected_cases``): the sealed members beside ``SLICES`` full slices of a growing segment
 (``SLICE`` rows, temporary ``IVF_FLAT`` of ``nlist`` 16, ``nprobe`` 2),
 the exact columns of two tails (``TAIL`` rows), and a member that lost
 ``DELETED`` rows, which the selection drops after the cut its own answer
@@ -58,6 +60,7 @@ trims the repeats.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import statistics
@@ -84,6 +87,8 @@ QUICK = os.environ.get("MANU_BENCH_QUICK", "") not in ("", "0")
 REPEATS = 3 if QUICK else 11
 SEED = 3
 MEMBERS, ROWS, DIM = 7, 4096, 128
+#: Rows (and lists) of the one member outside the one-query coarse stack.
+SMALL = 33
 NLIST, NPROBE, K = 64, 8, 10
 #: query block height -> calls per timing (about the same rows each).
 CALLS = {1: 16 if QUICK else 64, 8: 8 if QUICK else 16,
@@ -122,12 +127,18 @@ def _equal(arena: ArenaIndex, members: list[IvfFlatIndex],
     """Whether every member's answer from the arena is its own."""
     stats = [SearchStats() for _ in members]
     ids, dists = arena.search(queries, K, stats=stats)
+    scope = list(range(len(members)))
+    probes = arena._probe(scope, queries, queries,
+                          [SearchStats() for _ in members])
     for number, member in enumerate(members):
-        want_ids, want_dists = member.search(queries, K)
+        own = member._probe(queries, K, None)
+        want_ids, want_dists = member.search(queries, K)    # resets stats
         want_ids = np.where(want_ids < 0, -1,
                             want_ids + arena.row_base[number])
-        if not (np.array_equal(dists[number].view(np.int32),
-                               want_dists.view(np.int32))
+        if not (np.array_equal(probes[number, :, :own.shape[1]]
+                               - arena.lists.list_base[number], own)
+                and np.array_equal(dists[number].view(np.int32),
+                                   want_dists.view(np.int32))
                 and _same_up_to_ties(ids[number], want_ids, want_dists)
                 and stats[number].as_dict() == member.stats.as_dict()):
             return False
@@ -277,17 +288,22 @@ def _floats(arena: ArenaIndex, blocks: list[np.ndarray]) -> dict:
 
 def run() -> dict:
     rng = np.random.default_rng(SEED)
+    sealed_rows = MEMBERS * ROWS + SMALL
     fresh_rows = SLICES * SLICE + 2 * TAIL
-    data = make_sift_like(n=MEMBERS * ROWS + fresh_rows, nq=256, dim=DIM)
-    corpus = data.vectors[rng.permutation(MEMBERS * ROWS + fresh_rows)]
+    data = make_sift_like(n=sealed_rows + fresh_rows, nq=256, dim=DIM)
+    corpus = data.vectors[rng.permutation(sealed_rows + fresh_rows)]
     members = []
-    for number in range(MEMBERS):
+    # The small member mid-arena: the stack's rows after it would round
+    # otherwise were it stacked.
+    bounds = [0, *range(ROWS, MEMBERS * ROWS + 1, ROWS)]
+    bounds[MEMBERS // 2 + 1:] = [at + SMALL for at in bounds[MEMBERS // 2:]]
+    for lo, hi in itertools.pairwise(bounds):
         member = IvfFlatIndex(MetricType.EUCLIDEAN, DIM, nlist=NLIST,
                               nprobe=NPROBE)
-        member.build(corpus[number * ROWS:(number + 1) * ROWS])
+        member.build(corpus[lo:hi])
         members.append(member)
     arena = ArenaIndex(members)
-    fresh = corpus[MEMBERS * ROWS:]
+    fresh = corpus[sealed_rows:]
     slices = []
     for number in range(SLICES):
         member = IvfFlatIndex(MetricType.EUCLIDEAN, DIM, nlist=16, nprobe=2)
@@ -317,7 +333,7 @@ def run() -> dict:
         check_selection(blocks)
         turn = iter(range(1 << 30))
         arena_us, members_us, select_us = [], [], []
-        selects = arena.scans_once(range(MEMBERS), nq)
+        selects = arena.scans_once(range(len(members)), nq)
 
         def arena_call():
             arena.search(blocks[next(turn) % calls], K)
@@ -365,7 +381,8 @@ def run() -> dict:
     selected_equal = bool(fresh_cases) and all(selected)
     doc = {"quick": QUICK, "repeats": REPEATS, "seed": SEED,
            "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS", "unset"),
-           "members": MEMBERS, "rows": ROWS, "dim": DIM, "nlist": NLIST,
+           "members": MEMBERS, "rows": ROWS, "small_member_rows": SMALL,
+           "dim": DIM, "nlist": NLIST,
            "nprobe": NPROBE, "k": K, "chunk_width": ivf._CHUNK_WIDTH,
            "chunk_from": ivf._CHUNK_FROM, "equal": equal,
            "selected_equal": selected_equal,
@@ -377,10 +394,10 @@ def run() -> dict:
     with open(out_path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
     print_series(
-        "node arena kernel: %d IVF_FLAT members of %d x %d, one search vs "
-        "each member's own (median-of-%d wall-clock us per call; equal %s; "
-        "one selection equal %s over %d cases)"
-        % (MEMBERS, ROWS, DIM, REPEATS, equal, selected_equal,
+        "node arena kernel: %d IVF_FLAT members of %d x %d and one of %d, "
+        "one search vs each member's own (median-of-%d wall-clock us per "
+        "call; equal %s; one selection equal %s over %d cases)"
+        % (MEMBERS, ROWS, DIM, SMALL, REPEATS, equal, selected_equal,
            len(selected)),
         ["nq", "arena us", "select us", "members us", "ratio",
          "padded floats", "grid floats", "scored floats"],

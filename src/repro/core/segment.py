@@ -51,7 +51,8 @@ from repro.core.results import HitBatch, HitBlock
 from repro.core.schema import CollectionSchema, MetricType
 from repro.errors import ClusterStateError, SchemaError
 from repro.index.base import SearchStats, VectorIndex
-from repro.index.distances import adjusted_distances, topk_smallest
+from repro.index.distances import adjusted_distances, squared_l2, \
+    topk_smallest
 from repro.index.ivf import IvfFlatIndex
 
 
@@ -117,6 +118,13 @@ class Segment:
         self._chunks: dict[str, list] = {f.name: [] for f in schema.fields
                                          if not f.is_primary}
         self._buffers: dict[str, np.ndarray] = {}
+        # Per vector column, the squared norms of its first rows (the
+        # einsum ``squared_l2`` forms them with), kept from the first
+        # exact scan that reads them: rows do not change, so a growing
+        # tail read on every request is normed once per row.
+        self._norms: dict[str, np.ndarray] = {
+            name: np.zeros(0, dtype=np.float32) for name in self._dims}
+        self._normed: dict[str, int] = dict.fromkeys(self._dims, 0)
         # Columns read since the last append, the lookups behind a scan's
         # ``cache_hits`` / ``cache_misses``.  None marks a vector column
         # counted as read but not consolidated (see ``append``).
@@ -543,7 +551,28 @@ class Segment:
             self.charge_exact(field, queries.shape[0], len(rows), stats)
             column = self.column(field)
         data = column[lo:hi] if allowed is None else column[rows]
+        if metric is MetricType.EUCLIDEAN:
+            norms = self._row_norms(field, column, hi)
+            return rows, squared_l2(
+                queries, data,
+                d_norms=norms[lo:hi] if allowed is None else norms[rows])
         return rows, adjusted_distances(queries, data, metric)
+
+    def _row_norms(self, field: str, column: np.ndarray, hi: int
+                   ) -> np.ndarray:
+        """``|row|^2`` of the first ``hi`` rows of vector ``column``
+        (``field``'s): the rows not kept yet are normed and kept (a
+        buffer that doubles when outgrown, its fill in ``_normed``)."""
+        norms, normed = self._norms[field], self._normed[field]
+        if normed < hi:
+            if hi > len(norms):
+                grown = np.empty(max(hi, 2 * len(norms)), dtype=np.float32)
+                grown[:normed] = norms[:normed]
+                self._norms[field] = norms = grown
+            rows = column[normed:hi]
+            np.einsum("ij,ij->i", rows, rows, out=norms[normed:hi])
+            self._normed[field] = hi
+        return norms
 
     def charge_exact(self, field: str, nq: int, n: int,
                      stats: SearchStats) -> None:

@@ -30,6 +30,7 @@ def _as_2d(x: np.ndarray) -> np.ndarray:
 
 def squared_l2(queries: np.ndarray, data: np.ndarray, *,
                q_norms: np.ndarray | None = None,
+               d_norms: np.ndarray | None = None,
                out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances, shape (nq, nd).
 
@@ -37,14 +38,17 @@ def squared_l2(queries: np.ndarray, data: np.ndarray, *,
     one GEMM — the same trick SIMD-optimized engines rely on — and forms
     it in place in the GEMM's output.  A caller that scores the same
     queries many times passes their squared norms as ``q_norms`` and a
-    float32 ``(nq, nd)`` block to reuse as ``out``; the values are the
-    same to the last bit either way.
+    float32 ``(nq, nd)`` block to reuse as ``out``, one that keeps the
+    rows' squared norms passes them as ``d_norms`` (each row's
+    ``einsum("ij,ij->i")``, which does not depend on the rows around
+    it); the values are the same to the last bit either way.
     """
     queries = _as_2d(queries)
     data = _as_2d(data)
     if q_norms is None:
         q_norms = np.einsum("ij,ij->i", queries, queries)
-    d_norms = np.einsum("ij,ij->i", data, data)
+    if d_norms is None:
+        d_norms = np.einsum("ij,ij->i", data, data)
     out = np.matmul(queries, data.T, out=out)
     out *= 2.0
     np.subtract(q_norms[:, None], out, out=out)

@@ -262,11 +262,25 @@ class InvertedLists:
                                   dtype=np.float32)
             np.einsum("ij,ij->i", rows, rows, out=self.norms[:len(rows)])
         self._arena: ListArena | None = None
+        self._views: tuple | None = None
 
     def __getstate__(self) -> dict:
-        # The arena is derived, and its list views would pickle as copies
-        # of the codes.
-        return {**self.__dict__, "_arena": None}
+        # The arena and the list views are derived, and views would
+        # pickle as copies of the codes.
+        return {**self.__dict__, "_arena": None, "_views": None}
+
+    def list_views(self) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
+        """Every list's codes and, where kept, ``|row|^2``: views of
+        ``codes`` / ``norms`` taken once, for every arena that holds this
+        member."""
+        if self._views is None:
+            bounds = list(itertools.pairwise(
+                [*self.offsets.tolist(), len(self.ids)]))
+            self._views = (
+                [self.codes[low:high] for low, high in bounds],
+                None if self.norms is None
+                else [self.norms[low:high] for low, high in bounds])
+        return self._views
 
     @property
     def nlist(self) -> int:
@@ -318,41 +332,56 @@ class ListArena:
             len(member.sizes) for member in members)]
         self.widest = [member.max_list_size for member in members]
         #: Every arena list's codes, a view of its member's matrix taken
-        #: once: the scan slices no code matrix per list.
+        #: once (``InvertedLists.list_views``): the scan slices no code
+        #: matrix per list.
         self.views = (base.views if base is not None else []) + [
-            member.codes[low:high] for member in new
-            for low, high in itertools.pairwise(
-                [*member.offsets.tolist(), len(member.ids)])]
+            view for member in new for view in member.list_views()[0]]
+        #: Scope -> the runs of its members one scorer serves (``_runs``).
+        self._runs_of: dict[tuple[int, ...], tuple] = {}
         if len(members) == 1:
             (only,) = members
             self.offsets, self.sizes, self.norms = (
                 only.offsets, only.sizes, only.norms)
-            return
-        # A member's ``nlist + 1`` offsets end at its row count: shifted
-        # to where its rows start, the last one is where its trailing
-        # empty list sits.
-        self.offsets = np.concatenate(
-            ([base.offsets] if base is not None else [])
-            + [member.offsets + at
-               for member, at in zip(new, self.row_base[kept:])])
-        self.sizes = np.concatenate(
-            ([base.sizes] if base is not None else [])
-            + [member.sizes for member in new])
-        self.norms = None
-        if any(member.norms is not None for member in members):
-            # Zeros where a member's scores are whole distances already,
-            # and past the end by one list's length (``_score``).
-            self.norms = np.zeros(self.row_base[-1] + max(self.widest),
-                                  dtype=np.float32)
-            first = 0
-            if base is not None and base.norms is not None:
-                first = kept
-                self.norms[:self.row_base[kept]] = \
-                    base.norms[:self.row_base[kept]]
-            for member, at, n in zip(members[first:], self.row_base[first:],
-                                     rows[first:]):
-                if member.norms is not None:
-                    self.norms[at:at + n] = member.norms[:n]
+        else:
+            # A member's ``nlist + 1`` offsets end at its row count:
+            # shifted to where its rows start, the last one is where its
+            # trailing empty list sits.
+            self.offsets = np.concatenate(
+                ([base.offsets] if base is not None else [])
+                + [member.offsets + at
+                   for member, at in zip(new, self.row_base[kept:])])
+            self.sizes = np.concatenate(
+                ([base.sizes] if base is not None else [])
+                + [member.sizes for member in new])
+            self.norms = None
+            if any(member.norms is not None for member in members):
+                # Zeros where a member's scores are whole distances
+                # already, and past the end by one list's length
+                # (``_score``).
+                self.norms = np.zeros(self.row_base[-1] + max(self.widest),
+                                      dtype=np.float32)
+                first = 0
+                if base is not None and base.norms is not None:
+                    first = kept
+                    self.norms[:self.row_base[kept]] = \
+                        base.norms[:self.row_base[kept]]
+                for member, at, n in zip(members[first:],
+                                         self.row_base[first:],
+                                         rows[first:]):
+                    if member.norms is not None:
+                        self.norms[at:at + n] = member.norms[:n]
+        #: Every arena list's ``|row|^2`` (zeros for a member that keeps
+        #: none), a view of its member's, as ``views`` are; None where no
+        #: member keeps them.  One query's row gathers them with one
+        #: ``concatenate``.
+        self.norm_views = None
+        if self.norms is not None:
+            taken = base.norm_views if base is not None else None
+            self.norm_views = list(taken or [])
+            for member in members[kept if taken else 0:]:
+                codes, norms = member.list_views()
+                self.norm_views += norms if norms is not None else [
+                    np.zeros(len(view), dtype=np.float32) for view in codes]
 
     @property
     def members(self) -> tuple[InvertedLists, ...]:
@@ -404,10 +433,28 @@ class ListArena:
         at, dists = zip(*passes)
         return np.concatenate(at), np.concatenate(dists), compared
 
-    @staticmethod
-    def _alike(one: InvertedLists, other: InvertedLists) -> bool:
-        """Whether one prepared scorer serves both members."""
-        return one.codec == other.codec and one.metric is other.metric
+    def _runs(self, scope: Sequence[int]) -> tuple[list, list[bool]]:
+        """The runs of consecutive members of ``scope`` that one prepared
+        scorer serves (codecs equal, one metric), as ``(first position,
+        past the last, codec, metric)``, and whether each member keeps
+        ``|row|^2``: derived once per scope."""
+        key = tuple(scope)
+        found = self._runs_of.get(key)
+        if found is None:
+            every = self.members
+            members = [every[number] for number in scope]
+            runs, first = [], 0
+            while first < len(members):
+                head, last = members[first], first + 1
+                while last < len(members) \
+                        and members[last].codec == head.codec \
+                        and members[last].metric is head.metric:
+                    last += 1
+                runs.append((first, last, head.codec, head.metric))
+                first = last
+            found = self._runs_of[key] = (
+                runs, [member.norms is not None for member in members])
+        return found
 
     def _score(self, scope: Sequence[int], queries: np.ndarray,
                probes: np.ndarray, chunked: bool, least: int = 0
@@ -439,8 +486,7 @@ class ListArena:
         if n > 1:
             pair_query %= nq
         per = nq * width
-        every = self.members
-        members = [every[number] for number in scope]
+        runs, partial = self._runs(scope)
         # A list's group of pairs: its first pair, the pair past its last,
         # its codes and its size.
         bounds = [0, *cuts, len(order)]
@@ -459,18 +505,14 @@ class ListArena:
                             dtype=np.float32)
         else:
             block, outs = grid.block(bounds, size_of)
-        group = first = 0
-        while first < n:
+        group = 0
+        for first, last, codec, metric in runs:
             # One ``prepare`` for a run of members whose codecs are equal;
             # the run's pairs are ``lo:hi``, those of its members.
-            head = members[first]
-            last = first + 1
-            while last < n and self._alike(head, members[last]):
-                last += 1
             lo, hi = first * per, last * per
-            score = head.codec.prepare(
+            score = codec.prepare(
                 queries, pair_query[lo:hi],
-                grouped[lo:hi] - self.list_base[scope[first]], head.metric)
+                grouped[lo:hi] - self.list_base[scope[first]], metric)
             until = bisect_left(bounds, hi, group)
             if grid is None:
                 for begin, end, codes, size in zip(
@@ -486,7 +528,6 @@ class ListArena:
                     if out is not None:
                         score(begin - lo, end - lo, codes, out)
             group = until
-            first = last
         if self.norms is not None:
             # (|q|^2 - 2 q.v) + |v|^2, the order ``squared_l2`` adds in.
             # Row ``r`` of ``windows`` is ``norms[r:r + wide]``: a block
@@ -494,7 +535,6 @@ class ListArena:
             # and what it reads past the list's end lands on +inf
             # padding.
             q_norms = np.einsum("ij,ij->i", queries, queries)[pair_query]
-            partial = [member.norms is not None for member in members]
             if not all(partial):   # no |q|^2 on whole distances
                 q_norms *= np.repeat(partial, per)
             if grid is None:
@@ -572,16 +612,18 @@ class ListArena:
         distances are the ones ``scan`` hands it.
         """
         n, nq, width = probes.shape
-        probed = self.sizes[probes].sum(axis=2)
         pruned = np.zeros((n, nq), dtype=np.int64)
         if k <= 0:
             return (np.empty((nq, 0), dtype=np.int64),
-                    np.empty((nq, 0), dtype=np.float32), probed, pruned)
-        # Every query's row of list scores, ``stored`` the arena row of
-        # each (past a list's end in a padded row, of whatever follows
-        # it); member ``i``'s scores are columns ``spans[i]:spans[i + 1]``.
-        rows, stored, spans = (self._one_row if nq == 1
-                               else self._query_rows)(scope, queries, probes)
+                    np.empty((nq, 0), dtype=np.float32),
+                    self.sizes[probes].sum(axis=2), pruned)
+        # Every query's row of list scores; member ``i``'s scores are
+        # columns ``spans[i]:spans[i + 1]``, and the scores of a list are
+        # laid from column ``heads[j]`` on, that of arena row
+        # ``lows[q, j]`` first (``_arena_rows``).
+        rows, spans, heads, lows, probed = (
+            self._one_row if nq == 1 else self._query_rows)(
+                scope, queries, probes)
         lists = spans[-1]
         if columns:
             rows = np.concatenate([rows, *columns], axis=1)
@@ -589,8 +631,11 @@ class ListArena:
             lo, hi = spans[i], spans[i + 1]
             ids = self._members[scope[i]]().ids
             scores = rows[:, lo:hi]
+            # Past a list's end in a padded row: whatever row follows it.
+            stored = _arena_rows(heads, lows, np.broadcast_to(
+                np.arange(lo, hi), (nq, hi - lo)))
             dead = excluded[ids[np.minimum(
-                stored[:, lo:hi] - self.row_base[scope[i]], len(ids) - 1)]]
+                stored - self.row_base[scope[i]], len(ids) - 1)]]
             dead &= scores < np.inf     # +inf is padding
             found = _pruned(scores, dead, probed[i], asked, k, len(excluded))
             if found is None:
@@ -607,8 +652,8 @@ class ListArena:
 
         cols, dists = _in_column_order(rows, *topk_smallest(rows, k + 1), k,
                                        key)
-        at = stored[np.arange(nq)[:, None],
-                    np.minimum(cols, lists - 1) if columns else cols]
+        at = _arena_rows(heads, lows,
+                         np.minimum(cols, lists - 1) if columns else cols)
         if columns:
             at = np.where(cols < lists, at, self.row_base[-1] + cols - lists)
         at = np.where(dists < np.inf, at, -1)  # +inf is padding
@@ -617,58 +662,59 @@ class ListArena:
         return at, dists, probed, pruned
 
     def _one_row(self, scope: Sequence[int], queries: np.ndarray,
-                 probes: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+                 probes: np.ndarray) -> tuple:
         """One query's candidate row, laid compact: every probed list's
         scores right after the last's, in list order (member by member,
         as lists are numbered); a list is one GEMV, as a member's own
-        search of one query scores it.  Returns ``select``'s ``(rows,
-        stored, spans)``."""
+        search of one query scores it.  A float codec's run of members is
+        scored straight into the 1-D row, its left factor computed once;
+        a quantized codec's through its ``prepare``d scorer.  Returns
+        ``select``'s ``(rows, spans, heads, lows, rows probed)``."""
         n, _nq, width = probes.shape
+        # Each member's lists, ascending: list numbers are member-major.
         pairs = np.sort(probes.reshape(-1))
         sizes = self.sizes[pairs]
         ends = np.cumsum(sizes)
-        lists = int(ends[-1])
-        row = np.empty((1, lists), dtype=np.float32)
-        stored = np.repeat(self.offsets[pairs] - ends + sizes, sizes) \
-            + np.arange(lists)
-        every = self.members
-        members = [every[number] for number in scope]
-        numbers, size_of = pairs.tolist(), sizes.tolist()
-        starts = [0, *ends.tolist()]
-        first = 0
-        while first < n:
-            # One ``prepare`` for a run of members whose codecs are equal.
-            head = members[first]
-            last = first + 1
-            while last < n and self._alike(head, members[last]):
-                last += 1
+        row = np.empty(int(ends[-1]), dtype=np.float32)
+        numbers, starts = pairs.tolist(), [0, *ends.tolist()]
+        views = self.views
+        runs, partial = self._runs(scope)
+        for first, last, codec, metric in runs:
             lo, hi = first * width, last * width
-            score = head.codec.prepare(
+            if isinstance(codec, FlatCodec):
+                left = _left_factor(queries, metric)[0]
+                for number, begin, end in zip(numbers[lo:hi], starts[lo:hi],
+                                              starts[lo + 1:hi + 1]):
+                    if begin < end:
+                        np.dot(views[number], left, out=row[begin:end])
+                continue
+            score = codec.prepare(
                 queries, np.zeros(hi - lo, dtype=np.int64),
-                pairs[lo:hi] - self.list_base[scope[first]], head.metric)
+                pairs[lo:hi] - self.list_base[scope[first]], metric)
+            line = row[None]
             for p in range(lo, hi):
-                if size_of[p]:
-                    score(p - lo, p - lo + 1, self.views[numbers[p]],
-                          row[:, starts[p]:starts[p + 1]])
-            first = last
+                if starts[p] < starts[p + 1]:
+                    score(p - lo, p - lo + 1, views[numbers[p]],
+                          line[:, starts[p]:starts[p + 1]])
         if self.norms is not None:
             # (|q|^2 - 2 q.v) + |v|^2, the order ``squared_l2`` adds in.
             q_norm = np.einsum("ij,ij->i", queries, queries)
-            partial = [member.norms is not None for member in members]
             if all(partial):
-                row[0] += q_norm[0]
+                row += q_norm[0]
             else:                   # no |q|^2 on whole distances
-                row[0] += np.repeat(q_norm * np.repeat(partial, width), sizes)
-            row[0] += self.norms[stored]
-        return row, stored[None], starts[::width]
+                row += np.repeat(q_norm * np.repeat(partial, width), sizes)
+            norm_views = self.norm_views
+            row += np.concatenate([norm_views[number] for number in numbers])
+        return (row[None], starts[::width], ends - sizes,
+                self.offsets[pairs][None],
+                sizes.reshape(n, width).sum(axis=1)[:, None])
 
     def _query_rows(self, scope: Sequence[int], queries: np.ndarray,
-                    probes: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, list]:
+                    probes: np.ndarray) -> tuple:
         """Every query's candidate row, query-major: its (member, query)
         rows side by side, each its probed lists in probe order, padded
-        to the pass's widest.  Returns ``select``'s ``(rows, stored,
-        spans)``."""
+        to the pass's widest.  Returns ``select``'s ``(rows, spans,
+        heads, lows, rows probed)``."""
         n, nq, width = probes.shape
         block, order, _lows, _sizes, widest, _grid = self._score(
             scope, queries, probes, False, least=1)
@@ -677,9 +723,21 @@ class ListArena:
         by_member[order] = block
         rows = by_member.reshape(n, nq, wide).transpose(1, 0, 2) \
             .reshape(nq, n * wide)
-        stored = (self.offsets[probes][..., None] + np.arange(widest)) \
-            .transpose(1, 0, 2, 3).reshape(nq, n * wide)
-        return rows, stored, list(range(0, n * wide + 1, wide))
+        lows = self.offsets[probes].transpose(1, 0, 2).reshape(nq, n * width)
+        return (rows, list(range(0, n * wide + 1, wide)),
+                np.arange(0, n * wide, widest), lows,
+                self.sizes[probes].sum(axis=2))
+
+
+def _arena_rows(heads: np.ndarray, lows: np.ndarray, cols: np.ndarray
+                ) -> np.ndarray:
+    """The arena row of every entry of ``cols``, ``(nq, m)`` columns of
+    ``ListArena.select``'s rows: the list whose scores are laid from
+    column ``heads[j]`` on (ascending; an empty list shares the next
+    one's) holds it, and ``lows[q, j]`` is the arena row of that list's
+    first score in row ``q``."""
+    at = np.searchsorted(heads, cols, "right") - 1
+    return lows[np.arange(len(cols))[:, None], at] + cols - heads[at]
 
 
 def _pruned(scores: np.ndarray, excluded: np.ndarray, probed: np.ndarray,
@@ -1069,6 +1127,28 @@ class ArenaIndex(VectorIndex):
                     factor = -centroids
                 factor = factor.T
             self._centroids.append(factor)
+        # At one query, the flat coarse steps are one GEMV over the
+        # factors' rows stacked in C order.  A GEMV row's bits depend only
+        # on whether it lies in the call's last ``n mod 4`` rows
+        # (``test_stacked_coarse_gemv_rounds_as_each_members_own``), so a
+        # member joins the stack only where its ``nlist`` is a multiple of
+        # 4; any other keeps its own call.  First stack row of every
+        # member, None where it is not stacked:
+        self._stacked_at: list[int | None] = \
+            list(base._stacked_at) if base is not None else []
+        parts = [base._stack] if base is not None \
+            else [np.empty((0, self.dim), dtype=np.float32)]
+        at = len(parts[0])
+        for factor in self._centroids[kept:]:
+            if factor is None or factor.shape[1] % 4:
+                self._stacked_at.append(None)
+                continue
+            self._stacked_at.append(at)
+            parts.append(factor.T)
+            at += factor.shape[1]
+        self._stack = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        #: Scope -> what its searches derive from the arena alone.
+        self._scopes: dict[tuple[int, ...], _Scope] = {}
 
     def grown(self, more: Sequence[BucketedIndex]) -> ArenaIndex:
         """This arena with ``more`` members after its own: what was derived
@@ -1078,72 +1158,95 @@ class ArenaIndex(VectorIndex):
     def build(self, data: np.ndarray) -> None:
         raise IndexBuildError("an arena is derived from built indexes")
 
+    def _scope(self, scope: Sequence[int]) -> _Scope:
+        """The facts of a nonempty ``scope`` (ascending member numbers,
+        each once), derived by its first search."""
+        key = tuple(scope)
+        facts = self._scopes.get(key)
+        if facts is None:
+            if list(key) != sorted(set(key)) \
+                    or not 0 <= key[0] <= key[-1] < len(self.members):
+                raise ValueError(
+                    f"scope names arena members ascending, each once, "
+                    f"from 0 to {len(self.members) - 1}; got {list(key)}")
+            facts = self._scopes[key] = _Scope(self, key)
+        return facts
+
     def _probe(self, scope: Sequence[int], queries: np.ndarray,
-               unit: np.ndarray, stats: Sequence[SearchStats]
-               ) -> np.ndarray:
+               unit: np.ndarray, stats: Sequence[SearchStats],
+               ranked: bool = True) -> np.ndarray:
         """The ``(len(scope), nq, width)`` arena list numbers each
-        (member, query) row scans."""
+        (member, query) row scans, most promising first — or, where not
+        ``ranked``, the same lists in any order (one query's selection
+        lays them in list order anyway)."""
+        facts = self._scope(scope)
         nq = queries.shape[0]
-        if len(scope) == len(self.members):     # everyone: as kept
-            widths, nlists, bases, norms = (
-                self._widths, self._nlists, self._list_bases,
-                self._centroid_norms)
-        else:
-            widths, nlists, bases, norms = (
-                self._widths[scope], self._nlists[scope],
-                self._list_bases[scope], self._centroid_norms[scope])
-        width = int(widths.max())
-        flat = [i for i, number in enumerate(scope)
-                if self._centroids[number] is not None]
+        flat, width = facts.flat, facts.width
         probes = None
-        if len(flat) < len(scope):
+        if facts.graphs:
             probes = np.full((len(scope), nq, width), -1, dtype=np.int64)
-            for i, number in enumerate(scope):
-                member = self.members[number]
-                if self._centroids[number] is None:
-                    found = member.bucketer.probe(
-                        unit if member._unit_rows else queries,
-                        member.nprobe, stats[i])
-                    probes[i, :, :found.shape[1]] = found
-            norms = norms[flat]
+            for i in facts.graphs:
+                member = self.members[scope[i]]
+                found = member.bucketer.probe(
+                    unit if member._unit_rows else queries,
+                    member.nprobe, stats[i])
+                probes[i, :, :found.shape[1]] = found
         if flat:
-            # One GEMM per member, over the rows the member's own probe
+            # Into a block that is +inf past a member's lists: at one
+            # query one GEMV over the stacked members, for several queries
+            # one GEMM per member over the rows the member's own probe
             # multiplies (a GEMM over the stacked centroids rounds
-            # differently), into a block that is +inf past a member's
-            # lists; everything else is done once, in place.
+            # differently), and a member outside the stack its own call.
+            # Everything else is done once, in place.
             left = unit if self.metric is MetricType.COSINE else queries
-            dists = np.full((len(flat), nq, norms.shape[1]), np.inf,
-                            dtype=np.float32)
-            for i, out in zip(flat, dists):
+            if nq == 1 and facts.stack is not None:
+                dists = self._stacked_gemv(facts, left[0])
+                own = facts.own
+            else:
+                dists = np.full((len(flat), nq, facts.norms.shape[1]),
+                                np.inf, dtype=np.float32)
+                own = enumerate(flat)
+            for j, i in own:
                 factor = self._centroids[scope[i]]
-                np.matmul(left, factor, out=out[:, :factor.shape[1]])
-                stats[i].float_comparisons += nq * factor.shape[1]
+                np.matmul(left, factor, out=dists[j][:, :factor.shape[1]])
+            for i, size in facts.coarse:
+                stats[i].float_comparisons += nq * size
             if self.metric is MetricType.EUCLIDEAN:
                 # |q|^2 - 2 q.c + |c|^2, the order ``squared_l2`` adds in.
                 dists += np.einsum("ij,ij->i", queries, queries)[:, None]
-                dists += norms[:, None, :]
+                dists += facts.norms[:, None, :]
                 np.maximum(dists, 0.0, out=dists)
-            found = topk_smallest(dists.reshape(len(flat) * nq, -1),
-                                  width)[0].reshape(len(flat), nq, width)
+            dists = dists.reshape(len(flat) * nq, -1)
+            # The lists ``topk_smallest`` takes, whose first step this is.
+            found = (topk_smallest(dists, width)[0] if ranked else
+                     np.argpartition(dists, width - 1)[:, :width]
+                     ).reshape(len(flat), nq, width)
             if probes is None:
                 probes = found
             else:
                 probes[flat] = found
-        if len(flat) < len(scope) or int(widths.min()) < width:
+        if facts.ragged:
             # What a row does not probe — a slot past its member's own
             # width, or one a graph left empty — is its member's
             # trailing empty list.
             probes = np.where(
-                (np.arange(width) < widths[:, None, None]) & (probes >= 0),
-                probes, nlists[:, None, None])
-        probes += bases[:, None, None]
+                (np.arange(width) < facts.widths[:, None, None])
+                & (probes >= 0), probes, facts.nlists[:, None, None])
+        probes += facts.bases[:, None, None]
         return probes
 
-    def _one_scan(self, scope: Sequence[int]) -> bool:
-        """Whether the members in ``scope`` are scanned with the same
-        queries: one scan for all of them."""
-        first = self._unit_rows[scope[0]]
-        return all(self._unit_rows[number] is first for number in scope)
+    def _stacked_gemv(self, facts: _Scope, left: np.ndarray) -> np.ndarray:
+        """One query's ``(len(flat), 1, wide)`` coarse block, +inf past a
+        member's lists, holding the products of the stacked members in
+        scope: one GEMV over the stack rows that hold them."""
+        lo, hi = facts.stack
+        out = np.dot(self._stack[lo:hi], left)
+        if facts.put is None:       # the block is those rows as they are
+            return out.reshape(len(facts.flat), 1, -1)
+        dists = np.full((len(facts.flat), 1, facts.norms.shape[1]), np.inf,
+                        dtype=np.float32)
+        dists.reshape(-1)[facts.put] = out[facts.take]
+        return dists
 
     def scans_once(self, scope: Sequence[int], nq: int) -> bool:
         """Whether a search of the members in ``scope`` (ascending) for
@@ -1152,12 +1255,11 @@ class ArenaIndex(VectorIndex):
         probe widths and the widest lists, before any coarse step: the
         pass then holds ``len(scope) * nq * width`` (row, probed list)
         pairs, none wider than the widest list in scope."""
-        if not scope or nq <= 0 or not self._one_scan(scope):
+        if not scope or nq <= 0:
             return False
-        widest = max(self.lists.widest[number] for number in scope)
-        width = max(self._widths[number] for number in scope)
-        return len(scope) * nq * max(1, int(width) * widest) <= min(
-            _CHUNK_FROM, _SCAN_BLOCK_FLOATS)
+        facts = self._scope(scope)
+        return facts.alike and nq * facts.cells <= min(_CHUNK_FROM,
+                                                      _SCAN_BLOCK_FLOATS)
 
     def search(self, queries: np.ndarray, k: int,
                scope: Sequence[int] | None = None,
@@ -1191,15 +1293,11 @@ class ArenaIndex(VectorIndex):
         what was added to ``stats`` is to be dropped.
         """
         queries = self._check_query_input(queries)
-        everyone = len(self.members)
-        scope = list(range(everyone)) if scope is None else list(scope)
-        if scope != sorted(set(scope)) or (
-                scope and not 0 <= scope[0] <= scope[-1] < everyone):
-            raise ValueError(
-                f"scope names arena members ascending, each once, from 0 "
-                f"to {everyone - 1}; got {scope}")
+        scope = list(range(len(self.members))) if scope is None \
+            else list(scope)
         n, nq = len(scope), queries.shape[0]
-        if together and not (n and nq and self._one_scan(scope)):
+        facts = self._scope(scope) if n else None
+        if together and not (n and nq and facts.alike):
             raise ValueError(
                 "one selection needs a query and members scanned alike "
                 "(all with unit rows, or none)")
@@ -1210,13 +1308,13 @@ class ArenaIndex(VectorIndex):
                     np.full((n, nq, k), np.inf, dtype=np.float32))
         unit = normalize_rows(queries) \
             if self.metric is MetricType.COSINE else queries
-        probes = self._probe(scope, queries, unit, stats)
+        probes = self._probe(scope, queries, unit, stats,
+                             ranked=not (together and nq == 1))
         # Members whose lists hold unit rows are scanned with unit
         # queries: two scans where the members differ in that.
-        asked = [self._unit_rows[number] for number in scope]
         if together:
             found = self.lists.select(
-                scope, unit if asked[0] else queries, probes, k, cuts,
+                scope, unit if facts.unit else queries, probes, k, cuts,
                 columns, ranks)
             if found is None:
                 return None
@@ -1230,7 +1328,8 @@ class ArenaIndex(VectorIndex):
             ids = np.where(listed, self.ids[np.where(listed, at, 0)],
                            np.where(at < 0, -1, at - stored + self.ntotal))
             return ids, dists, rows, pruned
-        if True in asked and False in asked:
+        if not facts.alike:
+            asked = [self._unit_rows[number] for number in scope]
             at = np.empty((n, nq, k), dtype=np.int64)
             dists = np.empty((n, nq, k), dtype=np.float32)
             for unit_rows in (False, True):
@@ -1241,7 +1340,7 @@ class ArenaIndex(VectorIndex):
                     probes[group], k, stats)
         else:
             at, dists = self._scan(scope, range(n),
-                                   unit if asked[0] else queries, probes,
+                                   unit if facts.unit else queries, probes,
                                    k, stats)
         return np.where(at < 0, -1, self.ids[at]), dists
 
@@ -1266,6 +1365,65 @@ class ArenaIndex(VectorIndex):
                 stats[i].quantized_comparisons += scored
             else:
                 stats[i].float_comparisons += scored
+
+
+class _Scope:
+    """What every search of one scope of an :class:`ArenaIndex` derives
+    from the arena alone: derived once, by the first (``_scope``)."""
+
+    def __init__(self, arena: ArenaIndex, scope: tuple[int, ...]) -> None:
+        numbers = list(scope)
+        #: Whether the first member's lists hold unit rows, and whether
+        #: every member's do alike: then one scan serves them all.
+        self.unit = arena._unit_rows[scope[0]]
+        self.alike = all(arena._unit_rows[number] is self.unit
+                         for number in scope)
+        self.widths = arena._widths[numbers]
+        self.nlists = arena._nlists[numbers]
+        self.bases = arena._list_bases[numbers]
+        self.width = int(self.widths.max())
+        #: Score-block floats one query row of a pass over the scope can
+        #: need (``scans_once``).
+        self.cells = len(scope) * max(1, self.width * max(
+            arena.lists.widest[number] for number in scope))
+        #: Positions probed by a flat centroid scan and by their own
+        #: bucketer; whether a slot of some row probes nothing.
+        self.flat = [i for i, number in enumerate(scope)
+                     if arena._centroids[number] is not None]
+        self.graphs = [i for i, number in enumerate(scope)
+                       if arena._centroids[number] is None]
+        self.ragged = bool(self.graphs) \
+            or int(self.widths.min()) < self.width
+        #: |c|^2 of the flat positions, a row each as wide as the arena's
+        #: widest member, and how many centroids each one scores.
+        self.norms = arena._centroid_norms[numbers][self.flat]
+        self.coarse = [(i, arena._centroids[scope[i]].shape[1])
+                       for i in self.flat]
+        # One query: coarse block row ``j`` of flat position ``i``,
+        # stacked or scored on its own.
+        stacked = [(j, arena._stacked_at[scope[i]], size)
+                   for j, (i, size) in enumerate(self.coarse)
+                   if arena._stacked_at[scope[i]] is not None]
+        self.own = [(j, i) for j, (i, _size) in enumerate(self.coarse)
+                    if arena._stacked_at[scope[i]] is None]
+        #: The stack rows one GEMV multiplies (every stacked member in
+        #: scope lies among them), and where in the coarse block its
+        #: products go: ``put`` / ``take``, None where the block is those
+        #: rows as they are.
+        self.stack = self.put = self.take = None
+        if stacked:
+            lo = stacked[0][1]
+            hi = stacked[-1][1] + stacked[-1][2]
+            self.stack = lo, hi
+            wide = self.norms.shape[1]
+            if self.own or hi - lo != len(stacked) * wide or any(
+                    size != wide for _j, _at, size in stacked):
+                self.take = np.concatenate([
+                    np.arange(at - lo, at - lo + size)
+                    for _j, at, size in stacked])
+                self.put = np.concatenate([
+                    np.arange(j * wide, j * wide + size)
+                    for j, _at, size in stacked])
 
 
 class ExhaustiveIndex(BucketedIndex):

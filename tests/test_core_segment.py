@@ -9,6 +9,7 @@ from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
 from repro.core.segment import Segment, SegmentState
 from repro.errors import ClusterStateError
 from repro.index.base import SearchStats
+from repro.index.distances import squared_l2
 from repro.index.flat import FlatIndex
 from repro.index.ivf import IvfFlatIndex
 
@@ -258,3 +259,45 @@ class TestMemory:
         small = segment.memory_bytes()
         fill(segment, rng, 40, start_pk=10)
         assert segment.memory_bytes() > small
+
+
+class TestKeptNorms:
+    def test_exact_scan_reads_kept_norms_with_squared_l2s_bits(
+            self, schema, config, rng):
+        """Every vector row's squared norm is kept from the first exact
+        scan that reads it (one ``einsum`` over the rows not kept yet)
+        and later scans read it: after appends of every size — before and
+        after the column's first read, float64 rows among them — deletes
+        and a seal, every exact block is ``squared_l2`` over the same rows
+        and the kept norms are its own, bit for bit."""
+        segment = Segment("s1", "c", schema, config)
+        queries = rng.standard_normal((3, 8)).astype(np.float32)
+
+        def check():
+            column = segment.column("vector")
+            n = segment.num_rows
+            allowed = segment.exclusions(None)[0]
+            for hi in (n - 1, n):
+                for lo in (0, 7, hi - 1):
+                    rows, dists = segment.exact_block(
+                        "vector", queries, MetricType.EUCLIDEAN, allowed,
+                        lo, hi)
+                    np.testing.assert_array_equal(
+                        dists.view(np.int32),
+                        squared_l2(queries, column[rows]).view(np.int32))
+            np.testing.assert_array_equal(
+                segment._norms["vector"][:n].view(np.int32),
+                np.einsum("ij,ij->i", column, column).view(np.int32))
+
+        fill(segment, rng, 16)
+        for n in (1, 16, 5, 30):
+            fill(segment, rng, n, start_pk=segment.num_rows)
+            check()
+        segment.append([500, 501], {
+            "vector": rng.standard_normal((2, 8)),      # float64
+            "price": [1.0, 2.0]}, 1)
+        check()
+        segment.apply_delete([0, 7, 20, 33, 501], lsn=2)
+        check()
+        segment.seal()
+        check()

@@ -304,6 +304,41 @@ def test_one_query_gemv_rounds_as_the_gemm_row():
                 f"list groups assume they agree bit for bit")
 
 
+def test_stacked_coarse_gemv_rounds_as_each_members_own():
+    """At one query, a node arena's coarse step is one GEMV over the flat
+    members' centroid factors stacked in C order (``ArenaIndex._stack``),
+    the rows of any run of whole members of it; a member joins the stack
+    only where its nlist is a multiple of 4.  Each member's products must
+    be the bits of its own ``matmul(left, factor)``.  That rests on one
+    fact about the BLAS — a GEMV row's bits depend only on whether the
+    row lies in the call's last ``n mod 4`` rows — pinned here over
+    stacks of members with nlist in {4, 8, 16, 64, 128}, in any order and
+    over any run of them."""
+    rng = np.random.default_rng(12)
+    for dim in (DIM, 100, 128):
+        for _ in range(40):
+            nlists = rng.permutation([4, 8, 16, 64, 128] * 2).tolist()
+            factors = [(rng.standard_normal((nlist, dim)) * -2.0)
+                       .astype(np.float32).T for nlist in nlists]
+            left = rng.standard_normal((1, dim)).astype(np.float32)
+            stack = np.concatenate([factor.T for factor in factors])
+            bounds = np.cumsum([0, *nlists]).tolist()
+            first, last = sorted(rng.choice(len(nlists) + 1, 2,
+                                            replace=False).tolist())
+            products = np.dot(stack[bounds[first]:bounds[last]], left[0])
+            for number in range(first, last):
+                own = np.matmul(left, factors[number])[0]
+                got = products[bounds[number] - bounds[first]:
+                               bounds[number + 1] - bounds[first]]
+                assert np.array_equal(got.view(np.int32),
+                                      own.view(np.int32)), (
+                    f"this BLAS rounds a {nlists[number]}-row member of a "
+                    f"stacked {len(products)} x {dim} GEMV differently from "
+                    f"the member's own GEMM row: the arena's one-query "
+                    f"coarse step assumes a row's bits depend only on "
+                    f"whether it lies in the call's last n mod 4 rows")
+
+
 class TestChunkGridLayout:
     """A large pass's score block in chunks of ``ivf._CHUNK_WIDTH``
     scores against the padded block it replaces: the same distances and

@@ -69,6 +69,15 @@ def stage_view(stage):
             [stage_view(child) for child in stage.children])
 
 
+def overwrite(segment, rows, vector):
+    """Write ``vector`` over ``rows`` of a segment's vector column in
+    place, and drop the squared norms the segment keeps of its rows (kept
+    because nothing else writes a column; the next exact scan norms them
+    again)."""
+    segment.column("vector")[rows] = vector
+    segment._normed["vector"] = 0
+
+
 def cold_column_caches(cluster):
     """``cache_hits`` / ``cache_misses`` depend on what ran before: both
     runs of a request start from unconsolidated columns."""
@@ -518,9 +527,9 @@ class TestArenaMatchesThePerSegmentLoop:
             passes.append(self)     # the reference's members' own too
             return real_pass(self, *args, **kwargs)
 
-        def probe(self, *args):
+        def probe(self, *args, **kwargs):
             probes.append(1)
-            return real_probe(self, *args)
+            return real_probe(self, *args, **kwargs)
 
         monkeypatch.setattr(ListArena, "_scan_pass", scan_pass)
         monkeypatch.setattr(ArenaIndex, "_probe", probe)
@@ -551,7 +560,7 @@ class TestArenaMatchesThePerSegmentLoop:
         del middle._sealed_indexes["vector"]
         query = np.ones(DIM, dtype=np.float32)    # exact in every path
         for segment in (first, middle, last):
-            segment.column("vector")[0] = query
+            overwrite(segment, 0, query)
             if segment is not middle:
                 index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
                                      nlist=16, nprobe=16)
@@ -568,7 +577,7 @@ class TestArenaMatchesThePerSegmentLoop:
         # the cut: the one selection keeps the earlier segments' copies,
         # as the merge does.
         for segment in (first, middle, last):
-            segment.column("vector")[:4] = query
+            overwrite(segment, slice(4), query)
             index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
                                  nlist=16, nprobe=16)
             index.build(segment.column("vector"))
@@ -935,7 +944,7 @@ class TestFreshNodes:
         for segment in held:
             rows_at = np.flatnonzero(~segment.deletions(
                 0, segment.num_rows))[-4:]
-            segment.column("vector")[rows_at] = query
+            overwrite(segment, rows_at, query)
             if segment.is_sealed and segment is not sealed:
                 index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
                                      nlist=16, nprobe=16)
@@ -1201,6 +1210,54 @@ class TestArenaIndex:
             for at, number in enumerate([1, 3]):
                 np.testing.assert_array_equal(
                     dists[at], members[number].search(queries, 10)[1])
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_a_member_outside_the_coarse_stack(self, rng, metric):
+        """At one query the coarse step is one GEMV over the members whose
+        nlist is a multiple of 4, stacked; a 33-row member of nlist 33
+        beside 64-list ones keeps its own call.  In every scope — the
+        stack whole, cut around the outsider or holding a member out of
+        scope, the outsider alone — each member probes, answers and
+        counts exactly as on its own, and the one selection is their
+        answers merged."""
+        members = []
+        for n, nlist in ((700, 64), (33, 64), (650, 64), (500, 16)):
+            index = IvfFlatIndex(metric, DIM, nlist=nlist, nprobe=8)
+            index.build(clustered(rng, n))
+            members.append(index)
+        assert [member.effective_nlist for member in members] \
+            == [64, 33, 64, 16]
+        arena = ArenaIndex(members)
+        assert [at is None for at in arena._stacked_at] \
+            == [False, True, False, False]
+        for scope in ([0, 1, 2, 3], [0, 1], [1, 2], [0, 2], [0, 3], [1]):
+            for _ in range(4):
+                queries = clustered(rng, 1)
+                unit = queries / np.linalg.norm(queries, axis=1,
+                                                keepdims=True)
+                stats = [SearchStats() for _ in scope]
+                ids, dists = arena.search(queries, 10, scope=scope,
+                                          stats=stats)
+                probes = arena._probe(scope, queries, unit,
+                                      [SearchStats() for _ in scope])
+                for at, number in enumerate(scope):
+                    member = members[number]
+                    want_ids, want_dists = member.search(queries, 10)
+                    np.testing.assert_array_equal(
+                        dists[at].view(np.int32), want_dists.view(np.int32))
+                    assert_batches_equal_up_to_ties(
+                        HitBlock(ids[at], dists[at]),
+                        HitBlock(np.where(
+                            want_ids < 0, -1,
+                            want_ids + arena.row_base[number]), want_dists),
+                        10)
+                    assert stats[at].as_dict() == member.stats.as_dict()
+                    own = member._probe(queries, 10, None)
+                    np.testing.assert_array_equal(
+                        probes[at, :, :own.shape[1]]
+                        - arena.lists.list_base[number], own)
+                assert_selects_the_merged_answer(arena, queries, 10, scope,
+                                                 ids, dists, stats)
 
     @pytest.mark.parametrize("nq", [1, 2, 64])
     def test_every_codec_and_scope_answer_as_on_their_own(
