@@ -120,8 +120,9 @@ class Segment:
         self._buffers: dict[str, np.ndarray] = {}
         # Per vector column, the squared norms of its first rows (the
         # einsum ``squared_l2`` forms them with), kept from the first
-        # exact scan that reads them: rows do not change, so a growing
-        # tail read on every request is normed once per row.
+        # exact scan that reads them: rows change only through
+        # ``rewrite_vectors`` (``column`` hands them out read-only), so a
+        # growing tail read on every request is normed once per row.
         self._norms: dict[str, np.ndarray] = {
             name: np.zeros(0, dtype=np.float32) for name in self._dims}
         self._normed: dict[str, int] = dict.fromkeys(self._dims, 0)
@@ -306,8 +307,8 @@ class Segment:
 
     def column(self, name: str):
         """Consolidated column values (numpy array, or list for strings);
-        a vector column is a view of its buffer's first ``num_rows``
-        rows."""
+        a vector column is a read-only view of its buffer's first
+        ``num_rows`` rows (:meth:`rewrite_vectors` writes one)."""
         value = self._consolidated.get(name)
         if value is not None:
             return value
@@ -342,7 +343,18 @@ class Segment:
                 buf = np.empty((0, self._dims[name]), dtype=np.float32)
             self._buffers[name] = buf
             chunks.clear()
-        return buf[:self.num_rows]
+        # Read-only: the squared norms kept of its rows stay its rows'.
+        view = buf[:self.num_rows]
+        view.flags.writeable = False
+        return view
+
+    def rewrite_vectors(self, name: str, rows, values) -> None:
+        """Write ``values`` over ``rows`` of vector column ``name`` in
+        place — the one write to a stored row — and drop the squared
+        norms kept of its rows (the next exact scan norms them again)."""
+        self._vectors(name)
+        self._buffers[name][:self.num_rows][rows] = values
+        self._normed[name] = 0
 
     def scalar_columns(self) -> dict[str, object]:
         """All filterable columns, for expression evaluation: the scalar

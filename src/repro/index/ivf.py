@@ -336,8 +336,6 @@ class ListArena:
         #: matrix per list.
         self.views = (base.views if base is not None else []) + [
             view for member in new for view in member.list_views()[0]]
-        #: Scope -> the runs of its members one scorer serves (``_runs``).
-        self._runs_of: dict[tuple[int, ...], tuple] = {}
         if len(members) == 1:
             (only,) = members
             self.offsets, self.sizes, self.norms = (
@@ -433,33 +431,11 @@ class ListArena:
         at, dists = zip(*passes)
         return np.concatenate(at), np.concatenate(dists), compared
 
-    def _runs(self, scope: Sequence[int]) -> tuple[list, list[bool]]:
-        """The runs of consecutive members of ``scope`` that one prepared
-        scorer serves (codecs equal, one metric), as ``(first position,
-        past the last, codec, metric)``, and whether each member keeps
-        ``|row|^2``: derived once per scope."""
-        key = tuple(scope)
-        found = self._runs_of.get(key)
-        if found is None:
-            every = self.members
-            members = [every[number] for number in scope]
-            runs, first = [], 0
-            while first < len(members):
-                head, last = members[first], first + 1
-                while last < len(members) \
-                        and members[last].codec == head.codec \
-                        and members[last].metric is head.metric:
-                    last += 1
-                runs.append((first, last, head.codec, head.metric))
-                first = last
-            found = self._runs_of[key] = (
-                runs, [member.norms is not None for member in members])
-        return found
-
     def _score(self, scope: Sequence[int], queries: np.ndarray,
-               probes: np.ndarray, chunked: bool, least: int = 0
-               ) -> tuple | None:
-        """Score one block of (member, query) rows list-major.
+               probes: np.ndarray, scorers: tuple, chunked: bool,
+               least: int = 0) -> tuple | None:
+        """Score one block of (member, query) rows list-major, ``scorers``
+        being ``_scorers`` of the members in ``scope``.
 
         Returns ``(block, order, lows, sizes, widest, grid)``, or None
         where no pair probes a row and ``least`` is 0: pair ``p`` belongs
@@ -486,7 +462,7 @@ class ListArena:
         if n > 1:
             pair_query %= nq
         per = nq * width
-        runs, partial = self._runs(scope)
+        runs, partial = scorers
         # A list's group of pairs: its first pair, the pair past its last,
         # its codes and its size.
         bounds = [0, *cuts, len(order)]
@@ -555,8 +531,11 @@ class ListArena:
         """Scan one block of (member, query) rows list-major; same
         returns as ``scan``."""
         n, nq, width = probes.shape
-        scored = self._score(scope, queries, probes, True) if k > 0 \
-            else None
+        members = self.members
+        scored = self._score(
+            scope, queries, probes,
+            _scorers([members[number] for number in scope]), True) \
+            if k > 0 else None
         if scored is None:
             return (np.full((n * nq, k), -1, dtype=np.int64),
                     np.full((n * nq, k), np.inf, dtype=np.float32),
@@ -582,7 +561,7 @@ class ListArena:
         return at, dists, sizes.reshape(n, nq * width).sum(axis=1)
 
     def select(self, scope: Sequence[int], queries: np.ndarray,
-               probes: np.ndarray, k: int,
+               probes: np.ndarray, k: int, scorers: tuple,
                cuts: Mapping[int, tuple[np.ndarray, int]] | None = None,
                columns: Sequence[np.ndarray] = (),
                ranks: Sequence[int] | None = None) -> tuple | None:
@@ -591,7 +570,8 @@ class ListArena:
         one pass however large (``ArenaIndex.scans_once`` says when that
         is the pass ``scan`` makes anyway).
 
-        ``probes`` is as in ``scan``.  ``cuts`` maps a position in
+        ``probes`` is as in ``scan``, and ``scorers`` is ``_scorers`` of
+        the members in ``scope``.  ``cuts`` maps a position in
         ``scope`` to ``(excluded, asked)``: a mask over the member's build
         rows, which are dropped, and how many of its best probed rows its
         own answer takes them from.  Such a member's rows pass only where
@@ -623,7 +603,7 @@ class ListArena:
         # ``lows[q, j]`` first (``_arena_rows``).
         rows, spans, heads, lows, probed = (
             self._one_row if nq == 1 else self._query_rows)(
-                scope, queries, probes)
+                scope, queries, probes, scorers)
         lists = spans[-1]
         if columns:
             rows = np.concatenate([rows, *columns], axis=1)
@@ -662,7 +642,7 @@ class ListArena:
         return at, dists, probed, pruned
 
     def _one_row(self, scope: Sequence[int], queries: np.ndarray,
-                 probes: np.ndarray) -> tuple:
+                 probes: np.ndarray, scorers: tuple) -> tuple:
         """One query's candidate row, laid compact: every probed list's
         scores right after the last's, in list order (member by member,
         as lists are numbered); a list is one GEMV, as a member's own
@@ -678,7 +658,7 @@ class ListArena:
         row = np.empty(int(ends[-1]), dtype=np.float32)
         numbers, starts = pairs.tolist(), [0, *ends.tolist()]
         views = self.views
-        runs, partial = self._runs(scope)
+        runs, partial = scorers
         for first, last, codec, metric in runs:
             lo, hi = first * width, last * width
             if isinstance(codec, FlatCodec):
@@ -710,14 +690,14 @@ class ListArena:
                 sizes.reshape(n, width).sum(axis=1)[:, None])
 
     def _query_rows(self, scope: Sequence[int], queries: np.ndarray,
-                    probes: np.ndarray) -> tuple:
+                    probes: np.ndarray, scorers: tuple) -> tuple:
         """Every query's candidate row, query-major: its (member, query)
         rows side by side, each its probed lists in probe order, padded
         to the pass's widest.  Returns ``select``'s ``(rows, spans,
         heads, lows, rows probed)``."""
         n, nq, width = probes.shape
         block, order, _lows, _sizes, widest, _grid = self._score(
-            scope, queries, probes, False, least=1)
+            scope, queries, probes, scorers, False, least=1)
         wide = width * widest
         by_member = np.empty_like(block)
         by_member[order] = block
@@ -727,6 +707,21 @@ class ListArena:
         return (rows, list(range(0, n * wide + 1, wide)),
                 np.arange(0, n * wide, widest), lows,
                 self.sizes[probes].sum(axis=2))
+
+
+def _scorers(members: Sequence[InvertedLists]) -> tuple[list, list[bool]]:
+    """The runs of consecutive ``members`` that one prepared scorer serves
+    (codecs equal, one metric), as ``(first position, past the last,
+    codec, metric)``, and whether each member keeps ``|row|^2``."""
+    runs, first = [], 0
+    while first < len(members):
+        head, last = members[first], first + 1
+        while last < len(members) and members[last].codec == head.codec \
+                and members[last].metric is head.metric:
+            last += 1
+        runs.append((first, last, head.codec, head.metric))
+        first = last
+    return runs, [member.norms is not None for member in members]
 
 
 def _arena_rows(heads: np.ndarray, lows: np.ndarray, cols: np.ndarray
@@ -1173,12 +1168,10 @@ class ArenaIndex(VectorIndex):
         return facts
 
     def _probe(self, scope: Sequence[int], queries: np.ndarray,
-               unit: np.ndarray, stats: Sequence[SearchStats],
-               ranked: bool = True) -> np.ndarray:
+               unit: np.ndarray, stats: Sequence[SearchStats]
+               ) -> np.ndarray:
         """The ``(len(scope), nq, width)`` arena list numbers each
-        (member, query) row scans, most promising first — or, where not
-        ``ranked``, the same lists in any order (one query's selection
-        lays them in list order anyway)."""
+        (member, query) row scans, most promising first."""
         facts = self._scope(scope)
         nq = queries.shape[0]
         flat, width = facts.flat, facts.width
@@ -1192,35 +1185,13 @@ class ArenaIndex(VectorIndex):
                     member.nprobe, stats[i])
                 probes[i, :, :found.shape[1]] = found
         if flat:
-            # Into a block that is +inf past a member's lists: at one
-            # query one GEMV over the stacked members, for several queries
-            # one GEMM per member over the rows the member's own probe
-            # multiplies (a GEMM over the stacked centroids rounds
-            # differently), and a member outside the stack its own call.
-            # Everything else is done once, in place.
-            left = unit if self.metric is MetricType.COSINE else queries
-            if nq == 1 and facts.stack is not None:
-                dists = self._stacked_gemv(facts, left[0])
-                own = facts.own
-            else:
-                dists = np.full((len(flat), nq, facts.norms.shape[1]),
-                                np.inf, dtype=np.float32)
-                own = enumerate(flat)
-            for j, i in own:
-                factor = self._centroids[scope[i]]
-                np.matmul(left, factor, out=dists[j][:, :factor.shape[1]])
+            dists = self._coarse(scope, facts, queries, unit)
             for i, size in facts.coarse:
                 stats[i].float_comparisons += nq * size
-            if self.metric is MetricType.EUCLIDEAN:
-                # |q|^2 - 2 q.c + |c|^2, the order ``squared_l2`` adds in.
-                dists += np.einsum("ij,ij->i", queries, queries)[:, None]
-                dists += facts.norms[:, None, :]
-                np.maximum(dists, 0.0, out=dists)
-            dists = dists.reshape(len(flat) * nq, -1)
-            # The lists ``topk_smallest`` takes, whose first step this is.
-            found = (topk_smallest(dists, width)[0] if ranked else
-                     np.argpartition(dists, width - 1)[:, :width]
-                     ).reshape(len(flat), nq, width)
+            # The lists ``topk_smallest`` takes, whose first step this is;
+            # ranked, so that a narrower member's first slots are its own.
+            found = topk_smallest(dists.reshape(len(flat) * nq, -1),
+                                  width)[0].reshape(len(flat), nq, width)
             if probes is None:
                 probes = found
             else:
@@ -1235,17 +1206,35 @@ class ArenaIndex(VectorIndex):
         probes += facts.bases[:, None, None]
         return probes
 
-    def _stacked_gemv(self, facts: _Scope, left: np.ndarray) -> np.ndarray:
-        """One query's ``(len(flat), 1, wide)`` coarse block, +inf past a
-        member's lists, holding the products of the stacked members in
-        scope: one GEMV over the stack rows that hold them."""
-        lo, hi = facts.stack
-        out = np.dot(self._stack[lo:hi], left)
-        if facts.put is None:       # the block is those rows as they are
-            return out.reshape(len(facts.flat), 1, -1)
-        dists = np.full((len(facts.flat), 1, facts.norms.shape[1]), np.inf,
+    def _coarse(self, scope: Sequence[int], facts: _Scope,
+                queries: np.ndarray, unit: np.ndarray) -> np.ndarray:
+        """The coarse distances of the flat members in ``scope`` (whose
+        facts ``facts`` are), ``(len(flat), nq, wide)``, +inf past a
+        member's lists: each member's own probe's, bit for bit.
+
+        At one query one GEMV over the stacked members in scope, for
+        several queries one GEMM per member over the rows the member's own
+        probe multiplies (a GEMM over the stacked centroids rounds
+        differently), and a member outside the stack its own call.
+        Everything else is done once, in place."""
+        nq = queries.shape[0]
+        left = unit if self.metric is MetricType.COSINE else queries
+        dists = np.full((len(facts.flat), nq, facts.norms.shape[1]), np.inf,
                         dtype=np.float32)
-        dists.reshape(-1)[facts.put] = out[facts.take]
+        own = enumerate(facts.flat)
+        if nq == 1 and facts.stack is not None:
+            lo, hi = facts.stack
+            dists.reshape(-1)[facts.put] = \
+                np.dot(self._stack[lo:hi], left[0])[facts.take]
+            own = facts.own
+        for j, i in own:
+            factor = self._centroids[scope[i]]
+            np.matmul(left, factor, out=dists[j][:, :factor.shape[1]])
+        if self.metric is MetricType.EUCLIDEAN:
+            # |q|^2 - 2 q.c + |c|^2, the order ``squared_l2`` adds in.
+            dists += np.einsum("ij,ij->i", queries, queries)[:, None]
+            dists += facts.norms[:, None, :]
+            np.maximum(dists, 0.0, out=dists)
         return dists
 
     def scans_once(self, scope: Sequence[int], nq: int) -> bool:
@@ -1308,14 +1297,13 @@ class ArenaIndex(VectorIndex):
                     np.full((n, nq, k), np.inf, dtype=np.float32))
         unit = normalize_rows(queries) \
             if self.metric is MetricType.COSINE else queries
-        probes = self._probe(scope, queries, unit, stats,
-                             ranked=not (together and nq == 1))
+        probes = self._probe(scope, queries, unit, stats)
         # Members whose lists hold unit rows are scanned with unit
         # queries: two scans where the members differ in that.
         if together:
             found = self.lists.select(
-                scope, unit if facts.unit else queries, probes, k, cuts,
-                columns, ranks)
+                scope, unit if facts.unit else queries, probes, k,
+                facts.scorers, cuts, columns, ranks)
             if found is None:
                 return None
             at, dists, rows, pruned = found
@@ -1408,22 +1396,22 @@ class _Scope:
                     if arena._stacked_at[scope[i]] is None]
         #: The stack rows one GEMV multiplies (every stacked member in
         #: scope lies among them), and where in the coarse block its
-        #: products go: ``put`` / ``take``, None where the block is those
-        #: rows as they are.
+        #: products go: ``put`` / ``take``.
         self.stack = self.put = self.take = None
         if stacked:
             lo = stacked[0][1]
-            hi = stacked[-1][1] + stacked[-1][2]
-            self.stack = lo, hi
+            self.stack = lo, stacked[-1][1] + stacked[-1][2]
             wide = self.norms.shape[1]
-            if self.own or hi - lo != len(stacked) * wide or any(
-                    size != wide for _j, _at, size in stacked):
-                self.take = np.concatenate([
-                    np.arange(at - lo, at - lo + size)
-                    for _j, at, size in stacked])
-                self.put = np.concatenate([
-                    np.arange(j * wide, j * wide + size)
-                    for j, _at, size in stacked])
+            self.take = np.concatenate([
+                np.arange(at - lo, at - lo + size)
+                for _j, at, size in stacked])
+            self.put = np.concatenate([
+                np.arange(j * wide, j * wide + size)
+                for j, _at, size in stacked])
+        #: The runs of members one prepared scorer serves, and which keep
+        #: ``|row|^2`` (``_scorers``): what the one selection scores by.
+        lists = arena.lists.members
+        self.scorers = _scorers([lists[number] for number in scope])
 
 
 class ExhaustiveIndex(BucketedIndex):

@@ -301,3 +301,24 @@ class TestKeptNorms:
         check()
         segment.seal()
         check()
+
+    def test_rows_change_only_through_rewrite_vectors(self, schema, config,
+                                                      rng):
+        """The column is handed out read-only, so no write can leave a
+        kept norm stale; ``rewrite_vectors`` writes rows and drops the
+        kept norms, and the next exact scan is ``squared_l2``'s again."""
+        segment = Segment("s1", "c", schema, config)
+        fill(segment, rng, 20)
+        queries = rng.standard_normal((2, 8)).astype(np.float32)
+        segment.exact_block("vector", queries, MetricType.EUCLIDEAN, None,
+                            0, 20)              # keeps every row's norm
+        with pytest.raises(ValueError):
+            segment.column("vector")[3] = 0.0
+        segment.rewrite_vectors("vector", [3, 4], np.full(8, 2.0))
+        column = segment.column("vector")
+        np.testing.assert_array_equal(column[3:5], np.full((2, 8), 2.0))
+        _rows, dists = segment.exact_block(
+            "vector", queries, MetricType.EUCLIDEAN, None, 0, 20)
+        np.testing.assert_array_equal(
+            dists.view(np.int32),
+            squared_l2(queries, column).view(np.int32))

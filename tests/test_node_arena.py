@@ -69,15 +69,6 @@ def stage_view(stage):
             [stage_view(child) for child in stage.children])
 
 
-def overwrite(segment, rows, vector):
-    """Write ``vector`` over ``rows`` of a segment's vector column in
-    place, and drop the squared norms the segment keeps of its rows (kept
-    because nothing else writes a column; the next exact scan norms them
-    again)."""
-    segment.column("vector")[rows] = vector
-    segment._normed["vector"] = 0
-
-
 def cold_column_caches(cluster):
     """``cache_hits`` / ``cache_misses`` depend on what ran before: both
     runs of a request start from unconsolidated columns."""
@@ -491,8 +482,9 @@ class TestArenaMatchesThePerSegmentLoop:
             target._pks[0] = top
             target._pk_arr = None
             target._pk_rows[top] = 0
+            target.rewrite_vectors("vector", 0,
+                                   source.column("vector")[row])
             vectors = target.column("vector")
-            vectors[0] = source.column("vector")[row]
             index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
                                  nlist=16, nprobe=4)
             index.build(vectors)
@@ -560,7 +552,7 @@ class TestArenaMatchesThePerSegmentLoop:
         del middle._sealed_indexes["vector"]
         query = np.ones(DIM, dtype=np.float32)    # exact in every path
         for segment in (first, middle, last):
-            overwrite(segment, 0, query)
+            segment.rewrite_vectors("vector", 0, query)
             if segment is not middle:
                 index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
                                      nlist=16, nprobe=16)
@@ -577,7 +569,7 @@ class TestArenaMatchesThePerSegmentLoop:
         # the cut: the one selection keeps the earlier segments' copies,
         # as the merge does.
         for segment in (first, middle, last):
-            overwrite(segment, slice(4), query)
+            segment.rewrite_vectors("vector", slice(4), query)
             index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
                                  nlist=16, nprobe=16)
             index.build(segment.column("vector"))
@@ -944,7 +936,7 @@ class TestFreshNodes:
         for segment in held:
             rows_at = np.flatnonzero(~segment.deletions(
                 0, segment.num_rows))[-4:]
-            overwrite(segment, rows_at, query)
+            segment.rewrite_vectors("vector", rows_at, query)
             if segment.is_sealed and segment is not sealed:
                 index = create_index("IVF_FLAT", MetricType.EUCLIDEAN, DIM,
                                      nlist=16, nprobe=16)
@@ -1258,6 +1250,51 @@ class TestArenaIndex:
                         - arena.lists.list_base[number], own)
                 assert_selects_the_merged_answer(arena, queries, 10, scope,
                                                  ids, dists, stats)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_a_narrow_member_probes_its_own_first_lists(self, rng, metric,
+                                                        monkeypatch):
+        """A member that probes 2 lists (a slice's temporary index) beside
+        members that probe 8: its slots are the first 2 of the scope's 8
+        ranked ones, so at one query — one selection or not — it scans its
+        own nearest lists, not whichever 2 of the 8 nearest a selection
+        left first.  ``argpartition`` is made to leave its first ``kth``
+        slots reversed (which its contract allows), so that this does not
+        hang on the order one build of it happens to leave them in."""
+        real = np.argpartition
+
+        def reversing(a, kth, axis=-1, **kwargs):
+            part = real(a, kth, axis=axis, **kwargs)
+            if isinstance(kth, (int, np.integer)) and kth > 1:
+                head = np.moveaxis(part, axis, -1)[..., :kth]
+                head[...] = head[..., ::-1].copy()
+            return part
+
+        monkeypatch.setattr(np, "argpartition", reversing)
+        members = []
+        for n, nlist, nprobe in ((700, 64, 8), (600, 16, 2), (650, 64, 8)):
+            index = IvfFlatIndex(metric, DIM, nlist=nlist, nprobe=nprobe)
+            index.build(clustered(rng, n))
+            members.append(index)
+        arena = ArenaIndex(members)
+        for _ in range(6):
+            queries = clustered(rng, 1)
+            unit = queries / np.linalg.norm(queries, axis=1, keepdims=True)
+            stats = [SearchStats() for _ in members]
+            ids, dists = arena.search(queries, 10, stats=stats)
+            probes = arena._probe([0, 1, 2], queries, unit,
+                                  [SearchStats() for _ in members])
+            for number, member in enumerate(members):
+                want_ids, want_dists = member.search(queries, 10)
+                np.testing.assert_array_equal(
+                    dists[number].view(np.int32), want_dists.view(np.int32))
+                assert stats[number].as_dict() == member.stats.as_dict()
+                own = member._probe(queries, 10, None)
+                np.testing.assert_array_equal(
+                    probes[number, :, :own.shape[1]]
+                    - arena.lists.list_base[number], own)
+            assert_selects_the_merged_answer(arena, queries, 10, [0, 1, 2],
+                                             ids, dists, stats)
 
     @pytest.mark.parametrize("nq", [1, 2, 64])
     def test_every_codec_and_scope_answer_as_on_their_own(
