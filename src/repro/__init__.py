@@ -49,6 +49,7 @@ from repro.errors import (
     FieldNotFound,
     IndexBuildError,
     InvalidQuery,
+    InvariantViolation,
     ManuError,
     MonotonicityViolation,
     NodeNotFound,
@@ -113,6 +114,7 @@ __all__ = [
     "RevisionConflict",
     "ChannelNotFound",
     "MonotonicityViolation",
+    "InvariantViolation",
     "NodeNotFound",
     "ClusterStateError",
     "TimeTravelError",

@@ -2,36 +2,38 @@
 
 The paper states correctness invariants that Python cannot enforce at
 runtime without cost: LSN/time-tick monotonicity on the log backbone
-(Section 3.3), acknowledgement only after the WAL holds a write, and a
-strict layering in which worker nodes coordinate only through the log.
-``repro.analysis`` checks the *static* shadow of those invariants over the
-repository's AST — the ones no test can observe from outside.  What a test
-can observe (consistency waits, subscription lifetimes, row state rebuilt
-by replay, same-tick order) is checked dynamically instead: by the chaos
-driver against its model, the ``MANU_RACE`` schedule sweep and the
-crash-point tests.
+(Section 3.3) and a strict layering in which worker nodes coordinate only
+through the log.  ``repro.analysis`` checks the *static* shadow of those
+invariants over the repository's AST, module by module.  What a run can
+observe is checked dynamically instead: by the chaos driver against its
+model, the ``MANU_RACE`` schedule sweep, the crash-point tests and the
+``MANU_CHECK=1`` runtime checks in the log layer (see ``log/broker.py``).
 
 Rule families (each independently toggleable):
 
 ==========================  ==================================================
 ``layering``                the import graph must follow the architecture DAG
 ``timestamp-discipline``    no raw arithmetic on packed LSN ints outside TSO
+                            (runtime twin: the broker's monotonicity check)
 ``determinism``             the virtual clock is the only time/random source
 ``error-hygiene``           public API raises ``ManuError``; no bare except
 ``frozen-record``           WAL/binlog records are immutable once constructed
-``pubsub-topology``         pub/sub call sites match the declared log graph
-``raceorder-*``             passes over the scheduled-event handlers (see
-                            :mod:`repro.analysis.raceorder`)
-``durability-*``            crash-consistency passes over the write entries
-                            and replay handlers (see
-                            :mod:`repro.analysis.durability`)
 ==========================  ==================================================
 
-The last three are *whole-program* passes over an inter-procedural summary
-(:mod:`repro.analysis.summaries`); the declared pub/sub topology lives in
-:mod:`repro.analysis.topology` and its recovered twin is exported via
-``--format dot``/``json``.  The runtime twin of ``timestamp-discipline``
-is the ``MANU_CHECK=1`` environment flag (see ``log/broker.py``).
+Retired rules and the runtime check that replaced each (DESIGN.md §6b):
+
+==================================  ==========================================
+``pubsub-topology``                 ``MANU_CHECK``: the broker checks each
+                                    ``publish``/``subscribe`` caller against
+                                    ``repro.log.topology``
+``durability-replay-unguarded``     ``MANU_CHECK``: the broker pushes every
+                                    data entry twice
+``durability-ack-before-durable``   ``MANU_CHECK``: ``AckFuture.set_result``
+                                    refuses rows not yet on their channel
+``raceorder-detached``              every loop event runs detached
+                                    (``EventLoop.detached``)
+``raceorder-hidden-coupling``       ``tests/test_boundaries.py``
+==================================  ==========================================
 
 Any finding can be suppressed in place::
 
@@ -42,35 +44,13 @@ code via :func:`run_analysis`.
 """
 
 from repro.analysis.base import Finding, Rule, Suppression
-from repro.analysis.durability import (
-    DURABILITY_ACK,
-    DURABILITY_REPLAY,
-    DURABILITY_RULES,
-)
 from repro.analysis.engine import AnalysisReport, all_rules, run_analysis
-from repro.analysis.pubsub import recover_topology
-from repro.analysis.raceorder import (
-    RACEORDER_DETACHED,
-    RACEORDER_HIDDEN_COUPLING,
-    RACEORDER_RULES,
-    event_handlers,
-)
-from repro.analysis.recovery import build_durability_model
 
 __all__ = [
     "AnalysisReport",
-    "DURABILITY_ACK",
-    "DURABILITY_REPLAY",
-    "DURABILITY_RULES",
     "Finding",
-    "RACEORDER_DETACHED",
-    "RACEORDER_HIDDEN_COUPLING",
-    "RACEORDER_RULES",
     "Rule",
     "Suppression",
     "all_rules",
-    "build_durability_model",
-    "event_handlers",
-    "recover_topology",
     "run_analysis",
 ]

@@ -5,11 +5,9 @@ Exit codes: 0 clean, 1 findings (or parse errors), 2 usage error.
 Output formats:
 
 * ``text`` (default) — file:line findings with fix hints;
-* ``json`` — machine-readable report, including the recovered pub/sub
-  topology (the CI artifact);
+* ``json`` — machine-readable report;
 * ``github`` — GitHub workflow-annotation lines (``::error file=...``)
-  so CI failures annotate PRs inline;
-* ``dot`` — Graphviz digraph of the recovered pub/sub topology.
+  so CI failures annotate PRs inline.
 """
 
 from __future__ import annotations
@@ -20,9 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.analysis.engine import all_rules, load_project, run_analysis
-from repro.analysis.pubsub import recover_edges
-from repro.analysis.topology import topology_to_dict, topology_to_dot
+from repro.analysis.engine import all_rules, run_analysis
 
 
 def _default_root() -> Path:
@@ -50,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--disable", action="append", default=None,
                         metavar="RULE", help="skip these rule ids")
     parser.add_argument("--format",
-                        choices=("text", "json", "github", "dot"),
+                        choices=("text", "json", "github"),
                         default="text",
                         help="output format (default: text)")
     parser.add_argument("--list-rules", action="store_true",
@@ -86,10 +82,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: not a directory: {root}", file=sys.stderr)
         return 2
 
-    if args.format == "dot":
-        print(topology_to_dot(recover_edges(load_project(root))), end="")
-        return 0
-
     try:
         report = run_analysis(root, select=args.select,
                               disable=args.disable, strict=args.strict)
@@ -107,8 +99,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 {"finding": vars(f), "reason": s.reason,
                  "suppression_line": s.line}
                 for f, s in report.suppressed],
-            "topology": topology_to_dict(
-                recover_edges(load_project(root))),
         }, indent=2))
         return report.exit_code()
 

@@ -17,12 +17,9 @@ from typing import Iterable, Optional, Sequence
 
 from repro.analysis.base import Finding, ModuleContext, Project
 from repro.analysis.determinism import DeterminismRule
-from repro.analysis.durability import DURABILITY_RULES
 from repro.analysis.errhygiene import ErrorHygieneRule
 from repro.analysis.frozen import FrozenRecordRule
 from repro.analysis.layering import LayeringRule
-from repro.analysis.pubsub import PubSubTopologyRule
-from repro.analysis.raceorder import RACEORDER_RULES
 from repro.analysis.timestamps import TimestampDisciplineRule
 
 SUPPRESSION_HYGIENE = "suppression-hygiene"
@@ -40,12 +37,6 @@ def all_rules() -> list:
         DeterminismRule(),
         ErrorHygieneRule(),
         FrozenRecordRule(),
-        # whole-program passes over the inter-procedural summary
-        PubSubTopologyRule(),
-        # passes over the scheduled-event handlers (manu-race)
-        *[rule() for rule in RACEORDER_RULES],
-        # crash-consistency passes over the durability model (manu-crash)
-        *[rule() for rule in DURABILITY_RULES],
     ]
 
 

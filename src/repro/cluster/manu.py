@@ -94,6 +94,9 @@ class ManuCluster:
             enabled=self.config.tracing.enabled,
             sample_every=self.config.tracing.sample_every,
             max_traces=self.config.tracing.max_traces)
+        # Scheduled events run detached: a timer or delivery fires inside
+        # whatever request frame steps the clock and must not join it.
+        self.loop.detached = self.tracer.detached
         self.broker = LogBroker(self.loop,
                                 delivery_delay_ms=self.cost_model
                                 .rpc_latency_ms,
@@ -208,8 +211,7 @@ class ManuCluster:
         # Time ticks on every data channel plus the coordination channel.
         self.timetick = TimeTickEmitter(
             self.loop, self.broker, self.tso,
-            self.config.log.time_tick_interval_ms,
-            tracer=self.tracer)
+            self.config.log.time_tick_interval_ms)
         self.timetick.start()
 
         # Data nodes consume seal decisions from the coordination channel.
@@ -274,12 +276,9 @@ class ManuCluster:
                 data_node.unsubscribe(channel)
 
     def _housekeeping(self) -> None:
-        # Idle seals are background work: detach from whatever request
-        # frame happens to be stepping the clock when the timer fires.
-        with self.tracer.detached():
-            self.data_coord.check_idle()
-            for data_node in self.data_nodes:
-                data_node.flush_delta_logs()
+        self.data_coord.check_idle()
+        for data_node in self.data_nodes:
+            data_node.flush_delta_logs()
 
     # ------------------------------------------------------------------
     # telemetry plane
@@ -314,11 +313,10 @@ class ManuCluster:
             self.health.beat(f"logger:{logger_name}")
 
     def _telemetry_tick(self) -> None:
-        # Sampling must not disturb request traces or the virtual
-        # schedule: detached, read-only, and allocation-free on the TSO.
-        with self.tracer.detached():
-            self.sample_telemetry()
-            self.alerts.evaluate()
+        # Sampling must not disturb the virtual schedule: read-only, and
+        # allocation-free on the TSO.
+        self.sample_telemetry()
+        self.alerts.evaluate()
 
     def sample_telemetry(self) -> None:
         """Sample backbone lag, staleness, backlogs and health into gauges.

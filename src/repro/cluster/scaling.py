@@ -86,15 +86,7 @@ class Autoscaler:
 
         No latency signal and no lag breach → no-op: an idle cluster (or
         one whose windows have all pruned empty) must not thrash.
-
-        Runs detached: the evaluation timer fires inside whatever trace
-        is stepping the clock, and a scale-up's segment-load spans must
-        not join a bystander search trace.
         """
-        with self.cluster.tracer.detached():
-            return self._evaluate()
-
-    def _evaluate(self) -> Optional[ScaleEvent]:
         now = self.cluster.now()
         latency = self._latency(now)
         lag = self._lag(now)

@@ -41,6 +41,7 @@ once the selection stands.
 
 from __future__ import annotations
 
+import bisect
 import enum
 from typing import Mapping, Optional, Sequence
 
@@ -155,6 +156,10 @@ class Segment:
         # bump it with timestamps from other shards' channels, so it is
         # not comparable with one channel's insert LSNs.
         self.max_insert_lsn = 0
+        # First row and LSN of each append: a delete reaches only rows
+        # inserted before it (``live_before``).
+        self._append_rows: list[int] = []
+        self._append_lsns: list[int] = []
         self.last_insert_at_ms = 0.0
         self.temp_index_enabled = True
 
@@ -247,6 +252,8 @@ class Segment:
         self._deleted = self._deleted_buf[:end]
         self.max_lsn = max(self.max_lsn, lsn)
         self.max_insert_lsn = max(self.max_insert_lsn, lsn)
+        self._append_rows.append(start)
+        self._append_lsns.append(lsn)
         self.last_insert_at_ms = now_ms
         filled = end // self.config.slice_size
         if self.temp_index_enabled and filled > self._slices_filled:
@@ -295,6 +302,16 @@ class Segment:
         """Whether the segment holds a live row for ``pk``."""
         row = self._pk_rows.get(pk)
         return row is not None and not self._deleted[row]
+
+    def live_before(self, pk, lsn: int) -> bool:
+        """Whether the segment holds a live row for ``pk`` inserted at an
+        LSN below ``lsn`` — what a delete at ``lsn`` may hit.  A replayed
+        delete can find a newer row of its pk (an upsert's)."""
+        row = self._pk_rows.get(pk)
+        if row is None or self._deleted[row]:
+            return False
+        at = bisect.bisect_right(self._append_rows, row) - 1
+        return self._append_lsns[at] < lsn
 
     @property
     def delete_ratio(self) -> float:

@@ -7,8 +7,11 @@ segments and turns records and binlogs into them by one set of rules:
 
 * an insert its segment's ``max_insert_lsn`` covers is a replay, skipped;
 * a delete reaches a sealed segment through ``Segment.apply_delete``'s
-  sealed rule and a growing one only where it holds the pk live, so a miss
-  never raises the ``max_lsn`` a flush writes into the binlog;
+  sealed rule and a growing one only where it holds the pk live from an
+  older insert, so a miss never raises the ``max_lsn`` a flush writes into
+  the binlog, and a replayed delete never hits an upsert's newer row; a
+  delete no newer than the last one from its shard is a replay, and keeps
+  nothing (the rows it hit are no longer live, not missed);
 * a binlog-loaded segment is sealed on load, and takes the deletes the set
   kept and the persisted ones through that same sealed rule.
 
@@ -93,6 +96,9 @@ class SegmentSet:
         # opened each shard's map (cleared when the map is persisted).
         self._deletes: dict[int, dict] = {}
         self._deletes_from: dict[int, int] = {}
+        # shard -> ts of the newest delete applied from it (LSNs only
+        # grow on a shard channel, so an older one is a replay).
+        self._deleted_to: dict[int, int] = {}
         self._consumed: dict[int, int] = {}
         # The persisted delete-delta log, read once for a bulk load of N
         # segments; dropped whenever a new delete flows in.
@@ -129,11 +135,16 @@ class SegmentSet:
             if segment.is_sealed:
                 segment.apply_delete(record.pks, record.ts)
             elif remaining:
-                hit = [pk for pk in remaining if segment.contains_pk(pk)]
+                hit = [pk for pk in remaining
+                       if segment.live_before(pk, record.ts)]
                 if hit:
                     segment.apply_delete(hit, record.ts)
                     remaining -= set(hit)
         kept = remaining if self._archive else record.pks
+        if record.ts <= self._deleted_to.get(record.shard, 0):
+            kept = ()
+        else:
+            self._deleted_to[record.shard] = record.ts
         if kept:
             self._deletes_from.setdefault(record.shard, offset)
             newest = self._deletes.setdefault(record.shard, {})

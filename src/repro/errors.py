@@ -75,6 +75,13 @@ class MonotonicityViolation(ManuError):
     """
 
 
+class InvariantViolation(ManuError):
+    """A log-backbone invariant broke at runtime (``MANU_CHECK=1`` only):
+    an undeclared module published or subscribed a channel
+    (:mod:`repro.log.topology`), or a write was acked before its WAL
+    entry was on its channel."""
+
+
 class NodeNotFound(ManuError):
     """The referenced worker node is not registered with its coordinator."""
 

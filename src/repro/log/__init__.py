@@ -13,7 +13,9 @@ Manu structures the whole system as log publishers and subscribers:
   from the TSO, route entities to shards/segments, maintain the
   entity->segment LSM map;
 * :mod:`repro.log.binlog` — column-based binlog files data nodes write to
-  the object store.
+  the object store;
+* :mod:`repro.log.topology` — which module may publish or subscribe each
+  channel group, checked on every call under ``MANU_CHECK``.
 """
 
 from repro.log.archive import WalArchiver

@@ -10,24 +10,33 @@ The broker retains all entries until ``truncate`` (log expiration, used by
 time travel's retention policy), so any new subscriber can replay history —
 the property the paper's failure recovery and stream indexing rely on.
 
-Delivery ordering contract (the reorder bounds the ``raceorder`` static
-pass and the ``MANU_RACE`` sanitizer both work to): entries of one channel
+Delivery ordering contract (the reorder bound the ``MANU_RACE``
+sanitizer works to): entries of one channel
 reach each subscription strictly in offset order, always; the *relative*
 timing of flushes to different subscriptions is undefined within one
 delivery-delay window.  The attached loop's
 :class:`~repro.sim.clock.SchedulePolicy` may therefore stretch each flush's
 delay (seeded jitter) and permute same-timestamp flushes, but can never
 reorder one subscriber's entries.
+
+``MANU_CHECK=1`` (or ``manu_check=True``) arms the broker's runtime
+checks: WAL shard timestamps never go back, every ``publish`` /
+``subscribe`` caller is a declared one (:mod:`repro.log.topology`), and
+every data entry is pushed twice, as a subscriber reconnecting from an
+unacknowledged cursor would see it, so a replay that is not idempotent
+shows.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import ChannelNotFound, MonotonicityViolation
+from repro.log.topology import check_edge
 from repro.sim.events import EventLoop
 
 
@@ -113,10 +122,9 @@ class LogBroker:
         self._channels: dict[str, list[LogEntry]] = {}
         self._base_offsets: dict[str, int] = {}
         self._subs: dict[str, list[Subscription]] = {}
-        # MANU_CHECK: runtime twin of manu-lint's timestamp-discipline —
-        # assert per-WAL-channel timestamp monotonicity on every publish.
-        # ``None`` defers to the environment so stress tests can flip it
-        # on without plumbing a flag through the cluster wiring.
+        # MANU_CHECK (module docstring).  ``None`` defers to the
+        # environment so stress tests can flip it on without plumbing a
+        # flag through the cluster wiring.
         if manu_check is None:
             manu_check = os.environ.get("MANU_CHECK", "") not in ("", "0")
         self.manu_check = manu_check
@@ -157,6 +165,8 @@ class LogBroker:
         if self.tracer is not None:
             payload = self.tracer.on_publish(channel, payload)
         if self.manu_check:
+            check_edge(sys._getframe(1).f_globals.get("__name__", ""),
+                       "publish", channel)
             self._check_monotonic(channel, payload)
         offset = self._base_offsets[channel] + len(entries)
         entry = LogEntry(channel, offset, payload)
@@ -197,6 +207,11 @@ class LogBroker:
                 f"{type(payload).__name__})")
         self._check_high_ts[channel] = ts
 
+    def checked_ts(self, channel: str) -> int:
+        """Newest ts published on a WAL shard channel while MANU_CHECK
+        was armed (0 before any)."""
+        return self._check_high_ts.get(channel, 0)
+
     # ------------------------------------------------------------------
     # consuming
     # ------------------------------------------------------------------
@@ -223,6 +238,9 @@ class LogBroker:
                   ) -> Subscription:
         """Attach a named cursor; with a callback, backlog is pushed too."""
         self._entries(channel)
+        if self.manu_check:
+            check_edge(sys._getframe(1).f_globals.get("__name__", ""),
+                       "subscribe", channel)
         from_offset = max(from_offset, self._base_offsets[channel])
         sub = Subscription(self, channel, name, from_offset, callback)
         self._subs[channel].append(sub)
@@ -278,6 +296,11 @@ class LogBroker:
                 if not sub.active:
                     break
                 self._dispatch(sub, entry)
+                # MANU_CHECK: a data entry (a commit group's envelope)
+                # arrives again, as after a reconnect.
+                if self.manu_check and sub.active \
+                        and hasattr(entry.payload, "records"):
+                    self._dispatch(sub, entry)
             # New entries may have been appended while flushing.
             if sub.active and sub.lag() > 0:
                 self._deliver(sub)

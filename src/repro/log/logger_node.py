@@ -34,7 +34,8 @@ import numpy as np
 
 from repro.core.entity import EntityBatch
 from repro.core.tso import TimestampOracle
-from repro.errors import ClusterStateError, FencedWriteError
+from repro.errors import ClusterStateError, FencedWriteError, \
+    InvariantViolation
 from repro.log.broker import LogBroker
 from repro.log.hashring import HashRing
 from repro.log.wal import BatchRecord, DeleteRecord, InsertRecord, \
@@ -92,16 +93,20 @@ class AckFuture:
     Writers buffered into a :class:`CommitGroup` get one of these back
     immediately; it resolves with the batch publish LSN (and the number
     of rows the write actually affected) only *after* the coalesced WAL
-    publish returned — so an ack can never precede durability.
+    publish returned — so an ack can never precede durability.  Under
+    ``MANU_CHECK`` a future knows its ``(broker, channel)`` and refuses
+    an ack of rows whose LSN is not on that channel yet; a zero-row ack
+    (a flush whose deletes all missed) publishes nothing and passes.
     """
 
-    __slots__ = ("_lsn", "_rows", "_done", "_callbacks")
+    __slots__ = ("_lsn", "_rows", "_done", "_callbacks", "_wal")
 
-    def __init__(self) -> None:
+    def __init__(self, wal: Optional[tuple] = None) -> None:
         self._lsn = 0
         self._rows = 0
         self._done = False
         self._callbacks: list[Callable[["AckFuture"], None]] = []
+        self._wal = wal
 
     @property
     def done(self) -> bool:
@@ -124,6 +129,12 @@ class AckFuture:
         """Resolve with the batch publish LSN (flush path only)."""
         if self._done:
             raise ClusterStateError("ack future already resolved")
+        if rows and self._wal is not None:
+            broker, channel = self._wal
+            if broker.checked_ts(channel) < lsn:
+                raise InvariantViolation(
+                    f"MANU_CHECK: ack of {rows} row(s) at LSN {lsn} before "
+                    f"that LSN is on {channel!r}")
         self._lsn = lsn
         self._rows = rows
         self._done = True
@@ -513,7 +524,9 @@ class LoggerService:
                                                                  columns):
             future = None
             if kind == "delete" or not sync:
-                future = AckFuture()
+                future = AckFuture(
+                    (self._broker, shard_channel(collection, shard))
+                    if self._broker.manu_check else None)
                 futures.append(future)
             group = self._groups.setdefault((collection, shard),
                                             CommitGroup())
@@ -540,13 +553,12 @@ class LoggerService:
 
     def _window_flush(self, collection: str, shard: int,
                       epoch: int) -> None:
-        """Commit-window timer target; detached (no ambient parent
-        span).  A stale timer — the group it armed for flushed through
-        a bound or an explicit call — sees a bumped epoch and no-ops."""
-        with self._tracer.detached():
-            group = self._groups.get((collection, shard))
-            if group is not None and group.ops and group.epoch == epoch:
-                self.flush_group(collection, shard, reason="window")
+        """Commit-window timer target.  A stale timer — the group it
+        armed for flushed through a bound or an explicit call — sees a
+        bumped epoch and no-ops."""
+        group = self._groups.get((collection, shard))
+        if group is not None and group.ops and group.epoch == epoch:
+            self.flush_group(collection, shard, reason="window")
 
     def flush_group(self, collection: str, shard: int,
                     reason: str = "explicit") -> int:
@@ -642,7 +654,7 @@ class LoggerService:
         ts = self._tso.allocate_packed()
         for future, _count in acks:
             if future is not None:
-                future.set_result(ts, 0)  # manu-lint: disable=durability-ack-before-durable -- zero-effect ack: empty flush publishes nothing
+                future.set_result(ts, 0)
         return ts
 
     def flush_all_groups(self, reason: str = "explicit") -> None:

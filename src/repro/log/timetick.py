@@ -19,20 +19,19 @@ from repro.core.tso import TimestampOracle
 from repro.log.broker import LogBroker
 from repro.log.wal import TimeTickRecord
 from repro.sim.events import Event, EventLoop
-from repro.tracing import NOOP_TRACER, TraceCollector
 
 
 class TimeTickEmitter:
     """Publishes a time-tick on each registered channel every interval.
 
     Ticks are untraced: they fire forever, so tracing them would drown
-    request traces.
+    request traces.  They fire as loop events, so they run detached from
+    whatever frame steps the clock (:attr:`EventLoop.detached`).
     """
 
     def __init__(self, loop: EventLoop, broker: LogBroker,
                  tso: TimestampOracle, interval_ms: float,
-                 channels: Iterable[str] = (), source: str = "tso",
-                 tracer: Optional[TraceCollector] = None) -> None:
+                 channels: Iterable[str] = (), source: str = "tso") -> None:
         if interval_ms <= 0:
             raise ValueError("interval_ms must be positive")
         self._loop = loop
@@ -40,7 +39,6 @@ class TimeTickEmitter:
         self._tso = tso
         self.interval_ms = interval_ms
         self.source = source
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._channels: list[str] = list(channels)
         self._timer: Optional[Event] = None
         self.ticks_emitted = 0
@@ -84,12 +82,9 @@ class TimeTickEmitter:
 
     def _emit(self) -> None:
         ts = self._tso.allocate_packed()
-        # Ticks fire as scheduled events inside whatever frame steps the
-        # clock — detach so they never join (or stamp) a bystander trace.
-        with self._tracer.detached():
-            now = self._loop.now()
-            for channel in self._channels:
-                self._broker.publish(
-                    channel, TimeTickRecord(ts=ts, source=self.source))
-                self._last_tick_ms[channel] = now
+        now = self._loop.now()
+        for channel in self._channels:
+            self._broker.publish(
+                channel, TimeTickRecord(ts=ts, source=self.source))
+            self._last_tick_ms[channel] = now
         self.ticks_emitted += 1

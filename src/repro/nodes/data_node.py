@@ -199,15 +199,8 @@ class DataNode:
         key = (collection, segment_id)
         if key not in self._pending_seals:
             return  # already flushed via the rotation signal
+        # The captured wire context is the only causal parent.
         _shard, wire = self._pending_seals[key]
-        # Scheduled retry: the captured wire context is the only causal
-        # parent; never adopt whatever frame is stepping the clock.
-        with self._tracer.detached():
-            self._settle_seal(collection, segment_id, shard, retries, wire)
-
-    def _settle_seal(self, collection: str, segment_id: str, shard: int,
-                     retries: int, wire: Optional[tuple]) -> None:
-        key = (collection, segment_id)
         segment = self._segments(collection).segments.get(segment_id)
         quiet = (segment is not None
                  and self._loop.now() - segment.last_insert_at_ms

@@ -778,14 +778,11 @@ class Proxy:
         (collection, field, metric, expr, consistency, staleness_ms,
          k, tenant) = key
         queries = np.concatenate([q for q, _h in batch], axis=0)
-        # The window timer fires inside whatever frame steps the clock;
-        # detach so the batched search roots its own trace.
-        with self._tracer.detached():
-            results = self.search(collection, queries, k, field=field,
-                                  metric=metric, expr=expr,
-                                  consistency=consistency,
-                                  staleness_ms=staleness_ms, tenant=tenant,
-                                  _admitted=True)
+        results = self.search(collection, queries, k, field=field,
+                              metric=metric, expr=expr,
+                              consistency=consistency,
+                              staleness_ms=staleness_ms, tenant=tenant,
+                              _admitted=True)
         for (_q, handle), result in zip(batch, results):
             handle.result = result
         self.batches_flushed += 1

@@ -10,8 +10,8 @@ the same virtual millisecond, which runs first?  The seed behaviour is FIFO
 one legal interleaving.  A :class:`ShuffledSchedulePolicy` — armed with
 ``MANU_RACE=<seed>`` — replaces the tie-break with a seeded permutation, so
 the same scenario can be replayed under many legal same-tick orders and any
-order-dependent outcome is pinned to the seed that produced it (the dynamic
-head of ``manu-race``; the static head is ``repro.analysis.raceorder``).
+order-dependent outcome is pinned to the seed that produced it
+(``manu-race``, swept by ``python -m repro.race``).
 """
 
 from __future__ import annotations

@@ -9,10 +9,16 @@ same-timestamp events run in a reproducible but perturbed order, which is
 how order-dependent bugs are flushed out (DESIGN.md §6e).  Events can be
 cancelled (for example a segment's idle-seal timer is cancelled when a new
 insert arrives) and periodic events reschedule themselves until cancelled.
+
+Every callback runs under the context :attr:`EventLoop.detached` returns:
+a scheduled event fires inside whatever frame steps the clock, and must
+not join (or stamp) that frame's request trace.  The cluster sets it to
+its tracer's ``detached``; this module imports no tracing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 from typing import Callable, Optional
@@ -75,6 +81,10 @@ class EventLoop:
         # ``(time_ms, seq, name)`` — the schedule artifact a failing seed
         # uploads so the offending interleaving can be read back.
         self.schedule_log: Optional[list[tuple[float, int, str]]] = None
+        # The context every callback runs under (module docstring); a
+        # no-op until the cluster sets its tracer's ``detached``.
+        self.detached: Callable[[], contextlib.AbstractContextManager] = \
+            contextlib.nullcontext
 
     @property
     def executed_events(self) -> int:
@@ -148,7 +158,8 @@ class EventLoop:
             if self.schedule_log is not None:
                 self.schedule_log.append(
                     (event.time_ms, event.seq, event.name))
-            event.callback()
+            with self.detached():
+                event.callback()
             self._executed += 1
             return True
         return False

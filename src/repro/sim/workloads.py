@@ -87,12 +87,9 @@ class InsertDriver:
     def _make_insert(self, start_row: int, stop_row: int
                      ) -> Callable[[], None]:
         def do_insert() -> None:
-            # Driver events fire inside whatever frame steps the clock;
-            # each insert roots its own trace.
-            with self.cluster.tracer.detached():
-                self.cluster.insert(
-                    self.collection,
-                    {"vector": self.vectors[start_row:stop_row]})
+            # A loop event: each insert roots its own trace.
+            self.cluster.insert(self.collection,
+                                {"vector": self.vectors[start_row:stop_row]})
             self.inserted += stop_row - start_row
         return do_insert
 

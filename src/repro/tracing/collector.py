@@ -13,7 +13,7 @@ The collector is the one shared tracing object of a cluster (wired in
   how causality crosses the broker's asynchronous seam;
 * records the *observed* pub/sub topology — every ``(component, action,
   channel)`` edge seen at runtime — so tests can diff it against the
-  declared topology in :mod:`repro.analysis.topology`;
+  declared topology in :mod:`repro.log.topology`;
 * assembles spans into per-trace trees, computes the critical-path
   breakdown of a search (consistency wait / scan / merge), and exports
   Chrome trace-event JSON.
@@ -47,7 +47,7 @@ _MISSING = object()
 #: component-name prefix -> module (relative to ``src/repro``) that runs
 #: it.  Components are ``prefix`` or ``prefix:<instance>``; this is the
 #: bridge from *observed* span topology back to the *declared* pub/sub
-#: topology of ``analysis/topology.py``.
+#: topology of ``log/topology.py``.
 COMPONENT_MODULES: dict[str, str] = {
     "proxy": "nodes/proxy.py",
     "logger": "log/logger_node.py",
@@ -229,9 +229,10 @@ class TraceCollector:
         """Run a block with no ambient context.
 
         Scheduled events execute inside whatever frame happens to step the
-        virtual clock; work that is *not* caused by that frame's request —
-        time-tick fan-out, seal retries, batch-window flushes — detaches so
-        it is neither attributed to nor stamped with a bystander's context.
+        virtual clock; the cluster's event loop runs every one of them
+        under this scope (``EventLoop.detached``), so time-tick fan-out,
+        seal retries and batch-window flushes are neither attributed to
+        nor stamped with a bystander's context.
         """
         return self._detached
 

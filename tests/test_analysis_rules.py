@@ -7,6 +7,7 @@ rule fires exactly where expected and nowhere else.
 
 from __future__ import annotations
 
+import json
 import textwrap
 
 import pytest
@@ -456,12 +457,7 @@ class TestEngineAndCli:
 
     def test_rule_registry_complete(self):
         assert sorted(rule.id for rule in all_rules()) == [
-            "determinism",
-            "durability-ack-before-durable",
-            "durability-replay-unguarded",
-            "error-hygiene",
-            "frozen-record", "layering", "pubsub-topology",
-            "raceorder-detached", "raceorder-hidden-coupling",
+            "determinism", "error-hygiene", "frozen-record", "layering",
             "timestamp-discipline"]
 
     def test_cli_exit_codes(self, tmp_path, capsys):
@@ -474,3 +470,21 @@ class TestEngineAndCli:
         clean = make_tree(tmp_path / "clean", {"core/ok.py": "x = 1\n"})
         assert main([str(clean)]) == 0
         assert main([str(clean), "--format", "json"]) == 0
+
+    def test_github_format(self, tmp_path, capsys):
+        from repro.analysis.cli import main
+        root = make_tree(tmp_path, {
+            "core/bad.py": "from repro.api import rest\n"})
+        assert main([str(root), "--format", "github"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("::error file=core/bad.py,line=1,"
+                              "title=manu-lint layering::")
+
+    def test_json_report_keys(self, tmp_path, capsys):
+        from repro.analysis.cli import main
+        root = make_tree(tmp_path, {"core/ok.py": "x = 1\n"})
+        assert main([str(root), "--strict", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert sorted(payload) == [
+            "findings", "modules_checked", "parse_errors", "root",
+            "suppressed"]

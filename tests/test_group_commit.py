@@ -4,8 +4,9 @@ The logger service buffers inserts/deletes per (collection, shard) into
 commit groups and flushes each group as one coalesced ``BatchRecord``
 publish when a bound trips — row count, payload bytes, the virtual-time
 commit window, or an explicit flush.  Writers get :class:`AckFuture`
-handles resolved with the batch LSN strictly after the publish, so the
-``durability-ack-before-durable`` invariant holds by construction.
+handles resolved with the batch LSN strictly after the publish; every
+service here arms ``MANU_CHECK``, under which an ack of rows whose LSN is
+not yet on its channel raises.
 """
 
 import hashlib

@@ -9,6 +9,9 @@ file:line and a fix hint.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.analysis import run_analysis
@@ -46,3 +49,17 @@ def test_every_repo_suppression_is_justified():
         for finding, suppression in report.suppressed:
             assert suppression.reason, (
                 f"{finding.path}:{finding.line} suppressed without a reason")
+
+
+def test_exports_from_package_roots():
+    import repro.analysis as analysis
+    assert callable(analysis.run_analysis)
+    # The runtime package does not load the linter.
+    probe = ("import sys, repro; "
+             "sys.exit('repro.analysis' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe],
+                            env={**os.environ, "PYTHONPATH": str(
+                                REPO_SRC.parent)},
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr or \
+        "import repro loaded repro.analysis"

@@ -7,16 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from repro.analysis.topology import (
-    ALLOW_DYNAMIC,
-    classify_channel_name,
-    declared_edges,
-)
 from repro.cluster.manu import ManuCluster
 from repro.config import ManuConfig, SegmentConfig, TracingConfig
 from repro.core.consistency import ConsistencyLevel
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
+from repro.log.topology import (
+    ALLOW_DYNAMIC,
+    classify_channel_name,
+    declared_edges,
+)
 from repro.tracing import TraceCollector, TraceContext
 from repro.tracing.collector import component_module
 from repro.tracing.span import SPAN_ERROR, SPAN_INCOMPLETE, SPAN_OK
@@ -352,6 +352,31 @@ class TestEndToEndTraces:
 # ----------------------------------------------------------------------
 # retention and open spans under churn
 # ----------------------------------------------------------------------
+
+
+class TestLoopEventsRunDetached:
+    def test_a_periodic_callback_roots_its_own_trace(self, traced_cluster):
+        """A timer fires inside whatever frame steps the virtual clock —
+        here a sampled request's.  The span it opens must root a trace of
+        its own, not join the bystander request."""
+        cluster = traced_cluster
+        opened = []
+
+        def background() -> None:
+            with cluster.tracer.span("bg.tick", "bg") as span:
+                opened.append(span)
+
+        timer = cluster.loop.call_every(5.0, background)
+        with cluster.tracer.span("request", "proxy") as request:
+            cluster.run_for(20.0)
+            assert cluster.tracer.current().span_id == request.span_id
+        timer.cancel()
+        assert len(opened) == 4
+        for span in opened:
+            assert span.parent_id is None
+            assert span.trace_id != request.trace_id
+        assert [s.name for s in cluster.tracer.spans(request.trace_id)] \
+            == ["request"]
 
 
 class TestRetentionAndOpenSpans:
