@@ -79,7 +79,7 @@ from repro.core.schema import MetricType
 from repro.core.segment import amplified_k
 from repro.datasets.synthetic import make_sift_like
 from repro.index import ivf
-from repro.index.base import SearchStats
+from repro.index.base import STAT_FIELDS, SearchStats
 from repro.index.distances import adjusted_distances, squared_l2, \
     topk_smallest
 from repro.index.ivf import ArenaIndex, IvfFlatIndex, ListArena
@@ -133,7 +133,8 @@ def _equal(arena: ArenaIndex, members: list[IvfFlatIndex],
     ids, dists = arena.search(queries, K, stats=stats)
     scope = list(range(len(members)))
     probes = arena._probe(scope, queries, queries,
-                          [SearchStats() for _ in members])
+                          np.zeros((len(members), len(STAT_FIELDS)),
+                                   dtype=np.int64))
     coarse = arena._coarse(scope, arena._scope(scope), queries, queries)
     for number, member in enumerate(members):
         own = member._probe(queries, K, None)

@@ -146,11 +146,9 @@ class QueryCoordinator:
         """Query nodes the proxy must fan a search out to."""
         serving = []
         for node in self.live_nodes():
-            holds_segment = node.holds_collection(collection)
-            owns_channel = any(
-                self._channel_collection.get(c) == collection
-                for c in node.owned_channels)
-            if holds_segment or owns_channel:
+            if node.holds_collection(collection) or any(
+                    self._channel_collection.get(c) == collection
+                    for c in node.owned_channels):
                 serving.append(node)
         if not serving and collection in self._loaded:
             serving = self.live_nodes()

@@ -26,8 +26,15 @@ the node merges the members' partials as before.
 The arena copies no vector: the members' code matrices stay in their
 indexes.  It reads each segment's deletion bitmap live, so deletions need
 no rebuild; whatever changes the member set — load, release, a re-attached
-index, a growing-to-sealed handoff, a crash — does, and the owner asks
-:meth:`SegmentArena.holds` before every search instead of being told.
+index, a growing-to-sealed handoff, a crash — moves
+:attr:`Segment.generation <repro.core.segment.Segment.generation>`, and
+the owner asks :meth:`SegmentArena.holds` once it has moved instead of
+being told.
+
+The work of a search is counted into the node scan's counter array, a row
+per segment in scope and a column per counter
+(:data:`~repro.index.base.STAT_FIELDS`), column by column from the arrays
+the selection already holds.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ import numpy as np
 from repro.core.results import HitBlock, ReduceStats
 from repro.core.schema import MetricType
 from repro.core.segment import Segment, amplified_k
-from repro.index.base import SearchStats
+from repro.index.base import CANDIDATES_PRUNED, CANDIDATES_VISITED, \
+    DELETE_FILTER_HITS, FLOAT_COMPARISONS, INDEX_SCANS, \
+    QUANTIZED_COMPARISONS, ROWS_SCANNED, STAT_FIELDS, SearchStats
 from repro.index.distances import repeated
 from repro.index.ivf import ArenaIndex
 
@@ -87,7 +96,9 @@ class SegmentArena:
         they are indexed now, would be derived into and grown from: every
         sealed member still among them with the index it had, nobody else
         admitted, and every fresh segment whose slices joined still there
-        and still searched through at least as many slices."""
+        and still searched through at least as many slices.  Asked once
+        per move of ``Segment.generation``, which any segment's change
+        moves, not only a change to these."""
         found = joined = 0
         for sid, segment in segments.items():
             number = self.slot.get(sid)
@@ -188,22 +199,44 @@ class SegmentArena:
                      self.slices.get(segment.segment_id, (None, ()))[1])]
                 for segment in fresh]
 
-    def select(self, segments: Sequence[Segment], queries: np.ndarray,
-               k: int, stats: Sequence[SearchStats], reduce: ReduceStats,
-               held: Mapping[str, Segment]) -> Optional[HitBlock]:
+    def layout(self, segments: Sequence[Segment]) -> Optional[tuple]:
+        """Where each of ``segments`` (a node's scope, in segment order)
+        is in a selection over them: ``(sealed members' arena numbers,
+        their positions, the fresh segments' positions)``, or None where
+        a segment is searched by an index of its own.  A node's scan plan
+        derives it once: it holds while the segments and the arena do."""
+        numbers, owners, fresh = [], [], []
+        for at, segment in enumerate(segments):
+            number = self.slot.get(segment.segment_id)
+            if number is not None:
+                numbers.append(number)
+                owners.append(at)
+            elif segment.index_for(self.field) is not None:
+                return None
+            else:
+                fresh.append(at)
+        return numbers, owners, fresh
+
+    def select(self, segments: Sequence[Segment], layout: Optional[tuple],
+               queries: np.ndarray, k: int, counts: np.ndarray,
+               reduce: ReduceStats, held: Mapping[str, Segment]
+               ) -> Optional[HitBlock]:
         """The node-wise top-``k`` of an unfiltered request over
-        ``segments`` (the node's scope, in segment order), done by one
-        selection over every member's rows and the fresh segments' tails
-        — or None, having counted nothing, where the request is not one.
+        ``segments`` (the node's scope, in segment order, laid out as
+        ``layout`` says), done by one selection over every member's rows
+        and the fresh segments' tails — or None, having counted nothing,
+        where the request is not one.
 
         It is one where every segment is a sealed member or fresh (no
         index of its own: its full slices join the arena, built by
         earlier searches, and its other rows are an exact column), no pk
         is held twice on the node (``held``), the members' scan is one
-        padded pass, and every member with deletions keeps what its own
-        answer would (``ListArena.select``'s cuts).  Adds each segment's
-        work to its entry of ``stats`` — a fresh segment's slices and
-        tail, as ``Segment.search`` counts them — and to ``reduce`` what
+        pass, and every member with deletions keeps what its own answer
+        would (``ListArena.select``'s cuts).  Counts each segment's work
+        into its row of ``counts`` (``(len(segments), STAT_FIELDS)``, the
+        scan's first count: nothing is counted in it yet) — a fresh
+        segment's slices and tail, as ``Segment.search`` counts them —
+        and adds to ``reduce`` what
         :func:`~repro.core.results.merge_topk` would have counted over the
         segments' partials: none repeats a pk.  A scope of sealed members
         with nothing deleted takes none of the fresh or deleting steps.
@@ -211,22 +244,35 @@ class SegmentArena:
         nq = queries.shape[0]
         if k <= 0 or not nq:
             return None
+        if layout is None:
+            return None
+        numbers, owners, fresh = layout
+        deleting = [at for at, segment in enumerate(segments)
+                    if segment.num_deleted]
+        if not fresh and not deleting:
+            # Sealed members and nothing deleted: the members' rows are
+            # the counter rows, no cut to prove and no tail.
+            if not self.distinct_pks or not self.index.scans_once(numbers,
+                                                                  nq):
+                return None
+            ids, dists, probed, _pruned = self.index.search(
+                queries, k, numbers, counts, together=True)
+            kept = np.minimum(probed, k)
+            visited = kept[:, 0] if nq == 1 else kept.sum(axis=1)
+            self._counted(counts, visited)
+            reduce.batches_merged += int(np.count_nonzero(kept))
+            reduce.candidates_in += sum(visited.tolist())
+            reduce.hits_out += int(np.count_nonzero(dists < np.inf))
+            return HitBlock(self.pks[ids], dists)
+
         field = self.field
-        # The members in scope: arena number, segment position, first row.
-        scope, owners, fresh, deleting = [], [], [], []
-        for at, segment in enumerate(segments):
-            number = self.slot.get(segment.segment_id)
-            if number is None and segment.index_for(field) is not None:
-                return None             # searched by an index of its own
-            if segment.num_deleted:
-                deleting.append(at)
-                if not segment.num_live_rows:
-                    continue            # nothing allowed: nothing to find
-            if number is None:
-                fresh.append(at)
-            else:
-                scope.append(number)
-                owners.append(at)
+        # The members in scope: arena number, segment position, first
+        # row; a member with no row left alive has nothing to find.
+        gone = {at for at in deleting if not segments[at].num_live_rows}
+        scope = [number for number, at in zip(numbers, owners)
+                 if at not in gone]
+        owners = [at for at in owners if at not in gone]
+        fresh = [at for at in fresh if at not in gone]
         firsts = [0] * len(scope)
         if fresh:
             joined = self._join([segments[at] for at in fresh], held)
@@ -241,27 +287,6 @@ class SegmentArena:
             return None
         if not self.index.scans_once(scope, nq):
             return None
-        if not fresh and not deleting:
-            # Sealed members and nothing deleted: a ledger entry per
-            # member, no cut to prove and no tail.
-            ledger = [stats[at] for at in owners]
-            before = [entry.float_comparisons + entry.quantized_comparisons
-                      for entry in ledger]
-            ids, dists, probed, _pruned = self.index.search(
-                queries, k, scope, ledger, together=True)
-            kept = np.minimum(probed, k)
-            visited = kept.sum(axis=1).tolist()
-            for entry, was, seen in zip(ledger, before, visited):
-                entry.index_scans += 1
-                # Indexes report work as comparison counts; at the scan
-                # layer one comparison examines one stored row.
-                entry.rows_scanned += (entry.float_comparisons
-                                       + entry.quantized_comparisons - was)
-                entry.candidates_visited += seen
-            reduce.batches_merged += int(np.count_nonzero(kept))
-            reduce.candidates_in += sum(visited)
-            reduce.hits_out += int(np.count_nonzero(dists < np.inf))
-            return HitBlock(self.pks[ids], dists)
 
         tails = []
         for at in fresh:
@@ -283,16 +308,12 @@ class SegmentArena:
                 n_excluded = int(np.count_nonzero(excluded))
                 if n_excluded:
                     cuts[i] = excluded, amplified_k(k, covered, n_excluded)
-        # The work is counted into the ledger (a fresh segment's slices
-        # share its entry), or, while a member's cut may still turn the
-        # selection down, into entries added to it once the selection
-        # stands.
-        counted = {at: SearchStats() if cuts else stats[at] for at in owners}
-        before = {at: entry.float_comparisons + entry.quantized_comparisons
-                  for at, entry in counted.items()}
+        # The work is counted a row per member (a fresh segment's slices
+        # are added to its row), once the selection stands.
+        work = np.zeros((len(scope), len(STAT_FIELDS)), dtype=np.int64)
         found = self.index.search(
-            queries, k, scope, [counted[at] for at in owners],
-            together=True, cuts=cuts, columns=[dists for *_, dists in tails],
+            queries, k, scope, work, together=True, cuts=cuts,
+            columns=[dists for *_, dists in tails],
             ranks=owners + [at for at, *_ in tails])
         if found is None:
             return None
@@ -303,26 +324,19 @@ class SegmentArena:
         visited = np.minimum(probed, k)
         for i, (_excluded, asked) in cuts.items():
             np.minimum(probed[i], asked, out=visited[i])
-        for at, seen, dropped in zip(owners, visited.sum(axis=1).tolist(),
-                                     pruned.sum(axis=1).tolist()):
-            entry = counted[at]
-            entry.index_scans += 1
-            entry.candidates_visited += seen
-            entry.candidates_pruned += dropped
-        for at, entry in counted.items():
-            entry.rows_scanned += (entry.float_comparisons
-                                   + entry.quantized_comparisons
-                                   - before[at])
-            if cuts:
-                stats[at].add(entry)
+        self._counted(work, visited.sum(axis=1))
+        work[:, CANDIDATES_PRUNED] += pruned.sum(axis=1)
+        np.add.at(counts, owners, work)
         for at in deleting:
-            stats[at].delete_filter_hits += segments[at].num_deleted
+            counts[at, DELETE_FILTER_HITS] += segments[at].num_deleted
         # A segment's partial — a fresh one's slices' and tail's together
         # — holds its ``k`` best live hits, none twice.
         kept = np.zeros((len(segments), nq), dtype=np.int64)
         np.add.at(kept, owners, np.minimum(visited - pruned, k))
         for at, segment, rows, _dists in tails:
-            segment.charge_exact(field, nq, len(rows), stats[at])
+            charged = SearchStats()     # an exact scan reports its own
+            segment.charge_exact(field, nq, len(rows), charged)
+            counts[at] += charged.as_row()
             kept[at] += len(rows)
         np.minimum(kept, k, out=kept)
         reduce.batches_merged += int(np.count_nonzero(kept))
@@ -339,18 +353,29 @@ class SegmentArena:
                 pks[outside] = tail_pks[ids[outside] - ntotal]
         return HitBlock(pks, dists)
 
+    @staticmethod
+    def _counted(work: np.ndarray, visited: np.ndarray) -> None:
+        """The scan-layer counters of rows in which one index search, and
+        nothing else yet, counted its comparisons: one index scan each,
+        one stored row examined per comparison, ``visited``
+        candidates."""
+        work[:, INDEX_SCANS] = 1
+        np.add(work[:, FLOAT_COMPARISONS], work[:, QUANTIZED_COMPARISONS],
+               out=work[:, ROWS_SCANNED])
+        work[:, CANDIDATES_VISITED] = visited
+
     def search(self, members: Sequence[int], queries: np.ndarray, k: int,
-               masks: Sequence[Optional[np.ndarray]],
-               stats: Sequence[SearchStats]) -> HitBlock:
+               masks: Sequence[Optional[np.ndarray]], counts: np.ndarray,
+               at: Sequence[int]) -> HitBlock:
         """Top-``k`` over live, filter-passing rows of every member in
         ``members`` (arena slots, ascending), as one block: the members'
         partials side by side in that order, each as wide as the widest
         and holding the rows of what ``Segment.search`` returns for its
         member, padded with ``+inf``.
 
-        ``masks`` holds each member's filter mask (None: no filter) and
-        ``stats`` the counters its work is added to.  Every member's index
-        is asked for its own amplified ``k`` in one search; only the
+        ``masks`` holds each member's filter mask (None: no filter), and
+        its work is added to row ``at[i]`` of ``counts``.  Every member's
+        index is asked for its own amplified ``k`` in one search; only the
         members that exclude anything are post-filtered, each by its
         segment (where a row that filtering starves escalates to the
         exact scan on its own).
@@ -359,7 +384,7 @@ class SegmentArena:
         scope, asked, excluding = [], [], {}
         for i, (number, mask) in enumerate(zip(members, masks)):
             segment = self.segments[number]
-            stats[i].delete_filter_hits += segment.num_deleted
+            counts[at[i], DELETE_FILTER_HITS] += segment.num_deleted
             allowed, n_excluded = segment.exclusions(mask)
             if n_excluded == segment.num_rows:
                 continue    # nothing allowed: nothing to find
@@ -370,41 +395,38 @@ class SegmentArena:
         if not scope:
             return HitBlock.empty(nq)
         width = max(asked)
-        scanned = [stats[i] for i in scope]
-        before = [entry.float_comparisons + entry.quantized_comparisons
-                  for entry in scanned]
+        work = np.zeros((len(scope), len(STAT_FIELDS)), dtype=np.int64)
         ids, dists = self.index.search(
-            queries, width, [members[i] for i in scope], scanned)
+            queries, width, [members[i] for i in scope], work)
         for j, want in enumerate(asked):
             if want < width:
                 dists[j, :, want:] = np.inf    # past the member's own k
         pks = self.pks[ids]
         real = dists < np.inf
-        visited = real.sum(axis=(1, 2)).tolist()
-        for j, i in enumerate(scope):
-            entry = scanned[j]
-            entry.index_scans += 1
-            # Indexes report work as comparison counts; at the scan layer
-            # one comparison examines one stored row, which is the
-            # rows-scanned unit the read-unit metering charges for.
-            entry.rows_scanned += (entry.float_comparisons
-                                   + entry.quantized_comparisons
-                                   - before[j])
-            if j not in excluding:
-                entry.candidates_visited += visited[j]
-                continue
+        visited = real.sum(axis=(1, 2))
+        # Indexes report work as comparison counts; at the scan layer one
+        # comparison examines one stored row, which is the rows-scanned
+        # unit the read-unit metering charges for.  A post-filtered
+        # member's candidates are counted by its segment.
+        for j in excluding:
+            visited[j] = 0
+        self._counted(work, visited)
+        for j, (allowed, n_excluded) in excluding.items():
+            i = scope[j]
             segment, want = self.segments[members[i]], asked[j]
-            allowed, n_excluded = excluding[j]
+            filtered = SearchStats()    # a segment reports its own work
             rows, kept = segment.filter_block(
                 self.field, queries, k, self.metric, allowed, n_excluded,
                 0, segment.num_rows,
                 np.maximum(ids[j, :, :want]
                            - self.index.row_base[members[i]], 0),
-                dists[j, :, :want], real[j, :, :want], entry)
+                dists[j, :, :want], real[j, :, :want], filtered)
+            work[j] += filtered.as_row()
             found = kept.shape[1]
             pks[j, :, :found] = segment.pk_array[rows]
             dists[j, :, :found] = kept
             dists[j, :, found:] = np.inf
+        counts[[at[i] for i in scope]] += work
         if len(scope) < len(members):   # the others: padding only
             shape = (len(members), nq, width)
             all_pks = np.empty(shape, dtype=pks.dtype)

@@ -30,6 +30,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.schema import MetricType
+from repro.index.base import INDEX_SCANS, SearchStats
 from repro.index.distances import repeated, to_user_score
 
 
@@ -186,7 +187,7 @@ class HitBlock:
         return HitBatch(self.pks[q, :n], dists[:n])
 
     def __iter__(self):
-        counts = np.count_nonzero(self.dists < np.inf, axis=1).tolist()
+        counts = (self.dists < np.inf).sum(axis=1).tolist()
         return (HitBatch(pks[:n], dists[:n])
                 for pks, dists, n in zip(self.pks, self.dists, counts))
 
@@ -216,17 +217,45 @@ class ReduceStats:
 
 @dataclass(slots=True)
 class NodeWork:
-    """What one query node did for one read (DESIGN.md §6h): the node's
-    totals (a :class:`SearchStats` per field of ``dims``), per scanned
-    segment, in order, ``(id, path, rows, [SearchStats per field])``,
-    and the node-local merge's counters — None for a point read, which
-    consults ``segments`` segments and scans none."""
+    """What one query node did for one read (DESIGN.md §6h), counted once
+    per node scan.
+
+    ``counts`` is the scan's counter array, ``(fields, segments,
+    STAT_FIELDS)``: per searched field a row per scanned segment, in scan
+    order.  ``ends`` is the cost model's virtual ms of the scan's work up
+    to and including each segment (its last entry the whole scan's, each
+    field charged at its own dimension), ``ids`` / ``held`` are the
+    scanned segments' ids and the segments, and ``reduce`` the node-local
+    merge's counters — None for a point read, which consults ``segments``
+    segments and scans none.  ``totals`` and ``scans`` read the array as
+    :class:`SearchStats`, for EXPLAIN."""
 
     segments: int
-    dims: Sequence[int] = ()
-    totals: list = field(default_factory=list)
-    scans: list = field(default_factory=list)
+    counts: Optional[np.ndarray] = None
+    ends: Sequence[float] = ()
+    ids: Sequence[str] = ()
+    held: Sequence = ()
     reduce: Optional[ReduceStats] = field(default_factory=ReduceStats)
+
+    @property
+    def totals(self) -> list[SearchStats]:
+        """The node's counters, a :class:`SearchStats` per field."""
+        return [SearchStats.from_row(row)
+                for row in self.counts.sum(axis=1).tolist()]
+
+    @property
+    def scans(self) -> list[tuple]:
+        """Per scanned segment, in order, ``(id, path, rows, [SearchStats
+        per field])``: its path is ``growing``, or ``index`` where an
+        index scanned it, else ``brute``."""
+        per_segment = self.counts.transpose(1, 0, 2).tolist()
+        return [(segment.segment_id,
+                 "growing" if not segment.is_sealed
+                 else "index" if any(row[INDEX_SCANS] for row in rows)
+                 else "brute",
+                 segment.num_rows,
+                 [SearchStats.from_row(row) for row in rows])
+                for segment, rows in zip(self.held, per_segment)]
 
 
 @dataclass

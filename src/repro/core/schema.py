@@ -132,8 +132,9 @@ class CollectionSchema:
         self.fields: tuple[FieldSchema, ...] = tuple(fields)
         self.description = description
 
-        vectors = [f for f in self.fields if f.dtype.is_vector]
-        if not vectors:
+        self._vector_fields = tuple(f for f in self.fields
+                                    if f.dtype.is_vector)
+        if not self._vector_fields:
             raise SchemaError("a schema needs at least one vector field")
         self._by_name = {f.name: f for f in self.fields}
 
@@ -145,7 +146,7 @@ class CollectionSchema:
     @property
     def vector_fields(self) -> tuple[FieldSchema, ...]:
         """All vector fields, in declaration order."""
-        return tuple(f for f in self.fields if f.dtype.is_vector)
+        return self._vector_fields
 
     @property
     def scalar_fields(self) -> tuple[FieldSchema, ...]:
@@ -167,7 +168,7 @@ class CollectionSchema:
 
     def default_vector_field(self) -> FieldSchema:
         """The first vector field; the search default when unspecified."""
-        return self.vector_fields[0]
+        return self._vector_fields[0]
 
     def to_dict(self) -> dict:
         """Serializable representation (metastore persistence)."""

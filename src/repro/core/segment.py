@@ -98,6 +98,19 @@ def post_filter(allowed: Optional[np.ndarray], rows: np.ndarray,
 class Segment:
     """One segment's rows, slices, deletion bitmap, and indexes."""
 
+    #: Moves with every change to which segments a segment set holds or
+    #: how a node scan reads them: a set's new or released segment, a
+    #: segment's first rows, its seal, an attached index
+    #: (:meth:`changed`).  One counter for every segment of the process:
+    #: a query node derives its scan plans again once it has moved, and a
+    #: move elsewhere costs a node a plan, never a wrong one.
+    generation = 0
+
+    @staticmethod
+    def changed() -> None:
+        """Move :attr:`generation`."""
+        Segment.generation += 1
+
     def __init__(self, segment_id: str, collection: str,
                  schema: CollectionSchema,
                  config: Optional[SegmentConfig] = None) -> None:
@@ -206,6 +219,7 @@ class Segment:
     def seal(self) -> None:
         """Freeze the segment; further appends are rejected."""
         self.state = SegmentState.SEALED
+        Segment.changed()
 
     def should_seal(self, now_ms: float) -> bool:
         """Size or idle-time sealing policy (Section 3.1)."""
@@ -230,6 +244,8 @@ class Segment:
         self._check_batch(len(pks), columns)
         start = self.num_rows
         end = start + len(pks)
+        if not start and end:
+            Segment.changed()
         self._pk_rows.update(zip(pks, range(start, end)))
         self._pks.extend(pks)
         for name, chunk in columns.items():
@@ -467,6 +483,7 @@ class Segment:
                 f"{self.num_rows}")
         self._sealed_indexes[field] = index
         self._temp_indexes[field] = {}
+        Segment.changed()
 
     def has_index(self, field: str) -> bool:
         return field in self._sealed_indexes

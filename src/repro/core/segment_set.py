@@ -109,6 +109,7 @@ class SegmentSet:
                           self._config)
         segment.temp_index_enabled = temp_index
         self.segments[segment_id] = segment
+        Segment.changed()
         return segment
 
     def apply(self, record: InsertRecord | DeleteRecord, offset: int,
@@ -190,6 +191,7 @@ class SegmentSet:
     def release(self, segment_id: str) -> Optional[Segment]:
         """Drop a segment (flushed, handed off or released)."""
         self._origin.pop(segment_id, None)
+        Segment.changed()
         return self.segments.pop(segment_id, None)
 
     def growing_of_shard(self, shard: int) -> list[str]:

@@ -50,6 +50,15 @@ STAT_FIELDS = (
     "cache_misses",
 )
 
+#: Each counter's column in a counter array: a read's scan counts into
+#: one int64 array, a row per segment and a column per counter in
+#: :data:`STAT_FIELDS` order, which :class:`SearchStats` converts from and
+#: to (``from_row`` / ``as_row``).
+(FLOAT_COMPARISONS, QUANTIZED_COMPARISONS, SSD_BLOCKS_READ, GRAPH_HOPS,
+ ROWS_SCANNED, BYTES_MATERIALIZED, CANDIDATES_VISITED, CANDIDATES_PRUNED,
+ INDEX_SCANS, BRUTE_SCANS, DELETE_FILTER_HITS, CACHE_HITS,
+ CACHE_MISSES) = range(len(STAT_FIELDS))
+
 
 @dataclass
 class SearchStats:
@@ -120,6 +129,22 @@ class SearchStats:
     def as_dict(self) -> dict:
         """Counter name -> value snapshot (profiling delta windows)."""
         return {name: getattr(self, name) for name in STAT_FIELDS}
+
+    def as_row(self) -> list[int]:
+        """The counters as one counter-array row (:data:`STAT_FIELDS`
+        order): what a segment's or an index's own search reported,
+        added to its row of a read's counter array."""
+        return [self.float_comparisons, self.quantized_comparisons,
+                self.ssd_blocks_read, self.graph_hops, self.rows_scanned,
+                self.bytes_materialized, self.candidates_visited,
+                self.candidates_pruned, self.index_scans, self.brute_scans,
+                self.delete_filter_hits, self.cache_hits, self.cache_misses]
+
+    @classmethod
+    def from_row(cls, row) -> "SearchStats":
+        """The counters of one counter-array row (a sequence of ints in
+        :data:`STAT_FIELDS` order)."""
+        return cls(*row)
 
 
 class VectorIndex(abc.ABC):

@@ -36,8 +36,8 @@ import numpy as np
 
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
-from repro.index.base import SearchStats, VectorIndex, positive_int, \
-    register_index
+from repro.index.base import FLOAT_COMPARISONS, QUANTIZED_COMPARISONS, \
+    STAT_FIELDS, SearchStats, VectorIndex, positive_int, register_index
 from repro.index.distances import adjusted_distances, nonzero_norms, \
     normalize_rows, topk_smallest
 from repro.index.hnsw import HnswIndex
@@ -1045,8 +1045,10 @@ class ArenaIndex(VectorIndex):
     scope, what the member's own ``search`` answers — the same lists
     probed, the same distances bit for bit, exact ties possibly in
     another order — with one coarse step and one list-major scan for all
-    of them.  The work is per member and is added to the ``stats`` handed
-    to ``search``; the arena's own ``stats`` stays empty.
+    of them.  The work is per member and is counted into one counter
+    array, a row per member in scope (``repro.index.base``), handed to
+    ``search`` or added to the ``SearchStats`` handed to it; the arena's
+    own ``stats`` stays empty.
     """
 
     index_type = "ARENA"
@@ -1168,10 +1170,10 @@ class ArenaIndex(VectorIndex):
         return facts
 
     def _probe(self, scope: Sequence[int], queries: np.ndarray,
-               unit: np.ndarray, stats: Sequence[SearchStats]
-               ) -> np.ndarray:
+               unit: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """The ``(len(scope), nq, width)`` arena list numbers each
-        (member, query) row scans, most promising first."""
+        (member, query) row scans, most promising first; the coarse
+        work is counted into ``counts``, a row per position in ``scope``."""
         facts = self._scope(scope)
         nq = queries.shape[0]
         flat, width = facts.flat, facts.width
@@ -1180,14 +1182,16 @@ class ArenaIndex(VectorIndex):
             probes = np.full((len(scope), nq, width), -1, dtype=np.int64)
             for i in facts.graphs:
                 member = self.members[scope[i]]
+                walked = SearchStats()      # a graph reports its own work
                 found = member.bucketer.probe(
                     unit if member._unit_rows else queries,
-                    member.nprobe, stats[i])
+                    member.nprobe, walked)
+                counts[i] += walked.as_row()
                 probes[i, :, :found.shape[1]] = found
         if flat:
             dists = self._coarse(scope, facts, queries, unit)
-            for i, size in facts.coarse:
-                stats[i].float_comparisons += nq * size
+            counts[facts.flat_at, FLOAT_COMPARISONS] += \
+                facts.coarse if nq == 1 else nq * facts.coarse
             # The lists ``topk_smallest`` takes, whose first step this is;
             # ranked, so that a narrower member's first slots are its own.
             found = topk_smallest(dists.reshape(len(flat) * nq, -1),
@@ -1239,16 +1243,18 @@ class ArenaIndex(VectorIndex):
 
     def scans_once(self, scope: Sequence[int], nq: int) -> bool:
         """Whether a search of the members in ``scope`` (ascending) for
-        ``nq`` query rows is one scan pass over one padded score block,
-        which ``search(together=True)`` selects from.  Decided from the
-        probe widths and the widest lists, before any coarse step: the
-        pass then holds ``len(scope) * nq * width`` (row, probed list)
-        pairs, none wider than the widest list in scope."""
+        ``nq`` query rows is one scan pass, which ``search(together=True)``
+        selects from.  Decided from the probe widths and the widest lists,
+        before any coarse step: several queries' pass is one padded score
+        block of ``len(scope) * nq * width`` (row, probed list) pairs,
+        none wider than the widest list in scope; one query's row is laid
+        compact (``ListArena._one_row``), each member's lists no wider
+        than its own widest."""
         if not scope or nq <= 0:
             return False
         facts = self._scope(scope)
-        return facts.alike and nq * facts.cells <= min(_CHUNK_FROM,
-                                                      _SCAN_BLOCK_FLOATS)
+        cells = facts.compact if nq == 1 else nq * facts.cells
+        return facts.alike and cells <= min(_CHUNK_FROM, _SCAN_BLOCK_FLOATS)
 
     def search(self, queries: np.ndarray, k: int,
                scope: Sequence[int] | None = None,
@@ -1264,7 +1270,9 @@ class ArenaIndex(VectorIndex):
         to the member's place in the build matrices laid end to end.
 
         ``scope`` names the members searched, ascending (default: all);
-        each one's work is added to its entry of ``stats``.
+        each one's work is counted into its row of ``stats``, an int64
+        counter array ``(len(scope), STAT_FIELDS)``, or into one and then
+        added to its entry of ``stats``, a :class:`SearchStats`.
 
         ``together`` selects each query's top-``k`` over every member's
         rows at once instead, in one scan pass (what ``search`` makes
@@ -1279,7 +1287,7 @@ class ArenaIndex(VectorIndex):
         query's row; a hit of one has the id ``ntotal`` + its place in the
         columns laid end to end) and ``ranks`` (of the tie order) are
         ``ListArena.select``'s; where it is None, so is the search, and
-        what was added to ``stats`` is to be dropped.
+        what was counted into ``stats`` is to be dropped.
         """
         queries = self._check_query_input(queries)
         scope = list(range(len(self.members))) if scope is None \
@@ -1290,14 +1298,14 @@ class ArenaIndex(VectorIndex):
             raise ValueError(
                 "one selection needs a query and members scanned alike "
                 "(all with unit rows, or none)")
-        if stats is None:
-            stats = [SearchStats() for _ in scope]
         if not n or not nq:
             return (np.full((n, nq, k), -1, dtype=np.int64),
                     np.full((n, nq, k), np.inf, dtype=np.float32))
+        counts = stats if isinstance(stats, np.ndarray) \
+            else np.zeros((n, len(STAT_FIELDS)), dtype=np.int64)
         unit = normalize_rows(queries) \
             if self.metric is MetricType.COSINE else queries
-        probes = self._probe(scope, queries, unit, stats)
+        probes = self._probe(scope, queries, unit, counts)
         # Members whose lists hold unit rows are scanned with unit
         # queries: two scans where the members differ in that.
         if together:
@@ -1307,52 +1315,55 @@ class ArenaIndex(VectorIndex):
             if found is None:
                 return None
             at, dists, rows, pruned = found
-            self._count(scope, range(n), rows.sum(axis=1), stats)
+            self._count(facts, facts.rows, rows.sum(axis=1), counts)
             if not columns:
-                return np.where(at < 0, -1, self.ids[at]), dists, rows, \
-                    pruned
-            stored = self.lists.row_base[-1]
-            listed = (at >= 0) & (at < stored)
-            ids = np.where(listed, self.ids[np.where(listed, at, 0)],
-                           np.where(at < 0, -1, at - stored + self.ntotal))
-            return ids, dists, rows, pruned
-        if not facts.alike:
+                ids = np.where(at < 0, -1, self.ids[at])
+            else:
+                stored = self.lists.row_base[-1]
+                listed = (at >= 0) & (at < stored)
+                ids = np.where(listed, self.ids[np.where(listed, at, 0)],
+                               np.where(at < 0, -1,
+                                        at - stored + self.ntotal))
+            found = ids, dists, rows, pruned
+        elif not facts.alike:
             asked = [self._unit_rows[number] for number in scope]
             at = np.empty((n, nq, k), dtype=np.int64)
             dists = np.empty((n, nq, k), dtype=np.float32)
             for unit_rows in (False, True):
-                group = [i for i, flag in enumerate(asked)
-                         if flag is unit_rows]
+                group = np.array([i for i, flag in enumerate(asked)
+                                  if flag is unit_rows], dtype=np.int64)
                 at[group], dists[group] = self._scan(
-                    scope, group, unit if unit_rows else queries,
-                    probes[group], k, stats)
+                    scope, facts, group, unit if unit_rows else queries,
+                    probes[group], k, counts)
+            found = np.where(at < 0, -1, self.ids[at]), dists
         else:
-            at, dists = self._scan(scope, range(n),
+            at, dists = self._scan(scope, facts, facts.rows,
                                    unit if facts.unit else queries, probes,
-                                   k, stats)
-        return np.where(at < 0, -1, self.ids[at]), dists
+                                   k, counts)
+            found = np.where(at < 0, -1, self.ids[at]), dists
+        if stats is not None and counts is not stats:
+            for entry, row in zip(stats, counts.tolist()):
+                entry.add(SearchStats.from_row(row))
+        return found
 
-    def _scan(self, scope: Sequence[int], group: Sequence[int],
+    def _scan(self, scope: Sequence[int], facts: _Scope, group: np.ndarray,
               queries: np.ndarray, probes: np.ndarray, k: int,
-              stats: Sequence[SearchStats]
-              ) -> tuple[np.ndarray, np.ndarray]:
+              counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One scan for the members at positions ``group`` of ``scope``:
         ``(arena rows, distances)``, ``(len(group), nq, k)``."""
         at, dists, compared = self.lists.scan(
-            [scope[i] for i in group], queries, probes, k)
-        self._count(scope, group, compared, stats)
+            [scope[i] for i in group.tolist()], queries, probes, k)
+        self._count(facts, group, compared, counts)
         shape = len(group), queries.shape[0], k
         return at.reshape(shape), dists.reshape(shape)
 
-    def _count(self, scope: Sequence[int], group: Sequence[int],
-               compared: np.ndarray, stats: Sequence[SearchStats]) -> None:
-        """Add the rows each member at positions ``group`` of ``scope``
-        scored to its ``stats``, as its codec counts comparisons."""
-        for i, scored in zip(group, compared.tolist()):
-            if self._quantized[scope[i]]:
-                stats[i].quantized_comparisons += scored
-            else:
-                stats[i].float_comparisons += scored
+    @staticmethod
+    def _count(facts: _Scope, group: np.ndarray, compared: np.ndarray,
+               counts: np.ndarray) -> None:
+        """Add the rows each member at positions ``group`` of a scope
+        (whose facts ``facts`` are) scored to its row of ``counts``, in
+        the column its codec counts comparisons in."""
+        counts[group, facts.columns[group]] += compared
 
 
 class _Scope:
@@ -1370,10 +1381,18 @@ class _Scope:
         self.nlists = arena._nlists[numbers]
         self.bases = arena._list_bases[numbers]
         self.width = int(self.widths.max())
-        #: Score-block floats one query row of a pass over the scope can
-        #: need (``scans_once``).
-        self.cells = len(scope) * max(1, self.width * max(
-            arena.lists.widest[number] for number in scope))
+        #: Score-block floats one query row of a padded pass over the
+        #: scope can need, and one query's compact row (``scans_once``).
+        widest = [arena.lists.widest[number] for number in scope]
+        self.cells = len(scope) * max(1, self.width * max(widest))
+        self.compact = max(1, sum(width * wide for width, wide
+                                  in zip(self.widths.tolist(), widest)))
+        #: Every position, and the counter column each one's codec counts
+        #: comparisons in (``ArenaIndex._count``).
+        self.rows = np.arange(len(scope))
+        self.columns = np.array([
+            QUANTIZED_COMPARISONS if arena._quantized[number]
+            else FLOAT_COMPARISONS for number in scope])
         #: Positions probed by a flat centroid scan and by their own
         #: bucketer; whether a slot of some row probes nothing.
         self.flat = [i for i, number in enumerate(scope)
@@ -1385,14 +1404,15 @@ class _Scope:
         #: |c|^2 of the flat positions, a row each as wide as the arena's
         #: widest member, and how many centroids each one scores.
         self.norms = arena._centroid_norms[numbers][self.flat]
-        self.coarse = [(i, arena._centroids[scope[i]].shape[1])
-                       for i in self.flat]
+        sizes = [arena._centroids[scope[i]].shape[1] for i in self.flat]
+        self.flat_at = np.array(self.flat, dtype=np.int64)
+        self.coarse = np.array(sizes, dtype=np.int64)
         # One query: coarse block row ``j`` of flat position ``i``,
         # stacked or scored on its own.
         stacked = [(j, arena._stacked_at[scope[i]], size)
-                   for j, (i, size) in enumerate(self.coarse)
+                   for j, (i, size) in enumerate(zip(self.flat, sizes))
                    if arena._stacked_at[scope[i]] is not None]
-        self.own = [(j, i) for j, (i, _size) in enumerate(self.coarse)
+        self.own = [(j, i) for j, i in enumerate(self.flat)
                     if arena._stacked_at[scope[i]] is None]
         #: The stack rows one GEMV multiplies (every stacked member in
         #: scope lies among them), and where in the coarse block its

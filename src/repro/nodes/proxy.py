@@ -37,7 +37,8 @@ from repro.core.schema import MetricType
 from repro.core.tso import TimestampOracle
 from repro.errors import CollectionNotFound, ConsistencyTimeout, \
     InvalidQuery, ManuError, QuotaExceeded
-from repro.index.base import SearchStats
+from repro.index.base import BYTES_MATERIALIZED, ROWS_SCANNED, \
+    SearchStats
 from repro.log.logger_node import AckFuture, LoggerService
 from repro.monitoring.metrics import MetricsRegistry
 from repro.profiling import QueryProfile
@@ -78,8 +79,10 @@ class _ReadRequest:
     consistency: ConsistencyLevel
     staleness_ms: float
     explain: bool
-    #: scan work summed over the fan-out (RU metering, EXPLAIN totals)
-    stats: SearchStats = dataclasses.field(default_factory=SearchStats)
+    #: rows scanned and bytes materialized over the fan-out, summed
+    #: under a tenant (its read units)
+    rows_scanned: int = 0
+    bytes_materialized: int = 0
     merge_stats: Optional[ReduceStats] = None  # only under a profile
     segments: int = 0          # scanned, summed over the fan-out
     issue_ms: float = 0.0
@@ -154,6 +157,9 @@ class Proxy:
         self._scan_hist = self.metrics.histogram_family(
             "query_node_scan", ("node",),
             help="node-local scan service time", unit="ms")
+        #: node name -> its ``query_node_scan`` child (the family never
+        #: drops one)
+        self._scan_hists: dict = {}
         # Multi-tenancy (duck-typed TenantRegistry / AdmissionController,
         # wired by the cluster): every tenant-scoped request is
         # namespaced and quota-admitted here, at the API boundary.
@@ -409,25 +415,37 @@ class Proxy:
                       ready_ms: float, start_ms: float, service_ms: float,
                       work: NodeWork) -> None:
         """Every plane of one node's part of a read, from its report: the
-        ``query_node.scan`` span (its ``segment.scan`` / ``query_node.reduce``
-        children when sampled), ``req.stats``, the ``query_node_scan``
-        histogram and the EXPLAIN node stage (under a profile).  Segments
-        scan one after another, so a segment's span ends where the cost
-        model puts the work up to and including it; a segment's stage
-        holds its own counters, so segment stages sum to the node stage."""
-        component = f"query-node:{name}"
-        nspan = self._tracer.record_span(
-            "query_node.scan", component, parent=parent, start_ms=ready_ms,
-            end_ms=start_ms + service_ms, queue_ms=start_ms - ready_ms,
-            service_ms=service_ms, segments=work.segments)
-        req.segments += work.segments
+        ``query_node.scan`` span (its ``segment.scan`` /
+        ``query_node.reduce`` children when sampled), the request's read
+        counters under a tenant, the ``query_node_scan`` histogram and the
+        EXPLAIN node stage (under a profile).  Segments scan one after
+        another, so a segment's span ends where the cost model puts the
+        work up to and including it (``work.ends``); a segment's stage
+        holds its own counters, so segment stages sum to the node
+        stage."""
+        cost = self._cost
         scanned = work.reduce is not None       # a point read scans nothing
+        self._tracer.record_tree(
+            "query_node.scan", f"query-node:{name}", parent, ready_ms,
+            start_ms + service_ms, {"queue_ms": start_ms - ready_ms,
+                                    "service_ms": service_ms,
+                                    "segments": work.segments},
+            work.segments + 1 if scanned else 0,
+            functools.partial(_node_scan_children, work.ids, work.ends,
+                              float(ready_ms), cost.request_overhead_ms,
+                              req.nq * cost.batch_row_overhead_ms,
+                              work.segments))
+        req.segments += work.segments
         if scanned:
-            if nspan.sampled:
-                self._record_segment_spans(req, component, nspan, work)
-            for total in work.totals:
-                req.stats.add(total)
-            self._scan_hist.labels(node=name).observe(service_ms)
+            if req.tenant is not None:
+                req.rows_scanned += int(work.counts[..., ROWS_SCANNED].sum())
+                req.bytes_materialized += int(
+                    work.counts[..., BYTES_MATERIALIZED].sum())
+            hist = self._scan_hists.get(name)
+            if hist is None:
+                hist = self._scan_hists[name] = self._scan_hist.labels(
+                    node=name)
+            hist.observe(service_ms)
         if prof is None:
             return
         stage = prof.node_stage(name)
@@ -442,33 +460,6 @@ class Proxy:
                               nq=req.nq)
             stage.child("query_node.reduce").counters = work.reduce.as_dict()
         stage.meta["queue_ms"] = start_ms - ready_ms
-
-    def _record_segment_spans(self, req: _ReadRequest, component: str,
-                              nspan, work: NodeWork) -> None:
-        """A sampled node span's children: its segments' scans, each
-        ending where the cost model puts the node's work up to and
-        including it (the comparisons counted so far, charged as the
-        node's total is), then the node's reduce."""
-        cost, context = self._cost, nspan.context
-        so_far = [SearchStats() for _ in work.dims]
-        cursor_ms = nspan.start_ms
-        for segment_id, _path, _rows, stats in work.scans:
-            for counted, field_stats in zip(so_far, stats):
-                counted.float_comparisons += field_stats.float_comparisons
-                counted.quantized_comparisons += \
-                    field_stats.quantized_comparisons
-                counted.ssd_blocks_read += field_stats.ssd_blocks_read
-            end_ms = nspan.start_ms + cost.scan_cost(so_far, work.dims)
-            self._tracer.record_span(
-                "segment.scan", component, parent=context,
-                start_ms=cursor_ms, end_ms=end_ms, segment=segment_id)
-            cursor_ms = end_ms
-        self._tracer.record_span(
-            "query_node.reduce", component, parent=context,
-            start_ms=cursor_ms,
-            end_ms=cursor_ms + cost.request_overhead_ms
-            + req.nq * cost.batch_row_overhead_ms,
-            segments=work.segments)
 
     def _scatter_gather(self, req: _ReadRequest, ask: str, args: tuple,
                         metric: Optional[MetricType] = None,
@@ -519,10 +510,10 @@ class Proxy:
                 ready_ms = self._loop.now()
 
                 partials = []
-                parent = root.context
+                parent = root
+                hop_ms = self._cost.rpc_hop()
                 for node, scope in plan:
-                    start = max(ready_ms + self._cost.rpc_hop(),
-                                node.busy_until_ms)
+                    start = max(ready_ms + hop_ms, node.busy_until_ms)
                     partial, service_ms, work = getattr(node, ask)(
                         req.collection, *args, scope=scope)
                     node.busy_until_ms = start + service_ms
@@ -536,13 +527,11 @@ class Proxy:
                 if req.k is not None:
                     req.merge_ms = self._cost.topk_merge_cost(len(plan),
                                                               req.k)
-                req.done_ms = req.scanned_ms + req.merge_ms \
-                    + self._cost.rpc_hop()
+                req.done_ms = req.scanned_ms + req.merge_ms + hop_ms
                 latency = req.done_ms - req.issue_ms
-                self._tracer.record_span(
-                    "proxy.merge", self._component, parent=parent,
-                    start_ms=req.scanned_ms, end_ms=req.done_ms,
-                    nodes=len(plan))
+                self._tracer.record_tree(
+                    "proxy.merge", self._component, parent,
+                    req.scanned_ms, req.done_ms, {"nodes": len(plan)})
                 self._tracer.finish_span(root, end_ms=req.done_ms)
                 if root.sampled:
                     req.trace_id = root.trace_id
@@ -574,8 +563,8 @@ class Proxy:
                         self._slowlog.observe(self._loop.now(), prof)
                 if req.tenant is not None:
                     units = self._cost_meter.charge_read(
-                        req.tenant, req.stats.rows_scanned,
-                        req.stats.bytes_materialized)
+                        req.tenant, req.rows_scanned,
+                        req.bytes_materialized)
                     self._read_units.labels(tenant=req.tenant).inc(units)
                 window, histogram = self._latency[req.verb]
                 window.record(self._loop.now(), latency)
@@ -810,6 +799,12 @@ class Proxy:
         :class:`ConsistencyTimeout` past the configured deadline.
         """
         start_ms = self._loop.now()
+        if all(node.ready(collection, guarantee) for node in nodes):
+            # Nothing to wait for: the same span, closed where it opens.
+            self._tracer.record_span(
+                "proxy.consistency_wait", self._component, start_ms=start_ms,
+                end_ms=start_ms, guarantee=guarantee)
+            return 0.0
         deadline = start_ms + self._config.query.consistency_deadline_ms
         with self._tracer.span("proxy.consistency_wait", self._component,
                                guarantee=guarantee) as wspan:
@@ -847,6 +842,28 @@ class Proxy:
             finally:
                 for span in waiting.values():
                     self._tracer.finish_span(span, status=SPAN_INCOMPLETE)
+
+
+def _node_scan_children(ids: Sequence[str], ends: Sequence[float],
+                        start_ms: float, overhead_ms: float, rows_ms: float,
+                        segments: int) -> list[tuple]:
+    """A sampled ``query_node.scan`` span's children, as
+    ``TraceCollector.record_tree`` takes them: its segments' scans laid
+    end to end from ``start_ms``, each ending where the cost model puts
+    the node's work up to and including it (``ends``: the scan's
+    cumulative virtual ms), then the node's reduce, which costs the
+    fixed message overhead and the rows' share."""
+    children = []
+    cursor_ms = start_ms
+    for segment_id, end_ms in zip(ids, ends):
+        end_ms = start_ms + end_ms
+        children.append(("segment.scan", cursor_ms, end_ms,
+                         {"segment": segment_id}))
+        cursor_ms = end_ms
+    children.append(("query_node.reduce", cursor_ms,
+                     cursor_ms + overhead_ms + rows_ms,
+                     {"segments": segments}))
+    return children
 
 
 def _extract_pks(expr: FilterExpression, pk_field: str) -> list:

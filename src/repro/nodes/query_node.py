@@ -24,12 +24,15 @@ their tails join.
 delay, which is what the elasticity and scalability figures measure.  A
 read verb reports its work (:class:`~repro.core.results.NodeWork`) and
 observes nothing: the proxy turns the report into every plane (DESIGN.md
-§6h).
+§6h).  What a scan derives from the node's segments alone — which are in
+scope, in which order, the fields' dimensions, the arena — is a scan plan,
+derived again only when :attr:`Segment.generation` has moved; the work is
+counted into one counter array per scan.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -46,7 +49,7 @@ from repro.core.schema import CollectionSchema, MetricType
 from repro.core.segment import Segment
 from repro.core.segment_set import SegmentSet
 from repro.errors import ClusterStateError
-from repro.index.base import SearchStats, index_from_bytes
+from repro.index.base import STAT_FIELDS, SearchStats, index_from_bytes
 from repro.log.binlog import BinlogReader
 from repro.log.broker import LogBroker, LogEntry, Subscription
 from repro.log.wal import InsertRecord, TimeTickRecord, data_records
@@ -54,6 +57,24 @@ from repro.sim.costmodel import CostModel
 from repro.sim.events import EventLoop
 from repro.storage.object_store import ObjectStore
 from repro.tracing import NOOP_TRACER, TraceCollector
+
+
+class _ScanPlan:
+    """What a node scan derives from the node's segments alone: the
+    segments in scope in segment-id order, their ids, the searched
+    fields' dimensions and, for a vector search, the arena and where each
+    segment sits in its selection (``SegmentArena.layout``).  Derived
+    once per ``Segment.generation``."""
+
+    __slots__ = ("segments", "ids", "dims", "arena", "layout")
+
+    def __init__(self, segments: tuple[Segment, ...], dims: list[int],
+                 arena: Optional[SegmentArena]) -> None:
+        self.segments = segments
+        self.ids = tuple(segment.segment_id for segment in segments)
+        self.dims = dims
+        self.arena = arena
+        self.layout = arena.layout(segments) if arena is not None else None
 
 
 class QueryNode:
@@ -84,10 +105,14 @@ class QueryNode:
         # (collection, vector field, metric) -> the arena over the sealed
         # segments searched as one, and the fresh segments' slices that
         # joined it (None: there are no sealed ones).  Derived, and
-        # checked against the segments it was derived from before every
-        # search: nothing that loads, releases or re-indexes a segment
-        # has to remember it.
+        # checked against the segments it was derived from whenever
+        # ``Segment.generation`` moves: nothing that loads, releases or
+        # re-indexes a segment has to remember it.
         self._arenas: dict[tuple, Optional[SegmentArena]] = {}
+        # (collection, scope, fields, metric) -> its scan plan, derived
+        # at ``Segment.generation`` ``_planned``.
+        self._plans: dict[tuple, _ScanPlan] = {}
+        self._planned = -1
         self.busy_until_ms = 0.0
         self.searches_served = 0
         # Cumulative virtual service time of local search work; the
@@ -292,53 +317,69 @@ class QueryNode:
                 field, metric, members) if members else None
         return arena
 
+    def _plan(self, collection: str, scope: Optional[set[str]],
+              fields: tuple[str, ...],
+              metric: Optional[MetricType]) -> _ScanPlan:
+        """The scan plan of ``fields`` (and, under ``metric``, of the one
+        field's arena) over the segments in ``scope``: kept while
+        ``Segment.generation`` stands, all plans derived again once it
+        has moved."""
+        if self._planned != Segment.generation:
+            self._plans.clear()
+            self._planned = Segment.generation
+        key = (collection, None if scope is None else frozenset(scope),
+               fields, metric)
+        plan = self._plans.get(key)
+        if plan is None:
+            schema: CollectionSchema = self._schema_provider(collection)
+            plan = self._plans[key] = _ScanPlan(
+                tuple(self._scoped_segments(collection, scope)),
+                [schema.field(name).dim for name in fields],
+                self._arena(collection, fields[0], metric)
+                if metric is not None else None)
+        return plan
+
     def _scan(self, collection: str, scope: Optional[set[str]],
-              fields: Sequence[str], nq: int, k: Optional[int],
-              scan: Callable) -> tuple[HitBlock, float, NodeWork]:
+              fields: tuple[str, ...], nq: int, k: Optional[int],
+              scan: Callable, metric: Optional[MetricType] = None
+              ) -> tuple[HitBlock, float, NodeWork]:
         """The one scan and node-local reduce behind every scan verb;
         returns ``(node-wise top-k block, virtual service ms, the work
         done)``.
 
-        ``scan(segments, ledger, reduce)`` scans the segments in scope and
-        returns their ``nq``-row partials as ``(block, n)`` pairs in
-        segment order, a block holding the partials of ``n`` consecutive
-        segments side by side at one width (the arena's come stacked),
-        adding what it did for segment ``i`` to ``ledger[i]`` — one
-        :class:`SearchStats` per entry of ``fields``, so each vector
-        field is charged at its own dimension.  The blocks are merged side
-        by side: one concatenation and one stable sort for the whole
-        request.  A scan whose own selection was the reduce returns the
-        node-wise block itself, its counters added to ``reduce``.
+        ``scan(plan, counts, reduce)`` scans the segments in scope (the
+        scan plan's, ``_plan``) and returns their ``nq``-row partials as
+        ``(block, n)`` pairs in segment order, a block holding the
+        partials of ``n`` consecutive segments side by side at one width
+        (the arena's come stacked), counting what it did for segment
+        ``i`` into ``counts[f, i]`` — one int64 counter array,
+        ``(len(fields), segments, STAT_FIELDS)``, so each vector field is
+        charged at its own dimension.  The blocks are merged side by side:
+        one concatenation and one stable sort for the whole request.  A
+        scan whose own selection was the reduce returns the node-wise
+        block itself, its counters added to ``reduce``.
 
         Work is measured once, per segment, and reported as measured: the
-        ledger in segment order, with each segment's path and rows, the
-        node's totals per field, and the reduce's counters.
+        counter array, what the cost model makes of the work up to and
+        including each segment (one ``scan_cost``, whose last is the
+        service time's), and the reduce's counters.
         """
-        schema: CollectionSchema = self._schema_provider(collection)
-        dims = [schema.field(name).dim for name in fields]
-        segments = self._scoped_segments(collection, scope)
-        ledger = [[SearchStats() for _ in fields] for _ in segments]
-        totals = [SearchStats() for _ in fields]
-        work = NodeWork(len(segments), dims, totals)
-        parts = scan(segments, ledger, work.reduce) if segments else []
-        for segment, entry in zip(segments, ledger):
-            for total, stats in zip(totals, entry):
-                total.add(stats)
-            path = ("growing" if not segment.is_sealed
-                    else "index" if any(stats.index_scans for stats in entry)
-                    else "brute")
-            work.scans.append((segment.segment_id, path, segment.num_rows,
-                               entry))
+        plan = self._plan(collection, scope, fields, metric)
+        segments = plan.segments
+        counts = np.zeros((len(fields), len(segments), len(STAT_FIELDS)),
+                          dtype=np.int64)
+        reduce = ReduceStats()
+        parts = scan(plan, counts, reduce) if segments else []
         if isinstance(parts, HitBlock):
             merged = parts
         else:
             merged = merge_topk([block for block, _n in parts], k,
-                                stats=work.reduce) \
+                                stats=reduce) \
                 if parts else HitBlock.empty(nq)
             # A segment that found nothing for a query hands that query's
             # reduce no partial (a row sorts its hits first): the first
             # column of each of a block's partials.
-            work.reduce.batches_merged = sum(
+            reduce.batches_merged = sum(
                 int(np.count_nonzero(
                     block.dists[:, ::block.dists.shape[1] // n] < np.inf))
                 for block, n in parts if block.dists.shape[1])
@@ -348,19 +389,29 @@ class QueryNode:
         # right, not as work + overhead: virtual times are compared to
         # the last digit across commits.)
         cost = self._cost
-        service_ms = cost.scan_cost(totals, dims) + cost.request_overhead_ms \
-            + nq * cost.batch_row_overhead_ms
+        ends = cost.scan_cost(counts, plan.dims)
+        service_ms = (ends[-1] if segments else 0.0) \
+            + cost.request_overhead_ms + nq * cost.batch_row_overhead_ms
         self.searches_served += nq
         self.service_ms_total += service_ms
-        return merged, service_ms, work
+        return merged, service_ms, NodeWork(
+            len(segments), counts, ends, plan.ids, segments, reduce)
 
     @staticmethod
     def _each(scan_one: Callable) -> Callable:
         """``scan`` for a single-query verb that scans segment by segment:
-        ``scan_one(segment, stats)`` returns the query's hit batch."""
-        return lambda segments, ledger, _reduce: [
-            (HitBlock.from_batches([scan_one(segment, stats)]), 1)
-            for segment, stats in zip(segments, ledger)]
+        ``scan_one(segment, stats)`` returns the query's hit batch, its
+        work added to ``stats``, a :class:`SearchStats` per field."""
+        def scan(plan: _ScanPlan, counts: np.ndarray,
+                 _reduce: ReduceStats) -> list[tuple[HitBlock, int]]:
+            parts = []
+            for i, segment in enumerate(plan.segments):
+                stats = [SearchStats() for _ in plan.dims]
+                parts.append((HitBlock.from_batches(
+                    [scan_one(segment, stats)]), 1))
+                counts[:, i] += [entry.as_row() for entry in stats]
+            return parts
+        return scan
 
     def search(self, collection: str, field: str, queries: np.ndarray,
                k: int, metric: MetricType,
@@ -373,7 +424,7 @@ class QueryNode:
         Without a filter, :meth:`SegmentArena.select` first tries to
         answer with one selection over the sealed members, the fresh
         segments' built slices and their tails (every segment in scope
-        one of those, no pk twice, one padded scan pass, every deleting
+        one of those, no pk twice, one scan pass, every deleting
         member's cut proven): that is the node-wise top-k, and nothing
         is merged.  Otherwise the sealed segments the arena holds are
         searched through it, all in one scan; a segment it does not hold
@@ -385,13 +436,12 @@ class QueryNode:
         if queries.ndim == 1:
             queries = queries[None, :]
 
-        def scan(segments: list[Segment], ledger: list[list[SearchStats]],
-                 reduce: ReduceStats
+        def scan(plan: _ScanPlan, counts: np.ndarray, reduce: ReduceStats
                  ) -> list[tuple[HitBlock, int]] | HitBlock:
-            arena = self._arena(collection, field, metric)
+            segments, arena = plan.segments, plan.arena
             if expr is None and arena is not None:
-                found = arena.select(segments, queries, k,
-                                     [entry[0] for entry in ledger], reduce,
+                found = arena.select(segments, plan.layout, queries, k,
+                                     counts[0], reduce,
                                      self._held(collection))
                 if found is not None:
                     return found
@@ -400,21 +450,25 @@ class QueryNode:
             for i, segment in enumerate(segments):
                 number = arena.slot.get(segment.segment_id) \
                     if arena is not None else None
-                plan = choose_strategy(segment, field, k, expr) \
+                strategy = choose_strategy(segment, field, k, expr) \
                     if expr is not None else None
                 if number is not None and (
-                        plan is None
-                        or plan.strategy is not FilterStrategy.PRE_FILTER):
+                        strategy is None
+                        or strategy.strategy
+                        is not FilterStrategy.PRE_FILTER):
                     members.append(number)
-                    masks.append(plan.mask if plan is not None else None)
+                    masks.append(strategy.mask
+                                 if strategy is not None else None)
                     at.append(i)
                     continue
+                stats = SearchStats()   # a segment reports its own work
                 parts[i] = planned_search(
-                    segment, field, queries, k, metric, plan,
-                    stats=ledger[i][0]), 1
+                    segment, field, queries, k, metric, strategy,
+                    stats=stats), 1
+                counts[0, i] += stats.as_row()
             if members:
-                found = arena.search(members, queries, k, masks,
-                                     [ledger[i][0] for i in at])
+                found = arena.search(members, queries, k, masks, counts[0],
+                                     at)
                 # Each run of consecutive segments is one view of it.
                 width = found.dists.shape[1] // len(members)
                 first = 0
@@ -428,14 +482,14 @@ class QueryNode:
             return [part for part in parts if part is not None]
 
         return self._scan(collection, scope, (field,), queries.shape[0], k,
-                          scan)
+                          scan, metric)
 
     def search_multivector(self, collection: str, query: MultiVectorQuery,
                            k: int, scope: Optional[set[str]] = None,
                            ) -> tuple[HitBlock, float, NodeWork]:
         """Node-local multi-vector search (single query vector set)."""
         return self._scan(
-            collection, scope, query.fields, 1, k,
+            collection, scope, tuple(query.fields), 1, k,
             self._each(lambda segment, stats: search_segment(
                 segment, query, k, stats=stats)))
 
@@ -481,4 +535,5 @@ class QueryNode:
             self.unsubscribe(channel)
         self._sets.clear()
         self._arenas.clear()
+        self._plans.clear()
         self._gates.clear()

@@ -23,6 +23,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from repro.index.base import SSD_BLOCKS_READ
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -75,22 +77,40 @@ class CostModel:
         rate = self.mac_per_ms * (self.quantized_speedup if quantized else 1.0)
         return macs / rate
 
-    def scan_cost(self, stats, dims) -> float:
-        """Cost of a scan's measured work, each searched field's
-        ``SearchStats`` charged at its own dimension in ``dims``."""
-        ms = 0
-        for field_stats, dim in zip(stats, dims):
-            ms += (self.distance_cost(field_stats.float_comparisons, dim)
-                   + self.distance_cost(field_stats.quantized_comparisons,
-                                        dim, quantized=True)
-                   + self.ssd_read(field_stats.ssd_blocks_read))
-        return ms
+    def scan_cost(self, counts: np.ndarray, dims) -> list[float]:
+        """Cost of a scan's measured work up to and including each of its
+        rows, in one call: ``counts`` is a counter array ``(fields, rows,
+        STAT_FIELDS)`` (``repro.index.base``) of one row per segment
+        scanned, in scan order, each field's counters charged at its own
+        dimension in ``dims``.  The last cost is the whole scan's, and
+        each is, float for float, what ``distance_cost`` and ``ssd_read``
+        of the counters summed so far add to, fields summed in order."""
+        mac, ssd = self.mac_per_ms, self.ssd_block_read_ms
+        rate = mac * self.quantized_speedup
+        ms = None
+        for rows, dim in zip(
+                counts[..., :SSD_BLOCKS_READ + 1].tolist(), dims):
+            dim = float(dim)
+            costs = []
+            floats = quantized = blocks = 0     # ints: exact sums
+            for more_floats, more_quantized, more_blocks in rows:
+                floats += more_floats
+                quantized += more_quantized
+                blocks += more_blocks
+                costs.append(floats * dim / mac + quantized * dim / rate
+                             + blocks * ssd)
+            ms = costs if ms is None else [
+                so_far + cost for so_far, cost in zip(ms, costs)]
+        return ms if ms is not None else []
 
     def topk_merge_cost(self, n_lists: int, k: int) -> float:
         """Cost of merging ``n_lists`` sorted top-k lists."""
         # Heap merge is n_lists * k * log(n_lists); tiny, but non-zero so
-        # aggregation layers (Vearch baseline) show up in the model.
-        ops = float(n_lists) * float(k) * max(1.0, np.log2(max(n_lists, 2)))
+        # aggregation layers (Vearch baseline) show up in the model.  Up
+        # to two lists the log factor is 1.0 exactly.
+        ops = float(n_lists) * float(k)
+        if n_lists > 2:
+            ops *= max(1.0, np.log2(n_lists))
         return ops / self.mac_per_ms
 
     def rpc_hop(self) -> float:

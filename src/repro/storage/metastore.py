@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -72,6 +73,9 @@ class MetaStore:
 
     def __init__(self) -> None:
         self._data: dict[str, KeyValue] = {}
+        #: The keys of ``_data``, sorted: a prefix read bisects to its
+        #: first key instead of sorting the keyspace.
+        self._keys: list[str] = []
         self._revision = 0
         self._watches: list[_Watch] = []
         self._lease_seq = itertools.count(1)
@@ -111,6 +115,12 @@ class MetaStore:
                       else self._revision)
         stored = KeyValue(key, copy.deepcopy(value), create_rev,
                           self._revision, lease_id)
+        if current is None:
+            insort(self._keys, key)
+        elif current.lease_id is not None and current.lease_id != lease_id:
+            # Put under another lease, or none: the old lease no longer
+            # holds the key (etcd's rule), so its expiry leaves it.
+            self._lease_keys.get(current.lease_id, set()).discard(key)
         self._data[key] = stored
         if lease_id is not None:
             self._lease_keys.setdefault(lease_id, set()).add(key)
@@ -137,18 +147,28 @@ class MetaStore:
         current = self._data.pop(key, None)
         if current is None:
             return False
+        del self._keys[bisect_left(self._keys, key)]
         self._revision += 1
         if current.lease_id is not None:
             self._lease_keys.get(current.lease_id, set()).discard(key)
         self._notify(WatchEvent("delete", key, None, self._revision))
         return True
 
+    def _under(self, prefix: str) -> list[str]:
+        """The keys under a prefix, sorted: the run of the sorted keys from
+        the prefix up to the first string past every key it begins."""
+        keys = self._keys
+        if not prefix:
+            return keys[:]
+        past = prefix[:-1] + chr(ord(prefix[-1]) + 1)
+        return keys[bisect_left(keys, prefix):bisect_left(keys, past)]
+
     def range(self, prefix: str) -> list[KeyValue]:
         """All key-values under a prefix, sorted by key."""
-        return [self.get(k) for k in sorted(self._data) if k.startswith(prefix)]
+        return [self.get(k) for k in self._under(prefix)]
 
     def keys(self, prefix: str = "") -> list[str]:
-        return [k for k in sorted(self._data) if k.startswith(prefix)]
+        return self._under(prefix)
 
     def exists(self, key: str) -> bool:
         """Whether ``key`` is set — a predicate, so nothing is copied."""
@@ -160,7 +180,7 @@ class MetaStore:
         field, not the records: what a readiness poll over a catalogue of
         segment records needs."""
         return [(k, copy.deepcopy(self._data[k].value.get(field)))
-                for k in sorted(self._data) if k.startswith(prefix)]
+                for k in self._under(prefix)]
 
     # ------------------------------------------------------------------
     # watches

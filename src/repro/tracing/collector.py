@@ -28,8 +28,11 @@ recorded.
 Cost: a span is one :class:`Span` plus, for a ``with`` block, one
 ``__slots__`` scope object; a child reads its ids off the parent span,
 and a span recorded already finished (:meth:`TraceCollector.record_span`)
-never enters the open-span table.  A delivery of an untraced record
-costs one attribute read and the shared detached scope.
+never enters the open-span table.  A finished span with finished children
+(:meth:`TraceCollector.record_tree`) reserves its ids as one block and is
+kept as one record, made into spans when its trace is read.  A delivery
+of an untraced record costs one attribute read and the shared detached
+scope.
 """
 
 from __future__ import annotations
@@ -107,6 +110,44 @@ class _Ambient:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self._stack.pop()
+
+
+class _Tree:
+    """A finished span and its finished children, as recorded by
+    :meth:`TraceCollector.record_tree`: what its spans are made of, kept
+    in its trace's span list until the trace is read."""
+
+    __slots__ = ("trace_id", "parent_id", "first", "name", "component",
+                 "start_ms", "end_ms", "tags", "children")
+
+    def __init__(self, trace_id: str, parent_id: Optional[str], first: int,
+                 name: str, component: str, start_ms: float, end_ms: float,
+                 tags: dict, children: Optional[Callable]) -> None:
+        self.trace_id = trace_id
+        self.parent_id = parent_id
+        self.first = first
+        self.name = name
+        self.component = component
+        self.start_ms = start_ms
+        self.end_ms = end_ms
+        self.tags = tags
+        self.children = children
+
+    def spans(self) -> list[Span]:
+        """The span, then its children in order, ids numbered on."""
+        trace_id, component = self.trace_id, self.component
+        head = Span(trace_id, f"s{self.first:06d}", self.parent_id,
+                    self.name, component, self.start_ms, True, self.tags)
+        head.end_ms = max(float(self.end_ms), head.start_ms)
+        spans = [head]
+        if self.children is not None:
+            for n, (name, start_ms, end_ms, tags) in enumerate(
+                    self.children(), self.first + 1):
+                span = Span(trace_id, f"s{n:06d}", head.span_id, name,
+                            component, start_ms, True, tags)
+                span.end_ms = max(float(end_ms), span.start_ms)
+                spans.append(span)
+        return spans
 
 
 class TraceCollector:
@@ -245,6 +286,40 @@ class TraceCollector:
         span.end_ms = max(float(end_ms), span.start_ms)
         return span
 
+    def record_tree(self, name: str, component: str, parent,
+                    start_ms: float, end_ms: float, tags: dict,
+                    count: int = 0,
+                    children: Optional[Callable[[], list]] = None) -> None:
+        """Record an already-completed span under ``parent`` (a context
+        or a span) with an explicit window and ``tags`` — and, where it
+        is sampled, its ``count`` finished children, which
+        ``children()`` returns as ``(name, start_ms, end_ms, tags)`` in
+        order.  The same spans, ids and windows as :meth:`record_span`
+        for the span and then for each child under it, with the ids
+        reserved as one block; ``children`` is called only when the
+        trace is read, so what it reads must not change after the
+        call."""
+        first = next(self._span_seq)
+        if not (parent.sampled and self.enabled):
+            return
+        if count:
+            self._span_seq = itertools.count(first + 1 + count)
+        bucket = self._traces.get(parent.trace_id)
+        if bucket is not None:
+            bucket.append(_Tree(parent.trace_id, parent.span_id, first, name,
+                                component, start_ms, end_ms, tags,
+                                children if count else None))
+
+    def _spans_of(self, trace_id: str) -> list:
+        """A retained trace's spans in creation order (empty when it is
+        not retained), its recorded trees made into spans."""
+        spans = self._traces.get(trace_id, ())
+        if any(type(span) is _Tree for span in spans):
+            spans[:] = [made for span in spans
+                        for made in (span.spans() if type(span) is _Tree
+                                     else (span,))]
+        return spans
+
     def mark_incomplete(self, component: str) -> list[Span]:
         """Close every open span of a component as ``incomplete``.
 
@@ -314,15 +389,15 @@ class TraceCollector:
         return list(self._traces)
 
     def spans(self, trace_id: str) -> list[Span]:
-        return list(self._traces.get(trace_id, ()))
+        return list(self._spans_of(trace_id))
 
     def spans_named(self, name: str) -> list[Span]:
         """All retained spans with a given name, in creation order."""
-        return [span for spans in self._traces.values()
-                for span in spans if span.name == name]
+        return [span for trace_id in list(self._traces)
+                for span in self._spans_of(trace_id) if span.name == name]
 
     def root(self, trace_id: str) -> Optional[Span]:
-        for span in self._traces.get(trace_id, ()):
+        for span in self._spans_of(trace_id):
             if span.parent_id is None:
                 return span
         return None
@@ -330,13 +405,13 @@ class TraceCollector:
     def span_tree(self, trace_id: str) -> dict[Optional[str], list[Span]]:
         """parent span id -> children (roots under the ``None`` key)."""
         tree: dict[Optional[str], list[Span]] = {}
-        for span in self._traces.get(trace_id, ()):
+        for span in self._spans_of(trace_id):
             tree.setdefault(span.parent_id, []).append(span)
         return tree
 
     def trace_complete(self, trace_id: str) -> bool:
         """Whether every span finished and none was marked incomplete."""
-        spans = self._traces.get(trace_id)
+        spans = self._spans_of(trace_id)
         if not spans:
             return False
         return all(span.finished and span.status != SPAN_INCOMPLETE
@@ -355,7 +430,7 @@ class TraceCollector:
         span layout the proxy emits, the three cover the root span's
         duration exactly; ``other_ms`` is whatever remains.
         """
-        spans = self._traces.get(trace_id, ())
+        spans = self._spans_of(trace_id)
         wait_ms = sum(span.duration_ms or 0.0 for span in spans
                       if span.name == "proxy.consistency_wait")
         merge_ms = sum(span.duration_ms or 0.0 for span in spans
@@ -388,7 +463,7 @@ class TraceCollector:
         targets = [trace_id] if trace_id is not None else self.trace_ids()
         events: list[dict] = []
         for pid, tid_name in enumerate(targets, start=1):
-            spans = self._traces.get(tid_name, ())
+            spans = self._spans_of(tid_name)
             events.append({"name": "process_name", "ph": "M", "pid": pid,
                            "tid": 0, "args": {"name": f"trace {tid_name}"}})
             threads: dict[str, int] = {}
@@ -425,10 +500,11 @@ class TraceCollector:
 
     def _evict(self) -> None:
         while len(self._traces) > self.max_traces:
-            evicted_id, spans = next(iter(self._traces.items()))
+            evicted_id = next(iter(self._traces))
             del self._traces[evicted_id]
-            for span in spans:
-                self._open.pop(span.span_id, None)
+            for span_id in [span_id for span_id, span in self._open.items()
+                            if span.trace_id == evicted_id]:
+                del self._open[span_id]
             self.dropped_traces += 1
 
 

@@ -1,7 +1,8 @@
 """The object-based top-k merge of ``core/results.py`` before
 ``HitBatch``, and the per-segment ``QueryNode`` loop with the proxy's
-per-query merge from before the node arena (:func:`reference_path`
-patches them back in)."""
+per-query merge from before the node arena, reporting its work through
+the former accounting (``tests/reference/accounting.py``;
+:func:`reference_path` patches them all back in)."""
 
 import contextlib
 import heapq
@@ -11,9 +12,12 @@ import numpy as np
 
 import repro.nodes.proxy as proxy_module
 from repro.core.filtering import filtered_search
-from repro.core.results import HitBatch, NodeWork, ReduceStats, SearchHit
+from repro.core.results import HitBatch, ReduceStats, SearchHit
 from repro.index.base import SearchStats
+from repro.nodes.proxy import Proxy
 from repro.nodes.query_node import QueryNode
+from tests.reference.accounting import LedgerWork, reference_observe_node, \
+    scan_cost
 
 
 def merge_topk_reference(partials: Sequence[Iterable[SearchHit]],
@@ -76,7 +80,7 @@ def reference_scan(node, collection, scope, fields, nq, k, work):
     schema = node._schema_provider(collection)
     dims = [schema.field(name).dim for name in fields]
     totals = [SearchStats() for _ in fields]
-    done = NodeWork(0, dims, totals)
+    done = LedgerWork(0, dims, totals)
     partials = []
     for segment in node._scoped_segments(collection, scope):
         stats = [SearchStats() for _ in fields]
@@ -92,7 +96,7 @@ def reference_scan(node, collection, scope, fields, nq, k, work):
     done.segments = len(partials)
     merged = [reference_merge([part[qi] for part in partials if part[qi]],
                               k, stats=done.reduce) for qi in range(nq)]
-    service_ms = cost.scan_cost(totals, dims) + cost.request_overhead_ms \
+    service_ms = scan_cost(cost, totals, dims) + cost.request_overhead_ms \
         + nq * cost.batch_row_overhead_ms
     node.searches_served += nq
     node.service_ms_total += service_ms
@@ -121,8 +125,10 @@ def reference_proxy_merge(partials, keep, stats=None):
 
 @contextlib.contextmanager
 def reference_path(monkeypatch):
-    """Run requests through the reference node loop and merge loops."""
+    """Run requests through the reference node loop, merge loops and
+    accounting."""
     with monkeypatch.context() as patch:
         patch.setattr(QueryNode, "search", reference_search)
         patch.setattr(proxy_module, "merge_topk", reference_proxy_merge)
+        patch.setattr(Proxy, "_observe_node", reference_observe_node)
         yield

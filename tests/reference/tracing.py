@@ -116,6 +116,17 @@ class ReferenceTraceCollector(TraceCollector):
         self.finish_span(span, end_ms=end_ms)
         return span
 
+    def record_tree(self, name: str, component: str, parent,
+                    start_ms: float, end_ms: float, tags: dict,
+                    count: int = 0, children=None) -> None:
+        head = self.record_span(name, component, parent=parent,
+                                start_ms=start_ms, end_ms=end_ms, **tags)
+        if count and head.sampled:
+            for child, child_start, child_end, child_tags in children():
+                self.record_span(child, component, parent=head.context,
+                                 start_ms=child_start, end_ms=child_end,
+                                 **child_tags)
+
     def on_publish(self, channel: str, payload):
         span = self._stack[-1] if self._stack else None
         if span is None or not span.sampled:

@@ -44,7 +44,7 @@ from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
 from repro.core.segment import Segment
 from repro.errors import IndexBuildError, InvalidQuery
 from repro.index import ivf
-from repro.index.base import SearchStats, create_index
+from repro.index.base import STAT_FIELDS, SearchStats, create_index
 from repro.index.ivf import ArenaIndex, BucketedIndex, IvfFlatIndex, \
     ListArena
 from repro.nodes.query_node import QueryNode
@@ -1183,7 +1183,8 @@ class TestArenaIndex:
             ids, dists = arena.search(queries, 10, stats=stats)
             unit = queries / np.linalg.norm(queries, axis=1, keepdims=True)
             probes = arena._probe([0, 1, 2, 3], queries, unit,
-                                  [SearchStats() for _ in members])
+                                  np.zeros((len(members), len(STAT_FIELDS)),
+                                           dtype=np.int64))
             for number, member in enumerate(members):
                 want_ids, want_dists = member.search(queries, 10)
                 np.testing.assert_array_equal(dists[number], want_dists)
@@ -1231,7 +1232,8 @@ class TestArenaIndex:
                 ids, dists = arena.search(queries, 10, scope=scope,
                                           stats=stats)
                 probes = arena._probe(scope, queries, unit,
-                                      [SearchStats() for _ in scope])
+                                      np.zeros((len(scope), len(STAT_FIELDS)),
+                                               dtype=np.int64))
                 for at, number in enumerate(scope):
                     member = members[number]
                     want_ids, want_dists = member.search(queries, 10)
@@ -1283,7 +1285,8 @@ class TestArenaIndex:
             stats = [SearchStats() for _ in members]
             ids, dists = arena.search(queries, 10, stats=stats)
             probes = arena._probe([0, 1, 2], queries, unit,
-                                  [SearchStats() for _ in members])
+                                  np.zeros((len(members), len(STAT_FIELDS)),
+                                           dtype=np.int64))
             for number, member in enumerate(members):
                 want_ids, want_dists = member.search(queries, 10)
                 np.testing.assert_array_equal(
@@ -1336,6 +1339,35 @@ class TestArenaIndex:
                 assert_selects_the_merged_answer(
                     arena, queries, k, list(numbers), ids, dists, stats)
         assert selected     # at least the one-member scope
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_one_query_is_bounded_by_its_compact_row(self, rng, metric):
+        """One query's row is laid compact (``ListArena._one_row``), so
+        ``scans_once`` bounds a one-query scope by what that row can
+        hold, the sum of each member's width times its widest list, not
+        by the padded block: a member of one wide list beside members
+        probing 8 narrow lists each is refused by the padded bound, and
+        admitted by the compact one, selected once with the merged
+        answer and counters."""
+        wide = IvfFlatIndex(metric, DIM, nlist=1, nprobe=1)
+        wide.build(clustered(rng, 3000))
+        members = [wide]
+        for _ in range(5):
+            index = IvfFlatIndex(metric, DIM, nlist=16, nprobe=8)
+            index.build(clustered(rng, 300))
+            members.append(index)
+        arena = ArenaIndex(members)
+        scope = list(range(len(members)))
+        facts = arena._scope(scope)
+        bound = min(ivf._CHUNK_FROM, ivf._SCAN_BLOCK_FLOATS)
+        assert facts.cells > bound >= facts.compact
+        assert arena.scans_once(scope, 1) and not arena.scans_once(scope, 2)
+        for k in (1, 10, 100):
+            queries = clustered(rng, 1)
+            stats = [SearchStats() for _ in scope]
+            ids, dists = arena.search(queries, k, scope, stats)
+            assert_selects_the_merged_answer(arena, queries, k, scope, ids,
+                                             dists, stats)
 
     def test_one_selection_keeps_the_earlier_members_ties(self, rng):
         """Four copies of one vector in each of three members: wherever

@@ -1,8 +1,12 @@
 """Tests for the operation cost model."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.index.base import STAT_FIELDS, SearchStats
 from repro.sim.costmodel import CostModel
+from tests.reference.accounting import scan_cost as former_scan_cost
 
 
 @pytest.fixture
@@ -69,3 +73,33 @@ class TestCalibration:
         assert model.mac_per_ms > 0
         # Other constants are preserved.
         assert model.rpc_latency_ms == CostModel().rpc_latency_ms
+
+
+class TestScanCost:
+    """``scan_cost`` charges a node scan's counter array in one call: the
+    cost of the work up to and including every segment, each equal, float
+    for float, to the former formula over the ``SearchStats`` summed so
+    far (``tests/reference/accounting.py``), which the service time and
+    every ``segment.scan`` window were made of."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 12), st.integers(1, 11),
+           st.sampled_from([CostModel(),
+                            CostModel(mac_per_ms=3.3e5, quantized_speedup=3.7,
+                                      ssd_block_read_ms=0.0713)]),
+           st.integers(0, 2**32 - 1))
+    def test_cumulative_costs_equal_the_former_formula(
+            self, fields, segments, digits, cost, seed):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 10 ** digits,
+                              (fields, segments, len(STAT_FIELDS)))
+        dims = rng.integers(1, 1024, fields).tolist()
+        so_far = [SearchStats() for _ in range(fields)]
+        want = []
+        for i in range(segments):
+            for field, stats in enumerate(so_far):
+                stats.add(SearchStats.from_row(counts[field, i].tolist()))
+            want.append(former_scan_cost(cost, so_far, dims))
+        got = cost.scan_cost(counts, dims)
+        assert got == want
+        assert all(type(ms) is float for ms in got)

@@ -1,6 +1,7 @@
 """Tests for the object store and the etcd-like metastore."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ObjectNotFound, RevisionConflict, StorageError
 from repro.storage.metastore import MetaStore
@@ -179,3 +180,84 @@ class TestMetaStore:
             meta.put("k", 1, lease_id=99)
         with pytest.raises(RevisionConflict):
             meta.keep_alive(99, 100, 0)
+
+
+#: Keys that share prefixes with one another, and the prefixes read.
+_KEYS = ("a", "a/b", "a/c", "ab", "ab/x", "b", "b/a", "ba", "")
+_PREFIXES = ("", "a", "a/", "ab", "b", "b/", "c", "a/b")
+_OPS = st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(_KEYS),
+              st.integers(0, 9), st.integers(-1, 3)),
+    st.tuples(st.just("delete"), st.sampled_from(_KEYS)),
+    st.tuples(st.just("grant"), st.integers(1, 50)),
+    st.tuples(st.just("expire"), st.integers(0, 60)),
+    st.tuples(st.just("revoke"), st.integers(0, 3)))
+
+
+class TestMetaStoreLeases:
+    def test_a_put_under_no_lease_leaves_the_old_one(self):
+        """As in etcd, a key put again without its lease (or under
+        another) is no longer deleted when the old lease expires."""
+        meta = MetaStore()
+        lease = meta.grant_lease(10.0, 0.0)
+        other = meta.grant_lease(50.0, 0.0)
+        meta.put("free", 1, lease_id=lease)
+        meta.put("moved", 1, lease_id=lease)
+        meta.put("kept", 1, lease_id=lease)
+        meta.put("free", 2)
+        meta.put("moved", 2, lease_id=other)
+        assert meta.expire_leases(20.0) == [lease]
+        assert meta.keys() == ["free", "moved"]
+        assert meta.expire_leases(60.0) == [other]
+        assert meta.keys() == ["free"]
+
+
+class TestMetaStorePrefixReads:
+    """``range`` / ``keys`` / ``field_values`` bisect a sorted key list
+    kept on put and delete; they must read what a scan of every key
+    reads, whatever history of puts, deletes and lease expiries built
+    the store."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_OPS, max_size=60))
+    def test_reads_equal_a_scan_of_every_key(self, ops):
+        meta = MetaStore()
+        model: dict = {}            # key -> (value, lease id)
+        deadlines: dict = {}        # lease id -> deadline ms
+        leases: list = []
+        for op in ops:
+            if op[0] == "put":
+                _kind, key, value, lease_at = op
+                lease = leases[lease_at] if 0 <= lease_at < len(leases) \
+                    and leases[lease_at] in deadlines else None
+                record = {"f": value} if value % 3 else {"g": value}
+                meta.put(key, record, lease_id=lease)
+                model[key] = (record, lease)
+            elif op[0] == "delete":
+                assert meta.delete(op[1]) == (op[1] in model)
+                model.pop(op[1], None)
+            elif op[0] == "grant":
+                lease = meta.grant_lease(float(op[1]), 0.0)
+                leases.append(lease)
+                deadlines[lease] = float(op[1])
+            else:
+                if op[0] == "expire":
+                    gone = {lease for lease, deadline in deadlines.items()
+                            if deadline <= op[1]}
+                    assert set(meta.expire_leases(float(op[1]))) == gone
+                else:
+                    lease = leases[op[1]] if op[1] < len(leases) else -1
+                    gone = {lease} & set(deadlines)
+                    meta.revoke_lease(lease)
+                for lease in gone:
+                    del deadlines[lease]
+                model = {key: entry for key, entry in model.items()
+                         if entry[1] not in gone}
+            for prefix in _PREFIXES:
+                want = sorted(key for key in model if key.startswith(prefix))
+                assert meta.keys(prefix) == want
+                assert [(kv.key, kv.value) for kv in meta.range(prefix)] \
+                    == [(key, model[key][0]) for key in want]
+                assert meta.field_values(prefix, "f") == [
+                    (key, model[key][0].get("f")) for key in want]
+            assert meta.keys() == sorted(model)
