@@ -106,10 +106,10 @@ SLICES, SLICE, TAIL, DELETED = 2, 1024, 300, 30
 
 
 def _wall_us(work, calls: int) -> float:
-    t0 = time.perf_counter()  # manu-lint: disable=determinism -- benchmark measures real wall-time
+    t0 = time.perf_counter()
     for _ in range(calls):
         work()
-    return (time.perf_counter() - t0) / calls * 1e6  # manu-lint: disable=determinism -- benchmark measures real wall-time
+    return (time.perf_counter() - t0) / calls * 1e6
 
 
 def _same_up_to_ties(got: np.ndarray, want: np.ndarray,

@@ -53,11 +53,11 @@ def test_fig13_index_build_time(benchmark):
                 cluster.run_for(500)
                 cluster.flush("c")
                 start = cluster.now()
-                t0 = time.perf_counter()  # manu-lint: disable=determinism -- the wall column measures real time
+                t0 = time.perf_counter()
                 cluster.create_index("c", "vector", index_type,
                                      full.metric, params)
                 assert cluster.wait_for_indexes("c", max_ms=10_000_000)
-                wall_ms[(index_type, volume)] = (time.perf_counter() - t0) * 1e3  # manu-lint: disable=determinism -- the wall column measures real time
+                wall_ms[(index_type, volume)] = (time.perf_counter() - t0) * 1e3
                 table[(index_type, volume)] = cluster.now() - start
 
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -66,9 +66,9 @@ SHAPES = {
 
 
 def _wall_ms(work) -> float:
-    t0 = time.perf_counter()  # manu-lint: disable=determinism -- benchmark measures real wall-time
+    t0 = time.perf_counter()
     work()
-    return (time.perf_counter() - t0) * 1e3  # manu-lint: disable=determinism -- benchmark measures real wall-time
+    return (time.perf_counter() - t0) * 1e3
 
 
 def _rounds_if_equal(data: np.ndarray, k: int) -> tuple[int, bool]:

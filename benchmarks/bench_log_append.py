@@ -74,8 +74,6 @@ STREAM_REPEATS = 1 if QUICK else 3     # best-of
 
 
 def _wall() -> float:
-    # manu-lint: disable=determinism -- wall-clock is the measured
-    # quantity of this benchmark, not simulation time.
     return time.perf_counter()
 
 

@@ -108,12 +108,8 @@ def _time_best(fn, repeats: int) -> float:
     """Best-of-N wall-clock milliseconds for one reduce pass."""
     best = float("inf")
     for _ in range(repeats):
-        # manu-lint: disable=determinism -- wall-clock is the measured
-        # quantity of this microbenchmark, not simulation time.
         start = time.perf_counter()
         fn()
-        # manu-lint: disable=determinism -- closes the timed interval
-        # opened above; same sanctioned measurement.
         best = min(best, (time.perf_counter() - start) * 1e3)
     return best
 

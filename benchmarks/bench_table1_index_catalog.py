@@ -40,9 +40,9 @@ PARAMS = {
 
 
 def wall_s(work) -> float:
-    t0 = time.perf_counter()  # manu-lint: disable=determinism -- benchmark measures real wall-time
+    t0 = time.perf_counter()
     work()
-    return time.perf_counter() - t0  # manu-lint: disable=determinism -- benchmark measures real wall-time
+    return time.perf_counter() - t0
 
 
 def test_table1_index_catalog(benchmark):

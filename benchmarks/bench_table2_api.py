@@ -23,9 +23,9 @@ def test_table2_pymanu_api(benchmark, rng):
     rows = []
 
     def timed(label, fn):
-        t0 = time.perf_counter()  # manu-lint: disable=determinism -- benchmark measures real API wall-time
+        t0 = time.perf_counter()
         out = fn()
-        rows.append((label, (time.perf_counter() - t0) * 1000.0))  # manu-lint: disable=determinism -- benchmark measures real API wall-time
+        rows.append((label, (time.perf_counter() - t0) * 1000.0))
         return out
 
     def run() -> None:

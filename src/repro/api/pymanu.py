@@ -34,7 +34,7 @@ from repro.core.consistency import ConsistencyLevel
 from repro.core.multivector import MultiVectorQuery
 from repro.core.results import SearchResult
 from repro.core.schema import CollectionSchema, MetricType
-from repro.errors import CollectionNotFound, ManuError
+from repro.errors import CollectionNotFound, ManuError, SchemaError
 
 _METRIC_ALIASES = {
     "euclidean": MetricType.EUCLIDEAN,
@@ -47,12 +47,22 @@ _METRIC_ALIASES = {
 
 def parse_metric(name: str) -> MetricType:
     """Map user metric strings ("Euclidean", "IP", ...) to MetricType."""
-    try:
-        return _METRIC_ALIASES[name.strip().lower()]
-    except KeyError:
+    metric = _METRIC_ALIASES.get(name.strip().lower()) \
+        if isinstance(name, str) else None
+    if metric is None:
         raise ManuError(
             f"unknown metric {name!r}; "
-            f"expected one of {sorted(_METRIC_ALIASES)}") from None
+            f"expected one of {sorted(_METRIC_ALIASES)}")
+    return metric
+
+
+def _mapping(what: str, value) -> Mapping:
+    """A caller's parameter mapping (none reads as empty)."""
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise ManuError(f"{what} must be a mapping, got {value!r}")
+    return value
 
 
 def parse_consistency(name) -> ConsistencyLevel:
@@ -107,6 +117,9 @@ class Collection:
     def __init__(self, name: str, schema: Optional[CollectionSchema] = None,
                  using: str = "default",
                  tenant: Optional[str] = None) -> None:
+        if schema is not None and not isinstance(schema, CollectionSchema):
+            raise SchemaError(f"collection {name!r} needs a "
+                              f"CollectionSchema, got {schema!r}")
         self.name = name
         self.tenant = tenant
         self._cluster = connections.get(using)
@@ -152,6 +165,7 @@ class Collection:
         ``params`` carries ``index_type`` (Table 1 name),
         ``metric_type`` and index-specific ``params``.
         """
+        params = _mapping("index params", params)
         index_type = params.get("index_type", "IVF_FLAT")
         metric = parse_metric(params.get("metric_type", "Euclidean"))
         self._cluster.create_index(self.name, field, index_type, metric,
@@ -181,7 +195,8 @@ class Collection:
             raise ManuError("search needs a query vector (vec=...)")
         if extra:
             raise ManuError(f"unknown search arguments {sorted(extra)}")
-        metric = parse_metric((param or {}).get("metric_type", "Euclidean"))
+        metric = parse_metric(_mapping("param", param).get("metric_type",
+                                                           "Euclidean"))
         return self._cluster.search(
             self.name, vec, limit, field=field, metric=metric, expr=expr,
             consistency=parse_consistency(consistency_level),
@@ -208,9 +223,10 @@ class Collection:
                            staleness_ms: float = 100.0,
                            explain: bool = False) -> SearchResult:
         """Multi-vector entity search over several vector fields."""
-        fields = tuple(sorted(queries))
-        query = MultiVectorQuery(fields=fields, queries=dict(queries),
-                                 weights=dict(weights),
+        queries = _mapping("queries", queries)
+        query = MultiVectorQuery(fields=tuple(sorted(queries)),
+                                 queries=dict(queries),
+                                 weights=dict(_mapping("weights", weights)),
                                  metric=parse_metric(metric_type))
         return self._cluster.search_multivector(
             self.name, query, limit,
@@ -221,7 +237,7 @@ class Collection:
             staleness_ms: float = 100.0) -> dict:
         """Fetch entities' field values by primary key."""
         return self._cluster.get(
-            self.name, list(pks), tenant=self.tenant,
+            self.name, pks, tenant=self.tenant,
             consistency=parse_consistency(consistency_level),
             staleness_ms=staleness_ms)
 
@@ -241,7 +257,8 @@ class Collection:
 
         Returns a single :class:`SearchResult` with every qualifying hit.
         """
-        metric = parse_metric((param or {}).get("metric_type", "Euclidean"))
+        metric = parse_metric(_mapping("param", param).get("metric_type",
+                                                           "Euclidean"))
         return self._cluster.range_search(
             self.name, vec, radius, field=field, metric=metric, expr=expr,
             consistency=parse_consistency(consistency_level),

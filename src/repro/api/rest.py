@@ -127,7 +127,7 @@ class RestApi:
     # ------------------------------------------------------------------
 
     def _create_collection(self, body: dict) -> tuple[int, dict]:
-        name = body.get("name")
+        name = _text(body, "name")
         schema_dict = body.get("schema")
         if not name or not isinstance(schema_dict, dict):
             raise ManuError("body needs 'name' and 'schema'")
@@ -157,11 +157,11 @@ class RestApi:
         if action == "range_search":
             return self._range_search(name, body)
         if action == "indexes":
-            field = body.get("field")
+            field = _text(body, "field")
             if not field:
                 raise ManuError("body needs 'field'")
             self._cluster.create_index(
-                name, field, body.get("index_type", "IVF_FLAT"),
+                name, field, _text(body, "index_type", "IVF_FLAT"),
                 parse_metric(body.get("metric_type", "Euclidean")),
                 body.get("params", {}))
             return 201, {"index": f"{name}.{field}"}
@@ -199,12 +199,12 @@ class RestApi:
             "consistency": parse_consistency(
                 body.get("consistency_level", "bounded")),
             "staleness_ms": body.get("staleness_ms", 100.0),
-            "tenant": body.get("tenant"),
+            "tenant": _text(body, "tenant"),
         }
 
     def _search_args(self, body: dict) -> dict:
         return {
-            "field": body.get("field"),
+            "field": _text(body, "field"),
             "metric": parse_metric(body.get("metric_type", "Euclidean")),
             "expr": body.get("expr"),
             **self._read_args(body),
@@ -235,6 +235,16 @@ class RestApi:
         if not isinstance(rows, dict):
             raise ManuError("body needs 'rows' (field -> values)")
         return rows
+
+
+def _text(body: dict, key: str, default: Optional[str] = None
+          ) -> Optional[str]:
+    """A name-valued body entry (a collection, field, index type or
+    tenant): a string, or ``default`` when absent."""
+    value = body.get(key, default)
+    if value is not None and not isinstance(value, str):
+        raise ManuError(f"{key!r} must be a string, got {value!r}")
+    return value
 
 
 def _result_payload(result) -> dict:

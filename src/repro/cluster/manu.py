@@ -727,14 +727,10 @@ class ManuCluster:
             referenced.update(checkpoint.flushed_segments)
         new_ids = []
         for group in policy.plan(metas):
-            retired = [key.rsplit("/", 1)[1] for key, state
-                       in self.metastore.field_values(
-                           f"segments/{collection}/", "state")
-                       if state == "compacted"]
             manifest = compact_segments(
                 self.store, collection, group, deleted,
                 keep_inputs=[sid for sid in group if sid in referenced],
-                retired=retired)
+                retired=self.data_coord.compacted_segments(collection))
             # Register the merged segment (a group with no live row has
             # none) and retire the inputs.
             if manifest is not None:

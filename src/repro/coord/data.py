@@ -185,9 +185,17 @@ class DataCoordinator:
 
     def flushed_segments(self, collection: str) -> list[str]:
         """Segment ids with a persisted binlog."""
+        return self._segments_in(collection, "flushed")
+
+    def compacted_segments(self, collection: str) -> list[str]:
+        """Segment ids merged away by compaction (their rows live on in
+        the merged segment, so a WAL replay must not bring them back)."""
+        return self._segments_in(collection, "compacted")
+
+    def _segments_in(self, collection: str, wanted: str) -> list[str]:
         return sorted(
             key.rsplit("/", 1)[1] for key, state in self._meta.field_values(
-                f"segments/{collection}/", "state") if state == "flushed")
+                f"segments/{collection}/", "state") if state == wanted)
 
     def segment_info(self, collection: str,
                      segment_id: str) -> Optional[dict]:

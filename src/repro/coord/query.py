@@ -363,8 +363,15 @@ class QueryCoordinator:
                      target: QueryNode) -> int:
         """Subscribe ``target`` as the channel's owner from the flushed
         offset (it replays the WAL tail from there) and record it as
-        the owner; returns that offset."""
+        the owner; returns that offset.
+
+        Unpersisted deletes can hold that offset back past segments that
+        were flushed and then compacted away; the target is told their
+        ids first, so the replay does not grow them again beside the
+        segment they were merged into."""
         replay_from = self._flushed_offset(collection, channel)
+        target.retire_segments(
+            collection, self._data_coord.compacted_segments(collection))
         target.unsubscribe(channel)
         target.subscribe(collection, channel, owned=True,
                          from_offset=replay_from)

@@ -13,7 +13,11 @@ from typing import Callable, Optional
 
 from repro.core.schema import CollectionSchema
 from repro.core.tso import TimestampOracle
-from repro.errors import CollectionAlreadyExists, CollectionNotFound
+from repro.errors import (
+    CollectionAlreadyExists,
+    CollectionNotFound,
+    SchemaError,
+)
 from repro.log.broker import LogBroker
 from repro.log.wal import DdlRecord
 from repro.storage.metastore import MetaStore
@@ -53,6 +57,9 @@ class RootCoordinator:
     def create_collection(self, name: str,
                           schema: CollectionSchema) -> None:
         """Create a collection; raises if the name is taken."""
+        if not isinstance(schema, CollectionSchema):
+            raise SchemaError(f"collection {name!r} needs a "
+                              f"CollectionSchema, got {schema!r}")
         key = _CATALOG_PREFIX + name
         if self._meta.get(key) is not None:
             raise CollectionAlreadyExists(name)

@@ -28,9 +28,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from repro.core.entity import require_number
 from repro.core.results import HitBatch
 from repro.core.schema import MetricType
 from repro.core.segment import Segment
+from repro.errors import InvalidQuery
 from repro.index.base import SearchStats
 from repro.index.distances import adjusted_distances
 
@@ -45,12 +47,16 @@ class MultiVectorQuery:
     metric: MetricType
 
     def __post_init__(self) -> None:
+        if not self.fields:
+            raise InvalidQuery("a multi-vector query names at least one "
+                               "vector field")
         missing = [f for f in self.fields
                    if f not in self.queries or f not in self.weights]
         if missing:
-            raise ValueError(f"missing query/weight for fields {missing}")
-        if any(self.weights[f] < 0 for f in self.fields):
-            raise ValueError("weights must be non-negative")
+            raise InvalidQuery(f"missing query/weight for fields {missing}")
+        for field in self.fields:
+            require_number(f"the weight of {field!r}", self.weights[field],
+                           0)
 
 
 def search_segment(segment: Segment, query: MultiVectorQuery, k: int,

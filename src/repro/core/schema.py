@@ -100,8 +100,6 @@ def _system_auto_id_field() -> FieldSchema:
         "description": "implicit auto-generated primary key",
     }
     for key, value in state.items():
-        # manu-lint: disable=frozen-record -- sole creation path for the
-        # reserved system field; __post_init__ rejects its name by design.
         object.__setattr__(primary, key, value)
     return primary
 

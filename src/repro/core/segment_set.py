@@ -103,6 +103,8 @@ class SegmentSet:
         # The persisted delete-delta log, read once for a bulk load of N
         # segments; dropped whenever a new delete flows in.
         self._persisted: Optional[list[tuple[object, int]]] = None
+        # Ids a replay must not grow again (merged away by compaction).
+        self._retired: set[str] = set()
 
     def _new(self, segment_id: str, temp_index: bool) -> Segment:
         segment = Segment(segment_id, self.collection, self.schema,
@@ -122,6 +124,8 @@ class SegmentSet:
             return 0
         segment = self.segments.get(record.segment_id)
         if segment is None:
+            if record.segment_id in self._retired:
+                return 0  # replay of a segment compaction merged away
             segment = self._new(record.segment_id, self._temp_index)
             self._origin[record.segment_id] = (record.shard, offset)
         if record.ts <= segment.max_insert_lsn:
@@ -187,6 +191,11 @@ class SegmentSet:
         return min([offset for of, offset in self._origin.values()
                     if of == shard]
                    + [self._deletes_from.get(shard, consumed)])
+
+    def retire(self, segment_ids) -> None:
+        """Never grow these segments again: their rows live on in a
+        segment compaction merged them into."""
+        self._retired.update(segment_ids)
 
     def release(self, segment_id: str) -> Optional[Segment]:
         """Drop a segment (flushed, handed off or released)."""

@@ -69,9 +69,8 @@ class ChannelNotFound(ManuError):
 class MonotonicityViolation(ManuError):
     """A record's timestamp went backwards on a WAL channel.
 
-    Raised only under ``MANU_CHECK=1`` (the runtime twin of manu-lint's
-    ``timestamp-discipline`` rule): per-channel LSN/time-tick order is the
-    invariant delta consistency's watermarks are built on.
+    Raised only under ``MANU_CHECK=1``: per-channel LSN/time-tick order is
+    the invariant delta consistency's watermarks are built on.
     """
 
 

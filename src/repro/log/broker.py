@@ -197,7 +197,7 @@ class LogBroker:
 
     def _check_one_ts(self, channel: str, payload: Any) -> None:
         ts = getattr(payload, "ts", None)
-        if not isinstance(ts, int) or ts <= 0:  # manu-lint: disable=timestamp-discipline -- 0/None is the "no timestamp" sentinel, not LSN ordering
+        if not isinstance(ts, int) or ts <= 0:
             return
         high = self._check_high_ts.get(channel, 0)
         if ts < high:

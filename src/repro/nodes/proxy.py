@@ -62,6 +62,10 @@ _LATENCY_WINDOWS = {
     "get": "proxy.get_latency",
 }
 
+#: ``Proxy._admit``'s ``metric`` for a verb that names none: a point read,
+#: or a multi-vector query, which carries its own.
+_NO_METRIC = object()
+
 
 @dataclasses.dataclass(slots=True)
 class _ReadRequest:
@@ -373,7 +377,7 @@ class Proxy:
                vectors: Mapping, k: Optional[int],
                consistency: ConsistencyLevel, staleness_ms: float,
                explain: bool = False, admitted: bool = False,
-               metric: Optional[MetricType] = None) -> _ReadRequest:
+               metric: MetricType = _NO_METRIC) -> _ReadRequest:
         """Front half, part one: whatever can refuse a read before it
         costs a timestamp — tenant namespace, cached schema, typed
         validation (``vectors``: vector field, None for the default, ->
@@ -389,13 +393,13 @@ class Proxy:
             raise InvalidQuery(
                 f"consistency must be a ConsistencyLevel, got "
                 f"{consistency!r}")
-        if metric is not None and not isinstance(metric, MetricType):
+        if not isinstance(metric, MetricType) and metric is not _NO_METRIC:
             raise InvalidQuery(
                 f"metric must be a MetricType, got {metric!r}")
         if tenant is not None:
             collection = self._tenant_resolve(tenant, collection)
         blocks = validate_queries(self._schema(collection), vectors)
-        if metric is not None:
+        if metric is not _NO_METRIC:
             for field in blocks:
                 indexed = self._query_coord.index_metric(collection, field)
                 if indexed is not None and indexed is not metric:
@@ -623,9 +627,6 @@ class Proxy:
                            explain: bool = False) -> SearchResult:
         """Multi-vector entity search (Section 3.6)."""
         require_number("k", k, 1, integer=True)
-        for name in query.fields:
-            require_number(f"the weight of {name!r}", query.weights[name],
-                           0)
         req = self._admit(
             "search_multivector", collection, tenant,
             {name: query.queries[name] for name in query.fields}, k,
@@ -657,8 +658,8 @@ class Proxy:
         if isinstance(pks, (str, bytes)) or not isinstance(pks, Iterable):
             raise InvalidQuery(
                 f"pks must be a list of primary keys, got {pks!r}")
-        pks = list(pks)
         try:
+            pks = list(pks)  # a 0-d array is Iterable but not iterable
             set(pks)        # segments look primary keys up by hash
         except TypeError:
             raise InvalidQuery(f"primary keys are hashable, got {pks!r}") \

@@ -143,6 +143,11 @@ class QueryNode:
             channel, f"query-node:{self.name}", from_offset,
             callback=lambda entry, c=collection: self._on_entry(c, entry))
 
+    def retire_segments(self, collection: str, segment_ids) -> None:
+        """Ids a replay of the collection's channels must not grow again
+        (compaction merged them away)."""
+        self._segments(collection).retire(segment_ids)
+
     def unsubscribe(self, channel: str) -> None:
         sub = self._subs.pop(channel, None)
         self._owned_channels.discard(channel)

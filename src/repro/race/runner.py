@@ -348,9 +348,9 @@ def _run_one(policy: SchedulePolicy, steps: int,
         outcome.executed_events = cluster.loop.executed_events
         if cluster.loop.schedule_log is not None:
             outcome.schedule_trace = cluster.loop.schedule_log
-    # manu-lint: disable=error-hygiene -- a crashed seed is a *result* the
-    # sweep must report (with the seed pinned for replay), never a crash
-    # of the sweep itself; any exception type qualifies.
+    # A crashed seed is a *result* the sweep must report (with the seed
+    # pinned for replay), never a crash of the sweep itself; any
+    # exception type qualifies.
     except Exception as exc:
         outcome.error = f"{type(exc).__name__}: {exc}"
     return outcome

@@ -172,12 +172,12 @@ class CostModel:
         # deliberately reads the host's real clock: its whole point is to
         # measure the actual machine, and it never runs inside a simulation.
         _ = data @ query
-        start = time.perf_counter()  # manu-lint: disable=determinism -- host calibration measures real hardware by design
+        start = time.perf_counter()
         reps = 10
         for _ in range(reps):
             diff = data @ query
             _ = float(diff.sum())
-        elapsed_ms = (time.perf_counter() - start) * 1000.0  # manu-lint: disable=determinism -- host calibration measures real hardware by design
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
         macs = float(reps) * sample_n * dim
         measured = macs / max(elapsed_ms, 1e-6)
         return replace(base, mac_per_ms=measured)

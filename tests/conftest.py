@@ -7,12 +7,6 @@ import pytest
 
 from repro.cluster.manu import ManuCluster
 from repro.core.entity import reset_auto_id_counter
-from repro.core.schema import (
-    CollectionSchema,
-    DataType,
-    FieldSchema,
-    MetricType,
-)
 
 
 @pytest.fixture(autouse=True)
@@ -23,48 +17,19 @@ def _fresh_auto_ids():
     reset_auto_id_counter()
 
 
+@pytest.fixture(autouse=True)
+def _manu_check(monkeypatch):
+    """Arm the log backbone's runtime checks for every broker a test
+    builds (``LogBroker(manu_check=False)`` still builds one unarmed)."""
+    monkeypatch.setenv("MANU_CHECK", "1")
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(42)
 
 
 @pytest.fixture
-def small_vectors(rng) -> np.ndarray:
-    return rng.standard_normal((300, 16)).astype(np.float32)
-
-
-@pytest.fixture
-def simple_schema() -> CollectionSchema:
-    return CollectionSchema([
-        FieldSchema("vector", DataType.FLOAT_VECTOR, dim=16),
-        FieldSchema("price", DataType.FLOAT),
-        FieldSchema("label", DataType.STRING),
-    ])
-
-
-@pytest.fixture
-def vector_only_schema() -> CollectionSchema:
-    return CollectionSchema(
-        [FieldSchema("vector", DataType.FLOAT_VECTOR, dim=16)])
-
-
-@pytest.fixture
 def cluster() -> ManuCluster:
     return ManuCluster(num_query_nodes=2, num_index_nodes=1,
                        num_data_nodes=1, num_proxies=1, num_loggers=2)
-
-
-def make_rows(rng: np.random.Generator, n: int, dim: int = 16,
-              with_price: bool = True, with_label: bool = True) -> dict:
-    """Row batch matching the ``simple_schema`` fixture."""
-    data: dict = {
-        "vector": rng.standard_normal((n, dim)).astype(np.float32)}
-    if with_price:
-        data["price"] = rng.uniform(0.0, 100.0, n)
-    if with_label:
-        labels = ["book", "food", "cloth"]
-        data["label"] = [labels[int(rng.integers(3))] for _ in range(n)]
-    return data
-
-
-EUCLIDEAN = MetricType.EUCLIDEAN

@@ -30,8 +30,9 @@ from repro.sim.clock import FIFO_POLICY
 #: through) 3, 23, 29, 38 and 62 lose upserted rows when a query node
 #: joins; without the growing segments' first offsets in
 #: ``SegmentSet.replay_offset`` 29 and 75 lose acked rows on failover;
-#: 1 and 46 compact a group whose rows are all deleted.
-OPS_SEEDS = [1, 3, 11, 23, 29, 38, 46, 57, 62, 75]
+#: 1 and 46 compact a group whose rows are all deleted; 14 and 42 grow
+#: compacted segments again on a takeover without ``SegmentSet.retire``.
+OPS_SEEDS = [1, 3, 11, 14, 23, 29, 38, 42, 46, 57, 62, 75]
 
 
 @pytest.mark.parametrize("ops_seed", OPS_SEEDS)
@@ -179,8 +180,7 @@ def test_crash_point_recovery_converges_to_uncrashed_fingerprint():
     assert diff_fingerprints(baseline_fp, crashed_fp) == []
 
 
-def test_crash_with_pending_commit_group_loses_unacked_rows_only(
-        monkeypatch):
+def test_crash_with_pending_commit_group_loses_unacked_rows_only():
     """Group-commit durability contract at a crash point: rows buffered
     in an open commit group are neither durable nor acked, so a crash
     while the group is pending must leave them invisible after recovery
@@ -190,7 +190,6 @@ def test_crash_with_pending_commit_group_loses_unacked_rows_only(
     from repro.config import LogConfig
     from repro.errors import ClusterStateError
 
-    monkeypatch.setenv("MANU_CHECK", "1")
     rng = np.random.default_rng(5)
     # Bounds no sync path can trip: only the (long) window flushes.
     config = ManuConfig(
@@ -295,14 +294,12 @@ def _migration_workload(crash_mid_migration: bool):
     return cluster, fingerprint
 
 
-def test_crash_mid_migration_converges_to_uncrashed_fingerprint(
-        monkeypatch):
+def test_crash_mid_migration_converges_to_uncrashed_fingerprint():
     """Fenced rebalancing survives losing the migration target: the
     coordinator re-homes the fenced channel, replay from the recorded
     offsets is idempotent (per-segment LSN watermark), and the
     client-observable state is identical to the run with no crash —
     no write lost, none duplicated."""
-    monkeypatch.setenv("MANU_CHECK", "1")
     baseline_cluster, baseline_fp = _migration_workload(
         crash_mid_migration=False)
     crashed_cluster, crashed_fp = _migration_workload(

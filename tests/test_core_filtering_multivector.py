@@ -17,6 +17,7 @@ from repro.core.multivector import (
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.core.segment import Segment
+from repro.errors import InvalidQuery
 from repro.index.ivf import IvfFlatIndex
 
 
@@ -164,14 +165,14 @@ class TestMultiVector:
         assert (np.diff(batch.dists) >= -1e-5).all()
 
     def test_missing_weight_rejected(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidQuery):
             MultiVectorQuery(fields=("image", "text"),
                              queries={"image": np.zeros(8)},
                              weights={"image": 1.0},
                              metric=MetricType.INNER_PRODUCT)
 
     def test_negative_weight_rejected(self, rng):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidQuery):
             MultiVectorQuery(
                 fields=("image",),
                 queries={"image": np.zeros(8)},

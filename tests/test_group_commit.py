@@ -4,8 +4,8 @@ The logger service buffers inserts/deletes per (collection, shard) into
 commit groups and flushes each group as one coalesced ``BatchRecord``
 publish when a bound trips — row count, payload bytes, the virtual-time
 commit window, or an explicit flush.  Writers get :class:`AckFuture`
-handles resolved with the batch LSN strictly after the publish; every
-service here arms ``MANU_CHECK``, under which an ack of rows whose LSN is
+handles resolved with the batch LSN strictly after the publish; under
+``MANU_CHECK``, which every tier-1 test arms, an ack of rows whose LSN is
 not yet on its channel raises.
 """
 
@@ -54,7 +54,6 @@ class _StaticAllocator:
 def _service(loop=None, rows=64, nbytes=256 * 1024, window=2.0,
              num_shards=1):
     broker = LogBroker()
-    broker.manu_check = True   # monotonicity twin armed for every test
     now = loop.now if loop is not None else (lambda: 100.0)
     service = LoggerService(
         TimestampOracle(now), broker, ObjectStore(), _StaticAllocator(),

@@ -5,6 +5,8 @@ all 16 registered index types; family-specific behaviour gets its own test
 classes below.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -106,11 +108,24 @@ def build(name, data):
     return index
 
 
+@pytest.fixture(scope="module")
+def built_on_all(clustered_data):
+    """``name`` -> a deep copy of its index over all of the data, built
+    once per module (builds are seeded; no test sees another's search)."""
+    built = {}
+
+    def copy_of(name):
+        if name not in built:
+            built[name] = build(name, clustered_data[0])
+        return copy.deepcopy(built[name])
+    return copy_of
+
+
 @pytest.mark.parametrize("name", sorted(RECALL_FLOORS))
 class TestIndexContract:
-    def test_recall_floor(self, name, clustered_data, truth):
-        data, queries = clustered_data
-        index = build(name, data)
+    def test_recall_floor(self, name, clustered_data, truth, built_on_all):
+        _data, queries = clustered_data
+        index = built_on_all(name)
         ids, _ = index.search(queries, 10)
         hits = sum(len(set(map(int, row)) & set(map(int, t)))
                    for row, t in zip(ids, truth))
@@ -129,9 +144,9 @@ class TestIndexContract:
             valid = row_ids >= 0
             assert np.isfinite(row_dists[valid]).all()
 
-    def test_distances_sorted(self, name, clustered_data):
-        data, queries = clustered_data
-        index = build(name, data)
+    def test_distances_sorted(self, name, clustered_data, built_on_all):
+        _data, queries = clustered_data
+        index = built_on_all(name)
         _ids, dists = index.search(queries[:4], 10)
         for row in dists:
             finite = row[np.isfinite(row)]
@@ -161,9 +176,9 @@ class TestIndexContract:
         assert np.array_equal(a_dists, b_dists)
         assert again.stats.as_dict() == index.stats.as_dict()
 
-    def test_stats_populated(self, name, clustered_data):
-        data, queries = clustered_data
-        index = build(name, data)
+    def test_stats_populated(self, name, clustered_data, built_on_all):
+        _data, queries = clustered_data
+        index = built_on_all(name)
         index.search(queries[:2], 5)
         stats = index.stats
         total = (stats.float_comparisons + stats.quantized_comparisons
@@ -210,11 +225,11 @@ class TestIndexContract:
         for accepted in GENEROUS_PARAMS.get(name, {}):
             assert accepted in message
 
-    def test_exact_match_found(self, name, clustered_data):
+    def test_exact_match_found(self, name, clustered_data, built_on_all):
         """Searching for a database vector itself must return it top-1
         (quantizing indexes may rank a twin first, so allow top-10)."""
         data, _ = clustered_data
-        index = build(name, data)
+        index = built_on_all(name)
         probe = 17
         ids, _ = index.search(data[probe:probe + 1], 10)
         assert probe in set(int(x) for x in ids[0])

@@ -3,8 +3,7 @@
 Under ``MANU_CHECK=1`` (or ``LogBroker(manu_check=True)``):
 
 * every publish to a ``wal/<collection>/shard-<n>`` channel asserts the
-  record's timestamp never goes backwards (the dynamic twin of manu-lint's
-  ``timestamp-discipline``);
+  record's timestamp never goes backwards (one TSO drives them all);
 * every ``publish`` / ``subscribe`` caller inside ``repro`` must be a
   declared one (``repro.log.topology``);
 * every data entry is pushed twice, as a reconnecting subscriber sees it,
@@ -98,9 +97,8 @@ def test_disabled_broker_accepts_out_of_order():
     broker.publish(SHARD, TimeTickRecord(ts=50, source="tso"))
 
 
-def test_full_cluster_stress_under_manu_check(monkeypatch):
+def test_full_cluster_stress_under_manu_check():
     """A small end-to-end run with the invariant armed throughout."""
-    monkeypatch.setenv("MANU_CHECK", "1")
     cluster = ManuCluster(num_query_nodes=2, num_loggers=2)
     assert cluster.broker.manu_check
     schema = CollectionSchema([
