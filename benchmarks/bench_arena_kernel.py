@@ -13,10 +13,11 @@ coarse GEMV beside the one GEMV over the others' stacked centroids.
 Per block height ``nq`` of 1, 8 and 64 it records the wall microseconds of
 one call — ``arena.search`` over all members, and the members' own
 ``search`` one after another — as the median of ``REPEATS`` timings of
-``CALLS`` calls each, the two timed alternately, and their ratio; where
-the scan is one padded pass (``ArenaIndex.scans_once``), also
+``CALLS`` calls each, the two timed alternately, and their ratio; at one
+query, where its row is one pass (``ArenaIndex.scans_once``), also
 ``select_us``, one call of ``arena.search(together=True)``, the one
-selection over every member's rows that a query node's reduce is.
+selection over every member's rows that a query node's reduce is (a
+block of several queries is never selected so: the node merges).
 ``equal`` is whether, at every height, every member's coarse distances
 from the arena's coarse step are its own probe's bit for bit (at one
 query the stacked GEMV's and the outsider's own call, checked on every
@@ -24,7 +25,7 @@ one of the 256 queries), its probed lists its own, its distances bit for
 bit its own, its ids its own (up to the order of equal distances, and
 which of them the ``k`` cut keeps) and its ``SearchStats`` counters its
 own.
-``selected_equal`` is whether, on every block of every height and swept
+``selected_equal`` is whether, on every one-query block and swept
 setting (``selected_cases`` of them), the one selection answers what the
 members' own answers merged by ``merge_topk`` are — distances bit for
 bit, ids up to the ties the ``k`` cut splits, the same counters — and so
@@ -132,10 +133,10 @@ def _equal(arena: ArenaIndex, members: list[IvfFlatIndex],
     stats = [SearchStats() for _ in members]
     ids, dists = arena.search(queries, K, stats=stats)
     scope = list(range(len(members)))
-    probes = arena._probe(scope, queries, queries,
+    probes = arena._probe(scope, queries,
                           np.zeros((len(members), len(STAT_FIELDS)),
                                    dtype=np.int64))
-    coarse = arena._coarse(scope, arena._scope(scope), queries, queries)
+    coarse = arena._coarse(scope, arena._scope(scope), queries)
     for number, member in enumerate(members):
         own = member._probe(queries, K, None)
         own_coarse = adjusted_distances(queries, member.bucketer.centroids,
@@ -158,9 +159,10 @@ def _equal(arena: ArenaIndex, members: list[IvfFlatIndex],
 
 def _selected_equal(arena: ArenaIndex, members: list[IvfFlatIndex],
                     queries: np.ndarray) -> bool:
-    """Whether the one selection over every member's rows is the members'
-    own answers merged (a query node selects so only where the scan is
-    one padded pass anyway, but the answer must not depend on that)."""
+    """Whether the one selection of one query over every member's rows is
+    the members' own answers merged (a query node selects so only where
+    the query's row is one pass, but the answer must not depend on
+    that)."""
     scope = list(range(len(members)))
     stats = [SearchStats() for _ in members]
     ids, dists, rows, _pruned = arena.search(queries, K, scope, stats,
@@ -172,8 +174,7 @@ def _selected_equal(arena: ArenaIndex, members: list[IvfFlatIndex],
                                          want_ids + arena.row_base[number]),
                                 want_dists))
         if stats[number].as_dict() != member.stats.as_dict() or \
-                np.minimum(rows[number], K).sum() \
-                != np.isfinite(want_dists).sum():
+                min(rows[number], K) != np.isfinite(want_dists).sum():
             return False
     want = merge_topk(answers, K)
     width = dists.shape[1]
@@ -216,7 +217,7 @@ def _fresh_selected_equal(arena: ArenaIndex, members: list[IvfFlatIndex],
                                              asked if number == 0 else K)
         if number == 0:
             dead = (want_ids >= 0) & excluded[np.maximum(want_ids, 0)]
-            if not np.array_equal(dead.sum(axis=1), pruned[0]):
+            if dead.sum() != pruned[0]:
                 return False
             order = np.argsort(dead, axis=1, kind="stable")[:, :K]
             want_ids = np.take_along_axis(want_ids, order, axis=1)
@@ -243,7 +244,7 @@ def _fresh_selected_equal(arena: ArenaIndex, members: list[IvfFlatIndex],
     return (np.array_equal(dists.view(np.int32),
                            want.dists[:, :width].view(np.int32))
             and not np.isfinite(want.dists[:, width:]).any()
-            and np.array_equal(rows.sum(axis=1), [
+            and np.array_equal(rows, [
                 stats[number].float_comparisons
                 - queries.shape[0] * member.effective_nlist
                 for number, member in enumerate(members)])
@@ -345,10 +346,11 @@ def run() -> dict:
                   for i in range(calls)]
         equal = equal and all(_equal(arena, members, queries)
                               for queries in blocks)
-        check_selection(blocks)
+        selects = nq == 1 and arena.scans_once(range(len(members)))
+        if nq == 1:
+            check_selection(blocks)
         turn = iter(range(1 << 30))
         arena_us, members_us, select_us = [], [], []
-        selects = arena.scans_once(range(len(members)), nq)
 
         def arena_call():
             arena.search(blocks[next(turn) % calls], K)
@@ -380,7 +382,8 @@ def run() -> dict:
             with _chunking(width):
                 equal = equal and all(_equal(arena, members, queries)
                                       for queries in blocks)
-                check_selection(blocks)
+                if nq == 1:
+                    check_selection(blocks)
         for _ in range(REPEATS):
             for width in SWEEP:
                 with _chunking(width):

@@ -46,14 +46,8 @@ import numpy as np
 from repro.api.pymanu import parse_consistency, parse_metric
 from repro.cluster.manu import ManuCluster
 from repro.core.schema import CollectionSchema
-from repro.errors import (
-    CollectionAlreadyExists,
-    CollectionNotFound,
-    ExpressionError,
-    FieldNotFound,
-    ManuError,
-    SchemaError,
-)
+from repro.errors import CollectionAlreadyExists, CollectionNotFound, \
+    ManuError, SchemaError
 
 
 class RestApi:
@@ -68,7 +62,11 @@ class RestApi:
 
     def handle(self, method: str, path: str,
                body: Optional[dict] = None) -> tuple[int, dict]:
-        """Route one request; returns (HTTP status, JSON-able payload)."""
+        """Route one request; returns (HTTP status, JSON-able payload).
+
+        A request the system refuses (a :class:`ManuError`) answers 4xx;
+        anything else that escapes is the server's fault and answers
+        500."""
         method = method.upper()
         parts = [p for p in path.split("/") if p]
         try:
@@ -77,9 +75,11 @@ class RestApi:
             return 404, {"error": str(exc)}
         except CollectionAlreadyExists as exc:
             return 409, {"error": str(exc)}
-        except (SchemaError, ExpressionError, FieldNotFound,
-                ManuError, ValueError) as exc:
+        except ManuError as exc:
             return 400, {"error": str(exc)}
+        except Exception as exc:
+            return 500, {"error": f"internal error: "
+                                  f"{type(exc).__name__}: {exc}"}
 
     def _route(self, method: str, parts: list[str],
                body: dict) -> tuple[int, dict]:
@@ -131,7 +131,10 @@ class RestApi:
         schema_dict = body.get("schema")
         if not name or not isinstance(schema_dict, dict):
             raise ManuError("body needs 'name' and 'schema'")
-        schema = CollectionSchema.from_dict(schema_dict)
+        try:
+            schema = CollectionSchema.from_dict(schema_dict)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SchemaError(f"malformed 'schema': {exc!r}") from None
         self._cluster.create_collection(name, schema)
         return 201, {"created": name}
 

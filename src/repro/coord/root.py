@@ -57,6 +57,8 @@ class RootCoordinator:
     def create_collection(self, name: str,
                           schema: CollectionSchema) -> None:
         """Create a collection; raises if the name is taken."""
+        if not isinstance(name, str):
+            raise SchemaError(f"a collection name is a string, got {name!r}")
         if not isinstance(schema, CollectionSchema):
             raise SchemaError(f"collection {name!r} needs a "
                               f"CollectionSchema, got {schema!r}")
@@ -76,8 +78,8 @@ class RootCoordinator:
 
     def drop_collection(self, name: str) -> None:
         """Drop a collection; raises when it does not exist."""
-        key = _CATALOG_PREFIX + name
-        if self._meta.get(key) is None:
+        key = _CATALOG_PREFIX + name if isinstance(name, str) else None
+        if key is None or self._meta.get(key) is None:
             raise CollectionNotFound(name)
         with self._tracer.span("root_coord.drop_collection",
                                "root-coord", collection=name):
@@ -94,7 +96,10 @@ class RootCoordinator:
     # ------------------------------------------------------------------
 
     def get_schema(self, name: str) -> Optional[CollectionSchema]:
-        """The collection's schema, or None when absent (cached)."""
+        """The collection's schema, or None when absent (cached; a name
+        that is not a string names none)."""
+        if not isinstance(name, str):
+            return None
         if name in self._schema_cache:
             return self._schema_cache[name]
         stored = self._meta.get(_CATALOG_PREFIX + name)

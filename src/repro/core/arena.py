@@ -4,7 +4,7 @@ The segment is Manu's unit of storage, placement, sealing, indexing and
 accounting (Sections 3.1, 3.6) — nothing makes it the unit of kernel
 invocation.  A :class:`SegmentArena` is what a query node derives from the
 sealed segments of one ``(collection, vector field, metric)`` whose index
-is a plain bucketed one (:meth:`~repro.index.ivf.ArenaIndex.admits`): one
+is a flat k-means one (:meth:`~repro.index.ivf.ArenaIndex.admits`): one
 :class:`~repro.index.ivf.ArenaIndex` over their indexes and their primary
 keys laid end to end.  A request then pays one coarse step and one
 list-major scan for all of them, per-segment work counters fall out of the
@@ -12,7 +12,7 @@ block, and a member whose bitmap or filter excludes anything hands its slab
 to its segment's own post-filter (:meth:`Segment.filter_block`: the arena
 holds no second copy of it).
 
-An unfiltered request is answered by one selection instead
+An unfiltered one-query request is answered by one selection instead
 (:meth:`SegmentArena.select`), fresh data included: the full slices of
 the node's segments that have no index of their own (growing, or sealed
 and waiting for theirs) join the arena once a search has built them, the
@@ -48,8 +48,8 @@ from repro.core.results import HitBlock, ReduceStats
 from repro.core.schema import MetricType
 from repro.core.segment import Segment, amplified_k
 from repro.index.base import CANDIDATES_PRUNED, CANDIDATES_VISITED, \
-    DELETE_FILTER_HITS, FLOAT_COMPARISONS, INDEX_SCANS, \
-    QUANTIZED_COMPARISONS, ROWS_SCANNED, STAT_FIELDS, SearchStats
+    DELETE_FILTER_HITS, FLOAT_COMPARISONS, INDEX_SCANS, ROWS_SCANNED, \
+    STAT_FIELDS, SearchStats
 from repro.index.distances import repeated
 from repro.index.ivf import ArenaIndex
 
@@ -86,7 +86,7 @@ class SegmentArena:
     @staticmethod
     def admits(segment: Segment, field: str, metric: MetricType) -> bool:
         """Whether a segment is searched through an arena: sealed, with a
-        plain bucketed index of the metric on the field."""
+        flat k-means index of the metric on the field."""
         index = segment.index_for(field)
         return (index is not None and index.metric is metric
                 and segment.is_sealed and ArenaIndex.admits(index))
@@ -221,18 +221,18 @@ class SegmentArena:
                queries: np.ndarray, k: int, counts: np.ndarray,
                reduce: ReduceStats, held: Mapping[str, Segment]
                ) -> Optional[HitBlock]:
-        """The node-wise top-``k`` of an unfiltered request over
+        """The node-wise top-``k`` of an unfiltered one-query request over
         ``segments`` (the node's scope, in segment order, laid out as
         ``layout`` says), done by one selection over every member's rows
         and the fresh segments' tails — or None, having counted nothing,
         where the request is not one.
 
-        It is one where every segment is a sealed member or fresh (no
-        index of its own: its full slices join the arena, built by
-        earlier searches, and its other rows are an exact column), no pk
-        is held twice on the node (``held``), the members' scan is one
-        pass, and every member with deletions keeps what its own answer
-        would (``ListArena.select``'s cuts).  Counts each segment's work
+        It is one where ``queries`` is one row, every segment is a sealed
+        member or fresh (no index of its own: its full slices join the
+        arena, built by earlier searches, and its other rows are an exact
+        column), no pk is held twice on the node (``held``), the members'
+        scan is one pass, and every member with deletions keeps what its
+        own answer would (``ListArena.select``'s cuts).  Counts each segment's work
         into its row of ``counts`` (``(len(segments), STAT_FIELDS)``, the
         scan's first count: nothing is counted in it yet) — a fresh
         segment's slices and tail, as ``Segment.search`` counts them —
@@ -241,10 +241,7 @@ class SegmentArena:
         segments' partials: none repeats a pk.  A scope of sealed members
         with nothing deleted takes none of the fresh or deleting steps.
         """
-        nq = queries.shape[0]
-        if k <= 0 or not nq:
-            return None
-        if layout is None:
+        if k <= 0 or queries.shape[0] != 1 or layout is None:
             return None
         numbers, owners, fresh = layout
         deleting = [at for at, segment in enumerate(segments)
@@ -252,15 +249,13 @@ class SegmentArena:
         if not fresh and not deleting:
             # Sealed members and nothing deleted: the members' rows are
             # the counter rows, no cut to prove and no tail.
-            if not self.distinct_pks or not self.index.scans_once(numbers,
-                                                                  nq):
+            if not self.distinct_pks or not self.index.scans_once(numbers):
                 return None
             ids, dists, probed, _pruned = self.index.search(
                 queries, k, numbers, counts, together=True)
-            kept = np.minimum(probed, k)
-            visited = kept[:, 0] if nq == 1 else kept.sum(axis=1)
+            visited = np.minimum(probed, k)
             self._counted(counts, visited)
-            reduce.batches_merged += int(np.count_nonzero(kept))
+            reduce.batches_merged += int(np.count_nonzero(visited))
             reduce.candidates_in += sum(visited.tolist())
             reduce.hits_out += int(np.count_nonzero(dists < np.inf))
             return HitBlock(self.pks[ids], dists)
@@ -285,7 +280,7 @@ class SegmentArena:
                                      for j in range(3))
         elif not self.distinct_pks:
             return None
-        if not self.index.scans_once(scope, nq):
+        if not self.index.scans_once(scope):
             return None
 
         tails = []
@@ -323,19 +318,19 @@ class SegmentArena:
         # its ``k`` best, or its cut's.
         visited = np.minimum(probed, k)
         for i, (_excluded, asked) in cuts.items():
-            np.minimum(probed[i], asked, out=visited[i])
-        self._counted(work, visited.sum(axis=1))
-        work[:, CANDIDATES_PRUNED] += pruned.sum(axis=1)
+            visited[i] = min(probed[i], asked)
+        self._counted(work, visited)
+        work[:, CANDIDATES_PRUNED] += pruned
         np.add.at(counts, owners, work)
         for at in deleting:
             counts[at, DELETE_FILTER_HITS] += segments[at].num_deleted
         # A segment's partial — a fresh one's slices' and tail's together
         # — holds its ``k`` best live hits, none twice.
-        kept = np.zeros((len(segments), nq), dtype=np.int64)
+        kept = np.zeros(len(segments), dtype=np.int64)
         np.add.at(kept, owners, np.minimum(visited - pruned, k))
         for at, segment, rows, _dists in tails:
             charged = SearchStats()     # an exact scan reports its own
-            segment.charge_exact(field, nq, len(rows), charged)
+            segment.charge_exact(field, 1, len(rows), charged)
             counts[at] += charged.as_row()
             kept[at] += len(rows)
         np.minimum(kept, k, out=kept)
@@ -360,8 +355,7 @@ class SegmentArena:
         one stored row examined per comparison, ``visited``
         candidates."""
         work[:, INDEX_SCANS] = 1
-        np.add(work[:, FLOAT_COMPARISONS], work[:, QUANTIZED_COMPARISONS],
-               out=work[:, ROWS_SCANNED])
+        work[:, ROWS_SCANNED] = work[:, FLOAT_COMPARISONS]
         work[:, CANDIDATES_VISITED] = visited
 
     def search(self, members: Sequence[int], queries: np.ndarray, k: int,

@@ -153,13 +153,13 @@ class CollectionSchema:
                      if not f.dtype.is_vector and not f.is_primary)
 
     def field(self, name: str) -> FieldSchema:
-        """Look up a field by name, raising :class:`FieldNotFound`."""
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise FieldNotFound(
-                f"field {name!r} not in schema "
-                f"(have {sorted(self._by_name)})") from None
+        """Look up a field by name, raising :class:`FieldNotFound` (a name
+        that is not a string names none)."""
+        field = self._by_name.get(name) if isinstance(name, str) else None
+        if field is None:
+            raise FieldNotFound(f"field {name!r} not in schema "
+                                f"(have {sorted(self._by_name)})")
+        return field
 
     def has_field(self, name: str) -> bool:
         return name in self._by_name

@@ -29,15 +29,14 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from bisect import bisect_left
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from repro.core.schema import MetricType
 from repro.errors import IndexBuildError
-from repro.index.base import FLOAT_COMPARISONS, QUANTIZED_COMPARISONS, \
-    STAT_FIELDS, SearchStats, VectorIndex, positive_int, register_index
+from repro.index.base import FLOAT_COMPARISONS, STAT_FIELDS, \
+    SearchStats, VectorIndex, positive_int, register_index
 from repro.index.distances import adjusted_distances, nonzero_norms, \
     normalize_rows, topk_smallest
 from repro.index.hnsw import HnswIndex
@@ -94,10 +93,9 @@ class Codec(Protocol):
         """Whatever can be computed once for the query block.
 
         Pair ``p`` is query ``pair_query[p]`` probing list
-        ``pair_list[p]``; pairs arrive grouped by list.  Codecs that
-        compare equal score alike whatever lists they are asked about: a
-        scan over several indexes prepares once for a run of equal ones
-        (and ``pair_list`` then numbers the lists from the first's).
+        ``pair_list[p]``; pairs arrive grouped by list.  A scan of several
+        indexes at once holds flat members only (``ArenaIndex.admits``),
+        whose scores do not read ``pair_list``.
         """
         ...
 
@@ -201,12 +199,6 @@ class FlatCodec(GemmCodec):
     def __init__(self, metric: MetricType) -> None:
         self.metric = metric
 
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and other.metric is self.metric
-
-    def __hash__(self) -> int:
-        return hash((type(self), self.metric))
-
     def train(self, data: np.ndarray) -> None:
         pass
 
@@ -257,7 +249,7 @@ class InvertedLists:
         self.norms: np.ndarray | None = None
         if metric is MetricType.EUCLIDEAN and codec.scores_cross_term:
             rows = codec.decode(self.codes)
-            # Zero-padded by one list's length: see ``_score``.
+            # Zero-padded by one list's length: see ``_scan_pass``.
             self.norms = np.zeros(len(rows) + self.max_list_size,
                                   dtype=np.float32)
             np.einsum("ij,ij->i", rows, rows, out=self.norms[:len(rows)])
@@ -304,15 +296,18 @@ class InvertedLists:
 
 
 class ListArena:
-    """Several :class:`InvertedLists` laid end to end, scanned as one.
+    """Several :class:`InvertedLists` of one codec laid end to end,
+    scanned as one.
 
     The arena numbers the members' lists and stored rows consecutively,
     member after member: ``offsets`` / ``sizes`` / ``norms`` are the
     members' own, concatenated (every member keeps its trailing empty
     list), and the code matrices stay where they are: a list's codes are
     a view of its member's, taken once.  An arena of one member holds that
-    member's arrays themselves.  It references its members weakly, since
-    a member holds the arena of itself alone.
+    member's arrays themselves, whatever its codec; an arena of several
+    holds flat members of one metric (``ArenaIndex.admits``), so the
+    members keep ``|row|^2`` all or none.  It references its members
+    weakly, since a member holds the arena of itself alone.
 
     ``base`` is an arena of the first members that this one extends: the
     list views derived of them are taken over, and only the arrays laid
@@ -325,6 +320,8 @@ class ListArena:
         new = members[kept:]
         self._members = (base._members if base is not None else ()) \
             + tuple(weakref.ref(member) for member in new)
+        #: The members' codec, and the metric their lists are scanned in.
+        self.codec, self.metric = members[0].codec, members[0].metric
         rows = [len(member.ids) for member in members]
         #: First arena row / first arena list number of every member.
         self.row_base = [0, *itertools.accumulate(rows)]
@@ -352,34 +349,20 @@ class ListArena:
                 ([base.sizes] if base is not None else [])
                 + [member.sizes for member in new])
             self.norms = None
-            if any(member.norms is not None for member in members):
-                # Zeros where a member's scores are whole distances
-                # already, and past the end by one list's length
-                # (``_score``).
-                self.norms = np.zeros(self.row_base[-1] + max(self.widest),
-                                      dtype=np.float32)
-                first = 0
-                if base is not None and base.norms is not None:
-                    first = kept
-                    self.norms[:self.row_base[kept]] = \
-                        base.norms[:self.row_base[kept]]
-                for member, at, n in zip(members[first:],
-                                         self.row_base[first:],
-                                         rows[first:]):
-                    if member.norms is not None:
-                        self.norms[at:at + n] = member.norms[:n]
-        #: Every arena list's ``|row|^2`` (zeros for a member that keeps
-        #: none), a view of its member's, as ``views`` are; None where no
-        #: member keeps them.  One query's row gathers them with one
-        #: ``concatenate``.
+            if members[0].norms is not None:
+                # Zero-padded by one list's length (``_scan_pass``).
+                self.norms = np.concatenate(
+                    ([base.norms[:self.row_base[kept]]]
+                     if base is not None else [])
+                    + [member.norms[:n] for member, n in zip(new, rows[kept:])]
+                    + [np.zeros(max(self.widest), dtype=np.float32)])
+        #: Every arena list's ``|row|^2``, a view of its member's, as
+        #: ``views`` are; None where the members keep none.  One query's
+        #: row gathers them with one ``concatenate``.
         self.norm_views = None
         if self.norms is not None:
-            taken = base.norm_views if base is not None else None
-            self.norm_views = list(taken or [])
-            for member in members[kept if taken else 0:]:
-                codes, norms = member.list_views()
-                self.norm_views += norms if norms is not None else [
-                    np.zeros(len(view), dtype=np.float32) for view in codes]
+            self.norm_views = (base.norm_views if base is not None else []) \
+                + [view for member in new for view in member.list_views()[1]]
 
     @property
     def members(self) -> tuple[InvertedLists, ...]:
@@ -431,79 +414,59 @@ class ListArena:
         at, dists = zip(*passes)
         return np.concatenate(at), np.concatenate(dists), compared
 
-    def _score(self, scope: Sequence[int], queries: np.ndarray,
-               probes: np.ndarray, scorers: tuple, chunked: bool,
-               least: int = 0) -> tuple | None:
-        """Score one block of (member, query) rows list-major, ``scorers``
-        being ``_scorers`` of the members in ``scope``.
+    def _scan_pass(self, scope: Sequence[int], queries: np.ndarray,
+                   probes: np.ndarray, k: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scan one block of (member, query) rows list-major; same
+        returns as ``scan``.
 
-        Returns ``(block, order, lows, sizes, widest, grid)``, or None
-        where no pair probes a row and ``least`` is 0: pair ``p`` belongs
-        to row ``p // width`` (rows are member-major, ``nq`` to a member),
-        ``order`` lists the pairs list by list — hence member by member —
-        and ``lows`` / ``sizes`` are the first arena row and the size of
-        each pair's list in that order.  ``block`` holds a row per pair in
-        that order, ``widest`` (at least ``least``) wide and +inf past its
-        list; where ``chunked`` and a pass that large holds fewer floats
-        in chunks, it is the ``grid``'s (``_ChunkGrid``) instead."""
+        Pair ``p`` belongs to row ``p // width`` (rows are member-major,
+        ``nq`` to a member); the pairs are scored list by list — hence
+        member by member — with one ``prepare`` of the codec, each list's
+        group of pairs into a rectangular slice of a score block with a
+        row per pair, as wide as the widest list probed and +inf past its
+        list.  Where a pass that large holds fewer floats in chunks, the
+        block is the chunk grid's (``_ChunkGrid``) instead."""
         n, nq, width = probes.shape
         pairs = probes.reshape(-1)
         order = np.argsort(pairs, kind="stable")
         grouped = pairs[order]
-        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
         lows = self.offsets[grouped]
         sizes = self.sizes[grouped]
-        widest = max(int(sizes.max(initial=0)), least)
-        if widest == 0:
-            return None
-
+        widest = int(sizes.max(initial=0))
+        if k <= 0 or widest == 0:
+            return (np.full((n * nq, k), -1, dtype=np.int64),
+                    np.full((n * nq, k), np.inf, dtype=np.float32),
+                    np.zeros(n, dtype=np.int64))
         # Row -> query: rows are member-major, ``nq`` to a member.
         pair_query = order // width
         if n > 1:
             pair_query %= nq
-        per = nq * width
-        runs, partial = scorers
+        score = self.codec.prepare(queries, pair_query,
+                                   grouped - self.list_base[scope[0]],
+                                   self.metric)
         # A list's group of pairs: its first pair, the pair past its last,
         # its codes and its size.
+        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
         bounds = [0, *cuts, len(order)]
         numbers = grouped[bounds[:-1]]
         views = [self.views[number] for number in numbers.tolist()]
         size_of = self.sizes[numbers].tolist()
-        # A large pass is laid out in chunks where that holds fewer floats.
         grid = _ChunkGrid.of(self.sizes[probes].reshape(n * nq, width),
                              widest, order, lows) \
-            if chunked and len(order) * widest > _CHUNK_FROM else None
+            if len(order) * widest > _CHUNK_FROM else None
         if grid is None:
-            # One block row per pair, in list order, as wide as the
-            # widest list: each list's scores go straight into a
-            # rectangular slice of it.
-            block = np.full((len(order), widest), np.inf,
-                            dtype=np.float32)
+            block = np.full((len(order), widest), np.inf, dtype=np.float32)
+            for begin, end, codes, size in zip(bounds, bounds[1:], views,
+                                               size_of):
+                if size:
+                    score(begin, end, codes, block[begin:end, :size])
         else:
             block, outs = grid.block(bounds, size_of)
-        group = 0
-        for first, last, codec, metric in runs:
-            # One ``prepare`` for a run of members whose codecs are equal;
-            # the run's pairs are ``lo:hi``, those of its members.
-            lo, hi = first * per, last * per
-            score = codec.prepare(
-                queries, pair_query[lo:hi],
-                grouped[lo:hi] - self.list_base[scope[first]], metric)
-            until = bisect_left(bounds, hi, group)
-            if grid is None:
-                for begin, end, codes, size in zip(
-                        bounds[group:until], bounds[group + 1:until + 1],
-                        views[group:until], size_of[group:until]):
-                    if size:
-                        score(begin - lo, end - lo, codes,
-                              block[begin:end, :size])
-            else:
-                for begin, end, codes, out in zip(
-                        bounds[group:until], bounds[group + 1:until + 1],
-                        views[group:until], outs[group:until]):
-                    if out is not None:
-                        score(begin - lo, end - lo, codes, out)
-            group = until
+            for begin, end, codes, out in zip(bounds, bounds[1:], views,
+                                              outs):
+                if out is not None:
+                    score(begin, end, codes, out)
         if self.norms is not None:
             # (|q|^2 - 2 q.v) + |v|^2, the order ``squared_l2`` adds in.
             # Row ``r`` of ``windows`` is ``norms[r:r + wide]``: a block
@@ -511,8 +474,6 @@ class ListArena:
             # and what it reads past the list's end lands on +inf
             # padding.
             q_norms = np.einsum("ij,ij->i", queries, queries)[pair_query]
-            if not all(partial):   # no |q|^2 on whole distances
-                q_norms *= np.repeat(partial, per)
             if grid is None:
                 wide, starts = widest, lows
             else:
@@ -523,24 +484,6 @@ class ListArena:
                                  np.float32, self.norms,
                                  strides=self.norms.strides * 2)
             block += windows[starts]
-        return block, order, lows, sizes, widest, grid
-
-    def _scan_pass(self, scope: Sequence[int], queries: np.ndarray,
-                   probes: np.ndarray, k: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scan one block of (member, query) rows list-major; same
-        returns as ``scan``."""
-        n, nq, width = probes.shape
-        members = self.members
-        scored = self._score(
-            scope, queries, probes,
-            _scorers([members[number] for number in scope]), True) \
-            if k > 0 else None
-        if scored is None:
-            return (np.full((n * nq, k), -1, dtype=np.int64),
-                    np.full((n * nq, k), np.inf, dtype=np.float32),
-                    np.zeros(n, dtype=np.int64))
-        block, order, _lows, sizes, widest, grid = scored
         if grid is None:
             # Back to row order: a row's pairs side by side make its
             # candidate row, and one batched top-k picks the winners.
@@ -561,63 +504,57 @@ class ListArena:
         return at, dists, sizes.reshape(n, nq * width).sum(axis=1)
 
     def select(self, scope: Sequence[int], queries: np.ndarray,
-               probes: np.ndarray, k: int, scorers: tuple,
+               probes: np.ndarray, k: int,
                cuts: Mapping[int, tuple[np.ndarray, int]] | None = None,
                columns: Sequence[np.ndarray] = (),
                ranks: Sequence[int] | None = None) -> tuple | None:
-        """The top-``k`` of every query over the rows every member in
+        """The top-``k`` of one query over the rows every member in
         ``scope`` probes for it and over ``columns``, selected at once in
-        one pass however large (``ArenaIndex.scans_once`` says when that
-        is the pass ``scan`` makes anyway).
+        one row of scores (``ArenaIndex.scans_once`` says when that is the
+        pass ``scan`` makes anyway).  The members are flat.
 
-        ``probes`` is as in ``scan``, and ``scorers`` is ``_scorers`` of
-        the members in ``scope``.  ``cuts`` maps a position in
-        ``scope`` to ``(excluded, asked)``: a mask over the member's build
-        rows, which are dropped, and how many of its best probed rows its
-        own answer takes them from.  Such a member's rows pass only where
-        that answer is its first ``k`` unexcluded rows: a query whose
-        ``asked`` best hold fewer while ``asked`` is below the member's
-        rows, or where the cut splits a tie holding an excluded row, makes
-        the selection None.  ``columns`` are ``(nq, m)`` blocks of further
-        distances, laid after the lists' in every query's row.  Equal
-        distances are kept and ranked in column order, or by ``ranks``
-        first (one per position in ``scope``, then one per column) where
-        given.
+        ``queries`` is one row and ``probes`` is as in ``scan``, ``(len(
+        scope), 1, width)``.  ``cuts`` maps a position in ``scope`` to
+        ``(excluded, asked)``: a mask over the member's build rows, which
+        are dropped, and how many of its best probed rows its own answer
+        takes them from.  Such a member's rows pass only where that answer
+        is its first ``k`` unexcluded rows: where its ``asked`` best hold
+        fewer while ``asked`` is below the member's rows, or where the cut
+        splits a tie holding an excluded row, the selection is None.
+        ``columns`` are ``(1, m)`` rows of further distances, laid after
+        the lists'.  Equal distances are kept and ranked in column order,
+        or by ``ranks`` first (one per position in ``scope``, then one per
+        column) where given.
 
         Returns ``(arena rows, adjusted distances, rows scored, pruned)``:
-        the first two ``(nq, <= k)``, padded by ``-1`` / ``+inf``, with a
+        the first two ``(1, <= k)``, padded by ``-1`` / ``+inf``, with a
         column entry numbered from ``row_base[-1]`` on (columns laid end
-        to end); the rows each (member, query) probed and the excluded
-        ones among its ``asked`` best, ``(len(scope), nq)``.  A member's
-        distances are the ones ``scan`` hands it.
+        to end); the rows each member probed and the excluded ones among
+        its ``asked`` best, ``(len(scope),)``.  A member's distances are
+        the ones ``scan`` hands it.
         """
-        n, nq, width = probes.shape
-        pruned = np.zeros((n, nq), dtype=np.int64)
+        n = len(scope)
+        pruned = np.zeros(n, dtype=np.int64)
         if k <= 0:
-            return (np.empty((nq, 0), dtype=np.int64),
-                    np.empty((nq, 0), dtype=np.float32),
-                    self.sizes[probes].sum(axis=2), pruned)
-        # Every query's row of list scores; member ``i``'s scores are
-        # columns ``spans[i]:spans[i + 1]``, and the scores of a list are
-        # laid from column ``heads[j]`` on, that of arena row
-        # ``lows[q, j]`` first (``_arena_rows``).
-        rows, spans, heads, lows, probed = (
-            self._one_row if nq == 1 else self._query_rows)(
-                scope, queries, probes, scorers)
+            return (np.empty((1, 0), dtype=np.int64),
+                    np.empty((1, 0), dtype=np.float32),
+                    self.sizes[probes].sum(axis=(1, 2)), pruned)
+        # Member ``i``'s scores are entries ``spans[i]:spans[i + 1]`` of
+        # the row, and the scores of a list are laid from entry
+        # ``heads[j]`` on, that of arena row ``lows[j]`` first
+        # (``_arena_rows``).
+        row, spans, heads, lows, probed = self._one_row(queries, probes)
         lists = spans[-1]
         if columns:
-            rows = np.concatenate([rows, *columns], axis=1)
+            row = np.concatenate([row, *columns], axis=None)
         for i, (excluded, asked) in (cuts or {}).items():
             lo, hi = spans[i], spans[i + 1]
             ids = self._members[scope[i]]().ids
-            scores = rows[:, lo:hi]
-            # Past a list's end in a padded row: whatever row follows it.
-            stored = _arena_rows(heads, lows, np.broadcast_to(
-                np.arange(lo, hi), (nq, hi - lo)))
-            dead = excluded[ids[np.minimum(
-                stored - self.row_base[scope[i]], len(ids) - 1)]]
-            dead &= scores < np.inf     # +inf is padding
-            found = _pruned(scores, dead, probed[i], asked, k, len(excluded))
+            scores = row[lo:hi]
+            dead = excluded[ids[_arena_rows(heads, lows, np.arange(lo, hi))
+                                - self.row_base[scope[i]]]]
+            found = _pruned(scores, dead, int(probed[i]), asked, k,
+                            len(excluded))
             if found is None:
                 return None
             pruned[i] = found
@@ -625,12 +562,12 @@ class ListArena:
         key = None
         if ranks is not None:
             def key(cols: np.ndarray) -> np.ndarray:
-                ends = np.cumsum([column.shape[1] for column in columns])
+                ends = np.cumsum([column.size for column in columns])
                 return np.asarray(ranks)[np.where(
                     cols < lists, np.searchsorted(spans[1:], cols, "right"),
                     n + np.searchsorted(ends, cols - lists, "right"))]
 
-        cols, dists = _in_column_order(rows, *topk_smallest(rows, k + 1), k,
+        cols, dists = _in_column_order(row, *topk_smallest(row, k + 1), k,
                                        key)
         at = _arena_rows(heads, lows,
                          np.minimum(cols, lists - 1) if columns else cols)
@@ -639,17 +576,15 @@ class ListArena:
         at = np.where(dists < np.inf, at, -1)  # +inf is padding
         if self.norms is not None:
             np.maximum(dists, 0.0, out=dists)   # rounding below zero
-        return at, dists, probed, pruned
+        return at[None], dists[None], probed, pruned
 
-    def _one_row(self, scope: Sequence[int], queries: np.ndarray,
-                 probes: np.ndarray, scorers: tuple) -> tuple:
+    def _one_row(self, queries: np.ndarray, probes: np.ndarray) -> tuple:
         """One query's candidate row, laid compact: every probed list's
         scores right after the last's, in list order (member by member,
-        as lists are numbered); a list is one GEMV, as a member's own
-        search of one query scores it.  A float codec's run of members is
-        scored straight into the 1-D row, its left factor computed once;
-        a quantized codec's through its ``prepare``d scorer.  Returns
-        ``select``'s ``(rows, spans, heads, lows, rows probed)``."""
+        as lists are numbered); a list is one GEMV straight into the row,
+        as a member's own search of one query scores it, the left factor
+        computed once.  Returns ``select``'s ``(row, spans, heads, lows,
+        rows probed)``."""
         n, _nq, width = probes.shape
         # Each member's lists, ascending: list numbers are member-major.
         pairs = np.sort(probes.reshape(-1))
@@ -658,142 +593,84 @@ class ListArena:
         row = np.empty(int(ends[-1]), dtype=np.float32)
         numbers, starts = pairs.tolist(), [0, *ends.tolist()]
         views = self.views
-        runs, partial = scorers
-        for first, last, codec, metric in runs:
-            lo, hi = first * width, last * width
-            if isinstance(codec, FlatCodec):
-                left = _left_factor(queries, metric)[0]
-                for number, begin, end in zip(numbers[lo:hi], starts[lo:hi],
-                                              starts[lo + 1:hi + 1]):
-                    if begin < end:
-                        np.dot(views[number], left, out=row[begin:end])
-                continue
-            score = codec.prepare(
-                queries, np.zeros(hi - lo, dtype=np.int64),
-                pairs[lo:hi] - self.list_base[scope[first]], metric)
-            line = row[None]
-            for p in range(lo, hi):
-                if starts[p] < starts[p + 1]:
-                    score(p - lo, p - lo + 1, views[numbers[p]],
-                          line[:, starts[p]:starts[p + 1]])
+        left = _left_factor(queries, self.metric)[0]
+        for number, begin, end in zip(numbers, starts, starts[1:]):
+            if begin < end:
+                np.dot(views[number], left, out=row[begin:end])
         if self.norms is not None:
             # (|q|^2 - 2 q.v) + |v|^2, the order ``squared_l2`` adds in.
-            q_norm = np.einsum("ij,ij->i", queries, queries)
-            if all(partial):
-                row += q_norm[0]
-            else:                   # no |q|^2 on whole distances
-                row += np.repeat(q_norm * np.repeat(partial, width), sizes)
+            row += np.einsum("ij,ij->i", queries, queries)[0]
             norm_views = self.norm_views
             row += np.concatenate([norm_views[number] for number in numbers])
-        return (row[None], starts[::width], ends - sizes,
-                self.offsets[pairs][None],
-                sizes.reshape(n, width).sum(axis=1)[:, None])
-
-    def _query_rows(self, scope: Sequence[int], queries: np.ndarray,
-                    probes: np.ndarray, scorers: tuple) -> tuple:
-        """Every query's candidate row, query-major: its (member, query)
-        rows side by side, each its probed lists in probe order, padded
-        to the pass's widest.  Returns ``select``'s ``(rows, spans,
-        heads, lows, rows probed)``."""
-        n, nq, width = probes.shape
-        block, order, _lows, _sizes, widest, _grid = self._score(
-            scope, queries, probes, scorers, False, least=1)
-        wide = width * widest
-        by_member = np.empty_like(block)
-        by_member[order] = block
-        rows = by_member.reshape(n, nq, wide).transpose(1, 0, 2) \
-            .reshape(nq, n * wide)
-        lows = self.offsets[probes].transpose(1, 0, 2).reshape(nq, n * width)
-        return (rows, list(range(0, n * wide + 1, wide)),
-                np.arange(0, n * wide, widest), lows,
-                self.sizes[probes].sum(axis=2))
-
-
-def _scorers(members: Sequence[InvertedLists]) -> tuple[list, list[bool]]:
-    """The runs of consecutive ``members`` that one prepared scorer serves
-    (codecs equal, one metric), as ``(first position, past the last,
-    codec, metric)``, and whether each member keeps ``|row|^2``."""
-    runs, first = [], 0
-    while first < len(members):
-        head, last = members[first], first + 1
-        while last < len(members) and members[last].codec == head.codec \
-                and members[last].metric is head.metric:
-            last += 1
-        runs.append((first, last, head.codec, head.metric))
-        first = last
-    return runs, [member.norms is not None for member in members]
+        return (row, starts[::width], ends - sizes, self.offsets[pairs],
+                sizes.reshape(n, width).sum(axis=1))
 
 
 def _arena_rows(heads: np.ndarray, lows: np.ndarray, cols: np.ndarray
                 ) -> np.ndarray:
-    """The arena row of every entry of ``cols``, ``(nq, m)`` columns of
-    ``ListArena.select``'s rows: the list whose scores are laid from
-    column ``heads[j]`` on (ascending; an empty list shares the next
-    one's) holds it, and ``lows[q, j]`` is the arena row of that list's
-    first score in row ``q``."""
+    """The arena row of every entry of ``cols``, entries of
+    ``ListArena.select``'s row: the list whose scores are laid from entry
+    ``heads[j]`` on (ascending; an empty list shares the next one's) holds
+    it, and ``lows[j]`` is the arena row of that list's first score."""
     at = np.searchsorted(heads, cols, "right") - 1
-    return lows[np.arange(len(cols))[:, None], at] + cols - heads[at]
+    return lows[at] + cols - heads[at]
 
 
-def _pruned(scores: np.ndarray, excluded: np.ndarray, probed: np.ndarray,
-            asked: int, k: int, total: int) -> np.ndarray | None:
-    """How many ``excluded`` rows each query's ``asked`` best ``scores``
-    (one row per query, +inf padded; ``probed`` finite) hold, when what
-    an index asked for them and post-filtered to ``k`` keeps is the row's
-    ``k`` best unexcluded ones (or all of them): None where a query keeps
-    fewer than ``k`` while ``asked`` is below the ``total`` rows (the
-    post-filter would escalate to an exact scan), or where the ``asked``
-    cut splits a tie that holds an excluded row (which of the tie the cut
-    keeps is the index's to pick)."""
-    pruned = np.zeros(len(scores), dtype=np.int64)
-    for q in np.flatnonzero(excluded.any(axis=1)).tolist():
-        dead = scores[q][excluded[q]]
-        if probed[q] <= asked:      # every probed row is a candidate
-            pruned[q] = len(dead)
-            continue
-        row = scores[q]
-        cut = np.partition(row, asked - 1)[asked - 1]
-        pruned[q] = np.count_nonzero(dead < cut)
+def _pruned(scores: np.ndarray, excluded: np.ndarray, probed: int,
+            asked: int, k: int, total: int) -> int | None:
+    """How many ``excluded`` rows the ``asked`` best ``scores`` (one
+    query's, of the ``probed`` rows a member probed) hold, when what an
+    index asked for them and post-filtered to ``k`` keeps is the ``k``
+    best unexcluded ones (or all of them): None where it keeps fewer than
+    ``k`` while ``asked`` is below the ``total`` rows (the post-filter
+    would escalate to an exact scan), or where the ``asked`` cut splits a
+    tie that holds an excluded row (which of the tie the cut keeps is the
+    index's to pick)."""
+    dead = scores[excluded]
+    pruned = 0
+    if probed <= asked:         # every probed row is a candidate
+        pruned = len(dead)
+    elif len(dead):
+        cut = np.partition(scores, asked - 1)[asked - 1]
+        pruned = int(np.count_nonzero(dead < cut))
         at_cut = int(np.count_nonzero(dead == cut))
         if at_cut:
-            if np.count_nonzero(row <= cut) > asked:
-                return None         # the cut splits their tie
-            pruned[q] += at_cut
-    if asked < total and (np.minimum(asked, probed) - pruned < k).any():
+            if np.count_nonzero(scores <= cut) > asked:
+                return None     # the cut splits their tie
+            pruned += at_cut
+    if asked < total and min(asked, probed) - pruned < k:
         return None
     return pruned
 
 
-def _in_column_order(rows: np.ndarray, cols: np.ndarray,
-                     dists: np.ndarray, k: int,
+def _in_column_order(row: np.ndarray, cols: np.ndarray, dists: np.ndarray,
+                     k: int,
                      key: Callable[[np.ndarray], np.ndarray] | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """The top ``k`` of ``(cols, dists)`` = ``topk_smallest(rows, k + 1)``
+    """The top ``k`` of ``(cols, dists)`` = ``topk_smallest(row, k + 1)``
     with equal scores in column order (by ``key(columns)`` first, where
     given): a run the ``k`` cut splits keeps its earliest columns, and
     every run is ordered by column.  Columns lie member by member, so a
     tie keeps and ranks the earlier member's entries first, as a stable
     merge of the members' own answers does.  The ``k + 1``-th score tells
-    a split run without a look at ``rows``, so a row without a tie costs
+    a split run without a look at ``row``, so a row without a tie costs
     one comparison of its neighbours."""
-    tied = dists[:, 1:] == dists[:, :-1]
-    cols, dists = cols[:, :k], dists[:, :k]
+    tied = dists[1:] == dists[:-1]
+    cols, dists = cols[:k], dists[:k]
     if not tied.any():
         return cols, dists
-    for q in np.flatnonzero(tied.any(axis=1)).tolist():
-        value = dists[q, -1]
-        if value < np.inf and tied[q, k - 1:].any():
-            # A run split by the cut: its first ``n`` columns, in the
-            # row's last ``n`` entries.
-            n = np.count_nonzero(dists[q] == value)
-            run = np.flatnonzero(rows[q] == value)
-            if key is not None:
-                run = run[np.argsort(key(run), kind="stable")]
-            cols[q, -n:] = run[:n]
-        order = np.lexsort((cols[q], dists[q]) if key is None
-                           else (cols[q], key(cols[q]), dists[q]))
-        cols[q], dists[q] = cols[q, order], dists[q, order]
-    return cols, dists
+    value = dists[-1]
+    if value < np.inf and tied[k - 1:].any():
+        # A run split by the cut: its first ``n`` columns, in the row's
+        # last ``n`` entries.
+        n = np.count_nonzero(dists == value)
+        run = np.flatnonzero(row == value)
+        if key is not None:
+            run = run[np.argsort(key(run), kind="stable")]
+        cols[-n:] = run[:n]
+    order = np.lexsort((cols, dists) if key is None
+                       else (cols, key(cols), dists))
+    return cols[order], dists[order]
 
 
 class _ChunkGrid:
@@ -834,7 +711,7 @@ class _ChunkGrid:
            lows: np.ndarray) -> _ChunkGrid | None:
         """The grid of a pass whose pairs probe lists of ``sizes``
         (``(rows, width)``, in row order; ``order`` / ``lows`` as in
-        ``ListArena._score``), or ``None`` where it would not hold
+        ``ListArena._scan_pass``), or ``None`` where it would not hold
         fewer floats than the padded block."""
         width = min(_CHUNK_WIDTH, widest)
         spans = (sizes + (width - 1)) // width
@@ -1035,30 +912,35 @@ class BucketedIndex(VectorIndex):
 
 
 class ArenaIndex(VectorIndex):
-    """Built bucketed indexes of one metric, searched as one.
+    """Built flat k-means indexes of one metric, searched as one.
 
     Derived from its members and storing no row of its own: their lists
     laid end to end (:class:`ListArena`, which references the members'
     code matrices), the map from arena rows to the rows of the members'
-    build matrices laid end to end, and what the flat coarse step needs
-    of the k-means centroids.  ``search`` answers, for every member in
-    scope, what the member's own ``search`` answers — the same lists
-    probed, the same distances bit for bit, exact ties possibly in
-    another order — with one coarse step and one list-major scan for all
-    of them.  The work is per member and is counted into one counter
-    array, a row per member in scope (``repro.index.base``), handed to
-    ``search`` or added to the ``SearchStats`` handed to it; the arena's
-    own ``stats`` stays empty.
+    build matrices laid end to end, and what the coarse step needs of the
+    k-means centroids.  ``search`` answers, for every member in scope,
+    what the member's own ``search`` answers — the same lists probed, the
+    same distances bit for bit, exact ties possibly in another order —
+    with one coarse step and one list-major scan for all of them.  The
+    work is per member and is counted into one counter array, a row per
+    member in scope (``repro.index.base``), handed to ``search`` or added
+    to the ``SearchStats`` handed to it; the arena's own ``stats`` stays
+    empty.
     """
 
     index_type = "ARENA"
 
     @staticmethod
     def admits(index: VectorIndex | None) -> bool:
-        """A built index that is probe -> scan and nothing else: a type
-        that works out its own probe width or post-processes what the
-        scan returns is searched through its own ``search``."""
+        """A built index of raw float rows in k-means lists that is probe
+        -> scan and nothing else: ``IVF_FLAT``, ``COMPOSITE`` ``kmeans x
+        none`` and a growing slice's temporary index.  Any other (a
+        quantized codec, a graph-navigated or IMI bucketer, a type that
+        works out its own probe width or post-processes what the scan
+        returns) is searched through its own ``search``."""
         return (isinstance(index, BucketedIndex) and index.is_built
+                and type(index.codec) is FlatCodec
+                and type(index.bucketer) is KMeansBucketer
                 and type(index).search is BucketedIndex.search
                 and type(index)._probe is BucketedIndex._probe)
 
@@ -1071,8 +953,8 @@ class ArenaIndex(VectorIndex):
             if not self.admits(member) or member.metric is not self.metric \
                     or member.dim != self.dim:
                 raise IndexBuildError(
-                    f"an arena of {self.metric.value} indexes of dim "
-                    f"{self.dim} cannot take {member.index_type} "
+                    f"an arena of {self.metric.value} flat k-means indexes "
+                    f"of dim {self.dim} cannot take {member.index_type} "
                     f"({member.metric.value}, dim {member.dim})")
         self.members = tuple(members)
         self.lists = ListArena([member._lists for member in members],
@@ -1093,16 +975,13 @@ class ArenaIndex(VectorIndex):
         self._widths = np.minimum(
             [member.nprobe for member in members], self._nlists)
         self._list_bases = np.array(self.lists.list_base[:-1])
-        self._quantized = [member.codec.quantized for member in members]
-        self._unit_rows = [member._unit_rows for member in members]
-        # The coarse step of the members probed by a flat centroid scan
-        # is done for all of them at once.  What does not depend on the
-        # query is kept per member: the right factor of its GEMM, the
-        # centroids (unit-normalised where the member probes by cosine)
-        # times -2 under Euclidean and -1 otherwise, so that the GEMM
-        # yields ``-2 q.c`` / ``-q.c`` with the bits of the member's own
-        # probe (see ``_left_factor``), and |c|^2 under Euclidean.
-        self._centroids: list[np.ndarray | None] = \
+        # The coarse step is done for all members at once.  What does not
+        # depend on the query is kept per member: the right factor of its
+        # GEMM, the centroids (unit-normalised under cosine) times -2
+        # under Euclidean and -1 otherwise, so that the GEMM yields
+        # ``-2 q.c`` / ``-q.c`` with the bits of the member's own probe
+        # (see ``_left_factor``), and |c|^2 under Euclidean.
+        self._centroids: list[np.ndarray] = \
             list(base._centroids) if base is not None else []
         self._centroid_norms = np.zeros(
             (len(members), int(self._nlists.max())), dtype=np.float32)
@@ -1110,23 +989,19 @@ class ArenaIndex(VectorIndex):
             self._centroid_norms[:kept, :base._centroid_norms.shape[1]] = \
                 base._centroid_norms
         for number, member in enumerate(new, kept):
-            factor = None
-            if type(member.bucketer) is KMeansBucketer:
-                centroids = member.bucketer.centroids
-                if member.bucketer.metric is MetricType.EUCLIDEAN:
-                    np.einsum("ij,ij->i", centroids, centroids,
-                              out=self._centroid_norms[
-                                  number, :len(centroids)])
-                    factor = -2.0 * centroids
-                elif member.bucketer.metric is MetricType.COSINE:
-                    factor = centroids / -nonzero_norms(centroids)
-                else:
-                    factor = -centroids
-                factor = factor.T
-            self._centroids.append(factor)
-        # At one query, the flat coarse steps are one GEMV over the
-        # factors' rows stacked in C order.  A GEMV row's bits depend only
-        # on whether it lies in the call's last ``n mod 4`` rows
+            centroids = member.bucketer.centroids
+            if self.metric is MetricType.EUCLIDEAN:
+                np.einsum("ij,ij->i", centroids, centroids,
+                          out=self._centroid_norms[number, :len(centroids)])
+                factor = -2.0 * centroids
+            elif self.metric is MetricType.COSINE:
+                factor = centroids / -nonzero_norms(centroids)
+            else:
+                factor = -centroids
+            self._centroids.append(factor.T)
+        # At one query, the coarse steps are one GEMV over the factors'
+        # rows stacked in C order.  A GEMV row's bits depend only on
+        # whether it lies in the call's last ``n mod 4`` rows
         # (``test_stacked_coarse_gemv_rounds_as_each_members_own``), so a
         # member joins the stack only where its ``nlist`` is a multiple of
         # 4; any other keeps its own call.  First stack row of every
@@ -1137,7 +1012,7 @@ class ArenaIndex(VectorIndex):
             else [np.empty((0, self.dim), dtype=np.float32)]
         at = len(parts[0])
         for factor in self._centroids[kept:]:
-            if factor is None or factor.shape[1] % 4:
+            if factor.shape[1] % 4:
                 self._stacked_at.append(None)
                 continue
             self._stacked_at.append(at)
@@ -1170,40 +1045,23 @@ class ArenaIndex(VectorIndex):
         return facts
 
     def _probe(self, scope: Sequence[int], queries: np.ndarray,
-               unit: np.ndarray, counts: np.ndarray) -> np.ndarray:
+               counts: np.ndarray) -> np.ndarray:
         """The ``(len(scope), nq, width)`` arena list numbers each
         (member, query) row scans, most promising first; the coarse
         work is counted into ``counts``, a row per position in ``scope``."""
         facts = self._scope(scope)
         nq = queries.shape[0]
-        flat, width = facts.flat, facts.width
-        probes = None
-        if facts.graphs:
-            probes = np.full((len(scope), nq, width), -1, dtype=np.int64)
-            for i in facts.graphs:
-                member = self.members[scope[i]]
-                walked = SearchStats()      # a graph reports its own work
-                found = member.bucketer.probe(
-                    unit if member._unit_rows else queries,
-                    member.nprobe, walked)
-                counts[i] += walked.as_row()
-                probes[i, :, :found.shape[1]] = found
-        if flat:
-            dists = self._coarse(scope, facts, queries, unit)
-            counts[facts.flat_at, FLOAT_COMPARISONS] += \
-                facts.coarse if nq == 1 else nq * facts.coarse
-            # The lists ``topk_smallest`` takes, whose first step this is;
-            # ranked, so that a narrower member's first slots are its own.
-            found = topk_smallest(dists.reshape(len(flat) * nq, -1),
-                                  width)[0].reshape(len(flat), nq, width)
-            if probes is None:
-                probes = found
-            else:
-                probes[flat] = found
+        width = facts.width
+        dists = self._coarse(scope, facts, queries)
+        counts[:, FLOAT_COMPARISONS] += \
+            facts.coarse if nq == 1 else nq * facts.coarse
+        # The lists ``topk_smallest`` takes, whose first step this is;
+        # ranked, so that a narrower member's first slots are its own.
+        probes = topk_smallest(dists.reshape(len(scope) * nq, -1),
+                               width)[0].reshape(len(scope), nq, width)
         if facts.ragged:
-            # What a row does not probe — a slot past its member's own
-            # width, or one a graph left empty — is its member's
-            # trailing empty list.
+            # A slot past its member's own width is its member's trailing
+            # empty list.
             probes = np.where(
                 (np.arange(width) < facts.widths[:, None, None])
                 & (probes >= 0), probes, facts.nlists[:, None, None])
@@ -1211,10 +1069,10 @@ class ArenaIndex(VectorIndex):
         return probes
 
     def _coarse(self, scope: Sequence[int], facts: _Scope,
-                queries: np.ndarray, unit: np.ndarray) -> np.ndarray:
-        """The coarse distances of the flat members in ``scope`` (whose
-        facts ``facts`` are), ``(len(flat), nq, wide)``, +inf past a
-        member's lists: each member's own probe's, bit for bit.
+                queries: np.ndarray) -> np.ndarray:
+        """The coarse distances of the members in ``scope`` (whose facts
+        ``facts`` are), ``(len(scope), nq, wide)``, +inf past a member's
+        lists: each member's own probe's, bit for bit.
 
         At one query one GEMV over the stacked members in scope, for
         several queries one GEMM per member over the rows the member's own
@@ -1222,18 +1080,19 @@ class ArenaIndex(VectorIndex):
         differently), and a member outside the stack its own call.
         Everything else is done once, in place."""
         nq = queries.shape[0]
-        left = unit if self.metric is MetricType.COSINE else queries
-        dists = np.full((len(facts.flat), nq, facts.norms.shape[1]), np.inf,
+        left = normalize_rows(queries) \
+            if self.metric is MetricType.COSINE else queries
+        dists = np.full((len(scope), nq, facts.norms.shape[1]), np.inf,
                         dtype=np.float32)
-        own = enumerate(facts.flat)
+        own = range(len(scope))
         if nq == 1 and facts.stack is not None:
             lo, hi = facts.stack
             dists.reshape(-1)[facts.put] = \
                 np.dot(self._stack[lo:hi], left[0])[facts.take]
             own = facts.own
-        for j, i in own:
+        for i in own:
             factor = self._centroids[scope[i]]
-            np.matmul(left, factor, out=dists[j][:, :factor.shape[1]])
+            np.matmul(left, factor, out=dists[i][:, :factor.shape[1]])
         if self.metric is MetricType.EUCLIDEAN:
             # |q|^2 - 2 q.c + |c|^2, the order ``squared_l2`` adds in.
             dists += np.einsum("ij,ij->i", queries, queries)[:, None]
@@ -1241,20 +1100,15 @@ class ArenaIndex(VectorIndex):
             np.maximum(dists, 0.0, out=dists)
         return dists
 
-    def scans_once(self, scope: Sequence[int], nq: int) -> bool:
-        """Whether a search of the members in ``scope`` (ascending) for
-        ``nq`` query rows is one scan pass, which ``search(together=True)``
+    def scans_once(self, scope: Sequence[int]) -> bool:
+        """Whether a one-query search of the members in ``scope``
+        (ascending) is one scan pass, which ``search(together=True)``
         selects from.  Decided from the probe widths and the widest lists,
-        before any coarse step: several queries' pass is one padded score
-        block of ``len(scope) * nq * width`` (row, probed list) pairs,
-        none wider than the widest list in scope; one query's row is laid
-        compact (``ListArena._one_row``), each member's lists no wider
-        than its own widest."""
-        if not scope or nq <= 0:
-            return False
-        facts = self._scope(scope)
-        cells = facts.compact if nq == 1 else nq * facts.cells
-        return facts.alike and cells <= min(_CHUNK_FROM, _SCAN_BLOCK_FLOATS)
+        before any coarse step: the query's row is laid compact
+        (``ListArena._one_row``), each member's lists no wider than its
+        own widest."""
+        return bool(scope) and self._scope(scope).compact \
+            <= min(_CHUNK_FROM, _SCAN_BLOCK_FLOATS)
 
     def search(self, queries: np.ndarray, k: int,
                scope: Sequence[int] | None = None,
@@ -1274,48 +1128,40 @@ class ArenaIndex(VectorIndex):
         counter array ``(len(scope), STAT_FIELDS)``, or into one and then
         added to its entry of ``stats``, a :class:`SearchStats`.
 
-        ``together`` selects each query's top-``k`` over every member's
-        rows at once instead, in one scan pass (what ``search`` makes
-        anyway where ``scans_once``; ``ListArena.select``): ``(ids,
-        adjusted distances, rows scored, pruned)``, the first two ``(nq,
-        <= k)``, the best hits of the members' answers merged (equal
-        distances kept and ranked earlier member first, as the merge does;
-        within one member they may be taken or ranked otherwise), the
-        last two ``(len(scope), nq)``.  ``cuts`` (position in ``scope`` ->
-        a mask of the member's excluded rows and the ``k`` its own answer
-        is asked for), ``columns`` (further ``(nq, m)`` distances in every
-        query's row; a hit of one has the id ``ntotal`` + its place in the
-        columns laid end to end) and ``ranks`` (of the tie order) are
-        ``ListArena.select``'s; where it is None, so is the search, and
-        what was counted into ``stats`` is to be dropped.
+        ``together`` selects one query's top-``k`` over every member's
+        rows at once instead (``ListArena.select``; one scan pass where
+        ``scans_once``): ``(ids, adjusted distances, rows scored,
+        pruned)``, the first two ``(1, <= k)``, the best hits of the
+        members' answers merged (equal distances kept and ranked earlier
+        member first, as the merge does; within one member they may be
+        taken or ranked otherwise), the last two ``(len(scope),)``.
+        ``cuts`` (position in ``scope`` -> a mask of the member's excluded
+        rows and the ``k`` its own answer is asked for), ``columns``
+        (further ``(1, m)`` distances; a hit of one has the id ``ntotal``
+        + its place in the columns laid end to end) and ``ranks`` (of the
+        tie order) are ``ListArena.select``'s; where it is None, so is the
+        search, and what was counted into ``stats`` is to be dropped.
         """
         queries = self._check_query_input(queries)
         scope = list(range(len(self.members))) if scope is None \
             else list(scope)
         n, nq = len(scope), queries.shape[0]
-        facts = self._scope(scope) if n else None
-        if together and not (n and nq and facts.alike):
-            raise ValueError(
-                "one selection needs a query and members scanned alike "
-                "(all with unit rows, or none)")
+        if together and not (n and nq == 1):
+            raise ValueError("one selection serves one query over at least "
+                             "one member")
         if not n or not nq:
             return (np.full((n, nq, k), -1, dtype=np.int64),
                     np.full((n, nq, k), np.inf, dtype=np.float32))
         counts = stats if isinstance(stats, np.ndarray) \
             else np.zeros((n, len(STAT_FIELDS)), dtype=np.int64)
-        unit = normalize_rows(queries) \
-            if self.metric is MetricType.COSINE else queries
-        probes = self._probe(scope, queries, unit, counts)
-        # Members whose lists hold unit rows are scanned with unit
-        # queries: two scans where the members differ in that.
+        probes = self._probe(scope, queries, counts)
         if together:
-            found = self.lists.select(
-                scope, unit if facts.unit else queries, probes, k,
-                facts.scorers, cuts, columns, ranks)
+            found = self.lists.select(scope, queries, probes, k, cuts,
+                                      columns, ranks)
             if found is None:
                 return None
             at, dists, rows, pruned = found
-            self._count(facts, facts.rows, rows.sum(axis=1), counts)
+            counts[:, FLOAT_COMPARISONS] += rows
             if not columns:
                 ids = np.where(at < 0, -1, self.ids[at])
             else:
@@ -1325,45 +1171,16 @@ class ArenaIndex(VectorIndex):
                                np.where(at < 0, -1,
                                         at - stored + self.ntotal))
             found = ids, dists, rows, pruned
-        elif not facts.alike:
-            asked = [self._unit_rows[number] for number in scope]
-            at = np.empty((n, nq, k), dtype=np.int64)
-            dists = np.empty((n, nq, k), dtype=np.float32)
-            for unit_rows in (False, True):
-                group = np.array([i for i, flag in enumerate(asked)
-                                  if flag is unit_rows], dtype=np.int64)
-                at[group], dists[group] = self._scan(
-                    scope, facts, group, unit if unit_rows else queries,
-                    probes[group], k, counts)
-            found = np.where(at < 0, -1, self.ids[at]), dists
         else:
-            at, dists = self._scan(scope, facts, facts.rows,
-                                   unit if facts.unit else queries, probes,
-                                   k, counts)
-            found = np.where(at < 0, -1, self.ids[at]), dists
+            at, dists, compared = self.lists.scan(scope, queries, probes, k)
+            counts[:, FLOAT_COMPARISONS] += compared
+            shape = n, nq, k
+            found = (np.where(at < 0, -1, self.ids[at]).reshape(shape),
+                     dists.reshape(shape))
         if stats is not None and counts is not stats:
             for entry, row in zip(stats, counts.tolist()):
                 entry.add(SearchStats.from_row(row))
         return found
-
-    def _scan(self, scope: Sequence[int], facts: _Scope, group: np.ndarray,
-              queries: np.ndarray, probes: np.ndarray, k: int,
-              counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One scan for the members at positions ``group`` of ``scope``:
-        ``(arena rows, distances)``, ``(len(group), nq, k)``."""
-        at, dists, compared = self.lists.scan(
-            [scope[i] for i in group.tolist()], queries, probes, k)
-        self._count(facts, group, compared, counts)
-        shape = len(group), queries.shape[0], k
-        return at.reshape(shape), dists.reshape(shape)
-
-    @staticmethod
-    def _count(facts: _Scope, group: np.ndarray, compared: np.ndarray,
-               counts: np.ndarray) -> None:
-        """Add the rows each member at positions ``group`` of a scope
-        (whose facts ``facts`` are) scored to its row of ``counts``, in
-        the column its codec counts comparisons in."""
-        counts[group, facts.columns[group]] += compared
 
 
 class _Scope:
@@ -1372,48 +1189,27 @@ class _Scope:
 
     def __init__(self, arena: ArenaIndex, scope: tuple[int, ...]) -> None:
         numbers = list(scope)
-        #: Whether the first member's lists hold unit rows, and whether
-        #: every member's do alike: then one scan serves them all.
-        self.unit = arena._unit_rows[scope[0]]
-        self.alike = all(arena._unit_rows[number] is self.unit
-                         for number in scope)
         self.widths = arena._widths[numbers]
         self.nlists = arena._nlists[numbers]
         self.bases = arena._list_bases[numbers]
         self.width = int(self.widths.max())
-        #: Score-block floats one query row of a padded pass over the
-        #: scope can need, and one query's compact row (``scans_once``).
-        widest = [arena.lists.widest[number] for number in scope]
-        self.cells = len(scope) * max(1, self.width * max(widest))
-        self.compact = max(1, sum(width * wide for width, wide
-                                  in zip(self.widths.tolist(), widest)))
-        #: Every position, and the counter column each one's codec counts
-        #: comparisons in (``ArenaIndex._count``).
-        self.rows = np.arange(len(scope))
-        self.columns = np.array([
-            QUANTIZED_COMPARISONS if arena._quantized[number]
-            else FLOAT_COMPARISONS for number in scope])
-        #: Positions probed by a flat centroid scan and by their own
-        #: bucketer; whether a slot of some row probes nothing.
-        self.flat = [i for i, number in enumerate(scope)
-                     if arena._centroids[number] is not None]
-        self.graphs = [i for i, number in enumerate(scope)
-                       if arena._centroids[number] is None]
-        self.ragged = bool(self.graphs) \
-            or int(self.widths.min()) < self.width
-        #: |c|^2 of the flat positions, a row each as wide as the arena's
+        #: Whether some member probes fewer lists than the widest.
+        self.ragged = int(self.widths.min()) < self.width
+        #: Score floats one query's compact row can need (``scans_once``).
+        self.compact = max(1, sum(
+            width * arena.lists.widest[number]
+            for width, number in zip(self.widths.tolist(), scope)))
+        #: |c|^2 of every position, a row each as wide as the arena's
         #: widest member, and how many centroids each one scores.
-        self.norms = arena._centroid_norms[numbers][self.flat]
-        sizes = [arena._centroids[scope[i]].shape[1] for i in self.flat]
-        self.flat_at = np.array(self.flat, dtype=np.int64)
+        self.norms = arena._centroid_norms[numbers]
+        sizes = [arena._centroids[number].shape[1] for number in scope]
         self.coarse = np.array(sizes, dtype=np.int64)
-        # One query: coarse block row ``j`` of flat position ``i``,
-        # stacked or scored on its own.
-        stacked = [(j, arena._stacked_at[scope[i]], size)
-                   for j, (i, size) in enumerate(zip(self.flat, sizes))
-                   if arena._stacked_at[scope[i]] is not None]
-        self.own = [(j, i) for j, i in enumerate(self.flat)
-                    if arena._stacked_at[scope[i]] is None]
+        # One query: coarse block row ``i``, stacked or scored on its own.
+        stacked = [(i, arena._stacked_at[number], size)
+                   for i, (number, size) in enumerate(zip(scope, sizes))
+                   if arena._stacked_at[number] is not None]
+        self.own = [i for i, number in enumerate(scope)
+                    if arena._stacked_at[number] is None]
         #: The stack rows one GEMV multiplies (every stacked member in
         #: scope lies among them), and where in the coarse block its
         #: products go: ``put`` / ``take``.
@@ -1424,14 +1220,10 @@ class _Scope:
             wide = self.norms.shape[1]
             self.take = np.concatenate([
                 np.arange(at - lo, at - lo + size)
-                for _j, at, size in stacked])
+                for _i, at, size in stacked])
             self.put = np.concatenate([
-                np.arange(j * wide, j * wide + size)
-                for j, _at, size in stacked])
-        #: The runs of members one prepared scorer serves, and which keep
-        #: ``|row|^2`` (``_scorers``): what the one selection scores by.
-        lists = arena.lists.members
-        self.scorers = _scorers([lists[number] for number in scope])
+                np.arange(i * wide, i * wide + size)
+                for i, _at, size in stacked])
 
 
 class ExhaustiveIndex(BucketedIndex):

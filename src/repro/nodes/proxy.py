@@ -610,9 +610,9 @@ class Proxy:
         """
         require_number("k", k, 1, integer=True)
         filter_expr = FilterExpression(expr) if expr is not None else None
-        req = self._admit("search", collection, tenant, {field: queries}, k,
-                          consistency, staleness_ms, explain, _admitted,
-                          metric)
+        req = self._admit("search", collection, tenant,
+                          _field_rows(field, queries), k, consistency,
+                          staleness_ms, explain, _admitted, metric)
         (field, block), = req.blocks.items()
         return self._scatter_gather(
             req, "search", (field, block, k, metric, filter_expr), metric,
@@ -696,8 +696,8 @@ class Proxy:
             require_number("limit", limit, 0, integer=True)
         filter_expr = FilterExpression(expr) if expr is not None else None
         req = self._admit("range_search", collection, tenant,
-                          {field: query}, None, consistency, staleness_ms,
-                          explain, metric=metric)
+                          _field_rows(field, query), None, consistency,
+                          staleness_ms, explain, metric=metric)
         (field, block), = req.blocks.items()
         if req.nq != 1:
             raise InvalidQuery("range_search takes one query vector")
@@ -745,8 +745,9 @@ class Proxy:
         require_number("k", k, 1, integer=True)
         if expr is not None:
             FilterExpression(expr)      # refused now, not at the flush
-        req = self._admit("search", collection, tenant, {field: query}, k,
-                          consistency, staleness_ms, metric=metric)
+        req = self._admit("search", collection, tenant,
+                          _field_rows(field, query), k, consistency,
+                          staleness_ms, metric=metric)
         (field, block), = req.blocks.items()
         if req.nq != 1:
             raise InvalidQuery("submit_search takes one query vector")
@@ -843,6 +844,14 @@ class Proxy:
             finally:
                 for span in waiting.values():
                     self._tracer.finish_span(span, status=SPAN_INCOMPLETE)
+
+
+def _field_rows(field: Optional[str], rows) -> dict:
+    """``Proxy._admit``'s ``vectors`` of a one-field read: ``field`` (None:
+    the schema's default vector field) names a field only as a string."""
+    if field is not None and not isinstance(field, str):
+        raise InvalidQuery(f"a field name is a string, got {field!r}")
+    return {field: rows}
 
 
 def _node_scan_children(ids: Sequence[str], ends: Sequence[float],

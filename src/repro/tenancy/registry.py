@@ -147,10 +147,9 @@ class TenantRegistry:
         return self._tenants.pop(name)
 
     def get(self, name: str) -> TenantInfo:
-        try:
+        if isinstance(name, str) and name in self._tenants:
             return self._tenants[name]
-        except KeyError:
-            raise TenantNotFound(name) from None
+        raise TenantNotFound(name)
 
     def set_quota(self, name: str, quota: TenantQuota) -> None:
         self.get(name).quota = quota

@@ -1,7 +1,7 @@
 """The public surface speaks one error (paper §3.1): any input to a verb
-of ``ManuCluster`` or PyManu (names are strings, as the signatures say;
-values are anything) answers or raises a ``ManuError``, and a REST
-request answers with a status.  Derandomized, so tier-1 draws the same
+of ``ManuCluster`` or PyManu (names and values alike, of any type)
+answers or raises a ``ManuError``, and a REST request answers with a
+status other than 500.  Derandomized, so tier-1 draws the same
 inputs each run; to hunt, raise ``max_examples`` in a scratch copy.
 """
 
@@ -35,15 +35,18 @@ _values = st.recursive(
              array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)),
     lambda inner: st.lists(inner, max_size=5)
     | st.dictionaries(_text, inner, max_size=3), max_leaves=10)
+#: A name (a collection, field, tenant, index type): any value, strings
+#: among them.
+_name = _values
 # Half the draws name the served collection and hand a well-formed query
 # block, so they reach the checks behind the lookup and the query's own.
-_collection = st.just("c") | _text
+_collection = st.just("c") | _name
 _vectors = arrays(np.float32, st.sampled_from([(DIM,), (1, DIM), (3, DIM)]),
                   elements=st.floats(-5, 5, width=32)) | _values
 _rows = _values | st.fixed_dictionaries(
     {"pk": _values, "vector": _values},
     optional={"price": _values, "label": _values})
-_OPTION = {"field": st.none() | _text, "tenant": st.none() | _text,
+_OPTION = {"field": _name, "tenant": _name,
            "vec": _vectors, "data": _vectors}
 
 
@@ -65,9 +68,9 @@ VERBS = {"cluster": {
     "insert": (st.tuples(_collection, _rows), _kw("tenant")),
     "upsert": (st.tuples(_collection, _rows), _kw("tenant")),
     "delete": (st.tuples(_collection, _values), _kw("tenant")),
-    "create_index": (st.tuples(_collection, _text, _text, _values,
+    "create_index": (st.tuples(_collection, _name, _name, _values,
                                _values), _kw()),
-    "create_collection": (st.tuples(_text, _values), _kw()),
+    "create_collection": (st.tuples(_name, _values), _kw()),
 }, "collection": {
     "search": (st.tuples(), _kw("vec", "field", "param", "limit", "expr",
                                 "explain", "data", "bogus", *_LEVELS)),
@@ -79,9 +82,9 @@ VERBS = {"cluster": {
                            _kw("limit", "metric_type", *_LEVELS)),
     "insert": (st.tuples(_rows), _kw()),
     "delete": (st.tuples(_values), _kw()),
-    "create_index": (st.tuples(_text, _values), _kw()),
+    "create_index": (st.tuples(_name, _values), _kw()),
 }, "pymanu": {
-    "Collection": (st.tuples(_text, _values), st.just({"using": "errors"})),
+    "Collection": (st.tuples(_name, _values), st.just({"using": "errors"})),
 }}
 
 
@@ -141,3 +144,4 @@ def test_a_rest_request_answers_with_a_status(served, method, path, body):
     assume(method != "DELETE" or path.strip("/") != "collections/c")
     status, payload = RestApi(served).handle(method, path, body)
     assert isinstance(status, int) and isinstance(payload, dict)
+    assert status != 500, payload

@@ -4,7 +4,7 @@ coordination through the log or public methods (which the schedule
 shuffler sees); one graph walk; one log applier; binlog written by data
 nodes and compaction only (paper §3.3); layers import down the DAG (§2);
 the virtual clock is the only clock; a broad ``except`` only in the race
-runner; log records stay as born (§3.3)."""
+runner and the REST handler's 500; log records stay as born (§3.3)."""
 
 from __future__ import annotations
 
@@ -164,10 +164,17 @@ def test_the_virtual_clock_is_the_only_clock(trees):
     assert sorted(set(hits)) == []
 
 
+#: Modules allowed a broad ``except``, and why.
+BROAD_EXCEPT = {
+    "src/repro/race/runner.py": "a crashed seed is a result of the sweep",
+    "src/repro/api/rest.py": "a request the server fails answers 500",
+}
+
+
 def test_broad_except_only_in_the_race_runner(trees):
     hits = [f"{rel}:{node.lineno}: broad except"
             for rel, _module, _source, tree in trees
-            if rel != "src/repro/race/runner.py"
+            if rel not in BROAD_EXCEPT
             for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)
             for kind in getattr(node.type, "elts", [node.type])
             if kind is None or getattr(kind, "id", "") in ("Exception",

@@ -14,11 +14,12 @@ and everything a caller or a plane can see must agree —
 * ``SearchStats`` / ``ReduceStats`` field by field, the per-segment EXPLAIN
   stages, ``profile.verify() == []``, ``latency_ms`` to the last digit.
 
-Both sides of the one selection are held to that: a node scan whose
-arena holds every segment in scope, with no deletion, no filter, no pk
-twice and one padded scan pass, is reduced by the scan's own selection
-(``selects=True``); every other node scan by the per-member top-k and the
-node merge.
+Both sides of the one selection are held to that: a one-query node scan
+whose segments in scope are all flat k-means arena members or fresh, with
+no filter, no pk twice, one scan row and every deleting member's cut
+proven, is reduced by the scan's own selection (``selects=True``); every
+other node scan — every scan of several query rows among them — by the
+per-member top-k and the node merge.
 
 The arena is derived state: the second half mutates what it was derived
 from between two searches and checks it is never read stale.
@@ -213,7 +214,7 @@ class TestArenaMatchesThePerSegmentLoop:
         queries = clustered(rng, nq)
         for k in (1, 10, 2500):         # 2500 > rows
             got = both(cluster, monkeypatch, queries, k, metric=metric,
-                       selects=True)
+                       selects=nq == 1)
             assert all(len(r) == min(k, len(r)) > 0 for r in got)
         held = [arena for arena in arenas(cluster, metric)
                 if arena is not None]
@@ -348,7 +349,7 @@ class TestArenaMatchesThePerSegmentLoop:
         assert min(nlists) == sizes[0] and max(nlists) == 16
         for nq in (1, 3, 64):
             both(cluster, monkeypatch, clustered(rng, nq), 10,
-                 selects=nq < 64)
+                 selects=nq == 1)
 
     @pytest.mark.parametrize("metric", METRICS)
     @pytest.mark.parametrize("n_deleted", [3, 10, 11, 120])
@@ -358,7 +359,8 @@ class TestArenaMatchesThePerSegmentLoop:
         segment), on some segments only.  Up to 13 exclusions a member's
         amplified ``k`` always holds ``k`` live rows, so the deleting
         members stay in the one selection; 120 of the nearest starve the
-        members that hold them, and those nodes merge."""
+        members that hold them, and those nodes merge.  Several query rows
+        merge everywhere."""
         cluster = sealed_cluster(rng, metric)
         queries = clustered(rng, 17)
         nearest = cluster.search("c", queries[:1], n_deleted,
@@ -367,14 +369,14 @@ class TestArenaMatchesThePerSegmentLoop:
         cluster.run_for(500)
         selects = True if n_deleted <= 13 else nothing_deleted
         got = both(cluster, monkeypatch, queries, 10, metric=metric,
-                   selects=selects)
+                   selects=False)
         assert not set(nearest) & {pk for r in got for pk in r.pks}
         totals = got[0].profile.totals()
         assert totals["delete_filter_hits"] == n_deleted
         assert totals["candidates_pruned"] > 0
         for nq in (1, 3):
             both(cluster, monkeypatch, queries[:nq], 10, metric=metric,
-                 selects=selects)
+                 selects=selects if nq == 1 else False)
 
     def test_a_member_that_allows_nothing(self, rng, monkeypatch):
         """Every row of one sealed segment deleted: the arena scans the
@@ -387,7 +389,7 @@ class TestArenaMatchesThePerSegmentLoop:
         gone = set(emptied.pk_array.tolist())
         for nq in (1, 3):
             got = both(cluster, monkeypatch, clustered(rng, nq), 10,
-                       selects=True)
+                       selects=nq == 1)
             assert not gone & {pk for r in got for pk in r.pks}
         arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
         assert emptied in arena.segments and len(arena.segments) > 1
@@ -399,11 +401,13 @@ class TestArenaMatchesThePerSegmentLoop:
         farthest = cluster.search("c", -100.0 * queries[:1], 40)[0].pks
         cluster.delete("c", f"pk in {farthest}")
         cluster.run_for(500)
-        got = both(cluster, monkeypatch, queries, 10, selects=True)
+        got = both(cluster, monkeypatch, queries, 10, selects=False)
         totals = got[0].profile.totals()
         assert totals["candidates_visited"] > \
             len(queries) * 10 * len(sealed_segments(cluster)) * 0.9
         assert totals["candidates_pruned"] == 0
+        got = both(cluster, monkeypatch, queries[:1], 10, selects=True)
+        assert got[0].profile.totals()["candidates_pruned"] == 0
 
     def test_filter_plans_pre_post_and_scan_on_one_node(self, rng,
                                                         monkeypatch):
@@ -492,7 +496,7 @@ class TestArenaMatchesThePerSegmentLoop:
         assert home in nodes
         for nq in (1, 9):   # the node that holds two copies merges
             got = both(cluster, monkeypatch, queries[:nq], 10,
-                       selects=lambda node: node is not home)
+                       selects=lambda node: nq == 1 and node is not home)
         assert got[0].pks[0] == top
         assert all(len(set(r.pks)) == len(r.pks) == 10 for r in got)
         node_dups = sum(
@@ -586,9 +590,9 @@ class TestArenaMatchesThePerSegmentLoop:
     def test_mixed_index_types_unindexed_and_growing(self, rng,
                                                      monkeypatch):
         """IVF_FLAT + IVF_PQ + HNSW + unindexed + growing segments on one
-        node: the first two share the arena (two codecs, one scan), the
-        rest feed the same merge from their own searches.  The other
-        node's growing segment is a column of its one selection."""
+        node: the IVF_FLAT ones share the arena, the rest feed the same
+        merge from their own searches.  The other node's growing segment
+        is a column of its one selection."""
         cluster = sealed_cluster(rng, n=3000, seal=300)
         node = max(cluster.query_coord.live_nodes(),
                    key=lambda n: len(n.sealed_segments_of("c")))
@@ -608,11 +612,11 @@ class TestArenaMatchesThePerSegmentLoop:
         cluster.run_for(500)
         for nq in (1, 3, 64):   # every node holds a growing segment
             got = both(cluster, monkeypatch, clustered(rng, nq), 10,
-                       selects=lambda other: other is not node and nq < 64)
+                       selects=lambda other: other is not node and nq == 1)
         arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
         kinds = [type(member).__name__ for member in arena.index.members]
-        assert sorted(set(kinds)) == ["IvfFlatIndex", "IvfPqIndex"]
-        assert len(kinds) == len(held) - 2
+        assert set(kinds) == {"IvfFlatIndex"}
+        assert len(kinds) == len(held) - 3
         stage = next(s for s in got[0].profile.node_stages()
                      if s.meta["node"] == node.name)
         paths = [seg.meta["path"] for seg in stage.stages("segment.scan")]
@@ -624,7 +628,9 @@ class TestArenaMatchesThePerSegmentLoop:
     def test_quantized_and_graph_probed_members(self, rng, monkeypatch,
                                                 metric):
         """IVF_SQ8, IVF_PQ (unit rows under cosine) and IVF_HNSW (a
-        bucketer that is asked per segment) beside IVF_FLAT."""
+        graph-navigated bucketer) beside IVF_FLAT: each is searched by its
+        own ``Segment.search`` and merged at its node, which selects
+        nothing; the arenas hold the IVF_FLAT segments only."""
         cluster = sealed_cluster(rng, metric, n=1500, seal=300)
         kinds = ["IVF_SQ8", "IVF_PQ", "IVF_HNSW"]
         for (node, segment), kind in zip(sealed_segments(cluster), kinds):
@@ -634,18 +640,17 @@ class TestArenaMatchesThePerSegmentLoop:
             index = create_index(kind, metric, DIM, **params)
             index.build(segment.column("vector"))
             segment.attach_index("vector", index)
-        # Under cosine the ADC codecs' lists hold unit rows: a node with
-        # such a member beside plain ones scans twice, and merges.
         mixed = {node.name for node, segment in sealed_segments(cluster)
-                 if segment.index_for("vector")._unit_rows}
+                 if not isinstance(segment.index_for("vector"), IvfFlatIndex)}
         for nq in (1, 3, 64):
             both(cluster, monkeypatch, clustered(rng, nq), 10,
-                 metric=metric, selects=lambda node: node.name not in mixed)
-        assert bool(mixed) is (metric is MetricType.COSINE)
+                 metric=metric,
+                 selects=lambda node: nq == 1 and node.name not in mixed)
+        assert mixed
         members = [type(member).__name__ for arena in arenas(cluster, metric)
-                   for member in arena.index.members]
-        assert {"IvfSqIndex", "IvfPqIndex", "IvfHnswIndex",
-                "IvfFlatIndex"} == set(members)
+                   if arena is not None for member in arena.index.members]
+        assert set(members) == {"IvfFlatIndex"}
+        assert len(members) == len(sealed_segments(cluster)) - 3
 
     def test_replica_scopes_select_a_strict_subset(self, rng, monkeypatch):
         """Hot replicas: ``search_plan`` rotates which holder covers a
@@ -671,8 +676,11 @@ class TestArenaMatchesThePerSegmentLoop:
                 assert scope is not None
                 scoped.add((node.name, frozenset(scope)))
                 assert scope <= set(node.sealed_segments_of("c"))
+            both(cluster, monkeypatch, queries[:1], 10,
+                 between=same_plan_again, selects=True)
+            same_plan_again()       # both shapes of the request, one plan
             both(cluster, monkeypatch, queries, 10, between=same_plan_again,
-                 selects=True)
+                 selects=False)
         assert len(scoped) > len(cluster.query_coord.live_nodes())
         assert any(len(scope) < len(node.sealed_segments_of("c"))
                    for node, scope in plan)
@@ -751,12 +759,12 @@ class TestFreshNodes:
         queries = clustered(rng, nq)
         if growing >= SLICE:    # its slices are not built yet
             both(cluster, monkeypatch, queries, 10,
-                 selects=lambda other: other is not node)
+                 selects=lambda other: nq == 1 and other is not node)
         for k in (1, 10, 5000):     # 5000 > rows
-            got = both(cluster, monkeypatch, queries, k, selects=True)
+            got = both(cluster, monkeypatch, queries, k, selects=nq == 1)
         arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
         assert len(arena.slices.get(segment.segment_id, (None, ()))[1]) \
-            == growing // SLICE
+            == (growing // SLICE if nq == 1 else 0)
         paths = {seg.meta["path"] for stage in got[0].profile.node_stages()
                  for seg in stage.stages("segment.scan")}
         assert paths == {"index", "growing"}
@@ -769,7 +777,7 @@ class TestFreshNodes:
         their pks are not sorted again."""
         cluster = fresh_cluster(rng, 150)
         node, segment = growing_segment(cluster)
-        queries = clustered(rng, 3)
+        queries = clustered(rng, 1)
         both(cluster, monkeypatch, queries, 10, selects=True)
         arena = node._arenas[("c", "vector", MetricType.EUCLIDEAN)]
         index, witness = arena.index, arena.distinct_pks
@@ -813,7 +821,7 @@ class TestFreshNodes:
         cluster.delete("c", f"pk in {doomed}")
         cluster.run_for(500)
         assert source.num_deleted == n_deleted
-        got = both(cluster, monkeypatch, queries, 10, selects=True)
+        got = both(cluster, monkeypatch, queries, 10, selects=nq == 1)
         assert not set(doomed) & {pk for r in got for pk in r.pks}
         assert got[0].profile.totals()["delete_filter_hits"] == n_deleted
 
@@ -839,7 +847,7 @@ class TestFreshNodes:
         cluster.delete("c", f"pk in {pool[5:].tolist()}")
         cluster.run_for(500)
         got = both(cluster, monkeypatch, queries, 10,
-                   selects=lambda other: other is not home)
+                   selects=lambda other: nq == 1 and other is not home)
         stage = next(s for s in got[0].profile.node_stages()
                      if s.meta["node"] == home.name)
         assert sum(seg.counters["brute_scans"]
@@ -855,12 +863,12 @@ class TestFreshNodes:
         node, segment = growing_segment(cluster)
         queries = clustered(rng, nq)
         first_read(cluster, queries)
-        both(cluster, monkeypatch, queries, 10, selects=True)
+        both(cluster, monkeypatch, queries, 10, selects=nq == 1)
         again = int(segment.pk_array[0])     # a copy near the query
         cluster.insert("c", rows(rng, [again], queries[:1] + np.float32(1e-3)))
         cluster.run_for(500)
         got = both(cluster, monkeypatch, queries, 10,
-                   selects=lambda other: other is not node)
+                   selects=lambda other: nq == 1 and other is not node)
         assert got[0].pks.count(again) == 1
         # A pk that a sealed segment on the node holds.
         fresh = fresh_cluster(rng, 300)
@@ -871,7 +879,7 @@ class TestFreshNodes:
         fresh.insert("c", rows(rng, [int(held.pk_array[0])]))
         fresh.run_for(500)
         both(fresh, monkeypatch, queries, 10,
-             selects=lambda other: other is not node)
+             selects=lambda other: nq == 1 and other is not node)
 
     def test_an_upserted_pk_is_looked_up_once_per_append(self, rng,
                                                          monkeypatch):
@@ -924,7 +932,8 @@ class TestFreshNodes:
         queries = clustered(rng, 3)
         first_read(cluster, queries)
         for nq in (1, 3):
-            got = both(cluster, monkeypatch, queries[:nq], 10, selects=True)
+            got = both(cluster, monkeypatch, queries[:nq], 10,
+                       selects=nq == 1)
         stage = next(s for s in got[0].profile.node_stages()
                      if s.meta["node"] == node.name)
         assert "brute" in {seg.meta["path"]
@@ -1027,14 +1036,16 @@ class TestArenaIsNeverStale:
         assert sid not in held.slot
         assert after[0].segments_searched == before[0].segments_searched - 1
         # Loaded again (no index yet: brute, an exact column of the one
-        # selection), then indexed again.
+        # selection of one query), then indexed again.
         node.load_segment("c", sid)
-        unindexed = both(cluster, monkeypatch, queries, 10, selects=True)
+        unindexed = both(cluster, monkeypatch, queries, 10, selects=False)
+        both(cluster, monkeypatch, queries[:1], 10, selects=True)
         assert sid not in node._arenas[
             ("c", "vector", MetricType.EUCLIDEAN)].slot
         route = cluster.index_coord.index_route("c", sid, "vector")
         node.attach_index("c", sid, "vector", route["path"])
-        again = both(cluster, monkeypatch, queries, 10, selects=True)
+        again = both(cluster, monkeypatch, queries, 10, selects=False)
+        both(cluster, monkeypatch, queries[:1], 10, selects=True)
         assert sid in node._arenas[
             ("c", "vector", MetricType.EUCLIDEAN)].slot
         for a, b, c in zip(before, unindexed, again):
@@ -1064,8 +1075,9 @@ class TestArenaIsNeverStale:
         held = arenas(cluster)
         cluster.delete("c", f"pk in {first[0].pks[:3]}")
         cluster.run_for(500)
-        second = both(cluster, monkeypatch, queries, 10, selects=True)
+        second = both(cluster, monkeypatch, queries, 10, selects=False)
         assert not set(first[0].pks[:3]) & set(second[0].pks)
+        both(cluster, monkeypatch, queries[:1], 10, selects=True)
         assert all(a is b for a, b in zip(held, arenas(cluster)))
 
     def test_growing_to_sealed_handoff(self, rng, monkeypatch):
@@ -1074,7 +1086,8 @@ class TestArenaIsNeverStale:
         both(cluster, monkeypatch, queries, 10)
         cluster.insert("c", rows(rng, range(9000, 9250)))
         cluster.run_for(500)
-        growing = both(cluster, monkeypatch, queries, 10, selects=True)
+        growing = both(cluster, monkeypatch, queries, 10, selects=False)
+        both(cluster, monkeypatch, queries[:1], 10, selects=True)
         paths = {seg.meta["path"]
                  for node in growing[0].profile.node_stages()
                  for seg in node.stages("segment.scan")}
@@ -1083,7 +1096,8 @@ class TestArenaIsNeverStale:
         cluster.flush("c")
         assert cluster.wait_for_indexes("c")
         cluster.run_for(2_000)
-        sealed = both(cluster, monkeypatch, queries, 10, selects=True)
+        sealed = both(cluster, monkeypatch, queries, 10, selects=False)
+        both(cluster, monkeypatch, queries[:1], 10, selects=True)
         assert {seg.meta["path"]
                 for node in sealed[0].profile.node_stages()
                 for seg in node.stages("segment.scan")} == {"index"}
@@ -1098,7 +1112,8 @@ class TestArenaIsNeverStale:
         cluster.fail_query_node(victim.name)
         assert victim._arenas == {}
         cluster.run_for(5_000)
-        after = both(cluster, monkeypatch, queries, 10, selects=True)
+        after = both(cluster, monkeypatch, queries, 10, selects=False)
+        both(cluster, monkeypatch, queries[:1], 10, selects=True)
         (survivor,) = cluster.query_coord.live_nodes()
         assert len(survivor._arenas[
             ("c", "vector", MetricType.EUCLIDEAN)].segments) \
@@ -1128,13 +1143,14 @@ class TestArenaIsNeverStale:
 
 @pytest.fixture(scope="module", params=METRICS, ids=lambda m: m.value)
 def codec_arena(request):
-    """``(metric, members)``: one arena's worth of built indexes of four
-    types, the last smaller than its nlist."""
+    """``(metric, members)``: one arena's worth of built flat k-means
+    indexes of both types that join one, the last smaller than its
+    nlist."""
     rng = np.random.default_rng(7)
     members = []
-    for kind, n, params in (("IVF_FLAT", 400, {}), ("IVF_SQ8", 300, {}),
-                            ("IVF_PQ", 350, {"m": 4}),
-                            ("IVF_HNSW", 250, {}), ("IVF_FLAT", 9, {})):
+    for kind, n, params in (("IVF_FLAT", 400, {}), ("COMPOSITE", 300, {}),
+                            ("IVF_FLAT", 350, {}), ("COMPOSITE", 250, {}),
+                            ("IVF_FLAT", 9, {})):
         index = create_index(kind, request.param, DIM, nlist=16, nprobe=5,
                              **params)
         index.build(clustered(rng, n))
@@ -1144,10 +1160,10 @@ def codec_arena(request):
 
 def assert_selects_the_merged_answer(arena, queries, k, scope, ids, dists,
                                      stats):
-    """``search(together=True)`` over ``scope`` answers what the members'
-    answers ``(ids, dists)`` merge into — distances bit for bit, ids up
-    to exact ties — with the same work counters (``stats``), and its
-    rows scored give each member's hits."""
+    """``search(together=True)`` of one query over ``scope`` answers what
+    the members' answers ``(ids, dists)`` merge into — distances bit for
+    bit, ids up to exact ties — with the same work counters (``stats``),
+    and its rows scored give each member's hits."""
     counted = [SearchStats() for _ in scope]
     got_ids, got_dists, rows, pruned = arena.search(queries, k, scope,
                                                     counted, together=True)
@@ -1160,7 +1176,7 @@ def assert_selects_the_merged_answer(arena, queries, k, scope, ids, dists,
     assert_batches_equal_up_to_ties(HitBlock(got_ids, got_dists), want, k)
     assert [entry.as_dict() for entry in counted] \
         == [entry.as_dict() for entry in stats]
-    np.testing.assert_array_equal(np.minimum(rows, k).sum(axis=1),
+    np.testing.assert_array_equal(np.minimum(rows, k),
                                   np.isfinite(dists).sum(axis=(1, 2)))
 
 
@@ -1181,8 +1197,7 @@ class TestArenaIndex:
             queries = clustered(rng, nq)
             stats = [SearchStats() for _ in members]
             ids, dists = arena.search(queries, 10, stats=stats)
-            unit = queries / np.linalg.norm(queries, axis=1, keepdims=True)
-            probes = arena._probe([0, 1, 2, 3], queries, unit,
+            probes = arena._probe([0, 1, 2, 3], queries,
                                   np.zeros((len(members), len(STAT_FIELDS)),
                                            dtype=np.int64))
             for number, member in enumerate(members):
@@ -1226,12 +1241,10 @@ class TestArenaIndex:
         for scope in ([0, 1, 2, 3], [0, 1], [1, 2], [0, 2], [0, 3], [1]):
             for _ in range(4):
                 queries = clustered(rng, 1)
-                unit = queries / np.linalg.norm(queries, axis=1,
-                                                keepdims=True)
                 stats = [SearchStats() for _ in scope]
                 ids, dists = arena.search(queries, 10, scope=scope,
                                           stats=stats)
-                probes = arena._probe(scope, queries, unit,
+                probes = arena._probe(scope, queries,
                                       np.zeros((len(scope), len(STAT_FIELDS)),
                                                dtype=np.int64))
                 for at, number in enumerate(scope):
@@ -1281,10 +1294,9 @@ class TestArenaIndex:
         arena = ArenaIndex(members)
         for _ in range(6):
             queries = clustered(rng, 1)
-            unit = queries / np.linalg.norm(queries, axis=1, keepdims=True)
             stats = [SearchStats() for _ in members]
             ids, dists = arena.search(queries, 10, stats=stats)
-            probes = arena._probe([0, 1, 2], queries, unit,
+            probes = arena._probe([0, 1, 2], queries,
                                   np.zeros((len(members), len(STAT_FIELDS)),
                                            dtype=np.int64))
             for number, member in enumerate(members):
@@ -1303,11 +1315,11 @@ class TestArenaIndex:
     def test_every_codec_and_scope_answer_as_on_their_own(
             self, codec_arena, nq):
         """The kernel contract at every block height, one query included:
-        runs of different codecs in one arena (members with and without
-        ``norms``, unit rows under cosine), a member smaller than its
-        nlist, ``k`` above a member's row count, partial scopes.  Every
-        member answers with its own ``search``'s ids, distances bit for
-        bit, and work counters."""
+        both index types an arena holds (``IVF_FLAT`` and ``COMPOSITE``
+        ``kmeans x none``), a member smaller than its nlist, ``k`` above a
+        member's row count, partial scopes.  Every member answers with its
+        own ``search``'s ids, distances bit for bit, and work counters;
+        one query is also selected once, the members' answers merged."""
         metric, members = codec_arena
         arena = ArenaIndex(members)
         queries = clustered(np.random.default_rng(nq), nq)
@@ -1332,23 +1344,26 @@ class TestArenaIndex:
                     HitBlock(want_ids, want_dists), k)
                 assert (ids[at][np.isinf(dists[at])] == -1).all()
                 assert stats[at].as_dict() == member.stats.as_dict()
-            # One selection wherever the members are scanned alike, be
-            # the pass one the node would select from or not.
-            if len({members[number]._unit_rows for number in numbers}) == 1:
-                selected += arena.scans_once(list(numbers), nq)
+            # One selection of one query, be the pass one the node would
+            # select from or not.
+            if nq == 1:
+                selected += arena.scans_once(list(numbers))
                 assert_selects_the_merged_answer(
                     arena, queries, k, list(numbers), ids, dists, stats)
-        assert selected     # at least the one-member scope
+            else:
+                with pytest.raises(ValueError, match="one query"):
+                    arena.search(queries, k, scope, together=True)
+        assert bool(selected) is (nq == 1)  # the one-member scope at least
 
     @pytest.mark.parametrize("metric", METRICS)
     def test_one_query_is_bounded_by_its_compact_row(self, rng, metric):
         """One query's row is laid compact (``ListArena._one_row``), so
-        ``scans_once`` bounds a one-query scope by what that row can
-        hold, the sum of each member's width times its widest list, not
-        by the padded block: a member of one wide list beside members
-        probing 8 narrow lists each is refused by the padded bound, and
-        admitted by the compact one, selected once with the merged
-        answer and counters."""
+        ``scans_once`` bounds a scope by what that row can hold, the sum
+        of each member's width times its widest list, not by the padded
+        block: a member of one wide list beside members probing 8 narrow
+        lists each would be refused by the padded bound, and is admitted
+        by the compact one, selected once with the merged answer and
+        counters."""
         wide = IvfFlatIndex(metric, DIM, nlist=1, nprobe=1)
         wide.build(clustered(rng, 3000))
         members = [wide]
@@ -1360,8 +1375,9 @@ class TestArenaIndex:
         scope = list(range(len(members)))
         facts = arena._scope(scope)
         bound = min(ivf._CHUNK_FROM, ivf._SCAN_BLOCK_FLOATS)
-        assert facts.cells > bound >= facts.compact
-        assert arena.scans_once(scope, 1) and not arena.scans_once(scope, 2)
+        padded = len(scope) * facts.width * max(arena.lists.widest)
+        assert padded > bound >= facts.compact
+        assert arena.scans_once(scope)
         for k in (1, 10, 100):
             queries = clustered(rng, 1)
             stats = [SearchStats() for _ in scope]
@@ -1422,7 +1438,7 @@ class TestArenaIndex:
                                 cuts={0: (excluded, asked)})
 
         found = select([ids[0, 0]], 3, 4)       # the best row deleted
-        assert found is not None and found[3].tolist() == [[1]]
+        assert found is not None and found[3].tolist() == [1]
         assert ids[0, 0] not in found[0]
         # The cut at ``at + 1`` splits the tie, which holds row 6.
         assert select([6], 3, at + 1) is None
@@ -1470,6 +1486,42 @@ class TestArenaIndex:
         with pytest.raises(IndexBuildError):
             ArenaIndex([flat]).build(data)
 
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_only_flat_kmeans_members_join(self, rng, metric):
+        """``IVF_FLAT`` and ``COMPOSITE`` ``kmeans x none`` join an arena.
+        A quantized codec, a graph-navigated or (Euclidean-only) IMI
+        bucketer — and so the unit-row lists of ``IVF_PQ`` under cosine —
+        do not: ``ArenaIndex``
+        refuses each, alone or beside a flat member, and a sealed segment
+        indexed so is not admitted to its node's arena."""
+        cluster = sealed_cluster(rng, metric, n=600)
+        _node, segment = sealed_segments(cluster)[0]
+        data = segment.column("vector")
+        flat = segment.index_for("vector")
+        composite = create_index("COMPOSITE", metric, DIM, nlist=8)
+        composite.build(data)
+        assert ArenaIndex([flat, composite]).ntotal == 2 * len(data)
+        assert SegmentArena.admits(segment, "vector", metric)
+        refused = [("IVF_SQ8", {}), ("IVF_PQ", {"m": 4}), ("IVF_HNSW", {}),
+                   *(("COMPOSITE", {"bucketer": bucketer,
+                                    "compressor": compressor})
+                     for bucketer, compressor in (
+                         ("kmeans", "sq"), ("kmeans", "pq"),
+                         ("kmeans", "rq"), ("graph", "none"),
+                         *((("imi", "none"),)
+                           if metric is MetricType.EUCLIDEAN else ())))]
+        for kind, params in refused:
+            index = create_index(kind, metric, DIM, nlist=8, **params)
+            index.build(data)
+            assert not ArenaIndex.admits(index), (kind, params)
+            for members in ([index], [flat, index]):
+                with pytest.raises(IndexBuildError):
+                    ArenaIndex(members)
+            segment.attach_index("vector", index)
+            assert not SegmentArena.admits(segment, "vector", metric)
+        segment.attach_index("vector", composite)
+        assert SegmentArena.admits(segment, "vector", metric)
+
     def test_arena_is_keyed_by_metric_and_asserts_it(self, rng):
         cluster = sealed_cluster(rng, MetricType.INNER_PRODUCT, n=600)
         node, segment = sealed_segments(cluster)[0]
@@ -1492,9 +1544,9 @@ W = ivf._CHUNK_WIDTH
 #: the chunk width, empty lists, and lists spanning many chunks.
 GRID_MEMBERS = (
     ("IVF_FLAT", (0, 1, W - 1, W, W + 1, 2 * W, 2 * W + 1, 10 * W + 3), {}),
-    ("IVF_SQ8", (2 * W + 1, W, 0, 1, 3 * W), {}),
-    ("IVF_PQ", (W + 1, 6 * W + 5, W - 1, 0), {"m": 4}),
-    ("IVF_HNSW", (1, W, W + 1, 0, 2 * W), {}),
+    ("COMPOSITE", (2 * W + 1, W, 0, 1, 3 * W), {}),
+    ("IVF_FLAT", (W + 1, 6 * W + 5, W - 1, 0), {}),
+    ("COMPOSITE", (1, W, W + 1, 0, 2 * W), {}),
     ("IVF_FLAT", (3, 0, 2), {"nprobe": 1}),
 )
 
@@ -1569,14 +1621,45 @@ class TestChunkGrid:
                                             every_pass_chunked, nq, k,
                                             scope):
         """Lists of 0, 1, W - 1, W, W + 1, 2W, 2W + 1 rows and lists of
-        many chunks, four codecs in one arena, k below, at and above the
-        chunk width and above every member's rows."""
+        many chunks, both index types an arena holds, k below, at and
+        above the chunk width and above every member's rows."""
         metric, members = grid_arena
         assert 1200 > max(member.ntotal for member in members)
         queries = clustered(np.random.default_rng(nq), nq)
         assert_members_answer_alone(ArenaIndex(members), members, queries,
                                     k, scope)
         assert any(grid is not None for grid in every_pass_chunked)
+
+    @pytest.mark.parametrize("metric", METRICS)
+    @pytest.mark.parametrize("kind, params", [
+        ("IVF_SQ8", {}), ("IVF_PQ", {"m": 4}), ("IVF_HNSW", {})])
+    def test_an_index_outside_the_arena_alone(self, rng, monkeypatch,
+                                              metric, kind, params):
+        """A quantized or graph-navigated index scans its lists through an
+        arena of itself alone (``InvertedLists.scan``): laid out in chunks
+        it answers as with the padded block — distances bit for bit, ids
+        up to exact ties, the same work counters."""
+        index = sized_index(kind, metric, (2 * W + 1, W, 0, 1, 3 * W), rng,
+                            params)
+        queries = clustered(rng, 64)
+        answers, grids = [], []
+        real = ivf._ChunkGrid.of
+        for chunk_from in (1 << 62, 0):
+            with monkeypatch.context() as patch:
+                patch.setattr(ivf, "_CHUNK_FROM", chunk_from)
+                patch.setattr(ivf._ChunkGrid, "of", lambda *args: grids.append(
+                    real(*args)) or grids[-1])
+                index._lists._arena = None
+                ids, dists = index.search(queries, 2 * W + 3)
+                answers.append((ids, dists, index.stats.as_dict()))
+        (ids, dists, stats), (want_ids, want_dists, want_stats) = answers
+        np.testing.assert_array_equal(dists.view(np.int32),
+                                      want_dists.view(np.int32))
+        assert_batches_equal_up_to_ties(HitBlock(ids, dists),
+                                        HitBlock(want_ids, want_dists),
+                                        2 * W + 3)
+        assert stats == want_stats
+        assert any(grid is not None for grid in grids)
 
     @pytest.mark.parametrize("number", [0, 2])
     def test_a_member_cut_by_query_rows(self, grid_arena,
