@@ -143,7 +143,7 @@ def _equal(arena: ArenaIndex, members: list[IvfFlatIndex],
                                         member.metric)
         want_ids, want_dists = member.search(queries, K)    # resets stats
         want_ids = np.where(want_ids < 0, -1,
-                            want_ids + arena.row_base[number])
+                            want_ids + arena.lists.row_base[number])
         if not (np.array_equal(
                     coarse[number, :, :own_coarse.shape[1]].view(np.int32),
                     own_coarse.view(np.int32))
@@ -170,8 +170,8 @@ def _selected_equal(arena: ArenaIndex, members: list[IvfFlatIndex],
     answers = []
     for number, member in enumerate(members):
         want_ids, want_dists = member.search(queries, K)
-        answers.append(HitBlock(np.where(want_ids < 0, -1,
-                                         want_ids + arena.row_base[number]),
+        first = arena.lists.row_base[number]
+        answers.append(HitBlock(np.where(want_ids < 0, -1, want_ids + first),
                                 want_dists))
         if stats[number].as_dict() != member.stats.as_dict() or \
                 min(rows[number], K) != np.isfinite(want_dists).sum():
@@ -229,8 +229,8 @@ def _fresh_selected_equal(arena: ArenaIndex, members: list[IvfFlatIndex],
                 return False            # it would have escalated
         elif pruned[number].any():
             return False
-        answers.append(HitBlock(np.where(want_ids < 0, -1,
-                                         want_ids + arena.row_base[number]),
+        first = arena.lists.row_base[number]
+        answers.append(HitBlock(np.where(want_ids < 0, -1, want_ids + first),
                                 want_dists))
         if stats[number].as_dict() != member.stats.as_dict():
             return False

@@ -144,8 +144,8 @@ class ManuCluster:
         self.query_coord = QueryCoordinator(self.metastore, self.broker,
                                             self.loop, self.config,
                                             self.data_coord,
+                                            self.index_coord,
                                             health=self.health)
-        self.query_coord.index_coord = self.index_coord
 
         # Loggers.
         logger_names = tuple(f"logger-{i}" for i in range(num_loggers))

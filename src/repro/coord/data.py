@@ -61,27 +61,6 @@ class DataCoordinator:
     # segment allocation (SegmentAllocator protocol)
     # ------------------------------------------------------------------
 
-    def assign_segment(self, collection: str, shard: int,
-                       num_rows: int) -> str:
-        """Growing segment id for the next ``num_rows`` rows of a shard.
-
-        The whole batch lands in one segment (rolling over first if it
-        would overflow); loggers use :meth:`assign_segments` to split
-        batches larger than the remaining capacity.
-        """
-        key = (collection, shard)
-        active = self._active.get(key)
-        limit = self._config.segment.seal_entity_count
-        if active is not None and active.assigned_rows + num_rows > limit \
-                and active.assigned_rows > 0:
-            self._seal(collection, shard, active.segment_id)
-            active = None
-        if active is None:
-            active = self._open_segment(collection, shard)
-        active.assigned_rows += num_rows
-        active.last_assign_ms = self._clock_ms()
-        return active.segment_id
-
     def assign_segments(self, collection: str, shard: int,
                         num_rows: int) -> list[tuple[str, int]]:
         """Partition ``num_rows`` across growing segments.

@@ -24,6 +24,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.config import ManuConfig
+from repro.coord.index_coord import IndexCoordinator
 from repro.errors import ClusterStateError, NodeNotFound
 from repro.log.broker import LogBroker, LogEntry
 from repro.log.wal import CoordRecord, channel_shard, shard_channel
@@ -37,12 +38,13 @@ class QueryCoordinator:
 
     def __init__(self, metastore: MetaStore, broker: LogBroker,
                  loop: EventLoop, config: ManuConfig, data_coord,
-                 health=None) -> None:
+                 index_coord: IndexCoordinator, health=None) -> None:
         self._meta = metastore
         self._broker = broker
         self._loop = loop
         self._config = config
         self._data_coord = data_coord
+        self.index_coord = index_coord
         # Optional repro.monitoring.HealthTracker (duck-typed): membership
         # changes report liveness transitions so health flips to ``down``
         # the moment the coordinator learns of a failure, not a lease
@@ -54,6 +56,8 @@ class QueryCoordinator:
         self._channel_owner: dict[str, str] = {}
         self._channel_collection: dict[str, str] = {}
         self._loaded: dict[str, int] = {}  # collection -> num_shards
+        # Rotates the holder picked per segment, request by request.
+        self._plan_rr = 0
         broker.create_channel(config.log.coord_channel)
         self._sub = broker.subscribe(config.log.coord_channel,
                                      "query-coord",
@@ -168,7 +172,7 @@ class QueryCoordinator:
         """
         if max(1, self._config.query.replica_number) == 1:
             return [(node, None) for node in self.nodes_serving(collection)]
-        self._plan_rr = getattr(self, "_plan_rr", 0) + 1
+        self._plan_rr += 1
         scopes: dict[str, set[str]] = {}
         for (coll, sid), holders in sorted(self._assignments.items()):
             if coll != collection or not holders:
@@ -284,23 +288,17 @@ class QueryCoordinator:
     def index_metric(self, collection: str, field: str):
         """The metric the field's sealed segments are indexed in, as
         declared to the index coordinator (None: no index declared)."""
-        index_coord = getattr(self, "index_coord", None)
-        if index_coord is None:
-            return None
-        return index_coord.index_metric(collection, field)
+        return self.index_coord.index_metric(collection, field)
 
     def _attach_known_indexes(self, node: QueryNode, collection: str,
                               segment_id: str) -> None:
         """Attach already-built indexes when loading a segment late."""
-        index_coord = getattr(self, "index_coord", None)
-        if index_coord is None:
-            return
         segment = node.segment(collection, segment_id)
         if segment is None:
             return
         for field in segment.schema.vector_fields:
-            route = index_coord.index_route(collection, segment_id,
-                                            field.name)
+            route = self.index_coord.index_route(collection, segment_id,
+                                                 field.name)
             if route is not None:
                 node.attach_index(collection, segment_id, field.name,
                                   route["path"])

@@ -7,10 +7,10 @@ sealed segments of one ``(collection, vector field, metric)`` whose index
 is a flat k-means one (:meth:`~repro.index.ivf.ArenaIndex.admits`): one
 :class:`~repro.index.ivf.ArenaIndex` over their indexes and their primary
 keys laid end to end.  A request then pays one coarse step and one
-list-major scan for all of them, per-segment work counters fall out of the
-block, and a member whose bitmap or filter excludes anything hands its slab
-to its segment's own post-filter (:meth:`Segment.filter_block`: the arena
-holds no second copy of it).
+list-major scan for all of them, and per-segment work counters fall out
+of the block.  The arena scans only rows that nothing excludes: a member
+whose bitmap or filter excludes anything is searched by its own
+:meth:`Segment.search`, the one post-filter, and joins the node merge.
 
 An unfiltered one-query request is answered by one selection instead
 (:meth:`SegmentArena.select`), fresh data included: the full slices of
@@ -232,11 +232,11 @@ class SegmentArena:
         arena, built by earlier searches, and its other rows are an exact
         column), no pk is held twice on the node (``held``), the members'
         scan is one pass, and every member with deletions keeps what its
-        own answer would (``ListArena.select``'s cuts).  Counts each segment's work
-        into its row of ``counts`` (``(len(segments), STAT_FIELDS)``, the
-        scan's first count: nothing is counted in it yet) — a fresh
-        segment's slices and tail, as ``Segment.search`` counts them —
-        and adds to ``reduce`` what
+        own answer would (``ListArena.select``'s cuts).  Counts each
+        segment's work into its row of ``counts`` (``(len(segments),
+        STAT_FIELDS)``, the scan's first count: nothing is counted in it
+        yet) — a fresh segment's slices and tail, as ``Segment.search``
+        counts them — and adds to ``reduce`` what
         :func:`~repro.core.results.merge_topk` would have counted over the
         segments' partials: none repeats a pk.  A scope of sealed members
         with nothing deleted takes none of the fresh or deleting steps.
@@ -359,75 +359,31 @@ class SegmentArena:
         work[:, CANDIDATES_VISITED] = visited
 
     def search(self, members: Sequence[int], queries: np.ndarray, k: int,
-               masks: Sequence[Optional[np.ndarray]], counts: np.ndarray,
-               at: Sequence[int]) -> HitBlock:
-        """Top-``k`` over live, filter-passing rows of every member in
-        ``members`` (arena slots, ascending), as one block: the members'
-        partials side by side in that order, each as wide as the widest
-        and holding the rows of what ``Segment.search`` returns for its
-        member, padded with ``+inf``.
+               counts: np.ndarray, at: Sequence[int]) -> HitBlock:
+        """Top-``k`` over every row of every member in ``members`` (arena
+        slots, ascending), as one block: the members' partials side by
+        side in that order, each as wide as the widest and holding the
+        rows of what ``Segment.search`` returns for its member, padded
+        with ``+inf``.  Member ``i``'s work is added to row ``at[i]`` of
+        ``counts``.
 
-        ``masks`` holds each member's filter mask (None: no filter), and
-        its work is added to row ``at[i]`` of ``counts``.  Every member's
-        index is asked for its own amplified ``k`` in one search; only the
-        members that exclude anything are post-filtered, each by its
-        segment (where a row that filtering starves escalates to the
-        exact scan on its own).
+        No member deletes anything and no filter asks: a member that
+        excludes rows is searched by its own ``Segment.search``, the one
+        post-filter.  Every member's index is asked for ``k`` (no more
+        than the largest member's rows, as its own search caps it) in one
+        search.
         """
         nq = queries.shape[0]
-        scope, asked, excluding = [], [], {}
-        for i, (number, mask) in enumerate(zip(members, masks)):
-            segment = self.segments[number]
-            counts[at[i], DELETE_FILTER_HITS] += segment.num_deleted
-            allowed, n_excluded = segment.exclusions(mask)
-            if n_excluded == segment.num_rows:
-                continue    # nothing allowed: nothing to find
-            if allowed is not None:
-                excluding[len(scope)] = allowed, n_excluded
-            scope.append(i)
-            asked.append(amplified_k(k, segment.num_rows, n_excluded))
-        if not scope:
-            return HitBlock.empty(nq)
-        width = max(asked)
-        work = np.zeros((len(scope), len(STAT_FIELDS)), dtype=np.int64)
-        ids, dists = self.index.search(
-            queries, width, [members[i] for i in scope], work)
-        for j, want in enumerate(asked):
-            if want < width:
-                dists[j, :, want:] = np.inf    # past the member's own k
-        pks = self.pks[ids]
-        real = dists < np.inf
-        visited = real.sum(axis=(1, 2))
+        width = min(k, max(self.segments[number].num_rows
+                           for number in members))
+        work = np.zeros((len(members), len(STAT_FIELDS)), dtype=np.int64)
+        ids, dists = self.index.search(queries, width, members, work)
         # Indexes report work as comparison counts; at the scan layer one
         # comparison examines one stored row, which is the rows-scanned
-        # unit the read-unit metering charges for.  A post-filtered
-        # member's candidates are counted by its segment.
-        for j in excluding:
-            visited[j] = 0
-        self._counted(work, visited)
-        for j, (allowed, n_excluded) in excluding.items():
-            i = scope[j]
-            segment, want = self.segments[members[i]], asked[j]
-            filtered = SearchStats()    # a segment reports its own work
-            rows, kept = segment.filter_block(
-                self.field, queries, k, self.metric, allowed, n_excluded,
-                0, segment.num_rows,
-                np.maximum(ids[j, :, :want]
-                           - self.index.row_base[members[i]], 0),
-                dists[j, :, :want], real[j, :, :want], filtered)
-            work[j] += filtered.as_row()
-            found = kept.shape[1]
-            pks[j, :, :found] = segment.pk_array[rows]
-            dists[j, :, :found] = kept
-            dists[j, :, found:] = np.inf
-        counts[[at[i] for i in scope]] += work
-        if len(scope) < len(members):   # the others: padding only
-            shape = (len(members), nq, width)
-            all_pks = np.empty(shape, dtype=pks.dtype)
-            all_dists = np.full(shape, np.inf, dtype=dists.dtype)
-            all_pks[scope], all_dists[scope] = pks, dists
-            pks, dists = all_pks, all_dists
+        # unit the read-unit metering charges for.
+        self._counted(work, np.count_nonzero(dists < np.inf, axis=(1, 2)))
+        counts[at] += work
         # Member-major to query-major: a view when there is one query.
         shape = nq, len(members) * width
-        return HitBlock(pks.transpose(1, 0, 2).reshape(shape),
+        return HitBlock(self.pks[ids].transpose(1, 0, 2).reshape(shape),
                         dists.transpose(1, 0, 2).reshape(shape))

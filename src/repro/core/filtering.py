@@ -9,13 +9,18 @@ cost-based model to choose the most suitable strategy for each segment":
 * ``POST_FILTER`` — run the vector index with an amplified ``k`` and drop
   non-passing hits afterwards.  Wins when almost everything passes: cost is
   the index's sub-linear search amplified by ``1 / selectivity``.
-* ``SCAN_FILTER`` — hand the row mask to the index search, which skips
-  masked rows during candidate collection and escalates to an exact scan
-  only if starved (the middle ground).
+* ``SCAN_FILTER`` — the paper's middle ground, where the index skips
+  masked rows while it collects candidates.  Here it is costed as such
+  (its amplification capped at 3x, the post-filter's at 8x), but it runs
+  the post-filter: ``planned_search`` branches on ``PRE_FILTER`` only, so
+  a scan-filter plan asks the index for an amplified ``k``, drops the
+  non-passing candidates and escalates a starved row to an exact scan of
+  the passing rows (``Segment.search``), as ``POST_FILTER`` does.
 
 The chooser estimates each cost from the predicate's selectivity (measured
 on the segment's attribute columns — cheap relative to vector math) and the
-segment's index state, and picks the minimum.
+segment's index state, and picks the minimum.  Whatever it picks, a node
+searches the segment on its own (the node arena scans no filtered member).
 """
 
 from __future__ import annotations

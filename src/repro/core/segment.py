@@ -28,9 +28,9 @@ padding last, at most ``k`` wide — whichever way the rows were scanned.
 Below it everything is a ``(rows, dists)`` block in the segment's own row
 numbers: the exact scan (:meth:`Segment.exact_block`, one helper behind the
 pre-filter strategy, the growing tail, the escalation and
-``range_search``), an index's candidates after :meth:`Segment.filter_block`
-(the one post-filter + escalation, which the node arena calls for its
-members too), and a growing segment's slices and tail laid side by side
+``range_search``), an index's candidates after the one post-filter +
+escalation (``_search_with_index``: the node arena holds no member that
+excludes a row), and a growing segment's slices and tail laid side by side
 and reselected by one batched top-k.  Primary keys are gathered once, at
 the end.  Where a node answers with one selection, a growing segment is
 not searched on its own: its built slice indexes are members of the node
@@ -644,19 +644,30 @@ class Segment:
         idx, vals = topk_smallest(dists, k)
         return rows[idx], vals
 
-    def filter_block(self, field: str, queries: np.ndarray, k: int,
-                     metric: MetricType, allowed: Optional[np.ndarray],
-                     n_excluded: int, lo: int, hi: int, rows: np.ndarray,
-                     dists: np.ndarray, real: np.ndarray,
-                     stats: SearchStats) -> tuple[np.ndarray, np.ndarray]:
-        """The post-filter strategy on one index's ``(nq, asked)`` block
-        of candidates — ``rows`` in this segment, ascending ``dists``,
-        ``real`` marking the entries that are candidates at all — for an
-        index over the segment's rows ``[lo, hi)`` of which ``allowed``
-        masks out ``n_excluded``.  Returns the ``(rows, dists)`` block of
-        every query's first ``k`` allowed candidates, moved to the front
-        with ``+inf`` padding behind them.
-        """
+    def _search_with_index(self, index: VectorIndex, lo: int,
+                           queries: np.ndarray, k: int, metric: MetricType,
+                           allowed: Optional[np.ndarray],
+                           stats: SearchStats, field: str
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """The post-filter strategy over one index, of the rows from
+        ``lo`` on, as a ``(rows, dists)`` block: the index is asked for an
+        amplified ``k`` and every query keeps its first ``k`` candidates
+        that ``allowed`` lets through, moved to the front with ``+inf``
+        padding behind them.  This is the one post-filter of a search."""
+        hi = lo + index.ntotal
+        n_excluded = 0 if allowed is None \
+            else index.ntotal - int(np.count_nonzero(allowed[lo:hi]))
+        ids, dists = index.search(
+            queries, amplified_k(k, index.ntotal, n_excluded))
+        stats.add(index.stats)
+        stats.index_scans += 1
+        # Indexes report work as comparison counts; at the scan layer one
+        # comparison examines one stored row, which is the rows-scanned
+        # unit the read-unit metering charges for.
+        stats.rows_scanned += (index.stats.float_comparisons
+                               + index.stats.quantized_comparisons)
+        rows, dists = lo + ids, dists.astype(np.float32, copy=False)
+        real = ids >= 0
         keep = post_filter(allowed, rows, real, k, stats)
         if keep is None:
             # The block's rows are the hits.
@@ -680,29 +691,6 @@ class Segment:
                 dists[q, :found] = exact[0]
                 dists[q, found:] = np.inf
         return rows, dists
-
-    def _search_with_index(self, index: VectorIndex, lo: int,
-                           queries: np.ndarray, k: int, metric: MetricType,
-                           allowed: Optional[np.ndarray],
-                           stats: SearchStats, field: str
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Post-filter strategy over one index, of the rows from ``lo``
-        on, as a ``(rows, dists)`` block."""
-        hi = lo + index.ntotal
-        n_excluded = 0 if allowed is None \
-            else index.ntotal - int(np.count_nonzero(allowed[lo:hi]))
-        ids, dists = index.search(
-            queries, amplified_k(k, index.ntotal, n_excluded))
-        stats.add(index.stats)
-        stats.index_scans += 1
-        # Indexes report work as comparison counts; at the scan layer one
-        # comparison examines one stored row, which is the rows-scanned
-        # unit the read-unit metering charges for.
-        stats.rows_scanned += (index.stats.float_comparisons
-                               + index.stats.quantized_comparisons)
-        return self.filter_block(
-            field, queries, k, metric, allowed, n_excluded, lo, hi,
-            lo + ids, dists.astype(np.float32, copy=False), ids >= 0, stats)
 
     def _search_growing(self, field: str, queries: np.ndarray, k: int,
                         metric: MetricType, allowed: Optional[np.ndarray],

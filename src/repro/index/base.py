@@ -265,12 +265,12 @@ def positive_int(name: str, value: Any) -> int:
 def create_index(index_type: str, metric: MetricType, dim: int,
                  **params: Any) -> VectorIndex:
     """Instantiate an index by registry name with type-specific params."""
-    try:
-        cls = _REGISTRY[index_type.upper()]
-    except KeyError:
+    cls = _REGISTRY.get(index_type.upper()) \
+        if isinstance(index_type, str) else None
+    if cls is None:
         raise IndexBuildError(
             f"unknown index type {index_type!r}; "
-            f"available: {available_indexes()}") from None
+            f"available: {available_indexes()}")
     accepted = [name for name in inspect.signature(cls).parameters
                 if name not in ("metric", "dim")]
     unknown = sorted(set(params) - set(accepted))

@@ -28,7 +28,6 @@ the knob swept in the Figure 8 reproduction.
 from __future__ import annotations
 
 import itertools
-import weakref
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -219,155 +218,70 @@ class FlatCodec(GemmCodec):
 # storage and the list-major scan
 # ---------------------------------------------------------------------------
 
-class InvertedLists:
-    """Codes grouped by list, scanned list by list for a query block.
-
-    Rows are stored **sorted by list** in one array, so list ``c`` is the
-    slice ``offsets[c]:offsets[c + 1]`` of ``codes`` and of ``ids`` (the
-    rows' positions in the build matrix) and a scan scores against it in
-    place.  What a row is is the codec's business; where its Euclidean
-    scores are only the cross term, ``norms`` keeps ``|row|^2`` of the
-    decoded rows (list-sorted like them).
-    """
-
-    def __init__(self, data: np.ndarray, assignments: np.ndarray,
-                 nlist: int, codec: Codec, metric: MetricType) -> None:
-        order = np.argsort(assignments, axis=None, kind="stable")
-        self.metric = metric
-        self.codec = codec
-        self.ids = order.astype(np.int64, copy=False)
-        if assignments.ndim > 1:
-            # (replicas, n): a row is stored once per replica.
-            self.ids %= assignments.shape[1]
-        self.offsets = np.zeros(nlist + 1, dtype=np.int64)
-        np.cumsum(np.bincount(assignments.reshape(-1), minlength=nlist),
-                  out=self.offsets[1:])
-        # One entry past the lists, like ``offsets``: list ``-1`` is empty.
-        self.sizes = np.append(np.diff(self.offsets), 0)
-        self.max_list_size = int(self.sizes.max())
-        self.codes = codec.encode(data[self.ids])
-        self.norms: np.ndarray | None = None
-        if metric is MetricType.EUCLIDEAN and codec.scores_cross_term:
-            rows = codec.decode(self.codes)
-            # Zero-padded by one list's length: see ``_scan_pass``.
-            self.norms = np.zeros(len(rows) + self.max_list_size,
-                                  dtype=np.float32)
-            np.einsum("ij,ij->i", rows, rows, out=self.norms[:len(rows)])
-        self._arena: ListArena | None = None
-        self._views: tuple | None = None
-
-    def __getstate__(self) -> dict:
-        # The arena and the list views are derived, and views would
-        # pickle as copies of the codes.
-        return {**self.__dict__, "_arena": None, "_views": None}
-
-    def list_views(self) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
-        """Every list's codes and, where kept, ``|row|^2``: views of
-        ``codes`` / ``norms`` taken once, for every arena that holds this
-        member."""
-        if self._views is None:
-            bounds = list(itertools.pairwise(
-                [*self.offsets.tolist(), len(self.ids)]))
-            self._views = (
-                [self.codes[low:high] for low, high in bounds],
-                None if self.norms is None
-                else [self.norms[low:high] for low, high in bounds])
-        return self._views
-
-    @property
-    def nlist(self) -> int:
-        return len(self.offsets) - 1
-
-    def scan(self, queries: np.ndarray, probe_lists: np.ndarray, k: int
-             ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Top-``k`` of each query over the lists it probes.
-
-        ``probe_lists`` is ``(nq, nprobe)`` list numbers, ``-1`` where a
-        query probes fewer.  Returns ``(ids, adjusted distances, rows
-        scored)`` with result rows tail-padded by ``-1`` / ``+inf`` to
-        width ``k``.  The scan is the arena's of this one member, derived
-        at the first scan and held.
-        """
-        if self._arena is None:
-            self._arena = ListArena((self,))
-        at, dists, compared = self._arena.scan(
-            (0,), queries, probe_lists[None], k)
-        return np.where(at < 0, -1, self.ids[at]), dists, int(compared[0])
-
-
 class ListArena:
-    """Several :class:`InvertedLists` of one codec laid end to end,
-    scanned as one.
+    """Inverted lists of one codec laid end to end, scanned list-major as
+    one: every bucketed index's scan of its own lists, and one scan of a
+    node's flat members together.
 
-    The arena numbers the members' lists and stored rows consecutively,
-    member after member: ``offsets`` / ``sizes`` / ``norms`` are the
-    members' own, concatenated (every member keeps its trailing empty
-    list), and the code matrices stay where they are: a list's codes are
-    a view of its member's, taken once.  An arena of one member holds that
-    member's arrays themselves, whatever its codec; an arena of several
-    holds flat members of one metric (``ArenaIndex.admits``), so the
-    members keep ``|row|^2`` all or none.  It references its members
-    weakly, since a member holds the arena of itself alone.
+    An :class:`InvertedLists` is the arena of one member: its own lists.
+    An arena of several numbers the members' lists and stored rows
+    consecutively, member after member: ``offsets`` / ``sizes`` /
+    ``norms`` / ``ids`` are the members' own, concatenated (every member
+    keeps its trailing empty list), and the code matrices stay where they
+    are: a list's codes are a view of its member's, taken once.  Its
+    members are flat, of one metric (``ArenaIndex.admits``), so they keep
+    ``|row|^2`` all or none and store each build row once.
 
-    ``base`` is an arena of the first members that this one extends: the
-    list views derived of them are taken over, and only the arrays laid
-    end to end are laid again.
+    ``base`` is an arena of the first members that this one extends (by
+    default the first member, the arena of itself): the list views derived
+    of them are taken over, and only the arrays laid end to end are laid
+    again.
     """
 
     def __init__(self, members: Sequence[InvertedLists],
                  base: ListArena | None = None) -> None:
-        kept = len(base.widest) if base is not None else 0
+        base = base if base is not None else members[0]
+        kept = len(base.widest)
         new = members[kept:]
-        self._members = (base._members if base is not None else ()) \
-            + tuple(weakref.ref(member) for member in new)
+        rows = [len(member.ids) for member in new]
         #: The members' codec, and the metric their lists are scanned in.
-        self.codec, self.metric = members[0].codec, members[0].metric
-        rows = [len(member.ids) for member in members]
+        self.codec, self.metric = base.codec, base.metric
         #: First arena row / first arena list number of every member.
-        self.row_base = [0, *itertools.accumulate(rows)]
-        self.list_base = [0, *itertools.accumulate(
-            len(member.sizes) for member in members)]
-        self.widest = [member.max_list_size for member in members]
+        self.row_base = base.row_base[:-1] + list(itertools.accumulate(
+            rows, initial=base.row_base[-1]))
+        self.list_base = base.list_base[:-1] + list(itertools.accumulate(
+            (len(member.sizes) for member in new),
+            initial=base.list_base[-1]))
+        self.widest = base.widest + [member.max_list_size for member in new]
+        starts = self.row_base[kept:-1]
+        #: Arena row -> row of the members' build matrices laid end to end.
+        self.ids = np.concatenate(
+            [base.ids] + [member.ids + at for member, at in zip(new, starts)])
+        # A member's ``nlist + 1`` offsets end at its row count: shifted to
+        # where its rows start, the last one is where its trailing empty
+        # list sits.
+        self.offsets = np.concatenate(
+            [base.offsets]
+            + [member.offsets + at for member, at in zip(new, starts)])
+        self.sizes = np.concatenate(
+            [base.sizes] + [member.sizes for member in new])
         #: Every arena list's codes, a view of its member's matrix taken
-        #: once (``InvertedLists.list_views``): the scan slices no code
-        #: matrix per list.
-        self.views = (base.views if base is not None else []) + [
-            view for member in new for view in member.list_views()[0]]
-        if len(members) == 1:
-            (only,) = members
-            self.offsets, self.sizes, self.norms = (
-                only.offsets, only.sizes, only.norms)
-        else:
-            # A member's ``nlist + 1`` offsets end at its row count:
-            # shifted to where its rows start, the last one is where its
-            # trailing empty list sits.
-            self.offsets = np.concatenate(
-                ([base.offsets] if base is not None else [])
-                + [member.offsets + at
-                   for member, at in zip(new, self.row_base[kept:])])
-            self.sizes = np.concatenate(
-                ([base.sizes] if base is not None else [])
-                + [member.sizes for member in new])
-            self.norms = None
-            if members[0].norms is not None:
-                # Zero-padded by one list's length (``_scan_pass``).
-                self.norms = np.concatenate(
-                    ([base.norms[:self.row_base[kept]]]
-                     if base is not None else [])
-                    + [member.norms[:n] for member, n in zip(new, rows[kept:])]
-                    + [np.zeros(max(self.widest), dtype=np.float32)])
+        #: once (``InvertedLists._derive``): the scan slices no code matrix
+        #: per list.
+        self.views = base.views + [view for member in new
+                                   for view in member.views]
         #: Every arena list's ``|row|^2``, a view of its member's, as
         #: ``views`` are; None where the members keep none.  One query's
         #: row gathers them with one ``concatenate``.
-        self.norm_views = None
-        if self.norms is not None:
-            self.norm_views = (base.norm_views if base is not None else []) \
-                + [view for member in new for view in member.list_views()[1]]
-
-    @property
-    def members(self) -> tuple[InvertedLists, ...]:
-        """The members, in arena order."""
-        return tuple(member() for member in self._members)
+        self.norms = self.norm_views = None
+        if base.norms is not None:
+            # Zero-padded by one list's length (``_scan_pass``).
+            self.norms = np.concatenate(
+                [base.norms[:base.row_base[-1]]]
+                + [member.norms[:n] for member, n in zip(new, rows)]
+                + [np.zeros(max(self.widest), dtype=np.float32)])
+            self.norm_views = base.norm_views + [
+                view for member in new for view in member.norm_views]
 
     def scan(self, scope: Sequence[int], queries: np.ndarray,
              probes: np.ndarray, k: int
@@ -378,9 +292,9 @@ class ListArena:
         ``(len(scope), nq, width)`` arena list numbers; a slot that probes
         nothing names its member's trailing empty list (which ``-1`` is,
         for the last member).  Rows are laid out member-major.  Returns
-        ``(arena rows, adjusted distances, rows scored per member)``, the
-        first two ``(len(scope) * nq, k)``, tail-padded by ``-1`` /
-        ``+inf``.
+        ``(ids, adjusted distances, rows scored per member)``, the first
+        two ``(len(scope) * nq, k)``, tail-padded by ``-1`` / ``+inf``;
+        an id is a row of the members' build matrices laid end to end.
 
         Passes are cut at whole members: a list's GEMM then multiplies
         the rows of every query that probes it whatever else is in the
@@ -409,10 +323,9 @@ class ListArena:
                 passes.append((at, dists))
                 compared[first:last] += scored
             first = last
-        if len(passes) == 1:
-            return (*passes[0], compared)
-        at, dists = zip(*passes)
-        return np.concatenate(at), np.concatenate(dists), compared
+        at, dists = passes[0] if len(passes) == 1 \
+            else map(np.concatenate, zip(*passes))
+        return np.where(at < 0, -1, self.ids[at]), dists, compared
 
     def _scan_pass(self, scope: Sequence[int], queries: np.ndarray,
                    probes: np.ndarray, k: int
@@ -526,12 +439,12 @@ class ListArena:
         or by ``ranks`` first (one per position in ``scope``, then one per
         column) where given.
 
-        Returns ``(arena rows, adjusted distances, rows scored, pruned)``:
-        the first two ``(1, <= k)``, padded by ``-1`` / ``+inf``, with a
-        column entry numbered from ``row_base[-1]`` on (columns laid end
-        to end); the rows each member probed and the excluded ones among
-        its ``asked`` best, ``(len(scope),)``.  A member's distances are
-        the ones ``scan`` hands it.
+        Returns ``(ids, adjusted distances, rows scored, pruned)``: the
+        first two ``(1, <= k)``, padded by ``-1`` / ``+inf``, ids as
+        ``scan``'s and a column entry numbered from ``row_base[-1]`` on
+        (columns laid end to end); the rows each member probed and the
+        excluded ones among its ``asked`` best, ``(len(scope),)``.  A
+        member's distances are the ones ``scan`` hands it.
         """
         n = len(scope)
         pruned = np.zeros(n, dtype=np.int64)
@@ -549,10 +462,10 @@ class ListArena:
             row = np.concatenate([row, *columns], axis=None)
         for i, (excluded, asked) in (cuts or {}).items():
             lo, hi = spans[i], spans[i + 1]
-            ids = self._members[scope[i]]().ids
             scores = row[lo:hi]
-            dead = excluded[ids[_arena_rows(heads, lows, np.arange(lo, hi))
-                                - self.row_base[scope[i]]]]
+            dead = excluded[self.ids[_arena_rows(heads, lows,
+                                                 np.arange(lo, hi))]
+                            - self.row_base[scope[i]]]
             found = _pruned(scores, dead, int(probed[i]), asked, k,
                             len(excluded))
             if found is None:
@@ -569,14 +482,15 @@ class ListArena:
 
         cols, dists = _in_column_order(row, *topk_smallest(row, k + 1), k,
                                        key)
-        at = _arena_rows(heads, lows,
-                         np.minimum(cols, lists - 1) if columns else cols)
+        ids = self.ids[_arena_rows(
+            heads, lows, np.minimum(cols, lists - 1) if columns else cols)]
         if columns:
-            at = np.where(cols < lists, at, self.row_base[-1] + cols - lists)
-        at = np.where(dists < np.inf, at, -1)  # +inf is padding
+            ids = np.where(cols < lists, ids,
+                           self.row_base[-1] + cols - lists)
+        ids = np.where(dists < np.inf, ids, -1)  # +inf is padding
         if self.norms is not None:
             np.maximum(dists, 0.0, out=dists)   # rounding below zero
-        return at[None], dists[None], probed, pruned
+        return ids[None], dists[None], probed, pruned
 
     def _one_row(self, queries: np.ndarray, probes: np.ndarray) -> tuple:
         """One query's candidate row, laid compact: every probed list's
@@ -604,6 +518,80 @@ class ListArena:
             row += np.concatenate([norm_views[number] for number in numbers])
         return (row, starts[::width], ends - sizes, self.offsets[pairs],
                 sizes.reshape(n, width).sum(axis=1))
+
+
+class InvertedLists(ListArena):
+    """Codes grouped by list: one index's own lists, the arena of one member.
+
+    Rows are stored **sorted by list** in one array, so list ``c`` is the
+    slice ``offsets[c]:offsets[c + 1]`` of ``codes`` and of ``ids`` (the
+    rows' positions in the build matrix) and a scan scores against it in
+    place.  What a row is is the codec's business; where its Euclidean
+    scores are only the cross term, ``norms`` keeps ``|row|^2`` of the
+    decoded rows (list-sorted like them).
+    """
+
+    #: What ``_derive`` sets, and a pickle leaves out.
+    _DERIVED = ("row_base", "list_base", "widest", "views", "norm_views")
+
+    def __init__(self, data: np.ndarray, assignments: np.ndarray,
+                 nlist: int, codec: Codec, metric: MetricType) -> None:
+        # Built, not laid out of members (``ListArena.__init__`` is not
+        # run): what an arena lays out is read off the one member.
+        order = np.argsort(assignments, axis=None, kind="stable")
+        self.metric = metric
+        self.codec = codec
+        self.ids = order.astype(np.int64, copy=False)
+        if assignments.ndim > 1:
+            # (replicas, n): a row is stored once per replica.
+            self.ids %= assignments.shape[1]
+        self.offsets = np.zeros(nlist + 1, dtype=np.int64)
+        np.cumsum(np.bincount(assignments.reshape(-1), minlength=nlist),
+                  out=self.offsets[1:])
+        # One entry past the lists, like ``offsets``: list ``-1`` is empty.
+        self.sizes = np.append(np.diff(self.offsets), 0)
+        self.max_list_size = int(self.sizes.max())
+        self.codes = codec.encode(data[self.ids])
+        self.norms: np.ndarray | None = None
+        if metric is MetricType.EUCLIDEAN and codec.scores_cross_term:
+            rows = codec.decode(self.codes)
+            # Zero-padded by one list's length: see ``_scan_pass``.
+            self.norms = np.zeros(len(rows) + self.max_list_size,
+                                  dtype=np.float32)
+            np.einsum("ij,ij->i", rows, rows, out=self.norms[:len(rows)])
+        self._derive()
+
+    def _derive(self) -> None:
+        """What an arena reads of its one member, derived from the stored
+        lists: its bases and widest list, and every list's codes and
+        ``|row|^2`` (where kept) as views of ``codes`` / ``norms``, the
+        trailing empty list included, taken once for every scan and every
+        arena that holds this member."""
+        self.row_base = [0, len(self.ids)]
+        self.list_base = [0, len(self.sizes)]
+        self.widest = [self.max_list_size]
+        bounds = list(itertools.pairwise(
+            [*self.offsets.tolist(), len(self.ids)]))
+        self.views = [self.codes[low:high] for low, high in bounds]
+        self.norm_views = None if self.norms is None \
+            else [self.norms[low:high] for low, high in bounds]
+
+    def __getstate__(self) -> dict:
+        # What is derived is not pickled: views would pickle as copies of
+        # the codes.  A blob keeps the two empty derived slots it has
+        # always held, as a query node is charged by the byte to load it.
+        state = {name: value for name, value in self.__dict__.items()
+                 if name not in self._DERIVED}
+        return {**state, "_arena": None, "_views": None}
+
+    def __setstate__(self, state: dict) -> None:
+        del state["_arena"], state["_views"]
+        self.__dict__.update(state)
+        self._derive()
+
+    @property
+    def nlist(self) -> int:
+        return len(self.offsets) - 1
 
 
 def _arena_rows(heads: np.ndarray, lows: np.ndarray, cols: np.ndarray
@@ -889,11 +877,11 @@ class BucketedIndex(VectorIndex):
             positive_int("nprobe", nprobe)
         self.stats.reset()
         ids, dists, compared = self._lists.scan(
-            queries, self._probe(queries, k, nprobe), k)
+            (0,), queries, self._probe(queries, k, nprobe)[None], k)
         if self.codec.quantized:
-            self.stats.quantized_comparisons += compared
+            self.stats.quantized_comparisons += int(compared[0])
         else:
-            self.stats.float_comparisons += compared
+            self.stats.float_comparisons += int(compared[0])
         return ids, dists
 
     @property
@@ -959,15 +947,7 @@ class ArenaIndex(VectorIndex):
         self.members = tuple(members)
         self.lists = ListArena([member._lists for member in members],
                                base.lists if base is not None else None)
-        #: First row of every member in the build matrices end to end.
-        self.row_base = [0, *itertools.accumulate(
-            member.ntotal for member in members)]
-        #: Arena row -> row of the build matrices end to end.
-        self.ids = np.concatenate(
-            ([base.ids] if base is not None else [])
-            + [member._lists.ids + at
-               for member, at in zip(new, self.row_base[kept:])])
-        self.ntotal = self.row_base[-1]
+        self.ntotal = self.lists.row_base[-1]
         self.is_built = True
         self._nlists = np.array([member.bucketer.num_buckets
                                  for member in members])
@@ -1160,23 +1140,11 @@ class ArenaIndex(VectorIndex):
                                       columns, ranks)
             if found is None:
                 return None
-            at, dists, rows, pruned = found
-            counts[:, FLOAT_COMPARISONS] += rows
-            if not columns:
-                ids = np.where(at < 0, -1, self.ids[at])
-            else:
-                stored = self.lists.row_base[-1]
-                listed = (at >= 0) & (at < stored)
-                ids = np.where(listed, self.ids[np.where(listed, at, 0)],
-                               np.where(at < 0, -1,
-                                        at - stored + self.ntotal))
-            found = ids, dists, rows, pruned
+            counts[:, FLOAT_COMPARISONS] += found[2]
         else:
-            at, dists, compared = self.lists.scan(scope, queries, probes, k)
+            ids, dists, compared = self.lists.scan(scope, queries, probes, k)
             counts[:, FLOAT_COMPARISONS] += compared
-            shape = n, nq, k
-            found = (np.where(at < 0, -1, self.ids[at]).reshape(shape),
-                     dists.reshape(shape))
+            found = ids.reshape(n, nq, k), dists.reshape(n, nq, k)
         if stats is not None and counts is not stats:
             for entry, row in zip(stats, counts.tolist()):
                 entry.add(SearchStats.from_row(row))

@@ -49,11 +49,6 @@ from repro.tracing import NOOP_TRACER, TraceCollector
 class SegmentAllocator(Protocol):
     """Data-coordinator service assigning rows to growing segments."""
 
-    def assign_segment(self, collection: str, shard: int,
-                       num_rows: int) -> str:
-        """Return the segment id the next ``num_rows`` rows should join."""
-        ...
-
     def assign_segments(self, collection: str, shard: int,
                         num_rows: int) -> list[tuple[str, int]]:
         """Partition ``num_rows`` into (segment id, count) chunks so no

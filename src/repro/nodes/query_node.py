@@ -40,8 +40,8 @@ from repro.config import ManuConfig
 from repro.core.consistency import ConsistencyGate
 from repro.core.arena import SegmentArena
 from repro.core.expr import FilterExpression
-from repro.core.filtering import FilterStrategy, choose_strategy, \
-    compute_mask, planned_search
+from repro.core.filtering import choose_strategy, compute_mask, \
+    planned_search
 from repro.core.multivector import MultiVectorQuery, search_segment
 from repro.core.results import HitBlock, NodeWork, ReduceStats, \
     merge_topk
@@ -431,11 +431,12 @@ class QueryNode:
         segments' built slices and their tails (every segment in scope
         one of those, no pk twice, one scan pass, every deleting
         member's cut proven): that is the node-wise top-k, and nothing
-        is merged.  Otherwise the sealed segments the arena holds are
-        searched through it, all in one scan; a segment it does not hold
-        (growing, unindexed, an index with its own post-processing) or
-        whose filter is planned as a pre-filter is searched on its own
-        and feeds the same merge.
+        is merged.  Otherwise the sealed segments the arena holds that
+        exclude no row (nothing deleted, no filter) are searched through
+        it, all in one scan; every other segment (growing, unindexed, an
+        index outside the arena, a deleting or filtered member) is
+        searched on its own, its filter planned per segment, and feeds
+        the same merge.
         """
         queries = np.asarray(queries, dtype=np.float32)
         if queries.ndim == 1:
@@ -443,37 +444,34 @@ class QueryNode:
 
         def scan(plan: _ScanPlan, counts: np.ndarray, reduce: ReduceStats
                  ) -> list[tuple[HitBlock, int]] | HitBlock:
-            segments, arena = plan.segments, plan.arena
-            if expr is None and arena is not None:
+            segments = plan.segments
+            # Under a filter every segment is searched on its own: the
+            # arena holds no post-filter.
+            arena = plan.arena if expr is None else None
+            if arena is not None:
                 found = arena.select(segments, plan.layout, queries, k,
                                      counts[0], reduce,
                                      self._held(collection))
                 if found is not None:
                     return found
             parts: list = [None] * len(segments)
-            members, masks, at = [], [], []
+            members, at = [], []
             for i, segment in enumerate(segments):
                 number = arena.slot.get(segment.segment_id) \
                     if arena is not None else None
-                strategy = choose_strategy(segment, field, k, expr) \
-                    if expr is not None else None
-                if number is not None and (
-                        strategy is None
-                        or strategy.strategy
-                        is not FilterStrategy.PRE_FILTER):
+                if number is not None and not segment.num_deleted:
                     members.append(number)
-                    masks.append(strategy.mask
-                                 if strategy is not None else None)
                     at.append(i)
                     continue
+                strategy = choose_strategy(segment, field, k, expr) \
+                    if expr is not None else None
                 stats = SearchStats()   # a segment reports its own work
                 parts[i] = planned_search(
                     segment, field, queries, k, metric, strategy,
                     stats=stats), 1
                 counts[0, i] += stats.as_row()
             if members:
-                found = arena.search(members, queries, k, masks, counts[0],
-                                     at)
+                found = arena.search(members, queries, k, counts[0], at)
                 # Each run of consecutive segments is one view of it.
                 width = found.dists.shape[1] // len(members)
                 first = 0

@@ -3,6 +3,9 @@ of ``ManuCluster`` or PyManu (names and values alike, of any type)
 answers or raises a ``ManuError``, and a REST request answers with a
 status other than 500.  Derandomized, so tier-1 draws the same
 inputs each run; to hunt, raise ``max_examples`` in a scratch copy.
+Draws can miss one bad argument of a verb with many options, so every
+name-typed argument is also swept on its own, with each value of
+``NOT_NAMES``, in an otherwise well-formed call.
 """
 
 from __future__ import annotations
@@ -145,3 +148,98 @@ def test_a_rest_request_answers_with_a_status(served, method, path, body):
     status, payload = RestApi(served).handle(method, path, body)
     assert isinstance(status, int) and isinstance(payload, dict)
     assert status != 500, payload
+
+
+#: Values that are no name.  Each, handed alone as a collection, field,
+#: tenant or index type name to a call that is otherwise well-formed, is
+#: refused with a ``ManuError`` (REST: a 4xx).  None is swept only where
+#: a name has no default.
+NOT_NAMES = [None, [], {}, 0, b"c"]
+_VEC = np.ones(DIM, dtype=np.float32)
+_ROWS = {"pk": [1000], "vector": _VEC[None, :], "price": [1.0],
+         "label": ["a"]}
+_SCHEMA = CollectionSchema([
+    FieldSchema("pk", DataType.INT64, is_primary=True),
+    FieldSchema("vector", DataType.FLOAT_VECTOR, dim=DIM)])
+_IVF = {"index_type": "IVF_FLAT", "metric_type": "Euclidean",
+        "params": {"nlist": 2}}
+#: surface -> verb -> (a well-formed call's positional arguments and
+#: keyword options, and its names: a position (no default), a keyword
+#: left out of the call (default None), or ``(position, key)`` of an
+#: entry of a mapping argument (defaulted)).
+NAMED = {"cluster": {
+    "search": (("c", _VEC, 3), {}, [0, "field", "tenant"]),
+    "range_search": (("c", _VEC, 1.0), {}, [0, "field", "tenant"]),
+    "get": (("c", [1]), {}, [0, "tenant"]),
+    "insert": (("c", _ROWS), {}, [0, "tenant"]),
+    "upsert": (("c", _ROWS), {}, [0, "tenant"]),
+    "delete": (("c", "pk in [1000]"), {}, [0, "tenant"]),
+    "create_index": (("c", "vector", "IVF_FLAT", MetricType.EUCLIDEAN,
+                      {"nlist": 2}), {}, [0, 1, 2]),
+    "create_collection": (("d", _SCHEMA), {}, [0]),
+}, "collection": {
+    "search": ((), {"vec": _VEC, "limit": 3}, ["field"]),
+    "query": ((), {"vec": _VEC, "expr": "price > 3", "limit": 3},
+              ["field"]),
+    "range_search": ((_VEC, 1.0), {}, ["field"]),
+    "create_index": (("vector", _IVF), {}, [0, (1, "index_type")]),
+}, "pymanu": {
+    "Collection": (("c",), {"using": "errors"}, [0, "tenant"]),
+}}
+
+
+def _name_sweep():
+    for surface, verbs in NAMED.items():
+        assert set(verbs) <= set(VERBS[surface])
+        for verb, (_args, _options, names) in verbs.items():
+            for slot in names:
+                for value in NOT_NAMES:
+                    if value is not None or isinstance(slot, int):
+                        yield pytest.param(
+                            surface, verb, slot, value,
+                            id=f"{surface}.{verb}-{slot}-{value!r}")
+
+
+@pytest.mark.parametrize("surface,verb,slot,value", _name_sweep())
+def test_a_name_that_is_no_name_is_refused(served, surface, verb, slot,
+                                           value):
+    args, options, _names = NAMED[surface][verb]
+    args, options = list(args), dict(options)
+    if isinstance(slot, int):
+        args[slot] = value
+    elif isinstance(slot, str):
+        options[slot] = value
+    else:
+        position, key = slot
+        args[position] = {**args[position], key: value}
+    target = {"cluster": served, "pymanu": pymanu,
+              "collection": pymanu.Collection("c", using="errors")}[surface]
+    with pytest.raises(ManuError):
+        getattr(target, verb)(*args, **options)
+
+
+#: REST routes: (path, a well-formed body, its names without a default,
+#: its names with one).
+REST_NAMED = [
+    ("/collections", {"name": "d", "schema": _SCHEMA.to_dict()},
+     ["name"], []),
+    ("/collections/c/search", {"vector": _VEC.tolist(), "limit": 3},
+     [], ["field", "tenant"]),
+    ("/collections/c/range_search", {"vector": _VEC.tolist(),
+                                     "radius": 1.0}, [], ["field", "tenant"]),
+    ("/collections/c/entities/get", {"pks": [1]}, [], ["tenant"]),
+    ("/collections/c/indexes", {"field": "vector", "params": {"nlist": 2}},
+     ["field"], ["index_type"]),
+]
+
+
+@pytest.mark.parametrize("path,body,entry,value", [
+    pytest.param(path, body, entry, value, id=f"{path}-{entry}-{value!r}")
+    for path, body, required, defaulted in REST_NAMED
+    for entry in required + defaulted for value in NOT_NAMES
+    if value is not None or entry in required])
+def test_a_rest_name_that_is_no_name_is_refused(served, path, body, entry,
+                                                value):
+    status, payload = RestApi(served).handle("POST", path,
+                                             {**body, entry: value})
+    assert 400 <= status < 500, payload

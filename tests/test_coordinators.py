@@ -60,28 +60,37 @@ class TestRootCoordinator:
 class TestDataCoordinator:
     def test_allocator_rolls_over_at_limit(self, cluster, schema):
         limit = cluster.config.segment.seal_entity_count
-        first = cluster.data_coord.assign_segment("c", 0, limit - 1)
-        again = cluster.data_coord.assign_segment("c", 0, 1)
+        [(first, _)] = cluster.data_coord.assign_segments("c", 0, limit - 1)
+        [(again, _)] = cluster.data_coord.assign_segments("c", 0, 1)
         assert again == first  # exactly at limit, same segment
-        rolled = cluster.data_coord.assign_segment("c", 0, 1)
+        [(rolled, _)] = cluster.data_coord.assign_segments("c", 0, 1)
         assert rolled != first
+        # A batch past the room left is split at the limit.
+        (same, room), (opened, rest) = cluster.data_coord.assign_segments(
+            "c", 0, limit)
+        assert (same, room, rest) == (rolled, limit - 1, 1)
+        assert opened not in (first, rolled)
 
     def test_rollover_publishes_seal(self, cluster, schema):
         limit = cluster.config.segment.seal_entity_count
-        first = cluster.data_coord.assign_segment("c", 0, limit)
-        cluster.data_coord.assign_segment("c", 0, 1)
-        entries = cluster.broker.read(cluster.config.log.coord_channel, 0)
-        seals = [e.payload.payload["segment_id"] for e in entries
-                 if getattr(e.payload, "kind_name", "") == "seal_segment"]
-        assert first in seals
+
+        def seals():
+            entries = cluster.broker.read(cluster.config.log.coord_channel, 0)
+            return [e.payload.payload["segment_id"] for e in entries
+                    if getattr(e.payload, "kind_name", "") == "seal_segment"]
+
+        [(first, _)] = cluster.data_coord.assign_segments("c", 0, limit - 1)
+        assert first not in seals()
+        cluster.data_coord.assign_segments("c", 0, 1)
+        assert first in seals()     # published as the limit is reached
 
     def test_shards_get_distinct_segments(self, cluster):
-        a = cluster.data_coord.assign_segment("c", 0, 1)
-        b = cluster.data_coord.assign_segment("c", 1, 1)
+        [(a, _)] = cluster.data_coord.assign_segments("c", 0, 1)
+        [(b, _)] = cluster.data_coord.assign_segments("c", 1, 1)
         assert a != b
 
     def test_idle_sealing(self, cluster):
-        segment = cluster.data_coord.assign_segment("c", 0, 5)
+        [(segment, _)] = cluster.data_coord.assign_segments("c", 0, 5)
         idle_ms = cluster.config.segment.seal_idle_ms
         # The cluster's housekeeping timer runs check_idle periodically;
         # after the idle window the segment must have been sealed.
@@ -92,8 +101,8 @@ class TestDataCoordinator:
         assert info["state"] == "sealed"
 
     def test_seal_all(self, cluster):
-        seg_a = cluster.data_coord.assign_segment("c", 0, 5)
-        seg_b = cluster.data_coord.assign_segment("c", 1, 5)
+        [(seg_a, _)] = cluster.data_coord.assign_segments("c", 0, 5)
+        [(seg_b, _)] = cluster.data_coord.assign_segments("c", 1, 5)
         sealed = cluster.data_coord.seal_all("c")
         assert set(sealed) == {seg_a, seg_b}
         assert cluster.data_coord.growing_backlog("c") == 0

@@ -43,12 +43,8 @@ DIM = 4
 
 
 class _StaticAllocator:
-    def assign_segment(self, collection, shard, num_rows):
-        return f"{collection}-seg-{shard}"
-
     def assign_segments(self, collection, shard, num_rows):
-        return [(self.assign_segment(collection, shard, num_rows),
-                 num_rows)]
+        return [(f"{collection}-seg-{shard}", num_rows)]
 
 
 def _service(loop=None, rows=64, nbytes=256 * 1024, window=2.0,

@@ -326,8 +326,8 @@ class TestEmptyListsAndUnprobedSlots:
         stats = SearchStats()
         want = loop_decode_scan(lists, codes, codec, metric, queries,
                                 probes, 30, stats)
-        ids, dists, scored = stored.scan(queries, probes, 30)
-        assert scored == 40 + 0 + 26 + 14 == (stats.float_comparisons
+        ids, dists, scored = stored.scan((0,), queries, probes[None], 30)
+        assert scored[0] == 40 + 0 + 26 + 14 == (stats.float_comparisons
                                               + stats.quantized_comparisons)
         rows = np.empty_like(data)
         rows[stored.ids] = codec.decode(stored.codes)

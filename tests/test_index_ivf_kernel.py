@@ -149,8 +149,8 @@ class TestListMajorKernel:
         want = loop_decode_scan(lists, [data[m] for m in lists],
                                 FlatCodec(metric), metric, queries,
                                 probe_lists, 30, stats)
-        got = stored.scan(queries, probe_lists, 30)
-        assert got[2] == stats.float_comparisons == 40 + 0 + 26 + 14
+        *got, compared = stored.scan((0,), queries, probe_lists[None], 30)
+        assert compared[0] == stats.float_comparisons == 40 + 0 + 26 + 14
         assert_hits_within_tolerance(got[:2], want, data, queries, metric,
                                      tolerance(data, queries, metric))
         assert (got[0][1] == -1).all() and np.isinf(got[1][1]).all()
@@ -220,21 +220,21 @@ class TestListMajorKernel:
     @pytest.mark.parametrize("cls", [IvfFlatIndex, IvfHnswIndex])
     @pytest.mark.parametrize("metric", METRICS)
     def test_pickle_round_trip(self, corpus, cls, metric):
-        """What a search derives and holds (the lists' arena and its
-        per-list views) is not pickled: the lists pickle as long before a
-        search as after, and a clone searches bit for bit alike."""
+        """What the lists derive (the per-list views) is not pickled: the
+        lists pickle as long before a search as after, and a clone searches
+        bit for bit alike."""
         data, queries = corpus
         index = cls(metric, DIM, nlist=16, nprobe=4)
         index.build(data)
         blob = pickle.dumps(index._lists)
         ids, dists = index.search(queries, 10)
         stats = index.stats.as_dict()
-        assert index._lists._arena is not None
+        assert not set(index._lists.__getstate__()) \
+            & set(InvertedLists._DERIVED)
         assert len(pickle.dumps(index._lists)) == len(blob)
         for clone in (index_from_bytes(index.to_bytes()),
                       pickle.loads(pickle.dumps(index))):
             assert isinstance(clone, cls) and clone.ntotal == len(data)
-            assert clone._lists._arena is None
             clone_ids, clone_dists = clone.search(queries, 10)
             np.testing.assert_array_equal(clone_ids, ids)
             np.testing.assert_array_equal(clone_dists.view(np.int32),
@@ -385,7 +385,6 @@ class TestChunkGridLayout:
             FlatCodec(metric), metric)
         probes = rng.integers(0, len(sizes) + 1, (1, nq, probed))
         queries = clustered(rng, nq)
-        arena = ListArena((lists,))
         handed, passes = [], []
         real_topk, real_pass = ivf.topk_smallest, ListArena._scan_pass
 
@@ -406,7 +405,7 @@ class TestChunkGridLayout:
             patch.setattr(ListArena, "_scan_pass", scan_pass)
             for rule in (0, 1 << 62):
                 patch.setattr(ivf, "_CHUNK_FROM", rule)
-                answers.append(arena.scan((0,), queries, probes, k))
+                answers.append(lists.scan((0,), queries, probes, k))
         (padded, grid), (_, unchunked) = passes
         assert grid <= padded == unchunked
         (at, dists, compared), (want_at, want_dists, want_compared) = answers

@@ -97,12 +97,8 @@ class TestBinlog:
 class _StaticAllocator:
     """Deterministic per-shard segment naming for logger tests."""
 
-    def assign_segment(self, collection, shard, num_rows):
-        return f"{collection}-seg-{shard}"
-
     def assign_segments(self, collection, shard, num_rows):
-        return [(self.assign_segment(collection, shard, num_rows),
-                 num_rows)]
+        return [(f"{collection}-seg-{shard}", num_rows)]
 
 
 @pytest.fixture

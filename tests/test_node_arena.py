@@ -1,9 +1,10 @@
 """The node arena and the 2-D reduce against the loops they replaced.
 
-``QueryNode.search`` scans its sealed inverted-list segments through one
-arena (one coarse step, one list-major scan, one block post-filter) and
-reduces every segment's candidates with one 2-D merge; the proxy merges the
-nodes' blocks the same way.  The per-segment node loop and the per-query
+``QueryNode.search`` scans its sealed inverted-list segments that exclude
+no row through one arena (one coarse step, one list-major scan), searches
+a deleting or filtered one on its own, and reduces every segment's
+candidates with one 2-D merge; the proxy merges the nodes' blocks the same
+way.  The per-segment node loop and the per-query
 merge loops those replaced are the reference (:mod:`tests.reference.reduce`):
 a request is run twice on the same cluster, as shipped and with the
 reference patched in,
@@ -320,12 +321,14 @@ class TestArenaMatchesThePerSegmentLoop:
         cluster.search("c", clustered(rng, 1), 5)
         for arena in arenas(cluster):
             assert len(arena.segments) >= 3
-            for segment, member, lists in zip(arena.segments,
-                                              arena.index.members,
-                                              arena.index.lists.members):
+            lists = arena.index.lists
+            for number, (segment, member) in enumerate(zip(
+                    arena.segments, arena.index.members)):
                 assert member is segment.index_for("vector")
-                assert lists is member._lists
-                assert np.shares_memory(lists.codes, member._lists.codes)
+                own = lists.views[lists.list_base[number]:
+                                  lists.list_base[number + 1]]
+                assert all(np.shares_memory(view, member._lists.codes)
+                           for view in own if len(view))
             held = [value for holder in (arena, arena.index,
                                          arena.index.lists)
                     for value in vars(holder).values()
@@ -685,6 +688,78 @@ class TestArenaMatchesThePerSegmentLoop:
         assert any(len(scope) < len(node.sealed_segments_of("c"))
                    for node, scope in plan)
         assert len(built) == len([a for a in arenas(cluster) if a])
+
+
+@contextlib.contextmanager
+def own_searches(monkeypatch):
+    """Records the sealed segments searched by their own
+    ``Segment.search`` (``own``) and the members handed to
+    ``SegmentArena.search`` (``arena``), by segment id; the arena must
+    never be handed a member that excludes a row."""
+    seen = {"own": [], "arena": []}
+    real_own, real_arena = Segment.search, SegmentArena.search
+
+    def search(self, *args, **kwargs):
+        if self.is_sealed:
+            seen["own"].append(self.segment_id)
+        return real_own(self, *args, **kwargs)
+
+    def arena_search(self, members, *args):
+        handed = [self.segments[number] for number in members]
+        assert not any(segment.num_deleted for segment in handed)
+        seen["arena"] += [segment.segment_id for segment in handed]
+        return real_arena(self, members, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Segment, "search", search)
+        patch.setattr(SegmentArena, "search", arena_search)
+        yield seen
+
+
+class TestExcludingMembersSearchAlone:
+    """The arena scans only rows that nothing excludes: a sealed member
+    with a deletion or under a filter is searched by its own
+    ``Segment.search`` (the one post-filter) and joins the node merge."""
+
+    @pytest.mark.parametrize("nq", [1, 3, 64])
+    def test_a_deleting_member(self, rng, monkeypatch, nq):
+        """All but five rows of one member deleted: at nq > 1 it searches
+        alone on every request; at nq = 1 its own answer would escalate
+        to the exact scan, so the selection cannot prove its cut, its
+        node falls back and it searches alone there too."""
+        cluster = sealed_cluster(rng)
+        queries = clustered(rng, nq)
+        home, segment = sealed_segments(cluster)[1]
+        cluster.delete("c", f"pk in {segment.pk_array[5:].tolist()}")
+        cluster.run_for(500)
+        assert [seg for _node, seg in sealed_segments(cluster)
+                if seg.num_deleted] == [segment]
+        with node_paths(monkeypatch) as paths, \
+                own_searches(monkeypatch) as seen:
+            cluster.search("c", queries, 10, consistency=EVENTUAL)
+        assert [took for _name, took in paths] == [
+            nq == 1 and name != home.name for name, _took in paths]
+        assert seen["own"] == [segment.segment_id]
+        assert sorted(seen["arena"]) == sorted(
+            seg.segment_id for node, seg in sealed_segments(cluster)
+            if seg is not segment and (nq > 1 or node is home))
+        both(cluster, monkeypatch, queries, 10,
+             selects=lambda node: nq == 1 and node is not home)
+
+    @pytest.mark.parametrize("nq", [1, 3])
+    def test_a_filtered_member(self, rng, monkeypatch, nq):
+        """Under a filter every sealed member searches alone, whichever
+        strategy its plan picks, and the arena is handed nothing."""
+        cluster = sealed_cluster(rng)
+        queries = clustered(rng, nq)
+        with own_searches(monkeypatch) as seen:
+            cluster.search("c", queries, 10, consistency=EVENTUAL,
+                           expr="price < 7")
+        assert sorted(seen["own"]) == sorted(
+            segment.segment_id for _node, segment in sealed_segments(cluster))
+        assert seen["arena"] == []
+        both(cluster, monkeypatch, queries, 10, expr="price < 7",
+             selects=False)
 
 
 # ----------------------------------------------------------------------
@@ -1206,7 +1281,7 @@ class TestArenaIndex:
                 np.testing.assert_array_equal(
                     ids[number],
                     np.where(want_ids < 0, -1,
-                             want_ids + arena.row_base[number]))
+                             want_ids + arena.lists.row_base[number]))
                 assert stats[number].as_dict() == member.stats.as_dict()
                 own = member._probe(queries, 10, None)
                 base = arena.lists.list_base[number]
@@ -1256,7 +1331,8 @@ class TestArenaIndex:
                         HitBlock(ids[at], dists[at]),
                         HitBlock(np.where(
                             want_ids < 0, -1,
-                            want_ids + arena.row_base[number]), want_dists),
+                            want_ids + arena.lists.row_base[number]),
+                            want_dists),
                         10)
                     assert stats[at].as_dict() == member.stats.as_dict()
                     own = member._probe(queries, 10, None)
@@ -1338,7 +1414,7 @@ class TestArenaIndex:
                 np.testing.assert_array_equal(
                     dists[at].view(np.int32), want_dists.view(np.int32))
                 want_ids = np.where(want_ids < 0, -1,
-                                    want_ids + arena.row_base[number])
+                                    want_ids + arena.lists.row_base[number])
                 assert_batches_equal_up_to_ties(
                     HitBlock(ids[at], dists[at]),
                     HitBlock(want_ids, want_dists), k)
@@ -1401,7 +1477,7 @@ class TestArenaIndex:
             members.append(index)
         arena = ArenaIndex(members)
         copies = np.array([[base + row for row in (5, 50, 150, 250)]
-                           for base in arena.row_base[:3]])
+                           for base in arena.lists.row_base[:3]])
         for k in range(1, 13):
             ids, dists, _rows, _pruned = arena.search(query, k,
                                                       together=True)
@@ -1604,7 +1680,7 @@ def assert_members_answer_alone(arena, members, queries, k, scope):
         np.testing.assert_array_equal(dists[at].view(np.int32),
                                       want_dists.view(np.int32))
         want_ids = np.where(want_ids < 0, -1,
-                            want_ids + arena.row_base[number])
+                            want_ids + arena.lists.row_base[number])
         assert_batches_equal_up_to_ties(HitBlock(ids[at], dists[at]),
                                         HitBlock(want_ids, want_dists), k)
         assert (ids[at][np.isinf(dists[at])] == -1).all()
@@ -1635,8 +1711,8 @@ class TestChunkGrid:
         ("IVF_SQ8", {}), ("IVF_PQ", {"m": 4}), ("IVF_HNSW", {})])
     def test_an_index_outside_the_arena_alone(self, rng, monkeypatch,
                                               metric, kind, params):
-        """A quantized or graph-navigated index scans its lists through an
-        arena of itself alone (``InvertedLists.scan``): laid out in chunks
+        """A quantized or graph-navigated index scans its own lists (the
+        arena of one member): laid out in chunks
         it answers as with the padded block — distances bit for bit, ids
         up to exact ties, the same work counters."""
         index = sized_index(kind, metric, (2 * W + 1, W, 0, 1, 3 * W), rng,
@@ -1649,7 +1725,6 @@ class TestChunkGrid:
                 patch.setattr(ivf, "_CHUNK_FROM", chunk_from)
                 patch.setattr(ivf._ChunkGrid, "of", lambda *args: grids.append(
                     real(*args)) or grids[-1])
-                index._lists._arena = None
                 ids, dists = index.search(queries, 2 * W + 3)
                 answers.append((ids, dists, index.stats.as_dict()))
         (ids, dists, stats), (want_ids, want_dists, want_stats) = answers
@@ -1688,9 +1763,10 @@ class TestChunkGrid:
     @pytest.mark.parametrize("metric", METRICS)
     def test_k_amplified_by_deletions(self, rng, monkeypatch,
                                       every_pass_chunked, metric):
-        """A node whose segments lost their nearest rows asks its arena
-        for an amplified ``k``; in chunks of 4 scores (lists of ~20 rows
-        span several) it answers as the per-segment loop does."""
+        """Segments that lost their nearest rows ask their own lists for
+        an amplified ``k`` beside the arena's scan of the others; in
+        chunks of 4 scores (lists of ~20 rows span several) the node
+        answers as the per-segment loop does."""
         monkeypatch.setattr(ivf, "_CHUNK_WIDTH", 4)
         cluster = sealed_cluster(rng, metric)
         queries = clustered(rng, 17)

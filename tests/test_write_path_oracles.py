@@ -234,12 +234,8 @@ class TestColumnBlobs:
 # ----------------------------------------------------------------------
 
 class _OneSegmentAllocator:
-    def assign_segment(self, collection, shard, num_rows):
-        return f"{collection}-seg-{shard}"
-
     def assign_segments(self, collection, shard, num_rows):
-        return [(self.assign_segment(collection, shard, num_rows),
-                 num_rows)]
+        return [(f"{collection}-seg-{shard}", num_rows)]
 
 
 def _service(num_shards: int) -> LoggerService:
