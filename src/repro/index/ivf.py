@@ -150,7 +150,7 @@ def _products(queries: np.ndarray, pair_query: np.ndarray,
     def score(begin: int, end: int, rows: np.ndarray,
               out: np.ndarray) -> None:
         if end - begin == 1:
-            np.dot(rows, left[begin], out=out[0])
+            rows.dot(left[begin], out=out[0])
         else:
             np.matmul(left[begin:end], rows.T, out=out)
 
@@ -510,7 +510,7 @@ class ListArena:
         left = _left_factor(queries, self.metric)[0]
         for number, begin, end in zip(numbers, starts, starts[1:]):
             if begin < end:
-                np.dot(views[number], left, out=row[begin:end])
+                views[number].dot(left, out=row[begin:end])
         if self.norms is not None:
             # (|q|^2 - 2 q.v) + |v|^2, the order ``squared_l2`` adds in.
             row += np.einsum("ij,ij->i", queries, queries)[0]

@@ -105,10 +105,9 @@ def slow_queries_view(cluster: ManuCluster, n: int = 5) -> str:
         lines.append(f"  (none above {slowlog.threshold_ms:g} ms)")
         return "\n".join(lines)
     for entry in entries:
-        trace = entry.trace_id if entry.trace_id is not None else "-"
         lines.append(
             f"  {entry.latency_ms:9.2f} ms {entry.collection:20s} "
-            f"rows {entry.rows_scanned:9d} trace {trace}")
+            f"rows {entry.rows_scanned:9d} trace {entry.trace_id}")
     return "\n".join(lines)
 
 

@@ -41,16 +41,11 @@ from repro.index.base import BYTES_MATERIALIZED, ROWS_SCANNED, \
     SearchStats
 from repro.log.logger_node import AckFuture, LoggerService
 from repro.monitoring.metrics import MetricsRegistry
-from repro.profiling import QueryProfile
+from repro.profiling import QueryProfile, SlowQueryLog
 from repro.tenancy import CostMeter
 from repro.sim.costmodel import CostModel
 from repro.sim.events import EventLoop
-from repro.tracing import (
-    NOOP_TRACER,
-    SPAN_ERROR,
-    SPAN_INCOMPLETE,
-    TraceCollector,
-)
+from repro.tracing import SPAN_ERROR, SPAN_INCOMPLETE, TraceCollector
 
 
 #: Read verb -> its sliding latency window (the autoscaler's signal: it
@@ -87,14 +82,13 @@ class _ReadRequest:
     #: under a tenant (its read units)
     rows_scanned: int = 0
     bytes_materialized: int = 0
-    merge_stats: Optional[ReduceStats] = None  # only under a profile
+    merge_stats: Optional[ReduceStats] = None  # None unless profiled
     segments: int = 0          # scanned, summed over the fan-out
     issue_ms: float = 0.0
     wait_ms: float = 0.0
     scanned_ms: float = 0.0    # the last node's finish
     merge_ms: float = 0.0
     done_ms: float = 0.0
-    trace_id: Optional[str] = None  # None unless the trace is sampled
 
 
 class PendingSearch:
@@ -116,11 +110,10 @@ class Proxy:
     def __init__(self, name: str, loop: EventLoop, tso: TimestampOracle,
                  config: ManuConfig, cost_model: CostModel,
                  logger_service: LoggerService, root_coord, query_coord,
+                 tracer: TraceCollector, slowlog: SlowQueryLog,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[TraceCollector] = None,
                  tenants=None, admission=None,
-                 cost_meter: Optional[CostMeter] = None,
-                 slowlog=None) -> None:
+                 cost_meter: Optional[CostMeter] = None) -> None:
         self.name = name
         self._loop = loop
         self._tso = tso
@@ -130,7 +123,7 @@ class Proxy:
         self._root = root_coord
         self._query_coord = query_coord
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
+        self._tracer = tracer
         self._component = f"proxy:{name}"
         # Metric handles are live objects; resolve them once per verb
         # instead of rebuilding names on every request.  Families are
@@ -414,31 +407,33 @@ class Proxy:
         return _ReadRequest(verb, collection, tenant, blocks, nq, k,
                             consistency, staleness_ms, explain)
 
-    def _observe_node(self, req: _ReadRequest,
-                      prof: Optional[QueryProfile], parent, name: str,
+    def _observe_node(self, req: _ReadRequest, parent, name: str,
                       ready_ms: float, start_ms: float, service_ms: float,
                       work: NodeWork) -> None:
         """Every plane of one node's part of a read, from its report: the
         ``query_node.scan`` span (its ``segment.scan`` /
         ``query_node.reduce`` children when sampled), the request's read
-        counters under a tenant, the ``query_node_scan`` histogram and the
-        EXPLAIN node stage (under a profile).  Segments scan one after
-        another, so a segment's span ends where the cost model puts the
-        work up to and including it (``work.ends``); a segment's stage
-        holds its own counters, so segment stages sum to the node
-        stage."""
+        counters under a tenant and the ``query_node_scan`` histogram.
+        Segments scan one after another, so a segment's span ends where
+        the cost model puts the work up to and including it
+        (``work.ends``).  Under a profile the spans carry the counters
+        (DESIGN.md §6g): they are the read's EXPLAIN stages."""
         cost = self._cost
         scanned = work.reduce is not None       # a point read scans nothing
+        profiled = scanned and req.merge_stats is not None
+        tags = {"queue_ms": start_ms - ready_ms, "service_ms": service_ms,
+                "segments": work.segments}
+        if profiled:
+            tags.update(functools.reduce(SearchStats.merged_with,
+                                         work.totals).as_dict())
         self._tracer.record_tree(
             "query_node.scan", f"query-node:{name}", parent, ready_ms,
-            start_ms + service_ms, {"queue_ms": start_ms - ready_ms,
-                                    "service_ms": service_ms,
-                                    "segments": work.segments},
+            start_ms + service_ms, tags,
             work.segments + 1 if scanned else 0,
             functools.partial(_node_scan_children, work.ids, work.ends,
                               float(ready_ms), cost.request_overhead_ms,
                               req.nq * cost.batch_row_overhead_ms,
-                              work.segments))
+                              work.segments, work if profiled else None))
         req.segments += work.segments
         if scanned:
             if req.tenant is not None:
@@ -450,20 +445,6 @@ class Proxy:
                 hist = self._scan_hists[name] = self._scan_hist.labels(
                     node=name)
             hist.observe(service_ms)
-        if prof is None:
-            return
-        stage = prof.node_stage(name)
-        if scanned:
-            for segment_id, path, rows, stats in work.scans:
-                stage.child("segment.scan", segment=segment_id, path=path,
-                            rows=rows).counters = functools.reduce(
-                                SearchStats.merged_with, stats).as_dict()
-            stage.counters = functools.reduce(SearchStats.merged_with,
-                                              work.totals).as_dict()
-            stage.meta.update(service_ms=service_ms, segments=work.segments,
-                              nq=req.nq)
-            stage.child("query_node.reduce").counters = work.reduce.as_dict()
-        stage.meta["queue_ms"] = start_ms - ready_ms
 
     def _scatter_gather(self, req: _ReadRequest, ask: str, args: tuple,
                         metric: Optional[MetricType] = None,
@@ -477,15 +458,13 @@ class Proxy:
         partials merge: into one :class:`SearchResult` per query row, the
         best ``keep`` unique hits each (default: the request's ``k``, and
         without one, all), or, for a point read (no ``metric``), one dict.
-        A request with a ``k`` is charged a top-k merge.
+        A request with a ``k`` is charged a top-k merge.  A profiled read
+        (explained, or under an armed slow log) is read off its trace.
         """
         if keep is None:
             keep = req.k
-        prof = None
-        if req.explain or (self._slowlog is not None
-                           and self._slowlog.enabled):
-            prof = QueryProfile(req.collection, nq=req.nq, k=req.k or 0,
-                                verb=req.verb)
+        profiled = req.explain or self._slowlog.enabled
+        if profiled:
             req.merge_stats = ReduceStats()
         if at_ms is not None:
             self._loop.run_until(at_ms)
@@ -501,6 +480,8 @@ class Proxy:
         root = self._tracer.start_span(
             f"proxy.{req.verb}", self._component, start_ms=req.issue_ms,
             collection=req.collection, nq=req.nq, k=req.k, **tags)
+        if profiled:
+            self._tracer.promote(root)
         try:
             with self._tracer.activate(root):
                 plan = self._query_coord.search_plan(req.collection)
@@ -514,7 +495,6 @@ class Proxy:
                 ready_ms = self._loop.now()
 
                 partials = []
-                parent = root
                 hop_ms = self._cost.rpc_hop()
                 for node, scope in plan:
                     start = max(ready_ms + hop_ms, node.busy_until_ms)
@@ -523,8 +503,8 @@ class Proxy:
                     node.busy_until_ms = start + service_ms
                     req.scanned_ms = max(req.scanned_ms,
                                          node.busy_until_ms)
-                    self._observe_node(req, prof, parent, node.name,
-                                       ready_ms, start, service_ms, work)
+                    self._observe_node(req, root, node.name, ready_ms,
+                                       start, service_ms, work)
                     partials.append(partial)
 
                 # Back half: the timing first, because results carry it.
@@ -533,38 +513,38 @@ class Proxy:
                                                               req.k)
                 req.done_ms = req.scanned_ms + req.merge_ms + hop_ms
                 latency = req.done_ms - req.issue_ms
-                self._tracer.record_tree(
-                    "proxy.merge", self._component, parent,
-                    req.scanned_ms, req.done_ms, {"nodes": len(plan)})
-                self._tracer.finish_span(root, end_ms=req.done_ms)
-                if root.sampled:
-                    req.trace_id = root.trace_id
                 # Then the merge: the nodes' blocks side by side, every
                 # query row at once.  Partials stay array-native through
                 # it and into the result (hits become SearchHit objects
                 # only when the caller looks at them); merge_topk dedups
                 # replica copies, best hit per pk.
                 if metric is None:
-                    result = {}
+                    merged = {}
                     for partial in partials:
-                        result.update(partial)
+                        merged.update(partial)
                 else:
-                    result = [SearchResult(
-                        hits=hits, metric=metric, latency_ms=latency,
-                        consistency_wait_ms=req.wait_ms,
-                        segments_searched=req.segments,
-                        profile=prof if req.explain else None)
-                        for hits in merge_topk(partials, keep,
-                                               stats=req.merge_stats)]
+                    merged = merge_topk(partials, keep,
+                                        stats=req.merge_stats)
+                merge_tags = {"nodes": len(plan)}
+                if profiled:
+                    merge_tags.update(req.merge_stats.as_dict(),
+                                      merge_ms=req.merge_ms)
+                self._tracer.record_tree(
+                    "proxy.merge", self._component, root, req.scanned_ms,
+                    req.done_ms, merge_tags)
+                self._tracer.finish_span(root, end_ms=req.done_ms)
                 # Then every remaining plane, once, from the record.
-                if prof is not None:
-                    prof.finalize(latency_ms=latency, wait_ms=req.wait_ms,
-                                  merge_ms=req.merge_ms, nodes=len(plan),
-                                  segments=req.segments,
-                                  merge_counters=req.merge_stats.as_dict(),
-                                  trace_id=req.trace_id)
-                    if self._slowlog is not None:
-                        self._slowlog.observe(self._loop.now(), prof)
+                profile = None
+                if profiled:
+                    profile = QueryProfile(
+                        self._tracer.span_tree(root.trace_id))
+                    self._slowlog.observe(self._loop.now(), profile)
+                result = merged if metric is None else [SearchResult(
+                    hits=hits, metric=metric, latency_ms=latency,
+                    consistency_wait_ms=req.wait_ms,
+                    segments_searched=req.segments,
+                    profile=profile if req.explain else None)
+                    for hits in merged]
                 if req.tenant is not None:
                     units = self._cost_meter.charge_read(
                         req.tenant, req.rows_scanned,
@@ -575,7 +555,8 @@ class Proxy:
                 # The latency observation carries the trace id as an
                 # exemplar: a histogram bucket is one hop from a concrete
                 # sampled request that landed in it.
-                histogram.observe(latency, exemplar=req.trace_id)
+                histogram.observe(latency, exemplar=root.trace_id
+                                  if root.sampled else None)
                 self._wait_hist.observe(req.wait_ms)
                 if req.k is not None:
                     self._merge_hist.observe(req.merge_ms)
@@ -601,12 +582,11 @@ class Proxy:
 
         With ``explain=True`` every returned result carries the request's
         :class:`~repro.profiling.QueryProfile` — the EXPLAIN ANALYZE work
-        ledger — in ``result.profile`` (as for every read verb that
-        returns results).  A profile is also built (but not returned)
-        when the slow-query log is armed, so offenders are captured with
-        full per-stage counters; with neither, the hot path allocates no
-        profile objects at all.  ``_admitted`` is the batching window's:
-        its queries passed the quota when they were submitted.
+        ledger, read off the request's trace — in ``result.profile`` (as
+        for every read verb that returns results); an armed slow-query
+        log profiles every read without returning it.  ``_admitted`` is
+        the batching window's: its queries passed the quota when they
+        were submitted.
         """
         require_number("k", k, 1, integer=True)
         filter_expr = FilterExpression(expr) if expr is not None else None
@@ -856,13 +836,15 @@ def _field_rows(field: Optional[str], rows) -> dict:
 
 def _node_scan_children(ids: Sequence[str], ends: Sequence[float],
                         start_ms: float, overhead_ms: float, rows_ms: float,
-                        segments: int) -> list[tuple]:
+                        segments: int,
+                        counted: Optional[NodeWork]) -> list[tuple]:
     """A sampled ``query_node.scan`` span's children, as
     ``TraceCollector.record_tree`` takes them: its segments' scans laid
     end to end from ``start_ms``, each ending where the cost model puts
     the node's work up to and including it (``ends``: the scan's
     cumulative virtual ms), then the node's reduce, which costs the
-    fixed message overhead and the rows' share."""
+    fixed message overhead and the rows' share; under a profile, each
+    with its counters from ``counted``, the node's report."""
     children = []
     cursor_ms = start_ms
     for segment_id, end_ms in zip(ids, ends):
@@ -870,9 +852,15 @@ def _node_scan_children(ids: Sequence[str], ends: Sequence[float],
         children.append(("segment.scan", cursor_ms, end_ms,
                          {"segment": segment_id}))
         cursor_ms = end_ms
+    reduce_tags = {"segments": segments}
+    if counted is not None:
+        for (*_span, tags), (_id, path, rows, stats) in zip(children,
+                                                            counted.scans):
+            tags.update(path=path, rows=rows, **functools.reduce(
+                SearchStats.merged_with, stats).as_dict())
+        reduce_tags.update(counted.reduce.as_dict())
     children.append(("query_node.reduce", cursor_ms,
-                     cursor_ms + overhead_ms + rows_ms,
-                     {"segments": segments}))
+                     cursor_ms + overhead_ms + rows_ms, reduce_tags))
     return children
 
 

@@ -1,11 +1,9 @@
 """Query profiling plane: EXPLAIN ANALYZE trees and slow-query capture.
 
-Built directly above ``core``/``index`` (and nothing else): the serving
-layers thread :class:`QueryProfile` objects down through the read path,
-segments and indexes fill in :class:`~repro.index.base.SearchStats`
-counters, and the result is an exact per-stage work ledger —
-``search(..., explain=True)`` in PyManu.  See DESIGN.md §6g for the
-counter catalog and unit definitions.
+Built directly above ``core``/``index`` (and nothing else): a
+:class:`QueryProfile` is an exact per-stage work ledger read off a
+request's span tree — ``search(..., explain=True)`` in PyManu.  See
+DESIGN.md §6g for the counter catalog and unit definitions.
 """
 
 from repro.profiling.profile import (

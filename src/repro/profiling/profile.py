@@ -1,10 +1,10 @@
-"""Query work accounting: the EXPLAIN ANALYZE tree.
+"""Query work accounting: the EXPLAIN ANALYZE tree, a view over the trace.
 
-A :class:`QueryProfile` is one request's exact work ledger, built beside
-the trace plane's latency breakdown: where tracing answers *where time
-went*, the profile answers *what work was done* — rows scanned, distance
-computations, candidates pruned, batches merged — stage by stage down the
-read path.
+A :class:`QueryProfile` is one request's exact work ledger — rows
+scanned, distance computations, candidates pruned, batches merged —
+stage by stage down the read path, read off the request's own trace
+(DESIGN.md §6g): each stage *is* a span, its counters the span's counter
+tags, named and given its meta by one table, :data:`_STAGES`.
 
 The tree mirrors the two-phase reduce:
 
@@ -14,8 +14,8 @@ The tree mirrors the two-phase reduce:
   full :class:`~repro.index.base.SearchStats`, with one ``segment.scan``
   child per segment holding the per-segment *delta* of the same counters
   and a ``query_node.reduce`` child holding the node-local merge work;
-* a ``proxy.merge`` stage holds the global merge counters and a
-  ``consistency_wait`` stage the delta-consistency wait.
+* a ``consistency_wait`` stage holds the delta-consistency wait and a
+  ``proxy.merge`` stage the global merge counters.
 
 The invariant the profiling tests pin down: for every scan counter, the
 sum over a node's ``segment.scan`` children equals the node stage's own
@@ -23,36 +23,59 @@ value, and the sum over node stages equals the root totals — work is
 neither lost nor double-counted between layers.
 
 Layering: this module sits directly above ``core``/``index`` and imports
-nothing else.  The proxy builds every stage, the node stages from the
-work each query node reports (DESIGN.md §6h); nothing below it sees a
-profile.
+nothing else; it reads spans by their attributes.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
+from repro.core.results import ReduceStats
 from repro.index.base import STAT_FIELDS
 
 #: Counters subject to the exact-sum invariant (the SearchStats fields).
 SCAN_COUNTERS = STAT_FIELDS
 
+#: Every span tag that is a counter: the scan counters and a merge's.
+COUNTERS = frozenset(STAT_FIELDS) | frozenset(ReduceStats().as_dict())
+
+#: span name -> (stage name, meta shown), in EXPLAIN's order; other spans
+#: below the root are no stage.  A meta value is the span's tag or a fact:
+#: ``node`` (its component's), ``wait_ms`` (its duration), the request's
+#: ``nq`` and ``k``.  A point read's node shows ``node`` and ``queue_ms``.
+_STAGES = {
+    "query_node.scan": ("query_node.scan",
+                        ("node", "service_ms", "segments", "nq",
+                         "queue_ms")),
+    "segment.scan": ("segment.scan", ("segment", "path", "rows")),
+    "query_node.reduce": ("query_node.reduce", ()),
+    "proxy.consistency_wait": ("consistency_wait", ("wait_ms",)),
+    "proxy.merge": ("proxy.merge", ("nodes", "merge_ms")),
+}
+_RANK = {name: rank for rank, name in enumerate(_STAGES)}
+
 
 class StageProfile:
-    """One stage of the read path: own counters plus child stages."""
+    """One stage of the read path, a span read through :data:`_STAGES`
+    (the root's meta: collection, nq, k), and its child stages."""
 
-    __slots__ = ("name", "meta", "counters", "children")
+    __slots__ = ("name", "span_id", "meta", "counters", "children")
 
-    def __init__(self, name: str, **meta) -> None:
-        self.name = name
-        self.meta = dict(meta)
-        self.counters: dict = {}
-        self.children: list["StageProfile"] = []
-
-    def child(self, name: str, **meta) -> "StageProfile":
-        stage = StageProfile(name, **meta)
-        self.children.append(stage)
-        return stage
+    def __init__(self, span, tree: dict, request: dict) -> None:
+        self.name, keys = _STAGES.get(span.name,
+                                      (span.name, ("collection", "nq", "k")))
+        self.span_id = span.span_id
+        below = sorted((child for child in tree.get(span.span_id, ())
+                        if child.name in _RANK),
+                       key=lambda child: _RANK[child.name])
+        self.children = [StageProfile(child, tree, request) for child in below]
+        if self.name == "query_node.scan" and not self.children:
+            keys = ("node", "queue_ms")
+        facts = dict(span.tags, node=span.component.partition(":")[2],
+                     wait_ms=span.duration_ms, **request)
+        self.meta = {key: facts[key] for key in keys}
+        self.counters = {key: value for key, value in span.tags.items()
+                         if key in COUNTERS}
 
     def stages(self, name: str) -> list["StageProfile"]:
         """Direct children with the given stage name."""
@@ -91,46 +114,24 @@ class QueryProfile:
     __slots__ = ("collection", "nq", "k", "verb", "trace_id", "latency_ms",
                  "consistency_wait_ms", "segments_searched", "root")
 
-    def __init__(self, collection: str, nq: int, k: int,
-                 verb: str = "search") -> None:
-        self.collection = collection
-        self.nq = int(nq)
-        self.k = int(k)
-        self.verb = verb
-        self.trace_id: Optional[str] = None
-        self.latency_ms = 0.0
-        self.consistency_wait_ms = 0.0
-        self.segments_searched = 0
-        self.root = StageProfile(f"proxy.{verb}", collection=collection,
-                                 nq=int(nq), k=int(k))
-
-    # ------------------------------------------------------------------
-    # construction (called by the proxy)
-    # ------------------------------------------------------------------
-
-    def node_stage(self, node_name: str) -> StageProfile:
-        """Add (and return) the scan stage for one fanned-out node."""
-        return self.root.child("query_node.scan", node=node_name)
-
-    def finalize(self, latency_ms: float, wait_ms: float, merge_ms: float,
-                 nodes: int, segments: int, merge_counters: dict,
-                 trace_id: Optional[str] = None) -> None:
-        """Close the ledger: wait/merge stages, totals, trace linkage."""
-        self.latency_ms = float(latency_ms)
-        self.consistency_wait_ms = float(wait_ms)
-        self.segments_searched = int(segments)
-        self.trace_id = trace_id
-        wait = self.root.child("consistency_wait")
-        wait.meta["wait_ms"] = float(wait_ms)
-        merge = self.root.child("proxy.merge", nodes=int(nodes))
-        merge.meta["merge_ms"] = float(merge_ms)
-        merge.counters = dict(merge_counters)
+    def __init__(self, tree: dict) -> None:
+        """The ledger of the read whose span tree is ``tree`` (parent span
+        id -> children, as ``TraceCollector.span_tree`` returns it)."""
+        (root,) = tree[None]
+        self.verb = root.name.partition(".")[2]
+        self.collection = root.tags["collection"]
+        self.nq = int(root.tags["nq"])
+        self.k = int(root.tags["k"] or 0)
+        self.trace_id = root.trace_id
+        self.latency_ms = root.duration_ms
+        self.root = StageProfile(root, tree, {"nq": self.nq, "k": self.k})
         # Root totals: the sum over the node stages' full SearchStats.
         self.root.counters = sum_counters(self.node_stages())
-
-    # ------------------------------------------------------------------
-    # reading
-    # ------------------------------------------------------------------
+        (wait,) = self.root.stages("consistency_wait")
+        self.consistency_wait_ms = wait.meta["wait_ms"]
+        self.segments_searched = sum(
+            span.tags["segments"] for span in tree[root.span_id]
+            if span.name == "query_node.scan")
 
     def node_stages(self) -> list[StageProfile]:
         return self.root.stages("query_node.scan")
@@ -181,13 +182,9 @@ class QueryProfile:
 
     def explain(self) -> str:
         """Render the EXPLAIN ANALYZE tree as ASCII."""
-        header = (f"EXPLAIN ANALYZE {self.verb} "
-                  f"collection={self.collection!r} "
-                  f"nq={self.nq} k={self.k} "
-                  f"latency={self.latency_ms:.2f}ms")
-        if self.trace_id is not None:
-            header += f" trace={self.trace_id}"
-        lines = [header]
+        lines = [f"EXPLAIN ANALYZE {self.verb} "
+                 f"collection={self.collection!r} nq={self.nq} k={self.k} "
+                 f"latency={self.latency_ms:.2f}ms trace={self.trace_id}"]
         children = self.root.children
         for i, child in enumerate(children):
             _render_stage(lines, child, "", i == len(children) - 1)

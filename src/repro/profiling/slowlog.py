@@ -2,15 +2,15 @@
 
 Requests whose end-to-end virtual latency meets the configured threshold
 are captured with their full :class:`~repro.profiling.profile
-.QueryProfile` — including the trace id of the sampled request — so a
-slow query in production is one hop from both its work ledger and its
-span tree.  The ring evicts FIFO; the flight recorder embeds
-``snapshot()`` into its debug bundles, and ``MANU_SLOWLOG=slowlog.json``
-in the quickstart dumps the ring for CI artifacts.
+.QueryProfile` — a view over the request's trace, which an armed log
+traces whatever the sampling — so a slow query is one hop from both its
+work ledger and its span tree.  The ring evicts FIFO; the flight
+recorder embeds ``snapshot()`` into its debug bundles, and
+``MANU_SLOWLOG=slowlog.json`` in the quickstart dumps the ring for CI
+artifacts.
 
 A threshold of 0 (the default) disables capture entirely: the serving
-path then skips profile construction for un-explained requests, keeping
-the hot path allocation-free.
+path then neither promotes nor profiles an un-explained request.
 """
 
 from __future__ import annotations

@@ -18,12 +18,12 @@ The collector is the one shared tracing object of a cluster (wired in
   breakdown of a search (consistency wait / scan / merge), and exports
   Chrome trace-event JSON.
 
-Head-based sampling: every ``sample_every``-th root span is sampled; the
-decision is inherited from the parent, and every span of an unsampled
-request is still built (span ids count it) but never recorded.  Only a
-sampled root opens a trace; traces are retained FIFO up to
-``max_traces``, and a span whose trace is no longer retained is not
-recorded.
+Head-based sampling: every ``sample_every``-th root span is sampled, and
+any root :meth:`TraceCollector.promote` samples; the decision is
+inherited from the parent, and every span of an unsampled request is
+still built (span ids count it) but never recorded.  Only a sampled root
+opens a trace; traces are retained FIFO up to ``max_traces``, and a span
+whose trace is no longer retained is not recorded.
 
 Cost: a span is one :class:`Span` plus, for a ``with`` block, one
 ``__slots__`` scope object; a child reads its ids off the parent span,
@@ -205,14 +205,24 @@ class TraceCollector:
             parent = self._stack[-1]
         if parent is not None:
             return self._new(parent.trace_id, parent.span_id,
-                             parent.sampled and self.enabled, name,
-                             component, start_ms, tags, track)
+                             parent.sampled, name, component, start_ms,
+                             tags, track)
         n = next(self._trace_seq)
         sampled = self.enabled and n % self.sample_every == 0
         if not sampled:
             self.unsampled_roots += 1
         return self._new(f"t{n:06d}", None, sampled, name, component,
                          start_ms, tags, track)
+
+    def promote(self, root: Span) -> None:
+        """Sample an unsampled root span in place, ids unchanged: what is
+        started under it is recorded whatever the sampling says."""
+        if root.sampled:
+            return
+        root.sampled = True
+        self.unsampled_roots -= 1
+        self._traces[root.trace_id] = [root]
+        self._open[root.span_id] = root
 
     def _new(self, trace_id: str, parent_id: Optional[str], sampled: bool,
              name: str, component: str, start_ms, tags: dict,
@@ -300,7 +310,7 @@ class TraceCollector:
         trace is read, so what it reads must not change after the
         call."""
         first = next(self._span_seq)
-        if not (parent.sampled and self.enabled):
+        if not parent.sampled:
             return
         if count:
             self._span_seq = itertools.count(first + 1 + count)
@@ -499,8 +509,15 @@ class TraceCollector:
     # ------------------------------------------------------------------
 
     def _evict(self) -> None:
+        """Drop the oldest traces past ``max_traces``, sparing any with a
+        span on the ambient stack (a read in its consistency wait)."""
         while len(self._traces) > self.max_traces:
             evicted_id = next(iter(self._traces))
+            if self._stack:
+                running = {span.trace_id for span in self._stack
+                           if span is not None}
+                evicted_id = next(trace_id for trace_id in self._traces
+                                  if trace_id not in running)
             del self._traces[evicted_id]
             for span_id in [span_id for span_id, span in self._open.items()
                             if span.trace_id == evicted_id]:

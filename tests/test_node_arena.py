@@ -7,8 +7,8 @@ candidates with one 2-D merge; the proxy merges the nodes' blocks the same
 way.  The per-segment node loop and the per-query
 merge loops those replaced are the reference (:mod:`tests.reference.reduce`):
 a request is run twice on the same cluster, as shipped and with the
-reference patched in,
-and everything a caller or a plane can see must agree —
+reference patched in (``tests/former_accounting.py``: the former
+observation under today's call), and everything a caller or a plane can see must agree —
 
 * hits: distances bit for bit, pks equal within every run of equal
   distances (only the run cut by ``k`` may pick other members of a tie);
@@ -50,10 +50,11 @@ from repro.index.base import STAT_FIELDS, SearchStats, create_index
 from repro.index.ivf import ArenaIndex, BucketedIndex, IvfFlatIndex, \
     ListArena
 from repro.nodes.query_node import QueryNode
+from tests.former_accounting import former_path
 from tests.reference.compare import DIM, METRICS, \
     assert_batches_equal_up_to_ties, assert_results_equal_up_to_ties, \
     clustered
-from tests.reference.reduce import reference_path, reference_search
+from tests.reference.reduce import reference_search
 
 EVENTUAL = ConsistencyLevel.EVENTUAL
 
@@ -127,7 +128,7 @@ def both(cluster, monkeypatch, queries, k, between=None, selects=None,
         between()
     cold_column_caches(cluster)
     cluster.run_for(1_000)
-    with reference_path(monkeypatch):
+    with former_path(monkeypatch):
         want = cluster.search("c", queries, k, **options)
     assert len(got) == len(want) == np.atleast_2d(queries).shape[0]
     for g, w in zip(got, want):
@@ -239,7 +240,7 @@ class TestArenaMatchesThePerSegmentLoop:
                                 {"expr": "price < 4"}):
                     cluster.run_for(300)
                     if reference:
-                        with reference_path(monkeypatch):
+                        with former_path(monkeypatch):
                             out = cluster.search("c", queries, 10, **options)
                     else:
                         out = cluster.search("c", queries, 10, **options)
@@ -1048,7 +1049,7 @@ class TestFreshNodes:
             rng = np.random.default_rng(11)
             cluster = fresh_cluster(rng, 0)
             seen, took = [], []
-            context = reference_path(monkeypatch) if reference \
+            context = former_path(monkeypatch) if reference \
                 else node_paths(monkeypatch)
             with context as paths:
                 for step in range(56):

@@ -24,7 +24,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.manu import ManuCluster
-from repro.config import ManuConfig, ProfilingConfig, SegmentConfig
+from repro.config import ManuConfig, ProfilingConfig, SegmentConfig, \
+    TracingConfig
+from repro.core.consistency import ConsistencyLevel
 from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.index.base import STAT_FIELDS, SearchStats
@@ -34,7 +36,6 @@ from repro.profiling import (
     SCAN_COUNTERS,
     QueryProfile,
     SlowQueryLog,
-    StageProfile,
     sum_counters,
 )
 from repro.tenancy.metering import (
@@ -42,6 +43,7 @@ from repro.tenancy.metering import (
     READ_UNIT_BYTES,
     READ_UNIT_ROWS,
 )
+from repro.tracing import NOOP_TRACER, TraceCollector
 
 DIM = 8
 
@@ -57,11 +59,12 @@ def _vectors(rng, n):
     return rng.standard_normal((n, DIM)).astype(np.float32)
 
 
-def _profiled_cluster(threshold_ms=0.0, capacity=32, **kwargs):
+def _profiled_cluster(threshold_ms=0.0, capacity=32,
+                      tracing=TracingConfig(), **kwargs):
     cfg = ManuConfig().with_overrides(
         profiling=ProfilingConfig(slow_query_threshold_ms=threshold_ms,
                                   slow_query_capacity=capacity),
-        segment=SegmentConfig(seal_entity_count=128))
+        segment=SegmentConfig(seal_entity_count=128), tracing=tracing)
     kwargs.setdefault("num_query_nodes", 2)
     return ManuCluster(config=cfg, **kwargs)
 
@@ -87,6 +90,33 @@ def _fill(cluster, rng, rows=320, collection="c", tenant=None):
 # ----------------------------------------------------------------------
 
 
+def _profile(nodes=(), latency_ms=1.0, wait_ms=0.0, collection="c", nq=1,
+             k=5):
+    """A profile read off a hand-made trace of one search: ``nodes`` is
+    ``(node, its counters, [(segment, its counters)])`` per node."""
+    tracer = TraceCollector(lambda: 0.0)
+    root = tracer.start_span("proxy.search", "proxy:p0", start_ms=0.0,
+                             collection=collection, nq=nq, k=k)
+    tracer.record_span("proxy.consistency_wait", "proxy:p0", parent=root,
+                       start_ms=0.0, end_ms=wait_ms)
+    for name, counters, segments in nodes:
+        children = [("segment.scan", wait_ms, wait_ms,
+                     {"segment": segment, "path": "brute", "rows": 10,
+                      **own}) for segment, own in segments]
+        children.append(("query_node.reduce", wait_ms, wait_ms,
+                         {"segments": len(segments)}))
+        tracer.record_tree(
+            "query_node.scan", f"query-node:{name}", root, wait_ms,
+            latency_ms, {"queue_ms": 0.0, "service_ms": 0.5,
+                         "segments": len(segments), **counters},
+            len(children), lambda children=children: children)
+    tracer.record_tree("proxy.merge", "proxy:p0", root, latency_ms,
+                       latency_ms, {"nodes": len(nodes), "merge_ms": 0.0,
+                                    "batches_merged": len(nodes)})
+    tracer.finish_span(root, end_ms=latency_ms)
+    return QueryProfile(tracer.span_tree(root.trace_id))
+
+
 class TestQueryProfileUnit:
     def test_scan_counters_mirror_search_stats(self):
         assert SCAN_COUNTERS == STAT_FIELDS
@@ -94,61 +124,47 @@ class TestQueryProfileUnit:
         assert set(stats.as_dict()) == set(SCAN_COUNTERS)
 
     def test_sum_counters(self):
-        a = StageProfile("s")
-        a.counters = {"rows_scanned": 3, "cache_hits": 1}
-        b = StageProfile("s")
-        b.counters = {"rows_scanned": 4}
-        total = sum_counters([a, b])
+        prof = _profile([("qn-0", {"rows_scanned": 3, "cache_hits": 1}, []),
+                         ("qn-1", {"rows_scanned": 4}, [])])
+        total = sum_counters(prof.node_stages())
         assert total["rows_scanned"] == 7
         assert total["cache_hits"] == 1
         assert total["graph_hops"] == 0
 
     def test_verify_catches_lost_work(self):
-        prof = QueryProfile("c", nq=1, k=5)
-        node = prof.node_stage("qn-0")
-        seg = node.child("segment.scan", segment="s0")
-        seg.counters = {"rows_scanned": 10}
-        node.counters = {"rows_scanned": 12}  # 2 rows vanished
-        prof.finalize(latency_ms=1.0, wait_ms=0.0, merge_ms=0.0, nodes=1,
-                      segments=1, merge_counters={})
+        prof = _profile([("qn-0", {"rows_scanned": 12},   # 2 rows vanished
+                          [("s0", {"rows_scanned": 10})])])
         problems = prof.verify()
         assert any("rows_scanned" in p and "qn-0" in p for p in problems)
 
     def test_verify_passes_on_consistent_tree(self):
-        prof = QueryProfile("c", nq=1, k=5)
-        node = prof.node_stage("qn-0")
-        seg = node.child("segment.scan", segment="s0")
-        seg.counters = {"rows_scanned": 10, "brute_scans": 1}
-        node.counters = {"rows_scanned": 10, "brute_scans": 1}
-        prof.finalize(latency_ms=1.0, wait_ms=0.0, merge_ms=0.0, nodes=1,
-                      segments=1, merge_counters={})
+        counters = {"rows_scanned": 10, "brute_scans": 1}
+        prof = _profile([("qn-0", counters, [("s0", counters)])])
         assert prof.verify() == []
         assert prof.totals()["rows_scanned"] == 10
 
     def test_explain_renders_tree_and_totals(self):
-        prof = QueryProfile("docs", nq=2, k=3)
-        node = prof.node_stage("qn-1")
-        seg = node.child("segment.scan", segment="s7", path="brute")
-        seg.counters = {"rows_scanned": 42}
-        node.counters = {"rows_scanned": 42}
-        prof.finalize(latency_ms=1.25, wait_ms=0.5, merge_ms=0.1,
-                      nodes=1, segments=1, merge_counters={},
-                      trace_id="t000007")
+        prof = _profile([("qn-1", {"rows_scanned": 42},
+                          [("s7", {"rows_scanned": 42})])],
+                        latency_ms=1.25, wait_ms=0.5, collection="docs",
+                        nq=2, k=3)
         text = prof.explain()
-        assert "EXPLAIN ANALYZE" in text
-        assert "trace=t000007" in text
-        assert "segment.scan" in text and "rows_scanned=42" in text
-        assert "totals:" in text
+        assert text.startswith("EXPLAIN ANALYZE search collection='docs' "
+                               "nq=2 k=3 latency=1.25ms trace=t000000")
+        assert "segment.scan  segment=s7  path=brute  rows=10" in text
+        assert "rows_scanned=42" in text
+        assert "consistency_wait  wait_ms=0.50" in text
+        assert "totals: rows_scanned=42" in text
+        assert prof.consistency_wait_ms == 0.5
+        assert prof.segments_searched == 1
 
     def test_to_dict_round_trips_structure(self):
-        prof = QueryProfile("c", nq=1, k=1)
-        node = prof.node_stage("qn-0")
-        node.counters = {"rows_scanned": 1}
-        prof.finalize(latency_ms=1.0, wait_ms=0.0, merge_ms=0.0, nodes=1,
-                      segments=0, merge_counters={"batches_merged": 1})
+        prof = _profile([("qn-0", {"rows_scanned": 1}, [])], k=1)
         d = prof.to_dict()
         assert d["tree"]["stage"] == "proxy.search"
-        assert d["tree"]["children"][0]["stage"] == "query_node.scan"
+        assert [child["stage"] for child in d["tree"]["children"]] == [
+            "query_node.scan", "consistency_wait", "proxy.merge"]
+        assert d["tree"]["children"][2]["counters"] == {"batches_merged": 1}
 
 
 # ----------------------------------------------------------------------
@@ -157,10 +173,8 @@ class TestQueryProfileUnit:
 
 
 def _profile_with_latency(latency_ms, collection="c"):
-    prof = QueryProfile(collection, nq=1, k=5)
-    prof.finalize(latency_ms=latency_ms, wait_ms=0.0, merge_ms=0.0,
-                  nodes=1, segments=1, merge_counters={})
-    return prof
+    return _profile([("qn-0", {}, [])], latency_ms=latency_ms,
+                    collection=collection)
 
 
 class TestSlowQueryLogUnit:
@@ -464,6 +478,62 @@ class TestExplainEndToEnd:
         _fill(cluster, rng, rows=64)
         result = cluster.search("c", _vectors(rng, 1), 5)[0]
         assert result.profile is None
+
+
+# ----------------------------------------------------------------------
+# end to end: a profile is its read's trace
+# ----------------------------------------------------------------------
+
+
+class TestProfiledReadsAreTraced:
+    """A profiled read keeps its trace whatever the sampling and the
+    retention say, and its profile is read off that trace."""
+
+    def _explained(self, tracing):
+        """After a plain search, an explained STRONG search over sealed
+        segments and a growing tail, issued right after an
+        unacknowledged insert."""
+        cluster = _profiled_cluster(tracing=tracing)
+        rng = np.random.default_rng(17)
+        cluster.create_collection("c", _schema())
+        _fill(cluster, rng, rows=192)
+        cluster.search("c", _vectors(rng, 1), 5)
+        cluster.insert_async("c", {"pk": list(range(1000, 1010)),
+                                   "vector": _vectors(rng, 10)})
+        dropped = cluster.tracer.dropped_traces
+        profile = cluster.search("c", _vectors(rng, 2), 5, explain=True,
+                                 consistency=ConsistencyLevel.STRONG,
+                                 )[0].profile
+        return cluster, profile, cluster.tracer.dropped_traces - dropped
+
+    def _assert_read_off_its_trace(self, cluster, profile):
+        tracer = cluster.tracer
+        assert profile.verify() == [] and profile.totals()["rows_scanned"]
+        assert profile.trace_id in tracer.trace_ids()
+        assert tracer.trace_complete(profile.trace_id)
+        spans = {span.span_id: span for span in tracer.spans(
+            profile.trace_id)}
+        assert {stage.span_id for stage in profile.root.walk()} <= \
+            set(spans)
+        assert len(profile.node_stages()) == 2
+
+    def test_explained_read_is_traced_under_any_sampling(self):
+        _cluster, default, _dropped = self._explained(TracingConfig())
+        for tracing in (TracingConfig(enabled=False),
+                        TracingConfig(sample_every=3)):
+            cluster, profile, _dropped = self._explained(tracing)
+            # The head decision sampled this read out: it was promoted.
+            assert int(profile.trace_id[1:]) % 3 != 0
+            self._assert_read_off_its_trace(cluster, profile)
+            assert profile.explain().replace(profile.trace_id, "") == \
+                default.explain().replace(default.trace_id, "")
+        assert NOOP_TRACER.trace_ids() == []
+
+    def test_a_wait_that_overflows_retention_keeps_the_reads_trace(self):
+        cluster, profile, dropped = self._explained(
+            TracingConfig(max_traces=1))
+        assert dropped > 0       # traces opened and dropped in the wait
+        self._assert_read_off_its_trace(cluster, profile)
 
 
 # ----------------------------------------------------------------------

@@ -125,6 +125,35 @@ class TestCollectorUnit:
         assert tracer.dropped_traces == 1
         assert tracer.mark_incomplete("proxy") == [live]
 
+    def test_a_promoted_root_is_recorded_whatever_the_sampling(self):
+        tracer = TraceCollector(lambda: 0.0, enabled=False)
+        root = tracer.start_span("r", "proxy")
+        span_id = root.span_id
+        assert not root.sampled and tracer.unsampled_roots == 1
+        tracer.promote(root)
+        assert root.sampled and root.span_id == span_id
+        assert tracer.unsampled_roots == 0
+        with tracer.activate(root):
+            tracer.record_span("c", "proxy", start_ms=0.0, end_ms=1.0)
+        tracer.record_tree("t", "proxy", root, 0.0, 1.0, {}, 1,
+                           lambda: [("u", 0.0, 1.0, {})])
+        tracer.finish_span(root)
+        assert [span.name for span in tracer.spans(root.trace_id)] == \
+            ["r", "c", "t", "u"]
+
+    def test_a_running_request_keeps_its_trace(self):
+        tracer = TraceCollector(lambda: 0.0, max_traces=1)
+        with tracer.span("read", "proxy") as read:
+            with tracer.detached():
+                ticks = [tracer.record_span(f"tick{i}", "timetick")
+                         for i in range(3)]
+        # The ticks' traces were dropped as they opened; the read's stayed
+        # while it ran, and goes when the next trace opens.
+        assert tracer.trace_ids() == [read.trace_id]
+        assert tracer.dropped_traces == len(ticks)
+        late = tracer.record_span("late", "proxy")
+        assert tracer.trace_ids() == [late.trace_id]
+
     def test_wire_context_round_trip(self):
         ctx = TraceContext(trace_id="t000001", span_id="s000005",
                            parent_id="s000004", sampled=True)

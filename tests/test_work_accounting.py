@@ -12,6 +12,10 @@ per span — behind the per-segment node scan of
 lifecycle each, one as shipped and one through the oracle, and every
 plane must come out byte-equal: the exported traces, the EXPLAIN texts,
 the slow-log JSON, the tenant's read units and the virtual latencies.
+A profiled read's EXPLAIN stages are its spans, tagged with their
+counters: the former accounting runs through
+``tests/former_accounting.py``, which carries the stages it builds onto
+its spans.
 """
 
 import numpy as np
@@ -23,8 +27,8 @@ from repro.core.schema import CollectionSchema, DataType, FieldSchema, \
     MetricType
 from repro.index.base import SearchStats
 from repro.sim.costmodel import CostModel
+from tests.former_accounting import former_path
 from tests.reference.compare import DIM, clustered
-from tests.reference.reduce import reference_path
 
 TENANT = "t"
 
@@ -103,7 +107,7 @@ def _planes(shape, reference, monkeypatch):
 
     def search(cluster, queries, consistency, explain):
         if reference:
-            with reference_path(monkeypatch):
+            with former_path(monkeypatch):
                 results = cluster.search("c", queries, 10, tenant=TENANT,
                                          consistency=consistency,
                                          explain=explain)
