@@ -1,10 +1,11 @@
-"""Probe: interpreter opcodes per read request, by module.
+"""Probe: interpreter opcodes per read request and per write step, by module.
 
 The end-to-end benchmark's one-query workloads are dominated by what the
-Python around the kernel costs per request, and wall time on a shared box
-moves by 20 % from run to run.  An opcode count of one request does not:
-it repeats exactly on one CPython version.  This probe builds the two
-shapes the end-to-end benchmark reads through (``benchmarks/e2e``):
+Python around the kernel costs per request, its stream by what it costs
+per write, and wall time on a shared box moves by 20 % from run to run.
+An opcode count of one request does not: it repeats exactly on one
+CPython version.  This probe builds three shapes of the end-to-end
+benchmark (``benchmarks/e2e``):
 
 * ``search_sealed_nq1`` — 49 152 SIFT-like 128-d rows streamed in 64-row
   inserts into two query nodes, flushed and indexed ``IVF_FLAT`` (nlist
@@ -13,22 +14,27 @@ shapes the end-to-end benchmark reads through (``benchmarks/e2e``):
   steps of a 16-row insert and a STRONG search of the last row (growing
   segments and their slices in every scan), two pks deleted every 8th
   step;
+* ``ingest_step`` — the ``ingest_stream`` step: one 64-row sync insert
+  and its 3.2 virtual-ms advance (deliveries, appends, memtable flushes
+  and seals included), counted over ``INGEST_STEPS`` steps after
+  ``INGEST_WARM`` rows;
 
 and counts, with ``sys.settrace`` and ``f_trace_opcodes``, the opcodes a
-traced search executes, per module (``repro/...`` by path; ``numpy``;
-everything else ``other``), as the mean over ``REQUESTS`` requests.  The
-consistency wait of a STRONG search runs event-loop work (deliveries,
-appends) and is counted with it.
+traced search or step executes, per module (``repro/...`` by path;
+``numpy``; everything else ``other``), as the mean over the counted
+requests or steps.  The consistency wait of a STRONG search runs
+event-loop work (deliveries, appends) and is counted with it.
 
 Each shape is built twice, identically: one copy runs the script plain,
-the other under the tracer, and the probe exits 1 unless every traced
-request's hits (pks and distances) equal the plain copy's.  The counts
+the other under the tracer, and the probe exits 1 unless the traced
+copy's outputs equal the plain copy's: every request's hits (pks and
+distances), or every step's last ack LSN and the final row count.  The counts
 gate nothing: they differ between CPython versions.  Results land in
 ``BENCH_request_opcodes.json`` at the repo root (a full-mode run is
 committed).  Run it as ``PYTHONPATH=src:. python
 benchmarks/bench_request_opcodes.py``; ``MANU_BENCH_QUICK=1`` shrinks the
-corpus to a quarter and the requests to 4 (a different shape: its counts
-are not the committed ones).
+corpus to a quarter, the requests to 4 and the ingest steps to 32 (a
+different shape: its counts are not the committed ones).
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import json
 import os
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +63,8 @@ REQUESTS = 4 if QUICK else 16
 #: mixed_fresh steps run before the counted ones (every segment kind
 #: present: sealed, growing with full slices, growing tails, deletions).
 WARM_STEPS = 24 if QUICK else 96
+INGEST_WARM = 4_096 if QUICK else 16_384
+INGEST_STEPS = 32 if QUICK else 256
 DIM, K, SEED = 128, 10, 7
 COLLECTION, FIELD = "bench", "vector"
 STREAM_BATCH, PRELOAD_BATCH, MIXED_BATCH, DELETE_EVERY = 64, 1024, 16, 8
@@ -174,9 +183,26 @@ def mixed(vectors: np.ndarray, counter: OpcodeCounter | None) -> list:
     return hits
 
 
+def ingest(vectors: np.ndarray, counter: OpcodeCounter | None) -> list:
+    """The ingest_stream script; the last ``INGEST_STEPS`` steps under
+    ``counter``.  Returns each step's last ack LSN (the proxy's session
+    timestamp after the sync insert), then the collection's row count."""
+    cluster = _cluster()
+    outputs = []
+    for lo in range(0, INGEST_WARM + INGEST_STEPS * STREAM_BATCH,
+                    STREAM_BATCH):
+        counted = counter is not None and lo >= INGEST_WARM
+        with counter if counted else nullcontext():
+            _insert(cluster, vectors, lo, lo + STREAM_BATCH)
+            cluster.run_for(STREAM_BATCH / 20)
+        outputs.append(cluster.proxy()._session_ts)
+    outputs.append(cluster.collection_row_count(COLLECTION))
+    return outputs
+
+
 def _same(plain: list, traced: list) -> bool:
     return len(plain) == len(traced) and all(
-        len(a) == len(b) and all(
+        a == b if not isinstance(a, list) else len(a) == len(b) and all(
             x.pks == y.pks and x.distances == y.distances
             for x, y in zip(a, b))
         for a, b in zip(plain, traced))
@@ -187,37 +213,43 @@ def run() -> dict:
     data = make_sift_like(n=ROWS + extra * MIXED_BATCH, nq=REQUESTS + 1,
                           dim=DIM, seed=SEED)
     shapes = {}
-    for name, script in (
-            ("search_sealed_nq1",
+    for name, unit, units, script in (
+            ("search_sealed_nq1", "request", REQUESTS,
              lambda counter: sealed(data.vectors, data.queries, counter)),
-            ("mixed_fresh", lambda counter: mixed(data.vectors, counter))):
+            ("mixed_fresh", "request", REQUESTS,
+             lambda counter: mixed(data.vectors, counter)),
+            ("ingest_step", "step", INGEST_STEPS,
+             lambda counter: ingest(data.vectors, counter))):
         plain = script(None)
         counter = OpcodeCounter()
         traced = script(counter)
         total = sum(counter.counts.values())
         shapes[name] = {
-            "hits_equal": _same(plain, traced),
-            "opcodes_per_request": total / REQUESTS,
-            "by_module": {module: count / REQUESTS for module, count
+            "unit": unit,
+            "outputs_equal": _same(plain, traced),
+            "opcodes_per_unit": total / units,
+            "by_module": {module: count / units for module, count
                           in counter.counts.most_common()}}
     doc = {"quick": QUICK, "python": sys.version.split()[0], "rows": ROWS,
-           "requests": REQUESTS, "warm_steps": WARM_STEPS, "shapes": shapes}
+           "requests": REQUESTS, "warm_steps": WARM_STEPS,
+           "ingest_warm_rows": INGEST_WARM, "ingest_steps": INGEST_STEPS,
+           "shapes": shapes}
     with open(ROOT / "BENCH_request_opcodes.json", "w",
               encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
     for name, shape in shapes.items():
         print_series(
-            "%s: %.0f opcodes per request (mean of %d; hits equal to a "
-            "plain run: %s)" % (name, shape["opcodes_per_request"],
-                                REQUESTS, shape["hits_equal"]),
-            ["module", "opcodes per request"],
+            "%s: %.0f opcodes per %s (mean; outputs equal to a plain run: "
+            "%s)" % (name, shape["opcodes_per_unit"], shape["unit"],
+                     shape["outputs_equal"]),
+            ["module", "opcodes per " + shape["unit"]],
             [(module, round(count, 1)) for module, count
              in list(shape["by_module"].items())[:20]])
     return doc
 
 
 def _passed(doc: dict) -> bool:
-    return all(shape["hits_equal"] for shape in doc["shapes"].values())
+    return all(shape["outputs_equal"] for shape in doc["shapes"].values())
 
 
 def test_request_opcodes(benchmark):

@@ -29,6 +29,7 @@ shows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import sys
@@ -67,6 +68,9 @@ class Subscription:
         self.callback = callback
         self.active = True
         self._delivering = False
+        # A push delivery's loop event: its callable and name, made once.
+        self._flush = functools.partial(broker._flush, self)
+        self._event_name = f"log-delivery:{name}"
 
     def poll(self, max_entries: int = 1024) -> list[LogEntry]:
         """Return up to ``max_entries`` entries past the cursor; advances it."""
@@ -287,34 +291,33 @@ class LogBroker:
         if sub.callback is None or not sub.active or sub._delivering:
             return
         sub._delivering = True
-
-        def flush() -> None:
-            sub._delivering = False
-            if not sub.active:
-                return
-            for entry in sub.poll():
-                if not sub.active:
-                    break
-                self._dispatch(sub, entry)
-                # MANU_CHECK: a data entry (a commit group's envelope)
-                # arrives again, as after a reconnect.
-                if self.manu_check and sub.active \
-                        and hasattr(entry.payload, "records"):
-                    self._dispatch(sub, entry)
-            # New entries may have been appended while flushing.
-            if sub.active and sub.lag() > 0:
-                self._deliver(sub)
-
         if self._loop is not None:
             # The policy may stretch (never shrink) the delay: flushes to
             # different subscriptions then land in perturbed order while
             # this subscription still drains its channel in offset order.
             delay = self._loop.policy.delivery_delay_ms(
                 self.delivery_delay_ms, sub.name, next(self._flush_seq))
-            self._loop.call_after(delay, flush,
-                                  name=f"log-delivery:{sub.name}")
+            self._loop.call_after(delay, sub._flush, name=sub._event_name)
         else:
-            flush()
+            sub._flush()
+
+    def _flush(self, sub: Subscription) -> None:
+        """One delivery: ``sub``'s entries past its cursor, then more."""
+        sub._delivering = False
+        if not sub.active:
+            return
+        for entry in sub.poll():
+            if not sub.active:
+                break
+            self._dispatch(sub, entry)
+            # MANU_CHECK: a data entry (a commit group's envelope)
+            # arrives again, as after a reconnect.
+            if self.manu_check and sub.active \
+                    and hasattr(entry.payload, "records"):
+                self._dispatch(sub, entry)
+        # New entries may have been appended while flushing.
+        if sub.active and sub.lag() > 0:
+            self._deliver(sub)
 
     def _dispatch(self, sub: Subscription, entry: LogEntry) -> None:
         """Invoke one callback, inside a delivery span for traced records."""

@@ -27,7 +27,7 @@ churn never strands one.
 from __future__ import annotations
 
 import hashlib
-import struct
+import operator
 from typing import Callable, Mapping, Optional, Protocol
 
 import numpy as np
@@ -41,6 +41,7 @@ from repro.log.hashring import HashRing
 from repro.log.wal import BatchRecord, DeleteRecord, InsertRecord, \
     WalRecord, shard_channel
 from repro.sim.events import EventLoop
+from repro.storage.bloom import blake2b_digests
 from repro.storage.lsm import LsmTree
 from repro.storage.object_store import ObjectStore
 from repro.tracing import NOOP_TRACER, TraceCollector
@@ -60,21 +61,25 @@ def _encode_pks(pks) -> list[bytes]:
     """Each primary key's routing and mapping key: its string form in
     utf-8.  Encoded once per batch; shard routing, the flush overlay and
     the LSM tree all take these."""
-    return list(map(str.encode, map(str, pks)))
+    return [str(pk).encode() for pk in pks]
 
 
-def _shards_of(keys: list[bytes], num_shards: int) -> list[int]:
+def _shards_of(keys: list[bytes], num_shards: int) -> np.ndarray:
     """The shard of every encoded key: its 8-byte digest, read as a
     little-endian integer, modulo ``num_shards``."""
-    digests = b"".join([hashlib.blake2b(key, digest_size=8).digest()
-                        for key in keys])
-    return [digest % num_shards
-            for digest in struct.unpack(f"<{len(keys)}Q", digests)]
+    return (np.frombuffer(blake2b_digests(keys, 8), dtype="<u8")
+            % np.uint64(num_shards)).astype(np.intp)
+
+
+def _shard_of_key(key: bytes, num_shards: int) -> int:
+    """:func:`_shards_of` of one key, without numpy."""
+    return int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(),
+                          "little") % num_shards
 
 
 def shard_of(pk, num_shards: int) -> int:
     """Deterministic shard of a primary key (hash of its string form)."""
-    return _shards_of(_encode_pks((pk,)), num_shards)[0]
+    return _shard_of_key(str(pk).encode(), num_shards)
 
 
 def shard_bucket_key(collection: str, shard: int) -> str:
@@ -181,7 +186,7 @@ class _PendingOp:
 
     __slots__ = ("kind", "pks", "keys", "columns", "future")
 
-    def __init__(self, kind: str, pks: tuple, keys: list[bytes],
+    def __init__(self, kind: str, pks: tuple, keys,
                  columns: Optional[Mapping],
                  future: Optional[AckFuture]) -> None:
         self.kind = kind          # "insert" | "delete"
@@ -264,7 +269,6 @@ class Logger:
         the last (max) inner LSN, which is what acks resolve with.
         """
         self._check_fence(collection, shard)
-        records = tuple(records)
         rows = sum(len(record.pks) for record in records)
         with self._tracer.span("logger.publish_batch", self._component,
                                collection=collection, shard=shard,
@@ -453,19 +457,20 @@ class LoggerService:
 
     def _rows_by_shard(self, keys: list[bytes]):
         """(shard, row indices) pairs, in shard order, for the encoded
-        keys of one write; ``rows is None`` means all of them, letting
-        the caller skip the row-subset copy."""
+        keys of one write, the rows an index array; ``rows is None``
+        means all of them, letting the caller skip the row-subset copy."""
         if not keys:
             return []
         if self.num_shards == 1:
             return [(0, None)]
+        if len(keys) == 1:
+            return [(_shard_of_key(keys[0], self.num_shards), None)]
         shards = _shards_of(keys, self.num_shards)
-        if shards.count(shards[0]) == len(shards):
-            return [(shards[0], None)]
-        by_shard: dict[int, list[int]] = {}
-        for row, shard in enumerate(shards):
-            by_shard.setdefault(shard, []).append(row)
-        return sorted(by_shard.items())
+        present = np.bincount(shards).nonzero()[0].tolist()
+        if len(present) == 1:
+            return [(present[0], None)]
+        return [(shard, (shards == shard).nonzero()[0])
+                for shard in present]
 
     def _split(self, pks: tuple, columns: Optional[Mapping]):
         """One ``(shard, pks, keys, columns)`` part per shard a write
@@ -473,14 +478,17 @@ class LoggerService:
         everything downstream; a write landing whole on one shard is
         passed through uncopied."""
         keys = _encode_pks(pks)
+        pks = tuple(pks)
         for shard, rows in self._rows_by_shard(keys):
             if rows is None:
-                yield shard, tuple(pks), keys, columns
-            else:
-                yield (shard, tuple(_take_rows(pks, rows)),
-                       _take_rows(keys, rows),
-                       columns and {name: _take_rows(values, rows)
-                                    for name, values in columns.items()})
+                yield shard, pks, keys, columns
+                continue
+            take = _taker(rows)
+            yield (shard, take(pks), take(keys),
+                   columns and {name: values[rows]
+                                if isinstance(values, np.ndarray)
+                                else list(take(values))
+                                for name, values in columns.items()})
 
     def delete(self, collection: str, pks: tuple) -> tuple[int, int]:
         """Publish deletions of the keys that exist; returns (max LSN,
@@ -630,14 +638,14 @@ class LoggerService:
             batch_ts = logger.publish_batch(collection, shard,
                                             tuple(records))
             if None in overlay.values():
-                puts = [(key, value) for key, value in overlay.items()
-                        if value is not None]
+                puts = {key: value for key, value in overlay.items()
+                        if value is not None}
                 if puts:
                     mapping.put_many(puts)
                 mapping.delete_many([key for key, value in overlay.items()
                                      if value is None])
             elif overlay:
-                mapping.put_many(overlay.items())
+                mapping.put_many(overlay)
             self._flush_log.append(
                 (reason, len(records), rows, nbytes, age))
             for future, count in acks:
@@ -671,8 +679,8 @@ class LoggerService:
 
     def lookup_segment(self, collection: str, pk) -> Optional[str]:
         """Segment currently holding ``pk`` (None when absent)."""
-        (key,) = _encode_pks((pk,))
-        (shard,) = _shards_of([key], self.num_shards)
+        key = str(pk).encode()
+        shard = _shard_of_key(key, self.num_shards)
         value = self._mapping(collection, shard).get(key)
         return value.decode() if value is not None else None
 
@@ -708,8 +716,9 @@ def _merge_insert_run(run: list[_PendingOp]
     return pks, keys, columns
 
 
-def _take_rows(values, rows: list[int]):
-    """Select a row subset from a column, pk tuple or key list."""
-    if isinstance(values, np.ndarray):
-        return values[rows]
-    return [values[r] for r in rows]
+def _taker(rows: np.ndarray) -> Callable:
+    """A function taking ``rows`` of a tuple or list, as a tuple."""
+    if len(rows) == 1:
+        row = int(rows[0])
+        return lambda values: (values[row],)
+    return operator.itemgetter(*rows.tolist())

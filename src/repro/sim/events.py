@@ -1,9 +1,11 @@
 """Discrete-event loop driving the virtual-time cluster.
 
-The loop is a priority queue of ``(time, tiebreak, sequence, callback)``
-entries.  Under the default FIFO :class:`~repro.sim.clock.SchedulePolicy`
-the tie-break equals the sequence number, so simultaneous events fire in
-scheduling order and every run is fully deterministic.  With the
+The loop is a priority queue of ``(time, tiebreak, sequence, event)``
+tuples, ordered by C tuple comparison (the sequence number is unique, so
+two events are never compared).  Under the default FIFO
+:class:`~repro.sim.clock.SchedulePolicy` the tie-break equals the
+sequence number, so simultaneous events fire in scheduling order and
+every run is fully deterministic.  With the
 ``MANU_RACE=<seed>`` shuffle policy the tie-break is a seeded permutation:
 same-timestamp events run in a reproducible but perturbed order, which is
 how order-dependent bugs are flushed out (DESIGN.md §6e).  Events can be
@@ -33,14 +35,12 @@ from repro.sim.clock import (
 class Event:
     """Handle for a scheduled callback; supports cancellation."""
 
-    __slots__ = ("time_ms", "tiebreak", "seq", "callback", "cancelled",
-                 "name")
+    __slots__ = ("time_ms", "seq", "callback", "cancelled", "name")
 
     def __init__(self, time_ms: float, seq: int, callback: Callable[[], None],
-                 name: str = "", tiebreak: Optional[int] = None) -> None:
+                 name: str = "") -> None:
         self.time_ms = time_ms
         self.seq = seq
-        self.tiebreak = seq if tiebreak is None else tiebreak
         self.callback = callback
         self.cancelled = False
         self.name = name
@@ -48,10 +48,6 @@ class Event:
     def cancel(self) -> None:
         """Prevent the callback from firing; safe to call more than once."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time_ms, self.tiebreak, self.seq) \
-            < (other.time_ms, other.tiebreak, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
@@ -73,7 +69,7 @@ class EventLoop:
         # sanitizer without plumbing (same pattern as MANU_CHECK).
         self.policy = policy if policy is not None \
             else schedule_policy_from_env()
-        self._queue: list[Event] = []
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = itertools.count()
         self._executed = 0
         # Executed-event trace for seed forensics: the race runner sets
@@ -105,9 +101,9 @@ class EventLoop:
         """
         t_ms = max(t_ms, self.clock.now())
         seq = next(self._seq)
-        event = Event(t_ms, seq, callback, name,
-                      tiebreak=self.policy.tiebreak(seq))
-        heapq.heappush(self._queue, event)
+        event = Event(t_ms, seq, callback, name)
+        heapq.heappush(self._queue,
+                       (t_ms, self.policy.tiebreak(seq), seq, event))
         return event
 
     def call_after(self, delay_ms: float, callback: Callable[[], None],
@@ -144,20 +140,20 @@ class EventLoop:
 
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next pending event, or ``None`` if idle."""
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][3].cancelled:
             heapq.heappop(self._queue)
-        return self._queue[0].time_ms if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def step(self) -> bool:
         """Execute the single next pending event; returns False when idle."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            time_ms, _, seq, event = heapq.heappop(queue)
             if event.cancelled:
                 continue
-            self.clock.advance_to(event.time_ms)
+            self.clock.advance_to(time_ms)
             if self.schedule_log is not None:
-                self.schedule_log.append(
-                    (event.time_ms, event.seq, event.name))
+                self.schedule_log.append((time_ms, seq, event.name))
             with self.detached():
                 event.callback()
             self._executed += 1

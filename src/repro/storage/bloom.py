@@ -12,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+from collections import deque
+from itertools import repeat
 
 import numpy as np
 
@@ -19,6 +21,23 @@ from repro.errors import StorageError
 
 
 _HEADER = struct.Struct("<QQIQ")  # capacity, num_bits, num_hashes, count
+_HALVES = struct.Struct("<QQ")
+_BYTES = frozenset((bytes,))
+_HASHERS = {size: hashlib.blake2b(digest_size=size) for size in (8, 16)}
+
+
+def blake2b_digests(keys: list[bytes], digest_size: int) -> bytes:
+    """The keys' ``blake2b(key, digest_size=...)`` digests, joined: copies
+    of one initialised hasher, fed and read by C-level maps."""
+    hashers = list(map(hashlib.blake2b.copy,
+                       repeat(_HASHERS[digest_size], len(keys))))
+    deque(map(hashlib.blake2b.update, hashers, keys), maxlen=0)
+    return b"".join(map(hashlib.blake2b.digest, hashers))
+
+
+def key_digest(key: bytes) -> tuple[int, int]:
+    """A key's 16-byte digest as its little-endian halves ``(h1, h2)``."""
+    return _HALVES.unpack(hashlib.blake2b(key, digest_size=16).digest())
 
 
 class BloomFilter:
@@ -39,7 +58,7 @@ class BloomFilter:
         self._count = 0
 
     def _positions(self, keys: list) -> np.ndarray:
-        """The ``(len(keys), num_hashes)`` bit positions of a key list.
+        """The ``(len(keys), num_hashes)`` bit positions of ``bytes`` keys.
 
         One 16-byte digest per key, read as two little-endian ``uint64``
         halves ``h1, h2``; position ``i`` is ``(h1 + i * h2) % num_bits``
@@ -47,18 +66,30 @@ class BloomFilter:
         row with exactly the operations a single key would, so a filter
         filled in one call holds the bits of one filled key by key.
         """
-        digests = b"".join([
-            hashlib.blake2b(key.encode() if isinstance(key, str) else key,
-                            digest_size=16).digest() for key in keys])
-        halves = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
-        steps = np.arange(self.num_hashes, dtype=np.uint64)
-        idx = halves[:, :1] + steps * halves[:, 1:]
-        return (idx % np.uint64(self.num_bits)).astype(np.int64)
+        halves = np.frombuffer(blake2b_digests(keys, 16),
+                               dtype="<u8").reshape(-1, 2)
+        idx = np.arange(self.num_hashes, dtype=np.uint64) * halves[:, 1:]
+        idx += halves[:, :1]
+        idx %= np.uint64(self.num_bits)
+        return idx.view(np.int64)
+
+    def positions_of(self, digest: tuple[int, int]) -> list[int]:
+        """One key's row of :meth:`_positions`, from its :func:`key_digest`."""
+        h1, h2 = digest
+        return [(h1 + i * h2) % 2**64 % self.num_bits
+                for i in range(self.num_hashes)]
+
+    def holds(self, positions: list[int]) -> bool:
+        """True when every bit at ``positions`` is set."""
+        return all(map(self._bits.data.__getitem__, positions))
 
     def add_many(self, keys: list) -> None:
-        """Insert every key of a list, setting all their bits in one
-        store."""
+        """Insert every key of a list (``str`` is utf-8 encoded), setting
+        all their bits in one store."""
         if keys:
+            if not _BYTES.issuperset(map(type, keys)):
+                keys = [key.encode() if isinstance(key, str) else key
+                        for key in keys]
             self._bits[self._positions(keys)] = True
             self._count += len(keys)
 
@@ -68,7 +99,8 @@ class BloomFilter:
 
     def might_contain(self, key: bytes | str) -> bool:
         """True if the key *may* be present; False means definitely absent."""
-        return bool(self._bits[self._positions([key])].all())
+        return self.holds(self.positions_of(key_digest(
+            key.encode() if isinstance(key, str) else key)))
 
     def __contains__(self, key: bytes | str) -> bool:
         return self.might_contain(key)

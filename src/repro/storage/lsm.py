@@ -30,7 +30,7 @@ from bisect import bisect_right
 from typing import Iterator, Optional
 
 from repro.errors import StorageError
-from repro.storage.bloom import BloomFilter
+from repro.storage.bloom import _BYTES, BloomFilter, key_digest
 from repro.storage.object_store import ObjectStore
 
 _TOMBSTONE = b"\x00__tombstone__"
@@ -40,18 +40,29 @@ _ENTRY = struct.Struct("<II")
 
 
 def _encode(items) -> list[bytes]:
-    """Keys or values as ``bytes`` (``str`` is utf-8 encoded)."""
-    return [item if type(item) is bytes
-            else item.encode() if isinstance(item, str) else bytes(item)
-            for item in items]
+    """Keys or values as ``bytes`` (``str`` utf-8 encoded); neither str
+    nor bytes-like is a :class:`TypeError`."""
+    items = list(items)
+    if _BYTES.issuperset(map(type, items)):
+        return items
+    return [_encode_one(item) for item in items]
+
+
+def _encode_one(item) -> bytes:
+    if isinstance(item, str):
+        return item.encode()
+    if isinstance(item, (bytes, bytearray, memoryview)):
+        return bytes(item)
+    raise TypeError(f"LSM keys and values are str or bytes, not "
+                    f"{type(item).__name__}")
 
 
 class SSTable:
     """An immutable sorted run of key/value pairs with a bloom filter."""
 
     def __init__(self, entries: list[tuple[bytes, bytes]]) -> None:
-        self._keys = [k for k, _ in entries]
-        self._values = [v for _, v in entries]
+        self._keys = list(map(operator.itemgetter(0), entries))
+        self._values = list(map(operator.itemgetter(1), entries))
         if not all(map(operator.lt, self._keys, self._keys[1:])):
             raise ValueError("SSTable entries must be strictly sorted")
         self.bloom = BloomFilter(max(1, len(entries)))
@@ -72,6 +83,10 @@ class SSTable:
         """Point lookup; returns the raw value (possibly a tombstone)."""
         if not self.bloom.might_contain(key):
             return None
+        return self._find(key)
+
+    def _find(self, key: bytes) -> Optional[bytes]:
+        """The stored value of ``key``, past the bloom filter."""
         idx = bisect_right(self._keys, key) - 1
         if idx >= 0 and self._keys[idx] == key:
             return self._values[idx]
@@ -160,22 +175,25 @@ class LsmTree:
         self.delete_many([key])
 
     def put_many(self, items) -> None:
-        """Insert or overwrite many (key, value) pairs — all of them or,
-        when a value is the tombstone marker, none — with a single
-        memtable-limit check at the end (the group-commit write path)."""
-        items = list(items)
-        values = _encode([value for _, value in items])
-        if _TOMBSTONE in values:
+        """Insert or overwrite many (key, value) pairs — all of them, or
+        none when one is refused — with a single memtable-limit check at
+        the end; a dict of bytes (the logger's flush overlay) as it is."""
+        if not (type(items) is dict and _BYTES.issuperset(map(type, items))
+                and _BYTES.issuperset(map(type, items.values()))):
+            items = list(items.items() if isinstance(items, dict) else items)
+            keys = _encode([key for key, _ in items])
+            items = dict(zip(keys, _encode([value for _, value in items])))
+        if _TOMBSTONE in items.values():
             raise ValueError("value collides with the tombstone marker")
-        self._apply(_encode([key for key, _ in items]), values)
+        self._apply(items)
 
     def delete_many(self, keys) -> None:
         """Write tombstones for many keys with a single memtable-limit
         check at the end."""
-        self._apply(_encode(keys), itertools.repeat(_TOMBSTONE))
+        self._apply(dict.fromkeys(_encode(keys), _TOMBSTONE))
 
-    def _apply(self, keys: list[bytes], values) -> None:
-        self._memtable.update(zip(keys, values))
+    def _apply(self, items: dict[bytes, bytes]) -> None:
+        self._memtable.update(items)
         if len(self._memtable) >= self.memtable_limit:
             self.flush()
 
@@ -183,8 +201,7 @@ class LsmTree:
         """Write the memtable out as a new SSTable; returns it (or None)."""
         if not self._memtable:
             return None
-        entries = sorted(self._memtable.items())
-        table = SSTable(entries)
+        table = SSTable(sorted(self._memtable.items()))
         self._tables.append(table)
         self._memtable = {}
         if self._store is not None:
@@ -198,16 +215,23 @@ class LsmTree:
     # ------------------------------------------------------------------
 
     def get(self, key: bytes | str) -> Optional[bytes]:
-        """Point lookup honoring tombstones; None when absent."""
-        key = key.encode() if isinstance(key, str) else bytes(key)
-        if key in self._memtable:
-            value = self._memtable[key]
-            return None if value == _TOMBSTONE else value
-        for table in reversed(self._tables):
-            value = table.get(key)
-            if value is not None:
-                return None if value == _TOMBSTONE else value
-        return None
+        """Point lookup honoring tombstones; None when absent.  The key
+        is hashed once; tables of one size share its bloom positions."""
+        key = _encode_one(key)
+        value = self._memtable.get(key)
+        if value is None and self._tables:
+            digest = key_digest(key)
+            positions: dict[tuple[int, int], list[int]] = {}
+            for table in reversed(self._tables):
+                bloom = table.bloom
+                shape = (bloom.num_bits, bloom.num_hashes)
+                if shape not in positions:
+                    positions[shape] = bloom.positions_of(digest)
+                if bloom.holds(positions[shape]):
+                    value = table._find(key)
+                    if value is not None:
+                        break
+        return None if value == _TOMBSTONE else value
 
     def __contains__(self, key: bytes | str) -> bool:
         return self.get(key) is not None
@@ -240,10 +264,7 @@ class LsmTree:
         object store keeps only the compacted blob afterwards.
         """
         self.flush()
-        merged: dict[bytes, bytes] = {}
-        for table in self._tables:
-            merged.update(table.items())
-        live = sorted((k, v) for k, v in merged.items() if v != _TOMBSTONE)
+        live = list(self.items())
         self._tables = [SSTable(live)] if live else []
         if self._store is not None:
             for key in self._store.list(self._store_prefix + "/"):

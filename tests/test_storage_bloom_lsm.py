@@ -1,10 +1,12 @@
 """Tests for the bloom filter and LSM tree."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
-from repro.storage.bloom import BloomFilter
+from repro.storage import lsm as lsm_module
+from repro.storage.bloom import BloomFilter, key_digest
 from repro.storage.lsm import LsmTree, SSTable
 from repro.storage.object_store import ObjectStore
 
@@ -254,3 +256,104 @@ class TestLsmTree:
             key = f"key-{key_n}".encode()
             assert tree.get(key) == model.get(key)
         assert dict(tree.items()) == model
+
+
+class TestLsmKeyTypes:
+    """Keys and values are ``str`` or bytes-like; an int used to become
+    that many zero bytes (``bytes(5)``), so ``put(5, ...)`` stored
+    ``b"\\x00" * 5`` and a huge int asked for that many bytes."""
+
+    BAD = [5, -1, ("k",), np.int64(5)]
+
+    @pytest.mark.parametrize("bad", BAD, ids=lambda bad: type(bad).__name__)
+    def test_a_key_of_another_type_is_refused(self, bad):
+        tree = LsmTree(memtable_limit=2)
+        name = type(bad).__name__
+        for verb in (lambda: tree.put(bad, "seg"), lambda: tree.get(bad),
+                     lambda: tree.delete(bad), lambda: bad in tree):
+            with pytest.raises(TypeError, match=name):
+                verb()
+        assert tree._memtable == {} and tree.num_tables == 0
+
+    @pytest.mark.parametrize("bad", BAD, ids=lambda bad: type(bad).__name__)
+    def test_a_value_of_another_type_is_refused(self, bad):
+        tree = LsmTree(memtable_limit=2)
+        with pytest.raises(TypeError, match=type(bad).__name__):
+            tree.put("k", bad)
+        assert tree.get("k") is None
+
+    @pytest.mark.parametrize("limit", [2, 100])
+    def test_a_rejected_put_many_changes_nothing(self, limit):
+        store = ObjectStore()
+        tree = LsmTree(memtable_limit=limit, store=store,
+                       store_prefix="map")
+        tree.put("before", "v")
+        before = (dict(tree._memtable), tree.num_tables, store.list("map/"))
+        for write in (lambda: tree.put_many([("a", "1"), ("b", "2"),
+                                             (7, "3")]),
+                      lambda: tree.put_many([("a", "1"), ("b", 7),
+                                             ("c", "3")]),
+                      lambda: tree.delete_many(["a", "before", 7])):
+            with pytest.raises(TypeError, match="int"):
+                write()
+            assert (tree._memtable, tree.num_tables,
+                    store.list("map/")) == before
+
+    def test_bytes_like_keys_are_their_bytes(self):
+        tree = LsmTree(memtable_limit=100)
+        tree.put(bytearray(b"k1"), memoryview(b"v1"))
+        tree.put_many([(memoryview(b"k2"), bytearray(b"v2"))])
+        assert tree.get(b"k1") == b"v1" and tree.get(bytearray(b"k2")) == b"v2"
+        assert all(type(key) is bytes and type(value) is bytes
+                   for key, value in tree._memtable.items())
+
+    def test_a_dict_not_all_bytes_is_its_pairs(self):
+        """Only an all-bytes dict skips encoding; any other dict is
+        still read as (key, value) pairs, not as its keys."""
+        tree = LsmTree(memtable_limit=100)
+        tree.put_many({"ab": "cd", b"k": bytearray(b"v"), "é": b"w"})
+        assert tree._memtable == {b"ab": b"cd", b"k": b"v",
+                                  "é".encode(): b"w"}
+        with pytest.raises(TypeError, match="int"):
+            tree.put_many({"x": 7})
+        assert tree.get("x") is None and tree.get("a") is None
+
+
+class TestOneDigestLookup:
+    """``LsmTree.get`` hashes its key once: every table's bloom filter
+    tests the positions of that one digest."""
+
+    @pytest.mark.parametrize("capacity", [1, 7, 64, 1000, 1024, 4099])
+    def test_positions_of_a_digest_are_the_block_positions(self, capacity):
+        bloom = BloomFilter(capacity)
+        keys = [f"k-{i}-é".encode() for i in range(300)] + [b"", b"\x00"]
+        block = bloom._positions(keys)
+        for key, row in zip(keys, block.tolist()):
+            assert bloom.positions_of(key_digest(key)) == row
+
+    def test_no_false_negatives_across_many_tables(self):
+        tree = LsmTree(memtable_limit=40)
+        for i in range(1000):       # 25 tables of 40 keys, then a tail
+            tree.put(f"pk-{i}", f"seg-{i % 3}")
+        tree.put_many((f"pk-{i}", "seg-new") for i in range(0, 1000, 97))
+        assert tree.num_tables == 25
+        for i in range(1000):
+            assert tree.get(f"pk-{i}") == (
+                b"seg-new" if i % 97 == 0 else f"seg-{i % 3}".encode())
+        assert all(tree.get(f"absent-{i}") is None for i in range(300))
+
+    def test_a_lookup_hashes_once(self, monkeypatch):
+        tree = LsmTree(memtable_limit=8)
+        for i in range(24 * 8):
+            tree.put(f"pk-{i}", "seg")
+        assert tree.num_tables == 24
+        calls = []
+
+        def counting(key):
+            calls.append(key)
+            return key_digest(key)
+
+        monkeypatch.setattr(lsm_module, "key_digest", counting)
+        monkeypatch.setattr(BloomFilter, "_positions", None)
+        assert tree.get("pk-0") == b"seg" and tree.get("absent") is None
+        assert calls == [b"pk-0", b"absent"]

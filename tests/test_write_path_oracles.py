@@ -20,12 +20,15 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, \
 from repro.cluster.manu import ManuCluster
 from repro.config import ManuConfig, SegmentConfig, StorageConfig
 from repro.core.schema import CollectionSchema, DataType, FieldSchema
+from repro.core.entity import EntityBatch
 from repro.core.segment import Segment
 from repro.core.tso import TimestampOracle
 from repro.log.binlog import BinlogManifest, _column_from_bytes, \
     _column_to_bytes
 from repro.log.broker import LogBroker
 from repro.log.logger_node import LoggerService, shard_of
+from repro.sim.clock import FIFO_POLICY, ShuffledSchedulePolicy
+from repro.sim.events import EventLoop
 from repro.storage.bloom import BloomFilter
 from repro.storage.lsm import LsmTree, SSTable
 from repro.storage.object_store import ObjectStore
@@ -238,6 +241,12 @@ class _OneSegmentAllocator:
         return [(f"{collection}-seg-{shard}", num_rows)]
 
 
+def _routed(service: LoggerService, keys: list) -> list:
+    """``_rows_by_shard`` with each part's index array as a list."""
+    return [(shard, None if rows is None else rows.tolist())
+            for shard, rows in service._rows_by_shard(keys)]
+
+
 def _service(num_shards: int) -> LoggerService:
     return LoggerService(TimestampOracle(lambda: 100.0), LogBroker(),
                          ObjectStore(), _OneSegmentAllocator(),
@@ -260,7 +269,7 @@ class TestShardRouting:
         pks = PK_SETS[kind]
         for batch in (pks, pks[:64], pks[:2], pks[:1]):
             keys = [str(pk).encode() for pk in batch]
-            assert service._rows_by_shard(keys) == \
+            assert _routed(service, keys) == \
                 reference_rows_by_shard(batch, num_shards)
 
     @pytest.mark.parametrize("num_shards", [1, 2, 7])
@@ -272,7 +281,7 @@ class TestShardRouting:
     def test_a_batch_on_one_shard_is_passed_whole(self):
         pks = [pk for pk in range(200) if reference_shard_of(pk, 2) == 1]
         keys = [str(pk).encode() for pk in pks]
-        assert _service(2)._rows_by_shard(keys) == [(1, None)]
+        assert _routed(_service(2), keys) == [(1, None)]
         assert _service(2)._rows_by_shard([]) == []
 
     @pytest.mark.parametrize("kind", sorted(PK_SETS))
@@ -286,6 +295,132 @@ class TestShardRouting:
         for pk in pks:
             assert service.lookup_segment("coll", pk) == \
                 f"coll-seg-{reference_shard_of(pk, 7)}"
+
+
+ROUTED_PKS = {
+    "int": [0, 1, -1, 7, -2**63, 2**63 - 1, 2**53, 2**53 + 1,
+            -(2**53 + 3), 10**17 + 11] + list(range(-40, 60, 3)),
+    "str": ["", "a", "clé", "鍵-7", "ключ", "é" * 9] + [f"pk-{i}-ø"
+                                                      for i in range(40)],
+}
+
+
+def _write_shapes(pks: list, num_shards: int) -> dict:
+    """One write of each shape: one row, rows all on one shard, rows
+    on several shards (the last absent at one shard)."""
+    first = reference_shard_of(pks[0], num_shards)
+    one_shard = [pk for pk in pks
+                 if reference_shard_of(pk, num_shards) == first]
+    return {"one-row": pks[-1:], "one-shard": one_shard, "mixed": pks}
+
+
+class TestRoutingOnce:
+    """One digest pass per write: each part ``_split`` hands a commit
+    group holds, in write order, exactly the rows the per-pk reference
+    routes to its shard — pks, keys and every column."""
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 7])
+    @pytest.mark.parametrize("kind", sorted(ROUTED_PKS))
+    def test_parts_are_the_per_pk_grouping(self, kind, num_shards, rng):
+        service = _service(num_shards)
+        for shape, pks in _write_shapes(ROUTED_PKS[kind],
+                                        num_shards).items():
+            vectors = rng.standard_normal((len(pks), 3)).astype(np.float32)
+            labels = [f"l-{i}" for i in range(len(pks))]
+            parts = list(service._split(tuple(pks), {"v": vectors,
+                                                     "label": labels}))
+            expected = reference_rows_by_shard(pks, num_shards)
+            assert [shard for shard, *_ in parts] == \
+                [shard for shard, _ in expected], shape
+            if shape != "mixed" or num_shards == 1:
+                assert len(parts) == 1, shape
+            for (shard, part_pks, keys, columns), (_, rows) in zip(
+                    parts, expected):
+                rows = range(len(pks)) if rows is None else rows
+                assert type(part_pks) is tuple
+                assert part_pks == tuple(pks[r] for r in rows)
+                assert list(keys) == [str(pks[r]).encode() for r in rows]
+                assert all(reference_shard_of(pk, num_shards) == shard
+                           for pk in part_pks)
+                assert np.array_equal(columns["v"], vectors[list(rows)])
+                assert list(columns["label"]) == [labels[r] for r in rows]
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 7])
+    def test_shard_of_and_lookup_are_the_reference(self, num_shards):
+        service = _service(num_shards)
+        service.ensure_channels("coll")
+        for kind, pks in ROUTED_PKS.items():
+            for pk in pks:
+                assert shard_of(pk, num_shards) == \
+                    reference_shard_of(pk, num_shards)
+            service.insert("coll", EntityBatch(
+                pks=tuple(pks),
+                columns={"v": np.ones((len(pks), 2), np.float32)}))
+            for pk in pks:
+                assert service.lookup_segment("coll", pk) == \
+                    f"coll-seg-{reference_shard_of(pk, num_shards)}"
+
+
+class TestOverlayIntoTheLsm:
+    """The flush overlay (encoded pk -> encoded segment id) goes into the
+    memtable as it is; what it flushes is the reference blob."""
+
+    def test_an_overlay_flushes_the_reference_blob(self):
+        store = ObjectStore()
+        tree = LsmTree(memtable_limit=270, store=store, store_prefix="m")
+        tree.put_many([(str(pk), "seg-old") for pk in range(0, 300, 7)])
+        overlay = dict.fromkeys([str(pk).encode()
+                                 for pk in range(299, 99, -1)], b"seg-b")
+        overlay.update(dict.fromkeys([f"é-{pk}".encode()
+                                      for pk in range(60)], b"seg-c"))
+        model = dict(tree._memtable)
+        model.update(overlay)
+        tree.put_many(overlay)      # 275 keys: trips the flush
+        assert tree.num_tables == 1 and not tree._memtable
+        assert store.get("m/00000000.sst") == \
+            reference_sstable_bytes(sorted(model.items()))
+
+    def test_a_tombstone_valued_overlay_leaves_the_memtable(self):
+        store = ObjectStore()
+        tree = LsmTree(memtable_limit=3, store=store, store_prefix="m")
+        tree.put(b"kept", b"seg-a")
+        before = dict(tree._memtable)
+        for overlay in ({b"x": b"seg-b", b"y": _TOMBSTONE},
+                        {b"kept": _TOMBSTONE},
+                        {b"x": b"seg-b", b"y": b"seg-b", b"z": _TOMBSTONE}):
+            with pytest.raises(ValueError, match="tombstone"):
+                tree.put_many(overlay)
+            assert tree._memtable == before
+            assert tree.num_tables == 0 and store.list("m/") == []
+
+
+class TestEventOrder:
+    """The loop's heap orders ``(time, tiebreak, seq)`` tuples: events
+    fire as the per-event sort orders them, under every policy."""
+
+    @pytest.mark.parametrize("policy", [FIFO_POLICY,
+                                        ShuffledSchedulePolicy(1),
+                                        ShuffledSchedulePolicy(3)],
+                             ids=["fifo", "shuffled-1", "shuffled-3"])
+    def test_events_fire_in_reference_order(self, policy):
+        loop = EventLoop(policy=policy)
+        loop.schedule_log = []
+        fired, keys = [], []
+        for n in range(60):
+            at = float(n % 4) + (0.5 if n % 9 == 0 else 0.0)
+            event = loop.call_at(at, lambda n=n: fired.append(n),
+                                 name=f"e{n}")
+            if n % 11 == 5:
+                event.cancel()
+            else:
+                keys.append((at, policy.tiebreak(event.seq), event.seq, n))
+        loop.run_until(2.0)
+        assert loop.now() == 2.0
+        loop.run_until_idle()
+        assert fired == [n for *_, n in sorted(keys)]
+        assert loop.schedule_log == [(at, seq, f"e{n}")
+                                     for at, _, seq, n in sorted(keys)]
+        assert loop.executed_events == len(keys)
 
 
 # ----------------------------------------------------------------------
